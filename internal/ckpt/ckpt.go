@@ -29,6 +29,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Magic is the frame signature "ACKP".
@@ -130,17 +131,16 @@ func Peek(b []byte) (Header, error) {
 	return h, nil
 }
 
-// frame wraps an encoded payload with the header and checksum.
-func frame(kind Kind, payload []byte) []byte {
-	out := make([]byte, headerLen+len(payload)+trailerLen)
-	binary.LittleEndian.PutUint32(out[0:4], Magic)
-	binary.LittleEndian.PutUint32(out[4:8], Version)
-	binary.LittleEndian.PutUint32(out[8:12], uint32(kind))
-	binary.LittleEndian.PutUint64(out[12:20], uint64(len(payload)))
-	copy(out[headerLen:], payload)
-	body := headerLen + len(payload)
-	binary.LittleEndian.PutUint32(out[body:], crc32.ChecksumIEEE(out[:body]))
-	return out
+// frame completes the checkpoint frame around the payload e holds:
+// the header goes into the headerLen bytes reserved at the front of
+// e.b, the checksum is appended behind the payload.
+func (e *enc) frame(kind Kind) []byte {
+	body := len(e.b)
+	binary.LittleEndian.PutUint32(e.b[0:4], Magic)
+	binary.LittleEndian.PutUint32(e.b[4:8], Version)
+	binary.LittleEndian.PutUint32(e.b[8:12], uint32(kind))
+	binary.LittleEndian.PutUint64(e.b[12:20], uint64(body-headerLen))
+	return binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(e.b[:body]))
 }
 
 // unframe validates the header and checksum and returns the header and
@@ -183,10 +183,28 @@ func Decode(r io.Reader) (any, error) {
 // declared lengths fail cleanly instead of panicking or allocating
 // unbounded memory.
 
-type enc struct{ b []byte }
+// enc appends fields to b, or — when sizing — only adds their encoded
+// length to n.
+type enc struct {
+	b      []byte
+	sizing bool
+	n      int
+}
 
-func (e *enc) u8(v uint8)    { e.b = append(e.b, v) }
-func (e *enc) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
+func (e *enc) u8(v uint8) {
+	if e.sizing {
+		e.n++
+		return
+	}
+	e.b = append(e.b, v)
+}
+func (e *enc) u64(v uint64) {
+	if e.sizing {
+		e.n += 8
+		return
+	}
+	e.b = binary.LittleEndian.AppendUint64(e.b, v)
+}
 func (e *enc) i64(v int)     { e.u64(uint64(int64(v))) }
 func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
 func (e *enc) bool(v bool) {
@@ -197,11 +215,18 @@ func (e *enc) bool(v bool) {
 	}
 }
 
-// floats writes a length-prefixed []float64.
+// floats writes a length-prefixed []float64, growing the buffer at
+// most once for the whole slice.
 func (e *enc) floats(v []float64) {
 	e.i64(len(v))
-	for _, x := range v {
-		e.f64(x)
+	if e.sizing {
+		e.n += 8 * len(v)
+		return
+	}
+	off := len(e.b)
+	e.b = slices.Grow(e.b, 8*len(v))[:off+8*len(v)]
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(e.b[off+8*i:], math.Float64bits(x))
 	}
 }
 
@@ -209,6 +234,10 @@ func (e *enc) floats(v []float64) {
 // for the audit journal).
 func (e *enc) str(v string) {
 	e.i64(len(v))
+	if e.sizing {
+		e.n += len(v)
+		return
+	}
 	e.b = append(e.b, v...)
 }
 

@@ -130,12 +130,16 @@ func states(t *testing.T) []any {
 
 // TestRoundTripCanonical checks the codec invariant the fuzz target
 // also drives: encode → decode → re-encode is byte-identical for every
-// kind.
+// kind. It also checks Marshal's sizing pass against its writing pass:
+// the frame fills the one buffer allocated for it exactly.
 func TestRoundTripCanonical(t *testing.T) {
 	for _, s := range states(t) {
 		b1, err := Marshal(s)
 		if err != nil {
 			t.Fatalf("marshal %T: %v", s, err)
+		}
+		if cap(b1) != len(b1) {
+			t.Errorf("%T: frame is %d bytes in a %d-byte buffer; Marshal mis-sized or regrew it", s, len(b1), cap(b1))
 		}
 		back, err := Unmarshal(b1)
 		if err != nil {
@@ -314,8 +318,8 @@ func TestDecodeErrors(t *testing.T) {
 	})
 	t.Run("unknown kind", func(t *testing.T) {
 		// Rebuild the frame with a bogus kind so the checksum is valid.
-		payloadLen := len(valid) - headerLen - trailerLen
-		bad := frame(Kind(42), valid[headerLen:headerLen+payloadLen])
+		e := &enc{b: append([]byte(nil), valid[:len(valid)-trailerLen]...)}
+		bad := e.frame(Kind(42))
 		if _, err := Unmarshal(bad); !errors.Is(err, ErrBadKind) {
 			t.Errorf("got %v, want ErrBadKind", err)
 		}

@@ -19,43 +19,53 @@ import (
 //	sketch.ARAMSState / *sketch.ARAMSState               → KindARAMS
 //	*pipeline.MonitorState                               → KindMonitor
 func Marshal(state any) ([]byte, error) {
-	e := &enc{}
+	// Two passes over the state, one buffer: the first only adds up the
+	// payload size (constant time per float slice), so the second
+	// writes header, payload and checksum into a frame allocated once
+	// at its final size — a monitor checkpoint is tens of megabytes, and
+	// growing it by appends cost several times that in copies.
+	size := &enc{sizing: true}
+	kind, err := encodeState(size, state)
+	if err != nil {
+		return nil, err
+	}
+	e := &enc{b: make([]byte, headerLen, headerLen+size.n+trailerLen)}
+	if _, err := encodeState(e, state); err != nil {
+		return nil, err
+	}
+	return e.frame(kind), nil
+}
+
+// encodeState writes state's payload fields to e and reports which
+// kind of frame they make.
+func encodeState(e *enc, state any) (Kind, error) {
 	switch s := state.(type) {
 	case sketch.FDState:
 		encodeFD(e, &s)
-		return frame(KindFD, e.b), nil
+		return KindFD, nil
 	case *sketch.FDState:
 		encodeFD(e, s)
-		return frame(KindFD, e.b), nil
+		return KindFD, nil
 	case sketch.RankAdaptiveState:
 		encodeRankAdaptive(e, &s)
-		return frame(KindRankAdaptive, e.b), nil
+		return KindRankAdaptive, nil
 	case *sketch.RankAdaptiveState:
 		encodeRankAdaptive(e, s)
-		return frame(KindRankAdaptive, e.b), nil
+		return KindRankAdaptive, nil
 	case sketch.PriorityState:
 		encodePriority(e, &s)
-		return frame(KindPriority, e.b), nil
+		return KindPriority, nil
 	case *sketch.PriorityState:
 		encodePriority(e, s)
-		return frame(KindPriority, e.b), nil
+		return KindPriority, nil
 	case sketch.ARAMSState:
-		if err := encodeARAMS(e, &s); err != nil {
-			return nil, err
-		}
-		return frame(KindARAMS, e.b), nil
+		return KindARAMS, encodeARAMS(e, &s)
 	case *sketch.ARAMSState:
-		if err := encodeARAMS(e, s); err != nil {
-			return nil, err
-		}
-		return frame(KindARAMS, e.b), nil
+		return KindARAMS, encodeARAMS(e, s)
 	case *pipeline.MonitorState:
-		if err := encodeMonitor(e, s); err != nil {
-			return nil, err
-		}
-		return frame(KindMonitor, e.b), nil
+		return KindMonitor, encodeMonitor(e, s)
 	default:
-		return nil, fmt.Errorf("ckpt: cannot marshal %T", state)
+		return 0, fmt.Errorf("ckpt: cannot marshal %T", state)
 	}
 }
 

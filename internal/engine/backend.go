@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"arams/internal/audit"
 	"arams/internal/mat"
 	"arams/internal/obs"
 	"arams/internal/sketch"
@@ -65,6 +66,31 @@ type TracedBackend interface {
 	AbsorbIn(parent obs.SpanContext, vecs [][]float64, idx []int) (sketch.BatchStats, error)
 	// SnapshotIn is Snapshot with the fetching span's context.
 	SnapshotIn(parent obs.SpanContext) (*sketch.FrequentDirections, error)
+}
+
+// certifier is the optional certificate-reading extension of Backend:
+// a backend that can report its sketch's error-bound certificate
+// without handing out the sketch (localShard reads six scalars under
+// its lock, internal/fabric's Remote has an RPC for it) implements it,
+// and the one-shard audit tick then neither clones nor ships the 2ℓ×d
+// buffer. Unlike Snapshot it leaves the delta mark and a remote
+// backend's replay log alone.
+type certifier interface {
+	// Certificate returns the zero certificate before the first row.
+	Certificate() (audit.Certificate, error)
+}
+
+// shardCertificate reads one shard's certificate, through certifier
+// when the backend offers it and from a Snapshot otherwise.
+func shardCertificate(b Backend) (audit.Certificate, error) {
+	if c, ok := b.(certifier); ok {
+		return c.Certificate()
+	}
+	fd, err := b.Snapshot()
+	if err != nil || fd == nil {
+		return audit.Certificate{}, err
+	}
+	return audit.FromSketch(fd), nil
 }
 
 // localShard is the in-process Backend: one ARAMS sketcher under its
@@ -151,6 +177,16 @@ func (s *localShard) Snapshot() (*sketch.FrequentDirections, error) {
 	}
 	s.arams.FD().MarkDelta()
 	return s.arams.FD().Clone(), nil
+}
+
+// Certificate reads the live sketch's certificate in place.
+func (s *localShard) Certificate() (audit.Certificate, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.arams == nil {
+		return audit.Certificate{}, nil
+	}
+	return audit.FromSketch(s.arams.FD()), nil
 }
 
 // State captures the sketcher's checkpoint state.

@@ -691,11 +691,11 @@ func (e *Engine) reconcileLockedIn(parent obs.SpanContext) *sketch.FrequentDirec
 // the live sketch's for one shard, a fresh reconcile's for many.
 func (e *Engine) Certificate() audit.Certificate {
 	if len(e.shards) == 1 {
-		fd, err := e.shards[0].Snapshot()
-		if err != nil || fd == nil {
+		cert, err := shardCertificate(e.shards[0])
+		if err != nil {
 			return audit.Certificate{}
 		}
-		return audit.FromSketch(fd)
+		return cert
 	}
 	e.globalMu.Lock()
 	defer e.globalMu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -90,17 +91,31 @@ func TestEngineObsScrapeHammer(t *testing.T) {
 	if got := e.Ingested(); got != batches*batchLen {
 		t.Fatalf("ingested %d, want %d", got, batches*batchLen)
 	}
-	assertConnectedIngestTrace(t, 4)
+	assertConnectedIngestTrace(t, 4, batchLen)
 }
 
 // assertConnectedIngestTrace scans the default registry for retained
-// ingest_batch traces and requires at least one to be a fully
-// connected tree containing the preprocess and per-shard sketch legs.
-func assertConnectedIngestTrace(t *testing.T, shards int) {
+// ingest_batch traces of frames-long batches into a shards-wide engine
+// and requires at least one to be a fully connected tree containing
+// the preprocess and per-shard sketch legs. The registry is
+// process-wide, so traces whose root carries another shard count or
+// batch length (a short batch reaches fewer shards) were left by an
+// earlier test and are skipped.
+func assertConnectedIngestTrace(t *testing.T, shards, frames int) {
 	t.Helper()
 	var checked int
 	for _, tr := range obs.Default().Traces() {
 		if tr.Root != "ingest_batch" {
+			continue
+		}
+		foreign := false
+		for _, sp := range tr.Spans {
+			if sp.Parent == 0 && sp.Name == "ingest_batch" &&
+				(sp.Attrs["shards"] != strconv.Itoa(shards) || sp.Attrs["frames"] != strconv.Itoa(frames)) {
+				foreign = true
+			}
+		}
+		if foreign {
 			continue
 		}
 		byID := make(map[obs.ID]obs.SpanRecord, len(tr.Spans))

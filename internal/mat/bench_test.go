@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"arams/internal/rng"
@@ -130,4 +131,68 @@ func BenchmarkMulABtProjectionShape(b *testing.B) {
 			MulABtTo(dst, x, basis)
 		}
 	})
+}
+
+// fdShapedBuffer builds the 2ℓ×d matrix a Frequent Directions rotation
+// sees in steady state: ℓ mutually orthogonal rows with a decaying
+// spectrum (what the previous shrink left behind) stacked on ℓ fresh
+// low-rank-plus-noise data rows.
+func fdShapedBuffer(ell, d int, g *rng.RNG) *Matrix {
+	basis := RandGaussian(ell, d, g)
+	data := func(dst *Matrix) {
+		for i := 0; i < dst.RowsN; i++ {
+			row := dst.Row(i)
+			for k := 0; k < ell; k++ {
+				axpy(g.Norm()/float64(k+1), basis.Row(k), row)
+			}
+			for j := range row {
+				row[j] += 0.01 * g.Norm()
+			}
+		}
+	}
+	buf := New(2*ell, d)
+	data(buf)
+	vt := New(ell, d)
+	sigma := SVDGramTo(buf, nil, vt)
+	delta := sigma[ell] * sigma[ell]
+	buf.Zero()
+	for i := 0; i < ell; i++ {
+		if s2 := sigma[i]*sigma[i] - delta; s2 > 0 {
+			axpy(math.Sqrt(s2), vt.Row(i), buf.Row(i))
+		}
+	}
+	data(buf.Rows(ell, 2*ell))
+	return buf
+}
+
+// BenchmarkSVDGramParts splits one FD rotation's SVDGramTo (2ℓ×d
+// buffer, ℓ rows of Vᵀ asked for) into its three kernels, so the share
+// each holds comes from a command rather than a scratch program.
+func BenchmarkSVDGramParts(b *testing.B) {
+	const ell = 25
+	for _, d := range []int{4096, 16384} {
+		a := fdShapedBuffer(ell, d, rng.New(10))
+		m := a.RowsN
+		gram := Gram(a)
+		w, ut := New(m, m), New(m, m)
+		vals := make([]float64, m)
+		coef := RandGaussian(ell, m, rng.New(11))
+		vt := New(ell, d)
+		b.Run(fmt.Sprintf("gram_%dx%d", m, d), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				GramTo(w, a)
+			}
+		})
+		b.Run(fmt.Sprintf("eigsym_%dx%d", m, d), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				w.CopyFrom(gram)
+				eigSymInto(w, ut, vals)
+			}
+		})
+		b.Run(fmt.Sprintf("backmul_%dx%d", m, d), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MulTo(vt, coef, a)
+			}
+		})
+	}
 }

@@ -19,8 +19,9 @@ package mat
 //
 // All kernels in this file are serial; parallelism is layered on top
 // by ParallelFor over disjoint output row ranges (see blas.go). The
-// innermost element loops (dot2x2, dot1x2, axpy, axpy2) live in
-// inner.go, which scripts/check_bce.sh keeps bounds-check-free.
+// innermost element loops (dot2x2, dot1x2, axpy, axpy2, and the Jacobi
+// eigensolver's planeRot) live in inner.go, which scripts/check_bce.sh
+// keeps bounds-check-free.
 
 const (
 	// panelCols is the k-panel width for the dot-structured kernels:

@@ -18,7 +18,9 @@ const eigParallelMinN = 96
 // EigSym computes the full eigendecomposition of a symmetric n×n matrix
 // a using the cyclic Jacobi method: a = v * diag(vals) * vᵀ with the
 // eigenvalues sorted in descending order and v's columns the matching
-// orthonormal eigenvectors. The input is not modified.
+// orthonormal eigenvectors. The input is not modified; it must be
+// exactly symmetric (a[i][j] and a[j][i] the same bits, as GramTo
+// produces), because the sweeps read whichever triangle is contiguous.
 //
 // Jacobi iteration is chosen over tridiagonalization+QL because the
 // matrices this package decomposes are small (Gram matrices of sketch
@@ -31,26 +33,28 @@ func EigSym(a *Matrix) (vals []float64, v *Matrix) {
 	if n != a.ColsN {
 		panic("mat: EigSym needs a square matrix")
 	}
-	v = New(n, n)
+	vt := New(n, n)
 	if n == 0 {
-		setIdentity(v)
-		return nil, v
+		return nil, vt
 	}
 	w := a.Clone()
 	vals = make([]float64, n)
-	eigSymInto(w, v, vals)
-	return vals, v
+	eigSymInto(w, vt, vals)
+	return vals, vt.T()
 }
 
 // eigSymInto runs the Jacobi eigendecomposition in caller-owned
-// storage: w (destroyed), v (overwritten with eigenvectors), and vals
-// (filled with descending eigenvalues). It performs no heap
+// storage: w (destroyed; must be exactly symmetric, as GramTo's output
+// is), vt (overwritten with the eigenvectors as rows, i.e. Vᵀ), and
+// vals (filled with descending eigenvalues). Accumulating Vᵀ instead of
+// V keeps every rotation, the final sort's swaps and the caller's reads
+// of one eigenvector on contiguous rows. It performs no heap
 // allocations on the serial path, which is what the pooled FD rotation
 // relies on.
-func eigSymInto(w, v *Matrix, vals []float64) {
+func eigSymInto(w, vt *Matrix, vals []float64) {
 	start := time.Now()
 	n := w.RowsN
-	setIdentity(v)
+	setIdentity(vt)
 	if n == 0 {
 		return
 	}
@@ -59,52 +63,80 @@ func eigSymInto(w, v *Matrix, vals []float64) {
 		return
 	}
 	if n >= eigParallelMinN && Workers() > 1 {
-		eigSweepsParallel(w, v)
+		eigSweepsParallel(w, vt)
 	} else {
-		eigSweepsSerial(w, v)
+		eigSweepsSerial(w, vt)
 	}
 	for i := 0; i < n; i++ {
 		vals[i] = w.At(i, i)
 	}
-	sortEigenpairs(vals, v)
+	sortEigenpairs(vals, vt)
 	observeSince(obsKernelEig, start)
+}
+
+// eigConverged reports whether the off-diagonal mass of w is negligible
+// relative to its scale — the sweep loops' stopping rule.
+func eigConverged(w *Matrix) bool {
+	off := offDiagNorm(w)
+	return off == 0 || off <= 1e-30*w.MaxAbs()*float64(w.RowsN)
 }
 
 // eigSweepsSerial is the classic cyclic ordering: every (p, q) pair in
 // row-major order, repeated until the off-diagonal mass is negligible.
-func eigSweepsSerial(w, v *Matrix) {
+func eigSweepsSerial(w, vt *Matrix) {
 	n := w.RowsN
-	for sweep := 0; sweep < eigMaxSweeps; sweep++ {
-		off := offDiagNorm(w)
-		if off == 0 {
-			break
-		}
-		// Convergence: off-diagonal mass negligible relative to scale.
-		scale := w.MaxAbs()
-		if off <= 1e-30*scale*float64(n) {
-			break
-		}
+	for sweep := 0; sweep < eigMaxSweeps && !eigConverged(w); sweep++ {
 		for p := 0; p < n-1; p++ {
+			rp := w.Row(p)
 			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
+				apq := rp[q]
 				if apq == 0 {
 					continue
 				}
-				app := w.At(p, p)
-				aqq := w.At(q, q)
+				rq := w.Row(q)
+				app := rp[p]
+				aqq := rq[q]
 				// Threshold: rotating for vanishing elements only
 				// churns; skip if negligible versus the diagonal.
 				if math.Abs(apq) <= 1e-18*(math.Abs(app)+math.Abs(aqq)) {
-					w.Set(p, q, 0)
-					w.Set(q, p, 0)
+					rp[q] = 0
+					rq[p] = 0
 					continue
 				}
 				c, s := jacobiAngle(app, aqq, apq)
-				applyJacobi(w, v, p, q, c, s)
+				rotateSym(w, vt, p, q, c, s)
 			}
 		}
 	}
 }
+
+// rotateSym applies the rotation J(p,q,c,s) as w = JᵀwJ and vt = Jᵀvt.
+// w is exactly symmetric before and after, so column p is row p: the
+// rotated rows p and q are computed from contiguous memory, the 2×2
+// block is then set exactly, and the two rows are copied into columns
+// p and q (the copy also lands the block, since rp[q] = rq[p] = 0).
+func rotateSym(w, vt *Matrix, p, q int, c, s float64) {
+	rp, rq := w.Row(p), w.Row(q)
+	app, aqq, apq := rp[p], rq[q], rp[q]
+	planeRot(c, s, rp, rq)
+	rp[p] = c*c*app - 2*s*c*apq + s*s*aqq
+	rq[q] = s*s*app + 2*s*c*apq + c*c*aqq
+	rp[q] = 0
+	rq[p] = 0
+	for i, off := 0, 0; i < len(rp); i, off = i+1, off+w.Stride {
+		w.Data[off+p] = rp[i]
+		w.Data[off+q] = rq[i]
+	}
+	planeRot(c, s, vt.Row(p), vt.Row(q))
+}
+
+// Chunk sizes for the two phases of a parallel round: a pair rotates
+// four rows of n elements, a row of the column phase touches two
+// elements per pair — both far below a pool dispatch unless batched.
+const (
+	eigPairChunk = 4
+	eigRowChunk  = 16
+)
 
 // eigSweepsParallel runs the round-robin (chess tournament) ordering:
 // each of the n−1 rounds per sweep pairs every index exactly once, the
@@ -112,8 +144,11 @@ func eigSweepsSerial(w, v *Matrix) {
 // phase and the column phase each fan out over the pool with a barrier
 // between them. Rotation angles for a round are computed up front from
 // the round-start matrix, which is what makes the phases exact (the
-// product of disjoint plane rotations applied as JᵀAJ).
-func eigSweepsParallel(w, v *Matrix) {
+// product of disjoint plane rotations applied as JᵀAJ). The row phase
+// splits by pair (w ← Jᵀw and vt ← Jᵀvt touch rows p and q only); the
+// column phase w ← wJ splits by row, each row applying every pair's
+// 2-element rotation to itself, so no phase walks a column.
+func eigSweepsParallel(w, vt *Matrix) {
 	n := w.RowsN
 	np := n
 	if np%2 == 1 {
@@ -133,15 +168,7 @@ func eigSweepsParallel(w, v *Matrix) {
 	sn := make([]float64, half)
 	active := make([]bool, half)
 
-	for sweep := 0; sweep < eigMaxSweeps; sweep++ {
-		off := offDiagNorm(w)
-		if off == 0 {
-			break
-		}
-		scale := w.MaxAbs()
-		if off <= 1e-30*scale*float64(n) {
-			break
-		}
+	for sweep := 0; sweep < eigMaxSweeps && !eigConverged(w); sweep++ {
 		for round := 0; round < np-1; round++ {
 			nact := 0
 			for k := 0; k < half; k++ {
@@ -170,22 +197,33 @@ func eigSweepsParallel(w, v *Matrix) {
 				nact++
 			}
 			if nact > 0 {
-				ParallelFor(half, 1, func(lo, hi int) {
+				ParallelFor(half, eigPairChunk, func(lo, hi int) {
 					for k := lo; k < hi; k++ {
 						if active[k] {
-							rotateRows(w, ps[k], qs[k], cs[k], sn[k])
+							planeRot(cs[k], sn[k], w.Row(ps[k]), w.Row(qs[k]))
+							planeRot(cs[k], sn[k], vt.Row(ps[k]), vt.Row(qs[k]))
 						}
 					}
 				})
-				ParallelFor(half, 1, func(lo, hi int) {
-					for k := lo; k < hi; k++ {
-						if active[k] {
-							rotateCols(w, v, ps[k], qs[k], cs[k], sn[k])
-							w.Set(ps[k], qs[k], 0)
-							w.Set(qs[k], ps[k], 0)
+				ParallelFor(n, eigRowChunk, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						row := w.Row(i)
+						for k := 0; k < half; k++ {
+							if active[k] {
+								p, q, c, s := ps[k], qs[k], cs[k], sn[k]
+								wp, wq := row[p], row[q]
+								row[p] = c*wp - s*wq
+								row[q] = s*wp + c*wq
+							}
 						}
 					}
 				})
+				for k := 0; k < half; k++ {
+					if active[k] {
+						w.Set(ps[k], qs[k], 0)
+						w.Set(qs[k], ps[k], 0)
+					}
+				}
 			}
 			rotatePlayers(players)
 		}
@@ -207,37 +245,6 @@ func jacobiAngle(app, aqq, apq float64) (c, s float64) {
 	return c, s
 }
 
-// rotateRows applies the left half of the similarity transform,
-// w ← Jᵀw: rows p and q are recombined, other rows untouched.
-func rotateRows(w *Matrix, p, q int, c, s float64) {
-	rp := w.Row(p)
-	rq := w.Row(q)
-	for j := range rp {
-		wp := rp[j]
-		wq := rq[j]
-		rp[j] = c*wp - s*wq
-		rq[j] = s*wp + c*wq
-	}
-}
-
-// rotateCols applies the right half, w ← wJ, and accumulates the
-// eigenvector rotation v ← vJ. Columns p and q only.
-func rotateCols(w, v *Matrix, p, q int, c, s float64) {
-	n := w.RowsN
-	for i := 0; i < n; i++ {
-		wp := w.At(i, p)
-		wq := w.At(i, q)
-		w.Set(i, p, c*wp-s*wq)
-		w.Set(i, q, s*wp+c*wq)
-	}
-	for i := 0; i < v.RowsN; i++ {
-		vp := v.At(i, p)
-		vq := v.At(i, q)
-		v.Set(i, p, c*vp-s*vq)
-		v.Set(i, q, s*vp+c*vq)
-	}
-}
-
 // rotatePlayers advances the round-robin schedule: index 0 is fixed,
 // the rest rotate one position.
 func rotatePlayers(players []int) {
@@ -247,10 +254,10 @@ func rotatePlayers(players []int) {
 	players[1] = last
 }
 
-// sortEigenpairs orders (vals, columns of v) by descending eigenvalue
+// sortEigenpairs orders (vals, rows of vt) by descending eigenvalue
 // in place with a selection sort — no allocation, and n is at most a
 // few hundred.
-func sortEigenpairs(vals []float64, v *Matrix) {
+func sortEigenpairs(vals []float64, vt *Matrix) {
 	n := len(vals)
 	for j := 0; j < n; j++ {
 		mx := j
@@ -261,10 +268,9 @@ func sortEigenpairs(vals []float64, v *Matrix) {
 		}
 		if mx != j {
 			vals[j], vals[mx] = vals[mx], vals[j]
-			for i := 0; i < v.RowsN; i++ {
-				t := v.At(i, j)
-				v.Set(i, j, v.At(i, mx))
-				v.Set(i, mx, t)
+			rj, rm := vt.Row(j), vt.Row(mx)
+			for i := range rj {
+				rj[i], rm[i] = rm[i], rj[i]
 			}
 		}
 	}
@@ -280,36 +286,6 @@ func setIdentity(m *Matrix) {
 		if i < m.ColsN {
 			row[i] = 1
 		}
-	}
-}
-
-// applyJacobi applies the rotation J(p,q,c,s) as w = JᵀwJ and v = vJ.
-func applyJacobi(w, v *Matrix, p, q int, c, s float64) {
-	n := w.RowsN
-	app := w.At(p, p)
-	aqq := w.At(q, q)
-	apq := w.At(p, q)
-	// Update the 2×2 block exactly.
-	w.Set(p, p, c*c*app-2*s*c*apq+s*s*aqq)
-	w.Set(q, q, s*s*app+2*s*c*apq+c*c*aqq)
-	w.Set(p, q, 0)
-	w.Set(q, p, 0)
-	for i := 0; i < n; i++ {
-		if i == p || i == q {
-			continue
-		}
-		aip := w.At(i, p)
-		aiq := w.At(i, q)
-		w.Set(i, p, c*aip-s*aiq)
-		w.Set(p, i, c*aip-s*aiq)
-		w.Set(i, q, s*aip+c*aiq)
-		w.Set(q, i, s*aip+c*aiq)
-	}
-	for i := 0; i < n; i++ {
-		vip := v.At(i, p)
-		viq := v.At(i, q)
-		v.Set(i, p, c*vip-s*viq)
-		v.Set(i, q, s*vip+c*viq)
 	}
 }
 

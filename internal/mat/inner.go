@@ -143,3 +143,31 @@ func dot1x2(x, b0, b1 []float64) (c0, c1 float64) {
 	}
 	return
 }
+
+// planeRot applies the plane rotation x, y ← c·x − s·y, s·x + c·y over
+// the common prefix of two rows — the Jacobi eigensolver's only O(n)
+// step, 4-way unrolled in the slice-advance idiom. Each element pair
+// is read before either is written, so the expressions are exactly the
+// scalar ones.
+func planeRot(c, s float64, x, y []float64) {
+	for len(x) >= 4 && len(y) >= 4 {
+		x4, y4 := x[:4], y[:4]
+		a0, a1, a2, a3 := x4[0], x4[1], x4[2], x4[3]
+		b0, b1, b2, b3 := y4[0], y4[1], y4[2], y4[3]
+		x4[0] = c*a0 - s*b0
+		x4[1] = c*a1 - s*b1
+		x4[2] = c*a2 - s*b2
+		x4[3] = c*a3 - s*b3
+		y4[0] = s*a0 + c*b0
+		y4[1] = s*a1 + c*b1
+		y4[2] = s*a2 + c*b2
+		y4[3] = s*a3 + c*b3
+		x, y = x[4:], y[4:]
+	}
+	for len(x) > 0 && len(y) > 0 {
+		a, b := x[0], y[0]
+		x[0] = c*a - s*b
+		y[0] = s*a + c*b
+		x, y = x[1:], y[1:]
+	}
+}

@@ -175,3 +175,161 @@ func RefSVDGram(a *Matrix) (u *Matrix, s []float64, vt *Matrix) {
 	}
 	return u, s, vt
 }
+
+// RefEigSym is the Jacobi eigensolver as it shipped before the sweeps
+// went row-contiguous: the same pair orderings, thresholds and
+// rotation arithmetic as EigSym, but walking the row-major w and v by
+// columns through At/Set and accumulating V rather than Vᵀ. Tests
+// assert EigSym reproduces its eigenpairs bit for bit; like EigSym it
+// switches to the round-robin ordering (here run serially — the pairs
+// of a round are disjoint, so the order within a round cannot matter)
+// at n ≥ eigParallelMinN when the pool has more than one worker.
+func RefEigSym(a *Matrix) (vals []float64, v *Matrix) {
+	n := a.RowsN
+	if n != a.ColsN {
+		panic("mat: RefEigSym needs a square matrix")
+	}
+	v = Eye(n)
+	if n == 0 {
+		return nil, v
+	}
+	w := a.Clone()
+	vals = make([]float64, n)
+	if n > 1 {
+		if n >= eigParallelMinN && Workers() > 1 {
+			refEigSweepsRoundRobin(w, v)
+		} else {
+			refEigSweepsCyclic(w, v)
+		}
+	}
+	for i := range vals {
+		vals[i] = w.At(i, i)
+	}
+	for j := 0; j < n; j++ {
+		mx := j
+		for k := j + 1; k < n; k++ {
+			if vals[k] > vals[mx] {
+				mx = k
+			}
+		}
+		if mx != j {
+			vals[j], vals[mx] = vals[mx], vals[j]
+			for i := 0; i < n; i++ {
+				t := v.At(i, j)
+				v.Set(i, j, v.At(i, mx))
+				v.Set(i, mx, t)
+			}
+		}
+	}
+	return vals, v
+}
+
+// refJacobiPair returns the rotation for the pair (p, q), or ok=false
+// when the element is zero or negligible (in which case it is zeroed).
+func refJacobiPair(w *Matrix, p, q int) (c, s float64, ok bool) {
+	apq := w.At(p, q)
+	if apq == 0 {
+		return 0, 0, false
+	}
+	app := w.At(p, p)
+	aqq := w.At(q, q)
+	if math.Abs(apq) <= 1e-18*(math.Abs(app)+math.Abs(aqq)) {
+		w.Set(p, q, 0)
+		w.Set(q, p, 0)
+		return 0, 0, false
+	}
+	c, s = jacobiAngle(app, aqq, apq)
+	return c, s, true
+}
+
+func refEigSweepsCyclic(w, v *Matrix) {
+	n := w.RowsN
+	for sweep := 0; sweep < eigMaxSweeps && !eigConverged(w); sweep++ {
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				c, s, ok := refJacobiPair(w, p, q)
+				if !ok {
+					continue
+				}
+				app := w.At(p, p)
+				aqq := w.At(q, q)
+				apq := w.At(p, q)
+				w.Set(p, p, c*c*app-2*s*c*apq+s*s*aqq)
+				w.Set(q, q, s*s*app+2*s*c*apq+c*c*aqq)
+				w.Set(p, q, 0)
+				w.Set(q, p, 0)
+				for i := 0; i < n; i++ {
+					if i == p || i == q {
+						continue
+					}
+					aip := w.At(i, p)
+					aiq := w.At(i, q)
+					w.Set(i, p, c*aip-s*aiq)
+					w.Set(p, i, c*aip-s*aiq)
+					w.Set(i, q, s*aip+c*aiq)
+					w.Set(q, i, s*aip+c*aiq)
+				}
+				refRotateCols(v, p, q, c, s)
+			}
+		}
+	}
+}
+
+func refEigSweepsRoundRobin(w, v *Matrix) {
+	n := w.RowsN
+	np := n + n%2 // pad with a bye
+	players := make([]int, np)
+	for i := range players {
+		players[i] = i
+	}
+	if np > n {
+		players[np-1] = -1
+	}
+	type rot struct {
+		p, q int
+		c, s float64
+	}
+	rots := make([]rot, 0, np/2)
+	for sweep := 0; sweep < eigMaxSweeps && !eigConverged(w); sweep++ {
+		for round := 0; round < np-1; round++ {
+			rots = rots[:0]
+			for k := 0; k < np/2; k++ {
+				p, q := players[k], players[np-1-k]
+				if p < 0 || q < 0 {
+					continue
+				}
+				if p > q {
+					p, q = q, p
+				}
+				if c, s, ok := refJacobiPair(w, p, q); ok {
+					rots = append(rots, rot{p, q, c, s})
+				}
+			}
+			for _, r := range rots { // w ← Jᵀw
+				for j := 0; j < n; j++ {
+					wp := w.At(r.p, j)
+					wq := w.At(r.q, j)
+					w.Set(r.p, j, r.c*wp-r.s*wq)
+					w.Set(r.q, j, r.s*wp+r.c*wq)
+				}
+			}
+			for _, r := range rots { // w ← wJ, v ← vJ
+				refRotateCols(w, r.p, r.q, r.c, r.s)
+				refRotateCols(v, r.p, r.q, r.c, r.s)
+				w.Set(r.p, r.q, 0)
+				w.Set(r.q, r.p, 0)
+			}
+			rotatePlayers(players)
+		}
+	}
+}
+
+// refRotateCols recombines columns p and q of m: m ← mJ.
+func refRotateCols(m *Matrix, p, q int, c, s float64) {
+	for i := 0; i < m.RowsN; i++ {
+		mp := m.At(i, p)
+		mq := m.At(i, q)
+		m.Set(i, p, c*mp-s*mq)
+		m.Set(i, q, s*mp+c*mq)
+	}
+}

@@ -12,8 +12,8 @@ import "sync"
 
 type svdScratch struct {
 	g    *Matrix   // m×m Gram matrix, destroyed by the eigensolver
-	v    *Matrix   // m×m eigenvectors
-	coef *Matrix   // m×m Σ⁻¹Uᵀ coefficients
+	ut   *Matrix   // m×m eigenvectors as rows (Uᵀ)
+	coef *Matrix   // r×m leading rows of Σ⁻¹Uᵀ
 	vals []float64 // eigenvalues
 }
 

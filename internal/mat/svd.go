@@ -221,7 +221,12 @@ func SVDGram(a *Matrix) (u *Matrix, s []float64, vt *Matrix) {
 
 // SVDGramTo is SVDGram without the left factor, writing into
 // caller-owned storage: sigma must have capacity >= m (it is resized
-// and returned), vt must be m×d. All internal workspace — the Gram
+// and returned), vt must be r×d with r <= m. vt's row count selects how
+// many right singular vectors are back-multiplied: all m singular
+// values are always returned, but only the leading r rows of
+// Σ⁻¹Uᵀa are formed — bit-identical to the leading r rows of the m-row
+// call. Frequent Directions passes r = ℓ, because its shrink zeroes
+// every direction at or below σ_ℓ. All internal workspace — the Gram
 // matrix, the eigensolver state, and the back-substitution
 // coefficients — comes from a process-wide pool, so steady-state calls
 // perform zero heap allocations. This is the FD rotation entry point.
@@ -240,16 +245,17 @@ func SVDGramTo(a *Matrix, sigma []float64, vt *Matrix) []float64 {
 func svdGramCore(a *Matrix, s []float64, vt *Matrix, u *Matrix) {
 	start := time.Now()
 	m, d := a.Dims()
-	if vt.RowsN != m || vt.ColsN != d {
+	r := vt.RowsN
+	if r > m || vt.ColsN != d {
 		panic("mat: SVDGram vt shape mismatch")
 	}
 	sc := grabSVDScratch()
 	sc.g = ensureMat(sc.g, m, m)
 	GramTo(sc.g, a)
-	sc.v = ensureMat(sc.v, m, m)
+	sc.ut = ensureMat(sc.ut, m, m)
 	sc.vals = ensureFloats(sc.vals, m)
 	// The eigensolver destroys its input; g is not needed afterwards.
-	eigSymInto(sc.g, sc.v, sc.vals)
+	eigSymInto(sc.g, sc.ut, sc.vals)
 
 	var maxVal float64
 	if m > 0 && sc.vals[0] > 0 {
@@ -261,13 +267,13 @@ func svdGramCore(a *Matrix, s []float64, vt *Matrix, u *Matrix) {
 		}
 		s[i] = math.Sqrt(v)
 	}
-	// vt = Σ⁻¹ Uᵀ a as one blocked product: build the m×m coefficient
-	// matrix C with C[i,k] = U[k,i]/σᵢ (zero rows for numerically zero
-	// σᵢ) and multiply. MulTo zeroes vt, so the sub-tolerance rows come
-	// out as the documented zero rows.
-	sc.coef = ensureMat(sc.coef, m, m)
+	// vt = Σ⁻¹ Uᵀ a as one blocked product: row i of the r×m coefficient
+	// matrix is row i of Uᵀ over σᵢ (a zero row for numerically zero σᵢ).
+	// MulTo zeroes vt, so the sub-tolerance rows come out as the
+	// documented zero rows.
+	sc.coef = ensureMat(sc.coef, r, m)
 	tol := 1e-14 * math.Sqrt(maxVal)
-	for i := 0; i < m; i++ {
+	for i := 0; i < r; i++ {
 		row := sc.coef.Row(i)
 		if s[i] <= tol {
 			for k := range row {
@@ -276,13 +282,17 @@ func svdGramCore(a *Matrix, s []float64, vt *Matrix, u *Matrix) {
 			continue
 		}
 		inv := 1 / s[i]
-		for k := 0; k < m; k++ {
-			row[k] = sc.v.At(k, i) * inv
+		for k, uik := range sc.ut.Row(i) {
+			row[k] = uik * inv
 		}
 	}
 	MulTo(vt, sc.coef, a)
 	if u != nil {
-		u.CopyFrom(sc.v)
+		for i := 0; i < m; i++ {
+			for k, uik := range sc.ut.Row(i) {
+				u.Set(k, i, uik)
+			}
+		}
 	}
 	releaseSVDScratch(sc)
 	observeSince(obsKernelSVDG, start)

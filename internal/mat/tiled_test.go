@@ -169,7 +169,8 @@ func TestParallelJacobiEigMatchesSerial(t *testing.T) {
 		if !Mul(vp.T(), vp).Equal(Eye(n), 1e-9) {
 			t.Fatalf("n=%d: parallel eigenvectors not orthonormal", n)
 		}
-		recon := Mul(vp, Mul(Diag(valsP), vp.T()))
+		// The sweeps accumulate Vᵀ (eigenvectors as rows).
+		recon := Mul(vp.T(), Mul(Diag(valsP), vp))
 		if !recon.Equal(a, 1e-8*scale) {
 			t.Fatalf("n=%d: parallel V·Λ·Vᵀ does not reconstruct input", n)
 		}

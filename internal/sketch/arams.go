@@ -110,24 +110,34 @@ func (a *ARAMS) ProcessBatch(x *mat.Matrix) BatchStats {
 		bs.TotalMass += mat.Norm2Sq(x.Row(i))
 	}
 	deltaBefore := a.FD().Delta()
-	sel := x
 	if a.cfg.Beta < 1 {
-		sel = SampleRows(x, a.cfg.Beta, a.g)
-		for i := 0; i < sel.RowsN; i++ {
-			bs.KeptMass += mat.Norm2Sq(sel.Row(i))
+		// The sampler holds views into x and the sketch copies each
+		// appended row into its buffer, so the kept rows go from the
+		// batch to the sketch without an intermediate copy.
+		for _, e := range sampleBatch(x, a.cfg.Beta, a.g).selected() {
+			bs.KeptMass += mat.Norm2Sq(e.row)
+			bs.Kept++
+			a.append(e.row)
 		}
 	} else {
 		bs.KeptMass = bs.TotalMass
-	}
-	bs.Kept = sel.RowsN
-	if a.rafd != nil {
-		a.rafd.AppendMatrix(sel)
-	} else {
-		a.fd.AppendMatrix(sel)
+		bs.Kept = x.RowsN
+		for i := 0; i < x.RowsN; i++ {
+			a.append(x.Row(i))
+		}
 	}
 	bs.EllAfter = a.Ell()
 	bs.DeltaAdded = a.FD().Delta() - deltaBefore
 	return bs
+}
+
+// append adds one row to whichever sketch variant is configured.
+func (a *ARAMS) append(row []float64) {
+	if a.rafd != nil {
+		a.rafd.Append(row)
+	} else {
+		a.fd.Append(row)
+	}
 }
 
 // Ell returns the current number of retained directions.

@@ -149,8 +149,10 @@ func (fd *FrequentDirections) rotate() {
 	default:
 		// Pooled Gram-trick path: sigma and vt live in fd-owned storage
 		// reused across rotations, so the steady-state shrink performs
-		// zero heap allocations.
-		vt = fd.ensureVtBuf(filled.RowsN)
+		// zero heap allocations. The shrink below zeroes every direction
+		// at or below σ_ℓ, so only the ℓ leading rows of Vᵀ are asked
+		// for; sigma still carries the whole spectrum.
+		vt = fd.ensureVtBuf(min(fd.ell, filled.RowsN))
 		sigma = mat.SVDGramTo(filled, fd.lastSigma[:0], vt)
 	}
 
@@ -305,10 +307,10 @@ func (fd *FrequentDirections) Basis(k int) *mat.Matrix {
 			rank++
 		}
 	}
-	if k > rank {
-		k = rank
-	}
-	if k == 0 {
+	// After a rotation lastSigma is the pre-shrink spectrum of the full
+	// buffer but lastVt holds only the directions the shrink kept.
+	k = min(k, min(rank, fd.lastVt.RowsN))
+	if k <= 0 {
 		return mat.New(0, fd.d)
 	}
 	out := mat.New(k, fd.d)
@@ -385,10 +387,12 @@ func (fd *FrequentDirections) filled(m int) *mat.Matrix {
 
 // ensureVtBuf resizes the owned right-singular-vector buffer to m×d,
 // reusing its backing array when capacity allows. It allocates at the
-// full 2ℓ row capacity on first use so later rotations never grow it.
+// ℓ-row capacity every caller stays within (a rotation keeps ℓ rows,
+// Basis decomposes a compacted buffer) on first use so later rotations
+// never grow it.
 func (fd *FrequentDirections) ensureVtBuf(m int) *mat.Matrix {
 	if cap(fd.vtBuf.Data) < m*fd.d {
-		rows := max(m, 2*fd.ell)
+		rows := max(m, fd.ell)
 		fd.vtBuf = mat.Matrix{
 			RowsN:  rows,
 			ColsN:  fd.d,

@@ -50,10 +50,15 @@ func (p *PrioritySampler) PushWeight(w float64, index int) {
 }
 
 // PushRow offers a data row; its weight is the Euclidean row norm, as
-// in the paper.
+// in the paper. The row is copied, so the caller may reuse its buffer.
 func (p *PrioritySampler) PushRow(row []float64) {
-	cp := append([]float64(nil), row...)
-	p.push(entry{weight: mat.Norm2(cp), index: p.seen, row: cp})
+	p.pushRowView(append([]float64(nil), row...))
+}
+
+// pushRowView is PushRow without the copy: the sampler keeps row
+// itself, which must stay unchanged for as long as the sampler is read.
+func (p *PrioritySampler) pushRowView(row []float64) {
+	p.push(entry{weight: mat.Norm2(row), row: row})
 }
 
 func (p *PrioritySampler) push(e entry) {
@@ -182,6 +187,13 @@ func SampleRows(x *mat.Matrix, beta float64, g *rng.RNG) *mat.Matrix {
 	if beta >= 1 {
 		return x.Clone()
 	}
+	return sampleBatch(x, beta, g).Rows(x.ColsN)
+}
+
+// sampleBatch offers every row of x to a fresh ⌈beta·n⌉-slot sampler as
+// a view into x (beta in (0, 1)), so selecting from a batch copies no
+// row; x must outlive the reads of the returned sampler.
+func sampleBatch(x *mat.Matrix, beta float64, g *rng.RNG) *PrioritySampler {
 	if beta <= 0 {
 		panic("sketch: SampleRows needs beta > 0")
 	}
@@ -191,7 +203,7 @@ func SampleRows(x *mat.Matrix, beta float64, g *rng.RNG) *mat.Matrix {
 	}
 	ps := NewPrioritySampler(m, g)
 	for i := 0; i < x.RowsN; i++ {
-		ps.PushRow(x.Row(i))
+		ps.pushRowView(x.Row(i))
 	}
-	return ps.Rows(x.ColsN)
+	return ps
 }
