@@ -13,10 +13,6 @@
 //	aramsbench -exp runtime         # §VI-B throughput study
 //	aramsbench -exp probes          # Alg. 1 probe-count ablation
 //	aramsbench -exp beta            # priority-sampling β ablation
-//	aramsbench -exp kernels         # reference-vs-blocked kernel timings
-//	aramsbench -exp ingest          # sharded-engine ingest throughput
-//	aramsbench -quick               # fast kernel smoke run (CI)
-//	aramsbench -exp ingest -quick   # fast ingest smoke run (CI)
 //	aramsbench -exp fig1 -full      # paper-scale dimensions (slow)
 //	aramsbench -exp fig2 -csv       # emit CSV instead of tables
 package main
@@ -32,40 +28,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|fig1sv|fig1|fig2|fig3|fig5|fig6|runtime|probes|beta|estimators|arity|svd|baselines|kernels|ingest|fabric")
+	exp := flag.String("exp", "all", "experiment: all|fig1sv|fig1|fig2|fig3|fig5|fig6|runtime|probes|beta|estimators|arity|svd|baselines")
 	full := flag.Bool("full", false, "use paper-scale dimensions (slow, memory-hungry)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	htmlDir := flag.String("htmldir", "", "also write interactive HTML figures to this directory")
 	seed := flag.Uint64("seed", 1, "base RNG seed")
-	quick := flag.Bool("quick", false, "run a reduced kernel benchmark as a smoke test and exit")
-	kernelOut := flag.String("kernelout", "BENCH_kernels.json", "output path for -exp kernels JSON report (empty to skip)")
-	ingestOut := flag.String("ingestout", "BENCH_ingest.json", "output path for -exp ingest JSON report (empty to skip)")
-	ingestAssert := flag.Bool("ingestassert", false, "with -exp ingest: fail if measured shards=4 is slower than serial on a >=4-core host, or if the adaptive cadence does not beat fixed on the quiet stream")
 	flag.Parse()
-
-	if *quick {
-		// CI smoke: reduced-shape sweeps, table to stdout, no file
-		// written. Exercises the full harness path in seconds.
-		if *exp == "fabric" {
-			bench.FabricSweep(*seed, true).Print(os.Stdout)
-			return
-		}
-		if *exp == "ingest" {
-			report, t := bench.IngestSweep(*seed, true)
-			t.Print(os.Stdout)
-			if *ingestAssert {
-				if err := report.Assert(); err != nil {
-					fmt.Fprintf(os.Stderr, "aramsbench: %v\n", err)
-					os.Exit(1)
-				}
-				fmt.Fprintln(os.Stderr, "ingest assertions passed")
-			}
-			return
-		}
-		_, t := bench.KernelSweep(*seed, true)
-		t.Print(os.Stdout)
-		return
-	}
 
 	fig1 := bench.DefaultFig1()
 	scaling := bench.DefaultScaling()
@@ -134,55 +102,6 @@ func main() {
 			add(bench.SVDBackendSweep(*seed + 6))
 		case "baselines":
 			add(bench.BaselineSweep(fig1))
-		case "kernels":
-			// Not part of -exp all: the sweep spends ~1s per timing under
-			// testing.Benchmark, and its artifact is the checked-in
-			// BENCH_kernels.json rather than a paper figure.
-			report, t := bench.KernelSweep(*seed, false)
-			add(t)
-			if *kernelOut != "" {
-				f, err := os.Create(*kernelOut)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "aramsbench: %v\n", err)
-					os.Exit(1)
-				}
-				if err := report.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "aramsbench: %v\n", err)
-					os.Exit(1)
-				}
-				f.Close()
-				fmt.Fprintf(os.Stderr, "wrote %s\n", *kernelOut)
-			}
-		case "ingest":
-			// Also excluded from -exp all: each shard count runs under
-			// testing.Benchmark, and the artifact is the checked-in
-			// BENCH_ingest.json.
-			report, t := bench.IngestSweep(*seed+7, false)
-			add(t)
-			if *ingestOut != "" {
-				f, err := os.Create(*ingestOut)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "aramsbench: %v\n", err)
-					os.Exit(1)
-				}
-				if err := report.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "aramsbench: %v\n", err)
-					os.Exit(1)
-				}
-				f.Close()
-				fmt.Fprintf(os.Stderr, "wrote %s\n", *ingestOut)
-			}
-			if *ingestAssert {
-				if err := report.Assert(); err != nil {
-					fmt.Fprintf(os.Stderr, "aramsbench: %v\n", err)
-					os.Exit(1)
-				}
-				fmt.Fprintln(os.Stderr, "ingest assertions passed")
-			}
-		case "fabric":
-			// Excluded from -exp all: measures the distributed fabric's
-			// loopback protocol overhead, not a paper figure.
-			add(bench.FabricSweep(*seed+8, false))
 		default:
 			fmt.Fprintf(os.Stderr, "aramsbench: unknown experiment %q\n", name)
 			flag.Usage()

@@ -91,7 +91,6 @@ func main() {
 	shards := flag.Int("shards", 1, "streaming mode: concurrent sketch shards (1 = serial, bit-exact with previous releases)")
 	fabricWorkers := flag.String("fabric", "", "streaming mode: comma-separated fabricworker addresses; one remote shard per worker (overrides -shards)")
 	ingestBuffer := flag.Int("ingest-buffer", 0, "streaming mode: bounded async ingest queue capacity (0 = engine default)")
-	reconcileAdaptive := flag.Bool("reconcile-adaptive", true, "streaming mode: reconcile shards when marginal sketch shrinkage says the global sketch is stale; false reverts to the fixed frame countdown (bit-exact with the historical merge schedule)")
 	tenants := flag.String("tenants", "", "multi-tenant mode: comma-separated id=runfile pairs (bare ids reuse -in); streams are interleaved through one tenant registry with hibernation in -checkpoint-dir")
 	tenantIdle := flag.Duration("tenant-idle", 0, "multi-tenant mode: hibernate tenants idle for this long (0 = only residency pressure evicts)")
 	tenantMaxResident := flag.Int("tenant-max-resident", 0, "multi-tenant mode: cap on simultaneously resident tenant engines (0 = unlimited)")
@@ -139,18 +138,17 @@ func main() {
 		scfg.Nu = 10
 	}
 	cfg := pipeline.Config{
-		Pre:            imgproc.Preprocessor{Normalize: true},
-		Sketch:         scfg,
-		Workers:        *workers,
-		LatentDim:      *latent,
-		UMAP:           umap.Config{NNeighbors: 20, NEpochs: 200, Seed: *seed + 1},
-		UseHDBSCAN:     *useHDBSCAN,
-		Audit:          auditor,
-		AuditEvery:     *auditEvery,
-		Shards:         *shards,
-		IngestBuffer:   *ingestBuffer,
-		ReconcileFixed: !*reconcileAdaptive,
-		FrameBudget:    *frameBudget,
+		Pre:          imgproc.Preprocessor{Normalize: true},
+		Sketch:       scfg,
+		Workers:      *workers,
+		LatentDim:    *latent,
+		UMAP:         umap.Config{NNeighbors: 20, NEpochs: 200, Seed: *seed + 1},
+		UseHDBSCAN:   *useHDBSCAN,
+		Audit:        auditor,
+		AuditEvery:   *auditEvery,
+		Shards:       *shards,
+		IngestBuffer: *ingestBuffer,
+		FrameBudget:  *frameBudget,
 	}
 
 	if *tenants != "" {

@@ -67,8 +67,8 @@ func AritySweep(p ScalingParams) *Table {
 	full := synth.Concat(fine)
 	for _, arity := range []int{2, 4, 8, 16} {
 		mats := matsOf(fine)
-		global, stats := parallel.RunSimulatedArity(mats,
-			parallel.FDSketcher(p.Ell, sketch.Options{}), parallel.TreeMerge, arity)
+		global, stats := parallel.Run(mats, parallel.FDSketcher(p.Ell, sketch.Options{}),
+			parallel.TreeMerge, parallel.WithArity(arity), parallel.Sequential())
 		basis := global.Basis(global.Ell())
 		t.Append(arity, stats.MergeRounds,
 			stats.CriticalPath.Seconds()*1000, sketch.RelProjErr(full, basis))

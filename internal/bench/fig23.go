@@ -74,7 +74,7 @@ func Fig2Scaling(p ScalingParams) *Table {
 	for _, cores := range p.Cores {
 		mats := groupShards(fine, cores)
 		for _, strat := range []parallel.MergeStrategy{parallel.TreeMerge, parallel.SerialMerge} {
-			_, stats := parallel.RunSimulated(mats, parallel.FDSketcher(p.Ell, sketch.Options{}), strat)
+			_, stats := parallel.Run(mats, parallel.FDSketcher(p.Ell, sketch.Options{}), strat, parallel.Sequential())
 			workMs := stats.Total.Seconds() * 1000
 			critMs := stats.CriticalPath.Seconds() * 1000
 			if cores == p.Cores[0] {

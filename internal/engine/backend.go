@@ -31,10 +31,12 @@ type Backend interface {
 	// order and returns the fold of the per-row batch stats, with
 	// EllBefore/EllAfter bracketing the whole dispatch.
 	Absorb(vecs [][]float64, idx []int) (sketch.BatchStats, error)
-	// Snapshot returns a merge-ready copy of the shard sketch and
-	// anchors the live sketch's delta mark (MarkDelta), so sketch-level
-	// staleness introspection agrees with the reconcile controller.
-	// (nil, nil) means no rows have been absorbed yet.
+	// Snapshot returns a copy of the shard sketch that the caller owns
+	// — the reconcile merge folds it in place (parallel.RemoteLeg states
+	// the contract) — and anchors the live sketch's delta mark
+	// (MarkDelta), so sketch-level staleness introspection agrees with
+	// the reconcile controller. (nil, nil) means no rows have been
+	// absorbed yet.
 	Snapshot() (*sketch.FrequentDirections, error)
 	// State returns the checkpointable sketcher state, or (nil, nil)
 	// before the first row.

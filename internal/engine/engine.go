@@ -55,29 +55,23 @@ type Config struct {
 	BatchSize int
 	// Route picks the shard-assignment policy.
 	Route Route
-	// ReconcileEvery is the frame interval between proactive shard
-	// reconciles (default 128). Snapshot paths reconcile on demand
-	// regardless, so this only bounds merge lag between snapshots.
-	// In the default adaptive mode it is the controller's hysteresis
-	// scale rather than a fixed countdown.
+	// ReconcileEvery is the frame scale of proactive shard reconciles
+	// (default 128): the hysteresis of the staleness-driven controller
+	// in reconcile.go, not a countdown. No merge runs below a lag of
+	// ReconcileEvery/4; past it, drifting or bursty streams merge
+	// eagerly and quiet ones (no marginal Σδ growth) defer up to
+	// ReconcileMaxLag. Snapshot paths reconcile on demand regardless,
+	// so this only shapes merge lag between snapshots.
 	ReconcileEvery int
-	// ReconcileFixed reverts merge cadence to the fixed ReconcileEvery
-	// countdown. The default (false) runs the staleness-driven
-	// controller in reconcile.go: quiet streams (no marginal Σδ
-	// growth) defer merges up to ReconcileMaxLag, drifting or bursty
-	// ones merge eagerly. Either way the post-Drain global sketch is
-	// bit-identical; only *when* merges happen differs, so fixed mode
-	// exists purely as the reproduce-the-old-schedule escape hatch.
-	ReconcileFixed bool
-	// ReconcileMaxLag is the adaptive controller's hard upper bound on
-	// merge lag in frames (default 8×ReconcileEvery): a reconcile is
-	// forced at this lag no matter how quiet the stream, bounding
-	// snapshot staleness.
+	// ReconcileMaxLag is the controller's hard upper bound on merge lag
+	// in frames (default 8×ReconcileEvery): a reconcile is forced at
+	// this lag no matter how quiet the stream, bounding snapshot
+	// staleness.
 	ReconcileMaxLag int
 	// ReconcileDeltaFrac is the relative Σδ growth since the last
-	// reconcile that makes a merge due in adaptive mode (default 0.05,
-	// i.e. the certified bound grew 5%). The frame-budget burn EWMA
-	// scales it up when the engine is over budget.
+	// reconcile that makes a merge due (default 0.05, i.e. the
+	// certified bound grew 5%). The frame-budget burn EWMA scales it up
+	// when the engine is over budget.
 	ReconcileDeltaFrac float64
 	// Window is the sliding-window size for snapshots (default 1024).
 	Window int
@@ -568,7 +562,7 @@ func (e *Engine) afterDispatch(results []shardResult, base, n, window int, root 
 
 	if len(e.shards) > 1 {
 		// Marginal Σδ this dispatch added across shards: the staleness
-		// signal the adaptive cadence controller acts on.
+		// signal the cadence controller acts on.
 		var deltaSum float64
 		for _, r := range results {
 			if r.ok {
@@ -657,10 +651,11 @@ func (e *Engine) reconcileLockedIn(parent obs.SpanContext) *sketch.FrequentDirec
 	// reconcile.
 	legs := make([]parallel.RemoteLeg, len(e.shards))
 	for i, s := range e.shards {
-		legs[i] = parallel.RemoteLeg{Name: "shard" + fmt.Sprint(i), Fetch: s.Snapshot}
+		fetch := func(obs.SpanContext) (*sketch.FrequentDirections, error) { return s.Snapshot() }
 		if tb, ok := s.(TracedBackend); ok {
-			legs[i].FetchIn = tb.SnapshotIn
+			fetch = tb.SnapshotIn
 		}
+		legs[i] = parallel.RemoteLeg{Name: "shard" + fmt.Sprint(i), Fetch: fetch}
 	}
 	g, _, rep := parallel.MergeRemote(legs, e.cfg.Merge, e.cfg.ReconcileRetry, sp.Context())
 	if rep.Degraded() {

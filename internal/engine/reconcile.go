@@ -2,12 +2,12 @@ package engine
 
 import "arams/internal/obs"
 
-// Adaptive reconcile cadence. Reconciling — cloning every shard and
-// tree-merging the clones into the cached global sketch — is the one
+// Reconcile cadence. Reconciling — snapshotting every shard and
+// tree-merging the snapshots into the cached global sketch — is the one
 // wholesale cost the sharded engine pays that the serial monitor never
-// did, and the fixed ReconcileEvery countdown pays it on schedule
-// whether or not the cache is stale. The controller here decides from
-// what the stream is actually doing:
+// did, and a fixed countdown would pay it on schedule whether or not
+// the cache is stale. The controller here decides from what the stream
+// is actually doing:
 //
 //   - marginal Σδ growth since the last reconcile (fed from the
 //     per-dispatch BatchStats.DeltaAdded the shards already report, and
@@ -32,21 +32,17 @@ import "arams/internal/obs"
 // GlobalSketch) bypass the controller entirely — certificates always
 // cover every shard — and reset its state like any other reconcile.
 //
-// The adaptive controller is the default; fixed-countdown mode
-// (ReconcileFixed == true) reproduces the original schedule exactly:
-// reconcile when lag ≥ ReconcileEvery. Since reconciles only clone
-// shards and never mutate them, the post-Drain global sketch is
-// bit-identical across cadences either way; the property test in
-// engine_test.go holds the two modes against each other.
+// Reconciles only snapshot shards and never mutate them, so the
+// post-Drain global sketch is bit-identical whatever the cadence; the
+// property test in reconcile_test.go holds two differently tuned
+// controllers against each other.
 
 // reconcileCtl holds the cadence state. Guarded by Engine.globalMu,
 // like the cached global sketch whose staleness it tracks.
 type reconcileCtl struct {
-	adaptive  bool
-	every     int     // fixed cadence; hysteresis scale in adaptive mode
-	minLag    int     // adaptive: never reconcile below this lag
-	maxLag    int     // adaptive: always reconcile at this lag
-	deltaFrac float64 // adaptive: relative Σδ growth that triggers a merge
+	minLag    int     // never reconcile below this lag
+	maxLag    int     // always reconcile at this lag
+	deltaFrac float64 // relative Σδ growth that triggers a merge
 
 	deltaSince float64 // Σδ added by shard absorbs since the last reconcile
 	deltaTotal float64 // lifetime Σδ the shards reported (the scale reference)
@@ -57,8 +53,6 @@ type reconcileCtl struct {
 
 func newReconcileCtl(cfg Config, eo *engineObs) reconcileCtl {
 	return reconcileCtl{
-		adaptive:  !cfg.ReconcileFixed,
-		every:     cfg.ReconcileEvery,
 		minLag:    max(1, cfg.ReconcileEvery/4),
 		maxLag:    cfg.ReconcileMaxLag,
 		deltaFrac: cfg.ReconcileDeltaFrac,
@@ -78,9 +72,6 @@ func (rc *reconcileCtl) note(deltaAdded float64) {
 func (rc *reconcileCtl) due(lag int, burn float64) bool {
 	if lag <= 0 {
 		return false
-	}
-	if !rc.adaptive {
-		return lag >= rc.every
 	}
 	if lag >= rc.maxLag {
 		return true
@@ -107,7 +98,7 @@ func (rc *reconcileCtl) noteReconcile() {
 }
 
 // Reconciles returns how many global-sketch rebuilds have run (periodic
-// and forced). Benchmarks compare this across cadence modes.
+// and forced).
 func (e *Engine) Reconciles() int {
 	e.globalMu.Lock()
 	defer e.globalMu.Unlock()
@@ -116,7 +107,7 @@ func (e *Engine) Reconciles() int {
 
 // DeltaSinceReconcile returns the marginal Σδ the shards have
 // accumulated since the last reconcile — the staleness signal the
-// adaptive controller acts on.
+// controller acts on.
 func (e *Engine) DeltaSinceReconcile() float64 {
 	e.globalMu.Lock()
 	defer e.globalMu.Unlock()

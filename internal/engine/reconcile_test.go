@@ -37,109 +37,113 @@ func quietVecs(n, d, r int, seed uint64) [][]float64 {
 	return vecs
 }
 
-// runCadence streams vecs through a fresh 4-shard engine under the
-// given cadence and returns the engine plus its during-ingest
-// reconcile count (read before Certificate forces one final merge).
-func runCadence(vecs [][]float64, every int, adaptive bool) (*engine.Engine, int) {
+// runCadence streams vecs through a fresh 4-shard engine whose
+// reconcile controller is tuned by (every, maxLag; 0 = default) and
+// returns the engine plus its during-ingest reconcile count (read
+// before Certificate forces one final merge).
+func runCadence(vecs [][]float64, every, maxLag int) (*engine.Engine, int) {
 	e := engine.New(engine.Config{
-		Shards:         4,
-		ReconcileEvery: every,
-		ReconcileFixed: !adaptive,
-		Sketch:         sketch.Config{Ell0: 8, Beta: 1, Seed: 5},
-		Window:         32,
+		Shards:          4,
+		ReconcileEvery:  every,
+		ReconcileMaxLag: maxLag,
+		Sketch:          sketch.Config{Ell0: 8, Beta: 1, Seed: 5},
+		Window:          32,
 	})
-	const batch = 16
-	for lo := 0; lo < len(vecs); lo += batch {
-		hi := lo + batch
-		if hi > len(vecs) {
-			hi = len(vecs)
-		}
+	for lo := 0; lo < len(vecs); lo += cadenceBatch {
+		hi := min(lo+cadenceBatch, len(vecs))
 		e.IngestVecs(cloneVecs(vecs[lo:hi]), nil)
 	}
 	return e, e.Reconciles()
 }
 
+const cadenceBatch = 16
+
 // sameGlobalSketch asserts the two engines' merged global sketches are
 // bit-identical: same matrix, same row count, same shrinkage ledger.
-func sameGlobalSketch(t *testing.T, eF, eA *engine.Engine) {
+func sameGlobalSketch(t *testing.T, eA, eB *engine.Engine) {
 	t.Helper()
-	gF, gA := eF.GlobalSketch(), eA.GlobalSketch()
-	if gF == nil || gA == nil {
+	gA, gB := eA.GlobalSketch(), eB.GlobalSketch()
+	if gA == nil || gB == nil {
 		t.Fatal("nil global sketch")
 	}
-	if gF.Seen() != gA.Seen() {
-		t.Fatalf("row counts differ: fixed saw %d, adaptive saw %d", gF.Seen(), gA.Seen())
+	if gA.Seen() != gB.Seen() {
+		t.Fatalf("row counts differ: %d vs %d", gA.Seen(), gB.Seen())
 	}
-	if gF.Delta() != gA.Delta() {
-		t.Fatalf("shrinkage ledgers differ: fixed Σδ=%v, adaptive Σδ=%v", gF.Delta(), gA.Delta())
+	if gA.Delta() != gB.Delta() {
+		t.Fatalf("shrinkage ledgers differ: Σδ=%v vs Σδ=%v", gA.Delta(), gB.Delta())
 	}
-	bF, bA := gF.Sketch(), gA.Sketch()
-	if bF.RowsN != bA.RowsN || bF.ColsN != bA.ColsN {
-		t.Fatalf("sketch shapes differ: fixed %dx%d, adaptive %dx%d",
-			bF.RowsN, bF.ColsN, bA.RowsN, bA.ColsN)
+	bA, bB := gA.Sketch(), gB.Sketch()
+	if bA.RowsN != bB.RowsN || bA.ColsN != bB.ColsN {
+		t.Fatalf("sketch shapes differ: %dx%d vs %dx%d",
+			bA.RowsN, bA.ColsN, bB.RowsN, bB.ColsN)
 	}
-	for i := 0; i < bF.RowsN; i++ {
-		rf, ra := bF.Row(i), bA.Row(i)
-		for j := range rf {
-			if rf[j] != ra[j] {
-				t.Fatalf("sketch row %d col %d differs: fixed %v, adaptive %v", i, j, rf[j], ra[j])
+	for i := 0; i < bA.RowsN; i++ {
+		ra, rb := bA.Row(i), bB.Row(i)
+		for j := range ra {
+			if ra[j] != rb[j] {
+				t.Fatalf("sketch row %d col %d differs: %v vs %v", i, j, ra[j], rb[j])
 			}
 		}
 	}
 }
 
-// TestAdaptiveReconcileMatchesFixed is the cadence-equivalence property
-// test: reconciles only clone shard state — they never mutate it — so
-// running the same stream under the fixed countdown and under the
-// adaptive controller must end with bit-identical global sketches and
-// certificates, no matter how differently the two cadences scheduled
-// their merges along the way.
-func TestAdaptiveReconcileMatchesFixed(t *testing.T) {
+// TestReconcileCadenceInvariant is the cadence-equivalence property
+// test: reconciles only snapshot shard state — they never mutate it —
+// so running the same stream under differently tuned controllers (a
+// fine and a coarse hysteresis scale, a tight lag cap) must end with
+// bit-identical global sketches and certificates, no matter how
+// differently the cadences scheduled their merges along the way.
+func TestReconcileCadenceInvariant(t *testing.T) {
 	const n, d = 256, 24
 	vecs := testVecs(n, d, 71)
 
-	eF, _ := runCadence(vecs, 16, false)
-	eA, _ := runCadence(vecs, 16, true)
-
-	sameGlobalSketch(t, eF, eA)
-	cF, cA := eF.Certificate(), eA.Certificate()
-	if cF.Rows != cA.Rows {
-		t.Fatalf("certificate rows differ: fixed %d, adaptive %d", cF.Rows, cA.Rows)
+	eRef, recRef := runCadence(vecs, 16, 0)
+	cRef := eRef.Certificate()
+	differed := false
+	for _, tc := range []struct{ every, maxLag int }{{128, 0}, {16, 24}} {
+		e, rec := runCadence(vecs, tc.every, tc.maxLag)
+		differed = differed || rec != recRef
+		sameGlobalSketch(t, eRef, e)
+		c := e.Certificate()
+		if cRef.Rows != c.Rows {
+			t.Fatalf("every=%d maxLag=%d: certificate rows differ: %d vs %d", tc.every, tc.maxLag, cRef.Rows, c.Rows)
+		}
+		if cRef.CovBound() != c.CovBound() {
+			t.Fatalf("every=%d maxLag=%d: certified bounds differ: %v vs %v", tc.every, tc.maxLag, cRef.CovBound(), c.CovBound())
+		}
+		if math.Abs(cRef.FrobMass-c.FrobMass) != 0 {
+			t.Fatalf("every=%d maxLag=%d: certificate mass differs: %v vs %v", tc.every, tc.maxLag, cRef.FrobMass, c.FrobMass)
+		}
 	}
-	if cF.CovBound() != cA.CovBound() {
-		t.Fatalf("certified bounds differ: fixed %v, adaptive %v", cF.CovBound(), cA.CovBound())
-	}
-	if math.Abs(cF.FrobMass-cA.FrobMass) != 0 {
-		t.Fatalf("certificate mass differs: fixed %v, adaptive %v", cF.FrobMass, cA.FrobMass)
+	if !differed {
+		t.Fatalf("every configuration reconciled %d times; cadence not exercised", recRef)
 	}
 }
 
-// TestAdaptiveReducesQuietReconciles pins the point of the adaptive
-// cadence: on a stream adding no shrinkage the controller has no
-// staleness signal, so it defers merges to the hard lag cap
-// (ReconcileMaxLag, default 8×ReconcileEvery) while the fixed countdown
-// keeps paying one merge every ReconcileEvery frames — and because
-// reconciles never mutate shards, the deferral costs nothing in
-// certified error.
+// TestAdaptiveReducesQuietReconciles pins the point of the
+// staleness-driven cadence: on a stream adding no shrinkage the
+// controller has no staleness signal, so it merges only at the hard lag
+// cap (ReconcileMaxLag, default 8×ReconcileEvery) — once every maxLag
+// frames, not once every ReconcileEvery — and because reconciles never
+// mutate shards, a wider cap costs nothing in certified error.
 func TestAdaptiveReducesQuietReconciles(t *testing.T) {
-	const n, d = 192, 24
+	const n, d, every = 192, 24, 8
 	vecs := quietVecs(n, d, 3, 41)
 
-	eF, recF := runCadence(vecs, 8, false)
-	eA, recA := runCadence(vecs, 8, true)
+	// Batches divide both caps, so the lag reaches each cap exactly.
+	eWide, recWide := runCadence(vecs, every, 0) // cap 8×every = 64
+	eTight, recTight := runCadence(vecs, every, 2*cadenceBatch)
 
-	if recF == 0 {
-		t.Fatal("fixed cadence performed no reconciles; cadence not exercised")
+	if want := n / (8 * every); recWide != want {
+		t.Fatalf("quiet stream reconciled %d times at the default lag cap, want %d (only at the cap)", recWide, want)
 	}
-	if recA >= recF {
-		t.Fatalf("adaptive cadence did not reduce reconciles on a quiet stream: adaptive %d, fixed %d",
-			recA, recF)
+	if want := n / (2 * cadenceBatch); recTight != want {
+		t.Fatalf("quiet stream reconciled %d times at lag cap %d, want %d", recTight, 2*cadenceBatch, want)
 	}
-	sameGlobalSketch(t, eF, eA)
-	cF, cA := eF.Certificate(), eA.Certificate()
-	if cA.CovBound() > cF.CovBound() {
-		t.Fatalf("adaptive cadence widened the certified bound: adaptive %v, fixed %v",
-			cA.CovBound(), cF.CovBound())
+	sameGlobalSketch(t, eWide, eTight)
+	cW, cT := eWide.Certificate(), eTight.Certificate()
+	if cW.CovBound() > cT.CovBound() {
+		t.Fatalf("wider lag cap widened the certified bound: %v vs %v", cW.CovBound(), cT.CovBound())
 	}
 }
 

@@ -1,0 +1,94 @@
+//go:build amd64 && !amd64.v3
+
+// The digests below are those of amd64 without fused multiply-add (see
+// internal/sketch/golden_test.go for why other targets differ).
+
+package fabric_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"arams/internal/ckpt"
+	"arams/internal/engine"
+	"arams/internal/fabric"
+	"arams/internal/imgproc"
+	"arams/internal/mat"
+	"arams/internal/sketch"
+)
+
+// TestGoldenLoopbackGlobalSketchDigest is the fabric twin of the
+// engine's TestGoldenGlobalSketchDigest: a coordinator over two
+// loopback workers, async Enqueue/Drain over a fixed seeded stream,
+// SHA-256 of the canonical ckpt frame of GlobalSketch().State(). Here
+// every reconcile leg is a network fetch decoded into a fresh sketch,
+// which the merge folds in place. Digests recorded at the commit before
+// that fold stopped cloning its inputs.
+func TestGoldenLoopbackGlobalSketchDigest(t *testing.T) {
+	// See the engine golden for why the wide shape is keyed by the
+	// kernel pool width.
+	wideWant := map[int]string{
+		1: "abd7afa7a35f3c4b4048c27ce6d23c8d1e1134c4fe33ba87bcc1e01a28bdb20f",
+		2: "8dddf56b8ca23abf3c33410a01d0586d75c2bee8e6f7bd16590eeff655a027a4",
+	}
+	for _, tc := range []struct {
+		name         string
+		n, w, h, ell int
+		seed         uint64
+		want         string
+	}{
+		{"narrow", 300, 6, 4, 8, 81, "432124a5425fe542eaf40c6e124284d2e346121f80f843e0a0c37dd6891bcd5a"},
+		{"wide", 160, 64, 64, 25, 82, wideWant[mat.Workers()]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.want == "" {
+				t.Skipf("no digest recorded for a %d-wide kernel pool", mat.Workers())
+			}
+			workers, addrs, err := fabric.StartLoopbackWorkers(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				for _, w := range workers {
+					w.Close()
+				}
+			}()
+			coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
+				Workers: addrs,
+				Engine: engine.Config{
+					ReconcileEvery: 32,
+					Sketch:         sketch.Config{Ell0: tc.ell, Beta: 1, Seed: 5},
+					Window:         32,
+				},
+				Remote: quietRemote(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			e := coord.Engine()
+			for i, v := range testVecs(tc.n, tc.w*tc.h, tc.seed) {
+				e.Enqueue(&imgproc.Image{W: tc.w, H: tc.h, Pix: v}, i)
+			}
+			e.Drain()
+			for _, r := range coord.Remotes() {
+				if r.Degraded() {
+					t.Fatalf("%s degraded during a clean run", r.Name())
+				}
+			}
+			g := e.GlobalSketch()
+			if g == nil || g.Seen() != tc.n {
+				t.Fatalf("global sketch missing or short: %v", g)
+			}
+			frame, err := ckpt.Marshal(g.State())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(frame)
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("global sketch digest = %s, want %s", got, tc.want)
+			}
+		})
+	}
+}

@@ -70,8 +70,7 @@ func BenchmarkSVDGramWideBuffer(b *testing.B) {
 }
 
 // BenchmarkGramRotationShape compares the pre-PR reference kernel with
-// the cache-blocked kernel on FD-rotation-shaped inputs (2ℓ×d, d ≫ 2ℓ)
-// — the shapes behind BENCH_kernels.json.
+// the cache-blocked kernel on FD-rotation-shaped inputs (2ℓ×d, d ≫ 2ℓ).
 func BenchmarkGramRotationShape(b *testing.B) {
 	g := rng.New(7)
 	for _, sh := range [][2]int{{64, 4096}, {128, 4096}, {64, 16384}} {

@@ -9,10 +9,11 @@ import (
 // Reference kernels: the straightforward implementations that MulTo,
 // MulABt, and Gram shipped with before the tiled execution layer.
 // They are kept for two jobs — property tests assert the tiled kernels
-// match them to 1e-12, and the BENCH_kernels.json baseline measures
-// the tiled kernels against them — so they must stay byte-for-byte
-// faithful to the originals (including the per-call goroutines and the
-// Gram feeder channel whose overhead the pool was built to remove).
+// match them to 1e-12, and the ref_* cases of this package's
+// benchmarks time the tiled kernels against them — so they must stay
+// byte-for-byte faithful to the originals (including the per-call
+// goroutines and the Gram feeder channel whose overhead the pool was
+// built to remove).
 
 // RefMulTo computes dst = a*b with the pre-tiling kernel: i-k-j axpy
 // order, one ad-hoc goroutine per row chunk above the parallel

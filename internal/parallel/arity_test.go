@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"reflect"
 	"testing"
 
 	"arams/internal/sketch"
@@ -18,7 +19,7 @@ func TestArityRounds(t *testing.T) {
 		{4, 64, 3},
 	} {
 		shards := SplitRows(x, tc.shards)
-		_, stats := RunArity(shards, FDSketcher(6, sketch.Options{}), TreeMerge, tc.arity)
+		_, stats := Run(shards, FDSketcher(6, sketch.Options{}), TreeMerge, WithArity(tc.arity))
 		if stats.MergeRounds != tc.wantRounds {
 			t.Errorf("arity %d over %d shards: %d rounds, want %d",
 				tc.arity, tc.shards, stats.MergeRounds, tc.wantRounds)
@@ -31,7 +32,7 @@ func TestArityBoundHolds(t *testing.T) {
 	ell := 8
 	for _, arity := range []int{2, 3, 4, 8} {
 		shards := SplitRows(x, 12)
-		global, _ := RunArity(shards, FDSketcher(ell, sketch.Options{}), TreeMerge, arity)
+		global, _ := Run(shards, FDSketcher(ell, sketch.Options{}), TreeMerge, WithArity(arity))
 		err := sketch.CovErr(x, global.Sketch())
 		bound := 4 * x.FrobeniusNormSq() / float64(ell)
 		if err > bound {
@@ -45,17 +46,21 @@ func TestArityBoundHolds(t *testing.T) {
 
 func TestAritySimulatedMatchesConcurrent(t *testing.T) {
 	x := testMatrix(320, 10, 32)
-	for _, arity := range []int{2, 4} {
-		shards := SplitRows(x, 8)
-		gc, sc := RunArity(shards, FDSketcher(5, sketch.Options{}), TreeMerge, arity)
-		shards = SplitRows(x, 8)
-		gs, ss := RunSimulatedArity(shards, FDSketcher(5, sketch.Options{}), TreeMerge, arity)
-		if sc.MergeRounds != ss.MergeRounds {
-			t.Errorf("arity %d: rounds differ %d vs %d", arity, sc.MergeRounds, ss.MergeRounds)
-		}
-		// Same deterministic computation → identical sketches.
-		if !gc.Sketch().Equal(gs.Sketch(), 1e-12) {
-			t.Errorf("arity %d: concurrent and simulated sketches differ", arity)
+	for _, arity := range []int{2, 3, 4} {
+		for _, p := range []int{8, 7, 5} {
+			gc, sc := Run(SplitRows(x, p), FDSketcher(5, sketch.Options{}), TreeMerge, WithArity(arity))
+			gs, ss := Run(SplitRows(x, p), FDSketcher(5, sketch.Options{}), TreeMerge, WithArity(arity), Sequential())
+			if sc.MergeRounds != ss.MergeRounds {
+				t.Errorf("arity %d, %d shards: rounds differ %d vs %d", arity, p, sc.MergeRounds, ss.MergeRounds)
+			}
+			// Same deterministic computation → identical sketches.
+			if !gc.Sketch().Equal(gs.Sketch(), 1e-12) {
+				t.Errorf("arity %d, %d shards: concurrent and simulated sketches differ", arity, p)
+			}
+			// … to the bit, counters and shrinkage ledger included.
+			if !reflect.DeepEqual(gc.State(), gs.State()) {
+				t.Errorf("arity %d, %d shards: concurrent and sequential sketch states differ", arity, p)
+			}
 		}
 	}
 }
@@ -66,5 +71,5 @@ func TestArityPanics(t *testing.T) {
 			t.Fatal("arity 1 did not panic")
 		}
 	}()
-	RunArity(SplitRows(testMatrix(10, 3, 33), 2), FDSketcher(2, sketch.Options{}), TreeMerge, 1)
+	Run(SplitRows(testMatrix(10, 3, 33), 2), FDSketcher(2, sketch.Options{}), TreeMerge, WithArity(1))
 }

@@ -68,7 +68,7 @@ func TestQuickCertificateBound(t *testing.T) {
 		}
 		mk := FDSketcher(pp.ell, sketch.Options{})
 
-		gTree, sTree := RunArity(shuffled, mk, TreeMerge, pp.arity)
+		gTree, sTree := Run(shuffled, mk, TreeMerge, WithArity(pp.arity))
 		if !checkRunCertificate(t, x, gTree, sTree, "tree") {
 			return false
 		}
@@ -106,7 +106,7 @@ func TestQuickCertificateFaultInjected(t *testing.T) {
 		shards := randomShardSplit(x, pp.p, pp.g)
 		failProb := float64(failRaw%31) / 100 // 0 .. 0.30
 		mk := FDSketcher(pp.ell, sketch.Options{})
-		global, stats := RunArity(shards, mk, TreeMerge, pp.arity,
+		global, stats := Run(shards, mk, TreeMerge, WithArity(pp.arity),
 			WithFaults(Faults{FailProb: failProb, CorruptProb: failProb / 2, Seed: seed}),
 			WithRetry(Retry{MaxAttempts: 2, Backoff: 10 * time.Microsecond, MaxFailedLegs: 1}))
 		if !checkRunCertificate(t, x, global, stats, "faulty") {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"arams/internal/audit"
-	"arams/internal/mat"
 	"arams/internal/obs"
 	"arams/internal/rng"
 	"arams/internal/sketch"
@@ -85,8 +84,31 @@ func (r Retry) withDefaults() Retry {
 	return r
 }
 
-// Option configures a Run/RunArity call.
+// Option configures a Run call.
 type Option func(*runOptions)
+
+// WithArity sets the tree's branching factor (default 2): each tree
+// level groups a sketches and folds each group with a−1 sequential
+// merges, groups running concurrently — the general branching factor of
+// the appendix's mergeability proof. Arity is ignored for SerialMerge.
+func WithArity(a int) Option {
+	if a < 2 {
+		panic("parallel: tree arity must be >= 2")
+	}
+	return func(o *runOptions) { o.arity = a }
+}
+
+// Sequential runs the same sketch-and-merge computation strictly one
+// unit of work at a time, so every shard sketch and every merge leg is
+// timed in isolation and Stats.CriticalPath is the runtime the
+// computation would have on hardware with one core per worker. On a
+// host with fewer cores than workers the default goroutines time-slice
+// and per-goroutine timings degenerate to wall time; a sequential run
+// is the measurement to use for strong-scaling studies there (Total is
+// then the summed work). The sketch is bit-identical either way.
+func Sequential() Option {
+	return func(o *runOptions) { o.sequential = true }
+}
 
 // WithFaults enables deterministic fault injection on tree-merge legs.
 func WithFaults(f Faults) Option {
@@ -115,14 +137,16 @@ func WithTrace(ctx obs.SpanContext) Option {
 }
 
 type runOptions struct {
-	faults   *Faults
-	retry    Retry
-	retrySet bool
-	trace    obs.SpanContext
+	arity      int
+	sequential bool
+	faults     *Faults
+	retry      Retry
+	retrySet   bool
+	trace      obs.SpanContext
 }
 
 func newRunOptions(options []Option) *runOptions {
-	o := &runOptions{retry: Retry{}.withDefaults()}
+	o := &runOptions{arity: 2, retry: Retry{}.withDefaults()}
 	for _, fn := range options {
 		fn(o)
 	}
@@ -133,26 +157,7 @@ func newRunOptions(options []Option) *runOptions {
 // path: with fault injection on, or with a timeout that can fail an
 // otherwise infallible in-process merge.
 func (o *runOptions) guarded() bool {
-	return o != nil && (o.faults != nil || (o.retrySet && o.retry.LegTimeout > 0))
-}
-
-// mergeNode is one operand of the merge tree: a sketch plus the
-// indices of the original shards it summarizes, kept so a lost leg can
-// be recomputed from its source data.
-type mergeNode struct {
-	fd     *sketch.FrequentDirections
-	shards []int
-}
-
-// mergeEnv carries the per-run context the merge tree needs for
-// recovery and accounting. trace is the merge-phase span's context;
-// every round and leg span parents under it.
-type mergeEnv struct {
-	shards []*mat.Matrix
-	mk     Sketcher
-	opts   *runOptions
-	stats  *Stats
-	trace  obs.SpanContext
+	return o.faults != nil || (o.retrySet && o.retry.LegTimeout > 0)
 }
 
 // legReport is one leg's accounting, reduced into RoundStats after the
@@ -182,22 +187,26 @@ var errLegTimeout = errors.New("parallel: merge leg timed out")
 // records a merge_leg span under parent (the round's span), so retry
 // and recovery legs stay inside the batch's trace; a leg that saw any
 // failure fires the flight recorder on exit.
-func runLeg(parent obs.SpanContext, round, gIdx int, group []*mergeNode, env *mergeEnv) (*mergeNode, legReport) {
-	var rep legReport
+func runLeg(parent obs.SpanContext, round, gIdx int, group []*mergeNode, env *mergeEnv) (_ *mergeNode, rep legReport) {
 	covered := coveredShards(group)
 	// groupDelta: the children's combined certificate mass before the
 	// fold; each exit path reports the leg's net shrinkage against it.
-	groupDelta := 0.0
-	for _, nd := range group {
-		groupDelta += nd.fd.Delta()
-	}
+	groupDelta := deltaOf(group)
 	sp := obs.Default().StartSpanIn(parent, "merge_leg",
 		obs.L("round", strconv.Itoa(round)),
 		obs.L("group", strconv.Itoa(gIdx)),
 		obs.L("shards", strconv.Itoa(len(covered))))
-	ct := obs.StartCPUTimer()
+	// The CPU timer pins the goroutine to its OS thread, which slows a
+	// fold that fans out to the kernel pool by about a third; a
+	// sequential run exists to time the fold itself, so it goes unpinned.
+	var ct obs.CPUTimer
+	if !env.opts.sequential {
+		ct = obs.StartCPUTimer()
+	}
 	t0 := time.Now()
 	defer func() {
+		// rep is the named result: the duration lands in what the
+		// caller receives, where the round's critical path reads it.
 		rep.duration = time.Since(t0)
 		obsLegSeconds.Observe(rep.duration.Seconds())
 		if cpu, ok := ct.Stop(); ok {
@@ -219,11 +228,7 @@ func runLeg(parent obs.SpanContext, round, gIdx int, group []*mergeNode, env *me
 	if !env.opts.guarded() {
 		// Fast path: in-process merges cannot fail, so fold in place
 		// with zero copies, exactly the pre-fault-tolerance behavior.
-		acc := group[0].fd
-		for _, nd := range group[1:] {
-			acc.Merge(nd.fd)
-			acc.Compact()
-		}
+		acc := foldInto(group[0].fd, group[1:])
 		rep.shrink = acc.Delta() - groupDelta
 		return &mergeNode{fd: acc, shards: covered}, rep
 	}
@@ -291,12 +296,8 @@ func attemptLeg(group []*mergeNode, faults *Faults, legRNG *rng.RNG, timeout tim
 		injectCorrupt = legRNG.Float64() < faults.CorruptProb
 	}
 
-	work := func() (*sketch.FrequentDirections, error) {
-		acc := group[0].fd.Clone()
-		for _, nd := range group[1:] {
-			acc.Merge(nd.fd)
-			acc.Compact()
-		}
+	return within(timeout, func() (*sketch.FrequentDirections, error) {
+		acc := foldInto(group[0].fd.Clone(), group[1:])
 		if injectDelay {
 			time.Sleep(faults.Delay)
 		}
@@ -310,10 +311,18 @@ func attemptLeg(group []*mergeNode, faults *Faults, legRNG *rng.RNG, timeout tim
 			return nil, errLegCorrupt
 		}
 		return acc, nil
-	}
+	})
+}
 
+// within calls fn and gives up on it after timeout (0 = call inline,
+// unbounded) with errLegTimeout. A call that outlives its timeout
+// finishes into a buffered channel and is discarded: it never blocks
+// the merge, and whatever sketch it was building never escapes. Both
+// fallible steps of a merge — a guarded leg attempt and a remote leg
+// fetch — are bounded through here.
+func within(timeout time.Duration, fn func() (*sketch.FrequentDirections, error)) (*sketch.FrequentDirections, error) {
 	if timeout <= 0 {
-		return work()
+		return fn()
 	}
 	type result struct {
 		fd  *sketch.FrequentDirections
@@ -321,7 +330,7 @@ func attemptLeg(group []*mergeNode, faults *Faults, legRNG *rng.RNG, timeout tim
 	}
 	done := make(chan result, 1)
 	go func() {
-		fd, err := work()
+		fd, err := fn()
 		done <- result{fd, err}
 	}()
 	timer := time.NewTimer(timeout)
@@ -330,8 +339,6 @@ func attemptLeg(group []*mergeNode, faults *Faults, legRNG *rng.RNG, timeout tim
 	case r := <-done:
 		return r.fd, r.err
 	case <-timer.C:
-		// The straggler goroutine finishes into the buffered channel
-		// and is collected; its clone never escapes.
 		return nil, errLegTimeout
 	}
 }
@@ -339,18 +346,13 @@ func attemptLeg(group []*mergeNode, faults *Faults, legRNG *rng.RNG, timeout tim
 // resketchShards rebuilds a sketch of the given shards from scratch,
 // serially — the recovery path for a lost merge leg.
 func resketchShards(covered []int, env *mergeEnv) *sketch.FrequentDirections {
-	var acc *sketch.FrequentDirections
-	for _, si := range covered {
+	fresh := make([]*mergeNode, len(covered))
+	for i, si := range covered {
 		fd := env.mk(env.shards[si])
 		fd.Compact()
-		if acc == nil {
-			acc = fd
-		} else {
-			acc.Merge(fd)
-			acc.Compact()
-		}
+		fresh[i] = &mergeNode{fd: fd}
 	}
-	return acc
+	return foldInto(fresh[0].fd, fresh[1:])
 }
 
 // coveredShards concatenates the shard index sets of a merge group.

@@ -154,6 +154,9 @@ func TestRoundStatsAccounting(t *testing.T) {
 		if rs.Failures != 0 || rs.Retries != 0 || rs.Resketches != 0 {
 			t.Errorf("round %d: clean run reported faults %+v", i, rs)
 		}
+		if rs.Slowest <= 0 {
+			t.Errorf("round %d: slowest leg took %v, want > 0", i, rs.Slowest)
+		}
 	}
 	if stats.SerialFallback {
 		t.Error("clean run reported a serial fallback")

@@ -1,0 +1,80 @@
+package parallel
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"arams/internal/obs"
+	"arams/internal/sketch"
+)
+
+// TestMergeSketchesLeavesInputsUntouched pins MergeSketches' contract:
+// merging compacts both operands, so every input — not just the
+// accumulator — must be cloned first, and the caller's sketches keep
+// their exact state under either strategy.
+func TestMergeSketchesLeavesInputsUntouched(t *testing.T) {
+	for _, strat := range []MergeStrategy{TreeMerge, SerialMerge} {
+		fds := remoteTestSketches(t, 5)
+		before := make([]sketch.FDState, len(fds))
+		for i, fd := range fds {
+			before[i] = fd.State()
+		}
+		g, stats := MergeSketches(fds, strat)
+		if g.Seen() != 160 {
+			t.Fatalf("%v: merged sketch saw %d rows, want 160", strat, g.Seen())
+		}
+		for i, fd := range fds {
+			if !reflect.DeepEqual(before[i], fd.State()) {
+				t.Errorf("%v: MergeSketches mutated input %d", strat, i)
+			}
+		}
+		if strat == TreeMerge && len(stats.Rounds) != stats.MergeRounds {
+			t.Errorf("tree Rounds has %d entries, MergeRounds=%d", len(stats.Rounds), stats.MergeRounds)
+		}
+	}
+}
+
+// TestMergeSketchesUnknownStrategyPanics: an out-of-range strategy is a
+// caller bug everywhere, not a silent tree merge.
+func TestMergeSketchesUnknownStrategyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unknown strategy did not panic")
+		}
+	}()
+	MergeSketches(remoteTestSketches(t, 2), MergeStrategy(7))
+}
+
+// TestMergeRemoteFoldsFetchedSketchesInPlace: MergeRemote owns what its
+// fetches return, so it must not clone them again. With two legs whose
+// sketches have already rotated (their rotation scratch exists), the
+// one merge's only buffer-sized allocation is the ℓ×d copy Merge takes
+// of its operand — half a 2ℓ×d buffer — whereas one clone per leg costs
+// two whole buffers.
+func TestMergeRemoteFoldsFetchedSketchesInPlace(t *testing.T) {
+	const ell, d, rounds = 16, 2048, 8
+	x := testMatrix(6*ell, d, 91)
+	mk := FDSketcher(ell, sketch.Options{})
+	prebuilt := make([][]RemoteLeg, rounds)
+	for r := range prebuilt {
+		for i, s := range SplitRows(x, 2) {
+			fd := mk(s)
+			prebuilt[r] = append(prebuilt[r], RemoteLeg{Name: "leg" + string(rune('a'+i)),
+				Fetch: func(obs.SpanContext) (*sketch.FrequentDirections, error) { return fd, nil }})
+		}
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for _, legs := range prebuilt {
+		if g, _, _ := MergeRemote(legs, TreeMerge, Retry{}, obs.SpanContext{}); g.Seen() != x.RowsN {
+			t.Fatalf("merged sketch saw %d rows, want %d", g.Seen(), x.RowsN)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	perMerge := (m1.TotalAlloc - m0.TotalAlloc) / rounds
+	if buffer := uint64(2 * ell * d * 8); perMerge >= buffer {
+		t.Fatalf("MergeRemote allocated %d B per 2-leg merge beyond its fetches, want < one 2ℓ×d buffer (%d B)",
+			perMerge, buffer)
+	}
+}

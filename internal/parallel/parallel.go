@@ -24,10 +24,9 @@ import (
 	"arams/internal/sketch"
 )
 
-// Merge-phase observability: Run/RunArity record "sketch" and "merge"
-// stage spans (plus one "merge_round" span per tree level) and bump
-// these totals. RunSimulated is a measurement harness and stays
-// silent so it never pollutes the live histograms.
+// Merge-phase observability: Run records "sketch" and "merge" stage
+// spans (plus one "merge_round" span per tree level) and bumps these
+// totals.
 var (
 	obsRunsTotal        = obs.Default().Counter("arams_parallel_runs_total")
 	obsLocalRotations   = obs.Default().Counter("arams_parallel_local_rotations_total")
@@ -111,7 +110,7 @@ type Stats struct {
 	MergeTime      time.Duration // wall time of the merge phase
 	Total          time.Duration
 	// Rounds is the per-tree-level leg accounting (nil for serial
-	// merge and for RunSimulated).
+	// merge).
 	Rounds []RoundStats
 	// LegFailures/LegRetries/Resketches aggregate Rounds; non-zero only
 	// under fault injection or leg timeouts.
@@ -158,31 +157,22 @@ func FDSketcher(ell int, opts sketch.Options) Sketcher {
 	}
 }
 
-// Run sketches every shard concurrently (one goroutine per shard) and
-// merges the per-shard sketches with the chosen strategy (binary tree
-// for TreeMerge). It returns the global sketch and run statistics.
-// Options (WithFaults, WithRetry) configure the fault-tolerance layer
-// around tree-merge legs; with none, legs fold in place with zero
-// overhead.
+// Run sketches every shard (one goroutine per shard) and merges the
+// per-shard sketches with the chosen strategy. It returns the global
+// sketch and run statistics. Options shape the run: WithArity sets the
+// tree's branching factor (default 2), Sequential executes every unit
+// of work one after another for strong-scaling measurement, WithTrace
+// parents the run's spans, and WithFaults/WithRetry configure the
+// fault-tolerance layer around tree-merge legs; with none, legs fold
+// in place with zero overhead.
 func Run(shards []*mat.Matrix, mk Sketcher, strategy MergeStrategy, options ...Option) (*sketch.FrequentDirections, Stats) {
-	return RunArity(shards, mk, strategy, 2, options...)
-}
-
-// RunArity is Run with a configurable tree arity: each tree level
-// groups `arity` sketches and folds each group with arity−1 sequential
-// merges, groups running concurrently — the general branching factor of
-// the appendix's mergeability proof. Arity is ignored for SerialMerge.
-func RunArity(shards []*mat.Matrix, mk Sketcher, strategy MergeStrategy, arity int, options ...Option) (*sketch.FrequentDirections, Stats) {
 	if len(shards) == 0 {
 		panic("parallel: no shards")
 	}
-	if arity < 2 {
-		panic("parallel: tree arity must be >= 2")
-	}
+	opts := newRunOptions(options)
 	if allShardsEmpty(shards) {
 		return emptyRun(shards, mk)
 	}
-	opts := newRunOptions(options)
 	stats := Stats{Workers: len(shards)}
 	obsRunsTotal.Inc()
 	obsWorkersGauge.SetInt(len(shards))
@@ -196,26 +186,20 @@ func RunArity(shards []*mat.Matrix, mk Sketcher, strategy MergeStrategy, arity i
 	defer spRun.End()
 
 	spSketch := spRun.StartChild("sketch")
-	local := make([]*sketch.FrequentDirections, len(shards))
+	nodes := make([]*mergeNode, len(shards))
 	localTimes := make([]time.Duration, len(shards))
-	var wg sync.WaitGroup
-	for i, shard := range shards {
-		wg.Add(1)
-		go func(i int, shard *mat.Matrix) {
-			defer wg.Done()
-			t0 := time.Now()
-			fd := mk(shard)
-			fd.Compact()
-			localTimes[i] = time.Since(t0)
-			local[i] = fd
-		}(i, shard)
-	}
-	wg.Wait()
+	forEach(len(shards), opts.sequential, func(i int) {
+		t0 := time.Now()
+		fd := mk(shards[i])
+		fd.Compact()
+		localTimes[i] = time.Since(t0)
+		nodes[i] = &mergeNode{fd: fd, shards: []int{i}}
+	})
 	stats.SketchTime = spSketch.End()
 	var slowestLocal time.Duration
-	for i, fd := range local {
-		stats.LocalRotations += fd.Rotations()
-		stats.LocalShrinkMass += fd.Delta()
+	for i, nd := range nodes {
+		stats.LocalRotations += nd.fd.Rotations()
+		stats.LocalShrinkMass += nd.fd.Delta()
 		if localTimes[i] > slowestLocal {
 			slowestLocal = localTimes[i]
 		}
@@ -223,23 +207,9 @@ func RunArity(shards []*mat.Matrix, mk Sketcher, strategy MergeStrategy, arity i
 	obsLocalRotations.Add(float64(stats.LocalRotations))
 
 	spMerge := spRun.StartChild("merge")
-	var global *sketch.FrequentDirections
-	var mergeCrit time.Duration
-	switch strategy {
-	case TreeMerge:
-		nodes := make([]*mergeNode, len(local))
-		for i, fd := range local {
-			nodes[i] = &mergeNode{fd: fd, shards: []int{i}}
-		}
-		env := &mergeEnv{shards: shards, mk: mk, opts: opts, stats: &stats,
-			trace: spMerge.Context()}
-		global, stats.MergeRounds, mergeCrit = treeMerge(nodes, arity, env)
-	case SerialMerge:
-		global, mergeCrit = serialMerge(local)
-		stats.MergeRounds = len(local) - 1
-	default:
-		panic("parallel: unknown merge strategy")
-	}
+	env := &mergeEnv{shards: shards, mk: mk, opts: opts, stats: &stats,
+		trace: spMerge.Context()}
+	global, mergeCrit := mergeNodes(nodes, strategy, env)
 	stats.MergeTime = spMerge.End()
 	stats.MergeRotations = global.Rotations() - stats.LocalRotations
 	stats.MergeShrinkMass = global.Delta() - stats.LocalShrinkMass
@@ -250,6 +220,27 @@ func RunArity(shards []*mat.Matrix, mk Sketcher, strategy MergeStrategy, arity i
 	stats.CriticalPath = slowestLocal + mergeCrit
 	stats.Total = time.Since(start)
 	return global, stats
+}
+
+// forEach calls fn(0) … fn(n-1), each on its own goroutine, and waits
+// for all of them — or, when sequential, in index order on the caller's
+// goroutine, so each call can be timed in isolation.
+func forEach(n int, sequential bool, fn func(i int)) {
+	if sequential {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
 }
 
 // publishLastRun exports a run's fault-tolerance accounting to the
@@ -269,215 +260,6 @@ func publishLastRun(stats *Stats) {
 	} else {
 		obsLastSerialFB.Set(0)
 	}
-}
-
-// treeMerge reduces merge nodes in groups of `arity`; groups within
-// one round run concurrently, mirroring simultaneous MPI exchanges
-// across ranks, while the arity−1 merges inside a group are sequential
-// (one leg). Legs run through runLeg, which adds retry/timeout/
-// recovery semantics when the run is configured with WithFaults or
-// WithRetry; when too many legs are lost, the remaining nodes are
-// folded serially with no further fault exposure. The returned
-// duration is the merge critical path: the sum over rounds of each
-// round's slowest leg.
-func treeMerge(nodes []*mergeNode, arity int, env *mergeEnv) (*sketch.FrequentDirections, int, time.Duration) {
-	rounds := 0
-	var critical time.Duration
-	for len(nodes) > 1 {
-		if env.stats.Resketches > env.opts.retry.MaxFailedLegs {
-			// Too many lost legs: degrade to one serial fold of the
-			// surviving sketches — slower, but with no concurrent legs
-			// left to lose.
-			env.stats.SerialFallback = true
-			obsSerialFallbacks.Inc()
-			audit.Default().Record(audit.KindSerialFallback,
-				"tree merge degraded to serial fold",
-				audit.A("surviving_nodes", float64(len(nodes))),
-				audit.A("lost_legs", float64(env.stats.Resketches)))
-			rounds++
-			spFold := obs.StartSpanIn(env.trace, "merge_serial_fold",
-				obs.L("nodes", fmt.Sprint(len(nodes))))
-			defer spFold.End()
-			t0 := time.Now()
-			before := 0.0
-			for _, nd := range nodes {
-				before += nd.fd.Delta()
-			}
-			acc := nodes[0].fd
-			for _, nd := range nodes[1:] {
-				acc.Merge(nd.fd)
-				acc.Compact()
-			}
-			d := time.Since(t0)
-			critical += d
-			env.stats.Rounds = append(env.stats.Rounds,
-				RoundStats{Legs: 1, Slowest: d, ShrinkMass: acc.Delta() - before})
-			return acc, rounds, critical
-		}
-
-		rounds++
-		spRound := obs.StartSpanIn(env.trace, "merge_round",
-			obs.L("round", fmt.Sprint(rounds-1)))
-		roundCtx := spRound.Context()
-		groups := (len(nodes) + arity - 1) / arity
-		next := make([]*mergeNode, groups)
-		reports := make([]legReport, groups)
-		isLeg := make([]bool, groups)
-		var wg sync.WaitGroup
-		for gIdx := 0; gIdx < groups; gIdx++ {
-			lo := gIdx * arity
-			hi := lo + arity
-			if hi > len(nodes) {
-				hi = len(nodes)
-			}
-			if hi-lo == 1 {
-				next[gIdx] = nodes[lo] // pass-through, not a leg
-				continue
-			}
-			isLeg[gIdx] = true
-			wg.Add(1)
-			go func(gIdx, lo, hi int) {
-				defer wg.Done()
-				next[gIdx], reports[gIdx] = runLeg(roundCtx, rounds-1, gIdx, nodes[lo:hi], env)
-			}(gIdx, lo, hi)
-		}
-		wg.Wait()
-		spRound.End()
-		rs := RoundStats{}
-		for gIdx, rep := range reports {
-			if !isLeg[gIdx] {
-				continue
-			}
-			rs.Legs++
-			rs.Failures += rep.failures
-			rs.Retries += rep.retries
-			rs.ShrinkMass += rep.shrink
-			if rep.resketch {
-				rs.Resketches++
-			}
-			if rep.duration > rs.Slowest {
-				rs.Slowest = rep.duration
-			}
-		}
-		env.stats.Rounds = append(env.stats.Rounds, rs)
-		env.stats.LegFailures += rs.Failures
-		env.stats.LegRetries += rs.Retries
-		env.stats.Resketches += rs.Resketches
-		critical += rs.Slowest
-		nodes = next
-	}
-	return nodes[0].fd, rounds, critical
-}
-
-// serialMerge folds all sketches into the first, one at a time; every
-// merge is on the critical path.
-func serialMerge(fds []*sketch.FrequentDirections) (*sketch.FrequentDirections, time.Duration) {
-	acc := fds[0]
-	start := time.Now()
-	for _, fd := range fds[1:] {
-		acc.Merge(fd)
-		acc.Compact()
-	}
-	return acc, time.Since(start)
-}
-
-// RunSimulated executes the same sharded sketch-and-merge computation
-// as Run but strictly sequentially, timing every unit of work in
-// isolation, and reports the critical path the computation would have
-// on hardware with one core per worker: the slowest local sketch plus,
-// per tree level, that level's slowest merge (or every merge, for the
-// serial fold). On a host with fewer cores than workers, Run's
-// goroutines time-slice and per-goroutine timings degenerate to wall
-// time; RunSimulated is the measurement to use for strong-scaling
-// studies there. Total is the summed sequential work.
-func RunSimulated(shards []*mat.Matrix, mk Sketcher, strategy MergeStrategy) (*sketch.FrequentDirections, Stats) {
-	return RunSimulatedArity(shards, mk, strategy, 2)
-}
-
-// RunSimulatedArity is RunSimulated with a configurable tree arity (see
-// RunArity).
-func RunSimulatedArity(shards []*mat.Matrix, mk Sketcher, strategy MergeStrategy, arity int) (*sketch.FrequentDirections, Stats) {
-	if len(shards) == 0 {
-		panic("parallel: no shards")
-	}
-	if arity < 2 {
-		panic("parallel: tree arity must be >= 2")
-	}
-	if allShardsEmpty(shards) {
-		return emptyRun(shards, mk)
-	}
-	stats := Stats{Workers: len(shards)}
-	var work time.Duration
-
-	local := make([]*sketch.FrequentDirections, len(shards))
-	var slowestLocal time.Duration
-	for i, shard := range shards {
-		t0 := time.Now()
-		fd := mk(shard)
-		fd.Compact()
-		d := time.Since(t0)
-		work += d
-		if d > slowestLocal {
-			slowestLocal = d
-		}
-		local[i] = fd
-	}
-	stats.SketchTime = work
-	for _, fd := range local {
-		stats.LocalRotations += fd.Rotations()
-	}
-
-	var mergeCrit time.Duration
-	mergeStart := work
-	switch strategy {
-	case TreeMerge:
-		for len(local) > 1 {
-			stats.MergeRounds++
-			groups := (len(local) + arity - 1) / arity
-			next := make([]*sketch.FrequentDirections, 0, groups)
-			var slowest time.Duration
-			for g := 0; g < groups; g++ {
-				lo := g * arity
-				hi := lo + arity
-				if hi > len(local) {
-					hi = len(local)
-				}
-				t0 := time.Now()
-				acc := local[lo]
-				for i := lo + 1; i < hi; i++ {
-					acc.Merge(local[i])
-					acc.Compact()
-				}
-				d := time.Since(t0)
-				work += d
-				if d > slowest {
-					slowest = d
-				}
-				next = append(next, acc)
-			}
-			mergeCrit += slowest
-			local = next
-		}
-	case SerialMerge:
-		stats.MergeRounds = len(local) - 1
-		t0 := time.Now()
-		for _, fd := range local[1:] {
-			local[0].Merge(fd)
-			local[0].Compact()
-		}
-		d := time.Since(t0)
-		work += d
-		mergeCrit = d
-		local = local[:1]
-	default:
-		panic("parallel: unknown merge strategy")
-	}
-	global := local[0]
-	stats.MergeTime = work - mergeStart
-	stats.MergeRotations = global.Rotations() - stats.LocalRotations
-	stats.CriticalPath = slowestLocal + mergeCrit
-	stats.Total = work
-	return global, stats
 }
 
 // allShardsEmpty reports whether no shard carries any rows — the
@@ -506,8 +288,7 @@ func emptyRun(shards []*mat.Matrix, mk Sketcher) (*sketch.FrequentDirections, St
 
 // SplitRows partitions x into p contiguous row blocks of near-equal
 // size (views, no copy). p is clamped to the number of rows; a 0-row
-// input yields a single empty shard, which Run and RunSimulated
-// short-circuit.
+// input yields a single empty shard, which Run short-circuits.
 func SplitRows(x *mat.Matrix, p int) []*mat.Matrix {
 	if p < 1 {
 		panic("parallel: SplitRows needs p >= 1")

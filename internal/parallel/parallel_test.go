@@ -183,7 +183,9 @@ func TestDegenerateInputs(t *testing.T) {
 				func(s []*mat.Matrix, mk Sketcher, strat MergeStrategy) (*sketch.FrequentDirections, Stats) {
 					return Run(s, mk, strat)
 				},
-				RunSimulated,
+				func(s []*mat.Matrix, mk Sketcher, strat MergeStrategy) (*sketch.FrequentDirections, Stats) {
+					return Run(s, mk, strat, Sequential())
+				},
 			} {
 				global, stats := run(shards, mk, strat)
 				if global.Seen() != tc.rows {

@@ -75,7 +75,7 @@ func TestQuickMergeabilityBound(t *testing.T) {
 			shuffled[i] = shards[j]
 		}
 		mk := FDSketcher(pp.ell, sketch.Options{})
-		gTree, _ := RunArity(shuffled, mk, TreeMerge, pp.arity)
+		gTree, _ := Run(shuffled, mk, TreeMerge, WithArity(pp.arity))
 		gSerial, _ := Run(shuffled, mk, SerialMerge)
 
 		bound := fdBound(x, pp.ell)
@@ -120,7 +120,7 @@ func TestQuickFaultInjectedBound(t *testing.T) {
 		shards := randomShardSplit(x, pp.p, pp.g)
 		failProb := float64(failRaw%31) / 100 // 0 .. 0.30
 		mk := FDSketcher(pp.ell, sketch.Options{})
-		global, stats := RunArity(shards, mk, TreeMerge, pp.arity,
+		global, stats := Run(shards, mk, TreeMerge, WithArity(pp.arity),
 			WithFaults(Faults{FailProb: failProb, CorruptProb: failProb / 2, Seed: seed}),
 			WithRetry(Retry{MaxAttempts: 2, Backoff: 10 * time.Microsecond, MaxFailedLegs: 1}))
 		bound := fdBound(x, pp.ell)

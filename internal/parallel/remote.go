@@ -34,25 +34,17 @@ var (
 )
 
 // RemoteLeg is one fetchable input of a remote merge: typically a
-// closure that snapshots a (possibly remote) shard backend. Fetch
-// returning (nil, nil) means the shard exists but has absorbed no
-// rows yet — an empty leg, skipped without counting as a fault.
-// When FetchIn is set it is used instead of Fetch and receives the
-// fetch attempt's span context, so a trace-propagating transport (the
-// fabric Remote) can parent its RPC spans — and the worker's shipped
-// span records — under the attempt that caused them.
+// shard backend's snapshot call. Fetch must return a sketch the merge
+// may consume — a clone or a freshly decoded copy, never a live
+// sketch — because the survivors are folded in place. (nil, nil) means
+// the shard exists but has absorbed no rows yet — an empty leg, skipped
+// without counting as a fault. parent is the fetch attempt's span
+// context, so a trace-propagating transport (the fabric Remote) can
+// parent its RPC spans — and the worker's shipped span records — under
+// the attempt that caused them; other fetches ignore it.
 type RemoteLeg struct {
-	Name    string
-	Fetch   func() (*sketch.FrequentDirections, error)
-	FetchIn func(parent obs.SpanContext) (*sketch.FrequentDirections, error)
-}
-
-// fetch dispatches one attempt through FetchIn when available.
-func (l RemoteLeg) fetch(parent obs.SpanContext) (*sketch.FrequentDirections, error) {
-	if l.FetchIn != nil {
-		return l.FetchIn(parent)
-	}
-	return l.Fetch()
+	Name  string
+	Fetch func(parent obs.SpanContext) (*sketch.FrequentDirections, error)
 }
 
 // FaultClass buckets a remote-leg error by the recovery it admits.
@@ -191,9 +183,9 @@ func (r RemoteReport) Degraded() bool { return r.Dropped > 0 }
 // attempt — validates each fetched sketch, drops legs that exhaust
 // their retries or fail fatally (degrading to the surviving legs, with
 // a journal event and a flight-recorder trigger per lost leg), and
-// tree-merges the survivors with MergeSketches semantics. The fetch
-// spans (remote_leg, one per leg, with attempt children) and the merge
-// parent under the given trace context.
+// merges the survivors like MergeSketches — except in place, since it
+// owns what it fetched. The fetch spans (remote_leg, one per leg, with
+// attempt children) and the merge parent under the given trace context.
 //
 // The fetched sketches are merged in leg order, so for infallible
 // fetches the result is bit-identical to MergeSketches over the same
@@ -248,15 +240,14 @@ func MergeRemote(legs []RemoteLeg, strategy MergeStrategy, retry Retry, parent o
 	if len(fds) == 0 {
 		return nil, Stats{}, rep
 	}
-	g, stats := MergeSketchesTraced(fds, strategy, sp.Context())
+	g, stats := mergeOwned(fds, strategy, sp.Context())
 	return g, stats, rep
 }
 
 // fetchLeg runs one leg's retry loop. Every attempt gets a fresh Fetch
-// call bounded by retry.LegTimeout (0 = unbounded); a straggling
-// attempt finishes into a buffered channel and is discarded, so a
-// timed-out fetch never blocks the merge — the transport's own
-// deadlines bound how long the straggler goroutine itself lives.
+// call bounded by retry.LegTimeout through within, so a timed-out
+// fetch never blocks the merge — the transport's own deadlines bound
+// how long the straggler goroutine itself lives.
 func fetchLeg(parent obs.SpanContext, leg RemoteLeg, retry Retry) (*sketch.FrequentDirections, LegStatus) {
 	st := LegStatus{Name: leg.Name}
 	sp := obs.StartSpanIn(parent, "remote_leg", obs.L("leg", leg.Name))
@@ -275,7 +266,10 @@ func fetchLeg(parent obs.SpanContext, leg RemoteLeg, retry Retry) (*sketch.Frequ
 		}
 		st.Attempts++
 		spAtt := sp.StartChild("fetch_attempt", obs.L("attempt", strconv.Itoa(attempt)))
-		fd, err := fetchOnce(leg, spAtt.Context(), retry.LegTimeout)
+		attCtx := spAtt.Context()
+		fd, err := within(retry.LegTimeout, func() (*sketch.FrequentDirections, error) {
+			return leg.Fetch(attCtx)
+		})
 		if err == nil && fd != nil && !fd.Finite() {
 			err = errNotFinite
 		}
@@ -301,30 +295,4 @@ func fetchLeg(parent obs.SpanContext, leg RemoteLeg, retry Retry) (*sketch.Frequ
 	sp.SetAttr("lost", "true")
 	sp.SetAttr("class", st.Class.String())
 	return nil, st
-}
-
-// fetchOnce bounds a single fetch attempt by timeout (0 = call
-// inline), passing the attempt's span context through to
-// trace-propagating transports.
-func fetchOnce(leg RemoteLeg, parent obs.SpanContext, timeout time.Duration) (*sketch.FrequentDirections, error) {
-	if timeout <= 0 {
-		return leg.fetch(parent)
-	}
-	type result struct {
-		fd  *sketch.FrequentDirections
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		fd, err := leg.fetch(parent)
-		done <- result{fd, err}
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-done:
-		return r.fd, r.err
-	case <-timer.C:
-		return nil, errLegTimeout
-	}
 }

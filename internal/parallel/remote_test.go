@@ -32,7 +32,7 @@ func legsFor(fds []*sketch.FrequentDirections) []RemoteLeg {
 	for i := range fds {
 		fd := fds[i]
 		legs[i] = RemoteLeg{Name: "leg" + string(rune('a'+i)),
-			Fetch: func() (*sketch.FrequentDirections, error) { return fd.Clone(), nil }}
+			Fetch: func(obs.SpanContext) (*sketch.FrequentDirections, error) { return fd.Clone(), nil }}
 	}
 	return legs
 }
@@ -71,11 +71,11 @@ func TestMergeRemoteRetriesTransient(t *testing.T) {
 	legs := legsFor(fds)
 	var calls atomic.Int64
 	inner := legs[1].Fetch
-	legs[1].Fetch = func() (*sketch.FrequentDirections, error) {
+	legs[1].Fetch = func(p obs.SpanContext) (*sketch.FrequentDirections, error) {
 		if calls.Add(1) == 1 {
 			return nil, io.ErrUnexpectedEOF // torn frame: transient
 		}
-		return inner()
+		return inner(p)
 	}
 	got, _, rep := MergeRemote(legs, TreeMerge, Retry{MaxAttempts: 3, Backoff: time.Microsecond}, obs.SpanContext{})
 	if got == nil || rep.Dropped != 0 || rep.Survivors != 3 {
@@ -94,13 +94,13 @@ func TestMergeRemoteRefetchesCorrupt(t *testing.T) {
 	legs := legsFor(fds)
 	var calls atomic.Int64
 	inner := legs[0].Fetch
-	legs[0].Fetch = func() (*sketch.FrequentDirections, error) {
+	legs[0].Fetch = func(p obs.SpanContext) (*sketch.FrequentDirections, error) {
 		if calls.Add(1) == 1 {
 			bad := fds[0].Clone()
 			bad.CorruptForTest(math.NaN())
 			return bad, nil // arrives, but fails validation
 		}
-		return inner()
+		return inner(p)
 	}
 	got, _, rep := MergeRemote(legs, TreeMerge, Retry{MaxAttempts: 2, Backoff: time.Microsecond}, obs.SpanContext{})
 	if got == nil || rep.Dropped != 0 {
@@ -121,7 +121,7 @@ func TestMergeRemoteFatalShortCircuits(t *testing.T) {
 	fds := remoteTestSketches(t, 3)
 	legs := legsFor(fds)
 	var calls atomic.Int64
-	legs[2].Fetch = func() (*sketch.FrequentDirections, error) {
+	legs[2].Fetch = func(p obs.SpanContext) (*sketch.FrequentDirections, error) {
 		calls.Add(1)
 		return nil, ErrBackendClosed
 	}
@@ -155,7 +155,7 @@ func TestMergeRemoteLegTimeout(t *testing.T) {
 	fds := remoteTestSketches(t, 2)
 	legs := legsFor(fds)
 	release := make(chan struct{})
-	legs[1].Fetch = func() (*sketch.FrequentDirections, error) {
+	legs[1].Fetch = func(p obs.SpanContext) (*sketch.FrequentDirections, error) {
 		<-release
 		return nil, errors.New("too late")
 	}
@@ -182,7 +182,7 @@ func TestMergeRemoteEmptyAndNilLegs(t *testing.T) {
 	fds := remoteTestSketches(t, 2)
 	legs := legsFor(fds)
 	legs = append(legs, RemoteLeg{Name: "empty",
-		Fetch: func() (*sketch.FrequentDirections, error) { return nil, nil }})
+		Fetch: func(obs.SpanContext) (*sketch.FrequentDirections, error) { return nil, nil }})
 	got, _, rep := MergeRemote(legs, TreeMerge, Retry{}, obs.SpanContext{})
 	if got == nil || rep.Dropped != 0 || rep.Survivors != 2 {
 		t.Fatalf("empty leg mishandled: %+v", rep)

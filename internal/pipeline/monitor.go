@@ -68,7 +68,6 @@ func engineConfig(cfg Config, window int) engine.Config {
 		Shards:         cfg.Shards,
 		IngestBuffer:   cfg.IngestBuffer,
 		ReconcileEvery: cfg.ReconcileEvery,
-		ReconcileFixed: cfg.ReconcileFixed,
 		Window:         window,
 		Tenant:         cfg.Tenant,
 		Pre:            cfg.Pre,

@@ -81,16 +81,12 @@ type Config struct {
 	// IngestBuffer bounds the engine's async Enqueue queue (default
 	// 256). Producers block when it is full — backpressure, not drops.
 	IngestBuffer int
-	// ReconcileEvery is the frame interval between proactive shard
-	// reconciles (default 128); snapshot paths reconcile on demand
-	// regardless.
+	// ReconcileEvery is the frame scale of proactive shard reconciles
+	// (default 128): merges happen when the shards' marginal Σδ growth
+	// says the cached global sketch is stale, never below a lag of
+	// ReconcileEvery/4 and always by 8×ReconcileEvery. Snapshot paths
+	// reconcile on demand regardless.
 	ReconcileEvery int
-	// ReconcileFixed reverts the engine to the fixed ReconcileEvery
-	// merge countdown. The default (false) is the staleness-driven
-	// controller: merges happen when the shards' marginal Σδ growth
-	// says the cached global sketch is stale. The post-drain sketch
-	// and certificate are identical either way.
-	ReconcileFixed bool
 	// Tenant, when non-empty, scopes the Monitor's engine metrics with
 	// a tenant="<id>" label (set by the multi-tenant registry). Empty
 	// keeps the process-wide unlabeled series.

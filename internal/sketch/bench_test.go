@@ -92,3 +92,58 @@ func BenchmarkFDRotateSteadyState(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFDMerge times the pairwise mergeable-summary operation.
+func BenchmarkFDMerge(b *testing.B) {
+	g := rng.New(20)
+	x1 := mat.RandGaussian(200, 512, g)
+	x2 := mat.RandGaussian(200, 512, g)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fd1 := NewFrequentDirections(24, 512, Options{})
+		fd2 := NewFrequentDirections(24, 512, Options{})
+		fd1.AppendMatrix(x1)
+		fd2.AppendMatrix(x2)
+		b.StartTimer()
+		fd1.Merge(fd2)
+	}
+}
+
+// BenchmarkRelProjErr times the error evaluation used in Fig. 3.
+func BenchmarkRelProjErr(b *testing.B) {
+	g := rng.New(4)
+	a := mat.RandGaussian(256, 512, g)
+	fd := NewFrequentDirections(24, 512, Options{})
+	fd.AppendMatrix(a)
+	basis := fd.Basis(fd.Ell())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = RelProjErr(a, basis)
+	}
+}
+
+// BenchmarkBaselineSketchers compares FD against the baseline sketchers
+// of [5] on the same stream.
+func BenchmarkBaselineSketchers(b *testing.B) {
+	g := rng.New(24)
+	x := mat.RandGaussian(1000, 200, g)
+	const ell = 24
+	for _, mk := range []func() Summarizer{
+		func() Summarizer { return NewFrequentDirections(ell, 200, Options{}) },
+		func() Summarizer { return NewRandomProjection(ell, 200, rng.New(25)) },
+		func() Summarizer { return NewCountSketch(ell, 200, rng.New(26)) },
+		func() Summarizer { return NewNormSampler(ell, 200, rng.New(27)) },
+	} {
+		name := mk().Name()
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s := mk()
+				for r := 0; r < x.RowsN; r++ {
+					s.Append(x.Row(r))
+				}
+				_ = s.Sketch()
+			}
+		})
+	}
+}
