@@ -13,13 +13,14 @@ package abod
 
 import (
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"arams/internal/knn"
 	"arams/internal/mat"
 )
+
+// scoreChunk is the fewest rows of a Scores one pool task takes.
+const scoreChunk = 16
 
 // Scores returns the ABOF of every row of x using k-nearest-neighbor
 // pairs. Lower means more anomalous. Points with undefined ABOF
@@ -39,29 +40,13 @@ func Scores(x *mat.Matrix, k int) []float64 {
 		return out
 	}
 	g := knn.BruteForce(x, k)
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
+	mat.ParallelFor(n, scoreChunk, func(lo, hi int) {
+		ab := make([]float64, x.ColsN)
+		ac := make([]float64, x.ColsN)
+		for i := lo; i < hi; i++ {
+			out[i] = abof(x, i, g.Neighbors[i], ab, ac)
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			d := x.ColsN
-			ab := make([]float64, d)
-			ac := make([]float64, d)
-			for i := lo; i < hi; i++ {
-				out[i] = abof(x, i, g.Neighbors[i], ab, ac)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return out
 }
 

@@ -1,17 +1,14 @@
-// Package knn provides k-nearest-neighbor search for the UMAP, OPTICS,
-// and ABOD stages. Two engines are available: an exact brute-force
-// search parallelized across goroutines (robust at any dimension, used
-// by default on the ≤100-dimensional PCA projections the pipeline
-// produces), and a vantage-point tree for repeated low-dimensional
-// queries.
+// Package knn provides exact k-nearest-neighbor search for the UMAP,
+// ABOD and HDBSCAN stages. There is one engine: a dense scan of the
+// candidate rows through a typed bounded k-selection. BruteForce runs
+// it for every row of a matrix on the shared worker pool; Nearest runs
+// it for one query point (the out-of-sample UMAP transform). On the
+// ≤100-dimensional, few-thousand-row point sets the pipeline produces
+// the scan is faster than building and walking an index.
 package knn
 
 import (
-	"container/heap"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
 
 	"arams/internal/mat"
 )
@@ -23,26 +20,14 @@ type Neighbor struct {
 	Dist  float64
 }
 
-// Graph holds the k nearest neighbors of every point, sorted by
-// ascending distance, excluding the point itself.
+// Graph holds the k nearest neighbors of every point, excluding the
+// point itself, sorted by (distance, index) ascending: exactly
+// equidistant neighbors appear in index order, and when more than k
+// points tie for the last place the lowest indices are kept. The
+// comparison is made on the squared distance, before the square root.
 type Graph struct {
 	K         int
 	Neighbors [][]Neighbor // [n][k]
-}
-
-// maxHeap over neighbor distances, used to keep the k best candidates.
-type maxHeap []Neighbor
-
-func (h maxHeap) Len() int            { return len(h) }
-func (h maxHeap) Less(i, j int) bool  { return h[i].Dist > h[j].Dist }
-func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(Neighbor)) }
-func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
 }
 
 // Distance returns the Euclidean distance between rows i and j of x.
@@ -60,8 +45,11 @@ func DistSq(a, b []float64) float64 {
 	return s
 }
 
+// bruteChunk is the fewest rows of a BruteForce one pool task takes.
+const bruteChunk = 16
+
 // BruteForce builds the exact kNN graph of the rows of x, splitting the
-// outer loop across all CPUs. k is clamped to n−1.
+// outer loop across the shared worker pool. k is clamped to n−1.
 func BruteForce(x *mat.Matrix, k int) *Graph {
 	n := x.RowsN
 	if k >= n {
@@ -71,221 +59,49 @@ func BruteForce(x *mat.Matrix, k int) *Graph {
 		return &Graph{K: 0, Neighbors: make([][]Neighbor, n)}
 	}
 	g := &Graph{K: k, Neighbors: make([][]Neighbor, n)}
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
+	slab := make([]Neighbor, n*k)
+	mat.ParallelFor(n, bruteChunk, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			g.Neighbors[i] = Nearest(x, x.Row(i), k, i, slab[i*k:(i+1)*k:(i+1)*k])
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			h := make(maxHeap, 0, k+1)
-			for i := lo; i < hi; i++ {
-				h = h[:0]
-				xi := x.Row(i)
-				for j := 0; j < n; j++ {
-					if j == i {
-						continue
-					}
-					d := DistSq(xi, x.Row(j))
-					if len(h) < k {
-						heap.Push(&h, Neighbor{Index: j, Dist: d})
-					} else if d < h[0].Dist {
-						h[0] = Neighbor{Index: j, Dist: d}
-						heap.Fix(&h, 0)
-					}
-				}
-				nb := make([]Neighbor, len(h))
-				copy(nb, h)
-				sort.Slice(nb, func(a, b int) bool { return nb[a].Dist < nb[b].Dist })
-				for t := range nb {
-					nb[t].Dist = math.Sqrt(nb[t].Dist)
-				}
-				g.Neighbors[i] = nb
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return g
 }
 
-// VPTree is a vantage-point tree over the rows of a matrix, supporting
-// exact k-nearest and radius queries with O(log n) expected node
-// visits in low dimension.
-type VPTree struct {
-	x    *mat.Matrix
-	root *vpNode
-}
-
-type vpNode struct {
-	index  int
-	radius float64
-	inside *vpNode
-	beyond *vpNode
-}
-
-// NewVPTree builds a vantage-point tree. The point order within x is
-// used deterministically (first point of each subset is the vantage
-// point), so construction needs no RNG.
-func NewVPTree(x *mat.Matrix) *VPTree {
-	idx := make([]int, x.RowsN)
-	for i := range idx {
-		idx[i] = i
-	}
-	t := &VPTree{x: x}
-	t.root = t.build(idx)
-	return t
-}
-
-func (t *VPTree) build(idx []int) *vpNode {
-	if len(idx) == 0 {
-		return nil
-	}
-	node := &vpNode{index: idx[0]}
-	rest := idx[1:]
-	if len(rest) == 0 {
-		return node
-	}
-	vp := t.x.Row(node.index)
-	d := make([]float64, len(rest))
-	for i, j := range rest {
-		d[i] = math.Sqrt(DistSq(vp, t.x.Row(j)))
-	}
-	// Partition around the median distance.
-	order := make([]int, len(rest))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return d[order[a]] < d[order[b]] })
-	mid := len(order) / 2
-	node.radius = d[order[mid]]
-	inside := make([]int, 0, mid)
-	beyond := make([]int, 0, len(order)-mid)
-	for pos, oi := range order {
-		if pos < mid {
-			inside = append(inside, rest[oi])
-		} else {
-			beyond = append(beyond, rest[oi])
-		}
-	}
-	node.inside = t.build(inside)
-	node.beyond = t.build(beyond)
-	return node
-}
-
-// KNearest returns the k nearest stored points to query (excluding any
-// point at distance exactly 0 if excludeSelf and the query is a stored
-// row — callers pass excludeIndex = -1 to keep everything).
-func (t *VPTree) KNearest(query []float64, k int, excludeIndex int) []Neighbor {
+// Nearest returns the k rows of x nearest to q, skipping row exclude
+// (pass −1 to keep every row; pass i when q is row i of x), in the
+// order Graph documents. The result has fewer than k entries only when
+// x has fewer candidate rows. It is written into buf when buf has room
+// for k entries, so a caller querying in a loop allocates once.
+func Nearest(x *mat.Matrix, q []float64, k, exclude int, buf []Neighbor) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	h := make(maxHeap, 0, k+1)
-	t.search(t.root, query, k, excludeIndex, &h)
-	out := make([]Neighbor, len(h))
-	copy(out, h)
-	sort.Slice(out, func(a, b int) bool { return out[a].Dist < out[b].Dist })
-	return out
-}
-
-func (t *VPTree) search(node *vpNode, query []float64, k, exclude int, h *maxHeap) {
-	if node == nil {
-		return
+	if cap(buf) < k {
+		buf = make([]Neighbor, 0, k)
 	}
-	d := math.Sqrt(DistSq(query, t.x.Row(node.index)))
-	if node.index != exclude {
-		if h.Len() < k {
-			heap.Push(h, Neighbor{Index: node.index, Dist: d})
-		} else if d < (*h)[0].Dist {
-			(*h)[0] = Neighbor{Index: node.index, Dist: d}
-			heap.Fix(h, 0)
+	// nb holds the best candidates so far in ascending order. Rows are
+	// visited in index order and a candidate moves ahead only of
+	// strictly farther entries, so ties stay in index order.
+	nb := buf[:0]
+	for j := 0; j < x.RowsN; j++ {
+		if j == exclude {
+			continue
 		}
-	}
-	tau := math.Inf(1)
-	if h.Len() == k {
-		tau = (*h)[0].Dist
-	}
-	if d < node.radius {
-		t.search(node.inside, query, k, exclude, h)
-		if h.Len() == k {
-			tau = (*h)[0].Dist
+		d := DistSq(q, x.Row(j))
+		if len(nb) < k {
+			nb = nb[:len(nb)+1]
+		} else if !(d < nb[k-1].Dist) {
+			continue
 		}
-		if d+tau >= node.radius {
-			t.search(node.beyond, query, k, exclude, h)
+		p := len(nb) - 1
+		for ; p > 0 && d < nb[p-1].Dist; p-- {
+			nb[p] = nb[p-1]
 		}
-	} else {
-		t.search(node.beyond, query, k, exclude, h)
-		if h.Len() == k {
-			tau = (*h)[0].Dist
-		}
-		if d-tau <= node.radius {
-			t.search(node.inside, query, k, exclude, h)
-		}
+		nb[p] = Neighbor{Index: j, Dist: d}
 	}
-}
-
-// Radius returns every stored point within dist of query, ascending by
-// distance.
-func (t *VPTree) Radius(query []float64, dist float64) []Neighbor {
-	var out []Neighbor
-	t.radiusSearch(t.root, query, dist, &out)
-	sort.Slice(out, func(a, b int) bool { return out[a].Dist < out[b].Dist })
-	return out
-}
-
-func (t *VPTree) radiusSearch(node *vpNode, query []float64, dist float64, out *[]Neighbor) {
-	if node == nil {
-		return
+	for t := range nb {
+		nb[t].Dist = math.Sqrt(nb[t].Dist)
 	}
-	d := math.Sqrt(DistSq(query, t.x.Row(node.index)))
-	if d <= dist {
-		*out = append(*out, Neighbor{Index: node.index, Dist: d})
-	}
-	if d-dist <= node.radius {
-		t.radiusSearch(node.inside, query, dist, out)
-	}
-	if d+dist >= node.radius {
-		t.radiusSearch(node.beyond, query, dist, out)
-	}
-}
-
-// GraphFromVPTree builds the kNN graph using a VP-tree — faster than
-// brute force for large low-dimensional point sets.
-func GraphFromVPTree(x *mat.Matrix, k int) *Graph {
-	n := x.RowsN
-	if k >= n {
-		k = n - 1
-	}
-	g := &Graph{K: k, Neighbors: make([][]Neighbor, n)}
-	if k < 1 {
-		return g
-	}
-	t := NewVPTree(x)
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				g.Neighbors[i] = t.KNearest(x.Row(i), k, i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return g
+	return nb
 }

@@ -2,6 +2,7 @@ package knn
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -13,34 +14,28 @@ func points(n, d int, seed uint64) *mat.Matrix {
 	return mat.RandGaussian(n, d, rng.New(seed))
 }
 
-// naiveKNN computes the reference answer by full sort.
-func naiveKNN(x *mat.Matrix, i, k int) []Neighbor {
+// naiveNearest computes the reference answer by full sort on
+// (squared distance, index); exclude < 0 keeps every row.
+func naiveNearest(x *mat.Matrix, q []float64, k, exclude int) []Neighbor {
 	var all []Neighbor
 	for j := 0; j < x.RowsN; j++ {
-		if j == i {
-			continue
+		if j != exclude {
+			all = append(all, Neighbor{Index: j, Dist: DistSq(q, x.Row(j))})
 		}
-		all = append(all, Neighbor{Index: j, Dist: math.Sqrt(DistSq(x.Row(i), x.Row(j)))})
 	}
-	sort.Slice(all, func(a, b int) bool { return all[a].Dist < all[b].Dist })
-	if k > len(all) {
-		k = len(all)
+	sort.SliceStable(all, func(a, b int) bool { return all[a].Dist < all[b].Dist })
+	all = all[:min(k, len(all))]
+	for i := range all {
+		all[i].Dist = math.Sqrt(all[i].Dist)
 	}
-	return all[:k]
+	return all
 }
 
-func sameNeighbors(a, b []Neighbor) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		// Indices can differ under exact ties; distances must agree.
-		if math.Abs(a[i].Dist-b[i].Dist) > 1e-9 {
-			return false
-		}
-	}
-	return true
-}
+func naiveKNN(x *mat.Matrix, i, k int) []Neighbor { return naiveNearest(x, x.Row(i), k, i) }
+
+// sameNeighbors is exact: the order of equidistant neighbors is
+// specified, so indices and distances must both agree.
+func sameNeighbors(a, b []Neighbor) bool { return slices.Equal(a, b) }
 
 func TestBruteForceMatchesNaive(t *testing.T) {
 	x := points(60, 5, 1)
@@ -93,52 +88,53 @@ func TestBruteForceNoSelf(t *testing.T) {
 	}
 }
 
-func TestVPTreeMatchesBruteForce(t *testing.T) {
+func TestNearestMatchesNaive(t *testing.T) {
 	x := points(120, 2, 5)
-	bf := BruteForce(x, 8)
-	vp := GraphFromVPTree(x, 8)
+	buf := make([]Neighbor, 0, 8)
 	for i := 0; i < x.RowsN; i++ {
-		if !sameNeighbors(bf.Neighbors[i], vp.Neighbors[i]) {
-			t.Fatalf("point %d: VP-tree disagrees with brute force", i)
+		got := Nearest(x, x.Row(i), 8, i, buf)
+		if !sameNeighbors(got, naiveKNN(x, i, 8)) {
+			t.Fatalf("point %d: Nearest disagrees with the naive sort", i)
+		}
+		if &got[0] != &buf[:1][0] {
+			t.Fatalf("point %d: Nearest did not reuse the caller's buffer", i)
 		}
 	}
 }
 
-func TestVPTreeKNearestQueryPoint(t *testing.T) {
+func TestNearestQueryPoint(t *testing.T) {
 	x := points(80, 3, 6)
-	tree := NewVPTree(x)
 	q := []float64{0.1, -0.2, 0.3}
-	got := tree.KNearest(q, 5, -1)
-	// Reference: naive over all points.
-	var all []Neighbor
-	for j := 0; j < x.RowsN; j++ {
-		all = append(all, Neighbor{Index: j, Dist: math.Sqrt(DistSq(q, x.Row(j)))})
+	got := Nearest(x, q, 5, -1, nil)
+	if want := naiveNearest(x, q, 5, -1); !sameNeighbors(got, want) {
+		t.Fatalf("query wrong: %v vs %v", got, want)
 	}
-	sort.Slice(all, func(a, b int) bool { return all[a].Dist < all[b].Dist })
-	if !sameNeighbors(got, all[:5]) {
-		t.Fatalf("VP-tree query wrong: %v vs %v", got, all[:5])
+	if n := len(Nearest(x, q, 200, -1, nil)); n != 80 {
+		t.Fatalf("k beyond the row count returned %d neighbors, want all 80", n)
+	}
+	if Nearest(x, q, 0, -1, nil) != nil {
+		t.Fatal("k = 0 returned neighbors")
 	}
 }
 
-func TestVPTreeRadius(t *testing.T) {
+func TestNearestKeepsSelfUnlessExcluded(t *testing.T) {
 	x := points(100, 2, 7)
-	tree := NewVPTree(x)
-	q := x.Row(0)
-	const r = 0.8
-	got := tree.Radius(q, r)
-	want := 0
-	for j := 0; j < x.RowsN; j++ {
-		if math.Sqrt(DistSq(q, x.Row(j))) <= r {
-			want++
+	kept := Nearest(x, x.Row(0), 10, -1, nil)
+	if kept[0] != (Neighbor{Index: 0, Dist: 0}) {
+		t.Fatalf("stored query row not its own nearest neighbor: %v", kept[0])
+	}
+	dropped := Nearest(x, x.Row(0), 10, 0, nil)
+	for i, nb := range dropped {
+		if nb.Index == 0 {
+			t.Fatal("excluded row returned")
+		}
+		if i > 0 && nb.Dist < dropped[i-1].Dist {
+			t.Fatal("results not sorted")
 		}
 	}
-	if len(got) != want {
-		t.Fatalf("Radius found %d, want %d", len(got), want)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Dist < got[i-1].Dist {
-			t.Fatal("Radius results not sorted")
-		}
+	// Excluding the row shifts the list by one.
+	if !sameNeighbors(kept[1:], dropped[:9]) {
+		t.Fatalf("exclude changed more than the excluded row: %v vs %v", kept, dropped)
 	}
 }
 
@@ -149,9 +145,27 @@ func TestKnnDuplicatePoints(t *testing.T) {
 	if g.Neighbors[0][0].Dist != 0 {
 		t.Fatalf("duplicate distance = %v", g.Neighbors[0][0].Dist)
 	}
-	vp := GraphFromVPTree(x, 2)
-	if vp.Neighbors[0][0].Dist != 0 {
-		t.Fatal("VP-tree missed duplicate")
+	if nb := Nearest(x, x.Row(0), 2, 0, nil); nb[0] != (Neighbor{Index: 1, Dist: 0}) {
+		t.Fatalf("Nearest missed duplicate: %v", nb)
+	}
+	// Exact ties are ordered by index, and at the k-th place the lowest
+	// indices win: the center of a square sees its four corners at one
+	// distance, a corner sees its two adjacent corners at another.
+	sq := mat.FromRows([][]float64{{1, 1}, {0, 0}, {2, 0}, {2, 2}, {0, 2}, {1, 1}})
+	for k := 1; k <= 5; k++ {
+		g := BruteForce(sq, k)
+		for i := 0; i < sq.RowsN; i++ {
+			if !sameNeighbors(g.Neighbors[i], naiveKNN(sq, i, k)) {
+				t.Fatalf("k=%d point %d: %v, want (distance, index) order %v", k, i, g.Neighbors[i], naiveKNN(sq, i, k))
+			}
+		}
+	}
+	var idx []int
+	for _, nb := range BruteForce(sq, 5).Neighbors[0] {
+		idx = append(idx, nb.Index)
+	}
+	if want := []int{5, 1, 2, 3, 4}; !slices.Equal(idx, want) {
+		t.Fatalf("center's neighbors %v, want %v", idx, want)
 	}
 }
 

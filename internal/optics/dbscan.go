@@ -15,17 +15,14 @@ func DBSCAN(x *mat.Matrix, eps float64, minPts int) []int {
 	for i := range labels {
 		labels[i] = Noise
 	}
-	if n == 0 {
-		return labels
-	}
-	tree := knn.NewVPTree(x)
 	// neighborhood includes the point itself, matching the classic
 	// |N_eps(p)| >= minPts core condition.
 	neighborhood := func(i int) []int {
-		nbs := tree.Radius(x.Row(i), eps)
-		out := make([]int, len(nbs))
-		for k, nb := range nbs {
-			out[k] = nb.Index
+		var out []int
+		for j := 0; j < n; j++ {
+			if knn.Distance(x, i, j) <= eps {
+				out = append(out, j)
+			}
 		}
 		return out
 	}

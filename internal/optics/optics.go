@@ -6,7 +6,6 @@
 package optics
 
 import (
-	"container/heap"
 	"math"
 
 	"arams/internal/knn"
@@ -28,6 +27,15 @@ type Result struct {
 // Run computes the OPTICS ordering of the rows of x with the given
 // minPts and generating radius maxEps (use math.Inf(1) for unbounded,
 // as the paper's visual analysis does).
+//
+// It is one dense pass: each point, when its turn comes, computes its
+// row of n distances, reads its core distance off the minPts−1 smallest
+// of them, relaxes every unprocessed point within maxEps and picks the
+// next point by (reachability, index) in the same sweep. That is O(n²)
+// time and O(n) memory for any maxEps. An index cannot do better at
+// maxEps = ∞, the only value the pipeline passes, where every point is
+// every other point's neighbor; minPts is assumed small (the core
+// distance costs O(minPts) per candidate that enters it).
 func Run(x *mat.Matrix, minPts int, maxEps float64) *Result {
 	n := x.RowsN
 	if minPts < 2 {
@@ -42,140 +50,70 @@ func Run(x *mat.Matrix, minPts int, maxEps float64) *Result {
 		res.Reachability[i] = math.Inf(1)
 		res.CoreDist[i] = math.Inf(1)
 	}
-	if n == 0 {
-		return res
-	}
-
-	tree := knn.NewVPTree(x)
-	// neighbors returns points within maxEps of i (excluding i),
-	// ascending by distance.
-	neighbors := func(i int) []knn.Neighbor {
-		if math.IsInf(maxEps, 1) {
-			return tree.KNearest(x.Row(i), n-1, i)
-		}
-		nbs := tree.Radius(x.Row(i), maxEps)
-		out := nbs[:0]
-		for _, nb := range nbs {
-			if nb.Index != i {
-				out = append(out, nb)
-			}
-		}
-		return out
-	}
-	// coreDist: distance to the (minPts−1)-th nearest other point
-	// (minPts counts the point itself), undefined if beyond maxEps.
-	coreDist := func(nbs []knn.Neighbor) float64 {
-		if len(nbs) < minPts-1 {
-			return math.Inf(1)
-		}
-		d := nbs[minPts-2].Dist
-		if d > maxEps {
-			return math.Inf(1)
-		}
-		return d
-	}
-
+	// m other points within maxEps make a point a core point (minPts
+	// counts the point itself); nearest holds the m smallest distances
+	// seen so far in p's row, ascending.
+	m := minPts - 1
+	nearest := make([]float64, 0, min(m, n))
+	dist := make([]float64, n)
 	processed := make([]bool, n)
-	for start := 0; start < n; start++ {
-		if processed[start] {
-			continue
+	start := 0
+	for p := -1; len(res.Order) < n; {
+		if p < 0 {
+			// No seed is reachable: the lowest unprocessed index starts
+			// the next component.
+			for processed[start] {
+				start++
+			}
+			p = start
 		}
-		processed[start] = true
-		res.Order = append(res.Order, start)
-		nbs := neighbors(start)
-		cd := coreDist(nbs)
-		res.CoreDist[start] = cd
-		if math.IsInf(cd, 1) {
-			continue
+		processed[p] = true
+		res.Order = append(res.Order, p)
+		xp := x.Row(p)
+		nearest = nearest[:0]
+		for j := 0; j < n; j++ {
+			d := math.Sqrt(knn.DistSq(xp, x.Row(j)))
+			dist[j] = d
+			if j == p || !(d <= maxEps) {
+				continue
+			}
+			if len(nearest) < m {
+				nearest = nearest[:len(nearest)+1]
+			} else if d >= nearest[m-1] {
+				continue
+			}
+			t := len(nearest) - 1
+			for ; t > 0 && d < nearest[t-1]; t-- {
+				nearest[t] = nearest[t-1]
+			}
+			nearest[t] = d
 		}
-		seeds := newReachHeap(n)
-		update(nbs, cd, processed, res, seeds)
-		for seeds.Len() > 0 {
-			q := seeds.popMin()
-			processed[q] = true
-			res.Order = append(res.Order, q)
-			qnbs := neighbors(q)
-			qcd := coreDist(qnbs)
-			res.CoreDist[q] = qcd
-			if !math.IsInf(qcd, 1) {
-				update(qnbs, qcd, processed, res, seeds)
+		core := math.Inf(1)
+		if len(nearest) == m {
+			core = nearest[m-1]
+		}
+		res.CoreDist[p] = core
+		// Relax p's unprocessed neighbors and, in the same sweep, find
+		// the seed to process next: the unprocessed point of least
+		// (reachability, index) among those reached so far.
+		relax := !math.IsInf(core, 1)
+		next, best := -1, math.Inf(1)
+		for j, d := range dist {
+			if processed[j] {
+				continue
+			}
+			if relax && d <= maxEps {
+				if r := math.Max(core, d); r < res.Reachability[j] {
+					res.Reachability[j] = r
+				}
+			}
+			if res.Reachability[j] < best {
+				next, best = j, res.Reachability[j]
 			}
 		}
+		p = next
 	}
 	return res
-}
-
-// update relaxes the reachability of p's unprocessed neighbors.
-func update(nbs []knn.Neighbor, coreDist float64, processed []bool, res *Result, seeds *reachHeap) {
-	for _, nb := range nbs {
-		if processed[nb.Index] {
-			continue
-		}
-		newReach := math.Max(coreDist, nb.Dist)
-		if newReach < res.Reachability[nb.Index] {
-			res.Reachability[nb.Index] = newReach
-			seeds.upsert(nb.Index, newReach)
-		}
-	}
-}
-
-// reachHeap is an indexed min-heap on reachability with decrease-key.
-type reachHeap struct {
-	items []heapItem
-	pos   []int // point index -> heap position, -1 if absent
-}
-
-type heapItem struct {
-	index int
-	reach float64
-}
-
-func newReachHeap(n int) *reachHeap {
-	h := &reachHeap{pos: make([]int, n)}
-	for i := range h.pos {
-		h.pos[i] = -1
-	}
-	return h
-}
-
-func (h *reachHeap) Len() int { return len(h.items) }
-func (h *reachHeap) Less(i, j int) bool {
-	if h.items[i].reach != h.items[j].reach {
-		return h.items[i].reach < h.items[j].reach
-	}
-	// Deterministic tie-break on index keeps orderings reproducible.
-	return h.items[i].index < h.items[j].index
-}
-func (h *reachHeap) Swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.pos[h.items[i].index] = i
-	h.pos[h.items[j].index] = j
-}
-func (h *reachHeap) Push(x interface{}) {
-	item := x.(heapItem)
-	h.pos[item.index] = len(h.items)
-	h.items = append(h.items, item)
-}
-func (h *reachHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	item := old[n-1]
-	h.items = old[:n-1]
-	h.pos[item.index] = -1
-	return item
-}
-
-func (h *reachHeap) upsert(index int, reach float64) {
-	if p := h.pos[index]; p >= 0 {
-		h.items[p].reach = reach
-		heap.Fix(h, p)
-		return
-	}
-	heap.Push(h, heapItem{index: index, reach: reach})
-}
-
-func (h *reachHeap) popMin() int {
-	return heap.Pop(h).(heapItem).index
 }
 
 // ExtractDBSCAN cuts the reachability plot at eps, producing labels

@@ -37,3 +37,16 @@ func BenchmarkSpectralInit(b *testing.B) {
 		_ = spectralInit(fg, 2, rng.New(5))
 	}
 }
+
+// BenchmarkTransform is the QuickSnapshot placement: one window of
+// latent rows into a model fitted on a window of the same size.
+func BenchmarkTransform(b *testing.B) {
+	g := rng.New(6)
+	m := FitModel(mat.RandGaussian(512, 12, g), Config{NNeighbors: 10, NEpochs: 80, Seed: 7})
+	x := mat.RandGaussian(512, 12, g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = m.Transform(x)
+	}
+}

@@ -54,7 +54,6 @@ func (m *Model) Transform(x *mat.Matrix) *mat.Matrix {
 	if k > m.train.RowsN {
 		k = m.train.RowsN
 	}
-	tree := knn.NewVPTree(m.train)
 	g := rng.New(m.cfg.Seed + 0x51ed270b)
 
 	type anchor struct {
@@ -62,11 +61,13 @@ func (m *Model) Transform(x *mat.Matrix) *mat.Matrix {
 		weight float64
 	}
 	anchors := make([][]anchor, n)
+	slab := make([]anchor, n*k)
+	nbs := make([]knn.Neighbor, 0, k)
 	for i := 0; i < n; i++ {
-		nbs := tree.KNearest(x.Row(i), k, -1)
+		nbs = knn.Nearest(m.train, x.Row(i), k, -1, nbs)
 		// Weights: smooth inverse distance, normalized.
 		var sum float64
-		as := make([]anchor, len(nbs))
+		as := slab[i*k : i*k+len(nbs)]
 		for j, nb := range nbs {
 			w := 1 / (nb.Dist + 1e-10)
 			as[j] = anchor{idx: nb.Index, weight: w}

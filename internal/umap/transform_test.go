@@ -92,3 +92,17 @@ func TestTransformDeterministic(t *testing.T) {
 		t.Fatal("Transform not deterministic")
 	}
 }
+
+// TestTransformAllocationsPerRow: the neighbor lookup scans the training
+// latent through one reused buffer, so a Transform allocates a fixed
+// handful of slabs, not a tree per call and a boxed heap entry per
+// candidate.
+func TestTransformAllocationsPerRow(t *testing.T) {
+	g := rng.New(300)
+	m := FitModel(mat.RandGaussian(512, 12, g), Config{NNeighbors: 10, NEpochs: 30, Seed: 2})
+	x := mat.RandGaussian(512, 12, g)
+	perRow := testing.AllocsPerRun(3, func() { m.Transform(x) }) / float64(x.RowsN)
+	if perRow >= 3 {
+		t.Fatalf("Transform makes %.2f allocations per query row, want < 3", perRow)
+	}
+}
