@@ -9,7 +9,7 @@
 // Frame layout (all integers little-endian):
 //
 //	offset 0   magic   "ACKP" (4 bytes)
-//	offset 4   version uint32 (currently 2)
+//	offset 4   version uint32 (currently 3)
 //	offset 8   kind    uint32 (which state type the payload holds)
 //	offset 12  length  uint64 (payload byte count)
 //	offset 20  payload (type-specific field stream, see codec.go)
@@ -35,14 +35,12 @@ import (
 // Magic is the frame signature "ACKP".
 const Magic = uint32('A') | uint32('C')<<8 | uint32('K')<<16 | uint32('P')<<24
 
-// Version is the current frame version. Decoders accept every version
-// up to and including this one — version 2 added the FD Frobenius-mass
-// field (error-bound certificates) and the monitor's audit state, both
-// decoded as absent from version-1 frames; version 3 replaced the
-// monitor's single optional sketch with the streaming engine's
-// positional shard-state list (a v1/v2 monitor frame decodes as a
-// one-shard layout) — and reject frames from a newer version rather
-// than guessing at their layout.
+// Version is the current frame version. Versions 1 and 2 (one optional
+// sketch per monitor, no audit state, no FD Frobenius mass) were never
+// deployed and re-encoded as version 3, which broke the canonical-
+// encoding promise, so their decode branches are gone: every decoder
+// rejects any other version with ErrVersion rather than guess at its
+// layout.
 const Version = 3
 
 // headerLen is magic+version+kind+length; trailerLen is the CRC.
@@ -54,6 +52,11 @@ const (
 // maxPayload caps how large a frame's declared payload may be, so a
 // corrupted length field cannot drive a multi-gigabyte allocation.
 const maxPayload = 1 << 32
+
+// chunkLen is the one buffer the streaming forms (Encode/Save, Load)
+// hold besides the state itself: fields are staged in it on their way
+// to the writer, or refilled into it on their way from the reader.
+const chunkLen = 256 << 10
 
 // Kind identifies which state type a frame's payload encodes.
 type Kind uint32
@@ -103,25 +106,38 @@ type Header struct {
 	ChecksumOK bool
 }
 
-// Peek reads the frame header of b and verifies the checksum, without
-// decoding the payload. It is the ckptinfo tool's entry point.
-func Peek(b []byte) (Header, error) {
-	if len(b) < headerLen+trailerLen {
+// parseHeader validates the fixed header of a frame that is size bytes
+// long in all. hdr holds at least the first headerLen of them whenever
+// size admits a frame at all. Both decoders start here, so a frame
+// whose declared payload disagrees with the bytes actually present is
+// refused before anything is allocated for it.
+func parseHeader(hdr []byte, size int64) (Header, error) {
+	if size < headerLen+trailerLen {
 		return Header{}, ErrTruncated
 	}
-	if binary.LittleEndian.Uint32(b[0:4]) != Magic {
+	if binary.LittleEndian.Uint32(hdr[0:4]) != Magic {
 		return Header{}, ErrBadMagic
 	}
 	h := Header{
-		Version:    binary.LittleEndian.Uint32(b[4:8]),
-		Kind:       Kind(binary.LittleEndian.Uint32(b[8:12])),
-		PayloadLen: binary.LittleEndian.Uint64(b[12:20]),
+		Version:    binary.LittleEndian.Uint32(hdr[4:8]),
+		Kind:       Kind(binary.LittleEndian.Uint32(hdr[8:12])),
+		PayloadLen: binary.LittleEndian.Uint64(hdr[12:20]),
 	}
-	if h.Version < 1 || h.Version > Version {
+	if h.Version != Version {
 		return h, fmt.Errorf("%w: %d", ErrVersion, h.Version)
 	}
-	if h.PayloadLen > maxPayload || uint64(len(b)) != headerLen+h.PayloadLen+trailerLen {
+	if h.PayloadLen > maxPayload || uint64(size) != headerLen+h.PayloadLen+trailerLen {
 		return h, ErrTruncated
+	}
+	return h, nil
+}
+
+// Peek reads the frame header of b and verifies the checksum, without
+// decoding the payload. It is the ckptinfo tool's entry point.
+func Peek(b []byte) (Header, error) {
+	h, err := parseHeader(b, int64(len(b)))
+	if err != nil {
+		return h, err
 	}
 	body := headerLen + int(h.PayloadLen)
 	h.ChecksumOK = crc32.ChecksumIEEE(b[:body]) == binary.LittleEndian.Uint32(b[body:body+trailerLen])
@@ -131,42 +147,20 @@ func Peek(b []byte) (Header, error) {
 	return h, nil
 }
 
-// frame completes the checkpoint frame around the payload e holds:
-// the header goes into the headerLen bytes reserved at the front of
-// e.b, the checksum is appended behind the payload.
-func (e *enc) frame(kind Kind) []byte {
-	body := len(e.b)
-	binary.LittleEndian.PutUint32(e.b[0:4], Magic)
-	binary.LittleEndian.PutUint32(e.b[4:8], Version)
-	binary.LittleEndian.PutUint32(e.b[8:12], uint32(kind))
-	binary.LittleEndian.PutUint64(e.b[12:20], uint64(body-headerLen))
-	return binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(e.b[:body]))
-}
-
-// unframe validates the header and checksum and returns the header and
-// payload bytes (the header carries the frame version the decoder
-// branches on for pre-v2 layouts).
-func unframe(b []byte) (Header, []byte, error) {
-	h, err := Peek(b)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	return h, b[headerLen : headerLen+int(h.PayloadLen)], nil
-}
-
-// Encode writes state as one checkpoint frame to w. See Marshal for
-// the accepted types.
+// Encode writes state as one checkpoint frame to w — the bytes Marshal
+// returns — without ever holding the frame: the payload streams through
+// one chunkLen buffer. See Marshal for the accepted types.
 func Encode(w io.Writer, state any) error {
-	b, err := Marshal(state)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
+	_, _, err := encodeFrame(w, state)
 	return err
 }
 
 // Decode reads one checkpoint frame from r and returns the restored
-// state (same pointer types Unmarshal returns).
+// state (same pointer types Unmarshal returns). A bare reader cannot
+// say how many bytes it holds, so nothing could bound what a corrupt
+// length field allocates while streaming; Decode therefore reads what
+// is actually there and decodes the slice. Load, which can ask the file
+// its size, streams.
 func Decode(r io.Reader) (any, error) {
 	b, err := io.ReadAll(io.LimitReader(r, headerLen+maxPayload+trailerLen+1))
 	if err != nil {
@@ -178,17 +172,51 @@ func Decode(r io.Reader) (any, error) {
 // --- primitive field stream ---
 //
 // Payloads are flat streams of little-endian primitives in a fixed
-// field order per type. The encoder builds a byte slice; the decoder
-// walks it with a sticky error and hard bounds checks, so corrupt
-// declared lengths fail cleanly instead of panicking or allocating
-// unbounded memory.
+// field order per type. There is one field codec — the enc and dec
+// methods below and the encodeX/decodeX functions of codec.go over
+// them — with two sinks and two sources: a frame-sized slice
+// (Marshal/Unmarshal) or a writer/reader behind one chunkLen buffer
+// (Encode/Save, Load). The decoder walks its input with a sticky error
+// and hard bounds checks, so corrupt declared lengths fail cleanly
+// instead of panicking or allocating unbounded memory.
 
-// enc appends fields to b, or — when sizing — only adds their encoded
-// length to n.
+// enc stages fields in b, or — when sizing — only adds their encoded
+// length to n. With w nil, b was allocated at the frame's final size
+// and becomes the frame; with w set, b is a bounded chunk that room
+// flushes to w, folding the flushed bytes into crc, whenever the next
+// field does not fit.
 type enc struct {
 	b      []byte
 	sizing bool
 	n      int
+
+	w       io.Writer
+	crc     uint32 // checksum of everything flushed so far
+	flushed int    // bytes flushed so far
+	err     error  // first write error; later flushes are dropped
+}
+
+// room makes space for k more bytes in b (k ≤ chunkLen).
+func (e *enc) room(k int) {
+	if len(e.b)+k > cap(e.b) {
+		e.flush()
+	}
+}
+
+// flush empties the chunk into w. The slice form never gets here while
+// the sizing pass is right; if it does, b grows like any append target
+// and encodeFrame reports the disagreement.
+func (e *enc) flush() {
+	if e.w == nil {
+		e.b = slices.Grow(e.b, chunkLen)
+		return
+	}
+	e.crc = crc32.Update(e.crc, crc32.IEEETable, e.b)
+	e.flushed += len(e.b)
+	if e.err == nil {
+		_, e.err = e.w.Write(e.b)
+	}
+	e.b = e.b[:0]
 }
 
 func (e *enc) u8(v uint8) {
@@ -196,13 +224,21 @@ func (e *enc) u8(v uint8) {
 		e.n++
 		return
 	}
+	e.room(1)
 	e.b = append(e.b, v)
+}
+
+// u32 is for the header and trailer, which the sizing pass leaves out.
+func (e *enc) u32(v uint32) {
+	e.room(4)
+	e.b = binary.LittleEndian.AppendUint32(e.b, v)
 }
 func (e *enc) u64(v uint64) {
 	if e.sizing {
 		e.n += 8
 		return
 	}
+	e.room(8)
 	e.b = binary.LittleEndian.AppendUint64(e.b, v)
 }
 func (e *enc) i64(v int)     { e.u64(uint64(int64(v))) }
@@ -215,39 +251,105 @@ func (e *enc) bool(v bool) {
 	}
 }
 
-// floats writes a length-prefixed []float64, growing the buffer at
-// most once for the whole slice.
+// floats writes a length-prefixed []float64 in as many pieces as the
+// space left in b dictates — one, for the slice form.
 func (e *enc) floats(v []float64) {
 	e.i64(len(v))
 	if e.sizing {
 		e.n += 8 * len(v)
 		return
 	}
-	off := len(e.b)
-	e.b = slices.Grow(e.b, 8*len(v))[:off+8*len(v)]
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(e.b[off+8*i:], math.Float64bits(x))
+	for len(v) > 0 {
+		k := min((cap(e.b)-len(e.b))/8, len(v))
+		if k == 0 {
+			e.flush()
+			continue
+		}
+		off := len(e.b)
+		e.b = e.b[:off+8*k]
+		for i, x := range v[:k] {
+			binary.LittleEndian.PutUint64(e.b[off+8*i:], math.Float64bits(x))
+		}
+		v = v[k:]
 	}
 }
 
-// str writes a length-prefixed UTF-8 string (added in frame version 2
-// for the audit journal).
+// str writes a length-prefixed UTF-8 string.
 func (e *enc) str(v string) {
 	e.i64(len(v))
 	if e.sizing {
 		e.n += len(v)
 		return
 	}
-	e.b = append(e.b, v...)
+	for len(v) > 0 {
+		k := min(cap(e.b)-len(e.b), len(v))
+		if k == 0 {
+			e.flush()
+			continue
+		}
+		e.b = append(e.b, v[:k]...)
+		v = v[k:]
+	}
 }
 
+// encodeFrame is the one encoder behind Marshal (w nil: the frame is
+// returned) and Encode/Save (the frame goes to w; only its length is
+// returned). The sizing pass only adds up the payload length — constant
+// time per float slice — so the header, which carries that length, can
+// go out first and the payload never has to exist in one piece.
+func encodeFrame(w io.Writer, state any) ([]byte, int, error) {
+	size := &enc{sizing: true}
+	kind, err := encodeState(size, state)
+	if err != nil {
+		return nil, 0, err
+	}
+	total := headerLen + size.n + trailerLen
+	e := &enc{w: w}
+	if w == nil {
+		e.b = make([]byte, 0, total)
+	} else {
+		e.b = make([]byte, 0, min(total, chunkLen))
+	}
+	e.u32(Magic)
+	e.u32(Version)
+	e.u32(uint32(kind))
+	e.u64(uint64(size.n))
+	if _, err := encodeState(e, state); err != nil {
+		return nil, 0, err
+	}
+	if got := e.flushed + len(e.b) - headerLen; got != size.n {
+		return nil, 0, fmt.Errorf("ckpt: %T payload sized at %d bytes but encoded to %d", state, size.n, got)
+	}
+	e.room(trailerLen) // before the sum: what a flush here writes must be in it
+	e.u32(crc32.Update(e.crc, crc32.IEEETable, e.b))
+	if w == nil {
+		return e.b, total, nil
+	}
+	e.flush()
+	if e.err != nil {
+		return nil, 0, e.err
+	}
+	return nil, total, nil
+}
+
+// dec walks a payload. The slice form holds all of it in b. The
+// streaming form (r set) holds a chunk of it: need slides the unread
+// tail to the front of b and refills behind it from r, folding every
+// byte read into crc, and left counts the payload bytes still in r.
+// Because the checksum of a streamed frame is only known at its end,
+// finish drains what a failed decode left unread and reports a
+// checksum mismatch in preference to the field error it caused — the
+// precedence the slice form gets by verifying the checksum first.
 type dec struct {
 	b   []byte
 	off int
 	err error
-	// ver is the frame version being decoded; fields added in later
-	// versions are skipped when decoding older frames.
-	ver uint32
+
+	r     io.Reader
+	left  int64  // payload bytes not yet read from r
+	base  int    // payload offset of b[0]
+	crc   uint32 // checksum of header and payload bytes read so far
+	ioErr error  // reading r failed; nothing about the frame is known
 }
 
 func (d *dec) fail(format string, args ...any) {
@@ -256,12 +358,53 @@ func (d *dec) fail(format string, args ...any) {
 	}
 }
 
-func (d *dec) u8() uint8 {
+// pos is the payload offset of the next unread byte.
+func (d *dec) pos() int { return d.base + d.off }
+
+// remaining is how many payload bytes are still unread.
+func (d *dec) remaining() int { return len(d.b) - d.off + int(d.left) }
+
+// need reports whether k more bytes (k ≤ chunkLen) are readable at
+// b[off:], refilling the chunk when streaming; it fails the decode
+// when the payload ends first.
+func (d *dec) need(k int) bool {
 	if d.err != nil {
-		return 0
+		return false
 	}
-	if d.off+1 > len(d.b) {
-		d.fail("truncated payload at offset %d", d.off)
+	if d.off+k > len(d.b) && d.left > 0 {
+		d.refill()
+	}
+	if d.off+k > len(d.b) {
+		d.fail("truncated payload at offset %d", d.pos())
+		return false
+	}
+	return true
+}
+
+// refill slides the unread tail of the chunk to its front and reads as
+// much more payload behind it as fits.
+func (d *dec) refill() {
+	d.base += d.off
+	n := copy(d.b[:cap(d.b)], d.b[d.off:])
+	d.off = 0
+	more := int(min(int64(cap(d.b)-n), d.left))
+	d.b = d.b[:n+more]
+	if _, err := io.ReadFull(d.r, d.b[n:]); err != nil {
+		// The size was checked against the header up front, so the
+		// source shrank or failed under us.
+		d.ioErr = fmt.Errorf("ckpt: reading payload: %w", err)
+		d.b, d.left = d.b[:n], 0
+		if d.err == nil {
+			d.err = d.ioErr
+		}
+		return
+	}
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, d.b[n:])
+	d.left -= int64(more)
+}
+
+func (d *dec) u8() uint8 {
+	if !d.need(1) {
 		return 0
 	}
 	v := d.b[d.off]
@@ -270,11 +413,7 @@ func (d *dec) u8() uint8 {
 }
 
 func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.b) {
-		d.fail("truncated payload at offset %d", d.off)
+	if !d.need(8) {
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(d.b[d.off:])
@@ -291,7 +430,7 @@ func (d *dec) bool() bool {
 	case 1:
 		return true
 	default:
-		d.fail("invalid bool byte at offset %d", d.off-1)
+		d.fail("invalid bool byte at offset %d", d.pos()-1)
 		return false
 	}
 }
@@ -304,27 +443,35 @@ func (d *dec) count(elemBytes int) int {
 	if d.err != nil {
 		return 0
 	}
-	if n < 0 || elemBytes > 0 && n > (len(d.b)-d.off)/elemBytes {
-		d.fail("implausible element count %d at offset %d", n, d.off-8)
+	if n < 0 || elemBytes > 0 && n > d.remaining()/elemBytes {
+		d.fail("implausible element count %d at offset %d", n, d.pos()-8)
 		return 0
 	}
 	return n
 }
 
-// floats reads a length-prefixed []float64. A zero-length slice
-// decodes to nil so re-encoding is byte-identical regardless of how
-// the producer spelled "empty".
+// floats reads a length-prefixed []float64, converting straight from
+// the input into the slice it returns — in one piece from a slice, a
+// chunk at a time from a reader. A zero-length slice decodes to nil so
+// re-encoding is byte-identical regardless of how the producer spelled
+// "empty".
 func (d *dec) floats() []float64 {
 	n := d.count(8)
 	if d.err != nil || n == 0 {
 		return nil
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	if d.err != nil {
-		return nil
+	for rest := out; len(rest) > 0; {
+		if !d.need(8) {
+			return nil
+		}
+		k := min((len(d.b)-d.off)/8, len(rest))
+		src := d.b[d.off : d.off+8*k]
+		for i := range rest[:k] {
+			rest[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+		}
+		d.off += 8 * k
+		rest = rest[k:]
 	}
 	return out
 }
@@ -335,19 +482,57 @@ func (d *dec) str() string {
 	if d.err != nil || n == 0 {
 		return ""
 	}
-	v := string(d.b[d.off : d.off+n])
-	d.off += n
-	return v
+	if n <= chunkLen {
+		if !d.need(n) {
+			return ""
+		}
+		v := string(d.b[d.off : d.off+n])
+		d.off += n
+		return v
+	}
+	// Longer than the chunk: collect it piecewise.
+	v := make([]byte, 0, n)
+	for len(v) < n {
+		if !d.need(1) {
+			return ""
+		}
+		k := min(len(d.b)-d.off, n-len(v))
+		v = append(v, d.b[d.off:d.off+k]...)
+		d.off += k
+	}
+	return string(v)
 }
 
-// finish verifies the whole payload was consumed — trailing garbage
-// means a layout mismatch even when the checksum passes.
+// finish closes the decode: when streaming it first reads the rest of
+// the payload and the trailer and verifies the checksum; then it
+// reports the sticky field error, or payload the decoder did not
+// consume — trailing garbage means a layout mismatch even when the
+// checksum passes.
 func (d *dec) finish() error {
+	trailing := d.remaining()
+	if d.r != nil {
+		for d.ioErr == nil && d.left > 0 {
+			d.off = len(d.b)
+			d.refill()
+		}
+		var sum [trailerLen]byte
+		if d.ioErr == nil {
+			if _, err := io.ReadFull(d.r, sum[:]); err != nil {
+				d.ioErr = fmt.Errorf("ckpt: reading checksum: %w", err)
+			}
+		}
+		if d.ioErr != nil {
+			return d.ioErr
+		}
+		if d.crc != binary.LittleEndian.Uint32(sum[:]) {
+			return ErrChecksum
+		}
+	}
 	if d.err != nil {
 		return d.err
 	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("ckpt: %d trailing payload bytes", len(d.b)-d.off)
+	if trailing != 0 {
+		return fmt.Errorf("ckpt: %d trailing payload bytes", trailing)
 	}
 	return nil
 }

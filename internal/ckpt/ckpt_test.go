@@ -2,7 +2,9 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -279,6 +281,17 @@ func TestRestoredPriorityResumesBitExact(t *testing.T) {
 	}
 }
 
+// reseal returns a copy of frame with edit applied to everything ahead
+// of the trailer and the checksum recomputed, so the edit is the only
+// thing a decoder can object to.
+func reseal(frame []byte, edit func(b []byte)) []byte {
+	b := append([]byte(nil), frame...)
+	body := b[:len(b)-trailerLen]
+	edit(body)
+	binary.LittleEndian.PutUint32(b[len(body):], crc32.ChecksumIEEE(body))
+	return b
+}
+
 func TestDecodeErrors(t *testing.T) {
 	valid, err := Marshal(testFD(t).State())
 	if err != nil {
@@ -297,13 +310,19 @@ func TestDecodeErrors(t *testing.T) {
 			t.Errorf("got %v, want ErrBadMagic", err)
 		}
 	})
-	t.Run("future version", func(t *testing.T) {
-		b := append([]byte(nil), valid...)
-		b[4] = 99
-		if _, err := Unmarshal(b); !errors.Is(err, ErrVersion) {
-			t.Errorf("got %v, want ErrVersion", err)
-		}
-	})
+	// Resealed, so only the version stands between the frame and a
+	// decode: newer and older layouts are both refused.
+	for name, ver := range map[string]byte{"future version": 99, "previous version": Version - 1, "version 1": 1, "version 0": 0} {
+		t.Run(name, func(t *testing.T) {
+			b := reseal(valid, func(b []byte) { b[4] = ver })
+			if _, err := Unmarshal(b); !errors.Is(err, ErrVersion) {
+				t.Errorf("got %v, want ErrVersion", err)
+			}
+			if _, err := Peek(b); !errors.Is(err, ErrVersion) {
+				t.Errorf("Peek: got %v, want ErrVersion", err)
+			}
+		})
+	}
 	t.Run("payload flip", func(t *testing.T) {
 		b := append([]byte(nil), valid...)
 		b[len(b)/2] ^= 0x40
@@ -318,8 +337,7 @@ func TestDecodeErrors(t *testing.T) {
 	})
 	t.Run("unknown kind", func(t *testing.T) {
 		// Rebuild the frame with a bogus kind so the checksum is valid.
-		e := &enc{b: append([]byte(nil), valid[:len(valid)-trailerLen]...)}
-		bad := e.frame(Kind(42))
+		bad := reseal(valid, func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 42) })
 		if _, err := Unmarshal(bad); !errors.Is(err, ErrBadKind) {
 			t.Errorf("got %v, want ErrBadKind", err)
 		}

@@ -2,6 +2,8 @@ package ckpt
 
 import (
 	"fmt"
+	"hash/crc32"
+	"io"
 	"time"
 
 	"arams/internal/audit"
@@ -19,21 +21,12 @@ import (
 //	sketch.ARAMSState / *sketch.ARAMSState               → KindARAMS
 //	*pipeline.MonitorState                               → KindMonitor
 func Marshal(state any) ([]byte, error) {
-	// Two passes over the state, one buffer: the first only adds up the
-	// payload size (constant time per float slice), so the second
-	// writes header, payload and checksum into a frame allocated once
-	// at its final size — a monitor checkpoint is tens of megabytes, and
-	// growing it by appends cost several times that in copies.
-	size := &enc{sizing: true}
-	kind, err := encodeState(size, state)
-	if err != nil {
-		return nil, err
-	}
-	e := &enc{b: make([]byte, headerLen, headerLen+size.n+trailerLen)}
-	if _, err := encodeState(e, state); err != nil {
-		return nil, err
-	}
-	return e.frame(kind), nil
+	// The in-memory form of Encode: the same two passes, with the second
+	// writing into a frame allocated once at its final size. Callers that
+	// need the bytes themselves (the fabric wire, content digests) use
+	// it; a file is better served by Save, which never holds the frame.
+	b, _, err := encodeFrame(nil, state)
+	return b, err
 }
 
 // encodeState writes state's payload fields to e and reports which
@@ -73,12 +66,41 @@ func encodeState(e *enc, state any) (Kind, error) {
 // *sketch.FDState, *sketch.RankAdaptiveState, *sketch.PriorityState,
 // *sketch.ARAMSState, *pipeline.MonitorState.
 func Unmarshal(b []byte) (any, error) {
-	h, payload, err := unframe(b)
+	h, err := Peek(b)
 	if err != nil {
 		return nil, err
 	}
-	kind := h.Kind
-	d := &dec{b: payload, ver: h.Version}
+	return decodeState(&dec{b: b[headerLen : headerLen+int(h.PayloadLen)]}, h.Kind)
+}
+
+// decodeStream is Unmarshal over a reader that will deliver exactly
+// size bytes (a file of that length): same states, same errors in the
+// same precedence, through one chunkLen buffer instead of a slice of
+// the whole frame. The declared payload length is held against size
+// before anything is allocated.
+func decodeStream(r io.Reader, size int64) (any, error) {
+	var hdr [headerLen]byte
+	if size >= headerLen+trailerLen {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return nil, fmt.Errorf("ckpt: reading header: %w", err)
+		}
+	}
+	h, err := parseHeader(hdr[:], size)
+	if err != nil {
+		return nil, err
+	}
+	return decodeState(&dec{
+		b:    make([]byte, 0, min(h.PayloadLen, chunkLen)),
+		r:    r,
+		left: int64(h.PayloadLen),
+		crc:  crc32.ChecksumIEEE(hdr[:]),
+	}, h.Kind)
+}
+
+// decodeState reads the payload fields of a kind frame from d and
+// closes the decode. An unknown kind is a sticky error like any other,
+// so a streamed frame still has its checksum verified first.
+func decodeState(d *dec, kind Kind) (any, error) {
 	var state any
 	switch kind {
 	case KindFD:
@@ -92,7 +114,7 @@ func Unmarshal(b []byte) (any, error) {
 	case KindMonitor:
 		state = decodeMonitor(d)
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadKind, uint32(kind))
+		d.err = fmt.Errorf("%w: %d", ErrBadKind, uint32(kind))
 	}
 	if err := d.finish(); err != nil {
 		return nil, err
@@ -110,7 +132,7 @@ func encodeFD(e *enc, s *sketch.FDState) {
 	e.i64(s.Rotations)
 	e.i64(s.Seen)
 	e.f64(s.TotalDelta)
-	e.f64(s.FrobMass) // frame version 2+
+	e.f64(s.FrobMass)
 	e.floats(s.Buffer)
 }
 
@@ -124,9 +146,7 @@ func decodeFD(d *dec) *sketch.FDState {
 	s.Rotations = d.i64()
 	s.Seen = d.i64()
 	s.TotalDelta = d.f64()
-	if d.ver >= 2 {
-		s.FrobMass = d.f64()
-	}
+	s.FrobMass = d.f64()
 	s.Buffer = d.floats()
 	return s
 }
@@ -290,10 +310,9 @@ func encodeMonitor(e *enc, s *pipeline.MonitorState) error {
 		e.i64(f.Tag)
 		e.floats(f.Vec)
 	}
-	// Frame version 3+: the shard-state list replaces v1/v2's single
-	// optional sketch. Slots are positional (slot i = engine shard i)
-	// and may be nil for shards that have not received a frame, so each
-	// entry carries a presence bool.
+	// Shard slots are positional (slot i = engine shard i) and may be
+	// nil for shards that have not received a frame, so each entry
+	// carries a presence bool.
 	e.i64(len(s.Shards))
 	for _, ss := range s.Shards {
 		e.bool(ss != nil)
@@ -303,8 +322,7 @@ func encodeMonitor(e *enc, s *pipeline.MonitorState) error {
 			}
 		}
 	}
-	// Frame version 2+: optional audit state (drift detectors + event
-	// journal).
+	// Optional audit state (drift detectors + event journal).
 	e.bool(s.Audit != nil)
 	if s.Audit != nil {
 		encodeAuditState(e, s.Audit)
@@ -330,34 +348,26 @@ func decodeMonitor(d *dec) *pipeline.MonitorState {
 			s.Frames[i].Vec = d.floats()
 		}
 	}
-	if d.ver >= 3 {
-		// Each shard slot costs at least its presence bool (1 byte).
-		ns := d.count(1)
-		if ns > 0 {
-			s.Shards = make([]*sketch.ARAMSState, ns)
-			for i := range s.Shards {
-				if d.bool() {
-					s.Shards[i] = decodeARAMS(d)
-				}
+	// Each shard slot costs at least its presence bool (1 byte).
+	ns := d.count(1)
+	if ns > 0 {
+		s.Shards = make([]*sketch.ARAMSState, ns)
+		for i := range s.Shards {
+			if d.bool() {
+				s.Shards[i] = decodeARAMS(d)
 			}
 		}
-	} else if d.bool() {
-		// v1/v2 checkpoints carried one optional sketch: decode it as a
-		// single-shard layout.
-		s.Shards = []*sketch.ARAMSState{decodeARAMS(d)}
 	}
-	if d.ver >= 2 {
-		if d.bool() {
-			s.Audit = decodeAuditState(d)
-		}
-		if d.bool() {
-			s.Journal = decodeJournal(d)
-		}
+	if d.bool() {
+		s.Audit = decodeAuditState(d)
+	}
+	if d.bool() {
+		s.Journal = decodeJournal(d)
 	}
 	return s
 }
 
-// --- audit state (frame version 2+) ---
+// --- audit state ---
 
 func encodeDetector(e *enc, s *audit.DetectorState) {
 	e.str(s.Kind)

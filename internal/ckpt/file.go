@@ -21,11 +21,12 @@ var (
 	obsSaveSeconds   = obs.Default().Histogram("arams_ckpt_save_seconds")
 )
 
-// Save atomically writes state as a checkpoint file: the frame goes to
-// a temporary file in the same directory, is fsynced, and is renamed
-// over path, so a crash mid-save leaves either the old checkpoint or
-// the new one — never a torn file. The containing directory is synced
-// best-effort so the rename itself survives a power cut.
+// Save atomically writes state as a checkpoint file: the frame streams
+// (see Encode) to a temporary file in the same directory, is fsynced,
+// and is renamed over path, so a crash mid-save leaves either the old
+// checkpoint or the new one — never a torn file. The containing
+// directory is synced best-effort so the rename itself survives a power
+// cut.
 func Save(path string, state any) error {
 	start := time.Now()
 	err := save(path, state)
@@ -39,10 +40,6 @@ func Save(path string, state any) error {
 }
 
 func save(path string, state any) error {
-	b, err := Marshal(state)
-	if err != nil {
-		return err
-	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")
 	if err != nil {
@@ -50,7 +47,8 @@ func save(path string, state any) error {
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(b); err != nil {
+	_, n, err := encodeFrame(tmp, state)
+	if err != nil {
 		tmp.Close()
 		return fmt.Errorf("ckpt: writing %s: %w", tmpName, err)
 	}
@@ -68,23 +66,38 @@ func save(path string, state any) error {
 		d.Sync() // not all filesystems support directory fsync; best-effort
 		d.Close()
 	}
-	obsBytes.SetInt(len(b))
+	obsBytes.SetInt(n)
 	return nil
 }
 
-// Load reads and decodes a checkpoint file written by Save. See
-// Unmarshal for the returned types.
+// Load reads and decodes a checkpoint file written by Save, streaming
+// it through one bounded chunk: the file's size is held against the
+// length its header declares before anything is allocated, and the only
+// full-size memory a load touches is the state it returns. See
+// Unmarshal for the returned types and errors.
 func Load(path string) (any, error) {
-	b, err := os.ReadFile(path)
+	state, err := load(path)
 	if err != nil {
 		obsRestoreErrors.Inc()
 		return nil, err
 	}
-	state, err := Unmarshal(b)
+	obsRestores.Inc()
+	return state, nil
+}
+
+func load(path string) (any, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		obsRestoreErrors.Inc()
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	state, err := decodeStream(f, fi.Size())
+	if err != nil {
 		return nil, fmt.Errorf("ckpt: decoding %s: %w", path, err)
 	}
-	obsRestores.Inc()
 	return state, nil
 }

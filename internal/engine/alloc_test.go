@@ -61,3 +61,62 @@ func TestIngestAndAuditAllocNoRows(t *testing.T) {
 		t.Errorf("Certificate allocates %.0f B (%.1f allocs) per call; a row is %d B", bytes, allocs, rowBytes)
 	}
 }
+
+// liveHeap is the heap still reachable after collection. Two cycles:
+// mat's vector pool is a sync.Pool, whose victim cache survives one.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestStateSharesWindowAndEvictionFreesIt pins both halves of the
+// ownership rule. State hands the window's vectors out instead of
+// copying them: on a 512 × 4096 window it allocates the frame list and
+// the shard states, not the 16.8 MB the window holds. And the vectors a
+// State shared are dropped, not pooled, when they leave the ring — so
+// the slots they slid out of must be cleared, or the ring's backing
+// array pins up to a window of dead vectors until append next moves it:
+// with the handle released and the stream run on for four windows, the
+// live heap never exceeds the window plus one batch.
+func TestStateSharesWindowAndEvictionFreesIt(t *testing.T) {
+	const window, side, batch = 512, 64, 32
+	const d = side * side
+	ims := testImages(batch, side, 43)
+	base := liveHeap()
+
+	e := engine.New(engine.Config{Sketch: sketch.Config{Ell0: 4, Beta: 0.9, Seed: 3}, Window: window})
+	defer e.Close()
+	feed := func(frames int) {
+		for ; frames > 0; frames -= batch {
+			e.IngestBatch(ims, nil)
+		}
+	}
+	feed(window)
+
+	var st *engine.State
+	_, bytes := allocPerRun(3, func() { st = e.State() })
+	shardBytes := 0
+	for _, ss := range st.Shards {
+		shardBytes += 8 * len(ss.FD.Buffer)
+	}
+	if limit := float64(64<<10 + shardBytes); bytes >= limit {
+		t.Errorf("State allocates %.0f B on a %d-byte window; want under %.0f (64 KiB + shard states)",
+			bytes, window*d*8, limit)
+	}
+	if &st.Frames[0].Vec[0] != &e.State().Frames[0].Vec[0] {
+		t.Error("two States of one window hold different vectors; State copied")
+	}
+	st = nil
+
+	limit := uint64((window + batch) * d * 8)
+	for i := 0; i < 4*window/batch; i++ {
+		feed(batch)
+		if live := liveHeap() - base; live > limit {
+			t.Fatalf("after %d frames past the State, %d B live; want at most window + one batch = %d",
+				(i+1)*batch, live, limit)
+		}
+	}
+}

@@ -151,10 +151,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Frame is one preprocessed frame retained in the sliding window.
+// Frame is one preprocessed frame retained in the sliding window. Vec is
+// immutable from the moment the frame enters the ring: the ring, every
+// State handed out while the frame was in it, and every engine rebuilt
+// from such a State may all hold the same backing array, and none of
+// them writes to it.
 type Frame struct {
 	Vec []float64
 	Tag int
+	// shared marks a vector that a State handle also holds — State set
+	// it when it handed the vector out, or NewFromState when it adopted
+	// the vector from one. A shared vector is never returned to the mat
+	// vector pool: when it leaves the ring the engine just drops its
+	// reference and the collector frees it once the last State does.
+	shared bool
 }
 
 // shardResult is the audit accounting one dispatch returned.
@@ -187,7 +197,8 @@ type Engine struct {
 	// completion. Window-evicted frame vectors are recycled to the
 	// mat vector pool only when the evicting call is the sole one in
 	// flight (inflight == 1): every older frame's dispatch has then
-	// finished, so no shard absorb can still be reading the vector.
+	// finished, so no shard absorb can still be reading the vector —
+	// and only when no State handle holds them (Frame.shared).
 	inflight int
 
 	// Audit accumulation (see Config.Audit). lastEll tracks the global
@@ -374,18 +385,26 @@ func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64,
 	if over := len(e.recent) - e.cfg.Window; over > 0 {
 		// Recycle evicted vectors to the pool when it is provably safe:
 		// we are the only in-flight ingest (older frames' dispatches
-		// have completed — shard appends copy, samplers retain nothing)
-		// and the frame predates this batch (our own rows are about to
-		// be dispatched). Snapshot readers copy under mu, so once a
-		// frame leaves the ring nothing else can reach its vector.
+		// have completed — shard appends copy, samplers retain nothing),
+		// the frame predates this batch (our own rows are about to be
+		// dispatched), and no State handle shares the vector. Snapshot
+		// readers copy under mu, so once an unshared frame leaves the
+		// ring nothing else can reach its vector; a shared one is simply
+		// dropped, and stays valid for whoever holds the State.
 		if e.inflight == 1 {
 			if reuse := min(over, len(e.recent)-n); reuse > 0 {
-				recycle = make([][]float64, reuse)
-				for i, f := range e.recent[:reuse] {
-					recycle[i] = f.Vec
+				recycle = make([][]float64, 0, reuse)
+				for _, f := range e.recent[:reuse] {
+					if !f.shared {
+						recycle = append(recycle, f.Vec)
+					}
 				}
 			}
 		}
+		// The slots slide out of the slice but stay in its backing array
+		// until append next reallocates; cleared, they do not pin a
+		// window of dead vectors until then.
+		clear(e.recent[:over])
 		e.recent = e.recent[over:]
 	}
 	e.ingests += n

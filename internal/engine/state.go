@@ -17,6 +17,15 @@ import (
 // when the engine was configured with an Auditor (nil otherwise); they
 // are captured under the same exclusive gate as the sketches, so a
 // checkpoint never pairs a newer audit state with older shard states.
+//
+// A State is a read-only view that never goes stale. Its Frames share
+// their vectors with the engine's window ring (and with any engine
+// rebuilt from it) instead of copying them; that is safe because window
+// vectors are immutable once in the ring and the ring never recycles a
+// vector a State holds, however far the stream runs on. Holders may
+// read Frames[i].Vec for as long as they like, encode it, and restore
+// from one State any number of times; they must not write to its
+// elements or hand it to mat.PutVec.
 type State struct {
 	Window  int
 	Ingests int
@@ -38,8 +47,12 @@ func (e *Engine) State() *State {
 		Frames:  make([]Frame, len(e.recent)),
 		Shards:  make([]*sketch.ARAMSState, len(e.shards)),
 	}
+	// Vectors are handed out, not cloned; the mark keeps the eviction
+	// path from recycling them under the handle. The exclusive gate
+	// orders this write against every eviction's read.
 	for i, f := range e.recent {
-		s.Frames[i] = Frame{Vec: append([]float64(nil), f.Vec...), Tag: f.Tag}
+		f.shared = true
+		s.Frames[i] = *f
 	}
 	for i, sh := range e.shards {
 		st, err := sh.State()
@@ -64,9 +77,11 @@ func (e *Engine) State() *State {
 }
 
 // Suspend is the hibernation path: it stops the async pump (draining
-// anything queued), captures a detached state handle, and closes every
-// shard backend, releasing the engine's memory and goroutines. The
-// engine must not be used after Suspend; NewFromState over the returned
+// anything queued), captures a state handle (see State: it shares the
+// window's vectors rather than copying them, and outlives the engine),
+// and closes every shard backend, releasing the engine's goroutines and
+// everything the handle does not hold. The engine must not be used
+// after Suspend; NewFromState over the returned
 // handle resumes the stream bit-exactly (sampler RNG streams included),
 // so a hibernate→restore cycle is invisible to sketch bytes,
 // certificates, and audit journals. Returns the state even when a
@@ -82,7 +97,10 @@ func (e *Engine) Suspend() (*State, error) {
 // The checkpoint's shard layout wins: len(s.Shards) overrides
 // cfg.Shards when they disagree, because routing determinism is a
 // property of the layout the stream was sharded under. cfg.Shards is
-// honored only for empty checkpoints (nothing ingested yet).
+// honored only for empty checkpoints (nothing ingested yet). The new
+// engine adopts s's window vectors without copying them and treats them
+// as shared (never recycled), so s stays valid and one State may be
+// restored any number of times.
 func NewFromState(cfg Config, s *State) (*Engine, error) {
 	if s == nil {
 		return nil, fmt.Errorf("engine: nil state")
@@ -139,7 +157,7 @@ func NewFromState(cfg Config, s *State) (*Engine, error) {
 	}
 	e.recent = make([]*Frame, len(s.Frames))
 	for i, f := range s.Frames {
-		e.recent[i] = &Frame{Vec: append([]float64(nil), f.Vec...), Tag: f.Tag}
+		e.recent[i] = &Frame{Vec: f.Vec, Tag: f.Tag, shared: true}
 	}
 	e.ingests = s.Ingests
 	if cfg.Audit != nil {

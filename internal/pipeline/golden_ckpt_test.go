@@ -1,0 +1,101 @@
+//go:build amd64 && !amd64.v3
+
+// The digests below are those of amd64 without fused multiply-add (see
+// golden_test.go for why other targets differ).
+
+package pipeline_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"arams/internal/ckpt"
+	"arams/internal/imgproc"
+	"arams/internal/lcls"
+	"arams/internal/mat"
+	"arams/internal/pipeline"
+	"arams/internal/sketch"
+)
+
+// TestGoldenCheckpointDigest pins the exact bytes of the checkpoint
+// file ckpt.Save writes for m.State() after two fixed seeded streams —
+// the streams of TestGoldenSnapshotDigests, without an auditor (journal
+// timestamps are wall-clock). The digests were recorded at the commit
+// before State stopped cloning the window and Save started streaming,
+// so they prove a file written through shared vectors and the bounded
+// chunk is byte-identical to one marshalled whole from a deep copy.
+// Kernel summation order depends on the pool width, so each case is
+// pinned for the widths it was recorded at and skipped elsewhere.
+func TestGoldenCheckpointDigest(t *testing.T) {
+	cfg := func(shards int) pipeline.Config {
+		return pipeline.Config{
+			Pre:         imgproc.Preprocessor{Normalize: true},
+			Sketch:      sketch.Config{Ell0: 25, Beta: 0.9, Seed: 1},
+			LatentDim:   12,
+			Shards:      shards,
+			FrameBudget: -1,
+		}
+	}
+	beam := func(n int) []*imgproc.Image {
+		out := make([]*imgproc.Image, n)
+		for i, f := range lcls.NewBeamGenerator(lcls.BeamConfig{Size: 64, Seed: 20241001}).Generate(n) {
+			out[i] = f.Image
+		}
+		return out
+	}
+	diffraction := func(n int) []*imgproc.Image {
+		frames, _ := lcls.NewDiffractionGenerator(lcls.DiffractionConfig{Size: 64, Seed: 20241002}).Generate(n)
+		out := make([]*imgproc.Image, n)
+		for i, f := range frames {
+			out[i] = f.Image
+		}
+		return out
+	}
+	cases := []struct {
+		name           string
+		shards, window int
+		n              int
+		frames         func(n int) []*imgproc.Image
+		want           map[int]string
+	}{
+		{"beam-1shard-w512", 1, 512, 704, beam, map[int]string{
+			1: "9976aea9f7b75ae7106691c3c3c7360b06fe5d9dd6021fcb615872db06623ea5",
+			2: "160958709209d563279b931516c698b45863d862ca3e8fedcf9a95567a982ee6",
+		}},
+		{"diffraction-2shard-w128", 2, 128, 288, diffraction, map[int]string{
+			1: "fdd845a4f2027fbff464c02904f3148cbb12a28171c5097723e22b70875299a5",
+			2: "acead3805f2f28863ae230dba63f55fe5dc7dd0406c6085e3fd33fd223d55367",
+		}},
+	}
+	for _, tc := range cases {
+		want := tc.want[mat.Workers()]
+		if want == "" {
+			continue
+		}
+		m := pipeline.NewMonitor(cfg(tc.shards), tc.window)
+		ims := tc.frames(tc.n)
+		const batch = 32
+		for lo := 0; lo < len(ims); lo += batch {
+			m.IngestBatch(ims[lo:lo+batch], nil)
+		}
+		path := filepath.Join(t.TempDir(), "golden.ckpt")
+		if err := ckpt.Save(path, m.State()); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(file)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s (pool width %d, %d bytes): checkpoint digest %s, want %s",
+				tc.name, mat.Workers(), len(file), got, want)
+		}
+		if err := m.Engine().Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -9,7 +9,9 @@ import (
 )
 
 // FrameState is one preprocessed frame retained in the Monitor's
-// sliding window.
+// sliding window. Vec is shared, not copied — with the live window, and
+// with every monitor rebuilt from the state (see engine.State): read it
+// freely, never write to its elements.
 type FrameState struct {
 	Vec []float64
 	Tag int
@@ -31,15 +33,12 @@ type MonitorState struct {
 	// slot i is shard i, nil when that shard has not received a frame
 	// yet. Restore adopts the checkpoint's shard count (round-robin
 	// routing is by global stream index, so the layout is stream state,
-	// not configuration). Checkpoints written before the engine existed
-	// (frame v1/v2) decode as a single slot. Empty when nothing has
-	// been ingested yet.
+	// not configuration). Empty when nothing has been ingested yet.
 	Shards []*sketch.ARAMSState
 	// Audit and Journal carry the quality-auditing state — drift
 	// detector internals and the recent event ring — when the monitor
-	// was configured with an Auditor. Both are nil otherwise, and in
-	// checkpoints written before the audit layer existed (v1 files),
-	// so restore treats nil as "no audit state". The error-bound
+	// was configured with an Auditor. Both are nil otherwise, so
+	// restore treats nil as "no audit state". The error-bound
 	// certificate itself needs no extra fields here: it is a pure
 	// function of the sketch states (shrinkage and Frobenius mass ride
 	// in FDState, and certificates compose additively across the shard
@@ -50,7 +49,10 @@ type MonitorState struct {
 
 // State captures the monitor's current state behind the engine's
 // ingest gate, so it is safe to call concurrently with Ingest and
-// Snapshot and never sees a torn window-vs-sketch cut.
+// Snapshot and never sees a torn window-vs-sketch cut. The result is a
+// read-only view that stays valid and byte-stable however far the
+// stream runs on: it shares the window's vectors, which nothing mutates
+// or recycles while a state holds them.
 func (m *Monitor) State() *MonitorState {
 	return monitorStateOf(m.eng.State())
 }
@@ -71,8 +73,9 @@ func monitorStateOf(es *engine.State) *MonitorState {
 }
 
 // Suspend is the hibernation path: it stops the monitor's engine
-// (draining any queued frames), captures a detached state handle, and
-// releases the engine's backends and goroutines. The monitor must not
+// (draining any queued frames), captures a state handle that shares the
+// window's vectors and outlives the engine, and releases the engine's
+// backends and goroutines. The monitor must not
 // be used after Suspend; NewMonitorFromState over the returned state
 // resumes the stream bit-exactly, so hibernate→restore is invisible to
 // sketch bytes, certificates, and audit journals. The state is returned
@@ -128,6 +131,8 @@ func aramsFDState(s *sketch.ARAMSState) *sketch.FDState {
 // configuration of the monitor that produced the snapshot; the sketch
 // dimension is cross-checked against the stored frames, and the
 // checkpoint's shard layout overrides cfg.Shards (see MonitorState).
+// The monitor adopts s's window vectors without copying them; s stays
+// valid, and may be restored from again.
 func NewMonitorFromState(cfg Config, s *MonitorState) (*Monitor, error) {
 	if s == nil {
 		return nil, fmt.Errorf("pipeline: nil monitor state")

@@ -569,7 +569,9 @@ func (r *Registry) hibernate(en *entry, reason string) error {
 	}
 	if err != nil {
 		// The state handle (when we have one) still holds the whole
-		// stream; resurrect the tenant in memory rather than lose it.
+		// stream — it shares the suspended window's vectors, which stay
+		// valid without the engine and were only read by the failed
+		// Save — so resurrect the tenant in memory rather than lose it.
 		var m2 *pipeline.Monitor
 		var rerr error
 		if s != nil {

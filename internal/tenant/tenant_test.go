@@ -461,3 +461,70 @@ func TestRaceHammer(t *testing.T) {
 		}
 	}
 }
+
+// TestHibernateFailureResurrects: when the checkpoint cannot be written
+// the registry rebuilds the tenant from the state handle Suspend gave
+// it — the handle shares the suspended window's vectors rather than
+// copying them, and the failed Save has already read them — and the
+// stream carries on as if nothing had happened: after more frames, and
+// a hibernation that does succeed, the tenant's state is bit-identical
+// to an uninterrupted monitor's.
+func TestHibernateFailureResurrects(t *testing.T) {
+	const n, w, h, failAt = 64, 6, 6, 29
+	frames := tenantFrames(n, w, h, 178)
+	control := pipeline.NewMonitor(tenantPipeline(), 16)
+	defer control.Engine().Close()
+	for i, im := range frames {
+		control.Ingest(im, i)
+	}
+	want, err := ckpt.Marshal(control.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The hibernation directory sits below the test's own, so it can be
+	// taken away and put back (a chmod would not stop a root test run).
+	dir := filepath.Join(t.TempDir(), "hibernated")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	r, err := tenant.Open(tenantConfig(dir))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer r.Close()
+	for i := 0; i < failAt; i++ {
+		if err := r.Append("xpp456", frames[i], i); err != nil {
+			t.Fatalf("Append frame %d: %v", i, err)
+		}
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Hibernate("xpp456"); err == nil {
+		t.Fatal("Hibernate into a missing directory succeeded")
+	}
+	if infos := r.Tenants(); len(infos) != 1 || infos[0].State != tenant.Resident {
+		t.Fatalf("after the failed hibernation: %+v, want xpp456 resident", infos)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	mid := failAt + (n-failAt)/2
+	for i := failAt; i < mid; i++ {
+		if err := r.Append("xpp456", frames[i], i); err != nil {
+			t.Fatalf("Append frame %d after resurrection: %v", i, err)
+		}
+	}
+	if err := r.Hibernate("xpp456"); err != nil {
+		t.Fatalf("Hibernate after resurrection: %v", err)
+	}
+	for i := mid; i < n; i++ {
+		if err := r.Append("xpp456", frames[i], i); err != nil {
+			t.Fatalf("Append frame %d after restore: %v", i, err)
+		}
+	}
+	if got := stateBytes(t, r, "xpp456"); !bytes.Equal(got, want) {
+		t.Fatal("failed hibernation → resurrection → hibernate → restore changed the monitor state bytes")
+	}
+}
