@@ -53,6 +53,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -63,6 +64,7 @@ import (
 	"arams/internal/fabric"
 	"arams/internal/imgproc"
 	"arams/internal/lcls"
+	"arams/internal/mat"
 	"arams/internal/obs"
 	"arams/internal/optics"
 	"arams/internal/pipeline"
@@ -104,6 +106,7 @@ func main() {
 	flag.Parse()
 
 	setupLogging(*verbosity)
+	slog.Info("starting", "go", runtime.Version(), "gomaxprocs", runtime.GOMAXPROCS(0), "mat_kernels", mat.KernelSet())
 	if *obsRing != obs.DefaultRingCap {
 		obs.Default().SetRingCap(*obsRing)
 	}

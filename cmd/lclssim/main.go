@@ -29,11 +29,13 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 
 	"arams/internal/audit"
 	"arams/internal/lcls"
+	"arams/internal/mat"
 	"arams/internal/obs"
 )
 
@@ -57,6 +59,7 @@ func main() {
 		level = slog.LevelDebug
 	}
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})))
+	slog.Info("starting", "go", runtime.Version(), "gomaxprocs", runtime.GOMAXPROCS(0), "mat_kernels", mat.KernelSet())
 
 	hold := func() {}
 	if *listen != "" {

@@ -125,10 +125,12 @@ func BenchmarkMulABtProjectionShape(b *testing.B) {
 		}
 	})
 	b.Run("tiled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			MulABtTo(dst, x, basis)
-		}
+		forEachKernelSet(b, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MulABtTo(dst, x, basis)
+			}
+		})
 	})
 }
 
@@ -165,8 +167,10 @@ func fdShapedBuffer(ell, d int, g *rng.RNG) *Matrix {
 }
 
 // BenchmarkSVDGramParts splits one FD rotation's SVDGramTo (2ℓ×d
-// buffer, ℓ rows of Vᵀ asked for) into its three kernels, so the share
-// each holds comes from a command rather than a scratch program.
+// buffer, ℓ rows of Vᵀ asked for) into its three kernels, each on the
+// Go inner loops and on the vector ones (forEachKernelSet), so the share
+// each holds and what the vector loops buy come from one command rather
+// than a scratch program.
 func BenchmarkSVDGramParts(b *testing.B) {
 	const ell = 25
 	for _, d := range []int{4096, 16384} {
@@ -178,20 +182,26 @@ func BenchmarkSVDGramParts(b *testing.B) {
 		coef := RandGaussian(ell, m, rng.New(11))
 		vt := New(ell, d)
 		b.Run(fmt.Sprintf("gram_%dx%d", m, d), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				GramTo(w, a)
-			}
+			forEachKernelSet(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					GramTo(w, a)
+				}
+			})
 		})
 		b.Run(fmt.Sprintf("eigsym_%dx%d", m, d), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w.CopyFrom(gram)
-				eigSymInto(w, ut, vals)
-			}
+			forEachKernelSet(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					w.CopyFrom(gram)
+					eigSymInto(w, ut, vals)
+				}
+			})
 		})
 		b.Run(fmt.Sprintf("backmul_%dx%d", m, d), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MulTo(vt, coef, a)
-			}
+			forEachKernelSet(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MulTo(vt, coef, a)
+				}
+			})
 		})
 	}
 }

@@ -159,6 +159,15 @@ func Norm2Sq(x []float64) float64 {
 	return s
 }
 
+// ScaleTo computes dst = s*src element by element. The lengths must
+// match; dst may be src but must not otherwise overlap it.
+func ScaleTo(dst []float64, s float64, src []float64) {
+	if len(dst) != len(src) {
+		panic("mat: ScaleTo length mismatch")
+	}
+	scale(dst, s, src)
+}
+
 // MulVec returns a*x for a vector x of length a.Cols.
 func MulVec(a *Matrix, x []float64) []float64 {
 	if a.ColsN != len(x) {

@@ -22,6 +22,10 @@ package mat
 // innermost element loops (dot2x2, dot1x2, axpy, axpy2, and the Jacobi
 // eigensolver's planeRot) live in inner.go, which scripts/check_bce.sh
 // keeps bounds-check-free.
+//
+// On a CPU with AVX2 the two dot-structured kernels run abtRangePacked
+// instead of the 2×2 tile loops: the same panels, the same per-output
+// sums in the same order, sixteen outputs per pass instead of four.
 
 const (
 	// panelCols is the k-panel width for the dot-structured kernels:
@@ -33,6 +37,10 @@ const (
 	// row pair's two accumulator segments stay L1-resident across the
 	// whole k loop.
 	mulPanelCols = 2048
+	// packedRowBlock bounds the rows of a swept against one packed
+	// group before the next group is packed: their k-panels (8KB each)
+	// are re-read once per group and must still be in L2 when it comes.
+	packedRowBlock = 64
 )
 
 // gramRange computes rows [lo, hi) of dst = a*aᵀ for the columns
@@ -40,6 +48,10 @@ const (
 // GramTo mirrors the strict lower triangle afterwards. The target rows
 // of dst are zeroed here, so disjoint ranges compose under ParallelFor.
 func gramRange(dst, a *Matrix, lo, hi int) {
+	if packedPays(hi-lo, a.RowsN, a.ColsN) {
+		abtRangePacked(dst, a, a, lo, hi, true)
+		return
+	}
 	m, d := a.RowsN, a.ColsN
 	for i := lo; i < hi; i++ {
 		row := dst.Row(i)
@@ -90,6 +102,10 @@ func gramRange(dst, a *Matrix, lo, hi int) {
 // mulABtRangeTiled computes rows [lo, hi) of dst = a*bᵀ with 2×2
 // register tiles over k-panels. The target rows are zeroed here.
 func mulABtRangeTiled(dst, a, b *Matrix, lo, hi int) {
+	if packedPays(hi-lo, b.RowsN, a.ColsN) {
+		abtRangePacked(dst, a, b, lo, hi, false)
+		return
+	}
 	n, d := b.RowsN, a.ColsN
 	for i := lo; i < hi; i++ {
 		row := dst.Row(i)
@@ -134,6 +150,109 @@ func mulABtRangeTiled(dst, a, b *Matrix, lo, hi int) {
 				d0[j] += Dot(a0, b.Row(j)[k0:k1])
 			}
 		}
+	}
+}
+
+// packedPays reports whether abtRangePacked should take a rows×n
+// product over d columns instead of the 2×2 tile loops. Both give the
+// same bits, so this is only about time: a group of four columns is
+// packed once and then serves ⌈rows/4⌉ tiles, which fewer than three
+// rows cannot amortise, and below a few thousand multiply-adds the
+// product costs less than clearing the 32KB pack frame.
+func packedPays(rows, n, d int) bool {
+	return useAVX2 && rows >= 3 && rows*n*d >= 1<<12
+}
+
+// abtRangePacked computes rows [lo, hi) of dst = a*bᵀ — or, with tri
+// set (b is a), the part of them gramRange owes: every column j >= row —
+// bit-identically to the 2×2 tile loops above, sixteen outputs at a
+// time. Those loops give each output, per k-panel, one sequential sum
+// Σ_k a_i[k]·b_j[k] started at zero and then added into dst; a sum that
+// is sequential in k cannot be spread across lanes, so the lanes hold
+// different outputs instead. Four rows of b's panel are packed
+// interleaved, pack[4k+l] = b_{j0+l}[k], so that one 32-byte load is
+// element k of four columns; dotPack4x4AVX2 broadcasts a_i[k] for four
+// rows of a against it and keeps one accumulator lane per (i, j).
+//
+// The one output the tile loops do not sum sequentially is reproduced
+// as they form it: a chunk with an odd row count leaves its last row
+// unpaired, and when that row's column count is odd too, its last
+// column comes from Dot (four interleaved chains) — so here as well.
+//
+// With tri set the group holding the diagonal starts at the multiple
+// of four left of the row: the extra columns land in the chunk's own
+// rows of the lower triangle, which GramTo's mirrorLower overwrites.
+// The pack buffer is 32KB of stack; nothing is allocated.
+func abtRangePacked(dst, a, b *Matrix, lo, hi int, tri bool) {
+	n, d := b.RowsN, a.ColsN
+	for i := lo; i < hi; i++ {
+		row := dst.Row(i)
+		for j := range row {
+			row[j] = 0
+		}
+	}
+	// (dotRow, dotCol) is the Dot-summed output, if the chunk has one.
+	dotRow, dotCol := -1, -1
+	if (hi-lo)%2 == 1 {
+		first := 0
+		if tri {
+			first = hi - 1
+		}
+		if (n-first)%2 == 1 {
+			dotRow, dotCol = hi-1, n-1
+		}
+	}
+	var dotSum float64
+	var pack [4 * panelCols]float64
+	var c [16]float64
+	for k0 := 0; k0 < d; k0 += panelCols {
+		k1 := min(k0+panelCols, d)
+		p := pack[:4*(k1-k0)]
+		for ib := lo; ib < hi; ib += packedRowBlock {
+			ie := min(ib+packedRowBlock, hi)
+			j0 := 0
+			if tri {
+				j0 = ib &^ 3
+			}
+			for ; j0 < n; j0 += 4 {
+				// A short last group repeats b's last row; those lanes
+				// are computed and dropped.
+				pack4AVX2(p,
+					b.Row(j0)[k0:k1],
+					b.Row(min(j0+1, n-1))[k0:k1],
+					b.Row(min(j0+2, n-1))[k0:k1],
+					b.Row(min(j0+3, n-1))[k0:k1])
+				jn := min(4, n-j0)
+				iEnd := ie
+				if tri {
+					iEnd = min(ie, j0+4)
+				}
+				for i := ib; i < iEnd; i += 4 {
+					// Likewise a short last quad repeats its last row.
+					last := iEnd - 1
+					dotPack4x4AVX2(&c,
+						a.Row(i)[k0:k1],
+						a.Row(min(i+1, last))[k0:k1],
+						a.Row(min(i+2, last))[k0:k1],
+						a.Row(min(i+3, last))[k0:k1],
+						p)
+					for r := 0; r < 4 && i+r < iEnd; r++ {
+						out := dst.Row(i + r)[j0 : j0+jn]
+						for l, v := range c[4*r : 4*r+jn] {
+							out[l] += v
+						}
+					}
+				}
+			}
+		}
+		if dotRow >= 0 {
+			dotSum += Dot(a.Row(dotRow)[k0:k1], b.Row(dotCol)[k0:k1])
+		}
+	}
+	if dotRow >= 0 {
+		// Summed beside dst, from the same zero, and put in place of the
+		// lane sum that landed there.
+		dst.Row(dotRow)[dotCol] = dotSum
 	}
 }
 

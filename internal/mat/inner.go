@@ -30,10 +30,77 @@ package mat
 //
 // All kernels iterate over the common prefix of their operands; the
 // tiled drivers in blocked.go slice operands to the same panel.
+//
+// Dispatch. The element-wise kernels and the dot product exist twice:
+// the Go loop below (suffix Go) and an AVX2 loop in simd_amd64.s. The
+// unsuffixed name every caller uses picks between them on useAVX2,
+// which the CPU decides once at init (a constant false on other
+// architectures and under -tags purego). The two are bit-identical by
+// construction — separately rounded multiplies and adds, one output per
+// lane, dotKernelGo's own four-lane order — so the choice changes
+// speed, never a result; simd_amd64_test.go holds the vector loops to that
+// with the Go ones as the oracle. Operands must not partially overlap.
+// dot2x2 and dot1x2 have no vector twin of their own: their sequential
+// sums are vectorised across outputs, one tile at a time, by the packed
+// drivers in blocked.go.
 
-// axpy computes y += alpha*x over the common prefix, 8-way unrolled in
-// the slice-advance idiom.
+// KernelSet names the inner loops this process runs — "avx2" or "go" —
+// so a start-up log line, /statusz or a benchmark report can say which
+// kernels produced its numbers.
+func KernelSet() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
+}
+
+// axpy computes y += alpha*x over the common prefix.
 func axpy(alpha float64, x, y []float64) {
+	if useAVX2 {
+		axpyAVX2(alpha, x, y)
+		return
+	}
+	axpyGo(alpha, x, y)
+}
+
+// axpy2 computes d0 += x0*b and d1 += x1*b in one pass over b.
+func axpy2(x0, x1 float64, b, d0, d1 []float64) {
+	if useAVX2 {
+		axpy2AVX2(x0, x1, b, d0, d1)
+		return
+	}
+	axpy2Go(x0, x1, b, d0, d1)
+}
+
+// scale computes dst = s*src over the common prefix.
+func scale(dst []float64, s float64, src []float64) {
+	if useAVX2 {
+		scaleAVX2(dst, s, src)
+		return
+	}
+	scaleGo(dst, s, src)
+}
+
+// dotKernel returns the inner product of the common prefix of x and y.
+func dotKernel(x, y []float64) float64 {
+	if useAVX2 {
+		return dotAVX2(x, y)
+	}
+	return dotKernelGo(x, y)
+}
+
+// planeRot applies the plane rotation x, y ← c·x − s·y, s·x + c·y over
+// the common prefix of two rows.
+func planeRot(c, s float64, x, y []float64) {
+	if useAVX2 {
+		planeRotAVX2(c, s, x, y)
+		return
+	}
+	planeRotGo(c, s, x, y)
+}
+
+// axpyGo is axpy 8-way unrolled in the slice-advance idiom.
+func axpyGo(alpha float64, x, y []float64) {
 	for len(x) >= 8 && len(y) >= 8 {
 		x8, y8 := x[:8], y[:8]
 		y8[0] += alpha * x8[0]
@@ -52,9 +119,9 @@ func axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// axpy2 computes d0 += x0*b and d1 += x1*b in one pass over b, loading
-// each b element once for both destination rows.
-func axpy2(x0, x1 float64, b, d0, d1 []float64) {
+// axpy2Go is axpy2, loading each b element once for both destination
+// rows.
+func axpy2Go(x0, x1 float64, b, d0, d1 []float64) {
 	for len(b) >= 8 && len(d0) >= 8 && len(d1) >= 8 {
 		b8, e0, e1 := b[:8], d0[:8], d1[:8]
 		v0, v1, v2, v3 := b8[0], b8[1], b8[2], b8[3]
@@ -85,9 +152,21 @@ func axpy2(x0, x1 float64, b, d0, d1 []float64) {
 	}
 }
 
-// dotKernel returns the inner product of the common prefix of x and y,
-// 8-way unrolled with four independent accumulator chains.
-func dotKernel(x, y []float64) float64 {
+// scaleGo is scale as a simple hoisted loop.
+func scaleGo(dst []float64, s float64, src []float64) {
+	n := len(dst)
+	if len(src) < n {
+		n = len(src)
+	}
+	dst, src = dst[:n], src[:n]
+	for i := 0; i < n; i++ {
+		dst[i] = s * src[i]
+	}
+}
+
+// dotKernelGo is dotKernel 8-way unrolled with four independent
+// accumulator chains; lane l of dotAVX2 is chain s_l.
+func dotKernelGo(x, y []float64) float64 {
 	var s0, s1, s2, s3 float64
 	for len(x) >= 8 && len(y) >= 8 {
 		x8, y8 := x[:8], y[:8]
@@ -144,12 +223,11 @@ func dot1x2(x, b0, b1 []float64) (c0, c1 float64) {
 	return
 }
 
-// planeRot applies the plane rotation x, y ← c·x − s·y, s·x + c·y over
-// the common prefix of two rows — the Jacobi eigensolver's only O(n)
-// step, 4-way unrolled in the slice-advance idiom. Each element pair
-// is read before either is written, so the expressions are exactly the
-// scalar ones.
-func planeRot(c, s float64, x, y []float64) {
+// planeRotGo is planeRot — the Jacobi eigensolver's only O(n) step —
+// 4-way unrolled in the slice-advance idiom. Each element pair is read
+// before either is written, so the expressions are exactly the scalar
+// ones.
+func planeRotGo(c, s float64, x, y []float64) {
 	for len(x) >= 4 && len(y) >= 4 {
 		x4, y4 := x[:4], y[:4]
 		a0, a1, a2, a3 := x4[0], x4[1], x4[2], x4[3]

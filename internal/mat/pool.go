@@ -35,6 +35,10 @@ var (
 	obsKernelSVDG   = obs.Default().Histogram("arams_mat_kernel_seconds", obs.L("kernel", "svdgram"))
 )
 
+// The kernel set is fixed at start-up (inner.go); /statusz and
+// /metrics.json report it beside the Go version.
+func init() { obs.Default().SetBuildInfo("mat_kernels", KernelSet()) }
+
 // observeSince records a kernel duration; split out so call sites stay
 // one line and allocation-free.
 func observeSince(h *obs.Histogram, start time.Time) {

@@ -116,16 +116,17 @@ type jsonSeries struct {
 }
 
 type jsonDump struct {
-	UptimeSeconds float64         `json:"uptime_seconds"`
-	Goroutines    int             `json:"goroutines"`
-	AllocBytes    uint64          `json:"alloc_bytes"`
-	SysBytes      uint64          `json:"sys_bytes"`
-	GCCycles      uint32          `json:"gc_cycles"`
-	Counters      []jsonMetric    `json:"counters"`
-	Gauges        []jsonMetric    `json:"gauges"`
-	Histograms    []jsonHistogram `json:"histograms"`
-	Series        []jsonSeries    `json:"series"`
-	Spans         []jsonSpan      `json:"spans"`
+	UptimeSeconds float64           `json:"uptime_seconds"`
+	Goroutines    int               `json:"goroutines"`
+	AllocBytes    uint64            `json:"alloc_bytes"`
+	SysBytes      uint64            `json:"sys_bytes"`
+	GCCycles      uint32            `json:"gc_cycles"`
+	Build         map[string]string `json:"build"`
+	Counters      []jsonMetric      `json:"counters"`
+	Gauges        []jsonMetric      `json:"gauges"`
+	Histograms    []jsonHistogram   `json:"histograms"`
+	Series        []jsonSeries      `json:"series"`
+	Spans         []jsonSpan        `json:"spans"`
 }
 
 func labelMap(md *meta) map[string]string {
@@ -165,6 +166,12 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	dump.AllocBytes = ms.Alloc
 	dump.SysBytes = ms.Sys
 	dump.GCCycles = ms.NumGC
+	dump.Build = map[string]string{"go": runtime.Version(), "platform": runtime.GOOS + "/" + runtime.GOARCH}
+	r.mu.Lock()
+	for k, v := range r.build {
+		dump.Build[k] = v
+	}
+	r.mu.Unlock()
 
 	r.each(func(m interface{}) {
 		md := metaOf(m)

@@ -114,6 +114,7 @@ const statuszHTML = `<!DOCTYPE html>
   <a href="/debug/pprof/">/debug/pprof/</a> · <a href="/healthz">/healthz</a>
   <span id="err"></span></p>
 <h2>Process</h2><table id="proc"></table>
+<h2>Build</h2><table id="build"></table>
 <div id="serieswrap" style="display:none"><h2>Quality history</h2><table id="series"></table></div>
 <div id="ftwrap" style="display:none"><h2>Merge fault tolerance</h2><table id="ft"></table></div>
 <h2>Stage timings</h2><table id="hist"></table>
@@ -199,6 +200,8 @@ async function tick() {
     ["sys", fmtBytes(d.sys_bytes)],
     ["gc cycles", d.gc_cycles],
   ].map(r => "<tr><td>"+r[0]+'</td><td class="num">'+r[1]+"</td></tr>"));
+  rows("build", [["fact"],["value",1]], Object.keys(d.build || {}).sort().map(k =>
+    "<tr><td>"+k+'</td><td class="num"><code>'+d.build[k]+"</code></td></tr>"));
   const sr = d.series || [];
   document.getElementById("serieswrap").style.display = sr.length ? "" : "none";
   if (sr.length) {

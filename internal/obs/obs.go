@@ -116,6 +116,7 @@ type Registry struct {
 	kinds   map[string]string      // metric name → kind (one kind per name)
 	series  map[string]*Series     // name → time-series ring
 	extra   map[string]http.Handler
+	build   map[string]string // static facts about this build (SetBuildInfo)
 	start   time.Time
 	ring    spanRing
 	traces  traceStore
@@ -283,6 +284,20 @@ func metaOf(m interface{}) *meta {
 // Uptime is the time since the registry was created (process start for
 // the default registry).
 func (r *Registry) Uptime() time.Duration { return time.Since(r.start) }
+
+// SetBuildInfo records one static fact about how this process was built
+// or what it selected at start-up (which kernel set the CPU allows,
+// say). /metrics.json carries the facts as "build" and /statusz lists
+// them, so a report copied from either says what produced its numbers.
+// Like the extra endpoints they are process wiring: Reset keeps them.
+func (r *Registry) SetBuildInfo(key, value string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.build == nil {
+		r.build = make(map[string]string)
+	}
+	r.build[key] = value
+}
 
 // Reset drops every metric, time series, recorded span, retained
 // trace, and cached stage-histogram handle. Extra HTTP handlers are

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -192,13 +193,18 @@ func TestWriteJSON(t *testing.T) {
 	r.Counter("c_total").Inc()
 	r.Gauge("g").Set(4)
 	func() { sp := r.StartSpan("stage1"); sp.End() }()
+	r.SetBuildInfo("mat_kernels", "go")
+	r.Reset() // build facts are process wiring, not recorded state
+	r.Counter("c_total").Inc()
+	func() { sp := r.StartSpan("stage1"); sp.End() }()
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var dump struct {
-		UptimeSeconds float64 `json:"uptime_seconds"`
+		UptimeSeconds float64           `json:"uptime_seconds"`
+		Build         map[string]string `json:"build"`
 		Counters      []struct {
 			Name  string  `json:"name"`
 			Value float64 `json:"value"`
@@ -224,6 +230,9 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if len(dump.Spans) != 1 || dump.Spans[0].Name != "stage1" {
 		t.Fatalf("spans = %+v", dump.Spans)
+	}
+	if dump.Build["mat_kernels"] != "go" || dump.Build["go"] != runtime.Version() {
+		t.Fatalf("build = %v", dump.Build)
 	}
 }
 

@@ -41,6 +41,9 @@ type ARAMS struct {
 
 	rafd *RankAdaptiveFD     // when cfg.RankAdaptive
 	fd   *FrequentDirections // otherwise
+
+	// norms holds ‖row‖² of the batch in flight (scratch, reused).
+	norms []float64
 }
 
 // NewARAMS creates a streaming ARAMS sketcher for d-dimensional rows.
@@ -106,24 +109,31 @@ func (a *ARAMS) ProcessBatch(x *mat.Matrix) BatchStats {
 		panic("sketch: ARAMS batch dimension mismatch")
 	}
 	bs := BatchStats{Rows: x.RowsN, EllBefore: a.Ell()}
+	// Each row's squared norm is a d-long dependent sum and three
+	// accounts want it (offered mass, kept mass, the sketch's stream
+	// mass): form it once.
+	a.norms = a.norms[:0]
 	for i := 0; i < x.RowsN; i++ {
-		bs.TotalMass += mat.Norm2Sq(x.Row(i))
+		n2 := mat.Norm2Sq(x.Row(i))
+		a.norms = append(a.norms, n2)
+		bs.TotalMass += n2
 	}
 	deltaBefore := a.FD().Delta()
 	if a.cfg.Beta < 1 {
 		// The sampler holds views into x and the sketch copies each
 		// appended row into its buffer, so the kept rows go from the
-		// batch to the sketch without an intermediate copy.
+		// batch to the sketch without an intermediate copy. An entry's
+		// index is its row's position in x.
 		for _, e := range sampleBatch(x, a.cfg.Beta, a.g).selected() {
-			bs.KeptMass += mat.Norm2Sq(e.row)
+			bs.KeptMass += a.norms[e.index]
 			bs.Kept++
-			a.append(e.row)
+			a.appendNorm(e.row, a.norms[e.index])
 		}
 	} else {
 		bs.KeptMass = bs.TotalMass
 		bs.Kept = x.RowsN
 		for i := 0; i < x.RowsN; i++ {
-			a.append(x.Row(i))
+			a.appendNorm(x.Row(i), a.norms[i])
 		}
 	}
 	bs.EllAfter = a.Ell()
@@ -131,12 +141,13 @@ func (a *ARAMS) ProcessBatch(x *mat.Matrix) BatchStats {
 	return bs
 }
 
-// append adds one row to whichever sketch variant is configured.
-func (a *ARAMS) append(row []float64) {
+// appendNorm adds one row, whose squared norm the caller holds, to
+// whichever sketch variant is configured.
+func (a *ARAMS) appendNorm(row []float64, n2 float64) {
 	if a.rafd != nil {
-		a.rafd.Append(row)
+		a.rafd.appendNorm(row, n2)
 	} else {
-		a.fd.Append(row)
+		a.fd.appendNorm(row, n2)
 	}
 }
 

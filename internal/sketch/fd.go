@@ -116,6 +116,13 @@ func (fd *FrequentDirections) Seen() int { return fd.seen }
 // Append adds one data row to the sketch, rotating if the buffer is
 // full.
 func (fd *FrequentDirections) Append(row []float64) {
+	fd.appendNorm(row, mat.Norm2Sq(row))
+}
+
+// appendNorm is Append for a caller that already holds
+// n2 = mat.Norm2Sq(row): the d-long dependent sum is formed once per
+// row, not once per account that wants it.
+func (fd *FrequentDirections) appendNorm(row []float64, n2 float64) {
 	if len(row) != fd.d {
 		panic(fmt.Sprintf("sketch: row length %d != d=%d", len(row), fd.d))
 	}
@@ -125,7 +132,7 @@ func (fd *FrequentDirections) Append(row []float64) {
 	copy(fd.buffer.Row(fd.nextZero), row)
 	fd.nextZero++
 	fd.seen++
-	fd.frobMass += mat.Norm2Sq(row)
+	fd.frobMass += n2
 	fd.dirty = true
 }
 
@@ -161,19 +168,18 @@ func (fd *FrequentDirections) rotate() {
 		delta = sigma[fd.ell] * sigma[fd.ell]
 	}
 	fd.totalDelta += delta
-	fd.buffer.Zero()
-	keep := min(fd.ell, len(sigma))
-	for i := 0; i < keep; i++ {
-		s2 := sigma[i]*sigma[i] - delta
+	// Every element of a kept row is overwritten, so only the rows the
+	// shrink does not rewrite are cleared.
+	kept := 0
+	for n := min(fd.ell, len(sigma)); kept < n; kept++ {
+		s2 := sigma[kept]*sigma[kept] - delta
 		if s2 <= 0 {
 			break // spectrum is descending; the rest are zero too
 		}
-		s := math.Sqrt(s2)
-		dst := fd.buffer.Row(i)
-		src := vt.Row(i)
-		for j := range dst {
-			dst[j] = s * src[j]
-		}
+		mat.ScaleTo(fd.buffer.Row(kept), math.Sqrt(s2), vt.Row(kept))
+	}
+	for i := kept; i < fd.buffer.RowsN; i++ {
+		clear(fd.buffer.Row(i))
 	}
 	fd.nextZero = fd.ell
 	fd.rotations++

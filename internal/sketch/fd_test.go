@@ -351,3 +351,80 @@ func TestBasisReflectsMergeBetweenCalls(t *testing.T) {
 		t.Fatalf("basis ignores merged rows: |component on feature 7| = %v", got)
 	}
 }
+
+// TestRotateLeavesNoStaleRows: the shrink clears only the rows it does
+// not rewrite, so a rotation that keeps fewer than ℓ directions must
+// still leave every other row of the buffer zero — including rows that
+// held data a moment ago. 2ℓ orthonormal rows have 2ℓ equal singular
+// values, so the shrink subtracts all of every one and keeps nothing.
+func TestRotateLeavesNoStaleRows(t *testing.T) {
+	const ell, d = 4, 12
+	for _, backend := range []SVDBackend{GramSVD, JacobiSVD} {
+		fd := NewFrequentDirections(ell, d, Options{Backend: backend})
+		for i := 0; i < 2*ell+1; i++ { // the last append rotates a full buffer
+			row := make([]float64, d)
+			row[i] = 1
+			fd.Append(row)
+		}
+		if fd.Rotations() != 1 || fd.nextZero != ell+1 {
+			t.Fatalf("backend %v: %d rotations, nextZero %d", backend, fd.Rotations(), fd.nextZero)
+		}
+		for i := 0; i < 2*ell; i++ {
+			if i == ell {
+				continue // the row appended after the rotation
+			}
+			for j, v := range fd.buffer.Row(i) {
+				if v != 0 {
+					t.Fatalf("backend %v: buffer row %d col %d holds %g after the shrink", backend, i, j, v)
+				}
+			}
+		}
+	}
+}
+
+// TestProcessBatchFormsEachNormOnce: handing the squared norm down
+// from ProcessBatch changes who computes it, not what is recorded —
+// the batch accounting and the sketch's stream mass carry exactly the
+// bits the per-account sums carried, with and without the sampler and
+// with rank adaptation on.
+func TestProcessBatchFormsEachNormOnce(t *testing.T) {
+	x := gaussData(90, 24, 42)
+	for _, cfg := range []Config{
+		{Ell0: 5, Beta: 1, Seed: 3},
+		{Ell0: 5, Beta: 0.7, Seed: 3},
+		{Ell0: 4, Beta: 0.8, Seed: 3, RankAdaptive: true, Eps: 0.05, Nu: 3},
+	} {
+		a := NewARAMS(cfg, x.ColsN, x.RowsN)
+		// The reference accounts, summed row by row as the stream goes.
+		ref := NewARAMS(cfg, x.ColsN, x.RowsN)
+		var total, kept, frob float64
+		for lo := 0; lo < x.RowsN; lo += 30 {
+			batch := x.Rows(lo, lo+30)
+			bs := a.ProcessBatch(batch)
+			total, kept = 0, 0
+			for i := 0; i < batch.RowsN; i++ {
+				total += mat.Norm2Sq(batch.Row(i))
+			}
+			rows := []int{}
+			if cfg.Beta < 1 {
+				for _, e := range sampleBatch(batch, cfg.Beta, ref.g).selected() {
+					rows = append(rows, e.index)
+				}
+			} else {
+				for i := 0; i < batch.RowsN; i++ {
+					rows = append(rows, i)
+				}
+			}
+			for _, i := range rows {
+				kept += mat.Norm2Sq(batch.Row(i))
+				frob += mat.Norm2Sq(batch.Row(i))
+			}
+			if bs.TotalMass != total || bs.KeptMass != kept || bs.Kept != len(rows) {
+				t.Fatalf("cfg %+v: batch stats %+v, want total %v kept %v (%d rows)", cfg, bs, total, kept, len(rows))
+			}
+		}
+		if got := a.FD().FrobMass(); got != frob {
+			t.Fatalf("cfg %+v: stream mass %v, want %v", cfg, got, frob)
+		}
+	}
+}

@@ -93,6 +93,12 @@ func (r *RankAdaptiveFD) Basis(k int) *mat.Matrix { return r.fd.Basis(k) }
 // Append adds one row to the sketch, applying the rank-adaptation
 // bookkeeping of Algorithm 2 around the underlying fast-FD buffer.
 func (r *RankAdaptiveFD) Append(row []float64) {
+	r.appendNorm(row, mat.Norm2Sq(row))
+}
+
+// appendNorm is Append for a caller that already holds
+// n2 = mat.Norm2Sq(row).
+func (r *RankAdaptiveFD) appendNorm(row []float64, n2 float64) {
 	fd := r.fd
 	if fd.nextZero == fd.buffer.RowsN {
 		canAdapt := r.canRankAdapt()
@@ -120,7 +126,7 @@ func (r *RankAdaptiveFD) Append(row []float64) {
 	copy(fd.buffer.Row(fd.nextZero), row)
 	fd.nextZero++
 	fd.seen++
-	fd.frobMass += mat.Norm2Sq(row)
+	fd.frobMass += n2
 	fd.dirty = true
 	r.push(row)
 	if r.rowsLeft > 0 {
