@@ -13,6 +13,14 @@ import (
 	"arams/internal/umap"
 )
 
+// Both embedding experiments report the trustworthiness of the 2-D
+// embedding against the PCA latent it was fitted on, at this
+// neighbourhood size.
+const (
+	trustK      = 10
+	trustHeader = "trustworthiness(k=10)"
+)
+
 // EmbedParams sizes the Fig. 5/6 embedding experiments.
 type EmbedParams struct {
 	Frames  int // shots per run
@@ -68,7 +76,7 @@ func Fig5BeamProfile(p EmbedParams) []*Table {
 		Title: "Fig.5: beam-profile embedding — axis/factor correlations",
 		Note: "expect: the two embedding axes align with lateral COM offset and " +
 			"circularity (|corr| high for one pairing per factor)",
-		Header: []string{"factor", "|corr(axis0)|", "|corr(axis1)|", "best_axis"},
+		Header: []string{"factor", "|corr(axis0)|", "|corr(axis1)|", "best_axis", trustHeader},
 	}
 	for _, f := range []struct {
 		name string
@@ -80,7 +88,7 @@ func Fig5BeamProfile(p EmbedParams) []*Table {
 		if c1 > c0 {
 			best = 1
 		}
-		t.Append(f.name, c0, c1, best)
+		t.Append(f.name, c0, c1, best, "-")
 	}
 
 	// Global organization: Spearman rank correlation between pairwise
@@ -97,7 +105,8 @@ func Fig5BeamProfile(p EmbedParams) []*Table {
 			ed = append(ed, de)
 		}
 	}
-	t.Append("pairwise factor-dist (Spearman ρ)", stats.Spearman(fd, ed), "", "-")
+	t.Append("pairwise factor-dist (Spearman ρ)", stats.Spearman(fd, ed), "", "-",
+		stats.Trustworthiness(res.Latent, res.Embedding, trustK))
 
 	// Exotic shots: residual-based separation statistics.
 	t2 := &Table{
@@ -159,11 +168,12 @@ func Fig6Diffraction(p EmbedParams) *Table {
 		Note: "expect: clear clusters, each dominated by one quadrant-weight class " +
 			"(high purity), cluster count near the class count",
 		Header: []string{"true_classes", "found_clusters", "clustered_frac",
-			"purity", "ARI"},
+			"purity", "ARI", trustHeader},
 	}
 	t.Append(dg.NumClasses(), optics.NumClusters(res.Labels),
 		float64(clustered)/float64(len(truth)), purity,
-		optics.ARI(res.Labels, truth))
+		optics.ARI(res.Labels, truth),
+		stats.Trustworthiness(res.Latent, res.Embedding, trustK))
 	return t
 }
 
@@ -174,8 +184,6 @@ func column(m *mat.Matrix, j int) []float64 {
 	}
 	return out
 }
-
-// spearmanCorr computes the Spearman rank correlation of two sequences.
 
 func purityOf(labels, truth []int) (float64, int) {
 	counts := map[int]map[int]int{}

@@ -1,11 +1,14 @@
 // Package stats provides the small statistical utilities the experiment
 // harness and examples share: correlation coefficients, rank
-// transforms, and order statistics.
+// transforms, order statistics, and embedding trustworthiness.
 package stats
 
 import (
 	"math"
 	"sort"
+
+	"arams/internal/knn"
+	"arams/internal/mat"
 )
 
 // Mean returns the arithmetic mean (0 for an empty slice).
@@ -102,4 +105,52 @@ func Quantile(v []float64, q float64) float64 {
 		i = 0
 	}
 	return cp[i]
+}
+
+// Trustworthiness is Venna & Kaski's measure of whether the neighbours
+// an embedding shows are real: for every row i, each of its k nearest
+// neighbours in low that is not among its k nearest in high is charged
+// its rank in high minus k, and
+//
+//	T(k) = 1 − 2/(nk(2n−3k−1)) · Σᵢ Σⱼ (r(i,j) − k).
+//
+// It is 1 when every low-space neighbourhood is a high-space one and
+// about 0.5 for an embedding unrelated to the data. Neighbours and ranks
+// follow knn.Graph's (distance, index) order. It panics unless
+// 0 < k < n/2, where the normaliser holds.
+func Trustworthiness(high, low *mat.Matrix, k int) float64 {
+	n := high.RowsN
+	if low.RowsN != n || k < 1 || 2*k >= n {
+		panic("stats: Trustworthiness needs equal row counts and 0 < k < n/2")
+	}
+	hg, lg := knn.BruteForce(high, k), knn.BruteForce(low, k)
+	dist := make([]float64, n)
+	var penalty int
+	for i := 0; i < n; i++ {
+		for l := range dist {
+			dist[l] = knn.DistSq(high.Row(i), high.Row(l))
+		}
+		inHigh := func(j int) bool {
+			for _, nb := range hg.Neighbors[i] {
+				if nb.Index == j {
+					return true
+				}
+			}
+			return false
+		}
+		for _, nb := range lg.Neighbors[i] {
+			j := nb.Index
+			if inHigh(j) {
+				continue
+			}
+			rank := 1
+			for l, d := range dist {
+				if l != i && (d < dist[j] || d == dist[j] && l < j) {
+					rank++
+				}
+			}
+			penalty += rank - k
+		}
+	}
+	return 1 - 2*float64(penalty)/float64(n*k*(2*n-3*k-1))
 }

@@ -3,6 +3,9 @@ package stats
 import (
 	"math"
 	"testing"
+
+	"arams/internal/mat"
+	"arams/internal/rng"
 )
 
 func TestMeanVariance(t *testing.T) {
@@ -80,4 +83,44 @@ func TestMedianQuantile(t *testing.T) {
 	if v[0] != 5 {
 		t.Fatal("Quantile mutated its input")
 	}
+}
+
+func TestTrustworthiness(t *testing.T) {
+	// Worked by hand: five points on a line, the embedding swaps the two
+	// ends. Rows 0, 1 and 4 get an intruder as nearest neighbour, of
+	// high-space rank 3, 4 and 3: penalty (3−1)+(4−1)+(3−1) = 7, and
+	// T(1) = 1 − 2·7/(5·1·(10−3−1)).
+	high := mat.FromRows([][]float64{{0}, {1}, {2.1}, {3.3}, {4.6}})
+	low := mat.FromRows([][]float64{{4.6}, {1}, {2.1}, {3.3}, {0}})
+	if got, want := Trustworthiness(high, low, 1), 1-14.0/30; math.Abs(got-want) > 1e-15 {
+		t.Fatalf("hand-worked case: T = %v, want %v", got, want)
+	}
+
+	g := rng.New(7)
+	x := mat.RandGaussian(300, 6, g)
+	if got := Trustworthiness(x, x.Clone(), 10); got != 1 {
+		t.Fatalf("identity map: T = %v, want 1", got)
+	}
+	// The same rows dealt out in shuffled order: every shown neighbour
+	// is an intruder of uniformly random rank, so
+	// T = 1 − (n−k)/(2n−3k−1) ≈ ½.
+	shuffled := mat.New(x.RowsN, x.ColsN)
+	for i, p := range g.Perm(x.RowsN) {
+		copy(shuffled.Row(i), x.Row(p))
+	}
+	if got := Trustworthiness(x, shuffled, 10); math.Abs(got-0.5) > 0.05 {
+		t.Fatalf("shuffled map: T = %v, want ≈ 0.5", got)
+	}
+	// Duplicate rows tie at distance zero; ties rank by index, as the kNN
+	// graph orders them, so an identity map still scores exactly 1.
+	dup := mat.FromRows([][]float64{{0, 0}, {0, 0}, {0, 0}, {1, 0}, {1, 0}, {5, 5}, {5, 6}})
+	if got := Trustworthiness(dup, dup.Clone(), 2); got != 1 {
+		t.Fatalf("identity map with duplicate rows: T = %v, want 1", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("k ≥ n/2 did not panic")
+		}
+	}()
+	Trustworthiness(high, low, 3)
 }

@@ -38,6 +38,18 @@ func BenchmarkSpectralInit(b *testing.B) {
 	}
 }
 
+// BenchmarkFitModel is the Snapshot fit: one window of 12-dim latent
+// rows at the monitor's neighbourhood and epoch count.
+func BenchmarkFitModel(b *testing.B) {
+	x := mat.RandGaussian(512, 12, rng.New(6))
+	cfg := Config{NNeighbors: 10, NEpochs: 80, Seed: 7}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = FitModel(x, cfg)
+	}
+}
+
 // BenchmarkTransform is the QuickSnapshot placement: one window of
 // latent rows into a model fitted on a window of the same size.
 func BenchmarkTransform(b *testing.B) {

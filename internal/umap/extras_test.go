@@ -70,7 +70,7 @@ func TestFitABMonotone(t *testing.T) {
 
 func TestOptimizeEmptyGraphNoop(t *testing.T) {
 	emb := mat.New(3, 2)
-	optimizeLayout(emb, &FuzzyGraph{N: 3}, Config{}.withDefaults(3))
+	optimizeLayout(emb, &FuzzyGraph{N: 3}, Config{}.withDefaults(3), newCurve(FitAB(1, 0.1)))
 	if emb.FrobeniusNorm() != 0 {
 		t.Fatal("empty graph changed the embedding")
 	}

@@ -92,11 +92,10 @@ func initEmbedding(x *mat.Matrix, cfg Config) *mat.Matrix {
 	}
 	emb := mat.New(n, k)
 	// Principal directions via the Gram-trick SVD on the transpose
-	// orientation (d is small after PCA projection).
+	// orientation (d is small after PCA projection): SVDGram(centeredᵀ)
+	// factors the d×n matrix, so row j of vt has one entry per sample and
+	// s[j]·vt[j] is the samples' score on principal component j.
 	_, s, vt := mat.SVDGram(centered.T())
-	// vt rows live in sample space? SVDGram(centeredᵀ) factors the d×n
-	// matrix; its right singular vectors (k×n) are the principal
-	// component scores across samples.
 	g := rng.New(cfg.Seed)
 	var scale float64
 	if len(s) > 0 && s[0] > 0 {
@@ -118,12 +117,11 @@ func initEmbedding(x *mat.Matrix, cfg Config) *mat.Matrix {
 // optimizeLayout runs the UMAP SGD: attractive updates along graph
 // edges scheduled by weight, repulsive updates against uniformly
 // sampled negative examples, with the learning rate annealed linearly.
-func optimizeLayout(emb *mat.Matrix, fg *FuzzyGraph, cfg Config) {
+func optimizeLayout(emb *mat.Matrix, fg *FuzzyGraph, cfg Config, c *curve) {
 	nEdges := len(fg.Heads)
 	if nEdges == 0 {
 		return
 	}
-	a, b := FitAB(cfg.Spread, cfg.MinDist)
 	dim := emb.ColsN
 	g := rng.New(cfg.Seed + 0x9e3779b9)
 
@@ -143,16 +141,6 @@ func optimizeLayout(emb *mat.Matrix, fg *FuzzyGraph, cfg Config) {
 		nextNeg[e] = negPerSample[e]
 	}
 
-	clip := func(v float64) float64 {
-		if v > 4 {
-			return 4
-		}
-		if v < -4 {
-			return -4
-		}
-		return v
-	}
-
 	for epoch := 1; epoch <= cfg.NEpochs; epoch++ {
 		alpha := cfg.LearningRate * (1 - float64(epoch)/float64(cfg.NEpochs))
 		if alpha < 1e-4 {
@@ -167,8 +155,7 @@ func optimizeLayout(emb *mat.Matrix, fg *FuzzyGraph, cfg Config) {
 			tail := emb.Row(fg.Tails[e])
 			d2 := distSq(head, tail)
 			if d2 > 0 {
-				// Attractive gradient coefficient.
-				coeff := -2 * a * b * math.Pow(d2, b-1) / (1 + a*math.Pow(d2, b))
+				coeff := c.attract(d2)
 				for j := 0; j < dim; j++ {
 					gd := clip(coeff * (head[j] - tail[j]))
 					head[j] += alpha * gd
@@ -187,7 +174,7 @@ func optimizeLayout(emb *mat.Matrix, fg *FuzzyGraph, cfg Config) {
 				other := emb.Row(oi)
 				d2 := distSq(head, other)
 				if d2 > 0 {
-					coeff := 2 * b / ((0.001 + d2) * (1 + a*math.Pow(d2, b)))
+					coeff := c.repel(d2)
 					for j := 0; j < dim; j++ {
 						gd := clip(coeff * (head[j] - other[j]))
 						head[j] += alpha * gd

@@ -1,8 +1,6 @@
 package umap
 
 import (
-	"math"
-
 	"arams/internal/knn"
 	"arams/internal/mat"
 	"arams/internal/rng"
@@ -16,15 +14,14 @@ type Model struct {
 	cfg   Config
 	train *mat.Matrix
 	emb   *mat.Matrix
-	a, b  float64
+	curve *curve
 }
 
 // FitModel fits UMAP on x and returns a reusable model.
 func FitModel(x *mat.Matrix, cfg Config) *Model {
-	emb := Fit(x, cfg)
-	c := cfg.withDefaults(max(x.RowsN, 2))
-	a, b := FitAB(c.Spread, c.MinDist)
-	return &Model{cfg: c, train: x.Clone(), emb: emb, a: a, b: b}
+	m := fit(x, cfg)
+	m.train = x.Clone()
+	return m
 }
 
 // Embedding returns the training embedding (shared storage).
@@ -90,15 +87,6 @@ func (m *Model) Transform(x *mat.Matrix) *mat.Matrix {
 	if epochs < 30 {
 		epochs = 30
 	}
-	clip := func(v float64) float64 {
-		if v > 4 {
-			return 4
-		}
-		if v < -4 {
-			return -4
-		}
-		return v
-	}
 	for epoch := 1; epoch <= epochs; epoch++ {
 		alpha := m.cfg.LearningRate * (1 - float64(epoch)/float64(epochs))
 		if alpha < 1e-4 {
@@ -110,7 +98,7 @@ func (m *Model) Transform(x *mat.Matrix) *mat.Matrix {
 				target := m.emb.Row(an.idx)
 				d2 := distSq(pt, target)
 				if d2 > 0 {
-					coeff := -2 * m.a * m.b * math.Pow(d2, m.b-1) / (1 + m.a*math.Pow(d2, m.b))
+					coeff := m.curve.attract(d2)
 					for d := 0; d < dim; d++ {
 						pt[d] += alpha * an.weight * clip(coeff*(pt[d]-target[d]))
 					}
@@ -121,7 +109,7 @@ func (m *Model) Transform(x *mat.Matrix) *mat.Matrix {
 			other := m.emb.Row(g.Intn(m.emb.RowsN))
 			d2 := distSq(pt, other)
 			if d2 > 0 {
-				coeff := 2 * m.b / ((0.001 + d2) * (1 + m.a*math.Pow(d2, m.b)))
+				coeff := m.curve.repel(d2)
 				for d := 0; d < dim; d++ {
 					pt[d] += alpha * clip(coeff*(pt[d]-other[d]))
 				}

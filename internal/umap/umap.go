@@ -12,7 +12,6 @@
 package umap
 
 import (
-	"fmt"
 	"math"
 
 	"arams/internal/knn"
@@ -160,40 +159,52 @@ func smoothKNN(g *knn.Graph) (rho, sigma []float64) {
 func BuildFuzzyGraph(g *knn.Graph) *FuzzyGraph {
 	n := len(g.Neighbors)
 	rho, sigma := smoothKNN(g)
-	// Directed weights in a map keyed by (i, j).
-	type key struct{ i, j int }
-	directed := make(map[key]float64, n*g.K)
-	for i := 0; i < n; i++ {
-		for _, nb := range g.Neighbors[i] {
-			d := nb.Dist - rho[i]
-			w := 1.0
-			if d > 0 && sigma[i] > 0 {
-				w = math.Exp(-d / sigma[i])
-			}
-			directed[key{i, nb.Index}] = w
+	member := func(i int, dist float64) float64 {
+		d := dist - rho[i]
+		if d > 0 && sigma[i] > 0 {
+			return math.Exp(-d / sigma[i])
 		}
+		return 1
 	}
 	// Emit undirected edges in deterministic (point, neighbor) order so
 	// the SGD schedule — and therefore the embedding — is reproducible
-	// for a fixed seed.
-	fg := &FuzzyGraph{N: n}
-	seen := make(map[key]bool, len(directed))
+	// for a fixed seed. A point has at most k neighbors, so the reverse
+	// membership wⱼᵢ is a scan of j's list, and a mutual pair was already
+	// emitted from the lower-numbered side.
+	var most int
+	for _, nbs := range g.Neighbors {
+		most += len(nbs)
+	}
+	fg := &FuzzyGraph{
+		N:       n,
+		Heads:   make([]int, 0, most),
+		Tails:   make([]int, 0, most),
+		Weights: make([]float64, 0, most),
+	}
 	for i := 0; i < n; i++ {
 		for _, nb := range g.Neighbors[i] {
-			k := key{i, nb.Index}
-			rk := key{nb.Index, i}
-			if seen[k] || seen[rk] {
+			j := nb.Index
+			back := -1
+			for r, rb := range g.Neighbors[j] {
+				if rb.Index == i {
+					back = r
+					break
+				}
+			}
+			if back >= 0 && j < i {
 				continue
 			}
-			seen[k] = true
-			w := directed[k]
-			wT := directed[rk] // zero if absent
+			w := member(i, nb.Dist)
+			var wT float64
+			if back >= 0 {
+				wT = member(j, g.Neighbors[j][back].Dist)
+			}
 			sym := w + wT - w*wT
 			if sym <= 0 {
 				continue
 			}
-			fg.Heads = append(fg.Heads, k.i)
-			fg.Tails = append(fg.Tails, k.j)
+			fg.Heads = append(fg.Heads, i)
+			fg.Tails = append(fg.Tails, j)
 			fg.Weights = append(fg.Weights, sym)
 		}
 	}
@@ -212,31 +223,30 @@ func (fg *FuzzyGraph) MaxWeight() float64 {
 }
 
 // Fit computes the UMAP embedding of the rows of x.
-func Fit(x *mat.Matrix, cfg Config) *mat.Matrix {
+func Fit(x *mat.Matrix, cfg Config) *mat.Matrix { return fit(x, cfg).emb }
+
+// fit is the one path behind Fit and FitModel: it resolves the defaults
+// and builds the curve once, and the model it returns borrows x as its
+// training set.
+func fit(x *mat.Matrix, cfg Config) *Model {
 	n := x.RowsN
-	if n == 0 {
-		return mat.New(0, max(cfg.NComponents, 2))
+	cfg = cfg.withDefaults(max(n, 2))
+	m := &Model{cfg: cfg, train: x, curve: newCurve(FitAB(cfg.Spread, cfg.MinDist))}
+	if n < 2 {
+		m.emb = mat.New(n, cfg.NComponents)
+		return m
 	}
-	cfg = cfg.withDefaults(n)
-	if n == 1 {
-		return mat.New(1, cfg.NComponents)
-	}
-	if cfg.NNeighbors < 1 {
-		panic(fmt.Sprintf("umap: need at least 2 points per neighborhood, n=%d", n))
-	}
-	g := knn.BruteForce(x, cfg.NNeighbors)
-	fg := BuildFuzzyGraph(g)
-	var emb *mat.Matrix
+	fg := BuildFuzzyGraph(knn.BruteForce(x, cfg.NNeighbors))
 	switch cfg.InitMethod {
 	case InitSpectral:
-		emb = spectralInit(fg, cfg.NComponents, rng.New(cfg.Seed))
+		m.emb = spectralInit(fg, cfg.NComponents, rng.New(cfg.Seed))
 	case InitRandom:
-		emb = randomInit(n, cfg.NComponents, rng.New(cfg.Seed))
+		m.emb = randomInit(n, cfg.NComponents, rng.New(cfg.Seed))
 	default:
-		emb = initEmbedding(x, cfg)
+		m.emb = initEmbedding(x, cfg)
 	}
-	optimizeLayout(emb, fg, cfg)
-	return emb
+	optimizeLayout(m.emb, fg, cfg, m.curve)
+	return m
 }
 
 // randomInit seeds the layout with small Gaussian coordinates.
@@ -246,11 +256,4 @@ func randomInit(n, k int, g *rng.RNG) *mat.Matrix {
 		emb.Data[i] = 10 * g.Norm()
 	}
 	return emb
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
