@@ -33,10 +33,8 @@ type Backend interface {
 	Absorb(vecs [][]float64, idx []int) (sketch.BatchStats, error)
 	// Snapshot returns a copy of the shard sketch that the caller owns
 	// — the reconcile merge folds it in place (parallel.RemoteLeg states
-	// the contract) — and anchors the live sketch's delta mark
-	// (MarkDelta), so sketch-level staleness introspection agrees with
-	// the reconcile controller. (nil, nil) means no rows have been
-	// absorbed yet.
+	// the contract) — and leaves the live sketch untouched. (nil, nil)
+	// means no rows have been absorbed yet.
 	Snapshot() (*sketch.FrequentDirections, error)
 	// State returns the checkpointable sketcher state, or (nil, nil)
 	// before the first row.
@@ -75,8 +73,8 @@ type TracedBackend interface {
 // without handing out the sketch (localShard reads six scalars under
 // its lock, internal/fabric's Remote has an RPC for it) implements it,
 // and the one-shard audit tick then neither clones nor ships the 2ℓ×d
-// buffer. Unlike Snapshot it leaves the delta mark and a remote
-// backend's replay log alone.
+// buffer. Unlike Snapshot it leaves a remote backend's replay log
+// alone.
 type certifier interface {
 	// Certificate returns the zero certificate before the first row.
 	Certificate() (audit.Certificate, error)
@@ -168,16 +166,13 @@ func (s *localShard) Absorb(vecs [][]float64, idx []int) (sketch.BatchStats, err
 	return agg, nil
 }
 
-// Snapshot clones the shard sketch for merging. The clone captures the
-// shard's Σδ as of now; marking the live sketch anchors DeltaSinceMark
-// to the same point.
+// Snapshot clones the shard sketch for merging.
 func (s *localShard) Snapshot() (*sketch.FrequentDirections, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.arams == nil {
 		return nil, nil
 	}
-	s.arams.FD().MarkDelta()
 	return s.arams.FD().Clone(), nil
 }
 

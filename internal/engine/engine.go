@@ -1,9 +1,9 @@
 // Package engine is the sharded streaming core of the online monitor:
 // frames enter through a bounded, backpressured ingest queue, are
 // batch-preprocessed on the shared worker pool, routed (round-robin or
-// hash-by-tag) to N independent shard sketchers, and periodically
-// reconciled into one global sketch with the same tree merge the batch
-// pipeline uses — so the error-bound certificate and fault-recovery
+// hash-by-tag) to N independent shard sketchers, and reconciled into one
+// global sketch, when a reader asks for it, with the same tree merge the
+// batch pipeline uses — so the error-bound certificate and fault-recovery
 // semantics compose unchanged across shards (FD summaries are
 // mergeable; the merged sketch's Σδ still bounds ‖AᵀA − BᵀB‖₂ over the
 // concatenation of every shard's stream).
@@ -55,24 +55,6 @@ type Config struct {
 	BatchSize int
 	// Route picks the shard-assignment policy.
 	Route Route
-	// ReconcileEvery is the frame scale of proactive shard reconciles
-	// (default 128): the hysteresis of the staleness-driven controller
-	// in reconcile.go, not a countdown. No merge runs below a lag of
-	// ReconcileEvery/4; past it, drifting or bursty streams merge
-	// eagerly and quiet ones (no marginal Σδ growth) defer up to
-	// ReconcileMaxLag. Snapshot paths reconcile on demand regardless,
-	// so this only shapes merge lag between snapshots.
-	ReconcileEvery int
-	// ReconcileMaxLag is the controller's hard upper bound on merge lag
-	// in frames (default 8×ReconcileEvery): a reconcile is forced at
-	// this lag no matter how quiet the stream, bounding snapshot
-	// staleness.
-	ReconcileMaxLag int
-	// ReconcileDeltaFrac is the relative Σδ growth since the last
-	// reconcile that makes a merge due (default 0.05, i.e. the
-	// certified bound grew 5%). The frame-budget burn EWMA scales it up
-	// when the engine is over budget.
-	ReconcileDeltaFrac float64
 	// Window is the sliding-window size for snapshots (default 1024).
 	Window int
 	// Tenant, when non-empty, scopes the engine's hot-path metric
@@ -132,15 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
-	}
-	if c.ReconcileEvery <= 0 {
-		c.ReconcileEvery = 128
-	}
-	if c.ReconcileMaxLag <= 0 {
-		c.ReconcileMaxLag = 8 * c.ReconcileEvery
-	}
-	if c.ReconcileDeltaFrac <= 0 {
-		c.ReconcileDeltaFrac = 0.05
 	}
 	if c.Window <= 0 {
 		c.Window = 1024
@@ -219,10 +192,10 @@ type Engine struct {
 	// globalMu owns the reconciled global sketch cache and serializes
 	// Basis computations on it (Basis mutates the sketch's internal
 	// factor cache).
-	globalMu sync.Mutex
-	global   *sketch.FrequentDirections
-	globalAt int
-	rc       reconcileCtl
+	globalMu   sync.Mutex
+	global     *sketch.FrequentDirections
+	globalAt   int
+	reconciles int // global-sketch rebuilds so far
 
 	// Async ingest queue (see queue.go).
 	queueMu  sync.Mutex
@@ -241,7 +214,7 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	eo := newEngineObs(cfg.Tenant)
-	e := &Engine{cfg: cfg, eo: eo, budget: newBudgetTracker(cfg, eo), rc: newReconcileCtl(cfg, eo)}
+	e := &Engine{cfg: cfg, eo: eo, budget: newBudgetTracker(cfg, eo)}
 	e.shards = make([]Backend, cfg.Shards)
 	e.shardFrames = make([]atomic.Int64, cfg.Shards)
 	e.shardGauges = make([]*obs.Gauge, cfg.Shards)
@@ -355,10 +328,10 @@ func (e *Engine) IngestVecs(vecs [][]float64, tags []int) {
 }
 
 // ingestVecsIn is the traced core of ingest: every stage of the batch —
-// routing, per-shard sketching, audit flush, reconcile — parents under
-// root, so one batch is one connected trace on /tracez. start is when
-// the engine first touched the batch (preprocess included), the
-// reference point for frame-budget accounting.
+// routing, per-shard sketching — parents under root, so one batch is one
+// connected trace on /tracez. start is when the engine first touched the
+// batch (preprocess included), the reference point for frame-budget
+// accounting.
 func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64, tags []int) {
 	if len(vecs) == 0 {
 		return
@@ -456,7 +429,7 @@ func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64,
 		wg.Wait()
 	}
 
-	e.afterDispatch(results, base, n, window, root, start)
+	e.afterDispatch(results, base, n, window, start)
 }
 
 // absorbTraced wraps one shard's Backend.Absorb in a shard_sketch span
@@ -507,11 +480,11 @@ func (e *Engine) absorbTraced(root *obs.Span, si int, vecs [][]float64, idx []in
 
 // afterDispatch folds the shard results into the audit accumulator,
 // journals rank growth, flushes audit points on AuditEvery boundaries,
-// refreshes gauges, feeds the frame-budget tracker, and reconciles
-// under the batch's trace when the merge lag is due. base is the
-// stream index of the batch's first frame, n the batch length; root
-// and start are the batch's trace root and first-touch time.
-func (e *Engine) afterDispatch(results []shardResult, base, n, window int, root *obs.Span, start time.Time) {
+// refreshes gauges and feeds the frame-budget tracker. It never
+// reconciles: only a reader (the audit flush's Certificate included)
+// merges the shards. base is the stream index of the batch's first
+// frame, n the batch length, start its first-touch time.
+func (e *Engine) afterDispatch(results []shardResult, base, n, window int, start time.Time) {
 	e.mu.Lock()
 	prevEll := e.lastEll
 	ell := prevEll
@@ -557,7 +530,6 @@ func (e *Engine) afterDispatch(results []shardResult, base, n, window int, root 
 			e.auditAcc = sketch.BatchStats{EllBefore: ell}
 		}
 	}
-	ingests := e.ingests
 	e.inflight--
 	e.mu.Unlock()
 
@@ -578,27 +550,6 @@ func (e *Engine) afterDispatch(results []shardResult, base, n, window int, root 
 	e.eo.framesTotal.Add(float64(n))
 	e.eo.windowSize.SetInt(window)
 	e.eo.engineEll.SetInt(ell)
-
-	if len(e.shards) > 1 {
-		// Marginal Σδ this dispatch added across shards: the staleness
-		// signal the cadence controller acts on.
-		var deltaSum float64
-		for _, r := range results {
-			if r.ok {
-				deltaSum += r.stats.DeltaAdded
-			}
-		}
-		burn := e.BurnRate()
-		e.globalMu.Lock()
-		e.rc.note(deltaSum)
-		lag := ingests - e.globalAt
-		if e.rc.due(lag, burn) {
-			e.reconcileLockedIn(root.Context())
-			lag = 0
-		}
-		e.globalMu.Unlock()
-		e.eo.mergeLag.SetInt(lag)
-	}
 
 	e.budget.observe(time.Since(start), n, base+n)
 }
@@ -637,19 +588,14 @@ func (e *Engine) Ell() int {
 	return ell
 }
 
-// reconcileLocked refreshes the cached global sketch from shard clones
-// via the parallel tree merge; the caller holds globalMu. Shard locks
-// are held only long enough to clone, so ingest proceeds during the
-// merge itself. Snapshot-path callers reconcile outside any batch, so
-// the merge roots its own trace.
-func (e *Engine) reconcileLocked() *sketch.FrequentDirections {
-	return e.reconcileLockedIn(obs.SpanContext{})
-}
-
-// reconcileLockedIn is reconcileLocked with the reconcile and its merge
-// legs parented into an existing trace (the ingest batch that made the
-// merge lag due).
-func (e *Engine) reconcileLockedIn(parent obs.SpanContext) *sketch.FrequentDirections {
+// reconcileLocked returns the global sketch as of now: the cached one
+// when no frame has been ingested since it was merged, otherwise a fresh
+// parallel tree merge of shard clones, which it caches. Only readers
+// call it — ingest never merges — and the caller holds globalMu. Shard
+// locks are held only long enough to clone, so ingest proceeds during
+// the merge itself. The reconcile span and its merge legs parent under
+// the reader's span, or root their own trace when parent is zero.
+func (e *Engine) reconcileLocked(parent obs.SpanContext) *sketch.FrequentDirections {
 	e.mu.Lock()
 	at := e.ingests
 	settled := e.inflight == 0
@@ -695,9 +641,8 @@ func (e *Engine) reconcileLockedIn(parent obs.SpanContext) *sketch.FrequentDirec
 	} else {
 		e.global, e.globalAt = g, -1
 	}
-	e.rc.noteReconcile()
+	e.reconciles++
 	e.eo.reconciles.Inc()
-	e.eo.mergeLag.SetInt(0)
 	return g
 }
 
@@ -713,7 +658,7 @@ func (e *Engine) Certificate() audit.Certificate {
 	}
 	e.globalMu.Lock()
 	defer e.globalMu.Unlock()
-	g := e.reconcileLocked()
+	g := e.reconcileLocked(obs.SpanContext{})
 	if g == nil {
 		return audit.Certificate{}
 	}
@@ -732,7 +677,7 @@ func (e *Engine) GlobalSketch() *sketch.FrequentDirections {
 	}
 	e.globalMu.Lock()
 	defer e.globalMu.Unlock()
-	g := e.reconcileLocked()
+	g := e.reconcileLocked(obs.SpanContext{})
 	if g == nil {
 		return nil
 	}
@@ -742,8 +687,9 @@ func (e *Engine) GlobalSketch() *sketch.FrequentDirections {
 // WindowState copies the sliding window and the current global basis
 // (top-k right singular vectors, k clamped to the rank) for the
 // snapshot stages, which run outside every engine lock. x is nil before
-// the first frame.
-func (e *Engine) WindowState(k int) (x *mat.Matrix, tags []int, basis *mat.Matrix, ell int) {
+// the first frame. An optional parent is the reader's span (a snapshot's
+// trace root): the reconcile this read may force lands inside that trace.
+func (e *Engine) WindowState(k int, parent ...obs.SpanContext) (x *mat.Matrix, tags []int, basis *mat.Matrix, ell int) {
 	e.mu.Lock()
 	n := len(e.recent)
 	if n == 0 {
@@ -759,7 +705,11 @@ func (e *Engine) WindowState(k int) (x *mat.Matrix, tags []int, basis *mat.Matri
 	}
 	e.mu.Unlock()
 
-	basis, ell = e.Basis(k)
+	var in obs.SpanContext
+	if len(parent) > 0 {
+		in = parent[0]
+	}
+	basis, ell = e.basis(in, k)
 	if basis == nil {
 		return nil, nil, nil, 0
 	}
@@ -771,7 +721,10 @@ func (e *Engine) WindowState(k int) (x *mat.Matrix, tags []int, basis *mat.Matri
 // the live sketch's basis — bit-identical to the serial monitor — and
 // for many it comes from the reconciled global. Returns (nil, 0) before
 // the first frame.
-func (e *Engine) Basis(k int) (*mat.Matrix, int) {
+func (e *Engine) Basis(k int) (*mat.Matrix, int) { return e.basis(obs.SpanContext{}, k) }
+
+// basis is Basis with the span a forced reconcile parents under.
+func (e *Engine) basis(parent obs.SpanContext, k int) (*mat.Matrix, int) {
 	if len(e.shards) == 1 {
 		// ARAMS.Basis delegates to FD().Basis in every mode
 		// (rank-adaptive included), so the snapshot clone's basis is
@@ -788,7 +741,7 @@ func (e *Engine) Basis(k int) (*mat.Matrix, int) {
 	}
 	e.globalMu.Lock()
 	defer e.globalMu.Unlock()
-	g := e.reconcileLocked()
+	g := e.reconcileLocked(parent)
 	if g == nil {
 		return nil, 0
 	}

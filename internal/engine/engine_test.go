@@ -386,11 +386,10 @@ func TestReconcileCadence(t *testing.T) {
 	const n, d = 120, 16
 	vecs := testVecs(n, d, 67)
 	e := engine.New(engine.Config{
-		Shards:         4,
-		ReconcileEvery: 16,
-		Sketch:         sketch.Config{Ell0: 6, Beta: 1, Seed: 2},
-		Window:         32,
-		Merge:          parallel.TreeMerge,
+		Shards: 4,
+		Sketch: sketch.Config{Ell0: 6, Beta: 1, Seed: 2},
+		Window: 32,
+		Merge:  parallel.TreeMerge,
 	})
 	for lo := 0; lo < n; lo += 8 {
 		e.IngestVecs(cloneVecs(vecs[lo:lo+8]), nil)

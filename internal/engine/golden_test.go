@@ -49,10 +49,9 @@ func TestGoldenGlobalSketchDigest(t *testing.T) {
 				t.Skipf("no digest recorded for a %d-wide kernel pool", mat.Workers())
 			}
 			e := engine.New(engine.Config{
-				Shards:         4,
-				ReconcileEvery: 32,
-				Sketch:         sketch.Config{Ell0: tc.ell, Beta: 1, Seed: 5},
-				Window:         32,
+				Shards: 4,
+				Sketch: sketch.Config{Ell0: tc.ell, Beta: 1, Seed: 5},
+				Window: 32,
 			})
 			defer e.Close()
 			for i, v := range testVecs(tc.n, tc.w*tc.h, tc.seed) {

@@ -23,9 +23,7 @@ type engineObs struct {
 	engineEll     *obs.Gauge
 	shardCount    *obs.Gauge
 	queueDepth    *obs.Gauge
-	mergeLag      *obs.Gauge
 	reconciles    *obs.Counter
-	deltaSince    *obs.Gauge
 	budgetBurn    *obs.Gauge
 	deadlineMiss  *obs.Counter
 	budgetFrame   *obs.Gauge
@@ -45,9 +43,7 @@ func newEngineObs(tenant string) *engineObs {
 		engineEll:     r.Gauge("arams_engine_sketch_ell", ls...),
 		shardCount:    r.Gauge("arams_engine_shards", ls...),
 		queueDepth:    r.Gauge("arams_engine_queue_depth", ls...),
-		mergeLag:      r.Gauge("arams_engine_merge_lag_frames", ls...),
 		reconciles:    r.Counter("arams_engine_reconciles_total", ls...),
-		deltaSince:    r.Gauge("arams_engine_delta_since_reconcile", ls...),
 		budgetBurn:    r.Gauge("arams_engine_budget_burn_rate", ls...),
 		deadlineMiss:  r.Counter("arams_engine_deadline_miss_total", ls...),
 		budgetFrame:   r.Gauge("arams_engine_frame_budget_seconds", ls...),

@@ -39,11 +39,10 @@ func testImages(n, side int, seed uint64) []*imgproc.Image {
 
 func TestEngineObsScrapeHammer(t *testing.T) {
 	e := engine.New(engine.Config{
-		Shards:         4,
-		ReconcileEvery: 4,
-		BatchSize:      8,
-		Sketch:         sketch.Config{Ell0: 5, Beta: 0.9, Seed: 11},
-		Window:         64,
+		Shards:    4,
+		BatchSize: 8,
+		Sketch:    sketch.Config{Ell0: 5, Beta: 0.9, Seed: 11},
+		Window:    64,
 	})
 	srv := httptest.NewServer(obs.Handler())
 	defer srv.Close()
@@ -154,35 +153,4 @@ func assertConnectedIngestTrace(t *testing.T, shards, frames int) {
 	if checked == 0 {
 		t.Fatal("no connected ingest_batch trace with preprocess+shard legs retained")
 	}
-}
-
-// TestEngineReconcileJoinsIngestTrace checks the merge legs land in the
-// same trace as the batch that forced the reconcile.
-func TestEngineReconcileJoinsIngestTrace(t *testing.T) {
-	e := engine.New(engine.Config{
-		Shards:         4,
-		ReconcileEvery: 1, // reconcile inside every dispatch
-		Sketch:         sketch.Config{Ell0: 5, Beta: 1, Seed: 5},
-		Window:         32,
-	})
-	ims := testImages(32, 6, 9)
-	tags := make([]int, len(ims))
-	for i := range tags {
-		tags[i] = i
-	}
-	e.IngestBatch(ims, tags)
-
-	for _, tr := range obs.Default().Traces() {
-		if tr.Root != "ingest_batch" {
-			continue
-		}
-		names := map[string]int{}
-		for _, sp := range tr.Spans {
-			names[sp.Name]++
-		}
-		if names["reconcile"] > 0 && names["merge_sketches"] > 0 {
-			return // reconcile and its merge live inside the batch trace
-		}
-	}
-	t.Fatal("no ingest_batch trace contains reconcile + merge_sketches spans")
 }

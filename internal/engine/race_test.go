@@ -26,12 +26,11 @@ func TestEngineConcurrentHammer(t *testing.T) {
 		d         = 16
 	)
 	e := engine.New(engine.Config{
-		Shards:         4,
-		ReconcileEvery: 8,
-		IngestBuffer:   16,
-		BatchSize:      4,
-		Sketch:         sketch.Config{Ell0: 5, Beta: 0.9, Seed: 7},
-		Window:         32,
+		Shards:       4,
+		IngestBuffer: 16,
+		BatchSize:    4,
+		Sketch:       sketch.Config{Ell0: 5, Beta: 0.9, Seed: 7},
+		Window:       32,
 	})
 
 	shardRows := func(st *engine.State) int {

@@ -1,149 +1,180 @@
 package engine_test
 
 import (
-	"math"
+	"bytes"
+	"strconv"
 	"testing"
+	"time"
 
+	"arams/internal/audit"
+	"arams/internal/ckpt"
 	"arams/internal/engine"
 	"arams/internal/imgproc"
 	"arams/internal/obs"
-	"arams/internal/rng"
 	"arams/internal/sketch"
 )
 
-// quietVecs builds an exactly rank-r stream (no noise): every frame
-// lies in the span of r fixed directions, so FD rotations shrink by
-// (numerically) nothing and the adaptive controller sees no staleness.
-func quietVecs(n, d, r int, seed uint64) [][]float64 {
-	g := rng.New(seed)
-	base := make([][]float64, r)
-	for i := range base {
-		base[i] = make([]float64, d)
-		for j := range base[i] {
-			base[i][j] = g.Norm()
-		}
+// reconcileTestEngine is the 2-shard engine the reconcile-on-read tests
+// share.
+func reconcileTestEngine(aud *audit.Auditor) *engine.Engine {
+	return engine.New(engine.Config{
+		Shards:     2,
+		Sketch:     sketch.Config{Ell0: 8, Beta: 1, Seed: 5},
+		Window:     32,
+		Audit:      aud,
+		AuditEvery: 32,
+	})
+}
+
+// TestIngestNeverReconciles: a sharded engine with no reader merges
+// nothing, however long it ingests — no rebuild is counted and no
+// ingest_batch trace carries a reconcile span.
+func TestIngestNeverReconciles(t *testing.T) {
+	const batches, batchLen, side = 24, 7, 5 // 7-frame batches mark this test's traces
+	e := reconcileTestEngine(nil)
+	ims := testImages(batches*batchLen, side, 13)
+	for b := 0; b < batches; b++ {
+		e.IngestBatch(ims[b*batchLen:(b+1)*batchLen], nil)
 	}
-	vecs := make([][]float64, n)
-	for i := range vecs {
-		v := make([]float64, d)
-		for k, b := range base {
-			w := g.Norm() * float64(r-k)
-			for j := range v {
-				v[j] += w * b[j]
+	if got := e.Reconciles(); got != 0 {
+		t.Fatalf("%d reconciles after %d batches with no reader, want 0", got, batches)
+	}
+	seen := 0
+	for _, tr := range obs.Default().Traces() {
+		if tr.Root != "ingest_batch" {
+			continue
+		}
+		mine := false
+		for _, sp := range tr.Spans {
+			if sp.Parent == 0 && sp.Attrs["shards"] == "2" && sp.Attrs["frames"] == strconv.Itoa(batchLen) {
+				mine = true
 			}
 		}
-		vecs[i] = v
+		if !mine {
+			continue
+		}
+		seen++
+		for _, sp := range tr.Spans {
+			if sp.Name == "reconcile" || sp.Name == "merge_sketches" {
+				t.Fatalf("ingest_batch trace %s carries a %s span", tr.Trace, sp.Name)
+			}
+		}
 	}
-	return vecs
+	if seen == 0 {
+		t.Fatal("no ingest_batch trace of this test retained")
+	}
 }
 
-// runCadence streams vecs through a fresh 4-shard engine whose
-// reconcile controller is tuned by (every, maxLag; 0 = default) and
-// returns the engine plus its during-ingest reconcile count (read
-// before Certificate forces one final merge).
-func runCadence(vecs [][]float64, every, maxLag int) (*engine.Engine, int) {
-	e := engine.New(engine.Config{
-		Shards:          4,
-		ReconcileEvery:  every,
-		ReconcileMaxLag: maxLag,
-		Sketch:          sketch.Config{Ell0: 8, Beta: 1, Seed: 5},
-		Window:          32,
-	})
-	for lo := 0; lo < len(vecs); lo += cadenceBatch {
-		hi := min(lo+cadenceBatch, len(vecs))
-		e.IngestVecs(cloneVecs(vecs[lo:hi]), nil)
+// TestReconcileOnReadCachesUntilIngest: the first reader after an ingest
+// pays for one merge, every reader after it — whichever accessor — is
+// served from the cache until the next frame arrives, and that frame
+// itself merges nothing. The audit tick of a sharded engine is a reader:
+// it cuts its certificate from a merge that covers both shards.
+func TestReconcileOnReadCachesUntilIngest(t *testing.T) {
+	vecs := testVecs(96, 24, 71)
+	e := reconcileTestEngine(nil)
+	e.IngestVecs(cloneVecs(vecs[:48]), nil)
+
+	if basis, _ := e.Basis(4); basis == nil {
+		t.Fatal("no basis after ingest")
 	}
-	return e, e.Reconciles()
-}
-
-const cadenceBatch = 16
-
-// sameGlobalSketch asserts the two engines' merged global sketches are
-// bit-identical: same matrix, same row count, same shrinkage ledger.
-func sameGlobalSketch(t *testing.T, eA, eB *engine.Engine) {
-	t.Helper()
-	gA, gB := eA.GlobalSketch(), eB.GlobalSketch()
-	if gA == nil || gB == nil {
+	if got := e.Reconciles(); got != 1 {
+		t.Fatalf("first Basis after ingest: %d reconciles, want 1", got)
+	}
+	e.Basis(4)
+	if e.GlobalSketch() == nil {
 		t.Fatal("nil global sketch")
 	}
-	if gA.Seen() != gB.Seen() {
-		t.Fatalf("row counts differ: %d vs %d", gA.Seen(), gB.Seen())
+	if c := e.Certificate(); c.Rows != 48 {
+		t.Fatalf("certificate covers %d rows, want 48", c.Rows)
 	}
-	if gA.Delta() != gB.Delta() {
-		t.Fatalf("shrinkage ledgers differ: Σδ=%v vs Σδ=%v", gA.Delta(), gB.Delta())
+	e.WindowState(4)
+	if got := e.Reconciles(); got != 1 {
+		t.Fatalf("readers with no ingest in between: %d reconciles, want 1 (cache hit)", got)
 	}
-	bA, bB := gA.Sketch(), gB.Sketch()
-	if bA.RowsN != bB.RowsN || bA.ColsN != bB.ColsN {
-		t.Fatalf("sketch shapes differ: %dx%d vs %dx%d",
-			bA.RowsN, bA.ColsN, bB.RowsN, bB.ColsN)
+
+	e.IngestVecs(cloneVecs(vecs[48:]), nil)
+	if got := e.Reconciles(); got != 1 {
+		t.Fatalf("ingest reconciled: %d reconciles, want 1", got)
 	}
-	for i := 0; i < bA.RowsN; i++ {
-		ra, rb := bA.Row(i), bB.Row(i)
-		for j := range ra {
-			if ra[j] != rb[j] {
-				t.Fatalf("sketch row %d col %d differs: %v vs %v", i, j, ra[j], rb[j])
-			}
-		}
+	if c := e.Certificate(); c.Rows != 96 {
+		t.Fatalf("certificate after second ingest covers %d rows, want 96", c.Rows)
+	}
+	if got := e.Reconciles(); got != 2 {
+		t.Fatalf("first reader after second ingest: %d reconciles, want 2", got)
+	}
+
+	aud := audit.New(audit.Config{Journal: audit.NewJournal(16), Registry: obs.NewRegistry()})
+	ea := reconcileTestEngine(aud)
+	ea.IngestVecs(cloneVecs(vecs[:16]), nil)
+	if got := ea.Reconciles(); got != 0 {
+		t.Fatalf("audited engine below its audit interval: %d reconciles, want 0", got)
+	}
+	ea.IngestVecs(cloneVecs(vecs[16:32]), nil) // crosses AuditEvery = 32
+	if got, batches := ea.Reconciles(), aud.State().Batches; got != 1 || batches != 1 {
+		t.Fatalf("audit tick: %d reconciles over %d audited batches, want 1 and 1", got, batches)
 	}
 }
 
 // TestReconcileCadenceInvariant is the cadence-equivalence property
-// test: reconciles only snapshot shard state — they never mutate it —
-// so running the same stream under differently tuned controllers (a
-// fine and a coarse hysteresis scale, a tight lag cap) must end with
-// bit-identical global sketches and certificates, no matter how
-// differently the cadences scheduled their merges along the way.
+// test: a reconcile only snapshots shard state — it never mutates it —
+// so the same stream read never, after every batch, or once at the end
+// must finish with a byte-identical global sketch and the same
+// certificate.
 func TestReconcileCadenceInvariant(t *testing.T) {
-	const n, d = 256, 24
+	const n, d, batch = 256, 24, 16
 	vecs := testVecs(n, d, 71)
 
-	eRef, recRef := runCadence(vecs, 16, 0)
-	cRef := eRef.Certificate()
-	differed := false
-	for _, tc := range []struct{ every, maxLag int }{{128, 0}, {16, 24}} {
-		e, rec := runCadence(vecs, tc.every, tc.maxLag)
-		differed = differed || rec != recRef
-		sameGlobalSketch(t, eRef, e)
-		c := e.Certificate()
-		if cRef.Rows != c.Rows {
-			t.Fatalf("every=%d maxLag=%d: certificate rows differ: %d vs %d", tc.every, tc.maxLag, cRef.Rows, c.Rows)
+	run := func(read func(e *engine.Engine, batch int)) ([]byte, audit.Certificate, int) {
+		e := engine.New(engine.Config{
+			Shards: 4,
+			Sketch: sketch.Config{Ell0: 8, Beta: 1, Seed: 5},
+			Window: 32,
+		})
+		for lo := 0; lo < n; lo += batch {
+			e.IngestVecs(cloneVecs(vecs[lo:lo+batch]), nil)
+			read(e, lo/batch)
 		}
-		if cRef.CovBound() != c.CovBound() {
-			t.Fatalf("every=%d maxLag=%d: certified bounds differ: %v vs %v", tc.every, tc.maxLag, cRef.CovBound(), c.CovBound())
+		during := e.Reconciles()
+		g := e.GlobalSketch()
+		if g == nil {
+			t.Fatal("nil global sketch")
 		}
-		if math.Abs(cRef.FrobMass-c.FrobMass) != 0 {
-			t.Fatalf("every=%d maxLag=%d: certificate mass differs: %v vs %v", tc.every, tc.maxLag, cRef.FrobMass, c.FrobMass)
+		frame, err := ckpt.Marshal(g.State())
+		if err != nil {
+			t.Fatal(err)
 		}
+		cert := e.Certificate()
+		cert.Time = time.Time{} // when it was cut, not what it certifies
+		return frame, cert, during
 	}
-	if !differed {
-		t.Fatalf("every configuration reconciled %d times; cadence not exercised", recRef)
-	}
-}
 
-// TestAdaptiveReducesQuietReconciles pins the point of the
-// staleness-driven cadence: on a stream adding no shrinkage the
-// controller has no staleness signal, so it merges only at the hard lag
-// cap (ReconcileMaxLag, default 8×ReconcileEvery) — once every maxLag
-// frames, not once every ReconcileEvery — and because reconciles never
-// mutate shards, a wider cap costs nothing in certified error.
-func TestAdaptiveReducesQuietReconciles(t *testing.T) {
-	const n, d, every = 192, 24, 8
-	vecs := quietVecs(n, d, 3, 41)
-
-	// Batches divide both caps, so the lag reaches each cap exactly.
-	eWide, recWide := runCadence(vecs, every, 0) // cap 8×every = 64
-	eTight, recTight := runCadence(vecs, every, 2*cadenceBatch)
-
-	if want := n / (8 * every); recWide != want {
-		t.Fatalf("quiet stream reconciled %d times at the default lag cap, want %d (only at the cap)", recWide, want)
+	refFrame, refCert, refReads := run(func(*engine.Engine, int) {})
+	if refReads != 0 {
+		t.Fatalf("unread stream reconciled %d times", refReads)
 	}
-	if want := n / (2 * cadenceBatch); recTight != want {
-		t.Fatalf("quiet stream reconciled %d times at lag cap %d, want %d", recTight, 2*cadenceBatch, want)
-	}
-	sameGlobalSketch(t, eWide, eTight)
-	cW, cT := eWide.Certificate(), eTight.Certificate()
-	if cW.CovBound() > cT.CovBound() {
-		t.Fatalf("wider lag cap widened the certified bound: %v vs %v", cW.CovBound(), cT.CovBound())
+	for _, tc := range []struct {
+		name  string
+		read  func(e *engine.Engine, batch int)
+		reads int
+	}{
+		{"every batch", func(e *engine.Engine, _ int) { e.Basis(4); e.Certificate() }, n / batch},
+		{"once at the end", func(e *engine.Engine, b int) {
+			if b == n/batch-1 {
+				e.GlobalSketch()
+			}
+		}, 1},
+	} {
+		frame, cert, reads := run(tc.read)
+		if reads != tc.reads {
+			t.Fatalf("%s: %d reconciles, want %d", tc.name, reads, tc.reads)
+		}
+		if !bytes.Equal(frame, refFrame) {
+			t.Fatalf("%s: global sketch differs from the unread stream's", tc.name)
+		}
+		if cert != refCert {
+			t.Fatalf("%s: certificate %+v, want %+v", tc.name, cert, refCert)
+		}
 	}
 }
 

@@ -16,10 +16,9 @@ import (
 // the certificate bound can be checked against the exact covariance.
 func chaosConfig(shards int) engine.Config {
 	return engine.Config{
-		Shards:         shards,
-		Sketch:         sketch.Config{Ell0: 8, Beta: 1, Seed: 7},
-		Window:         32,
-		ReconcileEvery: 48,
+		Shards: shards,
+		Sketch: sketch.Config{Ell0: 8, Beta: 1, Seed: 7},
+		Window: 32,
 	}
 }
 

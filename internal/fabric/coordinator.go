@@ -12,7 +12,7 @@ var obsFabricWorkers = obs.Default().Gauge("arams_fabric_workers")
 
 // CoordinatorConfig assembles a distributed engine: one worker address
 // per shard slot, the engine configuration the coordinator runs
-// locally (routing, window, reconcile cadence, audit), and the
+// locally (routing, window, reconcile on read, audit), and the
 // per-connection remote policy.
 type CoordinatorConfig struct {
 	// Workers lists worker addresses; worker i serves shard i. The

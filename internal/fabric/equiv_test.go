@@ -116,11 +116,10 @@ func TestLoopbackEquivalence(t *testing.T) {
 			}
 
 			ecfg := engine.Config{
-				Shards:         shards,
-				Sketch:         scfg,
-				Window:         32,
-				Route:          tc.route,
-				ReconcileEvery: 64,
+				Shards: shards,
+				Sketch: scfg,
+				Window: 32,
+				Route:  tc.route,
 			}
 			local := engine.New(ecfg)
 			defer local.Close()

@@ -57,9 +57,8 @@ func TestGoldenLoopbackGlobalSketchDigest(t *testing.T) {
 			coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
 				Workers: addrs,
 				Engine: engine.Config{
-					ReconcileEvery: 32,
-					Sketch:         sketch.Config{Ell0: tc.ell, Beta: 1, Seed: 5},
-					Window:         32,
+					Sketch: sketch.Config{Ell0: tc.ell, Beta: 1, Seed: 5},
+					Window: 32,
 				},
 				Remote: quietRemote(),
 			})

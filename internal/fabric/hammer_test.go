@@ -40,10 +40,9 @@ func TestFabricRaceHammer(t *testing.T) {
 	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
 		Workers: addrs,
 		Engine: engine.Config{
-			Shards:         shards,
-			Sketch:         sketch.Config{Ell0: 8, Beta: 1, Seed: 29},
-			Window:         64,
-			ReconcileEvery: 16,
+			Shards: shards,
+			Sketch: sketch.Config{Ell0: 8, Beta: 1, Seed: 29},
+			Window: 64,
 		},
 		Remote: fabric.RemoteConfig{
 			DialTimeout:       time.Second,

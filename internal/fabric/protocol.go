@@ -1,7 +1,7 @@
 // Package fabric is the distributed form of the streaming engine: shard
 // backends that live behind TCP connections. A coordinator process runs
 // the ordinary internal/engine ingest path — routing, window ring,
-// audit cadence, reconcile controller — but each shard slot is a Remote
+// audit cadence, reconcile on read — but each shard slot is a Remote
 // backend that ships rows to a fabric Worker and fetches sketch state
 // back for reconciles, so N machines sketch one stream while the
 // coordinator still serves the single-process Monitor API.

@@ -47,6 +47,12 @@ type RemoteConfig struct {
 	NoLocalFallback bool
 }
 
+// replayLogCap is how many rows the replay log may hold before Absorb
+// trims it with a state fetch of its own: what recovery has to re-send,
+// and what the coordinator keeps in memory per shard, stays under this
+// many rows plus one dispatch whether or not anything reads the shard.
+const replayLogCap = 1024
+
 func (c RemoteConfig) withDefaults() RemoteConfig {
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
@@ -83,8 +89,9 @@ func (c RemoteConfig) withDefaults() RemoteConfig {
 //     the merge layer drops the leg.
 //
 // The replay log holds a copy of every row absorbed since the last
-// state fetch; each successful Snapshot/State fetch trims it, so its
-// size is bounded by the engine's reconcile cadence.
+// state fetch; each successful Snapshot/State fetch trims it. A reader
+// may never come, so the Remote bounds the log itself: an Absorb that
+// leaves replayLogCap rows or more in it fetches the state on the spot.
 type Remote struct {
 	name string
 	addr string
@@ -250,11 +257,17 @@ func (r *Remote) absorbIn(parent obs.SpanContext, vecs [][]float64, idx []int) (
 		ack = r.lastReplayAck
 	}
 	r.lastEll.Store(int64(ack.Ell))
+	if len(r.log) >= replayLogCap {
+		// The rows are absorbed and acked whatever this fetch does, so its
+		// error is dropped: a failed fetch leaves the log as it was (or
+		// recovered through the ladder) and the next Absorb tries again.
+		_, _ = r.stateLocked(parent)
+	}
 	return ack.Stats, nil
 }
 
 // Snapshot fetches the worker's state and returns its sketch, trimming
-// the replay log — a reconcile fetch is an incremental checkpoint.
+// the replay log — a state fetch is an incremental checkpoint.
 func (r *Remote) Snapshot() (*sketch.FrequentDirections, error) {
 	return r.SnapshotIn(obs.SpanContext{})
 }

@@ -54,7 +54,6 @@ func TestStopDuringHungReconcile(t *testing.T) {
 			Shards:         2,
 			Sketch:         sketch.Config{Ell0: 8, Beta: 1, Seed: 13},
 			Window:         32,
-			ReconcileEvery: 1 << 30, // only explicit reconciles
 			ReconcileRetry: parallel.Retry{MaxAttempts: 1, LegTimeout: legTimeout},
 		},
 		Remote: fabric.RemoteConfig{

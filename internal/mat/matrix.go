@@ -92,6 +92,14 @@ func (m *Matrix) Rows(i, j int) *Matrix {
 
 // Clone returns a deep copy of m with compact stride.
 func (m *Matrix) Clone() *Matrix {
+	if m.Stride == m.ColsN {
+		// make(len(src)) followed by copy from src compiles to one
+		// allocation that is not zeroed before it is overwritten.
+		src := m.Data[:m.RowsN*m.ColsN]
+		data := make([]float64, len(src))
+		copy(data, src)
+		return FromData(m.RowsN, m.ColsN, data)
+	}
 	out := New(m.RowsN, m.ColsN)
 	for i := 0; i < m.RowsN; i++ {
 		copy(out.Row(i), m.Row(i))

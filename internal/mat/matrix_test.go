@@ -64,6 +64,43 @@ func TestRowsView(t *testing.T) {
 	}
 }
 
+// TestClone covers both copy paths: the single block copy of a compact
+// matrix (a Rows view included, whose Data may run past its last row)
+// and the row loop of a view whose stride is wider than its rows. Either
+// way the clone is compact, equal, and shares no storage.
+func TestClone(t *testing.T) {
+	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
+	strided := &Matrix{RowsN: 3, ColsN: 2, Stride: 3, Data: m.Data[1:]} // columns 1..2
+	for _, tc := range []struct {
+		name string
+		src  *Matrix
+		want [][]float64
+	}{
+		{"compact", m, [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}},
+		{"rows view", m.Rows(1, 3), [][]float64{{4, 5, 6}, {7, 8, 9}}},
+		{"strided view", strided, [][]float64{{2, 3}, {5, 6}, {8, 9}}},
+		{"empty", New(0, 4), nil},
+	} {
+		c := tc.src.Clone()
+		if c.RowsN != tc.src.RowsN || c.ColsN != tc.src.ColsN || c.Stride != c.ColsN || len(c.Data) != c.RowsN*c.ColsN {
+			t.Fatalf("%s: clone is %dx%d stride %d over %d values", tc.name, c.RowsN, c.ColsN, c.Stride, len(c.Data))
+		}
+		for i, row := range tc.want {
+			for j, v := range row {
+				if c.At(i, j) != v {
+					t.Fatalf("%s: clone[%d][%d] = %v, want %v", tc.name, i, j, c.At(i, j), v)
+				}
+			}
+		}
+		if c.RowsN > 0 {
+			c.Set(0, 0, -1)
+			if tc.src.At(0, 0) == -1 {
+				t.Fatalf("%s: clone shares storage with its source", tc.name)
+			}
+		}
+	}
+}
+
 func TestTranspose(t *testing.T) {
 	g := rng.New(1)
 	m := RandGaussian(37, 89, g)

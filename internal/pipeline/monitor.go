@@ -67,7 +67,6 @@ func engineConfig(cfg Config, window int) engine.Config {
 	return engine.Config{
 		Shards:         cfg.Shards,
 		IngestBuffer:   cfg.IngestBuffer,
-		ReconcileEvery: cfg.ReconcileEvery,
 		Window:         window,
 		Tenant:         cfg.Tenant,
 		Pre:            cfg.Pre,
@@ -132,7 +131,7 @@ func (m *Monitor) QuickSnapshot() *Snapshot {
 	model := m.cachedModel
 	cachedEll := m.cachedEll
 	m.mu.Unlock()
-	x, tags, basis, ell := m.eng.WindowState(m.cfg.LatentDim)
+	x, tags, basis, ell := m.eng.WindowState(m.cfg.LatentDim, sp.Context())
 	if x == nil {
 		return nil
 	}
@@ -161,7 +160,7 @@ func (m *Monitor) Snapshot() *Snapshot {
 	obsSnapFull.Inc()
 	sp := obs.StartTrace("snapshot")
 	defer sp.End()
-	x, tags, basis, ell := m.eng.WindowState(m.cfg.LatentDim)
+	x, tags, basis, ell := m.eng.WindowState(m.cfg.LatentDim, sp.Context())
 	if x == nil {
 		return nil
 	}

@@ -81,12 +81,6 @@ type Config struct {
 	// IngestBuffer bounds the engine's async Enqueue queue (default
 	// 256). Producers block when it is full — backpressure, not drops.
 	IngestBuffer int
-	// ReconcileEvery is the frame scale of proactive shard reconciles
-	// (default 128): merges happen when the shards' marginal Σδ growth
-	// says the cached global sketch is stale, never below a lag of
-	// ReconcileEvery/4 and always by 8×ReconcileEvery. Snapshot paths
-	// reconcile on demand regardless.
-	ReconcileEvery int
 	// Tenant, when non-empty, scopes the Monitor's engine metrics with
 	// a tenant="<id>" label (set by the multi-tenant registry). Empty
 	// keeps the process-wide unlabeled series.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"arams/internal/lcls"
+	"arams/internal/obs"
 	"arams/internal/sketch"
 	"arams/internal/umap"
 )
@@ -92,5 +93,56 @@ func TestQuickSnapshotInvalidatedByRankGrowth(t *testing.T) {
 	// After the fallback refit, the cache must reflect the new rank.
 	if m.cachedEll != m.Ell() {
 		t.Fatalf("cache not refreshed: cachedEll %d vs Ell %d", m.cachedEll, m.Ell())
+	}
+}
+
+// TestSnapshotReconcileJoinsSnapshotTrace: reading is what merges the
+// shards, so the merge belongs to the reader's trace — a sharded
+// monitor's snapshot and quicksnapshot traces each carry the reconcile
+// their WindowState forced, with its merge_sketches legs beneath it.
+func TestSnapshotReconcileJoinsSnapshotTrace(t *testing.T) {
+	cfg := Config{
+		Shards: 3, // no other test runs three shards: marks this test's reconcile spans
+		Sketch: sketch.Config{Ell0: 6, Seed: 61},
+		UMAP:   umap.Config{NNeighbors: 6, NEpochs: 30, Seed: 62},
+	}
+	m := NewMonitor(cfg, 32)
+	bg := lcls.NewBeamGenerator(lcls.BeamConfig{Size: 16, Seed: 63})
+	for i := 0; i < 48; i++ {
+		m.Ingest(bg.Next().Image, i)
+	}
+	if m.Snapshot() == nil {
+		t.Fatal("no snapshot")
+	}
+	m.Ingest(bg.Next().Image, 48)
+	if m.QuickSnapshot() == nil {
+		t.Fatal("no quick snapshot")
+	}
+	if got := m.Engine().Reconciles(); got != 2 {
+		t.Fatalf("%d reconciles over two snapshots, want 2", got)
+	}
+
+	found := map[string]bool{}
+	for _, tr := range obs.Default().Traces() {
+		byID := make(map[obs.ID]obs.SpanRecord, len(tr.Spans))
+		for _, sp := range tr.Spans {
+			byID[sp.Span] = sp
+		}
+		for _, sp := range tr.Spans {
+			if sp.Name != "merge_sketches" {
+				continue
+			}
+			// merge_sketches → merge_remote → reconcile → the snapshot root.
+			remote := byID[sp.Parent]
+			rec := byID[remote.Parent]
+			if rec.Name == "reconcile" && rec.Attrs["shards"] == "3" && byID[rec.Parent].Parent == 0 {
+				found[byID[rec.Parent].Name] = true
+			}
+		}
+	}
+	for _, root := range []string{"snapshot", "quicksnapshot"} {
+		if !found[root] {
+			t.Errorf("no %s trace carries its reconcile and merge_sketches spans (roots with them: %v)", root, found)
+		}
 	}
 }

@@ -64,7 +64,6 @@ type FrequentDirections struct {
 	rotations  int     // number of shrink steps performed (for accounting)
 	seen       int     // number of data rows appended
 	totalDelta float64 // cumulative shrinkage Σδ across rotations
-	deltaMark  float64 // Σδ at the last MarkDelta (not persisted)
 	frobMass   float64 // cumulative ‖A‖_F² of the summarized stream
 
 	// Last rotation's spectrum and right singular vectors, reused by
@@ -220,20 +219,6 @@ func (fd *FrequentDirections) Sketch() *mat.Matrix {
 // Ghashami et al. makes the certificate compose additively under Merge.
 func (fd *FrequentDirections) Delta() float64 { return fd.totalDelta }
 
-// MarkDelta records the current cumulative shrinkage Σδ as the
-// reference point for DeltaSinceMark. The engine's adaptive reconcile
-// controller calls it when the global sketch is rebuilt, so the
-// marginal shrinkage accumulated since then measures how stale the
-// cached global certificate has become. The mark is bookkeeping, not
-// sketch state: it is not persisted by State/NewFromState and resets to
-// zero on restore.
-func (fd *FrequentDirections) MarkDelta() { fd.deltaMark = fd.totalDelta }
-
-// DeltaSinceMark returns the shrinkage Σδ accumulated since the last
-// MarkDelta call (or since construction). It never decreases between
-// marks because totalDelta is monotone.
-func (fd *FrequentDirections) DeltaSinceMark() float64 { return fd.totalDelta - fd.deltaMark }
-
 // FrobMass returns the accumulated squared Frobenius norm ‖A‖_F² of the
 // stream the sketch summarizes (merge-aware: merging adds the other
 // stream's mass, not the mass of its compressed sketch rows). It scales
@@ -330,19 +315,23 @@ func (fd *FrequentDirections) Basis(k int) *mat.Matrix {
 // buffer and rotating — exactly the mergeable-summary construction of
 // Ghashami et al. The two sketches must have the same feature dimension.
 // If other retains more directions, fd grows to match before merging so
-// no mass is dropped.
+// no mass is dropped. other is compacted and its rows are read in place,
+// so a sketch merged into itself is cloned first.
 func (fd *FrequentDirections) Merge(other *FrequentDirections) {
 	if fd.d != other.d {
 		panic("sketch: Merge dimension mismatch")
 	}
+	if other == fd {
+		other = fd.Clone()
+	}
 	if other.ell > fd.ell {
 		fd.Grow(other.ell - fd.ell)
 	}
-	b := other.Sketch()
+	other.Compact()
 	appended := 0
 	var appendedMass float64
-	for i := 0; i < b.RowsN; i++ {
-		row := b.Row(i)
+	for i := 0; i < min(other.ell, other.nextZero); i++ {
+		row := other.buffer.Row(i)
 		n2 := mat.Norm2Sq(row)
 		if n2 == 0 {
 			continue // zero rows between rotations would dilute accuracy

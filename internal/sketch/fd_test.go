@@ -189,6 +189,44 @@ func TestMergeDifferentEll(t *testing.T) {
 	}
 }
 
+// TestMergeInPlaceMatchesSketchCopy pins Merge's in-place read of the
+// other sketch's compacted rows to the fold through a Sketch() copy it
+// replaced — same rows, same order, same zero-row skip, so the same
+// bits — on an other that needs compacting and one that holds fewer than
+// ℓ rows; and a sketch merged into itself equals it merged with a clone.
+func TestMergeInPlaceMatchesSketchCopy(t *testing.T) {
+	const d, ell = 20, 6
+	for _, otherRows := range []int{3, 40, 45} {
+		mk := func(rows int, seed uint64) *FrequentDirections {
+			fd := NewFrequentDirections(ell, d, Options{})
+			fd.AppendMatrix(gaussData(rows, d, seed))
+			return fd
+		}
+		got, ref := mk(50, 21), mk(50, 21)
+		got.Merge(mk(otherRows, 22))
+		other := mk(otherRows, 22)
+		b := other.Sketch()
+		for i := 0; i < b.RowsN; i++ {
+			if mat.Norm2Sq(b.Row(i)) != 0 {
+				ref.Append(b.Row(i))
+			}
+		}
+		if !got.Sketch().Equal(ref.Sketch(), 0) {
+			t.Fatalf("other with %d rows: in-place merge differs from the fold through Sketch()", otherRows)
+		}
+		if want := 50 + otherRows; got.Seen() != want {
+			t.Fatalf("other with %d rows: merged Seen = %d, want %d", otherRows, got.Seen(), want)
+		}
+
+		self, twin := mk(otherRows, 23), mk(otherRows, 23)
+		self.Merge(self)
+		twin.Merge(twin.Clone())
+		if !self.Sketch().Equal(twin.Sketch(), 0) || self.Seen() != twin.Seen() || self.Delta() != twin.Delta() {
+			t.Fatalf("%d rows: self-merge differs from merging a clone", otherRows)
+		}
+	}
+}
+
 func TestMergeDimMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

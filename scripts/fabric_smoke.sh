@@ -144,7 +144,7 @@ kill "$W0_PID" 2>/dev/null || true
 
 echo "== fabric suites under -race =="
 go test -race -count=1 -v \
-  -run 'TestChaos|TestWorkerKillRestart|TestLoopback|TestStopDuringHungReconcile|TestFabricRaceHammer|TestCrossProcessTraceStitch|TestFleetFlightFanout|TestWorkerTraced|TestWorkerHeartbeatHealthBlock|TestWorkerStatsReq|TestWorkerFlightReq' \
+  -run 'TestChaos|TestWorkerKillRestart|TestLoopback|TestStopDuringHungReconcile|TestFabricRaceHammer|TestReplayLog|TestCrossProcessTraceStitch|TestFleetFlightFanout|TestWorkerTraced|TestWorkerHeartbeatHealthBlock|TestWorkerStatsReq|TestWorkerFlightReq' \
   ./internal/fabric/
 
 echo "== remote merge + wire codec + fleet merge units =="
