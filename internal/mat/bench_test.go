@@ -178,7 +178,7 @@ func BenchmarkSVDGramParts(b *testing.B) {
 		m := a.RowsN
 		gram := Gram(a)
 		w, ut := New(m, m), New(m, m)
-		vals := make([]float64, m)
+		vals, work := make([]float64, m), make([]float64, m)
 		coef := RandGaussian(ell, m, rng.New(11))
 		vt := New(ell, d)
 		b.Run(fmt.Sprintf("gram_%dx%d", m, d), func(b *testing.B) {
@@ -192,7 +192,7 @@ func BenchmarkSVDGramParts(b *testing.B) {
 			forEachKernelSet(b, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					w.CopyFrom(gram)
-					eigSymInto(w, ut, vals)
+					eigSymInto(w, ut, vals, work)
 				}
 			})
 		})
@@ -202,6 +202,24 @@ func BenchmarkSVDGramParts(b *testing.B) {
 					MulTo(vt, coef, a)
 				}
 			})
+		})
+	}
+}
+
+// BenchmarkEigSymOrders times the eigensolver alone on Gram matrices of
+// the orders a growing sketch reaches (2ℓ = 24 … 400). The solver runs
+// on the calling goroutine at every order; running this under
+// GOMAXPROCS=1 and GOMAXPROCS=2 shows the pool's width is not a factor.
+func BenchmarkEigSymOrders(b *testing.B) {
+	for _, n := range []int{24, 50, 100, 200, 400} {
+		gram := Gram(RandGaussian(n, n+n/4, rng.New(12)))
+		w, vt := New(n, n), New(n, n)
+		vals, work := make([]float64, n), make([]float64, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				w.CopyFrom(gram)
+				eigSymInto(w, vt, vals, work)
+			}
 		})
 	}
 }

@@ -19,7 +19,7 @@ package mat
 //
 // All kernels in this file are serial; parallelism is layered on top
 // by ParallelFor over disjoint output row ranges (see blas.go). The
-// innermost element loops (dot2x2, dot1x2, axpy, axpy2, and the Jacobi
+// innermost element loops (dot2x2, dot1x2, axpy, axpy2, and the QL
 // eigensolver's planeRot) live in inner.go, which scripts/check_bce.sh
 // keeps bounds-check-free.
 //

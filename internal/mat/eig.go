@@ -5,29 +5,53 @@ import (
 	"time"
 )
 
-// eigMaxSweeps bounds the cyclic-Jacobi iteration; convergence is
-// quadratic once rotations get small, so real inputs finish in a
-// handful of sweeps.
-const eigMaxSweeps = 64
+// The symmetric eigensolver under the Gram-trick SVD, and so under
+// every Frequent Directions rotation, merge fold and Basis read:
+// Householder reduction to tridiagonal form, then QL iterations with
+// implicit shifts (EISPACK's tred2 and tql2, Numerical Recipes' tqli;
+// the tridiagonal route is also what the paper's LAPACK-backed NumPy
+// takes under its SVD).
+//
+// Until issue 25 this was cyclic Jacobi, chosen because it resolves
+// small eigenvalues to high relative accuracy. Nothing downstream can
+// use that accuracy. The Frequent Directions guarantee is absolute —
+// ‖AᵀA − BᵀB‖₂ ≤ Σδ ≤ ‖A‖_F²/ℓ (Liberty; Ghashami et al.) — so an
+// eigenvalue error of n·ε·λ₁ ≈ 1e-14·‖A‖² sits eleven orders under the
+// δ each rotation subtracts; svdGramCore already zeroes every direction
+// under 1e-14·σ₁ and sketch.Basis cuts at 1e-6·σ₁, because the Gram
+// trick has squared the condition number before any eigensolver sees
+// the matrix. What Jacobi cost was measured: six to eight sweeps of
+// n²/2 rotations, each four row rotations and a strided copy of two
+// rows into two columns, were 43 % of a 50×4096 rotation (0.80 ms of
+// gram 0.50 + eigsym 0.80 + backmul 0.57) and a third of the CPU of the
+// beam_serial benchmark's set-up, and the round-robin ordering a pool
+// wider than one selected from n = 96 up was slower than the serial
+// sweeps it forked from (38 against 7.7 ms at n = 100, two workers).
+// One reduction (4n³/3 flops), one accumulation of Qᵀ (4n³/3) and about
+// 1.8 QL iterations per eigenvalue (0.6–1.0·n² row rotations) take
+// 0.11 ms on that rotation's Gram matrix and 0.75 ms at n = 100, on one
+// goroutine at any order: the solver's bits no longer depend on the
+// pool's width.
+// EXPERIMENTS.md, "Tridiagonal QL (issue 25)", has the tables.
+//
+// RefEigSym (reference.go) is the Jacobi solver, kept as the accuracy
+// oracle: the tests hold every eigenvalue, residual and the
+// orthogonality of V to a stated multiple of n·ε·λ₁ against it, and
+// whole streams to the one-sided Jacobi SVD backend.
 
-// eigParallelMinN is the matrix order below which the parallel
-// round-robin sweep is never worth its coordination overhead; the
-// 2ℓ×2ℓ Gram matrices of typical FD rotations stay serial.
-const eigParallelMinN = 96
+// eigMaxIter bounds the QL iterations spent on one eigenvalue
+// (EISPACK's limit; real input needs under two on average). A matrix
+// that exhausts it — in practice one holding a NaN or an Inf, on which
+// no convergence test ever passes — is returned as it stands.
+const eigMaxIter = 30
 
 // EigSym computes the full eigendecomposition of a symmetric n×n matrix
-// a using the cyclic Jacobi method: a = v * diag(vals) * vᵀ with the
-// eigenvalues sorted in descending order and v's columns the matching
-// orthonormal eigenvectors. The input is not modified; it must be
-// exactly symmetric (a[i][j] and a[j][i] the same bits, as GramTo
-// produces), because the sweeps read whichever triangle is contiguous.
-//
-// Jacobi iteration is chosen over tridiagonalization+QL because the
-// matrices this package decomposes are small (Gram matrices of sketch
-// buffers, at most a few hundred rows) and Jacobi delivers high relative
-// accuracy for the small eigenvalues that the Frequent Directions shrink
-// step subtracts. Large decompositions run the round-robin ordering,
-// whose disjoint rotation pairs spread across the shared worker pool.
+// a: a = v * diag(vals) * vᵀ with the eigenvalues sorted in descending
+// order and v's columns the matching orthonormal eigenvectors, each
+// signed so that its largest element is positive. The input is not
+// modified; only its lower triangle is read. Eigenvalues and residuals
+// are accurate to a small multiple of n·ε·max|λ|; a non-finite input
+// returns non-finite values, never a panic.
 func EigSym(a *Matrix) (vals []float64, v *Matrix) {
 	n := a.RowsN
 	if n != a.ColsN {
@@ -39,219 +63,162 @@ func EigSym(a *Matrix) (vals []float64, v *Matrix) {
 	}
 	w := a.Clone()
 	vals = make([]float64, n)
-	eigSymInto(w, vt, vals)
+	eigSymInto(w, vt, vals, make([]float64, n))
 	return vals, vt.T()
 }
 
-// eigSymInto runs the Jacobi eigendecomposition in caller-owned
-// storage: w (destroyed; must be exactly symmetric, as GramTo's output
-// is), vt (overwritten with the eigenvectors as rows, i.e. Vᵀ), and
-// vals (filled with descending eigenvalues). Accumulating Vᵀ instead of
-// V keeps every rotation, the final sort's swaps and the caller's reads
-// of one eigenvector on contiguous rows. It performs no heap
-// allocations on the serial path, which is what the pooled FD rotation
-// relies on.
-func eigSymInto(w, vt *Matrix, vals []float64) {
+// eigSymInto runs the eigendecomposition in caller-owned storage: w
+// (destroyed; symmetric, only the lower triangle is read), vt
+// (overwritten with the eigenvectors as rows, i.e. Vᵀ), vals (filled
+// with descending eigenvalues) and e (n floats of workspace).
+// Accumulating Vᵀ instead of V keeps every QL rotation, the final
+// sort's swaps and the caller's reads of one eigenvector on contiguous
+// rows. It performs no heap allocations, which is what the pooled FD
+// rotation relies on, and never touches the worker pool, so its bits do
+// not depend on the pool's width.
+func eigSymInto(w, vt *Matrix, vals, e []float64) {
 	start := time.Now()
 	n := w.RowsN
 	setIdentity(vt)
 	if n == 0 {
 		return
 	}
-	if n == 1 {
-		vals[0] = w.At(0, 0)
-		return
-	}
-	if n >= eigParallelMinN && Workers() > 1 {
-		eigSweepsParallel(w, vt)
-	} else {
-		eigSweepsSerial(w, vt)
-	}
-	for i := 0; i < n; i++ {
+	tridiagonalize(w, vals, e)
+	accumulateQt(vt, w, vals)
+	for i := range vals {
 		vals[i] = w.At(i, i)
 	}
+	copy(e, e[1:])
+	e[n-1] = 0
+	tridiagQL(vals, e, vt)
 	sortEigenpairs(vals, vt)
+	fixEigenvectorSigns(vt)
 	observeSince(obsKernelEig, start)
 }
 
-// eigConverged reports whether the off-diagonal mass of w is negligible
-// relative to its scale — the sweep loops' stopping rule.
-func eigConverged(w *Matrix) bool {
-	off := offDiagNorm(w)
-	return off == 0 || off <= 1e-30*w.MaxAbs()*float64(w.RowsN)
-}
-
-// eigSweepsSerial is the classic cyclic ordering: every (p, q) pair in
-// row-major order, repeated until the off-diagonal mass is negligible.
-func eigSweepsSerial(w, vt *Matrix) {
-	n := w.RowsN
-	for sweep := 0; sweep < eigMaxSweeps && !eigConverged(w); sweep++ {
-		for p := 0; p < n-1; p++ {
-			rp := w.Row(p)
-			for q := p + 1; q < n; q++ {
-				apq := rp[q]
-				if apq == 0 {
-					continue
-				}
-				rq := w.Row(q)
-				app := rp[p]
-				aqq := rq[q]
-				// Threshold: rotating for vanishing elements only
-				// churns; skip if negligible versus the diagonal.
-				if math.Abs(apq) <= 1e-18*(math.Abs(app)+math.Abs(aqq)) {
-					rp[q] = 0
-					rq[p] = 0
-					continue
-				}
-				c, s := jacobiAngle(app, aqq, apq)
-				rotateSym(w, vt, p, q, c, s)
+// tridiagonalize reduces the symmetric w to tridiagonal form
+// T = QᵀwQ by Householder reflections Pᵢ = I − uuᵀ/h, i = n−1 … 1,
+// each annihilating row i left of the sub-diagonal. On return T's
+// diagonal is w's and, for i ≥ 1, e[i] couples i−1 and i, row i of w
+// holds uᵢ in its first i elements and hs[i] its h (0 where no
+// reflection was needed). Only the lower triangle is read or written, a
+// row at a time.
+func tridiagonalize(w *Matrix, hs, e []float64) {
+	for i := w.RowsN - 1; i >= 1; i-- {
+		u := w.Row(i)[:i]
+		// Scaling by Σ|uₖ| keeps h clear of under- and overflow.
+		var sc float64
+		if i > 1 {
+			for _, v := range u {
+				sc += math.Abs(v)
 			}
+		}
+		if sc == 0 {
+			hs[i], e[i] = 0, u[i-1]
+			continue
+		}
+		scale(u, 1/sc, u)
+		h := dotKernel(u, u)
+		f := u[i-1]
+		g := -math.Copysign(math.Sqrt(h), f)
+		e[i] = sc * g
+		h -= f * g
+		u[i-1] = f - g
+		hs[i] = h
+		// p = Au/h over the leading i×i block, from its lower triangle:
+		// row j gives Σ_{k≤j} a_jk·u_k to p_j and a_jk·u_j to p_k, k < j.
+		p := e[:i]
+		for j := range p {
+			rj := w.Row(j)[:j+1]
+			p[j] = dotKernel(rj, u)
+			axpy(u[j], rj[:j], p)
+		}
+		scale(p, 1/h, p)
+		// q = p − (uᵀp/2h)·u, then A ← A − uqᵀ − quᵀ.
+		axpy(-dotKernel(u, p)/(h+h), u, p)
+		for j := range p {
+			rj := w.Row(j)[:j+1]
+			axpy(-u[j], p, rj)
+			axpy(-p[j], u, rj)
 		}
 	}
 }
 
-// rotateSym applies the rotation J(p,q,c,s) as w = JᵀwJ and vt = Jᵀvt.
-// w is exactly symmetric before and after, so column p is row p: the
-// rotated rows p and q are computed from contiguous memory, the 2×2
-// block is then set exactly, and the two rows are copied into columns
-// p and q (the copy also lands the block, since rp[q] = rq[p] = 0).
-func rotateSym(w, vt *Matrix, p, q int, c, s float64) {
-	rp, rq := w.Row(p), w.Row(q)
-	app, aqq, apq := rp[p], rq[q], rp[q]
-	planeRot(c, s, rp, rq)
-	rp[p] = c*c*app - 2*s*c*apq + s*s*aqq
-	rq[q] = s*s*app + 2*s*c*apq + c*c*aqq
-	rp[q] = 0
-	rq[p] = 0
-	for i, off := 0, 0; i < len(rp); i, off = i+1, off+w.Stride {
-		w.Data[off+p] = rp[i]
-		w.Data[off+q] = rq[i]
-	}
-	planeRot(c, s, vt.Row(p), vt.Row(q))
-}
-
-// Chunk sizes for the two phases of a parallel round: a pair rotates
-// four rows of n elements, a row of the column phase touches two
-// elements per pair — both far below a pool dispatch unless batched.
-const (
-	eigPairChunk = 4
-	eigRowChunk  = 16
-)
-
-// eigSweepsParallel runs the round-robin (chess tournament) ordering:
-// each of the n−1 rounds per sweep pairs every index exactly once, the
-// pairs are disjoint, and one round's rotations commute — so the row
-// phase and the column phase each fan out over the pool with a barrier
-// between them. Rotation angles for a round are computed up front from
-// the round-start matrix, which is what makes the phases exact (the
-// product of disjoint plane rotations applied as JᵀAJ). The row phase
-// splits by pair (w ← Jᵀw and vt ← Jᵀvt touch rows p and q only); the
-// column phase w ← wJ splits by row, each row applying every pair's
-// 2-element rotation to itself, so no phase walks a column.
-func eigSweepsParallel(w, vt *Matrix) {
-	n := w.RowsN
-	np := n
-	if np%2 == 1 {
-		np++ // pad with a bye
-	}
-	players := make([]int, np)
-	for i := range players {
-		players[i] = i
-	}
-	if np > n {
-		players[np-1] = -1
-	}
-	half := np / 2
-	ps := make([]int, half)
-	qs := make([]int, half)
-	cs := make([]float64, half)
-	sn := make([]float64, half)
-	active := make([]bool, half)
-
-	for sweep := 0; sweep < eigMaxSweeps && !eigConverged(w); sweep++ {
-		for round := 0; round < np-1; round++ {
-			nact := 0
-			for k := 0; k < half; k++ {
-				active[k] = false
-				p, q := players[k], players[np-1-k]
-				if p < 0 || q < 0 {
-					continue
-				}
-				if p > q {
-					p, q = q, p
-				}
-				apq := w.At(p, q)
-				if apq == 0 {
-					continue
-				}
-				app := w.At(p, p)
-				aqq := w.At(q, q)
-				if math.Abs(apq) <= 1e-18*(math.Abs(app)+math.Abs(aqq)) {
-					w.Set(p, q, 0)
-					w.Set(q, p, 0)
-					continue
-				}
-				cs[k], sn[k] = jacobiAngle(app, aqq, apq)
-				ps[k], qs[k] = p, q
-				active[k] = true
-				nact++
-			}
-			if nact > 0 {
-				ParallelFor(half, eigPairChunk, func(lo, hi int) {
-					for k := lo; k < hi; k++ {
-						if active[k] {
-							planeRot(cs[k], sn[k], w.Row(ps[k]), w.Row(qs[k]))
-							planeRot(cs[k], sn[k], vt.Row(ps[k]), vt.Row(qs[k]))
-						}
-					}
-				})
-				ParallelFor(n, eigRowChunk, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						row := w.Row(i)
-						for k := 0; k < half; k++ {
-							if active[k] {
-								p, q, c, s := ps[k], qs[k], cs[k], sn[k]
-								wp, wq := row[p], row[q]
-								row[p] = c*wp - s*wq
-								row[q] = s*wp + c*wq
-							}
-						}
-					}
-				})
-				for k := 0; k < half; k++ {
-					if active[k] {
-						w.Set(ps[k], qs[k], 0)
-						w.Set(qs[k], ps[k], 0)
-					}
-				}
-			}
-			rotatePlayers(players)
+// accumulateQt overwrites the identity in vt with Qᵀ = P₁P₂⋯Pₙ₋₁ for
+// the reflections tridiagonalize left in w and hs. Right-multiplying by
+// Pᵢ recombines the first i columns of the first i rows — everything
+// else of vt is still the identity there — so each step is one dot and
+// one axpy per row.
+func accumulateQt(vt, w *Matrix, hs []float64) {
+	for i := 1; i < w.RowsN; i++ {
+		h := hs[i]
+		if h == 0 {
+			continue
+		}
+		u := w.Row(i)[:i]
+		for k := 0; k < i; k++ {
+			rk := vt.Row(k)[:i]
+			axpy(-dotKernel(rk, u)/h, u, rk)
 		}
 	}
 }
 
-// jacobiAngle returns the stable (c, s) of the rotation annihilating
-// apq (Golub & Van Loan).
-func jacobiAngle(app, aqq, apq float64) (c, s float64) {
-	theta := (aqq - app) / (2 * apq)
-	var t float64
-	if theta >= 0 {
-		t = 1 / (theta + math.Sqrt(1+theta*theta))
-	} else {
-		t = -1 / (-theta + math.Sqrt(1+theta*theta))
+// tridiagQL diagonalises the symmetric tridiagonal matrix with diagonal
+// d and sub-diagonal e (e[i] couples i and i+1) by QL iterations with
+// implicit Wilkinson shifts, leaving the eigenvalues in d and applying
+// every rotation to rows i and i+1 of vt. All indexing is bounded by
+// len(d) whatever the comparisons say, so a NaN cannot walk off the
+// end; it stops at the first eigenvalue that eigMaxIter iterations do
+// not isolate.
+func tridiagQL(d, e []float64, vt *Matrix) {
+	const eps = 0x1p-52
+	n := len(d)
+	for l := 0; l < n; l++ {
+		for iter := 0; ; iter++ {
+			// The block [l, m] decouples where e[m] is negligible.
+			m := l
+			for ; m < n-1; m++ {
+				if math.Abs(e[m]) <= eps*(math.Abs(d[m])+math.Abs(d[m+1])) {
+					break
+				}
+			}
+			if m == l {
+				break
+			}
+			if iter == eigMaxIter {
+				return
+			}
+			g := (d[l+1] - d[l]) / (2 * e[l])
+			r := math.Hypot(g, 1)
+			g = d[m] - d[l] + e[l]/(g+math.Copysign(r, g))
+			s, c, p := 1.0, 1.0, 0.0
+			i := m - 1
+			for ; i >= l; i-- {
+				f, b := s*e[i], c*e[i]
+				r = math.Hypot(f, g)
+				e[i+1] = r
+				if r == 0 {
+					// Underflow: the block splits here, start again.
+					d[i+1] -= p
+					e[m] = 0
+					break
+				}
+				s, c = f/r, g/r
+				g = d[i+1] - p
+				r = (d[i]-g)*s + 2*c*b
+				p = s * r
+				d[i+1] = g + p
+				g = c*r - b
+				planeRot(c, s, vt.Row(i), vt.Row(i+1))
+			}
+			if i >= l {
+				continue
+			}
+			d[l] -= p
+			e[l] = g
+			e[m] = 0
+		}
 	}
-	c = 1 / math.Sqrt(1+t*t)
-	s = t * c
-	return c, s
-}
-
-// rotatePlayers advances the round-robin schedule: index 0 is fixed,
-// the rest rotate one position.
-func rotatePlayers(players []int) {
-	np := len(players)
-	last := players[np-1]
-	copy(players[2:], players[1:np-1])
-	players[1] = last
 }
 
 // sortEigenpairs orders (vals, rows of vt) by descending eigenvalue
@@ -276,6 +243,29 @@ func sortEigenpairs(vals []float64, vt *Matrix) {
 	}
 }
 
+// fixEigenvectorSigns negates every row of vt whose largest-magnitude
+// element (the first, among equals) is negative. An eigenvector's sign
+// is arbitrary and QL's falls out of the reflections; pinning it makes
+// consecutive decompositions of a slowly changing matrix — FD's buffer
+// from one rotation to the next — return the same vector rather than
+// its negative, which the cyclic Jacobi sweeps did by starting from the
+// identity and which a UMAP model fitted on one basis and asked to
+// place points projected on the next depends on.
+func fixEigenvectorSigns(vt *Matrix) {
+	for i := 0; i < vt.RowsN; i++ {
+		row := vt.Row(i)
+		var big float64
+		for _, v := range row {
+			if math.Abs(v) > math.Abs(big) {
+				big = v
+			}
+		}
+		if big < 0 {
+			scale(row, -1, row)
+		}
+	}
+}
+
 // setIdentity overwrites m with the identity.
 func setIdentity(m *Matrix) {
 	for i := 0; i < m.RowsN; i++ {
@@ -287,16 +277,4 @@ func setIdentity(m *Matrix) {
 			row[i] = 1
 		}
 	}
-}
-
-func offDiagNorm(w *Matrix) float64 {
-	var s float64
-	n := w.RowsN
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := w.At(i, j)
-			s += 2 * v * v
-		}
-	}
-	return math.Sqrt(s)
 }

@@ -223,8 +223,8 @@ func dot1x2(x, b0, b1 []float64) (c0, c1 float64) {
 	return
 }
 
-// planeRotGo is planeRot — the Jacobi eigensolver's only O(n) step —
-// 4-way unrolled in the slice-advance idiom. Each element pair is read
+// planeRotGo is planeRot — the row rotation of the eigensolver's QL
+// iterations — 4-way unrolled in the slice-advance idiom. Each element pair is read
 // before either is written, so the expressions are exactly the scalar
 // ones.
 func planeRotGo(c, s float64, x, y []float64) {

@@ -1,6 +1,6 @@
 // Package mat implements the dense linear-algebra kernels that the
 // sketching algorithms depend on: a row-major matrix type, parallel
-// blocked matrix multiplication, Householder QR, a cyclic-Jacobi
+// blocked matrix multiplication, Householder QR, a tridiagonal-QL
 // symmetric eigensolver, a one-sided Jacobi SVD, and a Gram-trick thin
 // SVD specialized for the short-and-wide buffers that Frequent
 // Directions rotates.

@@ -177,14 +177,18 @@ func RefSVDGram(a *Matrix) (u *Matrix, s []float64, vt *Matrix) {
 	return u, s, vt
 }
 
-// RefEigSym is the Jacobi eigensolver as it shipped before the sweeps
-// went row-contiguous: the same pair orderings, thresholds and
-// rotation arithmetic as EigSym, but walking the row-major w and v by
-// columns through At/Set and accumulating V rather than Vᵀ. Tests
-// assert EigSym reproduces its eigenpairs bit for bit; like EigSym it
-// switches to the round-robin ordering (here run serially — the pairs
-// of a round are disjoint, so the order within a round cannot matter)
-// at n ≥ eigParallelMinN when the pool has more than one worker.
+// refEigMaxSweeps bounds the cyclic-Jacobi iteration; convergence is
+// quadratic once rotations get small, so real inputs finish in a
+// handful of sweeps.
+const refEigMaxSweeps = 64
+
+// RefEigSym is the cyclic Jacobi eigensolver every rotation ran before
+// EigSym went to tridiagonal QL: every (p, q) pair in row-major order,
+// repeated until the off-diagonal mass is negligible, walking the
+// row-major w and v through At/Set and accumulating V. It is an order
+// of magnitude slower than EigSym and kept as its accuracy oracle —
+// Jacobi resolves small eigenvalues to high relative accuracy, so the
+// tests measure what QL gives up against it, eigenpair by eigenpair.
 func RefEigSym(a *Matrix) (vals []float64, v *Matrix) {
 	n := a.RowsN
 	if n != a.ColsN {
@@ -197,11 +201,7 @@ func RefEigSym(a *Matrix) (vals []float64, v *Matrix) {
 	w := a.Clone()
 	vals = make([]float64, n)
 	if n > 1 {
-		if n >= eigParallelMinN && Workers() > 1 {
-			refEigSweepsRoundRobin(w, v)
-		} else {
-			refEigSweepsCyclic(w, v)
-		}
+		refEigSweepsCyclic(w, v)
 	}
 	for i := range vals {
 		vals[i] = w.At(i, i)
@@ -245,7 +245,7 @@ func refJacobiPair(w *Matrix, p, q int) (c, s float64, ok bool) {
 
 func refEigSweepsCyclic(w, v *Matrix) {
 	n := w.RowsN
-	for sweep := 0; sweep < eigMaxSweeps && !eigConverged(w); sweep++ {
+	for sweep := 0; sweep < refEigMaxSweeps && !eigConverged(w); sweep++ {
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
 				c, s, ok := refJacobiPair(w, p, q)
@@ -276,55 +276,6 @@ func refEigSweepsCyclic(w, v *Matrix) {
 	}
 }
 
-func refEigSweepsRoundRobin(w, v *Matrix) {
-	n := w.RowsN
-	np := n + n%2 // pad with a bye
-	players := make([]int, np)
-	for i := range players {
-		players[i] = i
-	}
-	if np > n {
-		players[np-1] = -1
-	}
-	type rot struct {
-		p, q int
-		c, s float64
-	}
-	rots := make([]rot, 0, np/2)
-	for sweep := 0; sweep < eigMaxSweeps && !eigConverged(w); sweep++ {
-		for round := 0; round < np-1; round++ {
-			rots = rots[:0]
-			for k := 0; k < np/2; k++ {
-				p, q := players[k], players[np-1-k]
-				if p < 0 || q < 0 {
-					continue
-				}
-				if p > q {
-					p, q = q, p
-				}
-				if c, s, ok := refJacobiPair(w, p, q); ok {
-					rots = append(rots, rot{p, q, c, s})
-				}
-			}
-			for _, r := range rots { // w ← Jᵀw
-				for j := 0; j < n; j++ {
-					wp := w.At(r.p, j)
-					wq := w.At(r.q, j)
-					w.Set(r.p, j, r.c*wp-r.s*wq)
-					w.Set(r.q, j, r.s*wp+r.c*wq)
-				}
-			}
-			for _, r := range rots { // w ← wJ, v ← vJ
-				refRotateCols(w, r.p, r.q, r.c, r.s)
-				refRotateCols(v, r.p, r.q, r.c, r.s)
-				w.Set(r.p, r.q, 0)
-				w.Set(r.q, r.p, 0)
-			}
-			rotatePlayers(players)
-		}
-	}
-}
-
 // refRotateCols recombines columns p and q of m: m ← mJ.
 func refRotateCols(m *Matrix, p, q int, c, s float64) {
 	for i := 0; i < m.RowsN; i++ {
@@ -333,4 +284,38 @@ func refRotateCols(m *Matrix, p, q int, c, s float64) {
 		m.Set(i, p, c*mp-s*mq)
 		m.Set(i, q, s*mp+c*mq)
 	}
+}
+
+// eigConverged reports whether the off-diagonal mass of w is negligible
+// relative to its scale — the sweep loop's stopping rule.
+func eigConverged(w *Matrix) bool {
+	off := offDiagNorm(w)
+	return off == 0 || off <= 1e-30*w.MaxAbs()*float64(w.RowsN)
+}
+
+// jacobiAngle returns the stable (c, s) of the rotation annihilating
+// apq (Golub & Van Loan).
+func jacobiAngle(app, aqq, apq float64) (c, s float64) {
+	theta := (aqq - app) / (2 * apq)
+	var t float64
+	if theta >= 0 {
+		t = 1 / (theta + math.Sqrt(1+theta*theta))
+	} else {
+		t = -1 / (-theta + math.Sqrt(1+theta*theta))
+	}
+	c = 1 / math.Sqrt(1+t*t)
+	s = t * c
+	return c, s
+}
+
+func offDiagNorm(w *Matrix) float64 {
+	var s float64
+	n := w.RowsN
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := w.At(i, j)
+			s += 2 * v * v
+		}
+	}
+	return math.Sqrt(s)
 }

@@ -4,8 +4,8 @@ import "sync"
 
 // Pooled scratch for the Gram-trick SVD. One svdScratch carries every
 // intermediate the rotation path needs — the m×m Gram matrix, the
-// eigensolver's vector matrix, the eigenvalue buffer, and the
-// back-substitution coefficients — so a steady stream of FD rotations
+// eigensolver's vector matrix, its eigenvalue and sub-diagonal buffers,
+// and the back-substitution coefficients — so a steady stream of FD rotations
 // reuses the same storage instead of allocating ~m² + md floats per
 // rotation and feeding the garbage collector at the machine repetition
 // rate.
@@ -15,6 +15,7 @@ type svdScratch struct {
 	ut   *Matrix   // m×m eigenvectors as rows (Uᵀ)
 	coef *Matrix   // r×m leading rows of Σ⁻¹Uᵀ
 	vals []float64 // eigenvalues
+	work []float64 // the eigensolver's sub-diagonal and Householder workspace
 }
 
 var svdScratchPool = sync.Pool{

@@ -457,25 +457,54 @@ func TestDenseKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEigSymRoundRobinBitIdentical takes the eigensolver past
-// eigParallelMinN, where a pool wider than one runs the round-robin
-// sweeps and their plane rotations on the workers.
-func TestEigSymRoundRobinBitIdentical(t *testing.T) {
+// TestEigSymKernelSetsBitIdentical runs the whole eigensolver — the
+// Householder dots and axpys, the QL plane rotations — on both kernel
+// sets, on compact and on strided (Stride > ColsN) storage.
+func TestEigSymKernelSetsBitIdentical(t *testing.T) {
 	requireAVX2(t)
-	gram := Gram(RandGaussian(97, 120, rng.New(501)))
-	for _, width := range []int{1, 2} {
-		withPoolWidth(width, func() {
-			vals, v := EigSym(gram)
+	for _, n := range []int{2, 7, 24, 50, 97, 128} {
+		gram := Gram(RandGaussian(n, n+20, rng.New(501)))
+		for _, strided := range []bool{false, true} {
+			run := func() (vals []float64, vt *Matrix) {
+				w, vt := gram.Clone(), New(n, n)
+				if strided {
+					w, vt = view(w, 3, 2), view(vt, 1, 5)
+				}
+				vals = make([]float64, n)
+				eigSymInto(w, vt, vals, make([]float64, n))
+				return vals, vt
+			}
+			vals, vt := run()
 			var wantVals []float64
-			var wantV *Matrix
-			onGoKernels(func() { wantVals, wantV = EigSym(gram) })
+			var wantVt *Matrix
+			onGoKernels(func() { wantVals, wantVt = run() })
 			if at := firstDiff(vals, wantVals); at >= 0 {
-				t.Errorf("width %d: eigenvalue %d differs from the Go kernels'", width, at)
+				t.Errorf("n=%d strided=%v: eigenvalue %d differs from the Go kernels'", n, strided, at)
 			}
-			if i, j, ok := matDiff(v, wantV, nil); !ok {
-				t.Errorf("width %d: eigenvectors differ from the Go kernels' at (%d, %d)", width, i, j)
+			if i, j, ok := matDiff(vt, wantVt, nil); !ok {
+				t.Errorf("n=%d strided=%v: Vᵀ differs from the Go kernels' at (%d, %d)", n, strided, i, j)
 			}
-		})
+		}
+	}
+}
+
+// TestEigSymSameBitsAtEveryPoolWidth: the solver is serial at every
+// order, so the pool's width — which chose between two sweep orderings
+// from n = 96 up while the solver was Jacobi — cannot reach its bits.
+func TestEigSymSameBitsAtEveryPoolWidth(t *testing.T) {
+	for _, n := range []int{50, 97, 128} {
+		gram := Gram(RandGaussian(n, n+20, rng.New(503)))
+		var vals [2][]float64
+		var v [2]*Matrix
+		for k, width := range []int{1, 2} {
+			withPoolWidth(width, func() { vals[k], v[k] = EigSym(gram) })
+		}
+		if at := firstDiff(vals[1], vals[0]); at >= 0 {
+			t.Errorf("n=%d: eigenvalue %d differs between pool widths 1 and 2", n, at)
+		}
+		if i, j, ok := matDiff(v[1], v[0], nil); !ok {
+			t.Errorf("n=%d: eigenvectors differ between pool widths 1 and 2 at (%d, %d)", n, i, j)
+		}
 	}
 }
 

@@ -201,6 +201,15 @@ func svdSweepsParallel(w, v *Matrix) {
 	}
 }
 
+// rotatePlayers advances the round-robin schedule: index 0 is fixed,
+// the rest rotate one position.
+func rotatePlayers(players []int) {
+	np := len(players)
+	last := players[np-1]
+	copy(players[2:], players[1:np-1])
+	players[1] = last
+}
+
 // SVDGram computes the thin SVD of a short-and-wide m×d matrix
 // (m << d) through the m×m Gram matrix G = a*aᵀ: eigendecomposing G
 // gives U and Σ², and the right singular vectors follow from
@@ -255,7 +264,8 @@ func svdGramCore(a *Matrix, s []float64, vt *Matrix, u *Matrix) {
 	sc.ut = ensureMat(sc.ut, m, m)
 	sc.vals = ensureFloats(sc.vals, m)
 	// The eigensolver destroys its input; g is not needed afterwards.
-	eigSymInto(sc.g, sc.ut, sc.vals)
+	sc.work = ensureFloats(sc.work, m)
+	eigSymInto(sc.g, sc.ut, sc.vals, sc.work)
 
 	var maxVal float64
 	if m > 0 && sc.vals[0] > 0 {

@@ -132,51 +132,6 @@ func TestSVDGramToReusesCallerStorage(t *testing.T) {
 	}
 }
 
-// TestParallelJacobiEigMatchesSerial drives the round-robin sweep
-// directly (the size gates keep these shapes serial in EigSym) and
-// checks it produces the same spectrum and an orthonormal factor that
-// reconstructs the input.
-func TestParallelJacobiEigMatchesSerial(t *testing.T) {
-	g := rng.New(206)
-	for _, n := range []int{2, 3, 17, 64, 97} {
-		b := RandGaussian(n, n+3, g)
-		a := Gram(b) // symmetric PSD test matrix
-
-		ws := a.Clone()
-		vs := New(n, n)
-		setIdentity(vs)
-		eigSweepsSerial(ws, vs)
-
-		wp := a.Clone()
-		vp := New(n, n)
-		setIdentity(vp)
-		eigSweepsParallel(wp, vp)
-
-		valsS := make([]float64, n)
-		valsP := make([]float64, n)
-		for i := 0; i < n; i++ {
-			valsS[i] = ws.At(i, i)
-			valsP[i] = wp.At(i, i)
-		}
-		sortEigenpairs(valsS, vs)
-		sortEigenpairs(valsP, vp)
-		scale := 1 + math.Abs(valsS[0])
-		for i := range valsS {
-			if math.Abs(valsS[i]-valsP[i]) > 1e-9*scale {
-				t.Fatalf("n=%d: eigenvalue %d: serial %g parallel %g", n, i, valsS[i], valsP[i])
-			}
-		}
-		if !Mul(vp.T(), vp).Equal(Eye(n), 1e-9) {
-			t.Fatalf("n=%d: parallel eigenvectors not orthonormal", n)
-		}
-		// The sweeps accumulate Vᵀ (eigenvectors as rows).
-		recon := Mul(vp.T(), Mul(Diag(valsP), vp))
-		if !recon.Equal(a, 1e-8*scale) {
-			t.Fatalf("n=%d: parallel V·Λ·Vᵀ does not reconstruct input", n)
-		}
-	}
-}
-
 func TestParallelJacobiSVDMatchesSerial(t *testing.T) {
 	g := rng.New(207)
 	for _, sh := range []struct{ m, n int }{{8, 5}, {60, 49}, {70, 64}} {

@@ -109,9 +109,9 @@ func (a *ARAMS) ProcessBatch(x *mat.Matrix) BatchStats {
 		panic("sketch: ARAMS batch dimension mismatch")
 	}
 	bs := BatchStats{Rows: x.RowsN, EllBefore: a.Ell()}
-	// Each row's squared norm is a d-long dependent sum and three
+	// Each row's squared norm is a d-long dependent sum and four
 	// accounts want it (offered mass, kept mass, the sketch's stream
-	// mass): form it once.
+	// mass, the sampler's priority weight): form it once.
 	a.norms = a.norms[:0]
 	for i := 0; i < x.RowsN; i++ {
 		n2 := mat.Norm2Sq(x.Row(i))
@@ -124,7 +124,7 @@ func (a *ARAMS) ProcessBatch(x *mat.Matrix) BatchStats {
 		// appended row into its buffer, so the kept rows go from the
 		// batch to the sketch without an intermediate copy. An entry's
 		// index is its row's position in x.
-		for _, e := range sampleBatch(x, a.cfg.Beta, a.g).selected() {
+		for _, e := range sampleBatch(x, a.cfg.Beta, a.g, a.norms).selected() {
 			bs.KeptMass += a.norms[e.index]
 			bs.Kept++
 			a.appendNorm(e.row, a.norms[e.index])

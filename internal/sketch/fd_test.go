@@ -420,6 +420,27 @@ func TestRotateLeavesNoStaleRows(t *testing.T) {
 	}
 }
 
+// TestNaNFrameRotatesWithoutPanic: a non-finite frame reaches the
+// eigensolver as a NaN Gram matrix, on which no convergence test
+// passes; the rotation must come back — bounded by the solver's
+// iteration cap — and leave a state Finite reports, so the layers above
+// can refuse it.
+func TestNaNFrameRotatesWithoutPanic(t *testing.T) {
+	const ell, d = 6, 20
+	for _, backend := range []SVDBackend{GramSVD, JacobiSVD} {
+		fd := NewFrequentDirections(ell, d, Options{Backend: backend})
+		x := gaussData(2*ell+1, d, 43)
+		x.Set(3, 5, math.NaN())
+		fd.AppendMatrix(x)
+		if fd.Rotations() != 1 {
+			t.Fatalf("backend %v: %d rotations after 2ℓ+1 appends", backend, fd.Rotations())
+		}
+		if fd.Finite() {
+			t.Errorf("backend %v: Finite() holds after a NaN frame went through a rotation", backend)
+		}
+	}
+}
+
 // TestProcessBatchFormsEachNormOnce: handing the squared norm down
 // from ProcessBatch changes who computes it, not what is recorded —
 // the batch accounting and the sketch's stream mass carry exactly the
@@ -445,7 +466,7 @@ func TestProcessBatchFormsEachNormOnce(t *testing.T) {
 			}
 			rows := []int{}
 			if cfg.Beta < 1 {
-				for _, e := range sampleBatch(batch, cfg.Beta, ref.g).selected() {
+				for _, e := range sampleBatch(batch, cfg.Beta, ref.g, nil).selected() {
 					rows = append(rows, e.index)
 				}
 			} else {

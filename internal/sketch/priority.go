@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"math"
 	"sort"
 
 	"arams/internal/mat"
@@ -52,13 +53,14 @@ func (p *PrioritySampler) PushWeight(w float64, index int) {
 // PushRow offers a data row; its weight is the Euclidean row norm, as
 // in the paper. The row is copied, so the caller may reuse its buffer.
 func (p *PrioritySampler) PushRow(row []float64) {
-	p.pushRowView(append([]float64(nil), row...))
+	p.pushRowView(append([]float64(nil), row...), mat.Norm2(row))
 }
 
-// pushRowView is PushRow without the copy: the sampler keeps row
-// itself, which must stay unchanged for as long as the sampler is read.
-func (p *PrioritySampler) pushRowView(row []float64) {
-	p.push(entry{weight: mat.Norm2(row), row: row})
+// pushRowView is PushRow without the copy or the norm: the sampler
+// keeps row itself, which must stay unchanged for as long as the
+// sampler is read, and takes w for its weight ‖row‖.
+func (p *PrioritySampler) pushRowView(row []float64, w float64) {
+	p.push(entry{weight: w, row: row})
 }
 
 func (p *PrioritySampler) push(e entry) {
@@ -187,13 +189,17 @@ func SampleRows(x *mat.Matrix, beta float64, g *rng.RNG) *mat.Matrix {
 	if beta >= 1 {
 		return x.Clone()
 	}
-	return sampleBatch(x, beta, g).Rows(x.ColsN)
+	return sampleBatch(x, beta, g, nil).Rows(x.ColsN)
 }
 
 // sampleBatch offers every row of x to a fresh ⌈beta·n⌉-slot sampler as
 // a view into x (beta in (0, 1)), so selecting from a batch copies no
-// row; x must outlive the reads of the returned sampler.
-func sampleBatch(x *mat.Matrix, beta float64, g *rng.RNG) *PrioritySampler {
+// row; x must outlive the reads of the returned sampler. norms2, when
+// non-nil, holds each row's ‖·‖² as the caller already summed it, and
+// the weight is its square root rather than two more passes over the
+// row; a row whose squares all underflow then counts as zero-weight
+// (mat.Norm2's rescaling would have kept it) and is dropped undrawn.
+func sampleBatch(x *mat.Matrix, beta float64, g *rng.RNG, norms2 []float64) *PrioritySampler {
 	if beta <= 0 {
 		panic("sketch: SampleRows needs beta > 0")
 	}
@@ -203,7 +209,12 @@ func sampleBatch(x *mat.Matrix, beta float64, g *rng.RNG) *PrioritySampler {
 	}
 	ps := NewPrioritySampler(m, g)
 	for i := 0; i < x.RowsN; i++ {
-		ps.pushRowView(x.Row(i))
+		row := x.Row(i)
+		if norms2 != nil {
+			ps.pushRowView(row, math.Sqrt(norms2[i]))
+		} else {
+			ps.pushRowView(row, mat.Norm2(row))
+		}
 	}
 	return ps
 }

@@ -122,3 +122,121 @@ func TestNaiveAndFastCaptureSameSubspace(t *testing.T) {
 		}
 	}
 }
+
+// goldenStream is a fixed seeded low-rank-plus-noise stream with a
+// decaying spectrum, so every rotation shrinks a well-separated head
+// and a noisy tail.
+func goldenStream(n, d, rank int, seed uint64) *mat.Matrix {
+	g := rng.New(seed)
+	basis := mat.New(rank, d)
+	for i := range basis.Data {
+		basis.Data[i] = g.Norm()
+	}
+	x := mat.New(n, d)
+	for i := 0; i < n; i++ {
+		row := x.Row(i)
+		for k := 0; k < rank; k++ {
+			c := g.Norm() / float64(k+1)
+			for j, b := range basis.Row(k) {
+				row[j] += c * b
+			}
+		}
+		for j := range row {
+			row[j] += 0.01 * g.Norm()
+		}
+	}
+	return x
+}
+
+// TestBackendsAgreeOverWholeStreams runs whole streams through both
+// rotation backends. The Gram trick squares the condition number and
+// its tridiagonal-QL eigensolver is accurate in ‖A‖², not relative to
+// each eigenvalue, so what the two must share is absolute: covariance
+// error and Σδ within 1e-9·‖A‖_F² of each other, the certificate
+// holding on both, and the leading-k bases spanning the same subspace
+// wherever the sketch's spectrum has a gap to resolve it by. The second
+// stream's directions decay to 1e-6 of the first — a Gram spectrum of
+// twelve decades.
+func TestBackendsAgreeOverWholeStreams(t *testing.T) {
+	const ell, gapFrac, angleTol = 12, 0.05, 1e-10
+	// Twenty-four directions scaled from 1 down to 1e-6, over noise far
+	// below the last of them.
+	g := rng.New(6)
+	dirs := mat.RandGaussian(24, 96, g)
+	decaying := mat.RandGaussian(700, 96, g)
+	for i := 0; i < decaying.RowsN; i++ {
+		row := decaying.Row(i)
+		mat.ScaleTo(row, 1e-10, row)
+		for k := 0; k < dirs.RowsN; k++ {
+			c := g.Norm() * math.Pow(10, -6*float64(k)/float64(dirs.RowsN-1))
+			for j, b := range dirs.Row(k) {
+				row[j] += c * b
+			}
+		}
+	}
+	for name, a := range map[string]*mat.Matrix{
+		"golden":        goldenStream(700, 96, 20, 20240917),
+		"decay_to_1e-6": decaying,
+	} {
+		frob := a.FrobeniusNormSq()
+		fdG := NewFrequentDirections(ell, a.ColsN, Options{Backend: GramSVD})
+		fdJ := NewFrequentDirections(ell, a.ColsN, Options{Backend: JacobiSVD})
+		fdG.AppendMatrix(a)
+		fdJ.AppendMatrix(a)
+		bG, bJ := fdG.Sketch(), fdJ.Sketch()
+		eG, eJ := CovErr(a, bG), CovErr(a, bJ)
+		if math.Abs(eG-eJ) > 1e-9*frob {
+			t.Errorf("%s: covariance error %g (gram) vs %g (jacobi), ‖A‖_F² = %g", name, eG, eJ, frob)
+		}
+		if math.Abs(fdG.Delta()-fdJ.Delta()) > 1e-9*frob {
+			t.Errorf("%s: Σδ %g (gram) vs %g (jacobi), ‖A‖_F² = %g", name, fdG.Delta(), fdJ.Delta(), frob)
+		}
+		if eG > fdG.Delta()+1e-9*frob || eJ > fdJ.Delta()+1e-9*frob {
+			t.Errorf("%s: certificate broken: err %g > Σδ %g (gram) or %g > %g (jacobi)", name, eG, fdG.Delta(), eJ, fdJ.Delta())
+		}
+		_, sigma, _ := mat.SVD(bJ)
+		compared := 0
+		for k := 1; k < ell; k++ {
+			if sigma[k-1]-sigma[k] < gapFrac*sigma[0] {
+				continue
+			}
+			vG, vJ := fdG.Basis(k), fdJ.Basis(k)
+			if vG.RowsN != k || vJ.RowsN != k {
+				t.Fatalf("%s: Basis(%d) has %d (gram) and %d (jacobi) rows", name, k, vG.RowsN, vJ.RowsN)
+			}
+			// sin of the largest principal angle ≤ ‖V_G − (V_G·V_Jᵀ)·V_J‖_F.
+			resid := mat.Mul(mat.MulABt(vG, vJ), vJ)
+			resid.Sub(vG)
+			if s := resid.FrobeniusNorm(); s > angleTol {
+				t.Errorf("%s: leading-%d subspaces %.3g apart, tolerance %g", name, k, s, angleTol)
+			}
+			compared++
+		}
+		if compared == 0 {
+			t.Errorf("%s: no gap of %g·σ₁ in the sketch's spectrum %v", name, gapFrac, sigma)
+		}
+	}
+}
+
+// TestBasisKeepsItsSignsAlongAStream: an eigenvector's sign is
+// arbitrary, but a UMAP model fitted on one Basis is asked to place
+// points projected on a later one (pipeline.QuickSnapshot), so a
+// well-separated direction must come back as itself, not its negative,
+// from one read to the next.
+func TestBasisKeepsItsSignsAlongAStream(t *testing.T) {
+	const ell, k, step = 12, 4, 30
+	x := goldenStream(700, 96, 20, 20240917)
+	fd := NewFrequentDirections(ell, x.ColsN, Options{})
+	fd.AppendMatrix(x.Rows(0, 100))
+	prev := fd.Basis(k)
+	for lo := 100; lo+step <= x.RowsN; lo += step {
+		fd.AppendMatrix(x.Rows(lo, lo+step))
+		cur := fd.Basis(k)
+		for j := 0; j < k; j++ {
+			if c := mat.Dot(prev.Row(j), cur.Row(j)); c < 0.9 {
+				t.Fatalf("after %d rows: direction %d has cosine %.3f with its previous read", lo+step, j, c)
+			}
+		}
+		prev = cur
+	}
+}

@@ -4,8 +4,8 @@
 # Compiles internal/mat with the ssa/check_bce debug flag and fails if
 # the compiler reports any per-element IsInBounds check inside
 # internal/mat/inner.go, the file holding the multiply-add inner loops
-# of the tiled Gram / MulABt / MulTo kernels and the plane rotation of
-# the Jacobi eigensolver.
+# of the tiled Gram / MulABt / MulTo kernels and the dot, axpy and plane
+# rotation the tridiagonal-QL eigensolver is made of.
 #
 # Per-call IsSliceInBounds findings (the `b = b[:n]` hoists at the top
 # of dot2x2/dot1x2) are allowed: hoisting the check out of the element
