@@ -13,7 +13,6 @@ import (
 	"arams/internal/ckpt"
 	"arams/internal/engine"
 	"arams/internal/imgproc"
-	"arams/internal/mat"
 	"arams/internal/sketch"
 )
 
@@ -33,14 +32,6 @@ import (
 // along the way — vary from run to run; reconciles never mutate
 // shards, so the digest does not.
 func TestGoldenGlobalSketchDigest(t *testing.T) {
-	// The wide shape (2ℓ×d = 50×4096) crosses the Gram kernel's
-	// parallel threshold, where the summation order depends on the pool
-	// width; it is pinned for the widths it was recorded at and skipped
-	// elsewhere.
-	wideWant := map[int]string{
-		1: "18a58a435473bda5b19211ed5889849a3124248acc48c2f094937aec37aff873",
-		2: "ba97a9087381f88f3f1c79cb7601a27170b2f9932a3424dbe776b9ae660e4565",
-	}
 	for _, tc := range []struct {
 		name         string
 		n, w, h, ell int
@@ -48,12 +39,10 @@ func TestGoldenGlobalSketchDigest(t *testing.T) {
 		want         string
 	}{
 		{"narrow", 400, 6, 4, 8, 71, "5cbd052d048cfa78a7b9ebabb847228cf8008cfe2d8cee617a3dc4accd757e61"},
-		{"wide", 240, 64, 64, 25, 72, wideWant[mat.Workers()]},
+		// 2ℓ×d = 50×4096 crosses the kernels' parallel threshold.
+		{"wide", 240, 64, 64, 25, 72, "18a58a435473bda5b19211ed5889849a3124248acc48c2f094937aec37aff873"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.want == "" {
-				t.Skipf("no digest recorded for a %d-wide kernel pool", mat.Workers())
-			}
 			e := engine.New(engine.Config{
 				Shards: 4,
 				Sketch: sketch.Config{Ell0: tc.ell, Beta: 1, Seed: 5},

@@ -3,6 +3,7 @@ package mat
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"arams/internal/rng"
@@ -170,9 +171,41 @@ func fdShapedBuffer(ell, d int, g *rng.RNG) *Matrix {
 // buffer, ℓ rows of Vᵀ asked for) into its three kernels, each on the
 // Go inner loops and on the vector ones (forEachKernelSet), so the share
 // each holds and what the vector loops buy come from one command rather
-// than a scratch program.
+// than a scratch program. The two kernels that meet the pool run as
+// "serial" (the range kernel, no pool) and on pools of width 1, 2 and 4;
+// two_callers is two goroutines rotating a buffer each — two shards
+// ingesting — where w1 is two serial rotations side by side.
+//
+// The widths come from withPoolWidth because -cpu cannot supply them:
+// the pool is sized once, at first use, which under go test -bench is
+// the discovery call at the process's initial GOMAXPROCS. -cpu 1 then
+// runs that pool on one P — which is how to read what a split costs in
+// CPU: GOMAXPROCS=2 go test -cpu 1 -bench 'SVDGramParts/.*/w2'.
 func BenchmarkSVDGramParts(b *testing.B) {
 	const ell = 25
+	// onPools runs loop(b.N) on pools of width 1, 2 and 4.
+	onPools := func(b *testing.B, loop func(n int)) {
+		for _, width := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
+				b.ReportAllocs()
+				withPoolWidth(width, func() { loop(b.N) })
+			})
+		}
+	}
+	// kernel times a range kernel called once over the whole range
+	// against the pooled entry point above it.
+	kernel := func(b *testing.B, serial, pooled func()) {
+		b.Run("serial", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				serial()
+			}
+		})
+		onPools(b, func(n int) {
+			for i := 0; i < n; i++ {
+				pooled()
+			}
+		})
+	}
 	for _, d := range []int{4096, 16384} {
 		a := fdShapedBuffer(ell, d, rng.New(10))
 		m := a.RowsN
@@ -183,9 +216,7 @@ func BenchmarkSVDGramParts(b *testing.B) {
 		vt := New(ell, d)
 		b.Run(fmt.Sprintf("gram_%dx%d", m, d), func(b *testing.B) {
 			forEachKernelSet(b, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					GramTo(w, a)
-				}
+				kernel(b, func() { gramRange(w, a, 0, m); mirrorLower(w) }, func() { GramTo(w, a) })
 			})
 		})
 		b.Run(fmt.Sprintf("eigsym_%dx%d", m, d), func(b *testing.B) {
@@ -198,9 +229,28 @@ func BenchmarkSVDGramParts(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("backmul_%dx%d", m, d), func(b *testing.B) {
 			forEachKernelSet(b, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					MulTo(vt, coef, a)
+				kernel(b, func() { mulRangeTiled(vt, coef, a, 0, ell) }, func() { MulTo(vt, coef, a) })
+			})
+		})
+		b.Run(fmt.Sprintf("two_callers_%dx%d", m, d), func(b *testing.B) {
+			forEachKernelSet(b, func(b *testing.B) {
+				var bufs, vts [2]*Matrix
+				for c := range bufs {
+					bufs[c], vts[c] = a.Clone(), New(ell, d)
 				}
+				onPools(b, func(n int) {
+					var wg sync.WaitGroup
+					for c := range bufs {
+						wg.Add(1)
+						go func(buf, vt *Matrix, sigma []float64) {
+							defer wg.Done()
+							for i := 0; i < n; i++ {
+								SVDGramTo(buf, sigma, vt)
+							}
+						}(bufs[c], vts[c], make([]float64, m))
+					}
+					wg.Wait()
+				})
 			})
 		})
 	}

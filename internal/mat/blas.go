@@ -5,6 +5,38 @@ import (
 	"time"
 )
 
+// How the three dense kernels meet the shared pool. The shapes that
+// matter are 2ℓ×d with d ≫ ℓ (25 rows against 4096, 16384, 1658880
+// columns), so the two kernels of the FD rotation split along d:
+//
+//   - GramTo hands each task whole k-panels of panelCols columns. A
+//     task runs the serial gramRange on a column view of one panel into
+//     that panel's own m×m partial, and the caller then adds the
+//     partials into dst in panel order. The serial kernel gives every
+//     output one sum per panel, sequential in k and started at zero, and
+//     adds the panels' sums in order; so does this — the one element it
+//     sums through Dot included, because each panel is a whole-range
+//     call — and the bits are the serial kernel's at every pool width.
+//     A split along the 2ℓ output rows cannot promise that (an odd row
+//     chunk moves the Dot-summed element), re-packs every four-column
+//     group for two tiles where the full sweep serves thirteen, and is
+//     triangular: the first of seven chunks owes nine times the last's
+//     outputs. Panels are equal work. The partials come from a pooled
+//     job a few panels per worker long, reduced in rounds, so scratch
+//     is bounded by the pool width and m, never by d.
+//   - MulTo hands each task a column range of dst and b when columns
+//     are the long axis. Every dst element is the same k-ordered chain
+//     of multiply-adds under any column cut, and a task streams only its
+//     own columns of b rather than the whole buffer per row chunk.
+//   - MulABtTo (a window×d projection: rows are the long axis and each
+//     output needs all of d) and MulTo on a tall product split by rows,
+//     cut only on multiples of four. Every chunk but the last then has
+//     an even row count, and the last has the parity of the whole: the
+//     Dot-summed element falls where the serial kernel puts it.
+//
+// Hence the one promise every caller may rely on: a pooled dense kernel
+// returns the serial kernel's bits at every pool width.
+
 // parallelThreshold is the minimum number of multiply-adds before a
 // kernel spreads work across the shared pool; below it the dispatch
 // overhead dominates and the serial tiled fast path runs on the
@@ -24,19 +56,24 @@ func Mul(a, b *Matrix) *Matrix {
 
 // MulTo computes dst = a*b, reusing dst's storage. dst must not alias a
 // or b. Small products run serially on the calling goroutine; large
-// ones split across the shared worker pool by destination rows.
+// ones split across the shared worker pool along the longer of dst's
+// two axes.
 func MulTo(dst, a, b *Matrix) {
 	if a.ColsN != b.RowsN || dst.RowsN != a.RowsN || dst.ColsN != b.ColsN {
 		panic("mat: MulTo shape mismatch")
 	}
 	start := time.Now()
-	rows := a.RowsN
-	work := rows * a.ColsN * b.ColsN
-	if work < parallelThreshold || rows < 2 || Workers() == 1 {
+	rows, cols := a.RowsN, b.ColsN
+	work := rows * a.ColsN * cols
+	switch {
+	case work < parallelThreshold || Workers() == 1:
 		mulRangeTiled(dst, a, b, 0, rows)
-	} else {
-		minChunk := minChunkRows(work, rows)
-		ParallelFor(rows, minChunk, func(lo, hi int) {
+	case cols >= rows:
+		j := grabKernelJob(dst, a, b)
+		ParallelFor(cols, minChunk(work, cols), j.mulFn)
+		releaseKernelJob(j)
+	default:
+		parallelRowQuads(rows, work, func(lo, hi int) {
 			mulRangeTiled(dst, a, b, lo, hi)
 		})
 	}
@@ -63,11 +100,10 @@ func MulABtTo(dst, a, b *Matrix) {
 	start := time.Now()
 	rows := a.RowsN
 	work := rows * b.RowsN * a.ColsN
-	if work < parallelThreshold || rows < 2 || Workers() == 1 {
+	if work < parallelThreshold || Workers() == 1 {
 		mulABtRangeTiled(dst, a, b, 0, rows)
 	} else {
-		minChunk := minChunkRows(work, rows)
-		ParallelFor(rows, minChunk, func(lo, hi int) {
+		parallelRowQuads(rows, work, func(lo, hi int) {
 			mulABtRangeTiled(dst, a, b, lo, hi)
 		})
 	}
@@ -95,30 +131,57 @@ func GramTo(dst, a *Matrix) {
 	}
 	start := time.Now()
 	work := m * m * a.ColsN / 2
-	if work < parallelThreshold || m < 2 || Workers() == 1 {
+	if work < parallelThreshold || a.ColsN <= panelCols || Workers() == 1 {
 		gramRange(dst, a, 0, m)
 	} else {
-		minChunk := minChunkRows(work, m)
-		ParallelFor(m, minChunk, func(lo, hi int) {
-			gramRange(dst, a, lo, hi)
-		})
+		gramPanels(dst, a, work)
 	}
 	mirrorLower(dst)
 	observeSince(obsKernelGram, start)
 }
 
-// minChunkRows sizes parallel-for chunks so each carries at least
-// parallelThreshold multiply-adds.
-func minChunkRows(work, rows int) int {
-	perRow := work / rows
-	if perRow <= 0 {
-		return rows
+// gramPanels is GramTo's pooled branch: rounds of per-panel partial
+// Gram matrices, each round added into dst in panel order.
+func gramPanels(dst, a *Matrix, work int) {
+	m := a.RowsN
+	panels := (a.ColsN + panelCols - 1) / panelCols
+	perChunk := minChunk(work, panels)
+	// One round fills the pool's chunk cap; more partials than that
+	// would buy no parallelism.
+	round := min(panels, 4*Workers()*perChunk)
+	j := grabKernelJob(dst, a, nil)
+	j.parts = ensureFloats(j.parts, round*m*m)
+	dst.Zero()
+	for j.first = 0; j.first < panels; j.first += round {
+		n := min(round, panels-j.first)
+		ParallelFor(n, perChunk, j.gramFn)
+		for p := 0; p < n; p++ {
+			part := j.parts[p*m*m : (p+1)*m*m]
+			for i := 0; i < m; i++ {
+				axpy(1, part[i*m:(i+1)*m], dst.Row(i))
+			}
+		}
 	}
-	mc := (parallelThreshold + perRow - 1) / perRow
-	if mc < 1 {
-		mc = 1
+	releaseKernelJob(j)
+}
+
+// parallelRowQuads runs fn over [0, rows) on the pool in chunks cut
+// only on multiples of four rows.
+func parallelRowQuads(rows, work int, fn func(lo, hi int)) {
+	quads := (rows + 3) / 4
+	ParallelFor(quads, minChunk(work, quads), func(lo, hi int) {
+		fn(4*lo, min(4*hi, rows))
+	})
+}
+
+// minChunk sizes the parallel-for chunks of work multiply-adds spread
+// evenly over n units so each carries at least parallelThreshold.
+func minChunk(work, n int) int {
+	per := work / n
+	if per <= 0 {
+		return n
 	}
-	return mc
+	return (parallelThreshold + per - 1) / per
 }
 
 // Dot returns the inner product of x and y.

@@ -17,11 +17,16 @@ package mat
 //     of the output block is updated, instead of streaming full 32KB+
 //     rows from L2 for every output element.
 //
-// All kernels in this file are serial; parallelism is layered on top
-// by ParallelFor over disjoint output row ranges (see blas.go). The
-// innermost element loops (dot2x2, dot1x2, axpy, axpy2, and the QL
-// eigensolver's planeRot) live in inner.go, which scripts/check_bce.sh
-// keeps bounds-check-free.
+// All kernels in this file are serial and take a row range; blas.go
+// layers the pool on top and says which axis each kernel splits and
+// why. GramTo calls gramRange over all rows of one k-panel at a time
+// (a column view no wider than panelCols), MulTo calls mulRangeTiled
+// over all rows of a column range, and the row ranges that remain
+// (MulABtTo, a tall MulTo) start on multiples of four — so the one
+// output a range with an odd row count sums through Dot is always the
+// one the whole-range call sums that way. The innermost element loops
+// (dot2x2, dot1x2, axpy, axpy2, and the QL eigensolver's planeRot) live
+// in inner.go, which scripts/check_bce.sh keeps bounds-check-free.
 //
 // On a CPU with AVX2 the two dot-structured kernels run abtRangePacked
 // instead of the 2×2 tile loops: the same panels, the same per-output
@@ -46,7 +51,7 @@ const (
 // gramRange computes rows [lo, hi) of dst = a*aᵀ for the columns
 // j >= row (plus the stray lower element a 2×2 diagonal tile touches);
 // GramTo mirrors the strict lower triangle afterwards. The target rows
-// of dst are zeroed here, so disjoint ranges compose under ParallelFor.
+// of dst are zeroed here.
 func gramRange(dst, a *Matrix, lo, hi int) {
 	if packedPays(hi-lo, a.RowsN, a.ColsN) {
 		abtRangePacked(dst, a, a, lo, hi, true)

@@ -90,6 +90,16 @@ func (m *Matrix) Rows(i, j int) *Matrix {
 	}
 }
 
+// colView returns a view of columns [lo, hi) sharing storage with m —
+// by value, so the kernels' per-chunk views stay on the stack.
+func (m *Matrix) colView(lo, hi int) Matrix {
+	v := Matrix{RowsN: m.RowsN, ColsN: hi - lo, Stride: m.Stride}
+	if m.RowsN > 0 {
+		v.Data = m.Data[lo : (m.RowsN-1)*m.Stride+hi]
+	}
+	return v
+}
+
 // Clone returns a deep copy of m with compact stride.
 func (m *Matrix) Clone() *Matrix {
 	if m.Stride == m.ColsN {

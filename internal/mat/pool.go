@@ -58,6 +58,11 @@ var (
 	poolQueue chan poolTask
 )
 
+// waitGroups recycles the WaitGroup of a parallel-for: its address
+// travels through the queue, so one declared in parallelForOn would be
+// a heap allocation per call — on the rotation path, two per rotation.
+var waitGroups = sync.Pool{New: func() interface{} { return new(sync.WaitGroup) }}
+
 // startPool launches the shared workers exactly once, lazily, so
 // importing the package costs nothing until a kernel actually wants
 // parallelism.
@@ -140,12 +145,12 @@ func parallelForOn(size int, queue chan poolTask, n, minChunk int, fn func(lo, h
 		chunks = maxChunks
 	}
 	chunk := (n + chunks - 1) / chunks
-	var wg sync.WaitGroup
+	wg := waitGroups.Get().(*sync.WaitGroup)
 	for lo := chunk; lo < n; lo += chunk {
 		hi := min(lo+chunk, n)
 		wg.Add(1)
 		select {
-		case queue <- poolTask{fn: fn, lo: lo, hi: hi, wg: &wg}:
+		case queue <- poolTask{fn: fn, lo: lo, hi: hi, wg: wg}:
 			obsPoolTasks.Inc()
 			obsPoolDepth.SetInt(len(queue))
 		default:
@@ -156,4 +161,5 @@ func parallelForOn(size int, queue chan poolTask, n, minChunk int, fn func(lo, h
 	}
 	fn(0, min(chunk, n))
 	wg.Wait()
+	waitGroups.Put(wg)
 }

@@ -58,32 +58,31 @@ func TestParallelForConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentSketchKernels runs the pooled Gram-SVD rotation kernel
-// from several goroutines over independent inputs — the "multiple
-// sketches sharing the process pool" scenario. Under -race this guards
-// the sync.Pool scratch reuse inside SVDGramTo.
+// TestConcurrentSketchKernels rotates different buffers from several
+// goroutines through one 2-wide pool — shards ingesting side by side —
+// and holds every rotation to the bits a lone caller gets. Under -race
+// this guards the per-call kernel job (GramTo's partials must not be
+// shared) and the sync.Pool scratch inside SVDGramTo.
 func TestConcurrentSketchKernels(t *testing.T) {
-	const workers = 6
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			g := rng.New(300 + uint64(w))
-			a := RandGaussian(24, 600, g)
-			_, sWant, _ := RefSVDGram(a)
-			vt := New(24, 600)
-			for iter := 0; iter < 10; iter++ {
-				s := SVDGramTo(a, nil, vt)
-				for i := range s {
-					d := s[i] - sWant[i]
-					if d > 1e-9*(1+sWant[0]) || d < -1e-9*(1+sWant[0]) {
-						t.Errorf("worker %d iter %d: σ[%d] drifted: %g vs %g", w, iter, i, s[i], sWant[i])
+	withPoolWidth(2, func() {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			a := RandGaussian(26, 3000+700*w, rng.New(300+uint64(w)))
+			want := New(12, a.ColsN)
+			wantSigma := SVDGramTo(a, nil, want)
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				vt := New(12, a.ColsN)
+				for iter := 0; iter < 10; iter++ {
+					sigma := SVDGramTo(a, nil, vt)
+					if _, _, ok := matDiff(vt, want, nil); !ok || firstDiff(sigma, wantSigma) >= 0 {
+						t.Errorf("caller %d iter %d: rotation differs from a lone caller's", w, iter)
 						return
 					}
 				}
-			}
-		}(w)
-	}
-	wg.Wait()
+			}(w)
+		}
+		wg.Wait()
+	})
 }

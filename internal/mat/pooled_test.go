@@ -1,0 +1,187 @@
+package mat
+
+import (
+	"math"
+	"testing"
+
+	"arams/internal/rng"
+)
+
+// The promise of blas.go — a pooled dense kernel returns the serial
+// kernel's bits at every pool width — and the helpers that compare
+// bits, which the vector-kernel tests (simd_amd64_test.go) share.
+
+// withPoolWidth runs fn with the shared kernel pool replaced by one of
+// the given width, so the chunked paths are compared at widths the host
+// may not have.
+func withPoolWidth(width int, fn func()) {
+	Workers() // the lazy start must not overwrite the replacement
+	savedSize, savedQueue := poolSize, poolQueue
+	poolSize, poolQueue = width, newPoolQueue(width)
+	defer func() {
+		close(poolQueue)
+		poolSize, poolQueue = savedSize, savedQueue
+	}()
+	fn()
+}
+
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+func firstDiff(got, want []float64) int {
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// matDiff returns the first (row, col) at which got and want differ, or
+// ok. keep, when non-nil, limits the comparison to elements it accepts.
+func matDiff(got, want *Matrix, keep func(i, j int) bool) (i, j int, ok bool) {
+	for i := 0; i < want.RowsN; i++ {
+		g, w := got.Row(i), want.Row(i)
+		for j := range w {
+			if (keep == nil || keep(i, j)) && !sameBits(g[j], w[j]) {
+				return i, j, false
+			}
+		}
+	}
+	return 0, 0, true
+}
+
+var specialValues = []float64{
+	math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1),
+	0, math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310, -2e-308,
+	math.MaxFloat64, -math.MaxFloat64, 1e-200, 1e200,
+}
+
+// fill writes Gaussian values into s, about one in five of them
+// replaced by a non-finite, signed-zero, denormal or extreme value when
+// special is set.
+func fill(s []float64, g *rng.RNG, special bool) {
+	for i := range s {
+		s[i] = g.Norm()
+		if special && g.Intn(5) == 0 {
+			s[i] = specialValues[g.Intn(len(specialValues))]
+		}
+	}
+}
+
+// view copies src into a matrix whose rows are pad elements further
+// apart than they are long and start off elements into the backing
+// array: a Stride > ColsN view, no row 32-byte aligned with the next.
+func view(src *Matrix, pad, off int) *Matrix {
+	stride := src.ColsN + pad
+	v := &Matrix{RowsN: src.RowsN, ColsN: src.ColsN, Stride: stride}
+	if src.RowsN > 0 {
+		v.Data = make([]float64, off+(src.RowsN-1)*stride+src.ColsN)[off:]
+	}
+	v.CopyFrom(src)
+	return v
+}
+
+// sprinkleZeros zeroes about a third of m, some of them −0 — and whole
+// pairs of rows in places — so that mulRangeTiled takes each of its
+// skip branches.
+func sprinkleZeros(m *Matrix, g *rng.RNG) {
+	for i := 0; i < m.RowsN; i++ {
+		row := m.Row(i)
+		for j := range row {
+			switch g.Intn(6) {
+			case 0:
+				row[j] = 0
+			case 1:
+				row[j] = math.Copysign(0, -1)
+			}
+		}
+	}
+}
+
+// TestPooledKernelsGiveSerialBits holds GramTo, MulTo (wide and tall),
+// MulABtTo and SVDGramTo, at pool widths the host may not have, to the
+// range kernels called once over the whole range (SVDGramTo: to itself
+// on a 1-wide pool, which is that). The shapes put odd row counts
+// against odd column counts, a short last k-panel, a single-panel Gram,
+// and the projection windows (m > 100: the two row-split products
+// alone) on which a row chunk of odd length once moved the Dot-summed
+// element.
+func TestPooledKernelsGiveSerialBits(t *testing.T) {
+	shapes := []struct{ m, d, n int }{
+		{50, 4096, 25}, {50, 16384, 25}, {51, 4097, 12}, {37, 5000, 11}, {26, 3000, 12},
+		{100, 1500, 25}, {7, 33, 3}, {501, 4096, 11}, {512, 4096, 11},
+	}
+	if testing.Short() {
+		shapes = shapes[4:7]
+	}
+	g := rng.New(510)
+	for _, sh := range shapes {
+		for c := 0; c < 4; c++ {
+			strided, special := c&1 == 1, c&2 == 2
+			if special && sh.m*sh.d > 1<<17 {
+				continue // denormals cost the multiplier a microcode assist each
+			}
+			a, b, coef := New(sh.m, sh.d), New(sh.n, sh.d), New(sh.n, sh.m)
+			fill(a.Data, g, special)
+			fill(b.Data, g, special)
+			fill(coef.Data, g, false)
+			sprinkleZeros(coef, g)
+			newDst := New
+			if strided {
+				a, b, coef = view(a, 5, 3), view(b, 1, 1), view(coef, 3, 2)
+				newDst = func(r, c int) *Matrix { return view(New(r, c), 7, 1) }
+			}
+			bt := b.T()
+			svd := func(dst *Matrix) []float64 { return SVDGramTo(a, nil, dst) }
+			products := []struct {
+				name           string
+				rows, cols     int
+				pooled, serial func(dst *Matrix) []float64
+			}{
+				{"MulABtTo", sh.m, sh.n,
+					func(dst *Matrix) []float64 { MulABtTo(dst, a, b); return nil },
+					func(dst *Matrix) []float64 { mulABtRangeTiled(dst, a, b, 0, sh.m); return nil }},
+				{"MulTo (tall)", sh.m, sh.n,
+					func(dst *Matrix) []float64 { MulTo(dst, a, bt); return nil },
+					func(dst *Matrix) []float64 { mulRangeTiled(dst, a, bt, 0, sh.m); return nil }},
+				{"GramTo", sh.m, sh.m,
+					func(dst *Matrix) []float64 { GramTo(dst, a); return nil },
+					func(dst *Matrix) []float64 { gramRange(dst, a, 0, sh.m); mirrorLower(dst); return nil }},
+				{"MulTo (wide)", sh.n, sh.d,
+					func(dst *Matrix) []float64 { MulTo(dst, coef, a); return nil },
+					func(dst *Matrix) []float64 { mulRangeTiled(dst, coef, a, 0, sh.n); return nil }},
+				{"SVDGramTo", sh.n, sh.d, svd, svd}, // "serial" runs on a 1-wide pool
+			}
+			if sh.m > 100 {
+				products = products[:2]
+			}
+			for _, goLoops := range []bool{false, true} {
+				if !goLoops && !useAVX2 {
+					continue // the Go loops are the only set
+				}
+				for _, p := range products {
+					want, got := newDst(p.rows, p.cols), newDst(p.rows, p.cols)
+					run := func() {
+						var wantSigma, sigma []float64
+						withPoolWidth(1, func() { wantSigma = p.serial(want) })
+						for _, width := range []int{1, 2, 3, 4, 7} {
+							withPoolWidth(width, func() { sigma = p.pooled(got) })
+							if _, _, ok := matDiff(got, want, nil); !ok || firstDiff(sigma, wantSigma) >= 0 {
+								t.Errorf("%s %dx%d·%d strided=%v special=%v go=%v width=%d: differs from the serial kernel's",
+									p.name, sh.m, sh.d, sh.n, strided, special, goLoops, width)
+							}
+						}
+					}
+					if goLoops {
+						onGoKernels(run)
+					} else {
+						run()
+					}
+				}
+			}
+		}
+	}
+}

@@ -36,20 +36,6 @@ func onGoKernels(fn func()) {
 	fn()
 }
 
-// withPoolWidth runs fn with the shared kernel pool replaced by one of
-// the given width, so the chunked paths are compared at widths the host
-// may not have.
-func withPoolWidth(width int, fn func()) {
-	Workers() // the lazy start must not overwrite the replacement
-	savedSize, savedQueue := poolSize, poolQueue
-	poolSize, poolQueue = width, newPoolQueue(width)
-	defer func() {
-		close(poolQueue)
-		poolSize, poolQueue = savedSize, savedQueue
-	}()
-	fn()
-}
-
 // forEachKernelSet runs fn as a "go" sub-benchmark on the Go inner
 // loops and, where the CPU has them, as an "avx2" one on the vector
 // loops.
@@ -57,52 +43,6 @@ func forEachKernelSet(b *testing.B, fn func(b *testing.B)) {
 	b.Run("go", func(b *testing.B) { onGoKernels(func() { fn(b) }) })
 	if useAVX2 {
 		b.Run("avx2", fn)
-	}
-}
-
-func sameBits(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
-}
-
-func firstDiff(got, want []float64) int {
-	for i := range want {
-		if !sameBits(got[i], want[i]) {
-			return i
-		}
-	}
-	return -1
-}
-
-// matDiff returns the first (row, col) at which got and want differ, or
-// ok. keep, when non-nil, limits the comparison to elements it accepts.
-func matDiff(got, want *Matrix, keep func(i, j int) bool) (i, j int, ok bool) {
-	for i := 0; i < want.RowsN; i++ {
-		g, w := got.Row(i), want.Row(i)
-		for j := range w {
-			if (keep == nil || keep(i, j)) && !sameBits(g[j], w[j]) {
-				return i, j, false
-			}
-		}
-	}
-	return 0, 0, true
-}
-
-var specialValues = []float64{
-	math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1),
-	0, math.Copysign(0, -1),
-	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310, -2e-308,
-	math.MaxFloat64, -math.MaxFloat64, 1e-200, 1e200,
-}
-
-// fill writes Gaussian values into s, about one in five of them
-// replaced by a non-finite, signed-zero, denormal or extreme value when
-// special is set.
-func fill(s []float64, g *rng.RNG, special bool) {
-	for i := range s {
-		s[i] = g.Norm()
-		if special && g.Intn(5) == 0 {
-			s[i] = specialValues[g.Intn(len(specialValues))]
-		}
 	}
 }
 
@@ -347,36 +287,6 @@ func TestPackedTileShortOperands(t *testing.T) {
 		}
 		if at := firstDiff(c[:], want[:]); at >= 0 {
 			t.Fatalf("dotPack4x4 lens=%v: output %d sums other than %d terms", lens, at, n)
-		}
-	}
-}
-
-// view copies src into a matrix whose rows are pad elements further
-// apart than they are long and start off elements into the backing
-// array: a Stride > ColsN view, no row 32-byte aligned with the next.
-func view(src *Matrix, pad, off int) *Matrix {
-	stride := src.ColsN + pad
-	v := &Matrix{RowsN: src.RowsN, ColsN: src.ColsN, Stride: stride}
-	if src.RowsN > 0 {
-		v.Data = make([]float64, off+(src.RowsN-1)*stride+src.ColsN)[off:]
-	}
-	v.CopyFrom(src)
-	return v
-}
-
-// sprinkleZeros zeroes about a third of m, some of them −0 — and whole
-// pairs of rows in places — so that mulRangeTiled takes each of its
-// skip branches.
-func sprinkleZeros(m *Matrix, g *rng.RNG) {
-	for i := 0; i < m.RowsN; i++ {
-		row := m.Row(i)
-		for j := range row {
-			switch g.Intn(6) {
-			case 0:
-				row[j] = 0
-			case 1:
-				row[j] = math.Copysign(0, -1)
-			}
 		}
 	}
 }

@@ -9,3 +9,6 @@ import "testing"
 func forEachKernelSet(b *testing.B, fn func(b *testing.B)) {
 	b.Run("go", fn)
 }
+
+// onGoKernels runs fn: the Go inner loops are already the ones running.
+func onGoKernels(fn func()) { fn() }

@@ -15,7 +15,6 @@ import (
 	"arams/internal/ckpt"
 	"arams/internal/imgproc"
 	"arams/internal/lcls"
-	"arams/internal/mat"
 	"arams/internal/pipeline"
 	"arams/internal/sketch"
 )
@@ -31,8 +30,6 @@ import (
 // showed a file written through shared vectors and the bounded chunk is
 // byte-identical to one marshalled whole from a deep copy, are in the
 // history of this file.
-// Kernel summation order depends on the pool width, so each case is
-// pinned for the widths it was recorded at and skipped elsewhere.
 func TestGoldenCheckpointDigest(t *testing.T) {
 	cfg := func(shards int) pipeline.Config {
 		return pipeline.Config{
@@ -63,22 +60,12 @@ func TestGoldenCheckpointDigest(t *testing.T) {
 		shards, window int
 		n              int
 		frames         func(n int) []*imgproc.Image
-		want           map[int]string
+		want           string
 	}{
-		{"beam-1shard-w512", 1, 512, 704, beam, map[int]string{
-			1: "cc2fff33e88982395f2a1570ad1a7659e169861cd03c75b48e38e2aa92d7d5f8",
-			2: "3d296ede1e98fda7b499145d010700eb6b94e4e7f4dabb1a62da4f19095a97d6",
-		}},
-		{"diffraction-2shard-w128", 2, 128, 288, diffraction, map[int]string{
-			1: "2e414d47b0c127ef0a463bcd52755484d369e1e07ebee7d376747610cbe96d59",
-			2: "a2e080df4e3d768ed60ede0d3880437e6273b890380beaed2d9ab0c80331aed9",
-		}},
+		{"beam-1shard-w512", 1, 512, 704, beam, "cc2fff33e88982395f2a1570ad1a7659e169861cd03c75b48e38e2aa92d7d5f8"},
+		{"diffraction-2shard-w128", 2, 128, 288, diffraction, "2e414d47b0c127ef0a463bcd52755484d369e1e07ebee7d376747610cbe96d59"},
 	}
 	for _, tc := range cases {
-		want := tc.want[mat.Workers()]
-		if want == "" {
-			continue
-		}
 		m := pipeline.NewMonitor(cfg(tc.shards), tc.window)
 		ims := tc.frames(tc.n)
 		const batch = 32
@@ -94,9 +81,8 @@ func TestGoldenCheckpointDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(file)
-		if got := hex.EncodeToString(sum[:]); got != want {
-			t.Errorf("%s (pool width %d, %d bytes): checkpoint digest %s, want %s",
-				tc.name, mat.Workers(), len(file), got, want)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s (%d bytes): checkpoint digest %s, want %s", tc.name, len(file), got, tc.want)
 		}
 		if err := m.Engine().Close(); err != nil {
 			t.Fatal(err)

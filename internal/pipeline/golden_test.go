@@ -16,7 +16,6 @@ import (
 
 	"arams/internal/imgproc"
 	"arams/internal/lcls"
-	"arams/internal/mat"
 	"arams/internal/sketch"
 	"arams/internal/umap"
 )
@@ -60,9 +59,6 @@ func digestSnapshot(h hash.Hash, s *Snapshot) {
 // (EXPERIMENTS.md, "Tridiagonal QL (issue 25)"; the rule is PR 23's,
 // whose own digests — recorded when the SGD's math.Pow became a power
 // table — and PR 19's before them are in the history of this file).
-// Kernel
-// summation order depends on the pool width, so each case is pinned for
-// the widths it was recorded at and skipped elsewhere.
 func TestGoldenSnapshotDigests(t *testing.T) {
 	cfg := func(shards int) Config {
 		return Config{
@@ -94,22 +90,12 @@ func TestGoldenSnapshotDigests(t *testing.T) {
 		shards, window int
 		warm, more     int
 		frames         func(n int) []*imgproc.Image
-		want           map[int]string
+		want           string
 	}{
-		{"beam-1shard-w512", 1, 512, 640, 64, beam, map[int]string{
-			1: "d9c77e6ccb115e4270ee46229be10727a56306b9f2137dde10f2d9e56ff38f0f",
-			2: "274c976a3a0670ce1b1a07f00b2d1a38235992a62eb139abf5077f8871cc38a8",
-		}},
-		{"diffraction-2shard-w128", 2, 128, 256, 32, diffraction, map[int]string{
-			1: "647934b67e6eb446792dd3cb3c73f0cf811a54c088a7b55b5cc25b7c7b0d86d3",
-			2: "f15c9215f8422f7c06fdacef49134859e02a4cc99b30fb6de7d09fa208c1808f",
-		}},
+		{"beam-1shard-w512", 1, 512, 640, 64, beam, "d9c77e6ccb115e4270ee46229be10727a56306b9f2137dde10f2d9e56ff38f0f"},
+		{"diffraction-2shard-w128", 2, 128, 256, 32, diffraction, "647934b67e6eb446792dd3cb3c73f0cf811a54c088a7b55b5cc25b7c7b0d86d3"},
 	}
 	for _, tc := range cases {
-		want := tc.want[mat.Workers()]
-		if want == "" {
-			continue
-		}
 		m := NewMonitor(cfg(tc.shards), tc.window)
 		ims := tc.frames(tc.warm + tc.more)
 		const batch = 32
@@ -126,8 +112,8 @@ func TestGoldenSnapshotDigests(t *testing.T) {
 		if m.cachedModel != model {
 			t.Errorf("%s: QuickSnapshot refitted; the digest must cover the Transform path", tc.name)
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != want {
-			t.Errorf("%s: snapshot digest %s, want %s", tc.name, got, want)
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%s: snapshot digest %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }
