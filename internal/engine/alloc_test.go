@@ -2,9 +2,12 @@ package engine_test
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"arams/internal/engine"
+	"arams/internal/imgproc"
+	"arams/internal/obs"
 	"arams/internal/sketch"
 )
 
@@ -117,6 +120,48 @@ func TestStateSharesWindowAndEvictionFreesIt(t *testing.T) {
 		if live := liveHeap() - base; live > limit {
 			t.Fatalf("after %d frames past the State, %d B live; want at most window + one batch = %d",
 				(i+1)*batch, live, limit)
+		}
+	}
+}
+
+// TestWindowRowsOutliveTheirFrames is the snapshot reader's half of the
+// ownership rule: ReadWindow hands out the ring's own vectors, so they
+// must stay byte-for-byte what they were however far the stream runs on
+// behind the reader. One producer, so every eviction is allowed to
+// recycle (inflight == 1), and fresh images each batch, so a vector that
+// did go back to the pool is overwritten by the next preprocess. The
+// copying wrapper reads the same window.
+func TestWindowRowsOutliveTheirFrames(t *testing.T) {
+	const window, side, batch = 16, 8, 4
+	ims := testImages(3*window, side, 47)
+	e := engine.New(engine.Config{Sketch: sketch.Config{Ell0: 4, Beta: 0.9, Seed: 3}, Window: window})
+	defer e.Close()
+	feed := func(ims []*imgproc.Image) {
+		for lo := 0; lo < len(ims); lo += batch {
+			e.IngestBatch(ims[lo:lo+batch], nil)
+		}
+	}
+	feed(ims[:window])
+
+	w := e.ReadWindow(4, obs.SpanContext{})
+	if len(w.Rows) != window || len(w.Tags) != window || w.Basis == nil {
+		t.Fatalf("read %d rows, %d tags, basis %v; want a full window", len(w.Rows), len(w.Tags), w.Basis)
+	}
+	x, _, _, _ := e.WindowState(4)
+	want := cloneVecs(w.Rows)
+	for i, row := range want {
+		if !slices.Equal(x.Row(i), row) {
+			t.Fatalf("WindowState row %d is not ReadWindow's", i)
+		}
+	}
+	if &e.ReadWindow(4, obs.SpanContext{}).Rows[0][0] != &w.Rows[0][0] {
+		t.Error("two reads of one window hold different vectors; ReadWindow copied")
+	}
+
+	feed(ims[window:]) // the window turns over twice
+	for i, row := range want {
+		if !slices.Equal(w.Rows[i], row) {
+			t.Fatalf("held row %d changed after its frame left the window: the vector was recycled", i)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"arams/internal/engine"
+	"arams/internal/obs"
 	"arams/internal/sketch"
 )
 
@@ -35,5 +36,38 @@ func BenchmarkIngestWide(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "µs/frame")
 		})
+	}
+}
+
+// BenchmarkSnapshotRead is what a snapshot pays before its first stage,
+// at beam_liveview's window (512 × 4096) and at diff_sharded's detector
+// (128 × 16384): the in-place read a QuickSnapshot makes — headers, tags
+// and the basis — against the copying wrapper Snapshot and the
+// repository benchmark still call. Run with -benchmem: the difference
+// is the window, once.
+func BenchmarkSnapshotRead(b *testing.B) {
+	for _, sh := range []struct{ window, d int }{{512, 4096}, {128, 16384}} {
+		e := engine.New(engine.Config{Sketch: sketch.Config{Ell0: 25, Beta: 1, Seed: 5}, Window: sh.window})
+		for n := 0; n < sh.window; n += 64 {
+			e.IngestVecs(testVecs(64, sh.d, uint64(92+n)), nil)
+		}
+		name := fmt.Sprintf("%dx%d", sh.window, sh.d)
+		b.Run(name+"/in_place", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if w := e.ReadWindow(11, obs.SpanContext{}); len(w.Rows) != sh.window {
+					b.Fatal("short window")
+				}
+			}
+		})
+		b.Run(name+"/copy", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if x, _, _, _ := e.WindowState(11); x.RowsN != sh.window {
+					b.Fatal("short window")
+				}
+			}
+		})
+		e.Close()
 	}
 }

@@ -126,17 +126,18 @@ func (c Config) withDefaults() Config {
 
 // Frame is one preprocessed frame retained in the sliding window. Vec is
 // immutable from the moment the frame enters the ring: the ring, every
-// State handed out while the frame was in it, and every engine rebuilt
-// from such a State may all hold the same backing array, and none of
-// them writes to it.
+// State and every Window handed out while the frame was in it, and every
+// engine rebuilt from such a State may all hold the same backing array,
+// and none of them writes to it.
 type Frame struct {
 	Vec []float64
 	Tag int
-	// shared marks a vector that a State handle also holds — State set
-	// it when it handed the vector out, or NewFromState when it adopted
-	// the vector from one. A shared vector is never returned to the mat
-	// vector pool: when it leaves the ring the engine just drops its
-	// reference and the collector frees it once the last State does.
+	// shared marks a vector that somebody besides the ring holds — State
+	// or ReadWindow set it when they handed the vector out, or
+	// NewFromState when it adopted the vector from a State. A shared
+	// vector is never returned to the mat vector pool: when it leaves the
+	// ring the engine just drops its reference and the collector frees it
+	// once the last holder does. Written and read under mu.
 	shared bool
 }
 
@@ -171,7 +172,7 @@ type Engine struct {
 	// mat vector pool only when the evicting call is the sole one in
 	// flight (inflight == 1): every older frame's dispatch has then
 	// finished, so no shard absorb can still be reading the vector —
-	// and only when no State handle holds them (Frame.shared).
+	// and only when no State or Window holds them (Frame.shared).
 	inflight int
 
 	// Audit accumulation (see Config.Audit). lastEll tracks the global
@@ -360,10 +361,11 @@ func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64,
 		// we are the only in-flight ingest (older frames' dispatches
 		// have completed — shard appends copy, samplers retain nothing),
 		// the frame predates this batch (our own rows are about to be
-		// dispatched), and no State handle shares the vector. Snapshot
-		// readers copy under mu, so once an unshared frame leaves the
-		// ring nothing else can reach its vector; a shared one is simply
-		// dropped, and stays valid for whoever holds the State.
+		// dispatched), and no reader shares the vector. State and
+		// ReadWindow mark every vector they hand out, under mu, so once
+		// an unshared frame leaves the ring nothing else can reach its
+		// vector; a shared one is simply dropped, and stays valid for
+		// whoever holds the State or the Window.
 		if e.inflight == 1 {
 			if reuse := min(over, len(e.recent)-n); reuse > 0 {
 				recycle = make([][]float64, 0, reuse)
@@ -684,36 +686,60 @@ func (e *Engine) GlobalSketch() *sketch.FrequentDirections {
 	return g.Clone()
 }
 
-// WindowState copies the sliding window and the current global basis
-// (top-k right singular vectors, k clamped to the rank) for the
-// snapshot stages, which run outside every engine lock. x is nil before
-// the first frame. An optional parent is the reader's span (a snapshot's
-// trace root): the reconcile this read may force lands inside that trace.
-func (e *Engine) WindowState(k int, parent ...obs.SpanContext) (x *mat.Matrix, tags []int, basis *mat.Matrix, ell int) {
+// Window is one read of the sliding window together with the global
+// basis to project it on. Rows are the ring's own vectors, oldest first
+// — shared, not copied: holders may read them for as long as they like
+// (the ring never recycles a vector it has handed out, however far the
+// stream runs on) and must not write to them or hand them to mat.PutVec.
+// Tags, Basis and Ell are the reader's own.
+type Window struct {
+	Rows  [][]float64
+	Tags  []int
+	Basis *mat.Matrix // top-k right singular vectors, k clamped to the rank
+	Ell   int
+}
+
+// ReadWindow reads the sliding window in place, with the current global
+// basis, for the snapshot stages, which run outside every engine lock.
+// Under mu it takes n slice headers and tags and marks the frames shared;
+// no vector is copied. Rows is nil before the first frame. parent is the
+// reader's span (a snapshot's trace root): the reconcile this read may
+// force lands inside that trace.
+func (e *Engine) ReadWindow(k int, parent obs.SpanContext) Window {
 	e.mu.Lock()
 	n := len(e.recent)
 	if n == 0 {
 		e.mu.Unlock()
-		return nil, nil, nil, 0
+		return Window{}
 	}
-	d := len(e.recent[0].Vec)
-	x = mat.New(n, d)
-	tags = make([]int, n)
+	w := Window{Rows: make([][]float64, n), Tags: make([]int, n)}
 	for i, f := range e.recent {
-		copy(x.Row(i), f.Vec)
-		tags[i] = f.Tag
+		f.shared = true
+		w.Rows[i], w.Tags[i] = f.Vec, f.Tag
 	}
 	e.mu.Unlock()
 
+	w.Basis, w.Ell = e.basis(parent, k)
+	if w.Basis == nil {
+		return Window{}
+	}
+	return w
+}
+
+// WindowState is ReadWindow with the window copied into a matrix. Its
+// callers are benchmark/replay.go and, because that file's ledger models
+// a snapshot as this call plus the stages, Monitor.Snapshot; ROADMAP
+// item 3 deletes the replay, and this wrapper with it.
+func (e *Engine) WindowState(k int, parent ...obs.SpanContext) (x *mat.Matrix, tags []int, basis *mat.Matrix, ell int) {
 	var in obs.SpanContext
 	if len(parent) > 0 {
 		in = parent[0]
 	}
-	basis, ell = e.basis(in, k)
-	if basis == nil {
+	w := e.ReadWindow(k, in)
+	if w.Rows == nil {
 		return nil, nil, nil, 0
 	}
-	return x, tags, basis, ell
+	return mat.FromRows(w.Rows), w.Tags, w.Basis, w.Ell
 }
 
 // Basis returns the top-k right singular vectors of the global sketch

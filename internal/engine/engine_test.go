@@ -404,14 +404,14 @@ func TestReconcileCadence(t *testing.T) {
 	if basis.ColsN != d {
 		t.Fatalf("basis dimension %d, want %d", basis.ColsN, d)
 	}
-	x, tags, wbasis, well := e.WindowState(4)
-	if x == nil || len(tags) != x.RowsN {
-		t.Fatal("WindowState returned inconsistent window")
+	w := e.ReadWindow(4, obs.SpanContext{})
+	if w.Rows == nil || len(w.Tags) != len(w.Rows) {
+		t.Fatal("ReadWindow returned inconsistent window")
 	}
-	if well != ell {
-		t.Fatalf("WindowState rank %d != Basis rank %d", well, ell)
+	if w.Ell != ell {
+		t.Fatalf("ReadWindow rank %d != Basis rank %d", w.Ell, ell)
 	}
-	if wbasis.RowsN != 4 {
-		t.Fatalf("clamped basis has %d rows, want 4", wbasis.RowsN)
+	if w.Basis.RowsN != 4 {
+		t.Fatalf("clamped basis has %d rows, want 4", w.Basis.RowsN)
 	}
 }

@@ -2,7 +2,7 @@ package engine_test
 
 // Concurrency hammer for the engine, meant to run under -race:
 // several IngestVecs producers, an async Enqueue producer, snapshot
-// readers (WindowState/Basis/Certificate), and a checkpointer
+// readers (ReadWindow/Basis/Certificate), and a checkpointer
 // (State) all pound the same engine. Assertions are deliberately
 // coarse — the point is that the race detector sees every lock edge:
 // gate vs ingest, shard locks vs reconcile clones, global-cache reuse
@@ -15,6 +15,7 @@ import (
 
 	"arams/internal/engine"
 	"arams/internal/imgproc"
+	"arams/internal/obs"
 	"arams/internal/sketch"
 )
 
@@ -97,13 +98,13 @@ func TestEngineConcurrentHammer(t *testing.T) {
 					return
 				default:
 				}
-				if x, tags, basis, ell := e.WindowState(4); x != nil {
-					if len(tags) != x.RowsN {
+				if w := e.ReadWindow(4, obs.SpanContext{}); w.Rows != nil {
+					if len(w.Tags) != len(w.Rows) {
 						t.Error("torn window: tags/rows mismatch")
 						return
 					}
-					if basis.RowsN > ell {
-						t.Errorf("basis rows %d exceed rank %d", basis.RowsN, ell)
+					if w.Basis.RowsN > w.Ell {
+						t.Errorf("basis rows %d exceed rank %d", w.Basis.RowsN, w.Ell)
 						return
 					}
 				}

@@ -88,7 +88,7 @@ func TestReconcileOnReadCachesUntilIngest(t *testing.T) {
 	if c := e.Certificate(); c.Rows != 48 {
 		t.Fatalf("certificate covers %d rows, want 48", c.Rows)
 	}
-	e.WindowState(4)
+	e.ReadWindow(4, obs.SpanContext{})
 	if got := e.Reconciles(); got != 1 {
 		t.Fatalf("readers with no ingest in between: %d reconciles, want 1 (cache hit)", got)
 	}

@@ -49,11 +49,14 @@ func (e *Engine) State() *State {
 	}
 	// Vectors are handed out, not cloned; the mark keeps the eviction
 	// path from recycling them under the handle. The exclusive gate
-	// orders this write against every eviction's read.
+	// already keeps every eviction out; mu orders the write against
+	// ReadWindow, which marks the same frames without the gate.
+	e.mu.Lock()
 	for i, f := range e.recent {
 		f.shared = true
 		s.Frames[i] = *f
 	}
+	e.mu.Unlock()
 	for i, sh := range e.shards {
 		st, err := sh.State()
 		if err != nil {

@@ -28,8 +28,10 @@ import (
 //     are the long axis. Every dst element is the same k-ordered chain
 //     of multiply-adds under any column cut, and a task streams only its
 //     own columns of b rather than the whole buffer per row chunk.
-//   - MulABtTo (a window×d projection: rows are the long axis and each
-//     output needs all of d) and MulTo on a tall product split by rows,
+//   - MulABtTo and MulRowsABt (a window×d projection: rows are the long
+//     axis and each output needs all of d; the window may be a matrix or
+//     a list of rows, leftRows in blocked.go, and the chunks are cut the
+//     same) and MulTo on a tall product split by rows,
 //     cut only on multiples of four. Every chunk but the last then has
 //     an even row count, and the last has the parity of the whole: the
 //     Dot-summed element falls where the serial kernel puts it.
@@ -97,9 +99,29 @@ func MulABtTo(dst, a, b *Matrix) {
 	if a.ColsN != b.ColsN || dst.RowsN != a.RowsN || dst.ColsN != b.RowsN {
 		panic("mat: MulABtTo shape mismatch")
 	}
+	mulABtLeft(dst, leftRows{m: a}, b)
+}
+
+// MulRowsABt returns rows·bᵀ for rows that need not share a backing
+// array: the projection of a list of vectors read where they lie. It is
+// MulABt of the matrix those rows would make, bit for bit and at every
+// pool width, without making it. Every row must be b.Cols long.
+func MulRowsABt(rows [][]float64, b *Matrix) *Matrix {
+	for _, r := range rows {
+		if len(r) != b.ColsN {
+			panic("mat: MulRowsABt inner dimension mismatch")
+		}
+	}
+	out := New(len(rows), b.RowsN)
+	mulABtLeft(out, leftRows{list: rows}, b)
+	return out
+}
+
+// mulABtLeft is the body of both: dst = a*bᵀ, shapes already checked.
+func mulABtLeft(dst *Matrix, a leftRows, b *Matrix) {
 	start := time.Now()
-	rows := a.RowsN
-	work := rows * b.RowsN * a.ColsN
+	rows := dst.RowsN
+	work := rows * b.RowsN * b.ColsN
 	if work < parallelThreshold || Workers() == 1 {
 		mulABtRangeTiled(dst, a, b, 0, rows)
 	} else {

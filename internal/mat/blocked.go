@@ -48,13 +48,31 @@ const (
 	packedRowBlock = 64
 )
 
+// leftRows is the left operand of the two dot-structured kernels: the
+// rows of a matrix or, with m nil, a list of rows that are stored apart
+// from one another — the engine's window ring, projected where it lies.
+// The kernels only ever ask the left operand for whole rows, so which of
+// the two it is costs them one predictable branch per row fetched; the
+// matrix, which every FD rotation passes, is the fall-through.
+type leftRows struct {
+	m    *Matrix
+	list [][]float64
+}
+
+func (l leftRows) row(i int) []float64 {
+	if l.m != nil {
+		return l.m.Row(i)
+	}
+	return l.list[i]
+}
+
 // gramRange computes rows [lo, hi) of dst = a*aᵀ for the columns
 // j >= row (plus the stray lower element a 2×2 diagonal tile touches);
 // GramTo mirrors the strict lower triangle afterwards. The target rows
 // of dst are zeroed here.
 func gramRange(dst, a *Matrix, lo, hi int) {
 	if packedPays(hi-lo, a.RowsN, a.ColsN) {
-		abtRangePacked(dst, a, a, lo, hi, true)
+		abtRangePacked(dst, leftRows{m: a}, a, lo, hi, true)
 		return
 	}
 	m, d := a.RowsN, a.ColsN
@@ -105,13 +123,14 @@ func gramRange(dst, a *Matrix, lo, hi int) {
 }
 
 // mulABtRangeTiled computes rows [lo, hi) of dst = a*bᵀ with 2×2
-// register tiles over k-panels. The target rows are zeroed here.
-func mulABtRangeTiled(dst, a, b *Matrix, lo, hi int) {
-	if packedPays(hi-lo, b.RowsN, a.ColsN) {
+// register tiles over k-panels; every row of a is b.ColsN long. The
+// target rows are zeroed here.
+func mulABtRangeTiled(dst *Matrix, a leftRows, b *Matrix, lo, hi int) {
+	if packedPays(hi-lo, b.RowsN, b.ColsN) {
 		abtRangePacked(dst, a, b, lo, hi, false)
 		return
 	}
-	n, d := b.RowsN, a.ColsN
+	n, d := b.RowsN, b.ColsN
 	for i := lo; i < hi; i++ {
 		row := dst.Row(i)
 		for j := range row {
@@ -122,8 +141,8 @@ func mulABtRangeTiled(dst, a, b *Matrix, lo, hi int) {
 		k1 := min(k0+panelCols, d)
 		i := lo
 		for ; i+1 < hi; i += 2 {
-			a0 := a.Row(i)[k0:k1]
-			a1 := a.Row(i + 1)[k0:k1]
+			a0 := a.row(i)[k0:k1]
+			a1 := a.row(i + 1)[k0:k1]
 			d0 := dst.Row(i)
 			d1 := dst.Row(i + 1)
 			j := 0
@@ -143,7 +162,7 @@ func mulABtRangeTiled(dst, a, b *Matrix, lo, hi int) {
 			}
 		}
 		if i < hi {
-			a0 := a.Row(i)[k0:k1]
+			a0 := a.row(i)[k0:k1]
 			d0 := dst.Row(i)
 			j := 0
 			for ; j+1 < n; j += 2 {
@@ -188,8 +207,8 @@ func packedPays(rows, n, d int) bool {
 // of four left of the row: the extra columns land in the chunk's own
 // rows of the lower triangle, which GramTo's mirrorLower overwrites.
 // The pack buffer is 32KB of stack; nothing is allocated.
-func abtRangePacked(dst, a, b *Matrix, lo, hi int, tri bool) {
-	n, d := b.RowsN, a.ColsN
+func abtRangePacked(dst *Matrix, a leftRows, b *Matrix, lo, hi int, tri bool) {
+	n, d := b.RowsN, b.ColsN
 	for i := lo; i < hi; i++ {
 		row := dst.Row(i)
 		for j := range row {
@@ -236,10 +255,10 @@ func abtRangePacked(dst, a, b *Matrix, lo, hi int, tri bool) {
 					// Likewise a short last quad repeats its last row.
 					last := iEnd - 1
 					dotPack4x4AVX2(&c,
-						a.Row(i)[k0:k1],
-						a.Row(min(i+1, last))[k0:k1],
-						a.Row(min(i+2, last))[k0:k1],
-						a.Row(min(i+3, last))[k0:k1],
+						a.row(i)[k0:k1],
+						a.row(min(i+1, last))[k0:k1],
+						a.row(min(i+2, last))[k0:k1],
+						a.row(min(i+3, last))[k0:k1],
 						p)
 					for r := 0; r < 4 && i+r < iEnd; r++ {
 						out := dst.Row(i + r)[j0 : j0+jn]
@@ -251,7 +270,7 @@ func abtRangePacked(dst, a, b *Matrix, lo, hi int, tri bool) {
 			}
 		}
 		if dotRow >= 0 {
-			dotSum += Dot(a.Row(dotRow)[k0:k1], b.Row(dotCol)[k0:k1])
+			dotSum += Dot(a.row(dotRow)[k0:k1], b.Row(dotCol)[k0:k1])
 		}
 	}
 	if dotRow >= 0 {

@@ -50,6 +50,13 @@ func (p *Projector) Project(x *mat.Matrix) *mat.Matrix {
 	return mat.MulABt(x, p.basis)
 }
 
+// ProjectRows is Project over rows that need not share a backing array
+// (the engine's window, read in place): the same n×k latent, bit for
+// bit, as Project of the matrix gathered from them.
+func (p *Projector) ProjectRows(rows [][]float64) *mat.Matrix {
+	return mat.MulRowsABt(rows, p.basis)
+}
+
 // ProjectInto is Project writing into caller-owned dst (n×k), so a
 // live monitor can project every refresh into the same buffer without
 // allocating. dst must not alias x.

@@ -7,6 +7,7 @@ import (
 	"arams/internal/imgproc"
 	"arams/internal/lcls"
 	"arams/internal/mat"
+	"arams/internal/obs"
 	"arams/internal/pca"
 	"arams/internal/sketch"
 )
@@ -37,11 +38,12 @@ func TestGoldenWindowLatentMatchesJacobiBackedStream(t *testing.T) {
 	for lo := 0; lo < n; lo += batch {
 		m.IngestBatch(ims[lo:lo+batch], nil)
 	}
-	x, _, basis, _ := m.eng.WindowState(k)
-	if basis.RowsN != k {
-		t.Fatalf("basis has %d rows, want %d", basis.RowsN, k)
+	w := m.eng.ReadWindow(k, obs.SpanContext{})
+	if w.Basis.RowsN != k {
+		t.Fatalf("basis has %d rows, want %d", w.Basis.RowsN, k)
 	}
-	latent := pca.NewProjector(basis).Project(x)
+	latent := pca.NewProjector(w.Basis).ProjectRows(w.Rows)
+	x := mat.FromRows(w.Rows)
 
 	// The reference stream. Every row reaches the sketch: the engine
 	// feeds the sampler one row at a time and ⌈0.9·1⌉ = 1.

@@ -120,9 +120,10 @@ type Snapshot struct {
 // QuickSnapshot is the low-latency variant of Snapshot for a live
 // display: it reuses the UMAP model fitted by the most recent full
 // Snapshot and places the current window into that embedding with an
-// out-of-sample transform, refitting from scratch only when no model
-// exists yet or the sketch rank changed (which invalidates the latent
-// space). The clustering and anomaly stages run as usual.
+// out-of-sample transform, refitting from scratch — on the window and
+// basis it has already read — only when no model exists yet or the
+// sketch rank changed (which invalidates the latent space). The
+// clustering and anomaly stages run as usual.
 func (m *Monitor) QuickSnapshot() *Snapshot {
 	obsSnapQuick.Inc()
 	sp := obs.StartTrace("quicksnapshot")
@@ -131,22 +132,22 @@ func (m *Monitor) QuickSnapshot() *Snapshot {
 	model := m.cachedModel
 	cachedEll := m.cachedEll
 	m.mu.Unlock()
-	x, tags, basis, ell := m.eng.WindowState(m.cfg.LatentDim, sp.Context())
-	if x == nil {
+	w := m.eng.ReadWindow(m.cfg.LatentDim, sp.Context())
+	if w.Rows == nil {
 		return nil
 	}
-	// The window/basis/rank triple is engine-consistent (one WindowState
+	// The window/basis/rank triple is engine-consistent (one ReadWindow
 	// call); the model guard below rejects it whenever the model was fit
 	// at a different rank or basis width, so a concurrent Ingest between
 	// reading the cache and the window can only force a refit, never a
 	// dimension-mismatched Transform.
-	if model == nil || cachedEll != ell || basis.RowsN == 0 ||
-		basis.RowsN != model.InputDim() {
-		return m.Snapshot()
+	if model == nil || cachedEll != w.Ell || w.Basis.RowsN == 0 ||
+		w.Basis.RowsN != model.InputDim() {
+		obsSnapFull.Inc()
+		return m.refit(sp.Context(), w)
 	}
-	snap := &Snapshot{Tags: tags, Ell: ell}
-	proj := pca.NewProjector(basis)
-	snap.Latent = proj.Project(x)
+	snap := &Snapshot{Tags: w.Tags, Ell: w.Ell}
+	snap.Latent = pca.NewProjector(w.Basis).ProjectRows(w.Rows)
 	snap.Embedding = model.Transform(snap.Latent)
 	m.finishSnapshot(sp.Context(), snap)
 	return snap
@@ -156,6 +157,12 @@ func (m *Monitor) QuickSnapshot() *Snapshot {
 // and runs the visualization stages, caching the fitted UMAP model for
 // subsequent QuickSnapshot calls. It returns nil when nothing has been
 // ingested yet.
+//
+// Unlike QuickSnapshot it still reads the window through the copying
+// wrapper: benchmark/replay.go explains this call as WindowState plus
+// the stages and fails a traced run whose Snapshot is more than 5 %
+// cheaper than that sum, so the copy stays here until the replay goes
+// (ROADMAP item 3; EXPERIMENTS.md, issue 27, has the in-place numbers).
 func (m *Monitor) Snapshot() *Snapshot {
 	obsSnapFull.Inc()
 	sp := obs.StartTrace("snapshot")
@@ -164,9 +171,21 @@ func (m *Monitor) Snapshot() *Snapshot {
 	if x == nil {
 		return nil
 	}
-	n := x.RowsN
-	snap := &Snapshot{Tags: tags, Ell: ell}
-	if basis.RowsN == 0 {
+	rows := make([][]float64, x.RowsN)
+	for i := range rows {
+		rows[i] = x.Row(i)
+	}
+	return m.refit(sp.Context(), engine.Window{Rows: rows, Tags: tags, Basis: basis, Ell: ell})
+}
+
+// refit is the full snapshot over a window already read: project, fit a
+// fresh UMAP model and cache it, cluster, score — inside the caller's
+// trace. The window's vectors may be the ring's own (engine.Window):
+// they are only read, and only by the projection.
+func (m *Monitor) refit(ctx obs.SpanContext, w engine.Window) *Snapshot {
+	n := len(w.Rows)
+	snap := &Snapshot{Tags: w.Tags, Ell: w.Ell}
+	if w.Basis.RowsN == 0 {
 		snap.Latent = mat.New(n, 0)
 		snap.Embedding = mat.New(n, 2)
 		snap.Labels = make([]int, n)
@@ -178,10 +197,9 @@ func (m *Monitor) Snapshot() *Snapshot {
 		return snap
 	}
 	var model *umap.Model
-	engine.RunStagesIn(sp.Context(), []engine.Stage{
+	engine.RunStagesIn(ctx, []engine.Stage{
 		{Name: "pca", Run: func() {
-			proj := pca.NewProjector(basis)
-			snap.Latent = proj.Project(x)
+			snap.Latent = pca.NewProjector(w.Basis).ProjectRows(w.Rows)
 		}},
 		{Name: "umap", Run: func() {
 			model = umap.FitModel(snap.Latent, m.cfg.UMAP)
@@ -190,9 +208,9 @@ func (m *Monitor) Snapshot() *Snapshot {
 	})
 	m.mu.Lock()
 	m.cachedModel = model
-	m.cachedEll = ell
+	m.cachedEll = w.Ell
 	m.mu.Unlock()
-	m.finishSnapshot(sp.Context(), snap)
+	m.finishSnapshot(ctx, snap)
 	return snap
 }
 

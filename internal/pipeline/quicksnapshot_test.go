@@ -44,7 +44,9 @@ func TestQuickSnapshotAfterFullSnapshot(t *testing.T) {
 
 func TestQuickSnapshotFallsBackWhenStale(t *testing.T) {
 	// Without a prior full snapshot, QuickSnapshot must behave like
-	// Snapshot (and cache a model for next time).
+	// Snapshot (and cache a model for next time) — on the window it has
+	// already read: it counts as a call and as a refit, and it stays one
+	// trace, with no second read under a "snapshot" root of its own.
 	cfg := Config{
 		Sketch: sketch.Config{Ell0: 6, Seed: 53},
 		UMAP:   umap.Config{NNeighbors: 6, NEpochs: 30, Seed: 54},
@@ -57,12 +59,25 @@ func TestQuickSnapshotFallsBackWhenStale(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		m.Ingest(bg.Next().Image, i)
 	}
+	full, quick := obsSnapFull.Value(), obsSnapQuick.Value()
 	snap := m.QuickSnapshot() // no cached model yet → full path
 	if snap == nil || snap.Embedding.HasNaN() {
 		t.Fatal("fallback quick snapshot broken")
 	}
 	if m.cachedModel == nil {
 		t.Fatal("fallback did not cache a model")
+	}
+	if df, dq := obsSnapFull.Value()-full, obsSnapQuick.Value()-quick; df != 1 || dq != 1 {
+		t.Errorf("fallback counted %v full and %v quick snapshots, want 1 and 1", df, dq)
+	}
+	// The trace that started last is the call's own, and the refit's
+	// stages are in it.
+	names := map[string]bool{}
+	for _, sp := range obs.Default().Traces()[0].Spans {
+		names[sp.Name] = true
+	}
+	if !names["quicksnapshot"] || !names["umap"] || names["snapshot"] {
+		t.Errorf("newest trace has spans %v; want the quicksnapshot root with the refit's stages under it", names)
 	}
 }
 
@@ -99,7 +114,7 @@ func TestQuickSnapshotInvalidatedByRankGrowth(t *testing.T) {
 // TestSnapshotReconcileJoinsSnapshotTrace: reading is what merges the
 // shards, so the merge belongs to the reader's trace — a sharded
 // monitor's snapshot and quicksnapshot traces each carry the reconcile
-// their WindowState forced, with its merge_sketches legs beneath it.
+// their ReadWindow forced, with its merge_sketches legs beneath it.
 func TestSnapshotReconcileJoinsSnapshotTrace(t *testing.T) {
 	cfg := Config{
 		Shards: 3, // no other test runs three shards: marks this test's reconcile spans

@@ -1,20 +1,23 @@
 package pipeline_test
 
-// Tests for the window-vector ownership rule (see engine.State): a
-// state handle shares the window's vectors with the live monitor and
-// with every monitor rebuilt from it, so it must stay byte-stable
-// whatever any of them goes on to do. Meant to run under -race, where
-// a recycled or rewritten shared vector is a reported race and not only
-// a changed byte.
+// Tests for the window-vector ownership rule (see engine.State and
+// engine.Window): a state handle shares the window's vectors with the
+// live monitor and with every monitor rebuilt from it, and a quick
+// snapshot projects them where they lie, so they must stay byte-stable
+// whatever any of them goes on to do. Meant to run under -race, where a
+// recycled or rewritten shared vector is a reported race and not only a
+// changed byte.
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
 	"arams/internal/ckpt"
 	"arams/internal/imgproc"
 	"arams/internal/pipeline"
+	"arams/internal/umap"
 )
 
 func mustMarshal(t *testing.T, s *pipeline.MonitorState) []byte {
@@ -115,5 +118,85 @@ func TestRestoreTwiceFromOneState(t *testing.T) {
 	}
 	if !bytes.Equal(mustMarshal(t, st), want) {
 		t.Error("restoring from a State and streaming on changed the State")
+	}
+}
+
+// TestMonitorSnapshotShareHammer is the -race hammer for the snapshot
+// readers: one producer batches four windows through a 16-frame ring —
+// alone in flight, so its evictions read every mark and recycle whatever
+// nobody marked — while Snapshot and QuickSnapshot mark the ring's
+// frames under the engine lock and read their vectors (to copy, to
+// project) outside every lock, and State marks the same frames from
+// under the gate. The two writers of the mark race each other, and the
+// eviction's read, unless all three hold the engine lock. (That a marked
+// vector keeps its bytes is engine.TestWindowRowsOutliveTheirFrames.)
+func TestMonitorSnapshotShareHammer(t *testing.T) {
+	const window, w, h, batch = 16, 8, 8, 4
+	frames := chaosFrames(4*window, w, h, 93)
+	cfg := chaosConfig()
+	cfg.UMAP = umap.Config{NNeighbors: 4, NEpochs: 5, Seed: 94}
+	cfg.MinPts = 3
+	m := pipeline.NewMonitor(cfg, window)
+	defer m.Engine().Close()
+	m.IngestBatch(frames[:window], nil)
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	read := func(f func() int) {
+		defer readers.Done()
+		for running := true; running; {
+			select {
+			case <-done:
+				running = false // one more read, after the last eviction
+			default:
+			}
+			if n := f(); n != window {
+				t.Errorf("read %d frames of a full %d-frame window", n, window)
+				return
+			}
+		}
+	}
+	readers.Add(3)
+	go read(func() int { return len(m.Snapshot().Tags) })
+	go read(func() int { return m.QuickSnapshot().Latent.RowsN })
+	go read(func() int { return len(m.State().Frames) })
+	for lo := window; lo < len(frames); lo += batch {
+		m.IngestBatch(frames[lo:lo+batch], nil)
+	}
+	close(done)
+	readers.Wait()
+	if got := m.Ingested(); got != len(frames) {
+		t.Fatalf("ingested %d frames, want %d", got, len(frames))
+	}
+}
+
+// TestQuickSnapshotLeavesWindowUncopied is the snapshot's share of the
+// allocation rule TestStateSharesWindowAndEvictionFreesIt (engine) pins
+// for State: a QuickSnapshot of a 512 × 4096 window allocates its latent,
+// embedding and neighbour graphs — under a quarter of the 16.8 MB the
+// window holds, where copying it first cost more than all of it.
+func TestQuickSnapshotLeavesWindowUncopied(t *testing.T) {
+	const window, side, batch = 512, 64, 32
+	frames := chaosFrames(batch, side, side, 95)
+	cfg := chaosConfig()
+	cfg.UMAP = umap.Config{NNeighbors: 8, NEpochs: 10, Seed: 96}
+	m := pipeline.NewMonitor(cfg, window)
+	defer m.Engine().Close()
+	for n := 0; n < window; n += batch {
+		m.IngestBatch(frames, nil)
+	}
+	if m.Snapshot() == nil { // fits the model the quick path transforms into
+		t.Fatal("no snapshot")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	snap := m.QuickSnapshot()
+	runtime.ReadMemStats(&after)
+	if snap == nil || snap.Latent.RowsN != window {
+		t.Fatal("no quick snapshot of the full window")
+	}
+	const windowBytes = window * side * side * 8
+	if got := after.TotalAlloc - before.TotalAlloc; got >= windowBytes/4 {
+		t.Errorf("QuickSnapshot allocates %d B beside a %d-byte window; want under a quarter of it", got, windowBytes)
 	}
 }
