@@ -110,9 +110,6 @@ func describeState(state any, indent string) {
 		describeFD(s, indent)
 	case *sketch.RankAdaptiveState:
 		describeRankAdaptive(s, indent)
-	case *sketch.PriorityState:
-		fmt.Printf("%ssampler:  m=%d, seen %d rows, %d entries held\n",
-			indent, s.M, s.Seen, len(s.Entries))
 	case *sketch.ARAMSState:
 		describeARAMS(s, indent)
 	case *pipeline.MonitorState:
@@ -222,8 +219,6 @@ type jsonInfo struct {
 	AuditAlarms    *int64 `json:"audit_alarms,omitempty"`
 	JournalSeq     *int64 `json:"journal_seq,omitempty"`
 	JournalEvents  *int   `json:"journal_events,omitempty"`
-
-	SamplerEntries *int `json:"sampler_entries,omitempty"`
 }
 
 func certOf(s *sketch.FDState) *jsonCert {
@@ -274,8 +269,6 @@ func fillJSON(info *jsonInfo, state any) {
 	case *sketch.RankAdaptiveState:
 		info.Certificate = certOf(&s.FD)
 		info.RankGrows = intp(s.Grows)
-	case *sketch.PriorityState:
-		info.SamplerEntries = intp(len(s.Entries))
 	case *sketch.ARAMSState:
 		fillARAMS(info, s)
 	case *pipeline.MonitorState:

@@ -11,8 +11,7 @@
 // The mergeability result of Ghashami et al. makes the certificate
 // compositional: merging sketches adds their shrinkage masses (plus
 // whatever the merge rotations shrink), so the bound survives every
-// arity and order of the tree merge in internal/parallel, including
-// re-sketch recovery of lost legs.
+// arity and order of the tree merge in internal/parallel.
 //
 // The package provides three cooperating pieces:
 //
@@ -24,7 +23,7 @@
 //     residuals and priority-sampling acceptance rates, raising typed
 //     alarms when the stream departs from the sketched subspace.
 //   - A bounded structured event Journal (ring + optional JSONL sink)
-//     recording certificates, alarms, rank growth, merge recoveries,
+//     recording certificates, alarms, rank growth, lost remote legs,
 //     and checkpoint events, served over HTTP at /audit and summarized
 //     as sparklines on /statusz via the obs time-series ring.
 package audit

@@ -132,7 +132,7 @@ func TestAuditHandlerTable(t *testing.T) {
 // zero certificate (the lclssim case).
 func TestAuditHandlerJournalOnly(t *testing.T) {
 	j := audit.NewJournal(8)
-	j.Record(audit.KindSerialFallback, "degraded")
+	j.Record(audit.KindRemoteDegrade, "degraded")
 	rec := getAudit(t, nil, j, "/audit")
 	var resp auditResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
@@ -141,7 +141,7 @@ func TestAuditHandlerJournalOnly(t *testing.T) {
 	if resp.Batches != 0 || resp.Certificate.Rows != 0 {
 		t.Fatalf("nil auditor leaked certificate state: %+v", resp)
 	}
-	if len(resp.Events) != 1 || resp.Events[0].Kind != audit.KindSerialFallback {
+	if len(resp.Events) != 1 || resp.Events[0].Kind != audit.KindRemoteDegrade {
 		t.Fatalf("journal-only events = %+v", resp.Events)
 	}
 }

@@ -19,9 +19,6 @@ const (
 	KindCertificate       EventKind = "certificate"        // periodic error-bound certificate
 	KindAlarm             EventKind = "alarm"              // drift detector fired
 	KindRankGrow          EventKind = "rank_grow"          // rank-adaptive ℓ growth
-	KindMergeRound        EventKind = "merge_round"        // one tree-merge round folded
-	KindMergeRecovery     EventKind = "merge_recovery"     // lost merge leg re-sketched
-	KindSerialFallback    EventKind = "serial_fallback"    // parallel run degraded to serial
 	KindCheckpointSave    EventKind = "checkpoint_save"    // sketch state checkpointed
 	KindCheckpointRestore EventKind = "checkpoint_restore" // sketch state restored
 	KindDeadlineMiss      EventKind = "deadline_miss"      // batch blew its frame budget

@@ -155,12 +155,13 @@ func TestFig5AndFig6Smoke(t *testing.T) {
 		t.Fatal("Fig5 table shapes wrong")
 	}
 	t6 := Fig6Diffraction(p)
-	if len(t6.Rows) != 1 {
-		t.Fatal("Fig6 rows wrong")
+	if len(t6.Rows) != 2 {
+		t.Fatal("Fig6 rows wrong: want one per clusterer")
 	}
-	purity := parseF(t, t6.Rows[0][3])
-	if purity < 0.6 {
-		t.Fatalf("smoke-test purity %v suspiciously low", purity)
+	for _, r := range t6.Rows {
+		if purity := parseF(t, r[4]); purity < 0.6 {
+			t.Fatalf("smoke-test %s purity %v suspiciously low", r[0], purity)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"math"
 
+	"arams/internal/hdbscan"
 	"arams/internal/imgproc"
 	"arams/internal/lcls"
 	"arams/internal/mat"
@@ -143,7 +144,10 @@ func Fig5BeamProfile(p EmbedParams) []*Table {
 
 // Fig6Diffraction reproduces the Fig. 6 experiment: quadrant-weighted
 // diffraction rings pass through the pipeline; the discovered clusters
-// are scored against the generator's class labels.
+// are scored against the generator's class labels. The one embedding is
+// clustered by both backends the pipeline offers — OPTICS-ξ (its
+// default, the paper's choice) and HDBSCAN* at the same density
+// parameters — one row each.
 func Fig6Diffraction(p EmbedParams) *Table {
 	dg := lcls.NewDiffractionGenerator(lcls.DiffractionConfig{
 		Size: p.ImgSize, Seed: p.Seed,
@@ -159,21 +163,33 @@ func Fig6Diffraction(p EmbedParams) *Table {
 		Workers:   p.Workers,
 		LatentDim: 12,
 		UMAP:      umap.Config{NNeighbors: 20, NEpochs: 200, Seed: p.Seed + 1},
+		// The pipeline's defaults, spelled out because the HDBSCAN row
+		// below reads them.
+		MinPts:         5,
+		MinClusterSize: 20,
 	}
 	res := pipeline.Process(imgs, cfg)
 
-	purity, clustered := purityOf(res.Labels, truth)
 	t := &Table{
 		Title: "Fig.6: diffraction embedding — cluster recovery of quadrant classes",
 		Note: "expect: clear clusters, each dominated by one quadrant-weight class " +
 			"(high purity), cluster count near the class count",
-		Header: []string{"true_classes", "found_clusters", "clustered_frac",
+		Header: []string{"clusterer", "true_classes", "found_clusters", "clustered_frac",
 			"purity", "ARI", trustHeader},
 	}
-	t.Append(dg.NumClasses(), optics.NumClusters(res.Labels),
-		float64(clustered)/float64(len(truth)), purity,
-		optics.ARI(res.Labels, truth),
-		stats.Trustworthiness(res.Latent, res.Embedding, trustK))
+	trust := stats.Trustworthiness(res.Latent, res.Embedding, trustK)
+	for _, c := range []struct {
+		name   string
+		labels []int
+	}{
+		{"optics-xi", res.Labels},
+		{"hdbscan", hdbscan.Cluster(res.Embedding, cfg.MinPts, cfg.MinClusterSize).Labels},
+	} {
+		purity, clustered := purityOf(c.labels, truth)
+		t.Append(c.name, dg.NumClasses(), optics.NumClusters(c.labels),
+			float64(clustered)/float64(len(truth)), purity,
+			optics.ARI(c.labels, truth), trust)
+	}
 	return t
 }
 

@@ -64,9 +64,10 @@ type Kind uint32
 const (
 	KindFD           Kind = 1 // sketch.FDState
 	KindRankAdaptive Kind = 2 // sketch.RankAdaptiveState
-	KindPriority     Kind = 3 // sketch.PriorityState
-	KindARAMS        Kind = 4 // sketch.ARAMSState
-	KindMonitor      Kind = 5 // pipeline.MonitorState
+	// 3 was a priority-sampler frame no program ever wrote; the number
+	// stays reserved (never reused) and decodes to ErrBadKind.
+	KindARAMS   Kind = 4 // sketch.ARAMSState
+	KindMonitor Kind = 5 // pipeline.MonitorState
 )
 
 // String names the kind for logs and the ckptinfo tool.
@@ -76,8 +77,6 @@ func (k Kind) String() string {
 		return "frequent-directions"
 	case KindRankAdaptive:
 		return "rank-adaptive-fd"
-	case KindPriority:
-		return "priority-sampler"
 	case KindARAMS:
 		return "arams"
 	case KindMonitor:

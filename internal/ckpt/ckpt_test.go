@@ -110,16 +110,6 @@ func states(t *testing.T) []any {
 	}
 	ra := raInner.State()
 
-	ps := sketch.NewPrioritySampler(5, rng.New(6))
-	for i := 0; i < 20; i++ {
-		row := make([]float64, 3)
-		for j := range row {
-			row[j] = g.Norm()
-		}
-		ps.PushRow(row)
-	}
-	pri := ps.State()
-
 	ar := testARAMS(t, true).State()
 	arFixed := testARAMS(t, false).State()
 	mon := testMonitor(t, 12).State()
@@ -127,7 +117,7 @@ func states(t *testing.T) []any {
 	if monAudited.Audit == nil || monAudited.Journal == nil || len(monAudited.Journal.Events) == 0 {
 		t.Fatal("audited monitor snapshot is missing audit/journal state")
 	}
-	return []any{&fd, &ra, &pri, &ar, &arFixed, mon, monAudited}
+	return []any{&fd, &ra, &ar, &arFixed, mon, monAudited}
 }
 
 // TestRoundTripCanonical checks the codec invariant the fuzz target
@@ -235,49 +225,6 @@ func TestRestoredARAMSResumesBitExact(t *testing.T) {
 	}
 	if a.Ell() != restored.Ell() {
 		t.Fatalf("rank diverged: %d vs %d", a.Ell(), restored.Ell())
-	}
-}
-
-// TestRestoredPriorityResumesBitExact replays a suffix through a
-// restored sampler and requires identical selections and estimates.
-func TestRestoredPriorityResumesBitExact(t *testing.T) {
-	g := rng.New(21)
-	ps := sketch.NewPrioritySampler(6, rng.New(8))
-	feed := func(p *sketch.PrioritySampler, n int, gen *rng.RNG) {
-		for i := 0; i < n; i++ {
-			row := []float64{gen.Norm(), gen.Norm()}
-			p.PushRow(row)
-		}
-	}
-	feed(ps, 30, g)
-
-	b, err := Marshal(ps.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := sketch.NewPriorityFromState(*back.(*sketch.PriorityState))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	gA, gB := rng.New(77), rng.New(77)
-	feed(ps, 30, gA)
-	feed(restored, 30, gB)
-	ia, ib := ps.Indices(), restored.Indices()
-	if len(ia) != len(ib) {
-		t.Fatalf("selection sizes diverged: %d vs %d", len(ia), len(ib))
-	}
-	for i := range ia {
-		if ia[i] != ib[i] {
-			t.Fatalf("selection diverged at %d: %d vs %d", i, ia[i], ib[i])
-		}
-	}
-	if ps.EstimateSum() != restored.EstimateSum() {
-		t.Fatalf("estimates diverged: %v vs %v", ps.EstimateSum(), restored.EstimateSum())
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 //
 //	sketch.FDState / *sketch.FDState                     → KindFD
 //	sketch.RankAdaptiveState / *sketch.RankAdaptiveState → KindRankAdaptive
-//	sketch.PriorityState / *sketch.PriorityState         → KindPriority
 //	sketch.ARAMSState / *sketch.ARAMSState               → KindARAMS
 //	*pipeline.MonitorState                               → KindMonitor
 func Marshal(state any) ([]byte, error) {
@@ -45,12 +44,6 @@ func encodeState(e *enc, state any) (Kind, error) {
 	case *sketch.RankAdaptiveState:
 		encodeRankAdaptive(e, s)
 		return KindRankAdaptive, nil
-	case sketch.PriorityState:
-		encodePriority(e, &s)
-		return KindPriority, nil
-	case *sketch.PriorityState:
-		encodePriority(e, s)
-		return KindPriority, nil
 	case sketch.ARAMSState:
 		return KindARAMS, encodeARAMS(e, &s)
 	case *sketch.ARAMSState:
@@ -63,8 +56,8 @@ func encodeState(e *enc, state any) (Kind, error) {
 }
 
 // Unmarshal decodes one checkpoint frame. It returns one of
-// *sketch.FDState, *sketch.RankAdaptiveState, *sketch.PriorityState,
-// *sketch.ARAMSState, *pipeline.MonitorState.
+// *sketch.FDState, *sketch.RankAdaptiveState, *sketch.ARAMSState,
+// *pipeline.MonitorState.
 func Unmarshal(b []byte) (any, error) {
 	h, err := Peek(b)
 	if err != nil {
@@ -107,8 +100,6 @@ func decodeState(d *dec, kind Kind) (any, error) {
 		state = decodeFD(d)
 	case KindRankAdaptive:
 		state = decodeRankAdaptive(d)
-	case KindPriority:
-		state = decodePriority(d)
 	case KindARAMS:
 		state = decodeARAMS(d)
 	case KindMonitor:
@@ -207,52 +198,6 @@ func decodeRankAdaptive(d *dec) *sketch.RankAdaptiveState {
 	s.IncreaseEll = d.bool()
 	s.RowsLeft = d.i64()
 	s.Grows = d.i64()
-	return s
-}
-
-// --- PrioritySampler ---
-
-func encodePriority(e *enc, s *sketch.PriorityState) {
-	e.i64(s.M)
-	e.i64(s.Seen)
-	encodeRNG(e, s.RNG)
-	e.i64(len(s.Entries))
-	for _, ent := range s.Entries {
-		e.f64(ent.Priority)
-		e.f64(ent.Weight)
-		e.i64(ent.Index)
-		e.bool(ent.Row != nil)
-		if ent.Row != nil {
-			e.floats(ent.Row)
-		}
-	}
-}
-
-func decodePriority(d *dec) *sketch.PriorityState {
-	s := &sketch.PriorityState{
-		M:    d.i64(),
-		Seen: d.i64(),
-		RNG:  decodeRNG(d),
-	}
-	// Each entry costs at least priority+weight+index+hasRow (25 bytes).
-	n := d.count(25)
-	if n > 0 {
-		s.Entries = make([]sketch.PriorityEntry, n)
-		for i := range s.Entries {
-			ent := &s.Entries[i]
-			ent.Priority = d.f64()
-			ent.Weight = d.f64()
-			ent.Index = d.i64()
-			if d.bool() {
-				ent.Row = d.floats()
-				if ent.Row == nil && d.err == nil {
-					// A present-but-empty row re-encodes identically to a
-					// nil row only if we keep it non-nil.
-					ent.Row = []float64{}
-				}
-			}
-		}
-	}
 	return s
 }
 

@@ -126,7 +126,7 @@ func (p *pool) aramsState() sketch.ARAMSState {
 // arbitrary kind from raw fuzz input.
 func stateFromBytes(data []byte) any {
 	p := &pool{b: data}
-	switch p.intn(6) {
+	switch p.intn(5) {
 	case 0:
 		s := p.fdState()
 		return &s
@@ -134,24 +134,9 @@ func stateFromBytes(data []byte) any {
 		s := p.rankAdaptiveState()
 		return &s
 	case 2:
-		n := p.intn(8)
-		entries := make([]sketch.PriorityEntry, n)
-		for i := range entries {
-			entries[i] = sketch.PriorityEntry{
-				Priority: p.f64(), Weight: p.f64(), Index: p.intn(1000),
-			}
-			if p.byte()&1 == 1 {
-				entries[i].Row = p.floats(p.intn(5))
-			}
-		}
-		return &sketch.PriorityState{
-			M: 1 + p.intn(8), Seen: p.intn(10000),
-			RNG: p.rngState(), Entries: entries,
-		}
-	case 3:
 		s := p.aramsState()
 		return &s
-	case 4:
+	case 3:
 		nFrames := p.intn(6)
 		frames := make([]pipeline.FrameState, nFrames)
 		for i := range frames {
@@ -189,7 +174,7 @@ func stateFromBytes(data []byte) any {
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	seedFromTestdata(f, "FuzzCheckpointRoundTrip")
 	f.Add([]byte{})
-	for k := byte(0); k < 6; k++ {
+	for k := byte(0); k < 5; k++ {
 		f.Add(append([]byte{k}, bytes.Repeat([]byte{0x5a, k, 0xc3}, 64)...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -224,7 +209,7 @@ func FuzzDecodeCorrupt(f *testing.F) {
 	// The checked-in frames are version 1, which every decoder now turns
 	// away at the header; current frames of every kind keep the field
 	// decoders in the fuzzer's reach.
-	for k := byte(0); k < 6; k++ {
+	for k := byte(0); k < 5; k++ {
 		if valid, err := Marshal(stateFromBytes([]byte{k, 1, 2, 3, 4})); err == nil {
 			f.Add(valid)
 			flipped := append([]byte(nil), valid...)
@@ -295,7 +280,7 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		}
 	}
 	g := rng.New(2024)
-	for k := 0; k < 6; k++ {
+	for k := 0; k < 5; k++ {
 		entropy := make([]byte, 512)
 		entropy[0] = byte(k)
 		for i := 1; i < len(entropy); i++ {

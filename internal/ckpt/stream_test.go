@@ -234,6 +234,7 @@ func TestCorruptionTableBothDecoders(t *testing.T) {
 
 	// Damage under a valid checksum, which only the field decoder can see.
 	add("unknown kind", reseal(valid, func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 42) }), ErrBadKind)
+	add("reserved kind 3", reseal(valid, func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 3) }), ErrBadKind)
 	add("older version", reseal(valid, func(b []byte) { b[4] = Version - 1 }), ErrVersion)
 	add("vector count beyond the payload", reseal(valid, func(b []byte) {
 		binary.LittleEndian.PutUint64(b[headerLen+24+8:], uint64(payloadLen)) // floats, not bytes

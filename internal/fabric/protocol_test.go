@@ -149,7 +149,7 @@ func TestPayloadRoundTrips(t *testing.T) {
 		t.Errorf("heartbeat round trip: %+v err %v", got, err)
 	}
 
-	fr := FlightReqPayload{ID: "deadbeefcafef00d", Reason: "merge_leg_fault"}
+	fr := FlightReqPayload{ID: "deadbeefcafef00d", Reason: "remote_leg_lost"}
 	if got, err := decodeFlightReq(fr.encode()); err != nil || got != fr {
 		t.Errorf("flight-req round trip: %+v err %v", got, err)
 	}

@@ -18,11 +18,3 @@ func BenchmarkCenterOfMass(b *testing.B) {
 		_, _ = im.CenterOfMass()
 	}
 }
-
-func BenchmarkRadialProfile(b *testing.B) {
-	im := gaussian(256, 256, 128, 128, 40, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = RadialProfile(im, 64)
-	}
-}

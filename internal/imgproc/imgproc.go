@@ -342,6 +342,33 @@ func (p Preprocessor) ApplyVec(im *Image, buf []float64) []float64 {
 	return out.Pix
 }
 
+// QuadrantSums returns total intensity per detector quadrant in the
+// order (NE, NW, SW, SE) — "north" being negative y, matching the
+// diffraction generator's convention.
+func QuadrantSums(im *Image) [4]float64 {
+	cx := float64(im.W-1) / 2
+	cy := float64(im.H-1) / 2
+	var q [4]float64
+	for y := 0; y < im.H; y++ {
+		for x := 0; x < im.W; x++ {
+			dx := float64(x) - cx
+			dy := float64(y) - cy
+			v := im.Pix[y*im.W+x]
+			switch {
+			case dx >= 0 && dy < 0:
+				q[0] += v
+			case dx < 0 && dy < 0:
+				q[1] += v
+			case dx < 0 && dy >= 0:
+				q[2] += v
+			default:
+				q[3] += v
+			}
+		}
+	}
+	return q
+}
+
 // ToMatrix flattens a batch of equal-size images into an n×(W·H) data
 // matrix, copying pixels.
 func ToMatrix(imgs []*Image) *mat.Matrix {

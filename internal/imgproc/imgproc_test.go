@@ -230,3 +230,53 @@ func TestToMatrix(t *testing.T) {
 		t.Fatal("empty batch should give empty matrix")
 	}
 }
+
+// ring renders a thin ring of the given radius with per-quadrant
+// weights (NE, NW, SW, SE).
+func ring(size int, radius, width float64, q [4]float64) *Image {
+	im := NewImage(size, size)
+	c := float64(size-1) / 2
+	for y := 0; y < size; y++ {
+		for x := 0; x < size; x++ {
+			dx := float64(x) - c
+			dy := float64(y) - c
+			r := math.Hypot(dx, dy)
+			radial := math.Exp(-(r - radius) * (r - radius) / (2 * width * width))
+			var w float64
+			switch {
+			case dx >= 0 && dy < 0:
+				w = q[0]
+			case dx < 0 && dy < 0:
+				w = q[1]
+			case dx < 0 && dy >= 0:
+				w = q[2]
+			default:
+				w = q[3]
+			}
+			im.Set(x, y, radial*w)
+		}
+	}
+	return im
+}
+
+func TestQuadrantSums(t *testing.T) {
+	im := ring(96, 30, 2, [4]float64{1, 0.2, 0.2, 0.2})
+	q := QuadrantSums(im)
+	if !(q[0] > 3*q[1] && q[0] > 3*q[2] && q[0] > 3*q[3]) {
+		t.Fatalf("NE quadrant not dominant: %v", q)
+	}
+	total := q[0] + q[1] + q[2] + q[3]
+	if math.Abs(total-im.Sum()) > 1e-9*total {
+		t.Fatalf("quadrant sums %v != total %v", total, im.Sum())
+	}
+}
+
+func TestMaskSizeMismatchPanics(t *testing.T) {
+	m := NewMask(4, 4)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mask size mismatch did not panic")
+		}
+	}()
+	m.Apply(NewImage(5, 5))
+}

@@ -14,9 +14,9 @@ import (
 // captures the last Window of completed spans and periodic metric
 // samples (gauge values — queue depths included — and counter deltas),
 // and dumps the whole ring to a JSONL file when something goes wrong:
-// a merge leg faults, a drift alarm fires, or the frame-budget burn
-// rate trips its threshold. The dump covers the seconds *before* the
-// trigger, which is exactly the history a live /metrics scrape has
+// a remote merge leg is lost, a drift alarm fires, or the frame-budget
+// burn rate trips its threshold. The dump covers the seconds *before*
+// the trigger, which is exactly the history a live /metrics scrape has
 // already lost by the time anyone looks.
 
 // FlightConfig parameterizes a recorder. Zero values select defaults.

@@ -116,7 +116,6 @@ const statuszHTML = `<!DOCTYPE html>
 <h2>Process</h2><table id="proc"></table>
 <h2>Build</h2><table id="build"></table>
 <div id="serieswrap" style="display:none"><h2>Quality history</h2><table id="series"></table></div>
-<div id="ftwrap" style="display:none"><h2>Merge fault tolerance</h2><table id="ft"></table></div>
 <h2>Stage timings</h2><table id="hist"></table>
 <h2>Counters</h2><table id="counters"></table>
 <h2>Gauges</h2><table id="gauges"></table>
@@ -161,29 +160,6 @@ function fmtVal(v) {
   if (v !== 0 && (Math.abs(v) < 1e-3 || Math.abs(v) >= 1e6)) return v.toExponential(3);
   return +v.toPrecision(6);
 }
-// ftRows extracts the parallel fault-tolerance accounting (satellite:
-// RoundStats were counted but never shown) from counters and gauges.
-function ftRows(d) {
-  const want = {
-    "arams_parallel_merge_legs_total": "merge legs (cumulative)",
-    "arams_parallel_merge_leg_failures_total": "leg failures",
-    "arams_parallel_merge_leg_retries_total": "leg retries",
-    "arams_parallel_merge_leg_resketch_total": "re-sketch recoveries",
-    "arams_parallel_serial_fallbacks_total": "serial fallbacks",
-    "arams_parallel_last_run_rounds": "last run: merge rounds",
-    "arams_parallel_last_run_legs": "last run: legs",
-    "arams_parallel_last_run_failures": "last run: failures",
-    "arams_parallel_last_run_retries": "last run: retries",
-    "arams_parallel_last_run_resketches": "last run: re-sketches",
-    "arams_parallel_last_run_serial_fallback": "last run: degraded to serial",
-  };
-  const out = [];
-  for (const m of d.counters.concat(d.gauges)) {
-    if (want[m.name] !== undefined)
-      out.push("<tr><td>"+want[m.name]+'</td><td class="num">'+m.value+"</td></tr>");
-  }
-  return out;
-}
 async function tick() {
   let d;
   try {
@@ -210,9 +186,6 @@ async function tick() {
         '</td><td class="num">'+
         (s.points.length ? fmtVal(s.points[s.points.length-1][1]) : "-")+"</td></tr>"));
   }
-  const ft = ftRows(d);
-  document.getElementById("ftwrap").style.display = ft.length ? "" : "none";
-  if (ft.length) rows("ft", [["fault tolerance"],["value",1]], ft);
   rows("hist", [["histogram"],["count",1],["mean",1],["p50",1],["p90",1],["p99",1],["max",1]],
     d.histograms.map(h => "<tr><td><code>"+label(h)+"</code></td>"+
       [h.count, fmtDur(h.mean), fmtDur(h.p50), fmtDur(h.p90), fmtDur(h.p99), fmtDur(h.max)]

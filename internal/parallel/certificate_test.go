@@ -4,10 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"arams/internal/mat"
-	"arams/internal/rng"
 	"arams/internal/sketch"
 )
 
@@ -88,55 +86,5 @@ func TestQuickCertificateBound(t *testing.T) {
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestQuickCertificateFaultInjected extends the certificate property
-// to the chaos path: whatever mix of retries, re-sketch recoveries,
-// and serial fallback the injected faults provoke, the reported
-// certificate must still bound the exact error and account the stream
-// energy exactly.
-func TestQuickCertificateFaultInjected(t *testing.T) {
-	if testing.Short() {
-		t.Skip("property test in -short mode")
-	}
-	property := func(seed uint64, nRaw, dRaw, ellRaw, pRaw, arityRaw, failRaw uint8) bool {
-		pp := paramsFrom(seed, nRaw, dRaw, ellRaw, pRaw, arityRaw)
-		x := mat.RandGaussian(pp.n, pp.d, pp.g)
-		shards := randomShardSplit(x, pp.p, pp.g)
-		failProb := float64(failRaw%31) / 100 // 0 .. 0.30
-		mk := FDSketcher(pp.ell, sketch.Options{})
-		global, stats := Run(shards, mk, TreeMerge, WithArity(pp.arity),
-			WithFaults(Faults{FailProb: failProb, CorruptProb: failProb / 2, Seed: seed}),
-			WithRetry(Retry{MaxAttempts: 2, Backoff: 10 * time.Microsecond, MaxFailedLegs: 1}))
-		if !checkRunCertificate(t, x, global, stats, "faulty") {
-			t.Logf("fail=%v stats=%+v", failProb, stats)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCertificateLastRunGauges: a run publishes its fault-tolerance
-// snapshot to the last-run gauges /statusz renders.
-func TestCertificateLastRunGauges(t *testing.T) {
-	x := mat.RandGaussian(120, 8, rng.New(3))
-	shards := SplitRows(x, 4)
-	_, stats := Run(shards, FDSketcher(5, sketch.Options{}), TreeMerge)
-	legs := 0
-	for _, rs := range stats.Rounds {
-		legs += rs.Legs
-	}
-	if got := int(obsLastRounds.Value()); got != stats.MergeRounds {
-		t.Fatalf("last_run_rounds gauge = %d, want %d", got, stats.MergeRounds)
-	}
-	if got := int(obsLastLegs.Value()); got != legs {
-		t.Fatalf("last_run_legs gauge = %d, want %d", got, legs)
-	}
-	if obsLastSerialFB.Value() != 0 {
-		t.Fatalf("serial fallback gauge = %v on a clean run", obsLastSerialFB.Value())
 	}
 }

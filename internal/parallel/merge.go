@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"arams/internal/audit"
-	"arams/internal/mat"
 	"arams/internal/obs"
 	"arams/internal/sketch"
 )
@@ -14,154 +13,154 @@ import (
 // al.), which is the one argument behind every way this package
 // combines them — Run's merge phase, MergeSketches over caller-owned
 // sketches, MergeRemote over fetched ones — so there is one code path:
-// mergeNodes folds a slice of nodes in place, as a tree of legs
+// mergeNodes folds a slice of sketches in place, as a tree of legs
 // (treeMerge → runLeg) or as one serial chain (serialMerge), and every
 // merge of two sketches anywhere in the package happens in foldInto.
+// A fold of in-process sketches cannot fail; the one step that can — a
+// remote fetch — is handled before the fold, in remote.go.
 
-// Reconcile-phase observability: MergeSketches/MergeRemote are the
-// engine's shard reconciliation primitives, so their call count and
-// rotation volume are tracked separately from the batch Run path.
+// Merge observability: every tree-merge leg is counted and timed;
+// MergeSketches/MergeRemote are the engine's shard reconciliation
+// primitives, so their call count and rotation volume are tracked
+// separately from the batch Run path.
 var (
+	obsMergeLegs          = obs.Default().Counter("arams_parallel_merge_legs_total")
+	obsLegSeconds         = obs.Default().Histogram("arams_parallel_merge_leg_seconds")
 	obsReconcilesTotal    = obs.Default().Counter("arams_parallel_reconciles_total")
 	obsReconcileRotations = obs.Default().Counter("arams_parallel_reconcile_rotations_total")
 )
 
-// mergeNode is one operand of the merge: a sketch plus the indices of
-// the original inputs it summarizes, kept so a lost leg can be
-// recomputed from its source data.
-type mergeNode struct {
-	fd     *sketch.FrequentDirections
-	shards []int
-}
-
-// mergeEnv carries the per-merge context the core needs for recovery
-// and accounting. shards and mk are the recovery source (nil when the
-// inputs are already-built sketches, whose legs run unguarded and so
-// never need one). trace is the merge span's context; every round and
-// leg span parents under it.
+// mergeEnv carries the per-merge context the core needs for
+// accounting. trace is the merge span's context; every round and leg
+// span parents under it.
 type mergeEnv struct {
-	shards []*mat.Matrix
-	mk     Sketcher
-	opts   *runOptions
-	stats  *Stats
-	trace  obs.SpanContext
+	opts  *runOptions
+	stats *Stats
+	trace obs.SpanContext
 }
 
-// mergeNodes folds nodes into one sketch with the chosen strategy,
-// consuming them: the result is nodes[0]'s sketch (or a recovered
-// replacement) with every other node merged in. It fills the merge
-// accounting in env.stats (MergeRounds, Rounds, leg totals) and returns
-// the merge critical path: the sum over tree rounds of each round's
-// slowest leg, or the whole chain for the serial fold.
-func mergeNodes(nodes []*mergeNode, strategy MergeStrategy, env *mergeEnv) (*sketch.FrequentDirections, time.Duration) {
+// mergeNodes folds fds into one sketch with the chosen strategy,
+// consuming them: the result is fds[0] with every other sketch merged
+// in. It fills the merge accounting in env.stats (MergeRounds, Rounds)
+// and returns the merge critical path: the sum over tree rounds of each
+// round's slowest leg, or the whole chain for the serial fold.
+func mergeNodes(fds []*sketch.FrequentDirections, strategy MergeStrategy, env *mergeEnv) (*sketch.FrequentDirections, time.Duration) {
 	switch strategy {
 	case TreeMerge:
-		return treeMerge(nodes, env)
+		return treeMerge(fds, env)
 	case SerialMerge:
-		env.stats.MergeRounds = len(nodes) - 1
-		return serialMerge(nodes, env.trace)
+		env.stats.MergeRounds = len(fds) - 1
+		return serialMerge(fds, env.trace)
 	default:
 		panic("parallel: unknown merge strategy")
 	}
 }
 
-// treeMerge reduces merge nodes in groups of the run's arity; groups
+// treeMerge reduces sketches in groups of the run's arity; groups
 // within one round run concurrently, mirroring simultaneous MPI
 // exchanges across ranks, while the arity−1 merges inside a group are
-// sequential (one leg). Legs run through runLeg, which adds retry/
-// timeout/recovery semantics when the run is configured with
-// WithFaults or WithRetry; when too many legs are lost, the remaining
-// nodes are folded serially with no further fault exposure.
-func treeMerge(nodes []*mergeNode, env *mergeEnv) (*sketch.FrequentDirections, time.Duration) {
+// sequential (one leg).
+func treeMerge(fds []*sketch.FrequentDirections, env *mergeEnv) (*sketch.FrequentDirections, time.Duration) {
 	arity := env.opts.arity
 	var critical time.Duration
-	for len(nodes) > 1 {
+	for len(fds) > 1 {
 		round := env.stats.MergeRounds
 		env.stats.MergeRounds++
-		if env.stats.Resketches > env.opts.retry.MaxFailedLegs {
-			// Too many lost legs: degrade to one serial fold of the
-			// surviving sketches — slower, but with no concurrent legs
-			// left to lose.
-			env.stats.SerialFallback = true
-			obsSerialFallbacks.Inc()
-			audit.Default().Record(audit.KindSerialFallback,
-				"tree merge degraded to serial fold",
-				audit.A("surviving_nodes", float64(len(nodes))),
-				audit.A("lost_legs", float64(env.stats.Resketches)))
-			before := deltaOf(nodes)
-			acc, d := serialMerge(nodes, env.trace)
-			env.stats.Rounds = append(env.stats.Rounds,
-				RoundStats{Legs: 1, Slowest: d, ShrinkMass: acc.Delta() - before})
-			return acc, critical + d
-		}
-
 		spRound := obs.StartSpanIn(env.trace, "merge_round",
 			obs.L("round", strconv.Itoa(round)))
 		roundCtx := spRound.Context()
-		groups := (len(nodes) + arity - 1) / arity
-		next := make([]*mergeNode, groups)
+		groups := (len(fds) + arity - 1) / arity
+		next := make([]*sketch.FrequentDirections, groups)
 		// Only the last group can be a singleton; it passes through to
 		// the next round and is not a leg.
 		legs := groups
-		if len(nodes)%arity == 1 {
+		if len(fds)%arity == 1 {
 			legs--
-			next[legs] = nodes[len(nodes)-1]
+			next[legs] = fds[len(fds)-1]
 		}
 		reports := make([]legReport, legs)
 		forEach(legs, env.opts.sequential, func(g int) {
-			group := nodes[g*arity : min((g+1)*arity, len(nodes))]
-			next[g], reports[g] = runLeg(roundCtx, round, g, group, env)
+			group := fds[g*arity : min((g+1)*arity, len(fds))]
+			reports[g] = runLeg(roundCtx, round, g, group, env.opts.sequential)
+			next[g] = group[0]
 		})
 		spRound.End()
 		rs := RoundStats{Legs: legs}
 		for _, rep := range reports {
-			rs.Failures += rep.failures
-			rs.Retries += rep.retries
 			rs.ShrinkMass += rep.shrink
-			if rep.resketch {
-				rs.Resketches++
-			}
 			if rep.duration > rs.Slowest {
 				rs.Slowest = rep.duration
 			}
 		}
 		env.stats.Rounds = append(env.stats.Rounds, rs)
-		env.stats.LegFailures += rs.Failures
-		env.stats.LegRetries += rs.Retries
-		env.stats.Resketches += rs.Resketches
 		critical += rs.Slowest
-		nodes = next
+		fds = next
 	}
-	return nodes[0].fd, critical
+	return fds[0], critical
 }
 
-// serialMerge folds every node into the first, one at a time, under a
+// legReport is one leg's accounting, reduced into RoundStats after the
+// round's barrier: its wall time and the shrinkage Σδ the fold added to
+// the surviving sketch (its certificate contribution).
+type legReport struct {
+	duration time.Duration
+	shrink   float64
+}
+
+// runLeg folds group[1:] into group[0] under a merge_leg span of the
+// round's span and returns the leg's accounting.
+func runLeg(parent obs.SpanContext, round, gIdx int, group []*sketch.FrequentDirections, sequential bool) legReport {
+	before := deltaOf(group)
+	sp := obs.StartSpanIn(parent, "merge_leg",
+		obs.L("round", strconv.Itoa(round)),
+		obs.L("group", strconv.Itoa(gIdx)),
+		obs.L("inputs", strconv.Itoa(len(group))))
+	// The CPU timer pins the goroutine to its OS thread, which slows a
+	// fold that fans out to the kernel pool by about a third; a
+	// sequential run exists to time the fold itself, so it goes unpinned.
+	var ct obs.CPUTimer
+	if !sequential {
+		ct = obs.StartCPUTimer()
+	}
+	t0 := time.Now()
+	acc := foldInto(group[0], group[1:])
+	rep := legReport{duration: time.Since(t0), shrink: acc.Delta() - before}
+	if cpu, ok := ct.Stop(); ok {
+		sp.SetCPU(cpu)
+	}
+	sp.End()
+	obsMergeLegs.Inc()
+	obsLegSeconds.Observe(rep.duration.Seconds())
+	return rep
+}
+
+// serialMerge folds every sketch into the first, one at a time, under a
 // merge_serial_fold span; every merge is on the critical path.
-func serialMerge(nodes []*mergeNode, trace obs.SpanContext) (*sketch.FrequentDirections, time.Duration) {
+func serialMerge(fds []*sketch.FrequentDirections, trace obs.SpanContext) (*sketch.FrequentDirections, time.Duration) {
 	sp := obs.StartSpanIn(trace, "merge_serial_fold",
-		obs.L("nodes", strconv.Itoa(len(nodes))))
+		obs.L("nodes", strconv.Itoa(len(fds))))
 	defer sp.End()
 	t0 := time.Now()
-	acc := foldInto(nodes[0].fd, nodes[1:])
+	acc := foldInto(fds[0], fds[1:])
 	return acc, time.Since(t0)
 }
 
 // foldInto merges rest into acc in order, compacting after each merge
 // so the accumulator re-enters the next one at ℓ rows, and returns acc.
-func foldInto(acc *sketch.FrequentDirections, rest []*mergeNode) *sketch.FrequentDirections {
-	for _, nd := range rest {
-		acc.Merge(nd.fd)
+func foldInto(acc *sketch.FrequentDirections, rest []*sketch.FrequentDirections) *sketch.FrequentDirections {
+	for _, fd := range rest {
+		acc.Merge(fd)
 		acc.Compact()
 	}
 	return acc
 }
 
-// deltaOf sums the nodes' certificate mass Σδ — the baseline a fold's
-// net shrinkage is reported against.
-func deltaOf(nodes []*mergeNode) float64 {
+// deltaOf sums the sketches' certificate mass Σδ — the baseline a
+// fold's shrinkage is reported against.
+func deltaOf(fds []*sketch.FrequentDirections) float64 {
 	sum := 0.0
-	for _, nd := range nodes {
-		sum += nd.fd.Delta()
+	for _, fd := range fds {
+		sum += fd.Delta()
 	}
 	return sum
 }
@@ -209,15 +208,13 @@ func mergeOwned(fds []*sketch.FrequentDirections, strategy MergeStrategy, parent
 		obs.L("strategy", strategy.String()))
 	defer sp.End()
 
-	nodes := make([]*mergeNode, len(fds))
 	rotBefore := 0
-	for i, fd := range fds {
-		nodes[i] = &mergeNode{fd: fd, shards: []int{i}}
+	for _, fd := range fds {
 		rotBefore += fd.Rotations()
 	}
-	deltaBefore := deltaOf(nodes)
+	deltaBefore := deltaOf(fds)
 	env := &mergeEnv{opts: newRunOptions(nil), stats: &stats, trace: sp.Context()}
-	global, crit := mergeNodes(nodes, strategy, env)
+	global, crit := mergeNodes(fds, strategy, env)
 	global.Compact()
 	stats.Certificate = audit.FromSketch(global)
 	stats.Total = time.Since(start)

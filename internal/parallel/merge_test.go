@@ -78,3 +78,24 @@ func TestMergeRemoteFoldsFetchedSketchesInPlace(t *testing.T) {
 			perMerge, buffer)
 	}
 }
+
+// TestRoundStatsAccounting checks the per-round leg bookkeeping: every
+// tree level must report its leg count and a non-zero slowest-leg
+// duration.
+func TestRoundStatsAccounting(t *testing.T) {
+	x := testMatrix(256, 8, 23)
+	mk := FDSketcher(6, sketch.Options{})
+	_, stats := Run(SplitRows(x, 8), mk, TreeMerge)
+	if len(stats.Rounds) != stats.MergeRounds {
+		t.Fatalf("Rounds has %d entries, MergeRounds=%d", len(stats.Rounds), stats.MergeRounds)
+	}
+	wantLegs := []int{4, 2, 1} // 8 → 4 → 2 → 1 with arity 2
+	for i, rs := range stats.Rounds {
+		if rs.Legs != wantLegs[i] {
+			t.Errorf("round %d: %d legs, want %d", i, rs.Legs, wantLegs[i])
+		}
+		if rs.Slowest <= 0 {
+			t.Errorf("round %d: slowest leg took %v, want > 0", i, rs.Slowest)
+		}
+	}
+}

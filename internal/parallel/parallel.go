@@ -35,19 +35,6 @@ var (
 	obsWorkersGauge     = obs.Default().Gauge("arams_parallel_workers")
 )
 
-// Last-run gauges: the per-run snapshot /statusz renders in its "merge
-// fault tolerance" section (the cumulative *_total counters above keep
-// growing; these reset every Run so the dashboard answers "what did
-// the most recent run do").
-var (
-	obsLastRounds   = obs.Default().Gauge("arams_parallel_last_run_rounds")
-	obsLastLegs     = obs.Default().Gauge("arams_parallel_last_run_legs")
-	obsLastFailures = obs.Default().Gauge("arams_parallel_last_run_failures")
-	obsLastRetries  = obs.Default().Gauge("arams_parallel_last_run_retries")
-	obsLastResketch = obs.Default().Gauge("arams_parallel_last_run_resketches")
-	obsLastSerialFB = obs.Default().Gauge("arams_parallel_last_run_serial_fallback")
-)
-
 // MergeStrategy selects how per-shard sketches are combined.
 type MergeStrategy int
 
@@ -74,37 +61,24 @@ func (s MergeStrategy) String() string {
 
 // RoundStats is one tree level's merge-leg accounting. A leg is a
 // group fold of two or more sketches; pass-through singletons are not
-// legs. Failures counts failed attempts (injected faults, detected
-// corruption, timeouts), Retries the re-attempts after them, and
-// Resketches the legs that exhausted their retries and were recovered
-// by re-sketching their shards from source data.
+// legs.
 type RoundStats struct {
-	Legs       int
-	Failures   int
-	Retries    int
-	Resketches int
+	Legs int
 	// Slowest is the round's slowest leg — its critical-path term.
 	Slowest time.Duration
-	// ShrinkMass is the net shrinkage Σδ this round's legs added to the
+	// ShrinkMass is the shrinkage Σδ this round's legs added to the
 	// surviving sketches — the round's contribution to the error-bound
 	// certificate. Summing it over rounds (plus the per-shard sketch
 	// shrinkage) reproduces the final certificate, which is how the
 	// property tests pin certificate composition across merge legs.
-	// A re-sketch recovery replaces its children's accumulated
-	// shrinkage, so its round reports the net change (possibly
-	// negative).
 	ShrinkMass float64
 }
 
 // Stats reports the work performed by a parallel sketch run.
 type Stats struct {
 	Workers        int
-	LocalRotations int // SVD rotations during per-shard sketching
-	// MergeRotations is the rotation count attributed to merging; when
-	// a lost leg was recovered, the recovery's re-sketch rotations are
-	// included here (the original shard pass was already billed to
-	// LocalRotations even though its result was discarded).
-	MergeRotations int
+	LocalRotations int           // SVD rotations during per-shard sketching
+	MergeRotations int           // SVD rotations during merging
 	MergeRounds    int           // tree levels (1 chain for serial)
 	SketchTime     time.Duration // wall time of the shard-sketch phase
 	MergeTime      time.Duration // wall time of the merge phase
@@ -112,26 +86,15 @@ type Stats struct {
 	// Rounds is the per-tree-level leg accounting (nil for serial
 	// merge).
 	Rounds []RoundStats
-	// LegFailures/LegRetries/Resketches aggregate Rounds; non-zero only
-	// under fault injection or leg timeouts.
-	LegFailures int
-	LegRetries  int
-	Resketches  int
-	// SerialFallback records that repeated leg losses degraded the run
-	// to a serial fold of the surviving sketches.
-	SerialFallback bool
 	// LocalShrinkMass is the shrinkage Σδ accumulated during the
 	// per-shard sketch phase; MergeShrinkMass is the additional
-	// shrinkage attributed to merging, under the same attribution
-	// convention as MergeRotations (re-sketch recoveries bill their
-	// shrinkage to the merge phase).
+	// shrinkage the merge rotations added.
 	LocalShrinkMass float64
 	MergeShrinkMass float64
 	// Certificate is the run's final error-bound certificate, cut from
 	// the merged global sketch: ‖AᵀA − BᵀB‖₂ ≤ Certificate.CovBound()
-	// over the concatenation of every shard, whatever merge order,
-	// arity, faults, and recoveries the run took (mergeability makes
-	// the bound compose).
+	// over the concatenation of every shard, whatever merge order and
+	// arity the run took (mergeability makes the bound compose).
 	Certificate audit.Certificate
 	// CriticalPath is the strong-scaling runtime on ideal hardware: the
 	// slowest single worker's sketch time, plus — for the tree — the
@@ -157,14 +120,51 @@ func FDSketcher(ell int, opts sketch.Options) Sketcher {
 	}
 }
 
+// Option configures a Run call.
+type Option func(*runOptions)
+
+// WithArity sets the tree's branching factor (default 2): each tree
+// level groups a sketches and folds each group with a−1 sequential
+// merges, groups running concurrently — the general branching factor of
+// the appendix's mergeability proof. Arity is ignored for SerialMerge.
+func WithArity(a int) Option {
+	if a < 2 {
+		panic("parallel: tree arity must be >= 2")
+	}
+	return func(o *runOptions) { o.arity = a }
+}
+
+// Sequential runs the same sketch-and-merge computation strictly one
+// unit of work at a time, so every shard sketch and every merge leg is
+// timed in isolation and Stats.CriticalPath is the runtime the
+// computation would have on hardware with one core per worker. On a
+// host with fewer cores than workers the default goroutines time-slice
+// and per-goroutine timings degenerate to wall time; a sequential run
+// is the measurement to use for strong-scaling studies there (Total is
+// then the summed work). The sketch is bit-identical either way.
+func Sequential() Option {
+	return func(o *runOptions) { o.sequential = true }
+}
+
+type runOptions struct {
+	arity      int
+	sequential bool
+}
+
+func newRunOptions(options []Option) *runOptions {
+	o := &runOptions{arity: 2}
+	for _, fn := range options {
+		fn(o)
+	}
+	return o
+}
+
 // Run sketches every shard (one goroutine per shard) and merges the
 // per-shard sketches with the chosen strategy. It returns the global
-// sketch and run statistics. Options shape the run: WithArity sets the
-// tree's branching factor (default 2), Sequential executes every unit
-// of work one after another for strong-scaling measurement, WithTrace
-// parents the run's spans, and WithFaults/WithRetry configure the
-// fault-tolerance layer around tree-merge legs; with none, legs fold
-// in place with zero overhead.
+// sketch and run statistics. Two options shape the run: WithArity sets
+// the tree's branching factor (default 2) and Sequential executes every
+// unit of work one after another for strong-scaling measurement. Every
+// run roots its own parallel_run trace on /tracez.
 func Run(shards []*mat.Matrix, mk Sketcher, strategy MergeStrategy, options ...Option) (*sketch.FrequentDirections, Stats) {
 	if len(shards) == 0 {
 		panic("parallel: no shards")
@@ -178,28 +178,25 @@ func Run(shards []*mat.Matrix, mk Sketcher, strategy MergeStrategy, options ...O
 	obsWorkersGauge.SetInt(len(shards))
 	start := time.Now()
 
-	// Root span: a child of the caller's trace (WithTrace) or a fresh
-	// trace root, so every run reads as one connected tree on /tracez.
-	spRun := obs.StartSpanIn(opts.trace, "parallel_run",
+	spRun := obs.StartTrace("parallel_run",
 		obs.L("workers", fmt.Sprint(len(shards))),
 		obs.L("strategy", strategy.String()))
 	defer spRun.End()
 
 	spSketch := spRun.StartChild("sketch")
-	nodes := make([]*mergeNode, len(shards))
+	fds := make([]*sketch.FrequentDirections, len(shards))
 	localTimes := make([]time.Duration, len(shards))
 	forEach(len(shards), opts.sequential, func(i int) {
 		t0 := time.Now()
-		fd := mk(shards[i])
-		fd.Compact()
+		fds[i] = mk(shards[i])
+		fds[i].Compact()
 		localTimes[i] = time.Since(t0)
-		nodes[i] = &mergeNode{fd: fd, shards: []int{i}}
 	})
 	stats.SketchTime = spSketch.End()
 	var slowestLocal time.Duration
-	for i, nd := range nodes {
-		stats.LocalRotations += nd.fd.Rotations()
-		stats.LocalShrinkMass += nd.fd.Delta()
+	for i, fd := range fds {
+		stats.LocalRotations += fd.Rotations()
+		stats.LocalShrinkMass += fd.Delta()
 		if localTimes[i] > slowestLocal {
 			slowestLocal = localTimes[i]
 		}
@@ -207,16 +204,14 @@ func Run(shards []*mat.Matrix, mk Sketcher, strategy MergeStrategy, options ...O
 	obsLocalRotations.Add(float64(stats.LocalRotations))
 
 	spMerge := spRun.StartChild("merge")
-	env := &mergeEnv{shards: shards, mk: mk, opts: opts, stats: &stats,
-		trace: spMerge.Context()}
-	global, mergeCrit := mergeNodes(nodes, strategy, env)
+	env := &mergeEnv{opts: opts, stats: &stats, trace: spMerge.Context()}
+	global, mergeCrit := mergeNodes(fds, strategy, env)
 	stats.MergeTime = spMerge.End()
 	stats.MergeRotations = global.Rotations() - stats.LocalRotations
 	stats.MergeShrinkMass = global.Delta() - stats.LocalShrinkMass
 	stats.Certificate = audit.FromSketch(global)
 	obsMergeRotations.Add(float64(stats.MergeRotations))
 	obsMergeRoundsTotal.Add(float64(stats.MergeRounds))
-	publishLastRun(&stats)
 	stats.CriticalPath = slowestLocal + mergeCrit
 	stats.Total = time.Since(start)
 	return global, stats
@@ -241,25 +236,6 @@ func forEach(n int, sequential bool, fn func(i int)) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-// publishLastRun exports a run's fault-tolerance accounting to the
-// last-run gauges behind /statusz.
-func publishLastRun(stats *Stats) {
-	legs := 0
-	for _, rs := range stats.Rounds {
-		legs += rs.Legs
-	}
-	obsLastRounds.SetInt(stats.MergeRounds)
-	obsLastLegs.SetInt(legs)
-	obsLastFailures.SetInt(stats.LegFailures)
-	obsLastRetries.SetInt(stats.LegRetries)
-	obsLastResketch.SetInt(stats.Resketches)
-	if stats.SerialFallback {
-		obsLastSerialFB.Set(1)
-	} else {
-		obsLastSerialFB.Set(0)
-	}
 }
 
 // allShardsEmpty reports whether no shard carries any rows — the

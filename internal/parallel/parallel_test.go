@@ -13,6 +13,12 @@ func testMatrix(n, d int, seed uint64) *mat.Matrix {
 	return mat.RandGaussian(n, d, rng.New(seed))
 }
 
+// fdBound returns the Frequent Directions covariance-error bound
+// ‖A‖_F²/ℓ with a small slack for floating-point roundoff.
+func fdBound(x *mat.Matrix, ell int) float64 {
+	return x.FrobeniusNormSq() / float64(ell) * (1 + 1e-8)
+}
+
 func TestSplitRows(t *testing.T) {
 	x := testMatrix(10, 3, 1)
 	shards := SplitRows(x, 3)

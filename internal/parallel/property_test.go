@@ -3,7 +3,6 @@ package parallel
 import (
 	"testing"
 	"testing/quick"
-	"time"
 
 	"arams/internal/mat"
 	"arams/internal/rng"
@@ -101,40 +100,6 @@ func TestQuickMergeabilityBound(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickFaultInjectedBound extends the property to the chaos path:
-// every injected failure pattern — fail probability up to 0.3 per leg,
-// plus corruption — must still yield a sketch within the covariance
-// bound, whatever mix of retries, re-sketch recoveries, and serial
-// fallback it provokes.
-func TestQuickFaultInjectedBound(t *testing.T) {
-	if testing.Short() {
-		t.Skip("property test in -short mode")
-	}
-	property := func(seed uint64, nRaw, dRaw, ellRaw, pRaw, arityRaw, failRaw uint8) bool {
-		pp := paramsFrom(seed, nRaw, dRaw, ellRaw, pRaw, arityRaw)
-		x := mat.RandGaussian(pp.n, pp.d, pp.g)
-		shards := randomShardSplit(x, pp.p, pp.g)
-		failProb := float64(failRaw%31) / 100 // 0 .. 0.30
-		mk := FDSketcher(pp.ell, sketch.Options{})
-		global, stats := Run(shards, mk, TreeMerge, WithArity(pp.arity),
-			WithFaults(Faults{FailProb: failProb, CorruptProb: failProb / 2, Seed: seed}),
-			WithRetry(Retry{MaxAttempts: 2, Backoff: 10 * time.Microsecond, MaxFailedLegs: 1}))
-		bound := fdBound(x, pp.ell)
-		if err := sketch.CovErr(x, global.Sketch()); err > bound {
-			t.Logf("faulty bound violated: %v > %v (fail=%v stats=%+v)", err, bound, failProb, stats)
-			return false
-		}
-		if global.Seen() != pp.n {
-			t.Logf("faulty row accounting broken: %d want %d (stats=%+v)", global.Seen(), pp.n, stats)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -14,13 +14,12 @@ import (
 	"arams/internal/sketch"
 )
 
-// Remote merge legs: the distributed analog of the fault-injected
-// in-process tree merge in faults.go. There a leg is a computation
-// that may fail; here a leg is a *fetch* — snapshotting a shard
-// backend that may live on the far side of a TCP connection — and the
-// failure modes are the network's: dial failures, timeouts, mid-frame
-// disconnects, checksum mismatches. The recovery ladder mirrors the
-// local one: retry transient and corrupt faults with backoff
+// Remote merge legs: the one place a merge can fail. Folding
+// in-process sketches is infallible (merge.go); what can be lost is a
+// *fetch* — snapshotting a shard backend that may live on the far side
+// of a TCP connection — and the failure modes are the network's: dial
+// failures, timeouts, mid-frame disconnects, checksum mismatches. The
+// recovery ladder: retry transient and corrupt faults with backoff
 // (re-fetch), then degrade to the surviving legs, journaling the
 // coverage loss. Because FD sketches are mergeable summaries, the
 // surviving legs still merge into a sketch whose certificate bound
@@ -32,6 +31,30 @@ var (
 	obsRemoteLegsLost = obs.Default().Counter("arams_parallel_remote_legs_lost_total")
 	obsRemoteFetchSec = obs.Default().Histogram("arams_parallel_remote_fetch_seconds")
 )
+
+// Retry is the per-leg fetch policy. The zero value means: 3 attempts
+// per leg, 200µs base backoff (doubling per retry), no timeout.
+type Retry struct {
+	// MaxAttempts is the number of fetches per leg before the leg is
+	// dropped (default 3).
+	MaxAttempts int
+	// Backoff is the sleep before the first retry; it doubles on each
+	// subsequent retry (default 200µs).
+	Backoff time.Duration
+	// LegTimeout bounds one attempt's wall time; 0 disables. An
+	// attempt that exceeds it counts as a failure.
+	LegTimeout time.Duration
+}
+
+func (r Retry) withDefaults() Retry {
+	if r.MaxAttempts <= 0 {
+		r.MaxAttempts = 3
+	}
+	if r.Backoff <= 0 {
+		r.Backoff = 200 * time.Microsecond
+	}
+	return r
+}
 
 // RemoteLeg is one fetchable input of a remote merge: typically a
 // shard backend's snapshot call. Fetch must return a sketch the merge
@@ -89,6 +112,9 @@ var ErrBackendClosed = errors.New("parallel: shard backend closed")
 // errNotFinite is the validation failure for a fetched sketch whose
 // buffer holds NaN or Inf.
 var errNotFinite = errors.New("parallel: fetched sketch is not finite")
+
+// errLegTimeout is an attempt that outlived Retry.LegTimeout.
+var errLegTimeout = errors.New("parallel: remote leg fetch timed out")
 
 // classifier lets transports annotate their errors with an explicit
 // fault class; Classify honors the innermost annotation on the chain.
@@ -295,4 +321,31 @@ func fetchLeg(parent obs.SpanContext, leg RemoteLeg, retry Retry) (*sketch.Frequ
 	sp.SetAttr("lost", "true")
 	sp.SetAttr("class", st.Class.String())
 	return nil, st
+}
+
+// within calls fn and gives up on it after timeout (0 = call inline,
+// unbounded) with errLegTimeout. A call that outlives its timeout
+// finishes into a buffered channel and is discarded: it never blocks
+// the merge, and whatever sketch it was fetching never escapes.
+func within(timeout time.Duration, fn func() (*sketch.FrequentDirections, error)) (*sketch.FrequentDirections, error) {
+	if timeout <= 0 {
+		return fn()
+	}
+	type result struct {
+		fd  *sketch.FrequentDirections
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		fd, err := fn()
+		done <- result{fd, err}
+	}()
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case r := <-done:
+		return r.fd, r.err
+	case <-timer.C:
+		return nil, errLegTimeout
+	}
 }

@@ -4,11 +4,15 @@ import (
 	"errors"
 	"io"
 	"math"
+	"reflect"
+	"strconv"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"arams/internal/audit"
+	"arams/internal/mat"
 	"arams/internal/obs"
 	"arams/internal/sketch"
 )
@@ -35,6 +39,17 @@ func legsFor(fds []*sketch.FrequentDirections) []RemoteLeg {
 			Fetch: func(obs.SpanContext) (*sketch.FrequentDirections, error) { return fd.Clone(), nil }}
 	}
 	return legs
+}
+
+// poisoned returns a copy of fd with a NaN row appended — what a torn
+// buffer decodes to; Finite rejects it whether or not the row has been
+// through a rotation yet.
+func poisoned(fd *sketch.FrequentDirections) *sketch.FrequentDirections {
+	bad := fd.Clone()
+	row := make([]float64, bad.Dim())
+	row[0] = math.NaN()
+	bad.Append(row)
+	return bad
 }
 
 // TestMergeRemoteMatchesMergeSketches: with infallible fetches,
@@ -96,9 +111,7 @@ func TestMergeRemoteRefetchesCorrupt(t *testing.T) {
 	inner := legs[0].Fetch
 	legs[0].Fetch = func(p obs.SpanContext) (*sketch.FrequentDirections, error) {
 		if calls.Add(1) == 1 {
-			bad := fds[0].Clone()
-			bad.CorruptForTest(math.NaN())
-			return bad, nil // arrives, but fails validation
+			return poisoned(fds[0]), nil // arrives, but fails validation
 		}
 		return inner(p)
 	}
@@ -189,6 +202,121 @@ func TestMergeRemoteEmptyAndNilLegs(t *testing.T) {
 	}
 	if !rep.Legs[2].Empty || rep.Legs[2].Err != nil {
 		t.Errorf("empty leg status: %+v", rep.Legs[2])
+	}
+}
+
+// TestQuickMergeRemoteFaultLadder is the property form of the one
+// failure model a merge has: for a random row split over 2–8 legs, each
+// leg scripted as ok / transient-then-ok / NaN-then-ok / fatal / slower
+// than LegTimeout, the merge must equal MergeSketches over the
+// surviving legs bit for bit, account exactly the survivors' rows, and
+// certify a bound that holds against the exact ‖AᵀA − BᵀB‖₂ over those
+// rows — a dropped leg narrows what the certificate covers, never
+// whether it is true.
+func TestQuickMergeRemoteFaultLadder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("property test in -short mode")
+	}
+	const (
+		legOK = iota
+		legTransientThenOK
+		legNaNThenOK
+		legFatal
+		legSlow
+		legScripts
+	)
+	retry := Retry{MaxAttempts: 2, Backoff: time.Microsecond, LegTimeout: 50 * time.Millisecond}
+	property := func(seed uint64, nRaw, dRaw, ellRaw, pRaw uint8) bool {
+		pp := paramsFrom(seed, nRaw, dRaw, ellRaw, pRaw, 0)
+		x := mat.RandGaussian(pp.n, pp.d, pp.g)
+		shards := randomShardSplit(x, pp.p, pp.g)
+		mk := FDSketcher(pp.ell, sketch.Options{})
+		release := make(chan struct{}) // parks the slow legs' abandoned fetches
+		defer close(release)
+
+		legs := make([]RemoteLeg, len(shards))
+		script := make([]int, len(shards))
+		var surviving []*sketch.FrequentDirections
+		var survivingRows []float64
+		for i, shard := range shards {
+			fd := mk(shard)
+			script[i] = pp.g.Intn(legScripts)
+			if script[i] != legFatal && script[i] != legSlow {
+				surviving = append(surviving, fd)
+				for r := 0; r < shard.RowsN; r++ {
+					survivingRows = append(survivingRows, shard.Row(r)...)
+				}
+			}
+			var calls atomic.Int64
+			kind := script[i]
+			legs[i] = RemoteLeg{Name: "leg" + strconv.Itoa(i),
+				Fetch: func(obs.SpanContext) (*sketch.FrequentDirections, error) {
+					first := calls.Add(1) == 1
+					switch {
+					case kind == legTransientThenOK && first:
+						return nil, io.ErrUnexpectedEOF
+					case kind == legNaNThenOK && first:
+						return poisoned(fd), nil
+					case kind == legFatal:
+						return nil, ErrBackendClosed
+					case kind == legSlow:
+						<-release
+						return nil, errors.New("too late")
+					}
+					return fd.Clone(), nil
+				}}
+		}
+
+		got, stats, rep := MergeRemote(legs, TreeMerge, retry, obs.SpanContext{})
+		for i, st := range rep.Legs {
+			wantRetries, wantClass := 0, FaultNone
+			switch script[i] {
+			case legTransientThenOK, legNaNThenOK:
+				wantRetries = 1
+			case legFatal:
+				wantClass = FaultFatal
+			case legSlow:
+				wantRetries, wantClass = 1, FaultTransient
+			}
+			if st.Retries != wantRetries || st.Class != wantClass {
+				t.Logf("leg %d (script %d): %d retries, class %v; want %d, %v",
+					i, script[i], st.Retries, st.Class, wantRetries, wantClass)
+				return false
+			}
+		}
+		if rep.Survivors != len(surviving) || rep.Dropped != len(legs)-len(surviving) {
+			t.Logf("report %d survivors / %d dropped, script says %d of %d survive",
+				rep.Survivors, rep.Dropped, len(surviving), len(legs))
+			return false
+		}
+		want, _ := MergeSketches(surviving, TreeMerge)
+		if want == nil || got == nil {
+			return want == nil && got == nil
+		}
+		wb, gb := want.Sketch(), got.Sketch()
+		if !reflect.DeepEqual(wb.Data, gb.Data) {
+			t.Logf("merged sketch differs from MergeSketches over the %d survivors", len(surviving))
+			return false
+		}
+		rows := len(survivingRows) / pp.d
+		if got.Seen() != rows || rep.Composed.Rows != rows || stats.Certificate.Rows != rows {
+			t.Logf("rows: sketch %d, composed %d, certificate %d; survivors hold %d",
+				got.Seen(), rep.Composed.Rows, stats.Certificate.Rows, rows)
+			return false
+		}
+		if rows == 0 {
+			return true
+		}
+		xs := mat.FromData(rows, pp.d, survivingRows)
+		exact := sketch.CovErr(xs, gb)
+		if bound := stats.Certificate.CovBound(); exact > bound+certTolerance(stats.Certificate.FrobMass) {
+			t.Logf("exact error %v over the surviving rows exceeds the certified bound %v", exact, bound)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,8 +1,8 @@
 package parallel
 
 import (
+	"slices"
 	"testing"
-	"time"
 
 	"arams/internal/obs"
 	"arams/internal/sketch"
@@ -37,92 +37,59 @@ func chainTo(t *testing.T, byID map[obs.ID]obs.SpanRecord, sp obs.SpanRecord) []
 	return names
 }
 
-// TestTraceGoldenFaultedMergeLeg is the golden trace-reconstruction
-// test: a tree merge with every leg faulting once (FailProb 1, 2
-// attempts) must still produce ONE connected trace under the caller's
-// root, with the retry attempts and any resketch recovery legs parented
-// inside the same merge_leg spans — never off in a separate trace.
-func TestTraceGoldenFaultedMergeLeg(t *testing.T) {
+// TestTraceGoldenMergeLeg is the golden trace-reconstruction test: a
+// tree merge must produce ONE connected trace under its parallel_run
+// root, every leg parented inside its round — never off in a separate
+// trace.
+func TestTraceGoldenMergeLeg(t *testing.T) {
 	x := testMatrix(200, 10, 7)
-	mk := FDSketcher(6, sketch.Options{})
-
-	root := obs.StartTrace("test_root")
-	global, stats := Run(SplitRows(x, 4), mk, TreeMerge,
-		WithTrace(root.Context()),
-		WithFaults(Faults{FailProb: 1, Seed: 5}),
-		WithRetry(Retry{MaxAttempts: 2, Backoff: 10 * time.Microsecond, MaxFailedLegs: len(SplitRows(x, 4))}))
-	root.End()
-
+	global, stats := Run(SplitRows(x, 4), FDSketcher(6, sketch.Options{}), TreeMerge)
 	if global.Seen() != x.RowsN {
 		t.Fatalf("Seen = %d, want %d", global.Seen(), x.RowsN)
 	}
-	if stats.LegFailures == 0 {
-		t.Fatal("FailProb 1 injected no failures — trace has no recovery legs to check")
-	}
 
-	tr, ok := obs.Default().TraceByID(root.Context().Trace)
-	if !ok {
-		t.Fatal("root trace not retained")
+	var tr obs.TraceRecord
+	for _, cand := range obs.Default().Traces() { // newest first
+		if cand.Root == "parallel_run" {
+			tr = cand
+			break
+		}
 	}
 	byName, byID := spanIndex(tr)
 
 	// Every span in the record must claim this trace and chain to the
-	// caller's root.
+	// run's root.
 	for _, sp := range tr.Spans {
 		if sp.Trace != tr.Trace {
 			t.Fatalf("span %s carries trace %s, want %s", sp.Name, sp.Trace, tr.Trace)
 		}
-		if sp.Span == root.Context().Span {
+		if sp.Parent == 0 {
 			continue
 		}
 		chain := chainTo(t, byID, sp)
-		if chain[len(chain)-1] != "test_root" {
-			t.Fatalf("span %s roots at %q, want test_root (chain %v)", sp.Name, chain[len(chain)-1], chain)
+		if chain[len(chain)-1] != "parallel_run" {
+			t.Fatalf("span %s roots at %q, want parallel_run (chain %v)", sp.Name, chain[len(chain)-1], chain)
 		}
 	}
 
-	for _, want := range []string{"parallel_run", "sketch", "merge", "merge_round", "merge_leg", "merge_attempt"} {
-		if len(byName[want]) == 0 {
-			t.Fatalf("trace is missing %q spans (have %v)", want, names(byName))
-		}
+	legs := 0
+	for _, rs := range stats.Rounds {
+		legs += rs.Legs
 	}
-
-	// Golden shape: merge_leg → merge_round → merge → parallel_run →
-	// test_root.
-	leg := byName["merge_leg"][0]
-	if got := chainTo(t, byID, leg); !equalStrings(got, []string{"merge_round", "merge", "parallel_run", "test_root"}) {
-		t.Fatalf("merge_leg parent chain = %v", got)
+	if len(byName["merge_round"]) != stats.MergeRounds || len(byName["merge_leg"]) != legs {
+		t.Fatalf("trace has %d merge_round / %d merge_leg spans, want %d / %d",
+			len(byName["merge_round"]), len(byName["merge_leg"]), stats.MergeRounds, legs)
 	}
-
-	// Retry legs: with FailProb 1 and 2 attempts every leg records 2
-	// merge_attempt children, both parented to the SAME merge_leg — the
-	// recovery attempt joins the original trace instead of opening a new
-	// one.
-	attemptsPerLeg := map[obs.ID]int{}
-	for _, att := range byName["merge_attempt"] {
-		parent, ok := byID[att.Parent]
-		if !ok || parent.Name != "merge_leg" {
-			t.Fatalf("merge_attempt parents to %v, want a merge_leg span", att.Parent)
-		}
-		attemptsPerLeg[parent.Span]++
-	}
-	for legID, n := range attemptsPerLeg {
-		if n != 2 {
-			t.Fatalf("leg %s has %d attempts, want 2 (fail + retry)", legID, n)
-		}
-	}
-
-	// Any resketch recovery legs must also nest inside a merge_leg.
-	for _, re := range byName["merge_resketch"] {
-		parent, ok := byID[re.Parent]
-		if !ok || parent.Name != "merge_leg" {
-			t.Fatalf("merge_resketch parents to %v, want a merge_leg span", re.Parent)
+	// Golden shape: merge_leg → merge_round → merge → parallel_run.
+	for _, leg := range byName["merge_leg"] {
+		if got := chainTo(t, byID, leg); !slices.Equal(got, []string{"merge_round", "merge", "parallel_run"}) {
+			t.Fatalf("merge_leg parent chain = %v", got)
 		}
 	}
 }
 
-// TestTraceUntracedRunOpensOwnTrace: without WithTrace the merge still
-// traces itself (fresh root), so /tracez always has merge trees.
+// TestTraceUntracedRunOpensOwnTrace: a Run takes no parent trace and
+// roots its own, so /tracez always has merge trees.
 func TestTraceUntracedRunOpensOwnTrace(t *testing.T) {
 	x := testMatrix(120, 8, 3)
 	Run(SplitRows(x, 4), FDSketcher(5, sketch.Options{}), TreeMerge)
@@ -132,24 +99,4 @@ func TestTraceUntracedRunOpensOwnTrace(t *testing.T) {
 		}
 	}
 	t.Fatal("untraced Run produced no parallel_run trace root")
-}
-
-func names(m map[string][]obs.SpanRecord) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

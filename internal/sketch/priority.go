@@ -127,18 +127,12 @@ func (p *PrioritySampler) Threshold() float64 {
 // selected returns the kept entries (the heap minus the threshold
 // element) in stream order.
 func (p *PrioritySampler) selected() []entry {
-	items := append([]entry(nil), p.heap...)
-	if len(items) > p.m {
-		// Drop the minimum-priority element: it defines τ.
-		minIdx := 0
-		for i, e := range items {
-			if e.priority < items[minIdx].priority {
-				minIdx = i
-			}
-			_ = i
-		}
-		items = append(items[:minIdx], items[minIdx+1:]...)
+	heap := p.heap
+	if len(heap) > p.m {
+		// Drop the minimum-priority element, the heap's root: it defines τ.
+		heap = heap[1:]
 	}
+	items := append([]entry(nil), heap...)
 	sort.Slice(items, func(i, j int) bool { return items[i].index < items[j].index })
 	return items
 }

@@ -195,63 +195,6 @@ func NewRankAdaptiveFromState(s RankAdaptiveState) (*RankAdaptiveFD, error) {
 	}, nil
 }
 
-// PriorityEntry is one heap slot of a PrioritySampler snapshot. Row is
-// nil for weight-only streams.
-type PriorityEntry struct {
-	Priority float64
-	Weight   float64
-	Index    int
-	Row      []float64
-}
-
-// PriorityState is a snapshot of a PrioritySampler. Entries preserve
-// the internal heap order so a restored sampler's future evictions
-// match the original exactly.
-type PriorityState struct {
-	M       int
-	Seen    int
-	RNG     rng.State
-	Entries []PriorityEntry
-}
-
-// State captures the sampler's current state.
-func (p *PrioritySampler) State() PriorityState {
-	entries := make([]PriorityEntry, len(p.heap))
-	for i, e := range p.heap {
-		var row []float64
-		if e.row != nil {
-			row = append([]float64(nil), e.row...)
-		}
-		entries[i] = PriorityEntry{Priority: e.priority, Weight: e.weight, Index: e.index, Row: row}
-	}
-	return PriorityState{M: p.m, Seen: p.seen, RNG: p.g.State(), Entries: entries}
-}
-
-// NewPriorityFromState rebuilds a sampler from a snapshot.
-func NewPriorityFromState(s PriorityState) (*PrioritySampler, error) {
-	if s.M <= 0 {
-		return nil, fmt.Errorf("sketch: priority state has m=%d", s.M)
-	}
-	if s.Seen < 0 || len(s.Entries) > s.M+1 {
-		return nil, fmt.Errorf("sketch: priority state has seen=%d, %d entries for m=%d", s.Seen, len(s.Entries), s.M)
-	}
-	if !s.RNG.Valid() {
-		return nil, fmt.Errorf("sketch: priority state has invalid RNG state")
-	}
-	heap := make([]entry, len(s.Entries))
-	for i, e := range s.Entries {
-		if math.IsNaN(e.Priority) || math.IsNaN(e.Weight) || e.Index < 0 || e.Index >= s.Seen {
-			return nil, fmt.Errorf("sketch: priority state entry %d is invalid", i)
-		}
-		var row []float64
-		if e.Row != nil {
-			row = append([]float64(nil), e.Row...)
-		}
-		heap[i] = entry{priority: e.Priority, weight: e.Weight, index: e.Index, row: row}
-	}
-	return &PrioritySampler{m: s.M, g: rng.FromState(s.RNG), heap: heap, seen: s.Seen}, nil
-}
-
 // ARAMSState is a snapshot of a streaming ARAMS sketcher: the
 // configuration, the batch-sampler RNG position, and exactly one of
 // the two sketch variants.
@@ -314,21 +257,9 @@ func NewARAMSFromState(s ARAMSState) (*ARAMS, error) {
 	return a, nil
 }
 
-// CorruptForTest deliberately poisons one buffer value. It exists so
-// the fault-injection harness in package parallel can simulate a
-// corrupted merge leg through the public API; it is not used by any
-// production path.
-func (fd *FrequentDirections) CorruptForTest(v float64) {
-	if fd.nextZero == 0 {
-		fd.nextZero = 1
-	}
-	fd.buffer.Row(0)[0] = v
-	fd.dirty = true
-}
-
 // Finite reports whether every occupied buffer value is finite — the
-// validation the merge-leg retry path runs to detect a corrupted
-// sketch before folding it into the global summary.
+// validation a remote merge runs on each fetched sketch before folding
+// it into the global summary.
 func (fd *FrequentDirections) Finite() bool {
 	for i := 0; i < fd.nextZero; i++ {
 		for _, v := range fd.buffer.Row(i) {
