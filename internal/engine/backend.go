@@ -93,6 +93,18 @@ func shardCertificate(b Backend) (audit.Certificate, error) {
 	return audit.FromSketch(fd), nil
 }
 
+// basisReader is the optional basis-reading extension of Backend, in
+// certifier's pattern: localShard decomposes its live sketch under its
+// lock, so a one-shard read allocates only its k×d result instead of a
+// clone of the 2ℓ×d buffer. internal/fabric's Remote does not implement
+// it; the engine decomposes a Snapshot instead, which gives the same
+// bits because Basis is a function of the sketch's state.
+type basisReader interface {
+	// basis returns the top-k basis (k clamped to the rank) and ℓ, or
+	// (nil, 0) before the first row.
+	basis(k int) (*mat.Matrix, int)
+}
+
 // localShard is the in-process Backend: one ARAMS sketcher under its
 // own lock, so shards absorb rows concurrently and snapshots
 // interleave with ingest.
@@ -174,6 +186,18 @@ func (s *localShard) Snapshot() (*sketch.FrequentDirections, error) {
 		return nil, nil
 	}
 	return s.arams.FD().Clone(), nil
+}
+
+// basis decomposes the live sketch in place. Basis changes nothing, so
+// the lock only keeps Absorb from writing the buffer mid-read.
+func (s *localShard) basis(k int) (*mat.Matrix, int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.arams == nil {
+		return nil, 0
+	}
+	fd := s.arams.FD()
+	return fd.Basis(k), fd.Ell()
 }
 
 // Certificate reads the live sketch's certificate in place.

@@ -190,9 +190,9 @@ type Engine struct {
 	shardGauges []*obs.Gauge
 	shardCPU    []*obs.Counter
 
-	// globalMu owns the reconciled global sketch cache and serializes
-	// Basis computations on it (Basis mutates the sketch's internal
-	// factor cache).
+	// globalMu owns the reconciled global sketch cache: it serializes
+	// the merges that refill it (Basis on the cached sketch is a pure
+	// read).
 	globalMu   sync.Mutex
 	global     *sketch.FrequentDirections
 	globalAt   int
@@ -752,18 +752,16 @@ func (e *Engine) Basis(k int) (*mat.Matrix, int) { return e.basis(obs.SpanContex
 // basis is Basis with the span a forced reconcile parents under.
 func (e *Engine) basis(parent obs.SpanContext, k int) (*mat.Matrix, int) {
 	if len(e.shards) == 1 {
-		// ARAMS.Basis delegates to FD().Basis in every mode
-		// (rank-adaptive included), so the snapshot clone's basis is
-		// bit-identical to the live sketch's.
+		// A local shard decomposes its live sketch under its lock; any
+		// other backend ships a copy, whose basis has the same bits.
+		if br, ok := e.shards[0].(basisReader); ok {
+			return br.basis(k)
+		}
 		fd, err := e.shards[0].Snapshot()
 		if err != nil || fd == nil {
 			return nil, 0
 		}
-		ell := fd.Ell()
-		if k > ell {
-			k = ell
-		}
-		return fd.Basis(k), ell
+		return fd.Basis(k), fd.Ell()
 	}
 	e.globalMu.Lock()
 	defer e.globalMu.Unlock()
@@ -771,11 +769,7 @@ func (e *Engine) basis(parent obs.SpanContext, k int) (*mat.Matrix, int) {
 	if g == nil {
 		return nil, 0
 	}
-	ell := g.Ell()
-	if k > ell {
-		k = ell
-	}
-	return g.Basis(k), ell
+	return g.Basis(k), g.Ell()
 }
 
 // Close stops the async pump (draining anything queued) and closes

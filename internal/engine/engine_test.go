@@ -379,6 +379,54 @@ func TestAuditParityOneShard(t *testing.T) {
 	}
 }
 
+// TestBasisIsGlobalSketchBasis: the engine's basis is the basis of the
+// sketch GlobalSketch hands out, bit for bit, at one shard (read in
+// place under the shard lock) and at two (read off the cached merged
+// global), at every read point of a stream whose batches leave the
+// shards anywhere in their rotation cycle. Before issue 29 two shards
+// failed it: the cached global, compacted by its merge, served the
+// fold's last rotation factors, and its clone decomposed its rows.
+func TestBasisIsGlobalSketchBasis(t *testing.T) {
+	const n, d, k = 150, 40, 4
+	vecs := testVecs(n, d, 71)
+	for _, shards := range []int{1, 2} {
+		e := engine.New(engine.Config{
+			Shards: shards,
+			Sketch: sketch.Config{Ell0: 6, Beta: 1, Seed: 2},
+			Window: 16,
+		})
+		for lo, step := 0, 7; lo+step <= n; lo += step {
+			e.IngestVecs(cloneVecs(vecs[lo:lo+step]), nil)
+			got, ell := e.Basis(k)
+			g := e.GlobalSketch()
+			want := g.Basis(k)
+			if ell != g.Ell() || !sameBits(got, want) {
+				t.Fatalf("%d shards, %d rows: Basis differs from GlobalSketch().Basis", shards, lo+step)
+			}
+			if w := e.ReadWindow(k, obs.SpanContext{}); !sameBits(w.Basis, want) {
+				t.Fatalf("%d shards, %d rows: ReadWindow's basis differs from GlobalSketch().Basis", shards, lo+step)
+			}
+		}
+		e.Close()
+	}
+}
+
+// sameBits reports whether two matrices have one shape and one bit
+// pattern.
+func sameBits(a, b *mat.Matrix) bool {
+	if a.RowsN != b.RowsN || a.ColsN != b.ColsN {
+		return false
+	}
+	for i := 0; i < a.RowsN; i++ {
+		for j, v := range a.Row(i) {
+			if math.Float64bits(v) != math.Float64bits(b.At(i, j)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestReconcileCadence checks that multi-shard engines keep a reconciled
 // global available mid-stream and that Basis clamps k to the merged
 // rank.

@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"time"
+	"unsafe"
 )
 
 // How the three dense kernels meet the shared pool. The shapes that
@@ -28,6 +29,8 @@ import (
 //     are the long axis. Every dst element is the same k-ordered chain
 //     of multiply-adds under any column cut, and a task streams only its
 //     own columns of b rather than the whole buffer per row chunk.
+//     mulInPlace, the same product written over its right operand, cuts
+//     the same way, in column panels sized to a 128 KB stack slot.
 //   - MulABtTo and MulRowsABt (a window×d projection: rows are the long
 //     axis and each output needs all of d; the window may be a matrix or
 //     a list of rows, leftRows in blocked.go, and the chunks are cut the
@@ -80,6 +83,71 @@ func MulTo(dst, a, b *Matrix) {
 		})
 	}
 	observeSince(obsKernelMul, start)
+}
+
+// A mulInPlace task forms its panels in an array on its own stack —
+// 128 KB, the most a declared variable may have there — so no pool can
+// drop the slot and scratch is bounded by the tasks in flight, never by
+// d. The slot starts on a 4 KB boundary inside it: stores into output
+// rows that straddle cache lines take the product half again as long.
+// Up to 4 KB go to that; inPlaceSlot floats are left.
+const (
+	inPlaceStack = 16384
+	inPlaceSlot  = inPlaceStack - 512
+)
+
+// mulInPlace overwrites the first r rows of the m×d matrix a with
+// coef·a, for an r×m coef, r ≤ m: the FD rotation's back-multiply,
+// written over the buffer it reads. Every output column depends on that
+// column of a alone, so the product goes one column panel at a time:
+// mulRangeTiled forms the panel's r rows in the task's slot and they
+// are copied back before the panel's columns are read again. A column
+// cut leaves every element the same k-ordered chain (blas.go's header),
+// so the rows are MulTo's bits whatever the panel width and at every
+// pool width.
+func mulInPlace(a, coef *Matrix) {
+	r, m, d := coef.RowsN, a.RowsN, a.ColsN
+	if coef.ColsN != m || r > m {
+		panic("mat: mulInPlace shape mismatch")
+	}
+	if r == 0 || d == 0 {
+		return
+	}
+	start := time.Now()
+	panels := (d + inPlaceWidth(r) - 1) / inPlaceWidth(r)
+	work := r * m * d
+	if work < parallelThreshold || Workers() == 1 {
+		inPlacePanels(a, coef, 0, panels)
+	} else {
+		j := grabKernelJob(a, coef, nil)
+		ParallelFor(panels, minChunk(work, panels), j.inPlaceFn)
+		releaseKernelJob(j)
+	}
+	observeSince(obsKernelMul, start)
+}
+
+// inPlaceWidth is the panel width, a whole number of cache lines, that
+// r rows of a slot hold.
+func inPlaceWidth(r int) int { return max(8, inPlaceSlot/r&^7) }
+
+// inPlacePanels runs mulInPlace over column panels [lo, hi).
+func inPlacePanels(a, coef *Matrix, lo, hi int) {
+	r, w := coef.RowsN, inPlaceWidth(coef.RowsN)
+	var stack [inPlaceStack]float64
+	slot := stack[int(-uintptr(unsafe.Pointer(&stack[0]))&4095)/8:]
+	if r*w > len(slot) {
+		slot = make([]float64, r*w) // thousands of rows: eight columns a panel
+	}
+	for p := lo; p < hi; p++ {
+		k0 := p * w
+		k1 := min(k0+w, a.ColsN)
+		src := a.colView(k0, k1)
+		out := Matrix{RowsN: r, ColsN: k1 - k0, Stride: k1 - k0, Data: slot[:r*(k1-k0)]}
+		mulRangeTiled(&out, coef, &src, 0, r)
+		for i := 0; i < r; i++ {
+			copy(src.Row(i), out.Row(i))
+		}
+	}
 }
 
 // MulABt returns a*bᵀ, streaming rows of both operands; this is the

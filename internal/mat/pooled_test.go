@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -183,6 +184,99 @@ func TestPooledKernelsGiveSerialBits(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestInPlaceBackMultiplyGivesMulToBits holds the rotation's two steps
+// done over the buffer — mulInPlace, then ScaleTo of each row onto
+// itself — to the same two done through a separate matrix (MulTo, then
+// ScaleTo from it), and SVDGramInPlace to SVDGramTo, bit for bit, at
+// pool widths 1, 2 and 4 on both kernel sets. The widths put d below
+// one slot panel, at and either side of a k-panel, and at
+// diff_sharded's detector, so panels end short; the row counts are one,
+// ℓ (odd, so one row goes unpaired) and the whole buffer. The rows
+// below r must come through untouched, also through a strided view.
+func TestInPlaceBackMultiplyGivesMulToBits(t *testing.T) {
+	const ell, m = 25, 50
+	ds := []int{7, 1023, 1024, 1025, 4096, 16384}
+	if testing.Short() {
+		ds = ds[:4]
+	}
+	g := rng.New(529)
+	for _, d := range ds {
+		a := New(m, d)
+		fill(a.Data, g, false)
+		// A buffer with a spectrum, for the decomposition.
+		buffer := fdShapedBuffer(ell, d, g).Rows(0, m)
+		for _, r := range []int{1, ell, m} {
+			coef := New(r, m)
+			fill(coef.Data, g, false)
+			sprinkleZeros(coef, g)
+			scales := make([]float64, r)
+			fill(scales, g, false)
+			for _, strided := range []bool{false, true} {
+				pad, off := 0, 0
+				if strided {
+					pad, off = 3, 1
+				}
+				src, want := view(a, pad, off), New(r, d)
+				for _, goLoops := range []bool{false, true} {
+					if !goLoops && !useAVX2 {
+						continue // the Go loops are the only set
+					}
+					run := func() {
+						for _, width := range []int{1, 2, 4} {
+							got := view(a, pad, off)
+							var sigma, wantSigma []float64
+							withPoolWidth(width, func() {
+								MulTo(want, coef, src)
+								for i := 0; i < r; i++ {
+									ScaleTo(want.Row(i), scales[i], want.Row(i))
+								}
+								mulInPlace(got, coef)
+								for i := 0; i < r; i++ {
+									ScaleTo(got.Row(i), scales[i], got.Row(i))
+								}
+							})
+							name := fmt.Sprintf("d=%d r=%d strided=%v go=%v width=%d", d, r, strided, goLoops, width)
+							if i, j, ok := matDiff(got.Rows(0, r), want, nil); !ok {
+								t.Errorf("%s: (%d,%d) differs from MulTo then ScaleTo", name, i, j)
+							}
+							if i, j, ok := matDiff(got, src, func(i, _ int) bool { return i >= r }); !ok {
+								t.Errorf("%s: (%d,%d), below the product, changed", name, i, j)
+							}
+							if strided {
+								continue
+							}
+							buf, vt := buffer.Clone(), New(r, d)
+							withPoolWidth(width, func() {
+								wantSigma = SVDGramTo(buf, nil, vt)
+								sigma = SVDGramInPlace(buf, nil, r)
+							})
+							if _, _, ok := matDiff(buf.Rows(0, r), vt, nil); !ok || firstDiff(sigma, wantSigma) >= 0 {
+								t.Errorf("%s: SVDGramInPlace differs from SVDGramTo", name)
+							}
+						}
+					}
+					if goLoops {
+						onGoKernels(run)
+					} else {
+						run()
+					}
+				}
+			}
+		}
+	}
+	// More rows than a stack slot holds eight columns of.
+	const many = inPlaceSlot/8 + 1
+	a, coef := New(many, 9), New(many, many)
+	fill(a.Data, g, false)
+	fill(coef.Data, g, false)
+	want, got := New(many, 9), a.Clone()
+	MulTo(want, coef, a)
+	mulInPlace(got, coef)
+	if i, j, ok := matDiff(got, want, nil); !ok {
+		t.Errorf("%d rows: (%d,%d) differs from MulTo", many, i, j)
 	}
 }
 

@@ -51,24 +51,24 @@ func ensureFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// kernelJob carries one pooled GramTo or MulTo call across the worker
-// pool without allocating: the operands, GramTo's per-panel partials,
-// and the two chunk functions, which are bound to the job once, when
-// it is made — a closure or method value built per call would be a heap
-// allocation per call. Each call grabs its own job, so concurrent
+// kernelJob carries one pooled GramTo, MulTo or mulInPlace call across
+// the worker pool without allocating: the operands, GramTo's per-panel
+// partials, and the chunk functions, which are bound to the job once,
+// when it is made — a closure or method value built per call would be a
+// heap allocation per call. Each call grabs its own job, so concurrent
 // callers never share partials.
 type kernelJob struct {
 	dst, a, b *Matrix
 	parts     []float64 // one m×m partial Gram matrix per panel of the round
 	first     int       // the round's first panel
 
-	gramFn, mulFn func(lo, hi int) // gramChunk and mulChunk, bound to this job
+	gramFn, mulFn, inPlaceFn func(lo, hi int) // the chunk methods, bound to this job
 }
 
 var kernelJobPool = sync.Pool{
 	New: func() interface{} {
 		j := &kernelJob{}
-		j.gramFn, j.mulFn = j.gramChunk, j.mulChunk
+		j.gramFn, j.mulFn, j.inPlaceFn = j.gramChunk, j.mulChunk, j.inPlaceChunk
 		return j
 	},
 }
@@ -104,3 +104,7 @@ func (j *kernelJob) mulChunk(lo, hi int) {
 	dst, b := j.dst.colView(lo, hi), j.b.colView(lo, hi)
 	mulRangeTiled(&dst, j.a, &b, 0, j.a.RowsN)
 }
+
+// inPlaceChunk runs mulInPlace (dst is the matrix, a the coef) over
+// column panels [lo, hi).
+func (j *kernelJob) inPlaceChunk(lo, hi int) { inPlacePanels(j.dst, j.a, lo, hi) }

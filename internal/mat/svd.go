@@ -234,18 +234,35 @@ func SVDGram(a *Matrix) (u *Matrix, s []float64, vt *Matrix) {
 // many right singular vectors are back-multiplied: all m singular
 // values are always returned, but only the leading r rows of
 // Σ⁻¹Uᵀa are formed — bit-identical to the leading r rows of the m-row
-// call. Frequent Directions passes r = ℓ, because its shrink zeroes
-// every direction at or below σ_ℓ. All internal workspace — the Gram
-// matrix, the eigensolver state, and the back-substitution
-// coefficients — comes from a process-wide pool, so steady-state calls
-// perform zero heap allocations. This is the FD rotation entry point.
+// call. A Frequent Directions basis read passes r = k, the rows it
+// returns. All internal workspace — the Gram matrix, the eigensolver
+// state, and the back-substitution coefficients — comes from a
+// process-wide pool, so steady-state calls perform zero heap
+// allocations.
 func SVDGramTo(a *Matrix, sigma []float64, vt *Matrix) []float64 {
-	m := a.RowsN
-	if cap(sigma) < m {
-		sigma = make([]float64, m)
-	}
-	sigma = sigma[:m]
+	sigma = ensureFloats(sigma, a.RowsN)
 	svdGramCore(a, sigma, vt, nil)
+	return sigma
+}
+
+// SVDGramInPlace is SVDGramTo with a as its own vt: it decomposes the
+// m×d matrix a and overwrites its first r rows with the leading r rows
+// of Σ⁻¹Uᵀa — bit for bit the rows SVDGramTo writes into an r×d vt —
+// leaving rows r… as they were. It returns all m singular values in
+// sigma's storage, as SVDGramTo does. This is the FD rotation entry
+// point, with r = ℓ because the shrink zeroes every direction at or
+// below σ_ℓ: the right singular vectors land in the buffer they are
+// about to be scaled in, and no r×d matrix is held beside it.
+func SVDGramInPlace(a *Matrix, sigma []float64, r int) []float64 {
+	start := time.Now()
+	if r < 0 || r > a.RowsN {
+		panic("mat: SVDGramInPlace row count out of range")
+	}
+	sigma = ensureFloats(sigma, a.RowsN)
+	sc := gramFactors(a, sigma, r)
+	mulInPlace(a, sc.coef)
+	releaseSVDScratch(sc)
+	observeSince(obsKernelSVDG, start)
 	return sigma
 }
 
@@ -254,10 +271,30 @@ func SVDGramTo(a *Matrix, sigma []float64, vt *Matrix) []float64 {
 func svdGramCore(a *Matrix, s []float64, vt *Matrix, u *Matrix) {
 	start := time.Now()
 	m, d := a.Dims()
-	r := vt.RowsN
-	if r > m || vt.ColsN != d {
+	if vt.RowsN > m || vt.ColsN != d {
 		panic("mat: SVDGram vt shape mismatch")
 	}
+	sc := gramFactors(a, s, vt.RowsN)
+	MulTo(vt, sc.coef, a)
+	if u != nil {
+		for i := 0; i < m; i++ {
+			for k, uik := range sc.ut.Row(i) {
+				u.Set(k, i, uik)
+			}
+		}
+	}
+	releaseSVDScratch(sc)
+	observeSince(obsKernelSVDG, start)
+}
+
+// gramFactors is the decomposition both entry points share: it fills s
+// with a's m singular values and returns pooled scratch holding Uᵀ and
+// the r×m back-multiplication coefficients, whose row i is row i of Uᵀ
+// over σᵢ (a zero row for numerically zero σᵢ) — so that coef·a is the
+// leading r rows of vt, and the sub-tolerance ones come out as the
+// documented zero rows. The caller releases the scratch.
+func gramFactors(a *Matrix, s []float64, r int) *svdScratch {
+	m := a.RowsN
 	sc := grabSVDScratch()
 	sc.g = ensureMat(sc.g, m, m)
 	GramTo(sc.g, a)
@@ -277,10 +314,6 @@ func svdGramCore(a *Matrix, s []float64, vt *Matrix, u *Matrix) {
 		}
 		s[i] = math.Sqrt(v)
 	}
-	// vt = Σ⁻¹ Uᵀ a as one blocked product: row i of the r×m coefficient
-	// matrix is row i of Uᵀ over σᵢ (a zero row for numerically zero σᵢ).
-	// MulTo zeroes vt, so the sub-tolerance rows come out as the
-	// documented zero rows.
 	sc.coef = ensureMat(sc.coef, r, m)
 	tol := 1e-14 * math.Sqrt(maxVal)
 	for i := 0; i < r; i++ {
@@ -296,16 +329,7 @@ func svdGramCore(a *Matrix, s []float64, vt *Matrix, u *Matrix) {
 			row[k] = uik * inv
 		}
 	}
-	MulTo(vt, sc.coef, a)
-	if u != nil {
-		for i := 0; i < m; i++ {
-			for k, uik := range sc.ut.Row(i) {
-				u.Set(k, i, uik)
-			}
-		}
-	}
-	releaseSVDScratch(sc)
-	observeSince(obsKernelSVDG, start)
+	return sc
 }
 
 // TruncateSVD returns the first k columns of u, entries of s, and rows

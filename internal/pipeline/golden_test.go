@@ -59,6 +59,18 @@ func digestSnapshot(h hash.Hash, s *Snapshot) {
 // (EXPERIMENTS.md, "Tridiagonal QL (issue 25)"; the rule is PR 23's,
 // whose own digests — recorded when the SGD's math.Pow became a power
 // table — and PR 19's before them are in the history of this file).
+//
+// "diffraction-2shard-w128" alone was re-recorded at issue 29, when a
+// sketch stopped caching Vᵀ beside its buffer: the merged global is
+// compacted by its merge, and its basis used to be the fold's last
+// rotation factors; it is now decomposed from the global's own rows —
+// what a clone or a restored copy of it already returned. The two bases
+// of the golden stream are at most 1.6e-14 apart in principal angle
+// (1.3e-15 in any element), the UMAP SGD amplifies that as above, and
+// the fig5/fig6 thirty-seed medians sit inside the parent's IQRs
+// (EXPERIMENTS.md, "A sketch is its buffer (issue 29)"). Every other
+// sketch, engine, fabric and checkpoint digest, and the one-shard case
+// here, held.
 func TestGoldenSnapshotDigests(t *testing.T) {
 	cfg := func(shards int) Config {
 		return Config{
@@ -93,7 +105,7 @@ func TestGoldenSnapshotDigests(t *testing.T) {
 		want           string
 	}{
 		{"beam-1shard-w512", 1, 512, 640, 64, beam, "d9c77e6ccb115e4270ee46229be10727a56306b9f2137dde10f2d9e56ff38f0f"},
-		{"diffraction-2shard-w128", 2, 128, 256, 32, diffraction, "647934b67e6eb446792dd3cb3c73f0cf811a54c088a7b55b5cc25b7c7b0d86d3"},
+		{"diffraction-2shard-w128", 2, 128, 256, 32, diffraction, "ba94fb8ef092f49da2f4bb1066880e1843bdda056cf656abef1e36d4cfa29fca"},
 	}
 	for _, tc := range cases {
 		m := NewMonitor(cfg(tc.shards), tc.window)

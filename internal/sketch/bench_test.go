@@ -70,8 +70,9 @@ func BenchmarkEstimators(b *testing.B) {
 
 // BenchmarkFDRotateSteadyState measures one full shrink cycle (ℓ
 // appends + the rotation they trigger) after warmup. With the pooled
-// Gram-SVD path and fd-owned σ/Vᵀ buffers the steady state must report
-// zero allocs/op — the rotation runs at the machine repetition rate.
+// Gram-SVD path, an fd-owned σ and Vᵀ written over the buffer the
+// steady state must report zero allocs/op — the rotation runs at the
+// machine repetition rate.
 func BenchmarkFDRotateSteadyState(b *testing.B) {
 	const ell, d = 32, 4096
 	g := rng.New(7)

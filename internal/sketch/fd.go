@@ -52,7 +52,10 @@ type Options struct {
 }
 
 // FrequentDirections maintains a fast-FD sketch: a 2ℓ×d buffer that is
-// shrunk to ℓ nonzero rows by one SVD every ℓ appended rows.
+// shrunk to ℓ nonzero rows by one SVD every ℓ appended rows. The buffer
+// is the only d-long storage a sketch holds: a rotation decomposes it in
+// place, and Basis decomposes its occupied rows on every call, so no
+// factor is cached beside it and a sketch is exactly its State.
 type FrequentDirections struct {
 	ell  int
 	d    int
@@ -66,21 +69,10 @@ type FrequentDirections struct {
 	totalDelta float64 // cumulative shrinkage Σδ across rotations
 	frobMass   float64 // cumulative ‖A‖_F² of the summarized stream
 
-	// Last rotation's spectrum and right singular vectors, reused by
-	// the rank-adaptation heuristic so the extra SVD the paper warns
-	// about is never needed.
-	lastSigma []float64
-	lastVt    *mat.Matrix
-	// dirty records that the buffer changed (Append/Grow/Merge) after
-	// lastSigma/lastVt were computed, so Basis must re-decompose
-	// instead of serving the stale factors.
-	dirty bool
-
-	// Owned storage reused across rotations so the steady-state rotate
-	// path performs zero heap allocations: vtBuf backs lastVt on the
-	// Gram path, filledView is the reusable header for the occupied
-	// buffer prefix.
-	vtBuf      mat.Matrix
+	// Storage the rotation reuses so its steady state allocates nothing:
+	// sigma receives the 2ℓ singular values, filledView is the header of
+	// the occupied buffer prefix.
+	sigma      []float64
 	filledView mat.Matrix
 }
 
@@ -132,7 +124,6 @@ func (fd *FrequentDirections) appendNorm(row []float64, n2 float64) {
 	fd.nextZero++
 	fd.seen++
 	fd.frobMass += n2
-	fd.dirty = true
 }
 
 // AppendMatrix adds every row of x to the sketch.
@@ -145,49 +136,52 @@ func (fd *FrequentDirections) AppendMatrix(x *mat.Matrix) {
 // rotate performs the fast-FD shrink: SVD the buffer, subtract σ_ℓ²
 // from all squared singular values, and rewrite the buffer as
 // √(Σ²−δI)·Vᵀ with the last ℓ rows zeroed.
-func (fd *FrequentDirections) rotate() {
-	filled := fd.filled(fd.nextZero)
-	var sigma []float64
-	var vt *mat.Matrix
-	switch fd.opts.Backend {
-	case JacobiSVD:
-		_, sigma, vt = mat.SVD(filled)
-	default:
-		// Pooled Gram-trick path: sigma and vt live in fd-owned storage
-		// reused across rotations, so the steady-state shrink performs
-		// zero heap allocations. The shrink below zeroes every direction
-		// at or below σ_ℓ, so only the ℓ leading rows of Vᵀ are asked
-		// for; sigma still carries the whole spectrum.
-		vt = fd.ensureVtBuf(min(fd.ell, filled.RowsN))
-		sigma = mat.SVDGramTo(filled, fd.lastSigma[:0], vt)
-	}
+func (fd *FrequentDirections) rotate() { fd.shrink(fd.decompose()) }
 
+// decompose is the first half of a rotation: it overwrites the leading
+// ℓ rows of the buffer (fewer if it holds fewer) with the right singular
+// vectors Vᵀ of the occupied prefix — the only directions the shrink can
+// keep — and returns the whole spectrum. Until shrink scales them, those
+// rows are the rotation's unscaled basis.
+func (fd *FrequentDirections) decompose() []float64 {
+	filled := fd.filled(fd.nextZero)
+	if fd.opts.Backend == JacobiSVD {
+		_, sigma, vt := mat.SVD(filled)
+		for i := 0; i < min(fd.ell, vt.RowsN); i++ {
+			copy(fd.buffer.Row(i), vt.Row(i))
+		}
+		return sigma
+	}
+	// The pooled Gram-trick path back-multiplies Σ⁻¹Uᵀ over the buffer
+	// itself, so the steady-state rotation allocates nothing and holds
+	// no ℓ×d Vᵀ beside the buffer.
+	fd.sigma = mat.SVDGramInPlace(filled, fd.sigma[:0], min(fd.ell, filled.RowsN))
+	return fd.sigma
+}
+
+// shrink is the second half: it scales the kept rows of Vᵀ by
+// √(σᵢ²−δ) where they lie — the multiply ScaleTo(row, s, vᵢ) would make
+// from a separate Vᵀ, so the same bits — and clears the rest.
+func (fd *FrequentDirections) shrink(sigma []float64) {
 	var delta float64
 	if fd.ell < len(sigma) {
 		delta = sigma[fd.ell] * sigma[fd.ell]
 	}
 	fd.totalDelta += delta
-	// Every element of a kept row is overwritten, so only the rows the
-	// shrink does not rewrite are cleared.
 	kept := 0
 	for n := min(fd.ell, len(sigma)); kept < n; kept++ {
 		s2 := sigma[kept]*sigma[kept] - delta
 		if s2 <= 0 {
 			break // spectrum is descending; the rest are zero too
 		}
-		mat.ScaleTo(fd.buffer.Row(kept), math.Sqrt(s2), vt.Row(kept))
+		row := fd.buffer.Row(kept)
+		mat.ScaleTo(row, math.Sqrt(s2), row)
 	}
 	for i := kept; i < fd.buffer.RowsN; i++ {
 		clear(fd.buffer.Row(i))
 	}
 	fd.nextZero = fd.ell
 	fd.rotations++
-	fd.lastSigma = sigma
-	fd.lastVt = vt
-	// The rewritten buffer is √(Σ²−δI)·Vᵀ, whose right singular vectors
-	// are exactly the rows of vt we just computed — the factors are
-	// current again.
-	fd.dirty = false
 	obsRotations.Inc()
 	obsShrinkDelta.Add(delta)
 	obsEllGauge.SetInt(fd.ell)
@@ -269,44 +263,38 @@ func (fd *FrequentDirections) CompensatedCovErr(a *mat.Matrix, fraction float64)
 
 // Basis returns the top-k right singular vectors of the sketch as a
 // k×d matrix with orthonormal rows — the PCA basis used to project data
-// into latent space. k is clamped to the numerical rank of the sketch.
+// into latent space. k is clamped to ℓ and to the numerical rank of the
+// sketch.
+//
+// It is a pure read: it decomposes the occupied rows as they lie and
+// back-multiplies only the rows it returns, straight into its result,
+// and changes nothing — so concurrent Basis calls on one sketch are
+// safe, and the basis is a function of State. Over more than ℓ occupied
+// rows, the rows are those the next rotation would keep, unscaled; the
+// clamp to ℓ is that rotation's.
 func (fd *FrequentDirections) Basis(k int) *mat.Matrix {
-	fd.Compact()
-	if fd.lastVt == nil || fd.dirty {
-		// Either no decomposition exists yet, or rows were appended since
-		// the last one without filling the buffer (Compact only rotates
-		// past ℓ occupied rows). Serving the old factors here was the
-		// stale-basis bug: a Basis call, then fewer than ℓ appended rows,
-		// then a second Basis call returned a basis ignoring those rows.
-		// Recompute from the live buffer instead.
-		filled := fd.filled(max(fd.nextZero, 1))
-		vt := fd.ensureVtBuf(filled.RowsN)
-		fd.lastSigma = mat.SVDGramTo(filled, fd.lastSigma[:0], vt)
-		fd.lastVt = vt
-		fd.dirty = false
-	}
-	rank := 0
-	var sMax float64
-	if len(fd.lastSigma) > 0 {
-		sMax = fd.lastSigma[0]
-	}
-	for _, s := range fd.lastSigma {
-		// The Gram-trick SVD squares the condition number, so roundoff
-		// noise sits near 1e-8·σmax; anything below 1e-6·σmax is
-		// numerically zero for basis purposes.
-		if s > 1e-6*sMax && s > 0 {
-			rank++
-		}
-	}
-	// After a rotation lastSigma is the pre-shrink spectrum of the full
-	// buffer but lastVt holds only the directions the shrink kept.
-	k = min(k, min(rank, fd.lastVt.RowsN))
+	k = min(k, min(fd.ell, fd.nextZero))
 	if k <= 0 {
 		return mat.New(0, fd.d)
 	}
 	out := mat.New(k, fd.d)
-	for i := 0; i < k; i++ {
-		copy(out.Row(i), fd.lastVt.Row(i))
+	sigma := mat.SVDGramTo(fd.buffer.Rows(0, fd.nextZero), nil, out)
+	rank := 0
+	for _, s := range sigma {
+		// The Gram-trick SVD squares the condition number, so roundoff
+		// noise sits near 1e-8·σmax; anything below 1e-6·σmax is
+		// numerically zero for basis purposes.
+		if s > 1e-6*sigma[0] && s > 0 {
+			rank++
+		}
+	}
+	switch {
+	case rank == 0:
+		return mat.New(0, fd.d)
+	case rank < k:
+		// The leading rows of the k-row product are the rank-row
+		// product's (mat.TestSVDGramToLeadingRows), so this just cuts.
+		return out.Rows(0, rank)
 	}
 	return out
 }
@@ -363,7 +351,6 @@ func (fd *FrequentDirections) Grow(dl int) {
 	}
 	fd.buffer = nb
 	fd.ell = newEll
-	fd.dirty = true
 	obsGrows.Inc()
 	obsEllGauge.SetInt(fd.ell)
 }
@@ -380,35 +367,8 @@ func (fd *FrequentDirections) filled(m int) *mat.Matrix {
 	return &fd.filledView
 }
 
-// ensureVtBuf resizes the owned right-singular-vector buffer to m×d,
-// reusing its backing array when capacity allows. It allocates at the
-// ℓ-row capacity every caller stays within (a rotation keeps ℓ rows,
-// Basis decomposes a compacted buffer) on first use so later rotations
-// never grow it.
-func (fd *FrequentDirections) ensureVtBuf(m int) *mat.Matrix {
-	if cap(fd.vtBuf.Data) < m*fd.d {
-		rows := max(m, fd.ell)
-		fd.vtBuf = mat.Matrix{
-			RowsN:  rows,
-			ColsN:  fd.d,
-			Stride: fd.d,
-			Data:   make([]float64, rows*fd.d),
-		}
-	}
-	fd.vtBuf.RowsN, fd.vtBuf.ColsN, fd.vtBuf.Stride = m, fd.d, fd.d
-	fd.vtBuf.Data = fd.vtBuf.Data[:m*fd.d]
-	return &fd.vtBuf
-}
-
 func min(a, b int) int {
 	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
 		return a
 	}
 	return b

@@ -328,11 +328,10 @@ func TestBasisClampsToRank(t *testing.T) {
 }
 
 func TestBasisReflectsRowsAppendedAfterBasisCall(t *testing.T) {
-	// Regression test for the stale-basis bug: a Basis call caches the
-	// decomposition, and appending fewer than ℓ further rows never
-	// triggers a rotation (Compact only rotates past ℓ occupied rows),
-	// so a second Basis call used to serve the cached factors and
-	// silently ignore the new rows.
+	// Regression test for the stale-basis bug of the factor cache
+	// (removed in issue 29): appending fewer than ℓ rows after a Basis
+	// call never rotates, and a second Basis call used to serve the
+	// cached factors and silently ignore the new rows.
 	const ell, d = 8, 30
 	fd := NewFrequentDirections(ell, d, Options{})
 	row := make([]float64, d)
@@ -367,8 +366,8 @@ func TestBasisReflectsRowsAppendedAfterBasisCall(t *testing.T) {
 }
 
 func TestBasisReflectsMergeBetweenCalls(t *testing.T) {
-	// Merge folds rows in through Append, so it must dirty the cached
-	// decomposition exactly like a direct Append does.
+	// Merge folds rows in through Append, so the next Basis must see
+	// them exactly like directly appended rows.
 	const ell, d = 6, 20
 	fd := NewFrequentDirections(ell, d, Options{})
 	row := make([]float64, d)

@@ -67,7 +67,9 @@ func TestGoldenStateDigests(t *testing.T) {
 			fd.AppendMatrix(x)
 			s := fd.State()
 			dg.fd(&s)
-			// Compact + Basis read the factors the rotation kept.
+			// More than ℓ rows are occupied: Basis reads the rows the
+			// next rotation would keep (the same bits the old
+			// compact-then-read served).
 			for _, v := range fd.Basis(12).Data {
 				dg.f64(v)
 			}

@@ -107,19 +107,20 @@ func (r *RankAdaptiveFD) appendNorm(row []float64, n2 float64) {
 			// proceeds without a rotation, exactly line 10–12 of Alg. 2.
 			fd.Grow(r.nu)
 			r.increaseEll = false
-		} else {
+		} else if !canAdapt {
 			fd.rotate()
-			if canAdapt {
-				// Estimate the reconstruction error of the most recent
-				// ℓ rows using the Vᵀ computed by the rotation we just
-				// did (no extra SVD).
-				x := r.recentMatrix()
-				basis := r.currentBasis()
-				if x.RowsN > 0 && EstimateRelResidualKind(r.estimator, x, basis, r.nu, r.g) > r.eps {
-					r.increaseEll = true
-					r.grows++
-					obsRankAdapts.Inc()
-				}
+		} else {
+			// Estimate the reconstruction error of the most recent ℓ
+			// rows using the Vᵀ this rotation computes (no extra SVD),
+			// copied out of the buffer before the shrink scales it.
+			sigma := fd.decompose()
+			basis := fd.buffer.Rows(0, min(fd.ell, len(sigma))).Clone()
+			fd.shrink(sigma)
+			x := r.recentMatrix()
+			if x.RowsN > 0 && EstimateRelResidualKind(r.estimator, x, basis, r.nu, r.g) > r.eps {
+				r.increaseEll = true
+				r.grows++
+				obsRankAdapts.Inc()
 			}
 		}
 	}
@@ -127,7 +128,6 @@ func (r *RankAdaptiveFD) appendNorm(row []float64, n2 float64) {
 	fd.nextZero++
 	fd.seen++
 	fd.frobMass += n2
-	fd.dirty = true
 	r.push(row)
 	if r.rowsLeft > 0 {
 		r.rowsLeft--
@@ -149,21 +149,6 @@ func (r *RankAdaptiveFD) canRankAdapt() bool {
 		return true
 	}
 	return r.rowsLeft > r.fd.Ell()+r.nu
-}
-
-// currentBasis returns the sketch's right-singular-vector basis from
-// the most recent rotation, truncated to the retained rank.
-func (r *RankAdaptiveFD) currentBasis() *mat.Matrix {
-	fd := r.fd
-	if fd.lastVt == nil {
-		return mat.New(0, fd.d)
-	}
-	k := min(fd.Ell(), fd.lastVt.RowsN)
-	out := mat.New(k, fd.d)
-	for i := 0; i < k; i++ {
-		copy(out.Row(i), fd.lastVt.Row(i))
-	}
-	return out
 }
 
 // push records a row in the recent-rows ring (capacity ℓ).

@@ -21,10 +21,10 @@ import (
 
 // FDState is a snapshot of a FrequentDirections sketch. Buffer holds
 // the occupied prefix of the 2ℓ×d buffer (NextZero rows, row-major);
-// the rows beyond it are zero by construction and are not stored. The
-// cached SVD factors are deliberately not part of the state: they are
-// recomputed deterministically from the buffer on first use after a
-// restore.
+// the rows beyond it are zero by construction and are not stored. It is
+// the whole sketch: no factor is cached beside the buffer, so a sketch
+// rebuilt from it answers every read, Basis included, with the bits the
+// original would.
 type FDState struct {
 	Ell        int
 	D          int
@@ -33,9 +33,8 @@ type FDState struct {
 	Rotations  int
 	Seen       int
 	TotalDelta float64
-	// FrobMass is the accumulated ‖A‖_F² of the summarized stream (zero
-	// when restored from a version-1 checkpoint written before the audit
-	// layer existed; the absolute certificate Σδ is unaffected).
+	// FrobMass is the accumulated ‖A‖_F² of the summarized stream, the
+	// scale of the relative certificate Σδ/‖A‖_F².
 	FrobMass float64
 	Buffer   []float64 // NextZero×D occupied prefix, row-major
 }
@@ -59,9 +58,7 @@ func (fd *FrequentDirections) State() FDState {
 	return s
 }
 
-// NewFDFromState rebuilds a sketch from a snapshot. The restored
-// sketch is marked dirty so Basis recomputes its factors from the
-// buffer instead of trusting anything stale.
+// NewFDFromState rebuilds a sketch from a snapshot.
 func NewFDFromState(s FDState) (*FrequentDirections, error) {
 	if s.Ell <= 0 || s.D <= 0 {
 		return nil, fmt.Errorf("sketch: FD state has invalid dimensions ℓ=%d d=%d", s.Ell, s.D)
@@ -93,14 +90,13 @@ func NewFDFromState(s FDState) (*FrequentDirections, error) {
 	fd.seen = s.Seen
 	fd.totalDelta = s.TotalDelta
 	fd.frobMass = s.FrobMass
-	fd.dirty = true
 	return fd, nil
 }
 
-// Clone returns an independent deep copy of the sketch. The clone is
-// marked dirty so it never shares cached SVD factors with the
-// original; package parallel clones merge-leg accumulators so a failed
-// or corrupted leg attempt can be retried from pristine input.
+// Clone returns an independent deep copy of the sketch: the buffer and
+// the counters, which are all a sketch is. parallel.MergeSketches
+// clones its inputs, and a shard backend clones its live sketch for
+// the reconcile merge, because a fold compacts both operands.
 func (fd *FrequentDirections) Clone() *FrequentDirections {
 	return &FrequentDirections{
 		ell:        fd.ell,
@@ -112,7 +108,6 @@ func (fd *FrequentDirections) Clone() *FrequentDirections {
 		seen:       fd.seen,
 		totalDelta: fd.totalDelta,
 		frobMass:   fd.frobMass,
-		dirty:      true,
 	}
 }
 
