@@ -33,6 +33,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"arams/internal/audit"
 	"arams/internal/ckpt"
 	"arams/internal/pipeline"
 	"arams/internal/sketch"
@@ -184,9 +185,8 @@ func describeARAMS(s *sketch.ARAMSState, indent string) {
 
 // --- JSON output ---
 
-// jsonCert is the certificate block of the JSON exposition, derived
-// from an FDState exactly like audit.Certificate derives it from a
-// live sketch.
+// jsonCert is the certificate block of the JSON exposition: an
+// audit.Certificate with its bounds spelled out.
 type jsonCert struct {
 	Ell          int     `json:"ell"`
 	Dim          int     `json:"dim"`
@@ -221,18 +221,20 @@ type jsonInfo struct {
 	JournalEvents  *int   `json:"journal_events,omitempty"`
 }
 
+func jsonCertOf(c audit.Certificate) *jsonCert {
+	return &jsonCert{
+		Ell: c.Ell, Dim: c.Dim, RowsSeen: c.Rows, Rotations: c.Rotations,
+		ShrinkMass: c.ShrinkMass, FrobMass: c.FrobMass, CovBound: c.CovBound(),
+		RelBound: c.RelBound(), AprioriBound: c.AprioriBound(),
+	}
+}
+
+// certOf is the certificate of a sketch's checkpointed FD ledger.
 func certOf(s *sketch.FDState) *jsonCert {
-	c := &jsonCert{
-		Ell: s.Ell, Dim: s.D, RowsSeen: s.Seen, Rotations: s.Rotations,
-		ShrinkMass: s.TotalDelta, FrobMass: s.FrobMass, CovBound: s.TotalDelta,
-	}
-	if s.FrobMass > 0 {
-		c.RelBound = s.TotalDelta / s.FrobMass
-		if s.Ell > 0 {
-			c.AprioriBound = s.FrobMass / float64(s.Ell)
-		}
-	}
-	return c
+	return jsonCertOf(audit.Certificate{
+		Rows: s.Seen, Dim: s.D, Ell: s.Ell, Rotations: s.Rotations,
+		ShrinkMass: s.TotalDelta, FrobMass: s.FrobMass,
+	})
 }
 
 // describeJSON emits one machine-readable JSON object for the file on
@@ -278,41 +280,23 @@ func fillJSON(info *jsonInfo, state any) {
 		if len(s.Shards) > 1 {
 			info.MonitorShards = intp(len(s.Shards))
 		}
-		// With one shard the certificate block is that sketch's. With
-		// several, certificates compose additively across the merge:
-		// shrinkage/energy/row/rotation ledgers sum, the rank is the max
-		// — the same aggregate a reconcile would certify (the merge's own
-		// shrinkage is not incurred until it runs, so this is the floor
-		// of the restored bound).
-		first := true
+		// Beta and rank growth are the first shard's (grow counts do not
+		// aggregate across shards); the certificate composes additively
+		// across them — the one -dir reports, the floor of the bound a
+		// reconcile would certify.
+		live := 0
 		for _, ss := range s.Shards {
-			if ss == nil {
-				continue
-			}
-			if first {
-				fillARAMS(info, ss)
-				first = false
-				continue
-			}
-			info.RankGrows = nil // per-shard grow counts do not aggregate
-			if fd := aramsFD(ss); fd != nil && info.Certificate != nil {
-				c := info.Certificate
-				c.RowsSeen += fd.Seen
-				c.Rotations += fd.Rotations
-				c.ShrinkMass += fd.TotalDelta
-				c.FrobMass += fd.FrobMass
-				c.CovBound += fd.TotalDelta
-				if fd.Ell > c.Ell {
-					c.Ell = fd.Ell
+			if ss != nil {
+				if live == 0 {
+					fillARAMS(info, ss)
 				}
-				if c.FrobMass > 0 {
-					c.RelBound = c.ShrinkMass / c.FrobMass
-					if c.Ell > 0 {
-						c.AprioriBound = c.FrobMass / float64(c.Ell)
-					}
-				}
+				live++
 			}
 		}
+		if live > 1 {
+			info.RankGrows = nil
+		}
+		info.Certificate = monitorCert(s)
 		if s.Audit != nil {
 			info.AuditBatches = &s.Audit.Batches
 			info.AuditAlarms = &s.Audit.Alarms
@@ -421,25 +405,15 @@ func fillTenantRow(row *tenantRow, path string) error {
 	}
 	// The aggregate certificate composes additively across the tenant's
 	// shards — the same bound the registry journals at hibernation.
-	if cert := ms.Certificate(); cert.Rows > 0 {
-		row.Certificate = &jsonCert{
-			Ell: cert.Ell, Dim: cert.Dim, RowsSeen: cert.Rows,
-			Rotations: cert.Rotations, ShrinkMass: cert.ShrinkMass,
-			FrobMass: cert.FrobMass, CovBound: cert.CovBound(),
-			RelBound: cert.RelBound(), AprioriBound: cert.AprioriBound(),
-		}
-	}
+	row.Certificate = monitorCert(ms)
 	return nil
 }
 
-// aramsFD returns the FD ledger inside an ARAMS state, whichever
-// variant carries it.
-func aramsFD(s *sketch.ARAMSState) *sketch.FDState {
-	switch {
-	case s.RankAdaptive != nil:
-		return &s.RankAdaptive.FD
-	case s.FD != nil:
-		return s.FD
+// monitorCert is a monitor checkpoint's certificate, composed across
+// its shards (MonitorState.Certificate); nil before the first row.
+func monitorCert(ms *pipeline.MonitorState) *jsonCert {
+	if cert := ms.Certificate(); cert.Rows > 0 {
+		return jsonCertOf(cert)
 	}
 	return nil
 }

@@ -8,28 +8,24 @@ package ckpt
 // checkpoint frames (Marshal/Unmarshal), so one codec certifies both
 // the bytes on disk and the bytes on the wire.
 //
-// Wire frame layout (all integers little-endian):
+// Wire frame layout (all integers little-endian), one fixed 44-byte
+// header:
 //
 //	offset 0   magic   "AFAB" (4 bytes)
-//	offset 4   version uint32 (1 or 2)
+//	offset 4   version uint32 (3)
 //	offset 8   type    uint32 (message type; owned by internal/fabric)
 //	offset 12  seq     uint64 (request/response correlation)
 //	offset 20  length  uint64 (payload byte count)
-//	offset 28  trace   uint64 (version ≥ 2 only: trace ID)
-//	offset 36  span    uint64 (version ≥ 2 only: parent span ID)
-//	...        payload (offset 28 for v1, 44 for v2)
+//	offset 28  trace   uint64 (trace ID; zero when untraced)
+//	offset 36  span    uint64 (parent span ID; zero when untraced)
+//	offset 44  payload
 //	...        crc32 uint32 (IEEE, over every byte before it)
 //
-// Version 2 adds an optional trace-context block so a coordinator can
-// propagate its obs.SpanContext to a remote worker and the worker can
-// open child spans inside the coordinator's trace. The block is
-// version-gated for compatibility in both directions: frames without a
-// trace context encode as version 1 (byte-identical to the v1 codec,
-// so v1 peers still decode them), and frames carrying one encode as
-// version 2. To keep the encoding canonical (decode→re-encode is
-// byte-identical, a property the fuzz targets enforce), a version-2
-// frame whose trace and span IDs are both zero is rejected: that
-// content has exactly one encoding, the version-1 one.
+// The trace block lets a coordinator propagate its obs.SpanContext to a
+// remote worker so the worker opens child spans inside the
+// coordinator's trace; an untraced frame carries sixteen zero bytes
+// there. Every frame has exactly one encoding, so decode→re-encode is
+// byte-identical, a property the fuzz targets enforce.
 //
 // Like the checkpoint decoder, the wire decoder is fully
 // bounds-checked and never panics on corrupt input: truncation,
@@ -42,25 +38,25 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // WireMagic is the wire-frame signature "AFAB" (Arams FABric).
 const WireMagic = uint32('A') | uint32('F')<<8 | uint32('A')<<16 | uint32('B')<<24
 
-// WireVersion is the current wire-frame version. Decoders accept every
-// version up to and including this one and reject newer frames rather
-// than guessing at their layout. Version 2 added the optional trace
-// context block; encoders only emit it when a frame carries one, so
-// untraced traffic remains version-1 bytes.
-const WireVersion = 2
+// WireVersion is the wire-frame version, and the only one decoded:
+// frames of any other version fail with ErrVersion rather than being
+// guessed at.
+const WireVersion = 3
 
-// wireHeaderLen is magic+version+type+seq+length; version ≥ 2 frames
-// extend the header with wireTraceLen bytes of trace context; the
-// trailer is the CRC32.
+// wireHeaderLen is magic+version+type+seq+length+trace+span, of which
+// magic+version is the prefix; the trailer is the CRC32. WireOverhead
+// is what a frame adds to its payload.
 const (
-	wireHeaderLen  = 4 + 4 + 4 + 8 + 8
-	wireTraceLen   = 8 + 8
+	wirePrefixLen  = 4 + 4
+	wireHeaderLen  = wirePrefixLen + 4 + 8 + 8 + 8 + 8
 	wireTrailerLen = 4
+	WireOverhead   = wireHeaderLen + wireTrailerLen
 )
 
 // MaxWirePayload caps a wire frame's declared payload so a corrupted
@@ -69,11 +65,17 @@ const (
 // payload (a few MB for realistic ℓ and d), so 1 GiB is generous.
 const MaxWirePayload = 1 << 30
 
+// wireReadChunk is the payload buffer ReadWireFrame starts with and the
+// least it grows by: the buffer grows as bytes arrive, not to the
+// length the header claims, so a header that claims MaxWirePayload and
+// then ends costs one chunk.
+const wireReadChunk = 1 << 20
+
 // WireFrame is one decoded fabric message: its type tag (interpreted
-// by internal/fabric), the sender's sequence number, the optional
-// trace context (zero when absent — the IDs are obs span/trace IDs,
-// kept as raw uint64 so ckpt does not depend on internal/obs), and the
-// payload bytes.
+// by internal/fabric), the sender's sequence number, the trace context
+// (zero when untraced — the IDs are obs span/trace IDs, kept as raw
+// uint64 so ckpt does not depend on internal/obs), and the payload
+// bytes.
 type WireFrame struct {
 	Type    uint32
 	Seq     uint64
@@ -82,29 +84,18 @@ type WireFrame struct {
 	Payload []byte
 }
 
-// Traced reports whether the frame carries a trace context (and hence
-// encodes as version 2).
-func (f WireFrame) Traced() bool { return f.Trace|f.Span != 0 }
-
 // AppendWireFrame appends the encoded frame to dst and returns the
 // extended slice. Encoding is canonical: encode→decode→re-encode is
-// byte-identical. Frames without a trace context encode as version 1,
-// frames with one as version 2.
+// byte-identical.
 func AppendWireFrame(dst []byte, f WireFrame) []byte {
 	base := len(dst)
-	ver := uint32(1)
-	if f.Traced() {
-		ver = 2
-	}
 	dst = binary.LittleEndian.AppendUint32(dst, WireMagic)
-	dst = binary.LittleEndian.AppendUint32(dst, ver)
+	dst = binary.LittleEndian.AppendUint32(dst, WireVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, f.Type)
 	dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(f.Payload)))
-	if ver >= 2 {
-		dst = binary.LittleEndian.AppendUint64(dst, f.Trace)
-		dst = binary.LittleEndian.AppendUint64(dst, f.Span)
-	}
+	dst = binary.LittleEndian.AppendUint64(dst, f.Trace)
+	dst = binary.LittleEndian.AppendUint64(dst, f.Span)
 	dst = append(dst, f.Payload...)
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[base:]))
 }
@@ -112,47 +103,62 @@ func AppendWireFrame(dst []byte, f WireFrame) []byte {
 // EncodeWireFrame encodes one fabric message as a standalone byte
 // slice.
 func EncodeWireFrame(f WireFrame) []byte {
-	return AppendWireFrame(make([]byte, 0, wireHeaderLen+wireTraceLen+len(f.Payload)+wireTrailerLen), f)
+	return AppendWireFrame(make([]byte, 0, WireOverhead+len(f.Payload)), f)
+}
+
+// checkWirePrefix validates the magic and version, the first
+// wirePrefixLen bytes of a frame: a foreign or retired frame is
+// rejected before anything waits for the rest of its header.
+func checkWirePrefix(h []byte) error {
+	if binary.LittleEndian.Uint32(h[0:4]) != WireMagic {
+		return ErrBadMagic
+	}
+	if ver := binary.LittleEndian.Uint32(h[4:8]); ver != WireVersion {
+		return fmt.Errorf("%w: wire version %d", ErrVersion, ver)
+	}
+	return nil
+}
+
+// parseWireHeader returns the frame a prefix-checked header describes
+// (without payload) and the declared payload length.
+func parseWireHeader(h []byte) (WireFrame, uint64, error) {
+	n := binary.LittleEndian.Uint64(h[20:28])
+	if n > MaxWirePayload {
+		return WireFrame{}, 0, ErrTruncated
+	}
+	return WireFrame{
+		Type:  binary.LittleEndian.Uint32(h[8:12]),
+		Seq:   binary.LittleEndian.Uint64(h[12:20]),
+		Trace: binary.LittleEndian.Uint64(h[28:36]),
+		Span:  binary.LittleEndian.Uint64(h[36:44]),
+	}, n, nil
 }
 
 // DecodeWireFrame decodes exactly one wire frame occupying the whole
 // of b. The returned payload aliases b.
 func DecodeWireFrame(b []byte) (WireFrame, error) {
-	if len(b) < wireHeaderLen+wireTrailerLen {
+	if len(b) < wirePrefixLen {
 		return WireFrame{}, ErrTruncated
 	}
-	if binary.LittleEndian.Uint32(b[0:4]) != WireMagic {
-		return WireFrame{}, ErrBadMagic
+	if err := checkWirePrefix(b); err != nil {
+		return WireFrame{}, err
 	}
-	ver := binary.LittleEndian.Uint32(b[4:8])
-	if ver < 1 || ver > WireVersion {
-		return WireFrame{}, fmt.Errorf("%w: wire version %d", ErrVersion, ver)
-	}
-	f := WireFrame{
-		Type: binary.LittleEndian.Uint32(b[8:12]),
-		Seq:  binary.LittleEndian.Uint64(b[12:20]),
-	}
-	hdr := wireHeaderLen
-	if ver >= 2 {
-		hdr += wireTraceLen
-	}
-	n := binary.LittleEndian.Uint64(b[20:28])
-	if n > MaxWirePayload || uint64(len(b)) != uint64(hdr)+n+wireTrailerLen {
+	if len(b) < WireOverhead {
 		return WireFrame{}, ErrTruncated
 	}
-	body := hdr + int(n)
+	f, n, err := parseWireHeader(b)
+	if err != nil {
+		return WireFrame{}, err
+	}
+	if uint64(len(b)) != WireOverhead+n {
+		return WireFrame{}, ErrTruncated
+	}
+	body := wireHeaderLen + int(n)
 	if crc32.ChecksumIEEE(b[:body]) != binary.LittleEndian.Uint32(b[body:]) {
 		return WireFrame{}, ErrChecksum
 	}
-	if ver >= 2 {
-		f.Trace = binary.LittleEndian.Uint64(b[28:36])
-		f.Span = binary.LittleEndian.Uint64(b[36:44])
-		if !f.Traced() {
-			return WireFrame{}, fmt.Errorf("%w: version 2 frame without trace context", ErrVersion)
-		}
-	}
 	if n > 0 {
-		f.Payload = b[hdr:body]
+		f.Payload = b[wireHeaderLen:body]
 	}
 	return f, nil
 }
@@ -167,9 +173,10 @@ func WriteWireFrame(w io.Writer, f WireFrame) error {
 }
 
 // ReadWireFrame reads exactly one frame from r. It validates the
-// header before allocating for the payload, so a corrupt length field
-// fails with ErrTruncated (or the CRC check) instead of exhausting
-// memory. An io.EOF before the first header byte is returned verbatim
+// header before reading the payload and grows the payload buffer as
+// bytes arrive (see wireReadChunk), so what a corrupt or hostile length
+// field costs is bounded by the bytes the sender actually delivers
+// before the stream ends or the CRC check fails. An io.EOF before the first header byte is returned verbatim
 // so callers can distinguish a clean close from a torn frame; EOF
 // mid-frame becomes io.ErrUnexpectedEOF.
 func ReadWireFrame(r io.Reader) (WireFrame, error) {
@@ -177,51 +184,32 @@ func ReadWireFrame(r io.Reader) (WireFrame, error) {
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return WireFrame{}, err
 	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	if _, err := io.ReadFull(r, hdr[1:wirePrefixLen]); err != nil {
+		return WireFrame{}, unexpectedEOF(err)
+	}
+	if err := checkWirePrefix(hdr[:]); err != nil {
 		return WireFrame{}, err
 	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != WireMagic {
-		return WireFrame{}, ErrBadMagic
+	if _, err := io.ReadFull(r, hdr[wirePrefixLen:]); err != nil {
+		return WireFrame{}, unexpectedEOF(err)
 	}
-	ver := binary.LittleEndian.Uint32(hdr[4:8])
-	if ver < 1 || ver > WireVersion {
-		return WireFrame{}, fmt.Errorf("%w: wire version %d", ErrVersion, ver)
-	}
-	n := binary.LittleEndian.Uint64(hdr[20:28])
-	if n > MaxWirePayload {
-		return WireFrame{}, ErrTruncated
-	}
-	f := WireFrame{
-		Type: binary.LittleEndian.Uint32(hdr[8:12]),
-		Seq:  binary.LittleEndian.Uint64(hdr[12:20]),
-	}
-	sum := crc32.ChecksumIEEE(hdr[:])
-	if ver >= 2 {
-		var tb [wireTraceLen]byte
-		if _, err := io.ReadFull(r, tb[:]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return WireFrame{}, err
-		}
-		f.Trace = binary.LittleEndian.Uint64(tb[0:8])
-		f.Span = binary.LittleEndian.Uint64(tb[8:16])
-		if !f.Traced() {
-			return WireFrame{}, fmt.Errorf("%w: version 2 frame without trace context", ErrVersion)
-		}
-		sum = crc32.Update(sum, crc32.IEEETable, tb[:])
-	}
-	rest := make([]byte, int(n)+wireTrailerLen)
-	if _, err := io.ReadFull(r, rest); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	f, n, err := parseWireHeader(hdr[:])
+	if err != nil {
 		return WireFrame{}, err
 	}
-	sum = crc32.Update(sum, crc32.IEEETable, rest[:n])
+	total := int(n) + wireTrailerLen
+	rest := make([]byte, 0, min(total, wireReadChunk))
+	for len(rest) < total {
+		if len(rest) == cap(rest) {
+			rest = slices.Grow(rest, min(total-len(rest), wireReadChunk))
+		}
+		got, err := io.ReadFull(r, rest[len(rest):min(total, cap(rest))])
+		rest = rest[:len(rest)+got]
+		if err != nil {
+			return WireFrame{}, unexpectedEOF(err)
+		}
+	}
+	sum := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, rest[:n])
 	if sum != binary.LittleEndian.Uint32(rest[n:]) {
 		return WireFrame{}, ErrChecksum
 	}
@@ -229,4 +217,12 @@ func ReadWireFrame(r io.Reader) (WireFrame, error) {
 		f.Payload = rest[:n:n]
 	}
 	return f, nil
+}
+
+// unexpectedEOF turns an EOF inside a frame into io.ErrUnexpectedEOF.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

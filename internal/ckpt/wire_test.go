@@ -5,79 +5,56 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"hash/crc32"
 	"io"
+	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
-// fixCRC recomputes the trailing CRC32 of an encoded frame after a
-// test mutates bytes it wants the decoder to accept as intact.
-func fixCRC(b []byte) {
-	binary.LittleEndian.PutUint32(b[len(b)-wireTrailerLen:], crc32.ChecksumIEEE(b[:len(b)-wireTrailerLen]))
-}
-
-// TestWireGoldenV1 pins the version-1 wire format at the byte level:
-// field offsets, endianness, and the CRC value. If this test breaks,
-// the wire format changed and WireVersion must be bumped — deployed
-// workers and coordinators negotiate by version, not by luck.
-func TestWireGoldenV1(t *testing.T) {
-	got := EncodeWireFrame(WireFrame{Type: 3, Seq: 0x0102030405060708, Payload: []byte("abc")})
-	const want = "41464142" + // magic "AFAB"
-		"01000000" + // version 1
-		"03000000" + // type 3
-		"0807060504030201" + // seq, little-endian
-		"0300000000000000" + // payload length 3
-		"616263" + // "abc"
-		"9d823ff1" // crc32 IEEE over everything before
-	if g := hex.EncodeToString(got); g != want {
-		t.Fatalf("wire frame bytes changed:\n got  %s\n want %s", g, want)
+// TestWireGolden pins the wire format at the byte level: field offsets,
+// endianness, the always-present trace block, and the CRC value. If
+// this test breaks, the wire format changed and WireVersion must be
+// bumped.
+func TestWireGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		f    WireFrame
+		want string
+	}{
+		{"untraced", WireFrame{Type: 3, Seq: 0x0102030405060708, Payload: []byte("abc")},
+			"41464142" + // magic "AFAB"
+				"03000000" + // version 3
+				"03000000" + // type 3
+				"0807060504030201" + // seq, little-endian
+				"0300000000000000" + // payload length 3
+				"0000000000000000" + // trace ID: zero, untraced
+				"0000000000000000" + // parent span ID: zero, untraced
+				"616263" + // "abc"
+				"032b2cb9"}, // crc32 IEEE over everything before
+		{"traced", WireFrame{Type: 3, Seq: 0x0102030405060708,
+			Trace: 0x1122334455667788, Span: 0x99AABBCCDDEEFF00, Payload: []byte("abc")},
+			"41464142" + "03000000" + "03000000" +
+				"0807060504030201" + "0300000000000000" +
+				"8877665544332211" + // trace ID, little-endian
+				"00ffeeddccbbaa99" + // parent span ID, little-endian
+				"616263" + "227460b8"},
+		{"empty", WireFrame{Type: 1},
+			"41464142" + "03000000" + "01000000" +
+				"0000000000000000" + "0000000000000000" +
+				"0000000000000000" + "0000000000000000" + "59378446"},
 	}
-
-	// Empty payload, zero seq: the minimal frame.
-	got = EncodeWireFrame(WireFrame{Type: 1})
-	const wantEmpty = "41464142" + "01000000" + "01000000" +
-		"0000000000000000" + "0000000000000000" + "17198e1e"
-	if g := hex.EncodeToString(got); g != wantEmpty {
-		t.Fatalf("empty wire frame bytes changed:\n got  %s\n want %s", g, wantEmpty)
-	}
-}
-
-// TestWireGoldenV2 pins the version-2 layout: the 16-byte trace
-// context between the length field and the payload, and the version
-// gate — a frame only encodes as v2 when it carries a trace context.
-func TestWireGoldenV2(t *testing.T) {
-	got := EncodeWireFrame(WireFrame{
-		Type: 3, Seq: 0x0102030405060708,
-		Trace: 0x1122334455667788, Span: 0x99AABBCCDDEEFF00,
-		Payload: []byte("abc"),
-	})
-	const want = "41464142" + // magic "AFAB"
-		"02000000" + // version 2
-		"03000000" + // type 3
-		"0807060504030201" + // seq, little-endian
-		"0300000000000000" + // payload length 3
-		"8877665544332211" + // trace ID, little-endian
-		"00ffeeddccbbaa99" + // parent span ID, little-endian
-		"616263" + // "abc"
-		"d98273ff" // crc32 IEEE over everything before
-	if g := hex.EncodeToString(got); g != want {
-		t.Fatalf("v2 wire frame bytes changed:\n got  %s\n want %s", g, want)
-	}
-
-	// A span-less trace context (trace set, span zero) is still traced
-	// and still v2: the canonical rule is Trace|Span != 0.
-	got = EncodeWireFrame(WireFrame{Type: 1, Trace: 1})
-	const wantMin = "41464142" + "02000000" + "01000000" +
-		"0000000000000000" + "0000000000000000" +
-		"0100000000000000" + "0000000000000000" + "8f34a847"
-	if g := hex.EncodeToString(got); g != wantMin {
-		t.Fatalf("minimal v2 frame bytes changed:\n got  %s\n want %s", g, wantMin)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if g := hex.EncodeToString(EncodeWireFrame(tc.f)); g != tc.want {
+				t.Fatalf("wire frame bytes changed:\n got  %s\n want %s", g, tc.want)
+			}
+		})
 	}
 }
 
 func TestWireRoundTrip(t *testing.T) {
 	for _, payload := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 4096)} {
-		for _, trace := range []struct{ tr, sp uint64 }{{0, 0}, {0xDEAD, 0xBEEF}, {7, 0}} {
+		for _, trace := range []struct{ tr, sp uint64 }{{0, 0}, {0xDEAD, 0xBEEF}, {7, 0}, {0, 5}} {
 			in := WireFrame{Type: 7, Seq: 42, Trace: trace.tr, Span: trace.sp, Payload: payload}
 			enc := EncodeWireFrame(in)
 			out, err := DecodeWireFrame(enc)
@@ -103,31 +80,16 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWireRoundTripV1(t *testing.T) {
-	for _, payload := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 4096)} {
-		in := WireFrame{Type: 7, Seq: 42, Payload: payload}
-		enc := EncodeWireFrame(in)
-		out, err := DecodeWireFrame(enc)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if out.Type != in.Type || out.Seq != in.Seq || !bytes.Equal(out.Payload, in.Payload) {
-			t.Fatalf("round trip mismatch: %+v vs %+v", out, in)
-		}
-		// Canonical: re-encoding the decoded frame is byte-identical.
-		if !bytes.Equal(EncodeWireFrame(out), enc) {
-			t.Fatalf("re-encode not canonical")
-		}
-		// Streaming read agrees with whole-buffer decode.
-		sr, err := ReadWireFrame(bytes.NewReader(enc))
-		if err != nil {
-			t.Fatalf("stream read: %v", err)
-		}
-		if sr.Type != in.Type || sr.Seq != in.Seq || !bytes.Equal(sr.Payload, in.Payload) {
-			t.Fatalf("stream round trip mismatch")
-		}
-	}
-}
+// Frames of the two retired layouts: version 1 had no trace block,
+// version 2 carried one only when traced. Both must fail with
+// ErrVersion; FuzzWireDecode keeps them as seeds.
+var (
+	retiredV1, _ = hex.DecodeString("41464142" + "01000000" + "03000000" +
+		"0807060504030201" + "0300000000000000" + "616263" + "9d823ff1")
+	retiredV2, _ = hex.DecodeString("41464142" + "02000000" + "03000000" +
+		"0807060504030201" + "0300000000000000" +
+		"8877665544332211" + "00ffeeddccbbaa99" + "616263" + "d98273ff")
+)
 
 func TestWireDecodeErrors(t *testing.T) {
 	valid := EncodeWireFrame(WireFrame{Type: 2, Seq: 9, Payload: []byte("payload")})
@@ -146,9 +108,12 @@ func TestWireDecodeErrors(t *testing.T) {
 		{"short", valid[:10], ErrTruncated},
 		{"bad magic", corrupt(func(b []byte) { b[0] ^= 0xFF }), ErrBadMagic},
 		{"future version", corrupt(func(b []byte) { b[4] = 99 }), ErrVersion},
+		{"version 1", retiredV1, ErrVersion},
+		{"version 2", retiredV2, ErrVersion},
 		{"truncated tail", valid[:len(valid)-2], ErrTruncated},
 		{"length lies", corrupt(func(b []byte) { b[20]++ }), ErrTruncated},
-		{"flipped payload bit", corrupt(func(b []byte) { b[30] ^= 1 }), ErrChecksum},
+		{"flipped trace bit", corrupt(func(b []byte) { b[30] ^= 1 }), ErrChecksum},
+		{"flipped payload bit", corrupt(func(b []byte) { b[wireHeaderLen] ^= 1 }), ErrChecksum},
 		{"flipped crc", corrupt(func(b []byte) { b[len(b)-1] ^= 1 }), ErrChecksum},
 	}
 	for _, tc := range cases {
@@ -156,26 +121,10 @@ func TestWireDecodeErrors(t *testing.T) {
 			t.Errorf("%s: DecodeWireFrame err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
-
-	// A version-2 frame whose trace context is all-zero is non-canonical
-	// (the same content has a version-1 encoding) and must be rejected,
-	// both whole-buffer and streaming.
-	traced := EncodeWireFrame(WireFrame{Type: 2, Seq: 9, Trace: 5, Span: 6, Payload: []byte("payload")})
-	zeroed := append([]byte(nil), traced...)
-	for i := 28; i < 44; i++ {
-		zeroed[i] = 0
-	}
-	// Recompute the CRC so only the canonicality check can fire.
-	fixCRC(zeroed)
-	if _, err := DecodeWireFrame(zeroed); !errors.Is(err, ErrVersion) {
-		t.Errorf("v2 zero trace: DecodeWireFrame err = %v, want ErrVersion", err)
-	}
-	if _, err := ReadWireFrame(bytes.NewReader(zeroed)); !errors.Is(err, ErrVersion) {
-		t.Errorf("v2 zero trace: ReadWireFrame err = %v, want ErrVersion", err)
-	}
-	// A torn trace block is an unexpected EOF.
-	if _, err := ReadWireFrame(bytes.NewReader(traced[:30])); err != io.ErrUnexpectedEOF {
-		t.Errorf("torn trace block: err = %v, want io.ErrUnexpectedEOF", err)
+	for _, b := range [][]byte{retiredV1, retiredV2} {
+		if _, err := ReadWireFrame(bytes.NewReader(b)); !errors.Is(err, ErrVersion) {
+			t.Errorf("retired version %d: ReadWireFrame err = %v, want ErrVersion", b[4], err)
+		}
 	}
 
 	// Streaming: a clean close before any byte is io.EOF; mid-frame it
@@ -183,21 +132,53 @@ func TestWireDecodeErrors(t *testing.T) {
 	if _, err := ReadWireFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Errorf("empty stream: err = %v, want io.EOF", err)
 	}
-	if _, err := ReadWireFrame(bytes.NewReader(valid[:13])); err != io.ErrUnexpectedEOF {
-		t.Errorf("torn header: err = %v, want io.ErrUnexpectedEOF", err)
+	for _, n := range []int{13, 30, len(valid) - 1} {
+		if _, err := ReadWireFrame(bytes.NewReader(valid[:n])); err != io.ErrUnexpectedEOF {
+			t.Errorf("torn at %d: err = %v, want io.ErrUnexpectedEOF", n, err)
+		}
 	}
-	if _, err := ReadWireFrame(bytes.NewReader(valid[:len(valid)-1])); err != io.ErrUnexpectedEOF {
-		t.Errorf("torn payload: err = %v, want io.ErrUnexpectedEOF", err)
-	}
-	if _, err := ReadWireFrame(bytes.NewReader(corrupt(func(b []byte) { b[31] ^= 4 }))); !errors.Is(err, ErrChecksum) {
+	if _, err := ReadWireFrame(bytes.NewReader(corrupt(func(b []byte) { b[wireHeaderLen+1] ^= 4 }))); !errors.Is(err, ErrChecksum) {
 		t.Errorf("stream checksum: err = %v, want ErrChecksum", err)
+	}
+}
+
+// TestReadWireFrameAllocatesAsBytesArrive: a header that claims the
+// largest legal payload and is then cut off must fail with
+// io.ErrUnexpectedEOF having allocated about one read chunk, not the
+// claimed gigabyte; and a payload several chunks long, delivered in
+// short reads, still arrives whole.
+func TestReadWireFrameAllocatesAsBytesArrive(t *testing.T) {
+	hdr := EncodeWireFrame(WireFrame{Type: 4, Seq: 1})[:wireHeaderLen]
+	binary.LittleEndian.PutUint64(hdr[20:28], MaxWirePayload)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadWireFrame(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("header claiming %d bytes then EOF: err = %v, want io.ErrUnexpectedEOF", MaxWirePayload, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Fatalf("header claiming %d bytes then EOF allocated %d bytes, want at most 4 MiB", MaxWirePayload, got)
+	}
+
+	payload := bytes.Repeat([]byte("0123456789abcdef"), (5*wireReadChunk/2)/16+3)
+	in := WireFrame{Type: 6, Seq: 2, Trace: 3, Span: 4, Payload: payload}
+	out, err := ReadWireFrame(iotest.HalfReader(bytes.NewReader(EncodeWireFrame(in))))
+	if err != nil {
+		t.Fatalf("multi-chunk frame: %v", err)
+	}
+	if out.Type != in.Type || out.Seq != in.Seq || out.Trace != in.Trace ||
+		out.Span != in.Span || !bytes.Equal(out.Payload, payload) {
+		t.Fatal("multi-chunk frame does not round-trip")
 	}
 }
 
 // FuzzWireDecode throws arbitrary bytes at both wire decoders: they
 // must never panic, and any frame that decodes must re-encode
 // byte-identically (canonical form). Seeds cover a valid frame plus
-// the classic corruptions.
+// the classic corruptions and one frame of each retired version, which
+// must not decode.
 func FuzzWireDecode(f *testing.F) {
 	valid := EncodeWireFrame(WireFrame{Type: 5, Seq: 77, Payload: []byte("shard state")})
 	f.Add(valid)
@@ -209,6 +190,8 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(EncodeWireFrame(WireFrame{Type: 5, Seq: 77, Trace: 0xABCD, Span: 0x1234, Payload: []byte("traced")}))
 	f.Add(EncodeWireFrame(WireFrame{Type: 9, Trace: 1}))
 	f.Add([]byte("AFAB"))
+	f.Add(retiredV1)
+	f.Add(retiredV2)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if fr, err := DecodeWireFrame(b); err == nil {

@@ -38,12 +38,12 @@ func TestIngestAndAuditAllocNoRows(t *testing.T) {
 
 	b := engine.NewLocalBackend(scfg)
 	defer b.Close()
-	if _, err := b.Absorb(vecs, nil); err != nil { // past the first rotations
+	if _, err := b.Absorb(obs.SpanContext{}, vecs, nil); err != nil { // past the first rotations
 		t.Fatal(err)
 	}
 	next := 0
 	allocs, bytes := allocPerRun(6*ell, func() {
-		if _, err := b.Absorb(vecs[next%len(vecs):next%len(vecs)+1], nil); err != nil {
+		if _, err := b.Absorb(obs.SpanContext{}, vecs[next%len(vecs):next%len(vecs)+1], nil); err != nil {
 			t.Fatal(err)
 		}
 		next++

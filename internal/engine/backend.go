@@ -15,11 +15,12 @@ import (
 // the engine decides which rows a shard gets (round-robin or
 // hash-by-tag) and the backend decides where the sketching happens —
 // in-process (localShard, the default) or on the far side of a TCP
-// connection (internal/fabric's remote shard). The contract is the
-// serial monitor's absorb semantics: rows are fed one at a time in
-// stream order, so a remote backend given the same per-shard
-// configuration and row sequence produces a sketch bit-identical to a
-// local one.
+// connection (internal/fabric's Remote). The contract is the serial
+// monitor's absorb semantics: rows are fed one at a time in stream
+// order, so a remote backend given the same per-shard configuration and
+// row sequence produces a sketch bit-identical to a local one. The
+// interface holds every method the engine calls; the engine never
+// asserts a backend to anything else.
 //
 // Local backends are infallible; remote backends surface transport
 // faults as errors after exhausting their own recovery (reconnect,
@@ -29,19 +30,32 @@ import (
 type Backend interface {
 	// Absorb feeds the selected rows (all of vecs when idx is nil) in
 	// order and returns the fold of the per-row batch stats, with
-	// EllBefore/EllAfter bracketing the whole dispatch.
-	Absorb(vecs [][]float64, idx []int) (sketch.BatchStats, error)
+	// EllBefore/EllAfter bracketing the whole dispatch. parent is the
+	// dispatching span: a remote backend carries it over the wire so the
+	// worker's spans join the caller's trace; a local one ignores it.
+	Absorb(parent obs.SpanContext, vecs [][]float64, idx []int) (sketch.BatchStats, error)
 	// Snapshot returns a copy of the shard sketch that the caller owns
 	// — the reconcile merge folds it in place (parallel.RemoteLeg states
 	// the contract) — and leaves the live sketch untouched. (nil, nil)
-	// means no rows have been absorbed yet.
-	Snapshot() (*sketch.FrequentDirections, error)
+	// means no rows have been absorbed yet. parent is the fetching span,
+	// as for Absorb.
+	Snapshot(parent obs.SpanContext) (*sketch.FrequentDirections, error)
 	// State returns the checkpointable sketcher state, or (nil, nil)
 	// before the first row.
 	State() (*sketch.ARAMSState, error)
 	// Restore replaces the shard's sketcher with the given state
 	// (checkpoint resume).
 	Restore(st *sketch.ARAMSState) error
+	// Certificate returns the shard sketch's error-bound certificate
+	// (the zero certificate before the first row) without handing out
+	// the sketch: the one-shard audit tick neither clones nor ships the
+	// 2ℓ×d buffer, and a remote backend's replay log is left alone.
+	Certificate() (audit.Certificate, error)
+	// Basis returns the top-k right singular vectors of the shard sketch
+	// (k clamped to the rank) and ℓ, or (nil, 0) before the first row or
+	// on a fault. Basis is a function of the sketch's state, so every
+	// backend returns the same bits for the same rows.
+	Basis(k int) (*mat.Matrix, int)
 	// Ell returns the shard sketch's current rank (0 before the first
 	// row). Remote backends may answer from their last acknowledged
 	// rank rather than a fresh round trip.
@@ -52,57 +66,6 @@ type Backend interface {
 	// Close releases the backend's resources and aborts in-flight
 	// work; subsequent calls fail fast.
 	Close() error
-}
-
-// TracedBackend is the optional trace-propagating extension of
-// Backend: a backend that can carry the caller's span context across
-// its transport (internal/fabric's Remote) implements it, and the
-// engine's traced ingest/reconcile paths prefer these methods so the
-// coordinator's trace tree extends through the RPC into the worker
-// process. Local backends don't implement it — their work is already
-// timed by the engine's own shard_sketch spans.
-type TracedBackend interface {
-	// AbsorbIn is Absorb with the dispatching span's context.
-	AbsorbIn(parent obs.SpanContext, vecs [][]float64, idx []int) (sketch.BatchStats, error)
-	// SnapshotIn is Snapshot with the fetching span's context.
-	SnapshotIn(parent obs.SpanContext) (*sketch.FrequentDirections, error)
-}
-
-// certifier is the optional certificate-reading extension of Backend:
-// a backend that can report its sketch's error-bound certificate
-// without handing out the sketch (localShard reads six scalars under
-// its lock, internal/fabric's Remote has an RPC for it) implements it,
-// and the one-shard audit tick then neither clones nor ships the 2ℓ×d
-// buffer. Unlike Snapshot it leaves a remote backend's replay log
-// alone.
-type certifier interface {
-	// Certificate returns the zero certificate before the first row.
-	Certificate() (audit.Certificate, error)
-}
-
-// shardCertificate reads one shard's certificate, through certifier
-// when the backend offers it and from a Snapshot otherwise.
-func shardCertificate(b Backend) (audit.Certificate, error) {
-	if c, ok := b.(certifier); ok {
-		return c.Certificate()
-	}
-	fd, err := b.Snapshot()
-	if err != nil || fd == nil {
-		return audit.Certificate{}, err
-	}
-	return audit.FromSketch(fd), nil
-}
-
-// basisReader is the optional basis-reading extension of Backend, in
-// certifier's pattern: localShard decomposes its live sketch under its
-// lock, so a one-shard read allocates only its k×d result instead of a
-// clone of the 2ℓ×d buffer. internal/fabric's Remote does not implement
-// it; the engine decomposes a Snapshot instead, which gives the same
-// bits because Basis is a function of the sketch's state.
-type basisReader interface {
-	// basis returns the top-k basis (k clamped to the rank) and ℓ, or
-	// (nil, 0) before the first row.
-	basis(k int) (*mat.Matrix, int)
 }
 
 // localShard is the in-process Backend: one ARAMS sketcher under its
@@ -132,7 +95,7 @@ func NewLocalBackend(scfg sketch.Config) Backend {
 // a time — per-row ProcessBatch calls keep the priority sampler's RNG
 // consumption identical to the serial per-frame monitor, which the
 // bit-exact restore tests rely on.
-func (s *localShard) Absorb(vecs [][]float64, idx []int) (sketch.BatchStats, error) {
+func (s *localShard) Absorb(_ obs.SpanContext, vecs [][]float64, idx []int) (sketch.BatchStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	start := time.Now()
@@ -179,7 +142,7 @@ func (s *localShard) Absorb(vecs [][]float64, idx []int) (sketch.BatchStats, err
 }
 
 // Snapshot clones the shard sketch for merging.
-func (s *localShard) Snapshot() (*sketch.FrequentDirections, error) {
+func (s *localShard) Snapshot(obs.SpanContext) (*sketch.FrequentDirections, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.arams == nil {
@@ -188,9 +151,11 @@ func (s *localShard) Snapshot() (*sketch.FrequentDirections, error) {
 	return s.arams.FD().Clone(), nil
 }
 
-// basis decomposes the live sketch in place. Basis changes nothing, so
-// the lock only keeps Absorb from writing the buffer mid-read.
-func (s *localShard) basis(k int) (*mat.Matrix, int) {
+// Basis decomposes the live sketch in place, so a one-shard read
+// allocates only its k×d result instead of a clone of the 2ℓ×d buffer.
+// Basis changes nothing, so the lock only keeps Absorb from writing the
+// buffer mid-read.
+func (s *localShard) Basis(k int) (*mat.Matrix, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.arams == nil {

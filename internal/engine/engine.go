@@ -449,15 +449,7 @@ func (e *Engine) absorbTraced(root *obs.Span, si int, vecs [][]float64, idx []in
 	sp := root.StartChild("shard_sketch",
 		obs.L("shard", fmt.Sprint(si)), obs.L("rows", fmt.Sprint(rows)))
 	ct := obs.StartCPUTimer()
-	var stats sketch.BatchStats
-	var err error
-	// A trace-propagating backend (fabric Remote) carries the span
-	// context over the wire so the worker's spans land in this tree.
-	if tb, ok := e.shards[si].(TracedBackend); ok {
-		stats, err = tb.AbsorbIn(sp.Context(), vecs, idx)
-	} else {
-		stats, err = e.shards[si].Absorb(vecs, idx)
-	}
+	stats, err := e.shards[si].Absorb(sp.Context(), vecs, idx)
 	if cpu, ok := ct.Stop(); ok {
 		sp.SetCPU(cpu)
 		e.shardCPU[si].Add(cpu.Seconds())
@@ -618,11 +610,7 @@ func (e *Engine) reconcileLocked(parent obs.SpanContext) *sketch.FrequentDirecti
 	// reconcile.
 	legs := make([]parallel.RemoteLeg, len(e.shards))
 	for i, s := range e.shards {
-		fetch := func(obs.SpanContext) (*sketch.FrequentDirections, error) { return s.Snapshot() }
-		if tb, ok := s.(TracedBackend); ok {
-			fetch = tb.SnapshotIn
-		}
-		legs[i] = parallel.RemoteLeg{Name: "shard" + fmt.Sprint(i), Fetch: fetch}
+		legs[i] = parallel.RemoteLeg{Name: "shard" + fmt.Sprint(i), Fetch: s.Snapshot}
 	}
 	g, _, rep := parallel.MergeRemote(legs, e.cfg.Merge, e.cfg.ReconcileRetry, sp.Context())
 	if rep.Degraded() {
@@ -652,7 +640,7 @@ func (e *Engine) reconcileLocked(parent obs.SpanContext) *sketch.FrequentDirecti
 // the live sketch's for one shard, a fresh reconcile's for many.
 func (e *Engine) Certificate() audit.Certificate {
 	if len(e.shards) == 1 {
-		cert, err := shardCertificate(e.shards[0])
+		cert, err := e.shards[0].Certificate()
 		if err != nil {
 			return audit.Certificate{}
 		}
@@ -671,7 +659,7 @@ func (e *Engine) Certificate() audit.Certificate {
 // before the first frame). The clone is the caller's to mutate.
 func (e *Engine) GlobalSketch() *sketch.FrequentDirections {
 	if len(e.shards) == 1 {
-		fd, err := e.shards[0].Snapshot()
+		fd, err := e.shards[0].Snapshot(obs.SpanContext{})
 		if err != nil {
 			return nil
 		}
@@ -752,16 +740,7 @@ func (e *Engine) Basis(k int) (*mat.Matrix, int) { return e.basis(obs.SpanContex
 // basis is Basis with the span a forced reconcile parents under.
 func (e *Engine) basis(parent obs.SpanContext, k int) (*mat.Matrix, int) {
 	if len(e.shards) == 1 {
-		// A local shard decomposes its live sketch under its lock; any
-		// other backend ships a copy, whose basis has the same bits.
-		if br, ok := e.shards[0].(basisReader); ok {
-			return br.basis(k)
-		}
-		fd, err := e.shards[0].Snapshot()
-		if err != nil || fd == nil {
-			return nil, 0
-		}
-		return fd.Basis(k), fd.Ell()
+		return e.shards[0].Basis(k)
 	}
 	e.globalMu.Lock()
 	defer e.globalMu.Unlock()

@@ -1,6 +1,7 @@
 package fabric_test
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"arams/internal/engine"
 	"arams/internal/fabric"
 	"arams/internal/mat"
+	"arams/internal/obs"
 	"arams/internal/rng"
 	"arams/internal/sketch"
 )
@@ -279,4 +281,71 @@ func TestLoopbackCheckpointRoundTrip(t *testing.T) {
 	if lc != rc {
 		t.Errorf("resumed certificate differs:\n local   %+v\n resumed %+v", lc, rc)
 	}
+}
+
+// TestLoopbackBasisIsSnapshotBasis: Remote.Basis decomposes a fetched
+// snapshot, so it returns Snapshot().Basis's bits — and those of an
+// in-process shard fed the same rows, read in place — and a one-shard
+// fabric engine's basis is a one-shard local engine's.
+func TestLoopbackBasisIsSnapshotBasis(t *testing.T) {
+	const n, d = 96, 20
+	scfg := sketch.Config{Ell0: 6, Beta: 1, Seed: 3}
+	vecs := testVecs(n, d, 41)
+
+	workers, addrs, err := fabric.StartLoopbackWorkers(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, w := range workers {
+			w.Close()
+		}
+	}()
+	r, err := fabric.DialRemote("w0", addrs[0], 0, scfg, quietRemote())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if b, ell := r.Basis(3); b != nil || ell != 0 {
+		t.Fatalf("basis before the first row: %v, ell %d", b, ell)
+	}
+	mirror := engine.NewLocalBackend(scfg)
+	for lo := 0; lo < n; lo += 16 {
+		if _, err := r.Absorb(obs.SpanContext{}, vecs[lo:lo+16], nil); err != nil {
+			t.Fatal(err)
+		}
+		mirror.Absorb(obs.SpanContext{}, vecs[lo:lo+16], nil) // local backends cannot fail
+	}
+	fd, err := r.Snapshot(obs.SpanContext{})
+	if err != nil || fd == nil {
+		t.Fatalf("snapshot: %v, %v", fd, err)
+	}
+	for _, k := range []int{1, 4, 100} {
+		got, ell := r.Basis(k)
+		if ell != fd.Ell() {
+			t.Fatalf("k=%d: Basis reports ell %d, snapshot %d", k, ell, fd.Ell())
+		}
+		sameMatrix(t, fmt.Sprintf("Remote.Basis(%d) vs Snapshot().Basis", k), got, fd.Basis(k))
+		local, _ := mirror.Basis(k)
+		sameMatrix(t, fmt.Sprintf("Remote.Basis(%d) vs in-process shard", k), got, local)
+	}
+
+	ecfg := engine.Config{Shards: 1, Sketch: scfg, Window: 16}
+	local := engine.New(ecfg)
+	defer local.Close()
+	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
+		Workers: addrs[1:], Engine: ecfg, Remote: quietRemote(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	local.IngestVecs(cloneVecs(vecs), nil)
+	coord.Engine().IngestVecs(cloneVecs(vecs), nil)
+	lb, lell := local.Basis(4)
+	rb, rell := coord.Engine().Basis(4)
+	if lell != rell {
+		t.Fatalf("one-shard engine ell: local %d, fabric %d", lell, rell)
+	}
+	sameMatrix(t, "one-shard engine basis", lb, rb)
 }

@@ -6,17 +6,19 @@
 // back for reconciles, so N machines sketch one stream while the
 // coordinator still serves the single-process Monitor API.
 //
-// The wire protocol is deliberately small: length-prefixed, versioned,
-// CRC-checked frames (internal/ckpt's wire codec) carrying either a
-// primitive-encoded payload (rows, stats, certificates) or a whole
-// canonical ckpt v3 checkpoint frame (sketch state — the same bytes a
-// checkpoint file holds, so state fetched over the fabric is
+// The wire protocol is deliberately small and has one form: CRC-checked
+// frames with one fixed header (internal/ckpt's wire codec) carrying
+// either a primitive-encoded payload (rows, stats, certificates) or a
+// whole canonical ckpt v3 checkpoint frame (sketch state — the same
+// bytes a checkpoint file holds, so state fetched over the fabric is
 // bit-identical to state saved to disk). Every request frame gets
-// exactly one response frame with the same sequence number; faults are
-// classified (parallel.FaultClass) so the coordinator's recovery ladder
-// — per-RPC deadlines, reconnect + restore + replay, local fallback,
-// and finally merge-time leg degradation — matches the in-process
-// fault-tolerant merge semantics.
+// exactly one response frame with the same sequence number, and every
+// response payload, MsgError included, is the reply form: the inner
+// payload, then the worker's span records for the request — none when
+// the request carried no trace. Faults are classified
+// (parallel.FaultClass) so the coordinator's recovery ladder — per-RPC
+// deadlines, reconnect + restore + replay, local fallback — matches the
+// in-process merge semantics.
 package fabric
 
 import (
@@ -33,7 +35,8 @@ import (
 
 // Message types, carried in the wire frame's Type field. Every request
 // (coordinator → worker) has a paired acknowledgement (worker →
-// coordinator); MsgError may answer any request.
+// coordinator); MsgError may answer any request. A response's payload
+// named below is the inner payload of its reply form (wrapReply).
 const (
 	// MsgHello opens a connection: payload HelloPayload (shard index +
 	// the shard-derived sketch config the worker must sketch under).
@@ -253,7 +256,7 @@ func decodeIngest(b []byte) (IngestPayload, error) {
 	n := d.i64()
 	if d.err == nil {
 		if p.D < 0 || n < 0 || n > maxIngestRows ||
-			(n > 0 && p.D > (len(b)-d.off)/8/n) {
+			(n > 0 && (p.D == 0 || p.D > (len(b)-d.off)/8/n)) {
 			return p, fmt.Errorf("fabric: ingest payload claims %d rows of dim %d in %d bytes",
 				n, p.D, len(b))
 		}
@@ -341,16 +344,10 @@ func decodeCertificate(b []byte) (CertificatePayload, error) {
 }
 
 // HeartbeatPayload is the worker's liveness answer: rows absorbed for
-// its shard, the sketch's current rank, and (since wire v2) a small
-// health block — process uptime, in-flight request depth, and obs
-// span-ring occupancy — so the coordinator's fleet view shows worker
-// health without a full stats RPC.
-//
-// The decode is version-tolerant: a 16-byte payload is the original
-// two-field form (legacy workers), anything longer must carry the full
-// health block. The legacy flag is remembered so re-encoding a decoded
-// payload reproduces its exact bytes — the canonicality property
-// FuzzFabricPayload enforces for every payload codec.
+// its shard, the sketch's current rank, and a small health block —
+// process uptime, in-flight request depth, and obs span-ring occupancy
+// — so the coordinator's fleet view shows worker health without a full
+// stats RPC.
 type HeartbeatPayload struct {
 	Frames int
 	Ell    int
@@ -361,22 +358,12 @@ type HeartbeatPayload struct {
 	QueueDepth int
 	// ObsRing is the occupancy of the worker's obs span ring.
 	ObsRing int
-
-	// legacy marks a payload decoded from the original 16-byte form;
-	// encode reproduces that form so the codec stays canonical.
-	legacy bool
 }
-
-// legacyHeartbeatLen is the size of the original {Frames, Ell} form.
-const legacyHeartbeatLen = 16
 
 func (p HeartbeatPayload) encode() []byte {
 	e := &penc{}
 	e.i64(p.Frames)
 	e.i64(p.Ell)
-	if p.legacy {
-		return e.b
-	}
 	e.f64(p.Uptime)
 	e.i64(p.QueueDepth)
 	e.i64(p.ObsRing)
@@ -388,10 +375,6 @@ func decodeHeartbeat(b []byte) (HeartbeatPayload, error) {
 	var p HeartbeatPayload
 	p.Frames = d.i64()
 	p.Ell = d.i64()
-	if len(b) == legacyHeartbeatLen {
-		p.legacy = true
-		return p, d.finish()
-	}
 	p.Uptime = d.f64()
 	p.QueueDepth = d.i64()
 	p.ObsRing = d.i64()
@@ -494,13 +477,11 @@ func decodeFlightAck(b []byte) (FlightAckPayload, error) {
 	return p, d.finish()
 }
 
-// maxSpanRecords bounds the span records one traced response may
-// carry; a worker ships a handful per RPC, so this only guards decode
+// maxSpanRecords bounds the span records one response may carry; a worker ships a handful per RPC, so this only guards decode
 // against hostile counts.
 const maxSpanRecords = 4096
 
-// encodeSpanRecords appends worker span records for the traced-reply
-// wrapper: count, then per record name, start (Unix ns), duration and
+// encodeSpanRecords appends worker span records for the reply form: count, then per record name, start (Unix ns), duration and
 // CPU (ns), trace/span/parent IDs, and sorted attribute pairs (sorted
 // so the encoding is canonical).
 func encodeSpanRecords(e *penc, recs []obs.SpanRecord) {
@@ -565,13 +546,12 @@ func decodeSpanRecords(d *pdec) []obs.SpanRecord {
 	return recs
 }
 
-// wrapTraced wraps a response payload for a traced request: the inner
+// wrapReply builds a response payload in the reply form: the inner
 // payload (length-prefixed) followed by the worker's span records for
-// the request, so the coordinator can stitch the worker's side of the
-// trace into its own tree. Responses to untraced (wire v1) requests
-// stay unwrapped, which keeps every v1 byte stream identical to the
-// pre-trace protocol.
-func wrapTraced(inner []byte, recs []obs.SpanRecord) []byte {
+// the request, so the coordinator can stitch the worker's side of a
+// trace into its own tree. An untraced request's reply carries zero
+// records.
+func wrapReply(inner []byte, recs []obs.SpanRecord) []byte {
 	e := &penc{b: make([]byte, 0, 16+len(inner))}
 	e.i64(len(inner))
 	e.b = append(e.b, inner...)
@@ -579,16 +559,16 @@ func wrapTraced(inner []byte, recs []obs.SpanRecord) []byte {
 	return e.b
 }
 
-// unwrapTraced splits a traced response payload into the inner payload
-// and the worker's span records.
-func unwrapTraced(b []byte) ([]byte, []obs.SpanRecord, error) {
+// unwrapReply splits a response payload into the inner payload and the
+// worker's span records.
+func unwrapReply(b []byte) ([]byte, []obs.SpanRecord, error) {
 	d := &pdec{b: b}
 	n := d.i64()
 	if d.err != nil {
 		return nil, nil, d.err
 	}
 	if n < 0 || n > len(b)-d.off {
-		return nil, nil, fmt.Errorf("fabric: traced reply claims %d inner bytes", n)
+		return nil, nil, fmt.Errorf("fabric: reply claims %d inner bytes", n)
 	}
 	inner := b[d.off : d.off+n]
 	d.off += n

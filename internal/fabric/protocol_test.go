@@ -13,8 +13,9 @@ import (
 )
 
 // TestPayloadGoldens pins the fabric payload encodings at the byte
-// level. These bytes ride inside version-1 wire frames; changing any of
-// them is a wire-protocol break and requires bumping ckpt.WireVersion.
+// level. These bytes ride inside wire frames as the inner payload of a
+// request or reply; changing any of them is a wire-protocol break and
+// requires bumping ckpt.WireVersion.
 func TestPayloadGoldens(t *testing.T) {
 	hello := HelloPayload{Shard: 2, Cfg: sketch.Config{
 		Ell0: 8, Nu: 3, Eps: 0.25, Beta: 0.5, RankAdaptive: true,
@@ -57,8 +58,7 @@ func TestPayloadGoldens(t *testing.T) {
 		t.Errorf("error payload bytes changed:\n got  %s\n want %s", g, wantErr)
 	}
 
-	// Extended (wire v2) heartbeat: the original two fields plus the
-	// worker health block.
+	// Heartbeat: frames and rank, then the worker health block.
 	hb := HeartbeatPayload{Frames: 7, Ell: 5, Uptime: 1.5, QueueDepth: 2, ObsRing: 3}
 	wantHB := "0700000000000000" + "0500000000000000" +
 		"000000000000f83f" + // uptime 1.5
@@ -82,30 +82,25 @@ func TestPayloadGoldens(t *testing.T) {
 	}
 }
 
-// TestHeartbeatLegacyDecode pins the version-tolerant heartbeat
-// decode: a legacy 16-byte payload (a pre-v2 worker) still decodes,
-// re-encodes to its exact bytes, and reports zero health extras.
-func TestHeartbeatLegacyDecode(t *testing.T) {
-	legacy, _ := hex.DecodeString("0700000000000000" + "0500000000000000")
-	p, err := decodeHeartbeat(legacy)
-	if err != nil {
-		t.Fatalf("legacy heartbeat decode: %v", err)
+// twoFieldHeartbeat is the two-field {Frames, Ell} heartbeat no worker
+// sends: the one heartbeat form carries the health block, so these
+// bytes are truncated. FuzzFabricPayload keeps them as a seed.
+var twoFieldHeartbeat, _ = hex.DecodeString("0700000000000000" + "0500000000000000")
+
+// TestHeartbeatRejectsTwoFieldForm: the heartbeat has one five-field
+// form. The two-field prefix is rejected, and all-zero health fields
+// still encode at full length.
+func TestHeartbeatRejectsTwoFieldForm(t *testing.T) {
+	if p, err := decodeHeartbeat(twoFieldHeartbeat); err == nil {
+		t.Fatalf("two-field heartbeat decoded: %+v", p)
 	}
-	if p.Frames != 7 || p.Ell != 5 || p.Uptime != 0 || p.QueueDepth != 0 || p.ObsRing != 0 {
-		t.Fatalf("legacy heartbeat fields: %+v", p)
+	bare := HeartbeatPayload{Frames: 7, Ell: 5}
+	enc := bare.encode()
+	if len(enc) != 40 {
+		t.Fatalf("heartbeat encodes to %d bytes, want 40", len(enc))
 	}
-	if !bytes.Equal(p.encode(), legacy) {
-		t.Fatal("legacy heartbeat does not re-encode to its own bytes")
-	}
-	// The extended form round-trips too, including all-zero extras
-	// (which must NOT collapse to the legacy form).
-	ext := HeartbeatPayload{Frames: 7, Ell: 5}
-	got, err := decodeHeartbeat(ext.encode())
-	if err != nil || got != ext {
-		t.Fatalf("extended heartbeat round trip: %+v err %v", got, err)
-	}
-	if len(ext.encode()) == legacyHeartbeatLen {
-		t.Fatal("extended encoding collapsed to legacy length")
+	if got, err := decodeHeartbeat(enc); err != nil || got != bare {
+		t.Fatalf("heartbeat round trip: %+v err %v", got, err)
 	}
 }
 
@@ -159,8 +154,8 @@ func TestPayloadRoundTrips(t *testing.T) {
 	}
 }
 
-// TestTracedReplyWrapper round-trips the [inner payload | span
-// records] wrapper a worker applies to responses of traced requests.
+// TestTracedReplyWrapper round-trips the reply form, [inner payload |
+// span records], every worker response carries.
 func TestTracedReplyWrapper(t *testing.T) {
 	recs := []obs.SpanRecord{
 		{
@@ -176,9 +171,9 @@ func TestTracedReplyWrapper(t *testing.T) {
 		{Name: "bare", Start: time.Unix(0, 1).UTC(), Trace: obs.ID(1), Span: obs.ID(2)},
 	}
 	inner := IngestAckPayload{Ell: 3}.encode()
-	wrapped := wrapTraced(inner, recs)
+	wrapped := wrapReply(inner, recs)
 
-	gotInner, gotRecs, err := unwrapTraced(wrapped)
+	gotInner, gotRecs, err := unwrapReply(wrapped)
 	if err != nil {
 		t.Fatalf("unwrap: %v", err)
 	}
@@ -204,25 +199,29 @@ func TestTracedReplyWrapper(t *testing.T) {
 		}
 	}
 	// Canonical: re-wrapping the unwrapped parts is byte-identical.
-	if !bytes.Equal(wrapTraced(gotInner, gotRecs), wrapped) {
-		t.Fatal("traced wrapper not canonical")
+	if !bytes.Equal(wrapReply(gotInner, gotRecs), wrapped) {
+		t.Fatal("reply form not canonical")
 	}
 	// Empty both ways.
-	gotInner, gotRecs, err = unwrapTraced(wrapTraced(nil, nil))
+	gotInner, gotRecs, err = unwrapReply(wrapReply(nil, nil))
 	if err != nil || gotInner != nil || len(gotRecs) != 0 {
 		t.Fatalf("empty wrapper round trip: %v %v %v", gotInner, gotRecs, err)
 	}
 	// Truncations error, never panic.
 	for i := 0; i < len(wrapped); i++ {
-		if _, _, err := unwrapTraced(wrapped[:i]); err == nil && i < len(wrapped) {
+		if _, _, err := unwrapReply(wrapped[:i]); err == nil && i < len(wrapped) {
 			// Prefixes that happen to decode must re-encode to themselves.
-			in2, r2, _ := unwrapTraced(wrapped[:i])
-			if !bytes.Equal(wrapTraced(in2, r2), wrapped[:i]) {
+			in2, r2, _ := unwrapReply(wrapped[:i])
+			if !bytes.Equal(wrapReply(in2, r2), wrapped[:i]) {
 				t.Fatalf("truncated wrapper at %d decoded non-canonically", i)
 			}
 		}
 	}
 }
+
+// zeroDimIngest is an ingest header claiming maxIngestRows rows of
+// dimension zero and carrying no row bytes.
+var zeroDimIngest, _ = hex.DecodeString("0000000000000000" + "0000400000000000")
 
 func TestPayloadDecodeErrors(t *testing.T) {
 	// Truncations must error, never panic, for every decoder.
@@ -240,6 +239,15 @@ func TestPayloadDecodeErrors(t *testing.T) {
 	lie[8] = 0xFF // claim 255 rows
 	if _, err := decodeIngest(lie); err == nil {
 		t.Error("lying ingest header decoded")
+	}
+	// Rows of dimension zero occupy no bytes, so the size check cannot
+	// bound their count: a 16-byte header claiming 1<<22 of them must
+	// not decode.
+	if _, err := decodeIngest(zeroDimIngest); err == nil {
+		t.Error("ingest of zero-dimension rows decoded")
+	}
+	if _, err := decodeIngest(IngestPayload{}.encode()); err != nil {
+		t.Errorf("empty ingest: %v", err)
 	}
 	// An error payload claiming more message bytes than exist.
 	el := ErrorPayload{Code: 1, Msg: "x"}.encode()
@@ -259,13 +267,14 @@ func FuzzFabricPayload(f *testing.F) {
 	f.Add(IngestAckPayload{Ell: 3}.encode())
 	f.Add(CertificatePayload{}.encode())
 	f.Add(HeartbeatPayload{Frames: 1}.encode())
-	f.Add(HeartbeatPayload{Frames: 1, legacy: true}.encode())
+	f.Add(twoFieldHeartbeat)
 	f.Add(ErrorPayload{Code: 2, Msg: "boom"}.encode())
 	f.Add(FlightReqPayload{ID: "beef", Reason: "drift"}.encode())
 	f.Add(FlightAckPayload{Dump: "flight.jsonl"}.encode())
-	f.Add(wrapTraced(IngestAckPayload{Ell: 1}.encode(), []obs.SpanRecord{
+	f.Add(wrapReply(IngestAckPayload{Ell: 1}.encode(), []obs.SpanRecord{
 		{Name: "worker_absorb", Trace: 1, Span: 2, Parent: 3, Attrs: map[string]string{"shard": "0"}},
 	}))
+	f.Add(zeroDimIngest)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if p, err := decodeHello(b); err == nil {
@@ -308,9 +317,9 @@ func FuzzFabricPayload(f *testing.F) {
 				t.Fatal("flight-ack not canonical")
 			}
 		}
-		if inner, recs, err := unwrapTraced(b); err == nil {
-			if !bytes.Equal(wrapTraced(inner, recs), b) {
-				t.Fatal("traced wrapper not canonical")
+		if inner, recs, err := unwrapReply(b); err == nil {
+			if !bytes.Equal(wrapReply(inner, recs), b) {
+				t.Fatal("reply form not canonical")
 			}
 		}
 	})

@@ -13,6 +13,7 @@ import (
 	"arams/internal/audit"
 	"arams/internal/ckpt"
 	"arams/internal/engine"
+	"arams/internal/mat"
 	"arams/internal/obs"
 	"arams/internal/parallel"
 	"arams/internal/sketch"
@@ -192,20 +193,11 @@ func (r *Remote) Degraded() bool {
 // Absorb ships the selected rows to the worker, recovering through the
 // ladder above on any transport fault. The returned stats are the
 // worker's own fold for exactly these rows (replayed or not), so the
-// engine's audit accounting is bit-identical to an all-local run.
-func (r *Remote) Absorb(vecs [][]float64, idx []int) (sketch.BatchStats, error) {
-	return r.absorbIn(obs.SpanContext{}, vecs, idx)
-}
-
-// AbsorbIn is Absorb carrying the dispatching span's context
-// (engine.TracedBackend): the ingest RPC runs inside the caller's
-// trace, so the worker's absorb span — shipped back on the ack path —
-// stitches under the coordinator's ingest_batch tree.
-func (r *Remote) AbsorbIn(parent obs.SpanContext, vecs [][]float64, idx []int) (sketch.BatchStats, error) {
-	return r.absorbIn(parent, vecs, idx)
-}
-
-func (r *Remote) absorbIn(parent obs.SpanContext, vecs [][]float64, idx []int) (sketch.BatchStats, error) {
+// engine's audit accounting is bit-identical to an all-local run. The
+// ingest RPC runs inside parent's trace, so the worker's absorb span —
+// shipped back on the ack — stitches under the coordinator's
+// ingest_batch tree.
+func (r *Remote) Absorb(parent obs.SpanContext, vecs [][]float64, idx []int) (sketch.BatchStats, error) {
 	start := time.Now()
 	defer func() { r.busyNanos.Add(int64(time.Since(start))) }()
 	nrows := len(idx)
@@ -226,7 +218,7 @@ func (r *Remote) absorbIn(parent obs.SpanContext, vecs [][]float64, idx []int) (
 		// fallback's own state is the baseline, and Absorb copies rows
 		// into the sketch, so the caller's (pool-recycled) slices are
 		// never retained.
-		stats, err := r.fallback.Absorb(vecs, idx)
+		stats, err := r.fallback.Absorb(parent, vecs, idx)
 		if err == nil {
 			r.lastEll.Store(int64(stats.EllAfter))
 		}
@@ -267,15 +259,10 @@ func (r *Remote) absorbIn(parent obs.SpanContext, vecs [][]float64, idx []int) (
 }
 
 // Snapshot fetches the worker's state and returns its sketch, trimming
-// the replay log — a state fetch is an incremental checkpoint.
-func (r *Remote) Snapshot() (*sketch.FrequentDirections, error) {
-	return r.SnapshotIn(obs.SpanContext{})
-}
-
-// SnapshotIn is Snapshot carrying the fetching span's context
-// (engine.TracedBackend): the reconcile fetch RPC — and the worker's
-// state span shipped back with it — joins the merge leg's trace.
-func (r *Remote) SnapshotIn(parent obs.SpanContext) (*sketch.FrequentDirections, error) {
+// the replay log — a state fetch is an incremental checkpoint. The
+// fetch RPC, and the worker's state span shipped back with it, join
+// parent's trace.
+func (r *Remote) Snapshot(parent obs.SpanContext) (*sketch.FrequentDirections, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st, err := r.stateLocked(parent)
@@ -287,6 +274,16 @@ func (r *Remote) SnapshotIn(parent obs.SpanContext) (*sketch.FrequentDirections,
 		return nil, parallel.AsFault(parallel.FaultCorrupt, err)
 	}
 	return a.FD(), nil
+}
+
+// Basis decomposes a fetched snapshot: Basis is a function of the
+// sketch's state, so these are the worker's live sketch's bits.
+func (r *Remote) Basis(k int) (*mat.Matrix, int) {
+	fd, err := r.Snapshot(obs.SpanContext{})
+	if err != nil || fd == nil {
+		return nil, 0
+	}
+	return fd.Basis(k), fd.Ell()
 }
 
 // State fetches the worker's checkpointable state (nil before the
@@ -370,11 +367,7 @@ func (r *Remote) Certificate() (audit.Certificate, error) {
 		return audit.Certificate{}, parallel.AsFault(parallel.FaultFatal, parallel.ErrBackendClosed)
 	}
 	if r.fallback != nil {
-		fd, err := r.fallback.Snapshot()
-		if err != nil || fd == nil {
-			return audit.Certificate{}, err
-		}
-		return audit.FromSketch(fd), nil
+		return r.fallback.Certificate()
 	}
 	payload, err := r.rpcLocked(obs.SpanContext{}, MsgCertificateReq, nil, MsgCertificate)
 	if err != nil {
@@ -421,10 +414,11 @@ func (r *Remote) Close() error {
 //
 // When parent carries a trace the RPC opens a fabric_rpc span under it
 // — with wire_encode and fabric_rtt children — and ships the span's
-// identity in the wire frame (v2), so the worker parents its own spans
-// under this RPC. A traced response is the wrapped form (payload +
-// worker span records); the records are fed into the local registry's
-// trace store so /tracez renders one cross-process tree.
+// identity in the wire frame, so the worker parents its own spans under
+// this RPC; an untraced RPC keeps the zero Span, which records nothing.
+// Every response is the reply form (payload + worker span records); the
+// records are fed into the local registry's trace store so /tracez
+// renders one cross-process tree.
 func (r *Remote) rpcLocked(parent obs.SpanContext, msgType uint32, payload []byte, wantType uint32) ([]byte, error) {
 	if r.conn == nil {
 		return nil, parallel.AsFault(parallel.FaultTransient, errNotConnected)
@@ -432,48 +426,31 @@ func (r *Remote) rpcLocked(parent obs.SpanContext, msgType uint32, payload []byt
 	r.mRPCs.Inc()
 	r.seq++
 	seq := r.seq
-	traced := parent.Trace != 0
 	var sp obs.Span
-	if traced {
+	if parent.Trace != 0 {
 		sp = obs.StartSpanIn(parent, "fabric_rpc",
 			obs.L("worker", r.name), obs.L("msg", msgName(msgType)))
-		defer sp.End()
 	}
-	req := ckpt.WireFrame{Type: msgType, Seq: seq, Payload: payload}
+	defer sp.End()
 	fail := func(err error) error {
-		if traced {
-			sp.SetAttr("error", err.Error())
-		}
+		sp.SetAttr("error", err.Error())
 		return r.rpcFailLocked(err)
 	}
-	var frame []byte
-	if traced {
-		c := sp.Context()
-		req.Trace, req.Span = uint64(c.Trace), uint64(c.Span)
-		spEnc := sp.StartChild("wire_encode")
-		frame = ckpt.EncodeWireFrame(req)
-		spEnc.SetAttr("bytes", fmt.Sprint(len(frame)))
-		spEnc.End()
-	} else {
-		frame = ckpt.EncodeWireFrame(req)
-	}
+	c := sp.Context()
+	req := ckpt.WireFrame{Type: msgType, Seq: seq, Trace: uint64(c.Trace), Span: uint64(c.Span), Payload: payload}
+	spEnc := sp.StartChild("wire_encode")
+	frame := ckpt.EncodeWireFrame(req)
+	spEnc.SetAttr("bytes", fmt.Sprint(len(frame)))
+	spEnc.End()
 	r.conn.SetDeadline(time.Now().Add(r.cfg.OpTimeout))
-	var spRTT obs.Span
-	if traced {
-		spRTT = sp.StartChild("fabric_rtt")
-	}
-	endRTT := func() {
-		if traced {
-			spRTT.End()
-		}
-	}
+	spRTT := sp.StartChild("fabric_rtt")
 	if _, err := r.conn.Write(frame); err != nil {
-		endRTT()
+		spRTT.End()
 		return nil, fail(parallel.AsFault(parallel.FaultTransient, err))
 	}
 	r.mBytesSent.Add(float64(len(frame)))
 	resp, err := ckpt.ReadWireFrame(r.conn)
-	endRTT()
+	spRTT.End()
 	if err != nil {
 		// Torn frames and timeouts are transient (the connection died or
 		// stalled); checksum/magic/version failures mean the bytes
@@ -484,17 +461,20 @@ func (r *Remote) rpcLocked(parent obs.SpanContext, msgType uint32, payload []byt
 		}
 		return nil, fail(parallel.AsFault(class, err))
 	}
-	hdr := 28 + len(resp.Payload) + 4
-	if resp.Traced() {
-		hdr += 16
-	}
-	r.mBytesRecv.Add(float64(hdr))
+	r.mBytesRecv.Add(float64(ckpt.WireOverhead + len(resp.Payload)))
 	if resp.Seq != seq {
 		return nil, fail(parallel.AsFault(parallel.FaultTransient,
 			fmt.Errorf("fabric: response seq %d for request %d", resp.Seq, seq)))
 	}
+	inner, recs, err := unwrapReply(resp.Payload)
+	if err != nil {
+		return nil, fail(parallel.AsFault(parallel.FaultCorrupt, err))
+	}
+	for _, rec := range recs {
+		obs.Default().ObserveRemoteSpan(rec)
+	}
 	if resp.Type == MsgError {
-		p, derr := decodeError(resp.Payload)
+		p, derr := decodeError(inner)
 		if derr != nil {
 			return nil, fail(parallel.AsFault(parallel.FaultCorrupt, derr))
 		}
@@ -508,31 +488,14 @@ func (r *Remote) rpcLocked(parent obs.SpanContext, msgType uint32, payload []byt
 		// A request-level error leaves the stream in sync — keep the
 		// connection.
 		r.mRPCErrs.Inc()
-		if traced {
-			sp.SetAttr("error", p.Msg)
-		}
+		sp.SetAttr("error", p.Msg)
 		return nil, parallel.AsFault(class, fmt.Errorf("fabric: worker %s: %s", r.name, p.Msg))
 	}
 	if resp.Type != wantType {
 		return nil, fail(parallel.AsFault(parallel.FaultTransient,
 			fmt.Errorf("fabric: response type %d, want %d", resp.Type, wantType)))
 	}
-	if resp.Traced() {
-		// The worker answered a traced request with the wrapped form:
-		// inner payload + its span records for this RPC. Stitch the
-		// records into the local trace store (a worker answering an
-		// untraced v1 request replies unwrapped, so v1 streams decode
-		// exactly as before).
-		inner, recs, uerr := unwrapTraced(resp.Payload)
-		if uerr != nil {
-			return nil, fail(parallel.AsFault(parallel.FaultCorrupt, uerr))
-		}
-		for _, rec := range recs {
-			obs.Default().ObserveRemoteSpan(rec)
-		}
-		return inner, nil
-	}
-	return resp.Payload, nil
+	return inner, nil
 }
 
 // msgName labels RPC spans with the request kind.
@@ -571,12 +534,7 @@ func (r *Remote) rpcFailLocked(err error) error {
 
 var errNotConnected = errors.New("fabric: not connected")
 
-// Remote is both a plain shard backend and the trace-propagating
-// extension the engine's traced ingest/reconcile paths prefer.
-var (
-	_ engine.Backend       = (*Remote)(nil)
-	_ engine.TracedBackend = (*Remote)(nil)
-)
+var _ engine.Backend = (*Remote)(nil)
 
 func (r *Remote) ingestRPCLocked(parent obs.SpanContext, rows [][]float64) (IngestAckPayload, error) {
 	d := 0
@@ -743,10 +701,10 @@ func (r *Remote) degradeLocked(cause error, pending int) {
 		}
 	}
 	if head := r.log[:len(r.log)-pending]; len(head) > 0 {
-		fb.Absorb(head, nil)
+		fb.Absorb(obs.SpanContext{}, head, nil)
 	}
 	if tail := r.log[len(r.log)-pending:]; len(tail) > 0 {
-		if stats, err := fb.Absorb(tail, nil); err == nil {
+		if stats, err := fb.Absorb(obs.SpanContext{}, tail, nil); err == nil {
 			r.lastReplayAck = IngestAckPayload{Stats: stats, Ell: stats.EllAfter}
 			r.lastEll.Store(int64(stats.EllAfter))
 		}
@@ -792,11 +750,9 @@ func (r *Remote) heartbeatLoop() {
 			r.mUp.SetInt(1)
 			if hb, derr := decodeHeartbeat(payload); derr == nil {
 				r.lastEll.Store(int64(hb.Ell))
-				if !hb.legacy {
-					r.mUptime.Set(hb.Uptime)
-					r.mQueueDepth.SetInt(hb.QueueDepth)
-					r.mObsRing.SetInt(hb.ObsRing)
-				}
+				r.mUptime.Set(hb.Uptime)
+				r.mQueueDepth.SetInt(hb.QueueDepth)
+				r.mObsRing.SetInt(hb.ObsRing)
 			}
 			// Piggyback a fleet-stats fetch on the successful probe when a
 			// fleet view is armed: the worker's whole registry snapshot,
@@ -814,9 +770,7 @@ func (r *Remote) heartbeatLoop() {
 }
 
 // statsRPCLocked fetches the worker's obs registry snapshot (JSON over
-// MsgStatsReq/MsgStats). A legacy worker answers MsgError for the
-// unknown type — a request-level error that keeps the connection, so
-// mixed fleets degrade to heartbeat-only health.
+// MsgStatsReq/MsgStats).
 func (r *Remote) statsRPCLocked() (obs.RegistrySnapshot, error) {
 	payload, err := r.rpcLocked(obs.SpanContext{}, MsgStatsReq, nil, MsgStats)
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"arams/internal/ckpt"
 	"arams/internal/engine"
 	"arams/internal/fabric"
+	"arams/internal/obs"
 	"arams/internal/sketch"
 )
 
@@ -54,7 +55,7 @@ func TestReplayLogBoundedWithoutReader(t *testing.T) {
 	vecs := testVecs(n, 16, 91)
 	trims, covered := 0, 0
 	for lo := 0; lo < n; lo += replayBatch {
-		if _, err := r.Absorb(vecs[lo:lo+replayBatch], nil); err != nil {
+		if _, err := r.Absorb(obs.SpanContext{}, vecs[lo:lo+replayBatch], nil); err != nil {
 			t.Fatal(err)
 		}
 		rows, base := r.ReplayLog()
@@ -249,11 +250,11 @@ func TestReplayLogFailedSelfTrim(t *testing.T) {
 	vecs := testVecs(n, 16, 93)
 	absorb := func(lo int) {
 		t.Helper()
-		got, err := r.Absorb(vecs[lo:lo+replayBatch], nil)
+		got, err := r.Absorb(obs.SpanContext{}, vecs[lo:lo+replayBatch], nil)
 		if err != nil {
 			t.Fatalf("Absorb of rows %d.. failed: %v", lo, err)
 		}
-		want, _ := mirror.Absorb(vecs[lo:lo+replayBatch], nil) // local backends cannot fail
+		want, _ := mirror.Absorb(obs.SpanContext{}, vecs[lo:lo+replayBatch], nil) // local backends cannot fail
 		if got != want {
 			t.Fatalf("Absorb of rows %d..: stats %+v, in-process shard reports %+v", lo, got, want)
 		}
@@ -283,11 +284,11 @@ func TestReplayLogFailedSelfTrim(t *testing.T) {
 		t.Fatal("remote degraded although every reconnect succeeded")
 	}
 
-	got, err := r.Snapshot()
+	got, err := r.Snapshot(obs.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := mirror.Snapshot()
+	want, _ := mirror.Snapshot(obs.SpanContext{})
 	if got.Seen() != n || want.Seen() != n {
 		t.Fatalf("rows lost or doubled: remote saw %d, mirror %d, fed %d", got.Seen(), want.Seen(), n)
 	}

@@ -48,10 +48,10 @@ func TestCrossProcessTraceStitch(t *testing.T) {
 	defer r.Close()
 
 	root := obs.StartTrace("ingest_batch")
-	if _, err := r.AbsorbIn(root.Context(), testVecs(32, 8, 11), nil); err != nil {
+	if _, err := r.Absorb(root.Context(), testVecs(32, 8, 11), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.SnapshotIn(root.Context()); err != nil {
+	if _, err := r.Snapshot(root.Context()); err != nil {
 		t.Fatal(err)
 	}
 	rootCtx := root.Context()

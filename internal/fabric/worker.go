@@ -161,9 +161,8 @@ func (w *Worker) serve(conn net.Conn) {
 		}
 		obsWorkerRPCs.Inc()
 		w.inflight.Add(1)
-		resp := w.handle(req)
+		resp := w.reply(req)
 		w.inflight.Add(-1)
-		resp.Seq = req.Seq
 		if err := ckpt.WriteWireFrame(conn, resp); err != nil {
 			obsWorkerRPCErrs.Inc()
 			return
@@ -171,41 +170,100 @@ func (w *Worker) serve(conn net.Conn) {
 	}
 }
 
-// frameParent extracts the coordinator's span identity from a traced
-// (wire v2) request frame; the zero SpanContext for v1 frames.
-func frameParent(req ckpt.WireFrame) obs.SpanContext {
-	if !req.Traced() {
-		return obs.SpanContext{}
-	}
-	return obs.SpanContext{Trace: obs.ID(req.Trace), Span: obs.ID(req.Span)}
-}
-
-// reply finishes a response for req: a traced request (wire v2) gets
-// the traced-reply wrapper — inner payload plus the worker's span
-// records for this request — and echoes the request's trace identity
-// so the response frame is v2 too. Untraced (v1) requests and MsgError
-// responses pass through unchanged, keeping every v1 byte stream and
-// every error path identical to the pre-trace protocol.
-func reply(req, resp ckpt.WireFrame, recs []obs.SpanRecord) ckpt.WireFrame {
-	if !req.Traced() || resp.Type == MsgError {
-		return resp
-	}
-	resp.Trace, resp.Span = req.Trace, req.Span
-	resp.Payload = wrapTraced(resp.Payload, recs)
+// reply answers one request frame: the handler's response in the reply
+// form — inner payload, then the worker's span records for the request
+// — echoing the request's sequence number and trace identity.
+func (w *Worker) reply(req ckpt.WireFrame) ckpt.WireFrame {
+	resp, recs := w.handle(req)
+	resp.Seq, resp.Trace, resp.Span = req.Seq, req.Trace, req.Span
+	resp.Payload = wrapReply(resp.Payload, recs)
 	return resp
 }
 
-// handle serves one request frame, returning the response frame (Seq is
-// filled by the caller). Traced requests open a worker-side span under
-// the coordinator's RPC span; the completed records ride back on the
-// ack (see reply).
-func (w *Worker) handle(req ckpt.WireFrame) ckpt.WireFrame {
-	parent := frameParent(req)
+// spanNames names the worker span each sketch-touching request opens
+// under the coordinator's RPC span; the other requests open none.
+var spanNames = map[uint32]string{
+	MsgIngest:         "worker_absorb",
+	MsgReconcile:      "worker_state",
+	MsgRestore:        "worker_restore",
+	MsgCertificateReq: "worker_certificate",
+}
+
+// reqSpan is a request's worker-side span. It is nil for an untraced
+// request, and every method is a no-op on nil, so handle decides once
+// whether a request is traced.
+type reqSpan struct {
+	sp  obs.Span
+	cpu obs.CPUTimer
+}
+
+// timeCPU charges the calling goroutine's CPU time, from now until end,
+// to the span.
+func (s *reqSpan) timeCPU() {
+	if s != nil {
+		s.cpu = obs.StartCPUTimer()
+	}
+}
+
+// count attaches a count attribute (rows, bytes) to the span.
+func (s *reqSpan) count(key string, n int) {
+	if s != nil {
+		s.sp.SetAttr(key, fmt.Sprint(n))
+	}
+}
+
+// end finishes the span, marking err on it, and returns the records
+// the reply carries: the span's own, or none when untraced.
+func (s *reqSpan) end(err error) []obs.SpanRecord {
+	if s == nil {
+		return nil
+	}
+	if d, ok := s.cpu.Stop(); ok {
+		s.sp.SetCPU(d)
+	}
+	if err != nil {
+		s.sp.SetAttr("error", err.Error())
+	}
+	return []obs.SpanRecord{s.sp.EndRecord()}
+}
+
+// requestError is a request-level failure: the worker answers MsgError
+// with its code and keeps the connection.
+type requestError struct {
+	code uint32
+	err  error
+}
+
+// handle serves one request frame and returns the response (type and
+// inner payload) with the worker's span records for it. A traced
+// request to a sketch-touching handler opens a worker span under the
+// coordinator's RPC span, and that span rides back on the response,
+// MsgError included.
+func (w *Worker) handle(req ckpt.WireFrame) (ckpt.WireFrame, []obs.SpanRecord) {
+	var sp *reqSpan
+	if name, ok := spanNames[req.Type]; ok && req.Trace != 0 {
+		_, shard := w.current()
+		parent := obs.SpanContext{Trace: obs.ID(req.Trace), Span: obs.ID(req.Span)}
+		sp = &reqSpan{sp: w.obs().StartSpanIn(parent, name, obs.L("shard", fmt.Sprint(shard)))}
+	}
+	resp, rerr := w.dispatch(req, sp)
+	var err error
+	if rerr != nil {
+		err = rerr.err
+		obsWorkerRPCErrs.Inc()
+		resp = ckpt.WireFrame{Type: MsgError,
+			Payload: ErrorPayload{Code: rerr.code, Msg: err.Error()}.encode()}
+	}
+	return resp, sp.end(err)
+}
+
+// dispatch runs the handler for req's type inside sp.
+func (w *Worker) dispatch(req ckpt.WireFrame, sp *reqSpan) (ckpt.WireFrame, *requestError) {
 	switch req.Type {
 	case MsgHello:
 		hello, err := decodeHello(req.Payload)
 		if err != nil {
-			return errFrame(ErrCodeCorrupt, err)
+			return ckpt.WireFrame{}, &requestError{ErrCodeCorrupt, err}
 		}
 		w.mu.Lock()
 		w.shard = hello.Shard
@@ -219,162 +277,93 @@ func (w *Worker) handle(req ckpt.WireFrame) ckpt.WireFrame {
 			w.backend = engine.NewLocalBackend(hello.Cfg)
 		}
 		w.mu.Unlock()
-		return ckpt.WireFrame{Type: MsgHelloAck, Payload: hello.encode()}
+		return ckpt.WireFrame{Type: MsgHelloAck, Payload: hello.encode()}, nil
 
 	case MsgIngest:
 		p, err := decodeIngest(req.Payload)
 		if err != nil {
-			return errFrame(ErrCodeCorrupt, err)
+			return ckpt.WireFrame{}, &requestError{ErrCodeCorrupt, err}
 		}
-		b := w.getBackend()
+		sp.count("rows", len(p.Rows))
+		b, _ := w.current()
 		if b == nil {
-			return errFrame(ErrCodeTransient, errNoHello)
+			return ckpt.WireFrame{}, &requestError{ErrCodeTransient, errNoHello}
 		}
-		traced := parent.Trace != 0
-		var sp obs.Span
-		var cpu obs.CPUTimer
-		if traced {
-			sp = w.obs().StartSpanIn(parent, "worker_absorb",
-				obs.L("shard", fmt.Sprint(w.shardID())),
-				obs.L("rows", fmt.Sprint(len(p.Rows))))
-			cpu = obs.StartCPUTimer()
-		}
-		stats, err := b.Absorb(p.Rows, nil)
-		var recs []obs.SpanRecord
-		if traced {
-			if d, ok := cpu.Stop(); ok {
-				sp.SetCPU(d)
-			}
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			}
-			recs = append(recs, sp.EndRecord())
-		}
+		sp.timeCPU()
+		stats, err := b.Absorb(obs.SpanContext{}, p.Rows, nil)
 		if err != nil {
-			return errFrame(ErrCodeTransient, err)
+			return ckpt.WireFrame{}, &requestError{ErrCodeTransient, err}
 		}
 		w.frames.Add(int64(len(p.Rows)))
 		obsWorkerFrames.Add(float64(len(p.Rows)))
-		return reply(req, ckpt.WireFrame{Type: MsgIngestAck,
-			Payload: IngestAckPayload{Stats: stats, Ell: b.Ell()}.encode()}, recs)
+		return ckpt.WireFrame{Type: MsgIngestAck,
+			Payload: IngestAckPayload{Stats: stats, Ell: b.Ell()}.encode()}, nil
 
 	case MsgReconcile:
-		b := w.getBackend()
+		b, _ := w.current()
 		if b == nil {
-			return errFrame(ErrCodeTransient, errNoHello)
-		}
-		traced := parent.Trace != 0
-		var sp obs.Span
-		if traced {
-			sp = w.obs().StartSpanIn(parent, "worker_state",
-				obs.L("shard", fmt.Sprint(w.shardID())))
+			return ckpt.WireFrame{}, &requestError{ErrCodeTransient, errNoHello}
 		}
 		st, err := b.State()
-		var payload []byte
-		if err == nil && st != nil {
-			payload, err = ckpt.Marshal(st)
-		}
-		var recs []obs.SpanRecord
-		if traced {
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			}
-			sp.SetAttr("bytes", fmt.Sprint(len(payload)))
-			recs = append(recs, sp.EndRecord())
-		}
 		if err != nil {
-			if st != nil {
-				return errFrame(ErrCodeFatal, err) // marshal failure
-			}
-			return errFrame(ErrCodeTransient, err)
+			return ckpt.WireFrame{}, &requestError{ErrCodeTransient, err}
 		}
 		// Empty payload means no rows yet.
-		return reply(req, ckpt.WireFrame{Type: MsgSketchState, Payload: payload}, recs)
+		var payload []byte
+		if st != nil {
+			if payload, err = ckpt.Marshal(st); err != nil {
+				return ckpt.WireFrame{}, &requestError{ErrCodeFatal, err}
+			}
+		}
+		sp.count("bytes", len(payload))
+		return ckpt.WireFrame{Type: MsgSketchState, Payload: payload}, nil
 
 	case MsgRestore:
+		sp.count("bytes", len(req.Payload))
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		if !w.haveCfg {
-			return errFrame(ErrCodeTransient, errNoHello)
-		}
-		traced := parent.Trace != 0
-		var sp obs.Span
-		if traced {
-			sp = w.obs().StartSpanIn(parent, "worker_restore",
-				obs.L("shard", fmt.Sprint(w.shard)),
-				obs.L("bytes", fmt.Sprint(len(req.Payload))))
-		}
-		endRestore := func(errstr string) []obs.SpanRecord {
-			if !traced {
-				return nil
-			}
-			if errstr != "" {
-				sp.SetAttr("error", errstr)
-			}
-			return []obs.SpanRecord{sp.EndRecord()}
-		}
-		if len(req.Payload) == 0 {
-			// Explicit reset to a fresh sketcher.
-			w.backend = engine.NewLocalBackend(w.cfg)
-			obsWorkerRestores.Inc()
-			return reply(req, ckpt.WireFrame{Type: MsgRestoreAck}, endRestore(""))
-		}
-		v, err := ckpt.Unmarshal(req.Payload)
-		if err != nil {
-			endRestore(err.Error())
-			return errFrame(ErrCodeCorrupt, err)
-		}
-		st, ok := v.(*sketch.ARAMSState)
-		if !ok {
-			err := fmt.Errorf("fabric: restore payload is %T, want ARAMS state", v)
-			endRestore(err.Error())
-			return errFrame(ErrCodeCorrupt, err)
+			return ckpt.WireFrame{}, &requestError{ErrCodeTransient, errNoHello}
 		}
 		b := engine.NewLocalBackend(w.cfg)
-		if err := b.Restore(st); err != nil {
-			endRestore(err.Error())
-			return errFrame(ErrCodeCorrupt, err)
+		// An empty payload is an explicit reset to a fresh sketcher.
+		if len(req.Payload) > 0 {
+			v, err := ckpt.Unmarshal(req.Payload)
+			if err != nil {
+				return ckpt.WireFrame{}, &requestError{ErrCodeCorrupt, err}
+			}
+			st, ok := v.(*sketch.ARAMSState)
+			if !ok {
+				return ckpt.WireFrame{}, &requestError{ErrCodeCorrupt,
+					fmt.Errorf("fabric: restore payload is %T, want ARAMS state", v)}
+			}
+			if err := b.Restore(st); err != nil {
+				return ckpt.WireFrame{}, &requestError{ErrCodeCorrupt, err}
+			}
+			audit.Default().Record(audit.KindCheckpointRestore,
+				"fabric worker restored sketcher state from coordinator",
+				audit.A("shard", float64(w.shard)),
+				audit.A("dim", float64(st.D)))
 		}
 		w.backend = b
 		obsWorkerRestores.Inc()
-		audit.Default().Record(audit.KindCheckpointRestore,
-			"fabric worker restored sketcher state from coordinator",
-			audit.A("shard", float64(w.shard)),
-			audit.A("dim", float64(st.D)))
-		return reply(req, ckpt.WireFrame{Type: MsgRestoreAck}, endRestore(""))
+		return ckpt.WireFrame{Type: MsgRestoreAck}, nil
 
 	case MsgCertificateReq:
-		b := w.getBackend()
+		b, _ := w.current()
 		if b == nil {
-			return errFrame(ErrCodeTransient, errNoHello)
+			return ckpt.WireFrame{}, &requestError{ErrCodeTransient, errNoHello}
 		}
-		traced := parent.Trace != 0
-		var sp obs.Span
-		if traced {
-			sp = w.obs().StartSpanIn(parent, "worker_certificate",
-				obs.L("shard", fmt.Sprint(w.shardID())))
-		}
-		fd, err := b.Snapshot()
-		var recs []obs.SpanRecord
-		if traced {
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			}
-			recs = append(recs, sp.EndRecord())
-		}
+		cert, err := b.Certificate()
 		if err != nil {
-			return errFrame(ErrCodeTransient, err)
+			return ckpt.WireFrame{}, &requestError{ErrCodeTransient, err}
 		}
-		var cert audit.Certificate
-		if fd != nil {
-			cert = audit.FromSketch(fd)
-		}
-		return reply(req, ckpt.WireFrame{Type: MsgCertificate,
-			Payload: CertificatePayload{Cert: cert}.encode()}, recs)
+		return ckpt.WireFrame{Type: MsgCertificate,
+			Payload: CertificatePayload{Cert: cert}.encode()}, nil
 
 	case MsgHeartbeat:
 		ell := 0
-		if b := w.getBackend(); b != nil {
+		if b, _ := w.current(); b != nil {
 			ell = b.Ell()
 		}
 		return ckpt.WireFrame{Type: MsgHeartbeatAck,
@@ -384,49 +373,39 @@ func (w *Worker) handle(req ckpt.WireFrame) ckpt.WireFrame {
 				Uptime:     time.Since(w.start).Seconds(),
 				QueueDepth: int(w.inflight.Load()),
 				ObsRing:    w.obs().RingLen(),
-			}.encode()}
+			}.encode()}, nil
 
 	case MsgStatsReq:
 		payload, err := json.Marshal(w.obs().Export())
 		if err != nil {
-			return errFrame(ErrCodeTransient, err)
+			return ckpt.WireFrame{}, &requestError{ErrCodeTransient, err}
 		}
-		return reply(req, ckpt.WireFrame{Type: MsgStats, Payload: payload}, nil)
+		return ckpt.WireFrame{Type: MsgStats, Payload: payload}, nil
 
 	case MsgFlightReq:
 		p, err := decodeFlightReq(req.Payload)
 		if err != nil {
-			return errFrame(ErrCodeCorrupt, err)
+			return ckpt.WireFrame{}, &requestError{ErrCodeCorrupt, err}
 		}
 		dump := w.obs().FlightTriggerID(p.Reason, p.ID)
 		if dump != "" {
 			dump = filepath.Base(dump)
 		}
-		return reply(req, ckpt.WireFrame{Type: MsgFlightAck,
-			Payload: FlightAckPayload{Dump: dump}.encode()}, nil)
+		return ckpt.WireFrame{Type: MsgFlightAck,
+			Payload: FlightAckPayload{Dump: dump}.encode()}, nil
 
 	default:
-		return errFrame(ErrCodeCorrupt, fmt.Errorf("fabric: unknown message type %d", req.Type))
+		return ckpt.WireFrame{}, &requestError{ErrCodeCorrupt,
+			fmt.Errorf("fabric: unknown message type %d", req.Type)}
 	}
-}
-
-// shardID reads the shard slot adopted from the last Hello.
-func (w *Worker) shardID() uint32 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.shard
 }
 
 var errNoHello = errors.New("fabric: no hello received on this worker yet")
 
-func (w *Worker) getBackend() engine.Backend {
+// current returns the backend and shard slot adopted from the last
+// Hello (a nil backend before the first).
+func (w *Worker) current() (engine.Backend, uint32) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.backend
-}
-
-func errFrame(code uint32, err error) ckpt.WireFrame {
-	obsWorkerRPCErrs.Inc()
-	return ckpt.WireFrame{Type: MsgError,
-		Payload: ErrorPayload{Code: code, Msg: err.Error()}.encode()}
+	return w.backend, w.shard
 }

@@ -1,10 +1,11 @@
 package fabric
 
-// Handle-level tests for the worker's observability surface: the
-// heartbeat health block, the traced-reply wrapper on v2 requests, the
-// fleet-stats snapshot RPC, and the flight fan-out RPC. These exercise
-// w.handle directly (no sockets) so they can reach the unexported
-// codecs and assert exact frame semantics.
+// Reply-level tests for the worker's observability surface: the
+// heartbeat health block, the reply form every response carries (with
+// the worker's spans for a traced request), the fleet-stats snapshot
+// RPC, and the flight fan-out RPC. These exercise w.reply directly (no
+// sockets) so they can reach the unexported codecs and assert exact
+// frame semantics.
 
 import (
 	"encoding/json"
@@ -32,11 +33,20 @@ func newHandleWorker(t *testing.T) (*Worker, *obs.Registry) {
 	w.SetObsRegistry(reg)
 
 	hello := HelloPayload{Shard: 1, Cfg: sketch.Config{Ell0: 4, Beta: 1}}
-	resp := w.handle(ckpt.WireFrame{Type: MsgHello, Payload: hello.encode()})
-	if resp.Type != MsgHelloAck {
+	if resp := w.reply(ckpt.WireFrame{Type: MsgHello, Payload: hello.encode()}); resp.Type != MsgHelloAck {
 		t.Fatalf("hello answered with type %d", resp.Type)
 	}
 	return w, reg
+}
+
+// unwrap splits a reply into its inner payload and span records.
+func unwrap(t *testing.T, resp ckpt.WireFrame) ([]byte, []obs.SpanRecord) {
+	t.Helper()
+	inner, recs, err := unwrapReply(resp.Payload)
+	if err != nil {
+		t.Fatalf("reply of type %d is not in the reply form: %v", resp.Type, err)
+	}
+	return inner, recs
 }
 
 func ingestFrame(trace, span uint64, rows [][]float64) ckpt.WireFrame {
@@ -48,16 +58,14 @@ func ingestFrame(trace, span uint64, rows [][]float64) ckpt.WireFrame {
 
 func TestWorkerHeartbeatHealthBlock(t *testing.T) {
 	w, _ := newHandleWorker(t)
-	resp := w.handle(ckpt.WireFrame{Type: MsgHeartbeat})
+	resp := w.reply(ckpt.WireFrame{Type: MsgHeartbeat})
 	if resp.Type != MsgHeartbeatAck {
 		t.Fatalf("heartbeat answered with type %d", resp.Type)
 	}
-	hb, err := decodeHeartbeat(resp.Payload)
+	payload, _ := unwrap(t, resp)
+	hb, err := decodeHeartbeat(payload)
 	if err != nil {
 		t.Fatalf("decode heartbeat: %v", err)
-	}
-	if hb.legacy {
-		t.Error("live worker emitted the legacy two-field heartbeat form")
 	}
 	if hb.Uptime <= 0 {
 		t.Errorf("uptime %v, want > 0", hb.Uptime)
@@ -68,9 +76,9 @@ func TestWorkerHeartbeatHealthBlock(t *testing.T) {
 	if hb.ObsRing < 0 {
 		t.Errorf("obs ring %d, want >= 0", hb.ObsRing)
 	}
-	// Canonical re-encode: the extended form must round-trip bytes.
-	if got := hb.encode(); string(got) != string(resp.Payload) {
-		t.Error("extended heartbeat does not re-encode canonically")
+	// Canonical re-encode: the payload must round-trip bytes.
+	if got := hb.encode(); string(got) != string(payload) {
+		t.Error("heartbeat does not re-encode canonically")
 	}
 }
 
@@ -78,17 +86,14 @@ func TestWorkerTracedReplyWrapsIngestAck(t *testing.T) {
 	w, reg := newHandleWorker(t)
 	rows := [][]float64{{1, 2, 3}, {4, 5, 6}}
 
-	resp := w.handle(ingestFrame(7, 9, rows))
+	resp := w.reply(ingestFrame(7, 9, rows))
 	if resp.Type != MsgIngestAck {
 		t.Fatalf("traced ingest answered with type %d", resp.Type)
 	}
-	if !resp.Traced() || resp.Trace != 7 || resp.Span != 9 {
+	if resp.Trace != 7 || resp.Span != 9 {
 		t.Fatalf("traced response does not echo request identity: trace=%d span=%d", resp.Trace, resp.Span)
 	}
-	inner, recs, err := unwrapTraced(resp.Payload)
-	if err != nil {
-		t.Fatalf("unwrap traced reply: %v", err)
-	}
+	inner, recs := unwrap(t, resp)
 	ack, err := decodeIngestAck(inner)
 	if err != nil {
 		t.Fatalf("decode inner ack: %v", err)
@@ -121,22 +126,34 @@ func TestWorkerTracedReplyWrapsIngestAck(t *testing.T) {
 	}
 }
 
-func TestWorkerUntracedIngestStaysPlain(t *testing.T) {
-	w, _ := newHandleWorker(t)
-	resp := w.handle(ingestFrame(0, 0, [][]float64{{1, 2, 3}}))
+// TestWorkerUntracedIngestCarriesNoSpans: an untraced request gets the
+// same reply form as a traced one, with zero span records, no trace
+// identity, and no worker span opened.
+func TestWorkerUntracedIngestCarriesNoSpans(t *testing.T) {
+	w, reg := newHandleWorker(t)
+	resp := w.reply(ingestFrame(0, 0, [][]float64{{1, 2, 3}}))
 	if resp.Type != MsgIngestAck {
 		t.Fatalf("ingest answered with type %d", resp.Type)
 	}
-	if resp.Traced() {
-		t.Fatal("untraced request got a traced response")
+	if resp.Trace != 0 || resp.Span != 0 {
+		t.Fatalf("untraced request got trace identity trace=%d span=%d", resp.Trace, resp.Span)
 	}
-	// Payload must decode directly — no wrapper.
-	if _, err := decodeIngestAck(resp.Payload); err != nil {
-		t.Fatalf("plain ack does not decode: %v", err)
+	inner, recs := unwrap(t, resp)
+	if len(recs) != 0 {
+		t.Fatalf("untraced reply carries %d span records, want 0", len(recs))
+	}
+	if _, err := decodeIngestAck(inner); err != nil {
+		t.Fatalf("inner ack does not decode: %v", err)
+	}
+	if n := reg.RingLen(); n != 0 {
+		t.Fatalf("untraced request left %d spans in the worker's ring, want 0", n)
 	}
 }
 
-func TestWorkerTracedErrorStaysPlain(t *testing.T) {
+// TestWorkerTracedErrorCarriesItsSpan: a traced request that fails
+// answers MsgError in the reply form, echoing the request's trace
+// identity and carrying the worker span with the error on it.
+func TestWorkerTracedErrorCarriesItsSpan(t *testing.T) {
 	w, err := NewWorker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -144,17 +161,28 @@ func TestWorkerTracedErrorStaysPlain(t *testing.T) {
 	defer w.Close()
 	w.SetObsRegistry(obs.NewRegistry())
 
-	// Traced ingest before any hello: request-level error. MsgError must
-	// stay a plain v1 frame so v1-era error handling is untouched.
-	resp := w.handle(ingestFrame(3, 4, [][]float64{{1}}))
+	// Traced ingest before any hello: a request-level error.
+	resp := w.reply(ingestFrame(3, 4, [][]float64{{1}}))
 	if resp.Type != MsgError {
 		t.Fatalf("ingest before hello answered with type %d", resp.Type)
 	}
-	if resp.Traced() {
-		t.Fatal("error response carries trace identity")
+	if resp.Trace != 3 || resp.Span != 4 {
+		t.Fatalf("error response does not echo request identity: trace=%d span=%d", resp.Trace, resp.Span)
 	}
-	if _, err := decodeError(resp.Payload); err != nil {
-		t.Fatalf("error payload does not decode plainly: %v", err)
+	inner, recs := unwrap(t, resp)
+	ep, err := decodeError(inner)
+	if err != nil {
+		t.Fatalf("inner error payload does not decode: %v", err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("traced error carries %d span records, want 1", len(recs))
+	}
+	rec := recs[0]
+	if rec.Name != "worker_absorb" || rec.Trace != 3 || rec.Parent != 4 {
+		t.Errorf("span %q trace=%d parent=%d, want worker_absorb under trace 3 span 4", rec.Name, rec.Trace, rec.Parent)
+	}
+	if rec.Attrs["error"] != ep.Msg {
+		t.Errorf("span error attr %q, want the reply's message %q", rec.Attrs["error"], ep.Msg)
 	}
 }
 
@@ -162,12 +190,13 @@ func TestWorkerStatsReqSnapshotsRegistry(t *testing.T) {
 	w, reg := newHandleWorker(t)
 	reg.Counter("test_stats_total").Inc()
 
-	resp := w.handle(ckpt.WireFrame{Type: MsgStatsReq})
+	resp := w.reply(ckpt.WireFrame{Type: MsgStatsReq})
 	if resp.Type != MsgStats {
 		t.Fatalf("stats req answered with type %d", resp.Type)
 	}
+	payload, _ := unwrap(t, resp)
 	var snap obs.RegistrySnapshot
-	if err := json.Unmarshal(resp.Payload, &snap); err != nil {
+	if err := json.Unmarshal(payload, &snap); err != nil {
 		t.Fatalf("stats payload does not unmarshal: %v", err)
 	}
 	var found bool
@@ -191,11 +220,12 @@ func TestWorkerFlightReqDumpsWithTriggerID(t *testing.T) {
 	defer fr.Close()
 
 	req := FlightReqPayload{ID: "deadbeef01", Reason: "test_incident"}
-	resp := w.handle(ckpt.WireFrame{Type: MsgFlightReq, Payload: req.encode()})
+	resp := w.reply(ckpt.WireFrame{Type: MsgFlightReq, Payload: req.encode()})
 	if resp.Type != MsgFlightAck {
 		t.Fatalf("flight req answered with type %d", resp.Type)
 	}
-	ack, err := decodeFlightAck(resp.Payload)
+	payload, _ := unwrap(t, resp)
+	ack, err := decodeFlightAck(payload)
 	if err != nil {
 		t.Fatalf("decode flight ack: %v", err)
 	}
@@ -215,12 +245,13 @@ func TestWorkerFlightReqDumpsWithTriggerID(t *testing.T) {
 
 func TestWorkerFlightReqUnarmedAnswersEmpty(t *testing.T) {
 	w, _ := newHandleWorker(t)
-	resp := w.handle(ckpt.WireFrame{Type: MsgFlightReq,
+	resp := w.reply(ckpt.WireFrame{Type: MsgFlightReq,
 		Payload: FlightReqPayload{ID: "abc", Reason: "r"}.encode()})
 	if resp.Type != MsgFlightAck {
 		t.Fatalf("flight req answered with type %d", resp.Type)
 	}
-	ack, err := decodeFlightAck(resp.Payload)
+	payload, _ := unwrap(t, resp)
+	ack, err := decodeFlightAck(payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,10 @@ const DefaultRingCap = 256
 // round, a snapshot). Obtain with StartSpan/StartTrace/StartChild,
 // finish with End. A span started from a trace root (or from another
 // traced span) carries the trace identity, so completed spans
-// reassemble into parent-child trees on /tracez.
+// reassemble into parent-child trees on /tracez. The zero Span is
+// inert: its children are zero Spans too, and End measures but records
+// nothing — so code that traces only some calls opens a span once and
+// calls the same methods either way.
 type Span struct {
 	r     *Registry
 	name  string

@@ -144,12 +144,12 @@ kill "$W0_PID" 2>/dev/null || true
 
 echo "== fabric suites under -race =="
 go test -race -count=1 -v \
-  -run 'TestChaos|TestWorkerKillRestart|TestLoopback|TestStopDuringHungReconcile|TestFabricRaceHammer|TestReplayLog|TestCrossProcessTraceStitch|TestFleetFlightFanout|TestWorkerTraced|TestWorkerHeartbeatHealthBlock|TestWorkerStatsReq|TestWorkerFlightReq' \
+  -run 'TestChaos|TestWorkerKillRestart|TestLoopback|TestStopDuringHungReconcile|TestFabricRaceHammer|TestReplayLog|TestCrossProcessTraceStitch|TestFleetFlightFanout|TestWorkerTraced|TestWorkerUntraced|TestWorkerHeartbeatHealthBlock|TestWorkerStatsReq|TestWorkerFlightReq' \
   ./internal/fabric/
 
 echo "== remote merge + wire codec + fleet merge units =="
 go test -count=1 -run 'TestMergeRemote|TestClassify' ./internal/parallel/
-go test -count=1 -run 'TestWire|TestPayload' ./internal/ckpt/ ./internal/fabric/
+go test -count=1 -run 'TestWire|TestReadWireFrame|TestPayload|TestHeartbeat|TestTracedReplyWrapper' ./internal/ckpt/ ./internal/fabric/
 go test -count=1 -run 'TestFleet' ./internal/obs/
 
 echo "fabric smoke: PASS"
