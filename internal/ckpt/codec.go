@@ -248,6 +248,11 @@ func decodeARAMS(d *dec) *sketch.ARAMSState {
 // --- Monitor ---
 
 func encodeMonitor(e *enc, s *pipeline.MonitorState) error {
+	if s.Window <= 0 {
+		// A released state (MonitorState.Release) has Window 0 and no
+		// frames or sketches; written out it would restore as nothing.
+		return fmt.Errorf("ckpt: monitor state has window=%d (released?)", s.Window)
+	}
 	e.i64(s.Window)
 	e.i64(s.Ingests)
 	e.i64(len(s.Frames))

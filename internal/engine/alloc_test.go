@@ -165,3 +165,83 @@ func TestWindowRowsOutliveTheirFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestSuspendReleaseKeepsHandedOutVectors is the release rule's safety
+// half: Suspend's state owns only the window vectors nobody else was
+// handed, so releasing it leaves a Window read earlier and a State taken
+// earlier byte-for-byte intact while another engine draws ten windows'
+// worth of vectors from the pool — some of them the ones released. The
+// released state is empty, so it cannot be saved or restored.
+func TestSuspendReleaseKeepsHandedOutVectors(t *testing.T) {
+	const window, side, batch = 16, 8, 4
+	ims := testImages(window+window/2+batch, side, 53)
+	cfg := engine.Config{Sketch: sketch.Config{Ell0: 4, Beta: 0.9, Seed: 3}, Window: window}
+	e := engine.New(cfg)
+	feed := func(e *engine.Engine, ims []*imgproc.Image) {
+		for lo := 0; lo < len(ims); lo += batch {
+			e.IngestBatch(ims[lo:lo+batch], nil)
+		}
+	}
+	feed(e, ims[:window])
+	w := e.ReadWindow(4, obs.SpanContext{})
+	wantRows := cloneVecs(w.Rows)
+	feed(e, ims[window:window+window/2])
+	st := e.State()
+	var wantFrames [][]float64
+	for _, f := range st.Frames {
+		wantFrames = append(wantFrames, slices.Clone(f.Vec))
+	}
+	// The ring now holds frames handed out by ReadWindow, by State, and
+	// one batch handed to nobody: Suspend's state owns that batch only.
+	feed(e, ims[window+window/2:])
+	s, err := e.Suspend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Release()
+	if s.Window != 0 || s.Frames != nil || s.Shards != nil {
+		t.Fatalf("released state keeps window %d, %d frames, %d shards", s.Window, len(s.Frames), len(s.Shards))
+	}
+	if _, err := engine.NewFromState(cfg, s); err == nil {
+		t.Fatal("NewFromState accepted a released state")
+	}
+
+	other := engine.New(cfg)
+	defer other.Close()
+	feed(other, testImages(10*window, side, 59))
+	for i, row := range wantRows {
+		if !slices.Equal(w.Rows[i], row) {
+			t.Fatalf("Window row %d changed after Suspend → Release: the vector was released", i)
+		}
+	}
+	for i, vec := range wantFrames {
+		if !slices.Equal(st.Frames[i].Vec, vec) {
+			t.Fatalf("State frame %d changed after Suspend → Release: the vector was released", i)
+		}
+	}
+}
+
+// TestClosedShardReturnsItsSketch is the release rule for the sketch:
+// a closed local shard hands its 2ℓ×d buffer back to the vector pool,
+// and the next sketch of the same shape (a restored tenant's shard)
+// draws it from there, so an open → absorb → close cycle allocates well
+// under one buffer. The race detector drops a quarter of pooled puts at
+// random, so the bound is half a buffer, not zero.
+func TestClosedShardReturnsItsSketch(t *testing.T) {
+	const d, ell = 4096, 8
+	const bufBytes = 8 * 2 * ell * d
+	scfg := sketch.Config{Ell0: ell, Beta: 1, Seed: 3}
+	vecs := testVecs(1, d, 43)
+	_, bytes := allocPerRun(40, func() {
+		b := engine.NewLocalBackend(scfg)
+		if _, err := b.Absorb(obs.SpanContext{}, vecs, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if bytes >= bufBytes/2 {
+		t.Errorf("open → absorb → close allocates %.0f B per cycle; the sketch buffer is %d B", bytes, bufBytes)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"arams/internal/audit"
 	"arams/internal/mat"
 	"arams/internal/obs"
+	"arams/internal/parallel"
 	"arams/internal/sketch"
 )
 
@@ -74,9 +75,10 @@ type Backend interface {
 type localShard struct {
 	cfg sketch.Config // per-shard seed already derived
 
-	mu    sync.Mutex
-	arams *sketch.ARAMS
-	busy  time.Duration // cumulative wall time spent inside Absorb
+	mu     sync.Mutex
+	arams  *sketch.ARAMS
+	busy   time.Duration // cumulative wall time spent inside Absorb
+	closed bool          // Close ran: every call fails fast
 
 	// rowView is the reusable 1×d header Absorb wraps each row in, so
 	// the per-row ProcessBatch call allocates nothing. Guarded by mu
@@ -98,6 +100,9 @@ func NewLocalBackend(scfg sketch.Config) Backend {
 func (s *localShard) Absorb(_ obs.SpanContext, vecs [][]float64, idx []int) (sketch.BatchStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return sketch.BatchStats{}, parallel.ErrBackendClosed
+	}
 	start := time.Now()
 	defer func() { s.busy += time.Since(start) }()
 	nrows := len(idx)
@@ -145,6 +150,9 @@ func (s *localShard) Absorb(_ obs.SpanContext, vecs [][]float64, idx []int) (ske
 func (s *localShard) Snapshot(obs.SpanContext) (*sketch.FrequentDirections, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil, parallel.ErrBackendClosed
+	}
 	if s.arams == nil {
 		return nil, nil
 	}
@@ -169,6 +177,9 @@ func (s *localShard) Basis(k int) (*mat.Matrix, int) {
 func (s *localShard) Certificate() (audit.Certificate, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return audit.Certificate{}, parallel.ErrBackendClosed
+	}
 	if s.arams == nil {
 		return audit.Certificate{}, nil
 	}
@@ -179,6 +190,9 @@ func (s *localShard) Certificate() (audit.Certificate, error) {
 func (s *localShard) State() (*sketch.ARAMSState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil, parallel.ErrBackendClosed
+	}
 	if s.arams == nil {
 		return nil, nil
 	}
@@ -196,8 +210,12 @@ func (s *localShard) Restore(st *sketch.ARAMSState) error {
 		return err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		a.FD().Release()
+		return parallel.ErrBackendClosed
+	}
 	s.arams = a
-	s.mu.Unlock()
 	return nil
 }
 
@@ -216,4 +234,18 @@ func (s *localShard) Busy() time.Duration {
 	return s.busy
 }
 
-func (s *localShard) Close() error { return nil }
+// Close hands the live sketch's 2ℓ×d buffer back to the mat vector
+// pool — Snapshot and State only ever gave out copies, so nothing else
+// reads it — and makes every later call fail fast: Absorb, Snapshot,
+// State, Restore and Certificate return parallel.ErrBackendClosed, Basis
+// and Ell report an empty sketch, and no Absorb starts a fresh one.
+func (s *localShard) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.arams != nil {
+		s.arams.FD().Release()
+		s.arams = nil
+	}
+	s.closed = true
+	return nil
+}

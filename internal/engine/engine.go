@@ -717,7 +717,7 @@ func (e *Engine) ReadWindow(k int, parent obs.SpanContext) Window {
 // WindowState is ReadWindow with the window copied into a matrix. Its
 // callers are benchmark/replay.go and, because that file's ledger models
 // a snapshot as this call plus the stages, Monitor.Snapshot; ROADMAP
-// item 3 deletes the replay, and this wrapper with it.
+// item 1 deletes the replay, and this wrapper with it.
 func (e *Engine) WindowState(k int, parent ...obs.SpanContext) (x *mat.Matrix, tags []int, basis *mat.Matrix, ell int) {
 	var in obs.SpanContext
 	if len(parent) > 0 {

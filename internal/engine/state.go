@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"arams/internal/audit"
+	"arams/internal/mat"
 	"arams/internal/sketch"
 )
 
@@ -26,6 +27,9 @@ import (
 // read Frames[i].Vec for as long as they like, encode it, and restore
 // from one State any number of times; they must not write to its
 // elements or hand it to mat.PutVec.
+//
+// The one exception is a State from Suspend, which also owns the window
+// vectors nobody else was handed (see Release).
 type State struct {
 	Window  int
 	Ingests int
@@ -33,12 +37,37 @@ type State struct {
 	Shards  []*sketch.ARAMSState
 	Audit   *audit.State
 	Journal *audit.JournalState
+
+	// owned are the vectors of the frames Suspend took from the ring
+	// that no State, Window or restored engine had been handed: the
+	// suspended engine is gone, so this State is their only holder.
+	owned [][]float64
+}
+
+// Release hands the vectors the State owns back to the mat vector pool
+// and empties the State: Window 0, no frames, no shards, so it can be
+// neither encoded nor restored from afterwards. Call it once the state
+// has been saved and nothing reads it any more — neither the State nor
+// any copy of its Frames, nor an engine rebuilt from it. Vectors that
+// State, ReadWindow or NewFromState had handed out before Suspend are
+// not owned and are never released; on a State from State() Release
+// only empties it.
+func (s *State) Release() {
+	for _, v := range s.owned {
+		mat.PutVec(v)
+	}
+	*s = State{}
 }
 
 // State captures the engine's current state. It takes the ingest gate
 // exclusively, so in-flight batches finish first and the snapshot is a
 // consistent cut of ring, counters, every shard, and the audit layer.
-func (e *Engine) State() *State {
+func (e *Engine) State() *State { return e.capture(false) }
+
+// capture is State; with suspend set it also takes the ring: the frames
+// no one else was handed become the state's own (see State.Release), and
+// the ring is cleared, so the dead engine keeps no reference to them.
+func (e *Engine) capture(suspend bool) *State {
 	e.gate.Lock()
 	defer e.gate.Unlock()
 	s := &State{
@@ -53,8 +82,15 @@ func (e *Engine) State() *State {
 	// ReadWindow, which marks the same frames without the gate.
 	e.mu.Lock()
 	for i, f := range e.recent {
+		if suspend && !f.shared {
+			s.owned = append(s.owned, f.Vec)
+		}
 		f.shared = true
 		s.Frames[i] = *f
+	}
+	if suspend {
+		clear(e.recent)
+		e.recent = nil
 	}
 	e.mu.Unlock()
 	for i, sh := range e.shards {
@@ -80,18 +116,21 @@ func (e *Engine) State() *State {
 }
 
 // Suspend is the hibernation path: it stops the async pump (draining
-// anything queued), captures a state handle (see State: it shares the
+// anything queued), captures a state handle (see State: it holds the
 // window's vectors rather than copying them, and outlives the engine),
 // and closes every shard backend, releasing the engine's goroutines and
-// everything the handle does not hold. The engine must not be used
-// after Suspend; NewFromState over the returned
-// handle resumes the stream bit-exactly (sampler RNG streams included),
-// so a hibernate→restore cycle is invisible to sketch bytes,
-// certificates, and audit journals. Returns the state even when a
-// backend close fails — the checkpoint is already consistent by then.
+// everything the handle does not hold — a local shard's sketch buffer
+// goes back to the vector pool. The engine must not be used after
+// Suspend; NewFromState over the returned handle resumes the stream
+// bit-exactly (sampler RNG streams included), so a hibernate→restore
+// cycle is invisible to sketch bytes, certificates, and audit journals.
+// The handle owns the window vectors the engine had handed to nobody:
+// once it is saved, Release returns them to the pool. Returns the state
+// even when a backend close fails — the checkpoint is already
+// consistent by then.
 func (e *Engine) Suspend() (*State, error) {
 	e.Stop()
-	s := e.State()
+	s := e.capture(true)
 	return s, e.closeBackends()
 }
 

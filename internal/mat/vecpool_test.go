@@ -19,11 +19,11 @@ func TestGetVecZeroed(t *testing.T) {
 	}
 	PutVec(v)
 
-	// A smaller request may reuse the dirty backing array; its visible
-	// prefix must still read all-zero.
+	// A smaller request never reuses the larger array: the pool is
+	// keyed by capacity, and whatever it returns reads all-zero.
 	w := GetVec(16)
-	if len(w) != 16 {
-		t.Fatalf("GetVec(16) returned length %d", len(w))
+	if len(w) != 16 || cap(w) != 16 {
+		t.Fatalf("GetVec(16) returned length %d, capacity %d", len(w), cap(w))
 	}
 	for i, x := range w {
 		if x != 0 {
@@ -48,6 +48,33 @@ func TestGetVecZeroed(t *testing.T) {
 	PutVec(nil)
 	if z := GetVec(0); len(z) != 0 {
 		t.Fatalf("GetVec(0) returned length %d", len(z))
+	}
+}
+
+// TestVecPoolReleaseKeyedByCapacity pins the keying: a sketch-buffer-sized
+// array put back must never come out as a window vector, and every
+// vector GetVec returns has capacity exactly its length, recycled or
+// not, so PutVec files it back under the size it was asked for.
+func TestVecPoolReleaseKeyedByCapacity(t *testing.T) {
+	const d, ell = 96, 4
+	for i := 0; i < 8; i++ {
+		PutVec(make([]float64, 2*ell*d))
+		PutVec(make([]float64, d, 2*d)) // filed under 2d, not d
+	}
+	for i := 0; i < 16; i++ {
+		for _, n := range []int{d, 2 * ell * d, 2 * d} {
+			v := GetVec(n)
+			if len(v) != n || cap(v) != n {
+				t.Fatalf("GetVec(%d) returned length %d, capacity %d", n, len(v), cap(v))
+			}
+			for j, x := range v {
+				if x != 0 {
+					t.Fatalf("GetVec(%d) not zeroed at %d: %v", n, j, x)
+				}
+				v[j] = 1
+			}
+			PutVec(v)
+		}
 	}
 }
 

@@ -162,7 +162,7 @@ func (m *Monitor) QuickSnapshot() *Snapshot {
 // wrapper: benchmark/replay.go explains this call as WindowState plus
 // the stages and fails a traced run whose Snapshot is more than 5 %
 // cheaper than that sum, so the copy stays here until the replay goes
-// (ROADMAP item 3; EXPERIMENTS.md, issue 27, has the in-place numbers).
+// (ROADMAP item 1; EXPERIMENTS.md, issue 27, has the in-place numbers).
 func (m *Monitor) Snapshot() *Snapshot {
 	obsSnapFull.Inc()
 	sp := obs.StartTrace("snapshot")

@@ -200,3 +200,42 @@ func TestQuickSnapshotLeavesWindowUncopied(t *testing.T) {
 		t.Errorf("QuickSnapshot allocates %d B beside a %d-byte window; want under a quarter of it", got, windowBytes)
 	}
 }
+
+// TestReleasedStateRefused: once a suspended state has been saved and
+// released, its window vectors belong to the vector pool again and the
+// state is empty — ckpt.Marshal and NewMonitorFromState must refuse it
+// rather than write or restore a stream of nothing. The bytes saved
+// before the release still restore the whole stream.
+func TestReleasedStateRefused(t *testing.T) {
+	const window = 16
+	cfg := chaosConfig()
+	m := pipeline.NewMonitor(cfg, window)
+	m.IngestBatch(chaosFrames(2*window, 8, 8, 97), nil)
+	s, err := m.Suspend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := mustMarshal(t, s)
+	s.Release()
+	if s.Window != 0 || s.Frames != nil || s.Shards != nil {
+		t.Fatalf("released state keeps window %d, %d frames, %d shards", s.Window, len(s.Frames), len(s.Shards))
+	}
+	if b, err := ckpt.Marshal(s); err == nil {
+		t.Fatalf("ckpt.Marshal wrote %d bytes for a released state", len(b))
+	}
+	if _, err := pipeline.NewMonitorFromState(cfg, s); err == nil {
+		t.Fatal("NewMonitorFromState accepted a released state")
+	}
+	back, err := ckpt.Unmarshal(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := pipeline.NewMonitorFromState(cfg, back.(*pipeline.MonitorState))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Engine().Close()
+	if !bytes.Equal(mustMarshal(t, restored.State()), saved) {
+		t.Fatal("the state saved before Release does not restore to the same bytes")
+	}
+}

@@ -45,6 +45,23 @@ type MonitorState struct {
 	// merge).
 	Audit   *audit.State
 	Journal *audit.JournalState
+
+	// eng is the engine state this one was cut from; a Suspend's owns
+	// the window vectors Release hands back.
+	eng *engine.State
+}
+
+// Release empties the state — Window 0, no frames, no shards, so
+// ckpt.Marshal and NewMonitorFromState refuse it — and, for a state from
+// Suspend, returns the window vectors only it held to the mat vector
+// pool (engine.State.Release). Call it after the state has been saved,
+// when neither it nor any copy of its Frames is read again; never on a
+// state a live monitor was rebuilt from.
+func (s *MonitorState) Release() {
+	if s.eng != nil {
+		s.eng.Release()
+	}
+	*s = MonitorState{}
 }
 
 // State captures the monitor's current state behind the engine's
@@ -65,6 +82,7 @@ func monitorStateOf(es *engine.State) *MonitorState {
 		Shards:  es.Shards,
 		Audit:   es.Audit,
 		Journal: es.Journal,
+		eng:     es,
 	}
 	for i, f := range es.Frames {
 		s.Frames[i] = FrameState{Vec: f.Vec, Tag: f.Tag}
@@ -73,13 +91,14 @@ func monitorStateOf(es *engine.State) *MonitorState {
 }
 
 // Suspend is the hibernation path: it stops the monitor's engine
-// (draining any queued frames), captures a state handle that shares the
+// (draining any queued frames), captures a state handle that holds the
 // window's vectors and outlives the engine, and releases the engine's
-// backends and goroutines. The monitor must not
-// be used after Suspend; NewMonitorFromState over the returned state
-// resumes the stream bit-exactly, so hibernate→restore is invisible to
-// sketch bytes, certificates, and audit journals. The state is returned
-// even when a backend close fails.
+// backends and goroutines. The monitor must not be used after Suspend;
+// NewMonitorFromState over the returned state resumes the stream
+// bit-exactly, so hibernate→restore is invisible to sketch bytes,
+// certificates, and audit journals. Once the state is saved, Release
+// returns its window to the vector pool. The state is returned even
+// when a backend close fails.
 func (m *Monitor) Suspend() (*MonitorState, error) {
 	es, err := m.eng.Suspend()
 	if es == nil {

@@ -77,7 +77,10 @@ type FrequentDirections struct {
 }
 
 // NewFrequentDirections creates a sketch with ℓ retained directions
-// over d features.
+// over d features. Its 2ℓ×d buffer comes from the mat vector pool, so a
+// sketch built right after another of the same shape was released (a
+// tenant restored after its hibernation closed the shard) reuses that
+// storage.
 func NewFrequentDirections(ell, d int, opts Options) *FrequentDirections {
 	if ell <= 0 || d <= 0 {
 		panic(fmt.Sprintf("sketch: invalid dimensions ℓ=%d d=%d", ell, d))
@@ -86,8 +89,20 @@ func NewFrequentDirections(ell, d int, opts Options) *FrequentDirections {
 		ell:    ell,
 		d:      d,
 		opts:   opts,
-		buffer: mat.New(2*ell, d),
+		buffer: &mat.Matrix{RowsN: 2 * ell, ColsN: d, Stride: d, Data: mat.GetVec(2 * ell * d)},
 	}
+}
+
+// Release hands the sketch's 2ℓ×d buffer back to the mat vector pool.
+// The sketch must not be used afterwards, and nothing may still read the
+// buffer: only its sole owner releases it (a closed shard backend),
+// never a holder of a Clone's source or of a state copied from it.
+func (fd *FrequentDirections) Release() {
+	if fd.buffer == nil {
+		return
+	}
+	mat.PutVec(fd.buffer.Data)
+	fd.buffer, fd.filledView = nil, mat.Matrix{}
 }
 
 // Ell returns the current number of retained directions.

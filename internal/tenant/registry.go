@@ -595,16 +595,21 @@ func (r *Registry) hibernate(en *entry, reason string) error {
 	// the state's own ledgers cover every admitted frame. /tenantz
 	// reports this bound for sleeping tenants without waking them.
 	cert := s.Certificate()
+	ingests := s.Ingests
 	r.ro.hibernations.Inc()
 	r.cfg.Journal.Record(audit.KindTenantEvict,
 		"tenant hibernated ("+reason+"): "+en.id,
-		audit.A("ingests", float64(s.Ingests)),
+		audit.A("ingests", float64(ingests)),
 		audit.A("window_frames", float64(len(s.Frames))),
 		audit.A("cov_bound", cert.CovBound()))
+	// The checkpoint is on disk and everything the registry keeps has
+	// been cut from the state: hand its window back to the vector pool,
+	// where the next ingest (this tenant's or another's) draws from it.
+	s.Release()
 	r.mu.Lock()
 	en.mon = nil
 	en.st = Hibernated
-	en.ingests = s.Ingests
+	en.ingests = ingests
 	en.lastCert, en.hasCert = cert, true
 	r.ro.resident.SetInt(r.residentCountLocked())
 	r.cond.Broadcast()
@@ -656,10 +661,15 @@ func (r *Registry) maybeEvictLocked() {
 // engines, the least-recently-active evictable one is hibernated. When
 // every resident tenant is pinned or mid-burst, the cap overflows
 // rather than thrashing a busy tenant to disk.
+//
+// Each call tries each tenant at most once: a tenant whose hibernation
+// write failed comes back resident with its old activity clock, and
+// picking it again would spin for as long as the disk keeps failing.
 func (r *Registry) evictOverflow() {
 	if r.cfg.MaxResident <= 0 {
 		return
 	}
+	tried := make(map[*entry]bool)
 	for {
 		r.mu.Lock()
 		if r.residentCountLocked() <= r.cfg.MaxResident {
@@ -668,7 +678,7 @@ func (r *Registry) evictOverflow() {
 		}
 		var victim *entry
 		for _, en := range r.ring {
-			if !r.evictableLocked(en) {
+			if tried[en] || !r.evictableLocked(en) {
 				continue
 			}
 			if victim == nil || en.lastTouch.Before(victim.lastTouch) {
@@ -680,6 +690,7 @@ func (r *Registry) evictOverflow() {
 			return
 		}
 		victim.st = Hibernating
+		tried[victim] = true
 		r.mu.Unlock()
 		r.hibernate(victim, "residency pressure")
 	}
@@ -687,18 +698,21 @@ func (r *Registry) evictOverflow() {
 
 // Sweep hibernates every resident tenant idle past the deadline (and
 // re-checks the residency cap). Returns how many tenants it put to
-// sleep. The janitor calls it on a timer; tests call it directly.
+// sleep; a tenant whose hibernation fails stays resident and is not
+// retried until the next sweep. The janitor calls it on a timer; tests
+// call it directly.
 func (r *Registry) Sweep(now time.Time) int {
 	if r.cfg.IdleAfter <= 0 {
 		r.evictOverflow()
 		return 0
 	}
 	n := 0
+	tried := make(map[*entry]bool)
 	for {
 		r.mu.Lock()
 		var victim *entry
 		for _, en := range r.ring {
-			if r.evictableLocked(en) && now.Sub(en.lastTouch) >= r.cfg.IdleAfter {
+			if !tried[en] && r.evictableLocked(en) && now.Sub(en.lastTouch) >= r.cfg.IdleAfter {
 				victim = en
 				break
 			}
@@ -708,6 +722,7 @@ func (r *Registry) Sweep(now time.Time) int {
 			break
 		}
 		victim.st = Hibernating
+		tried[victim] = true
 		r.mu.Unlock()
 		if r.hibernate(victim, "idle deadline") == nil {
 			n++
@@ -781,7 +796,9 @@ func (r *Registry) DrainAll() error {
 
 // Close flushes every ingress queue, hibernates every resident tenant
 // (so the whole registry state survives on disk), and stops the
-// dispatcher and janitor. Append and Admit fail after Close.
+// dispatcher and janitor. Append and Admit fail after Close. It tries
+// each tenant once: one whose hibernation fails stays resident, and
+// Close returns the first such error.
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -805,6 +822,7 @@ func (r *Registry) Close() error {
 	// in flight, or a successor registry could scan a half-populated
 	// directory.
 	var first error
+	tried := make(map[*entry]bool)
 	for {
 		r.mu.Lock()
 		var victim *entry
@@ -813,7 +831,7 @@ func (r *Registry) Close() error {
 			if en.st == Hibernating || en.st == Restoring {
 				inFlight = true
 			}
-			if en.st == Resident && en.pins == 0 && victim == nil {
+			if en.st == Resident && en.pins == 0 && victim == nil && !tried[en] {
 				victim = en
 			}
 		}
@@ -827,6 +845,7 @@ func (r *Registry) Close() error {
 			continue
 		}
 		victim.st = Hibernating
+		tried[victim] = true
 		r.mu.Unlock()
 		if err := r.hibernate(victim, "shutdown"); err != nil && first == nil {
 			first = err

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -526,5 +527,159 @@ func TestHibernateFailureResurrects(t *testing.T) {
 	}
 	if got := stateBytes(t, r, "xpp456"); !bytes.Equal(got, want) {
 		t.Fatal("failed hibernation → resurrection → hibernate → restore changed the monitor state bytes")
+	}
+}
+
+// withDeadline fails the test if f has not returned within d — the
+// registry's shutdown and sweep loops must terminate even when every
+// hibernation write fails.
+func withDeadline(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s still running after %v", what, d)
+	}
+}
+
+// failingRegistry opens a registry whose two tenants are resident and
+// drained, then takes the hibernation directory away, so every
+// checkpoint write fails from here on. restore puts it back; cleanup
+// does too, then closes the registry, so a loop that never returned
+// still ends with the test.
+func failingRegistry(t *testing.T, cfg func(*tenant.Config)) (r *tenant.Registry, restore func()) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "hibernated")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c := tenantConfig(dir)
+	if cfg != nil {
+		cfg(&c)
+	}
+	r, err := tenant.Open(c)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i, im := range tenantFrames(8, 6, 6, 179) {
+		for _, id := range []string{"a1", "b2"} {
+			if err := r.Append(id, im, i); err != nil {
+				t.Fatalf("Append %s frame %d: %v", id, i, err)
+			}
+		}
+	}
+	if err := r.DrainAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	restore = func() {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() {
+		restore()
+		r.Close()
+	})
+	return r, restore
+}
+
+func requireResident(t *testing.T, r *tenant.Registry, when string) {
+	t.Helper()
+	for _, inf := range r.Tenants() {
+		if inf.State != tenant.Resident {
+			t.Fatalf("%s: tenant %s is %v, want resident", when, inf.ID, inf.State)
+		}
+	}
+}
+
+// TestCloseWithFailingHibernationReturns: Close tries each tenant once.
+// A failed write resurrects the tenant resident with its old activity
+// clock; picking it again would retry forever. Close must return the
+// first error and leave every tenant resident, with its stream intact.
+func TestCloseWithFailingHibernationReturns(t *testing.T) {
+	r, _ := failingRegistry(t, nil)
+	var err error
+	withDeadline(t, 5*time.Second, "Close", func() { err = r.Close() })
+	if err == nil {
+		t.Fatal("Close into a missing directory reported success")
+	}
+	requireResident(t, r, "after the failed Close")
+	for _, inf := range r.Tenants() {
+		if inf.Ingests != 8 {
+			t.Fatalf("tenant %s holds %d frames after the failed Close, want 8", inf.ID, inf.Ingests)
+		}
+	}
+}
+
+// TestSweepWithFailingHibernationReturns: an idle sweep tries each
+// tenant once and counts only the hibernations that succeeded; the next
+// sweep, with the directory back, puts everyone to sleep.
+func TestSweepWithFailingHibernationReturns(t *testing.T) {
+	r, restore := failingRegistry(t, func(c *tenant.Config) { c.IdleAfter = time.Minute })
+	var n int
+	withDeadline(t, 5*time.Second, "Sweep", func() { n = r.Sweep(time.Now().Add(time.Hour)) })
+	if n != 0 {
+		t.Fatalf("Sweep into a missing directory reports %d hibernations, want 0", n)
+	}
+	requireResident(t, r, "after the failed Sweep")
+	restore()
+	if n := r.Sweep(time.Now().Add(time.Hour)); n != 2 {
+		t.Fatalf("Sweep with the directory back hibernated %d tenants, want 2", n)
+	}
+}
+
+// TestHibernateCyclesRecycleWindow is the allocation half of the
+// release rule: a d = 4096 tenant whose whole window turns over between
+// hibernations hands every window vector and its sketch buffer back to
+// the vector pool after each Save, and the next cycle's ingest and
+// restore draw from it, so a cycle allocates the decoded window, the
+// checkpoint bytes and the sketch states, but not a fresh vector per
+// frame on top.
+func TestHibernateCyclesRecycleWindow(t *testing.T) {
+	const side, window, cycles = 64, 64, 6
+	const d = side * side
+	frames := tenantFrames(window, side, side, 181)
+	c := tenantConfig(t.TempDir())
+	c.Window = window
+	c.Pipeline.Shards = 1
+	r, err := tenant.Open(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cycle := func() {
+		for i, im := range frames {
+			if err := r.Append("mfx", im, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.Hibernate("mfx"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	cycle()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	perFrame := float64(after.TotalAlloc-before.TotalAlloc) / (cycles * window)
+	// Per frame a cycle still decodes one vector at restore; checkpoint
+	// encoding, sketch states and bookkeeping add under another (1.7
+	// vectors, 2.0 under -race). Allocating every ingested frame a fresh
+	// vector as well comes to about 2.7.
+	if limit := 2.25 * 8 * d; perFrame > limit {
+		t.Errorf("hibernate→restore cycles allocate %.0f B per frame; want at most %.0f (2.25 window vectors)",
+			perFrame, limit)
 	}
 }
