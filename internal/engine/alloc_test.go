@@ -65,6 +65,34 @@ func TestIngestAndAuditAllocNoRows(t *testing.T) {
 	}
 }
 
+// TestCachedReadAllocatesNoBasis: a sharded engine's second ReadWindow
+// with no ingest in between is served from the read the first one cut —
+// a view of its basis rows, not a decomposition — so beyond the window's
+// headers (a []float64 header and a tag per frame) it allocates under
+// 4 KiB, where a fresh k×d basis would be 352 KiB.
+func TestCachedReadAllocatesNoBasis(t *testing.T) {
+	const window, d, k = 64, 4096, 11
+	e := engine.New(engine.Config{Shards: 2, Sketch: sketch.Config{Ell0: 16, Beta: 1, Seed: 5}, Window: window})
+	defer e.Close()
+	e.IngestVecs(testVecs(2*window, d, 97), nil)
+	if w := e.ReadWindow(k, obs.SpanContext{}); w.Basis.RowsN != k {
+		t.Fatalf("basis has %d rows, want %d", w.Basis.RowsN, k)
+	}
+	merges := e.Reconciles()
+	allocs, bytes := allocPerRun(10, func() {
+		if w := e.ReadWindow(k, obs.SpanContext{}); w.Basis.RowsN != k {
+			t.Fatalf("basis has %d rows, want %d", w.Basis.RowsN, k)
+		}
+	})
+	if got := e.Reconciles(); got != merges {
+		t.Fatalf("reads with no ingest in between merged %d times", got-merges)
+	}
+	headers := window * (24 + 8)
+	if limit := float64(headers + 4<<10); bytes >= limit {
+		t.Errorf("a cached ReadWindow allocates %.0f B (%.1f allocs); want under headers + 4 KiB = %.0f", bytes, allocs, limit)
+	}
+}
+
 // liveHeap is the heap still reachable after collection. Two cycles:
 // mat's vector pool is a sync.Pool, whose victim cache survives one.
 func liveHeap() uint64 {

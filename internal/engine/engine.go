@@ -190,13 +190,14 @@ type Engine struct {
 	shardGauges []*obs.Gauge
 	shardCPU    []*obs.Counter
 
-	// globalMu owns the reconciled global sketch cache: it serializes
-	// the merges that refill it (Basis on the cached sketch is a pure
-	// read).
+	// globalMu owns the cached read of the reconciled global sketch: it
+	// serializes the merges that refill it. What is cached is the read
+	// cut from a merge (globalRead), taken at ingest count readAt — not
+	// the merged sketch, which is garbage once the read is cut.
 	globalMu   sync.Mutex
-	global     *sketch.FrequentDirections
-	globalAt   int
-	reconciles int // global-sketch rebuilds so far
+	read       *globalRead
+	readAt     int
+	reconciles int // merges so far
 
 	// Async ingest queue (see queue.go).
 	queueMu  sync.Mutex
@@ -582,21 +583,51 @@ func (e *Engine) Ell() int {
 	return ell
 }
 
-// reconcileLocked returns the global sketch as of now: the cached one
-// when no frame has been ingested since it was merged, otherwise a fresh
-// parallel tree merge of shard clones, which it caches. Only readers
-// call it — ingest never merges — and the caller holds globalMu. Shard
-// locks are held only long enough to clone, so ingest proceeds during
-// the merge itself. The reconcile span and its merge legs parent under
-// the reader's span, or root their own trace when parent is zero.
+// globalRead is what the readers of a multi-shard engine take from a
+// merged global sketch, cut once per merge: its certificate (whose Ell
+// is the merged rank) and, when a basis reader caused the merge, its
+// basis — every rank-clamped row, at most ℓ. basis is shared and
+// read-only: Basis and ReadWindow hand out views of its leading rows.
+type globalRead struct {
+	cert  audit.Certificate
+	basis *mat.Matrix // nil when the merge was for the certificate only
+}
+
+// readLocked returns the global read as of now: the cached one when no
+// frame has been ingested since it was cut and, if withBasis, it holds a
+// basis; otherwise one cut from a fresh reconcile (nil when that merge
+// has no sketch to give). Only a basis reader pays for the
+// decomposition, so the audit tick's certificate merges stay as cheap as
+// the merge itself. The caller holds globalMu.
+func (e *Engine) readLocked(parent obs.SpanContext, withBasis bool) *globalRead {
+	e.mu.Lock()
+	at := e.ingests
+	e.mu.Unlock()
+	if e.read != nil && e.readAt == at && (!withBasis || e.read.basis != nil) {
+		return e.read
+	}
+	g := e.reconcileLocked(parent)
+	if g == nil {
+		return nil
+	}
+	if withBasis {
+		e.read.basis = g.Basis(g.Ell())
+	}
+	return e.read
+}
+
+// reconcileLocked merges the shards into a fresh global sketch and
+// caches its certificate as the read; the sketch itself is the caller's,
+// and garbage once the caller drops it. Only readers call it — ingest
+// never merges — and the caller holds globalMu. Shard locks are held
+// only long enough to clone, so ingest proceeds during the merge itself.
+// The reconcile span and its merge legs parent under the reader's span,
+// or root their own trace when parent is zero.
 func (e *Engine) reconcileLocked(parent obs.SpanContext) *sketch.FrequentDirections {
 	e.mu.Lock()
 	at := e.ingests
 	settled := e.inflight == 0
 	e.mu.Unlock()
-	if e.global != nil && e.globalAt == at {
-		return e.global
-	}
 	sp := obs.Default().StartSpanIn(parent, "reconcile",
 		obs.L("shards", fmt.Sprint(len(e.shards))))
 	defer sp.End()
@@ -619,25 +650,27 @@ func (e *Engine) reconcileLocked(parent obs.SpanContext) *sketch.FrequentDirecti
 	if g == nil {
 		return nil
 	}
+	e.reconciles++
+	e.eo.reconciles.Inc()
+	// The read is cut before the caller sees g, so nothing it does to
+	// the sketch can reach the cache.
+	e.read = &globalRead{cert: audit.FromSketch(g)}
 	// Cache coherence: e.ingests is bumped at ring-append time, before
 	// the batch's absorbs land in shard backends. A merge that ran while
 	// ingests were in flight may not cover every row counted in `at`, so
 	// tagging it `at` would let a later reader cache-hit an incomplete
-	// global. Serve the merge (it is the freshest view available) but
-	// only claim coverage when no ingest was in flight at capture; the
+	// read. Serve the merge (it is the freshest view available) but only
+	// claim coverage when no ingest was in flight at capture; the
 	// sentinel -1 never matches a real count, so the next read re-merges.
+	e.readAt = -1
 	if settled {
-		e.global, e.globalAt = g, at
-	} else {
-		e.global, e.globalAt = g, -1
+		e.readAt = at
 	}
-	e.reconciles++
-	e.eo.reconciles.Inc()
 	return g
 }
 
 // Certificate returns the error-bound certificate for the whole stream:
-// the live sketch's for one shard, a fresh reconcile's for many.
+// the live sketch's for one shard, the cached read's for many.
 func (e *Engine) Certificate() audit.Certificate {
 	if len(e.shards) == 1 {
 		cert, err := e.shards[0].Certificate()
@@ -648,15 +681,18 @@ func (e *Engine) Certificate() audit.Certificate {
 	}
 	e.globalMu.Lock()
 	defer e.globalMu.Unlock()
-	g := e.reconcileLocked(obs.SpanContext{})
-	if g == nil {
+	r := e.readLocked(obs.SpanContext{}, false)
+	if r == nil {
 		return audit.Certificate{}
 	}
-	return audit.FromSketch(g)
+	return r.cert
 }
 
-// GlobalSketch returns a clone of the reconciled global sketch (nil
-// before the first frame). The clone is the caller's to mutate.
+// GlobalSketch returns the global sketch as of now, the caller's to
+// mutate (nil before the first frame). For one shard it is a copy of
+// the live sketch; for many it is a fresh merge, never a cache hit,
+// whose certificate it also caches, so a Certificate straight after it
+// merges nothing (a basis reader merges once more to cut its basis).
 func (e *Engine) GlobalSketch() *sketch.FrequentDirections {
 	if len(e.shards) == 1 {
 		fd, err := e.shards[0].Snapshot(obs.SpanContext{})
@@ -667,23 +703,21 @@ func (e *Engine) GlobalSketch() *sketch.FrequentDirections {
 	}
 	e.globalMu.Lock()
 	defer e.globalMu.Unlock()
-	g := e.reconcileLocked(obs.SpanContext{})
-	if g == nil {
-		return nil
-	}
-	return g.Clone()
+	return e.reconcileLocked(obs.SpanContext{})
 }
 
 // Window is one read of the sliding window together with the global
-// basis to project it on. Rows are the ring's own vectors, oldest first
-// — shared, not copied: holders may read them for as long as they like
-// (the ring never recycles a vector it has handed out, however far the
-// stream runs on) and must not write to them or hand them to mat.PutVec.
-// Tags, Basis and Ell are the reader's own.
+// basis to project it on. Rows are the ring's own vectors, oldest first,
+// and Basis may be a view of the engine's cached read — both shared, not
+// copied: holders may read them for as long as they like (the ring never
+// recycles a vector it has handed out, however far the stream runs on,
+// and a later merge cuts a new basis rather than rewrite this one) and
+// must not write to them or hand them to mat.PutVec. Tags and Ell are
+// the reader's own.
 type Window struct {
 	Rows  [][]float64
 	Tags  []int
-	Basis *mat.Matrix // top-k right singular vectors, k clamped to the rank
+	Basis *mat.Matrix // top-k right singular vectors, k clamped to the rank; read-only
 	Ell   int
 }
 
@@ -733,8 +767,10 @@ func (e *Engine) WindowState(k int, parent ...obs.SpanContext) (x *mat.Matrix, t
 // Basis returns the top-k right singular vectors of the global sketch
 // (k clamped to the rank) and the rank itself. For one shard this is
 // the live sketch's basis — bit-identical to the serial monitor — and
-// for many it comes from the reconciled global. Returns (nil, 0) before
-// the first frame.
+// for many it is a view of the cached read's leading rows, the bits of
+// the merged sketch's own Basis(k). Like Window.Basis it is shared and
+// read-only: holders may read it for as long as they like and must not
+// write to it. Returns (nil, 0) before the first frame.
 func (e *Engine) Basis(k int) (*mat.Matrix, int) { return e.basis(obs.SpanContext{}, k) }
 
 // basis is Basis with the span a forced reconcile parents under.
@@ -744,11 +780,14 @@ func (e *Engine) basis(parent obs.SpanContext, k int) (*mat.Matrix, int) {
 	}
 	e.globalMu.Lock()
 	defer e.globalMu.Unlock()
-	g := e.reconcileLocked(parent)
-	if g == nil {
+	r := e.readLocked(parent, true)
+	if r == nil {
 		return nil, 0
 	}
-	return g.Basis(k), g.Ell()
+	// The leading rows of SVDGramTo's product do not depend on how many
+	// rows it forms (mat.TestSVDGramToLeadingRows), and the rank clamp
+	// reads the same spectrum, so this cut is FD.Basis(k) bit for bit.
+	return r.basis.Rows(0, max(0, min(k, r.basis.RowsN))), r.cert.Ell
 }
 
 // Close stops the async pump (draining anything queued) and closes

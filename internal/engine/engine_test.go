@@ -1,8 +1,10 @@
 package engine_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"arams/internal/audit"
 	"arams/internal/engine"
@@ -380,35 +382,99 @@ func TestAuditParityOneShard(t *testing.T) {
 }
 
 // TestBasisIsGlobalSketchBasis: the engine's basis is the basis of the
-// sketch GlobalSketch hands out, bit for bit, at one shard (read in
-// place under the shard lock) and at two (read off the cached merged
-// global), at every read point of a stream whose batches leave the
-// shards anywhere in their rotation cycle. Before issue 29 two shards
-// failed it: the cached global, compacted by its merge, served the
-// fold's last rotation factors, and its clone decomposed its rows.
+// sketch GlobalSketch hands out, bit for bit, for every k from 0 past ℓ,
+// at one shard (read in place under the shard lock) and at two (a view
+// of the leading rows of the read cached from a merge), at every read
+// point of a stream whose batches leave the shards anywhere in their
+// rotation cycle — and of a rank-2 stream, whose rank clamps every
+// larger k. The certificate, before GlobalSketch and after it, is the
+// one cut from GlobalSketch's sketch.
 func TestBasisIsGlobalSketchBasis(t *testing.T) {
-	const n, d, k = 150, 40, 4
-	vecs := testVecs(n, d, 71)
-	for _, shards := range []int{1, 2} {
-		e := engine.New(engine.Config{
-			Shards: shards,
-			Sketch: sketch.Config{Ell0: 6, Beta: 1, Seed: 2},
-			Window: 16,
-		})
-		for lo, step := 0, 7; lo+step <= n; lo += step {
-			e.IngestVecs(cloneVecs(vecs[lo:lo+step]), nil)
-			got, ell := e.Basis(k)
-			g := e.GlobalSketch()
-			want := g.Basis(k)
-			if ell != g.Ell() || !sameBits(got, want) {
-				t.Fatalf("%d shards, %d rows: Basis differs from GlobalSketch().Basis", shards, lo+step)
+	const n, d, ell = 150, 40, 6
+	ks := []int{0, 1, 4, ell, ell + 3}
+	untimed := func(c audit.Certificate) audit.Certificate {
+		c.Time = time.Time{} // when it was cut, not what it certifies
+		return c
+	}
+	for _, stream := range []struct {
+		name string
+		vecs [][]float64
+		rank int
+	}{
+		{"full rank", testVecs(n, d, 71), ell},
+		{"rank 2", rankVecs(n, d, 2, 73), 2},
+	} {
+		for _, shards := range []int{1, 2} {
+			e := engine.New(engine.Config{
+				Shards: shards,
+				Sketch: sketch.Config{Ell0: ell, Beta: 1, Seed: 2},
+				Window: 16,
+			})
+			for lo, step := 0, 7; lo+step <= n; lo += step {
+				at := func(what string, k int) string {
+					return fmt.Sprintf("%s, %d shards, %d rows, k = %d: %s", stream.name, shards, lo+step, k, what)
+				}
+				e.IngestVecs(cloneVecs(stream.vecs[lo:lo+step]), nil)
+				// The first Basis merges and every reader up to GlobalSketch
+				// is served from its read; GlobalSketch merges again.
+				got := make([]*mat.Matrix, len(ks))
+				ells := make([]int, len(ks))
+				for i, k := range ks {
+					got[i], ells[i] = e.Basis(k)
+				}
+				before := untimed(e.Certificate())
+				g := e.GlobalSketch()
+				cert := untimed(audit.FromSketch(g))
+				if before != cert {
+					t.Fatalf("%s", at("Certificate differs from GlobalSketch's", 0))
+				}
+				if after := untimed(e.Certificate()); after != cert {
+					t.Fatalf("%s", at("Certificate after GlobalSketch differs from it", 0))
+				}
+				for i, k := range ks {
+					want := g.Basis(k)
+					if ells[i] != g.Ell() || !sameBits(got[i], want) {
+						t.Fatalf("%s", at("Basis differs from GlobalSketch().Basis", k))
+					}
+					if again, _ := e.Basis(k); !sameBits(again, want) {
+						t.Fatalf("%s", at("Basis after GlobalSketch differs from its Basis", k))
+					}
+					if w := e.ReadWindow(k, obs.SpanContext{}); !sameBits(w.Basis, want) {
+						t.Fatalf("%s", at("ReadWindow's basis differs from GlobalSketch().Basis", k))
+					}
+					if wantRows := min(k, stream.rank); want.RowsN != wantRows {
+						t.Fatalf("%s", at(fmt.Sprintf("basis has %d rows, want %d", want.RowsN, wantRows), k))
+					}
+				}
 			}
-			if w := e.ReadWindow(k, obs.SpanContext{}); !sameBits(w.Basis, want) {
-				t.Fatalf("%d shards, %d rows: ReadWindow's basis differs from GlobalSketch().Basis", shards, lo+step)
+			e.Close()
+		}
+	}
+}
+
+// rankVecs builds a stream of exact rank r: every row is a Gaussian
+// combination of the same r directions.
+func rankVecs(n, d, r int, seed uint64) [][]float64 {
+	g := rng.New(seed)
+	base := make([][]float64, r)
+	for i := range base {
+		base[i] = make([]float64, d)
+		for j := range base[i] {
+			base[i][j] = g.Norm()
+		}
+	}
+	vecs := make([][]float64, n)
+	for i := range vecs {
+		v := make([]float64, d)
+		for _, b := range base {
+			c := g.Norm()
+			for j := range v {
+				v[j] += c * b[j]
 			}
 		}
-		e.Close()
+		vecs[i] = v
 	}
+	return vecs
 }
 
 // sameBits reports whether two matrices have one shape and one bit

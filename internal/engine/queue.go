@@ -136,6 +136,11 @@ func (e *Engine) pump(q chan qitem, done chan struct{}) {
 			ims, tags = ims[:0], tags[:0]
 			oldest = time.Time{}
 		}
+		// Sample depth after the ingest — it reflects what accumulated
+		// while the batch was ingesting, not the batch itself — and before
+		// the acks close, so a Drain caller reads this sample, not the
+		// previous batch's.
+		e.eo.queueDepth.SetInt(len(q))
 		for _, a := range acks {
 			close(a)
 		}
@@ -173,10 +178,7 @@ func (e *Engine) pump(q chan qitem, done chan struct{}) {
 			}
 			break
 		}
-		// Sample depth after the flush: it reflects what accumulated
-		// while the batch was ingesting, not the batch itself.
 		flush()
-		e.eo.queueDepth.SetInt(len(q))
 		if closed {
 			return
 		}

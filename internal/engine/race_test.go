@@ -5,16 +5,18 @@ package engine_test
 // readers (ReadWindow/Basis/Certificate), and a checkpointer
 // (State) all pound the same engine. Assertions are deliberately
 // coarse — the point is that the race detector sees every lock edge:
-// gate vs ingest, shard locks vs reconcile clones, global-cache reuse
-// vs Basis factor computation.
+// gate vs ingest, shard locks vs reconcile clones, the cached read's
+// reuse vs readers holding views of its basis.
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"arams/internal/engine"
 	"arams/internal/imgproc"
+	"arams/internal/mat"
 	"arams/internal/obs"
 	"arams/internal/sketch"
 )
@@ -151,5 +153,88 @@ func TestEngineConcurrentHammer(t *testing.T) {
 	rows := shardRows(e.State())
 	if rows == 0 || rows > want {
 		t.Fatalf("shards saw %d rows total, want within (0, %d]", rows, want)
+	}
+}
+
+// TestEngineHeldBasisHammer: a basis handed out by a sharded engine is a
+// view of the read cut from one merge, shared by every reader until the
+// next; readers may hold it across any number of later merges. Two
+// producers keep both shards ingesting while two readers each take 200
+// Window and Engine bases, hold the last few and check, after every new
+// read, that each still has the bits it was handed — under -race, any
+// write to a held view, or a read of one racing a later merge, is
+// reported.
+func TestEngineHeldBasisHammer(t *testing.T) {
+	const (
+		producers = 2
+		readers   = 2
+		reads     = 200
+		batchLen  = 8
+		d         = 16
+		held      = 6
+	)
+	e := engine.New(engine.Config{
+		Shards: 2,
+		Sketch: sketch.Config{Ell0: 5, Beta: 1, Seed: 9},
+		Window: 32,
+	})
+	defer e.Close()
+
+	var producersWG, readersWG sync.WaitGroup
+	stop := make(chan struct{})
+	for p := 0; p < producers; p++ {
+		producersWG.Add(1)
+		go func(p int) {
+			defer producersWG.Done()
+			vecs := testVecs(16*batchLen, d, uint64(300+p))
+			for b := 0; ; b = (b + 1) % 16 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				e.IngestVecs(cloneVecs(vecs[b*batchLen:(b+1)*batchLen]), nil)
+			}
+		}(p)
+	}
+
+	type view struct {
+		basis *mat.Matrix
+		want  []float64
+	}
+	for r := 0; r < readers; r++ {
+		readersWG.Add(1)
+		go func(r int) {
+			defer readersWG.Done()
+			var views []view
+			for i := 0; i < reads; i++ {
+				var basis *mat.Matrix
+				if (i+r)%2 == 0 {
+					basis = e.ReadWindow(3, obs.SpanContext{}).Basis
+				} else {
+					basis, _ = e.Basis(3)
+				}
+				if basis == nil {
+					continue
+				}
+				views = append(views, view{basis, slices.Clone(basis.Data[:basis.RowsN*basis.ColsN])})
+				if len(views) > held {
+					views = views[1:]
+				}
+				for _, v := range views {
+					if !slices.Equal(v.basis.Data[:v.basis.RowsN*v.basis.ColsN], v.want) {
+						t.Error("a held basis changed after a later merge")
+						return
+					}
+				}
+			}
+		}(r)
+	}
+
+	readersWG.Wait()
+	close(stop)
+	producersWG.Wait()
+	if e.Reconciles() < 2 {
+		t.Fatalf("%d merges over %d reads; the readers never saw a second merge", e.Reconciles(), readers*reads)
 	}
 }

@@ -1,8 +1,10 @@
 package engine
 
-// Reconciles returns how many global-sketch rebuilds have run. Only
-// readers rebuild it (Basis, GlobalSketch, Certificate, and through the
-// last one the audit tick of a multi-shard engine); ingest never does.
+// Reconciles returns how many shard merges have run. Only readers merge
+// (Basis, GlobalSketch, Certificate, and through the last one the audit
+// tick of a multi-shard engine); ingest never does. GlobalSketch always
+// merges, the other readers only when a frame has arrived since the
+// cached read was cut.
 func (e *Engine) Reconciles() int {
 	e.globalMu.Lock()
 	defer e.globalMu.Unlock()

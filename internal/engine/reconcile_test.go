@@ -66,43 +66,66 @@ func TestIngestNeverReconciles(t *testing.T) {
 }
 
 // TestReconcileOnReadCachesUntilIngest: the first reader after an ingest
-// pays for one merge, every reader after it — whichever accessor — is
-// served from the cache until the next frame arrives, and that frame
-// itself merges nothing. The audit tick of a sharded engine is a reader:
-// it cuts its certificate from a merge that covers both shards.
+// pays for one merge, and every Basis, Certificate and ReadWindow after
+// it is served from the cached read until the next frame arrives; that
+// frame itself merges nothing. A merge for a certificate — GlobalSketch,
+// which hands out a sketch of its own and so always merges, or a
+// Certificate — caches the certificate only: the Certificate after it is
+// served from the read, and the first basis reader merges once more to
+// cut its basis. The audit tick of a sharded engine is a reader: it cuts
+// its certificate from a merge that covers both shards.
 func TestReconcileOnReadCachesUntilIngest(t *testing.T) {
 	vecs := testVecs(96, 24, 71)
 	e := reconcileTestEngine(nil)
 	e.IngestVecs(cloneVecs(vecs[:48]), nil)
+	want := func(reconciles int, after string) {
+		t.Helper()
+		if got := e.Reconciles(); got != reconciles {
+			t.Fatalf("%s: %d reconciles, want %d", after, got, reconciles)
+		}
+	}
+	readers := func(rows int) {
+		t.Helper()
+		if basis, _ := e.Basis(4); basis == nil || basis.RowsN != 4 {
+			t.Fatal("no 4-row basis after ingest")
+		}
+		if c := e.Certificate(); c.Rows != rows {
+			t.Fatalf("certificate covers %d rows, want %d", c.Rows, rows)
+		}
+		if w := e.ReadWindow(4, obs.SpanContext{}); w.Basis == nil {
+			t.Fatal("no window after ingest")
+		}
+	}
 
-	if basis, _ := e.Basis(4); basis == nil {
-		t.Fatal("no basis after ingest")
-	}
-	if got := e.Reconciles(); got != 1 {
-		t.Fatalf("first Basis after ingest: %d reconciles, want 1", got)
-	}
-	e.Basis(4)
-	if e.GlobalSketch() == nil {
-		t.Fatal("nil global sketch")
+	readers(48)
+	want(1, "first readers after ingest")
+	readers(48)
+	want(1, "readers with no ingest in between (cache hit)")
+	for i := 2; i <= 3; i++ {
+		if g := e.GlobalSketch(); g == nil || g.Seen() != 48 {
+			t.Fatal("no global sketch of 48 rows")
+		}
+		want(i, "GlobalSketch")
 	}
 	if c := e.Certificate(); c.Rows != 48 {
 		t.Fatalf("certificate covers %d rows, want 48", c.Rows)
 	}
-	e.ReadWindow(4, obs.SpanContext{})
-	if got := e.Reconciles(); got != 1 {
-		t.Fatalf("readers with no ingest in between: %d reconciles, want 1 (cache hit)", got)
-	}
+	want(3, "Certificate after GlobalSketch (cache hit)")
+	readers(48)
+	want(4, "first basis reader after GlobalSketch")
+	readers(48)
+	want(4, "readers after that (cache hit)")
 
 	e.IngestVecs(cloneVecs(vecs[48:]), nil)
-	if got := e.Reconciles(); got != 1 {
-		t.Fatalf("ingest reconciled: %d reconciles, want 1", got)
-	}
+	want(4, "ingest")
 	if c := e.Certificate(); c.Rows != 96 {
 		t.Fatalf("certificate after second ingest covers %d rows, want 96", c.Rows)
 	}
-	if got := e.Reconciles(); got != 2 {
-		t.Fatalf("first reader after second ingest: %d reconciles, want 2", got)
-	}
+	want(5, "first Certificate after second ingest")
+	readers(96)
+	want(6, "first basis reader after a Certificate")
+	readers(96)
+	want(6, "readers after that (cache hit)")
 
 	aud := audit.New(audit.Config{Journal: audit.NewJournal(16), Registry: obs.NewRegistry()})
 	ea := reconcileTestEngine(aud)
@@ -181,8 +204,10 @@ func TestReconcileCadenceInvariant(t *testing.T) {
 // TestQueueDepthGaugeZeroAfterStop is the regression test for the
 // stale arams_engine_queue_depth gauge: the Enqueue-side sample could
 // race the pump and leave a nonzero depth sticking forever after the
-// queue drained. The gauge is now sampled only by the pump — after
-// each flush, and zeroed when the pump exits.
+// queue drained, and a sample taken after a flush had closed its drain
+// acks let a Drain caller read the previous batch's depth. The gauge is
+// sampled only by the pump — inside each flush, after the ingest and
+// before the acks close — and zeroed when the pump exits.
 func TestQueueDepthGaugeZeroAfterStop(t *testing.T) {
 	depth := obs.Default().Gauge("arams_engine_queue_depth")
 	e := engine.New(engine.Config{

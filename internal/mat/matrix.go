@@ -77,10 +77,16 @@ func (m *Matrix) Row(i int) []float64 {
 	return m.Data[i*m.Stride : i*m.Stride+m.ColsN]
 }
 
-// Rows returns a view of rows [i, j) sharing storage with m.
+// Rows returns a view of rows [i, j) sharing storage with m. An empty
+// range is a 0×Cols view at any stride.
 func (m *Matrix) Rows(i, j int) *Matrix {
 	if i < 0 || j < i || j > m.RowsN {
 		panic(fmt.Sprintf("mat: row range [%d,%d) out of %d", i, j, m.RowsN))
+	}
+	if i == j {
+		// A strided view's data ends ColsN past its last row's start, not
+		// a whole stride, so i*Stride can lie past the end of it.
+		return &Matrix{ColsN: m.ColsN, Stride: m.Stride, Data: m.Data[:0]}
 	}
 	return &Matrix{
 		RowsN:  j - i,

@@ -64,6 +64,31 @@ func TestRowsView(t *testing.T) {
 	}
 }
 
+// TestRowsViewEmptyRange: an empty row range is a 0×Cols view at any
+// stride and at every position, the end included. A strided view's data
+// stops Cols past its last row's start, so the empty range used to slice
+// past it (on a 4×6 matrix's columns 1..3, Rows(2, 2) asked for [12:8]).
+func TestRowsViewEmptyRange(t *testing.T) {
+	m := New(4, 6)
+	cols := m.colView(1, 3)
+	for _, tc := range []struct {
+		name string
+		src  *Matrix
+	}{
+		{"compact", m},
+		{"strided", &cols},
+		{"rows of strided", cols.Rows(1, 3)},
+	} {
+		for i := 0; i <= tc.src.RowsN; i++ {
+			v := tc.src.Rows(i, i)
+			if v.RowsN != 0 || v.ColsN != tc.src.ColsN || len(v.Data) != 0 {
+				t.Fatalf("%s: Rows(%d, %d) is %dx%d over %d values, want 0x%d over none",
+					tc.name, i, i, v.RowsN, v.ColsN, len(v.Data), tc.src.ColsN)
+			}
+		}
+	}
+}
+
 // TestClone covers both copy paths: the single block copy of a compact
 // matrix (a Rows view included, whose Data may run past its last row)
 // and the row loop of a view whose stride is wider than its rows. Either
