@@ -168,8 +168,8 @@ func describeFD(s *sketch.FDState, indent string) {
 
 func describeRankAdaptive(s *sketch.RankAdaptiveState, indent string) {
 	describeFD(&s.FD, indent)
-	fmt.Printf("%sadaptive: ν=%d ε=%g estimator=%d, %d rank grows, %d recent rows ringed\n",
-		indent, s.Nu, s.Eps, int(s.Estimator), s.Grows, len(s.Recent))
+	fmt.Printf("%sadaptive: ν=%d ε=%g, %d rank grows, %d recent rows ringed\n",
+		indent, s.Nu, s.Eps, s.Grows, len(s.Recent))
 }
 
 func describeARAMS(s *sketch.ARAMSState, indent string) {

@@ -19,7 +19,7 @@
 //     bound Σδ, relative bound Σδ/‖A‖_F², the a-priori bound ‖A‖_F²/ℓ
 //     it tightens, and the rank/ℓ trajectory), extracted from any
 //     FrequentDirections sketch and composable across merges.
-//   - Drift detectors (Page-Hinkley, CUSUM) over per-batch projection
+//   - Page-Hinkley drift detectors over per-batch projection
 //     residuals and priority-sampling acceptance rates, raising typed
 //     alarms when the stream departs from the sketched subspace.
 //   - A bounded structured event Journal (ring + optional JSONL sink)

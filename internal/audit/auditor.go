@@ -28,10 +28,10 @@ type Config struct {
 	// Residual detects drift in the per-batch shrinkage-residual
 	// fraction (the share of each batch's energy the sketch could not
 	// retain). Defaults to NewPageHinkley(0.005, 0.5).
-	Residual Detector
+	Residual *PageHinkley
 	// Accept detects drift in the priority-sampling acceptance mass
 	// rate. Defaults to NewPageHinkley(0.01, 1.0).
-	Accept Detector
+	Accept *PageHinkley
 	// Journal receives certificate and alarm events. Defaults to
 	// Default().
 	Journal *Journal
@@ -54,8 +54,8 @@ type Config struct {
 // use.
 type Auditor struct {
 	mu       sync.Mutex
-	resDet   Detector
-	accDet   Detector
+	resDet   *PageHinkley
+	accDet   *PageHinkley
 	journal  *Journal
 	reg      *obs.Registry
 	onAlarm  func(Alarm)
@@ -242,18 +242,13 @@ func (a *Auditor) State() State {
 }
 
 // Restore replaces the auditor's detector and counter state with a
-// checkpointed snapshot. Unknown detector kinds (e.g. a zero-value
-// State from an old checkpoint) leave the corresponding detector as
-// configured.
+// checkpointed snapshot — one State wrote, so its detectors are
+// Page-Hinkley (the checkpoint decoders refuse any other kind).
 func (a *Auditor) Restore(st State) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.batches = st.Batches
 	a.alarms = st.Alarms
-	if d, err := NewDetectorFromState(st.Residual); err == nil {
-		a.resDet = d
-	}
-	if d, err := NewDetectorFromState(st.Accept); err == nil {
-		a.accDet = d
-	}
+	a.resDet = pageHinkleyFromState(st.Residual)
+	a.accDet = pageHinkleyFromState(st.Accept)
 }

@@ -154,16 +154,19 @@ func TestAuditorStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAuditorRestoreUnknownDetectors: a zero-value State (pre-audit
-// checkpoint) restores the counters but keeps the configured detectors.
+// TestAuditorRestoreUnknownDetectors: Restore adopts the detector state
+// it is given whatever its kind — here the zero State's empty one, which
+// no checkpoint decoder returns — as Page-Hinkley detectors with exactly
+// the snapshot's parameters and statistics.
 func TestAuditorRestoreUnknownDetectors(t *testing.T) {
 	a, _, _ := newTestAuditor(nil)
 	a.Restore(audit.State{Batches: 7, Alarms: 2})
 	if a.Batches() != 7 || a.Alarms() != 2 {
 		t.Fatalf("counters = %d/%d, want 7/2", a.Batches(), a.Alarms())
 	}
-	if kind := a.State().Residual.Kind; kind != "page_hinkley" {
-		t.Fatalf("residual detector replaced by %q", kind)
+	want := audit.DetectorState{Kind: "page_hinkley"}
+	if st := a.State(); st.Residual != want || st.Accept != want {
+		t.Fatalf("restored detectors %+v / %+v, want the zero snapshot adopted: %+v", st.Residual, st.Accept, want)
 	}
 }
 

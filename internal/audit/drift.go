@@ -5,54 +5,40 @@ import (
 	"math"
 )
 
-// Detector is a sequential change-point detector over a scalar stream:
-// feed one value per batch, get true back when the stream's mean has
-// drifted. Implementations are not safe for concurrent use — the
-// Auditor serializes access.
-type Detector interface {
-	// Update consumes one observation and reports whether the detector
-	// is in alarm after it.
-	Update(v float64) bool
-	// Reset clears the accumulated statistics (typically after an alarm
-	// has been handled, so the detector re-arms instead of re-firing).
-	Reset()
-	// State returns a plain-data snapshot suitable for checkpointing.
-	State() DetectorState
-}
-
-// DetectorState is the checkpointable snapshot of a detector: enough
-// plain floats to resume either detector kind exactly where it left
-// off across a crash/restore cycle.
+// DetectorState is the checkpointable snapshot of a Page-Hinkley
+// detector: enough plain floats to resume it exactly where it left off
+// across a crash/restore cycle. Kind is always "page_hinkley" — the
+// name stays in the checkpoint layout, and the decoders refuse any
+// other.
 type DetectorState struct {
-	Kind   string  // "page_hinkley" | "cusum"
-	Thresh float64 // λ (Page-Hinkley) or h (CUSUM)
-	Slack  float64 // δ (Page-Hinkley) or k (CUSUM)
+	Kind   string  // "page_hinkley"
+	Thresh float64 // λ
+	Slack  float64 // δ
 	Warmup int     // MinSamples
 	N      int     // observations consumed
 	Mean   float64 // running mean
-	Pos    float64 // upward statistic (m_T or g⁺)
-	PosExt float64 // min m_T (Page-Hinkley only)
-	Neg    float64 // downward statistic (m̃_T or g⁻)
-	NegExt float64 // max m̃_T (Page-Hinkley only)
+	Pos    float64 // upward statistic m_T
+	PosExt float64 // min m_T
+	Neg    float64 // downward statistic m̃_T
+	NegExt float64 // max m̃_T
 }
 
 // NewDetectorFromState reconstructs a detector from a checkpointed
-// snapshot.
-func NewDetectorFromState(st DetectorState) (Detector, error) {
-	switch st.Kind {
-	case "page_hinkley":
-		d := &PageHinkley{Delta: st.Slack, Lambda: st.Thresh, MinSamples: st.Warmup}
-		d.n, d.mean = st.N, st.Mean
-		d.mPos, d.minPos = st.Pos, st.PosExt
-		d.mNeg, d.maxNeg = st.Neg, st.NegExt
-		return d, nil
-	case "cusum":
-		d := &CUSUM{K: st.Slack, H: st.Thresh, MinSamples: st.Warmup}
-		d.n, d.mean = st.N, st.Mean
-		d.gPos, d.gNeg = st.Pos, st.Neg
-		return d, nil
+// snapshot; a kind other than "page_hinkley" is an error.
+func NewDetectorFromState(st DetectorState) (*PageHinkley, error) {
+	if st.Kind != "page_hinkley" {
+		return nil, fmt.Errorf("audit: unknown detector kind %q", st.Kind)
 	}
-	return nil, fmt.Errorf("audit: unknown detector kind %q", st.Kind)
+	return pageHinkleyFromState(st), nil
+}
+
+// pageHinkleyFromState adopts a snapshot's parameters and statistics.
+func pageHinkleyFromState(st DetectorState) *PageHinkley {
+	d := &PageHinkley{Delta: st.Slack, Lambda: st.Thresh, MinSamples: st.Warmup}
+	d.n, d.mean = st.N, st.Mean
+	d.mPos, d.minPos = st.Pos, st.PosExt
+	d.mNeg, d.maxNeg = st.Neg, st.NegExt
+	return d
 }
 
 // PageHinkley is the two-sided Page-Hinkley test: it tracks the
@@ -117,58 +103,5 @@ func (d *PageHinkley) State() DetectorState {
 		N: d.n, Mean: d.mean,
 		Pos: d.mPos, PosExt: d.minPos,
 		Neg: d.mNeg, NegExt: d.maxNeg,
-	}
-}
-
-// CUSUM is a two-sided self-starting cumulative-sum detector: g⁺ and
-// g⁻ accumulate deviations beyond a slack k from the running mean and
-// clamp at zero, alarming when either exceeds h. Compared to
-// Page-Hinkley it re-arms faster after transients (the clamped sums
-// drain back to zero on their own).
-type CUSUM struct {
-	// K is the per-sample slack (half the shift magnitude one wants to
-	// detect, in the classical parameterization).
-	K float64
-	// H is the alarm threshold on the clamped cumulative sums.
-	H float64
-	// MinSamples suppresses alarms during mean warmup.
-	MinSamples int
-
-	n          int
-	mean       float64
-	gPos, gNeg float64
-}
-
-// NewCUSUM builds a two-sided CUSUM detector with slack k, threshold
-// h, and a 30-observation warmup.
-func NewCUSUM(k, h float64) *CUSUM {
-	return &CUSUM{K: k, H: h, MinSamples: 30}
-}
-
-// Update consumes one observation and reports alarm state.
-func (d *CUSUM) Update(v float64) bool {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return false
-	}
-	d.n++
-	d.mean += (v - d.mean) / float64(d.n)
-	d.gPos = math.Max(0, d.gPos+v-d.mean-d.K)
-	d.gNeg = math.Max(0, d.gNeg+d.mean-v-d.K)
-	if d.n < d.MinSamples {
-		return false
-	}
-	return d.gPos > d.H || d.gNeg > d.H
-}
-
-// Reset clears the statistics (parameters are kept).
-func (d *CUSUM) Reset() {
-	d.n, d.mean, d.gPos, d.gNeg = 0, 0, 0, 0
-}
-
-// State snapshots the detector for checkpointing.
-func (d *CUSUM) State() DetectorState {
-	return DetectorState{
-		Kind: "cusum", Thresh: d.H, Slack: d.K, Warmup: d.MinSamples,
-		N: d.n, Mean: d.mean, Pos: d.gPos, Neg: d.gNeg,
 	}
 }

@@ -21,15 +21,14 @@ func stationary(g *rng.RNG, n int, mean, sd float64) []float64 {
 // state. The parameters are deliberately tight (small slack, small
 // threshold) so shifts of ±0.2 are found quickly while sd=0.01 noise
 // never fires.
-func testDetectors() map[string]func() audit.Detector {
-	return map[string]func() audit.Detector{
-		"page_hinkley": func() audit.Detector { return audit.NewPageHinkley(0.02, 0.3) },
-		"cusum":        func() audit.Detector { return audit.NewCUSUM(0.02, 0.3) },
+func testDetectors() map[string]func() *audit.PageHinkley {
+	return map[string]func() *audit.PageHinkley{
+		"page_hinkley": func() *audit.PageHinkley { return audit.NewPageHinkley(0.02, 0.3) },
 	}
 }
 
 // TestDetectorStationaryNoAlarm: 2000 samples of a stationary stream
-// must never alarm, for both detector kinds.
+// must never alarm.
 func TestDetectorStationaryNoAlarm(t *testing.T) {
 	for name, mk := range testDetectors() {
 		d := mk()
@@ -177,11 +176,13 @@ func TestDetectorResetRearms(t *testing.T) {
 	}
 }
 
-// TestNewDetectorFromStateUnknownKind: unknown kinds are an error, not
-// a silent fallback.
+// TestNewDetectorFromStateUnknownKind: every kind but Page-Hinkley is
+// an error, not a silent fallback — the retired CUSUM kind included.
 func TestNewDetectorFromStateUnknownKind(t *testing.T) {
-	if _, err := audit.NewDetectorFromState(audit.DetectorState{Kind: "ewma"}); err == nil {
-		t.Fatal("unknown detector kind must error")
+	for _, kind := range []string{"ewma", "cusum"} {
+		if _, err := audit.NewDetectorFromState(audit.DetectorState{Kind: kind}); err == nil {
+			t.Fatalf("detector kind %q must error", kind)
+		}
 	}
 	if _, err := audit.NewDetectorFromState(audit.DetectorState{}); err == nil {
 		t.Fatal("zero-value detector state must error")

@@ -434,6 +434,14 @@ func (d *dec) bool() bool {
 	}
 }
 
+// retired reads a slot the layout keeps for a retired field, always
+// written as 0, and fails the decode on anything else.
+func (d *dec) retired(name string) {
+	if v := d.i64(); v != 0 {
+		d.fail("%s slot holds %d, want 0", name, v)
+	}
+}
+
 // count reads a non-negative element count and verifies that `count ×
 // elemBytes` elements could still fit in the remaining payload before
 // the caller allocates for them.

@@ -75,7 +75,7 @@ func testMonitorAudited(t *testing.T, frames int) *pipeline.Monitor {
 	aud := audit.New(audit.Config{
 		Journal:   audit.NewJournal(32),
 		Registry:  obs.NewRegistry(),
-		Residual:  audit.NewCUSUM(0.05, 0.5),
+		Residual:  audit.NewPageHinkley(0.05, 0.5),
 		CertEvery: 1,
 	})
 	m := pipeline.NewMonitor(pipeline.Config{

@@ -170,7 +170,7 @@ func encodeRankAdaptive(e *enc, s *sketch.RankAdaptiveState) {
 	encodeFD(e, &s.FD)
 	e.i64(s.Nu)
 	e.f64(s.Eps)
-	e.i64(int(s.Estimator))
+	e.i64(0) // retired estimator slot
 	encodeRNG(e, s.RNG)
 	e.i64(len(s.Recent))
 	for _, row := range s.Recent {
@@ -185,7 +185,7 @@ func decodeRankAdaptive(d *dec) *sketch.RankAdaptiveState {
 	s := &sketch.RankAdaptiveState{FD: *decodeFD(d)}
 	s.Nu = d.i64()
 	s.Eps = d.f64()
-	s.Estimator = sketch.EstimatorKind(d.i64())
+	d.retired("rank-adaptive estimator")
 	s.RNG = decodeRNG(d)
 	// Each ring row costs at least a length prefix (8 bytes).
 	n := d.count(8)
@@ -209,7 +209,7 @@ func encodeARAMS(e *enc, s *sketch.ARAMSState) error {
 	e.f64(s.Cfg.Eps)
 	e.f64(s.Cfg.Beta)
 	e.bool(s.Cfg.RankAdaptive)
-	e.i64(int(s.Cfg.Estimator))
+	e.i64(0) // retired estimator slot
 	e.u64(s.Cfg.Seed)
 	e.i64(s.D)
 	encodeRNG(e, s.RNG)
@@ -233,7 +233,7 @@ func decodeARAMS(d *dec) *sketch.ARAMSState {
 	s.Cfg.Eps = d.f64()
 	s.Cfg.Beta = d.f64()
 	s.Cfg.RankAdaptive = d.bool()
-	s.Cfg.Estimator = sketch.EstimatorKind(d.i64())
+	d.retired("ARAMS estimator")
 	s.Cfg.Seed = d.u64()
 	s.D = d.i64()
 	s.RNG = decodeRNG(d)
@@ -333,7 +333,7 @@ func encodeDetector(e *enc, s *audit.DetectorState) {
 }
 
 func decodeDetector(d *dec) audit.DetectorState {
-	return audit.DetectorState{
+	s := audit.DetectorState{
 		Kind:   d.str(),
 		Thresh: d.f64(),
 		Slack:  d.f64(),
@@ -345,6 +345,10 @@ func decodeDetector(d *dec) audit.DetectorState {
 		Neg:    d.f64(),
 		NegExt: d.f64(),
 	}
+	if _, err := audit.NewDetectorFromState(s); err != nil {
+		d.fail("%v", err)
+	}
+	return s
 }
 
 func encodeAuditState(e *enc, s *audit.State) {

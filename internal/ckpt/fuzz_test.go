@@ -91,7 +91,6 @@ func (p *pool) rankAdaptiveState() sketch.RankAdaptiveState {
 	return sketch.RankAdaptiveState{
 		FD: fd,
 		Nu: 1 + p.intn(8), Eps: p.f64(),
-		Estimator:   sketch.EstimatorKind(p.intn(3)),
 		RNG:         p.rngState(),
 		Recent:      recent,
 		IncreaseEll: p.byte()&1 == 1,
@@ -105,8 +104,7 @@ func (p *pool) aramsState() sketch.ARAMSState {
 		Cfg: sketch.Config{
 			Ell0: 1 + p.intn(6), Nu: 1 + p.intn(8),
 			Eps: p.f64(), Beta: p.f64(),
-			Estimator: sketch.EstimatorKind(p.intn(3)),
-			Seed:      p.u64(),
+			Seed: p.u64(),
 		},
 		D:   1 + p.intn(8),
 		RNG: p.rngState(),

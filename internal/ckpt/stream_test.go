@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"testing"
 
+	"arams/internal/audit"
 	"arams/internal/pipeline"
 	"arams/internal/rng"
 	"arams/internal/sketch"
@@ -249,6 +250,35 @@ func TestCorruptionTableBothDecoders(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[headerLen+16:], 1) // one frame, two more unread
 	}), nil)
 	add("invalid bool", reseal(valid, func(b []byte) { b[len(b)-1] = 7 }), nil)
+
+	// Retired values, written by no encoder: a non-zero estimator slot in
+	// the shard's ARAMS config (behind the frames, the shard count, the
+	// presence bool, Ell0, Nu, Eps, Beta and RankAdaptive) or in a
+	// rank-adaptive sketch (behind its FD block, Nu and Eps), and a
+	// detector kind other than Page-Hinkley.
+	aramsSlot := headerLen + 24 + 8 + 1 + 4*8 + 1
+	for _, f := range s.Frames {
+		aramsSlot += 16 + 8*len(f.Vec)
+	}
+	add("ARAMS estimator slot 1", reseal(valid, func(b []byte) { b[aramsSlot] = 1 }), nil)
+	ra := sketch.RankAdaptiveState{
+		FD: sketch.FDState{Ell: 2, D: 3, NextZero: 1, Buffer: []float64{1, 2, 3}},
+		Nu: 2, Eps: 0.5, RNG: rng.New(1).State(),
+	}
+	raFrame, err := Marshal(ra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("rank-adaptive estimator slot 2", reseal(raFrame, func(b []byte) {
+		b[headerLen+8*8+8+8*len(ra.FD.Buffer)+2*8] = 2
+	}), nil)
+	cusum := wideMonitorState(1, 4)
+	cusum.Audit = &audit.State{Residual: audit.DetectorState{Kind: "cusum"}, Accept: audit.NewPageHinkley(0.01, 1).State()}
+	cusumFrame, err := Marshal(cusum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("CUSUM detector state", cusumFrame, nil)
 
 	for _, tc := range cases {
 		_, slicedErr, _, streamedErr := bothDecoders(tc.frame)

@@ -13,8 +13,8 @@ import (
 )
 
 // Backend is one shard's sketching state behind the engine's routing:
-// the engine decides which rows a shard gets (round-robin or
-// hash-by-tag) and the backend decides where the sketching happens —
+// the engine decides which rows a shard gets (round-robin) and the
+// backend decides where the sketching happens —
 // in-process (localShard, the default) or on the far side of a TCP
 // connection (internal/fabric's Remote). The contract is the serial
 // monitor's absorb semantics: rows are fed one at a time in stream

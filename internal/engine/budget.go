@@ -18,7 +18,7 @@ import (
 //   - counts outright misses (burn > 1 for a batch) and journals them
 //     as deadline_miss events, rate-limited so a sustained overload
 //     doesn't flood the journal;
-//   - fires the flight recorder once the EWMA crosses BurnThreshold —
+//   - fires the flight recorder once the EWMA crosses burnThreshold —
 //     sustained overload is exactly the condition whose prelude is
 //     worth dumping.
 
@@ -32,9 +32,9 @@ import (
 // configured: one LCLS machine period at 120 Hz.
 const DefaultFrameBudget = time.Second / 120
 
-// defaultBurnThreshold is the EWMA burn rate that trips the flight
-// recorder: sustained 2× over budget.
-const defaultBurnThreshold = 2.0
+// burnThreshold is the EWMA burn rate that trips the flight recorder:
+// sustained 2× over budget.
+const burnThreshold = 2.0
 
 // burnAlpha is the EWMA smoothing factor — ~5 batches of memory.
 const burnAlpha = 0.2
@@ -45,10 +45,9 @@ const missJournalEvery = time.Second
 // budgetTracker accumulates burn-rate state. The zero value is unusable;
 // build with newBudgetTracker (nil when budgeting is disabled).
 type budgetTracker struct {
-	budget    time.Duration // per-frame
-	threshold float64
-	journal   *audit.Journal
-	eo        *engineObs
+	budget  time.Duration // per-frame
+	journal *audit.Journal
+	eo      *engineObs
 
 	mu       sync.Mutex
 	ewma     float64
@@ -65,16 +64,12 @@ func newBudgetTracker(cfg Config, eo *engineObs) *budgetTracker {
 	if b == 0 {
 		b = DefaultFrameBudget
 	}
-	th := cfg.BurnThreshold
-	if th <= 0 {
-		th = defaultBurnThreshold
-	}
 	j := audit.Default()
 	if cfg.Audit != nil {
 		j = cfg.Audit.Journal()
 	}
 	eo.budgetFrame.Set(b.Seconds())
-	return &budgetTracker{budget: b, threshold: th, journal: j, eo: eo}
+	return &budgetTracker{budget: b, journal: j, eo: eo}
 }
 
 // observe folds one dispatch in: elapsed wall time for n frames ending
@@ -117,7 +112,7 @@ func (bt *budgetTracker) observe(elapsed time.Duration, n, at int) float64 {
 				audit.A("elapsed_ms", elapsed.Seconds()*1e3))
 		}
 	}
-	if ewma > bt.threshold {
+	if ewma > burnThreshold {
 		obs.Default().FlightTrigger("deadline_burn")
 	}
 	return burn

@@ -1,7 +1,7 @@
 // Package engine is the sharded streaming core of the online monitor:
 // frames enter through a bounded, backpressured ingest queue, are
-// batch-preprocessed on the shared worker pool, routed (round-robin or
-// hash-by-tag) to N independent shard sketchers, and reconciled into one
+// batch-preprocessed on the shared worker pool, routed round-robin to N
+// independent shard sketchers, and reconciled into one
 // global sketch, when a reader asks for it, with the same tree merge the
 // batch pipeline uses — so the error-bound certificate and fault-recovery
 // semantics compose unchanged across shards (FD summaries are
@@ -29,18 +29,6 @@ import (
 	"arams/internal/sketch"
 )
 
-// Route selects how frames are assigned to shards.
-type Route int
-
-const (
-	// RoundRobin routes frame i (global stream index) to shard i mod N —
-	// deterministic and load-balanced, the default.
-	RoundRobin Route = iota
-	// HashByTag routes by a hash of the caller tag, so frames sharing a
-	// tag (e.g. a pulse-ID class) always land on the same shard.
-	HashByTag
-)
-
 // Config parameterizes the streaming engine.
 type Config struct {
 	// Shards is the number of independent sketchers (default 1; with
@@ -50,11 +38,6 @@ type Config struct {
 	// IngestBuffer bounds the async Enqueue queue (default 256).
 	// Producers block when it is full — backpressure, not drops.
 	IngestBuffer int
-	// BatchSize caps how many queued frames the pump folds into one
-	// IngestBatch call (default 64).
-	BatchSize int
-	// Route picks the shard-assignment policy.
-	Route Route
 	// Window is the sliding-window size for snapshots (default 1024).
 	Window int
 	// Tenant, when non-empty, scopes the engine's hot-path metric
@@ -69,8 +52,6 @@ type Config struct {
 	// derives its sampling/probe RNG seed from Seed and i so shards
 	// draw independent streams.
 	Sketch sketch.Config
-	// Merge selects the reconcile strategy (default TreeMerge).
-	Merge parallel.MergeStrategy
 	// Audit, when set, receives one batched observation every
 	// AuditEvery frames plus rank-growth journal events, exactly like
 	// the pre-engine Monitor. With multiple shards the certificate
@@ -81,12 +62,9 @@ type Config struct {
 	// FrameBudget is the per-frame wall-time SLO, amortized over each
 	// batch (default one 120 Hz machine period; negative disables
 	// budget tracking). Batches that exceed it count as deadline
-	// misses; a sustained burn rate above BurnThreshold fires the
+	// misses; a sustained burn rate over twice the budget fires the
 	// flight recorder. See budget.go.
 	FrameBudget time.Duration
-	// BurnThreshold is the EWMA burn rate that trips the flight
-	// recorder (default 2.0).
-	BurnThreshold float64
 	// Backends, when non-empty, supplies the shard backends directly —
 	// the distributed-fabric hook: slot i is shard i, Shards is
 	// overridden to len(Backends), and each backend is expected to be
@@ -111,9 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IngestBuffer <= 0 {
 		c.IngestBuffer = 256
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 64
 	}
 	if c.Window <= 0 {
 		c.Window = 1024
@@ -253,9 +228,6 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// hashTag is a 64-bit integer hash for HashByTag routing.
-func hashTag(tag int) uint64 { return splitmix64(uint64(int64(tag))) }
-
 // Config returns the engine's effective (defaulted) configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
@@ -392,10 +364,10 @@ func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64,
 	root.SetAttr("stream_lo", fmt.Sprint(base))
 	root.SetAttr("stream_hi", fmt.Sprint(base+n-1))
 
-	// Route and dispatch. With one shard the batch is absorbed inline;
-	// otherwise shards with work run concurrently, each under its own
-	// lock. Rows keep stream order within a shard, so the result is
-	// deterministic for a given routing.
+	// Route and dispatch: frame i of the stream goes to shard i mod N.
+	// With one shard the batch is absorbed inline; otherwise shards with
+	// work run concurrently, each under its own lock. Rows keep stream
+	// order within a shard, so the result is deterministic.
 	ns := len(e.shards)
 	results := make([]shardResult, ns)
 	if ns == 1 {
@@ -404,17 +376,7 @@ func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64,
 		spRoute := root.StartChild("route")
 		perShard := make([][]int, ns)
 		for i := range vecs {
-			var si int
-			switch e.cfg.Route {
-			case HashByTag:
-				t := 0
-				if tags != nil {
-					t = tags[i]
-				}
-				si = int(hashTag(t) % uint64(ns))
-			default:
-				si = (base + i) % ns
-			}
+			si := (base + i) % ns
 			perShard[si] = append(perShard[si], i)
 		}
 		spRoute.End()
@@ -643,7 +605,7 @@ func (e *Engine) reconcileLocked(parent obs.SpanContext) *sketch.FrequentDirecti
 	for i, s := range e.shards {
 		legs[i] = parallel.RemoteLeg{Name: "shard" + fmt.Sprint(i), Fetch: s.Snapshot}
 	}
-	g, _, rep := parallel.MergeRemote(legs, e.cfg.Merge, e.cfg.ReconcileRetry, sp.Context())
+	g, _, rep := parallel.MergeRemote(legs, e.cfg.ReconcileRetry, sp.Context())
 	if rep.Degraded() {
 		sp.SetAttr("degraded_legs", fmt.Sprint(rep.Dropped))
 	}

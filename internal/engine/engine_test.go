@@ -11,7 +11,6 @@ import (
 	"arams/internal/imgproc"
 	"arams/internal/mat"
 	"arams/internal/obs"
-	"arams/internal/parallel"
 	"arams/internal/rng"
 	"arams/internal/sketch"
 )
@@ -187,52 +186,6 @@ func shardFD(t *testing.T, s *sketch.ARAMSState, i int) *sketch.FDState {
 	return s.FD
 }
 
-// TestHashByTagRouting checks the routing policy: with HashByTag every
-// frame with the same tag must land on the same shard, so per-shard row
-// counts are reproducible from the tag distribution alone.
-func TestHashByTagRouting(t *testing.T) {
-	const n, d = 64, 8
-	vecs := testVecs(n, d, 31)
-	cfg := engine.Config{
-		Shards: 4,
-		Route:  engine.HashByTag,
-		Sketch: sketch.Config{Ell0: 4, Beta: 1},
-		Window: 8,
-	}
-	// Two tags → at most two populated shards, identically across runs.
-	tags := make([]int, n)
-	for i := range tags {
-		tags[i] = 1000 + i%2
-	}
-	populated := func(e *engine.Engine) []int {
-		var got []int
-		for i, ss := range e.State().Shards {
-			if ss != nil {
-				got = append(got, i)
-			}
-		}
-		return got
-	}
-	e1 := engine.New(cfg)
-	e1.IngestVecs(cloneVecs(vecs), tags)
-	e2 := engine.New(cfg)
-	for i, v := range vecs {
-		e2.IngestVecs([][]float64{append([]float64(nil), v...)}, tags[i:i+1])
-	}
-	p1, p2 := populated(e1), populated(e2)
-	if len(p1) > 2 || len(p1) == 0 {
-		t.Fatalf("2 tags landed on %d shards: %v", len(p1), p1)
-	}
-	if len(p1) != len(p2) {
-		t.Fatalf("batch vs per-frame routing disagree: %v vs %v", p1, p2)
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("batch vs per-frame routing disagree: %v vs %v", p1, p2)
-		}
-	}
-}
-
 // TestStateRoundTripResume checks that a restored engine continues the
 // stream bit-exactly: run A ingests everything; run B checkpoints
 // mid-stream, restores, and finishes; their final states must agree
@@ -317,7 +270,6 @@ func TestEnqueueDrainStop(t *testing.T) {
 	e := engine.New(engine.Config{
 		Shards:       2,
 		IngestBuffer: 8, // small buffer so Enqueue exercises backpressure
-		BatchSize:    4,
 		Sketch:       sketch.Config{Ell0: 4, Beta: 1},
 		Window:       8,
 	})
@@ -503,7 +455,6 @@ func TestReconcileCadence(t *testing.T) {
 		Shards: 4,
 		Sketch: sketch.Config{Ell0: 6, Beta: 1, Seed: 2},
 		Window: 32,
-		Merge:  parallel.TreeMerge,
 	})
 	for lo := 0; lo < n; lo += 8 {
 		e.IngestVecs(cloneVecs(vecs[lo:lo+8]), nil)

@@ -39,10 +39,9 @@ func testImages(n, side int, seed uint64) []*imgproc.Image {
 
 func TestEngineObsScrapeHammer(t *testing.T) {
 	e := engine.New(engine.Config{
-		Shards:    4,
-		BatchSize: 8,
-		Sketch:    sketch.Config{Ell0: 5, Beta: 0.9, Seed: 11},
-		Window:    64,
+		Shards: 4,
+		Sketch: sketch.Config{Ell0: 5, Beta: 0.9, Seed: 11},
+		Window: 64,
 	})
 	srv := httptest.NewServer(obs.Handler())
 	defer srv.Close()

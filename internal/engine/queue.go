@@ -9,10 +9,14 @@ import (
 // Async ingest: Enqueue hands frames to a single pump goroutine through
 // a bounded channel. A full channel blocks the producer — backpressure,
 // never drops — and the pump coalesces whatever is queued (up to
-// BatchSize) into one IngestBatch call, so a bursty producer pays the
+// batchSize) into one IngestBatch call, so a bursty producer pays the
 // per-batch lock cost once per burst instead of once per frame. One
 // pump keeps the stream FIFO, which round-robin routing determinism
 // depends on.
+
+// batchSize caps how many queued frames the pump folds into one
+// IngestBatch call.
+const batchSize = 64
 
 // qitem is one queued frame, or a drain marker when ack is non-nil.
 // at is the enqueue time; the pump reports the batch's oldest one as a
@@ -116,7 +120,7 @@ func (e *Engine) Stop() {
 }
 
 // pump is the single consumer: it blocks for one frame, opportunistically
-// drains more without blocking (up to BatchSize), ingests the batch, and
+// drains more without blocking (up to batchSize), ingests the batch, and
 // acknowledges any drain markers seen — after the frames queued before
 // them, preserving Drain's "everything before me is ingested" contract.
 func (e *Engine) pump(q chan qitem, done chan struct{}) {
@@ -126,8 +130,8 @@ func (e *Engine) pump(q chan qitem, done chan struct{}) {
 	// last pre-exit sample). The zeroing defer runs before close(done),
 	// so a Stop caller observes the reset.
 	defer e.eo.queueDepth.SetInt(0)
-	ims := make([]*imgproc.Image, 0, e.cfg.BatchSize)
-	tags := make([]int, 0, e.cfg.BatchSize)
+	ims := make([]*imgproc.Image, 0, batchSize)
+	tags := make([]int, 0, batchSize)
 	var oldest time.Time
 	var acks []chan struct{}
 	flush := func() {
@@ -163,7 +167,7 @@ func (e *Engine) pump(q chan qitem, done chan struct{}) {
 			if oldest.IsZero() || it.at.Before(oldest) {
 				oldest = it.at
 			}
-			if len(ims) >= e.cfg.BatchSize {
+			if len(ims) >= batchSize {
 				break
 			}
 			select {

@@ -31,7 +31,6 @@ func TestEngineConcurrentHammer(t *testing.T) {
 	e := engine.New(engine.Config{
 		Shards:       4,
 		IngestBuffer: 16,
-		BatchSize:    4,
 		Sketch:       sketch.Config{Ell0: 5, Beta: 0.9, Seed: 7},
 		Window:       32,
 	})

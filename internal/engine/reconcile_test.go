@@ -213,7 +213,6 @@ func TestQueueDepthGaugeZeroAfterStop(t *testing.T) {
 	e := engine.New(engine.Config{
 		Shards:       2,
 		IngestBuffer: 8,
-		BatchSize:    4,
 		Sketch:       sketch.Config{Ell0: 4, Beta: 1},
 		Window:       8,
 	})

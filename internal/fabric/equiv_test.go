@@ -94,119 +94,97 @@ func quietRemote() fabric.RemoteConfig {
 // driving four remote workers over loopback TCP must be bit-identical
 // to a single-process four-shard engine fed the same stream in the
 // same batches — shard states, global sketch, and certificate all
-// exactly equal. Covers both routing policies.
+// exactly equal, under round-robin routing.
 func TestLoopbackEquivalence(t *testing.T) {
 	const n, d, shards = 256, 24, 4
 	scfg := sketch.Config{Ell0: 8, Beta: 1, Seed: 5}
 
-	for _, tc := range []struct {
-		name  string
-		route engine.Route
-		tags  func(i int) int
-	}{
-		{"round_robin", engine.RoundRobin, nil},
-		{"hash_by_tag", engine.HashByTag, func(i int) int { return i % 7 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			vecs := testVecs(n, d, 11)
-			var tags []int
-			if tc.tags != nil {
-				tags = make([]int, n)
-				for i := range tags {
-					tags[i] = tc.tags(i)
-				}
-			}
+	t.Run("round_robin", func(t *testing.T) {
+		vecs := testVecs(n, d, 11)
+		ecfg := engine.Config{
+			Shards: shards,
+			Sketch: scfg,
+			Window: 32,
+		}
+		local := engine.New(ecfg)
+		defer local.Close()
 
-			ecfg := engine.Config{
-				Shards: shards,
-				Sketch: scfg,
-				Window: 32,
-				Route:  tc.route,
+		workers, addrs, err := fabric.StartLoopbackWorkers(shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			for _, w := range workers {
+				w.Close()
 			}
-			local := engine.New(ecfg)
-			defer local.Close()
-
-			workers, addrs, err := fabric.StartLoopbackWorkers(shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				for _, w := range workers {
-					w.Close()
-				}
-			}()
-			coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-				Workers: addrs,
-				Engine:  ecfg,
-				Remote:  quietRemote(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer coord.Close()
-			remote := coord.Engine()
-
-			// Same stream, same uneven batch boundaries, both engines.
-			for lo := 0; lo < n; {
-				hi := lo + 1 + (lo*7)%13
-				if hi > n {
-					hi = n
-				}
-				var btags []int
-				if tags != nil {
-					btags = tags[lo:hi]
-				}
-				local.IngestVecs(cloneVecs(vecs[lo:hi]), btags)
-				remote.IngestVecs(cloneVecs(vecs[lo:hi]), btags)
-				lo = hi
-			}
-
-			if local.Ingested() != n || remote.Ingested() != n {
-				t.Fatalf("ingested %d local, %d remote, want %d", local.Ingested(), remote.Ingested(), n)
-			}
-			for _, r := range coord.Remotes() {
-				if r.Degraded() {
-					t.Fatalf("%s degraded during a clean run", r.Name())
-				}
-			}
-
-			// Shard-by-shard checkpoint states must be deeply equal —
-			// sampler RNG streams included.
-			ls, rs := local.State(), remote.State()
-			if len(ls.Shards) != shards || len(rs.Shards) != shards {
-				t.Fatalf("shard state count: %d local, %d remote", len(ls.Shards), len(rs.Shards))
-			}
-			for i := range ls.Shards {
-				if !reflect.DeepEqual(ls.Shards[i], rs.Shards[i]) {
-					t.Errorf("shard %d state differs between local and fabric run", i)
-				}
-			}
-			if ls.Ingests != rs.Ingests || len(ls.Frames) != len(rs.Frames) {
-				t.Errorf("stream counters differ: %d/%d local vs %d/%d remote",
-					ls.Ingests, len(ls.Frames), rs.Ingests, len(rs.Frames))
-			}
-
-			// Merged global sketch: bit-identical matrix, equal certificate.
-			lg, rg := local.GlobalSketch(), remote.GlobalSketch()
-			if lg == nil || rg == nil {
-				t.Fatal("nil global sketch")
-			}
-			sameMatrix(t, "global sketch", lg.Sketch(), rg.Sketch())
-
-			lc, rc := local.Certificate(), remote.Certificate()
-			lc.Time, rc.Time = time.Time{}, time.Time{}
-			if lc != rc {
-				t.Errorf("certificates differ:\n local  %+v\n remote %+v", lc, rc)
-			}
-
-			// The certified bound must hold against the exact covariance.
-			x := asMatrix(vecs)
-			exact := sketch.CovErr(x, rg.Sketch())
-			if bound := rc.CovBound(); exact > bound+1e-8*(1+rc.FrobMass) {
-				t.Errorf("exact covariance error %v exceeds certified bound %v", exact, bound)
-			}
+		}()
+		coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
+			Workers: addrs,
+			Engine:  ecfg,
+			Remote:  quietRemote(),
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer coord.Close()
+		remote := coord.Engine()
+
+		// Same stream, same uneven batch boundaries, both engines.
+		for lo := 0; lo < n; {
+			hi := lo + 1 + (lo*7)%13
+			if hi > n {
+				hi = n
+			}
+			local.IngestVecs(cloneVecs(vecs[lo:hi]), nil)
+			remote.IngestVecs(cloneVecs(vecs[lo:hi]), nil)
+			lo = hi
+		}
+
+		if local.Ingested() != n || remote.Ingested() != n {
+			t.Fatalf("ingested %d local, %d remote, want %d", local.Ingested(), remote.Ingested(), n)
+		}
+		for _, r := range coord.Remotes() {
+			if r.Degraded() {
+				t.Fatalf("%s degraded during a clean run", r.Name())
+			}
+		}
+
+		// Shard-by-shard checkpoint states must be deeply equal —
+		// sampler RNG streams included.
+		ls, rs := local.State(), remote.State()
+		if len(ls.Shards) != shards || len(rs.Shards) != shards {
+			t.Fatalf("shard state count: %d local, %d remote", len(ls.Shards), len(rs.Shards))
+		}
+		for i := range ls.Shards {
+			if !reflect.DeepEqual(ls.Shards[i], rs.Shards[i]) {
+				t.Errorf("shard %d state differs between local and fabric run", i)
+			}
+		}
+		if ls.Ingests != rs.Ingests || len(ls.Frames) != len(rs.Frames) {
+			t.Errorf("stream counters differ: %d/%d local vs %d/%d remote",
+				ls.Ingests, len(ls.Frames), rs.Ingests, len(rs.Frames))
+		}
+
+		// Merged global sketch: bit-identical matrix, equal certificate.
+		lg, rg := local.GlobalSketch(), remote.GlobalSketch()
+		if lg == nil || rg == nil {
+			t.Fatal("nil global sketch")
+		}
+		sameMatrix(t, "global sketch", lg.Sketch(), rg.Sketch())
+
+		lc, rc := local.Certificate(), remote.Certificate()
+		lc.Time, rc.Time = time.Time{}, time.Time{}
+		if lc != rc {
+			t.Errorf("certificates differ:\n local  %+v\n remote %+v", lc, rc)
+		}
+
+		// The certified bound must hold against the exact covariance.
+		x := asMatrix(vecs)
+		exact := sketch.CovErr(x, rg.Sketch())
+		if bound := rc.CovBound(); exact > bound+1e-8*(1+rc.FrobMass) {
+			t.Errorf("exact covariance error %v exceeds certified bound %v", exact, bound)
+		}
+	})
 }
 
 // TestLoopbackCheckpointRoundTrip pins the distributed checkpoint path:

@@ -205,11 +205,19 @@ func (p HelloPayload) encode() []byte {
 	e.f64(p.Cfg.Eps)
 	e.f64(p.Cfg.Beta)
 	e.bool(p.Cfg.RankAdaptive)
-	e.i64(int(p.Cfg.Estimator))
+	e.i64(0) // retired estimator slot
 	e.u64(p.Cfg.Seed)
 	return e.b
 }
 
+// maxHelloRank bounds a hello's ℓ₀ and ν. The paper's ℓ is tens; at
+// this bound one 2ℓ×d buffer of d = 16 384 is already 16 GiB.
+const maxHelloRank = 1 << 16
+
+// decodeHello decodes a hello and refuses a configuration the worker
+// could not sketch under: ℓ₀ outside [1, maxHelloRank], ν outside
+// [0, maxHelloRank] (0 selects the default), a non-finite β or ε, rank
+// adaptation without a positive ε, or a non-zero estimator slot.
 func decodeHello(b []byte) (HelloPayload, error) {
 	d := &pdec{b: b}
 	var p HelloPayload
@@ -219,9 +227,25 @@ func decodeHello(b []byte) (HelloPayload, error) {
 	p.Cfg.Eps = d.f64()
 	p.Cfg.Beta = d.f64()
 	p.Cfg.RankAdaptive = d.bool()
-	p.Cfg.Estimator = sketch.EstimatorKind(d.i64())
+	estimator := d.i64()
 	p.Cfg.Seed = d.u64()
-	return p, d.finish()
+	if err := d.finish(); err != nil {
+		return p, err
+	}
+	c := p.Cfg
+	switch {
+	case c.Ell0 <= 0 || c.Ell0 > maxHelloRank:
+		return p, fmt.Errorf("fabric: hello has Ell0 %d", c.Ell0)
+	case c.Nu < 0 || c.Nu > maxHelloRank:
+		return p, fmt.Errorf("fabric: hello has Nu %d", c.Nu)
+	case math.IsNaN(c.Beta) || math.IsInf(c.Beta, 0) || math.IsNaN(c.Eps) || math.IsInf(c.Eps, 0):
+		return p, fmt.Errorf("fabric: hello has Beta %v, Eps %v", c.Beta, c.Eps)
+	case c.RankAdaptive && c.Eps <= 0:
+		return p, fmt.Errorf("fabric: rank-adaptive hello has Eps %v", c.Eps)
+	case estimator != 0:
+		return p, fmt.Errorf("fabric: hello estimator slot holds %d, want 0", estimator)
+	}
+	return p, nil
 }
 
 // maxIngestRows bounds a single ingest payload's row count; with the

@@ -19,7 +19,7 @@ import (
 func TestPayloadGoldens(t *testing.T) {
 	hello := HelloPayload{Shard: 2, Cfg: sketch.Config{
 		Ell0: 8, Nu: 3, Eps: 0.25, Beta: 0.5, RankAdaptive: true,
-		Estimator: sketch.EstimatorKind(1), Seed: 0x0102030405060708,
+		Seed: 0x0102030405060708,
 	}}
 	wantHello := "02000000" + // shard 2
 		"0800000000000000" + // Ell0 8
@@ -27,7 +27,7 @@ func TestPayloadGoldens(t *testing.T) {
 		"000000000000d03f" + // Eps 0.25
 		"000000000000e03f" + // Beta 0.5
 		"01" + // RankAdaptive
-		"0100000000000000" + // Estimator 1
+		"0000000000000000" + // estimator slot: retired, always 0
 		"0807060504030201" // Seed little-endian
 	if g := hex.EncodeToString(hello.encode()); g != wantHello {
 		t.Errorf("hello payload bytes changed:\n got  %s\n want %s", g, wantHello)
@@ -232,6 +232,29 @@ func TestPayloadDecodeErrors(t *testing.T) {
 	// Trailing bytes are rejected — payloads are exact.
 	if _, err := decodeHello(append(hello, 0)); err == nil {
 		t.Error("hello with trailing bytes decoded")
+	}
+	// A well-formed hello carrying a configuration no worker can sketch
+	// under is refused, not adopted.
+	for name, cfg := range map[string]sketch.Config{
+		"Ell0 0":               {Beta: 1},
+		"Ell0 past the bound":  {Ell0: maxHelloRank + 1, Beta: 1},
+		"negative Nu":          {Ell0: 4, Nu: -1, Beta: 1},
+		"Nu past the bound":    {Ell0: 4, Nu: maxHelloRank + 1, Beta: 1},
+		"NaN Beta":             {Ell0: 4, Beta: math.NaN()},
+		"infinite Eps":         {Ell0: 4, Beta: 1, Eps: math.Inf(-1)},
+		"rank-adaptive, Eps 0": {Ell0: 4, Beta: 1, RankAdaptive: true},
+		"rank-adaptive, Eps<0": {Ell0: 4, Beta: 1, RankAdaptive: true, Eps: -0.1},
+	} {
+		if _, err := decodeHello(HelloPayload{Cfg: cfg}.encode()); err == nil {
+			t.Errorf("hello with %s decoded", name)
+		}
+	}
+	// The retired estimator slot (after shard, Ell0, Nu, Eps, Beta and
+	// RankAdaptive) must hold 0.
+	slot := append([]byte(nil), hello...)
+	slot[4+4*8+1] = 1
+	if _, err := decodeHello(slot); err == nil {
+		t.Error("hello with estimator slot 1 decoded")
 	}
 	// An ingest header whose row count outruns the payload must be
 	// rejected before allocation.

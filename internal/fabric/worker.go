@@ -48,6 +48,9 @@ type Worker struct {
 	cfg     sketch.Config
 	haveCfg bool
 	shard   uint32
+	// dim is the row width of the backend's sketch: fixed by its first
+	// ingested rows or by the state it was restored from, 0 before.
+	dim int
 
 	// conns tracks live connections (guarded by mu) so Close can tear
 	// them down — serve() blocks in Read with no deadline otherwise.
@@ -275,6 +278,7 @@ func (w *Worker) dispatch(req ckpt.WireFrame, sp *reqSpan) (ckpt.WireFrame, *req
 			w.cfg = hello.Cfg
 			w.haveCfg = true
 			w.backend = engine.NewLocalBackend(hello.Cfg)
+			w.dim = 0
 		}
 		w.mu.Unlock()
 		return ckpt.WireFrame{Type: MsgHelloAck, Payload: hello.encode()}, nil
@@ -285,9 +289,9 @@ func (w *Worker) dispatch(req ckpt.WireFrame, sp *reqSpan) (ckpt.WireFrame, *req
 			return ckpt.WireFrame{}, &requestError{ErrCodeCorrupt, err}
 		}
 		sp.count("rows", len(p.Rows))
-		b, _ := w.current()
-		if b == nil {
-			return ckpt.WireFrame{}, &requestError{ErrCodeTransient, errNoHello}
+		b, rerr := w.ingestBackend(p)
+		if rerr != nil {
+			return ckpt.WireFrame{}, rerr
 		}
 		sp.timeCPU()
 		stats, err := b.Absorb(obs.SpanContext{}, p.Rows, nil)
@@ -326,6 +330,7 @@ func (w *Worker) dispatch(req ckpt.WireFrame, sp *reqSpan) (ckpt.WireFrame, *req
 			return ckpt.WireFrame{}, &requestError{ErrCodeTransient, errNoHello}
 		}
 		b := engine.NewLocalBackend(w.cfg)
+		dim := 0
 		// An empty payload is an explicit reset to a fresh sketcher.
 		if len(req.Payload) > 0 {
 			v, err := ckpt.Unmarshal(req.Payload)
@@ -340,12 +345,13 @@ func (w *Worker) dispatch(req ckpt.WireFrame, sp *reqSpan) (ckpt.WireFrame, *req
 			if err := b.Restore(st); err != nil {
 				return ckpt.WireFrame{}, &requestError{ErrCodeCorrupt, err}
 			}
+			dim = st.D
 			audit.Default().Record(audit.KindCheckpointRestore,
 				"fabric worker restored sketcher state from coordinator",
 				audit.A("shard", float64(w.shard)),
 				audit.A("dim", float64(st.D)))
 		}
-		w.backend = b
+		w.backend, w.dim = b, dim
 		obsWorkerRestores.Inc()
 		return ckpt.WireFrame{Type: MsgRestoreAck}, nil
 
@@ -401,6 +407,26 @@ func (w *Worker) dispatch(req ckpt.WireFrame, sp *reqSpan) (ckpt.WireFrame, *req
 }
 
 var errNoHello = errors.New("fabric: no hello received on this worker yet")
+
+// ingestBackend returns the backend an ingest feeds. The first rows fix
+// the shard's width; rows of any other width are a corrupt request,
+// since the sketch cannot absorb them.
+func (w *Worker) ingestBackend(p IngestPayload) (engine.Backend, *requestError) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.backend == nil {
+		return nil, &requestError{ErrCodeTransient, errNoHello}
+	}
+	if len(p.Rows) > 0 {
+		if w.dim == 0 {
+			w.dim = p.D
+		} else if p.D != w.dim {
+			return nil, &requestError{ErrCodeCorrupt,
+				fmt.Errorf("fabric: ingest rows of width %d for a shard of width %d", p.D, w.dim)}
+		}
+	}
+	return w.backend, nil
+}
 
 // current returns the backend and shard slot adopted from the last
 // Hello (a nil backend before the first).

@@ -171,17 +171,13 @@ func (r *Registry) stageHandles(name string) *stagePair {
 }
 
 // NewRegistry creates an empty registry with the default span-ring
-// capacity.
-func NewRegistry() *Registry { return NewRegistrySized(DefaultRingCap) }
-
-// NewRegistrySized creates an empty registry whose span ring holds
-// ringCap completed spans (values < 1 select DefaultRingCap).
-func NewRegistrySized(ringCap int) *Registry {
+// capacity (SetRingCap resizes it).
+func NewRegistry() *Registry {
 	return &Registry{
 		metrics: make(map[string]interface{}),
 		kinds:   make(map[string]string),
 		start:   time.Now(),
-		ring:    newSpanRing(ringCap),
+		ring:    newSpanRing(DefaultRingCap),
 	}
 }
 

@@ -141,10 +141,7 @@ func TestIDJSONRoundTrip(t *testing.T) {
 }
 
 func TestRingCapConfigurable(t *testing.T) {
-	r := NewRegistrySized(8)
-	if r.RingCap() != 8 {
-		t.Fatalf("NewRegistrySized(8).RingCap() = %d", r.RingCap())
-	}
+	r := NewRegistry()
 	r.SetRingCap(4)
 	if r.RingCap() != 4 {
 		t.Fatalf("after SetRingCap(4), RingCap() = %d", r.RingCap())

@@ -209,23 +209,23 @@ func (r RemoteReport) Degraded() bool { return r.Dropped > 0 }
 // attempt — validates each fetched sketch, drops legs that exhaust
 // their retries or fail fatally (degrading to the surviving legs, with
 // a journal event and a flight-recorder trigger per lost leg), and
-// merges the survivors like MergeSketches — except in place, since it
-// owns what it fetched. The fetch spans (remote_leg, one per leg, with
-// attempt children) and the merge parent under the given trace context.
+// merges the survivors like MergeSketches with TreeMerge — except in
+// place, since it owns what it fetched. The fetch spans (remote_leg,
+// one per leg, with attempt children) and the merge parent under the
+// given trace context.
 //
 // The fetched sketches are merged in leg order, so for infallible
 // fetches the result is bit-identical to MergeSketches over the same
 // inputs — the engine's local and remote reconcile paths share one
 // deterministic fold.
-func MergeRemote(legs []RemoteLeg, strategy MergeStrategy, retry Retry, parent obs.SpanContext) (*sketch.FrequentDirections, Stats, RemoteReport) {
+func MergeRemote(legs []RemoteLeg, retry Retry, parent obs.SpanContext) (*sketch.FrequentDirections, Stats, RemoteReport) {
 	retry = retry.withDefaults()
 	rep := RemoteReport{Legs: make([]LegStatus, len(legs))}
 	if len(legs) == 0 {
 		return nil, Stats{}, rep
 	}
 	sp := obs.StartSpanIn(parent, "merge_remote",
-		obs.L("legs", strconv.Itoa(len(legs))),
-		obs.L("strategy", strategy.String()))
+		obs.L("legs", strconv.Itoa(len(legs))))
 	defer sp.End()
 
 	fetched := make([]*sketch.FrequentDirections, len(legs))
@@ -266,7 +266,7 @@ func MergeRemote(legs []RemoteLeg, strategy MergeStrategy, retry Retry, parent o
 	if len(fds) == 0 {
 		return nil, Stats{}, rep
 	}
-	g, stats := mergeOwned(fds, strategy, sp.Context())
+	g, stats := mergeOwned(fds, TreeMerge, sp.Context())
 	return g, stats, rep
 }
 

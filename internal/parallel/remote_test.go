@@ -63,7 +63,7 @@ func TestMergeRemoteMatchesMergeSketches(t *testing.T) {
 	}
 	want, _ := MergeSketches(clones, TreeMerge)
 
-	got, _, rep := MergeRemote(legsFor(fds), TreeMerge, Retry{}, obs.SpanContext{})
+	got, _, rep := MergeRemote(legsFor(fds), Retry{}, obs.SpanContext{})
 	if rep.Survivors != 4 || rep.Dropped != 0 {
 		t.Fatalf("report: %d survivors, %d dropped, want 4/0", rep.Survivors, rep.Dropped)
 	}
@@ -92,7 +92,7 @@ func TestMergeRemoteRetriesTransient(t *testing.T) {
 		}
 		return inner(p)
 	}
-	got, _, rep := MergeRemote(legs, TreeMerge, Retry{MaxAttempts: 3, Backoff: time.Microsecond}, obs.SpanContext{})
+	got, _, rep := MergeRemote(legs, Retry{MaxAttempts: 3, Backoff: time.Microsecond}, obs.SpanContext{})
 	if got == nil || rep.Dropped != 0 || rep.Survivors != 3 {
 		t.Fatalf("transient fault not retried to success: %+v", rep)
 	}
@@ -115,7 +115,7 @@ func TestMergeRemoteRefetchesCorrupt(t *testing.T) {
 		}
 		return inner(p)
 	}
-	got, _, rep := MergeRemote(legs, TreeMerge, Retry{MaxAttempts: 2, Backoff: time.Microsecond}, obs.SpanContext{})
+	got, _, rep := MergeRemote(legs, Retry{MaxAttempts: 2, Backoff: time.Microsecond}, obs.SpanContext{})
 	if got == nil || rep.Dropped != 0 {
 		t.Fatalf("corrupt fetch not recovered by re-fetch: %+v", rep)
 	}
@@ -139,7 +139,7 @@ func TestMergeRemoteFatalShortCircuits(t *testing.T) {
 		return nil, ErrBackendClosed
 	}
 	seq := audit.Default().Seq()
-	got, _, rep := MergeRemote(legs, TreeMerge, Retry{MaxAttempts: 5, Backoff: time.Microsecond}, obs.SpanContext{})
+	got, _, rep := MergeRemote(legs, Retry{MaxAttempts: 5, Backoff: time.Microsecond}, obs.SpanContext{})
 	if got == nil {
 		t.Fatal("merge of survivors returned nil")
 	}
@@ -173,7 +173,7 @@ func TestMergeRemoteLegTimeout(t *testing.T) {
 		return nil, errors.New("too late")
 	}
 	start := time.Now()
-	got, _, rep := MergeRemote(legs, TreeMerge,
+	got, _, rep := MergeRemote(legs,
 		Retry{MaxAttempts: 1, LegTimeout: 20 * time.Millisecond}, obs.SpanContext{})
 	elapsed := time.Since(start)
 	close(release)
@@ -189,14 +189,14 @@ func TestMergeRemoteLegTimeout(t *testing.T) {
 // skipped without being counted as faults, and zero legs is a clean
 // no-op.
 func TestMergeRemoteEmptyAndNilLegs(t *testing.T) {
-	if got, _, rep := MergeRemote(nil, TreeMerge, Retry{}, obs.SpanContext{}); got != nil || rep.Survivors != 0 {
+	if got, _, rep := MergeRemote(nil, Retry{}, obs.SpanContext{}); got != nil || rep.Survivors != 0 {
 		t.Fatalf("zero legs: got %v, %+v", got, rep)
 	}
 	fds := remoteTestSketches(t, 2)
 	legs := legsFor(fds)
 	legs = append(legs, RemoteLeg{Name: "empty",
 		Fetch: func(obs.SpanContext) (*sketch.FrequentDirections, error) { return nil, nil }})
-	got, _, rep := MergeRemote(legs, TreeMerge, Retry{}, obs.SpanContext{})
+	got, _, rep := MergeRemote(legs, Retry{}, obs.SpanContext{})
 	if got == nil || rep.Dropped != 0 || rep.Survivors != 2 {
 		t.Fatalf("empty leg mishandled: %+v", rep)
 	}
@@ -267,7 +267,7 @@ func TestQuickMergeRemoteFaultLadder(t *testing.T) {
 				}}
 		}
 
-		got, stats, rep := MergeRemote(legs, TreeMerge, retry, obs.SpanContext{})
+		got, stats, rep := MergeRemote(legs, retry, obs.SpanContext{})
 		for i, st := range rep.Legs {
 			wantRetries, wantClass := 0, FaultNone
 			switch script[i] {

@@ -55,7 +55,7 @@ func chaosAuditor() *audit.Auditor {
 	return audit.New(audit.Config{
 		Journal:   audit.NewJournal(128),
 		Registry:  obs.NewRegistry(),
-		Residual:  audit.NewCUSUM(0.01, 0.5),
+		Residual:  audit.NewPageHinkley(0.01, 0.5),
 		CertEvery: 1,
 	})
 }
@@ -146,7 +146,7 @@ func TestChaosKillRestoreRecovers(t *testing.T) {
 	if want := int64(wantResume / auditEvery); ms.Audit.Batches != want {
 		t.Fatalf("checkpoint recorded %d audited batches, want %d", ms.Audit.Batches, want)
 	}
-	if ms.Audit.Residual.Kind != "cusum" || ms.Audit.Residual.N != int(ms.Audit.Batches) {
+	if ms.Audit.Residual.Kind != "page_hinkley" || ms.Audit.Residual.N != int(ms.Audit.Batches) {
 		t.Fatalf("checkpoint detector state %+v diverged from batch count %d",
 			ms.Audit.Residual, ms.Audit.Batches)
 	}

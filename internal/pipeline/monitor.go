@@ -71,11 +71,9 @@ func engineConfig(cfg Config, window int) engine.Config {
 		Tenant:         cfg.Tenant,
 		Pre:            cfg.Pre,
 		Sketch:         cfg.Sketch,
-		Merge:          cfg.Merge,
 		Audit:          cfg.Audit,
 		AuditEvery:     cfg.AuditEvery,
 		FrameBudget:    cfg.FrameBudget,
-		BurnThreshold:  cfg.BurnThreshold,
 		Backends:       cfg.Backends,
 		ReconcileRetry: cfg.ReconcileRetry,
 	}

@@ -36,10 +36,9 @@ type Config struct {
 	Pre imgproc.Preprocessor
 	// Sketch configures ARAMS. Ell0 defaults to 20.
 	Sketch sketch.Config
-	// Workers is the number of parallel sketch shards (default 1).
+	// Workers is the number of parallel sketch shards (default 1),
+	// merged with the tree merge.
 	Workers int
-	// Merge selects the sketch merge strategy (default TreeMerge).
-	Merge parallel.MergeStrategy
 	// LatentDim is the PCA projection dimension (default 20, clamped
 	// to the sketch rank).
 	LatentDim int
@@ -50,10 +49,8 @@ type Config struct {
 	// UseHDBSCAN selects HDBSCAN* instead of OPTICS for the clustering
 	// stage (no radius parameter needed at all).
 	UseHDBSCAN bool
-	// ClusterEps is the OPTICS reachability cut for cluster extraction;
-	// 0 selects ξ extraction with Xi (below) instead.
-	ClusterEps float64
-	// Xi is the steep-area parameter for ξ extraction (default 0.15).
+	// Xi is the steep-area parameter for OPTICS ξ cluster extraction
+	// (default 0.15).
 	Xi float64
 	// MinClusterSize for ξ extraction (default 4·MinPts).
 	MinClusterSize int
@@ -91,9 +88,6 @@ type Config struct {
 	// deadline_miss events, and a sustained burn fires the flight
 	// recorder.
 	FrameBudget time.Duration
-	// BurnThreshold is the EWMA budget burn rate that trips the flight
-	// recorder (default 2.0).
-	BurnThreshold float64
 	// Backends, when non-empty, supplies the Monitor's engine shard
 	// backends directly and overrides Shards — the distributed-fabric
 	// hook (see internal/fabric): slot i is shard i, and the caller
@@ -231,7 +225,7 @@ func ProcessMatrix(x *mat.Matrix, cfg Config) *Result {
 		a.ProcessBatch(shard)
 		return a.FD()
 	}
-	global, stats := parallel.Run(shards, sketcher, cfg.Merge)
+	global, stats := parallel.Run(shards, sketcher, parallel.TreeMerge)
 	res.ParallelStats = stats
 	res.Sketch = global.Sketch()
 	res.SketchTime = stats.Total
@@ -328,11 +322,7 @@ func clusterEmbedding(emb *mat.Matrix, cfg Config) []int {
 	if cfg.UseHDBSCAN {
 		return hdbscan.Cluster(emb, cfg.MinPts, cfg.MinClusterSize).Labels
 	}
-	opt := optics.Run(emb, cfg.MinPts, math.Inf(1))
-	if cfg.ClusterEps > 0 {
-		return opt.ExtractDBSCAN(cfg.ClusterEps)
-	}
-	return opt.ExtractXi(cfg.Xi, cfg.MinPts, cfg.MinClusterSize)
+	return optics.Run(emb, cfg.MinPts, math.Inf(1)).ExtractXi(cfg.Xi, cfg.MinPts, cfg.MinClusterSize)
 }
 
 // residuals returns per-row relative reconstruction errors from the

@@ -8,7 +8,6 @@ import (
 	"arams/internal/imgproc"
 	"arams/internal/lcls"
 	"arams/internal/optics"
-	"arams/internal/parallel"
 	"arams/internal/sketch"
 	"arams/internal/umap"
 )
@@ -96,7 +95,6 @@ func TestProcessParallelMatchesShape(t *testing.T) {
 	cfg := Config{
 		Sketch:  sketch.Config{Ell0: 12, Seed: 5},
 		Workers: 4,
-		Merge:   parallel.TreeMerge,
 		UMAP:    umap.Config{NEpochs: 40, Seed: 6},
 	}
 	res := Process(frames, cfg)

@@ -63,31 +63,6 @@ func TestProcessMatrixWithEmptyBasis(t *testing.T) {
 	}
 }
 
-func TestProcessClusterEpsPath(t *testing.T) {
-	// Force the eps-cut extraction branch instead of ξ.
-	g := rng.New(33)
-	// Two separated blobs in raw space.
-	x := mat.New(80, 6)
-	for i := 0; i < 80; i++ {
-		row := x.Row(i)
-		for j := range row {
-			row[j] = 0.2 * g.Norm()
-		}
-		if i >= 40 {
-			row[0] += 8
-		}
-	}
-	res := ProcessMatrix(x, Config{
-		Sketch:     sketch.Config{Ell0: 6, Seed: 34},
-		LatentDim:  4,
-		UMAP:       umap.Config{NNeighbors: 10, NEpochs: 100, Seed: 35},
-		ClusterEps: 3.0,
-	})
-	if nc := optics.NumClusters(res.Labels); nc != 2 {
-		t.Fatalf("eps extraction found %d clusters, want 2", nc)
-	}
-}
-
 func TestMonitorZeroFramesThenData(t *testing.T) {
 	cfg := Config{
 		Sketch: sketch.Config{Ell0: 4, Seed: 36},

@@ -24,9 +24,6 @@ type Config struct {
 	// RankAdaptive disables rank adaptation when false (fixed ℓ =
 	// Ell0), giving the "user-specified rank" baselines of Fig. 1.
 	RankAdaptive bool
-	// Estimator selects the residual estimator for the rank-adaptation
-	// heuristic (default GaussianProbe, the paper's choice).
-	Estimator EstimatorKind
 	// Seed feeds the sampler and probe RNG.
 	Seed uint64
 }
@@ -70,7 +67,6 @@ func NewARAMS(cfg Config, d, totalRows int) *ARAMS {
 			expected = int(float64(expected) * cfg.Beta)
 		}
 		a.rafd = NewRankAdaptiveFD(cfg.Ell0, d, cfg.Nu, cfg.Eps, expected, a.g.Split())
-		a.rafd.SetEstimator(cfg.Estimator)
 	} else {
 		a.fd = NewFrequentDirections(cfg.Ell0, d, Options{})
 	}

@@ -7,12 +7,12 @@ import (
 	"arams/internal/rng"
 )
 
-// EstimatorKind selects the randomized Frobenius-norm estimator used by
-// the rank-adaptation heuristic. The paper uses the Gaussian
-// random-matrix-multiplication estimator of Bujanovic & Kressner and
-// names stochastic trace estimation and improved small-sample
-// estimators as future work; all are implemented here so the ablation
-// benchmarks can compare them.
+// EstimatorKind names a randomized Frobenius-norm residual estimator.
+// Rank adaptation runs the paper's one, the Gaussian
+// random-matrix-multiplication estimator of Bujanovic & Kressner
+// (EstimateRelResidual). The paper names stochastic trace estimation
+// and improved small-sample estimators as future work; they are
+// implemented here so the estimator ablation (A4) can compare all three.
 type EstimatorKind int
 
 const (

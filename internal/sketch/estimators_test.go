@@ -123,28 +123,47 @@ func TestEstimatorEmptyBasisKinds(t *testing.T) {
 	}
 }
 
+// TestRankAdaptiveWithAlternativeEstimators: rank adaptation runs one
+// estimator, Alg. 1's Gaussian probes; Hutchinson and Hutch++ stay for
+// the A4 ablation. On a stream the adaptation grows on, each of them,
+// handed the leading half of the final basis, must read the residual
+// it leaves to within a factor of two of the exact one.
 func TestRankAdaptiveWithAlternativeEstimators(t *testing.T) {
 	ds := synth.Generate(synth.Params{N: 500, D: 40, Rank: 12, Decay: synth.SubExponential, Seed: 5})
+	r := NewRankAdaptiveFD(4, 40, 4, 0.02, 500, rng.New(6))
+	r.AppendMatrix(ds.A)
+	if r.Grows() == 0 {
+		t.Fatal("rank never grew")
+	}
+	if rel := RelProjErr(ds.A, r.Basis(r.Ell())); rel > 0.1 {
+		t.Fatalf("final error %v", rel)
+	}
+	basis := r.Basis(r.Ell() / 2)
+	exact := RelProjErr(ds.A, basis)
 	for _, kind := range []EstimatorKind{Hutchinson, HutchPP} {
-		r := NewRankAdaptiveFD(4, 40, 4, 0.02, 500, rng.New(6))
-		r.SetEstimator(kind)
-		r.AppendMatrix(ds.A)
-		if r.Grows() == 0 {
-			t.Errorf("%v: rank never grew", kind)
-		}
-		basis := r.Basis(r.Ell())
-		if rel := RelProjErr(ds.A, basis); rel > 0.1 {
-			t.Errorf("%v: final error %v", kind, rel)
+		if est := EstimateRelResidualKind(kind, ds.A, basis, 24, rng.New(7)); est < exact/2 || est > 2*exact {
+			t.Errorf("%v: estimate %v of the final residual, exact %v", kind, est, exact)
 		}
 	}
 }
 
+// TestARAMSEstimatorConfig: the ARAMS configuration picks no estimator.
+// Rank adaptation calls EstimateRelResidual, which returns the bits of
+// the Gaussian-probe arm of EstimateRelResidualKind for the same probe
+// stream, and a rank-adaptive run yields a finite sketch.
 func TestARAMSEstimatorConfig(t *testing.T) {
 	ds := synth.Generate(synth.Params{N: 300, D: 30, Rank: 10, Decay: synth.Exponential, Seed: 7})
-	cfg := Config{Ell0: 5, Nu: 4, Eps: 0.05, RankAdaptive: true, Estimator: HutchPP, Seed: 8}
-	b := Run(ds.A, cfg)
+	for seed := uint64(1); seed <= 5; seed++ {
+		vt := ds.V.T().Rows(0, int(seed))
+		got := EstimateRelResidual(ds.A, vt, 4, rng.New(seed))
+		want := EstimateRelResidualKind(GaussianProbe, ds.A, vt, 4, rng.New(seed))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("basis of %d rows: EstimateRelResidual %v, Gaussian-probe arm %v", seed, got, want)
+		}
+	}
+	b := Run(ds.A, Config{Ell0: 5, Nu: 4, Eps: 0.05, RankAdaptive: true, Seed: 8})
 	if b.HasNaN() || b.ColsN != 30 {
-		t.Fatal("ARAMS with Hutch++ estimator broken")
+		t.Fatal("rank-adaptive ARAMS sketch broken")
 	}
 }
 

@@ -28,11 +28,10 @@ var obsRankAdapts = obs.Default().Counter("arams_sketch_rank_adaptations_total")
 // leaving zero rows in the sketch), ℓ increases by ν at the start of
 // the next cycle.
 type RankAdaptiveFD struct {
-	fd        *FrequentDirections
-	nu        int     // probe count and rank increment (paper uses ν for both)
-	eps       float64 // relative reconstruction-error threshold
-	estimator EstimatorKind
-	g         *rng.RNG
+	fd  *FrequentDirections
+	nu  int     // probe count and rank increment (paper uses ν for both)
+	eps float64 // relative reconstruction-error threshold
+	g   *rng.RNG
 
 	// recent is a ring of the last ℓ appended rows, consulted by the
 	// heuristic. Stored as row copies to stay independent of callers'
@@ -69,11 +68,6 @@ func NewRankAdaptiveFD(ell0, d, nu int, eps float64, totalRows int, g *rng.RNG) 
 	}
 	return r
 }
-
-// SetEstimator selects the Frobenius-norm estimator used by the
-// rank-adaptation heuristic (default GaussianProbe, as in the paper;
-// Hutchinson and HutchPP are the future-work alternatives it cites).
-func (r *RankAdaptiveFD) SetEstimator(kind EstimatorKind) { r.estimator = kind }
 
 // Ell returns the current number of retained directions.
 func (r *RankAdaptiveFD) Ell() int { return r.fd.Ell() }
@@ -117,7 +111,7 @@ func (r *RankAdaptiveFD) appendNorm(row []float64, n2 float64) {
 			basis := fd.buffer.Rows(0, min(fd.ell, len(sigma))).Clone()
 			fd.shrink(sigma)
 			x := r.recentMatrix()
-			if x.RowsN > 0 && EstimateRelResidualKind(r.estimator, x, basis, r.nu, r.g) > r.eps {
+			if x.RowsN > 0 && EstimateRelResidual(x, basis, r.nu, r.g) > r.eps {
 				r.increaseEll = true
 				r.grows++
 				obsRankAdapts.Inc()

@@ -118,7 +118,6 @@ type RankAdaptiveState struct {
 	FD          FDState
 	Nu          int
 	Eps         float64
-	Estimator   EstimatorKind
 	RNG         rng.State
 	Recent      [][]float64 // ring of last ≤ℓ rows, oldest first, each of length D
 	IncreaseEll bool
@@ -136,7 +135,6 @@ func (r *RankAdaptiveFD) State() RankAdaptiveState {
 		FD:          r.fd.State(),
 		Nu:          r.nu,
 		Eps:         r.eps,
-		Estimator:   r.estimator,
 		RNG:         r.g.State(),
 		Recent:      recent,
 		IncreaseEll: r.increaseEll,
@@ -158,9 +156,6 @@ func NewRankAdaptiveFromState(s RankAdaptiveState) (*RankAdaptiveFD, error) {
 	if !(s.Eps > 0) || math.IsInf(s.Eps, 0) {
 		return nil, fmt.Errorf("sketch: rank-adaptive state has eps=%v", s.Eps)
 	}
-	if s.Estimator < GaussianProbe || s.Estimator > HutchPP {
-		return nil, fmt.Errorf("sketch: rank-adaptive state has unknown estimator %d", int(s.Estimator))
-	}
 	if !s.RNG.Valid() {
 		return nil, fmt.Errorf("sketch: rank-adaptive state has invalid RNG state")
 	}
@@ -181,7 +176,6 @@ func NewRankAdaptiveFromState(s RankAdaptiveState) (*RankAdaptiveFD, error) {
 		fd:          fd,
 		nu:          s.Nu,
 		eps:         s.Eps,
-		estimator:   s.Estimator,
 		g:           rng.FromState(s.RNG),
 		recent:      recent,
 		increaseEll: s.IncreaseEll,

@@ -56,13 +56,17 @@ func (r *Registry) Append(id string, im *imgproc.Image, tag int) error {
 	return nil
 }
 
+// quantum is each tenant's per-pass frame allowance in the fair-share
+// dispatcher: the engine's batch size.
+const quantum = 64
+
 // dispatch is the fair-share pump: one goroutine moving frames from
-// every tenant's ingress queue into its engine with a weighted
+// every tenant's ingress queue into its engine with a
 // deficit-round-robin pass.
 //
 // Each pass walks the admission ring once. A tenant with queued frames
-// earns Quantum×weight deficit (capped at twice that, so an idle
-// tenant cannot bank unbounded credit) and hands frames to its engine
+// earns quantum deficit (capped at twice that, so an idle tenant cannot
+// bank unbounded credit) and hands frames to its engine
 // with TryEnqueue — a non-blocking offer that fails when the engine's
 // own bounded queue is full. On failure the tenant keeps its place and
 // its deficit; the pass simply moves on. The dispatcher therefore
@@ -153,7 +157,6 @@ func (r *Registry) passLocked() (moved int, blocked bool) {
 			continue
 		}
 		// Resident: top up the allowance and deliver.
-		quantum := r.cfg.Quantum * r.weight(en.id)
 		en.deficit += quantum
 		if en.deficit > 2*quantum {
 			en.deficit = 2 * quantum
@@ -177,11 +180,4 @@ func (r *Registry) passLocked() (moved int, blocked bool) {
 		r.next = (r.next + 1) % n
 	}
 	return moved, blocked
-}
-
-func (r *Registry) weight(id string) int {
-	if w := r.cfg.Weights[id]; w > 0 {
-		return w
-	}
-	return 1
 }

@@ -30,7 +30,7 @@
 // Ingest never touches an engine directly: frames enter per-tenant
 // bounded ingress queues (admission control — a producer blocks on its
 // own tenant's quota, never on another tenant's) and a single
-// fair-share dispatcher moves them into engines with a weighted
+// fair-share dispatcher moves them into engines with a
 // deficit-round-robin pass and a non-blocking TryEnqueue handoff, so
 // one tenant's slow reconcile backs its own queue up and costs everyone
 // else nothing. See pump.go.
@@ -145,12 +145,6 @@ type Config struct {
 	// A producer whose tenant is at quota blocks — per-tenant
 	// backpressure, never drops, never another tenant's problem.
 	QueueQuota int
-	// Quantum is the fair-share dispatcher's per-pass frame allowance
-	// for a weight-1 tenant (default 64, the engine's batch size).
-	Quantum int
-	// Weights maps tenant ID → dispatch weight (default 1): a weight-w
-	// tenant gets w quanta per round-robin pass.
-	Weights map[string]int
 	// NewAuditor, when set, builds each tenant's private quality
 	// auditor at first admission. Per-tenant auditors keep drift
 	// detector and journal state inside the tenant's own checkpoint.
@@ -163,9 +157,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.QueueQuota <= 0 {
 		c.QueueQuota = 256
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 64
 	}
 	if c.Journal == nil {
 		c.Journal = audit.Default()

@@ -28,16 +28,6 @@ func BenchmarkFitSmall(b *testing.B) {
 	}
 }
 
-func BenchmarkSpectralInit(b *testing.B) {
-	g := rng.New(4)
-	x := mat.RandGaussian(300, 8, g)
-	fg := BuildFuzzyGraph(knn.BruteForce(x, 10))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = spectralInit(fg, 2, rng.New(5))
-	}
-}
-
 // BenchmarkFitModel is the Snapshot fit: one window of 12-dim latent
 // rows at the monitor's neighbourhood and epoch count.
 func BenchmarkFitModel(b *testing.B) {

@@ -16,7 +16,6 @@ import (
 
 	"arams/internal/knn"
 	"arams/internal/mat"
-	"arams/internal/rng"
 )
 
 // Config holds UMAP hyperparameters; zero values select the reference
@@ -29,11 +28,7 @@ type Config struct {
 	NEpochs            int     // default: 500 for n<10000, else 200
 	NegativeSampleRate int     // default 5
 	LearningRate       float64 // default 1.0
-	// InitMethod selects the layout initialization: InitPCA (default),
-	// InitSpectral (Laplacian eigenmaps, the reference default), or
-	// InitRandom.
-	InitMethod Init
-	Seed       uint64
+	Seed               uint64
 }
 
 func (c Config) withDefaults(n int) Config {
@@ -237,23 +232,7 @@ func fit(x *mat.Matrix, cfg Config) *Model {
 		return m
 	}
 	fg := BuildFuzzyGraph(knn.BruteForce(x, cfg.NNeighbors))
-	switch cfg.InitMethod {
-	case InitSpectral:
-		m.emb = spectralInit(fg, cfg.NComponents, rng.New(cfg.Seed))
-	case InitRandom:
-		m.emb = randomInit(n, cfg.NComponents, rng.New(cfg.Seed))
-	default:
-		m.emb = initEmbedding(x, cfg)
-	}
+	m.emb = initEmbedding(x, cfg)
 	optimizeLayout(m.emb, fg, cfg, m.curve)
 	return m
-}
-
-// randomInit seeds the layout with small Gaussian coordinates.
-func randomInit(n, k int, g *rng.RNG) *mat.Matrix {
-	emb := mat.New(n, k)
-	for i := range emb.Data {
-		emb.Data[i] = 10 * g.Norm()
-	}
-	return emb
 }
