@@ -170,6 +170,19 @@ func TestFitSeparatesClusters(t *testing.T) {
 	}
 }
 
+func TestFitAllInitMethods(t *testing.T) {
+	// PCA is the one initialization Fit has; this checks it on a
+	// second dataset and seed, with a longer layout than above.
+	x, labels := twoClusters(50, 4, 12, 101)
+	emb := Fit(x, Config{NNeighbors: 10, NEpochs: 300, Seed: 6})
+	if emb.HasNaN() {
+		t.Fatal("NaN in embedding")
+	}
+	if sep := clusterSeparation(emb, labels); sep < 1.2 {
+		t.Errorf("clusters not separated (score %v)", sep)
+	}
+}
+
 // clusterSeparation returns inter-centroid distance divided by mean
 // intra-cluster spread.
 func clusterSeparation(emb *mat.Matrix, labels []int) float64 {
