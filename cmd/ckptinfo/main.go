@@ -282,8 +282,8 @@ func fillJSON(info *jsonInfo, state any) {
 		}
 		// Beta and rank growth are the first shard's (grow counts do not
 		// aggregate across shards); the certificate composes additively
-		// across them — the one -dir reports, the floor of the bound a
-		// reconcile would certify.
+		// across them — the one -dir reports, and the one the live
+		// engine reports for the same shards.
 		live := 0
 		for _, ss := range s.Shards {
 			if ss != nil {

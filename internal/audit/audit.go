@@ -36,8 +36,13 @@ import (
 )
 
 // Certificate is a provable online accuracy statement about one
-// Frequent Directions sketch, valid for the stream the sketch has
-// summarized (for ARAMS with β < 1, that is the post-sampling stream).
+// Frequent Directions sketch — or, composed, about several sketches
+// stacked, which are themselves a sketch of the concatenated stream —
+// valid for the stream summarized (for ARAMS with β < 1, that is the
+// post-sampling stream). A sharded engine's live certificate is the
+// Compose of its shards' and describes the stacked shard sketches; a
+// sketch merged from them has its own, which adds the merge's
+// shrinkage.
 type Certificate struct {
 	// Rows is the number of stream rows the sketch summarizes.
 	Rows int `json:"rows"`
@@ -110,13 +115,16 @@ func (c Certificate) Tightening() float64 {
 }
 
 // Compose folds child certificates into one parent statement without
-// touching a sketch: rows and stream energies add, shrinkage masses
-// add (the mergeability bound), and the rank is the maximum — exactly
-// what a tree-merge leg produces when it folds its children, minus the
-// extra shrinkage of the merge rotations themselves (the live sketch
-// accounts for those; Compose is the conservative statement available
-// before the merge runs, and the invariant merged.ShrinkMass ≥
-// Compose(children).ShrinkMass − ε is what the property tests pin).
+// touching a sketch: rows, rotations and stream energies add, shrinkage
+// masses add, and the rank is the maximum. It certifies the children's
+// sketches stacked: ‖AᵀA − Σ BᵢᵀBᵢ‖₂ ≤ Σ δᵢ, since AᵀA − Σ BᵢᵀBᵢ is a
+// sum of PSD terms each bounded by its own δᵢ. That is the live
+// certificate of a sharded engine and of a checkpoint's shards, and it
+// needs no merge. A tree merge of the children adds the shrinkage of
+// its own rotations, so a merged sketch's certificate dominates this
+// one (merged.ShrinkMass ≥ Compose(children).ShrinkMass − ε is what the
+// property tests pin). The Compose of one certificate is that
+// certificate.
 func Compose(children ...Certificate) Certificate {
 	var out Certificate
 	for _, c := range children {

@@ -22,6 +22,7 @@ const (
 	KindCheckpointSave    EventKind = "checkpoint_save"    // sketch state checkpointed
 	KindCheckpointRestore EventKind = "checkpoint_restore" // sketch state restored
 	KindDeadlineMiss      EventKind = "deadline_miss"      // batch blew its frame budget
+	KindFramesRejected    EventKind = "frames_rejected"    // frames with a non-finite element dropped before ingest
 	KindRemoteLegLost     EventKind = "remote_leg_lost"    // remote merge leg dropped after retries
 	KindRemoteDegrade     EventKind = "remote_degrade"     // remote shard fell back to local sketching
 	KindRemoteRecovery    EventKind = "remote_recovery"    // remote shard state restored + replayed after reconnect

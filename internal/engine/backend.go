@@ -49,8 +49,9 @@ type Backend interface {
 	Restore(st *sketch.ARAMSState) error
 	// Certificate returns the shard sketch's error-bound certificate
 	// (the zero certificate before the first row) without handing out
-	// the sketch: the one-shard audit tick neither clones nor ships the
-	// 2ℓ×d buffer, and a remote backend's replay log is left alone.
+	// the sketch: the audit tick, which composes every shard's, neither
+	// clones nor ships a 2ℓ×d buffer, and a remote backend's replay log
+	// is left alone.
 	Certificate() (audit.Certificate, error)
 	// Basis returns the top-k right singular vectors of the shard sketch
 	// (k clamped to the rank) and ℓ, or (nil, 0) before the first row or

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"arams/internal/audit"
 	"arams/internal/engine"
 	"arams/internal/obs"
 	"arams/internal/sketch"
@@ -74,5 +75,51 @@ func BenchmarkSnapshotRead(b *testing.B) {
 			}
 		})
 		e.Close()
+	}
+}
+
+// BenchmarkAuditedIngestWide is lclsmon's sharded shape with no reader:
+// 1 024 frames of diff_sharded's detector (d = 16384, ℓ = 25) in
+// 32-frame batches, at 2 and 4 shards, with and without an auditor
+// ticking every 32 frames. One iteration is a fresh engine, whose first
+// batch (it allocates the shard sketches) runs untimed, and then the
+// 1 024 timed frames; divide B/op by 1 024 for bytes per frame. An audit
+// tick composes the shards' certificates, so the audited rows merge
+// nothing.
+func BenchmarkAuditedIngestWide(b *testing.B) {
+	const d, frames, batch = 16384, 1024, 32
+	vecs := testVecs(2*batch, d, 93)
+	for _, shards := range []int{2, 4} {
+		for _, audited := range []bool{false, true} {
+			b.Run(fmt.Sprintf("shards=%d/audited=%v", shards, audited), func(b *testing.B) {
+				b.ReportAllocs()
+				merges := 0
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					var aud *audit.Auditor
+					if audited {
+						aud = audit.New(audit.Config{Journal: audit.NewJournal(64), Registry: obs.NewRegistry()})
+					}
+					e := engine.New(engine.Config{
+						Shards:      shards,
+						Sketch:      sketch.Config{Ell0: 25, Beta: 1, Seed: 5},
+						Window:      128,
+						Audit:       aud,
+						FrameBudget: -1,
+					})
+					e.IngestVecs(cloneVecs(vecs[:batch]), nil)
+					for lo := batch; lo <= frames; lo += batch {
+						in := cloneVecs(vecs[lo%len(vecs) : lo%len(vecs)+batch]) // the engine takes ownership
+						b.StartTimer()
+						e.IngestVecs(in, nil)
+						b.StopTimer()
+					}
+					merges += e.Reconciles()
+					e.Close()
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*frames), "µs/frame")
+				b.ReportMetric(float64(merges)/float64(b.N), "reconciles/op")
+			})
+		}
 	}
 }

@@ -1,0 +1,172 @@
+package engine_test
+
+import (
+	"errors"
+	"math"
+	"slices"
+	"testing"
+	"time"
+
+	"arams/internal/audit"
+	"arams/internal/engine"
+	"arams/internal/imgproc"
+	"arams/internal/mat"
+	"arams/internal/obs"
+	"arams/internal/sketch"
+)
+
+// stackedShards stacks every occupied buffer row of every shard of a
+// state into one matrix: the sketch Σ BᵢᵀBᵢ that a composed certificate
+// describes, with no merge rotation applied.
+func stackedShards(st *engine.State) *mat.Matrix {
+	var rows [][]float64
+	for _, s := range st.Shards {
+		if s == nil {
+			continue
+		}
+		fd := s.FD
+		if s.RankAdaptive != nil {
+			fd = &s.RankAdaptive.FD
+		}
+		for i := 0; i < fd.NextZero; i++ {
+			rows = append(rows, fd.Buffer[i*fd.D:(i+1)*fd.D])
+		}
+	}
+	return mat.FromRows(rows)
+}
+
+// TestComposedCertificateBoundsStackedShards is the ground truth of the
+// live certificate on the engine's golden streams (the shapes of
+// TestGoldenGlobalSketchDigest) at 1, 2 and 4 shards: the composed
+// CovBound bounds the exact ‖AᵀA − Σ BᵢᵀBᵢ‖₂ of the stacked shard
+// sketches, its energy ledger is ‖A‖_F², and reading it merged nothing.
+func TestComposedCertificateBoundsStackedShards(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		n, d, ell int
+		seed      uint64
+	}{
+		{"narrow", 400, 6 * 4, 8, 71},
+		{"wide", 240, 64 * 64, 25, 72},
+	} {
+		vecs := testVecs(tc.n, tc.d, tc.seed)
+		a := asMatrix(vecs)
+		mass := a.FrobeniusNormSq()
+		for _, shards := range []int{1, 2, 4} {
+			e := engine.New(engine.Config{
+				Shards: shards,
+				Sketch: sketch.Config{Ell0: tc.ell, Beta: 1, Seed: 5},
+				Window: 32,
+			})
+			for lo := 0; lo < tc.n; {
+				hi := min(tc.n, lo+1+(lo*7)%29)
+				e.IngestVecs(cloneVecs(vecs[lo:hi]), nil)
+				lo = hi
+			}
+			cert := e.Certificate()
+			if cert.Rows != tc.n {
+				t.Fatalf("%s, %d shards: certificate covers %d rows, want %d", tc.name, shards, cert.Rows, tc.n)
+			}
+			if math.Abs(cert.FrobMass-mass) > 1e-9*(1+mass) {
+				t.Fatalf("%s, %d shards: FrobMass %v, want ‖A‖_F² = %v", tc.name, shards, cert.FrobMass, mass)
+			}
+			exact := sketch.CovErr(a, stackedShards(e.State()))
+			if exact > cert.CovBound()+1e-8*(1+mass) {
+				t.Fatalf("%s, %d shards: exact error of the stacked shards %v exceeds the composed bound %v",
+					tc.name, shards, exact, cert.CovBound())
+			}
+			if got := e.Reconciles(); got != 0 {
+				t.Fatalf("%s, %d shards: %d reconciles, want 0", tc.name, shards, got)
+			}
+			e.Close()
+		}
+	}
+}
+
+// TestNonFiniteFramesRejected: a frame with a NaN or ±Inf element — or
+// one so large that its squared norm overflows, which would make the
+// energy ledger +Inf — fed through IngestVecs or through the
+// preprocessing path, enters neither the window, the sketch nor the
+// ingest count; the rest of its batch is ingested with its own tags, the
+// frames are counted in arams_engine_frames_rejected_total, and each
+// batch is journaled once.
+func TestNonFiniteFramesRejected(t *testing.T) {
+	const d = 12
+	rejected := obs.Default().Counter("arams_engine_frames_rejected_total")
+	for _, shards := range []int{1, 2} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200} {
+			e := engine.New(engine.Config{
+				Shards: shards,
+				Sketch: sketch.Config{Ell0: 4, Beta: 1, Seed: 5},
+				Window: 16,
+			})
+			before, seq := rejected.Value(), audit.Default().Seq()
+			vecs := testVecs(8, d, 41)
+			vecs[2][5], vecs[6][0] = bad, bad
+			e.IngestVecs(vecs, []int{10, 11, 12, 13, 14, 15, 16, 17})
+			im := imgproc.NewImage(3, 4)
+			im.Pix[7] = bad
+			e.Ingest(im, 99)
+
+			if got := e.Ingested(); got != 6 {
+				t.Fatalf("%d shards, %v: ingested %d frames, want 6", shards, bad, got)
+			}
+			w := e.ReadWindow(2, obs.SpanContext{})
+			if want := []int{10, 11, 13, 14, 15, 17}; !slices.Equal(w.Tags, want) {
+				t.Fatalf("%d shards, %v: window tags %v, want %v", shards, bad, w.Tags, want)
+			}
+			c := e.Certificate()
+			if c.Rows != 6 || math.IsNaN(c.ShrinkMass) || math.IsNaN(c.FrobMass) {
+				t.Fatalf("%d shards, %v: certificate %+v, want 6 finite rows", shards, bad, c)
+			}
+			if got := rejected.Value() - before; got != 3 {
+				t.Fatalf("%d shards, %v: %v frames counted as rejected, want 3", shards, bad, got)
+			}
+			events := len(audit.Default().Query(audit.Query{Kind: audit.KindFramesRejected, SinceSeq: seq}))
+			if events != 2 {
+				t.Fatalf("%d shards, %v: %d frames_rejected events, want one per batch (2)", shards, bad, events)
+			}
+			e.Close()
+		}
+	}
+}
+
+// certFails is a shard backend whose Certificate always fails, like a
+// remote shard whose worker does not answer.
+type certFails struct{ engine.Backend }
+
+func (certFails) Certificate() (audit.Certificate, error) {
+	return audit.Certificate{}, errors.New("certificate request failed")
+}
+
+// TestCertificateOmitsShardThatFails: a shard that cannot answer is left
+// out of the composition, so the certificate's Rows fall short of
+// Ingested, the miss is journaled as a lost leg, and nothing merges.
+func TestCertificateOmitsShardThatFails(t *testing.T) {
+	scfg := sketch.Config{Ell0: 4, Beta: 1, Seed: 5}
+	ok := engine.NewLocalBackend(engine.ShardSketchConfig(scfg, 0))
+	e := engine.New(engine.Config{
+		Sketch:   scfg,
+		Window:   16,
+		Backends: []engine.Backend{ok, certFails{engine.NewLocalBackend(engine.ShardSketchConfig(scfg, 1))}},
+	})
+	defer e.Close()
+	e.IngestVecs(testVecs(20, 8, 43), nil)
+	seq := audit.Default().Seq()
+	got := e.Certificate()
+	want, err := ok.Certificate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Time, want.Time = time.Time{}, time.Time{}
+	if got != want || got.Rows != 10 {
+		t.Fatalf("certificate %+v, want shard 0's alone (10 of %d rows): %+v", got, e.Ingested(), want)
+	}
+	lost := audit.Default().Query(audit.Query{Kind: audit.KindRemoteLegLost, SinceSeq: seq})
+	if len(lost) != 1 || lost[0].Get("leg", -1) != 1 {
+		t.Fatalf("journaled %+v, want one remote_leg_lost event for leg 1", lost)
+	}
+	if got := e.Reconciles(); got != 0 {
+		t.Fatalf("%d reconciles, want 0", got)
+	}
+}

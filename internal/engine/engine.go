@@ -1,12 +1,11 @@
 // Package engine is the sharded streaming core of the online monitor:
 // frames enter through a bounded, backpressured ingest queue, are
 // batch-preprocessed on the shared worker pool, routed round-robin to N
-// independent shard sketchers, and reconciled into one
-// global sketch, when a reader asks for it, with the same tree merge the
-// batch pipeline uses — so the error-bound certificate and fault-recovery
-// semantics compose unchanged across shards (FD summaries are
-// mergeable; the merged sketch's Σδ still bounds ‖AᵀA − BᵀB‖₂ over the
-// concatenation of every shard's stream).
+// independent shard sketchers. FD summaries are mergeable, so the
+// shards' certificates compose without a merge (their Σδ bounds
+// ‖AᵀA − Σ BᵢᵀBᵢ‖₂ over the concatenation of every shard's stream), and
+// only a basis reader reconciles them into one global sketch, with the
+// same tree merge and fault-recovery semantics the batch pipeline uses.
 //
 // The engine replaces the lock-per-frame Monitor design: CPU-heavy
 // preprocessing and sketching never run under a global lock. A batch
@@ -54,8 +53,8 @@ type Config struct {
 	Sketch sketch.Config
 	// Audit, when set, receives one batched observation every
 	// AuditEvery frames plus rank-growth journal events, exactly like
-	// the pre-engine Monitor. With multiple shards the certificate
-	// comes from a fresh reconcile.
+	// the pre-engine Monitor. With multiple shards the certificate is
+	// the composition of the shards' own (see Certificate).
 	Audit *audit.Auditor
 	// AuditEvery is the frame interval between audit points (default 32).
 	AuditEvery int
@@ -165,10 +164,10 @@ type Engine struct {
 	shardGauges []*obs.Gauge
 	shardCPU    []*obs.Counter
 
-	// globalMu owns the cached read of the reconciled global sketch: it
-	// serializes the merges that refill it. What is cached is the read
-	// cut from a merge (globalRead), taken at ingest count readAt — not
-	// the merged sketch, which is garbage once the read is cut.
+	// globalMu owns the basis cache of the reconciled global sketch: it
+	// serializes the merges. What is cached is the basis cut from a
+	// merge (globalRead), taken at ingest count readAt — not the merged
+	// sketch, which is garbage once the basis is cut.
 	globalMu   sync.Mutex
 	read       *globalRead
 	readAt     int
@@ -313,6 +312,9 @@ func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64,
 	if tags != nil && len(tags) != len(vecs) {
 		panic("engine: tags/frames length mismatch")
 	}
+	if vecs, tags = e.rejectNonFinite(vecs, tags); len(vecs) == 0 {
+		return
+	}
 	e.gate.RLock()
 	defer e.gate.RUnlock()
 
@@ -397,6 +399,58 @@ func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64,
 	e.afterDispatch(results, base, n, window, start)
 }
 
+// rejectNonFinite drops every frame with a NaN or ±Inf element (see
+// finite) before it reaches the ring: one such pixel would make the
+// shard's shrinkage and energy ledgers NaN, and with them the
+// certificate and every checkpoint the stream writes, which could then
+// not be restored. A dropped frame enters neither the window, the sketch
+// nor the ingest count; its vector goes back to the pool and its tag is
+// dropped. The batch is journaled once, and the frames are counted in
+// arams_engine_frames_rejected_total. A batch with no bad frame is
+// returned as it came, without a copy.
+func (e *Engine) rejectNonFinite(vecs [][]float64, tags []int) ([][]float64, []int) {
+	bad := 0
+	for _, v := range vecs {
+		if !finite(v) {
+			bad++
+		}
+	}
+	if bad == 0 {
+		return vecs, tags
+	}
+	keep := make([][]float64, 0, len(vecs)-bad)
+	var keepTags []int
+	if tags != nil {
+		keepTags = make([]int, 0, len(vecs)-bad)
+	}
+	for i, v := range vecs {
+		if !finite(v) {
+			mat.PutVec(v)
+			continue
+		}
+		keep = append(keep, v)
+		if tags != nil {
+			keepTags = append(keepTags, tags[i])
+		}
+	}
+	e.eo.rejected.Add(float64(bad))
+	audit.Default().Record(audit.KindFramesRejected,
+		"frames with a non-finite element rejected before ingest",
+		audit.A("frames", float64(bad)),
+		audit.A("batch", float64(len(vecs))))
+	return keep, keepTags
+}
+
+// finite reports whether v can enter a sketch: its squared norm, the
+// energy a shard's ledger adds for it, is a finite number. A NaN or ±Inf
+// element makes it NaN or +Inf, so one pass of the dot kernel checks
+// every element; a frame of finite elements whose squared norm overflows
+// would poison the ledger the same way and is rejected with them.
+func finite(v []float64) bool {
+	n2 := mat.Dot(v, v)
+	return n2-n2 == 0 // NaN for NaN and +Inf, 0 for every finite n2
+}
+
 // absorbTraced wraps one shard's Backend.Absorb in a shard_sketch span
 // (child of the batch root) carrying the shard index, row count, and
 // the goroutine's CPU time, bills the CPU to the shard's cumulative
@@ -438,9 +492,9 @@ func (e *Engine) absorbTraced(root *obs.Span, si int, vecs [][]float64, idx []in
 // afterDispatch folds the shard results into the audit accumulator,
 // journals rank growth, flushes audit points on AuditEvery boundaries,
 // refreshes gauges and feeds the frame-budget tracker. It never
-// reconciles: only a reader (the audit flush's Certificate included)
-// merges the shards. base is the stream index of the batch's first
-// frame, n the batch length, start its first-touch time.
+// reconciles: only a basis reader merges the shards. base is the stream
+// index of the batch's first frame, n the batch length, start its
+// first-touch time.
 func (e *Engine) afterDispatch(results []shardResult, base, n, window int, start time.Time) {
 	e.mu.Lock()
 	prevEll := e.lastEll
@@ -497,10 +551,10 @@ func (e *Engine) afterDispatch(results []shardResult, base, n, window int, start
 			audit.A("frames", float64(base+n)))
 	}
 	if flushDue {
-		// The certificate is computed outside the engine lock: for one
-		// shard it reads the live sketch (identical to the serial
-		// monitor), for many it forces a reconcile so the certificate
-		// covers every shard's stream.
+		// The certificate is read outside the engine lock: each shard's
+		// from its live sketch, composed over the shards — for one shard
+		// identical to the serial monitor's, for many a merge-free
+		// statement that covers every shard's stream.
 		e.cfg.Audit.ObserveBatch(flush, e.Certificate())
 	}
 
@@ -545,51 +599,54 @@ func (e *Engine) Ell() int {
 	return ell
 }
 
-// globalRead is what the readers of a multi-shard engine take from a
-// merged global sketch, cut once per merge: its certificate (whose Ell
-// is the merged rank) and, when a basis reader caused the merge, its
-// basis — every rank-clamped row, at most ℓ. basis is shared and
+// globalRead is what the basis readers of a multi-shard engine take from
+// a merged global sketch, cut once per merge: its basis — every
+// rank-clamped row, at most ℓ — and its rank. basis is shared and
 // read-only: Basis and ReadWindow hand out views of its leading rows.
 type globalRead struct {
-	cert  audit.Certificate
-	basis *mat.Matrix // nil when the merge was for the certificate only
+	basis *mat.Matrix
+	ell   int
 }
 
 // readLocked returns the global read as of now: the cached one when no
-// frame has been ingested since it was cut and, if withBasis, it holds a
-// basis; otherwise one cut from a fresh reconcile (nil when that merge
-// has no sketch to give). Only a basis reader pays for the
-// decomposition, so the audit tick's certificate merges stay as cheap as
-// the merge itself. The caller holds globalMu.
-func (e *Engine) readLocked(parent obs.SpanContext, withBasis bool) *globalRead {
+// frame has been ingested since it was cut, otherwise one cut from a
+// fresh reconcile (nil when that merge has no sketch to give). The
+// caller holds globalMu.
+func (e *Engine) readLocked(parent obs.SpanContext) *globalRead {
 	e.mu.Lock()
-	at := e.ingests
+	at, settled := e.ingests, e.inflight == 0
 	e.mu.Unlock()
-	if e.read != nil && e.readAt == at && (!withBasis || e.read.basis != nil) {
+	if e.read != nil && e.readAt == at {
 		return e.read
 	}
 	g := e.reconcileLocked(parent)
 	if g == nil {
 		return nil
 	}
-	if withBasis {
-		e.read.basis = g.Basis(g.Ell())
+	ell := g.Ell()
+	e.read = &globalRead{basis: g.Basis(ell), ell: ell}
+	// Cache coherence: e.ingests is bumped at ring-append time, before
+	// the batch's absorbs land in shard backends. A merge that ran while
+	// ingests were in flight may not cover every row counted in `at`, so
+	// tagging it `at` would let a later reader cache-hit an incomplete
+	// read. Serve the merge (it is the freshest view available) but only
+	// claim coverage when no ingest was in flight at capture; the
+	// sentinel -1 never matches a real count, so the next read re-merges.
+	e.readAt = -1
+	if settled {
+		e.readAt = at
 	}
 	return e.read
 }
 
-// reconcileLocked merges the shards into a fresh global sketch and
-// caches its certificate as the read; the sketch itself is the caller's,
-// and garbage once the caller drops it. Only readers call it — ingest
-// never merges — and the caller holds globalMu. Shard locks are held
-// only long enough to clone, so ingest proceeds during the merge itself.
-// The reconcile span and its merge legs parent under the reader's span,
-// or root their own trace when parent is zero.
+// reconcileLocked merges the shards into a fresh global sketch, the
+// caller's to keep or drop. Only the basis readers and GlobalSketch call
+// it — ingest and Certificate never merge — and the caller holds
+// globalMu. Shard locks are held only long enough
+// to clone, so ingest proceeds during the merge itself. The reconcile
+// span and its merge legs parent under the reader's span, or root their
+// own trace when parent is zero.
 func (e *Engine) reconcileLocked(parent obs.SpanContext) *sketch.FrequentDirections {
-	e.mu.Lock()
-	at := e.ingests
-	settled := e.inflight == 0
-	e.mu.Unlock()
 	sp := obs.Default().StartSpanIn(parent, "reconcile",
 		obs.L("shards", fmt.Sprint(len(e.shards))))
 	defer sp.End()
@@ -614,47 +671,37 @@ func (e *Engine) reconcileLocked(parent obs.SpanContext) *sketch.FrequentDirecti
 	}
 	e.reconciles++
 	e.eo.reconciles.Inc()
-	// The read is cut before the caller sees g, so nothing it does to
-	// the sketch can reach the cache.
-	e.read = &globalRead{cert: audit.FromSketch(g)}
-	// Cache coherence: e.ingests is bumped at ring-append time, before
-	// the batch's absorbs land in shard backends. A merge that ran while
-	// ingests were in flight may not cover every row counted in `at`, so
-	// tagging it `at` would let a later reader cache-hit an incomplete
-	// read. Serve the merge (it is the freshest view available) but only
-	// claim coverage when no ingest was in flight at capture; the
-	// sentinel -1 never matches a real count, so the next read re-merges.
-	e.readAt = -1
-	if settled {
-		e.readAt = at
-	}
 	return g
 }
 
-// Certificate returns the error-bound certificate for the whole stream:
-// the live sketch's for one shard, the cached read's for many.
+// Certificate returns the error-bound certificate of the stacked shard
+// sketches: the audit.Compose of every shard's own certificate, which
+// for one shard is that shard's certificate. Stacked FD sketches are a
+// sketch of the whole stream (AᵀA − Σ BᵢᵀBᵢ ≼ (Σ δᵢ) I), so no merge is
+// needed, and the result is what State's shard ledgers compose to. A
+// shard that cannot answer (a remote one whose worker does not, or any
+// after Close) is left out and journaled as a lost leg: the
+// certificate's Rows then fall short of Ingested, and the next call asks
+// the shard again.
 func (e *Engine) Certificate() audit.Certificate {
-	if len(e.shards) == 1 {
-		cert, err := e.shards[0].Certificate()
+	var cert audit.Certificate
+	for i, s := range e.shards {
+		c, err := s.Certificate()
 		if err != nil {
-			return audit.Certificate{}
+			audit.Default().Record(audit.KindRemoteLegLost,
+				"shard certificate unavailable; composed certificate omits its rows",
+				audit.A("leg", float64(i)))
+			continue
 		}
-		return cert
+		cert = audit.Compose(cert, c)
 	}
-	e.globalMu.Lock()
-	defer e.globalMu.Unlock()
-	r := e.readLocked(obs.SpanContext{}, false)
-	if r == nil {
-		return audit.Certificate{}
-	}
-	return r.cert
+	return cert
 }
 
 // GlobalSketch returns the global sketch as of now, the caller's to
 // mutate (nil before the first frame). For one shard it is a copy of
-// the live sketch; for many it is a fresh merge, never a cache hit,
-// whose certificate it also caches, so a Certificate straight after it
-// merges nothing (a basis reader merges once more to cut its basis).
+// the live sketch; for many it is a fresh merge, never a cache hit, and
+// it leaves the basis cache alone.
 func (e *Engine) GlobalSketch() *sketch.FrequentDirections {
 	if len(e.shards) == 1 {
 		fd, err := e.shards[0].Snapshot(obs.SpanContext{})
@@ -670,7 +717,7 @@ func (e *Engine) GlobalSketch() *sketch.FrequentDirections {
 
 // Window is one read of the sliding window together with the global
 // basis to project it on. Rows are the ring's own vectors, oldest first,
-// and Basis may be a view of the engine's cached read — both shared, not
+// and Basis may be a view of the engine's basis cache — both shared, not
 // copied: holders may read them for as long as they like (the ring never
 // recycles a vector it has handed out, however far the stream runs on,
 // and a later merge cuts a new basis rather than rewrite this one) and
@@ -729,7 +776,7 @@ func (e *Engine) WindowState(k int, parent ...obs.SpanContext) (x *mat.Matrix, t
 // Basis returns the top-k right singular vectors of the global sketch
 // (k clamped to the rank) and the rank itself. For one shard this is
 // the live sketch's basis — bit-identical to the serial monitor — and
-// for many it is a view of the cached read's leading rows, the bits of
+// for many it is a view of the basis cache's leading rows, the bits of
 // the merged sketch's own Basis(k). Like Window.Basis it is shared and
 // read-only: holders may read it for as long as they like and must not
 // write to it. Returns (nil, 0) before the first frame.
@@ -742,14 +789,14 @@ func (e *Engine) basis(parent obs.SpanContext, k int) (*mat.Matrix, int) {
 	}
 	e.globalMu.Lock()
 	defer e.globalMu.Unlock()
-	r := e.readLocked(parent, true)
+	r := e.readLocked(parent)
 	if r == nil {
 		return nil, 0
 	}
 	// The leading rows of SVDGramTo's product do not depend on how many
 	// rows it forms (mat.TestSVDGramToLeadingRows), and the rank clamp
 	// reads the same spectrum, so this cut is FD.Basis(k) bit for bit.
-	return r.basis.Rows(0, max(0, min(k, r.basis.RowsN))), r.cert.Ell
+	return r.basis.Rows(0, max(0, min(k, r.basis.RowsN))), r.ell
 }
 
 // Close stops the async pump (draining anything queued) and closes

@@ -340,7 +340,7 @@ func TestAuditParityOneShard(t *testing.T) {
 // point of a stream whose batches leave the shards anywhere in their
 // rotation cycle — and of a rank-2 stream, whose rank clamps every
 // larger k. The certificate, before GlobalSketch and after it, is the
-// one cut from GlobalSketch's sketch.
+// composition of the shards' own certificates.
 func TestBasisIsGlobalSketchBasis(t *testing.T) {
 	const n, d, ell = 150, 40, 6
 	ks := []int{0, 1, 4, ell, ell + 3}
@@ -357,10 +357,26 @@ func TestBasisIsGlobalSketchBasis(t *testing.T) {
 		{"rank 2", rankVecs(n, d, 2, 73), 2},
 	} {
 		for _, shards := range []int{1, 2} {
+			scfg := sketch.Config{Ell0: ell, Beta: 1, Seed: 2}
+			backends := make([]engine.Backend, shards)
+			for i := range backends {
+				backends[i] = engine.NewLocalBackend(engine.ShardSketchConfig(scfg, i))
+			}
+			composed := func() audit.Certificate {
+				certs := make([]audit.Certificate, shards)
+				for i, b := range backends {
+					c, err := b.Certificate()
+					if err != nil {
+						t.Fatal(err)
+					}
+					certs[i] = c
+				}
+				return untimed(audit.Compose(certs...))
+			}
 			e := engine.New(engine.Config{
-				Shards: shards,
-				Sketch: sketch.Config{Ell0: ell, Beta: 1, Seed: 2},
-				Window: 16,
+				Sketch:   scfg,
+				Window:   16,
+				Backends: backends,
 			})
 			for lo, step := 0, 7; lo+step <= n; lo += step {
 				at := func(what string, k int) string {
@@ -374,14 +390,13 @@ func TestBasisIsGlobalSketchBasis(t *testing.T) {
 				for i, k := range ks {
 					got[i], ells[i] = e.Basis(k)
 				}
-				before := untimed(e.Certificate())
-				g := e.GlobalSketch()
-				cert := untimed(audit.FromSketch(g))
-				if before != cert {
-					t.Fatalf("%s", at("Certificate differs from GlobalSketch's", 0))
+				cert := composed()
+				if before := untimed(e.Certificate()); before != cert {
+					t.Fatalf("%s", at("Certificate differs from the shards' composed", 0))
 				}
+				g := e.GlobalSketch()
 				if after := untimed(e.Certificate()); after != cert {
-					t.Fatalf("%s", at("Certificate after GlobalSketch differs from it", 0))
+					t.Fatalf("%s", at("Certificate after GlobalSketch differs from the shards' composed", 0))
 				}
 				for i, k := range ks {
 					want := g.Basis(k)

@@ -73,45 +73,3 @@ func TestShardedReadFootprint(t *testing.T) {
 			live, limit)
 	}
 }
-
-// TestCertificateMergeCutsNoBasis: a merge a certificate reader caused —
-// the audit tick's — cuts the certificate only, and leaves the ℓ×d basis
-// to the first basis reader. With one frame ingested before each read,
-// so that every read merges, the least of ten Certificate reads on a
-// 2-shard engine at d = 4096 allocates at least half an ℓ×d basis less
-// than the least of ten Basis reads on the same stream; cutting the
-// basis on every merge makes the two the same.
-func TestCertificateMergeCutsNoBasis(t *testing.T) {
-	const d, ell, reads = 4096, 16, 10
-	cfg := engine.Config{Shards: 2, Sketch: sketch.Config{Ell0: ell, Beta: 1, Seed: 5}, Window: 8}
-	vecs := testVecs(4*ell+reads, d, 61)
-	leastMerge := func(read func(e *engine.Engine) bool) uint64 {
-		e := engine.New(cfg)
-		defer e.Close()
-		e.IngestVecs(cloneVecs(vecs[:4*ell]), nil)
-		frames := cloneVecs(vecs[4*ell:])
-		least := uint64(math.MaxUint64)
-		var before, after runtime.MemStats
-		for i := range frames {
-			merges := e.Reconciles()
-			runtime.ReadMemStats(&before)
-			e.IngestVecs(frames[i:i+1], nil)
-			ok := read(e)
-			runtime.ReadMemStats(&after)
-			if !ok || e.Reconciles() != merges+1 {
-				t.Fatalf("read %d: no read, or %d merges where one was due", i, e.Reconciles()-merges)
-			}
-			least = min(least, after.TotalAlloc-before.TotalAlloc)
-		}
-		return least
-	}
-	cert := leastMerge(func(e *engine.Engine) bool { return e.Certificate().Rows > 0 })
-	basis := leastMerge(func(e *engine.Engine) bool {
-		b, _ := e.Basis(1)
-		return b != nil && b.RowsN == 1
-	})
-	if half := uint64(ell * d * 8 / 2); cert+half > basis {
-		t.Errorf("a merge for Certificate allocates %d B, one for Basis %d B; want at least ℓ×d/2 = %d B less",
-			cert, basis, half)
-	}
-}

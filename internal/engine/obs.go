@@ -19,6 +19,7 @@ type engineObs struct {
 
 	ingestLatency *obs.Histogram
 	framesTotal   *obs.Counter
+	rejected      *obs.Counter // frames dropped for a non-finite element
 	windowSize    *obs.Gauge
 	engineEll     *obs.Gauge
 	shardCount    *obs.Gauge
@@ -39,6 +40,7 @@ func newEngineObs(tenant string) *engineObs {
 		tenant:        tenant,
 		ingestLatency: r.Histogram("arams_engine_ingest_batch_seconds", ls...),
 		framesTotal:   r.Counter("arams_engine_frames_total", ls...),
+		rejected:      r.Counter("arams_engine_frames_rejected_total", ls...),
 		windowSize:    r.Gauge("arams_engine_window_size", ls...),
 		engineEll:     r.Gauge("arams_engine_sketch_ell", ls...),
 		shardCount:    r.Gauge("arams_engine_shards", ls...),

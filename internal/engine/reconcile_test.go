@@ -65,15 +65,13 @@ func TestIngestNeverReconciles(t *testing.T) {
 	}
 }
 
-// TestReconcileOnReadCachesUntilIngest: the first reader after an ingest
-// pays for one merge, and every Basis, Certificate and ReadWindow after
-// it is served from the cached read until the next frame arrives; that
-// frame itself merges nothing. A merge for a certificate — GlobalSketch,
-// which hands out a sketch of its own and so always merges, or a
-// Certificate — caches the certificate only: the Certificate after it is
-// served from the read, and the first basis reader merges once more to
-// cut its basis. The audit tick of a sharded engine is a reader: it cuts
-// its certificate from a merge that covers both shards.
+// TestReconcileOnReadCachesUntilIngest: the first basis reader after an
+// ingest pays for one merge, and every Basis and ReadWindow after it is
+// served from the cached basis until the next frame arrives; that frame
+// itself merges nothing. GlobalSketch hands out a sketch of its own, so
+// it always merges, and it leaves the cached basis as it was. Certificate
+// composes the shards' certificates and never merges — neither does the
+// audit tick of a sharded engine, which reads it.
 func TestReconcileOnReadCachesUntilIngest(t *testing.T) {
 	vecs := testVecs(96, 24, 71)
 	e := reconcileTestEngine(nil)
@@ -107,35 +105,57 @@ func TestReconcileOnReadCachesUntilIngest(t *testing.T) {
 		}
 		want(i, "GlobalSketch")
 	}
-	if c := e.Certificate(); c.Rows != 48 {
-		t.Fatalf("certificate covers %d rows, want 48", c.Rows)
-	}
-	want(3, "Certificate after GlobalSketch (cache hit)")
 	readers(48)
-	want(4, "first basis reader after GlobalSketch")
-	readers(48)
-	want(4, "readers after that (cache hit)")
+	want(3, "readers after GlobalSketch (cache hit)")
 
 	e.IngestVecs(cloneVecs(vecs[48:]), nil)
-	want(4, "ingest")
+	want(3, "ingest")
 	if c := e.Certificate(); c.Rows != 96 {
 		t.Fatalf("certificate after second ingest covers %d rows, want 96", c.Rows)
 	}
-	want(5, "first Certificate after second ingest")
+	want(3, "Certificate after second ingest")
 	readers(96)
-	want(6, "first basis reader after a Certificate")
+	want(4, "first basis reader after second ingest")
 	readers(96)
-	want(6, "readers after that (cache hit)")
+	want(4, "readers after that (cache hit)")
 
 	aud := audit.New(audit.Config{Journal: audit.NewJournal(16), Registry: obs.NewRegistry()})
 	ea := reconcileTestEngine(aud)
 	ea.IngestVecs(cloneVecs(vecs[:16]), nil)
-	if got := ea.Reconciles(); got != 0 {
-		t.Fatalf("audited engine below its audit interval: %d reconciles, want 0", got)
-	}
 	ea.IngestVecs(cloneVecs(vecs[16:32]), nil) // crosses AuditEvery = 32
-	if got, batches := ea.Reconciles(), aud.State().Batches; got != 1 || batches != 1 {
-		t.Fatalf("audit tick: %d reconciles over %d audited batches, want 1 and 1", got, batches)
+	if got, batches := ea.Reconciles(), aud.State().Batches; got != 0 || batches != 1 {
+		t.Fatalf("audit tick: %d reconciles over %d audited batches, want 0 and 1", got, batches)
+	}
+}
+
+// TestAuditedIngestNeverReconciles: an audited 2- and 4-shard engine
+// with no reader merges nothing however many audit ticks it crosses,
+// and every tick's certificate covers every frame ingested by then.
+func TestAuditedIngestNeverReconciles(t *testing.T) {
+	const n, d, batch, every = 256, 24, 16, 32
+	vecs := testVecs(n, d, 29)
+	for _, shards := range []int{2, 4} {
+		aud := audit.New(audit.Config{Journal: audit.NewJournal(64), Registry: obs.NewRegistry()})
+		e := engine.New(engine.Config{
+			Shards:     shards,
+			Sketch:     sketch.Config{Ell0: 8, Beta: 1, Seed: 5},
+			Window:     32,
+			Audit:      aud,
+			AuditEvery: every,
+		})
+		for lo := 0; lo < n; lo += batch {
+			e.IngestVecs(cloneVecs(vecs[lo:lo+batch]), nil)
+		}
+		if got := aud.State().Batches; got != n/every {
+			t.Fatalf("%d shards: %d audited batches, want %d", shards, got, n/every)
+		}
+		if got := e.Reconciles(); got != 0 {
+			t.Fatalf("%d shards: %d reconciles after %d audit ticks with no reader, want 0", shards, got, n/every)
+		}
+		if c := e.Certificate(); c.Rows != n {
+			t.Fatalf("%d shards: certificate covers %d rows, want %d", shards, c.Rows, n)
+		}
+		e.Close()
 	}
 }
 

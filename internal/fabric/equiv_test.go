@@ -178,9 +178,10 @@ func TestLoopbackEquivalence(t *testing.T) {
 			t.Errorf("certificates differ:\n local  %+v\n remote %+v", lc, rc)
 		}
 
-		// The certified bound must hold against the exact covariance.
+		// The certified bound must hold against the exact covariance
+		// error of the stacked shard sketches it describes.
 		x := asMatrix(vecs)
-		exact := sketch.CovErr(x, rg.Sketch())
+		exact := sketch.CovErr(x, stackedShards(rs))
 		if bound := rc.CovBound(); exact > bound+1e-8*(1+rc.FrobMass) {
 			t.Errorf("exact covariance error %v exceeds certified bound %v", exact, bound)
 		}

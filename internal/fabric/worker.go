@@ -14,6 +14,7 @@ import (
 	"arams/internal/audit"
 	"arams/internal/ckpt"
 	"arams/internal/engine"
+	"arams/internal/mat"
 	"arams/internal/obs"
 	"arams/internal/sketch"
 )
@@ -409,13 +410,23 @@ func (w *Worker) dispatch(req ckpt.WireFrame, sp *reqSpan) (ckpt.WireFrame, *req
 var errNoHello = errors.New("fabric: no hello received on this worker yet")
 
 // ingestBackend returns the backend an ingest feeds. The first rows fix
-// the shard's width; rows of any other width are a corrupt request,
-// since the sketch cannot absorb them.
+// the shard's width; rows of any other width, and rows with a NaN or ±Inf
+// element, are a corrupt request, since the sketch cannot absorb them
+// (the engine drops non-finite frames before it routes them, so only a
+// foreign client sends one).
 func (w *Worker) ingestBackend(p IngestPayload) (engine.Backend, *requestError) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.backend == nil {
 		return nil, &requestError{ErrCodeTransient, errNoHello}
+	}
+	for i, r := range p.Rows {
+		// A NaN or ±Inf element makes the squared norm NaN or +Inf; the
+		// engine drops such frames by the same test.
+		if n2 := mat.Dot(r, r); n2-n2 != 0 {
+			return nil, &requestError{ErrCodeCorrupt,
+				fmt.Errorf("fabric: ingest row %d is not finite", i)}
+		}
 	}
 	if len(p.Rows) > 0 {
 		if w.dim == 0 {

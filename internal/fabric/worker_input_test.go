@@ -6,6 +6,7 @@ package fabric
 // w.reply on a live worker.
 
 import (
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -82,6 +83,26 @@ func TestWorkerRejectsIngestOfOtherWidth(t *testing.T) {
 	stillServes(t, w)
 }
 
+// TestWorkerRejectsNonFiniteIngest: rows with a NaN or ±Inf element are
+// answered corrupt and absorb nothing — one would turn the shard's
+// ledgers, and every certificate and state it serves, into NaN — and
+// finite rows still absorb after them.
+func TestWorkerRejectsNonFiniteIngest(t *testing.T) {
+	w, _ := newHandleWorker(t)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if code := errorCode(t, w.reply(ingestFrame(0, 0, [][]float64{{1, 2, 3}, {4, bad, 6}}))); code != ErrCodeCorrupt {
+			t.Fatalf("ingest with a %v element answered code %d, want ErrCodeCorrupt", bad, code)
+		}
+	}
+	if resp := w.reply(ingestFrame(0, 0, [][]float64{{4, 5, 6}})); resp.Type != MsgIngestAck {
+		t.Fatalf("finite ingest after rejected ones answered with type %d", resp.Type)
+	}
+	if got := w.Frames(); got != 1 {
+		t.Fatalf("worker absorbed %d rows, want 1", got)
+	}
+	stillServes(t, w)
+}
+
 // FuzzWorkerReply applies every frame the worker decodes: a request of
 // any type with any payload, sent to a worker holding a hello and one
 // ingest, must be answered in the reply form, never by a panic, and the
@@ -93,6 +114,7 @@ func FuzzWorkerReply(f *testing.F) {
 	// The two frames that used to kill a worker.
 	f.Add(MsgHello, HelloPayload{Shard: 1, Cfg: sketch.Config{Beta: 1}}.encode())
 	f.Add(MsgIngest, IngestPayload{D: 4, Rows: [][]float64{{1, 2, 3, 4}}}.encode())
+	f.Add(MsgIngest, IngestPayload{D: 3, Rows: [][]float64{{1, math.NaN(), 3}}}.encode())
 	f.Add(MsgHello, HelloPayload{Shard: 2, Cfg: sketch.Config{Ell0: 3, Nu: 2, Eps: 0.5, Beta: 0.5, RankAdaptive: true}}.encode())
 	f.Add(MsgIngest, IngestPayload{D: 3, Rows: [][]float64{{4, 5, 6}, {7, 8, 9}}}.encode())
 	a := sketch.NewARAMS(sketch.Config{Ell0: 4, Beta: 1}, 3, 0)

@@ -220,8 +220,8 @@ func (m *Monitor) finishSnapshot(ctx obs.SpanContext, snap *Snapshot) {
 			snap.Labels = clusterEmbedding(snap.Embedding, m.cfg)
 		}},
 		{Name: "abod", Run: func() {
-			snap.OutlierScores = abod.Scores(snap.Embedding, m.cfg.ABODNeighbors)
-			snap.Outliers = abod.Outliers(snap.OutlierScores, m.cfg.Contamination)
+			snap.OutlierScores = abod.Scores(snap.Embedding, abodNeighbors)
+			snap.Outliers = abod.Outliers(snap.OutlierScores, contamination)
 		}},
 	})
 }

@@ -49,15 +49,8 @@ type Config struct {
 	// UseHDBSCAN selects HDBSCAN* instead of OPTICS for the clustering
 	// stage (no radius parameter needed at all).
 	UseHDBSCAN bool
-	// Xi is the steep-area parameter for OPTICS ξ cluster extraction
-	// (default 0.15).
-	Xi float64
 	// MinClusterSize for ξ extraction (default 4·MinPts).
 	MinClusterSize int
-	// ABODNeighbors is k for FastABOD scoring (default 10).
-	ABODNeighbors int
-	// Contamination is the outlier fraction to flag (default 0.02).
-	Contamination float64
 	// Audit, when set, receives sketch-quality observations: batch
 	// pipeline runs feed one per run (certificate + mean projection
 	// residual), and a Monitor feeds one every AuditEvery ingested
@@ -101,6 +94,15 @@ type Config struct {
 	ReconcileRetry parallel.Retry
 }
 
+// The clustering and outlier stages run at fixed parameters: the
+// steep-area ξ of OPTICS cluster extraction, the neighbour count k of
+// FastABOD scoring, and the fraction of frames flagged as outliers.
+const (
+	xi            = 0.15
+	abodNeighbors = 10
+	contamination = 0.02
+)
+
 func (c Config) withDefaults() Config {
 	if c.Sketch.Ell0 <= 0 {
 		c.Sketch.Ell0 = 20
@@ -117,17 +119,8 @@ func (c Config) withDefaults() Config {
 	if c.MinPts <= 0 {
 		c.MinPts = 5
 	}
-	if c.Xi <= 0 {
-		c.Xi = 0.15
-	}
 	if c.MinClusterSize <= 0 {
 		c.MinClusterSize = 4 * c.MinPts
-	}
-	if c.ABODNeighbors <= 0 {
-		c.ABODNeighbors = 10
-	}
-	if c.Contamination <= 0 {
-		c.Contamination = 0.02
 	}
 	if c.AuditEvery <= 0 {
 		c.AuditEvery = 32
@@ -158,7 +151,7 @@ type Result struct {
 	// the paper's "exotic beam profiles" — stand out here even when the
 	// 2-D embedding pulls them into the cloud.
 	Residuals []float64
-	// ResidualOutliers are the Contamination·n highest-residual
+	// ResidualOutliers are the contamination·n highest-residual
 	// indices, most anomalous first.
 	ResidualOutliers []int
 	// ParallelStats reports the sketch/merge phase accounting.
@@ -301,12 +294,12 @@ func ProcessMatrixWithBasis(x, basis *mat.Matrix, cfg Config) *Result {
 		{Name: "umap", Run: func() { res.Embedding = umap.Fit(res.Latent, cfg.UMAP) }},
 		{Name: "cluster", Run: func() { res.Labels = clusterEmbedding(res.Embedding, cfg) }},
 		{Name: "abod", Run: func() {
-			res.OutlierScores = abod.Scores(res.Embedding, cfg.ABODNeighbors)
-			res.Outliers = abod.Outliers(res.OutlierScores, cfg.Contamination)
+			res.OutlierScores = abod.Scores(res.Embedding, abodNeighbors)
+			res.Outliers = abod.Outliers(res.OutlierScores, contamination)
 		}},
 		{Name: "residuals", Run: func() {
 			res.Residuals = residuals(x, res.Latent)
-			res.ResidualOutliers = topResiduals(res.Residuals, cfg.Contamination)
+			res.ResidualOutliers = topResiduals(res.Residuals, contamination)
 		}},
 	})
 	for name, d := range times {
@@ -322,7 +315,7 @@ func clusterEmbedding(emb *mat.Matrix, cfg Config) []int {
 	if cfg.UseHDBSCAN {
 		return hdbscan.Cluster(emb, cfg.MinPts, cfg.MinClusterSize).Labels
 	}
-	return optics.Run(emb, cfg.MinPts, math.Inf(1)).ExtractXi(cfg.Xi, cfg.MinPts, cfg.MinClusterSize)
+	return optics.Run(emb, cfg.MinPts, math.Inf(1)).ExtractXi(xi, cfg.MinPts, cfg.MinClusterSize)
 }
 
 // residuals returns per-row relative reconstruction errors from the

@@ -277,22 +277,31 @@ func TestExoticShotsFlaggedAnomalous(t *testing.T) {
 	}
 	imgs := imagesOf(frames)
 	cfg := Config{
-		Pre:           imgproc.Preprocessor{Normalize: true},
-		Sketch:        sketch.Config{Ell0: 15, Seed: 15},
-		LatentDim:     8,
-		UMAP:          umap.Config{NNeighbors: 10, NEpochs: 120, Seed: 16},
-		Contamination: 0.05, // flag 5 points
+		Pre:       imgproc.Preprocessor{Normalize: true},
+		Sketch:    sketch.Config{Ell0: 15, Seed: 15},
+		LatentDim: 8,
+		UMAP:      umap.Config{NNeighbors: 10, NEpochs: 120, Seed: 16},
 	}
 	res := Process(imgs, cfg)
-	hit := 0
+	// The pipeline flags the top 2 % — two of these 100 shots — and both
+	// must be exotic; all three exotic shots rank among the top five.
+	if len(res.ResidualOutliers) != 2 {
+		t.Fatalf("%d residual outliers flagged, want 2", len(res.ResidualOutliers))
+	}
 	for _, o := range res.ResidualOutliers {
+		if !exoticIdx[o] {
+			t.Fatalf("residual outlier %d is not exotic (outliers %v)", o, res.ResidualOutliers)
+		}
+	}
+	hit := 0
+	for _, o := range topResiduals(res.Residuals, 0.05) {
 		if exoticIdx[o] {
 			hit++
 		}
 	}
 	if hit < 3 {
-		t.Fatalf("only %d/3 exotic shots among residual outliers %v (residuals %v %v %v)",
-			hit, res.ResidualOutliers, res.Residuals[20], res.Residuals[50], res.Residuals[80])
+		t.Fatalf("only %d/3 exotic shots among the top five residuals (residuals %v %v %v)",
+			hit, res.Residuals[20], res.Residuals[50], res.Residuals[80])
 	}
 	// Exotic residuals must dominate the typical (median) shot by a
 	// wide margin.

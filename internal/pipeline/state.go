@@ -109,9 +109,9 @@ func (m *Monitor) Suspend() (*MonitorState, error) {
 
 // Certificate composes the error-bound certificate recorded in the
 // state's shard sketches: shrinkage and energy ledgers sum, the rank is
-// the max — the same aggregate a reconcile would certify (the merge's
-// own shrinkage is not incurred until it runs, so this is the floor of
-// the restored bound). The zero Certificate when nothing was ingested.
+// the max — the statement the live engine's Certificate makes for the
+// same shards, equal to it but for the time it was cut. The zero
+// Certificate when nothing was ingested.
 func (s *MonitorState) Certificate() audit.Certificate {
 	var certs []audit.Certificate
 	for _, ss := range s.Shards {

@@ -427,10 +427,12 @@ func (r *Registry) Monitor(id string) (*pipeline.Monitor, func(), error) {
 }
 
 // Certificate returns the tenant's current error-bound certificate.
-// For a resident tenant it is cut live from the engine (forcing a
-// reconcile, so it covers every shard's stream); for a hibernated one
-// the certificate cached at hibernation is served without waking the
-// tenant — reading a bound must not cost a restore.
+// For a resident tenant it is cut live from the engine (the composition
+// of its shards' certificates, which covers every shard's stream); for
+// a hibernated one the certificate composed from its checkpoint at
+// hibernation is served without waking the tenant — reading a bound
+// must not cost a restore. Both are the same statement about the same
+// shards, so hibernating does not change the value.
 func (r *Registry) Certificate(id string) (audit.Certificate, error) {
 	r.mu.Lock()
 	en := r.ents[id]

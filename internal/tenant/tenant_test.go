@@ -89,7 +89,7 @@ func stateBytes(t *testing.T, r *tenant.Registry, id string) []byte {
 // restores the tenant lazily on its next frame. The final sketch state
 // must match an always-resident plain Monitor bit for bit, and the
 // composed certificate must still dominate the exactly-computed
-// covariance error of the global sketch.
+// covariance error of the stacked shard sketches it describes.
 func TestHibernateRestoreBitExact(t *testing.T) {
 	const n, w, h, killAt = 64, 6, 6, 37
 	frames := tenantFrames(n, w, h, 177)
@@ -155,7 +155,7 @@ func TestHibernateRestoreBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Monitor: %v", err)
 	}
-	b := m.Engine().GlobalSketch().Sketch()
+	b := stackedShards(m.State())
 	release()
 	a := mat.New(n, w*h)
 	for i, im := range frames {
