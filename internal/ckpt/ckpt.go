@@ -9,7 +9,7 @@
 // Frame layout (all integers little-endian):
 //
 //	offset 0   magic   "ACKP" (4 bytes)
-//	offset 4   version uint32 (currently 3)
+//	offset 4   version uint32 (the kind's: 4 for a monitor, 3 for a sketch)
 //	offset 8   kind    uint32 (which state type the payload holds)
 //	offset 12  length  uint64 (payload byte count)
 //	offset 20  payload (type-specific field stream, see codec.go)
@@ -35,13 +35,36 @@ import (
 // Magic is the frame signature "ACKP".
 const Magic = uint32('A') | uint32('C')<<8 | uint32('K')<<16 | uint32('P')<<24
 
-// Version is the current frame version. Versions 1 and 2 (one optional
-// sketch per monitor, no audit state, no FD Frobenius mass) were never
-// deployed and re-encoded as version 3, which broke the canonical-
-// encoding promise, so their decode branches are gone: every decoder
-// rejects any other version with ErrVersion rather than guess at its
-// layout.
-const Version = 3
+// Version is the frame version of a monitor checkpoint, the kind that
+// holds the sliding window: since version 4 its window frames are
+// float32, the precision the window keeps. A version 3 monitor frame is
+// rejected with ErrVersion, not narrowed on decode: narrowed and
+// re-encoded as version 4 it would not be the bytes it was read from,
+// which breaks the canonical-encoding promise — the reason versions 1
+// and 2 (one optional sketch per monitor, no audit state, no FD
+// Frobenius mass), which were never deployed, lost their decode
+// branches too. The sketch kinds' payloads did not change at version 4,
+// so their frames keep sketchVersion and their bytes — those the fabric
+// wire carries as shard state included. Every decoder rejects a frame
+// whose version is not its kind's with ErrVersion rather than guess at
+// its layout.
+const Version = 4
+
+// sketchVersion is the frame version of the FD, rank-adaptive and ARAMS
+// kinds.
+const sketchVersion = 3
+
+// version returns the frame version kind k is written and read at, and
+// false for a kind no decoder knows (which decodes to ErrBadKind).
+func (k Kind) version() (uint32, bool) {
+	switch k {
+	case KindMonitor:
+		return Version, true
+	case KindFD, KindRankAdaptive, KindARAMS:
+		return sketchVersion, true
+	}
+	return 0, false
+}
 
 // headerLen is magic+version+kind+length; trailerLen is the CRC.
 const (
@@ -122,8 +145,8 @@ func parseHeader(hdr []byte, size int64) (Header, error) {
 		Kind:       Kind(binary.LittleEndian.Uint32(hdr[8:12])),
 		PayloadLen: binary.LittleEndian.Uint64(hdr[12:20]),
 	}
-	if h.Version != Version {
-		return h, fmt.Errorf("%w: %d", ErrVersion, h.Version)
+	if want, known := h.Kind.version(); known && h.Version != want {
+		return h, fmt.Errorf("%w: %d for a %v frame", ErrVersion, h.Version, h.Kind)
 	}
 	if h.PayloadLen > maxPayload || uint64(size) != headerLen+h.PayloadLen+trailerLen {
 		return h, ErrTruncated
@@ -273,6 +296,28 @@ func (e *enc) floats(v []float64) {
 	}
 }
 
+// floats32 is floats for a []float32, four bytes an element.
+func (e *enc) floats32(v []float32) {
+	e.i64(len(v))
+	if e.sizing {
+		e.n += 4 * len(v)
+		return
+	}
+	for len(v) > 0 {
+		k := min((cap(e.b)-len(e.b))/4, len(v))
+		if k == 0 {
+			e.flush()
+			continue
+		}
+		off := len(e.b)
+		e.b = e.b[:off+4*k]
+		for i, x := range v[:k] {
+			binary.LittleEndian.PutUint32(e.b[off+4*i:], math.Float32bits(x))
+		}
+		v = v[k:]
+	}
+}
+
 // str writes a length-prefixed UTF-8 string.
 func (e *enc) str(v string) {
 	e.i64(len(v))
@@ -309,8 +354,9 @@ func encodeFrame(w io.Writer, state any) ([]byte, int, error) {
 	} else {
 		e.b = make([]byte, 0, min(total, chunkLen))
 	}
+	version, _ := kind.version()
 	e.u32(Magic)
-	e.u32(Version)
+	e.u32(version)
 	e.u32(uint32(kind))
 	e.u64(uint64(size.n))
 	if _, err := encodeState(e, state); err != nil {
@@ -478,6 +524,29 @@ func (d *dec) floats() []float64 {
 			rest[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 		}
 		d.off += 8 * k
+		rest = rest[k:]
+	}
+	return out
+}
+
+// floats32 is floats for a []float32: the count is bounded by four
+// bytes an element, the least one can take.
+func (d *dec) floats32() []float32 {
+	n := d.count(4)
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]float32, n)
+	for rest := out; len(rest) > 0; {
+		if !d.need(4) {
+			return nil
+		}
+		k := min((len(d.b)-d.off)/4, len(rest))
+		src := d.b[d.off : d.off+4*k]
+		for i := range rest[:k] {
+			rest[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+		}
+		d.off += 4 * k
 		rest = rest[k:]
 	}
 	return out

@@ -258,8 +258,9 @@ func TestDecodeErrors(t *testing.T) {
 		}
 	})
 	// Resealed, so only the version stands between the frame and a
-	// decode: newer and older layouts are both refused.
-	for name, ver := range map[string]byte{"future version": 99, "previous version": Version - 1, "version 1": 1, "version 0": 0} {
+	// decode: newer and older layouts are both refused, and so is the
+	// monitor kind's version on a sketch frame.
+	for name, ver := range map[string]byte{"future version": 99, "previous version": sketchVersion - 1, "monitor version": Version, "version 1": 1, "version 0": 0} {
 		t.Run(name, func(t *testing.T) {
 			b := reseal(valid, func(b []byte) { b[4] = ver })
 			if _, err := Unmarshal(b); !errors.Is(err, ErrVersion) {
@@ -289,6 +290,55 @@ func TestDecodeErrors(t *testing.T) {
 			t.Errorf("got %v, want ErrBadKind", err)
 		}
 	})
+}
+
+// TestMonitorVersion3Rejected: a monitor checkpoint in the version 3
+// layout — window frames as float64 — fails every decoder and Peek with
+// ErrVersion, at the header, rather than being narrowed into a version 4
+// state whose encoding would not be the file's bytes.
+func TestMonitorVersion3Rejected(t *testing.T) {
+	// The version 3 layout by hand: window, ingests, two frames of tag and
+	// float64 vector, no shard, no audit state, no journal.
+	payload := &enc{b: make([]byte, 0, 256)}
+	payload.i64(4)
+	payload.i64(2)
+	payload.i64(2)
+	for tag, vec := range [][]float64{{0.5, -1, 2}, {3, 0.25, -4}} {
+		payload.i64(tag)
+		payload.floats(vec)
+	}
+	payload.i64(0)
+	payload.bool(false)
+	payload.bool(false)
+	frame := binary.LittleEndian.AppendUint32(nil, Magic)
+	frame = binary.LittleEndian.AppendUint32(frame, 3)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(KindMonitor))
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(len(payload.b)))
+	frame = append(frame, payload.b...)
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
+	path := filepath.Join(t.TempDir(), "v3.ckpt")
+	if err := os.WriteFile(path, frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Peek(frame); !errors.Is(err, ErrVersion) {
+		t.Errorf("Peek: got %v, want ErrVersion", err)
+	}
+	if _, err := Unmarshal(frame); !errors.Is(err, ErrVersion) {
+		t.Errorf("Unmarshal: got %v, want ErrVersion", err)
+	}
+	if _, err := Decode(bytes.NewReader(frame)); !errors.Is(err, ErrVersion) {
+		t.Errorf("Decode: got %v, want ErrVersion", err)
+	}
+	if _, err := Load(path); !errors.Is(err, ErrVersion) {
+		t.Errorf("Load: got %v, want ErrVersion", err)
+	}
+	// The same payload under version 4 is no monitor frame either: its
+	// vectors are read as float32, and the layout falls apart.
+	v4 := reseal(frame, func(b []byte) { b[4] = Version })
+	if _, err := Unmarshal(v4); err == nil || errors.Is(err, ErrVersion) {
+		t.Errorf("v3 payload under a v4 header: got %v, want a field error", err)
+	}
 }
 
 func TestSaveLoadAtomic(t *testing.T) {
@@ -378,7 +428,7 @@ func TestPeek(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Kind != KindFD || h.Version != Version || !h.ChecksumOK {
+	if h.Kind != KindFD || h.Version != sketchVersion || !h.ChecksumOK {
 		t.Fatalf("unexpected header %+v", h)
 	}
 	if h.PayloadLen != uint64(len(b)-headerLen-trailerLen) {

@@ -258,7 +258,7 @@ func encodeMonitor(e *enc, s *pipeline.MonitorState) error {
 	e.i64(len(s.Frames))
 	for _, f := range s.Frames {
 		e.i64(f.Tag)
-		e.floats(f.Vec)
+		e.floats32(f.Vec)
 	}
 	// Shard slots are positional (slot i = engine shard i) and may be
 	// nil for shards that have not received a frame, so each entry
@@ -295,7 +295,7 @@ func decodeMonitor(d *dec) *pipeline.MonitorState {
 		s.Frames = make([]pipeline.FrameState, n)
 		for i := range s.Frames {
 			s.Frames[i].Tag = d.i64()
-			s.Frames[i].Vec = d.floats()
+			s.Frames[i].Vec = d.floats32()
 		}
 	}
 	// Each shard slot costs at least its presence bool (1 byte).

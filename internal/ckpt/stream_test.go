@@ -30,10 +30,17 @@ func wideMonitorState(frames, d int) *pipeline.MonitorState {
 		}
 		return v
 	}
+	floats32 := func(n int) []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = float32(g.Norm())
+		}
+		return v
+	}
 	const ell = 8
 	s := &pipeline.MonitorState{Window: max(frames, 1), Ingests: frames}
 	for i := 0; i < frames; i++ {
-		s.Frames = append(s.Frames, pipeline.FrameState{Vec: floats(d), Tag: i})
+		s.Frames = append(s.Frames, pipeline.FrameState{Vec: floats32(d), Tag: i})
 	}
 	if frames > 0 {
 		s.Shards = []*sketch.ARAMSState{{
@@ -49,7 +56,7 @@ func wideMonitorState(frames, d int) *pipeline.MonitorState {
 func stateBytes(s *pipeline.MonitorState) int {
 	n := 0
 	for _, f := range s.Frames {
-		n += 8 * len(f.Vec)
+		n += 4 * len(f.Vec)
 	}
 	for _, sh := range s.Shards {
 		n += 8 * len(sh.FD.Buffer)
@@ -155,7 +162,7 @@ func fieldBoundaries(s *pipeline.MonitorState) []int {
 	off := 24
 	for _, f := range s.Frames {
 		offs = append(offs, off+8, off+16) // vector length prefix, first float
-		off += 16 + 8*len(f.Vec)
+		off += 16 + 4*len(f.Vec)
 		offs = append(offs, off, off+8) // next frame's tag (or the shard count), and the field behind it
 	}
 	return offs
@@ -200,7 +207,7 @@ func TestCorruptionTableBothDecoders(t *testing.T) {
 		// matches what is there.
 		add(fmt.Sprintf("cut at payload offset %d", off), valid[:headerLen+off], ErrTruncated)
 	}
-	add("cut mid-floats", valid[:headerLen+24+16+8*1234+3], ErrTruncated)
+	add("cut mid-floats", valid[:headerLen+24+16+4*1234+3], ErrTruncated)
 	// The same cuts as well-formed shorter frames — length and checksum
 	// agree with what is there — so it is the field decoder that runs
 	// out of payload, at the same offset in both forms.
@@ -209,7 +216,7 @@ func TestCorruptionTableBothDecoders(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[12:20], uint64(off))
 		return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 	}
-	for _, off := range append(fieldBoundaries(s), 24+16+8*1234+3, chunkLen+8*77+5, payloadLen-1) {
+	for _, off := range append(fieldBoundaries(s), 24+16+4*1234+3, chunkLen+8*77+5, payloadLen-1) {
 		add(fmt.Sprintf("payload ends at offset %d", off), recut(off), nil)
 	}
 	add("cut in the second chunk's floats", valid[:headerLen+chunkLen+8*77+5], ErrTruncated)
@@ -258,7 +265,7 @@ func TestCorruptionTableBothDecoders(t *testing.T) {
 	// detector kind other than Page-Hinkley.
 	aramsSlot := headerLen + 24 + 8 + 1 + 4*8 + 1
 	for _, f := range s.Frames {
-		aramsSlot += 16 + 8*len(f.Vec)
+		aramsSlot += 16 + 4*len(f.Vec)
 	}
 	add("ARAMS estimator slot 1", reseal(valid, func(b []byte) { b[aramsSlot] = 1 }), nil)
 	ra := sketch.RankAdaptiveState{

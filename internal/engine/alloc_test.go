@@ -3,6 +3,7 @@ package engine_test
 import (
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"arams/internal/engine"
@@ -68,7 +69,7 @@ func TestIngestAndAuditAllocNoRows(t *testing.T) {
 // TestCachedReadAllocatesNoBasis: a sharded engine's second ReadWindow
 // with no ingest in between is served from the read the first one cut —
 // a view of its basis rows, not a decomposition — so beyond the window's
-// headers (a []float64 header and a tag per frame) it allocates under
+// headers (a []float32 header and a tag per frame) it allocates under
 // 4 KiB, where a fresh k×d basis would be 352 KiB.
 func TestCachedReadAllocatesNoBasis(t *testing.T) {
 	const window, d, k = 64, 4096, 11
@@ -106,7 +107,7 @@ func liveHeap() uint64 {
 // TestStateSharesWindowAndEvictionFreesIt pins both halves of the
 // ownership rule. State hands the window's vectors out instead of
 // copying them: on a 512 × 4096 window it allocates the frame list and
-// the shard states, not the 16.8 MB the window holds. And the vectors a
+// the shard states, not the 8.4 MB the window holds. And the vectors a
 // State shared are dropped, not pooled, when they leave the ring — so
 // the slots they slid out of must be cleared, or the ring's backing
 // array pins up to a window of dead vectors until append next moves it:
@@ -135,14 +136,14 @@ func TestStateSharesWindowAndEvictionFreesIt(t *testing.T) {
 	}
 	if limit := float64(64<<10 + shardBytes); bytes >= limit {
 		t.Errorf("State allocates %.0f B on a %d-byte window; want under %.0f (64 KiB + shard states)",
-			bytes, window*d*8, limit)
+			bytes, window*d*4, limit)
 	}
 	if &st.Frames[0].Vec[0] != &e.State().Frames[0].Vec[0] {
 		t.Error("two States of one window hold different vectors; State copied")
 	}
 	st = nil
 
-	limit := uint64((window + batch) * d * 8)
+	limit := uint64((window + batch) * d * 4)
 	for i := 0; i < 4*window/batch; i++ {
 		feed(batch)
 		if live := liveHeap() - base; live > limit {
@@ -155,41 +156,65 @@ func TestStateSharesWindowAndEvictionFreesIt(t *testing.T) {
 // TestWindowRowsOutliveTheirFrames is the snapshot reader's half of the
 // ownership rule: ReadWindow hands out the ring's own vectors, so they
 // must stay byte-for-byte what they were however far the stream runs on
-// behind the reader. One producer, so every eviction is allowed to
-// recycle (inflight == 1), and fresh images each batch, so a vector that
-// did go back to the pool is overwritten by the next preprocess. The
-// copying wrapper reads the same window.
+// behind the reader. Two producers ingest at once, so frames are evicted
+// — and every one no reader holds recycled — while the other producer's
+// batch is still being absorbed; their images are fresh, so a vector
+// that did go back to the pool is overwritten by a later narrowing. The
+// window the producers leave behind holds, under each frame's tag, the
+// float32 copy of that frame; and the copying wrapper reads the same
+// window, widened.
 func TestWindowRowsOutliveTheirFrames(t *testing.T) {
-	const window, side, batch = 16, 8, 4
-	ims := testImages(3*window, side, 47)
-	e := engine.New(engine.Config{Sketch: sketch.Config{Ell0: 4, Beta: 0.9, Seed: 3}, Window: window})
+	const window, side, batch, producers = 16, 8, 4, 2
+	ims := testImages(window+producers*2*window, side, 47)
+	e := engine.New(engine.Config{Shards: 2, Sketch: sketch.Config{Ell0: 4, Beta: 0.9, Seed: 3}, Window: window})
 	defer e.Close()
-	feed := func(ims []*imgproc.Image) {
-		for lo := 0; lo < len(ims); lo += batch {
-			e.IngestBatch(ims[lo:lo+batch], nil)
+	feed := func(lo, hi int) {
+		for ; lo < hi; lo += batch {
+			tags := []int{lo, lo + 1, lo + 2, lo + 3}
+			e.IngestBatch(ims[lo:lo+batch], tags)
 		}
 	}
-	feed(ims[:window])
+	feed(0, window)
 
 	w := e.ReadWindow(4, obs.SpanContext{})
 	if len(w.Rows) != window || len(w.Tags) != window || w.Basis == nil {
 		t.Fatalf("read %d rows, %d tags, basis %v; want a full window", len(w.Rows), len(w.Tags), w.Basis)
 	}
 	x, _, _, _ := e.WindowState(4)
-	want := cloneVecs(w.Rows)
-	for i, row := range want {
-		if !slices.Equal(x.Row(i), row) {
-			t.Fatalf("WindowState row %d is not ReadWindow's", i)
+	want := make([][]float32, len(w.Rows))
+	for i, row := range w.Rows {
+		want[i] = slices.Clone(row)
+		for j, v := range row {
+			if x.At(i, j) != float64(v) {
+				t.Fatalf("WindowState row %d is not ReadWindow's widened", i)
+			}
 		}
 	}
 	if &e.ReadWindow(4, obs.SpanContext{}).Rows[0][0] != &w.Rows[0][0] {
 		t.Error("two reads of one window hold different vectors; ReadWindow copied")
 	}
 
-	feed(ims[window:]) // the window turns over twice
+	var wg sync.WaitGroup
+	per := 2 * window
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(lo int) {
+			defer wg.Done()
+			feed(lo, lo+per)
+		}(window + p*per)
+	}
+	wg.Wait() // the window turns over four times
 	for i, row := range want {
 		if !slices.Equal(w.Rows[i], row) {
 			t.Fatalf("held row %d changed after its frame left the window: the vector was recycled", i)
+		}
+	}
+	last := e.ReadWindow(4, obs.SpanContext{})
+	for i, row := range last.Rows {
+		for j, v := range ims[last.Tags[i]].Pix {
+			if row[j] != float32(v) {
+				t.Fatalf("window frame %d (tag %d) is not its image's float32 copy at %d", i, last.Tags[i], j)
+			}
 		}
 	}
 }
@@ -212,10 +237,13 @@ func TestSuspendReleaseKeepsHandedOutVectors(t *testing.T) {
 	}
 	feed(e, ims[:window])
 	w := e.ReadWindow(4, obs.SpanContext{})
-	wantRows := cloneVecs(w.Rows)
+	var wantRows [][]float32
+	for _, row := range w.Rows {
+		wantRows = append(wantRows, slices.Clone(row))
+	}
 	feed(e, ims[window:window+window/2])
 	st := e.State()
-	var wantFrames [][]float64
+	var wantFrames [][]float32
 	for _, f := range st.Frames {
 		wantFrames = append(wantFrames, slices.Clone(f.Vec))
 	}

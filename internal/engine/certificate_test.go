@@ -84,8 +84,9 @@ func TestComposedCertificateBoundsStackedShards(t *testing.T) {
 }
 
 // TestNonFiniteFramesRejected: a frame with a NaN or ±Inf element — or
-// one so large that its squared norm overflows, which would make the
-// energy ledger +Inf — fed through IngestVecs or through the
+// one whose float32 copy would hold ±Inf: 1e39 squares to a finite
+// float64 but is past float32's range, and 1e200's square overflows the
+// energy ledger too — fed through IngestVecs or through the
 // preprocessing path, enters neither the window, the sketch nor the
 // ingest count; the rest of its batch is ingested with its own tags, the
 // frames are counted in arams_engine_frames_rejected_total, and each
@@ -94,7 +95,7 @@ func TestNonFiniteFramesRejected(t *testing.T) {
 	const d = 12
 	rejected := obs.Default().Counter("arams_engine_frames_rejected_total")
 	for _, shards := range []int{1, 2} {
-		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e39, -1e39, 1e200} {
 			e := engine.New(engine.Config{
 				Shards: shards,
 				Sketch: sketch.Config{Ell0: 4, Beta: 1, Seed: 5},

@@ -16,6 +16,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,13 +99,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Frame is one preprocessed frame retained in the sliding window. Vec is
+// Frame is one preprocessed frame retained in the sliding window: the
+// float32 copy of the float64 vector the sketch absorbed. Vec is
 // immutable from the moment the frame enters the ring: the ring, every
 // State and every Window handed out while the frame was in it, and every
 // engine rebuilt from such a State may all hold the same backing array,
 // and none of them writes to it.
 type Frame struct {
-	Vec []float64
+	Vec []float32
 	Tag int
 	// shared marks a vector that somebody besides the ring holds — State
 	// or ReadWindow set it when they handed the vector out, or
@@ -141,13 +143,10 @@ type Engine struct {
 	mu      sync.Mutex
 	recent  []*Frame
 	ingests int
-	// inflight counts ingest calls between ring append and dispatch
-	// completion. Window-evicted frame vectors are recycled to the
-	// mat vector pool only when the evicting call is the sole one in
-	// flight (inflight == 1): every older frame's dispatch has then
-	// finished, so no shard absorb can still be reading the vector —
-	// and only when no State or Window holds them (Frame.shared).
-	inflight int
+	// absorbed counts the frames whose dispatch has finished. It trails
+	// ingests while a batch is between ring append and afterDispatch,
+	// and the basis cache claims only a read cut while the two agree.
+	absorbed int
 
 	// Audit accumulation (see Config.Audit). lastEll tracks the global
 	// max shard rank for rank-growth journaling.
@@ -265,14 +264,17 @@ func (e *Engine) ingestBatchAt(ims []*imgproc.Image, tags []int, queuedAt time.T
 	spPre := root.StartChild("preprocess", obs.L("frames", fmt.Sprint(len(ims))))
 	ct := obs.StartCPUTimer()
 	vecs := make([][]float64, len(ims))
+	rows := make([][]float32, len(ims))
 	mat.ParallelFor(len(ims), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			// Zero-copy handoff: the chain's working buffer comes from
-			// the vector pool (fed by window evictions below) and its
-			// output is adopted outright — it backs the ring entry and
-			// every shard append, with no intermediate flatten copy.
+			// the vector pool and its output is adopted outright — the
+			// shards absorb it, with no intermediate flatten copy, and
+			// it goes back to the pool once they have. The ring's
+			// float32 copy is narrowed while the frame is in cache.
 			im := ims[i]
 			vecs[i] = e.cfg.Pre.ApplyVec(im, mat.GetVec(im.W*im.H))
+			rows[i] = narrow(vecs[i])
 		}
 	})
 	if cpu, ok := ct.Stop(); ok {
@@ -280,14 +282,16 @@ func (e *Engine) ingestBatchAt(ims []*imgproc.Image, tags []int, queuedAt time.T
 		// their share to arams_mat_pool_cpu_seconds_total
 	}
 	spPre.End()
-	e.ingestVecsIn(&root, start, vecs, tags)
+	e.ingestVecsIn(&root, start, vecs, rows, tags)
 	e.eo.ingestLatency.Observe(time.Since(start).Seconds())
 	root.End()
 }
 
 // IngestVecs feeds already-preprocessed feature vectors to the shards.
-// The engine takes ownership of the vectors (they back both the window
-// ring and the sketch append).
+// The engine takes ownership of the vectors: the shards absorb them, the
+// window keeps a float32 copy of each, and once the batch is absorbed
+// they go back to the mat vector pool. The caller must not touch them
+// after the call, nor pass one vector twice.
 func (e *Engine) IngestVecs(vecs [][]float64, tags []int) {
 	if len(vecs) == 0 {
 		return
@@ -296,23 +300,28 @@ func (e *Engine) IngestVecs(vecs [][]float64, tags []int) {
 	root := obs.StartTrace("ingest_batch",
 		obs.L("frames", fmt.Sprint(len(vecs))),
 		obs.L("shards", fmt.Sprint(len(e.shards))))
-	e.ingestVecsIn(&root, start, vecs, tags)
+	rows := make([][]float32, len(vecs))
+	for i, v := range vecs {
+		rows[i] = narrow(v)
+	}
+	e.ingestVecsIn(&root, start, vecs, rows, tags)
 	root.End()
 }
 
 // ingestVecsIn is the traced core of ingest: every stage of the batch —
 // routing, per-shard sketching — parents under root, so one batch is one
-// connected trace on /tracez. start is when the engine first touched the
-// batch (preprocess included), the reference point for frame-budget
+// connected trace on /tracez. rows[i] is narrow(vecs[i]), the ring's
+// copy of frame i. start is when the engine first touched the batch
+// (preprocess included), the reference point for frame-budget
 // accounting.
-func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64, tags []int) {
+func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64, rows [][]float32, tags []int) {
 	if len(vecs) == 0 {
 		return
 	}
 	if tags != nil && len(tags) != len(vecs) {
 		panic("engine: tags/frames length mismatch")
 	}
-	if vecs, tags = e.rejectNonFinite(vecs, tags); len(vecs) == 0 {
+	if vecs, rows, tags = e.rejectNonFinite(vecs, rows, tags); len(vecs) == 0 {
 		return
 	}
 	e.gate.RLock()
@@ -322,33 +331,26 @@ func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64,
 	// Ring append + stream-index assignment: pointer bookkeeping only.
 	e.mu.Lock()
 	base := e.ingests
-	e.inflight++
-	for i, v := range vecs {
+	for i, v := range rows {
 		t := 0
 		if tags != nil {
 			t = tags[i]
 		}
 		e.recent = append(e.recent, &Frame{Vec: v, Tag: t})
 	}
-	var recycle [][]float64
+	var recycle [][]float32
 	if over := len(e.recent) - e.cfg.Window; over > 0 {
-		// Recycle evicted vectors to the pool when it is provably safe:
-		// we are the only in-flight ingest (older frames' dispatches
-		// have completed — shard appends copy, samplers retain nothing),
-		// the frame predates this batch (our own rows are about to be
-		// dispatched), and no reader shares the vector. State and
-		// ReadWindow mark every vector they hand out, under mu, so once
-		// an unshared frame leaves the ring nothing else can reach its
-		// vector; a shared one is simply dropped, and stays valid for
-		// whoever holds the State or the Window.
-		if e.inflight == 1 {
-			if reuse := min(over, len(e.recent)-n); reuse > 0 {
-				recycle = make([][]float64, 0, reuse)
-				for _, f := range e.recent[:reuse] {
-					if !f.shared {
-						recycle = append(recycle, f.Vec)
-					}
-				}
+		// An evicted vector goes back to the pool unless a reader shares
+		// it. No absorb reads a ring vector — the shards read the float64
+		// working vectors — and State and ReadWindow mark every vector
+		// they hand out, under mu, so once an unshared frame leaves the
+		// ring nothing else can reach its vector; a shared one is simply
+		// dropped, and stays valid for whoever holds the State or the
+		// Window.
+		recycle = make([][]float32, 0, over)
+		for _, f := range e.recent[:over] {
+			if !f.shared {
+				recycle = append(recycle, f.Vec)
 			}
 		}
 		// The slots slide out of the slice but stay in its backing array
@@ -361,7 +363,7 @@ func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64,
 	window := len(e.recent)
 	e.mu.Unlock()
 	for _, v := range recycle {
-		mat.PutVec(v)
+		mat.PutVec32(v)
 	}
 	root.SetAttr("stream_lo", fmt.Sprint(base))
 	root.SetAttr("stream_hi", fmt.Sprint(base+n-1))
@@ -395,40 +397,46 @@ func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64,
 		}
 		wg.Wait()
 	}
+	// Every shard has absorbed its rows and kept copies of what it keeps
+	// — a local sketch appends into its buffer, a sampler keeps nothing,
+	// a remote shard copies into its replay log — so the working vectors
+	// go back to the pool.
+	for _, v := range vecs {
+		mat.PutVec(v)
+	}
 
 	e.afterDispatch(results, base, n, window, start)
 }
 
-// rejectNonFinite drops every frame with a NaN or ±Inf element (see
-// finite) before it reaches the ring: one such pixel would make the
-// shard's shrinkage and energy ledgers NaN, and with them the
-// certificate and every checkpoint the stream writes, which could then
-// not be restored. A dropped frame enters neither the window, the sketch
-// nor the ingest count; its vector goes back to the pool and its tag is
-// dropped. The batch is journaled once, and the frames are counted in
-// arams_engine_frames_rejected_total. A batch with no bad frame is
-// returned as it came, without a copy.
-func (e *Engine) rejectNonFinite(vecs [][]float64, tags []int) ([][]float64, []int) {
+// rejectNonFinite drops every frame narrow could not copy (a nil row)
+// before it reaches the ring. A dropped frame enters neither the window,
+// the sketch nor the ingest count; its vector goes back to the pool and
+// its tag is dropped. The batch is journaled once, and the frames are
+// counted in arams_engine_frames_rejected_total. A batch with no bad
+// frame is returned as it came, without a copy.
+func (e *Engine) rejectNonFinite(vecs [][]float64, rows [][]float32, tags []int) ([][]float64, [][]float32, []int) {
 	bad := 0
-	for _, v := range vecs {
-		if !finite(v) {
+	for _, r := range rows {
+		if r == nil {
 			bad++
 		}
 	}
 	if bad == 0 {
-		return vecs, tags
+		return vecs, rows, tags
 	}
 	keep := make([][]float64, 0, len(vecs)-bad)
+	keepRows := make([][]float32, 0, len(vecs)-bad)
 	var keepTags []int
 	if tags != nil {
 		keepTags = make([]int, 0, len(vecs)-bad)
 	}
 	for i, v := range vecs {
-		if !finite(v) {
+		if rows[i] == nil {
 			mat.PutVec(v)
 			continue
 		}
 		keep = append(keep, v)
+		keepRows = append(keepRows, rows[i])
 		if tags != nil {
 			keepTags = append(keepTags, tags[i])
 		}
@@ -438,17 +446,29 @@ func (e *Engine) rejectNonFinite(vecs [][]float64, tags []int) ([][]float64, []i
 		"frames with a non-finite element rejected before ingest",
 		audit.A("frames", float64(bad)),
 		audit.A("batch", float64(len(vecs))))
-	return keep, keepTags
+	return keep, keepRows, keepTags
 }
 
-// finite reports whether v can enter a sketch: its squared norm, the
-// energy a shard's ledger adds for it, is a finite number. A NaN or ±Inf
-// element makes it NaN or +Inf, so one pass of the dot kernel checks
-// every element; a frame of finite elements whose squared norm overflows
-// would poison the ledger the same way and is rejected with them.
-func finite(v []float64) bool {
-	n2 := mat.Dot(v, v)
-	return n2-n2 == 0 // NaN for NaN and +Inf, 0 for every finite n2
+// narrow returns v's float32 copy for the window ring, drawn from the
+// vector pool, or nil when an element of the copy is not finite: a NaN
+// or ±Inf in v, or a magnitude past float32's range. One such element
+// would make every snapshot projected from the ring NaN, and a NaN or
+// ±Inf in v would make the shard's shrinkage and energy ledgers NaN, and
+// with them the certificate and every checkpoint the stream writes. A
+// copy of finite float32 elements also bounds the float64 squared norm
+// the ledger adds for v (d·(3.4e38)² is far inside float64's range), so
+// this one pass is the whole check.
+func narrow(v []float64) []float32 {
+	r := mat.GetVec32(len(v))[:len(v)]
+	for i, x := range v {
+		y := float32(x)
+		if !(y <= math.MaxFloat32 && y >= -math.MaxFloat32) {
+			mat.PutVec32(r)
+			return nil
+		}
+		r[i] = y
+	}
+	return r
 }
 
 // absorbTraced wraps one shard's Backend.Absorb in a shard_sketch span
@@ -541,7 +561,7 @@ func (e *Engine) afterDispatch(results []shardResult, base, n, window int, start
 			e.auditAcc = sketch.BatchStats{EllBefore: ell}
 		}
 	}
-	e.inflight--
+	e.absorbed += n
 	e.mu.Unlock()
 
 	if grewFrom > 0 {
@@ -614,7 +634,7 @@ type globalRead struct {
 // caller holds globalMu.
 func (e *Engine) readLocked(parent obs.SpanContext) *globalRead {
 	e.mu.Lock()
-	at, settled := e.ingests, e.inflight == 0
+	at, settled := e.ingests, e.absorbed == e.ingests
 	e.mu.Unlock()
 	if e.read != nil && e.readAt == at {
 		return e.read
@@ -630,8 +650,9 @@ func (e *Engine) readLocked(parent obs.SpanContext) *globalRead {
 	// ingests were in flight may not cover every row counted in `at`, so
 	// tagging it `at` would let a later reader cache-hit an incomplete
 	// read. Serve the merge (it is the freshest view available) but only
-	// claim coverage when no ingest was in flight at capture; the
-	// sentinel -1 never matches a real count, so the next read re-merges.
+	// claim coverage when every counted frame had been absorbed at
+	// capture; the sentinel -1 never matches a real count, so the next
+	// read re-merges.
 	e.readAt = -1
 	if settled {
 		e.readAt = at
@@ -716,15 +737,15 @@ func (e *Engine) GlobalSketch() *sketch.FrequentDirections {
 }
 
 // Window is one read of the sliding window together with the global
-// basis to project it on. Rows are the ring's own vectors, oldest first,
-// and Basis may be a view of the engine's basis cache — both shared, not
-// copied: holders may read them for as long as they like (the ring never
-// recycles a vector it has handed out, however far the stream runs on,
-// and a later merge cuts a new basis rather than rewrite this one) and
-// must not write to them or hand them to mat.PutVec. Tags and Ell are
-// the reader's own.
+// basis to project it on. Rows are the ring's own float32 vectors,
+// oldest first, and Basis may be a view of the engine's basis cache —
+// both shared, not copied: holders may read them for as long as they
+// like (the ring never recycles a vector it has handed out, however far
+// the stream runs on, and a later merge cuts a new basis rather than
+// rewrite this one) and must not write to them or hand them to
+// mat.PutVec32. Tags and Ell are the reader's own.
 type Window struct {
-	Rows  [][]float64
+	Rows  [][]float32
 	Tags  []int
 	Basis *mat.Matrix // top-k right singular vectors, k clamped to the rank; read-only
 	Ell   int
@@ -743,7 +764,7 @@ func (e *Engine) ReadWindow(k int, parent obs.SpanContext) Window {
 		e.mu.Unlock()
 		return Window{}
 	}
-	w := Window{Rows: make([][]float64, n), Tags: make([]int, n)}
+	w := Window{Rows: make([][]float32, n), Tags: make([]int, n)}
 	for i, f := range e.recent {
 		f.shared = true
 		w.Rows[i], w.Tags[i] = f.Vec, f.Tag
@@ -757,10 +778,11 @@ func (e *Engine) ReadWindow(k int, parent obs.SpanContext) Window {
 	return w
 }
 
-// WindowState is ReadWindow with the window copied into a matrix. Its
-// callers are benchmark/replay.go and, because that file's ledger models
-// a snapshot as this call plus the stages, Monitor.Snapshot; ROADMAP
-// item 1 deletes the replay, and this wrapper with it.
+// WindowState is ReadWindow with the window widened into a float64
+// matrix. Its callers are benchmark/replay.go and, because that file's
+// ledger models a snapshot as this call plus the stages,
+// Monitor.Snapshot; ROADMAP item 1 deletes the replay, and this wrapper
+// with it.
 func (e *Engine) WindowState(k int, parent ...obs.SpanContext) (x *mat.Matrix, tags []int, basis *mat.Matrix, ell int) {
 	var in obs.SpanContext
 	if len(parent) > 0 {
@@ -770,7 +792,11 @@ func (e *Engine) WindowState(k int, parent ...obs.SpanContext) (x *mat.Matrix, t
 	if w.Rows == nil {
 		return nil, nil, nil, 0
 	}
-	return mat.FromRows(w.Rows), w.Tags, w.Basis, w.Ell
+	x = mat.New(len(w.Rows), len(w.Rows[0]))
+	for i, r := range w.Rows {
+		mat.Widen(x.Row(i), r)
+	}
+	return x, w.Tags, w.Basis, w.Ell
 }
 
 // Basis returns the top-k right singular vectors of the global sketch

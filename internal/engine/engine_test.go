@@ -257,7 +257,7 @@ func TestStateRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := engine.NewFromState(cfg, &engine.State{
 		Window: 2, Ingests: 1,
-		Frames: []engine.Frame{{Vec: []float64{1}}, {Vec: []float64{2}}, {Vec: []float64{3}}},
+		Frames: []engine.Frame{{Vec: []float32{1}}, {Vec: []float32{2}}, {Vec: []float32{3}}},
 	}); err == nil {
 		t.Fatal("more frames than window accepted")
 	}

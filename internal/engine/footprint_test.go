@@ -43,7 +43,7 @@ func TestOneShardReadAllocatesItsBasis(t *testing.T) {
 		}
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	headers := window * (24 + 8) // a []float64 header and an int per frame
+	headers := window * (24 + 8) // a []float32 header and an int per frame
 	if limit := uint64(k*d*8 + headers + 4<<10); least > limit {
 		t.Errorf("a one-shard ReadWindow allocates %d B; want at most k·d·8 + headers + 4 KiB = %d", least, limit)
 	}
@@ -67,7 +67,7 @@ func TestShardedReadFootprint(t *testing.T) {
 		t.Fatalf("basis has %d rows, want ℓ = %d", basis.RowsN, ell)
 	}
 	const buf = 2 * ell * d * 8
-	limit := int64(window*d*8 + 2*buf + ell*d*8 + 256<<10)
+	limit := int64(window*d*4 + 2*buf + ell*d*8 + 256<<10)
 	if live := int64(liveHeap()) - int64(base); live > limit {
 		t.Errorf("after a read the engine holds %d B; want at most window + two 2ℓ×d buffers + ℓ×d + 256 KiB = %d",
 			live, limit)

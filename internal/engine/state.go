@@ -26,7 +26,7 @@ import (
 // vector a State holds, however far the stream runs on. Holders may
 // read Frames[i].Vec for as long as they like, encode it, and restore
 // from one State any number of times; they must not write to its
-// elements or hand it to mat.PutVec.
+// elements or hand it to mat.PutVec32.
 //
 // The one exception is a State from Suspend, which also owns the window
 // vectors nobody else was handed (see Release).
@@ -41,7 +41,7 @@ type State struct {
 	// owned are the vectors of the frames Suspend took from the ring
 	// that no State, Window or restored engine had been handed: the
 	// suspended engine is gone, so this State is their only holder.
-	owned [][]float64
+	owned [][]float32
 }
 
 // Release hands the vectors the State owns back to the mat vector pool
@@ -54,7 +54,7 @@ type State struct {
 // only empties it.
 func (s *State) Release() {
 	for _, v := range s.owned {
-		mat.PutVec(v)
+		mat.PutVec32(v)
 	}
 	*s = State{}
 }
@@ -201,7 +201,7 @@ func NewFromState(cfg Config, s *State) (*Engine, error) {
 	for i, f := range s.Frames {
 		e.recent[i] = &Frame{Vec: f.Vec, Tag: f.Tag, shared: true}
 	}
-	e.ingests = s.Ingests
+	e.ingests, e.absorbed = s.Ingests, s.Ingests
 	if cfg.Audit != nil {
 		if s.Journal != nil {
 			cfg.Audit.Journal().Restore(*s.Journal)

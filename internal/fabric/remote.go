@@ -225,9 +225,10 @@ func (r *Remote) Absorb(parent obs.SpanContext, vecs [][]float64, idx []int) (sk
 		return stats, err
 	}
 	// Copy the rows into the replay log before anything can fail. The
-	// copies are mandatory: the engine recycles window-evicted vectors
-	// into the mat pool, so retaining the caller's slices would alias
-	// memory that is about to be overwritten.
+	// copies are mandatory: the engine hands its float64 working vectors
+	// back to the mat pool as soon as the batch is absorbed, so retaining
+	// the caller's slices would alias memory that the next batch's
+	// preprocessing overwrites.
 	rows := make([][]float64, nrows)
 	for i := 0; i < nrows; i++ {
 		v := vecs[i]

@@ -320,10 +320,10 @@ func (p Preprocessor) applySteps(out *Image) *Image {
 // ApplyVec runs the chain and returns the preprocessed frame as a
 // feature vector ready for the sketch to adopt — the zero-copy form of
 // Apply(im).Flatten() for the streaming ingest hot path. The working
-// copy of the frame is made in buf when its capacity allows (callers
-// feed it from mat.GetVec, recycling window-evicted vectors), so a
-// chain with only in-place steps returns buf itself and the hot path
-// allocates nothing. ApplyVec takes ownership of buf: when a reshaping
+// copy of the frame is made in buf when its capacity allows (the engine
+// feeds it from mat.GetVec, recycling the working vectors of the batches
+// it has absorbed), so a chain with only in-place steps returns buf
+// itself and the hot path allocates nothing. ApplyVec takes ownership of buf: when a reshaping
 // step (Center, Bin) replaces the working image, the superseded buffer
 // is recycled to the vector pool internally and the returned vector is
 // the reshaped frame's storage. The result is always the caller's to

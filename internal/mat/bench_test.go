@@ -133,6 +133,23 @@ func BenchmarkMulABtProjectionShape(b *testing.B) {
 			}
 		})
 	})
+	// The window ring's form: the same rows as float32 vectors stored
+	// apart, widened a block at a time inside the kernel.
+	rows := make([][]float32, x.RowsN)
+	for i := range rows {
+		rows[i] = make([]float32, x.ColsN)
+		for j, v := range x.Row(i) {
+			rows[i][j] = float32(v)
+		}
+	}
+	b.Run("rows32", func(b *testing.B) {
+		forEachKernelSet(b, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = MulRowsABt(rows, basis)
+			}
+		})
+	})
 }
 
 // fdShapedBuffer builds the 2ℓ×d matrix a Frequent Directions rotation

@@ -33,8 +33,8 @@ import (
 //     the same way, in column panels sized to a 128 KB stack slot.
 //   - MulABtTo and MulRowsABt (a window×d projection: rows are the long
 //     axis and each output needs all of d; the window may be a matrix or
-//     a list of rows, leftRows in blocked.go, and the chunks are cut the
-//     same) and MulTo on a tall product split by rows,
+//     a list of float32 rows, leftRows in blocked.go, and the chunks are
+//     cut the same) and MulTo on a tall product split by rows,
 //     cut only on multiples of four. Every chunk but the last then has
 //     an even row count, and the last has the parity of the whole: the
 //     Dot-summed element falls where the serial kernel puts it.
@@ -170,11 +170,13 @@ func MulABtTo(dst, a, b *Matrix) {
 	mulABtLeft(dst, leftRows{m: a}, b)
 }
 
-// MulRowsABt returns rows·bᵀ for rows that need not share a backing
-// array: the projection of a list of vectors read where they lie. It is
-// MulABt of the matrix those rows would make, bit for bit and at every
-// pool width, without making it. Every row must be b.Cols long.
-func MulRowsABt(rows [][]float64, b *Matrix) *Matrix {
+// MulRowsABt returns rows·bᵀ for float32 rows that need not share a
+// backing array: the projection of a list of vectors read where they
+// lie. It is MulABt of the float64 matrix those rows widen to, bit for
+// bit and at every pool width, without making it: each block of rows is
+// widened one k-panel at a time into scratch, and the kernels run on
+// that. Every row must be b.Cols long.
+func MulRowsABt(rows [][]float32, b *Matrix) *Matrix {
 	for _, r := range rows {
 		if len(r) != b.ColsN {
 			panic("mat: MulRowsABt inner dimension mismatch")
@@ -191,13 +193,28 @@ func mulABtLeft(dst *Matrix, a leftRows, b *Matrix) {
 	rows := dst.RowsN
 	work := rows * b.RowsN * b.ColsN
 	if work < parallelThreshold || Workers() == 1 {
-		mulABtRangeTiled(dst, a, b, 0, rows)
+		mulABtRange(dst, a, b, 0, rows)
 	} else {
 		parallelRowQuads(rows, work, func(lo, hi int) {
-			mulABtRangeTiled(dst, a, b, lo, hi)
+			mulABtRange(dst, a, b, lo, hi)
 		})
 	}
 	observeSince(obsKernelMulABt, start)
+}
+
+// mulABtRange computes rows [lo, hi) of dst = a*bᵀ. A list operand is
+// widened into scratch from the vector pool, one per call, so chunks on
+// different workers never share it: a block of rows of one k-panel,
+// 512 KB at the most. (A 128 KB stack slot holds 16 rows of a panel,
+// and blocks of 16 pack every group of b four times as often: at
+// BenchmarkMulABtProjectionShape's 1024 × 4096 against 20 rows that
+// took 1.4× the matrix product's time, against 1.2× in whole blocks.)
+func mulABtRange(dst *Matrix, a leftRows, b *Matrix, lo, hi int) {
+	if a.list != nil {
+		a.wide = GetVec(min(hi-lo, packedRowBlock) * min(b.ColsN, panelCols))
+		defer PutVec(a.wide)
+	}
+	mulABtRangeTiled(dst, &a, b, lo, hi)
 }
 
 // Gram returns a*aᵀ (the small Gram matrix of a short-and-wide buffer),

@@ -49,21 +49,44 @@ const (
 )
 
 // leftRows is the left operand of the two dot-structured kernels: the
-// rows of a matrix or, with m nil, a list of rows that are stored apart
-// from one another — the engine's window ring, projected where it lies.
-// The kernels only ever ask the left operand for whole rows, so which of
-// the two it is costs them one predictable branch per row fetched; the
-// matrix, which every FD rotation passes, is the fall-through.
+// rows of a matrix or, with m nil, a list of float32 rows that are
+// stored apart from one another — the engine's window ring, projected
+// where it lies. The kernels read the left operand one k-panel of one
+// block of packedRowBlock rows at a time: load, then seg for each row of
+// the block. For a matrix load does nothing and seg is a view of the
+// row. A list has load widen the block's k-panel into wide, scratch of
+// the caller's (mulABtRange), once per block and panel however many
+// groups of b the block meets; the float64 values are the float32 ones
+// exactly, so the product is that of the widened matrix, bit for bit.
 type leftRows struct {
 	m    *Matrix
-	list [][]float64
+	list [][]float32
+
+	wide []float64 // list only: the loaded block's panel, from row lo
+	lo   int
 }
 
-func (l leftRows) row(i int) []float64 {
+// load makes rows [lo, hi) of panel [k0, k1) readable through seg;
+// hi - lo is at most packedRowBlock.
+func (l *leftRows) load(lo, hi, k0, k1 int) {
 	if l.m != nil {
-		return l.m.Row(i)
+		return
 	}
-	return l.list[i]
+	l.lo = lo
+	w := k1 - k0
+	for i := lo; i < hi; i++ {
+		Widen(l.wide[(i-lo)*w:(i-lo+1)*w], l.list[i][k0:k1])
+	}
+}
+
+// seg returns row i's segment [k0, k1); for a list, i must be in the
+// block last loaded, and [k0, k1) its panel.
+func (l *leftRows) seg(i, k0, k1 int) []float64 {
+	if l.m != nil {
+		return l.m.Row(i)[k0:k1]
+	}
+	w := k1 - k0
+	return l.wide[(i-l.lo)*w : (i-l.lo+1)*w]
 }
 
 // gramRange computes rows [lo, hi) of dst = a*aᵀ for the columns
@@ -72,7 +95,7 @@ func (l leftRows) row(i int) []float64 {
 // of dst are zeroed here.
 func gramRange(dst, a *Matrix, lo, hi int) {
 	if packedPays(hi-lo, a.RowsN, a.ColsN) {
-		abtRangePacked(dst, leftRows{m: a}, a, lo, hi, true)
+		abtRangePacked(dst, &leftRows{m: a}, a, lo, hi, true)
 		return
 	}
 	m, d := a.RowsN, a.ColsN
@@ -123,9 +146,11 @@ func gramRange(dst, a *Matrix, lo, hi int) {
 }
 
 // mulABtRangeTiled computes rows [lo, hi) of dst = a*bᵀ with 2×2
-// register tiles over k-panels; every row of a is b.ColsN long. The
-// target rows are zeroed here.
-func mulABtRangeTiled(dst *Matrix, a leftRows, b *Matrix, lo, hi int) {
+// register tiles over k-panels, a block of rows of a after another;
+// every row of a is b.ColsN long. The target rows are zeroed here.
+// Blocks are an even number of rows, so the pairs are those of one
+// sweep over [lo, hi) and only the last block can leave a row unpaired.
+func mulABtRangeTiled(dst *Matrix, a *leftRows, b *Matrix, lo, hi int) {
 	if packedPays(hi-lo, b.RowsN, b.ColsN) {
 		abtRangePacked(dst, a, b, lo, hi, false)
 		return
@@ -139,39 +164,43 @@ func mulABtRangeTiled(dst *Matrix, a leftRows, b *Matrix, lo, hi int) {
 	}
 	for k0 := 0; k0 < d; k0 += panelCols {
 		k1 := min(k0+panelCols, d)
-		i := lo
-		for ; i+1 < hi; i += 2 {
-			a0 := a.row(i)[k0:k1]
-			a1 := a.row(i + 1)[k0:k1]
-			d0 := dst.Row(i)
-			d1 := dst.Row(i + 1)
-			j := 0
-			for ; j+1 < n; j += 2 {
-				b0 := b.Row(j)[k0:k1]
-				b1 := b.Row(j + 1)[k0:k1]
-				c00, c01, c10, c11 := dot2x2(a0, a1, b0, b1)
-				d0[j] += c00
-				d0[j+1] += c01
-				d1[j] += c10
-				d1[j+1] += c11
+		for ib := lo; ib < hi; ib += packedRowBlock {
+			ie := min(ib+packedRowBlock, hi)
+			a.load(ib, ie, k0, k1)
+			i := ib
+			for ; i+1 < ie; i += 2 {
+				a0 := a.seg(i, k0, k1)
+				a1 := a.seg(i+1, k0, k1)
+				d0 := dst.Row(i)
+				d1 := dst.Row(i + 1)
+				j := 0
+				for ; j+1 < n; j += 2 {
+					b0 := b.Row(j)[k0:k1]
+					b1 := b.Row(j + 1)[k0:k1]
+					c00, c01, c10, c11 := dot2x2(a0, a1, b0, b1)
+					d0[j] += c00
+					d0[j+1] += c01
+					d1[j] += c10
+					d1[j+1] += c11
+				}
+				if j < n {
+					c0, c1 := dot1x2(b.Row(j)[k0:k1], a0, a1)
+					d0[j] += c0
+					d1[j] += c1
+				}
 			}
-			if j < n {
-				c0, c1 := dot1x2(b.Row(j)[k0:k1], a0, a1)
-				d0[j] += c0
-				d1[j] += c1
-			}
-		}
-		if i < hi {
-			a0 := a.row(i)[k0:k1]
-			d0 := dst.Row(i)
-			j := 0
-			for ; j+1 < n; j += 2 {
-				c0, c1 := dot1x2(a0, b.Row(j)[k0:k1], b.Row(j + 1)[k0:k1])
-				d0[j] += c0
-				d0[j+1] += c1
-			}
-			if j < n {
-				d0[j] += Dot(a0, b.Row(j)[k0:k1])
+			if i < ie {
+				a0 := a.seg(i, k0, k1)
+				d0 := dst.Row(i)
+				j := 0
+				for ; j+1 < n; j += 2 {
+					c0, c1 := dot1x2(a0, b.Row(j)[k0:k1], b.Row(j + 1)[k0:k1])
+					d0[j] += c0
+					d0[j+1] += c1
+				}
+				if j < n {
+					d0[j] += Dot(a0, b.Row(j)[k0:k1])
+				}
 			}
 		}
 	}
@@ -207,7 +236,7 @@ func packedPays(rows, n, d int) bool {
 // of four left of the row: the extra columns land in the chunk's own
 // rows of the lower triangle, which GramTo's mirrorLower overwrites.
 // The pack buffer is 32KB of stack; nothing is allocated.
-func abtRangePacked(dst *Matrix, a leftRows, b *Matrix, lo, hi int, tri bool) {
+func abtRangePacked(dst *Matrix, a *leftRows, b *Matrix, lo, hi int, tri bool) {
 	n, d := b.RowsN, b.ColsN
 	for i := lo; i < hi; i++ {
 		row := dst.Row(i)
@@ -234,6 +263,7 @@ func abtRangePacked(dst *Matrix, a leftRows, b *Matrix, lo, hi int, tri bool) {
 		p := pack[:4*(k1-k0)]
 		for ib := lo; ib < hi; ib += packedRowBlock {
 			ie := min(ib+packedRowBlock, hi)
+			a.load(ib, ie, k0, k1)
 			j0 := 0
 			if tri {
 				j0 = ib &^ 3
@@ -255,10 +285,10 @@ func abtRangePacked(dst *Matrix, a leftRows, b *Matrix, lo, hi int, tri bool) {
 					// Likewise a short last quad repeats its last row.
 					last := iEnd - 1
 					dotPack4x4AVX2(&c,
-						a.row(i)[k0:k1],
-						a.row(min(i+1, last))[k0:k1],
-						a.row(min(i+2, last))[k0:k1],
-						a.row(min(i+3, last))[k0:k1],
+						a.seg(i, k0, k1),
+						a.seg(min(i+1, last), k0, k1),
+						a.seg(min(i+2, last), k0, k1),
+						a.seg(min(i+3, last), k0, k1),
 						p)
 					for r := 0; r < 4 && i+r < iEnd; r++ {
 						out := dst.Row(i + r)[j0 : j0+jn]
@@ -270,7 +300,8 @@ func abtRangePacked(dst *Matrix, a leftRows, b *Matrix, lo, hi int, tri bool) {
 			}
 		}
 		if dotRow >= 0 {
-			dotSum += Dot(a.row(dotRow)[k0:k1], b.Row(dotCol)[k0:k1])
+			// The last block loaded holds the chunk's last row.
+			dotSum += Dot(a.seg(dotRow, k0, k1), b.Row(dotCol)[k0:k1])
 		}
 	}
 	if dotRow >= 0 {

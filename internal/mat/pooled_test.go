@@ -144,7 +144,7 @@ func TestPooledKernelsGiveSerialBits(t *testing.T) {
 			}{
 				{"MulABtTo", sh.m, sh.n,
 					func(dst *Matrix) []float64 { MulABtTo(dst, a, b); return nil },
-					func(dst *Matrix) []float64 { mulABtRangeTiled(dst, leftRows{m: a}, b, 0, sh.m); return nil }},
+					func(dst *Matrix) []float64 { mulABtRangeTiled(dst, &leftRows{m: a}, b, 0, sh.m); return nil }},
 				{"MulTo (tall)", sh.m, sh.n,
 					func(dst *Matrix) []float64 { MulTo(dst, a, bt); return nil },
 					func(dst *Matrix) []float64 { mulRangeTiled(dst, a, bt, 0, sh.m); return nil }},
@@ -280,31 +280,39 @@ func TestInPlaceBackMultiplyGivesMulToBits(t *testing.T) {
 	}
 }
 
-// TestRowListProductGivesMatrixBits holds MulRowsABt, over rows that are
-// each their own allocation (the window ring's vectors), to MulABtTo of
-// the matrix gathered from them: the two share one kernel body, so the
-// latent a quick snapshot projects in place is the one it used to
-// project from a copy. The window sizes put one, two and three rows (below the packed
-// kernel's floor), odd counts and a whole window against an odd, an even
-// and a single basis row and a d that is short, one panel, whole panels
-// and panels plus a remainder.
+// TestRowListProductGivesMatrixBits holds MulRowsABt, over float32 rows
+// that are each their own allocation (the window ring's vectors), to
+// MulABtTo of the float64 matrix they widen to: the two share one kernel
+// body, and a list's rows are widened exactly, so the latent a quick
+// snapshot projects in place is the one a full snapshot projects from
+// the widened copy. The window sizes put one, two and three rows (below
+// the packed kernel's floor), odd counts — against the odd basis row
+// count, the Dot-summed output — and a whole window against an odd, an
+// even and a single basis row and a d that is short, one panel, whole
+// panels and panels plus a remainder; every product runs at pool widths
+// 1, 2 and 4 and, where there are two kernel sets, on both.
 func TestRowListProductGivesMatrixBits(t *testing.T) {
-	ns, ks, ds := []int{1, 2, 3, 5, 127, 512}, []int{1, 11, 12}, []int{7, 1024, 4096, 4100}
+	ns, ks, ds := []int{1, 2, 3, 5, 17, 127, 512}, []int{1, 11, 12}, []int{7, 1024, 4096, 4100}
 	if testing.Short() {
-		ns, ds = ns[:5], ds[:3]
+		ns, ds = ns[:6], ds[:3]
 	}
 	g := rng.New(27)
 	for _, d := range ds {
-		rows := make([][]float64, ns[len(ns)-1])
+		rows := make([][]float32, ns[len(ns)-1])
+		x := New(len(rows), d)
 		for i := range rows {
-			rows[i] = make([]float64, d)
-			fill(rows[i], g, false)
+			wide := make([]float64, d)
+			fill(wide, g, false)
+			rows[i] = make([]float32, d)
+			for j, v := range wide {
+				rows[i][j] = float32(v)
+			}
+			Widen(x.Row(i), rows[i])
 		}
 		for _, k := range ks {
 			b := New(k, d)
 			fill(b.Data, g, false)
 			for _, n := range ns {
-				x := FromRows(rows[:n])
 				want := New(n, k)
 				for _, goLoops := range []bool{false, true} {
 					if !goLoops && !useAVX2 {
@@ -314,11 +322,11 @@ func TestRowListProductGivesMatrixBits(t *testing.T) {
 						for _, width := range []int{1, 2, 4} {
 							var got *Matrix
 							withPoolWidth(width, func() {
-								MulABtTo(want, x, b)
+								MulABtTo(want, x.Rows(0, n), b)
 								got = MulRowsABt(rows[:n], b)
 							})
 							if i, j, ok := matDiff(got, want, nil); !ok {
-								t.Errorf("n=%d k=%d d=%d go=%v width=%d: (%d,%d) differs from MulABtTo of the gathered rows",
+								t.Errorf("n=%d k=%d d=%d go=%v width=%d: (%d,%d) differs from MulABtTo of the widened rows",
 									n, k, d, goLoops, width, i, j)
 							}
 						}

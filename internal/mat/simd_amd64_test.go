@@ -457,7 +457,7 @@ func TestRangeKernelsOddChunks(t *testing.T) {
 			}{
 				// gramRange owes the columns from the diagonal on.
 				{"gramRange", sh.m, sh.m, func(dst *Matrix) { gramRange(dst, a, lo, hi) }, func(i, j int) bool { return inChunk(i, j) && j >= i }},
-				{"mulABtRangeTiled", sh.m, sh.n, func(dst *Matrix) { mulABtRangeTiled(dst, leftRows{m: a}, b, lo, hi) }, inChunk},
+				{"mulABtRangeTiled", sh.m, sh.n, func(dst *Matrix) { mulABtRangeTiled(dst, &leftRows{m: a}, b, lo, hi) }, inChunk},
 				{"mulRangeTiled", sh.m, sh.d, func(dst *Matrix) { mulRangeTiled(dst, coef, b, lo, hi) }, inChunk},
 			} {
 				got, want := New(k.rows, k.cols), New(k.rows, k.cols)

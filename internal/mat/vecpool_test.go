@@ -3,6 +3,7 @@ package mat
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestGetVecZeroed pins the pool contract the zero-copy ingest path
@@ -107,4 +108,44 @@ func TestVecPoolConcurrent(t *testing.T) {
 		}(float64(g + 1))
 	}
 	wg.Wait()
+}
+
+// TestVecPoolsKeepTheirElementType: float32 and float64 vectors share one
+// pool implementation but not its storage. A float32 array the byte
+// size of a float64 request never comes back out of GetVec, a float64
+// array never out of GetVec32, and GetVec32 keeps GetVec's contract —
+// zeroed, capacity exactly the length asked for.
+func TestVecPoolsKeepTheirElementType(t *testing.T) {
+	const n = 48
+	put := map[unsafe.Pointer]string{}
+	for i := 0; i < 8; i++ {
+		v32 := make([]float32, 2*n) // 8n bytes, like a float64 vector of n
+		v32[0] = 1
+		put[unsafe.Pointer(&v32[0])] = "float32"
+		PutVec32(v32)
+		v64 := make([]float64, n/2) // 4n bytes, like a float32 vector of n
+		v64[0] = 1
+		put[unsafe.Pointer(&v64[0])] = "float64"
+		PutVec(v64)
+	}
+	for i := 0; i < 16; i++ {
+		v, w := GetVec(n), GetVec32(n)
+		if len(v) != n || cap(v) != n || len(w) != n || cap(w) != n {
+			t.Fatalf("GetVec(%d) has length %d, capacity %d; GetVec32(%d) has %d, %d", n, len(v), cap(v), n, len(w), cap(w))
+		}
+		if from := put[unsafe.Pointer(&v[0])]; from == "float32" {
+			t.Fatal("GetVec handed out a float32 array")
+		}
+		if from := put[unsafe.Pointer(&w[0])]; from == "float64" {
+			t.Fatal("GetVec32 handed out a float64 array")
+		}
+		for j := range w {
+			if w[j] != 0 {
+				t.Fatalf("GetVec32 not zeroed at %d: %v", j, w[j])
+			}
+			w[j] = 2
+		}
+		PutVec(v)
+		PutVec32(w)
+	}
 }

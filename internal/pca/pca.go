@@ -50,10 +50,10 @@ func (p *Projector) Project(x *mat.Matrix) *mat.Matrix {
 	return mat.MulABt(x, p.basis)
 }
 
-// ProjectRows is Project over rows that need not share a backing array
-// (the engine's window, read in place): the same n×k latent, bit for
-// bit, as Project of the matrix gathered from them.
-func (p *Projector) ProjectRows(rows [][]float64) *mat.Matrix {
+// ProjectRows is Project over float32 rows that need not share a backing
+// array (the engine's window, read in place): the same n×k latent, bit
+// for bit, as Project of the float64 matrix they widen to.
+func (p *Projector) ProjectRows(rows [][]float32) *mat.Matrix {
 	return mat.MulRowsABt(rows, p.basis)
 }
 

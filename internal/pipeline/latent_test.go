@@ -10,6 +10,7 @@ import (
 	"arams/internal/obs"
 	"arams/internal/pca"
 	"arams/internal/sketch"
+	"arams/internal/umap"
 )
 
 // TestGoldenWindowLatentMatchesJacobiBackedStream is the tolerance
@@ -43,7 +44,10 @@ func TestGoldenWindowLatentMatchesJacobiBackedStream(t *testing.T) {
 		t.Fatalf("basis has %d rows, want %d", w.Basis.RowsN, k)
 	}
 	latent := pca.NewProjector(w.Basis).ProjectRows(w.Rows)
-	x := mat.FromRows(w.Rows)
+	x := mat.New(len(w.Rows), len(w.Rows[0]))
+	for i, row := range w.Rows {
+		mat.Widen(x.Row(i), row)
+	}
 
 	// The reference stream. Every row reaches the sketch: the engine
 	// feeds the sampler one row at a time and ⌈0.9·1⌉ = 1.
@@ -86,5 +90,113 @@ func TestGoldenWindowLatentMatchesJacobiBackedStream(t *testing.T) {
 				t.Fatalf("frame %d component %d: latent %g vs Jacobi-backed %g (scale %g)", i, j, latent.At(i, j), sign*ref.At(i, j), scale)
 			}
 		}
+	}
+}
+
+// goldenStream is one of the two streams the golden snapshot digests
+// pin (golden_test.go) and the float32 window's tolerance tests below
+// run: shard count and window of its monitor (goldenConfig), its images,
+// and how many of them are ingested before the Snapshot — the rest come
+// after it.
+type goldenStream struct {
+	name           string
+	shards, window int
+	warm           int
+	images         []*imgproc.Image
+}
+
+func goldenStreams() []goldenStream {
+	beam := lcls.NewBeamGenerator(lcls.BeamConfig{Size: 64, Seed: 20241001}).Generate(640 + 64)
+	diffraction, _ := lcls.NewDiffractionGenerator(lcls.DiffractionConfig{Size: 64, Seed: 20241002}).Generate(256 + 32)
+	out := []goldenStream{
+		{name: "beam-1shard-w512", shards: 1, window: 512, warm: 640},
+		{name: "diffraction-2shard-w128", shards: 2, window: 128, warm: 256},
+	}
+	for _, f := range beam {
+		out[0].images = append(out[0].images, f.Image)
+	}
+	for _, f := range diffraction {
+		out[1].images = append(out[1].images, f.Image)
+	}
+	return out
+}
+
+func goldenConfig(shards int) Config {
+	return Config{
+		Pre:         imgproc.Preprocessor{Normalize: true},
+		Sketch:      sketch.Config{Ell0: 25, Beta: 0.9, Seed: 1},
+		LatentDim:   12,
+		UMAP:        umap.Config{NNeighbors: 10, NEpochs: 80, Seed: 2},
+		Shards:      shards,
+		FrameBudget: -1,
+	}
+}
+
+// TestWindowLatentWithinFloat32OfFloat64Frames is the tolerance behind
+// the float32 window: on the golden streams, run as
+// TestGoldenSnapshotDigests runs them, every element of the
+// QuickSnapshot latent is within 2⁻²⁴·‖xᵢ‖₂ of the latent the same basis
+// projects from the float64 frames, preprocessed again here from the
+// same images. Rounding each element of xᵢ to float32 moves it by at
+// most 2⁻²⁴ of itself, so the latent, an inner product with a unit basis
+// row, moves by at most 2⁻²⁴·‖xᵢ‖₂.
+func TestWindowLatentWithinFloat32OfFloat64Frames(t *testing.T) {
+	const batch = 32
+	for _, gs := range goldenStreams() {
+		cfg := goldenConfig(gs.shards)
+		m := NewMonitor(cfg, gs.window)
+		for lo := 0; lo < gs.warm; lo += batch {
+			m.IngestBatch(gs.images[lo:lo+batch], nil)
+		}
+		m.Snapshot()
+		for lo := gs.warm; lo < len(gs.images); lo += batch {
+			m.IngestBatch(gs.images[lo:lo+batch], nil)
+		}
+		latent := m.QuickSnapshot().Latent
+		basis, _ := m.eng.Basis(cfg.LatentDim)
+		x := mat.New(gs.window, basis.ColsN)
+		for i, im := range gs.images[len(gs.images)-gs.window:] {
+			copy(x.Row(i), cfg.Pre.ApplyVec(im, nil))
+		}
+		ref := mat.MulABt(x, basis)
+		worst := 0.0
+		for i := 0; i < gs.window; i++ {
+			bound := 0x1p-24 * mat.Norm2(x.Row(i))
+			for j := 0; j < basis.RowsN; j++ {
+				d := math.Abs(latent.At(i, j) - ref.At(i, j))
+				if !(d <= bound) {
+					t.Fatalf("%s: frame %d component %d: latent %g, from float64 frames %g; |Δ| %g > 2⁻²⁴·‖x‖ = %g",
+						gs.name, i, j, latent.At(i, j), ref.At(i, j), d, bound)
+				}
+				worst = max(worst, d/bound)
+			}
+		}
+		t.Logf("%s: largest |Δ| is %.3f of 2⁻²⁴·‖x‖", gs.name, worst)
+		m.Engine().Close()
+	}
+}
+
+// TestQuickSnapshotAfterSnapshotSameLatent: a Snapshot projects the
+// window widened into a matrix, a QuickSnapshot projects the ring's
+// float32 vectors where they lie; with no ingest in between, on the
+// golden streams, the two latents are the same bits.
+func TestQuickSnapshotAfterSnapshotSameLatent(t *testing.T) {
+	const batch = 32
+	for _, gs := range goldenStreams() {
+		m := NewMonitor(goldenConfig(gs.shards), gs.window)
+		for lo := 0; lo < gs.warm; lo += batch {
+			m.IngestBatch(gs.images[lo:lo+batch], nil)
+		}
+		full := m.Snapshot().Latent
+		quick := m.QuickSnapshot().Latent
+		if quick.RowsN != full.RowsN || quick.ColsN != full.ColsN {
+			t.Fatalf("%s: quick latent %d×%d, full %d×%d", gs.name, quick.RowsN, quick.ColsN, full.RowsN, full.ColsN)
+		}
+		for i, v := range full.Data {
+			if math.Float64bits(quick.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("%s: latent element %d: quick %v, full %v", gs.name, i, quick.Data[i], v)
+			}
+		}
+		m.Engine().Close()
 	}
 }

@@ -142,7 +142,8 @@ func (m *Monitor) QuickSnapshot() *Snapshot {
 	if model == nil || cachedEll != w.Ell || w.Basis.RowsN == 0 ||
 		w.Basis.RowsN != model.InputDim() {
 		obsSnapFull.Inc()
-		return m.refit(sp.Context(), w)
+		return m.refit(sp.Context(), w,
+			func(p *pca.Projector) *mat.Matrix { return p.ProjectRows(w.Rows) })
 	}
 	snap := &Snapshot{Tags: w.Tags, Ell: w.Ell}
 	snap.Latent = pca.NewProjector(w.Basis).ProjectRows(w.Rows)
@@ -161,6 +162,8 @@ func (m *Monitor) QuickSnapshot() *Snapshot {
 // the stages and fails a traced run whose Snapshot is more than 5 %
 // cheaper than that sum, so the copy stays here until the replay goes
 // (ROADMAP item 1; EXPERIMENTS.md, issue 27, has the in-place numbers).
+// The copy is the window widened to float64, so the latent is the one
+// QuickSnapshot projects from the ring, bit for bit.
 func (m *Monitor) Snapshot() *Snapshot {
 	obsSnapFull.Inc()
 	sp := obs.StartTrace("snapshot")
@@ -169,19 +172,16 @@ func (m *Monitor) Snapshot() *Snapshot {
 	if x == nil {
 		return nil
 	}
-	rows := make([][]float64, x.RowsN)
-	for i := range rows {
-		rows[i] = x.Row(i)
-	}
-	return m.refit(sp.Context(), engine.Window{Rows: rows, Tags: tags, Basis: basis, Ell: ell})
+	return m.refit(sp.Context(), engine.Window{Tags: tags, Basis: basis, Ell: ell},
+		func(p *pca.Projector) *mat.Matrix { return p.Project(x) })
 }
 
-// refit is the full snapshot over a window already read: project, fit a
-// fresh UMAP model and cache it, cluster, score — inside the caller's
-// trace. The window's vectors may be the ring's own (engine.Window):
-// they are only read, and only by the projection.
-func (m *Monitor) refit(ctx obs.SpanContext, w engine.Window) *Snapshot {
-	n := len(w.Rows)
+// refit is the full snapshot over a window already read: project it
+// onto w.Basis with project, fit a fresh UMAP model and cache it,
+// cluster, score — inside the caller's trace. The window's vectors may
+// be the ring's own (engine.Window): only project reads them.
+func (m *Monitor) refit(ctx obs.SpanContext, w engine.Window, project func(*pca.Projector) *mat.Matrix) *Snapshot {
+	n := len(w.Tags)
 	snap := &Snapshot{Tags: w.Tags, Ell: w.Ell}
 	if w.Basis.RowsN == 0 {
 		snap.Latent = mat.New(n, 0)
@@ -197,7 +197,7 @@ func (m *Monitor) refit(ctx obs.SpanContext, w engine.Window) *Snapshot {
 	var model *umap.Model
 	engine.RunStagesIn(ctx, []engine.Stage{
 		{Name: "pca", Run: func() {
-			snap.Latent = pca.NewProjector(w.Basis).ProjectRows(w.Rows)
+			snap.Latent = project(pca.NewProjector(w.Basis))
 		}},
 		{Name: "umap", Run: func() {
 			model = umap.FitModel(snap.Latent, m.cfg.UMAP)

@@ -173,7 +173,7 @@ func TestMonitorSnapshotShareHammer(t *testing.T) {
 // TestQuickSnapshotLeavesWindowUncopied is the snapshot's share of the
 // allocation rule TestStateSharesWindowAndEvictionFreesIt (engine) pins
 // for State: a QuickSnapshot of a 512 × 4096 window allocates its latent,
-// embedding and neighbour graphs — under a quarter of the 16.8 MB the
+// embedding and neighbour graphs — under a quarter of the 8.4 MB the
 // window holds, where copying it first cost more than all of it.
 func TestQuickSnapshotLeavesWindowUncopied(t *testing.T) {
 	const window, side, batch = 512, 64, 32
@@ -195,7 +195,7 @@ func TestQuickSnapshotLeavesWindowUncopied(t *testing.T) {
 	if snap == nil || snap.Latent.RowsN != window {
 		t.Fatal("no quick snapshot of the full window")
 	}
-	const windowBytes = window * side * side * 8
+	const windowBytes = window * side * side * 4
 	if got := after.TotalAlloc - before.TotalAlloc; got >= windowBytes/4 {
 		t.Errorf("QuickSnapshot allocates %d B beside a %d-byte window; want under a quarter of it", got, windowBytes)
 	}

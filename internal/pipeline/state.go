@@ -9,11 +9,12 @@ import (
 )
 
 // FrameState is one preprocessed frame retained in the Monitor's
-// sliding window. Vec is shared, not copied — with the live window, and
-// with every monitor rebuilt from the state (see engine.State): read it
-// freely, never write to its elements.
+// sliding window, at the float32 precision the window keeps. Vec is
+// shared, not copied — with the live window, and with every monitor
+// rebuilt from the state (see engine.State): read it freely, never
+// write to its elements.
 type FrameState struct {
-	Vec []float64
+	Vec []float32
 	Tag int
 }
 

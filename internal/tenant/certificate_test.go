@@ -99,37 +99,50 @@ func TestCertificateSameResidentAndHibernated(t *testing.T) {
 }
 
 // TestNonFiniteFrameHibernateRestore: a tenant fed a frame with a NaN
-// pixel hibernates and restores — the frame was rejected at ingest, so
-// the checkpoint holds finite ledgers — and its certificate covers every
-// frame it kept, before and after the restore.
+// pixel, or with a 1e39 one that has no float32 copy for the window,
+// hibernates and restores — the frame was rejected at ingest, so the
+// checkpoint holds finite ledgers and a finite window — and its
+// certificate covers every frame it kept, before and after the restore.
 func TestNonFiniteFrameHibernateRestore(t *testing.T) {
 	const n, w, h = 64, 6, 6
-	frames := tenantFrames(n, w, h, 313)
-	frames[20].Pix[5] = math.NaN()
-	r, err := tenant.Open(tenantConfig(t.TempDir()))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer r.Close()
-	appendAll(t, r, "cxi", frames[:n/2], 0)
-	if err := r.Hibernate("cxi"); err != nil {
-		t.Fatalf("Hibernate: %v", err)
-	}
-	appendAll(t, r, "cxi", frames[n/2:], n/2) // restores the tenant
-	cert, err := r.Certificate("cxi")
-	if err != nil {
-		t.Fatalf("Certificate after restore: %v", err)
-	}
-	m, release, err := r.Monitor("cxi")
-	if err != nil {
-		t.Fatalf("Monitor: %v", err)
-	}
-	ingested := m.Ingested()
-	release()
-	if ingested != n-1 || cert.Rows != ingested {
-		t.Fatalf("%d frames ingested, certificate covers %d; want %d for both", ingested, cert.Rows, n-1)
-	}
-	if math.IsNaN(cert.ShrinkMass) || math.IsNaN(cert.FrobMass) {
-		t.Fatalf("certificate %+v is not finite", cert)
+	for _, pixel := range []float64{math.NaN(), 1e39} {
+		frames := tenantFrames(n, w, h, 313)
+		frames[20].Pix[5] = pixel
+		r, err := tenant.Open(tenantConfig(t.TempDir()))
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		appendAll(t, r, "cxi", frames[:n/2], 0)
+		if err := r.Hibernate("cxi"); err != nil {
+			t.Fatalf("pixel %v: Hibernate: %v", pixel, err)
+		}
+		appendAll(t, r, "cxi", frames[n/2:], n/2) // restores the tenant
+		cert, err := r.Certificate("cxi")
+		if err != nil {
+			t.Fatalf("pixel %v: Certificate after restore: %v", pixel, err)
+		}
+		m, release, err := r.Monitor("cxi")
+		if err != nil {
+			t.Fatalf("pixel %v: Monitor: %v", pixel, err)
+		}
+		ingested := m.Ingested()
+		st := m.State()
+		release()
+		if ingested != n-1 || cert.Rows != ingested {
+			t.Fatalf("pixel %v: %d frames ingested, certificate covers %d; want %d for both", pixel, ingested, cert.Rows, n-1)
+		}
+		if math.IsNaN(cert.ShrinkMass) || math.IsNaN(cert.FrobMass) {
+			t.Fatalf("pixel %v: certificate %+v is not finite", pixel, cert)
+		}
+		for i, f := range st.Frames {
+			for _, v := range f.Vec {
+				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+					t.Fatalf("pixel %v: window frame %d holds %v", pixel, i, v)
+				}
+			}
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -2,8 +2,9 @@
 // one process: a registry owns one pipeline.Monitor (and therefore one
 // streaming engine) per tenant ID, all sharing the process-wide mat
 // worker pool and obs registry, with an LRU/idle-deadline hibernation
-// policy that checkpoints idle tenants to disk through the ckpt v3
-// codec and transparently restores them on their next frame.
+// policy that checkpoints idle tenants to disk through the ckpt codec
+// (a monitor frame, version 4: the window at float32) and transparently
+// restores them on their next frame.
 //
 // The economics come straight from Frequent Directions: a tenant's
 // entire stream state — per-shard sketches, sampler RNG positions,
