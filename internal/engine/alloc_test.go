@@ -1,14 +1,22 @@
 package engine_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
 
+	"arams/internal/ckpt"
 	"arams/internal/engine"
 	"arams/internal/imgproc"
+	"arams/internal/mat"
 	"arams/internal/obs"
+	"arams/internal/parallel"
 	"arams/internal/sketch"
 )
 
@@ -299,5 +307,135 @@ func TestClosedShardReturnsItsSketch(t *testing.T) {
 	})
 	if bytes >= bufBytes/2 {
 		t.Errorf("open → absorb → close allocates %.0f B per cycle; the sketch buffer is %d B", bytes, bufBytes)
+	}
+}
+
+// TestMergedReadReleasesItsLegs is the release rule for a reconcile: a
+// merged read clones each shard's sketch into a buffer borrowed from the
+// vector pool, folds the clones, cuts the basis and hands every buffer
+// back, so the next read's clones find them there. With collection off —
+// a collection empties the pool — each read after an ingest allocates
+// the ℓ×d basis it cuts and little else: under the basis plus 64 KiB,
+// which is below one 2ℓ×d buffer, where cloning into fresh buffers costs
+// two. The loop runs on one P: at this width the buffers pool in a
+// sync.Pool, which files a put on the putting P, and a get on another P
+// does not always find it. Under -race sync.Pool drops a quarter of its
+// puts, so there the least of the reads is held to the bound.
+func TestMergedReadReleasesItsLegs(t *testing.T) {
+	const d, ell, reads = 4096, 16, 40
+	const limit = 8*ell*d + 64<<10
+	e := engine.New(engine.Config{Shards: 2, Sketch: sketch.Config{Ell0: ell, Beta: 1, Seed: 5}, Window: 8})
+	defer e.Close()
+	vecs := testVecs(4*ell+2*reads, d, 61)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	e.IngestVecs(vecs[:4*ell], nil) // past the first rotations
+	if b, _ := e.Basis(ell); b.RowsN != ell {
+		t.Fatalf("basis has %d rows, want %d", b.RowsN, ell)
+	}
+	merges := e.Reconciles()
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < reads; i++ {
+		lo := 4*ell + 2*i
+		e.IngestVecs(vecs[lo:lo+2], nil) // one row per shard
+		runtime.ReadMemStats(&before)
+		b, _ := e.Basis(ell)
+		runtime.ReadMemStats(&after)
+		if b.RowsN != ell {
+			t.Fatalf("read %d: basis has %d rows, want %d", i, b.RowsN, ell)
+		}
+		bytes := after.TotalAlloc - before.TotalAlloc
+		least = min(least, bytes)
+		if !raceEnabled && bytes >= limit {
+			t.Errorf("merged read %d allocates %d B; want under the ℓ×d basis + 64 KiB = %d", i, bytes, limit)
+		}
+	}
+	if least >= limit {
+		t.Errorf("every merged read allocates %d B or more; want one under the ℓ×d basis + 64 KiB = %d", least, limit)
+	}
+	if got := e.Reconciles() - merges; got != reads {
+		t.Fatalf("%d reads after an ingest merged %d times", reads, got)
+	}
+}
+
+// TestReleasedLegsDoNotAliasHeldSketches is the safety half of the
+// reconcile's release rule: a merge releases only buffers it owns. A
+// GlobalSketch result, a MergeSketches result and the sketches it
+// merged, and a Window.Basis held from an earlier read — all of the
+// shards' shape, so of the pool class a reconcile borrows from — keep
+// every bit while twenty more reconciles each borrow and return their
+// legs' buffers. Two shapes: one whose buffers pool in a sync.Pool, and
+// one past mat's threshold for its shared free list.
+func TestReleasedLegsDoNotAliasHeldSketches(t *testing.T) {
+	for _, shape := range []struct{ d, ell int }{{512, 8}, {8192, 32}} {
+		t.Run(fmt.Sprintf("d=%d", shape.d), func(t *testing.T) {
+			releasedLegsKeepHeldSketches(t, shape.d, shape.ell)
+		})
+	}
+}
+
+func releasedLegsKeepHeldSketches(t *testing.T, d, ell int) {
+	const k, batch, rounds = 6, 4, 20
+	e := engine.New(engine.Config{Shards: 2, Sketch: sketch.Config{Ell0: ell, Beta: 1, Seed: 7}, Window: 16})
+	defer e.Close()
+	vecs := testVecs(4*ell+rounds*batch, d, 67)
+	e.IngestVecs(vecs[:4*ell], nil)
+
+	held := map[string]*sketch.FrequentDirections{"GlobalSketch": e.GlobalSketch()}
+	var inputs []*sketch.FrequentDirections
+	for i := 0; i < 2; i++ {
+		fd := sketch.NewFrequentDirections(ell, d, sketch.Options{})
+		for _, v := range testVecs(3*ell, d, uint64(71+i)) {
+			fd.Append(v)
+		}
+		inputs = append(inputs, fd)
+		held[fmt.Sprintf("MergeSketches input %d", i)] = fd
+	}
+	held["MergeSketches result"], _ = parallel.MergeSketches(inputs, parallel.TreeMerge)
+	w := e.ReadWindow(k, obs.SpanContext{})
+	if w.Basis == nil || w.Basis.RowsN != k {
+		t.Fatalf("window basis %v, want %d rows", w.Basis, k)
+	}
+
+	sketchDigest := func(fd *sketch.FrequentDirections) [32]byte {
+		frame, err := ckpt.Marshal(fd.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sha256.Sum256(frame)
+	}
+	basisDigest := func(b *mat.Matrix) [32]byte {
+		h := sha256.New()
+		for i := 0; i < b.RowsN; i++ {
+			for _, v := range b.Row(i) {
+				h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+			}
+		}
+		return [32]byte(h.Sum(nil))
+	}
+	want := map[string][32]byte{"Window.Basis": basisDigest(w.Basis)}
+	for name, fd := range held {
+		want[name] = sketchDigest(fd)
+	}
+
+	merges := e.Reconciles()
+	for r := 0; r < rounds; r++ {
+		lo := 4*ell + r*batch
+		e.IngestVecs(vecs[lo:lo+batch], nil)
+		if b, _ := e.Basis(k); b == nil || b.RowsN != k {
+			t.Fatalf("round %d: basis %v, want %d rows", r, b, k)
+		}
+	}
+	if got := e.Reconciles() - merges; got != rounds {
+		t.Fatalf("%d ingest + read rounds merged %d times", rounds, got)
+	}
+	if basisDigest(w.Basis) != want["Window.Basis"] {
+		t.Error("a held Window.Basis changed under later reconciles")
+	}
+	for name, fd := range held {
+		if sketchDigest(fd) != want[name] {
+			t.Errorf("the %s changed under later reconciles: a merge released a buffer it did not own", name)
+		}
 	}
 }

@@ -36,10 +36,10 @@ type Backend interface {
 	// worker's spans join the caller's trace; a local one ignores it.
 	Absorb(parent obs.SpanContext, vecs [][]float64, idx []int) (sketch.BatchStats, error)
 	// Snapshot returns a copy of the shard sketch that the caller owns
-	// — the reconcile merge folds it in place (parallel.RemoteLeg states
-	// the contract) — and leaves the live sketch untouched. (nil, nil)
-	// means no rows have been absorbed yet. parent is the fetching span,
-	// as for Absorb.
+	// — the reconcile merge folds it in place and releases it
+	// (parallel.RemoteLeg states the contract) — and leaves the live
+	// sketch untouched. (nil, nil) means no rows have been absorbed yet.
+	// parent is the fetching span, as for Absorb.
 	Snapshot(parent obs.SpanContext) (*sketch.FrequentDirections, error)
 	// State returns the checkpointable sketcher state, or (nil, nil)
 	// before the first row.
@@ -147,7 +147,10 @@ func (s *localShard) Absorb(_ obs.SpanContext, vecs [][]float64, idx []int) (ske
 	return agg, nil
 }
 
-// Snapshot clones the shard sketch for merging.
+// Snapshot clones the shard sketch for merging. The clone's buffer is
+// borrowed from the mat vector pool, and the caller owns it: the
+// reconcile merge releases it once folded (or once the basis is cut
+// from the merge it became), GlobalSketch hands it on unreleased.
 func (s *localShard) Snapshot(obs.SpanContext) (*sketch.FrequentDirections, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -236,10 +239,11 @@ func (s *localShard) Busy() time.Duration {
 }
 
 // Close hands the live sketch's 2ℓ×d buffer back to the mat vector
-// pool — Snapshot and State only ever gave out copies, so nothing else
-// reads it — and makes every later call fail fast: Absorb, Snapshot,
-// State, Restore and Certificate return parallel.ErrBackendClosed, Basis
-// and Ell report an empty sketch, and no Absorb starts a fresh one.
+// pool — Snapshot and State only ever gave out copies, which their
+// holders own and release on their own, so nothing else reads it — and
+// makes every later call fail fast: Absorb, Snapshot, State, Restore and
+// Certificate return parallel.ErrBackendClosed, Basis and Ell report an
+// empty sketch, and no Absorb starts a fresh one.
 func (s *localShard) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

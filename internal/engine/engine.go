@@ -645,6 +645,9 @@ func (e *Engine) readLocked(parent obs.SpanContext) *globalRead {
 	}
 	ell := g.Ell()
 	e.read = &globalRead{basis: g.Basis(ell), ell: ell}
+	// The basis is its own matrix, so the merged sketch is dead: its
+	// buffer goes back to the pool for the next reconcile's clones.
+	g.Release()
 	// Cache coherence: e.ingests is bumped at ring-append time, before
 	// the batch's absorbs land in shard backends. A merge that ran while
 	// ingests were in flight may not cover every row counted in `at`, so
@@ -661,12 +664,12 @@ func (e *Engine) readLocked(parent obs.SpanContext) *globalRead {
 }
 
 // reconcileLocked merges the shards into a fresh global sketch, the
-// caller's to keep or drop. Only the basis readers and GlobalSketch call
-// it — ingest and Certificate never merge — and the caller holds
-// globalMu. Shard locks are held only long enough
-// to clone, so ingest proceeds during the merge itself. The reconcile
-// span and its merge legs parent under the reader's span, or root their
-// own trace when parent is zero.
+// caller's to keep or release. Only the basis readers and GlobalSketch
+// call it — ingest and Certificate never merge — and the caller holds
+// globalMu. Shard locks are held only long enough to clone, so ingest
+// proceeds during the merge itself. The reconcile span and its merge
+// legs parent under the reader's span, or root their own trace when
+// parent is zero.
 func (e *Engine) reconcileLocked(parent obs.SpanContext) *sketch.FrequentDirections {
 	sp := obs.Default().StartSpanIn(parent, "reconcile",
 		obs.L("shards", fmt.Sprint(len(e.shards))))
@@ -720,9 +723,9 @@ func (e *Engine) Certificate() audit.Certificate {
 }
 
 // GlobalSketch returns the global sketch as of now, the caller's to
-// mutate (nil before the first frame). For one shard it is a copy of
-// the live sketch; for many it is a fresh merge, never a cache hit, and
-// it leaves the basis cache alone.
+// mutate or release (nil before the first frame). For one shard it is a
+// copy of the live sketch; for many it is a fresh merge, never a cache
+// hit, and it leaves the basis cache alone.
 func (e *Engine) GlobalSketch() *sketch.FrequentDirections {
 	if len(e.shards) == 1 {
 		fd, err := e.shards[0].Snapshot(obs.SpanContext{})

@@ -81,33 +81,36 @@ func TestVecPoolReleaseKeyedByCapacity(t *testing.T) {
 
 // TestVecPoolConcurrent shakes the pool under -race: concurrent
 // get/scribble/put cycles must never hand the same backing array to
-// two goroutines at once.
+// two goroutines at once, neither from a per-P class nor from a big
+// class's shared free list.
 func TestVecPoolConcurrent(t *testing.T) {
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(tag float64) {
-			defer wg.Done()
-			for iter := 0; iter < 200; iter++ {
-				v := GetVec(96)
-				for i := range v {
-					if v[i] != 0 {
-						t.Errorf("goroutine %v: dirty vec at %d", tag, i)
-						return
+	for _, size := range []struct{ n, iters int }{{96, 200}, {bigMin, 10}} {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(tag float64) {
+				defer wg.Done()
+				for iter := 0; iter < size.iters; iter++ {
+					v := GetVec(size.n)
+					for i := range v {
+						if v[i] != 0 {
+							t.Errorf("goroutine %v: dirty vec of %d at %d", tag, size.n, i)
+							return
+						}
+						v[i] = tag
 					}
-					v[i] = tag
-				}
-				for i := range v {
-					if v[i] != tag {
-						t.Errorf("goroutine %v: vec shared while held (saw %v)", tag, v[i])
-						return
+					for i := range v {
+						if v[i] != tag {
+							t.Errorf("goroutine %v: vec of %d shared while held (saw %v)", tag, size.n, v[i])
+							return
+						}
 					}
+					PutVec(v)
 				}
-				PutVec(v)
-			}
-		}(float64(g + 1))
+			}(float64(g + 1))
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // TestVecPoolsKeepTheirElementType: float32 and float64 vectors share one

@@ -41,9 +41,10 @@ type mergeEnv struct {
 
 // mergeNodes folds fds into one sketch with the chosen strategy,
 // consuming them: the result is fds[0] with every other sketch merged
-// in. It fills the merge accounting in env.stats (MergeRounds, Rounds)
-// and returns the merge critical path: the sum over tree rounds of each
-// round's slowest leg, or the whole chain for the serial fold.
+// in and released. It fills the merge accounting in env.stats
+// (MergeRounds, Rounds) and returns the merge critical path: the sum over
+// tree rounds of each round's slowest leg, or the whole chain for the
+// serial fold.
 func mergeNodes(fds []*sketch.FrequentDirections, strategy MergeStrategy, env *mergeEnv) (*sketch.FrequentDirections, time.Duration) {
 	switch strategy {
 	case TreeMerge:
@@ -147,10 +148,15 @@ func serialMerge(fds []*sketch.FrequentDirections, trace obs.SpanContext) (*sket
 
 // foldInto merges rest into acc in order, compacting after each merge
 // so the accumulator re-enters the next one at ℓ rows, and returns acc.
+// Each operand is dead once its rows are stacked and rotated into acc,
+// so its 2ℓ×d buffer goes straight back to the mat vector pool: every
+// caller owns what it folds (MergeSketches folds clones, MergeRemote
+// what it fetched, Run what its Sketcher built).
 func foldInto(acc *sketch.FrequentDirections, rest []*sketch.FrequentDirections) *sketch.FrequentDirections {
 	for _, fd := range rest {
 		acc.Merge(fd)
 		acc.Compact()
+		fd.Release()
 	}
 	return acc
 }
@@ -192,10 +198,10 @@ func MergeSketches(fds []*sketch.FrequentDirections, strategy MergeStrategy) (*s
 }
 
 // mergeOwned is MergeSketches over sketches the caller hands over: it
-// folds them in place (fds[0] becomes the result, the rest are left
-// compacted and spent). Its spans (merge_sketches → merge_round →
-// merge_leg) parent into the given trace; the zero SpanContext roots a
-// standalone one.
+// folds them in place (fds[0] becomes the result, the rest are released
+// to the mat vector pool as they are folded). Its spans (merge_sketches
+// → merge_round → merge_leg) parent into the given trace; the zero
+// SpanContext roots a standalone one.
 func mergeOwned(fds []*sketch.FrequentDirections, strategy MergeStrategy, parent obs.SpanContext) (*sketch.FrequentDirections, Stats) {
 	stats := Stats{Workers: len(fds)}
 	if len(fds) == 0 {

@@ -3,6 +3,7 @@ package parallel
 import (
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"arams/internal/obs"
@@ -76,6 +77,50 @@ func TestMergeRemoteFoldsFetchedSketchesInPlace(t *testing.T) {
 	if buffer := uint64(2 * ell * d * 8); perMerge >= buffer {
 		t.Fatalf("MergeRemote allocated %d B per 2-leg merge beyond its fetches, want < one 2ℓ×d buffer (%d B)",
 			perMerge, buffer)
+	}
+}
+
+// TestMergeSketchesReleasesFoldedClones: MergeSketches clones its inputs
+// into buffers borrowed from the vector pool and releases every clone
+// it folds, so with the caller releasing the result too, a loop of
+// two-input merges draws all its buffers from the pool — under one 2ℓ×d
+// buffer per merge, where keeping the folded clone costs one. The inputs
+// keep their state throughout. Collection is off for the loop, since it
+// empties the pool; under -race the pool drops a quarter of its puts,
+// which costs half a buffer per merge on average.
+func TestMergeSketchesReleasesFoldedClones(t *testing.T) {
+	const ell, d, merges = 8, 1024, 100
+	const buffer = 8 * 2 * ell * d
+	x := testMatrix(6*ell, d, 93)
+	mk := FDSketcher(ell, sketch.Options{})
+	var fds []*sketch.FrequentDirections
+	var before []sketch.FDState
+	for _, s := range SplitRows(x, 2) {
+		fds = append(fds, mk(s))
+		before = append(before, fds[len(fds)-1].State())
+	}
+	merge := func() {
+		g, _ := MergeSketches(fds, TreeMerge)
+		if g.Seen() != x.RowsN {
+			t.Fatalf("merged sketch saw %d rows, want %d", g.Seen(), x.RowsN)
+		}
+		g.Release()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	merge()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < merges; i++ {
+		merge()
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / merges; per >= buffer {
+		t.Errorf("a two-input MergeSketches allocates %d B; want under one 2ℓ×d buffer (%d B)", per, buffer)
+	}
+	for i, fd := range fds {
+		if !reflect.DeepEqual(before[i], fd.State()) {
+			t.Errorf("input %d changed across the merges", i)
+		}
 	}
 }
 

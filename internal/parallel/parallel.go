@@ -107,7 +107,10 @@ type Stats struct {
 }
 
 // Sketcher builds a fresh sketch for a shard; it lets callers choose
-// plain FD, rank-adaptive FD, or full ARAMS per worker.
+// plain FD, rank-adaptive FD, or full ARAMS per worker. Run owns what it
+// returns: every sketch but the one Run returns is released to the mat
+// vector pool once folded, so a Sketcher must not hand out a sketch
+// anything else still reads.
 type Sketcher func(shard *mat.Matrix) *sketch.FrequentDirections
 
 // FDSketcher returns a Sketcher that runs plain fast Frequent

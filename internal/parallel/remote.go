@@ -59,12 +59,14 @@ func (r Retry) withDefaults() Retry {
 // RemoteLeg is one fetchable input of a remote merge: typically a
 // shard backend's snapshot call. Fetch must return a sketch the merge
 // may consume — a clone or a freshly decoded copy, never a live
-// sketch — because the survivors are folded in place. (nil, nil) means
-// the shard exists but has absorbed no rows yet — an empty leg, skipped
-// without counting as a fault. parent is the fetch attempt's span
-// context, so a trace-propagating transport (the fabric Remote) can
-// parent its RPC spans — and the worker's shipped span records — under
-// the attempt that caused them; other fetches ignore it.
+// sketch — because the survivors are folded in place and every one but
+// the result is then released to the mat vector pool, as is a fetch
+// rejected as non-finite. (nil, nil) means the shard exists but has
+// absorbed no rows yet — an empty leg, skipped without counting as a
+// fault. parent is the fetch attempt's span context, so a
+// trace-propagating transport (the fabric Remote) can parent its RPC
+// spans — and the worker's shipped span records — under the attempt that
+// caused them; other fetches ignore it.
 type RemoteLeg struct {
 	Name  string
 	Fetch func(parent obs.SpanContext) (*sketch.FrequentDirections, error)
@@ -297,6 +299,7 @@ func fetchLeg(parent obs.SpanContext, leg RemoteLeg, retry Retry) (*sketch.Frequ
 			return leg.Fetch(attCtx)
 		})
 		if err == nil && fd != nil && !fd.Finite() {
+			fd.Release() // ours, like every fetch; a retry fetches afresh
 			err = errNotFinite
 		}
 		if err != nil {

@@ -89,14 +89,22 @@ func NewFrequentDirections(ell, d int, opts Options) *FrequentDirections {
 		ell:    ell,
 		d:      d,
 		opts:   opts,
-		buffer: &mat.Matrix{RowsN: 2 * ell, ColsN: d, Stride: d, Data: mat.GetVec(2 * ell * d)},
+		buffer: pooledBuffer(ell, d),
 	}
+}
+
+// pooledBuffer borrows a zeroed 2ℓ×d buffer from the mat vector pool.
+func pooledBuffer(ell, d int) *mat.Matrix {
+	return &mat.Matrix{RowsN: 2 * ell, ColsN: d, Stride: d, Data: mat.GetVec(2 * ell * d)}
 }
 
 // Release hands the sketch's 2ℓ×d buffer back to the mat vector pool.
 // The sketch must not be used afterwards, and nothing may still read the
-// buffer: only its sole owner releases it (a closed shard backend),
-// never a holder of a Clone's source or of a state copied from it.
+// buffer. Only an owner releases it: a closed shard backend its live
+// sketch, a merge the operands it owns once they are folded, a basis
+// reader the merged sketch once its basis is cut. Never a holder of a
+// Clone's source or of a state copied from it — Clone and State copy,
+// so neither shares the buffer.
 func (fd *FrequentDirections) Release() {
 	if fd.buffer == nil {
 		return
@@ -326,6 +334,7 @@ func (fd *FrequentDirections) Merge(other *FrequentDirections) {
 	}
 	if other == fd {
 		other = fd.Clone()
+		defer other.Release()
 	}
 	if other.ell > fd.ell {
 		fd.Grow(other.ell - fd.ell)
@@ -354,17 +363,18 @@ func (fd *FrequentDirections) Merge(other *FrequentDirections) {
 }
 
 // Grow increases the number of retained directions by dl, extending the
-// buffer. Existing sketch content is preserved.
+// buffer. Existing sketch content is preserved. The wider buffer comes
+// from the mat vector pool and the old one goes back to it: the sketch
+// is its sole owner, since State and Clone copy.
 func (fd *FrequentDirections) Grow(dl int) {
 	if dl <= 0 {
 		return
 	}
 	newEll := fd.ell + dl
-	nb := mat.New(2*newEll, fd.d)
-	for i := 0; i < fd.nextZero; i++ {
-		copy(nb.Row(i), fd.buffer.Row(i))
-	}
-	fd.buffer = nb
+	nb := pooledBuffer(newEll, fd.d)
+	copy(nb.Data, fd.buffer.Data[:fd.nextZero*fd.d])
+	mat.PutVec(fd.buffer.Data)
+	fd.buffer, fd.filledView = nb, mat.Matrix{}
 	fd.ell = newEll
 	obsGrows.Inc()
 	obsEllGauge.SetInt(fd.ell)

@@ -2,6 +2,8 @@ package sketch
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -255,6 +257,41 @@ func TestGrowPreservesContent(t *testing.T) {
 				t.Fatal("Grow corrupted sketch content")
 			}
 		}
+	}
+}
+
+// TestGrowReleasesTheNarrowBuffer: Grow borrows the wider buffer from
+// the vector pool and hands the narrower one back, so a sketch built,
+// grown and released in a loop draws both of its buffers from the pool,
+// and a cycle allocates under the narrow buffer's size — what a Grow
+// that kept the old buffer from the pool would cost. Collection is off
+// for the loop, since it empties the pool. Under -race the pool drops a
+// quarter of its puts, a quarter of both buffers per cycle on average
+// (three quarters of the bound); the loop is long enough to hold that
+// mean well inside it.
+func TestGrowReleasesTheNarrowBuffer(t *testing.T) {
+	const ell, dl, d, cycles = 8, 8, 1024, 200
+	const narrow = 8 * 2 * ell * d
+	rows := gaussData(2*ell, d, 17) // fills the buffer without a rotation
+	cycle := func() {
+		fd := NewFrequentDirections(ell, d, Options{})
+		fd.AppendMatrix(rows)
+		fd.Grow(dl)
+		if fd.Ell() != ell+dl || fd.nextZero != 2*ell {
+			t.Fatalf("grown sketch has ℓ=%d and %d rows, want %d and %d", fd.Ell(), fd.nextZero, ell+dl, 2*ell)
+		}
+		fd.Release()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cycle()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per >= narrow {
+		t.Errorf("build → grow → release allocates %d B per cycle; want under the narrow 2ℓ×d buffer, %d B", per, narrow)
 	}
 }
 

@@ -96,13 +96,19 @@ func NewFDFromState(s FDState) (*FrequentDirections, error) {
 // Clone returns an independent deep copy of the sketch: the buffer and
 // the counters, which are all a sketch is. parallel.MergeSketches
 // clones its inputs, and a shard backend clones its live sketch for
-// the reconcile merge, because a fold compacts both operands.
+// the reconcile merge, because a fold compacts both operands. The
+// copy's 2ℓ×d buffer comes from the mat vector pool, like a new
+// sketch's, so the merge that folds the clone and then releases it
+// hands the buffer to the next clone of the same shape. Only the
+// occupied rows are copied; the rest are zero in both.
 func (fd *FrequentDirections) Clone() *FrequentDirections {
+	buf := pooledBuffer(fd.ell, fd.d)
+	copy(buf.Data, fd.buffer.Data[:fd.nextZero*fd.d])
 	return &FrequentDirections{
 		ell:        fd.ell,
 		d:          fd.d,
 		opts:       fd.opts,
-		buffer:     fd.buffer.Clone(),
+		buffer:     buf,
 		nextZero:   fd.nextZero,
 		rotations:  fd.rotations,
 		seen:       fd.seen,
