@@ -190,24 +190,20 @@ func main() {
 			fatal("flag error", errors.New("-fabric requires -checkpoint-dir (streaming mode)"))
 		}
 		addrs := strings.Split(*fabricWorkers, ",")
-		backends := make([]engine.Backend, len(addrs))
-		remotes := make([]*fabric.Remote, len(addrs))
-		for i, addr := range addrs {
-			name := fmt.Sprintf("worker%d", i)
-			r, err := fabric.DialRemote(name, strings.TrimSpace(addr), uint32(i),
-				engine.ShardSketchConfig(scfg, i), fabric.RemoteConfig{})
-			if err != nil {
-				fatal(fmt.Sprintf("dialing fabric worker %s", addr), err)
-			}
+		for i := range addrs {
+			addrs[i] = strings.TrimSpace(addrs[i])
+		}
+		remotes := fabric.DialFleet(addrs, scfg, fabric.RemoteConfig{})
+		backends := make([]engine.Backend, len(remotes))
+		for i, r := range remotes {
 			if r.Degraded() {
 				slog.Warn("fabric worker unreachable; shard degraded to in-process sketching",
-					"worker", name, "addr", addr)
+					"worker", r.Name(), "addr", addrs[i])
 			}
 			// Heartbeats now feed this worker's registry snapshot into
 			// /fleetz, and coordinator flight dumps fan out to it.
 			r.ArmFleet(fleet)
 			backends[i] = r
-			remotes[i] = r
 		}
 		fabric.ArmFleetFlight(remotes)
 		cfg.Backends = backends

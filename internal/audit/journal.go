@@ -23,7 +23,7 @@ const (
 	KindCheckpointRestore EventKind = "checkpoint_restore" // sketch state restored
 	KindDeadlineMiss      EventKind = "deadline_miss"      // batch blew its frame budget
 	KindFramesRejected    EventKind = "frames_rejected"    // frames with a non-finite element dropped before ingest
-	KindRemoteLegLost     EventKind = "remote_leg_lost"    // remote merge leg dropped after retries
+	KindRemoteLegLost     EventKind = "remote_leg_lost"    // remote merge leg dropped: its one fetch failed
 	KindRemoteDegrade     EventKind = "remote_degrade"     // remote shard fell back to local sketching
 	KindRemoteRecovery    EventKind = "remote_recovery"    // remote shard state restored + replayed after reconnect
 	KindFlightFanout      EventKind = "flight_fanout"      // coordinator flight trigger fanned out to the worker fleet

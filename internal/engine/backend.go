@@ -23,9 +23,10 @@ import (
 // interface holds every method the engine calls; the engine never
 // asserts a backend to anything else.
 //
-// Local backends are infallible; remote backends surface transport
-// faults as errors after exhausting their own recovery (reconnect,
-// state restore, row replay, local fallback). Backends must be safe
+// Local backends are infallible; remote backends recover transport
+// faults themselves (reconnect, state restore, row replay, then a
+// bit-exact local fallback), so what they return is a result, a fatal
+// error or a decode error, and the engine asks once. Backends must be safe
 // for concurrent calls: the engine serializes nothing across its
 // snapshot/state/ingest paths beyond its own locks.
 type Backend interface {

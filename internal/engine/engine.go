@@ -72,12 +72,6 @@ type Config struct {
 	// semantics match an all-local engine exactly. Empty means the
 	// engine creates Shards in-process backends itself.
 	Backends []Backend
-	// ReconcileRetry is the per-leg retry policy for snapshot fetches
-	// during a reconcile (parallel.MergeRemote). The zero value means
-	// the parallel defaults: 3 attempts, 200µs doubling backoff, no
-	// per-attempt timeout. Local backends never fail, so this only
-	// matters with remote shards.
-	ReconcileRetry parallel.Retry
 }
 
 func (c Config) withDefaults() Config {
@@ -674,19 +668,20 @@ func (e *Engine) reconcileLocked(parent obs.SpanContext) *sketch.FrequentDirecti
 	sp := obs.Default().StartSpanIn(parent, "reconcile",
 		obs.L("shards", fmt.Sprint(len(e.shards))))
 	defer sp.End()
-	// Snapshot every shard through its backend as a remote-merge leg:
-	// for local backends the fetch is an in-process clone that cannot
-	// fail (bit-identical to the pre-fabric sequential clone+merge,
-	// since MergeRemote folds survivors in leg order), for remote ones
-	// it is a network fetch with retry/re-fetch/degrade semantics. A
-	// degraded merge covers only the surviving shards' streams; the
-	// dropped legs are journaled by MergeRemote and retried on the next
-	// reconcile.
+	// Snapshot every shard through its backend as a remote-merge leg,
+	// fetched once: for local backends the fetch is an in-process clone
+	// that cannot fail (bit-identical to the pre-fabric sequential
+	// clone+merge, since MergeRemote folds survivors in leg order), for
+	// remote ones it is a network fetch that has already run the
+	// backend's own recovery (reconnect, restore + replay, bit-exact
+	// local fallback). A leg that still fails is dropped: the merge
+	// covers only the surviving shards' streams, MergeRemote journals
+	// the loss, and the next reconcile asks the shard again.
 	legs := make([]parallel.RemoteLeg, len(e.shards))
 	for i, s := range e.shards {
 		legs[i] = parallel.RemoteLeg{Name: "shard" + fmt.Sprint(i), Fetch: s.Snapshot}
 	}
-	g, _, rep := parallel.MergeRemote(legs, e.cfg.ReconcileRetry, sp.Context())
+	g, _, rep := parallel.MergeRemote(legs, sp.Context())
 	if rep.Degraded() {
 		sp.SetAttr("degraded_legs", fmt.Sprint(rep.Dropped))
 	}
@@ -703,10 +698,10 @@ func (e *Engine) reconcileLocked(parent obs.SpanContext) *sketch.FrequentDirecti
 // for one shard is that shard's certificate. Stacked FD sketches are a
 // sketch of the whole stream (AᵀA − Σ BᵢᵀBᵢ ≼ (Σ δᵢ) I), so no merge is
 // needed, and the result is what State's shard ledgers compose to. A
-// shard that cannot answer (a remote one whose worker does not, or any
-// after Close) is left out and journaled as a lost leg: the
-// certificate's Rows then fall short of Ingested, and the next call asks
-// the shard again.
+// shard that cannot answer (any after Close; a remote one recovers its
+// own transport faults, so only a fatal or decode error) is left out and
+// journaled as a lost leg: the certificate's Rows then fall short of
+// Ingested, and the next call asks the shard again.
 func (e *Engine) Certificate() audit.Certificate {
 	var cert audit.Certificate
 	for i, s := range e.shards {

@@ -28,10 +28,7 @@ func TestClosedBackendsFailFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer workers[0].Close()
-	remote, err := fabric.DialRemote("w0", addrs[0], 0, scfg, quietRemote())
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := fabric.DialRemote("w0", addrs[0], 0, scfg, quietRemote())
 	for _, tc := range []struct {
 		name  string
 		b     engine.Backend

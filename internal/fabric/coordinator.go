@@ -6,6 +6,7 @@ import (
 	"arams/internal/audit"
 	"arams/internal/engine"
 	"arams/internal/obs"
+	"arams/internal/sketch"
 )
 
 var obsFabricWorkers = obs.Default().Gauge("arams_fabric_workers")
@@ -38,37 +39,40 @@ type Coordinator struct {
 	flightCancel func() // unregisters the fleet flight fan-out hook
 }
 
-// NewCoordinator dials every worker and builds the engine around them.
-// A worker that cannot be dialed follows the remote recovery policy:
-// by default its shard degrades to in-process sketching (journaled),
-// under RemoteConfig.NoLocalFallback the construction fails instead.
+// NewCoordinator dials every worker (DialFleet) and builds the engine
+// around them. A worker that cannot be dialed has its shard start
+// degraded to in-process sketching (journaled), as DialRemote does.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("fabric: coordinator needs at least one worker address")
 	}
-	c := &Coordinator{}
-	backends := make([]engine.Backend, len(cfg.Workers))
-	for i, addr := range cfg.Workers {
-		name := fmt.Sprintf("worker%d", i)
-		r, err := DialRemote(name, addr, uint32(i),
-			engine.ShardSketchConfig(cfg.Engine.Sketch, i), cfg.Remote)
-		if err != nil {
-			for _, prev := range c.remotes {
-				prev.Close()
-			}
-			return nil, fmt.Errorf("fabric: dial %s (%s): %w", name, addr, err)
-		}
-		c.remotes = append(c.remotes, r)
-		backends[i] = r
-	}
+	c := &Coordinator{remotes: DialFleet(cfg.Workers, cfg.Engine.Sketch, cfg.Remote)}
 	ecfg := cfg.Engine
-	ecfg.Backends = backends
+	ecfg.Backends = make([]engine.Backend, len(c.remotes))
+	for i, r := range c.remotes {
+		ecfg.Backends[i] = r
+	}
 	c.eng = engine.New(ecfg)
-	obsFabricWorkers.SetInt(len(cfg.Workers))
+	return c, nil
+}
+
+// DialFleet dials one Remote per worker address — worker i, named
+// "worker<i>", serves shard i with engine.ShardSketchConfig(base, i), so
+// routing and RNG semantics are those of an all-local engine — then
+// sets the arams_fabric_workers gauge and journals fabric_up. It is the
+// one dial loop: NewCoordinator and cmd/lclsmon's -fabric mode both
+// call it.
+func DialFleet(addrs []string, base sketch.Config, cfg RemoteConfig) []*Remote {
+	remotes := make([]*Remote, len(addrs))
+	for i, addr := range addrs {
+		remotes[i] = DialRemote(fmt.Sprintf("worker%d", i), addr, uint32(i),
+			engine.ShardSketchConfig(base, i), cfg)
+	}
+	obsFabricWorkers.SetInt(len(remotes))
 	audit.Default().Record("fabric_up",
 		"coordinator connected to worker fleet",
-		audit.A("workers", float64(len(cfg.Workers))))
-	return c, nil
+		audit.A("workers", float64(len(remotes))))
+	return remotes
 }
 
 // Engine returns the distributed streaming engine.

@@ -280,10 +280,7 @@ func TestLoopbackBasisIsSnapshotBasis(t *testing.T) {
 			w.Close()
 		}
 	}()
-	r, err := fabric.DialRemote("w0", addrs[0], 0, scfg, quietRemote())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fabric.DialRemote("w0", addrs[0], 0, scfg, quietRemote())
 	defer r.Close()
 	if b, ell := r.Basis(3); b != nil || ell != 0 {
 		t.Fatalf("basis before the first row: %v, ell %d", b, ell)

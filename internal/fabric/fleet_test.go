@@ -1,0 +1,48 @@
+package fabric_test
+
+import (
+	"testing"
+
+	"arams/internal/audit"
+	"arams/internal/fabric"
+	"arams/internal/obs"
+	"arams/internal/sketch"
+)
+
+// TestDialFleetReportsTheFleet: the one dial loop — what NewCoordinator
+// and lclsmon -fabric both run — sets the arams_fabric_workers gauge to
+// the fleet size and journals exactly one fabric_up event, with every
+// worker bound to its shard slot and live.
+func TestDialFleetReportsTheFleet(t *testing.T) {
+	workers, addrs, err := fabric.StartLoopbackWorkers(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, w := range workers {
+			w.Close()
+		}
+	}()
+	gauge := obs.Default().Gauge("arams_fabric_workers")
+	gauge.SetInt(0)
+	seq := audit.Default().Seq()
+
+	remotes := fabric.DialFleet(addrs, sketch.Config{Ell0: 8, Beta: 1, Seed: 3}, quietRemote())
+	defer func() {
+		for _, r := range remotes {
+			r.Close()
+		}
+	}()
+	if got := gauge.Value(); got != 2 {
+		t.Errorf("arams_fabric_workers = %v, want 2", got)
+	}
+	evs := audit.Default().Query(audit.Query{Kind: "fabric_up", SinceSeq: seq})
+	if len(evs) != 1 || evs[0].Get("workers", 0) != 2 {
+		t.Errorf("fabric_up events %+v, want one with workers=2", evs)
+	}
+	for i, r := range remotes {
+		if want := "worker" + string(rune('0'+i)); r.Name() != want || r.Degraded() {
+			t.Errorf("remote %d: name %q degraded %v, want %q live", i, r.Name(), r.Degraded(), want)
+		}
+	}
+}

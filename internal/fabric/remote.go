@@ -19,14 +19,18 @@ import (
 	"arams/internal/sketch"
 )
 
-// RemoteConfig tunes the coordinator side of one worker connection.
+// RemoteConfig tunes the coordinator side of one worker connection: its
+// deadlines and the pace of the recovery ladder (see Remote). The
+// ladder has no off switch: exhausted reconnects always degrade to the
+// bit-exact local sketcher.
 type RemoteConfig struct {
 	// DialTimeout bounds each connection attempt (default 2s).
 	DialTimeout time.Duration
 	// OpTimeout is the per-RPC connection deadline — every request and
-	// its response must complete within it (default 5s). This is what
-	// bounds how long a straggling fetch goroutine can outlive a merge
-	// leg timeout: all I/O is deadline-bounded, nothing blocks forever.
+	// its response must complete within it (default 5s). All I/O is
+	// deadline-bounded, so nothing blocks forever: a stalled worker
+	// costs an operation at most one OpTimeout per RPC the ladder tries
+	// before the Remote degrades.
 	OpTimeout time.Duration
 	// HeartbeatEvery is the liveness/RTT probe interval (default 1s;
 	// negative disables heartbeats).
@@ -38,14 +42,6 @@ type RemoteConfig struct {
 	// ReconnectBackoff is the initial delay between reconnect attempts,
 	// doubling each try (default 50ms).
 	ReconnectBackoff time.Duration
-	// NoLocalFallback disables the last rung of the recovery ladder.
-	// By default a Remote whose reconnects are exhausted degrades to an
-	// in-process sketcher seeded from the last fetched state plus the
-	// replay log — bit-exact with the worker it replaces, so the stream
-	// keeps full coverage. With NoLocalFallback the backend instead
-	// returns classified errors and the engine's merge degrades to the
-	// surviving shards.
-	NoLocalFallback bool
 }
 
 // replayLogCap is how many rows the replay log may hold before Absorb
@@ -74,20 +70,27 @@ func (c RemoteConfig) withDefaults() RemoteConfig {
 }
 
 // Remote is an engine.Backend whose sketching happens on a fabric
-// Worker across a TCP connection. Recovery ladder, in order:
+// Worker across a TCP connection. It is the one place a fabric shard's
+// faults are recovered, through this ladder, in order:
 //
 //  1. Every RPC runs under a connection deadline (OpTimeout), so no
 //     fault blocks an operation for longer than one round trip budget.
 //  2. A failed RPC reconnects — dial, Hello, unconditional
 //     Restore(lastState), replay of every row absorbed since that state
-//     — and retries. Unconditional restore makes recovery correct
-//     whether the worker lost state (process restart), absorbed the
-//     failed batch (ack lost), or never saw it: the worker is always
-//     rebuilt to exactly lastState + replay log.
+//     — and a read then asks again. Unconditional restore makes
+//     recovery correct whether the worker lost state (process restart),
+//     absorbed the failed batch (ack lost), or never saw it: the worker
+//     is always rebuilt to exactly lastState + replay log. A reconnect
+//     that fails, or a read that fails again over the fresh
+//     connection, costs one of ReconnectAttempts.
 //  3. Exhausted reconnects degrade to an in-process sketcher built from
-//     lastState + replay log (bit-exact with the lost worker), unless
-//     NoLocalFallback — then operations return classified errors and
-//     the merge layer drops the leg.
+//     lastState + replay log, bit-exact with the lost worker, so the
+//     shard keeps full coverage.
+//
+// Hence the invariant the merge relies on when it fetches a leg once: a
+// read (Snapshot, State, Certificate) returns a result, a FaultFatal
+// error (the Remote is closed, or the worker refused the request as
+// fatal) or a decode error, never a transient one.
 //
 // The replay log holds a copy of every row absorbed since the last
 // state fetch; each successful Snapshot/State fetch trims it. A reader
@@ -138,10 +141,9 @@ type Remote struct {
 
 // DialRemote connects to a fabric worker and binds it to one shard
 // slot: scfg must already be shard-derived (engine.ShardSketchConfig).
-// The initial dial obeys the same reconnect policy as runtime faults;
-// if it fails entirely the Remote starts degraded (local fallback) —
-// or errors out under NoLocalFallback.
-func DialRemote(name, addr string, shard uint32, scfg sketch.Config, cfg RemoteConfig) (*Remote, error) {
+// It never fails: if the first dial does, the Remote starts degraded
+// (local fallback, journaled as remote_degrade).
+func DialRemote(name, addr string, shard uint32, scfg sketch.Config, cfg RemoteConfig) *Remote {
 	cfg = cfg.withDefaults()
 	r := &Remote{
 		name:        name,
@@ -161,22 +163,16 @@ func DialRemote(name, addr string, shard uint32, scfg sketch.Config, cfg RemoteC
 		mObsRing:    obs.Default().Gauge("arams_fabric_worker_obs_ring", obs.L("worker", name)),
 	}
 	r.mu.Lock()
-	err := r.reconnectLocked(obs.SpanContext{}, 0, 0)
-	r.mu.Unlock()
-	if err != nil {
-		if cfg.NoLocalFallback {
-			return nil, err
-		}
-		r.mu.Lock()
+	if err := r.reconnectLocked(obs.SpanContext{}, 0, 0); err != nil {
 		r.degradeLocked(err, 0)
-		r.mu.Unlock()
 	}
+	r.mu.Unlock()
 	if cfg.HeartbeatEvery > 0 {
 		r.hbStop = make(chan struct{})
 		r.hbDone = make(chan struct{})
 		go r.heartbeatLoop()
 	}
-	return r, nil
+	return r
 }
 
 // Name returns the worker's display name (metric label).
@@ -241,7 +237,7 @@ func (r *Remote) Absorb(parent obs.SpanContext, vecs [][]float64, idx []int) (sk
 
 	ack, err := r.ingestRPCLocked(parent, rows)
 	if err != nil {
-		if err = r.recoverLocked(parent, err, nrows); err != nil {
+		if err = r.recoverLocked(parent, err, nrows, nil); err != nil {
 			return sketch.BatchStats{}, err
 		}
 		// Recovery replayed the log with these rows as the tail chunk —
@@ -251,18 +247,23 @@ func (r *Remote) Absorb(parent obs.SpanContext, vecs [][]float64, idx []int) (sk
 	}
 	r.lastEll.Store(int64(ack.Ell))
 	if len(r.log) >= replayLogCap {
-		// The rows are absorbed and acked whatever this fetch does, so its
-		// error is dropped: a failed fetch leaves the log as it was (or
-		// recovered through the ladder) and the next Absorb tries again.
-		_, _ = r.stateLocked(parent)
+		// The rows are absorbed and acked whatever this fetch does, so it
+		// runs no ladder of its own: a failed fetch leaves the log as it
+		// was, and the next operation reconnects if the fetch dropped the
+		// connection, and the next Absorb tries the trim again.
+		if st, err := r.fetchStateRPCLocked(parent); err == nil {
+			r.lastState = st
+			r.log = r.log[:0]
+		}
 	}
 	return ack.Stats, nil
 }
 
 // Snapshot fetches the worker's state and returns its sketch, trimming
-// the replay log — a state fetch is an incremental checkpoint. The
-// fetch RPC, and the worker's state span shipped back with it, join
-// parent's trace.
+// the replay log — a state fetch is an incremental checkpoint. A fault
+// is recovered through the ladder, so an error is fatal or a decode
+// failure. The fetch RPC, and the worker's state span shipped back with
+// it, join parent's trace.
 func (r *Remote) Snapshot(parent obs.SpanContext) (*sketch.FrequentDirections, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -304,14 +305,15 @@ func (r *Remote) stateLocked(parent obs.SpanContext) (*sketch.ARAMSState, error)
 	}
 	st, err := r.fetchStateRPCLocked(parent)
 	if err != nil {
-		if err = r.recoverLocked(parent, err, 0); err != nil {
+		fetch := func() (err error) {
+			st, err = r.fetchStateRPCLocked(parent)
+			return err
+		}
+		if err = r.recoverLocked(parent, err, 0, fetch); err != nil {
 			return nil, err
 		}
 		if r.fallback != nil {
 			return r.fallback.State()
-		}
-		if st, err = r.fetchStateRPCLocked(parent); err != nil {
-			return nil, err
 		}
 	}
 	// Trim: the fetched state covers every row acked so far, and Absorb
@@ -339,7 +341,7 @@ func (r *Remote) Restore(st *sketch.ARAMSState) error {
 	}
 	if err := r.restoreRPCLocked(obs.SpanContext{}, st); err != nil {
 		// recoverLocked restores lastState (just set) + empty log.
-		if err = r.recoverLocked(obs.SpanContext{}, err, 0); err != nil {
+		if err = r.recoverLocked(obs.SpanContext{}, err, 0, nil); err != nil {
 			return err
 		}
 		if r.fallback != nil {
@@ -360,7 +362,8 @@ func (r *Remote) Ell() int { return int(r.lastEll.Load()) }
 func (r *Remote) Busy() time.Duration { return time.Duration(r.busyNanos.Load()) }
 
 // Certificate fetches the worker's own error-bound certificate (zero
-// before the first row; served locally once degraded).
+// before the first row; served locally once degraded), recovering a
+// fault through the ladder as Snapshot does.
 func (r *Remote) Certificate() (audit.Certificate, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -370,15 +373,20 @@ func (r *Remote) Certificate() (audit.Certificate, error) {
 	if r.fallback != nil {
 		return r.fallback.Certificate()
 	}
-	payload, err := r.rpcLocked(obs.SpanContext{}, MsgCertificateReq, nil, MsgCertificate)
+	cert, err := r.certificateRPCLocked()
 	if err != nil {
-		return audit.Certificate{}, err
+		fetch := func() (err error) {
+			cert, err = r.certificateRPCLocked()
+			return err
+		}
+		if err = r.recoverLocked(obs.SpanContext{}, err, 0, fetch); err != nil {
+			return audit.Certificate{}, err
+		}
+		if r.fallback != nil {
+			return r.fallback.Certificate()
+		}
 	}
-	p, err := decodeCertificate(payload)
-	if err != nil {
-		return audit.Certificate{}, parallel.AsFault(parallel.FaultCorrupt, err)
-	}
-	return p.Cert, nil
+	return cert, nil
 }
 
 // Close stops the heartbeat, tears down the connection, and closes the
@@ -573,6 +581,18 @@ func (r *Remote) fetchStateRPCLocked(parent obs.SpanContext) (*sketch.ARAMSState
 	return st, nil
 }
 
+func (r *Remote) certificateRPCLocked() (audit.Certificate, error) {
+	payload, err := r.rpcLocked(obs.SpanContext{}, MsgCertificateReq, nil, MsgCertificate)
+	if err != nil {
+		return audit.Certificate{}, err
+	}
+	p, err := decodeCertificate(payload)
+	if err != nil {
+		return audit.Certificate{}, parallel.AsFault(parallel.FaultCorrupt, err)
+	}
+	return p.Cert, nil
+}
+
 func (r *Remote) restoreRPCLocked(parent obs.SpanContext, st *sketch.ARAMSState) error {
 	payload, err := ckpt.Marshal(st)
 	if err != nil {
@@ -584,13 +604,17 @@ func (r *Remote) restoreRPCLocked(parent obs.SpanContext, st *sketch.ARAMSState)
 
 // --- recovery ladder ---
 
-// recoverLocked is rung 2 and 3: reconnect with restore + replay under
-// the retry policy, then degrade to local fallback (or return the
-// classified error under NoLocalFallback). pending is how many rows at
-// the tail of the log belong to the in-flight Absorb — they are
-// replayed as their own chunk so lastReplayAck holds exactly their
-// stats.
-func (r *Remote) recoverLocked(parent obs.SpanContext, cause error, pending int) error {
+// recoverLocked is rungs 2 and 3: reconnect with restore + replay under
+// the reconnect policy, then degrade to the local fallback. It returns
+// cause when cause is fatal and nil otherwise: the operation has then
+// taken effect over a fresh connection or, once r.fallback is set, is
+// the fallback's to serve. pending is how many rows at the tail of the
+// log belong to the in-flight Absorb — they are replayed as their own
+// chunk so lastReplayAck holds exactly their stats. read, when non-nil,
+// is the read whose RPC failed: it runs again over each fresh
+// connection, and its failure costs an attempt as a failed reconnect
+// does, so a read that keeps failing ends in the fallback.
+func (r *Remote) recoverLocked(parent obs.SpanContext, cause error, pending int, read func() error) error {
 	if parallel.Classify(cause) == parallel.FaultFatal {
 		return cause
 	}
@@ -607,14 +631,16 @@ func (r *Remote) recoverLocked(parent obs.SpanContext, cause error, pending int)
 				audit.A("shard", float64(r.hello.Shard)),
 				audit.A("attempt", float64(attempt)),
 				audit.A("replayed_rows", float64(len(r.log))))
-			return nil
+			if read == nil {
+				return nil
+			}
+			if err = read(); err == nil {
+				return nil
+			}
 		}
 		if parallel.Classify(err) == parallel.FaultFatal {
 			break
 		}
-	}
-	if r.cfg.NoLocalFallback {
-		return err
 	}
 	r.degradeLocked(err, pending)
 	return nil

@@ -45,10 +45,7 @@ func TestReplayLogBoundedWithoutReader(t *testing.T) {
 	}
 	defer workers[0].Close()
 	scfg := sketch.Config{Ell0: 8, Beta: 1, Seed: 5}
-	r, err := fabric.DialRemote("w0", addrs[0], 0, scfg, quietRemote())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fabric.DialRemote("w0", addrs[0], 0, scfg, quietRemote())
 	defer r.Close()
 
 	const n = 4 * fabric.ReplayLogCap
@@ -235,10 +232,7 @@ func TestReplayLogFailedSelfTrim(t *testing.T) {
 	defer workers[0].Close()
 	front := newFetchCutter(t, addrs[0])
 	scfg := sketch.Config{Ell0: 8, Beta: 1, Seed: 5}
-	r, err := fabric.DialRemote("w0", front.ln.Addr().String(), 0, scfg, quietRemote())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fabric.DialRemote("w0", front.ln.Addr().String(), 0, scfg, quietRemote())
 	defer func() {
 		r.Close()
 		front.ln.Close()

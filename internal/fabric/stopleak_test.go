@@ -1,6 +1,7 @@
 package fabric_test
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -10,19 +11,20 @@ import (
 	"arams/internal/fabric"
 	"arams/internal/fabric/fabrictest"
 	"arams/internal/obs"
-	"arams/internal/parallel"
 	"arams/internal/sketch"
 )
 
-// TestStopDuringHungReconcile is the regression test for the pending-leg
-// leak: with a worker link that suddenly stalls, a reconcile's fetch leg
-// must be abandoned at Retry.LegTimeout (not held to the network
-// timeout), engine Stop must return promptly, the flight recorder must
-// capture the aborted leg, and — because every fabric I/O runs under a
-// connection deadline — the abandoned fetch goroutine must exit on its
-// own instead of leaking.
+// TestStopDuringHungReconcile runs the production recovery ladder
+// against a worker link that suddenly stalls in the middle of a
+// reconcile. Engine Stop never waits on a reconcile, so it must return
+// while the stalled fetch is still pending. The fetch itself is
+// recovered by the Remote alone: its RPCs time out at OpTimeout, the
+// reconnect stalls too, and the shard degrades to its bit-exact local
+// sketcher, so the reconcile returns the all-local engine's global
+// sketch bit for bit. The degrade is journaled and dumped by the flight
+// recorder, and — because every fabric I/O runs under a connection
+// deadline — no goroutine outlives the recovery.
 func TestStopDuringHungReconcile(t *testing.T) {
-	const legTimeout = 100 * time.Millisecond
 	const opTimeout = 400 * time.Millisecond
 
 	fr, err := obs.Default().ArmFlightRecorder(obs.FlightConfig{
@@ -48,22 +50,20 @@ func TestStopDuringHungReconcile(t *testing.T) {
 	}
 	defer p.Close()
 
+	ecfg := engine.Config{
+		Shards: 2,
+		Sketch: sketch.Config{Ell0: 8, Beta: 1, Seed: 13},
+		Window: 32,
+	}
 	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
 		Workers: []string{addrs[0], p.Addr()},
-		Engine: engine.Config{
-			Shards:         2,
-			Sketch:         sketch.Config{Ell0: 8, Beta: 1, Seed: 13},
-			Window:         32,
-			ReconcileRetry: parallel.Retry{MaxAttempts: 1, LegTimeout: legTimeout},
-		},
+		Engine:  ecfg,
 		Remote: fabric.RemoteConfig{
 			DialTimeout:       200 * time.Millisecond,
 			OpTimeout:         opTimeout,
 			HeartbeatEvery:    -1, // deterministic goroutine accounting
 			ReconnectAttempts: 1,
 			ReconnectBackoff:  time.Millisecond,
-			// The leg must actually be lost — no bit-exact local stand-in.
-			NoLocalFallback: true,
 		},
 	})
 	if err != nil {
@@ -72,50 +72,73 @@ func TestStopDuringHungReconcile(t *testing.T) {
 	defer coord.Close()
 	eng := coord.Engine()
 
-	eng.IngestVecs(cloneVecs(testVecs(64, 16, 53)), nil)
+	vecs := testVecs(64, 16, 53)
+	eng.IngestVecs(cloneVecs(vecs), nil)
+	local := engine.New(ecfg)
+	defer local.Close()
+	local.IngestVecs(cloneVecs(vecs), nil)
+	want := local.GlobalSketch()
+	if want == nil {
+		t.Fatal("all-local engine has no global sketch")
+	}
+
 	baseline := runtime.NumGoroutine()
 	seq := audit.Default().Seq()
 
-	// Stall the link: every chunk now takes far longer than the leg
-	// timeout, so the in-flight reconcile leg hangs at the wire.
+	// Stall the link: every chunk now takes far longer than OpTimeout, so
+	// the reconcile's fetch from shard 1 hangs at the wire, and so does
+	// the reconnect that follows it.
 	p.SetDelay(2 * opTimeout)
 
+	var got *sketch.FrequentDirections
 	reconcileDone := make(chan struct{})
 	go func() {
 		defer close(reconcileDone)
-		if g := eng.GlobalSketch(); g == nil {
-			t.Error("no global sketch from surviving shard")
-		}
+		got = eng.GlobalSketch()
 	}()
 	time.Sleep(20 * time.Millisecond) // let the reconcile reach the hung leg
 
 	start := time.Now()
 	eng.Stop()
-	if elapsed := time.Since(start); elapsed > legTimeout+300*time.Millisecond {
-		t.Errorf("Stop blocked %v behind a hung reconcile leg (leg timeout %v)", elapsed, legTimeout)
+	if elapsed := time.Since(start); elapsed > opTimeout {
+		t.Errorf("Stop blocked %v behind a hung reconcile leg", elapsed)
 	}
-
 	select {
 	case <-reconcileDone:
-	case <-time.After(legTimeout + time.Second):
-		t.Fatal("reconcile still pending long after the leg timeout — pending leg leaked")
+		t.Error("reconcile finished before Stop returned; the stalled fetch was not pending")
+	default:
 	}
 
-	if evs := audit.Default().Query(audit.Query{Kind: audit.KindRemoteLegLost, SinceSeq: seq}); len(evs) == 0 {
-		t.Error("lost reconcile leg not journaled")
+	// One stalled fetch plus one stalled reconnect, each cut at OpTimeout,
+	// then the degrade.
+	select {
+	case <-reconcileDone:
+	case <-time.After(2*opTimeout + time.Second):
+		t.Fatal("reconcile still pending long after the ladder's deadlines — pending leg leaked")
 	}
-	// FlightTrigger("remote_leg_lost") must have produced a dump of the
-	// aborted leg's telemetry.
+	if got == nil {
+		t.Fatal("no global sketch from the degraded reconcile")
+	}
+	if !reflect.DeepEqual(got.Sketch().Data, want.Sketch().Data) || got.Seen() != want.Seen() {
+		t.Error("degraded reconcile differs from the all-local engine's global sketch")
+	}
+
+	if evs := audit.Default().Query(audit.Query{Kind: audit.KindRemoteDegrade, SinceSeq: seq}); len(evs) == 0 {
+		t.Error("degrade of the stalled shard not journaled")
+	}
+	// FlightTrigger("fabric_degrade") must have produced a dump of the
+	// stalled leg's telemetry.
 	deadline := time.Now().Add(2 * time.Second)
 	for fr.Dumps() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if fr.Dumps() == 0 {
-		t.Error("flight recorder captured no dump for the aborted leg")
+		t.Error("flight recorder captured no dump for the degraded shard")
 	}
 
-	// The abandoned fetch goroutine is deadline-bounded (OpTimeout): it
-	// must exit on its own, leaving no leak behind.
+	// The proxy goroutines still forwarding the stalled chunks are bounded
+	// by their delay and the closed connections: they must exit on their
+	// own, leaving no leak behind.
 	deadline = time.Now().Add(2*opTimeout + 2*time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)

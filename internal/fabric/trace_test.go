@@ -41,10 +41,7 @@ func stitchWorker(t *testing.T) (*fabric.Worker, *obs.Registry) {
 func TestCrossProcessTraceStitch(t *testing.T) {
 	w, workerReg := stitchWorker(t)
 	scfg := sketch.Config{Ell0: 8, Beta: 1, Seed: 5}
-	r, err := fabric.DialRemote("w0", w.Addr(), 0, scfg, quietRemote())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fabric.DialRemote("w0", w.Addr(), 0, scfg, quietRemote())
 	defer r.Close()
 
 	root := obs.StartTrace("ingest_batch")
@@ -146,10 +143,7 @@ func TestFleetFlightFanout(t *testing.T) {
 	defer wfr.Close()
 
 	scfg := sketch.Config{Ell0: 8, Beta: 1, Seed: 5}
-	r, err := fabric.DialRemote("worker0", w.Addr(), 0, scfg, quietRemote())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fabric.DialRemote("worker0", w.Addr(), 0, scfg, quietRemote())
 	defer r.Close()
 	cancel := fabric.ArmFleetFlight([]*fabric.Remote{r})
 	defer cancel()

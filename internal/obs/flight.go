@@ -35,11 +35,11 @@ type FlightConfig struct {
 	// Cooldown is the minimum spacing between dumps; triggers inside
 	// the cooldown are counted but produce no file (default 10s).
 	Cooldown time.Duration
-	// MaxSpans bounds the span portion of the ring independently of
-	// Window, so a span storm cannot evict the metric samples
-	// (default 4096).
-	MaxSpans int
 }
+
+// flightSpanCap bounds the span portion of the ring independently of
+// Window, so a span storm cannot evict the metric samples.
+const flightSpanCap = 4096
 
 func (c FlightConfig) withDefaults() FlightConfig {
 	if c.Window <= 0 {
@@ -50,9 +50,6 @@ func (c FlightConfig) withDefaults() FlightConfig {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 10 * time.Second
-	}
-	if c.MaxSpans <= 0 {
-		c.MaxSpans = 4096
 	}
 	return c
 }
@@ -182,8 +179,8 @@ func (fr *FlightRecorder) addSpan(rec SpanRecord) {
 	now := time.Now()
 	fr.mu.Lock()
 	fr.spans = append(fr.spans, flightEntry{Time: now, Kind: "span", Span: &rec})
-	if len(fr.spans) > fr.cfg.MaxSpans {
-		fr.spans = fr.spans[len(fr.spans)-fr.cfg.MaxSpans:]
+	if len(fr.spans) > flightSpanCap {
+		fr.spans = fr.spans[len(fr.spans)-flightSpanCap:]
 	}
 	fr.trimLocked(now)
 	fr.mu.Unlock()

@@ -68,7 +68,7 @@ func TestMergeRemoteFoldsFetchedSketchesInPlace(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for _, legs := range prebuilt {
-		if g, _, _ := MergeRemote(legs, Retry{}, obs.SpanContext{}); g.Seen() != x.RowsN {
+		if g, _, _ := MergeRemote(legs, obs.SpanContext{}); g.Seen() != x.RowsN {
 			t.Fatalf("merged sketch saw %d rows, want %d", g.Seen(), x.RowsN)
 		}
 	}

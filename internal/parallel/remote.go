@@ -19,53 +19,31 @@ import (
 // *fetch* — snapshotting a shard backend that may live on the far side
 // of a TCP connection — and the failure modes are the network's: dial
 // failures, timeouts, mid-frame disconnects, checksum mismatches. The
-// recovery ladder: retry transient and corrupt faults with backoff
-// (re-fetch), then degrade to the surviving legs, journaling the
-// coverage loss. Because FD sketches are mergeable summaries, the
-// surviving legs still merge into a sketch whose certificate bound
-// holds for exactly the streams they cover.
+// transport owns recovery: a fabric Remote reconnects, restores and
+// replays, and degrades to a bit-exact local sketcher rather than
+// return a transient error, so the merge fetches each leg once and
+// drops the legs whose fetch still fails, journaling the coverage loss. Because
+// FD sketches are mergeable summaries, the surviving legs still merge
+// into a sketch whose certificate bound holds for exactly the streams
+// they cover.
 
 var (
 	obsRemoteLegs     = obs.Default().Counter("arams_parallel_remote_legs_total")
-	obsRemoteRetries  = obs.Default().Counter("arams_parallel_remote_leg_retries_total")
 	obsRemoteLegsLost = obs.Default().Counter("arams_parallel_remote_legs_lost_total")
 	obsRemoteFetchSec = obs.Default().Histogram("arams_parallel_remote_fetch_seconds")
 )
 
-// Retry is the per-leg fetch policy. The zero value means: 3 attempts
-// per leg, 200µs base backoff (doubling per retry), no timeout.
-type Retry struct {
-	// MaxAttempts is the number of fetches per leg before the leg is
-	// dropped (default 3).
-	MaxAttempts int
-	// Backoff is the sleep before the first retry; it doubles on each
-	// subsequent retry (default 200µs).
-	Backoff time.Duration
-	// LegTimeout bounds one attempt's wall time; 0 disables. An
-	// attempt that exceeds it counts as a failure.
-	LegTimeout time.Duration
-}
-
-func (r Retry) withDefaults() Retry {
-	if r.MaxAttempts <= 0 {
-		r.MaxAttempts = 3
-	}
-	if r.Backoff <= 0 {
-		r.Backoff = 200 * time.Microsecond
-	}
-	return r
-}
-
 // RemoteLeg is one fetchable input of a remote merge: typically a
-// shard backend's snapshot call. Fetch must return a sketch the merge
-// may consume — a clone or a freshly decoded copy, never a live
-// sketch — because the survivors are folded in place and every one but
-// the result is then released to the mat vector pool, as is a fetch
-// rejected as non-finite. (nil, nil) means the shard exists but has
-// absorbed no rows yet — an empty leg, skipped without counting as a
-// fault. parent is the fetch attempt's span context, so a
+// shard backend's snapshot call. Fetch is called exactly once and must
+// have done its own recovery: its error drops the leg. It must return a
+// sketch the merge may consume — a clone or a freshly decoded copy,
+// never a live sketch — because the survivors are folded in place and
+// every one but the result is then released to the mat vector pool, as
+// is a fetch rejected as non-finite. (nil, nil) means the shard exists
+// but has absorbed no rows yet — an empty leg, skipped without counting
+// as a fault. parent is the leg's remote_leg span context, so a
 // trace-propagating transport (the fabric Remote) can parent its RPC
-// spans — and the worker's shipped span records — under the attempt that
+// spans — and the worker's shipped span records — under the leg that
 // caused them; other fetches ignore it.
 type RemoteLeg struct {
 	Name  string
@@ -79,14 +57,13 @@ const (
 	// FaultNone: no error.
 	FaultNone FaultClass = iota
 	// FaultTransient: timeouts, resets, refused connections, torn
-	// streams — a retry against a recovered peer may succeed.
+	// streams — a reconnect to a recovered peer may succeed.
 	FaultTransient
 	// FaultCorrupt: the bytes arrived but failed validation (checksum
-	// mismatch, undecodable state, non-finite sketch) — re-fetching
-	// gets a fresh copy.
+	// mismatch, undecodable state, non-finite sketch).
 	FaultCorrupt
 	// FaultFatal: the backend is closed or the caller canceled — no
-	// retry can succeed.
+	// recovery can succeed.
 	FaultFatal
 )
 
@@ -108,25 +85,21 @@ func (c FaultClass) String() string {
 
 // ErrBackendClosed is returned by shard backends whose Close has been
 // called; Classify maps it (and context cancellation) to FaultFatal so
-// a shutdown never burns retries.
+// a shutdown never burns reconnects.
 var ErrBackendClosed = errors.New("parallel: shard backend closed")
 
 // errNotFinite is the validation failure for a fetched sketch whose
 // buffer holds NaN or Inf.
 var errNotFinite = errors.New("parallel: fetched sketch is not finite")
 
-// errLegTimeout is an attempt that outlived Retry.LegTimeout.
-var errLegTimeout = errors.New("parallel: remote leg fetch timed out")
-
 // classifier lets transports annotate their errors with an explicit
 // fault class; Classify honors the innermost annotation on the chain.
 type classifier interface{ FaultClass() FaultClass }
 
 // ClassifiedError wraps an error with an explicit FaultClass so a
-// transport (e.g. internal/fabric) can tell the merge how to recover
-// — corrupt frames are re-fetched, transient faults retried, fatal
-// ones dropped immediately — without parallel importing the
-// transport's error vocabulary.
+// transport (e.g. internal/fabric) can say how a fault may be recovered
+// — a fatal one never is — and label it in spans and journal events,
+// without parallel importing the transport's error vocabulary.
 type ClassifiedError struct {
 	Class FaultClass
 	Err   error
@@ -147,8 +120,8 @@ func AsFault(class FaultClass, err error) error {
 // Classify buckets an error from a remote leg. Explicit annotations
 // (AsFault) win; otherwise closed/canceled errors are fatal and
 // everything else defaults to transient — the worst a
-// misclassification costs is a wasted retry, whereas classifying a
-// recoverable fault as fatal drops a leg.
+// misclassification costs is a wasted reconnect, whereas classifying a
+// recoverable fault as fatal gives up on a peer that could recover.
 func Classify(err error) FaultClass {
 	if err == nil {
 		return FaultNone
@@ -174,10 +147,8 @@ func Classify(err error) FaultClass {
 
 // LegStatus is one leg's fetch accounting.
 type LegStatus struct {
-	Name     string
-	Attempts int
-	Retries  int
-	// Class is the classification of the final error (FaultNone on
+	Name string
+	// Class is the classification of the fetch error (FaultNone on
 	// success).
 	Class FaultClass
 	Err   error
@@ -206,22 +177,19 @@ type RemoteReport struct {
 // covers only the surviving legs' streams.
 func (r RemoteReport) Degraded() bool { return r.Dropped > 0 }
 
-// MergeRemote fetches every leg concurrently — retrying transient and
-// corrupt faults per the Retry policy, honoring Retry.LegTimeout per
-// attempt — validates each fetched sketch, drops legs that exhaust
-// their retries or fail fatally (degrading to the surviving legs, with
-// a journal event and a flight-recorder trigger per lost leg), and
-// merges the survivors like MergeSketches with TreeMerge — except in
-// place, since it owns what it fetched. The fetch spans (remote_leg,
-// one per leg, with attempt children) and the merge parent under the
-// given trace context.
+// MergeRemote fetches every leg once, concurrently, validates each
+// fetched sketch, drops the legs whose fetch errs or returns a
+// non-finite sketch (degrading to the surviving legs, with a journal
+// event and a flight-recorder trigger per lost leg), and merges the
+// survivors like MergeSketches with TreeMerge — except in place, since
+// it owns what it fetched. The fetch spans (remote_leg, one per leg)
+// and the merge parent under the given trace context.
 //
 // The fetched sketches are merged in leg order, so for infallible
 // fetches the result is bit-identical to MergeSketches over the same
 // inputs — the engine's local and remote reconcile paths share one
 // deterministic fold.
-func MergeRemote(legs []RemoteLeg, retry Retry, parent obs.SpanContext) (*sketch.FrequentDirections, Stats, RemoteReport) {
-	retry = retry.withDefaults()
+func MergeRemote(legs []RemoteLeg, parent obs.SpanContext) (*sketch.FrequentDirections, Stats, RemoteReport) {
 	rep := RemoteReport{Legs: make([]LegStatus, len(legs))}
 	if len(legs) == 0 {
 		return nil, Stats{}, rep
@@ -236,7 +204,7 @@ func MergeRemote(legs []RemoteLeg, retry Retry, parent obs.SpanContext) (*sketch
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fetched[i], rep.Legs[i] = fetchLeg(sp.Context(), legs[i], retry)
+			fetched[i], rep.Legs[i] = fetchLeg(sp.Context(), legs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -251,9 +219,8 @@ func MergeRemote(legs []RemoteLeg, retry Retry, parent obs.SpanContext) (*sketch
 			obsRemoteLegsLost.Inc()
 			sp.SetAttr("lost_"+st.Name, st.Class.String())
 			audit.Default().Record(audit.KindRemoteLegLost,
-				"remote merge leg dropped after retries; degrading to surviving legs",
+				"remote merge leg dropped; degrading to surviving legs",
 				audit.A("leg", float64(i)),
-				audit.A("attempts", float64(st.Attempts)),
 				audit.A("class", float64(st.Class)))
 			obs.Default().FlightTrigger("remote_leg_lost")
 		case st.Empty:
@@ -272,11 +239,10 @@ func MergeRemote(legs []RemoteLeg, retry Retry, parent obs.SpanContext) (*sketch
 	return g, stats, rep
 }
 
-// fetchLeg runs one leg's retry loop. Every attempt gets a fresh Fetch
-// call bounded by retry.LegTimeout through within, so a timed-out
-// fetch never blocks the merge — the transport's own deadlines bound
-// how long the straggler goroutine itself lives.
-func fetchLeg(parent obs.SpanContext, leg RemoteLeg, retry Retry) (*sketch.FrequentDirections, LegStatus) {
+// fetchLeg fetches one leg under its remote_leg span and validates what
+// arrived: a fetched sketch holding NaN or Inf is released and the leg
+// counts as lost.
+func fetchLeg(parent obs.SpanContext, leg RemoteLeg) (*sketch.FrequentDirections, LegStatus) {
 	st := LegStatus{Name: leg.Name}
 	sp := obs.StartSpanIn(parent, "remote_leg", obs.L("leg", leg.Name))
 	defer sp.End()
@@ -284,71 +250,22 @@ func fetchLeg(parent obs.SpanContext, leg RemoteLeg, retry Retry) (*sketch.Frequ
 	t0 := time.Now()
 	defer func() { obsRemoteFetchSec.Observe(time.Since(t0).Seconds()) }()
 
-	backoff := retry.Backoff
-	for attempt := 0; attempt < retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			st.Retries++
-			obsRemoteRetries.Inc()
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		st.Attempts++
-		spAtt := sp.StartChild("fetch_attempt", obs.L("attempt", strconv.Itoa(attempt)))
-		attCtx := spAtt.Context()
-		fd, err := within(retry.LegTimeout, func() (*sketch.FrequentDirections, error) {
-			return leg.Fetch(attCtx)
-		})
-		if err == nil && fd != nil && !fd.Finite() {
-			fd.Release() // ours, like every fetch; a retry fetches afresh
-			err = errNotFinite
-		}
-		if err != nil {
-			spAtt.SetAttr("error", err.Error())
-			spAtt.SetAttr("class", Classify(err).String())
-		}
-		spAtt.End()
-		if err == nil {
-			if fd == nil {
-				st.Empty = true
-			} else {
-				st.Certificate = audit.FromSketch(fd)
-			}
-			st.Err, st.Class = nil, FaultNone
-			return fd, st
-		}
+	fd, err := leg.Fetch(sp.Context())
+	if err == nil && fd != nil && !fd.Finite() {
+		fd.Release() // ours, like every fetch
+		err = errNotFinite
+	}
+	if err != nil {
 		st.Err, st.Class = err, Classify(err)
-		if st.Class == FaultFatal {
-			break
-		}
+		sp.SetAttr("error", err.Error())
+		sp.SetAttr("lost", "true")
+		sp.SetAttr("class", st.Class.String())
+		return nil, st
 	}
-	sp.SetAttr("lost", "true")
-	sp.SetAttr("class", st.Class.String())
-	return nil, st
-}
-
-// within calls fn and gives up on it after timeout (0 = call inline,
-// unbounded) with errLegTimeout. A call that outlives its timeout
-// finishes into a buffered channel and is discarded: it never blocks
-// the merge, and whatever sketch it was fetching never escapes.
-func within(timeout time.Duration, fn func() (*sketch.FrequentDirections, error)) (*sketch.FrequentDirections, error) {
-	if timeout <= 0 {
-		return fn()
+	if fd == nil {
+		st.Empty = true
+	} else {
+		st.Certificate = audit.FromSketch(fd)
 	}
-	type result struct {
-		fd  *sketch.FrequentDirections
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		fd, err := fn()
-		done <- result{fd, err}
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-done:
-		return r.fd, r.err
-	case <-timer.C:
-		return nil, errLegTimeout
-	}
+	return fd, st
 }

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"arams/internal/audit"
 	"arams/internal/mat"
@@ -63,7 +62,7 @@ func TestMergeRemoteMatchesMergeSketches(t *testing.T) {
 	}
 	want, _ := MergeSketches(clones, TreeMerge)
 
-	got, _, rep := MergeRemote(legsFor(fds), Retry{}, obs.SpanContext{})
+	got, _, rep := MergeRemote(legsFor(fds), obs.SpanContext{})
 	if rep.Survivors != 4 || rep.Dropped != 0 {
 		t.Fatalf("report: %d survivors, %d dropped, want 4/0", rep.Survivors, rep.Dropped)
 	}
@@ -79,57 +78,8 @@ func TestMergeRemoteMatchesMergeSketches(t *testing.T) {
 	}
 }
 
-// TestMergeRemoteRetriesTransient: a leg that fails with a transient
-// fault and then succeeds must survive, with the retry accounted.
-func TestMergeRemoteRetriesTransient(t *testing.T) {
-	fds := remoteTestSketches(t, 3)
-	legs := legsFor(fds)
-	var calls atomic.Int64
-	inner := legs[1].Fetch
-	legs[1].Fetch = func(p obs.SpanContext) (*sketch.FrequentDirections, error) {
-		if calls.Add(1) == 1 {
-			return nil, io.ErrUnexpectedEOF // torn frame: transient
-		}
-		return inner(p)
-	}
-	got, _, rep := MergeRemote(legs, Retry{MaxAttempts: 3, Backoff: time.Microsecond}, obs.SpanContext{})
-	if got == nil || rep.Dropped != 0 || rep.Survivors != 3 {
-		t.Fatalf("transient fault not retried to success: %+v", rep)
-	}
-	if st := rep.Legs[1]; st.Retries != 1 || st.Attempts != 2 || st.Class != FaultNone {
-		t.Errorf("leg accounting: %+v, want 1 retry over 2 attempts", st)
-	}
-}
-
-// TestMergeRemoteRefetchesCorrupt: corrupt fetches (non-finite sketch,
-// checksum-annotated errors) are re-fetched, not trusted and not
-// immediately dropped.
-func TestMergeRemoteRefetchesCorrupt(t *testing.T) {
-	fds := remoteTestSketches(t, 2)
-	legs := legsFor(fds)
-	var calls atomic.Int64
-	inner := legs[0].Fetch
-	legs[0].Fetch = func(p obs.SpanContext) (*sketch.FrequentDirections, error) {
-		if calls.Add(1) == 1 {
-			return poisoned(fds[0]), nil // arrives, but fails validation
-		}
-		return inner(p)
-	}
-	got, _, rep := MergeRemote(legs, Retry{MaxAttempts: 2, Backoff: time.Microsecond}, obs.SpanContext{})
-	if got == nil || rep.Dropped != 0 {
-		t.Fatalf("corrupt fetch not recovered by re-fetch: %+v", rep)
-	}
-	if !got.Finite() {
-		t.Fatal("corrupt sketch leaked into the merge")
-	}
-	if rep.Legs[0].Retries != 1 {
-		t.Errorf("corrupt leg retried %d times, want 1", rep.Legs[0].Retries)
-	}
-}
-
 // TestMergeRemoteFatalShortCircuits: a fatal classification (closed
-// backend, canceled context) must drop the leg without burning the
-// remaining attempts.
+// backend, canceled context) drops the leg after its one fetch.
 func TestMergeRemoteFatalShortCircuits(t *testing.T) {
 	fds := remoteTestSketches(t, 3)
 	legs := legsFor(fds)
@@ -139,7 +89,7 @@ func TestMergeRemoteFatalShortCircuits(t *testing.T) {
 		return nil, ErrBackendClosed
 	}
 	seq := audit.Default().Seq()
-	got, _, rep := MergeRemote(legs, Retry{MaxAttempts: 5, Backoff: time.Microsecond}, obs.SpanContext{})
+	got, _, rep := MergeRemote(legs, obs.SpanContext{})
 	if got == nil {
 		t.Fatal("merge of survivors returned nil")
 	}
@@ -162,41 +112,18 @@ func TestMergeRemoteFatalShortCircuits(t *testing.T) {
 	}
 }
 
-// TestMergeRemoteLegTimeout: an attempt slower than Retry.LegTimeout is
-// abandoned — MergeRemote returns without waiting for the straggler.
-func TestMergeRemoteLegTimeout(t *testing.T) {
-	fds := remoteTestSketches(t, 2)
-	legs := legsFor(fds)
-	release := make(chan struct{})
-	legs[1].Fetch = func(p obs.SpanContext) (*sketch.FrequentDirections, error) {
-		<-release
-		return nil, errors.New("too late")
-	}
-	start := time.Now()
-	got, _, rep := MergeRemote(legs,
-		Retry{MaxAttempts: 1, LegTimeout: 20 * time.Millisecond}, obs.SpanContext{})
-	elapsed := time.Since(start)
-	close(release)
-	if elapsed > time.Second {
-		t.Errorf("merge waited %v for a hung leg, want ~leg timeout", elapsed)
-	}
-	if got == nil || rep.Dropped != 1 || rep.Survivors != 1 {
-		t.Fatalf("hung leg not dropped: %+v", rep)
-	}
-}
-
 // TestMergeRemoteEmptyAndNilLegs: empty legs ((nil, nil) fetches) are
 // skipped without being counted as faults, and zero legs is a clean
 // no-op.
 func TestMergeRemoteEmptyAndNilLegs(t *testing.T) {
-	if got, _, rep := MergeRemote(nil, Retry{}, obs.SpanContext{}); got != nil || rep.Survivors != 0 {
+	if got, _, rep := MergeRemote(nil, obs.SpanContext{}); got != nil || rep.Survivors != 0 {
 		t.Fatalf("zero legs: got %v, %+v", got, rep)
 	}
 	fds := remoteTestSketches(t, 2)
 	legs := legsFor(fds)
 	legs = append(legs, RemoteLeg{Name: "empty",
 		Fetch: func(obs.SpanContext) (*sketch.FrequentDirections, error) { return nil, nil }})
-	got, _, rep := MergeRemote(legs, Retry{}, obs.SpanContext{})
+	got, _, rep := MergeRemote(legs, obs.SpanContext{})
 	if got == nil || rep.Dropped != 0 || rep.Survivors != 2 {
 		t.Fatalf("empty leg mishandled: %+v", rep)
 	}
@@ -207,86 +134,85 @@ func TestMergeRemoteEmptyAndNilLegs(t *testing.T) {
 
 // TestQuickMergeRemoteFaultLadder is the property form of the one
 // failure model a merge has: for a random row split over 2–8 legs, each
-// leg scripted as ok / transient-then-ok / NaN-then-ok / fatal / slower
-// than LegTimeout, the merge must equal MergeSketches over the
-// surviving legs bit for bit, account exactly the survivors' rows, and
-// certify a bound that holds against the exact ‖AᵀA − BᵀB‖₂ over those
-// rows — a dropped leg narrows what the certificate covers, never
-// whether it is true.
+// leg scripted as ok / error / NaN / fatal / empty and fetched exactly
+// once, the merge must equal MergeSketches over the ok legs bit for
+// bit, account exactly their rows, and certify a bound that holds
+// against the exact ‖AᵀA − BᵀB‖₂ over those rows — a dropped leg
+// narrows what the certificate covers, never whether it is true.
 func TestQuickMergeRemoteFaultLadder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test in -short mode")
 	}
 	const (
 		legOK = iota
-		legTransientThenOK
-		legNaNThenOK
+		legError
+		legNaN
 		legFatal
-		legSlow
+		legEmpty
 		legScripts
 	)
-	retry := Retry{MaxAttempts: 2, Backoff: time.Microsecond, LegTimeout: 50 * time.Millisecond}
 	property := func(seed uint64, nRaw, dRaw, ellRaw, pRaw uint8) bool {
 		pp := paramsFrom(seed, nRaw, dRaw, ellRaw, pRaw, 0)
 		x := mat.RandGaussian(pp.n, pp.d, pp.g)
 		shards := randomShardSplit(x, pp.p, pp.g)
 		mk := FDSketcher(pp.ell, sketch.Options{})
-		release := make(chan struct{}) // parks the slow legs' abandoned fetches
-		defer close(release)
 
 		legs := make([]RemoteLeg, len(shards))
 		script := make([]int, len(shards))
+		calls := make([]atomic.Int64, len(shards))
 		var surviving []*sketch.FrequentDirections
 		var survivingRows []float64
 		for i, shard := range shards {
 			fd := mk(shard)
 			script[i] = pp.g.Intn(legScripts)
-			if script[i] != legFatal && script[i] != legSlow {
+			if script[i] == legOK {
 				surviving = append(surviving, fd)
 				for r := 0; r < shard.RowsN; r++ {
 					survivingRows = append(survivingRows, shard.Row(r)...)
 				}
 			}
-			var calls atomic.Int64
 			kind := script[i]
 			legs[i] = RemoteLeg{Name: "leg" + strconv.Itoa(i),
 				Fetch: func(obs.SpanContext) (*sketch.FrequentDirections, error) {
-					first := calls.Add(1) == 1
-					switch {
-					case kind == legTransientThenOK && first:
+					calls[i].Add(1)
+					switch kind {
+					case legError:
 						return nil, io.ErrUnexpectedEOF
-					case kind == legNaNThenOK && first:
+					case legNaN:
 						return poisoned(fd), nil
-					case kind == legFatal:
+					case legFatal:
 						return nil, ErrBackendClosed
-					case kind == legSlow:
-						<-release
-						return nil, errors.New("too late")
+					case legEmpty:
+						return nil, nil
 					}
 					return fd.Clone(), nil
 				}}
 		}
 
-		got, stats, rep := MergeRemote(legs, retry, obs.SpanContext{})
+		got, stats, rep := MergeRemote(legs, obs.SpanContext{})
+		dropped := 0
 		for i, st := range rep.Legs {
-			wantRetries, wantClass := 0, FaultNone
+			wantClass := FaultNone
 			switch script[i] {
-			case legTransientThenOK, legNaNThenOK:
-				wantRetries = 1
+			case legError:
+				wantClass = FaultTransient
+			case legNaN:
+				wantClass = FaultCorrupt
 			case legFatal:
 				wantClass = FaultFatal
-			case legSlow:
-				wantRetries, wantClass = 1, FaultTransient
 			}
-			if st.Retries != wantRetries || st.Class != wantClass {
-				t.Logf("leg %d (script %d): %d retries, class %v; want %d, %v",
-					i, script[i], st.Retries, st.Class, wantRetries, wantClass)
+			if wantClass != FaultNone {
+				dropped++
+			}
+			if n := calls[i].Load(); n != 1 || st.Class != wantClass || st.Empty != (script[i] == legEmpty) {
+				t.Logf("leg %d (script %d): %d fetches, class %v, empty %v; want 1, %v, %v",
+					i, script[i], n, st.Class, st.Empty, wantClass, script[i] == legEmpty)
 				return false
 			}
 		}
-		if rep.Survivors != len(surviving) || rep.Dropped != len(legs)-len(surviving) {
-			t.Logf("report %d survivors / %d dropped, script says %d of %d survive",
-				rep.Survivors, rep.Dropped, len(surviving), len(legs))
+		if rep.Survivors != len(surviving) || rep.Dropped != dropped {
+			t.Logf("report %d survivors / %d dropped, script says %d survive, %d dropped",
+				rep.Survivors, rep.Dropped, len(surviving), dropped)
 			return false
 		}
 		want, _ := MergeSketches(surviving, TreeMerge)
@@ -322,7 +248,7 @@ func TestQuickMergeRemoteFaultLadder(t *testing.T) {
 
 // TestClassify pins the fault taxonomy: explicit annotations win, known
 // sentinels map to their class, everything unknown defaults to
-// transient (a wasted retry is cheaper than a dropped leg).
+// transient (a wasted reconnect is cheaper than giving up on a peer).
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		err  error

@@ -65,17 +65,16 @@ func NewMonitor(cfg Config, window int) *Monitor {
 // engineConfig maps the pipeline configuration onto the engine's.
 func engineConfig(cfg Config, window int) engine.Config {
 	return engine.Config{
-		Shards:         cfg.Shards,
-		IngestBuffer:   cfg.IngestBuffer,
-		Window:         window,
-		Tenant:         cfg.Tenant,
-		Pre:            cfg.Pre,
-		Sketch:         cfg.Sketch,
-		Audit:          cfg.Audit,
-		AuditEvery:     cfg.AuditEvery,
-		FrameBudget:    cfg.FrameBudget,
-		Backends:       cfg.Backends,
-		ReconcileRetry: cfg.ReconcileRetry,
+		Shards:       cfg.Shards,
+		IngestBuffer: cfg.IngestBuffer,
+		Window:       window,
+		Tenant:       cfg.Tenant,
+		Pre:          cfg.Pre,
+		Sketch:       cfg.Sketch,
+		Audit:        cfg.Audit,
+		AuditEvery:   cfg.AuditEvery,
+		FrameBudget:  cfg.FrameBudget,
+		Backends:     cfg.Backends,
 	}
 }
 

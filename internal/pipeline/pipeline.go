@@ -88,10 +88,6 @@ type Config struct {
 	// engine.ShardSketchConfig(Sketch, i) so routing and RNG semantics
 	// match an all-local monitor.
 	Backends []engine.Backend
-	// ReconcileRetry is the engine's per-leg retry policy for shard
-	// snapshot fetches during reconciles. Local shards never fail, so
-	// this only matters with remote Backends.
-	ReconcileRetry parallel.Retry
 }
 
 // The clustering and outlier stages run at fixed parameters: the

@@ -2,14 +2,13 @@ package tenant
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"arams/internal/imgproc"
 )
 
 // Append admits one frame for a tenant. Unknown tenants are admitted
-// on first contact (subject to MaxTenants); hibernated tenants are
+// on first contact; hibernated tenants are
 // woken asynchronously — Append itself never waits on a restore, it
 // just queues the frame and the dispatcher delivers it once the engine
 // is back.
@@ -28,9 +27,6 @@ func (r *Registry) Append(id string, im *imgproc.Image, tag int) error {
 		}
 		if err := ValidateID(id); err != nil {
 			return err
-		}
-		if r.cfg.MaxTenants > 0 && len(r.ents) >= r.cfg.MaxTenants {
-			return fmt.Errorf("tenant: registry full (%d tenants)", len(r.ents))
 		}
 		en = r.admitLocked(id, Hibernated)
 	}

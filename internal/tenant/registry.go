@@ -132,9 +132,6 @@ type Config struct {
 	// resident tenant is mid-burst the cap is allowed to overflow
 	// rather than thrash a busy tenant to disk.
 	MaxResident int
-	// MaxTenants caps the total tenant population, resident plus
-	// hibernated (0 = unlimited). Append/Admit refuse beyond it.
-	MaxTenants int
 	// IdleAfter is the idle deadline: a resident tenant with no frame
 	// activity for this long is hibernated by the next sweep (0 = only
 	// residency pressure evicts).
@@ -295,8 +292,8 @@ func (r *Registry) tenantCfg(id string) pipeline.Config {
 }
 
 // Admit registers a tenant explicitly (Append does it implicitly). It
-// is idempotent for known tenants; new tenants count against
-// MaxTenants and are journaled as tenant_admission events.
+// is idempotent for known tenants; new tenants are journaled as
+// tenant_admission events.
 func (r *Registry) Admit(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -309,14 +306,11 @@ func (r *Registry) Admit(id string) error {
 	if err := ValidateID(id); err != nil {
 		return err
 	}
-	if r.cfg.MaxTenants > 0 && len(r.ents) >= r.cfg.MaxTenants {
-		return fmt.Errorf("tenant: registry full (%d tenants)", len(r.ents))
-	}
 	r.admitLocked(id, Hibernated)
 	return nil
 }
 
-// admitLocked inserts a tenant slot; the caller validated capacity.
+// admitLocked inserts a tenant slot; the caller validated the ID.
 // New tenants start Hibernated: the first frame (or pinned access)
 // "restores" them, which for an absent checkpoint file means creating
 // a fresh monitor — one code path covers both births and revivals.
