@@ -13,6 +13,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"time"
 
 	"arams/internal/imgproc"
 	"arams/internal/lcls"
@@ -58,13 +59,15 @@ func main() {
 		stored.Len(), stored.Width, stored.Height, stored.Detector)
 
 	// 3. Run the analysis pipeline.
+	start := time.Now()
 	res := pipeline.Process(stored.Frames, pipeline.Config{
 		Pre:       imgproc.Preprocessor{Normalize: true},
 		Sketch:    sketch.Config{Ell0: 25, Beta: 0.9, Seed: 5},
-		Workers:   4,
+		Shards:    4,
 		LatentDim: 12,
 		UMAP:      umap.Config{NNeighbors: 20, NEpochs: 200, Seed: 6},
 	})
+	fmt.Printf("pipeline: %d frames in %v\n", stored.Len(), time.Since(start).Round(1e6))
 
 	// 4. Score the clustering against the stored ground truth.
 	nc := optics.NumClusters(res.Labels)

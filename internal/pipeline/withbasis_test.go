@@ -30,8 +30,10 @@ func TestProcessMatrixWithBasis(t *testing.T) {
 	if len(res.Residuals) != 80 {
 		t.Fatal("residuals missing")
 	}
-	if res.Sketch != nil {
-		t.Fatal("basis-only path should not produce a sketch")
+	for _, stage := range []string{"pca", "umap", "cluster", "abod", "residuals"} {
+		if _, ok := res.StageTimes[stage]; !ok {
+			t.Fatalf("StageTimes missing %q: %v", stage, res.StageTimes)
+		}
 	}
 }
 

@@ -137,12 +137,12 @@ func optimizeLayout(emb *mat.Matrix, fg *FuzzyGraph, cfg Config, c *curve) {
 	negPerSample := make([]float64, nEdges)
 	nextNeg := make([]float64, nEdges)
 	for e := range negPerSample {
-		negPerSample[e] = epochsPerSample[e] / float64(cfg.NegativeSampleRate)
+		negPerSample[e] = epochsPerSample[e] / float64(negativeSampleRate)
 		nextNeg[e] = negPerSample[e]
 	}
 
 	for epoch := 1; epoch <= cfg.NEpochs; epoch++ {
-		alpha := cfg.LearningRate * (1 - float64(epoch)/float64(cfg.NEpochs))
+		alpha := learningRate * (1 - float64(epoch)/float64(cfg.NEpochs))
 		if alpha < 1e-4 {
 			alpha = 1e-4
 		}

@@ -27,7 +27,7 @@ func oracleOptimizeLayout(emb *mat.Matrix, fg *FuzzyGraph, cfg Config) {
 	if nEdges == 0 {
 		return
 	}
-	a, b := FitAB(cfg.Spread, cfg.MinDist)
+	a, b := FitAB(spread, minDist)
 	dim := emb.ColsN
 	g := rng.New(cfg.Seed + 0x9e3779b9)
 
@@ -43,7 +43,7 @@ func oracleOptimizeLayout(emb *mat.Matrix, fg *FuzzyGraph, cfg Config) {
 	negPerSample := make([]float64, nEdges)
 	nextNeg := make([]float64, nEdges)
 	for e := range negPerSample {
-		negPerSample[e] = epochsPerSample[e] / float64(cfg.NegativeSampleRate)
+		negPerSample[e] = epochsPerSample[e] / float64(negativeSampleRate)
 		nextNeg[e] = negPerSample[e]
 	}
 
@@ -58,7 +58,7 @@ func oracleOptimizeLayout(emb *mat.Matrix, fg *FuzzyGraph, cfg Config) {
 	}
 
 	for epoch := 1; epoch <= cfg.NEpochs; epoch++ {
-		alpha := cfg.LearningRate * (1 - float64(epoch)/float64(cfg.NEpochs))
+		alpha := learningRate * (1 - float64(epoch)/float64(cfg.NEpochs))
 		if alpha < 1e-4 {
 			alpha = 1e-4
 		}
@@ -176,7 +176,7 @@ func oracleTransform(m *Model, x *mat.Matrix) *mat.Matrix {
 		return v
 	}
 	for epoch := 1; epoch <= epochs; epoch++ {
-		alpha := m.cfg.LearningRate * (1 - float64(epoch)/float64(epochs))
+		alpha := learningRate * (1 - float64(epoch)/float64(epochs))
 		if alpha < 1e-4 {
 			alpha = 1e-4
 		}
@@ -355,7 +355,7 @@ func TestLayoutTracksPowOracle(t *testing.T) {
 			want := init.Clone()
 			oracleOptimizeLayout(want, fg, cfg)
 			got := init.Clone()
-			optimizeLayout(got, fg, cfg, newCurve(FitAB(cfg.Spread, cfg.MinDist)))
+			optimizeLayout(got, fg, cfg, newCurve(FitAB(spread, minDist)))
 			if got.HasNaN() || want.HasNaN() {
 				t.Fatalf("n=%d epochs=%d: NaN in a layout", n, tc.epochs)
 			}

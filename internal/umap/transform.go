@@ -88,7 +88,7 @@ func (m *Model) Transform(x *mat.Matrix) *mat.Matrix {
 		epochs = 30
 	}
 	for epoch := 1; epoch <= epochs; epoch++ {
-		alpha := m.cfg.LearningRate * (1 - float64(epoch)/float64(epochs))
+		alpha := learningRate * (1 - float64(epoch)/float64(epochs))
 		if alpha < 1e-4 {
 			alpha = 1e-4
 		}

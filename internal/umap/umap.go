@@ -21,15 +21,22 @@ import (
 // Config holds UMAP hyperparameters; zero values select the reference
 // defaults.
 type Config struct {
-	NNeighbors         int     // default 15
-	NComponents        int     // default 2
-	MinDist            float64 // default 0.1
-	Spread             float64 // default 1.0
-	NEpochs            int     // default: 500 for n<10000, else 200
-	NegativeSampleRate int     // default 5
-	LearningRate       float64 // default 1.0
-	Seed               uint64
+	NNeighbors  int // default 15
+	NComponents int // default 2
+	NEpochs     int // default: 500 for n<10000, else 200
+	Seed        uint64
 }
+
+// The layout's scalar hyperparameters are fixed at the reference
+// defaults: the minimum embedded distance and spread that shape the
+// attraction curve, the negative samples drawn per positive edge, and
+// the initial SGD learning rate.
+const (
+	minDist            = 0.1
+	spread             = 1.0
+	negativeSampleRate = 5
+	learningRate       = 1.0
+)
 
 func (c Config) withDefaults(n int) Config {
 	if c.NNeighbors <= 0 {
@@ -41,24 +48,12 @@ func (c Config) withDefaults(n int) Config {
 	if c.NComponents <= 0 {
 		c.NComponents = 2
 	}
-	if c.MinDist <= 0 {
-		c.MinDist = 0.1
-	}
-	if c.Spread <= 0 {
-		c.Spread = 1.0
-	}
 	if c.NEpochs <= 0 {
 		if n < 10000 {
 			c.NEpochs = 500
 		} else {
 			c.NEpochs = 200
 		}
-	}
-	if c.NegativeSampleRate <= 0 {
-		c.NegativeSampleRate = 5
-	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 1.0
 	}
 	return c
 }
@@ -226,7 +221,7 @@ func Fit(x *mat.Matrix, cfg Config) *mat.Matrix { return fit(x, cfg).emb }
 func fit(x *mat.Matrix, cfg Config) *Model {
 	n := x.RowsN
 	cfg = cfg.withDefaults(max(n, 2))
-	m := &Model{cfg: cfg, train: x, curve: newCurve(FitAB(cfg.Spread, cfg.MinDist))}
+	m := &Model{cfg: cfg, train: x, curve: newCurve(FitAB(spread, minDist))}
 	if n < 2 {
 		m.emb = mat.New(n, cfg.NComponents)
 		return m

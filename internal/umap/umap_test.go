@@ -286,9 +286,7 @@ func TestFitDuplicatePoints(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults(500)
-	if c.NNeighbors != 15 || c.NComponents != 2 || c.MinDist != 0.1 ||
-		c.Spread != 1.0 || c.NEpochs != 500 || c.NegativeSampleRate != 5 ||
-		c.LearningRate != 1.0 {
+	if c.NNeighbors != 15 || c.NComponents != 2 || c.NEpochs != 500 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	big := Config{}.withDefaults(20000)

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Endpoint smoke test: run lclsmon against a small synthetic run with
-# the observability server, the flight recorder, and 4 shards enabled,
+# Endpoint smoke test: run lclsmon once without a checkpoint directory
+# (the embedding and reachability HTML files must both be written),
+# then against the same small synthetic run with the observability
+# server, checkpoints, the flight recorder, and 4 shards enabled,
 # then validate every endpoint with obscheck — /metrics must parse as
 # Prometheus exposition format and expose both wall and CPU stage
 # histograms, /tracez?format=json must round-trip and hold at least
@@ -26,6 +28,12 @@ go build -o "$TMP/obscheck" ./cmd/obscheck
 
 echo "== synthetic run =="
 "$TMP/lclssim" -kind beam -frames 256 -size 32 -out "$TMP/run.lcls"
+
+echo "== lclsmon (no checkpoint dir: embedding + reachability plot) =="
+"$TMP/lclsmon" -in "$TMP/run.lcls" -html "$TMP/plain.html" \
+  -reach "$TMP/reach.html" -window 128
+test -s "$TMP/plain.html" || { echo "no embedding HTML without -checkpoint-dir" >&2; exit 1; }
+test -s "$TMP/reach.html" || { echo "no reachability HTML without -checkpoint-dir" >&2; exit 1; }
 
 echo "== lclsmon (4 shards, streaming, flight recorder armed) =="
 "$TMP/lclsmon" -in "$TMP/run.lcls" -html "$TMP/embedding.html" \
