@@ -146,7 +146,7 @@ func TestBetaSweep(t *testing.T) {
 }
 
 func TestFig5AndFig6Smoke(t *testing.T) {
-	p := EmbedParams{Frames: 120, ImgSize: 24, Workers: 2, Seed: 5}
+	p := EmbedParams{Frames: 120, ImgSize: 24, Shards: 2, Seed: 5}
 	tables := Fig5BeamProfile(p)
 	if len(tables) != 2 {
 		t.Fatalf("Fig5 tables = %d", len(tables))

@@ -75,7 +75,8 @@ type Backend interface {
 // own lock, so shards absorb rows concurrently and snapshots
 // interleave with ingest.
 type localShard struct {
-	cfg sketch.Config // per-shard seed already derived
+	cfg  sketch.Config // per-shard seed already derived
+	rows int           // expected row count for the rank-adaptation guard; 0 = unknown
 
 	mu     sync.Mutex
 	arams  *sketch.ARAMS
@@ -93,6 +94,23 @@ type localShard struct {
 // this as the degraded mode when a remote worker cannot be dialed.
 func NewLocalBackend(scfg sketch.Config) Backend {
 	return &localShard{cfg: scfg}
+}
+
+// LocalBackends returns the in-process backends of a shards-way
+// engine. frames is the number of frames the engine will ingest, or 0
+// when the stream's length is unknown. Round-robin routing sends shard i
+// ⌈(frames−i)/shards⌉ of them, and each shard's sketcher is told so: a
+// rank-adaptive shard then keeps Algorithm 2's end-of-stream guard and
+// does not grow ℓ within its last ℓ+ν rows. Frames the engine rejects
+// (a NaN or ±Inf pixel) never reach a shard, so with rejections the
+// guard counts a few rows that never come.
+func LocalBackends(scfg sketch.Config, shards, frames int) []Backend {
+	shards = max(1, shards)
+	out := make([]Backend, shards)
+	for i := range out {
+		out[i] = &localShard{cfg: ShardSketchConfig(scfg, i), rows: max(0, frames-i+shards-1) / shards}
+	}
+	return out
 }
 
 // Absorb feeds the selected rows into the shard's sketcher one row at
@@ -119,7 +137,7 @@ func (s *localShard) Absorb(_ obs.SpanContext, vecs [][]float64, idx []int) (ske
 		first = vecs[idx[0]]
 	}
 	if s.arams == nil {
-		s.arams = sketch.NewARAMS(s.cfg, len(first), 0)
+		s.arams = sketch.NewARAMS(s.cfg, len(first), s.rows)
 	}
 	var agg sketch.BatchStats
 	agg.EllBefore = s.arams.Ell()

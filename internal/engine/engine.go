@@ -184,16 +184,14 @@ func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	eo := newEngineObs(cfg.Tenant)
 	e := &Engine{cfg: cfg, eo: eo, budget: newBudgetTracker(cfg, eo)}
-	e.shards = make([]Backend, cfg.Shards)
+	e.shards = append([]Backend(nil), cfg.Backends...)
+	if len(e.shards) == 0 {
+		e.shards = LocalBackends(cfg.Sketch, cfg.Shards, 0)
+	}
 	e.shardFrames = make([]atomic.Int64, cfg.Shards)
 	e.shardGauges = make([]*obs.Gauge, cfg.Shards)
 	e.shardCPU = make([]*obs.Counter, cfg.Shards)
 	for i := range e.shards {
-		if len(cfg.Backends) > 0 {
-			e.shards[i] = cfg.Backends[i]
-		} else {
-			e.shards[i] = NewLocalBackend(ShardSketchConfig(cfg.Sketch, i))
-		}
 		e.shardGauges[i] = eo.shardGauge(i)
 		e.shardCPU[i] = eo.shardCPUCounter(i)
 	}
