@@ -33,7 +33,7 @@
 // Usage:
 //
 //	obscheck -base http://127.0.0.1:9090 \
-//	  -want arams_stage_duration_seconds,arams_stage_cpu_seconds \
+//	  -want arams_stage_duration_seconds,arams_engine_frames_total \
 //	  -min-traces 1 -fleet-workers coordinator,worker0
 package main
 

@@ -151,11 +151,10 @@ type Engine struct {
 	// default, remote fabric shards when Config.Backends is set). The
 	// parallel slices carry the engine-owned per-shard observability:
 	// frame counts (atomic — concurrent batches may land on the same
-	// shard), the frames gauge, and the cumulative CPU counter.
+	// shard) and the frames gauge.
 	shards      []Backend
 	shardFrames []atomic.Int64
 	shardGauges []*obs.Gauge
-	shardCPU    []*obs.Counter
 
 	// globalMu owns the basis cache of the reconciled global sketch: it
 	// serializes the merges. What is cached is the basis cut from a
@@ -190,10 +189,8 @@ func New(cfg Config) *Engine {
 	}
 	e.shardFrames = make([]atomic.Int64, cfg.Shards)
 	e.shardGauges = make([]*obs.Gauge, cfg.Shards)
-	e.shardCPU = make([]*obs.Counter, cfg.Shards)
 	for i := range e.shards {
 		e.shardGauges[i] = eo.shardGauge(i)
-		e.shardCPU[i] = eo.shardCPUCounter(i)
 	}
 	eo.shardCount.SetInt(cfg.Shards)
 	return e
@@ -254,7 +251,6 @@ func (e *Engine) ingestBatchAt(ims []*imgproc.Image, tags []int, queuedAt time.T
 		qw.End()
 	}
 	spPre := root.StartChild("preprocess", obs.L("frames", fmt.Sprint(len(ims))))
-	ct := obs.StartCPUTimer()
 	vecs := make([][]float64, len(ims))
 	rows := make([][]float32, len(ims))
 	mat.ParallelFor(len(ims), 1, func(lo, hi int) {
@@ -269,10 +265,6 @@ func (e *Engine) ingestBatchAt(ims []*imgproc.Image, tags []int, queuedAt time.T
 			rows[i] = narrow(vecs[i])
 		}
 	})
-	if cpu, ok := ct.Stop(); ok {
-		spPre.SetCPU(cpu) // this goroutine's chunks; pool workers bill
-		// their share to arams_mat_pool_cpu_seconds_total
-	}
 	spPre.End()
 	e.ingestVecsIn(&root, start, vecs, rows, tags)
 	e.eo.ingestLatency.Observe(time.Since(start).Seconds())
@@ -464,9 +456,8 @@ func narrow(v []float64) []float32 {
 }
 
 // absorbTraced wraps one shard's Backend.Absorb in a shard_sketch span
-// (child of the batch root) carrying the shard index, row count, and
-// the goroutine's CPU time, bills the CPU to the shard's cumulative
-// counter, and keeps the per-shard frame gauge current. A failed absorb
+// (child of the batch root) carrying the shard index and row count,
+// and keeps the per-shard frame gauge current. A failed absorb
 // (only possible on remote backends that exhausted their recovery
 // ladder) is journaled, fires the flight recorder, and returns ok=false
 // so the audit accumulator skips the dispatch.
@@ -477,12 +468,7 @@ func (e *Engine) absorbTraced(root *obs.Span, si int, vecs [][]float64, idx []in
 	}
 	sp := root.StartChild("shard_sketch",
 		obs.L("shard", fmt.Sprint(si)), obs.L("rows", fmt.Sprint(rows)))
-	ct := obs.StartCPUTimer()
 	stats, err := e.shards[si].Absorb(sp.Context(), vecs, idx)
-	if cpu, ok := ct.Stop(); ok {
-		sp.SetCPU(cpu)
-		e.shardCPU[si].Add(cpu.Seconds())
-	}
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		sp.End()

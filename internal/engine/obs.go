@@ -52,19 +52,12 @@ func newEngineObs(tenant string) *engineObs {
 	}
 }
 
-// shardGauge and shardCPU build the per-shard series, tenant-labeled
-// when the engine is.
+// shardGauge builds the per-shard frames gauge, tenant-labeled when the
+// engine is.
 func (eo *engineObs) shardGauge(i int) *obs.Gauge {
-	return obs.Default().Gauge("arams_engine_shard_frames", eo.shardLabels(i)...)
-}
-
-func (eo *engineObs) shardCPUCounter(i int) *obs.Counter {
-	return obs.Default().Counter("arams_engine_shard_cpu_seconds_total", eo.shardLabels(i)...)
-}
-
-func (eo *engineObs) shardLabels(i int) []obs.Label {
-	if eo.tenant == "" {
-		return []obs.Label{obs.L("shard", fmt.Sprint(i))}
+	ls := []obs.Label{obs.L("shard", fmt.Sprint(i))}
+	if eo.tenant != "" {
+		ls = append(ls, obs.L("tenant", eo.tenant))
 	}
-	return []obs.Label{obs.L("shard", fmt.Sprint(i)), obs.L("tenant", eo.tenant)}
+	return obs.Default().Gauge("arams_engine_shard_frames", ls...)
 }

@@ -9,7 +9,7 @@ import (
 // Stage is one named unit of the analysis dataflow (preprocess, sketch,
 // project, embed, cluster, anomaly...). Stages close over their inputs
 // and outputs; the engine contributes uniform execution, span tracing,
-// and per-stage wall/CPU-time accounting, so every pipeline entry point
+// and per-stage wall-time accounting, so every pipeline entry point
 // reports timings the same way.
 type Stage struct {
 	Name string
@@ -23,12 +23,10 @@ func RunStages(stages []Stage) map[string]time.Duration {
 }
 
 // RunStagesIn is RunStages with the stage spans parented into an
-// existing trace (zero context keeps them untraced). Each stage's span
-// carries the goroutine's measured CPU time next to its wall time, so
-// /metrics exposes arams_stage_cpu_seconds alongside
-// arams_stage_duration_seconds per stage. A nil Run is skipped (its
-// time is absent from the map), which lets callers assemble stage
-// graphs conditionally without special-casing execution.
+// existing trace (zero context keeps them untraced). Each stage's wall
+// time lands in arams_stage_duration_seconds under its name. A nil Run
+// is skipped (its time is absent from the map), which lets callers
+// assemble stage graphs conditionally without special-casing execution.
 func RunStagesIn(parent obs.SpanContext, stages []Stage) map[string]time.Duration {
 	times := make(map[string]time.Duration, len(stages))
 	for _, st := range stages {
@@ -41,11 +39,7 @@ func RunStagesIn(parent obs.SpanContext, stages []Stage) map[string]time.Duratio
 		} else {
 			sp = obs.StartSpan(st.Name)
 		}
-		ct := obs.StartCPUTimer()
 		st.Run()
-		if cpu, ok := ct.Stop(); ok {
-			sp.SetCPU(cpu)
-		}
 		times[st.Name] = sp.End()
 	}
 	return times

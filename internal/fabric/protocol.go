@@ -506,16 +506,19 @@ func decodeFlightAck(b []byte) (FlightAckPayload, error) {
 // against hostile counts.
 const maxSpanRecords = 4096
 
-// encodeSpanRecords appends worker span records for the reply form: count, then per record name, start (Unix ns), duration and
-// CPU (ns), trace/span/parent IDs, and sorted attribute pairs (sorted
-// so the encoding is canonical).
+// encodeSpanRecords appends worker span records for the reply form:
+// count, then per record name, start (Unix ns), duration (ns), a
+// reserved slot, trace/span/parent IDs, and sorted attribute pairs
+// (sorted so the encoding is canonical). The reserved slot once held
+// the span's thread CPU time; it is written as zero, and a decoder
+// drops whatever an older worker put there.
 func encodeSpanRecords(e *penc, recs []obs.SpanRecord) {
 	e.i64(len(recs))
 	for _, rec := range recs {
 		e.str(rec.Name)
 		e.u64(uint64(rec.Start.UnixNano()))
 		e.u64(uint64(rec.Duration))
-		e.u64(uint64(rec.CPU))
+		e.u64(0) // reserved slot
 		e.u64(uint64(rec.Trace))
 		e.u64(uint64(rec.Span))
 		e.u64(uint64(rec.Parent))
@@ -547,7 +550,7 @@ func decodeSpanRecords(d *pdec) []obs.SpanRecord {
 		rec.Name = d.str()
 		rec.Start = time.Unix(0, int64(d.u64())).UTC()
 		rec.Duration = time.Duration(d.u64())
-		rec.CPU = time.Duration(d.u64())
+		d.u64() // reserved slot
 		rec.Trace = obs.ID(d.u64())
 		rec.Span = obs.ID(d.u64())
 		rec.Parent = obs.ID(d.u64())

@@ -197,16 +197,7 @@ var spanNames = map[uint32]string{
 // request, and every method is a no-op on nil, so handle decides once
 // whether a request is traced.
 type reqSpan struct {
-	sp  obs.Span
-	cpu obs.CPUTimer
-}
-
-// timeCPU charges the calling goroutine's CPU time, from now until end,
-// to the span.
-func (s *reqSpan) timeCPU() {
-	if s != nil {
-		s.cpu = obs.StartCPUTimer()
-	}
+	sp obs.Span
 }
 
 // count attaches a count attribute (rows, bytes) to the span.
@@ -221,9 +212,6 @@ func (s *reqSpan) count(key string, n int) {
 func (s *reqSpan) end(err error) []obs.SpanRecord {
 	if s == nil {
 		return nil
-	}
-	if d, ok := s.cpu.Stop(); ok {
-		s.sp.SetCPU(d)
 	}
 	if err != nil {
 		s.sp.SetAttr("error", err.Error())
@@ -294,7 +282,6 @@ func (w *Worker) dispatch(req ckpt.WireFrame, sp *reqSpan) (ckpt.WireFrame, *req
 		if rerr != nil {
 			return ckpt.WireFrame{}, rerr
 		}
-		sp.timeCPU()
 		stats, err := b.Absorb(obs.SpanContext{}, p.Rows, nil)
 		if err != nil {
 			return ckpt.WireFrame{}, &requestError{ErrCodeTransient, err}

@@ -25,7 +25,6 @@ var (
 	obsPoolInline  = obs.Default().Counter("arams_mat_pool_inline_total")
 	obsPoolDepth   = obs.Default().Gauge("arams_mat_pool_queue_depth")
 	obsPoolWorkers = obs.Default().Gauge("arams_mat_pool_workers")
-	obsPoolCPU     = obs.Default().Counter("arams_mat_pool_cpu_seconds_total")
 
 	obsKernelMul    = obs.Default().Histogram("arams_mat_kernel_seconds", obs.L("kernel", "mul"))
 	obsKernelMulABt = obs.Default().Histogram("arams_mat_kernel_seconds", obs.L("kernel", "mulabt"))
@@ -79,27 +78,13 @@ func startPool() {
 // queue holds a few chunks per worker: deep enough to keep workers busy
 // across kernels, shallow enough that a saturated pool pushes work back
 // onto callers instead of building a backlog.
-//
-// Each worker pins itself to its OS thread for its whole life and
-// samples the thread CPU clock around every task, so
-// arams_mat_pool_cpu_seconds_total is the pool's honest compute cost:
-// wall time inflates when goroutines time-slice on an oversubscribed
-// host, CPU time cannot. The pin is free when the platform has no
-// thread clock — sampling just degrades to no-ops.
 func newPoolQueue(size int) chan poolTask {
 	queue := make(chan poolTask, 4*size)
 	for w := 0; w < size; w++ {
 		go func() {
-			runtime.LockOSThread()
 			for t := range queue {
 				obsPoolDepth.SetInt(len(queue))
-				c0, ok := obs.ThreadCPU()
 				t.fn(t.lo, t.hi)
-				if ok {
-					if c1, ok2 := obs.ThreadCPU(); ok2 && c1 > c0 {
-						obsPoolCPU.Add((c1 - c0).Seconds())
-					}
-				}
 				t.wg.Done()
 			}
 		}()

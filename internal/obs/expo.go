@@ -101,7 +101,6 @@ type jsonSpan struct {
 	Name       string            `json:"name"`
 	Start      string            `json:"start"`
 	DurationMS float64           `json:"duration_ms"`
-	CPUMS      float64           `json:"cpu_ms,omitempty"`
 	Trace      ID                `json:"trace_id,omitempty"`
 	Span       ID                `json:"span_id,omitempty"`
 	Parent     ID                `json:"parent_id,omitempty"`
@@ -209,7 +208,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 			Name:       sp.Name,
 			Start:      sp.Start.Format(time.RFC3339Nano),
 			DurationMS: float64(sp.Duration) / float64(time.Millisecond),
-			CPUMS:      float64(sp.CPU) / float64(time.Millisecond),
 			Trace:      sp.Trace,
 			Span:       sp.Span,
 			Parent:     sp.Parent,

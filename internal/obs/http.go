@@ -194,11 +194,10 @@ async function tick() {
     d.counters.map(c => "<tr><td><code>"+label(c)+'</code></td><td class="num">'+c.value+"</td></tr>"));
   rows("gauges", [["gauge"],["value",1]],
     d.gauges.map(g => "<tr><td><code>"+label(g)+'</code></td><td class="num">'+g.value+"</td></tr>"));
-  rows("spans", [["span"],["trace"],["start"],["duration",1],["cpu",1]],
+  rows("spans", [["span"],["trace"],["start"],["duration",1]],
     d.spans.slice(0, 40).map(s => "<tr><td><code>"+s.name+"</code></td><td>"+
       (s.trace_id ? "<code>"+s.trace_id+"</code>" : '<span class="muted">—</span>')+"</td><td>"+s.start+
-      '</td><td class="num">'+fmtDur(s.duration_ms/1e3)+
-      '</td><td class="num">'+(s.cpu_ms ? fmtDur(s.cpu_ms/1e3) : "—")+"</td></tr>"));
+      '</td><td class="num">'+fmtDur(s.duration_ms/1e3)+"</td></tr>"));
 }
 tick();
 setInterval(tick, 2000);

@@ -129,45 +129,21 @@ type Registry struct {
 	flightHooks  map[int]func(reason, triggerID, path string)
 	flightHookN  int
 
-	// stageHists caches the per-stage {wall, cpu} histogram pair so
-	// Span.End resolves its histograms with one lock-free map load
-	// instead of building a metricID (alloc + label sort) and taking
-	// the registry lock on every call.
-	stageHists sync.Map // span name → *stagePair
+	// stageHists caches the per-stage wall-time histogram so Span.End
+	// resolves it with one lock-free map load instead of building a
+	// metricID (alloc + label sort) and taking the registry lock on
+	// every call.
+	stageHists sync.Map // span name → *Histogram
 }
 
-// stagePair is the cached pair of histograms one span name records to.
-// The CPU histogram registers lazily on first observation so stages
-// that never attach a CPU measurement don't export an empty series.
-type stagePair struct {
-	r    *Registry
-	name string
-	wall *Histogram
-	cpu  atomic.Pointer[Histogram]
-}
-
-func (p *stagePair) cpuHist() *Histogram {
-	if h := p.cpu.Load(); h != nil {
-		return h
-	}
-	h := p.r.Histogram(StageCPUHistogramName, L("stage", p.name))
-	p.cpu.Store(h)
-	return h
-}
-
-// stageHandles returns the cached histogram pair for a span name,
+// stageHist returns the cached stage histogram for a span name,
 // resolving and caching it through the registry on first use.
-func (r *Registry) stageHandles(name string) *stagePair {
-	if p, ok := r.stageHists.Load(name); ok {
-		return p.(*stagePair)
+func (r *Registry) stageHist(name string) *Histogram {
+	if h, ok := r.stageHists.Load(name); ok {
+		return h.(*Histogram)
 	}
-	p := &stagePair{
-		r:    r,
-		name: name,
-		wall: r.Histogram(StageHistogramName, L("stage", name)),
-	}
-	actual, _ := r.stageHists.LoadOrStore(name, p)
-	return actual.(*stagePair)
+	actual, _ := r.stageHists.LoadOrStore(name, r.Histogram(StageHistogramName, L("stage", name)))
+	return actual.(*Histogram)
 }
 
 // NewRegistry creates an empty registry with the default span-ring

@@ -10,12 +10,6 @@ import (
 // duration histogram per pipeline stage.
 const StageHistogramName = "arams_stage_duration_seconds"
 
-// StageCPUHistogramName is the CPU-time companion: spans that carry a
-// CPU measurement (see Span.SetCPU and StartCPUTimer) record it here
-// under the same stage label, so /metrics answers "how much of that
-// wall time was actually compute" per stage.
-const StageCPUHistogramName = "arams_stage_cpu_seconds"
-
 // DefaultRingCap is the span-ring capacity NewRegistry selects.
 const DefaultRingCap = 256
 
@@ -36,7 +30,6 @@ type Span struct {
 	id     ID
 	parent ID
 	attrs  []Label
-	cpu    time.Duration
 }
 
 // SpanContext is the portable identity of a live span: enough to
@@ -53,10 +46,6 @@ func (s *Span) Context() SpanContext { return SpanContext{Trace: s.trace, Span: 
 // SetAttr attaches (or appends) a key/value attribute to the span; it
 // must be called before End.
 func (s *Span) SetAttr(key, value string) { s.attrs = append(s.attrs, L(key, value)) }
-
-// SetCPU attaches a measured CPU time to the span (see StartCPUTimer);
-// End records it into the per-stage CPU histogram next to wall time.
-func (s *Span) SetCPU(d time.Duration) { s.cpu = d }
 
 // StartSpan begins an untraced span on the registry — it records into
 // the stage histogram and the span ring but joins no trace tree.
@@ -114,7 +103,7 @@ func StartSpanIn(parent SpanContext, name string, attrs ...Label) Span {
 }
 
 // End finishes the span: the duration is recorded into the per-stage
-// histogram (plus the CPU histogram when SetCPU was called), and the
+// histogram, and the
 // completed record is appended to the in-memory trace ring, the trace
 // store, and the flight recorder when one is armed. It returns the
 // measured duration so callers can reuse it for their own accounting.
@@ -138,17 +127,12 @@ func (s *Span) endRecord() SpanRecord {
 		Trace:    s.trace,
 		Span:     s.id,
 		Parent:   s.parent,
-		CPU:      s.cpu,
 		Attrs:    attrMap(s.attrs),
 	}
 	if s.r == nil {
 		return rec
 	}
-	h := s.r.stageHandles(s.name)
-	h.wall.Observe(d.Seconds())
-	if s.cpu > 0 {
-		h.cpuHist().Observe(s.cpu.Seconds())
-	}
+	s.r.stageHist(s.name).Observe(d.Seconds())
 	s.r.ring.add(rec)
 	if s.trace != 0 {
 		s.r.traces.observe(rec)
@@ -163,7 +147,7 @@ func (s *Span) endRecord() SpanRecord {
 // (shipped here over the fabric ack path) into this registry's span
 // ring, trace store, and flight recorder, so cross-process traces
 // render as one tree on /tracez. The record is NOT billed to the stage
-// histograms: the remote process already recorded its own wall/CPU
+// histograms: the remote process already recorded its own wall
 // time, and double-counting it here would corrupt the local stage
 // metrics.
 func (r *Registry) ObserveRemoteSpan(rec SpanRecord) {
@@ -188,8 +172,7 @@ func attrMap(attrs []Label) map[string]string {
 }
 
 // SpanRecord is one completed span held in the trace ring. Trace,
-// Span, and Parent are zero for untraced spans; CPU is zero when no
-// CPU measurement was attached.
+// Span, and Parent are zero for untraced spans.
 type SpanRecord struct {
 	Name     string            `json:"name"`
 	Start    time.Time         `json:"start"`
@@ -197,7 +180,6 @@ type SpanRecord struct {
 	Trace    ID                `json:"trace_id,omitempty"`
 	Span     ID                `json:"span_id,omitempty"`
 	Parent   ID                `json:"parent_id,omitempty"`
-	CPU      time.Duration     `json:"cpu,omitempty"`
 	Attrs    map[string]string `json:"attrs,omitempty"`
 }
 

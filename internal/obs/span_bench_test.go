@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// The span hot path: Span.End resolves its wall/CPU histograms through
+// The span hot path: Span.End resolves its stage histogram through
 // the registry's stageHists cache (one lock-free sync.Map hit after
 // the first End per stage name) instead of re-walking the global
 // metric map with a freshly formatted name+label key on every call.

@@ -71,10 +71,6 @@ func writeTraceTree(w http.ResponseWriter, tr TraceRecord) {
 	var walk func(sp SpanRecord, depth int)
 	walk = func(sp SpanRecord, depth int) {
 		line := strings.Repeat("  ", depth) + html.EscapeString(sp.Name)
-		cpu := ""
-		if sp.CPU > 0 {
-			cpu = " cpu=" + sp.CPU.Round(time.Microsecond).String()
-		}
 		attrs := ""
 		if len(sp.Attrs) > 0 {
 			keys := make([]string, 0, len(sp.Attrs))
@@ -88,7 +84,7 @@ func writeTraceTree(w http.ResponseWriter, tr TraceRecord) {
 			}
 			attrs = " {" + html.EscapeString(strings.Join(parts, " ")) + "}"
 		}
-		fmt.Fprintf(w, "%-48s %12s%s%s\n", line, sp.Duration.Round(time.Microsecond), cpu, attrs)
+		fmt.Fprintf(w, "%-48s %12s%s\n", line, sp.Duration.Round(time.Microsecond), attrs)
 		cs := children[sp.Span]
 		byStart(cs)
 		for _, c := range cs {

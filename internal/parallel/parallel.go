@@ -141,10 +141,11 @@ func WithArity(a int) Option {
 // unit of work at a time, so every shard sketch and every merge leg is
 // timed in isolation and Stats.CriticalPath is the runtime the
 // computation would have on hardware with one core per worker. On a
-// host with fewer cores than workers the default goroutines time-slice
-// and per-goroutine timings degenerate to wall time; a sequential run
-// is the measurement to use for strong-scaling studies there (Total is
-// then the summed work). The sketch is bit-identical either way.
+// host with fewer cores than workers the default goroutines time-slice,
+// so each one's timing includes the time it waited for a core; a
+// sequential run is the measurement to use for strong-scaling studies
+// there (Total is then the summed work). The sketch is bit-identical
+// either way.
 func Sequential() Option {
 	return func(o *runOptions) { o.sequential = true }
 }
