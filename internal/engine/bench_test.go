@@ -6,6 +6,7 @@ import (
 
 	"arams/internal/audit"
 	"arams/internal/engine"
+	"arams/internal/mat"
 	"arams/internal/obs"
 	"arams/internal/sketch"
 )
@@ -44,13 +45,16 @@ func BenchmarkIngestWide(b *testing.B) {
 // at beam_liveview's window (512 × 4096) and at diff_sharded's detector
 // (128 × 16384): the in-place read a QuickSnapshot makes — headers, tags
 // and the basis — against the copying wrapper Snapshot and the
-// repository benchmark still call. Run with -benchmem: the difference
-// is the window, once. The one-shard basis is decomposed in the live
-// sketch, so the in-place read is the k×d basis plus the headers: at
-// issue 29, 378.6 kB in 6 allocations at 512 × 4096 and 1.45 MB at
-// 128 × 16384, against 2.84 MB and 11.3 MB when the read cloned the
-// 2ℓ×d buffer and decomposed the clone into an ℓ×d Vᵀ (0.83 against
-// 1.67 ms and 1.7 against 5.5 ms on the 2-core container).
+// repository benchmark still call, and that wrapper with its copy handed
+// back to mat's vector pool, as Snapshot does. Run with -benchmem: the
+// difference between the first two is the window, once, and the
+// released copy's B/op is the in-place read's again. The one-shard
+// basis is decomposed in the live sketch, so the in-place read is the
+// k×d basis plus the headers: at issue 29, 378.6 kB in 6 allocations at
+// 512 × 4096 and 1.45 MB at 128 × 16384, against 2.84 MB and 11.3 MB
+// when the read cloned the 2ℓ×d buffer and decomposed the clone into an
+// ℓ×d Vᵀ (0.83 against 1.67 ms and 1.7 against 5.5 ms on the 2-core
+// container).
 func BenchmarkSnapshotRead(b *testing.B) {
 	for _, sh := range []struct{ window, d int }{{512, 4096}, {128, 16384}} {
 		e := engine.New(engine.Config{Sketch: sketch.Config{Ell0: 25, Beta: 1, Seed: 5}, Window: sh.window})
@@ -72,6 +76,16 @@ func BenchmarkSnapshotRead(b *testing.B) {
 				if x, _, _, _ := e.WindowState(11); x.RowsN != sh.window {
 					b.Fatal("short window")
 				}
+			}
+		})
+		b.Run(name+"/copy_released", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				x, _, _, _ := e.WindowState(11)
+				if x.RowsN != sh.window {
+					b.Fatal("short window")
+				}
+				mat.PutVec(x.Data)
 			}
 		})
 		e.Close()

@@ -765,6 +765,11 @@ func (e *Engine) ReadWindow(k int, parent obs.SpanContext) Window {
 // ledger models a snapshot as this call plus the stages,
 // Monitor.Snapshot; ROADMAP item 1 deletes the replay, and this wrapper
 // with it.
+//
+// x's storage comes from mat.GetVec and x is the caller's: once nothing
+// reads x, the caller may hand x.Data to mat.PutVec, so the next read
+// reuses the array, or simply drop it. Tags are the caller's too, and
+// basis is Window.Basis, shared and read-only.
 func (e *Engine) WindowState(k int, parent ...obs.SpanContext) (x *mat.Matrix, tags []int, basis *mat.Matrix, ell int) {
 	var in obs.SpanContext
 	if len(parent) > 0 {
@@ -774,7 +779,8 @@ func (e *Engine) WindowState(k int, parent ...obs.SpanContext) (x *mat.Matrix, t
 	if w.Rows == nil {
 		return nil, nil, nil, 0
 	}
-	x = mat.New(len(w.Rows), len(w.Rows[0]))
+	n, d := len(w.Rows), len(w.Rows[0])
+	x = mat.FromData(n, d, mat.GetVec(n*d))
 	for i, r := range w.Rows {
 		mat.Widen(x.Row(i), r)
 	}

@@ -15,9 +15,11 @@ import (
 // window. 2ℓ×d sketch buffers come back from their owners too: a closed
 // shard returns its live sketch's, a merge each operand it owns once the
 // operand is folded, a basis reader the merged sketch once the basis is
-// cut, and a sketch that grows its old, narrower one. So a steady-state
-// stream, reconciles included, recycles a fixed set of buffers instead
-// of allocating one per frame or per merge.
+// cut, and a sketch that grows its old, narrower one. A snapshot returns
+// its n×d float64 copy of the window once its stages have read it. So a
+// steady-state stream, reconciles and snapshots included, recycles a
+// fixed set of buffers instead of allocating one per frame, per merge or
+// per snapshot.
 //
 // Each element type has its own pool, keyed by capacity: a put files a
 // slice under cap(v), and a get of n reuses only an array of capacity

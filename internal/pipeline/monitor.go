@@ -159,7 +159,9 @@ func (m *Monitor) QuickSnapshot() *Snapshot {
 // (ROADMAP item 1; EXPERIMENTS.md, issue 27, has the in-place numbers).
 // The copy is the window widened to float64, so the latent is the one
 // QuickSnapshot projects from the ring, bit for bit, and the residuals
-// are taken against it.
+// are taken against it. The copy goes back to mat's vector pool once
+// the stages return — every field of the Snapshot is a fresh slice, none
+// a view of it — so the next Snapshot copies into the same array.
 func (m *Monitor) Snapshot() *Snapshot {
 	obsSnapFull.Inc()
 	sp := obs.StartTrace("snapshot")
@@ -169,6 +171,7 @@ func (m *Monitor) Snapshot() *Snapshot {
 		return nil
 	}
 	snap := view(sp.Context(), m.cfg, basis, x, nil, m.fit(ell))
+	mat.PutVec(x.Data)
 	snap.Tags, snap.Ell = tags, ell
 	return snap
 }

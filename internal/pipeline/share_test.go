@@ -10,7 +10,10 @@ package pipeline_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -198,6 +201,71 @@ func TestQuickSnapshotLeavesWindowUncopied(t *testing.T) {
 	const windowBytes = window * side * side * 4
 	if got := after.TotalAlloc - before.TotalAlloc; got >= windowBytes/4 {
 		t.Errorf("QuickSnapshot allocates %d B beside a %d-byte window; want under a quarter of it", got, windowBytes)
+	}
+}
+
+// snapshotDigests is the SHA-256 of every slice a Snapshot returns.
+func snapshotDigests(s *pipeline.Snapshot) [][sha256.Size]byte {
+	var out [][sha256.Size]byte
+	sum := func(v any) {
+		h := sha256.New()
+		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+			panic(err)
+		}
+		out = append(out, [sha256.Size]byte(h.Sum(nil)))
+	}
+	ints := func(v []int) {
+		w := make([]int64, len(v))
+		for i, x := range v {
+			w[i] = int64(x)
+		}
+		sum(w)
+	}
+	ints(s.Tags)
+	sum(s.Latent.Data)
+	sum(s.Embedding.Data)
+	ints(s.Labels)
+	sum(s.OutlierScores)
+	ints(s.Outliers)
+	sum(s.Residuals)
+	ints(s.ResidualOutliers)
+	return out
+}
+
+// TestSnapshotOutlivesReleasedCopy: a Snapshot hands its float64 window
+// copy back to the vector pool, and the next Snapshot copies a moved
+// window into the same array (128 × 4096 is a big pool class, shared by
+// every P). So no field of a returned Snapshot may be a view of that
+// copy: one snapshot's every slice keeps its SHA-256 through 20 rounds of
+// ingest, Snapshot and a concurrent QuickSnapshot.
+func TestSnapshotOutlivesReleasedCopy(t *testing.T) {
+	const window, side, batch, rounds = 128, 64, 16, 20
+	frames := chaosFrames(window+rounds*batch, side, side, 100)
+	cfg := chaosConfig()
+	cfg.UMAP = umap.Config{NNeighbors: 4, NEpochs: 5, Seed: 101}
+	cfg.MinPts = 3
+	m := pipeline.NewMonitor(cfg, window)
+	defer m.Engine().Close()
+	m.IngestBatch(frames[:window], nil)
+	held := m.Snapshot()
+	if held == nil || len(held.Residuals) != window {
+		t.Fatal("no snapshot of the full window")
+	}
+	want := snapshotDigests(held)
+	for r := 0; r < rounds; r++ {
+		lo := window + r*batch
+		m.IngestBatch(frames[lo:lo+batch], nil)
+		quick := make(chan *pipeline.Snapshot, 1)
+		go func() { quick <- m.QuickSnapshot() }()
+		if s := m.Snapshot(); s == nil || len(s.Residuals) != window {
+			t.Fatalf("round %d: no snapshot of the full window", r)
+		}
+		if q := <-quick; q == nil || q.Latent.RowsN != window {
+			t.Fatalf("round %d: no quick snapshot of the full window", r)
+		}
+		if got := snapshotDigests(held); !slices.Equal(got, want) {
+			t.Fatalf("round %d: a held Snapshot changed after later snapshots reused its window copy", r)
+		}
 	}
 }
 

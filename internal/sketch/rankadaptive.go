@@ -33,9 +33,10 @@ type RankAdaptiveFD struct {
 	eps float64 // relative reconstruction-error threshold
 	g   *rng.RNG
 
-	// recent is a ring of the last ℓ appended rows, consulted by the
-	// heuristic. Stored as row copies to stay independent of callers'
-	// buffers.
+	// recent is a ring of the last ℓ appended rows, oldest first,
+	// consulted by the heuristic. Stored as row copies to stay
+	// independent of callers' buffers; State copies them out, so no
+	// caller holds their storage.
 	recent [][]float64
 
 	increaseEll bool
@@ -145,14 +146,18 @@ func (r *RankAdaptiveFD) canRankAdapt() bool {
 	return r.rowsLeft > r.fd.Ell()+r.nu
 }
 
-// push records a row in the recent-rows ring (capacity ℓ).
+// push records a row in the recent-rows ring (capacity ℓ, which only
+// grows). Once the ring is full the row is copied into the storage of
+// the row it evicts, so a steady stream allocates nothing here.
 func (r *RankAdaptiveFD) push(row []float64) {
-	cap := r.fd.Ell()
-	cp := append([]float64(nil), row...)
-	r.recent = append(r.recent, cp)
-	if len(r.recent) > cap {
-		r.recent = r.recent[len(r.recent)-cap:]
+	if len(r.recent) < r.fd.Ell() {
+		r.recent = append(r.recent, append([]float64(nil), row...))
+		return
 	}
+	oldest := r.recent[0]
+	copy(r.recent, r.recent[1:])
+	copy(oldest, row)
+	r.recent[len(r.recent)-1] = oldest
 }
 
 // recentMatrix snapshots the recent-rows ring as a matrix.

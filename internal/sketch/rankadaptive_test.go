@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"arams/internal/mat"
@@ -162,6 +163,56 @@ func TestRankAdaptiveBoundStillHolds(t *testing.T) {
 	bound := FDBound(a, 5) // bound for the *initial* ℓ is the weakest
 	if err > bound*(1+1e-9) {
 		t.Fatalf("rank-adaptive sketch violates FD bound: %v > %v", err, bound)
+	}
+}
+
+func TestRankAdaptiveRingHoldsLastEllRows(t *testing.T) {
+	// Through every rotation and every growth of ℓ, the recent-rows ring
+	// holds copies of the last appended rows, oldest first: one more
+	// after each row until it holds ℓ.
+	const n, d = 200, 30
+	a := mat.RandGaussian(n, d, rng.New(46))
+	r := NewRankAdaptiveFD(4, d, 3, 0.05, 0, rng.New(47))
+	row := make([]float64, d)
+	want := 0
+	for i := 0; i < n; i++ {
+		copy(row, a.Row(i))
+		r.Append(row)
+		clear(row)
+		want = min(want+1, r.Ell())
+		if len(r.recent) != want {
+			t.Fatalf("after row %d the ring holds %d rows, want %d", i, len(r.recent), want)
+		}
+		for j, got := range r.recent {
+			if !slices.Equal(got, a.Row(i+1-want+j)) {
+				t.Fatalf("after row %d ring slot %d is not row %d", i, j, i+1-want+j)
+			}
+		}
+	}
+	if r.Grows() == 0 {
+		t.Fatal("ℓ never grew; the ring's growth went untested")
+	}
+}
+
+func TestRankAdaptiveSteadyAppendAllocatesNothing(t *testing.T) {
+	// Once the ring is full, an Append that does not rotate copies its row
+	// into the evicted row's storage and allocates nothing.
+	const ell, d = 8, 64
+	a := mat.RandGaussian(4*ell, d, rng.New(48))
+	r := NewRankAdaptiveFD(ell, d, 2, 10, 0, rng.New(49)) // ε above any relative error: ℓ stays
+	i := 0
+	next := func() {
+		r.Append(a.Row(i % a.RowsN))
+		i++
+	}
+	for len(r.recent) < ell || r.fd.buffer.RowsN-r.fd.nextZero < ell/2 {
+		next()
+	}
+	if got := testing.AllocsPerRun(r.fd.buffer.RowsN-r.fd.nextZero-1, next); got != 0 {
+		t.Fatalf("a steady-state Append allocates %v times", got)
+	}
+	if r.Ell() != ell {
+		t.Fatalf("Ell = %d, want %d", r.Ell(), ell)
 	}
 }
 
