@@ -2,12 +2,11 @@
 // file — the counterpart of the paper artifact's run.py driver: it
 // streams the run's frames in batches through pipeline.Monitor (the
 // sharded streaming engine: -shards splits the sketch across concurrent
-// shard sketchers, -ingest-buffer sizes the engine's bounded async
-// queue), then takes one snapshot over the last -window frames —
-// projection, UMAP, OPTICS, ABOD and reconstruction residuals — and
-// writes an interactive HTML embedding with hover tooltips (the
-// Bokeh-HTML analog of Figs. 5 and 6) and, with -reach, the OPTICS
-// reachability plot.
+// shard sketchers, and each batch is sketched in the calling goroutine),
+// then takes one snapshot over the last -window frames — projection,
+// UMAP, OPTICS, ABOD and reconstruction residuals — and writes an
+// interactive HTML embedding with hover tooltips (the Bokeh-HTML analog
+// of Figs. 5 and 6) and, with -reach, the OPTICS reachability plot.
 //
 // With -listen the process also serves the live observability
 // endpoints of internal/obs — /metrics (Prometheus text),
@@ -27,8 +26,9 @@
 // With -tenants the process becomes a multi-tenant sketch service: each
 // listed tenant streams its own run (id=runfile, or a bare id reusing
 // -in) through one shared registry — per-tenant engines over the shared
-// worker pool, fair-share admission, and LRU/idle hibernation into
-// -checkpoint-dir (-tenant-idle, -tenant-max-resident). /tenantz serves
+// worker pool, per-tenant admission queues, and LRU/idle hibernation
+// into -checkpoint-dir (-tenant-idle, -tenant-max-resident); -window
+// sizes every tenant's window (0 = the longest run). /tenantz serves
 // the live tenant table and per-tenant hot-path metrics carry a
 // tenant="<id>" label.
 //
@@ -91,10 +91,9 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", "", "checkpoint monitor state into this directory (empty = no checkpoints)")
 	ckptEvery := flag.Int("checkpoint-every", 256, "checkpoint every N ingested frames")
 	restore := flag.Bool("restore", false, "resume from the checkpoint in -checkpoint-dir before ingesting")
-	window := flag.Int("window", 0, "snapshot window size (0 = whole run)")
+	window := flag.Int("window", 0, "snapshot window size (0 = whole run; with -tenants, each tenant's window, 0 = the longest run)")
 	shards := flag.Int("shards", 1, "concurrent sketch shards")
 	fabricWorkers := flag.String("fabric", "", "comma-separated fabricworker addresses; one remote shard per worker (overrides -shards)")
-	ingestBuffer := flag.Int("ingest-buffer", 0, "bounded async ingest queue capacity (0 = engine default)")
 	tenants := flag.String("tenants", "", "multi-tenant mode: comma-separated id=runfile pairs (bare ids reuse -in); streams are interleaved through one tenant registry with hibernation in -checkpoint-dir")
 	tenantIdle := flag.Duration("tenant-idle", 0, "multi-tenant mode: hibernate tenants idle for this long (0 = only residency pressure evicts)")
 	tenantMaxResident := flag.Int("tenant-max-resident", 0, "multi-tenant mode: cap on simultaneously resident tenant engines (0 = unlimited)")
@@ -143,16 +142,15 @@ func main() {
 		scfg.Nu = 10
 	}
 	cfg := pipeline.Config{
-		Pre:          imgproc.Preprocessor{Normalize: true},
-		Sketch:       scfg,
-		LatentDim:    *latent,
-		UMAP:         umap.Config{NNeighbors: 20, NEpochs: 200, Seed: *seed + 1},
-		UseHDBSCAN:   *useHDBSCAN,
-		Audit:        auditor,
-		AuditEvery:   *auditEvery,
-		Shards:       *shards,
-		IngestBuffer: *ingestBuffer,
-		FrameBudget:  *frameBudget,
+		Pre:         imgproc.Preprocessor{Normalize: true},
+		Sketch:      scfg,
+		LatentDim:   *latent,
+		UMAP:        umap.Config{NNeighbors: 20, NEpochs: 200, Seed: *seed + 1},
+		UseHDBSCAN:  *useHDBSCAN,
+		Audit:       auditor,
+		AuditEvery:  *auditEvery,
+		Shards:      *shards,
+		FrameBudget: *frameBudget,
 	}
 
 	if *tenants != "" {
@@ -166,6 +164,7 @@ func main() {
 			dir:         *ckptDir,
 			idle:        *tenantIdle,
 			maxResident: *tenantMaxResident,
+			window:      *window,
 			lambda:      *alarmThreshold,
 		})
 		hold()
@@ -404,6 +403,7 @@ type tenantOpts struct {
 	dir         string
 	idle        time.Duration
 	maxResident int
+	window      int
 	lambda      float64
 }
 
@@ -462,10 +462,11 @@ func parseTenantSpec(spec, defaultIn string) []tenantStream {
 
 // runTenants is the sketch-as-a-service path: every tenant's run
 // streams through one registry — shared worker pool, per-tenant
-// engines, fair-share admission — with frames interleaved round-robin
-// across tenants the way a shared facility mixes beamlines. Idle or
-// surplus tenants hibernate into opts.dir and the registry restores
-// them transparently; /tenantz serves the live tenant table.
+// engines, per-tenant admission queues — with frames interleaved
+// round-robin across tenants the way a shared facility mixes
+// beamlines, one audit period per tenant per round. Idle or surplus
+// tenants hibernate into opts.dir and the registry restores them
+// transparently; /tenantz serves the live tenant table.
 func runTenants(spec, defaultIn string, cfg pipeline.Config, opts tenantOpts) {
 	streams := parseTenantSpec(spec, defaultIn)
 
@@ -475,11 +476,15 @@ func runTenants(spec, defaultIn string, cfg pipeline.Config, opts tenantOpts) {
 	// eviction events land in the process journal behind /audit.
 	cfg.Audit = nil
 	lambda := opts.lambda
-	window := 0 // per-tenant default: whole-stream window is per-run below
+	// -window sizes every tenant's window; 0 means the longest run, so
+	// every tenant's window holds its whole stream.
+	longest := 0
 	for _, ts := range streams {
-		if ts.run.Len() > window {
-			window = ts.run.Len()
-		}
+		longest = max(longest, ts.run.Len())
+	}
+	window := opts.window
+	if window <= 0 {
+		window = longest
 	}
 	reg, err := tenant.Open(tenant.Config{
 		Dir:          opts.dir,
@@ -509,28 +514,33 @@ func runTenants(spec, defaultIn string, cfg pipeline.Config, opts tenantOpts) {
 		"idle_after", opts.idle)
 
 	// Interleave the workloads frame by frame — the adversarial mix for
-	// fair-share admission: every pass touches every tenant, so a capped
-	// registry is forced to rotate engines through hibernation while the
-	// pump keeps all queues moving.
-	total := 0
-	for f := 0; ; f++ {
-		live := false
-		for _, ts := range streams {
-			if f >= ts.run.Len() {
-				continue
-			}
-			live = true
-			if err := reg.Append(ts.id, ts.run.Frames[f], f); err != nil {
-				fatal(fmt.Sprintf("appending frame %d for tenant %s", f, ts.id), err)
-			}
-			total++
-		}
-		if !live {
-			break
-		}
+	// per-tenant admission — in rounds of one audit period per tenant,
+	// and drain every tenant before the next round. A tenant's auditor
+	// is flushed at most once per dispatch, so no drain batch may span
+	// an audit period (runStreaming chunks its batches for the same
+	// reason). And a tenant is only evicted once it has drained, so the
+	// idle tenants between rounds are what a capped registry rotates
+	// through hibernation; the next round restores them mid-stream.
+	round := cfg.AuditEvery
+	if round <= 0 {
+		round = longest
 	}
-	if err := reg.DrainAll(); err != nil {
-		fatal("draining tenants", err)
+	total := 0
+	for lo := 0; lo < longest; lo += round {
+		for f := lo; f < min(lo+round, longest); f++ {
+			for _, ts := range streams {
+				if f >= ts.run.Len() {
+					continue
+				}
+				if err := reg.Append(ts.id, ts.run.Frames[f], f); err != nil {
+					fatal(fmt.Sprintf("appending frame %d for tenant %s", f, ts.id), err)
+				}
+				total++
+			}
+		}
+		if err := reg.DrainAll(); err != nil {
+			fatal("draining tenants", err)
+		}
 	}
 	slog.Info("streams complete", "tenants", len(streams), "frames", total)
 

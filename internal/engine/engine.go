@@ -1,11 +1,11 @@
 // Package engine is the sharded streaming core of the online monitor:
-// frames enter through a bounded, backpressured ingest queue, are
-// batch-preprocessed on the shared worker pool, routed round-robin to N
-// independent shard sketchers. FD summaries are mergeable, so the
-// shards' certificates compose without a merge (their Σδ bounds
-// ‖AᵀA − Σ BᵢᵀBᵢ‖₂ over the concatenation of every shard's stream), and
-// only a basis reader reconciles them into one global sketch, with the
-// same tree merge and fault-recovery semantics the batch pipeline uses.
+// each IngestBatch call is preprocessed on the shared worker pool in the
+// caller's goroutine and routed round-robin to N independent shard
+// sketchers. FD summaries are mergeable, so the shards' certificates
+// compose without a merge (their Σδ bounds ‖AᵀA − Σ BᵢᵀBᵢ‖₂ over the
+// concatenation of every shard's stream), and only a basis reader
+// reconciles them into one global sketch, with the same tree merge and
+// fault-recovery semantics the batch pipeline uses.
 //
 // The engine replaces the lock-per-frame Monitor design: CPU-heavy
 // preprocessing and sketching never run under a global lock. A batch
@@ -35,9 +35,6 @@ type Config struct {
 	// one shard the engine is behaviorally identical to the serial
 	// monitor, including RNG consumption and audit cadence).
 	Shards int
-	// IngestBuffer bounds the async Enqueue queue (default 256).
-	// Producers block when it is full — backpressure, not drops.
-	IngestBuffer int
 	// Window is the sliding-window size for snapshots (default 1024).
 	Window int
 	// Tenant, when non-empty, scopes the engine's hot-path metric
@@ -81,9 +78,6 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.IngestBuffer <= 0 {
-		c.IngestBuffer = 256
-	}
 	if c.Window <= 0 {
 		c.Window = 1024
 	}
@@ -118,9 +112,10 @@ type shardResult struct {
 	ell   int
 }
 
-// Engine is the sharded streaming core. It is safe for concurrent
-// producers (Ingest/IngestBatch/Enqueue) and concurrent snapshot and
-// checkpoint readers.
+// Engine is the sharded streaming core. It is synchronous: ingest runs
+// in the caller's goroutine, and the engine starts none of its own. It
+// is safe for concurrent producers (Ingest/IngestBatch/IngestVecs) and
+// concurrent snapshot and checkpoint readers.
 //
 // Lock order: gate → mu → shard.mu, and globalMu → mu → shard.mu;
 // nothing acquires gate or globalMu while holding mu or a shard lock.
@@ -164,11 +159,6 @@ type Engine struct {
 	read       *globalRead
 	readAt     int
 	reconciles int // merges so far
-
-	// Async ingest queue (see queue.go).
-	queueMu  sync.Mutex
-	queue    chan qitem
-	pumpDone chan struct{}
 
 	// budget is the frame-budget/SLO tracker (nil when disabled).
 	budget *budgetTracker
@@ -228,17 +218,9 @@ func (e *Engine) Ingest(im *imgproc.Image, tag int) {
 // and routes them to the shards. tags may be nil (all frames tagged 0);
 // otherwise it must match frames in length. The per-frame lock cost is
 // amortized: one engine-lock acquisition for the whole batch, then each
-// shard absorbs its rows under its own lock only.
+// shard absorbs its rows under its own lock only. Each call is rooted
+// in a fresh ingest_batch trace.
 func (e *Engine) IngestBatch(ims []*imgproc.Image, tags []int) {
-	e.ingestBatchAt(ims, tags, time.Time{})
-}
-
-// ingestBatchAt is IngestBatch rooted in a fresh ingest_batch trace.
-// queuedAt, when non-zero, is the enqueue time of the batch's oldest
-// frame (the async path), recorded as a retroactive queue_wait span so
-// the trace shows how long frames sat in the queue before the engine
-// touched them.
-func (e *Engine) ingestBatchAt(ims []*imgproc.Image, tags []int, queuedAt time.Time) {
 	if len(ims) == 0 {
 		return
 	}
@@ -246,10 +228,6 @@ func (e *Engine) ingestBatchAt(ims []*imgproc.Image, tags []int, queuedAt time.T
 	root := obs.StartTrace("ingest_batch",
 		obs.L("frames", fmt.Sprint(len(ims))),
 		obs.L("shards", fmt.Sprint(len(e.shards))))
-	if !queuedAt.IsZero() {
-		qw := root.StartChildSince(queuedAt, "queue_wait")
-		qw.End()
-	}
 	spPre := root.StartChild("preprocess", obs.L("frames", fmt.Sprint(len(ims))))
 	vecs := make([][]float64, len(ims))
 	rows := make([][]float32, len(ims))
@@ -813,12 +791,10 @@ func (e *Engine) basis(parent obs.SpanContext, k int) (*mat.Matrix, int) {
 	return r.basis.Rows(0, max(0, min(k, r.basis.RowsN))), r.ell
 }
 
-// Close stops the async pump (draining anything queued) and closes
-// every shard backend — for remote backends this tears down their
-// connections and aborts in-flight work. The engine must not ingest
-// after Close. Returns the first backend close error.
+// Close closes every shard backend — for remote backends this tears
+// down their connections and aborts in-flight work. The engine must not
+// ingest after Close. Returns the first backend close error.
 func (e *Engine) Close() error {
-	e.Stop()
 	return e.closeBackends()
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"arams/internal/audit"
 	"arams/internal/engine"
-	"arams/internal/imgproc"
 	"arams/internal/mat"
 	"arams/internal/obs"
 	"arams/internal/rng"
@@ -261,41 +260,6 @@ func TestStateRejectsCorrupt(t *testing.T) {
 	}); err == nil {
 		t.Fatal("more frames than window accepted")
 	}
-}
-
-// TestEnqueueDrainStop exercises the async queue: everything enqueued
-// before Drain is visible after it, and Stop flushes the tail.
-func TestEnqueueDrainStop(t *testing.T) {
-	const n = 40
-	e := engine.New(engine.Config{
-		Shards:       2,
-		IngestBuffer: 8, // small buffer so Enqueue exercises backpressure
-		Sketch:       sketch.Config{Ell0: 4, Beta: 1},
-		Window:       8,
-	})
-	im := imgproc.NewImage(4, 4)
-	for y := 0; y < 4; y++ {
-		for x := 0; x < 4; x++ {
-			im.Set(x, y, float64(1+x*y))
-		}
-	}
-	for i := 0; i < n/2; i++ {
-		e.Enqueue(im, i)
-	}
-	e.Drain()
-	if got := e.Ingested(); got != n/2 {
-		t.Fatalf("after Drain: %d frames ingested, want %d", got, n/2)
-	}
-	for i := n / 2; i < n; i++ {
-		e.Enqueue(im, i)
-	}
-	e.Stop()
-	if got := e.Ingested(); got != n {
-		t.Fatalf("after Stop: %d frames ingested, want %d", got, n)
-	}
-	// Idempotent: draining or stopping a stopped engine is a no-op.
-	e.Drain()
-	e.Stop()
 }
 
 // TestAuditParityOneShard pins the facade contract on the audit layer:

@@ -17,8 +17,8 @@ import (
 )
 
 // TestGoldenGlobalSketchDigest pins the exact bytes of a 4-shard
-// engine's reconciled global sketch after an async Enqueue/Drain run
-// over a fixed seeded stream: the SHA-256 of the canonical ckpt frame
+// engine's reconciled global sketch after a run fed by IngestBatch in
+// fixed chunks over a fixed seeded stream: the SHA-256 of the canonical ckpt frame
 // of GlobalSketch().State(). The digests were recorded at issue 25,
 // the commit that replaced the cyclic Jacobi eigensolver under every
 // rotation and merge fold with tridiagonal QL (internal/mat/eig.go):
@@ -27,11 +27,11 @@ import (
 // internal/mat/equiv_test.go and internal/sketch/reference_test.go, and
 // the old → new table in EXPERIMENTS.md, "Tridiagonal QL (issue 25)".
 // The digests before it, which showed the single merge tree and the
-// in-place fold changed no bit, are in the history of this file. The
-// pump's batch boundaries — and hence when reconciles ran
-// along the way — vary from run to run; reconciles never mutate
-// shards, so the digest does not.
+// in-place fold changed no bit, are in the history of this file. FD
+// absorbs one row at a time, so the chunk size moves no bit, and
+// reconciles never mutate shards.
 func TestGoldenGlobalSketchDigest(t *testing.T) {
+	const chunk = 37 // divides neither stream: the last batch is short
 	for _, tc := range []struct {
 		name         string
 		n, w, h, ell int
@@ -49,10 +49,16 @@ func TestGoldenGlobalSketchDigest(t *testing.T) {
 				Window: 32,
 			})
 			defer e.Close()
-			for i, v := range testVecs(tc.n, tc.w*tc.h, tc.seed) {
-				e.Enqueue(&imgproc.Image{W: tc.w, H: tc.h, Pix: v}, i)
+			vecs := testVecs(tc.n, tc.w*tc.h, tc.seed)
+			for lo := 0; lo < len(vecs); lo += chunk {
+				var ims []*imgproc.Image
+				var tags []int
+				for i := lo; i < min(lo+chunk, len(vecs)); i++ {
+					ims = append(ims, &imgproc.Image{W: tc.w, H: tc.h, Pix: vecs[i]})
+					tags = append(tags, i)
+				}
+				e.IngestBatch(ims, tags)
 			}
-			e.Drain()
 			g := e.GlobalSketch()
 			if g == nil || g.Seen() != tc.n {
 				t.Fatalf("global sketch missing or short: %v", g)

@@ -23,7 +23,6 @@ type engineObs struct {
 	windowSize    *obs.Gauge
 	engineEll     *obs.Gauge
 	shardCount    *obs.Gauge
-	queueDepth    *obs.Gauge
 	reconciles    *obs.Counter
 	budgetBurn    *obs.Gauge
 	deadlineMiss  *obs.Counter
@@ -44,7 +43,6 @@ func newEngineObs(tenant string) *engineObs {
 		windowSize:    r.Gauge("arams_engine_window_size", ls...),
 		engineEll:     r.Gauge("arams_engine_sketch_ell", ls...),
 		shardCount:    r.Gauge("arams_engine_shards", ls...),
-		queueDepth:    r.Gauge("arams_engine_queue_depth", ls...),
 		reconciles:    r.Counter("arams_engine_reconciles_total", ls...),
 		budgetBurn:    r.Gauge("arams_engine_budget_burn_rate", ls...),
 		deadlineMiss:  r.Counter("arams_engine_deadline_miss_total", ls...),

@@ -1,7 +1,7 @@
 package engine_test
 
 // Concurrency hammer for the engine, meant to run under -race:
-// several IngestVecs producers, an async Enqueue producer, snapshot
+// several IngestVecs producers, an IngestBatch producer, snapshot
 // readers (ReadWindow/Basis/Certificate), and a checkpointer
 // (State) all pound the same engine. Assertions are deliberately
 // coarse — the point is that the race detector sees every lock edge:
@@ -29,10 +29,9 @@ func TestEngineConcurrentHammer(t *testing.T) {
 		d         = 16
 	)
 	e := engine.New(engine.Config{
-		Shards:       4,
-		IngestBuffer: 16,
-		Sketch:       sketch.Config{Ell0: 5, Beta: 0.9, Seed: 7},
-		Window:       32,
+		Shards: 4,
+		Sketch: sketch.Config{Ell0: 5, Beta: 0.9, Seed: 7},
+		Window: 32,
 	})
 
 	shardRows := func(st *engine.State) int {
@@ -71,7 +70,7 @@ func TestEngineConcurrentHammer(t *testing.T) {
 		}(p)
 	}
 
-	// Async producer through the bounded queue.
+	// Image producer: preprocessing on the pool, then the same routing.
 	producersWG.Add(1)
 	go func() {
 		defer producersWG.Done()
@@ -81,11 +80,15 @@ func TestEngineConcurrentHammer(t *testing.T) {
 				im.Set(x, y, float64(1+x+y))
 			}
 		}
-		for i := 0; i < 30; i++ {
-			e.Enqueue(im, 90000+i)
+		for b := 0; b < 3; b++ {
+			ims := make([]*imgproc.Image, 10)
+			tags := make([]int, 10)
+			for i := range ims {
+				ims[i], tags[i] = im, 90000+b*10+i
+			}
+			e.IngestBatch(ims, tags)
+			produced.Add(10)
 		}
-		e.Drain()
-		produced.Add(30)
 	}()
 
 	// Snapshot readers.
@@ -143,7 +146,6 @@ func TestEngineConcurrentHammer(t *testing.T) {
 	producersWG.Wait()
 	close(stop)
 	readersWG.Wait()
-	e.Stop()
 
 	want := int(produced.Load())
 	if got := e.Ingested(); got != want {

@@ -9,7 +9,6 @@ import (
 	"arams/internal/audit"
 	"arams/internal/ckpt"
 	"arams/internal/engine"
-	"arams/internal/imgproc"
 	"arams/internal/obs"
 	"arams/internal/sketch"
 )
@@ -218,46 +217,5 @@ func TestReconcileCadenceInvariant(t *testing.T) {
 		if cert != refCert {
 			t.Fatalf("%s: certificate %+v, want %+v", tc.name, cert, refCert)
 		}
-	}
-}
-
-// TestQueueDepthGaugeZeroAfterStop is the regression test for the
-// stale arams_engine_queue_depth gauge: the Enqueue-side sample could
-// race the pump and leave a nonzero depth sticking forever after the
-// queue drained, and a sample taken after a flush had closed its drain
-// acks let a Drain caller read the previous batch's depth. The gauge is
-// sampled only by the pump — inside each flush, after the ingest and
-// before the acks close — and zeroed when the pump exits.
-func TestQueueDepthGaugeZeroAfterStop(t *testing.T) {
-	depth := obs.Default().Gauge("arams_engine_queue_depth")
-	e := engine.New(engine.Config{
-		Shards:       2,
-		IngestBuffer: 8,
-		Sketch:       sketch.Config{Ell0: 4, Beta: 1},
-		Window:       8,
-	})
-	im := imgproc.NewImage(3, 3)
-	for y := 0; y < 3; y++ {
-		for x := 0; x < 3; x++ {
-			im.Set(x, y, float64(1+x+2*y))
-		}
-	}
-	const n = 24
-	for i := 0; i < n; i++ {
-		e.Enqueue(im, i)
-	}
-	e.Drain()
-	if got := depth.Value(); got != 0 {
-		t.Fatalf("queue depth gauge reads %v after Drain, want 0", got)
-	}
-	for i := n; i < 2*n; i++ {
-		e.Enqueue(im, i)
-	}
-	e.Stop()
-	if got := depth.Value(); got != 0 {
-		t.Fatalf("queue depth gauge reads %v after Stop, want 0", got)
-	}
-	if got := e.Ingested(); got != 2*n {
-		t.Fatalf("ingested %d frames, want %d", got, 2*n)
 	}
 }

@@ -115,21 +115,19 @@ func (e *Engine) capture(suspend bool) *State {
 	return s
 }
 
-// Suspend is the hibernation path: it stops the async pump (draining
-// anything queued), captures a state handle (see State: it holds the
-// window's vectors rather than copying them, and outlives the engine),
-// and closes every shard backend, releasing the engine's goroutines and
-// everything the handle does not hold — a local shard's sketch buffer
-// goes back to the vector pool. The engine must not be used after
-// Suspend; NewFromState over the returned handle resumes the stream
-// bit-exactly (sampler RNG streams included), so a hibernate→restore
-// cycle is invisible to sketch bytes, certificates, and audit journals.
-// The handle owns the window vectors the engine had handed to nobody:
-// once it is saved, Release returns them to the pool. Returns the state
-// even when a backend close fails — the checkpoint is already
-// consistent by then.
+// Suspend is the hibernation path: it captures a state handle (see
+// State: it holds the window's vectors rather than copying them, and
+// outlives the engine) and closes every shard backend, releasing the
+// backends' goroutines and everything the handle does not hold — a
+// local shard's sketch buffer goes back to the vector pool. The engine
+// must not be used after Suspend; NewFromState over the returned handle
+// resumes the stream bit-exactly (sampler RNG streams included), so a
+// hibernate→restore cycle is invisible to sketch bytes, certificates,
+// and audit journals. The handle owns the window vectors the engine had
+// handed to nobody: once it is saved, Release returns them to the pool.
+// Returns the state even when a backend close fails — the checkpoint is
+// already consistent by then.
 func (e *Engine) Suspend() (*State, error) {
-	e.Stop()
 	s := e.capture(true)
 	return s, e.closeBackends()
 }

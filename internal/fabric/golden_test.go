@@ -19,8 +19,8 @@ import (
 
 // TestGoldenLoopbackGlobalSketchDigest is the fabric twin of the
 // engine's TestGoldenGlobalSketchDigest: a coordinator over two
-// loopback workers, async Enqueue/Drain over a fixed seeded stream,
-// SHA-256 of the canonical ckpt frame of GlobalSketch().State(). Here
+// loopback workers, IngestBatch in fixed chunks over a fixed seeded
+// stream, SHA-256 of the canonical ckpt frame of GlobalSketch().State(). Here
 // every reconcile leg is a network fetch decoded into a fresh sketch,
 // which the merge folds in place. Digests recorded at issue 25, the
 // commit that replaced the Jacobi eigensolver under that fold with
@@ -28,6 +28,7 @@ import (
 // showed the fold could stop cloning its inputs, are in this file's
 // history.
 func TestGoldenLoopbackGlobalSketchDigest(t *testing.T) {
+	const chunk = 37 // divides neither stream: the last batch is short
 	for _, tc := range []struct {
 		name         string
 		n, w, h, ell int
@@ -60,10 +61,16 @@ func TestGoldenLoopbackGlobalSketchDigest(t *testing.T) {
 			}
 			defer coord.Close()
 			e := coord.Engine()
-			for i, v := range testVecs(tc.n, tc.w*tc.h, tc.seed) {
-				e.Enqueue(&imgproc.Image{W: tc.w, H: tc.h, Pix: v}, i)
+			vecs := testVecs(tc.n, tc.w*tc.h, tc.seed)
+			for lo := 0; lo < len(vecs); lo += chunk {
+				var ims []*imgproc.Image
+				var tags []int
+				for i := lo; i < min(lo+chunk, len(vecs)); i++ {
+					ims = append(ims, &imgproc.Image{W: tc.w, H: tc.h, Pix: vecs[i]})
+					tags = append(tags, i)
+				}
+				e.IngestBatch(ims, tags)
 			}
-			e.Drain()
 			for _, r := range coord.Remotes() {
 				if r.Degraded() {
 					t.Fatalf("%s degraded during a clean run", r.Name())

@@ -70,15 +70,7 @@ func StartTrace(name string, attrs ...Label) Span { return Default().StartTrace(
 // call from a different goroutine than the one that started s, as long
 // as s has not ended.
 func (s *Span) StartChild(name string, attrs ...Label) Span {
-	return s.StartChildSince(time.Now(), name, attrs...)
-}
-
-// StartChildSince is StartChild with an explicit start time — for
-// retroactive spans whose beginning was recorded before the trace
-// existed (e.g. the enqueue timestamp of a frame that waited in the
-// ingest queue).
-func (s *Span) StartChildSince(start time.Time, name string, attrs ...Label) Span {
-	sp := Span{r: s.r, name: name, start: start, attrs: attrs}
+	sp := Span{r: s.r, name: name, start: time.Now(), attrs: attrs}
 	if s.trace != 0 {
 		sp.trace, sp.id, sp.parent = s.trace, newID(), s.id
 	}

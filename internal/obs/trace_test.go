@@ -88,23 +88,6 @@ func TestStartSpanInZeroContextStartsFreshTrace(t *testing.T) {
 	}
 }
 
-func TestStartChildSinceRetroactiveStart(t *testing.T) {
-	r := NewRegistry()
-	root := r.StartTrace("root")
-	enqueued := time.Now().Add(-50 * time.Millisecond)
-	qw := root.StartChildSince(enqueued, "queue_wait")
-	if d := qw.End(); d < 50*time.Millisecond {
-		t.Fatalf("retroactive span measured %v, want >= 50ms", d)
-	}
-	root.End()
-	tr, _ := r.TraceByID(root.Context().Trace)
-	for _, sp := range tr.Spans {
-		if sp.Name == "queue_wait" && !sp.Start.Equal(enqueued) {
-			t.Fatalf("queue_wait start = %v, want %v", sp.Start, enqueued)
-		}
-	}
-}
-
 func TestUntracedSpanJoinsNoTrace(t *testing.T) {
 	r := NewRegistry()
 	sp := r.StartSpan("plain")

@@ -73,21 +73,21 @@ func NewRunMonitor(cfg Config, window, frames int) *Monitor {
 // engineConfig maps the pipeline configuration onto the engine's.
 func engineConfig(cfg Config, window int) engine.Config {
 	return engine.Config{
-		Shards:       cfg.Shards,
-		IngestBuffer: cfg.IngestBuffer,
-		Window:       window,
-		Tenant:       cfg.Tenant,
-		Pre:          cfg.Pre,
-		Sketch:       cfg.Sketch,
-		Audit:        cfg.Audit,
-		AuditEvery:   cfg.AuditEvery,
-		FrameBudget:  cfg.FrameBudget,
-		Backends:     cfg.Backends,
+		Shards:      cfg.Shards,
+		Window:      window,
+		Tenant:      cfg.Tenant,
+		Pre:         cfg.Pre,
+		Sketch:      cfg.Sketch,
+		Audit:       cfg.Audit,
+		AuditEvery:  cfg.AuditEvery,
+		FrameBudget: cfg.FrameBudget,
+		Backends:    cfg.Backends,
 	}
 }
 
 // Engine exposes the underlying streaming engine for callers that want
-// the async queue (Enqueue/Drain/Stop) or engine-level state directly.
+// engine-level state directly (certificates, shard counters, the
+// global sketch).
 func (m *Monitor) Engine() *engine.Engine { return m.eng }
 
 // Ingest preprocesses one frame and feeds it to the sketch. tag is an

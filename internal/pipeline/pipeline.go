@@ -62,9 +62,6 @@ type Config struct {
 	// global sketch via the tree merge when a view reads the basis, with
 	// certificates composing across shards.
 	Shards int
-	// IngestBuffer bounds the engine's async Enqueue queue (default
-	// 256). Producers block when it is full — backpressure, not drops.
-	IngestBuffer int
 	// Tenant, when non-empty, scopes the Monitor's engine metrics with
 	// a tenant="<id>" label (set by the multi-tenant registry). Empty
 	// keeps the process-wide unlabeled series.

@@ -16,13 +16,12 @@ import (
 type Info struct {
 	ID    string `json:"id"`
 	State State  `json:"-"`
-	// QueueDepth is the ingress (admission) queue; EngineQueue is the
-	// tenant engine's own bounded queue (0 while hibernated).
-	QueueDepth  int           `json:"queue_depth"`
-	EngineQueue int           `json:"engine_queue"`
-	Pins        int           `json:"pins"`
-	Ingests     int           `json:"ingests"`
-	IdleFor     time.Duration `json:"-"`
+	// QueueDepth counts the frames admitted but not yet sketched: the
+	// ingress queue plus the batch the tenant's drain is sketching.
+	QueueDepth int           `json:"queue_depth"`
+	Pins       int           `json:"pins"`
+	Ingests    int           `json:"ingests"`
+	IdleFor    time.Duration `json:"-"`
 	// Certificate is the last certified error bound: live for resident
 	// tenants that have cut one, frozen at hibernation otherwise. Nil
 	// until the first certificate is cut.
@@ -87,7 +86,7 @@ func (r *Registry) writeProm(w http.ResponseWriter, infos []Info) {
 	for _, inf := range infos {
 		lt := obs.L("tenant", inf.ID)
 		reg.Gauge("arams_tenantz_state", lt).SetInt(int(inf.State))
-		reg.Gauge("arams_tenantz_queue_depth", lt).SetInt(inf.QueueDepth + inf.EngineQueue)
+		reg.Gauge("arams_tenantz_queue_depth", lt).SetInt(inf.QueueDepth)
 		reg.Gauge("arams_tenantz_ingests", lt).SetInt(inf.Ingests)
 		reg.Gauge("arams_tenantz_pins", lt).SetInt(inf.Pins)
 		reg.Gauge("arams_tenantz_idle_seconds", lt).Set(inf.IdleFor.Seconds())
@@ -124,12 +123,11 @@ td.num { text-align: right; font-variant-numeric: tabular-nums; }
 <p>{{.Resident}} resident{{if .MaxResident}} / {{.MaxResident}} max{{end}}, {{len .Tenants}} total</p>
 <p><a href="?format=prom">prometheus</a> · <a href="?format=json">json</a></p>
 <table>
-<tr><th>tenant</th><th>state</th><th>ingress q</th><th>engine q</th><th>ingests</th><th>idle</th><th>cov bound</th><th>cert rows</th></tr>
+<tr><th>tenant</th><th>state</th><th>queue</th><th>ingests</th><th>idle</th><th>cov bound</th><th>cert rows</th></tr>
 {{range .Tenants}}<tr>
 <td>{{.ID}}</td>
 <td class="{{.StateStr}}">{{.StateStr}}</td>
 <td class="num">{{.QueueDepth}}</td>
-<td class="num">{{.EngineQueue}}</td>
 <td class="num">{{.Ingests}}</td>
 <td class="num">{{printf "%.1fs" .IdleSeconds}}</td>
 <td class="num">{{if .Certificate}}{{printf "%.4g" .Certificate.CovBound}}{{else}}—{{end}}</td>

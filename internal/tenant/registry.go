@@ -24,17 +24,16 @@
 // registry lock while everyone else waits on the condition variable, so
 // no lock is ever held across linear algebra or disk IO and two
 // concurrent restores can never deadlock hibernating each other's
-// victims. Pins (acquired by Monitor/Certificate/Drain and held by the
-// dispatcher's handoff) block hibernation while a tenant's state is
-// externally visible.
+// victims. Pins (acquired by Monitor and Certificate) block hibernation
+// while a tenant's state is externally visible, and so does a batch in
+// flight.
 //
-// Ingest never touches an engine directly: frames enter per-tenant
-// bounded ingress queues (admission control — a producer blocks on its
-// own tenant's quota, never on another tenant's) and a single
-// fair-share dispatcher moves them into engines with a
-// deficit-round-robin pass and a non-blocking TryEnqueue handoff, so
-// one tenant's slow reconcile backs its own queue up and costs everyone
-// else nothing. See pump.go.
+// A tenant's bounded ingress queue is its only ingest queue (admission
+// control — a producer blocks on its own tenant's quota, never on
+// another tenant's). A resident tenant with queued frames runs one
+// drain goroutine that feeds them to its engine in batches through
+// IngestBatch, so one tenant's slow reconcile backs its own queue up
+// and costs everyone else nothing. See ingest.go.
 package tenant
 
 import (
@@ -176,8 +175,8 @@ type entry struct {
 	st  State // Resident, Hibernating, Hibernated, Restoring (never Idle)
 	mon *pipeline.Monitor
 
-	q       []qframe // ingress queue, FIFO
-	deficit int      // fair-share allowance carried between passes
+	q        []qframe // ingress queue, FIFO
+	inflight int      // frames the drain took off q and has not yet sketched
 
 	pins      int       // external holds blocking hibernation
 	lastTouch time.Time // last frame or pinned access
@@ -199,19 +198,17 @@ type Registry struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	ents     map[string]*entry
-	ring     []*entry // admission order; dispatcher rotates over it
-	next     int      // ring rotation cursor
+	ring     []*entry // admission order
 	closed   bool
-	evicting bool // a dispatcher-spawned evictOverflow is running
+	evicting bool // a background evictOverflow is running
 
-	dispatcherDone chan struct{}
-	janitorStop    chan struct{}
-	janitorDone    chan struct{}
+	janitorStop chan struct{}
+	janitorDone chan struct{}
 }
 
 // Open creates a registry over cfg.Dir, admitting (as hibernated) every
-// tenant checkpoint a previous process left there, and starts the
-// fair-share dispatcher plus, with JanitorEvery set, the idle janitor.
+// tenant checkpoint a previous process left there, and, with
+// JanitorEvery set, starts the idle janitor.
 func Open(cfg Config) (*Registry, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -224,10 +221,9 @@ func Open(cfg Config) (*Registry, error) {
 		return nil, fmt.Errorf("tenant: creating %s: %w", cfg.Dir, err)
 	}
 	r := &Registry{
-		cfg:            cfg,
-		ro:             newRegistryObs(),
-		ents:           make(map[string]*entry),
-		dispatcherDone: make(chan struct{}),
+		cfg:  cfg,
+		ro:   newRegistryObs(),
+		ents: make(map[string]*entry),
 	}
 	r.cond = sync.NewCond(&r.mu)
 
@@ -245,7 +241,6 @@ func Open(cfg Config) (*Registry, error) {
 		r.admitLocked(id, Hibernated)
 	}
 
-	go r.dispatch()
 	if cfg.JanitorEvery > 0 {
 		r.janitorStop = make(chan struct{})
 		r.janitorDone = make(chan struct{})
@@ -354,15 +349,14 @@ func (r *Registry) infoLocked(en *entry) Info {
 	inf := Info{
 		ID:         en.id,
 		State:      en.st,
-		QueueDepth: len(en.q),
+		QueueDepth: len(en.q) + en.inflight,
 		Pins:       en.pins,
 		Ingests:    en.ingests,
 		IdleFor:    time.Since(en.lastTouch),
 	}
 	if en.st == Resident {
 		inf.Ingests = en.mon.Ingested()
-		inf.EngineQueue = en.mon.Engine().QueueDepth()
-		if r.cfg.IdleAfter > 0 && inf.IdleFor >= r.cfg.IdleAfter && en.pins == 0 && len(en.q) == 0 {
+		if r.cfg.IdleAfter > 0 && inf.IdleFor >= r.cfg.IdleAfter && r.evictableLocked(en) {
 			inf.State = Idle
 		}
 	}
@@ -403,9 +397,16 @@ func (r *Registry) acquire(id string) (*entry, *pipeline.Monitor, error) {
 
 func (r *Registry) release(en *entry) {
 	r.mu.Lock()
+	r.unpinLocked(en)
+	r.mu.Unlock()
+}
+
+// unpinLocked drops one pin; the tenant may now be the eviction victim
+// the residency cap is waiting for.
+func (r *Registry) unpinLocked(en *entry) {
 	en.pins--
 	r.cond.Broadcast()
-	r.mu.Unlock()
+	r.maybeEvictLocked()
 }
 
 // Monitor pins a tenant resident and returns its live monitor plus the
@@ -449,8 +450,7 @@ func (r *Registry) Certificate(id string) (audit.Certificate, error) {
 	cert := m.Engine().Certificate()
 	r.mu.Lock()
 	en.lastCert, en.hasCert = cert, true
-	en.pins--
-	r.cond.Broadcast()
+	r.unpinLocked(en)
 	r.mu.Unlock()
 	return cert, nil
 }
@@ -504,19 +504,17 @@ func (r *Registry) restore(en *entry) {
 		en.mon = m
 		en.restoreErr = nil
 		en.lastTouch = time.Now()
+		r.startDrainLocked(en)
+		r.maybeEvictLocked()
 	}
 	r.ro.resident.SetInt(r.residentCountLocked())
 	r.cond.Broadcast()
 	r.mu.Unlock()
-
-	if err == nil {
-		r.evictOverflow()
-	}
 }
 
 // Hibernate checkpoints a tenant out now, regardless of idle state. It
-// waits for the tenant's backlog (ingress + engine queues) to drain so
-// the checkpoint covers every admitted frame.
+// waits for the tenant's backlog (queued and in-flight frames) to drain
+// so the checkpoint covers every admitted frame.
 func (r *Registry) Hibernate(id string) error {
 	if err := r.Drain(id); err != nil {
 		return err
@@ -526,7 +524,7 @@ func (r *Registry) Hibernate(id string) error {
 	for en != nil && (en.st == Restoring || en.st == Hibernating) {
 		r.cond.Wait()
 	}
-	if en == nil || en.st != Resident || en.pins > 0 || len(en.q) > 0 {
+	if en == nil || en.st != Resident || en.pins > 0 || len(en.q) > 0 || en.inflight > 0 {
 		// Hibernated already, or busy again — nothing to do / retry later.
 		st := Hibernated
 		if en != nil {
@@ -544,8 +542,11 @@ func (r *Registry) Hibernate(id string) error {
 }
 
 // hibernate checkpoints one tenant out; the caller has already set
-// st == Hibernating (the ownership marker) and dropped the lock. The
-// reason string lands in the journal event message.
+// st == Hibernating (the ownership marker) on a tenant with nothing
+// queued or in flight and dropped the lock. Frames appended meanwhile
+// wait in the queue: the tenant drains them once it is resident again,
+// restoring first when the checkpoint was written. The reason string
+// lands in the journal event message.
 func (r *Registry) hibernate(en *entry, reason string) error {
 	m := en.mon
 	s, serr := m.Suspend()
@@ -568,6 +569,7 @@ func (r *Registry) hibernate(en *entry, reason string) error {
 		r.mu.Lock()
 		if m2 != nil && rerr == nil {
 			en.mon, en.st = m2, Resident
+			r.startDrainLocked(en)
 		} else {
 			en.mon, en.st = nil, Hibernated
 			en.restoreErr = err
@@ -578,10 +580,10 @@ func (r *Registry) hibernate(en *entry, reason string) error {
 		return err
 	}
 
-	// The cached certificate is cut from the suspended state itself —
-	// Suspend drains any frames still mid-batch in the pump, so only
-	// the state's own ledgers cover every admitted frame. /tenantz
-	// reports this bound for sleeping tenants without waking them.
+	// The cached certificate is cut from the suspended state itself,
+	// whose ledgers cover every frame sketched before the hibernation
+	// began. /tenantz reports this bound for sleeping tenants without
+	// waking them.
 	cert := s.Certificate()
 	ingests := s.Ingests
 	r.ro.hibernations.Inc()
@@ -599,6 +601,9 @@ func (r *Registry) hibernate(en *entry, reason string) error {
 	en.st = Hibernated
 	en.ingests = ingests
 	en.lastCert, en.hasCert = cert, true
+	if len(en.q) > 0 {
+		r.startRestoreLocked(en)
+	}
 	r.ro.resident.SetInt(r.residentCountLocked())
 	r.cond.Broadcast()
 	r.mu.Unlock()
@@ -606,18 +611,18 @@ func (r *Registry) hibernate(en *entry, reason string) error {
 }
 
 // evictable reports whether a resident tenant can be hibernated right
-// now: unpinned and with no admitted-but-unsketched frames anywhere.
+// now: unpinned and with no admitted-but-unsketched frames.
 func (r *Registry) evictableLocked(en *entry) bool {
-	return en.st == Resident && en.pins == 0 && len(en.q) == 0 &&
-		en.mon.Engine().QueueDepth() == 0
+	return en.st == Resident && en.pins == 0 && len(en.q) == 0 && en.inflight == 0
 }
 
 // maybeEvictLocked spawns one background evictOverflow when the
-// residency cap is exceeded and some tenant is actually evictable.
-// The dispatcher calls it every pass — that is what makes MaxResident
-// bite under continuous load: the moment a tenant's backlog drains,
-// the overflow worker hibernates it, without the pump ever blocking on
-// a checkpoint write. The evicting flag keeps it to one worker; the
+// residency cap is exceeded and some tenant is actually evictable. It
+// runs wherever either can change: when a drain empties its queue, when
+// a pin is released and when a restore completes. That is what makes
+// MaxResident bite under continuous load: the moment a tenant's backlog
+// drains, the overflow worker hibernates it, without any drain blocking
+// on a checkpoint write. The evicting flag keeps it to one worker; the
 // caller holds the registry mutex.
 func (r *Registry) maybeEvictLocked() {
 	if r.cfg.MaxResident <= 0 || r.evicting || r.closed {
@@ -637,12 +642,7 @@ func (r *Registry) maybeEvictLocked() {
 		return
 	}
 	r.evicting = true
-	go func() {
-		r.evictOverflow()
-		r.mu.Lock()
-		r.evicting = false
-		r.mu.Unlock()
-	}()
+	go r.evictOverflow(true)
 }
 
 // evictOverflow enforces MaxResident: while too many tenants hold live
@@ -653,27 +653,32 @@ func (r *Registry) maybeEvictLocked() {
 // Each call tries each tenant at most once: a tenant whose hibernation
 // write failed comes back resident with its old activity clock, and
 // picking it again would spin for as long as the disk keeps failing.
-func (r *Registry) evictOverflow() {
+//
+// bg marks the worker maybeEvictLocked spawned: it clears the evicting
+// flag in the same critical section that finds nothing left to evict,
+// so a trigger that found the flag set is never lost.
+func (r *Registry) evictOverflow(bg bool) {
 	if r.cfg.MaxResident <= 0 {
 		return
 	}
 	tried := make(map[*entry]bool)
 	for {
 		r.mu.Lock()
-		if r.residentCountLocked() <= r.cfg.MaxResident {
-			r.mu.Unlock()
-			return
-		}
 		var victim *entry
-		for _, en := range r.ring {
-			if tried[en] || !r.evictableLocked(en) {
-				continue
-			}
-			if victim == nil || en.lastTouch.Before(victim.lastTouch) {
-				victim = en
+		if r.residentCountLocked() > r.cfg.MaxResident {
+			for _, en := range r.ring {
+				if tried[en] || !r.evictableLocked(en) {
+					continue
+				}
+				if victim == nil || en.lastTouch.Before(victim.lastTouch) {
+					victim = en
+				}
 			}
 		}
 		if victim == nil {
+			if bg {
+				r.evicting = false
+			}
 			r.mu.Unlock()
 			return
 		}
@@ -691,7 +696,7 @@ func (r *Registry) evictOverflow() {
 // call it directly.
 func (r *Registry) Sweep(now time.Time) int {
 	if r.cfg.IdleAfter <= 0 {
-		r.evictOverflow()
+		r.evictOverflow(false)
 		return 0
 	}
 	n := 0
@@ -716,7 +721,7 @@ func (r *Registry) Sweep(now time.Time) int {
 			n++
 		}
 	}
-	r.evictOverflow()
+	r.evictOverflow(false)
 	return n
 }
 
@@ -735,33 +740,20 @@ func (r *Registry) janitor() {
 }
 
 // Drain blocks until every frame appended for the tenant before the
-// call has been sketched (ingress queue empty, engine queue empty).
+// call has been sketched (nothing queued, nothing in flight).
 func (r *Registry) Drain(id string) error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	en := r.ents[id]
 	if en == nil {
-		r.mu.Unlock()
 		return fmt.Errorf("tenant: unknown tenant %q", id)
 	}
-	for len(en.q) > 0 || en.st == Restoring || en.st == Hibernating {
+	for len(en.q) > 0 || en.inflight > 0 || en.st == Restoring || en.st == Hibernating {
 		if en.restoreErr != nil {
-			err := en.restoreErr
-			r.mu.Unlock()
-			return err
+			return en.restoreErr
 		}
 		r.cond.Wait()
 	}
-	if en.st != Resident {
-		// Hibernated with nothing queued: the engine was fully drained
-		// before its state was cut, so there is nothing in flight.
-		r.mu.Unlock()
-		return nil
-	}
-	en.pins++
-	m := en.mon
-	r.mu.Unlock()
-	m.Engine().Drain()
-	r.release(en)
 	return nil
 }
 
@@ -782,11 +774,11 @@ func (r *Registry) DrainAll() error {
 	return first
 }
 
-// Close flushes every ingress queue, hibernates every resident tenant
-// (so the whole registry state survives on disk), and stops the
-// dispatcher and janitor. Append and Admit fail after Close. It tries
-// each tenant once: one whose hibernation fails stays resident, and
-// Close returns the first such error.
+// Close waits for every ingress queue to drain, hibernates every
+// resident tenant (so the whole registry state survives on disk), and
+// stops the janitor. Append and Admit fail after Close. It tries each
+// tenant once: one whose hibernation fails stays resident, and Close
+// returns the first such error.
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -801,14 +793,16 @@ func (r *Registry) Close() error {
 		close(r.janitorStop)
 		<-r.janitorDone
 	}
-	<-r.dispatcherDone
 
-	// The dispatcher exits only once every ingress queue it can serve
-	// is empty; hibernate whatever is still resident, and wait out any
-	// transition another goroutine (background evictor, late restore)
-	// still owns — Close must not return while a hibernation write is
-	// in flight, or a successor registry could scan a half-populated
-	// directory.
+	// Hibernate whatever is resident once its queue has drained, and
+	// wait out every drain and any transition another goroutine
+	// (background evictor, late restore) still owns — Close must not
+	// return while a hibernation write is in flight, or a successor
+	// registry could scan a half-populated directory. A resident tenant
+	// with queued frames always has a drain in flight, and a hibernated
+	// one with a working checkpoint is restoring, so this loop ends once
+	// every admitted frame is sketched; frames behind a failed restore
+	// were refused through restoreErr.
 	var first error
 	tried := make(map[*entry]bool)
 	for {
@@ -816,10 +810,10 @@ func (r *Registry) Close() error {
 		var victim *entry
 		inFlight := false
 		for _, en := range r.ring {
-			if en.st == Hibernating || en.st == Restoring {
+			if en.st == Hibernating || en.st == Restoring || en.inflight > 0 {
 				inFlight = true
 			}
-			if en.st == Resident && en.pins == 0 && victim == nil && !tried[en] {
+			if victim == nil && !tried[en] && r.evictableLocked(en) {
 				victim = en
 			}
 		}

@@ -215,11 +215,73 @@ func TestMaxResidentBitExact(t *testing.T) {
 	}
 }
 
+// TestMidStreamRestoreUnderCap pins a mid-stream restore without
+// leaning on timing: under MaxResident 1, tenant amo is drained, cxi's
+// restore pushes the registry over the cap with amo its only evictable
+// tenant, and amo's next frames restore it in the middle of its stream.
+// The journal must record that restore, and amo's final state must
+// equal an always-resident monitor's over the same frames.
+func TestMidStreamRestoreUnderCap(t *testing.T) {
+	const n, w, h = 48, 6, 6
+	amo := tenantFrames(n, w, h, 183)
+	cxi := tenantFrames(n/2, w, h, 184)
+	control := pipeline.NewMonitor(tenantPipeline(), 16)
+	defer control.Engine().Close()
+	for i, im := range amo {
+		control.Ingest(im, i)
+	}
+	want, err := ckpt.Marshal(control.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := tenantConfig(t.TempDir())
+	cfg.MaxResident = 1
+	r, err := tenant.Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer r.Close()
+	feed := func(id string, frames []*imgproc.Image, from int) {
+		t.Helper()
+		for i, im := range frames {
+			if err := r.Append(id, im, from+i); err != nil {
+				t.Fatalf("Append(%s, %d): %v", id, from+i, err)
+			}
+		}
+		if err := r.Drain(id); err != nil {
+			t.Fatalf("Drain(%s): %v", id, err)
+		}
+	}
+	feed("amo", amo[:n/2], 0)
+	feed("cxi", cxi, 0)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if infos := r.Tenants(); infos[0].ID == "amo" && infos[0].State == tenant.Hibernated {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("amo still not hibernated under MaxResident 1: %+v", r.Tenants())
+		}
+	}
+	feed("amo", amo[n/2:], n/2)
+
+	restored := false
+	for _, ev := range cfg.Journal.Query(audit.Query{Kind: audit.KindTenantRestore}) {
+		restored = restored || strings.HasSuffix(ev.Msg, ": amo")
+	}
+	if !restored {
+		t.Fatal("journal holds no tenant_restore event for amo")
+	}
+	if got := stateBytes(t, r, "amo"); !bytes.Equal(got, want) {
+		t.Fatal("mid-stream hibernate→restore under the cap changed amo's monitor state bytes")
+	}
+}
+
 // TestFairShareIsolation wedges one tenant (its checkpoint is corrupt,
 // so its restore fails and its frames can never drain) and verifies
 // the failure is contained: its own Append surfaces the restore error
 // once the quota fills, while a healthy neighbor streams to completion
-// through the same dispatcher.
+// through the same registry.
 func TestFairShareIsolation(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "tenant-wedged.ckpt"), []byte("not a checkpoint"), 0o644); err != nil {
