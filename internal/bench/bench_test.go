@@ -145,8 +145,14 @@ func TestBetaSweep(t *testing.T) {
 	}
 }
 
+// TestFig5AndFig6Smoke runs both figures at one of the quality file's
+// thirty seeds (aramsbench -seed 1) and holds each clusterer's purity to
+// the file's floor for it: the lower fence q1 − 1.5·(q3 − q1) of the
+// thirty-seed distribution.
 func TestFig5AndFig6Smoke(t *testing.T) {
-	p := EmbedParams{Frames: 120, ImgSize: 24, Shards: 2, Seed: 5}
+	q := loadQuality(t)
+	p := DefaultEmbed()
+	p.Seed = 1 + 2
 	tables := Fig5BeamProfile(p)
 	if len(tables) != 2 {
 		t.Fatalf("Fig5 tables = %d", len(tables))
@@ -159,8 +165,9 @@ func TestFig5AndFig6Smoke(t *testing.T) {
 		t.Fatal("Fig6 rows wrong: want one per clusterer")
 	}
 	for _, r := range t6.Rows {
-		if purity := parseF(t, r[4]); purity < 0.6 {
-			t.Fatalf("smoke-test %s purity %v suspiciously low", r[0], purity)
+		st := q.stat(t, "fig6."+r[0]+".purity")
+		if floor, purity := st.Q1-1.5*(st.Q3-st.Q1), parseF(t, r[4]); purity < floor {
+			t.Fatalf("smoke-test %s purity %v below the quality file's floor %v", r[0], purity, floor)
 		}
 	}
 }

@@ -30,6 +30,9 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync"
+
+	"arams/internal/mat"
 )
 
 // Magic is the frame signature "ACKP".
@@ -80,6 +83,11 @@ const maxPayload = 1 << 32
 // hold besides the state itself: fields are staged in it on their way
 // to the writer, or refilled into it on their way from the reader.
 const chunkLen = 256 << 10
+
+// chunks recycles the streaming forms' chunk: a call takes one and puts
+// it back when it returns. Nothing decoded aliases it — floats, floats32
+// and str copy out of it — and Marshal's frame is never one.
+var chunks = sync.Pool{New: func() any { return new([chunkLen]byte) }}
 
 // Kind identifies which state type a frame's payload encodes.
 type Kind uint32
@@ -352,7 +360,9 @@ func encodeFrame(w io.Writer, state any) ([]byte, int, error) {
 	if w == nil {
 		e.b = make([]byte, 0, total)
 	} else {
-		e.b = make([]byte, 0, min(total, chunkLen))
+		chunk := chunks.Get().(*[chunkLen]byte)
+		defer chunks.Put(chunk)
+		e.b = chunk[:0]
 	}
 	version, _ := kind.version()
 	e.u32(Magic)
@@ -389,6 +399,14 @@ type dec struct {
 	b   []byte
 	off int
 	err error
+
+	// pooled is set while a monitor frame streams in (Load): its window
+	// vectors come from mat.GetVec32, and a rotated sketch's buffer from
+	// mat.GetVec at its full 2ℓ×d capacity (see pooledFDCap), storage a
+	// restore takes over and its engine's Close gives back. The slice
+	// form allocates them: its callers mostly inspect what they decode
+	// and drop it, which would drain the pool the engines recycle into.
+	pooled bool
 
 	r     io.Reader
 	left  int64  // payload bytes not yet read from r
@@ -508,12 +526,22 @@ func (d *dec) count(elemBytes int) int {
 // chunk at a time from a reader. A zero-length slice decodes to nil so
 // re-encoding is byte-identical regardless of how the producer spelled
 // "empty".
-func (d *dec) floats() []float64 {
+func (d *dec) floats() []float64 { return d.floatsCap(0) }
+
+// floatsCap is floats into an array of capacity c drawn from mat.GetVec
+// when c is at least the decoded length and the slice is not empty; the
+// rest of that array is zero.
+func (d *dec) floatsCap(c int) []float64 {
 	n := d.count(8)
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]float64, n)
+	var out []float64
+	if c >= n {
+		out = mat.GetVec(c)[:n]
+	} else {
+		out = make([]float64, n)
+	}
 	for rest := out; len(rest) > 0; {
 		if !d.need(8) {
 			return nil
@@ -536,7 +564,12 @@ func (d *dec) floats32() []float32 {
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]float32, n)
+	var out []float32
+	if d.pooled {
+		out = mat.GetVec32(n)
+	} else {
+		out = make([]float32, n)
+	}
 	for rest := out; len(rest) > 0; {
 		if !d.need(4) {
 			return nil

@@ -57,7 +57,11 @@ func encodeState(e *enc, state any) (Kind, error) {
 
 // Unmarshal decodes one checkpoint frame. It returns one of
 // *sketch.FDState, *sketch.RankAdaptiveState, *sketch.ARAMSState,
-// *pipeline.MonitorState.
+// *pipeline.MonitorState. A monitor state owns its storage, as Load's
+// does, but allocated rather than drawn from mat's vector pool, so a
+// state decoded only to be inspected takes nothing from it; the one
+// restore from it adopts the window vectors and copies the sketches.
+// Nothing it returns aliases b.
 func Unmarshal(b []byte) (any, error) {
 	h, err := Peek(b)
 	if err != nil {
@@ -82,8 +86,10 @@ func decodeStream(r io.Reader, size int64) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	chunk := chunks.Get().(*[chunkLen]byte)
+	defer chunks.Put(chunk)
 	return decodeState(&dec{
-		b:    make([]byte, 0, min(h.PayloadLen, chunkLen)),
+		b:    chunk[:0],
 		r:    r,
 		left: int64(h.PayloadLen),
 		crc:  crc32.ChecksumIEEE(hdr[:]),
@@ -138,8 +144,27 @@ func decodeFD(d *dec) *sketch.FDState {
 	s.Seen = d.i64()
 	s.TotalDelta = d.f64()
 	s.FrobMass = d.f64()
-	s.Buffer = d.floats()
+	s.Buffer = d.floatsCap(d.pooledFDCap(s))
 	return s
+}
+
+// pooledFDCap is the capacity a streamed monitor frame's sketch buffer
+// decodes into: the whole 2ℓ×d array once the sketch has rotated — at
+// least ℓ occupied rows, so the reservation is at most twice the floats
+// the payload holds, and a restore adopts it (sketch.AdoptARAMSState) —
+// and 0 otherwise, which decodes the occupied prefix alone for the
+// restore to copy, as a sketch frame and the slice form always do.
+func (d *dec) pooledFDCap(s *sketch.FDState) int {
+	if !d.pooled || s.Ell <= 0 || s.D <= 0 || s.NextZero < s.Ell || s.NextZero > 2*s.Ell {
+		return 0
+	}
+	// The element count that follows bounds NextZero·D by the payload
+	// left; a header claiming more fails there, so stop before the
+	// product can overflow.
+	if s.NextZero > d.remaining()/8/s.D {
+		return 0
+	}
+	return 2 * s.Ell * s.D
 }
 
 // --- RNG ---
@@ -285,6 +310,7 @@ func encodeMonitor(e *enc, s *pipeline.MonitorState) error {
 }
 
 func decodeMonitor(d *dec) *pipeline.MonitorState {
+	d.pooled = d.r != nil
 	s := &pipeline.MonitorState{
 		Window:  d.i64(),
 		Ingests: d.i64(),
@@ -314,6 +340,8 @@ func decodeMonitor(d *dec) *pipeline.MonitorState {
 	if d.bool() {
 		s.Journal = decodeJournal(d)
 	}
+	// Every vector and buffer above is this state's alone.
+	s.Own()
 	return s
 }
 

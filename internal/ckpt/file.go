@@ -71,10 +71,16 @@ func save(path string, state any) error {
 }
 
 // Load reads and decodes a checkpoint file written by Save, streaming
-// it through one bounded chunk: the file's size is held against the
-// length its header declares before anything is allocated, and the only
-// full-size memory a load touches is the state it returns. See
-// Unmarshal for the returned types and errors.
+// it through one bounded chunk, pooled across calls: the file's size is
+// held against the length its header declares before anything is
+// allocated, and the only full-size memory a load touches is the state
+// it returns. A monitor state it returns owns its storage, drawn from
+// mat's vector pool: the window vectors and, for each shard sketch that
+// has rotated, the whole 2ℓ×d buffer. The one monitor restored from it
+// (pipeline.NewMonitorFromState) takes that storage over and its
+// engine's Close gives it back; a state that is not restored from
+// returns it with Release. See Unmarshal for the returned types and
+// errors.
 func Load(path string) (any, error) {
 	state, err := load(path)
 	if err != nil {

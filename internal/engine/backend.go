@@ -29,6 +29,13 @@ import (
 // error or a decode error, and the engine asks once. Backends must be safe
 // for concurrent calls: the engine serializes nothing across its
 // snapshot/state/ingest paths beyond its own locks.
+//
+// The one exception to "the interface is all the engine calls" is
+// storage handover: for its own in-process shards (*localShard) a
+// suspending engine moves the live sketch buffer into the state instead
+// of copying it, and a restore from an owning state adopts the slot's
+// buffer (see State). A remote backend keeps the state it restored from,
+// so it is only ever given states through Restore.
 type Backend interface {
 	// Absorb feeds the selected rows (all of vecs when idx is nil) in
 	// order and returns the fold of the per-row batch stats, with
@@ -223,12 +230,38 @@ func (s *localShard) State() (*sketch.ARAMSState, error) {
 	return &st, nil
 }
 
+// take is State for a suspending engine, which owns the result: the
+// live sketch's buffer moves into the state instead of being copied
+// (sketch.ARAMS.TakeState), and the shard is closed, as Close leaves it.
+func (s *localShard) take() (*sketch.ARAMSState, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, parallel.ErrBackendClosed
+	}
+	s.closed = true
+	if s.arams == nil {
+		return nil, nil
+	}
+	st := s.arams.TakeState()
+	s.arams = nil
+	return &st, nil
+}
+
 // Restore replaces the sketcher with a checkpointed state.
-func (s *localShard) Restore(st *sketch.ARAMSState) error {
+func (s *localShard) Restore(st *sketch.ARAMSState) error { return s.restore(st, false) }
+
+// restore is Restore; with adopt set, for an owning state, the sketcher
+// takes st's buffer over instead of copying it (sketch.AdoptARAMSState).
+func (s *localShard) restore(st *sketch.ARAMSState, adopt bool) error {
 	if st == nil {
 		return fmt.Errorf("engine: nil shard state")
 	}
-	a, err := sketch.NewARAMSFromState(*st)
+	restore := sketch.NewARAMSFromState
+	if adopt {
+		restore = sketch.AdoptARAMSState
+	}
+	a, err := restore(*st)
 	if err != nil {
 		return err
 	}
@@ -259,7 +292,8 @@ func (s *localShard) Busy() time.Duration {
 
 // Close hands the live sketch's 2ℓ×d buffer back to the mat vector
 // pool — Snapshot and State only ever gave out copies, which their
-// holders own and release on their own, so nothing else reads it — and
+// holders own and release on their own, and a buffer adopted from an
+// owning state is this shard's alone, so nothing else reads it — and
 // makes every later call fail fast: Absorb, Snapshot, State, Restore and
 // Certificate return parallel.ErrBackendClosed, Basis and Ell report an
 // empty sketch, and no Absorb starts a fresh one.

@@ -89,19 +89,23 @@ func (c Config) withDefaults() Config {
 
 // Frame is one preprocessed frame retained in the sliding window: the
 // float32 copy of the float64 vector the sketch absorbed. Vec is
-// immutable from the moment the frame enters the ring: the ring, every
-// State and every Window handed out while the frame was in it, and every
-// engine rebuilt from such a State may all hold the same backing array,
-// and none of them writes to it.
+// immutable while the frame is in the ring: the ring, every State and
+// every Window handed out while the frame was in it, and every engine
+// rebuilt from such a State may all hold the same backing array, and
+// none of them writes to it. Only a vector nobody else holds is recycled
+// once it leaves the ring (see State for the owning states that hand
+// theirs over).
 type Frame struct {
 	Vec []float32
 	Tag int
 	// shared marks a vector that somebody besides the ring holds — State
 	// or ReadWindow set it when they handed the vector out, or
-	// NewFromState when it adopted the vector from a State. A shared
-	// vector is never returned to the mat vector pool: when it leaves the
-	// ring the engine just drops its reference and the collector frees it
-	// once the last holder does. Written and read under mu.
+	// NewFromState when it adopted the vector from a state that does not
+	// own it. A shared vector is never returned to the mat vector pool:
+	// when it leaves the ring the engine just drops its reference and the
+	// collector frees it once the last holder does. Written and read
+	// under mu. In an owning State's Frames an unset mark means the
+	// vector is the state's own.
 	shared bool
 }
 
@@ -791,10 +795,32 @@ func (e *Engine) basis(parent obs.SpanContext, k int) (*mat.Matrix, int) {
 	return r.basis.Rows(0, max(0, min(k, r.basis.RowsN))), r.ell
 }
 
-// Close closes every shard backend — for remote backends this tears
-// down their connections and aborts in-flight work. The engine must not
-// ingest after Close. Returns the first backend close error.
+// Close returns what the engine owns to the mat vector pool and closes
+// every shard backend — for remote backends this tears down their
+// connections and aborts in-flight work. What it owns is every window
+// vector it never handed out (State, ReadWindow and a restore from a
+// shared state mark theirs; those stay valid for their holders) and
+// every local shard's 2ℓ×d buffer, including the vectors and buffers it
+// adopted from an owning state. So a decoded state that is restored and
+// then closed gives back everything its decode drew from the pool. The
+// engine must not be used after Close. Returns the first backend close
+// error.
 func (e *Engine) Close() error {
+	e.gate.Lock()
+	e.mu.Lock()
+	var recycle [][]float32
+	for _, f := range e.recent {
+		if !f.shared {
+			recycle = append(recycle, f.Vec)
+		}
+	}
+	clear(e.recent)
+	e.recent = nil
+	e.mu.Unlock()
+	e.gate.Unlock()
+	for _, v := range recycle {
+		mat.PutVec32(v)
+	}
 	return e.closeBackends()
 }
 

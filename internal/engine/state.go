@@ -19,17 +19,27 @@ import (
 // are captured under the same exclusive gate as the sketches, so a
 // checkpoint never pairs a newer audit state with older shard states.
 //
-// A State is a read-only view that never goes stale. Its Frames share
-// their vectors with the engine's window ring (and with any engine
-// rebuilt from it) instead of copying them; that is safe because window
-// vectors are immutable once in the ring and the ring never recycles a
-// vector a State holds, however far the stream runs on. Holders may
+// Who owns a state's storage decides what a restore does with it. A
+// state cut by State() shares its Frames' vectors with the engine's
+// window ring (and with any engine rebuilt from it) instead of copying
+// them, and its shard buffers are copies: it is a read-only view that
+// never goes stale, because window vectors are immutable once in the
+// ring and the ring never recycles a vector a state holds. Holders may
 // read Frames[i].Vec for as long as they like, encode it, and restore
-// from one State any number of times; they must not write to its
+// from one such state any number of times; they must not write to its
 // elements or hand it to mat.PutVec32.
 //
-// The one exception is a State from Suspend, which also owns the window
-// vectors nobody else was handed (see Release).
+// A state that no live engine shares storage with owns it: one Suspend
+// returned (the window vectors nobody else had been handed, and every
+// local shard's 2ℓ×d buffer, moved rather than copied; a remote shard's
+// slot holds the last state it fetched, which its closed backend no
+// longer reads), or one Own marked (a checkpoint decoder's). Restoring from an owning state hands
+// that storage over to the new engine — its ring recycles the vectors,
+// its local shards sketch on the buffers — so the state is restored
+// from once: a second NewFromState returns an error. Until the new
+// engine ingests or closes, the state stays byte-stable and may still be
+// encoded. An owning state that is not restored from gives its storage
+// back with Release.
 type State struct {
 	Window  int
 	Ingests int
@@ -38,25 +48,91 @@ type State struct {
 	Audit   *audit.State
 	Journal *audit.JournalState
 
-	// owned are the vectors of the frames Suspend took from the ring
-	// that no State, Window or restored engine had been handed: the
-	// suspended engine is gone, so this State is their only holder.
-	owned [][]float32
+	// own is set on an owning state: the vectors of the frames whose
+	// shared mark is unset are its alone, and so is every shard slot's FD
+	// buffer. A copy of the struct shares it, so the storage is still
+	// handed over once.
+	own *ownership
 }
 
-// Release hands the vectors the State owns back to the mat vector pool
-// and empties the State: Window 0, no frames, no shards, so it can be
-// neither encoded nor restored from afterwards. Call it once the state
-// has been saved and nothing reads it any more — neither the State nor
-// any copy of its Frames, nor an engine rebuilt from it. Vectors that
-// State, ReadWindow or NewFromState had handed out before Suspend are
-// not owned and are never released; on a State from State() Release
-// only empties it.
+// ownership marks an owning State; taken is set once a restore has
+// taken its storage over or Release has returned it.
+type ownership struct{ taken bool }
+
+// Own declares s the only holder of its storage — every window vector
+// and every shard slot's FD buffer — which a state a checkpoint decoder
+// just built is: ckpt marks each monitor state it decodes. A restore
+// from s then hands that storage to the new engine instead of copying
+// the buffers or treating the vectors as shared (see State). Call it
+// only on a state whose storage no engine and no other state holds;
+// never on a State() cut.
+func (s *State) Own() {
+	for i := range s.Frames {
+		s.Frames[i].shared = false
+	}
+	s.own = &ownership{}
+}
+
+// Release hands the storage the State owns back to the mat vector pool
+// — the window vectors, and each owned 2ℓ×d shard buffer — and empties
+// the State: Window 0, no frames, no shards, so it can be neither
+// encoded nor restored from afterwards. Call it once the state has been
+// saved and nothing reads it any more, neither the State nor any copy of
+// its Frames. On a state a restore took its storage from, and on a state
+// cut by State(), Release only empties it.
 func (s *State) Release() {
-	for _, v := range s.owned {
-		mat.PutVec32(v)
+	if o := s.own; o != nil && !o.taken {
+		o.taken = true
+		for _, f := range s.Frames {
+			if !f.shared {
+				mat.PutVec32(f.Vec)
+			}
+		}
+		for _, ss := range s.Shards {
+			if fd := aramsFD(ss); fd != nil && cap(fd.Buffer) == 2*fd.Ell*fd.D {
+				mat.PutVec(fd.Buffer)
+			}
+		}
 	}
 	*s = State{}
+}
+
+// Certificate composes the error-bound certificate recorded in the
+// state's shard sketches: shrinkage and energy ledgers sum, the rank is
+// the max — the statement the live engine's Certificate makes for the
+// same shards, equal to it but for the time it was cut. The zero
+// Certificate when nothing was ingested.
+func (s *State) Certificate() audit.Certificate {
+	var certs []audit.Certificate
+	for _, ss := range s.Shards {
+		fd := aramsFD(ss)
+		if fd == nil {
+			continue
+		}
+		certs = append(certs, audit.Certificate{
+			Rows:       fd.Seen,
+			Dim:        fd.D,
+			Ell:        fd.Ell,
+			Rotations:  fd.Rotations,
+			ShrinkMass: fd.TotalDelta,
+			FrobMass:   fd.FrobMass,
+		})
+	}
+	return audit.Compose(certs...)
+}
+
+// aramsFD returns the FD ledger inside an ARAMS shard state, whichever
+// variant carries it (nil for an empty slot).
+func aramsFD(s *sketch.ARAMSState) *sketch.FDState {
+	switch {
+	case s == nil:
+		return nil
+	case s.RankAdaptive != nil:
+		return &s.RankAdaptive.FD
+	case s.FD != nil:
+		return s.FD
+	}
+	return nil
 }
 
 // State captures the engine's current state. It takes the ingest gate
@@ -64,9 +140,11 @@ func (s *State) Release() {
 // consistent cut of ring, counters, every shard, and the audit layer.
 func (e *Engine) State() *State { return e.capture(false) }
 
-// capture is State; with suspend set it also takes the ring: the frames
-// no one else was handed become the state's own (see State.Release), and
-// the ring is cleared, so the dead engine keeps no reference to them.
+// capture is State; with suspend set it also takes the ring and the
+// local shards' sketches: the frames no one else was handed and every
+// local shard's buffer become the state's own (see State), the ring is
+// cleared and the local shards are closed, so the dead engine keeps no
+// reference to them.
 func (e *Engine) capture(suspend bool) *State {
 	e.gate.Lock()
 	defer e.gate.Unlock()
@@ -79,26 +157,32 @@ func (e *Engine) capture(suspend bool) *State {
 	// Vectors are handed out, not cloned; the mark keeps the eviction
 	// path from recycling them under the handle. The exclusive gate
 	// already keeps every eviction out; mu orders the write against
-	// ReadWindow, which marks the same frames without the gate.
+	// ReadWindow, which marks the same frames without the gate. A
+	// suspended ring is cleared instead, and its frames keep their marks:
+	// an unmarked one is the state's own.
 	e.mu.Lock()
 	for i, f := range e.recent {
-		if suspend && !f.shared {
-			s.owned = append(s.owned, f.Vec)
-		}
-		f.shared = true
+		f.shared = f.shared || !suspend
 		s.Frames[i] = *f
 	}
 	if suspend {
 		clear(e.recent)
 		e.recent = nil
+		s.own = &ownership{}
 	}
 	e.mu.Unlock()
 	for i, sh := range e.shards {
-		st, err := sh.State()
+		var st *sketch.ARAMSState
+		var err error
+		if ls, ok := sh.(*localShard); ok && suspend {
+			st, err = ls.take()
+		} else {
+			st, err = sh.State()
+		}
 		if err != nil {
-			// Only remote backends can fail here, and only after Close —
-			// journal the gap rather than tearing a checkpoint that local
-			// shards can still serve. The slot stays nil.
+			// Only a closed or remote backend can fail here — journal the
+			// gap rather than tearing a checkpoint that the other shards
+			// can still serve. The slot stays nil.
 			audit.Default().Record("shard_state_error",
 				"shard backend failed to serve checkpoint state; slot left empty",
 				audit.A("shard", float64(i)))
@@ -115,18 +199,18 @@ func (e *Engine) capture(suspend bool) *State {
 	return s
 }
 
-// Suspend is the hibernation path: it captures a state handle (see
-// State: it holds the window's vectors rather than copying them, and
-// outlives the engine) and closes every shard backend, releasing the
-// backends' goroutines and everything the handle does not hold — a
-// local shard's sketch buffer goes back to the vector pool. The engine
-// must not be used after Suspend; NewFromState over the returned handle
-// resumes the stream bit-exactly (sampler RNG streams included), so a
-// hibernate→restore cycle is invisible to sketch bytes, certificates,
-// and audit journals. The handle owns the window vectors the engine had
-// handed to nobody: once it is saved, Release returns them to the pool.
-// Returns the state even when a backend close fails — the checkpoint is
-// already consistent by then.
+// Suspend is the hibernation path: it captures an owning state (see
+// State) and closes every shard backend, releasing the backends'
+// goroutines. Nothing is copied: the state holds the window's vectors,
+// and each local shard's live 2ℓ×d buffer moves into its slot. The
+// engine must not be used after Suspend; NewFromState over the returned
+// state resumes the stream bit-exactly (sampler RNG streams included),
+// so a hibernate→restore cycle is invisible to sketch bytes,
+// certificates, and audit journals, and it hands the storage on to the
+// new engine. Once the state is saved and not restored from, Release
+// returns the window vectors the engine had handed to nobody and the
+// shard buffers to the pool. Returns the state even when a backend close
+// fails — the checkpoint is already consistent by then.
 func (e *Engine) Suspend() (*State, error) {
 	s := e.capture(true)
 	return s, e.closeBackends()
@@ -138,12 +222,20 @@ func (e *Engine) Suspend() (*State, error) {
 // cfg.Shards when they disagree, because routing determinism is a
 // property of the layout the stream was sharded under. cfg.Shards is
 // honored only for empty checkpoints (nothing ingested yet). The new
-// engine adopts s's window vectors without copying them and treats them
-// as shared (never recycled), so s stays valid and one State may be
-// restored any number of times.
+// engine adopts s's window vectors without copying them. From a shared
+// state (a State() cut) it treats them as shared, never recycled, and
+// copies each shard's buffer, so s stays valid and may be restored from
+// any number of times. From an owning state (Suspend's, or one Own
+// marked) it takes the storage over: the vectors s owned are the ring's
+// own, recycled on eviction and returned by Close, and each local shard
+// sketches on its slot's buffer. s then stays byte-stable until the new
+// engine ingests or closes, and a second restore from it is an error.
 func NewFromState(cfg Config, s *State) (*Engine, error) {
 	if s == nil {
 		return nil, fmt.Errorf("engine: nil state")
+	}
+	if s.own != nil && s.own.taken {
+		return nil, fmt.Errorf("engine: state's storage was handed to an earlier restore or released")
 	}
 	if s.Window <= 0 {
 		return nil, fmt.Errorf("engine: state has window=%d", s.Window)
@@ -184,11 +276,24 @@ func NewFromState(cfg Config, s *State) (*Engine, error) {
 		}
 	}
 	e := New(cfg)
+	own := s.own
+	if own != nil {
+		// From here on the storage is the new engine's, even if a shard
+		// below refuses its state: the buffers adopted before it are
+		// already a dead engine's, so the state must not release them.
+		own.taken = true
+	}
 	for i, ss := range s.Shards {
 		if ss == nil {
 			continue
 		}
-		if err := e.shards[i].Restore(ss); err != nil {
+		var err error
+		if ls, ok := e.shards[i].(*localShard); ok && own != nil {
+			err = ls.restore(ss, true)
+		} else {
+			err = e.shards[i].Restore(ss)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("engine: shard %d: %w", i, err)
 		}
 		if ell := e.shards[i].Ell(); ell > e.lastEll {
@@ -197,7 +302,7 @@ func NewFromState(cfg Config, s *State) (*Engine, error) {
 	}
 	e.recent = make([]*Frame, len(s.Frames))
 	for i, f := range s.Frames {
-		e.recent[i] = &Frame{Vec: f.Vec, Tag: f.Tag, shared: true}
+		e.recent[i] = &Frame{Vec: f.Vec, Tag: f.Tag, shared: own == nil || f.shared}
 	}
 	e.ingests, e.absorbed = s.Ingests, s.Ingests
 	if cfg.Audit != nil {

@@ -11,15 +11,22 @@ import (
 // sliding window keeps; at 120 Hz with d up to a megapixel those
 // allocations dominate the GC budget. The engine returns the working
 // buffer here once the batch is absorbed, and the float32 copy when the
-// window evicts it or a hibernating tenant releases its suspended
-// window. 2ℓ×d sketch buffers come back from their owners too: a closed
-// shard returns its live sketch's, a merge each operand it owns once the
-// operand is folded, a basis reader the merged sketch once the basis is
-// cut, and a sketch that grows its old, narrower one. A snapshot returns
-// its n×d float64 copy of the window once its stages have read it. So a
-// steady-state stream, reconciles and snapshots included, recycles a
-// fixed set of buffers instead of allocating one per frame, per merge or
-// per snapshot.
+// window evicts it or the engine closes. 2ℓ×d sketch buffers come back
+// from their owners too: a closed shard returns its live sketch's, a
+// merge each operand it owns once the operand is folded, a basis reader
+// the merged sketch once the basis is cut, and a sketch that grows its
+// old, narrower one. A snapshot returns its n×d float64 copy of the
+// window once its stages have read it. Checkpoint state follows one
+// rule: a state no live engine shares storage with owns it. Suspend
+// moves the window vectors nobody was handed and each local shard's
+// buffer into its state, and the checkpoint file decoder (ckpt.Load)
+// draws a monitor state's window vectors and each rotated sketch's 2ℓ×d
+// buffer from here. The one restore from such a state takes that storage over,
+// so the engine's evictions and Close return it; a state saved and not
+// restored from returns it with Release. So a steady-state stream,
+// reconciles, snapshots and hibernate→restore cycles included, recycles
+// a fixed set of buffers instead of allocating one per frame, per merge,
+// per snapshot or per restore.
 //
 // Each element type has its own pool, keyed by capacity: a put files a
 // slice under cap(v), and a get of n reuses only an array of capacity
@@ -31,12 +38,13 @@ import (
 // raw W·H, the post-binning feature dimension, and one 2ℓ·d per sketch
 // rank — so each class keeps a high hit rate.
 
-// Arrays of bigMin elements or more — 4 MiB of float64, a sketch buffer
-// at ℓ = 25 and d = 128² — do not pool in a sync.Pool of arrays. It files
+// Arrays of bigMin elements or more — 1 MiB of float64, a sketch buffer
+// at ℓ = 25 and d = 64² — do not pool in a sync.Pool of arrays. It files
 // a put in the putting P's private slot, which a get on another P never
 // looks in, and drops an array at the second collection after its put, so
 // whether a reconcile's clone found the buffer the last reconcile
-// released depended on which Ps its goroutines ran on and on when the
+// released, or a restore's decoder the buffer the last hibernation
+// released, depended on which Ps their goroutines ran on and on when the
 // collector ran, and so did the bytes a run allocated. A big class keeps
 // one free list instead, which every P sees and which drops nothing on a
 // collection while the class is in use: it holds every array put and not
@@ -47,7 +55,7 @@ import (
 // bigMin pixels or more (the paper's 2 MP detector, unbinned) take this
 // path too. No benchmark workload has frames that wide; EXPERIMENTS.md
 // measures them on a wide-frame engine outside the benchmark.
-const bigMin = 1 << 19
+const bigMin = 1 << 17
 
 // vecPool holds the map from a capacity to the pool of arrays of exactly
 // that capacity. The map is copy-on-write — a new capacity installs a
@@ -56,11 +64,12 @@ const bigMin = 1 << 19
 type vecPool[T float32 | float64] struct {
 	classes atomic.Pointer[map[int]*class[T]]
 	mu      sync.Mutex // serializes installs
+	big     int        // classes of big elements or more keep a free list
 }
 
-// class pools the arrays of one capacity: below bigMin in small, as
-// *[]T; from bigMin on, on the *freeList[T] held in lists, whose gets and
-// puts mu serializes.
+// class pools the arrays of one capacity: below its pool's big bound in
+// small, as *[]T; from it on, on the *freeList[T] held in lists, whose
+// gets and puts mu serializes.
 type class[T float32 | float64] struct {
 	small sync.Pool
 	mu    sync.Mutex
@@ -72,9 +81,16 @@ type freeList[T float32 | float64] struct {
 	arrs [][]T
 }
 
+// Every float32 array is a window vector, and a window vector is put on
+// one goroutine and taken on another as a matter of course: evicted or
+// released on the ingesting or hibernating goroutine, taken by narrow on
+// the worker pool's goroutines or by a restore's decoder. So every
+// float32 class keeps a free list, whatever its size: with a sync.Pool
+// whether a restored engine's returned window was found depended on the
+// P and the collector, and so did the bytes a stream allocated.
 var (
-	vecs64 vecPool[float64]
-	vecs32 vecPool[float32]
+	vecs64 = vecPool[float64]{big: bigMin}
+	vecs32 = vecPool[float32]{big: 1}
 )
 
 func (vp *vecPool[T]) classFor(n int) *class[T] {
@@ -156,7 +172,7 @@ func (vp *vecPool[T]) get(n int) []T {
 		return make([]T, n)
 	}
 	c := vp.classFor(n)
-	if n >= bigMin {
+	if n >= vp.big {
 		if v := c.take(); v != nil {
 			clear(v)
 			return v
@@ -177,7 +193,7 @@ func (vp *vecPool[T]) put(v []T) {
 		return
 	}
 	c := vp.classFor(n)
-	if n >= bigMin {
+	if n >= vp.big {
 		c.give(v[:n])
 		return
 	}

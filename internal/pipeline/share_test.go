@@ -12,6 +12,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -121,6 +123,73 @@ func TestRestoreTwiceFromOneState(t *testing.T) {
 	}
 	if !bytes.Equal(mustMarshal(t, st), want) {
 		t.Error("restoring from a State and streaming on changed the State")
+	}
+}
+
+// TestDecodedStateHandsOverUntilClose is the ownership rule for a
+// state a checkpoint decoder built, through either form (Load, whose
+// storage comes from the vector pool and whose rotated sketch buffers a
+// restore adopts, and Unmarshal): it owns its window vectors and shard
+// buffers, and the one monitor restored from it takes them over. So a
+// second restore from it is refused; until that monitor ingests, the
+// state re-marshals to the bytes it was decoded from; and the monitor
+// streams on — evicting and recycling the adopted vectors, rotating in
+// the adopted buffers — bit-exact against one restored from the State
+// cut the checkpoint was written from.
+func TestDecodedStateHandsOverUntilClose(t *testing.T) {
+	const window, w, h, batch = 32, 8, 8, 8
+	dir := t.TempDir()
+	decoders := map[string]func(b []byte) (any, error){
+		"Unmarshal": ckpt.Unmarshal,
+		"Load": func(b []byte) (any, error) {
+			path := filepath.Join(dir, "state.ckpt")
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				return nil, err
+			}
+			return ckpt.Load(path)
+		},
+	}
+	for name, decode := range decoders {
+		for _, shards := range []int{1, 2} {
+			frames := chaosFrames(4*window, w, h, 93)
+			cfg := chaosConfig()
+			cfg.Shards = shards
+			origin := pipeline.NewMonitor(cfg, window)
+			origin.IngestBatch(frames[:window], nil)
+			st := origin.State()
+			b := mustMarshal(t, st)
+			origin.Engine().Close()
+			v, err := decode(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := v.(*pipeline.MonitorState)
+
+			shared, err := pipeline.NewMonitorFromState(cfg, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shared.Engine().Close()
+			owned, err := pipeline.NewMonitorFromState(cfg, dec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer owned.Engine().Close()
+			if m, err := pipeline.NewMonitorFromState(cfg, dec); err == nil {
+				m.Engine().Close()
+				t.Fatalf("%s, %d shards: a second restore from a decoded state succeeded", name, shards)
+			}
+			if !bytes.Equal(mustMarshal(t, dec), b) {
+				t.Fatalf("%s, %d shards: the decoded state changed when a monitor was restored from it", name, shards)
+			}
+			for lo := window; lo < len(frames); lo += batch {
+				shared.IngestBatch(frames[lo:lo+batch], nil)
+				owned.IngestBatch(frames[lo:lo+batch], nil)
+			}
+			if !bytes.Equal(mustMarshal(t, owned.State()), mustMarshal(t, shared.State())) {
+				t.Fatalf("%s, %d shards: the monitor restored from the decoded state diverged from the one restored from its State", name, shards)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"arams/internal/mat"
 	"arams/internal/rng"
 )
 
@@ -40,7 +41,13 @@ type FDState struct {
 }
 
 // State captures the sketch's current state.
-func (fd *FrequentDirections) State() FDState {
+func (fd *FrequentDirections) State() FDState { return fd.state(false) }
+
+// state is State. With take set the state's Buffer is not a copy but
+// the sketch's own 2ℓ×d array cut to its occupied prefix (capacity
+// 2ℓ·d, the rows past the prefix zero), and the sketch gives it up: it
+// must not be used afterwards. See ARAMS.TakeState.
+func (fd *FrequentDirections) state(take bool) FDState {
 	s := FDState{
 		Ell:        fd.ell,
 		D:          fd.d,
@@ -50,16 +57,25 @@ func (fd *FrequentDirections) State() FDState {
 		Seen:       fd.seen,
 		TotalDelta: fd.totalDelta,
 		FrobMass:   fd.frobMass,
-		Buffer:     make([]float64, fd.nextZero*fd.d),
 	}
-	for i := 0; i < fd.nextZero; i++ {
-		copy(s.Buffer[i*fd.d:(i+1)*fd.d], fd.buffer.Row(i))
+	occupied := fd.buffer.Data[:fd.nextZero*fd.d]
+	if take {
+		s.Buffer = occupied
+		fd.buffer, fd.filledView = nil, mat.Matrix{}
+		return s
 	}
+	s.Buffer = append(make([]float64, 0, len(occupied)), occupied...)
 	return s
 }
 
 // NewFDFromState rebuilds a sketch from a snapshot.
-func NewFDFromState(s FDState) (*FrequentDirections, error) {
+func NewFDFromState(s FDState) (*FrequentDirections, error) { return newFDFromState(s, false) }
+
+// newFDFromState is NewFDFromState. With adopt set, a Buffer whose
+// capacity is the whole 2ℓ×d array becomes the sketch's buffer instead
+// of being copied into a new one; its rows past the occupied prefix are
+// cleared first. A Buffer of any other capacity is copied.
+func newFDFromState(s FDState, adopt bool) (*FrequentDirections, error) {
 	if s.Ell <= 0 || s.D <= 0 {
 		return nil, fmt.Errorf("sketch: FD state has invalid dimensions ℓ=%d d=%d", s.Ell, s.D)
 	}
@@ -81,9 +97,15 @@ func NewFDFromState(s FDState) (*FrequentDirections, error) {
 	if math.IsNaN(s.FrobMass) || math.IsInf(s.FrobMass, 0) || s.FrobMass < 0 {
 		return nil, fmt.Errorf("sketch: FD state has invalid Frobenius mass %v", s.FrobMass)
 	}
-	fd := NewFrequentDirections(s.Ell, s.D, Options{Backend: s.Backend})
-	for i := 0; i < s.NextZero; i++ {
-		copy(fd.buffer.Row(i), s.Buffer[i*s.D:(i+1)*s.D])
+	var fd *FrequentDirections
+	if n := 2 * s.Ell * s.D; adopt && cap(s.Buffer) == n {
+		buf := s.Buffer[:n]
+		clear(buf[len(s.Buffer):])
+		fd = &FrequentDirections{ell: s.Ell, d: s.D, opts: Options{Backend: s.Backend},
+			buffer: mat.FromData(2*s.Ell, s.D, buf)}
+	} else {
+		fd = NewFrequentDirections(s.Ell, s.D, Options{Backend: s.Backend})
+		copy(fd.buffer.Data, s.Buffer)
 	}
 	fd.nextZero = s.NextZero
 	fd.rotations = s.Rotations
@@ -132,13 +154,22 @@ type RankAdaptiveState struct {
 }
 
 // State captures the rank-adaptive sketch's current state.
-func (r *RankAdaptiveFD) State() RankAdaptiveState {
-	recent := make([][]float64, len(r.recent))
-	for i, row := range r.recent {
-		recent[i] = append([]float64(nil), row...)
+func (r *RankAdaptiveFD) State() RankAdaptiveState { return r.state(false) }
+
+// state is State; with take set it moves the sketch's buffer and ring
+// into the state instead of copying them (see FrequentDirections.state).
+func (r *RankAdaptiveFD) state(take bool) RankAdaptiveState {
+	recent := r.recent
+	if take {
+		r.recent = nil
+	} else {
+		recent = make([][]float64, len(r.recent))
+		for i, row := range r.recent {
+			recent[i] = append([]float64(nil), row...)
+		}
 	}
 	return RankAdaptiveState{
-		FD:          r.fd.State(),
+		FD:          r.fd.state(take),
 		Nu:          r.nu,
 		Eps:         r.eps,
 		RNG:         r.g.State(),
@@ -152,7 +183,14 @@ func (r *RankAdaptiveFD) State() RankAdaptiveState {
 // NewRankAdaptiveFromState rebuilds a rank-adaptive sketch from a
 // snapshot.
 func NewRankAdaptiveFromState(s RankAdaptiveState) (*RankAdaptiveFD, error) {
-	fd, err := NewFDFromState(s.FD)
+	return newRankAdaptiveFromState(s, false)
+}
+
+// newRankAdaptiveFromState is NewRankAdaptiveFromState; with adopt set
+// the sketch takes the state's buffer (see newFDFromState) and ring rows
+// instead of copying them.
+func newRankAdaptiveFromState(s RankAdaptiveState, adopt bool) (*RankAdaptiveFD, error) {
+	fd, err := newFDFromState(s.FD, adopt)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +214,10 @@ func NewRankAdaptiveFromState(s RankAdaptiveState) (*RankAdaptiveFD, error) {
 		if len(row) != fd.Dim() {
 			return nil, fmt.Errorf("sketch: rank-adaptive state recent row %d has length %d != d=%d", i, len(row), fd.Dim())
 		}
-		recent[i] = append([]float64(nil), row...)
+		if !adopt {
+			row = append([]float64(nil), row...)
+		}
+		recent[i] = row
 	}
 	return &RankAdaptiveFD{
 		fd:          fd,
@@ -203,20 +244,41 @@ type ARAMSState struct {
 }
 
 // State captures the sketcher's current state.
-func (a *ARAMS) State() ARAMSState {
+func (a *ARAMS) State() ARAMSState { return a.state(false) }
+
+// TakeState is State for an owner that is done with the sketcher, such
+// as a hibernating shard: instead of copying the sketch's 2ℓ×d buffer
+// it moves it into the state, cut to its occupied prefix (capacity
+// 2ℓ·d, the rows past the prefix zero), and the rank-adaptive ring with
+// it. The sketcher must not be used afterwards. Once nothing reads the
+// state, its holder may hand the buffer to mat.PutVec, or restore from
+// it with AdoptARAMSState.
+func (a *ARAMS) TakeState() ARAMSState { return a.state(true) }
+
+func (a *ARAMS) state(take bool) ARAMSState {
 	s := ARAMSState{Cfg: a.cfg, D: a.d, RNG: a.g.State()}
 	if a.rafd != nil {
-		ra := a.rafd.State()
+		ra := a.rafd.state(take)
 		s.RankAdaptive = &ra
 	} else {
-		fd := a.fd.State()
+		fd := a.fd.state(take)
 		s.FD = &fd
 	}
 	return s
 }
 
 // NewARAMSFromState rebuilds a streaming sketcher from a snapshot.
-func NewARAMSFromState(s ARAMSState) (*ARAMS, error) {
+func NewARAMSFromState(s ARAMSState) (*ARAMS, error) { return newARAMSFromState(s, false) }
+
+// AdoptARAMSState is NewARAMSFromState for a state nothing else holds:
+// one TakeState returned, or one a checkpoint decoder built. An FD
+// buffer whose capacity is the whole 2ℓ×d array becomes the new
+// sketch's own instead of being copied, and so do the rank-adaptive
+// ring's rows: the caller hands them over and must neither read nor
+// write them afterwards. A buffer of any other capacity is copied.
+func AdoptARAMSState(s ARAMSState) (*ARAMS, error) { return newARAMSFromState(s, true) }
+
+func newARAMSFromState(s ARAMSState, adopt bool) (*ARAMS, error) {
 	if s.D <= 0 {
 		return nil, fmt.Errorf("sketch: ARAMS state has d=%d", s.D)
 	}
@@ -229,7 +291,7 @@ func NewARAMSFromState(s ARAMSState) (*ARAMS, error) {
 	a := &ARAMS{cfg: s.Cfg, d: s.D, g: rng.FromState(s.RNG)}
 	switch {
 	case s.Cfg.RankAdaptive && s.RankAdaptive != nil && s.FD == nil:
-		rafd, err := NewRankAdaptiveFromState(*s.RankAdaptive)
+		rafd, err := newRankAdaptiveFromState(*s.RankAdaptive, adopt)
 		if err != nil {
 			return nil, err
 		}
@@ -238,7 +300,7 @@ func NewARAMSFromState(s ARAMSState) (*ARAMS, error) {
 		}
 		a.rafd = rafd
 	case !s.Cfg.RankAdaptive && s.FD != nil && s.RankAdaptive == nil:
-		fd, err := NewFDFromState(*s.FD)
+		fd, err := newFDFromState(*s.FD, adopt)
 		if err != nil {
 			return nil, err
 		}

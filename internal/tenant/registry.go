@@ -557,10 +557,11 @@ func (r *Registry) hibernate(en *entry, reason string) error {
 		err = ckpt.Save(r.ckptPath(en.id), s)
 	}
 	if err != nil {
-		// The state handle (when we have one) still holds the whole
-		// stream — it shares the suspended window's vectors, which stay
-		// valid without the engine and were only read by the failed
-		// Save — so resurrect the tenant in memory rather than lose it.
+		// The state (when we have one) still holds the whole stream — it
+		// owns the suspended window's vectors and the shards' sketch
+		// buffers, which the failed Save only read — so resurrect the
+		// tenant in memory rather than lose it. The new monitor takes
+		// that storage over, as a restore from disk takes the decoder's.
 		var m2 *pipeline.Monitor
 		var rerr error
 		if s != nil {
@@ -593,8 +594,9 @@ func (r *Registry) hibernate(en *entry, reason string) error {
 		audit.A("window_frames", float64(len(s.Frames))),
 		audit.A("cov_bound", cert.CovBound()))
 	// The checkpoint is on disk and everything the registry keeps has
-	// been cut from the state: hand its window back to the vector pool,
-	// where the next ingest (this tenant's or another's) draws from it.
+	// been cut from the state: hand its window and its sketch buffers
+	// back to the vector pool, where the next restore's decoder (this
+	// tenant's or another's) and the next ingest draw from them.
 	s.Release()
 	r.mu.Lock()
 	en.mon = nil
