@@ -1,6 +1,6 @@
 // Command fabricworker runs one distributed shard worker: a TCP server
 // that sketches rows shipped by a fabric coordinator (lclsmon -fabric,
-// or fabric.NewCoordinator embedded elsewhere). The worker needs no
+// which dials its fleet with fabric.DialFleet). The worker needs no
 // sketch configuration of its own — the coordinator's Hello carries the
 // shard-derived config — so a fleet is N identical processes:
 //

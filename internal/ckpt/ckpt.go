@@ -79,7 +79,7 @@ const (
 // corrupted length field cannot drive a multi-gigabyte allocation.
 const maxPayload = 1 << 32
 
-// chunkLen is the one buffer the streaming forms (Encode/Save, Load)
+// chunkLen is the one buffer the streaming forms (Save, Load)
 // hold besides the state itself: fields are staged in it on their way
 // to the writer, or refilled into it on their way from the reader.
 const chunkLen = 256 << 10
@@ -177,28 +177,6 @@ func Peek(b []byte) (Header, error) {
 	return h, nil
 }
 
-// Encode writes state as one checkpoint frame to w — the bytes Marshal
-// returns — without ever holding the frame: the payload streams through
-// one chunkLen buffer. See Marshal for the accepted types.
-func Encode(w io.Writer, state any) error {
-	_, _, err := encodeFrame(w, state)
-	return err
-}
-
-// Decode reads one checkpoint frame from r and returns the restored
-// state (same pointer types Unmarshal returns). A bare reader cannot
-// say how many bytes it holds, so nothing could bound what a corrupt
-// length field allocates while streaming; Decode therefore reads what
-// is actually there and decodes the slice. Load, which can ask the file
-// its size, streams.
-func Decode(r io.Reader) (any, error) {
-	b, err := io.ReadAll(io.LimitReader(r, headerLen+maxPayload+trailerLen+1))
-	if err != nil {
-		return nil, err
-	}
-	return Unmarshal(b)
-}
-
 // --- primitive field stream ---
 //
 // Payloads are flat streams of little-endian primitives in a fixed
@@ -206,7 +184,7 @@ func Decode(r io.Reader) (any, error) {
 // methods below and the encodeX/decodeX functions of codec.go over
 // them — with two sinks and two sources: a frame-sized slice
 // (Marshal/Unmarshal) or a writer/reader behind one chunkLen buffer
-// (Encode/Save, Load). The decoder walks its input with a sticky error
+// (Save, Load). The decoder walks its input with a sticky error
 // and hard bounds checks, so corrupt declared lengths fail cleanly
 // instead of panicking or allocating unbounded memory.
 
@@ -345,10 +323,11 @@ func (e *enc) str(v string) {
 }
 
 // encodeFrame is the one encoder behind Marshal (w nil: the frame is
-// returned) and Encode/Save (the frame goes to w; only its length is
-// returned). The sizing pass only adds up the payload length — constant
-// time per float slice — so the header, which carries that length, can
-// go out first and the payload never has to exist in one piece.
+// returned) and Save (the frame goes to w — the bytes Marshal returns,
+// streamed through one chunkLen buffer; only its length is returned).
+// The sizing pass only adds up the payload length — constant time per
+// float slice — so the header, which carries that length, can go out
+// first and the payload never has to exist in one piece.
 func encodeFrame(w io.Writer, state any) ([]byte, int, error) {
 	size := &enc{sizing: true}
 	kind, err := encodeState(size, state)

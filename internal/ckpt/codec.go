@@ -20,10 +20,11 @@ import (
 //	sketch.ARAMSState / *sketch.ARAMSState               → KindARAMS
 //	*pipeline.MonitorState                               → KindMonitor
 func Marshal(state any) ([]byte, error) {
-	// The in-memory form of Encode: the same two passes, with the second
-	// writing into a frame allocated once at its final size. Callers that
-	// need the bytes themselves (the fabric wire, content digests) use
-	// it; a file is better served by Save, which never holds the frame.
+	// The in-memory form of Save's encoder: the same two passes, with
+	// the second writing into a frame allocated once at its final size.
+	// Callers that need the bytes themselves (the fabric wire, content
+	// digests) use it; a file is better served by Save, which never
+	// holds the frame.
 	b, _, err := encodeFrame(nil, state)
 	return b, err
 }

@@ -22,7 +22,7 @@ var (
 )
 
 // Save atomically writes state as a checkpoint file: the frame streams
-// (see Encode) to a temporary file in the same directory, is fsynced,
+// (see encodeFrame) to a temporary file in the same directory, is fsynced,
 // and is renamed over path, so a crash mid-save leaves either the old
 // checkpoint or the new one — never a torn file. The containing
 // directory is synced best-effort so the rename itself survives a power

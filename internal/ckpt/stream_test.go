@@ -109,8 +109,8 @@ func TestSaveLoadMatchMarshalUnmarshal(t *testing.T) {
 			t.Errorf("%s: Save wrote %d bytes that differ from Marshal's %d", name, len(file), len(want))
 		}
 		var buf bytes.Buffer
-		if err := Encode(&buf, s); err != nil || !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("%s: Encode differs from Marshal (err %v)", name, err)
+		if _, _, err := encodeFrame(&buf, s); err != nil || !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s: the streamed frame differs from Marshal's (err %v)", name, err)
 		}
 		fromBytes, err := Unmarshal(want)
 		if err != nil {
@@ -140,7 +140,8 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 }
 
 // TestEncodeReportsWriteError: a writer that fails on any flush — the
-// first chunk, a middle one, the trailer — fails the Encode.
+// first chunk, a middle one, the trailer — fails the streaming encode
+// Save runs.
 func TestEncodeReportsWriteError(t *testing.T) {
 	s := wideMonitorState(300, 1500)
 	frame, err := Marshal(s)
@@ -148,7 +149,7 @@ func TestEncodeReportsWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, limit := range []int{0, chunkLen, len(frame) - 1} {
-		if err := Encode(&failingWriter{limit: limit}, s); !errors.Is(err, errDiskFull) {
+		if _, _, err := encodeFrame(&failingWriter{limit: limit}, s); !errors.Is(err, errDiskFull) {
 			t.Errorf("writer failing after %d bytes: got %v, want the write error", limit, err)
 		}
 	}

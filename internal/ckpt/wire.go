@@ -134,35 +134,6 @@ func parseWireHeader(h []byte) (WireFrame, uint64, error) {
 	}, n, nil
 }
 
-// DecodeWireFrame decodes exactly one wire frame occupying the whole
-// of b. The returned payload aliases b.
-func DecodeWireFrame(b []byte) (WireFrame, error) {
-	if len(b) < wirePrefixLen {
-		return WireFrame{}, ErrTruncated
-	}
-	if err := checkWirePrefix(b); err != nil {
-		return WireFrame{}, err
-	}
-	if len(b) < WireOverhead {
-		return WireFrame{}, ErrTruncated
-	}
-	f, n, err := parseWireHeader(b)
-	if err != nil {
-		return WireFrame{}, err
-	}
-	if uint64(len(b)) != WireOverhead+n {
-		return WireFrame{}, ErrTruncated
-	}
-	body := wireHeaderLen + int(n)
-	if crc32.ChecksumIEEE(b[:body]) != binary.LittleEndian.Uint32(b[body:]) {
-		return WireFrame{}, ErrChecksum
-	}
-	if n > 0 {
-		f.Payload = b[wireHeaderLen:body]
-	}
-	return f, nil
-}
-
 // WriteWireFrame writes one encoded frame to w.
 func WriteWireFrame(w io.Writer, f WireFrame) error {
 	if uint64(len(f.Payload)) > MaxWirePayload {

@@ -57,9 +57,9 @@ func TestWireRoundTrip(t *testing.T) {
 		for _, trace := range []struct{ tr, sp uint64 }{{0, 0}, {0xDEAD, 0xBEEF}, {7, 0}, {0, 5}} {
 			in := WireFrame{Type: 7, Seq: 42, Trace: trace.tr, Span: trace.sp, Payload: payload}
 			enc := EncodeWireFrame(in)
-			out, err := DecodeWireFrame(enc)
+			out, err := ReadWireFrame(bytes.NewReader(enc))
 			if err != nil {
-				t.Fatalf("decode: %v", err)
+				t.Fatalf("read: %v", err)
 			}
 			if out.Type != in.Type || out.Seq != in.Seq || out.Trace != in.Trace ||
 				out.Span != in.Span || !bytes.Equal(out.Payload, in.Payload) {
@@ -67,14 +67,6 @@ func TestWireRoundTrip(t *testing.T) {
 			}
 			if !bytes.Equal(EncodeWireFrame(out), enc) {
 				t.Fatalf("re-encode not canonical")
-			}
-			sr, err := ReadWireFrame(bytes.NewReader(enc))
-			if err != nil {
-				t.Fatalf("stream read: %v", err)
-			}
-			if sr.Type != in.Type || sr.Seq != in.Seq || sr.Trace != in.Trace ||
-				sr.Span != in.Span || !bytes.Equal(sr.Payload, in.Payload) {
-				t.Fatalf("stream round trip mismatch")
 			}
 		}
 	}
@@ -104,41 +96,28 @@ func TestWireDecodeErrors(t *testing.T) {
 		b    []byte
 		want error
 	}{
-		{"empty", nil, ErrTruncated},
-		{"short", valid[:10], ErrTruncated},
+		// A clean close before any byte is io.EOF; a close mid-frame is
+		// io.ErrUnexpectedEOF.
+		{"empty", nil, io.EOF},
+		{"torn in prefix", valid[:6], io.ErrUnexpectedEOF},
+		{"torn in header", valid[:13], io.ErrUnexpectedEOF},
+		{"torn in trace block", valid[:30], io.ErrUnexpectedEOF},
+		{"torn before crc end", valid[:len(valid)-1], io.ErrUnexpectedEOF},
 		{"bad magic", corrupt(func(b []byte) { b[0] ^= 0xFF }), ErrBadMagic},
 		{"future version", corrupt(func(b []byte) { b[4] = 99 }), ErrVersion},
 		{"version 1", retiredV1, ErrVersion},
 		{"version 2", retiredV2, ErrVersion},
-		{"truncated tail", valid[:len(valid)-2], ErrTruncated},
-		{"length lies", corrupt(func(b []byte) { b[20]++ }), ErrTruncated},
+		{"truncated tail", valid[:len(valid)-2], io.ErrUnexpectedEOF},
+		{"length lies", corrupt(func(b []byte) { b[20]++ }), io.ErrUnexpectedEOF},
+		{"length over cap", corrupt(func(b []byte) { binary.LittleEndian.PutUint64(b[20:28], MaxWirePayload+1) }), ErrTruncated},
 		{"flipped trace bit", corrupt(func(b []byte) { b[30] ^= 1 }), ErrChecksum},
-		{"flipped payload bit", corrupt(func(b []byte) { b[wireHeaderLen] ^= 1 }), ErrChecksum},
+		{"flipped payload bit", corrupt(func(b []byte) { b[wireHeaderLen+1] ^= 4 }), ErrChecksum},
 		{"flipped crc", corrupt(func(b []byte) { b[len(b)-1] ^= 1 }), ErrChecksum},
 	}
 	for _, tc := range cases {
-		if _, err := DecodeWireFrame(tc.b); !errors.Is(err, tc.want) {
-			t.Errorf("%s: DecodeWireFrame err = %v, want %v", tc.name, err, tc.want)
+		if _, err := ReadWireFrame(bytes.NewReader(tc.b)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: ReadWireFrame err = %v, want %v", tc.name, err, tc.want)
 		}
-	}
-	for _, b := range [][]byte{retiredV1, retiredV2} {
-		if _, err := ReadWireFrame(bytes.NewReader(b)); !errors.Is(err, ErrVersion) {
-			t.Errorf("retired version %d: ReadWireFrame err = %v, want ErrVersion", b[4], err)
-		}
-	}
-
-	// Streaming: a clean close before any byte is io.EOF; mid-frame it
-	// is io.ErrUnexpectedEOF.
-	if _, err := ReadWireFrame(bytes.NewReader(nil)); err != io.EOF {
-		t.Errorf("empty stream: err = %v, want io.EOF", err)
-	}
-	for _, n := range []int{13, 30, len(valid) - 1} {
-		if _, err := ReadWireFrame(bytes.NewReader(valid[:n])); err != io.ErrUnexpectedEOF {
-			t.Errorf("torn at %d: err = %v, want io.ErrUnexpectedEOF", n, err)
-		}
-	}
-	if _, err := ReadWireFrame(bytes.NewReader(corrupt(func(b []byte) { b[wireHeaderLen+1] ^= 4 }))); !errors.Is(err, ErrChecksum) {
-		t.Errorf("stream checksum: err = %v, want ErrChecksum", err)
 	}
 }
 
@@ -174,11 +153,11 @@ func TestReadWireFrameAllocatesAsBytesArrive(t *testing.T) {
 	}
 }
 
-// FuzzWireDecode throws arbitrary bytes at both wire decoders: they
-// must never panic, and any frame that decodes must re-encode
-// byte-identically (canonical form). Seeds cover a valid frame plus
-// the classic corruptions and one frame of each retired version, which
-// must not decode.
+// FuzzWireDecode throws arbitrary bytes at the wire decoder: it must
+// never panic, and any frame that decodes must re-encode to the bytes
+// it read (canonical form). Seeds cover a valid frame plus the classic
+// corruptions and one frame of each retired version, which must not
+// decode.
 func FuzzWireDecode(f *testing.F) {
 	valid := EncodeWireFrame(WireFrame{Type: 5, Seq: 77, Payload: []byte("shard state")})
 	f.Add(valid)
@@ -194,11 +173,6 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(retiredV2)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if fr, err := DecodeWireFrame(b); err == nil {
-			if !bytes.Equal(EncodeWireFrame(fr), b) {
-				t.Fatalf("decoded frame does not re-encode canonically")
-			}
-		}
 		if fr, err := ReadWireFrame(bytes.NewReader(b)); err == nil {
 			enc := EncodeWireFrame(fr)
 			if !bytes.Equal(enc, b[:len(enc)]) {

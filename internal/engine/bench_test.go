@@ -15,8 +15,9 @@ import (
 // detector — through 1 and 2 shards at ℓ = 25, one 64-frame batch per
 // iteration (about 2.5 rotations, whatever the shard count). Run it as
 // two processes, GOMAXPROCS=1 and GOMAXPROCS=2 (the kernel pool is sized
-// at first use): the four rows are ROADMAP item 5's question, what a
-// second shard and a second core each buy on one host.
+// at first use): the four rows say what a second shard and a second
+// core each buy on one host, which decides whether in-process row
+// sharding earns its merge.
 func BenchmarkIngestWide(b *testing.B) {
 	const d, batch = 16384, 64
 	vecs := testVecs(batch, d, 91)

@@ -23,10 +23,9 @@ import (
 //     worth dumping.
 
 // Budget observability lives on the engine's engineObs handles (see
-// obs.go). arams_engine_deadline_miss_total counts *frames* that
-// belonged to an over-budget batch — the same unit DeadlineMisses()
-// reports — so the metric and the accessor always agree (misses used
-// to count batches while the metric counted frames).
+// obs.go): arams_engine_budget_burn_rate is the EWMA, and
+// arams_engine_deadline_miss_total counts *frames* that belonged to an
+// over-budget batch, not batches.
 
 // DefaultFrameBudget is the per-frame wall-time budget when none is
 // configured: one LCLS machine period at 120 Hz.
@@ -53,7 +52,6 @@ type budgetTracker struct {
 	ewma     float64
 	seeded   bool
 	lastMiss time.Time
-	misses   int // frames in over-budget batches (metric unit)
 }
 
 func newBudgetTracker(cfg Config, eo *engineObs) *budgetTracker {
@@ -91,7 +89,6 @@ func (bt *budgetTracker) observe(elapsed time.Duration, n, at int) float64 {
 	journalMiss := false
 	now := time.Now()
 	if burn > 1 {
-		bt.misses += n
 		if now.Sub(bt.lastMiss) >= missJournalEvery {
 			bt.lastMiss = now
 			journalMiss = true
@@ -116,29 +113,4 @@ func (bt *budgetTracker) observe(elapsed time.Duration, n, at int) float64 {
 		obs.Default().FlightTrigger("deadline_burn")
 	}
 	return burn
-}
-
-// BurnRate returns the current EWMA frame-budget burn rate (0 when
-// budgeting is disabled or nothing has been observed).
-func (e *Engine) BurnRate() float64 {
-	bt := e.budget
-	if bt == nil {
-		return 0
-	}
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	return bt.ewma
-}
-
-// DeadlineMisses returns how many frames belonged to batches that
-// exceeded their amortized frame budget — frames, not batches, matching
-// the arams_engine_deadline_miss_total metric exactly.
-func (e *Engine) DeadlineMisses() int {
-	bt := e.budget
-	if bt == nil {
-		return 0
-	}
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	return bt.misses
 }

@@ -1,9 +1,11 @@
 package engine_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +14,18 @@ import (
 	"arams/internal/obs"
 	"arams/internal/sketch"
 )
+
+// budgetSeries names a tenant no other test or run shares and returns
+// the engine budget series under its label, so each test reads counters
+// it alone has moved, under -shuffle and -count alike.
+func budgetSeries(t *testing.T) (tenant string, burn *obs.Gauge, misses *obs.Counter) {
+	tenant = fmt.Sprintf("%s-%d", t.Name(), budgetRuns.Add(1))
+	l := obs.L("tenant", tenant)
+	return tenant, obs.Default().Gauge("arams_engine_budget_burn_rate", l),
+		obs.Default().Counter("arams_engine_deadline_miss_total", l)
+}
+
+var budgetRuns atomic.Int64
 
 // A 1 ns per-frame budget makes every dispatch a deadline miss, so the
 // tracker must count misses, push the burn EWMA over the 2× threshold,
@@ -26,7 +40,9 @@ func TestBudgetDeadlineMissAndFlightTrigger(t *testing.T) {
 
 	journal := audit.NewJournal(128)
 	auditor := audit.New(audit.Config{Journal: journal})
+	tenant, burn, misses := budgetSeries(t)
 	e := engine.New(engine.Config{
+		Tenant:      tenant,
 		Shards:      2,
 		FrameBudget: time.Nanosecond,
 		Sketch:      sketch.Config{Ell0: 4, Beta: 1, Seed: 3},
@@ -42,11 +58,11 @@ func TestBudgetDeadlineMissAndFlightTrigger(t *testing.T) {
 	}
 	e.IngestVecs(cloneVecs(vecs), tags)
 
-	if e.DeadlineMisses() == 0 {
-		t.Fatal("1 ns budget produced no deadline misses")
+	if got := misses.Value(); got != float64(len(vecs)) {
+		t.Fatalf("1 ns budget: arams_engine_deadline_miss_total = %v, want every frame (%d)", got, len(vecs))
 	}
-	if e.BurnRate() <= 2 {
-		t.Fatalf("burn EWMA = %v, want > threshold 2", e.BurnRate())
+	if burn.Value() <= 2 {
+		t.Fatalf("arams_engine_budget_burn_rate = %v, want > threshold 2", burn.Value())
 	}
 
 	var miss *audit.Event
@@ -88,12 +104,14 @@ func TestBudgetDeadlineMissAndFlightTrigger(t *testing.T) {
 // A negative budget disables tracking entirely; a generous budget
 // observes without missing.
 func TestBudgetDisabledAndWithinBudget(t *testing.T) {
-	mk := func(budget time.Duration) *engine.Engine {
+	mk := func(budget time.Duration) (*engine.Engine, *obs.Gauge, *obs.Counter) {
+		tenant, burn, misses := budgetSeries(t)
 		return engine.New(engine.Config{
+			Tenant:      tenant,
 			FrameBudget: budget,
 			Sketch:      sketch.Config{Ell0: 4, Beta: 1, Seed: 3},
 			Window:      16,
-		})
+		}), burn, misses
 	}
 	vecs := testVecs(8, 12, 22)
 	tags := make([]int, len(vecs))
@@ -101,18 +119,18 @@ func TestBudgetDisabledAndWithinBudget(t *testing.T) {
 		tags[i] = i
 	}
 
-	off := mk(-1)
+	off, offBurn, offMisses := mk(-1)
 	off.IngestVecs(cloneVecs(vecs), tags)
-	if off.DeadlineMisses() != 0 || off.BurnRate() != 0 {
-		t.Fatalf("disabled budget tracked: misses=%d burn=%v", off.DeadlineMisses(), off.BurnRate())
+	if offMisses.Value() != 0 || offBurn.Value() != 0 {
+		t.Fatalf("disabled budget tracked: misses=%v burn=%v", offMisses.Value(), offBurn.Value())
 	}
 
-	roomy := mk(time.Minute)
+	roomy, roomyBurn, roomyMisses := mk(time.Minute)
 	roomy.IngestVecs(cloneVecs(vecs), tags)
-	if roomy.DeadlineMisses() != 0 {
-		t.Fatalf("minute-per-frame budget missed %d deadlines", roomy.DeadlineMisses())
+	if roomyMisses.Value() != 0 {
+		t.Fatalf("minute-per-frame budget missed %v deadlines", roomyMisses.Value())
 	}
-	if burn := roomy.BurnRate(); burn <= 0 || burn >= 1 {
+	if burn := roomyBurn.Value(); burn <= 0 || burn >= 1 {
 		t.Fatalf("burn rate = %v, want in (0, 1)", burn)
 	}
 }

@@ -209,9 +209,6 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Config returns the engine's effective (defaulted) configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Ingest preprocesses one frame and feeds it to its shard. tag is an
 // arbitrary caller identifier returned with snapshot rows.
 func (e *Engine) Ingest(im *imgproc.Image, tag int) {
@@ -745,8 +742,8 @@ func (e *Engine) ReadWindow(k int, parent obs.SpanContext) Window {
 // WindowState is ReadWindow with the window widened into a float64
 // matrix. Its callers are benchmark/replay.go and, because that file's
 // ledger models a snapshot as this call plus the stages,
-// Monitor.Snapshot; ROADMAP item 1 deletes the replay, and this wrapper
-// with it.
+// Monitor.Snapshot; it has no other reason to exist, so it goes when
+// the replay does.
 //
 // x's storage comes from mat.GetVec and x is the caller's: once nothing
 // reads x, the caller may hand x.Data to mat.PutVec, so the next read

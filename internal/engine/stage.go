@@ -16,14 +16,9 @@ type Stage struct {
 	Run  func()
 }
 
-// RunStages executes the stages in order, recording one untraced obs
-// span per stage, and returns each stage's wall time.
-func RunStages(stages []Stage) map[string]time.Duration {
-	return RunStagesIn(obs.SpanContext{}, stages)
-}
-
-// RunStagesIn is RunStages with the stage spans parented into an
-// existing trace (zero context keeps them untraced). Each stage's wall
+// RunStagesIn executes the stages in order, recording one obs span per
+// stage parented into an existing trace (zero context keeps them
+// untraced), and returns each stage's wall time. Each stage's wall
 // time lands in arams_stage_duration_seconds under its name. A nil Run
 // is skipped (its time is absent from the map), which lets callers
 // assemble stage graphs conditionally without special-casing execution.

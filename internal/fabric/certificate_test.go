@@ -37,30 +37,24 @@ func stackedShards(st *engine.State) *mat.Matrix {
 // all-local twin, both under ecfg. Closing it closes everything.
 type loopbackPair struct {
 	local, remote *engine.Engine
-	coord         *fabric.Coordinator
+	remotes       []*fabric.Remote
 	workers       []*fabric.Worker
 }
 
 func newLoopbackPair(t *testing.T, n int, ecfg engine.Config) *loopbackPair {
 	t.Helper()
-	workers, addrs, err := fabric.StartLoopbackWorkers(n)
+	workers, addrs, err := startLoopbackWorkers(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{Workers: addrs, Engine: ecfg, Remote: quietRemote()})
-	if err != nil {
-		for _, w := range workers {
-			w.Close()
-		}
-		t.Fatal(err)
-	}
+	remote, remotes := newFleetEngine(addrs, ecfg, quietRemote())
 	ecfg.Shards = n
-	return &loopbackPair{local: engine.New(ecfg), remote: coord.Engine(), coord: coord, workers: workers}
+	return &loopbackPair{local: engine.New(ecfg), remote: remote, remotes: remotes, workers: workers}
 }
 
 func (p *loopbackPair) Close() {
 	p.local.Close()
-	p.coord.Close()
+	p.remote.Close()
 	for _, w := range p.workers {
 		w.Close()
 	}
@@ -148,7 +142,7 @@ func TestLoopbackAuditTickFetchesNoState(t *testing.T) {
 	if got := pa.remote.Reconciles(); got != 0 {
 		t.Fatalf("%d reconciles over %d audit ticks, want 0", got, ticks)
 	}
-	for _, r := range pa.coord.Remotes() {
+	for _, r := range pa.remotes {
 		if rows, _ := r.ReplayLog(); rows != n/workers {
 			t.Fatalf("%s replay log holds %d rows, want every row it absorbed (%d)", r.Name(), rows, n/workers)
 		}

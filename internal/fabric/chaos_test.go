@@ -46,7 +46,7 @@ func runChaos(t *testing.T, vecs [][]float64, proxySetup func(p *fabrictest.Prox
 	const shards = 2
 	ecfg := chaosConfig(shards)
 
-	workers, addrs, err := fabric.StartLoopbackWorkers(shards)
+	workers, addrs, err := startLoopbackWorkers(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,15 +64,8 @@ func runChaos(t *testing.T, vecs [][]float64, proxySetup func(p *fabrictest.Prox
 		proxySetup(p)
 	}
 
-	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-		Workers: []string{addrs[0], p.Addr()},
-		Engine:  ecfg,
-		Remote:  chaosRemote(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { coord.Close() })
+	eng, remotes := newFleetEngine([]string{addrs[0], p.Addr()}, ecfg, chaosRemote())
+	t.Cleanup(func() { eng.Close() })
 
 	local := engine.New(ecfg)
 	t.Cleanup(func() { local.Close() })
@@ -87,19 +80,19 @@ func runChaos(t *testing.T, vecs [][]float64, proxySetup func(p *fabrictest.Prox
 		if inject != nil {
 			inject(batch, p)
 		}
-		coord.Engine().IngestVecs(cloneVecs(vecs[lo:hi]), nil)
+		eng.IngestVecs(cloneVecs(vecs[lo:hi]), nil)
 		local.IngestVecs(cloneVecs(vecs[lo:hi]), nil)
 		batch++
 	}
 
-	if got := coord.Engine().Ingested(); got != n {
+	if got := eng.Ingested(); got != n {
 		t.Fatalf("fabric ingested %d frames under chaos, want %d", got, n)
 	}
 
 	// Bit-exact survival: whatever the fault path (retry, reconnect +
 	// replay, or degradation to the in-process fallback), the merged
 	// sketch must be identical to the all-local run.
-	lg, rg := local.GlobalSketch(), coord.Engine().GlobalSketch()
+	lg, rg := local.GlobalSketch(), eng.GlobalSketch()
 	if lg == nil || rg == nil {
 		t.Fatal("nil global sketch after chaos run")
 	}
@@ -107,7 +100,7 @@ func runChaos(t *testing.T, vecs [][]float64, proxySetup func(p *fabrictest.Prox
 
 	// Composed certificate bound must dominate the exact covariance
 	// error under every fault.
-	rg = coord.Engine().GlobalSketch()
+	rg = eng.GlobalSketch()
 	b := rg.Sketch()
 	cert := audit.FromSketch(rg)
 	if cert.Rows != n {
@@ -119,7 +112,7 @@ func runChaos(t *testing.T, vecs [][]float64, proxySetup func(p *fabrictest.Prox
 			exact, cert.CovBound())
 	}
 
-	return coord.Remotes()[1]
+	return remotes[1]
 }
 
 // TestChaosDelay: a slow link is not a fault — added latency within the
@@ -213,15 +206,8 @@ func TestWorkerKillRestart(t *testing.T) {
 	}
 	addr1 := w1.Addr()
 
-	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-		Workers: []string{w0.Addr(), addr1},
-		Engine:  ecfg,
-		Remote:  chaosRemote(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	eng, remotes := newFleetEngine([]string{w0.Addr(), addr1}, ecfg, chaosRemote())
+	defer eng.Close()
 	local := engine.New(ecfg)
 	defer local.Close()
 
@@ -238,11 +224,11 @@ func TestWorkerKillRestart(t *testing.T) {
 			w1b = fabric.ServeWorker(ln)
 			defer w1b.Close()
 		}
-		coord.Engine().IngestVecs(cloneVecs(vecs[lo:lo+16]), nil)
+		eng.IngestVecs(cloneVecs(vecs[lo:lo+16]), nil)
 		local.IngestVecs(cloneVecs(vecs[lo:lo+16]), nil)
 	}
 
-	if coord.Remotes()[1].Degraded() {
+	if remotes[1].Degraded() {
 		t.Error("remote degraded although the worker came back")
 	}
 	if evs := audit.Default().Query(audit.Query{Kind: audit.KindRemoteRecovery, SinceSeq: seq}); len(evs) == 0 {
@@ -254,6 +240,6 @@ func TestWorkerKillRestart(t *testing.T) {
 		t.Error("restarted worker absorbed nothing — replay did not reach it")
 	}
 
-	lg, rg := local.GlobalSketch(), coord.Engine().GlobalSketch()
+	lg, rg := local.GlobalSketch(), eng.GlobalSketch()
 	sameMatrix(t, "global sketch across worker restart", lg.Sketch(), rg.Sketch())
 }

@@ -23,7 +23,7 @@ func TestClosedBackendsFailFast(t *testing.T) {
 	scfg := sketch.Config{Ell0: 4, Beta: 1, Seed: 7}
 	vecs := testVecs(n, d, 61)
 
-	workers, addrs, err := fabric.StartLoopbackWorkers(1)
+	workers, addrs, err := startLoopbackWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}

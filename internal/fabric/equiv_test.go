@@ -109,7 +109,7 @@ func TestLoopbackEquivalence(t *testing.T) {
 		local := engine.New(ecfg)
 		defer local.Close()
 
-		workers, addrs, err := fabric.StartLoopbackWorkers(shards)
+		workers, addrs, err := startLoopbackWorkers(shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,16 +118,8 @@ func TestLoopbackEquivalence(t *testing.T) {
 				w.Close()
 			}
 		}()
-		coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-			Workers: addrs,
-			Engine:  ecfg,
-			Remote:  quietRemote(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer coord.Close()
-		remote := coord.Engine()
+		remote, remotes := newFleetEngine(addrs, ecfg, quietRemote())
+		defer remote.Close()
 
 		// Same stream, same uneven batch boundaries, both engines.
 		for lo := 0; lo < n; {
@@ -143,7 +135,7 @@ func TestLoopbackEquivalence(t *testing.T) {
 		if local.Ingested() != n || remote.Ingested() != n {
 			t.Fatalf("ingested %d local, %d remote, want %d", local.Ingested(), remote.Ingested(), n)
 		}
-		for _, r := range coord.Remotes() {
+		for _, r := range remotes {
 			if r.Degraded() {
 				t.Fatalf("%s degraded during a clean run", r.Name())
 			}
@@ -200,7 +192,7 @@ func TestLoopbackCheckpointRoundTrip(t *testing.T) {
 		Window: 24,
 	}
 
-	workers, addrs, err := fabric.StartLoopbackWorkers(shards)
+	workers, addrs, err := startLoopbackWorkers(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,20 +201,15 @@ func TestLoopbackCheckpointRoundTrip(t *testing.T) {
 			w.Close()
 		}
 	}()
-	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-		Workers: addrs, Engine: ecfg, Remote: quietRemote(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	first, _ := newFleetEngine(addrs, ecfg, quietRemote())
+	defer first.Close()
 
-	coord.Engine().IngestVecs(cloneVecs(vecs[:n]), nil)
-	ckptState := coord.Engine().State()
+	first.IngestVecs(cloneVecs(vecs[:n]), nil)
+	ckptState := first.State()
 
 	// Resume on a brand-new worker fleet via Backends + NewFromState:
 	// the Restore RPC pushes each shard's state to its new worker.
-	workers2, addrs2, err := fabric.StartLoopbackWorkers(shards)
+	workers2, addrs2, err := startLoopbackWorkers(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,17 +218,12 @@ func TestLoopbackCheckpointRoundTrip(t *testing.T) {
 			w.Close()
 		}
 	}()
-	coord2, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-		Workers: addrs2, Engine: ecfg, Remote: quietRemote(),
-	})
+	cfg2, _ := fleetConfig(addrs2, ecfg, quietRemote())
+	resumed, err := engine.NewFromState(cfg2, ckptState)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord2.Close()
-	resumed, err := engine.NewFromState(coord2.Engine().Config(), ckptState)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer resumed.Close()
 
 	// Reference: local engine over the whole stream.
 	local := engine.New(ecfg)
@@ -271,7 +253,7 @@ func TestLoopbackBasisIsSnapshotBasis(t *testing.T) {
 	scfg := sketch.Config{Ell0: 6, Beta: 1, Seed: 3}
 	vecs := testVecs(n, d, 41)
 
-	workers, addrs, err := fabric.StartLoopbackWorkers(2)
+	workers, addrs, err := startLoopbackWorkers(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,17 +291,12 @@ func TestLoopbackBasisIsSnapshotBasis(t *testing.T) {
 	ecfg := engine.Config{Shards: 1, Sketch: scfg, Window: 16}
 	local := engine.New(ecfg)
 	defer local.Close()
-	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-		Workers: addrs[1:], Engine: ecfg, Remote: quietRemote(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	remote, _ := newFleetEngine(addrs[1:], ecfg, quietRemote())
+	defer remote.Close()
 	local.IngestVecs(cloneVecs(vecs), nil)
-	coord.Engine().IngestVecs(cloneVecs(vecs), nil)
+	remote.IngestVecs(cloneVecs(vecs), nil)
 	lb, lell := local.Basis(4)
-	rb, rell := coord.Engine().Basis(4)
+	rb, rell := remote.Basis(4)
 	if lell != rell {
 		t.Fatalf("one-shard engine ell: local %d, fabric %d", lell, rell)
 	}

@@ -9,12 +9,12 @@ import (
 	"arams/internal/sketch"
 )
 
-// TestDialFleetReportsTheFleet: the one dial loop — what NewCoordinator
-// and lclsmon -fabric both run — sets the arams_fabric_workers gauge to
-// the fleet size and journals exactly one fabric_up event, with every
+// TestDialFleetReportsTheFleet: the one dial loop — what lclsmon
+// -fabric and the fabric tests' fleetConfig run — sets the
+// arams_fabric_workers gauge to the fleet size and journals exactly one fabric_up event, with every
 // worker bound to its shard slot and live.
 func TestDialFleetReportsTheFleet(t *testing.T) {
-	workers, addrs, err := fabric.StartLoopbackWorkers(2)
+	workers, addrs, err := startLoopbackWorkers(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 
 	"arams/internal/ckpt"
 	"arams/internal/engine"
-	"arams/internal/fabric"
 	"arams/internal/imgproc"
 	"arams/internal/sketch"
 )
@@ -39,7 +38,7 @@ func TestGoldenLoopbackGlobalSketchDigest(t *testing.T) {
 		{"wide", 160, 64, 64, 25, 82, "ea6dc87f591cfb037c885fc16dc6f233268cc986a429603adaf678ca1d3a5856"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			workers, addrs, err := fabric.StartLoopbackWorkers(2)
+			workers, addrs, err := startLoopbackWorkers(2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,19 +47,11 @@ func TestGoldenLoopbackGlobalSketchDigest(t *testing.T) {
 					w.Close()
 				}
 			}()
-			coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-				Workers: addrs,
-				Engine: engine.Config{
-					Sketch: sketch.Config{Ell0: tc.ell, Beta: 1, Seed: 5},
-					Window: 32,
-				},
-				Remote: quietRemote(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer coord.Close()
-			e := coord.Engine()
+			e, remotes := newFleetEngine(addrs, engine.Config{
+				Sketch: sketch.Config{Ell0: tc.ell, Beta: 1, Seed: 5},
+				Window: 32,
+			}, quietRemote())
+			defer e.Close()
 			vecs := testVecs(tc.n, tc.w*tc.h, tc.seed)
 			for lo := 0; lo < len(vecs); lo += chunk {
 				var ims []*imgproc.Image
@@ -71,7 +62,7 @@ func TestGoldenLoopbackGlobalSketchDigest(t *testing.T) {
 				}
 				e.IngestBatch(ims, tags)
 			}
-			for _, r := range coord.Remotes() {
+			for _, r := range remotes {
 				if r.Degraded() {
 					t.Fatalf("%s degraded during a clean run", r.Name())
 				}

@@ -26,7 +26,7 @@ func TestFabricRaceHammer(t *testing.T) {
 		d         = 12
 	)
 
-	workers, addrs, err := fabric.StartLoopbackWorkers(shards)
+	workers, addrs, err := startLoopbackWorkers(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,26 +37,18 @@ func TestFabricRaceHammer(t *testing.T) {
 			}
 		}
 	}()
-	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-		Workers: addrs,
-		Engine: engine.Config{
-			Shards: shards,
-			Sketch: sketch.Config{Ell0: 8, Beta: 1, Seed: 29},
-			Window: 64,
-		},
-		Remote: fabric.RemoteConfig{
-			DialTimeout:       time.Second,
-			OpTimeout:         2 * time.Second,
-			HeartbeatEvery:    time.Millisecond, // hammer the connection lock
-			ReconnectAttempts: 5,
-			ReconnectBackoff:  time.Millisecond,
-		},
+	eng, _ := newFleetEngine(addrs, engine.Config{
+		Shards: shards,
+		Sketch: sketch.Config{Ell0: 8, Beta: 1, Seed: 29},
+		Window: 64,
+	}, fabric.RemoteConfig{
+		DialTimeout:       time.Second,
+		OpTimeout:         2 * time.Second,
+		HeartbeatEvery:    time.Millisecond, // hammer the connection lock
+		ReconnectAttempts: 5,
+		ReconnectBackoff:  time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	eng := coord.Engine()
+	defer eng.Close()
 
 	var wg, readerWg sync.WaitGroup
 	stop := make(chan struct{})

@@ -25,7 +25,7 @@ type readRig struct {
 
 func newReadRig(t *testing.T) *readRig {
 	t.Helper()
-	workers, addrs, err := fabric.StartLoopbackWorkers(1)
+	workers, addrs, err := startLoopbackWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func baselineRows(t *testing.T, st *sketch.ARAMSState) int {
 // the cap and is never read keeps its log under cap + one dispatch, and
 // every trim moves the replay baseline up to the rows absorbed so far.
 func TestReplayLogBoundedWithoutReader(t *testing.T) {
-	workers, addrs, err := fabric.StartLoopbackWorkers(1)
+	workers, addrs, err := startLoopbackWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,24 +96,17 @@ func TestReplayLogKillAfterSelfTrim(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer func() { w1.Close() }()
-		coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-			Workers: []string{w0.Addr(), w1.Addr()},
-			Engine: engine.Config{
-				Sketch: sketch.Config{Ell0: 8, Beta: 1, Seed: 5},
-				Window: 32,
-			},
-			Remote: chaosRemote(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer coord.Close()
+		eng, remotes := newFleetEngine([]string{w0.Addr(), w1.Addr()}, engine.Config{
+			Sketch: sketch.Config{Ell0: 8, Beta: 1, Seed: 5},
+			Window: 32,
+		}, chaosRemote())
+		defer eng.Close()
 
 		seq := audit.Default().Seq()
 		killed := false
 		for lo := 0; lo < n; lo += replayBatch {
-			coord.Engine().IngestVecs(cloneVecs(vecs[lo:lo+replayBatch]), nil)
-			if rows, base := coord.Remotes()[1].ReplayLog(); kill && !killed && rows == 0 && base != nil {
+			eng.IngestVecs(cloneVecs(vecs[lo:lo+replayBatch]), nil)
+			if rows, base := remotes[1].ReplayLog(); kill && !killed && rows == 0 && base != nil {
 				// Shard 1 has just trimmed itself: its worker dies here and
 				// comes back, stateless, on the same port.
 				killed = true
@@ -134,15 +127,15 @@ func TestReplayLogKillAfterSelfTrim(t *testing.T) {
 				t.Error("worker restart recovery not journaled")
 			}
 		}
-		if got := coord.Engine().Reconciles(); got != 0 {
+		if got := eng.Reconciles(); got != 0 {
 			t.Fatalf("%d reconciles before the first read, want 0", got)
 		}
-		for _, r := range coord.Remotes() {
+		for _, r := range remotes {
 			if r.Degraded() {
 				t.Fatalf("%s degraded although its worker was reachable", r.Name())
 			}
 		}
-		g := coord.Engine().GlobalSketch()
+		g := eng.GlobalSketch()
 		if g == nil || g.Seen() != n {
 			t.Fatalf("global sketch missing or short: %v", g)
 		}
@@ -225,7 +218,7 @@ func (f *fetchCutter) relay(c net.Conn) {
 // every row, and the next Absorb that finds the link healthy trims. The
 // sketch ends bit-identical to an in-process shard fed the same rows.
 func TestReplayLogFailedSelfTrim(t *testing.T) {
-	workers, addrs, err := fabric.StartLoopbackWorkers(1)
+	workers, addrs, err := startLoopbackWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package fabric_test
 
 import (
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -26,15 +27,16 @@ import (
 func TestStopDuringHungReconcile(t *testing.T) {
 	const opTimeout = 400 * time.Millisecond
 
+	flightDir := t.TempDir()
 	fr, err := obs.Default().ArmFlightRecorder(obs.FlightConfig{
-		Dir: t.TempDir(), Cooldown: time.Millisecond,
+		Dir: flightDir, Cooldown: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fr.Close()
 
-	workers, addrs, err := fabric.StartLoopbackWorkers(2)
+	workers, addrs, err := startLoopbackWorkers(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,22 +56,14 @@ func TestStopDuringHungReconcile(t *testing.T) {
 		Sketch: sketch.Config{Ell0: 8, Beta: 1, Seed: 13},
 		Window: 32,
 	}
-	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-		Workers: []string{addrs[0], p.Addr()},
-		Engine:  ecfg,
-		Remote: fabric.RemoteConfig{
-			DialTimeout:       200 * time.Millisecond,
-			OpTimeout:         opTimeout,
-			HeartbeatEvery:    -1, // deterministic goroutine accounting
-			ReconnectAttempts: 1,
-			ReconnectBackoff:  time.Millisecond,
-		},
+	eng, _ := newFleetEngine([]string{addrs[0], p.Addr()}, ecfg, fabric.RemoteConfig{
+		DialTimeout:       200 * time.Millisecond,
+		OpTimeout:         opTimeout,
+		HeartbeatEvery:    -1, // deterministic goroutine accounting
+		ReconnectAttempts: 1,
+		ReconnectBackoff:  time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	eng := coord.Engine()
+	defer eng.Close()
 
 	vecs := testVecs(64, 16, 53)
 	eng.IngestVecs(cloneVecs(vecs), nil)
@@ -122,11 +116,15 @@ func TestStopDuringHungReconcile(t *testing.T) {
 	}
 	// FlightTrigger("fabric_degrade") must have produced a dump of the
 	// stalled leg's telemetry.
+	dumps := func() int {
+		files, _ := os.ReadDir(flightDir)
+		return len(files)
+	}
 	deadline := time.Now().Add(2 * time.Second)
-	for fr.Dumps() == 0 && time.Now().Before(deadline) {
+	for dumps() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if fr.Dumps() == 0 {
+	if dumps() == 0 {
 		t.Error("flight recorder captured no dump for the degraded shard")
 	}
 

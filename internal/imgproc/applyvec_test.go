@@ -6,20 +6,16 @@ import (
 )
 
 // applyVecConfigs covers every step of the chain, including the
-// reshaping steps (Center, Bin) that force applySteps to replace the
-// caller's buffer mid-chain.
-func applyVecConfigs(w, h int) []Preprocessor {
-	mask := NewMask(w, h)
-	mask.Bad[1*w+1] = true
+// reshaping step (Bin) that forces applySteps to replace the caller's
+// buffer mid-chain.
+func applyVecConfigs() []Preprocessor {
 	return []Preprocessor{
 		{},
-		{Pedestal: 0.5},
 		{ThresholdFrac: 0.2},
 		{Normalize: true},
-		{Center: true},
 		{BinFactor: 2},
-		{Mask: mask, Pedestal: 0.25, ThresholdFrac: 0.1, Normalize: true},
-		{Mask: mask, Pedestal: 0.25, Center: true, BinFactor: 2, Normalize: true},
+		{ThresholdFrac: 0.1, Normalize: true},
+		{ThresholdFrac: 0.1, BinFactor: 2, Normalize: true},
 	}
 }
 
@@ -38,7 +34,7 @@ func TestApplyVecMatchesApply(t *testing.T) {
 	}
 	orig := im.Clone()
 
-	for ci, p := range applyVecConfigs(w, h) {
+	for ci, p := range applyVecConfigs() {
 		want := p.Apply(im)
 		for _, buf := range [][]float64{nil, make([]float64, 4), make([]float64, w*h)} {
 			got := p.ApplyVec(im, buf)

@@ -1,8 +1,8 @@
 // Package imgproc provides the detector-image preprocessing used by the
 // monitoring pipeline (§VI of the paper): intensity thresholding,
-// intensity normalization, center-of-mass centering, cropping and
-// binning — the steps that make "the primary shape of the beam profile
-// and its distribution of intensity the focus of the analysis".
+// intensity normalization, cropping and binning — the steps that make
+// "the primary shape of the beam profile and its distribution of
+// intensity the focus of the analysis".
 package imgproc
 
 import (
@@ -90,19 +90,6 @@ func (im *Image) Normalize() *Image {
 	return im
 }
 
-// NormalizeMax scales the image in place so the peak pixel is 1.
-func (im *Image) NormalizeMax() *Image {
-	mx := im.Max()
-	if mx == 0 {
-		return im
-	}
-	inv := 1 / mx
-	for i := range im.Pix {
-		im.Pix[i] *= inv
-	}
-	return im
-}
-
 // CenterOfMass returns the intensity-weighted centroid (x, y). For an
 // all-zero image it returns the geometric center.
 func (im *Image) CenterOfMass() (cx, cy float64) {
@@ -119,35 +106,6 @@ func (im *Image) CenterOfMass() (cx, cy float64) {
 		return float64(im.W-1) / 2, float64(im.H-1) / 2
 	}
 	return sx / s, sy / s
-}
-
-// Center translates the image (integer shift, zero fill) so its center
-// of mass lands on the geometric center. Returns a new image.
-func (im *Image) Center() *Image {
-	cx, cy := im.CenterOfMass()
-	dx := int(math.Round(float64(im.W-1)/2 - cx))
-	dy := int(math.Round(float64(im.H-1)/2 - cy))
-	return im.Shift(dx, dy)
-}
-
-// Shift translates the image by (dx, dy) pixels with zero fill,
-// returning a new image.
-func (im *Image) Shift(dx, dy int) *Image {
-	out := NewImage(im.W, im.H)
-	for y := 0; y < im.H; y++ {
-		sy := y - dy
-		if sy < 0 || sy >= im.H {
-			continue
-		}
-		for x := 0; x < im.W; x++ {
-			sx := x - dx
-			if sx < 0 || sx >= im.W {
-				continue
-			}
-			out.Pix[y*im.W+x] = im.Pix[sy*im.W+sx]
-		}
-	}
-	return out
 }
 
 // Crop extracts the rectangle [x0, x0+w) × [y0, y0+h) as a new image.
@@ -236,48 +194,10 @@ func ComputeStats(im *Image) Stats {
 	return st
 }
 
-// Mask marks bad detector pixels (hot/dead) to exclude from analysis.
-type Mask struct {
-	W, H int
-	Bad  []bool // flat index y*W+x, true = excluded
-}
-
-// NewMask returns an all-good mask.
-func NewMask(w, h int) *Mask {
-	return &Mask{W: w, H: h, Bad: make([]bool, w*h)}
-}
-
-// NumBad returns the number of masked pixels.
-func (m *Mask) NumBad() int {
-	n := 0
-	for _, b := range m.Bad {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
-// Apply zeroes the masked pixels of im in place and returns im.
-func (m *Mask) Apply(im *Image) *Image {
-	if im.W != m.W || im.H != m.H {
-		panic(fmt.Sprintf("imgproc: mask %d×%d vs frame %d×%d", m.W, m.H, im.W, im.H))
-	}
-	for i, bad := range m.Bad {
-		if bad {
-			im.Pix[i] = 0
-		}
-	}
-	return im
-}
-
 // Preprocessor is a configurable preprocessing chain applied to each
 // frame before sketching, mirroring the paper's pipeline.
 type Preprocessor struct {
-	Mask          *Mask   // bad-pixel mask applied first; nil disables
-	Pedestal      float64 // constant subtracted before thresholding
 	ThresholdFrac float64 // relative threshold; 0 disables
-	Center        bool    // center-of-mass centering
 	Normalize     bool    // unit total intensity
 	BinFactor     int     // pixel binning; <= 1 disables
 }
@@ -288,25 +208,10 @@ func (p Preprocessor) Apply(im *Image) *Image {
 }
 
 // applySteps runs the chain on out, which it owns: in-place steps
-// mutate it, reshaping steps (Center, Bin) replace it.
+// mutate it, the reshaping step (Bin) replaces it.
 func (p Preprocessor) applySteps(out *Image) *Image {
-	if p.Mask != nil {
-		p.Mask.Apply(out)
-	}
-	if p.Pedestal != 0 {
-		for i, v := range out.Pix {
-			v -= p.Pedestal
-			if v < 0 {
-				v = 0
-			}
-			out.Pix[i] = v
-		}
-	}
 	if p.ThresholdFrac > 0 {
 		out.ThresholdRelative(p.ThresholdFrac)
-	}
-	if p.Center {
-		out = out.Center()
 	}
 	if p.BinFactor > 1 {
 		out = out.Bin(p.BinFactor)
@@ -323,11 +228,11 @@ func (p Preprocessor) applySteps(out *Image) *Image {
 // copy of the frame is made in buf when its capacity allows (the engine
 // feeds it from mat.GetVec, recycling the working vectors of the batches
 // it has absorbed), so a chain with only in-place steps returns buf
-// itself and the hot path allocates nothing. ApplyVec takes ownership of buf: when a reshaping
-// step (Center, Bin) replaces the working image, the superseded buffer
-// is recycled to the vector pool internally and the returned vector is
-// the reshaped frame's storage. The result is always the caller's to
-// keep, never aliased by the pool.
+// itself and the hot path allocates nothing. ApplyVec takes ownership
+// of buf: when the reshaping step (Bin) replaces the working image, the
+// superseded buffer is recycled to the vector pool internally and the
+// returned vector is the reshaped frame's storage. The result is always
+// the caller's to keep, never aliased by the pool.
 func (p Preprocessor) ApplyVec(im *Image, buf []float64) []float64 {
 	n := im.W * im.H
 	if cap(buf) < n {
@@ -367,21 +272,4 @@ func QuadrantSums(im *Image) [4]float64 {
 		}
 	}
 	return q
-}
-
-// ToMatrix flattens a batch of equal-size images into an n×(W·H) data
-// matrix, copying pixels.
-func ToMatrix(imgs []*Image) *mat.Matrix {
-	if len(imgs) == 0 {
-		return mat.New(0, 0)
-	}
-	d := imgs[0].W * imgs[0].H
-	out := mat.New(len(imgs), d)
-	for i, im := range imgs {
-		if im.W*im.H != d {
-			panic("imgproc: ToMatrix images differ in size")
-		}
-		copy(out.Row(i), im.Pix)
-	}
-	return out
 }

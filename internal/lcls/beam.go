@@ -104,9 +104,6 @@ func NewBeamGenerator(cfg BeamConfig) *BeamGenerator {
 	return &BeamGenerator{cfg: c, g: rng.New(c.Seed)}
 }
 
-// Size returns the side length of generated images.
-func (bg *BeamGenerator) Size() int { return bg.cfg.Size }
-
 // Next generates one shot.
 func (bg *BeamGenerator) Next() BeamFrame {
 	c := bg.cfg

@@ -81,9 +81,6 @@ func NewDiffractionGenerator(cfg DiffractionConfig) *DiffractionGenerator {
 	return &DiffractionGenerator{cfg: c, g: rng.New(c.Seed)}
 }
 
-// Size returns the side length of generated images.
-func (dg *DiffractionGenerator) Size() int { return dg.cfg.Size }
-
 // NumClasses returns the number of quadrant-weight classes.
 func (dg *DiffractionGenerator) NumClasses() int { return len(dg.cfg.Classes) }
 

@@ -22,9 +22,6 @@ func TestBeamGeneratorDeterministic(t *testing.T) {
 
 func TestBeamFrameBasics(t *testing.T) {
 	bg := NewBeamGenerator(BeamConfig{Size: 48, Seed: 2})
-	if bg.Size() != 48 {
-		t.Fatalf("Size = %d", bg.Size())
-	}
 	for i := 0; i < 20; i++ {
 		f := bg.Next()
 		if f.Image.W != 48 || f.Image.H != 48 {

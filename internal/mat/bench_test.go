@@ -239,7 +239,7 @@ func BenchmarkSVDGramParts(b *testing.B) {
 		b.Run(fmt.Sprintf("eigsym_%dx%d", m, d), func(b *testing.B) {
 			forEachKernelSet(b, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					w.CopyFrom(gram)
+					copy(w.Data, gram.Data)
 					eigSymInto(w, ut, vals, work)
 				}
 			})
@@ -284,7 +284,7 @@ func BenchmarkEigSymOrders(b *testing.B) {
 		vals, work := make([]float64, n), make([]float64, n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				w.CopyFrom(gram)
+				copy(w.Data, gram.Data)
 				eigSymInto(w, vt, vals, work)
 			}
 		})

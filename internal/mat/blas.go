@@ -217,14 +217,6 @@ func mulABtRange(dst *Matrix, a leftRows, b *Matrix, lo, hi int) {
 	mulABtRangeTiled(dst, &a, b, lo, hi)
 }
 
-// Gram returns a*aᵀ (the small Gram matrix of a short-and-wide buffer),
-// exploiting symmetry so only the upper triangle is computed.
-func Gram(a *Matrix) *Matrix {
-	out := New(a.RowsN, a.RowsN)
-	GramTo(out, a)
-	return out
-}
-
 // GramTo computes dst = a*aᵀ into caller-owned storage (dst must be
 // a.Rows × a.Rows and must not alias a). Only the upper triangle is
 // computed by the tiled kernel; the lower triangle is mirrored.

@@ -85,7 +85,7 @@ func TestEigSymRandom(t *testing.T) {
 			t.Fatalf("n=%d: V not orthonormal", n)
 		}
 		// Reconstruction A = V Λ Vᵀ.
-		rec := Mul(Mul(v, Diag(vals)), v.T())
+		rec := Mul(Mul(v, diag(vals)), v.T())
 		if !rec.Equal(a, 1e-8*math.Max(1, a.MaxAbs())) {
 			t.Fatalf("n=%d: eigen reconstruction failed", n)
 		}
@@ -224,17 +224,11 @@ func TestSVDGramRankDeficient(t *testing.T) {
 	}
 }
 
-func TestTruncateSVD(t *testing.T) {
-	g := rng.New(16)
-	a := RandGaussian(10, 30, g)
-	u, s, vt := SVD(a)
-	uk, sk, vk := TruncateSVD(u, s, vt, 4)
-	if uk.ColsN != 4 || len(sk) != 4 || vk.RowsN != 4 {
-		t.Fatal("TruncateSVD shapes wrong")
+// diag builds a square diagonal matrix from v.
+func diag(v []float64) *Matrix {
+	m := New(len(v), len(v))
+	for i, x := range v {
+		m.Set(i, i, x)
 	}
-	// Clamp beyond rank.
-	uk2, sk2, _ := TruncateSVD(u, s, vt, 99)
-	if uk2.ColsN != 10 || len(sk2) != 10 {
-		t.Fatal("TruncateSVD did not clamp k")
-	}
+	return m
 }

@@ -178,7 +178,7 @@ func TestEigSymBoundedAndTotal(t *testing.T) {
 		{"n2", FromRows([][]float64{{2, 1}, {1, 2}}), []float64{3, 1}, false},
 		{"identity", Eye(7), []float64{1, 1, 1, 1, 1, 1, 1}, true},
 		{"constant", ones, []float64{6, 0, 0, 0, 0, 0}, false},
-		{"diagonal", Diag([]float64{5, -1, 3, 0}), []float64{5, 3, 0, -1}, true},
+		{"diagonal", diag([]float64{5, -1, 3, 0}), []float64{5, 3, 0, -1}, true},
 		{"tridiagonal", secondDiff, secondDiffVals, false},
 		{"cond_1e12", grams["cond_1e12"], nil, false},
 		{"rank_deficient", grams["rank_deficient"], nil, false},

@@ -123,16 +123,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// CopyFrom copies src into m. Shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
-	if m.RowsN != src.RowsN || m.ColsN != src.ColsN {
-		panic("mat: CopyFrom shape mismatch")
-	}
-	for i := 0; i < m.RowsN; i++ {
-		copy(m.Row(i), src.Row(i))
-	}
-}
-
 // Zero sets every element of m to zero.
 func (m *Matrix) Zero() {
 	for i := 0; i < m.RowsN; i++ {
@@ -300,15 +290,6 @@ func RandOrthonormalCols(r, c int, g *rng.RNG) *Matrix {
 		}
 	}
 	return q
-}
-
-// Diag builds a square diagonal matrix from v.
-func Diag(v []float64) *Matrix {
-	m := New(len(v), len(v))
-	for i, x := range v {
-		m.Set(i, i, x)
-	}
-	return m
 }
 
 // Eye returns the n×n identity matrix.

@@ -288,12 +288,8 @@ func TestNorm2MatchesSqrtNorm2Sq(t *testing.T) {
 }
 
 func TestEyeDiag(t *testing.T) {
-	if m := Eye(3); m.At(0, 0) != 1 || m.At(0, 1) != 0 {
-		t.Fatal("Eye wrong")
-	}
-	d := Diag([]float64{2, 3})
-	if d.At(0, 0) != 2 || d.At(1, 1) != 3 || d.At(0, 1) != 0 {
-		t.Fatal("Diag wrong")
+	if !Eye(3).Equal(diag([]float64{1, 1, 1}), 0) {
+		t.Fatal("Eye(3) is not the unit diagonal")
 	}
 }
 
@@ -328,4 +324,12 @@ func TestMulShapePanics(t *testing.T) {
 		}
 	}()
 	Mul(New(2, 3), New(4, 2))
+}
+
+// Gram returns a*aᵀ in a new matrix: GramTo for tests that want the
+// product by value.
+func Gram(a *Matrix) *Matrix {
+	out := New(a.RowsN, a.RowsN)
+	GramTo(out, a)
+	return out
 }

@@ -81,7 +81,9 @@ func view(src *Matrix, pad, off int) *Matrix {
 	if src.RowsN > 0 {
 		v.Data = make([]float64, off+(src.RowsN-1)*stride+src.ColsN)[off:]
 	}
-	v.CopyFrom(src)
+	for i := 0; i < src.RowsN; i++ {
+		copy(v.Row(i), src.Row(i))
+	}
 	return v
 }
 

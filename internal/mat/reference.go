@@ -7,7 +7,7 @@ import (
 )
 
 // Reference kernels: the straightforward implementations that MulTo,
-// MulABt, and Gram shipped with before the tiled execution layer.
+// MulABt, and GramTo shipped with before the tiled execution layer.
 // They are kept for two jobs — property tests assert the tiled kernels
 // match them to 1e-12, and the ref_* cases of this package's
 // benchmarks time the tiled kernels against them — so they must stay

@@ -331,21 +331,3 @@ func gramFactors(a *Matrix, s []float64, r int) *svdScratch {
 	}
 	return sc
 }
-
-// TruncateSVD returns the first k columns of u, entries of s, and rows
-// of vt. k is clamped to the available rank.
-func TruncateSVD(u *Matrix, s []float64, vt *Matrix, k int) (*Matrix, []float64, *Matrix) {
-	if k > len(s) {
-		k = len(s)
-	}
-	uk := New(u.RowsN, k)
-	for i := 0; i < u.RowsN; i++ {
-		copy(uk.Row(i), u.Row(i)[:k])
-	}
-	sk := append([]float64(nil), s[:k]...)
-	vk := New(k, vt.ColsN)
-	for i := 0; i < k; i++ {
-		copy(vk.Row(i), vt.Row(i))
-	}
-	return uk, sk, vk
-}

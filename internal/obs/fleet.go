@@ -160,17 +160,6 @@ func (v *FleetView) members() []fleetMember {
 	return out
 }
 
-// Workers returns the member names currently known to the view,
-// sorted.
-func (v *FleetView) Workers() []string {
-	ms := v.members()
-	names := make([]string, len(ms))
-	for i, m := range ms {
-		names[i] = m.name
-	}
-	return names
-}
-
 // renderLabels renders a canonical {k="v",...} block (keys sorted,
 // values escaped); empty input renders "".
 func renderLabels(labels map[string]string) string {

@@ -75,7 +75,6 @@ type FlightRecorder struct {
 	samples  []flightEntry
 	lastVals map[string]float64 // counter totals at the previous sample
 	lastDump time.Time
-	dumps    int
 	stop     chan struct{}
 	stopOnce sync.Once
 
@@ -117,13 +116,6 @@ func (fr *FlightRecorder) Close() {
 		close(fr.stop)
 		fr.reg.flight.CompareAndSwap(fr, nil)
 	})
-}
-
-// Dumps returns how many dump files this recorder has written.
-func (fr *FlightRecorder) Dumps() int {
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	return fr.dumps
 }
 
 func (fr *FlightRecorder) sampleLoop() {
@@ -242,9 +234,6 @@ func (fr *FlightRecorder) TriggerID(reason, triggerID string) string {
 	if err := writeJSONL(path, entries); err != nil {
 		return ""
 	}
-	fr.mu.Lock()
-	fr.dumps++
-	fr.mu.Unlock()
 	fr.obsDumps.Inc()
 	fr.reg.fireFlightHooks(reason, triggerID, path)
 	return path
@@ -318,9 +307,6 @@ func (r *Registry) FlightTriggerID(reason, triggerID string) string {
 	}
 	return fr.TriggerID(reason, triggerID)
 }
-
-// FlightTrigger fires the default registry's flight recorder.
-func FlightTrigger(reason string) string { return Default().FlightTrigger(reason) }
 
 // OnFlightDump registers a callback fired after every flight dump this
 // registry's recorder writes (re-arming the recorder keeps hooks).

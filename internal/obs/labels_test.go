@@ -82,7 +82,7 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 
 	empty := r.HistogramBuckets("empty", []float64{1, 2})
 	for _, q := range []float64{0, 0.5, 1, math.NaN()} {
-		if got := empty.Quantile(q); !math.IsNaN(got) {
+		if got := empty.Snapshot().Quantile(q); !math.IsNaN(got) {
 			t.Fatalf("empty histogram Quantile(%v) = %v, want NaN", q, got)
 		}
 	}
@@ -91,16 +91,16 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	for _, v := range []float64{5, 6, 7} {
 		single.Observe(v)
 	}
-	if got := single.Quantile(0); got != 5 {
+	if got := single.Snapshot().Quantile(0); got != 5 {
 		t.Fatalf("q=0 = %v, want observed min 5", got)
 	}
-	if got := single.Quantile(1); got != 7 {
+	if got := single.Snapshot().Quantile(1); got != 7 {
 		t.Fatalf("q=1 = %v, want observed max 7", got)
 	}
-	if got := single.Quantile(0.5); got < 5 || got > 7 {
+	if got := single.Snapshot().Quantile(0.5); got < 5 || got > 7 {
 		t.Fatalf("single-bucket median %v outside observed [5,7]", got)
 	}
-	if got := single.Quantile(math.NaN()); !math.IsNaN(got) {
+	if got := single.Snapshot().Quantile(math.NaN()); !math.IsNaN(got) {
 		t.Fatalf("Quantile(NaN) = %v, want NaN", got)
 	}
 
@@ -110,8 +110,8 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 		t.Fatalf("NaN observation counted: %d", nan.Count())
 	}
 	nan.Observe(0.5)
-	if nan.Count() != 1 || nan.Quantile(0.5) != 0.5 {
-		t.Fatalf("histogram broken after NaN observation: count=%d median=%v", nan.Count(), nan.Quantile(0.5))
+	if nan.Count() != 1 || nan.Snapshot().Quantile(0.5) != 0.5 {
+		t.Fatalf("histogram broken after NaN observation: count=%d median=%v", nan.Count(), nan.Snapshot().Quantile(0.5))
 	}
 
 	// +Inf observations land in the overflow bucket; a rank that falls
@@ -120,20 +120,20 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	inf := r.HistogramBuckets("inf", []float64{1, 2})
 	inf.Observe(0.5)
 	inf.Observe(math.Inf(1))
-	if got := inf.Quantile(0.9); got != 2 {
+	if got := inf.Snapshot().Quantile(0.9); got != 2 {
 		t.Fatalf("rank-in-overflow quantile = %v, want last finite edge 2", got)
 	}
-	if got := inf.Quantile(1); !math.IsInf(got, 1) {
+	if got := inf.Snapshot().Quantile(1); !math.IsInf(got, 1) {
 		t.Fatalf("q=1 with +Inf max = %v, want +Inf", got)
 	}
 
 	ninf := r.HistogramBuckets("ninf", []float64{1, 2})
 	ninf.Observe(math.Inf(-1))
 	ninf.Observe(0.5)
-	if got := ninf.Quantile(0.3); math.IsNaN(got) || math.IsInf(got, 0) {
+	if got := ninf.Snapshot().Quantile(0.3); math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Fatalf("rank in a −Inf-floored bucket = %v, want finite", got)
 	}
-	if got := ninf.Quantile(0); !math.IsInf(got, -1) {
+	if got := ninf.Snapshot().Quantile(0); !math.IsInf(got, -1) {
 		t.Fatalf("q=0 with −Inf min = %v, want −Inf", got)
 	}
 }

@@ -160,13 +160,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.Snapshot().Count }
 
-// Mean returns the arithmetic mean of observations (NaN when empty).
-func (h *Histogram) Mean() float64 { return h.Snapshot().Mean() }
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed
-// distribution; see HistogramSnapshot.Quantile.
-func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
-
 // Mean of the snapshot (NaN when empty).
 func (s HistogramSnapshot) Mean() float64 {
 	if s.Count == 0 {

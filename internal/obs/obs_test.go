@@ -77,7 +77,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Count() != 100 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if mean := h.Mean(); math.Abs(mean-50.5) > 1e-9 {
+	if mean := h.Snapshot().Mean(); math.Abs(mean-50.5) > 1e-9 {
 		t.Fatalf("mean = %v, want 50.5", mean)
 	}
 	for _, tc := range []struct{ q, want, tol float64 }{
@@ -87,7 +87,7 @@ func TestHistogramQuantiles(t *testing.T) {
 		{0, 1, 0},
 		{1, 100, 0},
 	} {
-		if got := h.Quantile(tc.q); math.Abs(got-tc.want) > tc.tol {
+		if got := h.Snapshot().Quantile(tc.q); math.Abs(got-tc.want) > tc.tol {
 			t.Fatalf("q%v = %v, want %v ± %v", tc.q, got, tc.want, tc.tol)
 		}
 	}
@@ -100,7 +100,7 @@ func TestHistogramConstantStreamExactQuantiles(t *testing.T) {
 		h.Observe(0.042)
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if got := h.Quantile(q); got != 0.042 {
+		if got := h.Snapshot().Quantile(q); got != 0.042 {
 			t.Fatalf("q%v = %v, want exactly 0.042 (min/max clamp)", q, got)
 		}
 	}
@@ -109,11 +109,11 @@ func TestHistogramConstantStreamExactQuantiles(t *testing.T) {
 func TestHistogramEmptyAndOverflow(t *testing.T) {
 	r := NewRegistry()
 	h := r.HistogramBuckets("o", []float64{1, 2})
-	if !math.IsNaN(h.Quantile(0.5)) {
+	if !math.IsNaN(h.Snapshot().Quantile(0.5)) {
 		t.Fatal("empty histogram quantile should be NaN")
 	}
 	h.Observe(99) // overflow bucket
-	if got := h.Quantile(0.5); got != 99 {
+	if got := h.Snapshot().Quantile(0.5); got != 99 {
 		t.Fatalf("overflow quantile = %v, want 99", got)
 	}
 }

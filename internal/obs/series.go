@@ -75,13 +75,6 @@ func (s *Series) Snapshot() []Sample {
 	return out
 }
 
-// Len returns the number of retained samples.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
 // eachSeries snapshots the series set sorted by name and calls fn for
 // each outside the registry lock.
 func (r *Registry) eachSeries(fn func(*Series)) {

@@ -233,13 +233,3 @@ func (ts *traceStore) reset() {
 // Traces returns the retained completed traces, newest first: the K
 // slowest, a uniform sample, and the most recent, deduplicated.
 func (r *Registry) Traces() []TraceRecord { return r.traces.snapshot() }
-
-// TraceByID returns the retained trace with the given ID, if any.
-func (r *Registry) TraceByID(id ID) (TraceRecord, bool) {
-	for _, tr := range r.traces.snapshot() {
-		if tr.Trace == id {
-			return tr, true
-		}
-	}
-	return TraceRecord{}, false
-}

@@ -6,6 +6,16 @@ import (
 	"time"
 )
 
+// traceByID returns the retained trace with the given ID, if any.
+func traceByID(r *Registry, id ID) (TraceRecord, bool) {
+	for _, tr := range r.Traces() {
+		if tr.Trace == id {
+			return tr, true
+		}
+	}
+	return TraceRecord{}, false
+}
+
 func TestTracePropagationParentChain(t *testing.T) {
 	r := NewRegistry()
 	root := r.StartTrace("root")
@@ -15,7 +25,7 @@ func TestTracePropagationParentChain(t *testing.T) {
 	child.End()
 	root.End()
 
-	tr, ok := r.TraceByID(root.Context().Trace)
+	tr, ok := traceByID(r, root.Context().Trace)
 	if !ok {
 		t.Fatal("completed trace not retained")
 	}
@@ -57,7 +67,7 @@ func TestStartSpanInPropagatesAcrossContext(t *testing.T) {
 	<-done
 	root.End()
 
-	tr, ok := r.TraceByID(ctx.Trace)
+	tr, ok := traceByID(r, ctx.Trace)
 	if !ok {
 		t.Fatal("trace not retained")
 	}
@@ -79,7 +89,7 @@ func TestStartSpanInZeroContextStartsFreshTrace(t *testing.T) {
 	r := NewRegistry()
 	sp := r.StartSpanIn(SpanContext{}, "solo")
 	sp.End()
-	tr, ok := r.TraceByID(sp.Context().Trace)
+	tr, ok := traceByID(r, sp.Context().Trace)
 	if !ok {
 		t.Fatal("standalone StartSpanIn did not open a trace")
 	}

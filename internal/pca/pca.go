@@ -3,11 +3,7 @@
 // between sketching and UMAP in the paper's pipeline (Fig. 4).
 package pca
 
-import (
-	"fmt"
-
-	"arams/internal/mat"
-)
+import "arams/internal/mat"
 
 // Projector maps d-dimensional rows into a k-dimensional latent space
 // defined by a basis of orthonormal rows (k×d), typically
@@ -27,20 +23,6 @@ func NewProjector(basis *mat.Matrix) *Projector {
 // K returns the latent dimensionality.
 func (p *Projector) K() int { return p.basis.RowsN }
 
-// Dim returns the input dimensionality.
-func (p *Projector) Dim() int { return p.basis.ColsN }
-
-// Basis returns the underlying basis (not a copy).
-func (p *Projector) Basis() *mat.Matrix { return p.basis }
-
-// ProjectRow maps one d-vector to its k-dimensional latent coordinates.
-func (p *Projector) ProjectRow(row []float64) []float64 {
-	if len(row) != p.basis.ColsN {
-		panic(fmt.Sprintf("pca: row length %d != %d", len(row), p.basis.ColsN))
-	}
-	return mat.MulVec(p.basis, row)
-}
-
 // Project maps every row of x into latent space, returning an n×k
 // matrix.
 func (p *Projector) Project(x *mat.Matrix) *mat.Matrix {
@@ -55,25 +37,6 @@ func (p *Projector) Project(x *mat.Matrix) *mat.Matrix {
 // for bit, as Project of the float64 matrix they widen to.
 func (p *Projector) ProjectRows(rows [][]float32) *mat.Matrix {
 	return mat.MulRowsABt(rows, p.basis)
-}
-
-// ProjectInto is Project writing into caller-owned dst (n×k), so a
-// live monitor can project every refresh into the same buffer without
-// allocating. dst must not alias x.
-func (p *Projector) ProjectInto(dst, x *mat.Matrix) {
-	if x.ColsN != p.basis.ColsN {
-		panic("pca: Project dimension mismatch")
-	}
-	mat.MulABtTo(dst, x, p.basis)
-}
-
-// Reconstruct maps latent coordinates back to the original space:
-// x̂ = z·V for latent rows z (n×k).
-func (p *Projector) Reconstruct(z *mat.Matrix) *mat.Matrix {
-	if z.ColsN != p.basis.RowsN {
-		panic("pca: Reconstruct dimension mismatch")
-	}
-	return mat.Mul(z, p.basis)
 }
 
 // ExplainedVariance returns, for each latent component, the fraction of

@@ -1,7 +1,6 @@
 package pca
 
 import (
-	"math"
 	"testing"
 
 	"arams/internal/mat"
@@ -19,24 +18,28 @@ func TestProjectShapes(t *testing.T) {
 	if r, c := z.Dims(); r != 20 || c != 3 {
 		t.Fatalf("Project shape %d×%d", r, c)
 	}
-	if p.K() != 3 || p.Dim() != 10 {
-		t.Fatalf("K=%d Dim=%d", p.K(), p.Dim())
+	if p.K() != 3 {
+		t.Fatalf("K=%d", p.K())
 	}
 }
 
+// TestProjectRowMatchesProject: ProjectRows over float32 rows that
+// share no backing array gives Project's bits for the float64 matrix
+// the rows widen to.
 func TestProjectRowMatchesProject(t *testing.T) {
 	g := rng.New(2)
 	x := mat.RandGaussian(5, 8, g)
-	basis := mat.RandOrthonormalCols(8, 2, g).T()
-	p := NewProjector(basis)
-	z := p.Project(x)
-	for i := 0; i < 5; i++ {
-		zi := p.ProjectRow(x.Row(i))
-		for j := range zi {
-			if math.Abs(zi[j]-z.At(i, j)) > 1e-12 {
-				t.Fatalf("row %d mismatch", i)
-			}
+	rows := make([][]float32, x.RowsN)
+	for i := range rows {
+		rows[i] = make([]float32, x.ColsN)
+		for j, v := range x.Row(i) {
+			rows[i][j] = float32(v)
+			x.Set(i, j, float64(rows[i][j]))
 		}
+	}
+	p := NewProjector(mat.RandOrthonormalCols(8, 2, g).T())
+	if !p.ProjectRows(rows).Equal(p.Project(x), 0) {
+		t.Fatal("ProjectRows differs from Project of the widened rows")
 	}
 }
 
@@ -46,7 +49,7 @@ func TestProjectReconstructRoundtrip(t *testing.T) {
 	basis := ds.V.T() // 4×20
 	p := NewProjector(basis)
 	z := p.Project(ds.A)
-	xh := p.Reconstruct(z)
+	xh := mat.Mul(z, basis)
 	if !xh.Equal(ds.A, 1e-9) {
 		t.Fatal("in-subspace data did not roundtrip")
 	}
@@ -107,21 +110,4 @@ func TestProjectDimMismatchPanics(t *testing.T) {
 		}
 	}()
 	p.Project(mat.New(3, 9))
-}
-
-func TestProjectIntoMatchesProject(t *testing.T) {
-	g := rng.New(31)
-	x := mat.RandGaussian(40, 25, g)
-	basis := mat.RandOrthonormalCols(25, 6, g).T()
-	p := NewProjector(basis)
-	want := p.Project(x)
-	dst := mat.New(40, 6)
-	// Pre-fill with garbage: ProjectInto must fully overwrite dst.
-	for i := range dst.Data {
-		dst.Data[i] = math.NaN()
-	}
-	p.ProjectInto(dst, x)
-	if !dst.Equal(want, 1e-12) {
-		t.Fatal("ProjectInto disagrees with Project")
-	}
 }

@@ -54,7 +54,9 @@ func TestGoldenWindowLatentMatchesJacobiBackedStream(t *testing.T) {
 	buf, next := mat.New(2*ell, x.ColsN), 0
 	decompose := func() (sigma2 []float64, vt *mat.Matrix) {
 		rows := buf.Rows(0, next)
-		sigma2, u := mat.RefEigSym(mat.Gram(rows))
+		gram := mat.New(next, next)
+		mat.GramTo(gram, rows)
+		sigma2, u := mat.RefEigSym(gram)
 		vt = mat.Mul(u.T(), rows)
 		for i, s2 := range sigma2 {
 			if s2 > 0 {

@@ -156,7 +156,7 @@ func (m *Monitor) QuickSnapshot() *Snapshot {
 // wrapper: benchmark/replay.go explains this call as WindowState plus
 // the stages and fails a traced run whose Snapshot is more than 5 %
 // cheaper than that sum, so the copy stays here until the replay goes
-// (ROADMAP item 1; EXPERIMENTS.md, issue 27, has the in-place numbers).
+// (EXPERIMENTS.md, issue 27, has the in-place numbers).
 // The copy is the window widened to float64, so the latent is the one
 // QuickSnapshot projects from the ring, bit for bit, and the residuals
 // are taken against it. The copy goes back to mat's vector pool once

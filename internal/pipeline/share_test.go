@@ -247,6 +247,16 @@ func TestMonitorSnapshotShareHammer(t *testing.T) {
 // for State: a QuickSnapshot of a 512 × 4096 window allocates its latent,
 // embedding and neighbour graphs — under a quarter of the 8.4 MB the
 // window holds, where copying it first cost more than all of it.
+//
+// The projection widens the float32 window rows into packed-row scratch
+// from the vector pool, one block per chunk of the mat worker pool: at
+// most 64 rows × 1 024 columns of float64 per chunk, so at most half the
+// window's bytes over all chunks. Those classes sit below the pool's big
+// bound, in a sync.Pool, which under -race drops a quarter of its puts,
+// so a chunk may find no scratch and allocate it: 1.44–3.56 MB measured
+// over 140 -race runs at GOMAXPROCS 2 and 4 (0.92–1.46 MB without -race).
+// The -race bar adds that half to the quarter, and a copy of the window
+// still fails it.
 func TestQuickSnapshotLeavesWindowUncopied(t *testing.T) {
 	const window, side, batch = 512, 64, 32
 	frames := chaosFrames(batch, side, side, 95)
@@ -268,8 +278,12 @@ func TestQuickSnapshotLeavesWindowUncopied(t *testing.T) {
 		t.Fatal("no quick snapshot of the full window")
 	}
 	const windowBytes = window * side * side * 4
-	if got := after.TotalAlloc - before.TotalAlloc; got >= windowBytes/4 {
-		t.Errorf("QuickSnapshot allocates %d B beside a %d-byte window; want under a quarter of it", got, windowBytes)
+	limit, share := uint64(windowBytes/4), "a quarter"
+	if raceEnabled {
+		limit, share = windowBytes*3/4, "three quarters (-race)"
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("QuickSnapshot allocates %d B beside a %d-byte window; want under %s of it", got, windowBytes, share)
 	}
 }
 

@@ -88,9 +88,9 @@ func TestBasisIsAFunctionOfState(t *testing.T) {
 		{"rank-adaptive", func() *FrequentDirections {
 			r := NewRankAdaptiveFD(3, d, 2, 0.01, 0, rng.New(5))
 			r.AppendMatrix(x.Rows(0, 130))
-			if r.Grows() == 0 || r.FD().nextZero <= r.Ell() {
+			if r.grows == 0 || r.FD().nextZero <= r.Ell() {
 				t.Fatalf("rank-adaptive fixture: %d grows, %d of ℓ=%d rows occupied; want a grown sketch past ℓ",
-					r.Grows(), r.FD().nextZero, r.Ell())
+					r.grows, r.FD().nextZero, r.Ell())
 			}
 			return r.FD()
 		}},
@@ -108,7 +108,7 @@ func TestBasisIsAFunctionOfState(t *testing.T) {
 		if c := fd.Clone().Basis(k); !sameBits(c, got) {
 			t.Errorf("%s: the clone's Basis differs", tc.name)
 		}
-		restored, err := NewFDFromState(fd.State())
+		restored, err := newFDFromState(fd.State(), false)
 		if err != nil {
 			t.Fatal(err)
 		}

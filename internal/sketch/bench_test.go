@@ -36,7 +36,7 @@ func BenchmarkPrioritySampler(b *testing.B) {
 	x := mat.RandGaussian(2048, 64, g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = SampleRows(x, 0.8, rng.New(uint64(i)))
+		_ = sampleBatch(x, 0.8, rng.New(uint64(i)), nil).selected()
 	}
 }
 

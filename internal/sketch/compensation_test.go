@@ -21,27 +21,6 @@ func TestDeltaAccumulates(t *testing.T) {
 	}
 }
 
-func TestCompensationReducesCovErr(t *testing.T) {
-	// The compensated estimate BᵀB + c·Σδ·I must beat the plain sketch
-	// for a well-chosen c: FD's error is one-sided (underestimate), so
-	// shifting by half the accumulated shrinkage helps on full-rank
-	// Gaussian data.
-	g := rng.New(91)
-	a := mat.RandGaussian(300, 40, g)
-	fd := NewFrequentDirections(10, 40, Options{})
-	fd.AppendMatrix(a)
-	plain := CovErr(a, fd.Sketch())
-	half := fd.CompensatedCovErr(a, 0.5)
-	if half >= plain {
-		t.Fatalf("compensation did not help: plain %v vs compensated %v", plain, half)
-	}
-	// Zero compensation matches the plain estimate.
-	zero := fd.CompensatedCovErr(a, 0)
-	if rel := (zero - plain) / plain; rel > 1e-6 || rel < -1e-6 {
-		t.Fatalf("zero compensation differs from plain: %v vs %v", zero, plain)
-	}
-}
-
 func TestCompensationMergePropagates(t *testing.T) {
 	g := rng.New(92)
 	a1 := mat.RandGaussian(150, 20, g)

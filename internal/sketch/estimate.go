@@ -59,12 +59,3 @@ func EstimateRelResidual(x, vt *mat.Matrix, nu int, g *rng.RNG) float64 {
 	}
 	return EstimateResidualSq(x, vt, nu, g) / den
 }
-
-// RankAdaptHeuristic is Algorithm 1's decision function: it reports
-// whether the estimated relative reconstruction error of batch x under
-// basis vt stays below eps. A false return signals that the sketch is
-// missing prominent directions of the current data and the rank should
-// increase.
-func RankAdaptHeuristic(x, vt *mat.Matrix, nu int, eps float64, g *rng.RNG) bool {
-	return EstimateRelResidual(x, vt, nu, g) < eps
-}

@@ -184,17 +184,3 @@ func deflate(v []float64, q *mat.Matrix) {
 		}
 	}
 }
-
-// EstimateRelResidualKind is the relative-error form of
-// EstimateResidualSqKind.
-func EstimateRelResidualKind(kind EstimatorKind, x, vt *mat.Matrix, nu int, g *rng.RNG) float64 {
-	den := x.FrobeniusNormSq()
-	if den == 0 {
-		return 0
-	}
-	est := EstimateResidualSqKind(kind, x, vt, nu, g)
-	if est < 0 {
-		est = 0
-	}
-	return est / den
-}

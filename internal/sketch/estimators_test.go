@@ -99,7 +99,7 @@ func TestEstimatorKindString(t *testing.T) {
 
 func TestEstimatorZeroBatch(t *testing.T) {
 	for _, kind := range []EstimatorKind{GaussianProbe, Hutchinson, HutchPP} {
-		got := EstimateRelResidualKind(kind, mat.New(5, 4), mat.New(0, 4), 3, rng.New(1))
+		got := EstimateResidualSqKind(kind, mat.New(5, 4), mat.New(0, 4), 3, rng.New(1))
 		if got != 0 {
 			t.Errorf("%v: zero batch gives %v", kind, got)
 		}
@@ -132,7 +132,7 @@ func TestRankAdaptiveWithAlternativeEstimators(t *testing.T) {
 	ds := synth.Generate(synth.Params{N: 500, D: 40, Rank: 12, Decay: synth.SubExponential, Seed: 5})
 	r := NewRankAdaptiveFD(4, 40, 4, 0.02, 500, rng.New(6))
 	r.AppendMatrix(ds.A)
-	if r.Grows() == 0 {
+	if r.grows == 0 {
 		t.Fatal("rank never grew")
 	}
 	if rel := RelProjErr(ds.A, r.Basis(r.Ell())); rel > 0.1 {
@@ -141,7 +141,7 @@ func TestRankAdaptiveWithAlternativeEstimators(t *testing.T) {
 	basis := r.Basis(r.Ell() / 2)
 	exact := RelProjErr(ds.A, basis)
 	for _, kind := range []EstimatorKind{Hutchinson, HutchPP} {
-		if est := EstimateRelResidualKind(kind, ds.A, basis, 24, rng.New(7)); est < exact/2 || est > 2*exact {
+		if est := EstimateResidualSqKind(kind, ds.A, basis, 24, rng.New(7)) / ds.A.FrobeniusNormSq(); est < exact/2 || est > 2*exact {
 			t.Errorf("%v: estimate %v of the final residual, exact %v", kind, est, exact)
 		}
 	}
@@ -149,14 +149,14 @@ func TestRankAdaptiveWithAlternativeEstimators(t *testing.T) {
 
 // TestARAMSEstimatorConfig: the ARAMS configuration picks no estimator.
 // Rank adaptation calls EstimateRelResidual, which returns the bits of
-// the Gaussian-probe arm of EstimateRelResidualKind for the same probe
-// stream, and a rank-adaptive run yields a finite sketch.
+// the Gaussian-probe arm of EstimateResidualSqKind over ‖X‖_F² for the
+// same probe stream, and a rank-adaptive run yields a finite sketch.
 func TestARAMSEstimatorConfig(t *testing.T) {
 	ds := synth.Generate(synth.Params{N: 300, D: 30, Rank: 10, Decay: synth.Exponential, Seed: 7})
 	for seed := uint64(1); seed <= 5; seed++ {
 		vt := ds.V.T().Rows(0, int(seed))
 		got := EstimateRelResidual(ds.A, vt, 4, rng.New(seed))
-		want := EstimateRelResidualKind(GaussianProbe, ds.A, vt, 4, rng.New(seed))
+		want := EstimateResidualSqKind(GaussianProbe, ds.A, vt, 4, rng.New(seed)) / ds.A.FrobeniusNormSq()
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("basis of %d rows: EstimateRelResidual %v, Gaussian-probe arm %v", seed, got, want)
 		}

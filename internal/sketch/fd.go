@@ -243,47 +243,6 @@ func (fd *FrequentDirections) Delta() float64 { return fd.totalDelta }
 // a-priori bound ‖A‖_F²/ℓ.
 func (fd *FrequentDirections) FrobMass() float64 { return fd.frobMass }
 
-// CompensatedCovErr is the covariance error of the δ-compensated
-// estimate AᵀA ≈ BᵀB + Σδ·I (the "FD with compensation" variant of
-// Desai, Ghashami & Phillips 2016). FD always underestimates the
-// covariance by between 0 and Σδ in every direction, so adding half the
-// accumulated shrinkage back roughly halves the worst-case error; this
-// helper measures the error of the fully-compensated estimator against
-// data a.
-func (fd *FrequentDirections) CompensatedCovErr(a *mat.Matrix, fraction float64) float64 {
-	b := fd.Sketch()
-	comp := fraction * fd.totalDelta
-	// Power iteration on v ↦ Aᵀ(Av) − Bᵀ(Bv) − comp·v.
-	d := a.ColsN
-	v := make([]float64, d)
-	for i := range v {
-		v[i] = 1 / math.Sqrt(float64(d))
-	}
-	var lambda float64
-	for it := 0; it < 200; it++ {
-		av := mat.MulVec(a, v)
-		w := mat.MulTVec(a, av)
-		bv := mat.MulVec(b, v)
-		btbv := mat.MulTVec(b, bv)
-		for i := range w {
-			w[i] -= btbv[i] + comp*v[i]
-		}
-		norm := mat.Norm2(w)
-		if norm == 0 {
-			return 0
-		}
-		for i := range w {
-			w[i] /= norm
-		}
-		if it > 4 && math.Abs(norm-lambda) <= 1e-10*math.Max(norm, 1e-300) {
-			return norm
-		}
-		lambda = norm
-		v = w
-	}
-	return lambda
-}
-
 // Basis returns the top-k right singular vectors of the sketch as a
 // k×d matrix with orthonormal rows — the PCA basis used to project data
 // into latent space. k is clamped to ℓ and to the numerical rank of the

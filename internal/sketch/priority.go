@@ -29,7 +29,7 @@ type entry struct {
 	priority float64
 	weight   float64
 	index    int
-	row      []float64 // may be nil for weight-only streams
+	row      []float64
 }
 
 // NewPrioritySampler creates a sampler keeping the m highest-priority
@@ -41,30 +41,11 @@ func NewPrioritySampler(m int, g *rng.RNG) *PrioritySampler {
 	return &PrioritySampler{m: m, g: g}
 }
 
-// Seen returns how many items have been offered.
-func (p *PrioritySampler) Seen() int { return p.seen }
-
-// PushWeight offers a weight-only item (used for subset-sum
-// estimation).
-func (p *PrioritySampler) PushWeight(w float64, index int) {
-	p.push(entry{weight: w, index: index})
-}
-
-// PushRow offers a data row; its weight is the Euclidean row norm, as
-// in the paper. The row is copied, so the caller may reuse its buffer.
-func (p *PrioritySampler) PushRow(row []float64) {
-	p.pushRowView(append([]float64(nil), row...), mat.Norm2(row))
-}
-
-// pushRowView is PushRow without the copy or the norm: the sampler
-// keeps row itself, which must stay unchanged for as long as the
-// sampler is read, and takes w for its weight ‖row‖.
-func (p *PrioritySampler) pushRowView(row []float64, w float64) {
-	p.push(entry{weight: w, row: row})
-}
-
-func (p *PrioritySampler) push(e entry) {
-	e.index = p.seen
+// push offers a data row with weight w = ‖row‖, as in the paper. The
+// sampler keeps row itself, which must stay unchanged for as long as
+// the sampler is read.
+func (p *PrioritySampler) push(row []float64, w float64) {
+	e := entry{weight: w, index: p.seen, row: row}
 	p.seen++
 	if e.weight <= 0 {
 		// Zero-weight rows carry no information for the sketch and
@@ -114,16 +95,6 @@ func (p *PrioritySampler) siftDown(i int) {
 	}
 }
 
-// Threshold returns τ, the (m+1)-th largest priority seen, or 0 when
-// fewer than m+1 items were offered (in which case every item was
-// kept and the estimator weights equal the true weights).
-func (p *PrioritySampler) Threshold() float64 {
-	if len(p.heap) <= p.m {
-		return 0
-	}
-	return p.heap[0].priority
-}
-
 // selected returns the kept entries (the heap minus the threshold
 // element) in stream order.
 func (p *PrioritySampler) selected() []entry {
@@ -137,55 +108,6 @@ func (p *PrioritySampler) selected() []entry {
 	return items
 }
 
-// Indices returns the stream indices of the kept items, ascending.
-func (p *PrioritySampler) Indices() []int {
-	sel := p.selected()
-	out := make([]int, len(sel))
-	for i, e := range sel {
-		out[i] = e.index
-	}
-	return out
-}
-
-// EstimateSum returns the priority-sampling estimate Σ max(wᵢ, τ) of
-// the total weight of the stream — unbiased per Duffield et al.
-func (p *PrioritySampler) EstimateSum() float64 {
-	tau := p.Threshold()
-	var s float64
-	for _, e := range p.selected() {
-		if e.weight > tau {
-			s += e.weight
-		} else {
-			s += tau
-		}
-	}
-	return s
-}
-
-// Rows returns the kept data rows, in stream order, as a matrix. Only
-// valid when items were offered with PushRow.
-func (p *PrioritySampler) Rows(d int) *mat.Matrix {
-	sel := p.selected()
-	out := mat.New(len(sel), d)
-	for i, e := range sel {
-		if e.row == nil {
-			panic("sketch: Rows called on a weight-only sampler")
-		}
-		copy(out.Row(i), e.row)
-	}
-	return out
-}
-
-// SampleRows keeps the ⌈beta·n⌉ highest-priority rows of x (weights are
-// row norms) and returns them in stream order. beta in (0, 1]; beta >= 1
-// returns a copy of x unchanged.
-func SampleRows(x *mat.Matrix, beta float64, g *rng.RNG) *mat.Matrix {
-	if beta >= 1 {
-		return x.Clone()
-	}
-	return sampleBatch(x, beta, g, nil).Rows(x.ColsN)
-}
-
 // sampleBatch offers every row of x to a fresh ⌈beta·n⌉-slot sampler as
 // a view into x (beta in (0, 1)), so selecting from a batch copies no
 // row; x must outlive the reads of the returned sampler. norms2, when
@@ -195,7 +117,7 @@ func SampleRows(x *mat.Matrix, beta float64, g *rng.RNG) *mat.Matrix {
 // (mat.Norm2's rescaling would have kept it) and is dropped undrawn.
 func sampleBatch(x *mat.Matrix, beta float64, g *rng.RNG, norms2 []float64) *PrioritySampler {
 	if beta <= 0 {
-		panic("sketch: SampleRows needs beta > 0")
+		panic("sketch: sampling needs beta > 0")
 	}
 	m := int(beta*float64(x.RowsN) + 0.999999)
 	if m < 1 {
@@ -205,9 +127,9 @@ func sampleBatch(x *mat.Matrix, beta float64, g *rng.RNG, norms2 []float64) *Pri
 	for i := 0; i < x.RowsN; i++ {
 		row := x.Row(i)
 		if norms2 != nil {
-			ps.pushRowView(row, math.Sqrt(norms2[i]))
+			ps.push(row, math.Sqrt(norms2[i]))
 		} else {
-			ps.pushRowView(row, mat.Norm2(row))
+			ps.push(row, mat.Norm2(row))
 		}
 	}
 	return ps

@@ -8,13 +8,50 @@ import (
 	"arams/internal/rng"
 )
 
+// weightRows builds one one-element row per weight, so that a row's
+// norm, the sampler's priority weight, is its weight.
+func weightRows(ws []float64) *mat.Matrix {
+	x := mat.New(len(ws), 1)
+	for i, w := range ws {
+		x.Set(i, 0, w)
+	}
+	return x
+}
+
+// keptIndices returns the stream indices of the rows ps kept, in
+// stream order.
+func keptIndices(ps *PrioritySampler) []int {
+	var idx []int
+	for _, e := range ps.selected() {
+		idx = append(idx, e.index)
+	}
+	return idx
+}
+
+// estimateSum is the priority-sampling estimate Σ max(wᵢ, τ) of the
+// stream's total weight from the rows ps kept, τ being the (m+1)-th
+// largest priority (0 when every row was kept) — unbiased per Duffield
+// et al.
+func estimateSum(ps *PrioritySampler) float64 {
+	var tau float64
+	if len(ps.heap) > ps.m {
+		tau = ps.heap[0].priority
+	}
+	var s float64
+	for _, e := range ps.selected() {
+		s += math.Max(e.weight, tau)
+	}
+	return s
+}
+
 func TestPrioritySamplerKeepsM(t *testing.T) {
 	g := rng.New(20)
-	ps := NewPrioritySampler(5, g)
-	for i := 0; i < 100; i++ {
-		ps.PushWeight(1+g.Float64(), i)
+	ws := make([]float64, 100)
+	for i := range ws {
+		ws[i] = 1 + g.Float64()
 	}
-	idx := ps.Indices()
+	ps := sampleBatch(weightRows(ws), 0.05, g, nil)
+	idx := keptIndices(ps)
 	if len(idx) != 5 {
 		t.Fatalf("kept %d items, want 5", len(idx))
 	}
@@ -23,26 +60,20 @@ func TestPrioritySamplerKeepsM(t *testing.T) {
 			t.Fatal("indices not in ascending stream order")
 		}
 	}
-	if ps.Seen() != 100 {
-		t.Fatalf("Seen = %d", ps.Seen())
+	if ps.seen != 100 {
+		t.Fatalf("seen = %d", ps.seen)
 	}
 }
 
 func TestPrioritySamplerUnderfull(t *testing.T) {
-	g := rng.New(21)
-	ps := NewPrioritySampler(10, g)
-	for i := 0; i < 4; i++ {
-		ps.PushWeight(float64(i+1), i)
-	}
-	if got := len(ps.Indices()); got != 4 {
+	// ⌈0.99·4⌉ = 4 slots for 4 rows: everything is kept, there is no
+	// threshold, and the estimate is the exact sum.
+	ps := sampleBatch(weightRows([]float64{1, 2, 3, 4}), 0.99, rng.New(21), nil)
+	if got := len(keptIndices(ps)); got != 4 {
 		t.Fatalf("underfull sampler kept %d, want all 4", got)
 	}
-	if ps.Threshold() != 0 {
-		t.Fatalf("underfull threshold = %v, want 0", ps.Threshold())
-	}
-	// Estimate equals exact sum when everything is kept.
-	if got := ps.EstimateSum(); math.Abs(got-10) > 1e-12 {
-		t.Fatalf("underfull EstimateSum = %v, want 10", got)
+	if got := estimateSum(ps); math.Abs(got-10) > 1e-12 {
+		t.Fatalf("underfull estimate = %v, want 10", got)
 	}
 }
 
@@ -55,15 +86,11 @@ func TestPrioritySamplingUnbiased(t *testing.T) {
 		weights[i] = base.Exp() * 10
 		total += weights[i]
 	}
+	x := weightRows(weights)
 	const trials = 3000
 	var sum float64
 	for trial := 0; trial < trials; trial++ {
-		g := rng.NewStream(uint64(trial), 777)
-		ps := NewPrioritySampler(30, g)
-		for i, w := range weights {
-			ps.PushWeight(w, i)
-		}
-		sum += ps.EstimateSum()
+		sum += estimateSum(sampleBatch(x, 0.15, rng.NewStream(uint64(trial), 777), nil))
 	}
 	meanEst := sum / trials
 	if rel := math.Abs(meanEst-total) / total; rel > 0.05 {
@@ -74,19 +101,16 @@ func TestPrioritySamplingUnbiased(t *testing.T) {
 func TestPrioritySamplerFavorsHeavyRows(t *testing.T) {
 	// With a handful of very heavy rows, the sampler should almost
 	// always keep them.
+	ws := make([]float64, 100)
+	for i := range ws {
+		ws[i] = 1
+	}
+	ws[42] = 1000
+	x := weightRows(ws)
 	const trials = 200
 	kept := 0
 	for trial := 0; trial < trials; trial++ {
-		g := rng.NewStream(uint64(trial), 31)
-		ps := NewPrioritySampler(10, g)
-		for i := 0; i < 100; i++ {
-			w := 1.0
-			if i == 42 {
-				w = 1000
-			}
-			ps.PushWeight(w, i)
-		}
-		for _, idx := range ps.Indices() {
+		for _, idx := range keptIndices(sampleBatch(x, 0.1, rng.NewStream(uint64(trial), 31), nil)) {
 			if idx == 42 {
 				kept++
 				break
@@ -99,27 +123,32 @@ func TestPrioritySamplerFavorsHeavyRows(t *testing.T) {
 }
 
 func TestPushRowZeroWeightSkipped(t *testing.T) {
-	g := rng.New(23)
-	ps := NewPrioritySampler(3, g)
-	ps.PushRow([]float64{0, 0, 0})
-	ps.PushRow([]float64{1, 0, 0})
-	rows := ps.Rows(3)
-	if rows.RowsN != 1 {
-		t.Fatalf("zero row not skipped: kept %d", rows.RowsN)
+	x := mat.FromRows([][]float64{{0, 0, 0}, {1, 0, 0}})
+	sel := sampleBatch(x, 0.99, rng.New(23), nil).selected()
+	if len(sel) != 1 || sel[0].index != 1 {
+		t.Fatalf("zero row not skipped: kept %d", len(sel))
 	}
 }
 
+// TestSampleRowsShapes: a batch keeps ⌈β·n⌉ of its rows, whole, and
+// β = 1 keeps every row.
 func TestSampleRowsShapes(t *testing.T) {
 	g := rng.New(24)
 	x := mat.RandGaussian(50, 8, g)
-	sel := SampleRows(x, 0.5, g)
-	if sel.RowsN != 25 || sel.ColsN != 8 {
-		t.Fatalf("SampleRows shape %d×%d", sel.RowsN, sel.ColsN)
+	sel := sampleBatch(x, 0.5, g, nil).selected()
+	if len(sel) != 25 {
+		t.Fatalf("sampled %d rows, want 25", len(sel))
 	}
-	// beta >= 1 passes everything through.
-	all := SampleRows(x, 1.0, g)
-	if !all.Equal(x, 0) {
-		t.Fatal("beta=1 did not return the full matrix")
+	for _, e := range sel {
+		if len(e.row) != 8 {
+			t.Fatalf("sampled row has %d columns, want 8", len(e.row))
+		}
+	}
+	for _, beta := range []float64{0.5, 1} {
+		a := NewARAMS(Config{Ell0: 4, Beta: beta, Seed: 24}, 8, 50)
+		if bs := a.ProcessBatch(x); bs.Kept != int(beta*50) || bs.Rows != 50 {
+			t.Fatalf("β = %v: ProcessBatch kept %d of %d rows, want %d", beta, bs.Kept, bs.Rows, int(beta*50))
+		}
 	}
 }
 
@@ -130,14 +159,13 @@ func TestSampleRowsKeepsStreamOrder(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		x.Set(i, 0, float64(i+1))
 	}
-	sel := SampleRows(x, 0.3, g)
 	prev := 0.0
-	for i := 0; i < sel.RowsN; i++ {
-		v := sel.At(i, 0)
-		if v <= prev {
+	for _, e := range sampleBatch(x, 0.3, g, nil).selected() {
+		if v := e.row[0]; v <= prev {
 			t.Fatalf("selected rows out of stream order: %v after %v", v, prev)
+		} else {
+			prev = v
 		}
-		prev = v
 	}
 }
 
@@ -147,7 +175,7 @@ func TestSampleRowsInvalidBetaPanics(t *testing.T) {
 			t.Fatal("beta=0 did not panic")
 		}
 	}()
-	SampleRows(mat.New(3, 3), 0, rng.New(1))
+	sampleBatch(mat.New(3, 3), 0, rng.New(1), nil)
 }
 
 func TestSamplerPanicsOnZeroCapacity(t *testing.T) {

@@ -73,9 +73,6 @@ func NewRankAdaptiveFD(ell0, d, nu int, eps float64, totalRows int, g *rng.RNG) 
 // Ell returns the current number of retained directions.
 func (r *RankAdaptiveFD) Ell() int { return r.fd.Ell() }
 
-// Grows returns how many times the rank was increased.
-func (r *RankAdaptiveFD) Grows() int { return r.grows }
-
 // FD exposes the underlying sketch (for merge and basis extraction).
 func (r *RankAdaptiveFD) FD() *FrequentDirections { return r.fd }
 
@@ -166,13 +163,4 @@ func (r *RankAdaptiveFD) recentMatrix() *mat.Matrix {
 		return mat.New(0, r.fd.d)
 	}
 	return mat.FromRows(r.recent)
-}
-
-// RunRankAdaptiveFD sketches the whole matrix x with Algorithm 2 and
-// returns the final sketch. It is the batch entry point matching the
-// paper's RankAdaptFD(X, ν, ε) signature.
-func RunRankAdaptiveFD(x *mat.Matrix, ell0, nu int, eps float64, g *rng.RNG) *mat.Matrix {
-	r := NewRankAdaptiveFD(ell0, x.ColsN, nu, eps, x.RowsN, g)
-	r.AppendMatrix(x)
-	return r.Sketch()
 }

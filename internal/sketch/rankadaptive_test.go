@@ -91,15 +91,18 @@ func TestEstimateRelResidualZeroBatch(t *testing.T) {
 	}
 }
 
+// TestRankAdaptHeuristicDirections: Algorithm 1's decision, the
+// estimated relative residual against ε as rank adaptation reads it,
+// passes a basis that spans the data and fails an empty one.
 func TestRankAdaptHeuristicDirections(t *testing.T) {
 	g := rng.New(34)
 	ds := synth.Generate(synth.Params{N: 40, D: 30, Rank: 10, Decay: synth.Exponential, Seed: 35})
 	fullBasis := ds.V.T()
-	if !RankAdaptHeuristic(ds.A, fullBasis, 10, 0.01, g) {
+	if EstimateRelResidual(ds.A, fullBasis, 10, g) >= 0.01 {
 		t.Fatal("full basis should satisfy any reasonable eps")
 	}
 	empty := mat.New(0, 30)
-	if RankAdaptHeuristic(ds.A, empty, 10, 0.01, g) {
+	if EstimateRelResidual(ds.A, empty, 10, g) < 0.01 {
 		t.Fatal("empty basis should fail a tight eps")
 	}
 }
@@ -111,7 +114,7 @@ func TestRankAdaptiveGrowsToMeetEps(t *testing.T) {
 	ds := synth.Generate(synth.Params{N: 600, D: 50, Rank: 12, Decay: synth.SubExponential, Seed: 36})
 	r := NewRankAdaptiveFD(4, 50, 4, 0.02, 600, rng.New(37))
 	r.AppendMatrix(ds.A)
-	if r.Grows() == 0 {
+	if r.grows == 0 {
 		t.Fatal("rank never grew despite tight eps")
 	}
 	if r.Ell() <= 4 {
@@ -129,8 +132,8 @@ func TestRankAdaptiveStaysPutWhenEasy(t *testing.T) {
 	ds := synth.Generate(synth.Params{N: 300, D: 40, Rank: 3, Decay: synth.SuperExponential, Seed: 38})
 	r := NewRankAdaptiveFD(8, 40, 4, 0.2, 300, rng.New(39))
 	r.AppendMatrix(ds.A)
-	if r.Grows() != 0 {
-		t.Fatalf("rank grew %d times on easy data", r.Grows())
+	if r.grows != 0 {
+		t.Fatalf("rank grew %d times on easy data", r.grows)
 	}
 	if r.Ell() != 8 {
 		t.Fatalf("Ell = %d, want 8", r.Ell())
@@ -189,7 +192,7 @@ func TestRankAdaptiveRingHoldsLastEllRows(t *testing.T) {
 			}
 		}
 	}
-	if r.Grows() == 0 {
+	if r.grows == 0 {
 		t.Fatal("ℓ never grew; the ring's growth went untested")
 	}
 }
@@ -219,9 +222,11 @@ func TestRankAdaptiveSteadyAppendAllocatesNothing(t *testing.T) {
 func TestRunRankAdaptiveFD(t *testing.T) {
 	g := rng.New(44)
 	x := mat.RandGaussian(100, 20, g)
-	b := RunRankAdaptiveFD(x, 5, 3, 0.1, rng.New(45))
+	r := NewRankAdaptiveFD(5, x.ColsN, 3, 0.1, x.RowsN, rng.New(45))
+	r.AppendMatrix(x)
+	b := r.Sketch()
 	if b.ColsN != 20 || b.RowsN < 5 {
-		t.Fatalf("RunRankAdaptiveFD shape %d×%d", b.RowsN, b.ColsN)
+		t.Fatalf("rank-adaptive sketch of the whole matrix is %d×%d", b.RowsN, b.ColsN)
 	}
 	if b.HasNaN() {
 		t.Fatal("sketch has NaN")

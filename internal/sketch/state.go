@@ -68,13 +68,11 @@ func (fd *FrequentDirections) state(take bool) FDState {
 	return s
 }
 
-// NewFDFromState rebuilds a sketch from a snapshot.
-func NewFDFromState(s FDState) (*FrequentDirections, error) { return newFDFromState(s, false) }
-
-// newFDFromState is NewFDFromState. With adopt set, a Buffer whose
-// capacity is the whole 2ℓ×d array becomes the sketch's buffer instead
-// of being copied into a new one; its rows past the occupied prefix are
-// cleared first. A Buffer of any other capacity is copied.
+// newFDFromState rebuilds a sketch from a snapshot. With adopt set, a
+// Buffer whose capacity is the whole 2ℓ×d array becomes the sketch's
+// buffer instead of being copied into a new one; its rows past the
+// occupied prefix are cleared first. A Buffer of any other capacity is
+// copied.
 func newFDFromState(s FDState, adopt bool) (*FrequentDirections, error) {
 	if s.Ell <= 0 || s.D <= 0 {
 		return nil, fmt.Errorf("sketch: FD state has invalid dimensions ℓ=%d d=%d", s.Ell, s.D)
@@ -180,15 +178,9 @@ func (r *RankAdaptiveFD) state(take bool) RankAdaptiveState {
 	}
 }
 
-// NewRankAdaptiveFromState rebuilds a rank-adaptive sketch from a
-// snapshot.
-func NewRankAdaptiveFromState(s RankAdaptiveState) (*RankAdaptiveFD, error) {
-	return newRankAdaptiveFromState(s, false)
-}
-
-// newRankAdaptiveFromState is NewRankAdaptiveFromState; with adopt set
-// the sketch takes the state's buffer (see newFDFromState) and ring rows
-// instead of copying them.
+// newRankAdaptiveFromState rebuilds a rank-adaptive sketch from a
+// snapshot; with adopt set the sketch takes the state's buffer (see
+// newFDFromState) and ring rows instead of copying them.
 func newRankAdaptiveFromState(s RankAdaptiveState, adopt bool) (*RankAdaptiveFD, error) {
 	fd, err := newFDFromState(s.FD, adopt)
 	if err != nil {

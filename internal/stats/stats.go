@@ -23,19 +23,6 @@ func Mean(v []float64) float64 {
 	return s / float64(len(v))
 }
 
-// Variance returns the population variance (0 for fewer than 1 value).
-func Variance(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	m := Mean(v)
-	var s float64
-	for _, x := range v {
-		s += (x - m) * (x - m)
-	}
-	return s / float64(len(v))
-}
-
 // Pearson returns the Pearson correlation of two equal-length
 // sequences; 0 when either is constant.
 func Pearson(a, b []float64) float64 {

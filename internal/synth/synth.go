@@ -120,16 +120,6 @@ func assemble(u *mat.Matrix, sig []float64, v *mat.Matrix) *mat.Matrix {
 	return mat.MulABt(us, v)
 }
 
-// OptimalErrorSq returns ‖A − A_k‖_F² for the best rank-k approximation,
-// computable exactly from the ground-truth spectrum.
-func (d *Dataset) OptimalErrorSq(k int) float64 {
-	var s float64
-	for i := k; i < len(d.Sigmas); i++ {
-		s += d.Sigmas[i] * d.Sigmas[i]
-	}
-	return s
-}
-
 // GenerateSharded builds `shards` datasets sharing base factors, each
 // perturbed by an independent rotation of magnitude eps, reproducing the
 // paper's per-core data generation: "each core starts with the same

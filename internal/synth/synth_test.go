@@ -80,21 +80,6 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-func TestOptimalErrorSq(t *testing.T) {
-	p := Params{N: 30, D: 30, Rank: 4, Decay: Exponential, Seed: 2}
-	ds := Generate(p)
-	want := ds.Sigmas[2]*ds.Sigmas[2] + ds.Sigmas[3]*ds.Sigmas[3]
-	if got := ds.OptimalErrorSq(2); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("OptimalErrorSq(2) = %v, want %v", got, want)
-	}
-	if got := ds.OptimalErrorSq(4); got != 0 {
-		t.Fatalf("OptimalErrorSq(rank) = %v, want 0", got)
-	}
-	if got := ds.OptimalErrorSq(99); got != 0 {
-		t.Fatalf("OptimalErrorSq beyond rank = %v, want 0", got)
-	}
-}
-
 func TestGenerateShardedSimilarity(t *testing.T) {
 	p := Params{N: 0, D: 50, Rank: 8, Decay: Exponential, Seed: 3}
 	shards := GenerateSharded(p, 4, 25, 0.05)

@@ -28,7 +28,7 @@ func (r *Registry) Append(id string, im *imgproc.Image, tag int) error {
 		if err := ValidateID(id); err != nil {
 			return err
 		}
-		en = r.admitLocked(id, Hibernated)
+		en = r.admitLocked(id)
 	}
 	for len(en.q) >= r.cfg.QueueQuota {
 		if r.closed {

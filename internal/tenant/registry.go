@@ -238,7 +238,7 @@ func Open(cfg Config) (*Registry, error) {
 		if err := ValidateID(id); err != nil {
 			continue // not one of ours
 		}
-		r.admitLocked(id, Hibernated)
+		r.admitLocked(id)
 	}
 
 	if cfg.JanitorEvery > 0 {
@@ -286,31 +286,12 @@ func (r *Registry) tenantCfg(id string) pipeline.Config {
 	return cfg
 }
 
-// Admit registers a tenant explicitly (Append does it implicitly). It
-// is idempotent for known tenants; new tenants are journaled as
-// tenant_admission events.
-func (r *Registry) Admit(id string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return errors.New("tenant: registry closed")
-	}
-	if r.ents[id] != nil {
-		return nil
-	}
-	if err := ValidateID(id); err != nil {
-		return err
-	}
-	r.admitLocked(id, Hibernated)
-	return nil
-}
-
 // admitLocked inserts a tenant slot; the caller validated the ID.
 // New tenants start Hibernated: the first frame (or pinned access)
 // "restores" them, which for an absent checkpoint file means creating
 // a fresh monitor — one code path covers both births and revivals.
-func (r *Registry) admitLocked(id string, st State) *entry {
-	en := &entry{id: id, st: st, lastTouch: time.Now()}
+func (r *Registry) admitLocked(id string) *entry {
+	en := &entry{id: id, st: Hibernated, lastTouch: time.Now()}
 	r.ents[id] = en
 	r.ring = append(r.ring, en)
 	r.ro.tenants.SetInt(len(r.ents))
@@ -778,7 +759,7 @@ func (r *Registry) DrainAll() error {
 
 // Close waits for every ingress queue to drain, hibernates every
 // resident tenant (so the whole registry state survives on disk), and
-// stops the janitor. Append and Admit fail after Close. It tries each
+// stops the janitor. Append fails after Close. It tries each
 // tenant once: one whose hibernation fails stays resident, and Close
 // returns the first such error.
 func (r *Registry) Close() error {

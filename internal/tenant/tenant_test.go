@@ -436,11 +436,6 @@ func TestRaceHammer(t *testing.T) {
 	}
 
 	ids := []string{"h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7"}
-	for _, id := range ids {
-		if err := r.Admit(id); err != nil {
-			t.Fatalf("Admit(%s): %v", id, err)
-		}
-	}
 	var producers sync.WaitGroup
 	for i, id := range ids {
 		producers.Add(1)
