@@ -439,3 +439,66 @@ func releasedLegsKeepHeldSketches(t *testing.T, d, ell int) {
 		}
 	}
 }
+
+// TestWindowReleaseKeepsHeldBases is the safety half of the basis
+// ownership rule: a read hands its basis back only when it is released,
+// and only once. A held, unreleased Window keeps every bit of its basis
+// while the stream runs on, later reads merge and other readers release
+// theirs, and no later read cuts into its array. A second Release of one
+// read puts nothing back: for one shard a second put would hand one array
+// to the next two reads, for many it would drop the holder count of the
+// read the held Window shares, so the next merge would recycle its basis.
+// Two shapes: one whose basis pools in a sync.Pool, and one past mat's
+// threshold for its shared free list.
+func TestWindowReleaseKeepsHeldBases(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, d := range []int{512, 32768} {
+			t.Run(fmt.Sprintf("shards=%d/d=%d", shards, d), func(t *testing.T) {
+				heldBasisSurvivesReleases(t, shards, d)
+			})
+		}
+	}
+}
+
+func heldBasisSurvivesReleases(t *testing.T, shards, d int) {
+	const ell, k, batch, rounds = 8, 4, 4, 12
+	e := engine.New(engine.Config{Shards: shards, Sketch: sketch.Config{Ell0: ell, Beta: 1, Seed: 13}, Window: 16})
+	defer e.Close()
+	vecs := testVecs(4*ell+rounds*batch, d, 79)
+	e.IngestVecs(vecs[:4*ell], nil)
+
+	held := e.ReadWindow(k, obs.SpanContext{})
+	if held.Basis == nil || held.Basis.RowsN != k {
+		t.Fatalf("held basis %v, want %d rows", held.Basis, k)
+	}
+	want := held.Basis.Clone()
+	twice := e.ReadWindow(k, obs.SpanContext{}) // for many shards, the read held shares
+	twice.Release()
+	twice.Release()
+
+	sameArray := func(a, b *mat.Matrix) bool { return &a.Data[0] == &b.Data[0] }
+	for r := 0; r < rounds; r++ {
+		lo := 4*ell + r*batch
+		e.IngestVecs(vecs[lo:lo+batch], nil)
+		a := e.ReadWindow(k, obs.SpanContext{})
+		b := e.ReadWindow(k, obs.SpanContext{})
+		if a.Basis.RowsN != k || b.Basis.RowsN != k {
+			t.Fatalf("round %d: bases of %d and %d rows, want %d", r, a.Basis.RowsN, b.Basis.RowsN, k)
+		}
+		if sameArray(a.Basis, held.Basis) || sameArray(b.Basis, held.Basis) {
+			t.Fatalf("round %d: a later read cut its basis into the held read's array", r)
+		}
+		if shards == 1 && sameArray(a.Basis, b.Basis) {
+			t.Fatalf("round %d: two one-shard reads in flight share one basis array", r)
+		}
+		a.Release()
+		b.Release()
+		if !sameBits(held.Basis, want) {
+			t.Fatalf("round %d: the held basis changed", r)
+		}
+	}
+	if shards > 1 && e.Reconciles() < rounds {
+		t.Fatalf("%d merges over %d ingest + read rounds", e.Reconciles(), rounds)
+	}
+	held.Release()
+}

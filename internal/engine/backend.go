@@ -64,7 +64,10 @@ type Backend interface {
 	// Basis returns the top-k right singular vectors of the shard sketch
 	// (k clamped to the rank) and ℓ, or (nil, 0) before the first row or
 	// on a fault. Basis is a function of the sketch's state, so every
-	// backend returns the same bits for the same rows.
+	// backend returns the same bits for the same rows. The basis is the
+	// caller's, cut into an array from mat's vector pool
+	// (FrequentDirections.Basis): a one-shard Window's Release hands its
+	// Data to mat.PutVec.
 	Basis(k int) (*mat.Matrix, int)
 	// Ell returns the shard sketch's current rank (0 before the first
 	// row). Remote backends may answer from their last acknowledged
@@ -189,10 +192,10 @@ func (s *localShard) Snapshot(obs.SpanContext) (*sketch.FrequentDirections, erro
 	return s.arams.FD().Clone(), nil
 }
 
-// Basis decomposes the live sketch in place, so a one-shard read
-// allocates only its k×d result instead of a clone of the 2ℓ×d buffer.
-// Basis changes nothing, so the lock only keeps Absorb from writing the
-// buffer mid-read.
+// Basis decomposes the live sketch in place into a pooled k×d result,
+// so a one-shard read clones no 2ℓ×d buffer, and a released read's
+// array serves the next. Basis changes nothing, so the lock only keeps
+// Absorb from writing the buffer mid-read.
 func (s *localShard) Basis(k int) (*mat.Matrix, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -45,17 +45,18 @@ func BenchmarkIngestWide(b *testing.B) {
 // BenchmarkSnapshotRead is what a snapshot pays before its first stage,
 // at beam_liveview's window (512 × 4096) and at diff_sharded's detector
 // (128 × 16384): the in-place read a QuickSnapshot makes — headers, tags
-// and the basis — against the copying wrapper Snapshot and the
-// repository benchmark still call, and that wrapper with its copy handed
-// back to mat's vector pool, as Snapshot does. Run with -benchmem: the
-// difference between the first two is the window, once, and the
-// released copy's B/op is the in-place read's again. The one-shard
-// basis is decomposed in the live sketch, so the in-place read is the
-// k×d basis plus the headers: at issue 29, 378.6 kB in 6 allocations at
-// 512 × 4096 and 1.45 MB at 128 × 16384, against 2.84 MB and 11.3 MB
-// when the read cloned the 2ℓ×d buffer and decomposed the clone into an
-// ℓ×d Vᵀ (0.83 against 1.67 ms and 1.7 against 5.5 ms on the 2-core
-// container).
+// and the basis — released as QuickSnapshot releases it, against the
+// copying wrapper the repository benchmark still calls (never released),
+// and the copy Snapshot makes with it and its basis handed back to mat's
+// vector pool, as Snapshot does. Run with -benchmem: the difference
+// between the first two is the window, once, plus the basis, and the
+// released copy's B/op is the in-place read's again. The one-shard basis
+// is decomposed in the live sketch into a pooled array, so the released
+// in-place read is the headers alone: at issue 29, before reads were
+// released, 378.6 kB in 6 allocations at 512 × 4096 and 1.45 MB at
+// 128 × 16384, against 2.84 MB and 11.3 MB when the read cloned the 2ℓ×d
+// buffer and decomposed the clone into an ℓ×d Vᵀ (0.83 against 1.67 ms
+// and 1.7 against 5.5 ms on the 2-core container).
 func BenchmarkSnapshotRead(b *testing.B) {
 	for _, sh := range []struct{ window, d int }{{512, 4096}, {128, 16384}} {
 		e := engine.New(engine.Config{Sketch: sketch.Config{Ell0: 25, Beta: 1, Seed: 5}, Window: sh.window})
@@ -66,9 +67,11 @@ func BenchmarkSnapshotRead(b *testing.B) {
 		b.Run(name+"/in_place", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if w := e.ReadWindow(11, obs.SpanContext{}); len(w.Rows) != sh.window {
+				w := e.ReadWindow(11, obs.SpanContext{})
+				if len(w.Rows) != sh.window {
 					b.Fatal("short window")
 				}
+				w.Release()
 			}
 		})
 		b.Run(name+"/copy", func(b *testing.B) {
@@ -82,11 +85,13 @@ func BenchmarkSnapshotRead(b *testing.B) {
 		b.Run(name+"/copy_released", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				x, _, _, _ := e.WindowState(11)
+				w := e.ReadWindow(11, obs.SpanContext{})
+				x := w.Widen()
 				if x.RowsN != sh.window {
 					b.Fatal("short window")
 				}
 				mat.PutVec(x.Data)
+				w.Release()
 			}
 		})
 		e.Close()

@@ -577,32 +577,47 @@ func (e *Engine) Ell() int {
 }
 
 // globalRead is what the basis readers of a multi-shard engine take from
-// a merged global sketch, cut once per merge: its basis — every
-// rank-clamped row, at most ℓ — and its rank. basis is shared and
-// read-only: Basis and ReadWindow hand out views of its leading rows.
+// a merged global sketch, cut once per merge: its basis for the k the
+// cutting reader asked (at most k rows, rank-clamped) and its rank. basis
+// is read-only and its storage is from mat's vector pool: every read
+// hands out a view of its leading rows and counts itself a holder, and
+// the array goes back to the pool once the read is no longer the cached
+// one and its last holder has released it. A holder that never releases
+// (WindowState's callers) leaves the array to the collector. globalMu
+// guards holders.
 type globalRead struct {
-	basis *mat.Matrix
-	ell   int
+	basis   *mat.Matrix
+	k       int // rows the cut serves; a read of more re-merges
+	ell     int
+	holders int
 }
 
-// readLocked returns the global read as of now: the cached one when no
-// frame has been ingested since it was cut, otherwise one cut from a
-// fresh reconcile (nil when that merge has no sketch to give). The
-// caller holds globalMu.
-func (e *Engine) readLocked(parent obs.SpanContext) *globalRead {
+// readLocked returns the global read as of now for a reader of k rows:
+// the cached one when no frame has been ingested since it was cut and it
+// was cut for k rows or more, otherwise one cut from a fresh reconcile
+// (nil when that merge has no sketch to give). The caller holds globalMu.
+func (e *Engine) readLocked(parent obs.SpanContext, k int) *globalRead {
 	e.mu.Lock()
 	at, settled := e.ingests, e.absorbed == e.ingests
 	e.mu.Unlock()
-	if e.read != nil && e.readAt == at {
+	if e.read != nil && e.readAt == at && k <= e.read.k {
 		return e.read
 	}
 	g := e.reconcileLocked(parent)
 	if g == nil {
 		return nil
 	}
-	ell := g.Ell()
-	e.read = &globalRead{basis: g.Basis(ell), ell: ell}
-	// The basis is its own matrix, so the merged sketch is dead: its
+	e.retireLocked()
+	// The leading rows of SVDGramTo's product do not depend on how many
+	// rows it forms (mat.TestSVDGramToLeadingRows), and the rank clamp
+	// reads the same spectrum, so a view of this cut's leading rows is
+	// the merged sketch's own Basis for any smaller k, bit for bit.
+	b := g.Basis(k)
+	if b.RowsN < k {
+		k = math.MaxInt // clamped to the rank: a larger k reads the same rows
+	}
+	e.read = &globalRead{basis: b, k: k, ell: g.Ell()}
+	// The basis is its own array, so the merged sketch is dead: its
 	// buffer goes back to the pool for the next reconcile's clones.
 	g.Release()
 	// Cache coherence: e.ingests is bumped at ring-append time, before
@@ -618,6 +633,27 @@ func (e *Engine) readLocked(parent obs.SpanContext) *globalRead {
 		e.readAt = at
 	}
 	return e.read
+}
+
+// retireLocked drops the cached read: its basis goes back to the pool
+// now if no reader holds it, else when the last holder releases it. The
+// caller holds globalMu.
+func (e *Engine) retireLocked() {
+	if r := e.read; r != nil && r.holders == 0 {
+		mat.PutVec(r.basis.Data)
+	}
+	e.read = nil
+}
+
+// unhold is a sharded Window's Release: r loses a holder, and its basis
+// goes back to the pool if that was the last and r is no longer cached.
+func (e *Engine) unhold(r *globalRead) {
+	e.globalMu.Lock()
+	defer e.globalMu.Unlock()
+	r.holders--
+	if r.holders == 0 && r != e.read {
+		mat.PutVec(r.basis.Data)
+	}
 }
 
 // reconcileLocked merges the shards into a fresh global sketch, the
@@ -699,17 +735,48 @@ func (e *Engine) GlobalSketch() *sketch.FrequentDirections {
 
 // Window is one read of the sliding window together with the global
 // basis to project it on. Rows are the ring's own float32 vectors,
-// oldest first, and Basis may be a view of the engine's basis cache —
-// both shared, not copied: holders may read them for as long as they
-// like (the ring never recycles a vector it has handed out, however far
-// the stream runs on, and a later merge cuts a new basis rather than
-// rewrite this one) and must not write to them or hand them to
-// mat.PutVec32. Tags and Ell are the reader's own.
+// oldest first, shared, not copied: holders may read them for as long as
+// they like (the ring never recycles a vector it has handed out, however
+// far the stream runs on) and must not write to them or hand them to
+// mat.PutVec32. Basis is borrowed from mat's vector pool — for one shard
+// an array of its own, for many a view of the engine's basis cache — and
+// is read-only: it keeps its bits until the read is released (a later
+// merge cuts a new basis rather than rewrite this one) and may be reused
+// by another read after. Tags and Ell are the reader's own.
 type Window struct {
 	Rows  [][]float32
 	Tags  []int
 	Basis *mat.Matrix // top-k right singular vectors, k clamped to the rank; read-only
 	Ell   int
+	lease *lease
+}
+
+// lease is one read's claim on the storage under its Basis: for one
+// shard the pooled array the basis was cut into, for many the cached
+// read the basis views. done makes a second Release a no-op.
+type lease struct {
+	done atomic.Bool
+	buf  []float64   // one shard
+	e    *Engine     // many shards
+	read *globalRead // many shards
+}
+
+// Release gives the read's basis back once its reader is done with it:
+// neither Basis nor any view of it may be read afterwards. The Rows stay
+// valid. Every copy of a Window is the same read, so only the first
+// Release of any of them gives anything back; later ones, and a Release
+// of the zero Window, do nothing. A read that is never released leaves
+// its basis to the collector.
+func (w Window) Release() {
+	l := w.lease
+	if l == nil || !l.done.CompareAndSwap(false, true) {
+		return
+	}
+	if l.read != nil {
+		l.e.unhold(l.read)
+		return
+	}
+	mat.PutVec(l.buf)
 }
 
 // ReadWindow reads the sliding window in place, with the current global
@@ -717,7 +784,12 @@ type Window struct {
 // Under mu it takes n slice headers and tags and marks the frames shared;
 // no vector is copied. Rows is nil before the first frame. parent is the
 // reader's span (a snapshot's trace root): the reconcile this read may
-// force lands inside that trace.
+// force lands inside that trace. The reader calls Release once its
+// stages have run, so the basis storage goes back to mat's pool.
+//
+// For one shard the basis is decomposed from the live sketch into a
+// pooled array of the read's own. For many it is a view of the cached
+// read (see globalRead), cut from the last merge for k rows or more.
 func (e *Engine) ReadWindow(k int, parent obs.SpanContext) Window {
 	e.mu.Lock()
 	n := len(e.recent)
@@ -732,23 +804,43 @@ func (e *Engine) ReadWindow(k int, parent obs.SpanContext) Window {
 	}
 	e.mu.Unlock()
 
-	w.Basis, w.Ell = e.basis(parent, k)
+	w.Basis, w.Ell, w.lease = e.basis(parent, k)
 	if w.Basis == nil {
 		return Window{}
 	}
 	return w
 }
 
+// basis returns ReadWindow's basis, rank and the lease that gives the
+// basis back; (nil, 0, nil) before the first frame.
+func (e *Engine) basis(parent obs.SpanContext, k int) (*mat.Matrix, int, *lease) {
+	if len(e.shards) == 1 {
+		b, ell := e.shards[0].Basis(k)
+		if b == nil {
+			return nil, 0, nil
+		}
+		return b, ell, &lease{buf: b.Data}
+	}
+	e.globalMu.Lock()
+	defer e.globalMu.Unlock()
+	r := e.readLocked(parent, k)
+	if r == nil {
+		return nil, 0, nil
+	}
+	r.holders++
+	return r.basis.Rows(0, max(0, min(k, r.basis.RowsN))), r.ell, &lease{e: e, read: r}
+}
+
 // WindowState is ReadWindow with the window widened into a float64
-// matrix. Its callers are benchmark/replay.go and, because that file's
-// ledger models a snapshot as this call plus the stages,
-// Monitor.Snapshot; it has no other reason to exist, so it goes when
-// the replay does.
+// matrix. Its caller is benchmark/replay.go; it has no other reason to
+// exist, so it goes when the replay does.
 //
 // x's storage comes from mat.GetVec and x is the caller's: once nothing
 // reads x, the caller may hand x.Data to mat.PutVec, so the next read
-// reuses the array, or simply drop it. Tags are the caller's too, and
-// basis is Window.Basis, shared and read-only.
+// reuses the array, or simply drop it. Tags are the caller's too. basis
+// is Window.Basis, read-only, and its read is never released: the caller
+// may read it for as long as it likes, and its storage goes to the
+// collector rather than back to the pool.
 func (e *Engine) WindowState(k int, parent ...obs.SpanContext) (x *mat.Matrix, tags []int, basis *mat.Matrix, ell int) {
 	var in obs.SpanContext
 	if len(parent) > 0 {
@@ -758,38 +850,22 @@ func (e *Engine) WindowState(k int, parent ...obs.SpanContext) (x *mat.Matrix, t
 	if w.Rows == nil {
 		return nil, nil, nil, 0
 	}
+	return w.Widen(), w.Tags, w.Basis, w.Ell
+}
+
+// Widen returns the window's rows widened into an n×d float64 matrix
+// whose storage comes from mat.GetVec and is the caller's (see
+// WindowState). Nil for the zero Window.
+func (w Window) Widen() *mat.Matrix {
+	if w.Rows == nil {
+		return nil
+	}
 	n, d := len(w.Rows), len(w.Rows[0])
-	x = mat.FromData(n, d, mat.GetVec(n*d))
+	x := mat.FromData(n, d, mat.GetVec(n*d))
 	for i, r := range w.Rows {
 		mat.Widen(x.Row(i), r)
 	}
-	return x, w.Tags, w.Basis, w.Ell
-}
-
-// Basis returns the top-k right singular vectors of the global sketch
-// (k clamped to the rank) and the rank itself. For one shard this is
-// the live sketch's basis — bit-identical to the serial monitor — and
-// for many it is a view of the basis cache's leading rows, the bits of
-// the merged sketch's own Basis(k). Like Window.Basis it is shared and
-// read-only: holders may read it for as long as they like and must not
-// write to it. Returns (nil, 0) before the first frame.
-func (e *Engine) Basis(k int) (*mat.Matrix, int) { return e.basis(obs.SpanContext{}, k) }
-
-// basis is Basis with the span a forced reconcile parents under.
-func (e *Engine) basis(parent obs.SpanContext, k int) (*mat.Matrix, int) {
-	if len(e.shards) == 1 {
-		return e.shards[0].Basis(k)
-	}
-	e.globalMu.Lock()
-	defer e.globalMu.Unlock()
-	r := e.readLocked(parent)
-	if r == nil {
-		return nil, 0
-	}
-	// The leading rows of SVDGramTo's product do not depend on how many
-	// rows it forms (mat.TestSVDGramToLeadingRows), and the rank clamp
-	// reads the same spectrum, so this cut is FD.Basis(k) bit for bit.
-	return r.basis.Rows(0, max(0, min(k, r.basis.RowsN))), r.ell
+	return x
 }
 
 // Close returns what the engine owns to the mat vector pool and closes
@@ -798,11 +874,15 @@ func (e *Engine) basis(parent obs.SpanContext, k int) (*mat.Matrix, int) {
 // vector it never handed out (State, ReadWindow and a restore from a
 // shared state mark theirs; those stay valid for their holders) and
 // every local shard's 2ℓ×d buffer, including the vectors and buffers it
-// adopted from an owning state. So a decoded state that is restored and
-// then closed gives back everything its decode drew from the pool. The
-// engine must not be used after Close. Returns the first backend close
-// error.
+// adopted from an owning state, and the cached read's basis once no
+// reader holds it. So a decoded state that is restored and then closed
+// gives back everything its decode drew from the pool. The engine must
+// not be used after Close, except to Release the Windows it handed out.
+// Returns the first backend close error.
 func (e *Engine) Close() error {
+	e.globalMu.Lock()
+	e.retireLocked()
+	e.globalMu.Unlock()
 	e.gate.Lock()
 	e.mu.Lock()
 	var recycle [][]float32

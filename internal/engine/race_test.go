@@ -159,12 +159,14 @@ func TestEngineConcurrentHammer(t *testing.T) {
 
 // TestEngineHeldBasisHammer: a basis handed out by a sharded engine is a
 // view of the read cut from one merge, shared by every reader until the
-// next; readers may hold it across any number of later merges. Two
-// producers keep both shards ingesting while two readers each take 200
-// Window and Engine bases, hold the last few and check, after every new
-// read, that each still has the bits it was handed — under -race, any
-// write to a held view, or a read of one racing a later merge, is
-// reported.
+// next, and it is held until released: readers may hold it across any
+// number of later merges and other readers' releases. Two producers keep
+// both shards ingesting while two readers each take 200 Window and
+// Engine bases, hold the last few, release each Window as it drops out of
+// the held set (an Engine basis is never released), and check, after
+// every new read, that each held basis still has the bits it was handed
+// — under -race, any write to a held view, or a read of one racing a
+// later merge or a recycled array, is reported.
 func TestEngineHeldBasisHammer(t *testing.T) {
 	const (
 		producers = 2
@@ -202,6 +204,7 @@ func TestEngineHeldBasisHammer(t *testing.T) {
 	type view struct {
 		basis *mat.Matrix
 		want  []float64
+		w     engine.Window // the zero Window for an Engine basis
 	}
 	for r := 0; r < readers; r++ {
 		readersWG.Add(1)
@@ -210,16 +213,19 @@ func TestEngineHeldBasisHammer(t *testing.T) {
 			var views []view
 			for i := 0; i < reads; i++ {
 				var basis *mat.Matrix
+				var w engine.Window
 				if (i+r)%2 == 0 {
-					basis = e.ReadWindow(3, obs.SpanContext{}).Basis
+					w = e.ReadWindow(3, obs.SpanContext{})
+					basis = w.Basis
 				} else {
 					basis, _ = e.Basis(3)
 				}
 				if basis == nil {
 					continue
 				}
-				views = append(views, view{basis, slices.Clone(basis.Data[:basis.RowsN*basis.ColsN])})
+				views = append(views, view{basis, slices.Clone(basis.Data[:basis.RowsN*basis.ColsN]), w})
 				if len(views) > held {
+					views[0].w.Release()
 					views = views[1:]
 				}
 				for _, v := range views {

@@ -1,9 +1,10 @@
 package engine
 
 // Reconciles returns how many shard merges have run. Only the basis
-// readers (Basis, ReadWindow) and GlobalSketch merge; ingest, Certificate
-// and the audit tick never do. GlobalSketch always merges, the basis
-// readers only when a frame has arrived since the cached basis was cut.
+// reader (ReadWindow) and GlobalSketch merge; ingest, Certificate and the
+// audit tick never do. GlobalSketch always merges, ReadWindow only when a
+// frame has arrived since the cached basis was cut, or when it asks for
+// more rows than that cut holds.
 func (e *Engine) Reconciles() int {
 	e.globalMu.Lock()
 	defer e.globalMu.Unlock()

@@ -65,8 +65,9 @@ func TestIngestNeverReconciles(t *testing.T) {
 }
 
 // TestReconcileOnReadCachesUntilIngest: the first basis reader after an
-// ingest pays for one merge, and every Basis and ReadWindow after it is
-// served from the cached basis until the next frame arrives; that frame
+// ingest pays for one merge, and every Basis and ReadWindow after it
+// that asks for no more rows is served from the cached basis until the
+// next frame arrives; that frame
 // itself merges nothing. GlobalSketch hands out a sketch of its own, so
 // it always merges, and it leaves the cached basis as it was. Certificate
 // composes the shards' certificates and never merges — neither does the
@@ -117,6 +118,26 @@ func TestReconcileOnReadCachesUntilIngest(t *testing.T) {
 	want(4, "first basis reader after second ingest")
 	readers(96)
 	want(4, "readers after that (cache hit)")
+
+	// The cached cut serves the rows it was cut for: a reader asking for
+	// more merges again, one asking for fewer is served from the new cut,
+	// and a cut the rank clamps serves every larger k.
+	read := func(k, rows int) {
+		t.Helper()
+		w := e.ReadWindow(k, obs.SpanContext{})
+		if w.Basis == nil || w.Basis.RowsN != rows {
+			t.Fatalf("ReadWindow(%d): basis %v, want %d rows", k, w.Basis, rows)
+		}
+		w.Release()
+	}
+	read(6, 6)
+	want(5, "a reader of more rows than the cut holds")
+	read(5, 5)
+	want(5, "a reader of fewer rows (cache hit)")
+	read(1000, 8)
+	want(6, "a reader of more rows than ℓ")
+	read(2000, 8)
+	want(6, "a reader of more rows than a rank-clamped cut (cache hit)")
 
 	aud := audit.New(audit.Config{Journal: audit.NewJournal(16), Registry: obs.NewRegistry()})
 	ea := reconcileTestEngine(aud)

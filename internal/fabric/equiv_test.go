@@ -295,10 +295,12 @@ func TestLoopbackBasisIsSnapshotBasis(t *testing.T) {
 	defer remote.Close()
 	local.IngestVecs(cloneVecs(vecs), nil)
 	remote.IngestVecs(cloneVecs(vecs), nil)
-	lb, lell := local.Basis(4)
-	rb, rell := remote.Basis(4)
-	if lell != rell {
-		t.Fatalf("one-shard engine ell: local %d, fabric %d", lell, rell)
+	lw := local.ReadWindow(4, obs.SpanContext{})
+	defer lw.Release()
+	rw := remote.ReadWindow(4, obs.SpanContext{})
+	defer rw.Release()
+	if lw.Ell != rw.Ell {
+		t.Fatalf("one-shard engine ell: local %d, fabric %d", lw.Ell, rw.Ell)
 	}
-	sameMatrix(t, "one-shard engine basis", lb, rb)
+	sameMatrix(t, "one-shard engine basis", lw.Basis, rw.Basis)
 }

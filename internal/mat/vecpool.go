@@ -14,9 +14,15 @@ import (
 // window evicts it or the engine closes. 2ℓ×d sketch buffers come back
 // from their owners too: a closed shard returns its live sketch's, a
 // merge each operand it owns once the operand is folded, a basis reader
-// the merged sketch once the basis is cut, and a sketch that grows its
-// old, narrower one. A snapshot returns its n×d float64 copy of the
-// window once its stages have read it. Checkpoint state follows one
+// the merged sketch once the basis is cut, a fabric shard's basis read
+// the sketch it decoded from the worker's state, and a sketch that grows
+// its old, narrower one. A basis comes from here too (FD.Basis cuts into
+// a k×d array): the reader of a one-shard window returns it on Release,
+// and a sharded engine returns its cached read's once that read is
+// superseded and its last reader has released it. A snapshot returns its
+// n×d float64 copy of the window, and its basis, once its stages have
+// read them; a projection of float32 rows its packed-row scratch once the
+// product is formed. Checkpoint state follows one
 // rule: a state no live engine shares storage with owns it. Suspend
 // moves the window vectors nobody was handed and each local shard's
 // buffer into its state, and the checkpoint file decoder (ckpt.Load)
@@ -26,7 +32,7 @@ import (
 // restored from returns it with Release. So a steady-state stream,
 // reconciles, snapshots and hibernate→restore cycles included, recycles
 // a fixed set of buffers instead of allocating one per frame, per merge,
-// per snapshot or per restore.
+// per snapshot, per basis read or per restore.
 //
 // Each element type has its own pool, keyed by capacity: a put files a
 // slice under cap(v), and a get of n reuses only an array of capacity
@@ -38,24 +44,28 @@ import (
 // raw W·H, the post-binning feature dimension, and one 2ℓ·d per sketch
 // rank — so each class keeps a high hit rate.
 
-// Arrays of bigMin elements or more — 1 MiB of float64, a sketch buffer
-// at ℓ = 25 and d = 64² — do not pool in a sync.Pool of arrays. It files
-// a put in the putting P's private slot, which a get on another P never
-// looks in, and drops an array at the second collection after its put, so
-// whether a reconcile's clone found the buffer the last reconcile
+// Arrays of bigMin elements or more — 256 KiB of float64: a sketch
+// buffer at ℓ = 25 and d = 64², a 12-row basis at d = 64², a projection's
+// packed-row scratch block — do not pool in a sync.Pool of arrays. It
+// files a put in the putting P's private slot, which a get on another P
+// never looks in, and drops an array at the second collection after its
+// put, so whether a reconcile's clone found the buffer the last reconcile
 // released, or a restore's decoder the buffer the last hibernation
 // released, depended on which Ps their goroutines ran on and on when the
-// collector ran, and so did the bytes a run allocated. A big class keeps
-// one free list instead, which every P sees and which drops nothing on a
-// collection while the class is in use: it holds every array put and not
-// yet taken, so while its arrays come from gets it never holds more than
-// the class had out at once. The list lives only in a sync.Pool, so two
-// collections with no get or put of its class in between free it and
-// every array on it, as they would free a sync.Pool's arrays. Frames of
-// bigMin pixels or more (the paper's 2 MP detector, unbinned) take this
-// path too. No benchmark workload has frames that wide; EXPERIMENTS.md
+// collector ran, and so did the bytes a run allocated. The same holds
+// for a QuickSnapshot's scratch blocks, which the pool's worker
+// goroutines take and put, and for a basis one reader releases and the
+// next cuts into. A big class keeps one free list instead, which every P
+// sees and which drops nothing on a collection while the class is in
+// use: it holds every array put and not yet taken, so while its arrays
+// come from gets it never holds more than the class had out at once. The
+// list lives only in a sync.Pool, so two collections with no get or put
+// of its class in between free it and every array on it, as they would
+// free a sync.Pool's arrays. Frames of bigMin pixels or more (a 256 × 128
+// detector or larger, unbinned; the paper's 2 MP detector) take this path
+// too. No benchmark workload has frames that wide; EXPERIMENTS.md
 // measures them on a wide-frame engine outside the benchmark.
-const bigMin = 1 << 17
+const bigMin = 1 << 15
 
 // vecPool holds the map from a capacity to the pool of arrays of exactly
 // that capacity. The map is copy-on-write — a new capacity installs a

@@ -155,7 +155,8 @@ func TestWindowLatentWithinFloat32OfFloat64Frames(t *testing.T) {
 			m.IngestBatch(gs.images[lo:lo+batch], nil)
 		}
 		latent := m.QuickSnapshot().Latent
-		basis, _ := m.eng.Basis(cfg.LatentDim)
+		w := m.eng.ReadWindow(cfg.LatentDim, obs.SpanContext{})
+		basis := w.Basis
 		x := mat.New(gs.window, basis.ColsN)
 		for i, im := range gs.images[len(gs.images)-gs.window:] {
 			copy(x.Row(i), cfg.Pre.ApplyVec(im, nil))
@@ -174,6 +175,7 @@ func TestWindowLatentWithinFloat32OfFloat64Frames(t *testing.T) {
 			}
 		}
 		t.Logf("%s: largest |Δ| is %.3f of 2⁻²⁴·‖x‖", gs.name, worst)
+		w.Release()
 		m.Engine().Close()
 	}
 }

@@ -118,7 +118,8 @@ func (m *Monitor) Ell() int { return m.eng.Ell() }
 // on the window and basis it has already read — only when no model
 // exists yet or the sketch rank changed (which invalidates the latent
 // space). The clustering and anomaly stages run as usual; the residual
-// fields stay nil.
+// fields stay nil. The read's basis goes back to mat's vector pool once
+// the stages return: every field of the Snapshot is a fresh slice.
 func (m *Monitor) QuickSnapshot() *Snapshot {
 	obsSnapQuick.Inc()
 	sp := obs.StartTrace("quicksnapshot")
@@ -143,6 +144,7 @@ func (m *Monitor) QuickSnapshot() *Snapshot {
 		place = m.fit(w.Ell)
 	}
 	snap := view(sp.Context(), m.cfg, w.Basis, nil, w.Rows, place)
+	w.Release()
 	snap.Tags, snap.Ell = w.Tags, w.Ell
 	return snap
 }
@@ -152,27 +154,29 @@ func (m *Monitor) QuickSnapshot() *Snapshot {
 // model for subsequent QuickSnapshot calls. It returns nil when nothing
 // has been ingested yet.
 //
-// Unlike QuickSnapshot it reads the window through the copying
-// wrapper: benchmark/replay.go explains this call as WindowState plus
-// the stages and fails a traced run whose Snapshot is more than 5 %
-// cheaper than that sum, so the copy stays here until the replay goes
-// (EXPERIMENTS.md, issue 27, has the in-place numbers).
-// The copy is the window widened to float64, so the latent is the one
-// QuickSnapshot projects from the ring, bit for bit, and the residuals
-// are taken against it. The copy goes back to mat's vector pool once
-// the stages return — every field of the Snapshot is a fresh slice, none
-// a view of it — so the next Snapshot copies into the same array.
+// Unlike QuickSnapshot it widens the window into a float64 copy first:
+// benchmark/replay.go explains this call as Engine.WindowState plus the
+// stages and fails a traced run whose Snapshot is more than 5 % cheaper
+// than that sum, so the copy stays here until the replay goes
+// (EXPERIMENTS.md, issue 27, has the in-place numbers). The latent is
+// the one QuickSnapshot projects from the ring, bit for bit, and the
+// residuals are taken against the copy. The copy and the read's basis go
+// back to mat's vector pool once the stages return — every field of the
+// Snapshot is a fresh slice, none a view of either — so the next
+// Snapshot copies into the same array and cuts into the same basis.
 func (m *Monitor) Snapshot() *Snapshot {
 	obsSnapFull.Inc()
 	sp := obs.StartTrace("snapshot")
 	defer sp.End()
-	x, tags, basis, ell := m.eng.WindowState(m.cfg.LatentDim, sp.Context())
-	if x == nil {
+	w := m.eng.ReadWindow(m.cfg.LatentDim, sp.Context())
+	if w.Rows == nil {
 		return nil
 	}
-	snap := view(sp.Context(), m.cfg, basis, x, nil, m.fit(ell))
+	x := w.Widen()
+	snap := view(sp.Context(), m.cfg, w.Basis, x, nil, m.fit(w.Ell))
 	mat.PutVec(x.Data)
-	snap.Tags, snap.Ell = tags, ell
+	w.Release()
+	snap.Tags, snap.Ell = w.Tags, w.Ell
 	return snap
 }
 

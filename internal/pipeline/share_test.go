@@ -251,12 +251,17 @@ func TestMonitorSnapshotShareHammer(t *testing.T) {
 // The projection widens the float32 window rows into packed-row scratch
 // from the vector pool, one block per chunk of the mat worker pool: at
 // most 64 rows × 1 024 columns of float64 per chunk, so at most half the
-// window's bytes over all chunks. Those classes sit below the pool's big
-// bound, in a sync.Pool, which under -race drops a quarter of its puts,
-// so a chunk may find no scratch and allocate it: 1.44–3.56 MB measured
-// over 140 -race runs at GOMAXPROCS 2 and 4 (0.92–1.46 MB without -race).
-// The -race bar adds that half to the quarter, and a copy of the window
-// still fails it.
+// window's bytes over all chunks. The blocks (256–512 KiB) pool on mat's
+// shared free list, which every P sees, but the first QuickSnapshot after
+// a Snapshot finds none there (a Snapshot projects its float64 copy,
+// which takes no scratch) and allocates one per chunk in flight: 0.79 MB
+// at GOMAXPROCS 1 and 1.32 MB at 2 without -race. Under -race the list,
+// which lives in a sync.Pool, is dropped with a quarter of that pool's
+// puts, so a chunk may find no block and allocate it: 1.32–2.51 MB over
+// 24 -race runs at GOMAXPROCS 2 and 4 (1.33–3.41 MB while the blocks
+// pooled in a sync.Pool of their own). A dropped list can still lose
+// every block, so the -race bar adds that half to the quarter, and a copy
+// of the window still fails it.
 func TestQuickSnapshotLeavesWindowUncopied(t *testing.T) {
 	const window, side, batch = 512, 64, 32
 	frames := chaosFrames(batch, side, side, 95)

@@ -254,12 +254,18 @@ func (fd *FrequentDirections) FrobMass() float64 { return fd.frobMass }
 // safe, and the basis is a function of State. Over more than ℓ occupied
 // rows, the rows are those the next rotation would keep, unscaled; the
 // clamp to ℓ is that rotation's.
+//
+// The result's storage is a k×d array from the mat vector pool, the
+// caller's: once nothing reads the basis, the caller may hand its Data
+// to mat.PutVec (a rank-clamped basis is a view of the array's leading
+// rows, so its Data keeps the whole array's capacity), or simply drop
+// it.
 func (fd *FrequentDirections) Basis(k int) *mat.Matrix {
 	k = min(k, min(fd.ell, fd.nextZero))
 	if k <= 0 {
 		return mat.New(0, fd.d)
 	}
-	out := mat.New(k, fd.d)
+	out := mat.FromData(k, fd.d, mat.GetVec(k*fd.d))
 	sigma := mat.SVDGramTo(fd.buffer.Rows(0, fd.nextZero), nil, out)
 	rank := 0
 	for _, s := range sigma {
@@ -272,6 +278,7 @@ func (fd *FrequentDirections) Basis(k int) *mat.Matrix {
 	}
 	switch {
 	case rank == 0:
+		mat.PutVec(out.Data)
 		return mat.New(0, fd.d)
 	case rank < k:
 		// The leading rows of the k-row product are the rank-row
