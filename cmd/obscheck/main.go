@@ -16,12 +16,11 @@
 //   - with -want-spans, at least one retained trace on /tracez contains
 //     every named span — the cross-process stitch check (a fabric run
 //     must show worker_absorb spans inside the coordinator's traces);
-//   - with -fleet-workers, /fleetz?format=prom passes ValidateExposition
-//     and carries a worker="<name>" label for every listed member, and
-//     /fleetz?format=json parses into obs.FleetzPayload;
-//   - with -tenants, /tenantz?format=prom passes ValidateExposition and
-//     carries a tenant="<id>" label for every listed tenant, and
-//     /tenantz?format=json parses — the multi-tenant registry check;
+//   - with -fleet-workers (/fleetz, label worker) and -tenants
+//     (/tenantz, label tenant), the labelled view's prom form passes
+//     ValidateExposition and carries a series labelled with every
+//     listed id, and its JSON form parses (/fleetz into
+//     obs.FleetzPayload) and names every listed id;
 //   - with -forbid-labels, no sample on /metrics carries any of the
 //     listed label keys — the guard that a single-tenant run's metric
 //     names stay byte-identical to the historical unlabeled series
@@ -68,10 +67,10 @@ func main() {
 	c.checkTracez(*minTraces, splitWant(*wantSpans))
 	c.checkMetricsJSON()
 	if workers := splitWant(*fleetWorkers); len(workers) > 0 {
-		c.checkFleetz(workers)
+		c.checkView("/fleetz", "worker", workers, fleetNames)
 	}
 	if ids := splitWant(*tenantsWant); len(ids) > 0 {
-		c.checkTenantz(ids)
+		c.checkView("/tenantz", "tenant", ids, tenantIDs)
 	}
 	if keys := splitWant(*forbidLabels); len(keys) > 0 {
 		c.checkForbidLabels(keys)
@@ -245,87 +244,74 @@ func (c *checker) checkTracez(minTraces int, wantSpans []string) {
 	}
 }
 
-// checkFleetz validates the merged fleet view: the Prometheus form must
-// pass the same exposition lint as /metrics and carry every expected
-// member's worker label; the JSON form must parse.
-func (c *checker) checkFleetz(workers []string) {
-	body := c.get("/fleetz?format=prom")
+// checkView validates a labelled view — /fleetz (one member per
+// worker label) or /tenantz (one tenant per tenant label): its
+// Prometheus form must pass the exposition lint and carry a series
+// labelled label="<id>" for every expected id, and its JSON form must
+// parse (ids decodes it) and name every expected id.
+func (c *checker) checkView(path, label string, want []string, ids func([]byte) ([]string, error)) {
+	body := c.get(path + "?format=prom")
 	if body == nil {
 		return
 	}
 	if err := obs.ValidateExposition(bytes.NewReader(body)); err != nil {
-		c.failf("/fleetz?format=prom is not valid exposition format: %v", err)
+		c.failf("%s?format=prom is not valid exposition format: %v", path, err)
 		return
 	}
-	c.passf("/fleetz?format=prom parses as Prometheus exposition format (%d bytes)", len(body))
-	for _, w := range workers {
-		label := fmt.Sprintf("worker=%q", w)
-		if !strings.Contains(string(body), label) {
-			c.failf("/fleetz carries no series labeled %s", label)
+	c.passf("%s?format=prom parses as Prometheus exposition format (%d bytes)", path, len(body))
+	for _, id := range want {
+		l := fmt.Sprintf("%s=%q", label, id)
+		if !strings.Contains(string(body), l) {
+			c.failf("%s carries no series labeled %s", path, l)
 			continue
 		}
-		c.passf("/fleetz carries series for worker %s", w)
+		c.passf("%s carries series for %s %s", path, label, id)
 	}
-	jbody := c.get("/fleetz?format=json")
+	jbody := c.get(path + "?format=json")
 	if jbody == nil {
 		return
 	}
-	var payload obs.FleetzPayload
-	if err := json.Unmarshal(jbody, &payload); err != nil {
-		c.failf("/fleetz?format=json does not unmarshal: %v", err)
+	got, err := ids(jbody)
+	if err != nil {
+		c.failf("%s?format=json does not unmarshal: %v", path, err)
 		return
 	}
-	c.passf("/fleetz?format=json parses (%d member(s))", len(payload.Workers))
+	c.passf("%s?format=json parses (%d entries)", path, len(got))
+	named := make(map[string]bool, len(got))
+	for _, id := range got {
+		named[id] = true
+	}
+	for _, id := range want {
+		if !named[id] {
+			c.failf("%s?format=json omits %s %q", path, label, id)
+		}
+	}
 }
 
-// checkTenantz validates the multi-tenant registry view: the
-// Prometheus form must pass the exposition lint and carry every
-// expected tenant's label; the JSON form must parse and name them too.
-func (c *checker) checkTenantz(ids []string) {
-	body := c.get("/tenantz?format=prom")
-	if body == nil {
-		return
+// fleetNames decodes /fleetz?format=json into its member names.
+func fleetNames(body []byte) ([]string, error) {
+	var payload obs.FleetzPayload
+	err := json.Unmarshal(body, &payload)
+	names := make([]string, len(payload.Workers))
+	for i, m := range payload.Workers {
+		names[i] = m.Name
 	}
-	if err := obs.ValidateExposition(bytes.NewReader(body)); err != nil {
-		c.failf("/tenantz?format=prom is not valid exposition format: %v", err)
-		return
-	}
-	c.passf("/tenantz?format=prom parses as Prometheus exposition format (%d bytes)", len(body))
-	for _, id := range ids {
-		label := fmt.Sprintf("tenant=%q", id)
-		if !strings.Contains(string(body), label) {
-			c.failf("/tenantz carries no series labeled %s", label)
-			continue
-		}
-		c.passf("/tenantz carries series for tenant %s", id)
-	}
-	jbody := c.get("/tenantz?format=json")
-	if jbody == nil {
-		return
-	}
+	return names, err
+}
+
+// tenantIDs decodes /tenantz?format=json into its tenant IDs.
+func tenantIDs(body []byte) ([]string, error) {
 	var payload struct {
 		Tenants []struct {
-			ID    string `json:"id"`
-			State string `json:"state"`
+			ID string `json:"id"`
 		} `json:"tenants"`
 	}
-	if err := json.Unmarshal(jbody, &payload); err != nil {
-		c.failf("/tenantz?format=json does not unmarshal: %v", err)
-		return
+	err := json.Unmarshal(body, &payload)
+	ids := make([]string, len(payload.Tenants))
+	for i, t := range payload.Tenants {
+		ids[i] = t.ID
 	}
-	c.passf("/tenantz?format=json parses (%d tenant(s))", len(payload.Tenants))
-	for _, id := range ids {
-		found := false
-		for _, t := range payload.Tenants {
-			if t.ID == id {
-				found = true
-				break
-			}
-		}
-		if !found {
-			c.failf("/tenantz?format=json omits tenant %q", id)
-		}
-	}
+	return ids, err
 }
 
 // checkForbidLabels scans every sample line on /metrics for forbidden

@@ -1,0 +1,8 @@
+package audit
+
+// Len returns the number of retained events.
+func (j *Journal) Len() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.n
+}

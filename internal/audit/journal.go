@@ -133,13 +133,6 @@ func (j *Journal) Record(kind EventKind, msg string, attrs ...Attr) Event {
 	return ev
 }
 
-// Len returns the number of retained events.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.n
-}
-
 // Seq returns the sequence number of the most recent event (0 when
 // nothing has been recorded).
 func (j *Journal) Seq() int64 {

@@ -1,7 +1,10 @@
 package fabric_test
 
 import (
+	"bytes"
+	"strings"
 	"testing"
+	"time"
 
 	"arams/internal/audit"
 	"arams/internal/fabric"
@@ -43,6 +46,38 @@ func TestDialFleetReportsTheFleet(t *testing.T) {
 	for i, r := range remotes {
 		if want := "worker" + string(rune('0'+i)); r.Name() != want || r.Degraded() {
 			t.Errorf("remote %d: name %q degraded %v, want %q live", i, r.Name(), r.Degraded(), want)
+		}
+	}
+}
+
+// TestArmFleetListsWorkerAtOnce: arming a fleet view fetches each
+// connected worker's snapshot at once, so /fleetz lists the fleet even
+// when no heartbeat ever fires (a stream shorter than one beat).
+func TestArmFleetListsWorkerAtOnce(t *testing.T) {
+	workers, addrs, err := startLoopbackWorkers(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, w := range workers {
+			w.Close()
+		}
+	}()
+	remotes := fabric.DialFleet(addrs, sketch.Config{Ell0: 8, Beta: 1, Seed: 3}, quietRemote())
+	defer func() {
+		for _, r := range remotes {
+			r.Close()
+		}
+	}()
+	fv := obs.NewFleetView(time.Minute)
+	for _, r := range remotes {
+		r.ArmFleet(fv)
+	}
+	var buf bytes.Buffer
+	fv.WritePrometheus(&buf)
+	for _, r := range remotes {
+		if want := `arams_fleet_worker_up{worker="` + r.Name() + `"} 1`; !strings.Contains(buf.String(), want) {
+			t.Errorf("no %s right after ArmFleet:\n%s", want, buf.String())
 		}
 	}
 }

@@ -784,14 +784,10 @@ func (r *Remote) heartbeatLoop() {
 				r.mQueueDepth.SetInt(hb.QueueDepth)
 				r.mObsRing.SetInt(hb.ObsRing)
 			}
-			// Piggyback a fleet-stats fetch on the successful probe when a
-			// fleet view is armed: the worker's whole registry snapshot,
-			// refreshed at heartbeat cadence.
-			if fv := r.fleet.Load(); fv != nil {
-				if snap, serr := r.statsRPCLocked(); serr == nil {
-					fv.Update(r.name, snap)
-				}
-			}
+			// Piggyback a fleet-stats fetch on the successful probe: the
+			// worker's whole registry snapshot, refreshed at heartbeat
+			// cadence.
+			r.feedFleetLocked()
 		}
 		// On error rpcLocked already dropped the connection and zeroed
 		// the up gauge; the next operation reconnects.
@@ -813,11 +809,28 @@ func (r *Remote) statsRPCLocked() (obs.RegistrySnapshot, error) {
 	return snap, nil
 }
 
-// ArmFleet attaches a fleet view to this remote: every subsequent
-// successful heartbeat also fetches the worker's registry snapshot and
-// feeds it to the view, so /fleetz tracks the worker at heartbeat
-// cadence. Pass nil to detach.
-func (r *Remote) ArmFleet(fv *obs.FleetView) { r.fleet.Store(fv) }
+// feedFleetLocked hands the armed fleet view, if any, the worker's
+// registry snapshot.
+func (r *Remote) feedFleetLocked() {
+	if fv := r.fleet.Load(); fv != nil {
+		if snap, err := r.statsRPCLocked(); err == nil {
+			fv.Update(r.name, snap)
+		}
+	}
+}
+
+// ArmFleet attaches a fleet view to this remote and feeds it the
+// worker's registry snapshot at once, so /fleetz lists a connected
+// worker even when the stream ends before the first heartbeat; every
+// successful heartbeat then refreshes the snapshot. Pass nil to detach.
+func (r *Remote) ArmFleet(fv *obs.FleetView) {
+	r.fleet.Store(fv)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.closed && r.fallback == nil && r.conn != nil {
+		r.feedFleetLocked()
+	}
+}
 
 // FlightForward asks the worker to dump its flight ring with the given
 // trigger ID (see FlightRecorder.TriggerID) and returns the dump file's

@@ -38,6 +38,22 @@ func labelsWith(md *meta, extraKey, extraVal string) string {
 // exposition format (version 0.0.4), followed by a small set of
 // process metrics (uptime, goroutines, memory).
 func (r *Registry) WritePrometheus(w io.Writer) {
+	r.writeFamilies(w)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	fmt.Fprintf(w, "# TYPE process_uptime_seconds gauge\nprocess_uptime_seconds %s\n",
+		fmtFloat(r.Uptime().Seconds()))
+	fmt.Fprintf(w, "# TYPE go_goroutines gauge\ngo_goroutines %d\n", runtime.NumGoroutine())
+	fmt.Fprintf(w, "# TYPE go_memstats_alloc_bytes gauge\ngo_memstats_alloc_bytes %d\n", ms.Alloc)
+	fmt.Fprintf(w, "# TYPE go_memstats_sys_bytes gauge\ngo_memstats_sys_bytes %d\n", ms.Sys)
+	fmt.Fprintf(w, "# TYPE go_gc_cycles_total counter\ngo_gc_cycles_total %d\n", ms.NumGC)
+}
+
+// writeFamilies writes the registry's metric families: one TYPE line
+// per name, then its series in label order, a histogram as cumulative
+// buckets (le last) plus _sum and _count. It is the only Prometheus
+// text writer; /metrics adds the process block, /fleetz does not.
+func (r *Registry) writeFamilies(w io.Writer) {
 	lastType := ""
 	r.each(func(m interface{}) {
 		md := metaOf(m)
@@ -65,22 +81,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s_count%s %d\n", md.name, md.labelString(), s.Count)
 		}
 	})
-
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	fmt.Fprintf(w, "# TYPE process_uptime_seconds gauge\nprocess_uptime_seconds %s\n",
-		fmtFloat(r.Uptime().Seconds()))
-	fmt.Fprintf(w, "# TYPE go_goroutines gauge\ngo_goroutines %d\n", runtime.NumGoroutine())
-	fmt.Fprintf(w, "# TYPE go_memstats_alloc_bytes gauge\ngo_memstats_alloc_bytes %d\n", ms.Alloc)
-	fmt.Fprintf(w, "# TYPE go_memstats_sys_bytes gauge\ngo_memstats_sys_bytes %d\n", ms.Sys)
-	fmt.Fprintf(w, "# TYPE go_gc_cycles_total counter\ngo_gc_cycles_total %d\n", ms.NumGC)
-}
-
-// jsonMetric is one scalar metric in the JSON exposition.
-type jsonMetric struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  float64           `json:"value"`
 }
 
 // jsonHistogram is one histogram in the JSON exposition.
@@ -121,8 +121,8 @@ type jsonDump struct {
 	SysBytes      uint64            `json:"sys_bytes"`
 	GCCycles      uint32            `json:"gc_cycles"`
 	Build         map[string]string `json:"build"`
-	Counters      []jsonMetric      `json:"counters"`
-	Gauges        []jsonMetric      `json:"gauges"`
+	Counters      []MetricPoint     `json:"counters"`
+	Gauges        []MetricPoint     `json:"gauges"`
 	Histograms    []jsonHistogram   `json:"histograms"`
 	Series        []jsonSeries      `json:"series"`
 	Spans         []jsonSpan        `json:"spans"`
@@ -147,6 +147,12 @@ func jsonSafe(v float64) float64 {
 	return v
 }
 
+// pointOf is a counter's or gauge's JSON form, the one /metrics.json
+// and Export share.
+func pointOf(md *meta, v float64) MetricPoint {
+	return MetricPoint{Name: md.name, Labels: labelMap(md), Value: jsonSafe(v)}
+}
+
 // WriteJSON writes the whole registry — process stats, every metric
 // with quantile summaries, and the recent-span ring — as one JSON
 // document (the payload behind /metrics.json and the /statusz page).
@@ -154,8 +160,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	dump := jsonDump{
 		UptimeSeconds: r.Uptime().Seconds(),
 		Goroutines:    runtime.NumGoroutine(),
-		Counters:      []jsonMetric{},
-		Gauges:        []jsonMetric{},
+		Counters:      []MetricPoint{},
+		Gauges:        []MetricPoint{},
 		Histograms:    []jsonHistogram{},
 		Series:        []jsonSeries{},
 		Spans:         []jsonSpan{},
@@ -176,9 +182,9 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		md := metaOf(m)
 		switch v := m.(type) {
 		case *Counter:
-			dump.Counters = append(dump.Counters, jsonMetric{Name: md.name, Labels: labelMap(md), Value: v.Value()})
+			dump.Counters = append(dump.Counters, pointOf(md, v.Value()))
 		case *Gauge:
-			dump.Gauges = append(dump.Gauges, jsonMetric{Name: md.name, Labels: labelMap(md), Value: v.Value()})
+			dump.Gauges = append(dump.Gauges, pointOf(md, v.Value()))
 		case *Histogram:
 			s := v.Snapshot()
 			dump.Histograms = append(dump.Histograms, jsonHistogram{

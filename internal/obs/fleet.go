@@ -4,17 +4,20 @@ package obs
 // registries. Each fabric worker snapshots its own Registry as a
 // RegistrySnapshot (JSON over the MsgStatsReq/MsgStats RPC); the
 // coordinator feeds the snapshots into a FleetView, which serves the
-// merged fleet — every series re-labeled with worker="<name>" — as
-// HTML, JSON, or Prometheus text on /fleetz. The merged exposition is
-// built to pass ValidateExposition: one TYPE per name, unique series
-// keys, complete histogram families; snapshots that would violate
-// those invariants (a name registered as a different kind on another
-// worker, a colliding series) are skipped rather than emitted broken.
+// fleet on /fleetz as HTML, JSON, or Prometheus text. The Prometheus
+// form imports every member's snapshot, each series labelled
+// worker="<name>", into a throwaway Registry and writes its families
+// with the writer /metrics uses. A snapshot is wire input, so a series
+// that registry cannot hold is skipped rather than emitted broken: an
+// invalid metric or label name, a name another member registered as a
+// different kind, a series key already taken, or a histogram whose
+// buckets do not fit its bounds.
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -64,11 +67,9 @@ func (r *Registry) Export() RegistrySnapshot {
 		md := metaOf(m)
 		switch v := m.(type) {
 		case *Counter:
-			snap.Counters = append(snap.Counters, MetricPoint{
-				Name: md.name, Labels: labelMap(md), Value: jsonSafe(v.Value())})
+			snap.Counters = append(snap.Counters, pointOf(md, v.Value()))
 		case *Gauge:
-			snap.Gauges = append(snap.Gauges, MetricPoint{
-				Name: md.name, Labels: labelMap(md), Value: jsonSafe(v.Value())})
+			snap.Gauges = append(snap.Gauges, pointOf(md, v.Value()))
 		case *Histogram:
 			s := v.Snapshot()
 			snap.Histograms = append(snap.Histograms, HistogramPoint{
@@ -160,158 +161,99 @@ func (v *FleetView) members() []fleetMember {
 	return out
 }
 
-// renderLabels renders a canonical {k="v",...} block (keys sorted,
-// values escaped); empty input renders "".
-func renderLabels(labels map[string]string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	ls := make([]Label, len(keys))
-	for i, k := range keys {
-		ls[i] = L(k, labels[k])
-	}
-	tmp := meta{labels: ls}
-	return tmp.labelString()
-}
-
-// workerLabels returns the series labels with the worker identity
-// added — unless the snapshot already labeled the series with a
-// worker (the coordinator's own fabric metrics do), which is kept.
-func workerLabels(labels map[string]string, worker string) map[string]string {
-	out := make(map[string]string, len(labels)+1)
-	for k, val := range labels {
-		out[k] = val
-	}
-	if _, ok := out["worker"]; !ok {
-		out["worker"] = worker
-	}
-	return out
-}
-
-// mergedName accumulates one metric name's samples across the fleet.
-type mergedName struct {
-	kind  string
-	lines []string
-}
-
 // WritePrometheus writes the merged fleet in the Prometheus text
-// format. Stale workers contribute only their age/up series. The
-// output always passes ValidateExposition: kind collisions across
-// workers skip the later worker's series, and duplicate series keys
-// (possible when a snapshot already carried a worker label) are
-// dropped.
+// format: the liveness gauges of every member first, then each fresh
+// member's imported series (a stale member contributes only its up and
+// age series), written as metric families with no process block. On a
+// kind collision the first member in name order wins, and a duplicate
+// series key (possible when a snapshot already carried a worker label)
+// is dropped, so the output passes ValidateExposition whatever the
+// snapshots hold.
 func (v *FleetView) WritePrometheus(w io.Writer) {
 	ms := v.members()
-
-	names := make(map[string]*mergedName)
-	get := func(name, kind string) *mergedName {
-		m, ok := names[name]
-		if !ok {
-			m = &mergedName{kind: kind}
-			names[name] = m
-		}
-		if m.kind != kind {
-			return nil // kind collision: first registration wins
-		}
-		return m
-	}
-	seen := make(map[string]bool)
-
-	// Liveness series for every member, fresh or stale.
+	reg := NewRegistry()
 	for _, mem := range ms {
-		l := renderLabels(map[string]string{"worker": mem.name})
-		if m := get("arams_fleet_worker_up", "gauge"); m != nil {
-			up := 1
-			if mem.stale {
-				up = 0
-			}
-			key := "arams_fleet_worker_up" + l
-			if !seen[key] {
-				seen[key] = true
-				m.lines = append(m.lines, fmt.Sprintf("arams_fleet_worker_up%s %d", l, up))
-			}
-		}
-		if m := get("arams_fleet_worker_age_seconds", "gauge"); m != nil {
-			key := "arams_fleet_worker_age_seconds" + l
-			if !seen[key] {
-				seen[key] = true
-				m.lines = append(m.lines, fmt.Sprintf("arams_fleet_worker_age_seconds%s %s",
-					l, fmtFloat(mem.age.Seconds())))
-			}
-		}
-	}
-
-	for _, mem := range ms {
+		up := 1.0
 		if mem.stale {
-			continue
+			up = 0
 		}
-		scalar := func(kind string, p MetricPoint) {
-			m := get(p.Name, kind)
-			if m == nil {
-				return
-			}
-			l := renderLabels(workerLabels(p.Labels, mem.name))
-			key := p.Name + l
-			if seen[key] {
-				return
-			}
-			seen[key] = true
-			m.lines = append(m.lines, fmt.Sprintf("%s%s %s", p.Name, l, fmtFloat(p.Value)))
-		}
-		for _, c := range mem.snap.Counters {
-			scalar("counter", c)
-		}
-		for _, g := range mem.snap.Gauges {
-			scalar("gauge", g)
-		}
-		for _, h := range mem.snap.Histograms {
-			m := get(h.Name, "histogram")
-			if m == nil {
-				continue
-			}
-			labels := workerLabels(h.Labels, mem.name)
-			base := renderLabels(labels)
-			key := h.Name + base
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			var cum uint64
-			for i, c := range h.Counts {
-				cum += c
-				le := "+Inf"
-				if i < len(h.Bounds) {
-					le = fmtFloat(h.Bounds[i])
-				}
-				withLE := workerLabels(labels, mem.name)
-				withLE["le"] = le
-				m.lines = append(m.lines, fmt.Sprintf("%s_bucket%s %d", h.Name, renderLabels(withLE), cum))
-			}
-			m.lines = append(m.lines, fmt.Sprintf("%s_sum%s %s", h.Name, base, fmtFloat(h.Sum)))
-			m.lines = append(m.lines, fmt.Sprintf("%s_count%s %d", h.Name, base, h.Count))
+		reg.Gauge("arams_fleet_worker_up", L("worker", mem.name)).Set(up)
+		reg.Gauge("arams_fleet_worker_age_seconds", L("worker", mem.name)).Set(mem.age.Seconds())
+	}
+	for _, mem := range ms {
+		if !mem.stale {
+			reg.importSnapshot(mem.snap, mem.name)
 		}
 	}
+	reg.writeFamilies(w)
+}
 
-	order := make([]string, 0, len(names))
-	for name := range names {
-		order = append(order, name)
+// importSnapshot registers a member's series in r, each labelled
+// worker=<name> unless the snapshot already carries a worker label,
+// which is kept. A series r cannot hold is skipped (see importable).
+func (r *Registry) importSnapshot(s RegistrySnapshot, worker string) {
+	for _, p := range s.Counters {
+		if ls, ok := r.importable(p.Name, "counter", p.Labels, worker); ok {
+			r.Counter(p.Name, ls...).Add(p.Value)
+		}
 	}
-	sort.Strings(order)
-	for _, name := range order {
-		m := names[name]
-		if len(m.lines) == 0 {
+	for _, p := range s.Gauges {
+		if ls, ok := r.importable(p.Name, "gauge", p.Labels, worker); ok {
+			r.Gauge(p.Name, ls...).Set(p.Value)
+		}
+	}
+	for _, p := range s.Histograms {
+		ls, ok := r.importable(p.Name, "histogram", p.Labels, worker)
+		if !ok || !fitsBounds(p.Bounds, p.Counts) {
 			continue
 		}
-		fmt.Fprintf(w, "# TYPE %s %s\n", name, m.kind)
-		for _, line := range m.lines {
-			fmt.Fprintln(w, line)
+		h := r.HistogramBuckets(p.Name, append([]float64{}, p.Bounds...), ls...)
+		copy(h.counts, p.Counts)
+		h.count, h.sum = p.Count, p.Sum
+	}
+}
+
+// importable returns a series' labels, sorted by key with the worker
+// label added, if r can take the series: its metric and label names
+// are valid (and a histogram carries no le label of its own), r holds
+// the name as no other kind, and r holds no series of that key yet.
+func (r *Registry) importable(name, kind string, labels map[string]string, worker string) ([]Label, bool) {
+	if !validMetricName(name) {
+		return nil, false
+	}
+	ls := make([]Label, 0, len(labels)+1)
+	for k, val := range labels {
+		if !validLabelName(k) || (kind == "histogram" && k == "le") {
+			return nil, false
+		}
+		ls = append(ls, L(k, val))
+	}
+	if _, ok := labels["worker"]; !ok {
+		ls = append(ls, L("worker", worker))
+	}
+	sort.Slice(ls, func(a, b int) bool { return ls[a].Key < ls[b].Key })
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if k, ok := r.kinds[name]; ok && k != kind {
+		return nil, false
+	}
+	_, taken := r.metrics[metricID(name, ls)]
+	return ls, !taken
+}
+
+// fitsBounds reports whether a histogram's bucket counts fit its
+// bounds: finite, strictly ascending bounds and one count per bound
+// plus the +Inf bucket.
+func fitsBounds(bounds []float64, counts []uint64) bool {
+	if len(counts) != len(bounds)+1 {
+		return false
+	}
+	for i, b := range bounds {
+		if math.IsNaN(b) || math.IsInf(b, 0) || (i > 0 && b <= bounds[i-1]) {
+			return false
 		}
 	}
+	return true
 }
 
 // FleetMember is one worker in the /fleetz?format=json payload.

@@ -40,9 +40,9 @@ func TestFleetMergeRelabelsAndValidates(t *testing.T) {
 		`jobs_total{worker="w0"} 3`,
 		`jobs_total{worker="w1"} 7`,
 		`depth{shard="0",worker="w0"} 2`,
-		`lat_seconds_bucket{le="0.1",worker="w0"} 4`,
-		`lat_seconds_bucket{le="1",worker="w0"} 5`,
-		`lat_seconds_bucket{le="+Inf",worker="w0"} 5`,
+		`lat_seconds_bucket{worker="w0",le="0.1"} 4`,
+		`lat_seconds_bucket{worker="w0",le="1"} 5`,
+		`lat_seconds_bucket{worker="w0",le="+Inf"} 5`,
 		`lat_seconds_sum{worker="w0"} 0.9`,
 		`lat_seconds_count{worker="w0"} 5`,
 		`arams_fleet_worker_up{worker="w0"} 1`,
@@ -178,5 +178,41 @@ func TestFleetzJSONRoundTrip(t *testing.T) {
 	}
 	if again.Workers[0].Snapshot.Counters[0].Name != "a_total" {
 		t.Fatalf("round trip lost counter: %+v", again.Workers[0].Snapshot)
+	}
+}
+
+// TestFleetSkipsSeriesItCannotHold: a snapshot is wire input, so a
+// series the merged registry cannot hold is skipped, and the rest of
+// the member's series still render into a valid exposition.
+func TestFleetSkipsSeriesItCannotHold(t *testing.T) {
+	v := NewFleetView(time.Minute)
+	v.Update("w0", snapWith(
+		[]MetricPoint{{Name: "ok_total", Value: 2}},
+		[]MetricPoint{
+			{Name: "bad name", Value: 1},
+			{Name: "bad_label", Labels: map[string]string{"bad-key": "x"}, Value: 1},
+		},
+		[]HistogramPoint{
+			{Name: "extra_buckets_seconds", Bounds: []float64{0.1}, Counts: []uint64{1, 2, 3}, Sum: 1, Count: 6},
+			{Name: "descending_seconds", Bounds: []float64{1, 0.1}, Counts: []uint64{1, 1, 1}, Sum: 1, Count: 3},
+			{Name: "le_labelled_seconds", Labels: map[string]string{"le": "x"}, Bounds: []float64{0.1}, Counts: []uint64{1, 2}, Sum: 1, Count: 3},
+			{Name: "good_seconds", Bounds: []float64{0.1}, Counts: []uint64{1, 2}, Sum: 1, Count: 3},
+		},
+	))
+
+	out := renderFleet(t, v)
+	for _, gone := range []string{"bad name", "bad_label", "extra_buckets_seconds", "descending_seconds", "le_labelled_seconds"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("series %q should have been skipped:\n%s", gone, out)
+		}
+	}
+	for _, want := range []string{
+		`ok_total{worker="w0"} 2`,
+		`good_seconds_bucket{worker="w0",le="+Inf"} 3`,
+		`arams_fleet_worker_up{worker="w0"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q:\n%s", want, out)
+		}
 	}
 }

@@ -46,17 +46,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // SetInt stores an integer value.
 func (g *Gauge) SetInt(v int) { g.Set(float64(v)) }
 
-// Add increments the gauge by v (v may be negative).
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

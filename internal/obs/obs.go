@@ -270,22 +270,3 @@ func (r *Registry) SetBuildInfo(key, value string) {
 	}
 	r.build[key] = value
 }
-
-// Reset drops every metric, time series, recorded span, retained
-// trace, and cached stage-histogram handle. Extra HTTP handlers are
-// kept — they are process wiring, not recorded state. An armed flight
-// recorder also stays armed (its next samples simply start from the
-// cleared state). Intended for tests.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	r.metrics = make(map[string]interface{})
-	r.kinds = make(map[string]string)
-	r.series = nil
-	r.mu.Unlock()
-	r.ring.reset()
-	r.traces.reset()
-	r.stageHists.Range(func(k, _ interface{}) bool {
-		r.stageHists.Delete(k)
-		return true
-	})
-}

@@ -188,6 +188,81 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestWritePrometheusFamiliesBytes pins the metric families /metrics
+// writes for a fixed registry, byte for byte: name order, label order
+// as registered, le last, escaped values, non-finite values.
+func TestWritePrometheusFamiliesBytes(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("frames_total", L("kind", "beam")).Add(3)
+	r.Counter("frames_total", L("kind", "diff\"raction\\\n")).Add(0.25)
+	r.Counter("a_total").Inc()
+	r.Gauge("ell").Set(25)
+	r.Gauge("temp", L("shard", "1"), L("host", "b")).Set(math.NaN())
+	r.Gauge("temp", L("shard", "0"), L("host", "a")).Set(math.Inf(-1))
+	h := r.HistogramBuckets("dur_seconds", []float64{1})
+	h.Observe(0.5)
+	h.Observe(9)
+	h2 := r.HistogramBuckets("lat_seconds", []float64{1e-3, 0.25, 4}, L("stage", "x"))
+	h2.Observe(0.1)
+	h2.Observe(0.2)
+	h2.Observe(100)
+
+	const want = "# TYPE a_total counter\na_total 1\n" +
+		"# TYPE dur_seconds histogram\n" +
+		"dur_seconds_bucket{le=\"1\"} 1\ndur_seconds_bucket{le=\"+Inf\"} 2\n" +
+		"dur_seconds_sum 9.5\ndur_seconds_count 2\n" +
+		"# TYPE ell gauge\nell 25\n" +
+		"# TYPE frames_total counter\n" +
+		"frames_total{kind=\"beam\"} 3\nframes_total{kind=\"diff\\\"raction\\\\\\n\"} 0.25\n" +
+		"# TYPE lat_seconds histogram\n" +
+		"lat_seconds_bucket{stage=\"x\",le=\"0.001\"} 0\n" +
+		"lat_seconds_bucket{stage=\"x\",le=\"0.25\"} 2\n" +
+		"lat_seconds_bucket{stage=\"x\",le=\"4\"} 2\n" +
+		"lat_seconds_bucket{stage=\"x\",le=\"+Inf\"} 3\n" +
+		"lat_seconds_sum{stage=\"x\"} 100.3\nlat_seconds_count{stage=\"x\"} 3\n" +
+		"# TYPE temp gauge\ntemp{shard=\"0\",host=\"a\"} -Inf\ntemp{shard=\"1\",host=\"b\"} NaN\n"
+
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	got, _, ok := strings.Cut(buf.String(), "# TYPE process_uptime_seconds gauge\n")
+	if !ok {
+		t.Fatalf("no process block:\n%s", buf.String())
+	}
+	if got != want {
+		t.Fatalf("families changed:\ngot  %q\nwant %q", got, want)
+	}
+}
+
+// TestWriteJSONNonFiniteScalar: a gauge can hold NaN or ±Inf (a fabric
+// worker's uptime is a float off the wire); /metrics.json must still
+// encode, with the value mapped to 0 as Export maps it.
+func TestWriteJSONNonFiniteScalar(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("nan_gauge").Set(math.NaN())
+	r.Gauge("inf_gauge").Set(math.Inf(1))
+	r.Counter("inf_total").Add(math.Inf(1))
+
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	var dump struct {
+		Counters []MetricPoint `json:"counters"`
+		Gauges   []MetricPoint `json:"gauges"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
+	}
+	if len(dump.Counters) != 1 || len(dump.Gauges) != 2 {
+		t.Fatalf("counters %+v, gauges %+v", dump.Counters, dump.Gauges)
+	}
+	for _, p := range append(dump.Counters, dump.Gauges...) {
+		if p.Value != 0 {
+			t.Errorf("%s = %v, want 0", p.Name, p.Value)
+		}
+	}
+}
+
 func TestWriteJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total").Inc()

@@ -178,12 +178,3 @@ func (a *ARAMS) FD() *FrequentDirections {
 	}
 	return a.fd
 }
-
-// Run executes Algorithm 3 on a full matrix: select the β·n
-// highest-priority rows with a priority queue, then sketch them with
-// rank-adaptive Frequent Directions.
-func Run(x *mat.Matrix, cfg Config) *mat.Matrix {
-	a := NewARAMS(cfg, x.ColsN, x.RowsN)
-	a.ProcessBatch(x)
-	return a.Sketch()
-}

@@ -1,0 +1,19 @@
+package sketch
+
+import "arams/internal/mat"
+
+// Run executes Algorithm 3 on a full matrix: select the β·n
+// highest-priority rows with a priority queue, then sketch them with
+// rank-adaptive Frequent Directions.
+func Run(x *mat.Matrix, cfg Config) *mat.Matrix {
+	a := NewARAMS(cfg, x.ColsN, x.RowsN)
+	a.ProcessBatch(x)
+	return a.Sketch()
+}
+
+// AppendMatrix adds every row of x.
+func (r *RankAdaptiveFD) AppendMatrix(x *mat.Matrix) {
+	for i := 0; i < x.RowsN; i++ {
+		r.Append(x.Row(i))
+	}
+}

@@ -126,13 +126,6 @@ func (r *RankAdaptiveFD) appendNorm(row []float64, n2 float64) {
 	}
 }
 
-// AppendMatrix adds every row of x.
-func (r *RankAdaptiveFD) AppendMatrix(x *mat.Matrix) {
-	for i := 0; i < x.RowsN; i++ {
-		r.Append(x.Row(i))
-	}
-}
-
 // canRankAdapt mirrors line 8 of Algorithm 2: growth is permitted only
 // when more than ℓ+ν rows remain, so the enlarged buffer can still be
 // filled before the stream ends.

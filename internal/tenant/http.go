@@ -50,50 +50,59 @@ type tenantzPayload struct {
 // live table is how the exposition stays lint-clean by construction.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		infos := r.Tenants()
+		p := r.tenantz()
 		switch req.URL.Query().Get("format") {
 		case "prom":
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			r.writeProm(w, infos)
+			writeProm(w, p)
 		case "json":
 			w.Header().Set("Content-Type", "application/json")
-			payload := tenantzPayload{Tenants: []tenantzInfo{}, MaxResident: r.cfg.MaxResident}
-			for _, inf := range infos {
-				if inf.State == Resident || inf.State == Idle || inf.State == Hibernating {
-					payload.Resident++
-				}
-				payload.Tenants = append(payload.Tenants, tenantzInfo{
-					Info: inf, StateStr: inf.State.String(),
-					IdleSeconds: inf.IdleFor.Seconds(),
-				})
-			}
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
-			enc.Encode(payload)
+			enc.Encode(p)
 		default:
 			w.Header().Set("Content-Type", "text/html; charset=utf-8")
-			r.writeHTML(w, infos)
+			if err := tenantzTmpl.Execute(w, p); err != nil {
+				fmt.Fprintf(w, "<!-- render: %v -->", err)
+			}
 		}
 	})
+}
+
+// resident reports whether a tenant in state s holds its monitor in
+// memory.
+func resident(s State) bool { return s == Resident || s == Idle || s == Hibernating }
+
+// tenantz is the tenant table every /tenantz form renders.
+func (r *Registry) tenantz() tenantzPayload {
+	p := tenantzPayload{Tenants: []tenantzInfo{}, MaxResident: r.cfg.MaxResident}
+	for _, inf := range r.Tenants() {
+		if resident(inf.State) {
+			p.Resident++
+		}
+		p.Tenants = append(p.Tenants, tenantzInfo{
+			Info: inf, StateStr: inf.State.String(),
+			IdleSeconds: inf.IdleFor.Seconds(),
+		})
+	}
+	return p
 }
 
 // writeProm renders the tenant table as Prometheus text through a
 // throwaway obs registry, so naming/label hygiene is enforced by the
 // same code path as every other exposition in the process.
-func (r *Registry) writeProm(w http.ResponseWriter, infos []Info) {
+func writeProm(w http.ResponseWriter, p tenantzPayload) {
 	reg := obs.NewRegistry()
-	resident := 0
-	for _, inf := range infos {
+	for _, inf := range p.Tenants {
 		lt := obs.L("tenant", inf.ID)
 		reg.Gauge("arams_tenantz_state", lt).SetInt(int(inf.State))
 		reg.Gauge("arams_tenantz_queue_depth", lt).SetInt(inf.QueueDepth)
 		reg.Gauge("arams_tenantz_ingests", lt).SetInt(inf.Ingests)
 		reg.Gauge("arams_tenantz_pins", lt).SetInt(inf.Pins)
-		reg.Gauge("arams_tenantz_idle_seconds", lt).Set(inf.IdleFor.Seconds())
+		reg.Gauge("arams_tenantz_idle_seconds", lt).Set(inf.IdleSeconds)
 		res := 0.0
-		if inf.State == Resident || inf.State == Idle || inf.State == Hibernating {
+		if resident(inf.State) {
 			res = 1
-			resident++
 		}
 		reg.Gauge("arams_tenantz_resident", lt).Set(res)
 		if c := inf.Certificate; c != nil {
@@ -101,10 +110,10 @@ func (r *Registry) writeProm(w http.ResponseWriter, infos []Info) {
 			reg.Gauge("arams_tenantz_cert_rows", lt).SetInt(c.Rows)
 		}
 	}
-	reg.Gauge("arams_tenantz_tenant_count").SetInt(len(infos))
-	reg.Gauge("arams_tenantz_resident_count").SetInt(resident)
-	if r.cfg.MaxResident > 0 {
-		reg.Gauge("arams_tenantz_max_resident").SetInt(r.cfg.MaxResident)
+	reg.Gauge("arams_tenantz_tenant_count").SetInt(len(p.Tenants))
+	reg.Gauge("arams_tenantz_resident_count").SetInt(p.Resident)
+	if p.MaxResident > 0 {
+		reg.Gauge("arams_tenantz_max_resident").SetInt(p.MaxResident)
 	}
 	reg.WritePrometheus(w)
 }
@@ -136,19 +145,3 @@ td.num { text-align: right; font-variant-numeric: tabular-nums; }
 </table>
 </body></html>
 `))
-
-func (r *Registry) writeHTML(w http.ResponseWriter, infos []Info) {
-	payload := tenantzPayload{MaxResident: r.cfg.MaxResident}
-	for _, inf := range infos {
-		if inf.State == Resident || inf.State == Idle || inf.State == Hibernating {
-			payload.Resident++
-		}
-		payload.Tenants = append(payload.Tenants, tenantzInfo{
-			Info: inf, StateStr: inf.State.String(),
-			IdleSeconds: inf.IdleFor.Seconds(),
-		})
-	}
-	if err := tenantzTmpl.Execute(w, payload); err != nil {
-		fmt.Fprintf(w, "<!-- render: %v -->", err)
-	}
-}

@@ -11,7 +11,7 @@
 #     of /metrics without breaking the exposition;
 #   - the hibernate/restore churn actually happened (hibernation and
 #     restore counters on /metrics are nonzero);
-#   - ckptinfo -dir reads the hibernation directory back: every tenant
+#   - ckptinfo reads the hibernation directory back: every tenant
 #     decodes, with the full stream accounted for in its certificate;
 #   - a second lclsmon -tenants run over the same directory resumes
 #     every hibernated stream (ingest counts double) — restore-on-next-
@@ -87,9 +87,9 @@ kill "$MON_PID"
 wait "$MON_PID" 2>/dev/null || true
 MON_PID=
 
-echo "== ckptinfo -dir reads the hibernation directory =="
-"$TMP/ckptinfo" -dir "$TMP/tenants"
-count="$("$TMP/ckptinfo" -json -dir "$TMP/tenants" | grep -c '"ingests": 96')"
+echo "== ckptinfo reads the hibernation directory =="
+"$TMP/ckptinfo" "$TMP/tenants"
+count="$("$TMP/ckptinfo" -json "$TMP/tenants" | grep -c '"ingests": 96')"
 if [ "$count" -ne 3 ]; then
   echo "expected 3 tenants with 96 ingests, saw $count" >&2; exit 1
 fi
@@ -98,10 +98,10 @@ echo "== second run over the same directory: restore across process death =="
 "$TMP/lclsmon" \
   -tenants "amo=$TMP/runs/amo.lcls,cxi=$TMP/runs/cxi.lcls,mfx=$TMP/runs/mfx.lcls" \
   -checkpoint-dir "$TMP/tenants" -tenant-max-resident 1 -shards 2
-count="$("$TMP/ckptinfo" -json -dir "$TMP/tenants" | grep -c '"ingests": 192')"
+count="$("$TMP/ckptinfo" -json "$TMP/tenants" | grep -c '"ingests": 192')"
 if [ "$count" -ne 3 ]; then
   echo "expected 3 tenants resumed to 192 ingests, saw $count" >&2
-  "$TMP/ckptinfo" -dir "$TMP/tenants" >&2 || true
+  "$TMP/ckptinfo" "$TMP/tenants" >&2 || true
   exit 1
 fi
 
