@@ -52,9 +52,12 @@ type Certificate struct {
 	Ell int `json:"ell"`
 	// Rotations is the number of shrink steps performed.
 	Rotations int `json:"rotations"`
-	// ShrinkMass is the accumulated shrinkage Σδ: the certified bound
-	// ‖AᵀA − BᵀB‖₂ ≤ ShrinkMass (Liberty 2013). Composes additively
-	// across merges.
+	// ShrinkMass is Σδ, the certified bound ‖AᵀA − BᵀB‖₂ ≤ ShrinkMass
+	// (Liberty 2013) for the float64 stream A: the shrinkage accumulated
+	// across rotations plus the charge for storing each appended row at
+	// float32 until the next rotation, (2u + u²)‖a‖² with u = 2⁻²⁴ and
+	// a term for subnormal elements (sketch.FrequentDirections.Delta).
+	// Composes additively across merges.
 	ShrinkMass float64 `json:"shrink_mass"`
 	// FrobMass is the accumulated squared Frobenius norm ‖A‖_F² of the
 	// summarized stream. Zero when unknown (e.g. a sketch restored from
@@ -79,7 +82,7 @@ func FromSketch(fd *sketch.FrequentDirections) Certificate {
 }
 
 // CovBound returns the certified covariance-error bound
-// ‖AᵀA − BᵀB‖₂ ≤ Σδ.
+// ‖AᵀA − BᵀB‖₂ ≤ Σδ, float32 rounding of the stored rows included.
 func (c Certificate) CovBound() float64 { return c.ShrinkMass }
 
 // RelBound returns the scale-free certificate Σδ/‖A‖_F² — the fraction
@@ -118,7 +121,8 @@ func (c Certificate) Tightening() float64 {
 // touching a sketch: rows, rotations and stream energies add, shrinkage
 // masses add, and the rank is the maximum. It certifies the children's
 // sketches stacked: ‖AᵀA − Σ BᵢᵀBᵢ‖₂ ≤ Σ δᵢ, since AᵀA − Σ BᵢᵀBᵢ is a
-// sum of PSD terms each bounded by its own δᵢ. That is the live
+// sum of terms each bounded in norm by its own δᵢ, rounding charges
+// included (the triangle inequality needs no term to be PSD). That is the live
 // certificate of a sharded engine and of a checkpoint's shards, and it
 // needs no merge. A tree merge of the children adds the shrinkage of
 // its own rotations, so a merged sketch's certificate dominates this

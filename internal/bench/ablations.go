@@ -82,7 +82,7 @@ func AritySweep(p ScalingParams) *Table {
 func SVDBackendSweep(seed uint64) *Table {
 	t := &Table{
 		Title:  "FD rotation kernel: Gram-trick SVD vs one-sided Jacobi",
-		Note:   "gram cost grows linearly in d; jacobi super-linearly — gram is the default",
+		Note:   "gram cost grows linearly in d; jacobi super-linearly — gram is the one the FD rotation runs",
 		Header: []string{"buffer", "gram_ms", "jacobi_ms", "speedup", "max_sigma_dev"},
 	}
 	g := rng.New(seed)

@@ -9,7 +9,7 @@
 // Frame layout (all integers little-endian):
 //
 //	offset 0   magic   "ACKP" (4 bytes)
-//	offset 4   version uint32 (the kind's: 4 for a monitor, 3 for a sketch)
+//	offset 4   version uint32 (the kind's: 5 for a monitor, 4 for a sketch)
 //	offset 8   kind    uint32 (which state type the payload holds)
 //	offset 12  length  uint64 (payload byte count)
 //	offset 20  payload (type-specific field stream, see codec.go)
@@ -39,23 +39,25 @@ import (
 const Magic = uint32('A') | uint32('C')<<8 | uint32('K')<<16 | uint32('P')<<24
 
 // Version is the frame version of a monitor checkpoint, the kind that
-// holds the sliding window: since version 4 its window frames are
-// float32, the precision the window keeps. A version 3 monitor frame is
-// rejected with ErrVersion, not narrowed on decode: narrowed and
-// re-encoded as version 4 it would not be the bytes it was read from,
+// holds the sliding window and the shards' sketches: its window frames
+// are float32, the precision the window keeps (since version 4), and
+// each sketch is a sketchVersion payload (since version 5). An older
+// monitor frame is rejected with ErrVersion, not converted on decode:
+// converted and re-encoded it would not be the bytes it was read from,
 // which breaks the canonical-encoding promise — the reason versions 1
 // and 2 (one optional sketch per monitor, no audit state, no FD
 // Frobenius mass), which were never deployed, lost their decode
-// branches too. The sketch kinds' payloads did not change at version 4,
-// so their frames keep sketchVersion and their bytes — those the fabric
-// wire carries as shard state included. Every decoder rejects a frame
-// whose version is not its kind's with ErrVersion rather than guess at
-// its layout.
-const Version = 4
+// branches too. Every decoder rejects a frame whose version is not its
+// kind's with ErrVersion rather than guess at its layout.
+const Version = 5
 
 // sketchVersion is the frame version of the FD, rank-adaptive and ARAMS
-// kinds.
-const sketchVersion = 3
+// kinds — those the fabric wire carries as shard state included. Since
+// version 4 an FD payload holds its kept rows as float64 and its
+// incoming rows as float32, the precision the sketch stores them at, and
+// no SVD backend slot: the rotation has one factorization. A version 3
+// sketch frame fails with ErrVersion.
+const sketchVersion = 4
 
 // version returns the frame version kind k is written and read at, and
 // false for a kind no decoder knows (which decodes to ErrBadKind).
@@ -380,8 +382,9 @@ type dec struct {
 	err error
 
 	// pooled is set while a monitor frame streams in (Load): its window
-	// vectors come from mat.GetVec32, and a rotated sketch's buffer from
-	// mat.GetVec at its full 2ℓ×d capacity (see pooledFDCap), storage a
+	// vectors come from mat.GetVec32, and a rotated sketch's two blocks
+	// from mat.GetVec and mat.GetVec32 at their full ℓ×d capacity (see
+	// pooledFDCap), storage a
 	// restore takes over and its engine's Close gives back. The slice
 	// form allocates them: its callers mostly inspect what they decode
 	// and drop it, which would drain the pool the engines recycle into.
@@ -537,7 +540,8 @@ func (d *dec) floatsCap(c int) []float64 {
 }
 
 // floats32 is floats for a []float32: the count is bounded by four
-// bytes an element, the least one can take.
+// bytes an element, the least one can take. A pooled decode draws it
+// from mat.GetVec32.
 func (d *dec) floats32() []float32 {
 	n := d.count(4)
 	if d.err != nil || n == 0 {
@@ -549,6 +553,28 @@ func (d *dec) floats32() []float32 {
 	} else {
 		out = make([]float32, n)
 	}
+	return d.fill32(out)
+}
+
+// floats32Cap is floats32 into an array of capacity c drawn from
+// mat.GetVec32 when c is at least the decoded length, also when that
+// length is 0; the rest of that array is zero. With c 0 it is floats32.
+func (d *dec) floats32Cap(c int) []float32 {
+	if c == 0 {
+		return d.floats32()
+	}
+	n := d.count(4)
+	if d.err != nil {
+		return nil
+	}
+	if n > c {
+		return d.fill32(make([]float32, n))
+	}
+	return d.fill32(mat.GetVec32(c)[:n])
+}
+
+// fill32 reads len(out) float32 elements into out.
+func (d *dec) fill32(out []float32) []float32 {
 	for rest := out; len(rest) > 0; {
 		if !d.need(4) {
 			return nil

@@ -336,11 +336,36 @@ func TestMonitorVersion3Rejected(t *testing.T) {
 	if _, err := Load(path); !errors.Is(err, ErrVersion) {
 		t.Errorf("Load: got %v, want ErrVersion", err)
 	}
-	// The same payload under version 4 is no monitor frame either: its
-	// vectors are read as float32, and the layout falls apart.
-	v4 := reseal(frame, func(b []byte) { b[4] = Version })
-	if _, err := Unmarshal(v4); err == nil || errors.Is(err, ErrVersion) {
-		t.Errorf("v3 payload under a v4 header: got %v, want a field error", err)
+	// The same payload under the current version is no monitor frame
+	// either: its vectors are read as float32, and the layout falls apart.
+	cur := reseal(frame, func(b []byte) { b[4] = Version })
+	if _, err := Unmarshal(cur); err == nil || errors.Is(err, ErrVersion) {
+		t.Errorf("v3 payload under a v%d header: got %v, want a field error", Version, err)
+	}
+}
+
+// TestMonitorVersion4Rejected: a version 4 monitor frame — float32
+// window, version 3 sketch payloads with all-float64 buffers — fails
+// with ErrVersion from every decoder, like a version 3 one, rather than
+// be read with the float32 incoming rows its sketches do not have.
+func TestMonitorVersion4Rejected(t *testing.T) {
+	valid, err := Marshal(testMonitor(t, 10).State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4 := reseal(valid, func(b []byte) { b[4] = 4 })
+	path := filepath.Join(t.TempDir(), "v4.ckpt")
+	if err := os.WriteFile(path, v4, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Peek(v4); !errors.Is(err, ErrVersion) {
+		t.Errorf("Peek: got %v, want ErrVersion", err)
+	}
+	if _, err := Unmarshal(v4); !errors.Is(err, ErrVersion) {
+		t.Errorf("Unmarshal: got %v, want ErrVersion", err)
+	}
+	if _, err := Load(path); !errors.Is(err, ErrVersion) {
+		t.Errorf("Load: got %v, want ErrVersion", err)
 	}
 }
 

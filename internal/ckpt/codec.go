@@ -125,47 +125,52 @@ func decodeState(d *dec, kind Kind) (any, error) {
 func encodeFD(e *enc, s *sketch.FDState) {
 	e.i64(s.Ell)
 	e.i64(s.D)
-	e.i64(int(s.Backend))
 	e.i64(s.NextZero)
 	e.i64(s.Rotations)
 	e.i64(s.Seen)
 	e.f64(s.TotalDelta)
 	e.f64(s.FrobMass)
-	e.floats(s.Buffer)
+	e.floats(s.Kept)
+	e.floats32(s.Incoming)
 }
 
 func decodeFD(d *dec) *sketch.FDState {
 	s := &sketch.FDState{
 		Ell:      d.i64(),
 		D:        d.i64(),
-		Backend:  sketch.SVDBackend(d.i64()),
 		NextZero: d.i64(),
 	}
 	s.Rotations = d.i64()
 	s.Seen = d.i64()
 	s.TotalDelta = d.f64()
 	s.FrobMass = d.f64()
-	s.Buffer = d.floatsCap(d.pooledFDCap(s))
+	c := d.pooledFDCap(s)
+	s.Kept = d.floatsCap(c)
+	if len(s.Kept) != c {
+		c = 0 // the rows were not all there; the decode fails below
+	}
+	s.Incoming = d.floats32Cap(c)
 	return s
 }
 
-// pooledFDCap is the capacity a streamed monitor frame's sketch buffer
-// decodes into: the whole 2ℓ×d array once the sketch has rotated — at
-// least ℓ occupied rows, so the reservation is at most twice the floats
-// the payload holds, and a restore adopts it (sketch.AdoptARAMSState) —
-// and 0 otherwise, which decodes the occupied prefix alone for the
-// restore to copy, as a sketch frame and the slice form always do.
+// pooledFDCap is the capacity a streamed monitor frame's sketch blocks
+// decode into: the whole ℓ×d arrays once the sketch has rotated — ℓ
+// occupied float64 rows, so the float64 reservation is the floats the
+// payload holds and the float32 one half that, and a restore adopts
+// both (sketch.AdoptARAMSState) — and 0 otherwise, which decodes the
+// occupied rows alone for the restore to copy, as a sketch frame and the
+// slice form always do.
 func (d *dec) pooledFDCap(s *sketch.FDState) int {
 	if !d.pooled || s.Ell <= 0 || s.D <= 0 || s.NextZero < s.Ell || s.NextZero > 2*s.Ell {
 		return 0
 	}
-	// The element count that follows bounds NextZero·D by the payload
-	// left; a header claiming more fails there, so stop before the
-	// product can overflow.
-	if s.NextZero > d.remaining()/8/s.D {
+	// The element count that follows bounds Ell·D by the payload left;
+	// a header claiming more fails there, so stop before the product can
+	// overflow.
+	if s.Ell > d.remaining()/8/s.D {
 		return 0
 	}
-	return 2 * s.Ell * s.D
+	return s.Ell * s.D
 }
 
 // --- RNG ---

@@ -76,7 +76,7 @@ func save(path string, state any) error {
 // allocated, and the only full-size memory a load touches is the state
 // it returns. A monitor state it returns owns its storage, drawn from
 // mat's vector pool: the window vectors and, for each shard sketch that
-// has rotated, the whole 2ℓ×d buffer. The one monitor restored from it
+// has rotated, its whole ℓ×d float64 and float32 blocks. The one monitor restored from it
 // (pipeline.NewMonitorFromState) takes that storage over and its
 // engine's Close gives it back; a state that is not restored from
 // returns it with Release. See Unmarshal for the returned types and

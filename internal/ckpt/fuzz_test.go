@@ -84,12 +84,12 @@ func (p *pool) fdState() sketch.FDState {
 	nz := p.intn(2*ell + 1)
 	return sketch.FDState{
 		Ell: ell, D: d,
-		Backend:    sketch.SVDBackend(p.intn(2)),
 		NextZero:   nz,
 		Rotations:  p.intn(100),
 		Seen:       p.intn(10000),
 		TotalDelta: p.f64(),
-		Buffer:     p.floats(nz * d),
+		Kept:       p.floats(min(nz, ell) * d),
+		Incoming:   p.floats32(max(nz-ell, 0) * d),
 	}
 }
 
@@ -171,9 +171,9 @@ func stateFromBytes(data []byte) any {
 	default:
 		s := p.fdState()
 		return sketch.FDState{ // non-pointer variant exercises both Marshal paths
-			Ell: s.Ell, D: s.D, Backend: s.Backend, NextZero: s.NextZero,
+			Ell: s.Ell, D: s.D, NextZero: s.NextZero,
 			Rotations: s.Rotations, Seen: s.Seen, TotalDelta: s.TotalDelta,
-			Buffer: s.Buffer,
+			Kept: s.Kept, Incoming: s.Incoming,
 		}
 	}
 }

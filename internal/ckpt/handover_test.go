@@ -15,12 +15,16 @@ import (
 // TestDecodedSketchReservesOnlyRotatedBuffers pins the bound on what a
 // monitor frame's decode reserves: streamed from a file (Load), a shard
 // sketch that has rotated (ℓ or more occupied rows) decodes into its
-// whole 2ℓ×d array, at most twice the floats the payload carries, which
-// a restore adopts; one that has not decodes its occupied prefix alone,
-// as before, for the restore to copy. The slice form (Unmarshal) and a
-// bare sketch frame never reserve.
+// whole ℓ×d float64 and float32 arrays — the float64 one exactly the
+// kept rows the payload carries, the float32 one half as many bytes —
+// which a restore adopts; one that has not decodes its occupied rows
+// alone, as before, for the restore to copy. The slice form (Unmarshal)
+// and a bare sketch frame never reserve.
 func TestDecodedSketchReservesOnlyRotatedBuffers(t *testing.T) {
 	dir := t.TempDir()
+	exact := func(fd *sketch.FDState) bool {
+		return cap(fd.Kept) == len(fd.Kept) && cap(fd.Incoming) == len(fd.Incoming)
+	}
 	for _, tc := range []struct {
 		frames   int
 		reserved bool
@@ -43,13 +47,14 @@ func TestDecodedSketchReservesOnlyRotatedBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 		fd := loaded.(*pipeline.MonitorState).Shards[0].FD
-		full := 2 * fd.Ell * fd.D
-		if got := cap(fd.Buffer) == full; got != tc.reserved || (!tc.reserved && cap(fd.Buffer) != len(fd.Buffer)) {
-			t.Errorf("Load, %d frames, %d occupied rows of ℓ = %d: buffer len %d cap %d; want the 2ℓ·d = %d reservation %v",
-				tc.frames, fd.NextZero, fd.Ell, len(fd.Buffer), cap(fd.Buffer), full, tc.reserved)
+		full := fd.Ell * fd.D
+		got := cap(fd.Kept) == full && cap(fd.Incoming) == full
+		if got != tc.reserved || (!tc.reserved && !exact(fd)) {
+			t.Errorf("Load, %d frames, %d occupied rows of ℓ = %d: kept len %d cap %d, incoming len %d cap %d; want the ℓ·d = %d reservations %v",
+				tc.frames, fd.NextZero, fd.Ell, len(fd.Kept), cap(fd.Kept), len(fd.Incoming), cap(fd.Incoming), full, tc.reserved)
 		}
-		if fd := sliced.(*pipeline.MonitorState).Shards[0].FD; cap(fd.Buffer) != len(fd.Buffer) {
-			t.Errorf("Unmarshal, %d frames: buffer len %d cap %d; want no reservation", tc.frames, len(fd.Buffer), cap(fd.Buffer))
+		if fd := sliced.(*pipeline.MonitorState).Shards[0].FD; !exact(fd) {
+			t.Errorf("Unmarshal, %d frames: kept cap %d, incoming cap %d; want no reservation", tc.frames, cap(fd.Kept), cap(fd.Incoming))
 		}
 		bare, err := Marshal(fd)
 		if err != nil {
@@ -59,7 +64,7 @@ func TestDecodedSketchReservesOnlyRotatedBuffers(t *testing.T) {
 		if err := os.WriteFile(path, bare, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if v, err := Load(path); err != nil || cap(v.(*sketch.FDState).Buffer) != len(fd.Buffer) {
+		if v, err := Load(path); err != nil || !exact(v.(*sketch.FDState)) {
 			t.Errorf("%d frames: a bare sketch frame decoded with a reservation (err %v)", tc.frames, err)
 		}
 	}

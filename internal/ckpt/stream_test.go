@@ -46,7 +46,7 @@ func wideMonitorState(frames, d int) *pipeline.MonitorState {
 		s.Shards = []*sketch.ARAMSState{{
 			Cfg: sketch.Config{Ell0: ell, Beta: 0.9, Seed: 3},
 			D:   d,
-			FD:  &sketch.FDState{Ell: ell, D: d, NextZero: ell, Seen: frames, Buffer: floats(2 * ell * d)},
+			FD:  &sketch.FDState{Ell: ell, D: d, NextZero: 2 * ell, Seen: frames, Kept: floats(ell * d), Incoming: floats32(ell * d)},
 		}}
 	}
 	return s
@@ -59,7 +59,7 @@ func stateBytes(s *pipeline.MonitorState) int {
 		n += 4 * len(f.Vec)
 	}
 	for _, sh := range s.Shards {
-		n += 8 * len(sh.FD.Buffer)
+		n += 8*len(sh.FD.Kept) + 4*len(sh.FD.Incoming)
 	}
 	return n
 }
@@ -270,7 +270,7 @@ func TestCorruptionTableBothDecoders(t *testing.T) {
 	}
 	add("ARAMS estimator slot 1", reseal(valid, func(b []byte) { b[aramsSlot] = 1 }), nil)
 	ra := sketch.RankAdaptiveState{
-		FD: sketch.FDState{Ell: 2, D: 3, NextZero: 1, Buffer: []float64{1, 2, 3}},
+		FD: sketch.FDState{Ell: 2, D: 3, NextZero: 1, Kept: []float64{1, 2, 3}},
 		Nu: 2, Eps: 0.5, RNG: rng.New(1).State(),
 	}
 	raFrame, err := Marshal(ra)
@@ -278,7 +278,7 @@ func TestCorruptionTableBothDecoders(t *testing.T) {
 		t.Fatal(err)
 	}
 	add("rank-adaptive estimator slot 2", reseal(raFrame, func(b []byte) {
-		b[headerLen+8*8+8+8*len(ra.FD.Buffer)+2*8] = 2
+		b[headerLen+7*8+8+8*len(ra.FD.Kept)+8+4*len(ra.FD.Incoming)+2*8] = 2
 	}), nil)
 	cusum := wideMonitorState(1, 4)
 	cusum.Audit = &audit.State{Residual: audit.DetectorState{Kind: "cusum"}, Accept: audit.NewPageHinkley(0.01, 1).State()}

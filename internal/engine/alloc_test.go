@@ -140,7 +140,7 @@ func TestStateSharesWindowAndEvictionFreesIt(t *testing.T) {
 	_, bytes := allocPerRun(3, func() { st = e.State() })
 	shardBytes := 0
 	for _, ss := range st.Shards {
-		shardBytes += 8 * len(ss.FD.Buffer)
+		shardBytes += 8*len(ss.FD.Kept) + 4*len(ss.FD.Incoming)
 	}
 	if limit := float64(64<<10 + shardBytes); bytes >= limit {
 		t.Errorf("State allocates %.0f B on a %d-byte window; want under %.0f (64 KiB + shard states)",

@@ -193,7 +193,7 @@ func (s *localShard) Snapshot(obs.SpanContext) (*sketch.FrequentDirections, erro
 }
 
 // Basis decomposes the live sketch in place into a pooled k×d result,
-// so a one-shard read clones no 2ℓ×d buffer, and a released read's
+// so a one-shard read clones no sketch, and a released read's
 // array serves the next. Basis changes nothing, so the lock only keeps
 // Absorb from writing the buffer mid-read.
 func (s *localShard) Basis(k int) (*mat.Matrix, int) {
@@ -293,10 +293,10 @@ func (s *localShard) Busy() time.Duration {
 	return s.busy
 }
 
-// Close hands the live sketch's 2ℓ×d buffer back to the mat vector
-// pool — Snapshot and State only ever gave out copies, which their
-// holders own and release on their own, and a buffer adopted from an
-// owning state is this shard's alone, so nothing else reads it — and
+// Close hands the live sketch's blocks back to the mat vector pools —
+// Snapshot and State only ever gave out copies, which their holders own
+// and release on their own, and blocks adopted from an owning state are
+// this shard's alone, so nothing else reads them — and
 // makes every later call fail fast: Absorb, Snapshot, State, Restore and
 // Certificate return parallel.ErrBackendClosed, Basis and Ell report an
 // empty sketch, and no Absorb starts a fresh one.

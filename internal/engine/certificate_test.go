@@ -12,6 +12,7 @@ import (
 	"arams/internal/imgproc"
 	"arams/internal/mat"
 	"arams/internal/obs"
+	"arams/internal/rng"
 	"arams/internal/sketch"
 )
 
@@ -28,8 +29,13 @@ func stackedShards(st *engine.State) *mat.Matrix {
 		if s.RankAdaptive != nil {
 			fd = &s.RankAdaptive.FD
 		}
-		for i := 0; i < fd.NextZero; i++ {
-			rows = append(rows, fd.Buffer[i*fd.D:(i+1)*fd.D])
+		for i := 0; i < len(fd.Kept); i += fd.D {
+			rows = append(rows, fd.Kept[i:i+fd.D])
+		}
+		for i := 0; i < len(fd.Incoming); i += fd.D {
+			row := make([]float64, fd.D)
+			mat.Widen(row, fd.Incoming[i:i+fd.D])
+			rows = append(rows, row)
 		}
 	}
 	return mat.FromRows(rows)
@@ -169,5 +175,55 @@ func TestCertificateOmitsShardThatFails(t *testing.T) {
 	}
 	if got := e.Reconciles(); got != 0 {
 		t.Fatalf("%d reconciles, want 0", got)
+	}
+}
+
+// TestCertificateCoversRoundingOnHardStreams is the sketch package's test
+// of the same name through the engine, at 1 and 2 shards, on streams of
+// rank 3 — below ℓ, so the certificate is the float32 rounding's charge
+// alone: as it is, with rows and columns scaled so that its elements
+// span 1e-30…1e30, and scaled into float32's subnormal range with a
+// third of its columns below the smallest subnormal. On each the
+// composed CovBound is at least the exact ‖AᵀA − Σ BᵢᵀBᵢ‖₂ against the
+// float64 rows the engine was fed.
+func TestCertificateCoversRoundingOnHardStreams(t *testing.T) {
+	const n, d = 160, 48
+	g := rng.New(5051)
+	lowRank := func() *mat.Matrix { return mat.Mul(mat.RandGaussian(n, 3, g), mat.RandGaussian(3, d, g)) }
+	spanning := lowRank()
+	for i := 0; i < n; i++ {
+		row := spanning.Row(i)
+		for j := range row {
+			row[j] *= math.Pow(10, float64(i%31-15)) * math.Pow(10, float64(j%31-15))
+		}
+	}
+	subnormal := lowRank()
+	for i, v := range subnormal.Data {
+		subnormal.Data[i] = v * []float64{1e-40, 1e-46, 1e-42}[i%d%3]
+	}
+	for name, a := range map[string]*mat.Matrix{"rank_deficient": lowRank(), "span_1e-30_1e30": spanning, "subnormal": subnormal} {
+		for _, shards := range []int{1, 2} {
+			e := engine.New(engine.Config{
+				Shards: shards,
+				Sketch: sketch.Config{Ell0: 8, Beta: 1, Seed: 5},
+				Window: 16,
+			})
+			for lo := 0; lo < n; lo += 20 {
+				vecs := make([][]float64, 20)
+				for i := range vecs {
+					vecs[i] = append([]float64(nil), a.Row(lo+i)...)
+				}
+				e.IngestVecs(vecs, nil)
+			}
+			cert := e.Certificate()
+			if cert.Rows != n {
+				t.Fatalf("%s, %d shards: certificate covers %d rows, want %d", name, shards, cert.Rows, n)
+			}
+			if exact := sketch.CovErr(a, stackedShards(e.State())); !(exact <= cert.CovBound()) {
+				t.Errorf("%s, %d shards: exact error of the stacked shards %g exceeds the composed bound %g",
+					name, shards, exact, cert.CovBound())
+			}
+			e.Close()
+		}
 	}
 }

@@ -873,7 +873,7 @@ func (w Window) Widen() *mat.Matrix {
 // connections and aborts in-flight work. What it owns is every window
 // vector it never handed out (State, ReadWindow and a restore from a
 // shared state mark theirs; those stay valid for their holders) and
-// every local shard's 2ℓ×d buffer, including the vectors and buffers it
+// every local shard's sketch blocks, including the vectors and blocks it
 // adopted from an owning state, and the cached read's basis once no
 // reader holds it. So a decoded state that is restored and then closed
 // gives back everything its decode drew from the pool. The engine must

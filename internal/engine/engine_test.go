@@ -3,6 +3,7 @@ package engine_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -163,10 +164,8 @@ func TestBatchMatchesPerFrame(t *testing.T) {
 			t.Fatalf("shard %d: seen/rotations differ: %d/%d vs %d/%d",
 				i, fa.Seen, fa.Rotations, fb.Seen, fb.Rotations)
 		}
-		for j := range fa.Buffer {
-			if fa.Buffer[j] != fb.Buffer[j] {
-				t.Fatalf("shard %d: buffer diverged at element %d", i, j)
-			}
+		if !slices.Equal(fa.Kept, fb.Kept) || !slices.Equal(fa.Incoming, fb.Incoming) {
+			t.Fatalf("shard %d: buffer diverged", i)
 		}
 		if sa.RNG != sb.RNG {
 			t.Fatalf("shard %d: sampler RNG state diverged", i)
@@ -230,10 +229,8 @@ func TestStateRoundTripResume(t *testing.T) {
 	}
 	for i := range a.Shards {
 		fa, fb := shardFD(t, a.Shards[i], i), shardFD(t, b.Shards[i], i)
-		for j := range fa.Buffer {
-			if fa.Buffer[j] != fb.Buffer[j] {
-				t.Fatalf("shard %d buffer diverged at element %d after restore", i, j)
-			}
+		if !slices.Equal(fa.Kept, fb.Kept) || !slices.Equal(fa.Incoming, fb.Incoming) {
+			t.Fatalf("shard %d buffer diverged after restore", i)
 		}
 		if a.Shards[i].RNG != b.Shards[i].RNG {
 			t.Fatalf("shard %d sampler RNG diverged after restore", i)

@@ -22,7 +22,7 @@ import (
 // Who owns a state's storage decides what a restore does with it. A
 // state cut by State() shares its Frames' vectors with the engine's
 // window ring (and with any engine rebuilt from it) instead of copying
-// them, and its shard buffers are copies: it is a read-only view that
+// them, and its shard sketches are copies: it is a read-only view that
 // never goes stale, because window vectors are immutable once in the
 // ring and the ring never recycles a vector a state holds. Holders may
 // read Frames[i].Vec for as long as they like, encode it, and restore
@@ -31,11 +31,11 @@ import (
 //
 // A state that no live engine shares storage with owns it: one Suspend
 // returned (the window vectors nobody else had been handed, and every
-// local shard's 2ℓ×d buffer, moved rather than copied; a remote shard's
+// local shard's two sketch blocks, moved rather than copied; a remote shard's
 // slot holds the last state it fetched, which its closed backend no
 // longer reads), or one Own marked (a checkpoint decoder's). Restoring from an owning state hands
 // that storage over to the new engine — its ring recycles the vectors,
-// its local shards sketch on the buffers — so the state is restored
+// its local shards sketch on the blocks — so the state is restored
 // from once: a second NewFromState returns an error. Until the new
 // engine ingests or closes, the state stays byte-stable and may still be
 // encoded. An owning state that is not restored from gives its storage
@@ -73,8 +73,9 @@ func (s *State) Own() {
 	s.own = &ownership{}
 }
 
-// Release hands the storage the State owns back to the mat vector pool
-// — the window vectors, and each owned 2ℓ×d shard buffer — and empties
+// Release hands the storage the State owns back to the mat vector pools
+// — the window vectors, and each owned shard sketch's ℓ×d float64 and
+// float32 blocks — and empties
 // the State: Window 0, no frames, no shards, so it can be neither
 // encoded nor restored from afterwards. Call it once the state has been
 // saved and nothing reads it any more, neither the State nor any copy of
@@ -89,8 +90,15 @@ func (s *State) Release() {
 			}
 		}
 		for _, ss := range s.Shards {
-			if fd := aramsFD(ss); fd != nil && cap(fd.Buffer) == 2*fd.Ell*fd.D {
-				mat.PutVec(fd.Buffer)
+			fd := aramsFD(ss)
+			if fd == nil {
+				continue
+			}
+			if cap(fd.Kept) == fd.Ell*fd.D {
+				mat.PutVec(fd.Kept)
+			}
+			if cap(fd.Incoming) == fd.Ell*fd.D {
+				mat.PutVec32(fd.Incoming)
 			}
 		}
 	}
@@ -202,14 +210,14 @@ func (e *Engine) capture(suspend bool) *State {
 // Suspend is the hibernation path: it captures an owning state (see
 // State) and closes every shard backend, releasing the backends'
 // goroutines. Nothing is copied: the state holds the window's vectors,
-// and each local shard's live 2ℓ×d buffer moves into its slot. The
+// and each local shard's live sketch blocks move into its slot. The
 // engine must not be used after Suspend; NewFromState over the returned
 // state resumes the stream bit-exactly (sampler RNG streams included),
 // so a hibernate→restore cycle is invisible to sketch bytes,
 // certificates, and audit journals, and it hands the storage on to the
 // new engine. Once the state is saved and not restored from, Release
 // returns the window vectors the engine had handed to nobody and the
-// shard buffers to the pool. Returns the state even when a backend close
+// shard blocks to the pools. Returns the state even when a backend close
 // fails — the checkpoint is already consistent by then.
 func (e *Engine) Suspend() (*State, error) {
 	s := e.capture(true)

@@ -280,8 +280,8 @@ func (r *Remote) Snapshot(parent obs.SpanContext) (*sketch.FrequentDirections, e
 
 // Basis decomposes a fetched snapshot: Basis is a function of the
 // sketch's state, so these are the worker's live sketch's bits. The
-// snapshot is this call's own, so its 2ℓ×d buffer goes back to mat's
-// pool once the basis is cut, for the next read's decode.
+// snapshot is this call's own, so its blocks go back to mat's pools
+// once the basis is cut, for the next read's decode.
 func (r *Remote) Basis(k int) (*mat.Matrix, int) {
 	fd, err := r.Snapshot(obs.SpanContext{})
 	if err != nil || fd == nil {

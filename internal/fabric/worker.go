@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"path/filepath"
 	"sync"
@@ -14,7 +15,6 @@ import (
 	"arams/internal/audit"
 	"arams/internal/ckpt"
 	"arams/internal/engine"
-	"arams/internal/mat"
 	"arams/internal/obs"
 	"arams/internal/sketch"
 )
@@ -398,9 +398,10 @@ var errNoHello = errors.New("fabric: no hello received on this worker yet")
 
 // ingestBackend returns the backend an ingest feeds. The first rows fix
 // the shard's width; rows of any other width, and rows with a NaN or ±Inf
-// element, are a corrupt request, since the sketch cannot absorb them
-// (the engine drops non-finite frames before it routes them, so only a
-// foreign client sends one).
+// element or one past float32's range, are a corrupt request, since the
+// sketch cannot absorb them: it stores rows at float32 until its next
+// rotation, where such an element is ±Inf (the engine drops these
+// frames before it routes them, so only a foreign client sends one).
 func (w *Worker) ingestBackend(p IngestPayload) (engine.Backend, *requestError) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -408,11 +409,12 @@ func (w *Worker) ingestBackend(p IngestPayload) (engine.Backend, *requestError) 
 		return nil, &requestError{ErrCodeTransient, errNoHello}
 	}
 	for i, r := range p.Rows {
-		// A NaN or ±Inf element makes the squared norm NaN or +Inf; the
-		// engine drops such frames by the same test.
-		if n2 := mat.Dot(r, r); n2-n2 != 0 {
-			return nil, &requestError{ErrCodeCorrupt,
-				fmt.Errorf("fabric: ingest row %d is not finite", i)}
+		// The engine drops a frame by the same test.
+		for _, v := range r {
+			if y := float32(v); !(y <= math.MaxFloat32 && y >= -math.MaxFloat32) {
+				return nil, &requestError{ErrCodeCorrupt,
+					fmt.Errorf("fabric: ingest row %d is not finite at float32", i)}
+			}
 		}
 	}
 	if len(p.Rows) > 0 {

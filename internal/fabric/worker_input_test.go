@@ -83,13 +83,16 @@ func TestWorkerRejectsIngestOfOtherWidth(t *testing.T) {
 	stillServes(t, w)
 }
 
-// TestWorkerRejectsNonFiniteIngest: rows with a NaN or ±Inf element are
-// answered corrupt and absorb nothing — one would turn the shard's
-// ledgers, and every certificate and state it serves, into NaN — and
-// finite rows still absorb after them.
+// TestWorkerRejectsNonFiniteIngest: rows with a NaN or ±Inf element, or
+// one past float32's range, are answered corrupt and absorb nothing —
+// one would turn the shard's ledgers or its stored rows, and every
+// certificate and state it serves, into NaN — and finite rows still
+// absorb after them.
 func TestWorkerRejectsNonFiniteIngest(t *testing.T) {
 	w, _ := newHandleWorker(t)
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	// 1e39 is finite in float64 but past float32's range, where the
+	// sketch holds its incoming rows.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e39, -1e39} {
 		if code := errorCode(t, w.reply(ingestFrame(0, 0, [][]float64{{1, 2, 3}, {4, bad, 6}}))); code != ErrCodeCorrupt {
 			t.Fatalf("ingest with a %v element answered code %d, want ErrCodeCorrupt", bad, code)
 		}

@@ -3,7 +3,6 @@ package mat
 import (
 	"math"
 	"time"
-	"unsafe"
 )
 
 // How the three dense kernels meet the shared pool. The shapes that
@@ -29,8 +28,10 @@ import (
 //     are the long axis. Every dst element is the same k-ordered chain
 //     of multiply-adds under any column cut, and a task streams only its
 //     own columns of b rather than the whole buffer per row chunk.
-//     mulInPlace, the same product written over its right operand, cuts
-//     the same way, in column panels sized to a 128 KB stack slot.
+//     mulSplitTo (split.go), the same product over a float64 block
+//     stacked on a float32 one and written over the first, cuts the same
+//     way, in column panels sized to a 128 KB stack slot; gramSplitTo
+//     takes GramTo's panels.
 //   - MulABtTo and MulRowsABt (a window×d projection: rows are the long
 //     axis and each output needs all of d; the window may be a matrix or
 //     a list of float32 rows, leftRows in blocked.go, and the chunks are
@@ -83,71 +84,6 @@ func MulTo(dst, a, b *Matrix) {
 		})
 	}
 	observeSince(obsKernelMul, start)
-}
-
-// A mulInPlace task forms its panels in an array on its own stack —
-// 128 KB, the most a declared variable may have there — so no pool can
-// drop the slot and scratch is bounded by the tasks in flight, never by
-// d. The slot starts on a 4 KB boundary inside it: stores into output
-// rows that straddle cache lines take the product half again as long.
-// Up to 4 KB go to that; inPlaceSlot floats are left.
-const (
-	inPlaceStack = 16384
-	inPlaceSlot  = inPlaceStack - 512
-)
-
-// mulInPlace overwrites the first r rows of the m×d matrix a with
-// coef·a, for an r×m coef, r ≤ m: the FD rotation's back-multiply,
-// written over the buffer it reads. Every output column depends on that
-// column of a alone, so the product goes one column panel at a time:
-// mulRangeTiled forms the panel's r rows in the task's slot and they
-// are copied back before the panel's columns are read again. A column
-// cut leaves every element the same k-ordered chain (blas.go's header),
-// so the rows are MulTo's bits whatever the panel width and at every
-// pool width.
-func mulInPlace(a, coef *Matrix) {
-	r, m, d := coef.RowsN, a.RowsN, a.ColsN
-	if coef.ColsN != m || r > m {
-		panic("mat: mulInPlace shape mismatch")
-	}
-	if r == 0 || d == 0 {
-		return
-	}
-	start := time.Now()
-	panels := (d + inPlaceWidth(r) - 1) / inPlaceWidth(r)
-	work := r * m * d
-	if work < parallelThreshold || Workers() == 1 {
-		inPlacePanels(a, coef, 0, panels)
-	} else {
-		j := grabKernelJob(a, coef, nil)
-		ParallelFor(panels, minChunk(work, panels), j.inPlaceFn)
-		releaseKernelJob(j)
-	}
-	observeSince(obsKernelMul, start)
-}
-
-// inPlaceWidth is the panel width, a whole number of cache lines, that
-// r rows of a slot hold.
-func inPlaceWidth(r int) int { return max(8, inPlaceSlot/r&^7) }
-
-// inPlacePanels runs mulInPlace over column panels [lo, hi).
-func inPlacePanels(a, coef *Matrix, lo, hi int) {
-	r, w := coef.RowsN, inPlaceWidth(coef.RowsN)
-	var stack [inPlaceStack]float64
-	slot := stack[int(-uintptr(unsafe.Pointer(&stack[0]))&4095)/8:]
-	if r*w > len(slot) {
-		slot = make([]float64, r*w) // thousands of rows: eight columns a panel
-	}
-	for p := lo; p < hi; p++ {
-		k0 := p * w
-		k1 := min(k0+w, a.ColsN)
-		src := a.colView(k0, k1)
-		out := Matrix{RowsN: r, ColsN: k1 - k0, Stride: k1 - k0, Data: slot[:r*(k1-k0)]}
-		mulRangeTiled(&out, coef, &src, 0, r)
-		for i := 0; i < r; i++ {
-			copy(src.Row(i), out.Row(i))
-		}
-	}
 }
 
 // MulABt returns a*bᵀ, streaming rows of both operands; this is the
@@ -233,23 +169,53 @@ func GramTo(dst, a *Matrix) {
 	if work < parallelThreshold || a.ColsN <= panelCols || Workers() == 1 {
 		gramRange(dst, a, 0, m)
 	} else {
-		gramPanels(dst, a, work)
+		gramPanels(dst, split{top: a}, work)
 	}
 	mirrorLower(dst)
 	observeSince(obsKernelGram, start)
 }
 
-// gramPanels is GramTo's pooled branch: rounds of per-panel partial
-// Gram matrices, each round added into dst in panel order.
-func gramPanels(dst, a *Matrix, work int) {
-	m := a.RowsN
-	panels := (a.ColsN + panelCols - 1) / panelCols
+// gramOnStack reports whether a split Gram over m rows widens its
+// panels on the chunk's stack (gramChunk) rather than in pooled slots.
+func gramOnStack(m int) bool { return m*panelCols <= splitStack }
+
+// gramPanels is GramTo's pooled branch and gramSplitTo's only one:
+// rounds of per-panel partial Gram matrices of s, each round added into
+// dst in panel order.
+func gramPanels(dst *Matrix, s split, work int) {
+	m := s.rows()
+	panels := (s.top.ColsN + panelCols - 1) / panelCols
 	perChunk := minChunk(work, panels)
 	// One round fills the pool's chunk cap; more partials than that
 	// would buy no parallelism.
 	round := min(panels, 4*Workers()*perChunk)
-	j := grabKernelJob(dst, a, nil)
+	j := grabKernelJob(dst, s.top, nil)
+	j.low = s.low
 	j.parts = ensureFloats(j.parts, round*m*m)
+	if len(s.low) > 0 && !gramOnStack(m) {
+		// Each chunk in flight widens its panels into a slot of its own:
+		// one for an inline round, else one per worker and one for the
+		// caller. The caller draws every slot, as one array, before the
+		// rounds, so every decomposition of one sketch shape takes the
+		// same array from the pool however the chunks are scheduled. A
+		// slot holds the panel of twice top's rows at least, so that a
+		// Frequent Directions sketch — whose float32 rows never
+		// outnumber its float64 ones, and whose merges compact over
+		// fewer than 2ℓ rows — draws the one size; the array is bigMin
+		// long at least, so that it sits on a free list, which keeps
+		// every put, where a sync.Pool would drop some (vecpool.go).
+		slots := 1
+		if !inlineFor(round, perChunk) {
+			slots = Workers() + 1
+		}
+		j.slot = max(m, 2*s.top.RowsN) * panelCols
+		j.wide = getScratch(max(slots*j.slot, bigMin))
+		j.free = j.free[:0]
+		for k := 0; k < slots; k++ {
+			j.free = append(j.free, k)
+		}
+		defer PutVec(j.wide)
+	}
 	dst.Zero()
 	for j.first = 0; j.first < panels; j.first += round {
 		n := min(round, panels-j.first)

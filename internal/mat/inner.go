@@ -31,15 +31,17 @@ package mat
 // All kernels iterate over the common prefix of their operands; the
 // tiled drivers in blocked.go slice operands to the same panel.
 //
-// Dispatch. The element-wise kernels and the dot product exist twice:
-// the Go loop below (suffix Go) and an AVX2 loop in simd_amd64.s. The
-// unsuffixed name every caller uses picks between them on useAVX2,
-// which the CPU decides once at init (a constant false on other
-// architectures and under -tags purego). The two are bit-identical by
-// construction — separately rounded multiplies and adds, one output per
-// lane, dotKernelGo's own four-lane order — so the choice changes
-// speed, never a result; simd_amd64_test.go holds the vector loops to that
-// with the Go ones as the oracle. Operands must not partially overlap.
+// Dispatch. The element-wise kernels, the dot product and the float32
+// conversions (Widen, Narrow) exist twice: the Go loop below (suffix
+// Go) and an AVX2 loop in simd_amd64.s. The unsuffixed name every
+// caller uses picks between them on useAVX2, which the CPU decides once
+// at init (a constant false on other architectures and under -tags
+// purego). The two are bit-identical by construction — separately
+// rounded multiplies and adds, one output per lane, dotKernelGo's own
+// four-lane order, conversions that round under the one MXCSR mode —
+// so the choice changes speed, never a result; simd_amd64_test.go holds
+// the vector loops to that with the Go ones as the oracle. Operands
+// must not partially overlap.
 // dot2x2 and dot1x2 have no vector twin of their own: their sequential
 // sums are vectorised across outputs, one tile at a time, by the packed
 // drivers in blocked.go.
@@ -97,6 +99,51 @@ func planeRot(c, s float64, x, y []float64) {
 		return
 	}
 	planeRotGo(c, s, x, y)
+}
+
+// Widen sets dst[i] = float64(src[i]), which is exact. The lengths must
+// match.
+func Widen(dst []float64, src []float32) {
+	if len(dst) != len(src) {
+		panic("mat: Widen length mismatch")
+	}
+	if useAVX2 {
+		widenAVX2(dst, src)
+		return
+	}
+	widenGo(dst, src)
+}
+
+// Narrow sets dst[i] = float32(src[i]), rounded to nearest, the way the
+// engine narrows a frame for its window; a magnitude past float32's
+// range becomes ±Inf. The lengths must match.
+func Narrow(dst []float32, src []float64) {
+	if len(dst) != len(src) {
+		panic("mat: Narrow length mismatch")
+	}
+	if useAVX2 {
+		narrowAVX2(dst, src)
+		return
+	}
+	narrowGo(dst, src)
+}
+
+// widenGo is Widen's loop over the common prefix.
+func widenGo(dst []float64, src []float32) {
+	n := min(len(dst), len(src))
+	dst, src = dst[:n], src[:n]
+	for i, v := range src {
+		dst[i] = float64(v)
+	}
+}
+
+// narrowGo is Narrow's loop over the common prefix.
+func narrowGo(dst []float32, src []float64) {
+	n := min(len(dst), len(src))
+	dst, src = dst[:n], src[:n]
+	for i, v := range src {
+		dst[i] = float32(v)
+	}
 }
 
 // axpyGo is axpy 8-way unrolled in the slice-advance idiom.

@@ -3,6 +3,7 @@ package mat
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"arams/internal/rng"
@@ -190,14 +191,17 @@ func TestPooledKernelsGiveSerialBits(t *testing.T) {
 }
 
 // TestInPlaceBackMultiplyGivesMulToBits holds the rotation's two steps
-// done over the buffer — mulInPlace, then ScaleTo of each row onto
-// itself — to the same two done through a separate matrix (MulTo, then
-// ScaleTo from it), and SVDGramInPlace to SVDGramTo, bit for bit, at
-// pool widths 1, 2 and 4 on both kernel sets. The widths put d below
-// one slot panel, at and either side of a k-panel, and at
-// diff_sharded's detector, so panels end short; the row counts are one,
-// ℓ (odd, so one row goes unpaired) and the whole buffer. The rows
-// below r must come through untouched, also through a strided view.
+// done over its float64 rows — mulSplitTo into the leading r of them,
+// then ScaleTo of each row onto itself — to the same two done through a
+// separate matrix from the widened operand (MulTo, then ScaleTo from
+// it), and SVDGramInPlace to SVDGramTo of the widened operand, bit for
+// bit, at pool widths 1, 2 and 4 on both kernel sets. The widths put d
+// below one slot panel, at and either side of a k-panel, and at
+// diff_sharded's detector, so panels end short; the row counts are one
+// and ℓ (odd, so one row goes unpaired) over ℓ float64 rows and ℓ
+// float32 ones, and the whole buffer over float64 rows alone. The rows
+// below r, and the float32 rows, must come through untouched, also
+// through a strided view.
 func TestInPlaceBackMultiplyGivesMulToBits(t *testing.T) {
 	const ell, m = 25, 50
 	ds := []int{7, 1023, 1024, 1025, 4096, 16384}
@@ -210,52 +214,59 @@ func TestInPlaceBackMultiplyGivesMulToBits(t *testing.T) {
 		fill(a.Data, g, false)
 		// A buffer with a spectrum, for the decomposition.
 		buffer := fdShapedBuffer(ell, d, g).Rows(0, m)
-		for _, r := range []int{1, ell, m} {
-			coef := New(r, m)
+		for _, c := range []struct{ top, r int }{{ell, 1}, {ell, ell}, {m, m}} {
+			coef := New(c.r, m)
 			fill(coef.Data, g, false)
 			sprinkleZeros(coef, g)
-			scales := make([]float64, r)
+			scales := make([]float64, c.r)
 			fill(scales, g, false)
+			top, low := splitOf(a, c.top)
+			wide := widened(top, low)
 			for _, strided := range []bool{false, true} {
 				pad, off := 0, 0
 				if strided {
 					pad, off = 3, 1
 				}
-				src, want := view(a, pad, off), New(r, d)
+				want := New(c.r, d)
 				for _, goLoops := range []bool{false, true} {
 					if !goLoops && !useAVX2 {
 						continue // the Go loops are the only set
 					}
 					run := func() {
 						for _, width := range []int{1, 2, 4} {
-							got := view(a, pad, off)
+							got := view(top, pad, off)
+							gotLow := append([]float32(nil), low...)
 							var sigma, wantSigma []float64
 							withPoolWidth(width, func() {
-								MulTo(want, coef, src)
-								for i := 0; i < r; i++ {
+								MulTo(want, coef, wide)
+								for i := 0; i < c.r; i++ {
 									ScaleTo(want.Row(i), scales[i], want.Row(i))
 								}
-								mulInPlace(got, coef)
-								for i := 0; i < r; i++ {
+								mulSplitTo(got.Rows(0, c.r), coef, split{got, gotLow})
+								for i := 0; i < c.r; i++ {
 									ScaleTo(got.Row(i), scales[i], got.Row(i))
 								}
 							})
-							name := fmt.Sprintf("d=%d r=%d strided=%v go=%v width=%d", d, r, strided, goLoops, width)
-							if i, j, ok := matDiff(got.Rows(0, r), want, nil); !ok {
+							name := fmt.Sprintf("d=%d top=%d r=%d strided=%v go=%v width=%d", d, c.top, c.r, strided, goLoops, width)
+							if i, j, ok := matDiff(got.Rows(0, c.r), want, nil); !ok {
 								t.Errorf("%s: (%d,%d) differs from MulTo then ScaleTo", name, i, j)
 							}
-							if i, j, ok := matDiff(got, src, func(i, _ int) bool { return i >= r }); !ok {
+							if i, j, ok := matDiff(got, top, func(i, _ int) bool { return i >= c.r }); !ok {
 								t.Errorf("%s: (%d,%d), below the product, changed", name, i, j)
+							}
+							if !slices.Equal(gotLow, low) {
+								t.Errorf("%s: the float32 rows changed", name)
 							}
 							if strided {
 								continue
 							}
-							buf, vt := buffer.Clone(), New(r, d)
+							bufTop, bufLow := splitOf(buffer, c.top)
+							vt := New(c.r, d)
 							withPoolWidth(width, func() {
-								wantSigma = SVDGramTo(buf, nil, vt)
-								sigma = SVDGramInPlace(buf, nil, r)
+								wantSigma = SVDGramTo(widened(bufTop, bufLow), nil, vt)
+								sigma = SVDGramInPlace(bufTop, bufLow, nil, c.r)
 							})
-							if _, _, ok := matDiff(buf.Rows(0, r), vt, nil); !ok || firstDiff(sigma, wantSigma) >= 0 {
+							if _, _, ok := matDiff(bufTop.Rows(0, c.r), vt, nil); !ok || firstDiff(sigma, wantSigma) >= 0 {
 								t.Errorf("%s: SVDGramInPlace differs from SVDGramTo", name)
 							}
 						}
@@ -270,13 +281,13 @@ func TestInPlaceBackMultiplyGivesMulToBits(t *testing.T) {
 		}
 	}
 	// More rows than a stack slot holds eight columns of.
-	const many = inPlaceSlot/8 + 1
+	const many = splitSlot/8 + 1
 	a, coef := New(many, 9), New(many, many)
 	fill(a.Data, g, false)
 	fill(coef.Data, g, false)
 	want, got := New(many, 9), a.Clone()
 	MulTo(want, coef, a)
-	mulInPlace(got, coef)
+	mulSplitTo(got, coef, split{top: got})
 	if i, j, ok := matDiff(got, want, nil); !ok {
 		t.Errorf("%d rows: (%d,%d) differs from MulTo", many, i, j)
 	}

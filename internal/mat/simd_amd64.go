@@ -48,3 +48,9 @@ func pack4AVX2(dst, r0, r1, r2, r3 []float64)
 
 //go:noescape
 func dotPack4x4AVX2(c *[16]float64, a0, a1, a2, a3, p []float64)
+
+//go:noescape
+func widenAVX2(dst []float64, src []float32)
+
+//go:noescape
+func narrowAVX2(dst []float32, src []float64)

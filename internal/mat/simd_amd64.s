@@ -463,3 +463,100 @@ dp_done:
 	VMOVUPD Y3, 96(DI)
 	VZEROUPPER
 	RET
+
+// func widenAVX2(dst []float64, src []float32)
+// dst[i] = float64(src[i]) over the common prefix: VCVTPS2PD, four at a
+// time, exact as the scalar conversion is.
+TEXT ·widenAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), DX
+	CMPQ DX, CX
+	CMOVQLT DX, CX
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-16, BX
+widen_loop16:
+	CMPQ AX, BX
+	JGE  widen_tail4
+	VCVTPS2PD (SI)(AX*4), Y0
+	VCVTPS2PD 16(SI)(AX*4), Y1
+	VCVTPS2PD 32(SI)(AX*4), Y2
+	VCVTPS2PD 48(SI)(AX*4), Y3
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	VMOVUPD Y2, 64(DI)(AX*8)
+	VMOVUPD Y3, 96(DI)(AX*8)
+	ADDQ $16, AX
+	JMP  widen_loop16
+widen_tail4:
+	MOVQ CX, BX
+	ANDQ $-4, BX
+widen_loop4:
+	CMPQ AX, BX
+	JGE  widen_tail1
+	VCVTPS2PD (SI)(AX*4), Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  widen_loop4
+widen_tail1:
+	CMPQ AX, CX
+	JGE  widen_done
+	VMOVSS (SI)(AX*4), X0
+	VCVTSS2SD X0, X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ AX
+	JMP  widen_tail1
+widen_done:
+	VZEROUPPER
+	RET
+
+// func narrowAVX2(dst []float32, src []float64)
+// dst[i] = float32(src[i]) over the common prefix: VCVTPD2PS, four at a
+// time, rounding under MXCSR as the scalar CVTSD2SS of a Go conversion
+// does (to nearest; Go never changes the mode).
+TEXT ·narrowAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), DX
+	CMPQ DX, CX
+	CMOVQLT DX, CX
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-16, BX
+narrow_loop16:
+	CMPQ AX, BX
+	JGE  narrow_tail4
+	VCVTPD2PSY (SI)(AX*8), X0
+	VCVTPD2PSY 32(SI)(AX*8), X1
+	VCVTPD2PSY 64(SI)(AX*8), X2
+	VCVTPD2PSY 96(SI)(AX*8), X3
+	VMOVUPS X0, (DI)(AX*4)
+	VMOVUPS X1, 16(DI)(AX*4)
+	VMOVUPS X2, 32(DI)(AX*4)
+	VMOVUPS X3, 48(DI)(AX*4)
+	ADDQ $16, AX
+	JMP  narrow_loop16
+narrow_tail4:
+	MOVQ CX, BX
+	ANDQ $-4, BX
+narrow_loop4:
+	CMPQ AX, BX
+	JGE  narrow_tail1
+	VCVTPD2PSY (SI)(AX*8), X0
+	VMOVUPS X0, (DI)(AX*4)
+	ADDQ $4, AX
+	JMP  narrow_loop4
+narrow_tail1:
+	CMPQ AX, CX
+	JGE  narrow_done
+	VMOVSD (SI)(AX*8), X0
+	VCVTSD2SS X0, X0, X0
+	VMOVSS X0, (DI)(AX*4)
+	INCQ AX
+	JMP  narrow_tail1
+narrow_done:
+	VZEROUPPER
+	RET

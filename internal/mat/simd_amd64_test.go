@@ -535,3 +535,61 @@ func BenchmarkInnerKernels(b *testing.B) {
 		}
 	})
 }
+
+// conversionSpecials are the values a conversion can get wrong: signed
+// zeros, float32 subnormals and values that round into or out of them,
+// halfway cases between neighbouring float32s, the edges of float32's
+// range and past them, and non-finite values.
+var conversionSpecials = []float64{
+	0, math.Copysign(0, -1), 1e-40, -1e-40, 1e-46, 0x1p-150, 0x1.8p-150, 0x1p-126, 0x1.fffffep-127,
+	1 + 0x1p-24, 1 + 0x3p-24, -(1 + 0x1p-24), math.MaxFloat32, 0x1.ffffffp127, 1e39, -1e39,
+	math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// TestConversionKernelsBitIdentical holds widenAVX2 and narrowAVX2 to
+// the Go loops, bit for bit — NaN meeting NaN — over every unroll
+// remainder, at offsets that put no operand on a 32-byte boundary, on
+// Gaussian and on special values, and checks that neither writes
+// outside its destination.
+func TestConversionKernelsBitIdentical(t *testing.T) {
+	requireAVX2(t)
+	g := rng.New(4242)
+	for _, n := range kernelLengths() {
+		for off := 0; off < 4; off++ {
+			for _, special := range []bool{false, true} {
+				src64 := make([]float64, off+n+5)
+				fill(src64, g, false)
+				src32 := make([]float32, off+n+5)
+				for i := range src64 {
+					if special && g.Intn(3) == 0 {
+						src64[i] = conversionSpecials[g.Intn(len(conversionSpecials))]
+					}
+					src32[i] = float32(src64[i])
+				}
+				wide, wideGo := make([]float64, off+n+5), make([]float64, off+n+5)
+				fill(wide, g, false)
+				copy(wideGo, wide)
+				widenAVX2(wide[off:off+n], src32[off:off+n])
+				widenGo(wideGo[off:off+n], src32[off:off+n])
+				for i := range wide {
+					if !sameBits(wide[i], wideGo[i]) {
+						t.Fatalf("widen n=%d off=%d special=%v: index %d is %x, Go loop %x", n, off, special, i, math.Float64bits(wide[i]), math.Float64bits(wideGo[i]))
+					}
+				}
+				nar, narGo := make([]float32, off+n+5), make([]float32, off+n+5)
+				for i := range nar {
+					nar[i] = float32(g.Norm())
+				}
+				copy(narGo, nar)
+				narrowAVX2(nar[off:off+n], src64[off:off+n])
+				narrowGo(narGo[off:off+n], src64[off:off+n])
+				for i := range nar {
+					a, b := nar[i], narGo[i]
+					if math.Float32bits(a) != math.Float32bits(b) && !(a != a && b != b) {
+						t.Fatalf("narrow n=%d off=%d special=%v: index %d is %x, Go loop %x", n, off, special, i, math.Float32bits(a), math.Float32bits(b))
+					}
+				}
+			}
+		}
+	}
+}

@@ -14,3 +14,5 @@ func dotAVX2(x, y []float64) float64                             { panic("mat: n
 func planeRotAVX2(c, s float64, x, y []float64)                  { panic("mat: no vector kernels") }
 func pack4AVX2(dst, r0, r1, r2, r3 []float64)                    { panic("mat: no vector kernels") }
 func dotPack4x4AVX2(c *[16]float64, a0, a1, a2, a3, p []float64) { panic("mat: no vector kernels") }
+func widenAVX2(dst []float64, src []float32)                     { panic("mat: no vector kernels") }
+func narrowAVX2(dst []float32, src []float64)                    { panic("mat: no vector kernels") }

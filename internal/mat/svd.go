@@ -224,7 +224,7 @@ func SVDGram(a *Matrix) (u *Matrix, s []float64, vt *Matrix) {
 	s = make([]float64, m)
 	vt = New(m, d)
 	u = New(m, m)
-	svdGramCore(a, s, vt, u)
+	svdGramCore(split{top: a}, s, vt, u)
 	return u, s, vt
 }
 
@@ -234,48 +234,68 @@ func SVDGram(a *Matrix) (u *Matrix, s []float64, vt *Matrix) {
 // many right singular vectors are back-multiplied: all m singular
 // values are always returned, but only the leading r rows of
 // Σ⁻¹Uᵀa are formed — bit-identical to the leading r rows of the m-row
-// call. A Frequent Directions basis read passes r = k, the rows it
-// returns. All internal workspace — the Gram matrix, the eigensolver
+// call. All internal workspace — the Gram matrix, the eigensolver
 // state, and the back-substitution coefficients — comes from a
 // process-wide pool, so steady-state calls perform zero heap
 // allocations.
 func SVDGramTo(a *Matrix, sigma []float64, vt *Matrix) []float64 {
-	sigma = ensureFloats(sigma, a.RowsN)
-	svdGramCore(a, sigma, vt, nil)
+	return SVDGramSplitTo(a, nil, sigma, vt)
+}
+
+// SVDGramSplitTo is SVDGramTo of the matrix whose rows are top's and
+// then low's, low holding whole float32 rows of top's width, row-major:
+// bit for bit SVDGramTo of the float64 matrix those rows widen to,
+// without making it (split.go). A Frequent Directions basis read passes
+// its float64 rows and the float32 rows appended since its last
+// rotation, and r = k, the rows it returns.
+func SVDGramSplitTo(top *Matrix, low []float32, sigma []float64, vt *Matrix) []float64 {
+	s := newSplit(top, low)
+	sigma = ensureFloats(sigma, s.rows())
+	svdGramCore(s, sigma, vt, nil)
 	return sigma
 }
 
-// SVDGramInPlace is SVDGramTo with a as its own vt: it decomposes the
-// m×d matrix a and overwrites its first r rows with the leading r rows
-// of Σ⁻¹Uᵀa — bit for bit the rows SVDGramTo writes into an r×d vt —
-// leaving rows r… as they were. It returns all m singular values in
+// SVDGramInPlace is SVDGramSplitTo with top as its own vt: it
+// decomposes the matrix of top's rows and then low's and overwrites
+// top's first r rows with the leading r rows of Σ⁻¹Uᵀ[top; low] — bit
+// for bit the rows SVDGramSplitTo writes into an r×d vt — leaving rows
+// r… of top, and low, as they were. It returns all m singular values in
 // sigma's storage, as SVDGramTo does. This is the FD rotation entry
 // point, with r = ℓ because the shrink zeroes every direction at or
-// below σ_ℓ: the right singular vectors land in the buffer they are
-// about to be scaled in, and no r×d matrix is held beside it.
-func SVDGramInPlace(a *Matrix, sigma []float64, r int) []float64 {
+// below σ_ℓ: the right singular vectors land in the float64 rows they
+// are about to be scaled in, and no r×d matrix is held beside them.
+func SVDGramInPlace(top *Matrix, low []float32, sigma []float64, r int) []float64 {
 	start := time.Now()
-	if r < 0 || r > a.RowsN {
+	if r < 0 || r > top.RowsN {
 		panic("mat: SVDGramInPlace row count out of range")
 	}
-	sigma = ensureFloats(sigma, a.RowsN)
-	sc := gramFactors(a, sigma, r)
-	mulInPlace(a, sc.coef)
+	s := newSplit(top, low)
+	sigma = ensureFloats(sigma, s.rows())
+	sc := gramFactors(s, sigma, r)
+	// The header lives in the pooled scratch: a pooled product hands it
+	// to its job, so a local would escape.
+	sc.vt = Matrix{RowsN: r, ColsN: top.ColsN, Stride: top.Stride, Data: top.Data}
+	mulSplitTo(&sc.vt, sc.coef, s)
+	sc.vt = Matrix{}
 	releaseSVDScratch(sc)
 	observeSince(obsKernelSVDG, start)
 	return sigma
 }
 
-// svdGramCore runs the Gram-trick SVD: s and vt are caller storage,
-// u is filled with the left singular vectors when non-nil.
-func svdGramCore(a *Matrix, s []float64, vt *Matrix, u *Matrix) {
+// svdGramCore runs the Gram-trick SVD of s: sigma and vt are caller
+// storage, u is filled with the left singular vectors when non-nil.
+func svdGramCore(s split, sigma []float64, vt *Matrix, u *Matrix) {
 	start := time.Now()
-	m, d := a.Dims()
+	m, d := s.rows(), s.top.ColsN
 	if vt.RowsN > m || vt.ColsN != d {
 		panic("mat: SVDGram vt shape mismatch")
 	}
-	sc := gramFactors(a, s, vt.RowsN)
-	MulTo(vt, sc.coef, a)
+	sc := gramFactors(s, sigma, vt.RowsN)
+	if len(s.low) == 0 {
+		MulTo(vt, sc.coef, s.top)
+	} else {
+		mulSplitTo(vt, sc.coef, s)
+	}
 	if u != nil {
 		for i := 0; i < m; i++ {
 			for k, uik := range sc.ut.Row(i) {
@@ -287,17 +307,17 @@ func svdGramCore(a *Matrix, s []float64, vt *Matrix, u *Matrix) {
 	observeSince(obsKernelSVDG, start)
 }
 
-// gramFactors is the decomposition both entry points share: it fills s
+// gramFactors is the decomposition every entry point shares: it fills s
 // with a's m singular values and returns pooled scratch holding Uᵀ and
 // the r×m back-multiplication coefficients, whose row i is row i of Uᵀ
 // over σᵢ (a zero row for numerically zero σᵢ) — so that coef·a is the
 // leading r rows of vt, and the sub-tolerance ones come out as the
 // documented zero rows. The caller releases the scratch.
-func gramFactors(a *Matrix, s []float64, r int) *svdScratch {
-	m := a.RowsN
+func gramFactors(a split, s []float64, r int) *svdScratch {
+	m := a.rows()
 	sc := grabSVDScratch()
 	sc.g = ensureMat(sc.g, m, m)
-	GramTo(sc.g, a)
+	gramSplitTo(sc.g, a)
 	sc.ut = ensureMat(sc.ut, m, m)
 	sc.vals = ensureFloats(sc.vals, m)
 	// The eigensolver destroys its input; g is not needed afterwards.

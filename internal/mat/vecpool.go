@@ -11,23 +11,26 @@ import (
 // sliding window keeps; at 120 Hz with d up to a megapixel those
 // allocations dominate the GC budget. The engine returns the working
 // buffer here once the batch is absorbed, and the float32 copy when the
-// window evicts it or the engine closes. 2ℓ×d sketch buffers come back
-// from their owners too: a closed shard returns its live sketch's, a
+// window evicts it or the engine closes. A sketch's two ℓ×d blocks — its
+// kept rows in float64 and the rows appended since its last rotation in
+// float32 — come from here and back from their owners too: a closed
+// shard returns its live sketch's, a
 // merge each operand it owns once the operand is folded, a basis reader
 // the merged sketch once the basis is cut, a fabric shard's basis read
 // the sketch it decoded from the worker's state, and a sketch that grows
-// its old, narrower one. A basis comes from here too (FD.Basis cuts into
+// its old, narrower ones. A basis comes from here too (FD.Basis cuts into
 // a k×d array): the reader of a one-shard window returns it on Release,
 // and a sharded engine returns its cached read's once that read is
 // superseded and its last reader has released it. A snapshot returns its
 // n×d float64 copy of the window, and its basis, once its stages have
-// read them; a projection of float32 rows its packed-row scratch once the
-// product is formed. Checkpoint state follows one
+// read them; a projection of float32 rows its packed-row scratch, and a
+// rotation over float32 rows its widened Gram panels, once the product
+// is formed. Checkpoint state follows one
 // rule: a state no live engine shares storage with owns it. Suspend
 // moves the window vectors nobody was handed and each local shard's
-// buffer into its state, and the checkpoint file decoder (ckpt.Load)
-// draws a monitor state's window vectors and each rotated sketch's 2ℓ×d
-// buffer from here. The one restore from such a state takes that storage over,
+// blocks into its state, and the checkpoint file decoder (ckpt.Load)
+// draws a monitor state's window vectors and each rotated sketch's two
+// blocks from here. The one restore from such a state takes that storage over,
 // so the engine's evictions and Close return it; a state saved and not
 // restored from returns it with Release. So a steady-state stream,
 // reconciles, snapshots and hibernate→restore cycles included, recycles
@@ -36,17 +39,18 @@ import (
 //
 // Each element type has its own pool, keyed by capacity: a put files a
 // slice under cap(v), and a get of n reuses only an array of capacity
-// exactly n, so a 2ℓ·d sketch buffer is never handed out as a d-long
-// working vector (pinning 2ℓ times the memory the caller asked for) and
+// exactly n, so an ℓ·d sketch block is never handed out as a d-long
+// working vector (pinning ℓ times the memory the caller asked for) and
 // a working vector never comes back too small for a sketch. A float32
 // array lives only in the float32 pool, so it never comes back out as a
 // float64 one. Deployments have a handful of fixed sizes in flight —
-// raw W·H, the post-binning feature dimension, and one 2ℓ·d per sketch
+// raw W·H, the post-binning feature dimension, and one ℓ·d per sketch
 // rank — so each class keeps a high hit rate.
 
-// Arrays of bigMin elements or more — 256 KiB of float64: a sketch
-// buffer at ℓ = 25 and d = 64², a 12-row basis at d = 64², a projection's
-// packed-row scratch block — do not pool in a sync.Pool of arrays. It
+// Arrays of bigMin elements or more — 256 KiB of float64: a sketch's
+// kept block at ℓ = 25 and d = 64², a 12-row basis at d = 64², a
+// projection's packed-row scratch block, a rotation's widened Gram panel
+// at ℓ = 16 or more — do not pool in a sync.Pool of arrays. It
 // files a put in the putting P's private slot, which a get on another P
 // never looks in, and drops an array at the second collection after its
 // put, so whether a reconcile's clone found the buffer the last reconcile
@@ -177,24 +181,26 @@ func (c *class[T]) give(v []T) {
 	l.arrs = append(l.arrs, v)
 }
 
-func (vp *vecPool[T]) get(n int) []T {
+// get returns an array of length n, zeroed when zero is set; its
+// contents are unspecified otherwise.
+func (vp *vecPool[T]) get(n int, zero bool) []T {
 	if n <= 0 {
 		return make([]T, n)
 	}
 	c := vp.classFor(n)
+	var v []T
 	if n >= vp.big {
-		if v := c.take(); v != nil {
-			clear(v)
-			return v
-		}
+		v = c.take()
+	} else if p, ok := c.small.Get().(*[]T); ok {
+		v = (*p)[:n]
+	}
+	if v == nil {
 		return make([]T, n)
 	}
-	if v, ok := c.small.Get().(*[]T); ok {
-		s := (*v)[:n]
-		clear(s)
-		return s
+	if zero {
+		clear(v)
 	}
-	return make([]T, n)
+	return v
 }
 
 func (vp *vecPool[T]) put(v []T) {
@@ -207,13 +213,19 @@ func (vp *vecPool[T]) put(v []T) {
 		c.give(v[:n])
 		return
 	}
-	v = v[:0]
-	c.small.Put(&v)
+	// A variable of this branch's own, so that only a small put moves a
+	// slice header to the heap: &v would move the parameter for every put.
+	p := v[:0]
+	c.small.Put(&p)
 }
 
 // GetVec returns a zeroed vector of length n, backed by recycled
 // storage of capacity exactly n when the pool holds some.
-func GetVec(n int) []float64 { return vecs64.get(n) }
+func GetVec(n int) []float64 { return vecs64.get(n, true) }
+
+// getScratch is GetVec for a caller that writes every element before it
+// reads one — a split Gram panel — so its contents are unspecified.
+func getScratch(n int) []float64 { return vecs64.get(n, false) }
 
 // PutVec recycles a vector obtained from GetVec (or anywhere else — the
 // pool only cares about the backing array), filed under its capacity.
@@ -222,19 +234,7 @@ func GetVec(n int) []float64 { return vecs64.get(n) }
 func PutVec(v []float64) { vecs64.put(v) }
 
 // GetVec32 is GetVec for float32 vectors, from a pool of their own.
-func GetVec32(n int) []float32 { return vecs32.get(n) }
+func GetVec32(n int) []float32 { return vecs32.get(n, true) }
 
 // PutVec32 is PutVec for float32 vectors.
 func PutVec32(v []float32) { vecs32.put(v) }
-
-// Widen sets dst[i] = float64(src[i]), which is exact. The lengths must
-// match.
-func Widen(dst []float64, src []float32) {
-	if len(dst) != len(src) {
-		panic("mat: Widen length mismatch")
-	}
-	dst = dst[:len(src)] // hoists the bounds check out of the loop
-	for i, v := range src {
-		dst[i] = float64(v)
-	}
-}

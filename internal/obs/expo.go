@@ -38,7 +38,7 @@ func labelsWith(md *meta, extraKey, extraVal string) string {
 // exposition format (version 0.0.4), followed by a small set of
 // process metrics (uptime, goroutines, memory).
 func (r *Registry) WritePrometheus(w io.Writer) {
-	r.writeFamilies(w)
+	r.WriteFamilies(w)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	fmt.Fprintf(w, "# TYPE process_uptime_seconds gauge\nprocess_uptime_seconds %s\n",
@@ -49,11 +49,14 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE go_gc_cycles_total counter\ngo_gc_cycles_total %d\n", ms.NumGC)
 }
 
-// writeFamilies writes the registry's metric families: one TYPE line
+// WriteFamilies writes the registry's metric families: one TYPE line
 // per name, then its series in label order, a histogram as cumulative
 // buckets (le last) plus _sum and _count. It is the only Prometheus
-// text writer; /metrics adds the process block, /fleetz does not.
-func (r *Registry) writeFamilies(w io.Writer) {
+// text writer. /metrics adds the process block; a view rendered through
+// a throwaway registry (/fleetz, /tenantz) writes its families alone,
+// since that registry's process block would describe nothing — its
+// uptime is the scrape's.
+func (r *Registry) WriteFamilies(w io.Writer) {
 	lastType := ""
 	r.each(func(m interface{}) {
 		md := metaOf(m)

@@ -185,7 +185,7 @@ func (v *FleetView) WritePrometheus(w io.Writer) {
 			reg.importSnapshot(mem.snap, mem.name)
 		}
 	}
-	reg.writeFamilies(w)
+	reg.WriteFamilies(w)
 }
 
 // importSnapshot registers a member's series in r, each labelled

@@ -138,7 +138,7 @@ func serialMerge(fds []*sketch.FrequentDirections, trace obs.SpanContext) (*sket
 // foldInto merges rest into acc in order, compacting after each merge
 // so the accumulator re-enters the next one at ℓ rows, and returns acc.
 // Each operand is dead once its rows are stacked and rotated into acc,
-// so its 2ℓ×d buffer goes straight back to the mat vector pool: every
+// so its blocks go straight back to the mat vector pools: every
 // caller owns what it folds (MergeSketches folds clones, MergeRemote
 // what it fetched, Run what its Sketcher built).
 func foldInto(acc *sketch.FrequentDirections, rest []*sketch.FrequentDirections) *sketch.FrequentDirections {

@@ -9,12 +9,14 @@ package pipeline_test
 
 import (
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"arams/internal/audit"
 	"arams/internal/ckpt"
 	"arams/internal/imgproc"
+	"arams/internal/mat"
 	"arams/internal/obs"
 	"arams/internal/pipeline"
 	"arams/internal/rng"
@@ -209,10 +211,8 @@ func TestChaosKillRestoreRecovers(t *testing.T) {
 	}
 	// Bit-exact recovery: the restored stream must be indistinguishable
 	// from one that never died.
-	for i := range rfd.Buffer {
-		if rfd.Buffer[i] != cfd.Buffer[i] {
-			t.Fatalf("sketch buffers diverge at element %d: %v vs %v", i, rfd.Buffer[i], cfd.Buffer[i])
-		}
+	if !slices.Equal(rfd.Kept, cfd.Kept) || !slices.Equal(rfd.Incoming, cfd.Incoming) {
+		t.Fatal("sketch buffers diverge")
 	}
 	// The acceptance criterion stated as a subspace error: with
 	// bit-exact buffers the basis subspaces coincide, so the error is
@@ -259,10 +259,8 @@ func TestChaosRestartWithoutCheckpoint(t *testing.T) {
 		fresh.Ingest(im, i)
 	}
 	a, b := monitorFD(t, restored.State()), monitorFD(t, fresh.State())
-	for i := range a.Buffer {
-		if a.Buffer[i] != b.Buffer[i] {
-			t.Fatalf("cold-restored run diverged from fresh run at element %d", i)
-		}
+	if !slices.Equal(a.Kept, b.Kept) || !slices.Equal(a.Incoming, b.Incoming) {
+		t.Fatal("cold-restored run diverged from fresh run")
 	}
 }
 
@@ -297,8 +295,11 @@ func monitorShardFD(t *testing.T, s *pipeline.MonitorState, i int) *sketch.FDSta
 func subspaceErr(a, b *sketch.FDState) float64 {
 	gram := func(s *sketch.FDState) []float64 {
 		g := make([]float64, s.D*s.D)
+		wide := make([]float64, len(s.Incoming))
+		mat.Widen(wide, s.Incoming)
+		rows := append(append([]float64(nil), s.Kept...), wide...)
 		for r := 0; r < s.NextZero; r++ {
-			row := s.Buffer[r*s.D : (r+1)*s.D]
+			row := rows[r*s.D : (r+1)*s.D]
 			for i := 0; i < s.D; i++ {
 				for j := 0; j < s.D; j++ {
 					g[i*s.D+j] += row[i] * row[j]

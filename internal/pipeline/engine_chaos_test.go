@@ -7,6 +7,7 @@ package pipeline_test
 
 import (
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -111,10 +112,8 @@ func TestChaosShardedKillRestoreRecovers(t *testing.T) {
 				[4]int{rfd.Ell, rfd.NextZero, rfd.Rotations, rfd.Seen},
 				[4]int{cfd.Ell, cfd.NextZero, cfd.Rotations, cfd.Seen})
 		}
-		for i := range rfd.Buffer {
-			if rfd.Buffer[i] != cfd.Buffer[i] {
-				t.Fatalf("shard %d buffers diverge at element %d", si, i)
-			}
+		if !slices.Equal(rfd.Kept, cfd.Kept) || !slices.Equal(rfd.Incoming, cfd.Incoming) {
+			t.Fatalf("shard %d buffers diverge", si)
 		}
 		if err := subspaceErr(cfd, rfd); err > 1e-9 {
 			t.Fatalf("shard %d basis subspace error %v > 1e-9", si, err)
@@ -165,10 +164,8 @@ func TestChaosShardedRestoreAdoptsLayout(t *testing.T) {
 	}
 	for si := range cs.Shards {
 		cfd, rfd := monitorShardFD(t, cs, si), monitorShardFD(t, rs, si)
-		for i := range rfd.Buffer {
-			if rfd.Buffer[i] != cfd.Buffer[i] {
-				t.Fatalf("shard %d diverged at element %d after layout-adopting restore", si, i)
-			}
+		if !slices.Equal(rfd.Kept, cfd.Kept) || !slices.Equal(rfd.Incoming, cfd.Incoming) {
+			t.Fatalf("shard %d diverged after layout-adopting restore", si)
 		}
 	}
 }

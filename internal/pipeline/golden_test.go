@@ -78,10 +78,17 @@ func digestSnapshot(h hash.Hash, s *Snapshot) {
 // seeds the snapshot's trustworthiness, OPTICS labels and ABOD top 2 %
 // agree with the parent's as closely as a UMAP reseed of the parent does
 // (EXPERIMENTS.md, "The window at float32").
+//
+// Both cases were re-recorded again when the sketch began to store the
+// rows it appends at float32 until its next rotation: the basis moves by
+// that rounding, and the UMAP SGD amplifies it as above. The fig5/fig6
+// thirty-seed medians stayed inside the committed quartiles before
+// internal/bench/testdata/quality.json was re-recorded (EXPERIMENTS.md,
+// "Rows wait at float32").
 func TestGoldenSnapshotDigests(t *testing.T) {
 	want := map[string]string{
-		"beam-1shard-w512":        "efa740ca54cc229146f151bcc42d938a44b600d566bad46b5baca27c11ab0f89",
-		"diffraction-2shard-w128": "02ecc98cd1455d39b9b018a578bb37fbbc3f79cf783f9ffad3e887271aedfddf",
+		"beam-1shard-w512":        "015f7c4435b443f19a7661170538cbe3e5ada76a4d1dd149a899248124d63cd7",
+		"diffraction-2shard-w128": "27eb892c9b356627e359d2751c155da86189266a73b19a6908a5bd440de014e5",
 	}
 	for _, gs := range goldenStreams() {
 		m := NewMonitor(goldenConfig(gs.shards), gs.window)

@@ -17,11 +17,12 @@ import (
 // behind TestGoldenSnapshotDigests' beam case. UMAP's SGD is chaotic in
 // the last bits of its input, so an eigensolver change moves that
 // digest whatever it does; what can be held is UMAP's input. The golden
-// stream goes through the monitor, and again through a Frequent
-// Directions loop whose every decomposition is Gram + mat.RefEigSym —
-// the cyclic Jacobi solver every rotation ran before tridiagonal QL —
-// and the two PCA latents of the golden window must agree, component by
-// component up to its sign, to 1e-9 of the latent's scale.
+// stream goes through the monitor, and again — each row rounded to
+// float32, as the sketch stores it — through a Frequent Directions loop
+// whose every decomposition is Gram + mat.RefEigSym — the cyclic Jacobi
+// solver every rotation ran before tridiagonal QL — and the two PCA
+// latents of the golden window must agree, component by component up to
+// its sign, to 1e-9 of the latent's scale.
 func TestGoldenWindowLatentMatchesJacobiBackedStream(t *testing.T) {
 	const ell, k, window, n, batch = 25, 12, 512, 640, 32
 	cfg := Config{
@@ -74,7 +75,10 @@ func TestGoldenWindowLatentMatchesJacobiBackedStream(t *testing.T) {
 			}
 			next = ell
 		}
-		copy(buf.Row(next), cfg.Pre.ApplyVec(im, nil))
+		// The rows the sketch stores: each rounded to float32.
+		for j, v := range cfg.Pre.ApplyVec(im, nil) {
+			buf.Row(next)[j] = float64(float32(v))
+		}
 		next++
 	}
 	_, vt := decompose()

@@ -10,14 +10,20 @@ import (
 
 // sameState reports whether two states carry the same bits.
 func sameState(a, b FDState) bool {
-	if a.Ell != b.Ell || a.D != b.D || a.Backend != b.Backend || a.NextZero != b.NextZero ||
-		a.Rotations != b.Rotations || a.Seen != b.Seen || len(a.Buffer) != len(b.Buffer) ||
+	if a.Ell != b.Ell || a.D != b.D || a.NextZero != b.NextZero ||
+		a.Rotations != b.Rotations || a.Seen != b.Seen ||
+		len(a.Kept) != len(b.Kept) || len(a.Incoming) != len(b.Incoming) ||
 		math.Float64bits(a.TotalDelta) != math.Float64bits(b.TotalDelta) ||
 		math.Float64bits(a.FrobMass) != math.Float64bits(b.FrobMass) {
 		return false
 	}
-	for i, v := range a.Buffer {
-		if math.Float64bits(v) != math.Float64bits(b.Buffer[i]) {
+	for i, v := range a.Kept {
+		if math.Float64bits(v) != math.Float64bits(b.Kept[i]) {
+			return false
+		}
+	}
+	for i, v := range a.Incoming {
+		if math.Float32bits(v) != math.Float32bits(b.Incoming[i]) {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"fmt"
 	"testing"
 
 	"arams/internal/mat"
@@ -69,28 +70,29 @@ func BenchmarkEstimators(b *testing.B) {
 }
 
 // BenchmarkFDRotateSteadyState measures one full shrink cycle (ℓ
-// appends + the rotation they trigger) after warmup. With the pooled
-// Gram-SVD path, an fd-owned σ and Vᵀ written over the buffer the
-// steady state must report zero allocs/op — the rotation runs at the
-// machine repetition rate.
+// appends + the rotation they trigger) after warmup, at diff_sharded's
+// ℓ = 25 over the two widths the rotation kernels are tuned for (2ℓ×d =
+// 50×4096 and 50×16384). With the pooled Gram-SVD path, an fd-owned σ
+// and Vᵀ written over the kept rows, the steady state must report zero
+// allocs/op — the rotation runs at the machine repetition rate.
 func BenchmarkFDRotateSteadyState(b *testing.B) {
-	const ell, d = 32, 4096
-	g := rng.New(7)
-	row := make([]float64, d)
-	for i := range row {
-		row[i] = g.Norm()
-	}
-	fd := NewFrequentDirections(ell, d, Options{})
-	// Warm up past the first rotation so buffers exist.
-	for i := 0; i < 3*ell; i++ {
-		fd.Append(row)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < ell; j++ {
-			fd.Append(row)
-		}
+	const ell = 25
+	for _, d := range []int{4096, 16384} {
+		b.Run(fmt.Sprintf("%dx%d", 2*ell, d), func(b *testing.B) {
+			x := mat.RandGaussian(2*ell, d, rng.New(7))
+			fd := NewFrequentDirections(ell, d, Options{})
+			// Warm up past the first rotation so buffers exist.
+			for i := 0; i < 3*ell; i++ {
+				fd.Append(x.Row(i % x.RowsN))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < ell; j++ {
+					fd.Append(x.Row(j))
+				}
+			}
+		})
 	}
 }
 

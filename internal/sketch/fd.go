@@ -9,7 +9,8 @@
 //
 // Data orientation follows the Go convention used throughout this
 // repository: rows are samples, columns are features, so a sketch of an
-// n×d stream is an ℓ×d matrix B with ‖AᵀA − BᵀB‖₂ ≤ ‖A‖_F²/ℓ.
+// n×d stream is an ℓ×d matrix B with ‖AᵀA − BᵀB‖₂ ≤ ‖A‖_F²/ℓ, plus the
+// charge for storing appended rows at float32 (Delta).
 package sketch
 
 import (
@@ -33,84 +34,80 @@ var (
 	obsEllGauge    = obs.Default().Gauge("arams_sketch_ell")
 )
 
-// SVDBackend selects the factorization used in the FD rotation step.
-type SVDBackend int
-
-const (
-	// GramSVD eigendecomposes the small 2ℓ×2ℓ Gram matrix BBᵀ — the
-	// fast path for wide buffers (default).
-	GramSVD SVDBackend = iota
-	// JacobiSVD runs a one-sided Jacobi SVD directly on the buffer;
-	// slower but maximally accurate, used for cross-validation.
-	JacobiSVD
-)
-
-// Options configures a FrequentDirections sketch.
-type Options struct {
-	// Backend selects the SVD implementation for rotations.
-	Backend SVDBackend
-}
+// Options configures a FrequentDirections sketch. It has no fields
+// left: the rotation has one factorization, the Gram trick over the
+// split buffer (mat.SVDGramInPlace). The type stays for the callers that
+// name it, benchmark/replay.go among them.
+type Options struct{}
 
 // FrequentDirections maintains a fast-FD sketch: a 2ℓ×d buffer that is
 // shrunk to ℓ nonzero rows by one SVD every ℓ appended rows. The buffer
-// is the only d-long storage a sketch holds: a rotation decomposes it in
-// place, and Basis decomposes its occupied rows on every call, so no
-// factor is cached beside it and a sketch is exactly its State.
+// is held in two blocks. kept is ℓ×d float64 and holds the rows the last
+// rotation wrote, √(σᵢ²−δ)·vᵢ; incoming is ℓ×d float32 and holds the rows
+// appended since. Before the first rotation, and over the rows a Grow
+// adds to kept, kept holds appended rows too, rounded to float32 and
+// widened back, so every appended row is rounded to float32 exactly once
+// and every row a rotation writes stays float64. Buffer row i < nextZero
+// is kept's row i for i < ℓ and incoming's row i−ℓ after.
+//
+// Every rotation, basis read and merge does the float64 arithmetic of
+// the 2ℓ×d float64 buffer those rows widen to (mat.SVDGramSplitTo), so
+// the sketch is, bit for bit, the all-float64 sketch of the stream with
+// each row rounded to float32; Σδ carries that rounding (appendCharge),
+// so Delta still bounds ‖AᵀA − BᵀB‖₂ for the float64 stream A. The two
+// blocks are the only d-long storage a sketch holds: a rotation
+// decomposes them in place, and Basis decomposes the occupied rows on
+// every call, so no factor is cached beside them and a sketch is exactly
+// its State.
 type FrequentDirections struct {
-	ell  int
-	d    int
-	opts Options
+	ell int
+	d   int
 
-	buffer   *mat.Matrix // 2ℓ×d
-	nextZero int         // index of the next zero row in buffer
+	kept     *mat.Matrix // ℓ×d float64
+	incoming []float32   // ℓ×d float32, row-major
+	nextZero int         // index of the next free buffer row
 
 	rotations  int     // number of shrink steps performed (for accounting)
 	seen       int     // number of data rows appended
-	totalDelta float64 // cumulative shrinkage Σδ across rotations
+	totalDelta float64 // Σδ: shrinkage across rotations plus every append's rounding charge
 	frobMass   float64 // cumulative ‖A‖_F² of the summarized stream
 
-	// Storage the rotation reuses so its steady state allocates nothing:
-	// sigma receives the 2ℓ singular values, filledView is the header of
-	// the occupied buffer prefix.
-	sigma      []float64
-	filledView mat.Matrix
+	// sigma receives the 2ℓ singular values, storage the rotation reuses
+	// so its steady state allocates nothing.
+	sigma []float64
 }
 
 // NewFrequentDirections creates a sketch with ℓ retained directions
-// over d features. Its 2ℓ×d buffer comes from the mat vector pool, so a
-// sketch built right after another of the same shape was released (a
+// over d features. Its two ℓ×d blocks come from the mat vector pools, so
+// a sketch built right after another of the same shape was released (a
 // tenant restored after its hibernation closed the shard) reuses that
 // storage.
-func NewFrequentDirections(ell, d int, opts Options) *FrequentDirections {
+func NewFrequentDirections(ell, d int, _ Options) *FrequentDirections {
 	if ell <= 0 || d <= 0 {
 		panic(fmt.Sprintf("sketch: invalid dimensions ℓ=%d d=%d", ell, d))
 	}
 	return &FrequentDirections{
-		ell:    ell,
-		d:      d,
-		opts:   opts,
-		buffer: pooledBuffer(ell, d),
+		ell:      ell,
+		d:        d,
+		kept:     mat.FromData(ell, d, mat.GetVec(ell*d)),
+		incoming: mat.GetVec32(ell * d),
 	}
 }
 
-// pooledBuffer borrows a zeroed 2ℓ×d buffer from the mat vector pool.
-func pooledBuffer(ell, d int) *mat.Matrix {
-	return &mat.Matrix{RowsN: 2 * ell, ColsN: d, Stride: d, Data: mat.GetVec(2 * ell * d)}
-}
-
-// Release hands the sketch's 2ℓ×d buffer back to the mat vector pool.
-// The sketch must not be used afterwards, and nothing may still read the
-// buffer. Only an owner releases it: a closed shard backend its live
+// Release hands the sketch's two blocks back to the mat vector pools.
+// The sketch must not be used afterwards, and nothing may still read
+// them. Only an owner releases them: a closed shard backend its live
 // sketch, a merge the operands it owns once they are folded, a basis
 // reader the merged sketch once its basis is cut. Never a holder of a
 // Clone's source or of a state copied from it — Clone and State copy,
-// so neither shares the buffer.
+// so neither shares the blocks.
 func (fd *FrequentDirections) Release() {
-	if fd.buffer == nil {
+	if fd.kept == nil {
 		return
 	}
-	mat.PutVec(fd.buffer.Data)
-	fd.buffer, fd.filledView = nil, mat.Matrix{}
+	mat.PutVec(fd.kept.Data)
+	mat.PutVec32(fd.incoming)
+	fd.kept, fd.incoming = nil, nil
 }
 
 // Ell returns the current number of retained directions.
@@ -128,7 +125,9 @@ func (fd *FrequentDirections) Rotations() int { return fd.rotations }
 func (fd *FrequentDirections) Seen() int { return fd.seen }
 
 // Append adds one data row to the sketch, rotating if the buffer is
-// full.
+// full. The row is stored rounded to float32; its elements must lie in
+// float32's range (the engine drops a frame that does not), or the
+// sketch holds an infinity and Finite reports it.
 func (fd *FrequentDirections) Append(row []float64) {
 	fd.appendNorm(row, mat.Norm2Sq(row))
 }
@@ -140,13 +139,60 @@ func (fd *FrequentDirections) appendNorm(row []float64, n2 float64) {
 	if len(row) != fd.d {
 		panic(fmt.Sprintf("sketch: row length %d != d=%d", len(row), fd.d))
 	}
-	if fd.nextZero == fd.buffer.RowsN {
+	if fd.nextZero == 2*fd.ell {
 		fd.rotate()
 	}
-	copy(fd.buffer.Row(fd.nextZero), row)
+	fd.store(row, n2)
+}
+
+// store writes row, rounded to float32, into the next free buffer row
+// and books it: the stream's mass gains the float64 row's n2, and Σδ
+// the rounding's charge.
+func (fd *FrequentDirections) store(row []float64, n2 float64) {
+	if i := fd.nextZero; i < fd.ell {
+		// No float32 row is occupied while a kept row is free, so the
+		// float32 block's first row stages the rounding.
+		tmp := fd.incoming[:fd.d]
+		mat.Narrow(tmp, row)
+		mat.Widen(fd.kept.Row(i), tmp)
+	} else {
+		off := (i - fd.ell) * fd.d
+		mat.Narrow(fd.incoming[off:off+fd.d], row)
+	}
 	fd.nextZero++
 	fd.seen++
 	fd.frobMass += n2
+	fd.totalDelta += appendCharge(n2, fd.d)
+}
+
+// The rounding an appended row takes is charged to Σδ, so that Delta
+// bounds the covariance error against the float64 stream and not only
+// against the rounded one the rotations see. Write a' = a + e for the
+// row as stored. Round to nearest gives |eⱼ| ≤ u·|aⱼ| for an element in
+// float32's normal range, u = 2⁻²⁴, and |eⱼ| ≤ η = 2⁻¹⁵⁰, half the
+// subnormal spacing, below it; so ‖e‖ ≤ u‖a‖ + η√d, and
+//
+//	‖a'ᵀa' − aᵀa‖₂ = ‖aᵀe + eᵀa + eᵀe‖₂ ≤ 2‖a‖‖e‖ + ‖e‖²
+//	               ≤ (2u + u²)‖a‖² + 2(1+u)η·√(d‖a‖²) + η²d.
+//
+// Summed over the rows, the triangle inequality puts the stream's whole
+// rounding under Σ of these charges, and Liberty's argument, additive in
+// per-rotation error, adds the rotations' shrinkage on top. The first
+// term is the one that counts (1.2·10⁻⁷ of ‖A‖_F² in all, however long
+// the stream); the other two matter only for rows of subnormal
+// magnitude, and add nothing a float64 Σδ can hold otherwise. DESIGN.md,
+// "Rows wait at float32", derives it in full.
+const (
+	chargeRel = 0x1p-23 + 0x1p-48            // 2u + u²
+	chargeMix = 2 * (1 + 0x1p-24) * 0x1p-150 // 2(1+u)η
+	chargeAbs = 0x1p-300                     // η²
+)
+
+// appendCharge is the Σδ charge for storing a row of squared norm n2
+// and d elements at float32.
+func appendCharge(n2 float64, d int) float64 {
+	fd := float64(d)
+	return chargeRel*n2 + chargeMix*math.Sqrt(fd*n2) + chargeAbs*fd
 }
 
 // AppendMatrix adds every row of x to the sketch.
@@ -156,35 +202,39 @@ func (fd *FrequentDirections) AppendMatrix(x *mat.Matrix) {
 	}
 }
 
+// occupied returns the occupied buffer rows as the two blocks the mat
+// split kernels take: kept's occupied rows, and the float32 rows below
+// them.
+func (fd *FrequentDirections) occupied() (*mat.Matrix, []float32) {
+	if fd.nextZero <= fd.ell {
+		return fd.kept.Rows(0, fd.nextZero), nil
+	}
+	return fd.kept, fd.incoming[:(fd.nextZero-fd.ell)*fd.d]
+}
+
 // rotate performs the fast-FD shrink: SVD the buffer, subtract σ_ℓ²
-// from all squared singular values, and rewrite the buffer as
-// √(Σ²−δI)·Vᵀ with the last ℓ rows zeroed.
+// from all squared singular values, and rewrite kept as √(Σ²−δI)·Vᵀ,
+// leaving no incoming row occupied.
 func (fd *FrequentDirections) rotate() { fd.shrink(fd.decompose()) }
 
-// decompose is the first half of a rotation: it overwrites the leading
-// ℓ rows of the buffer (fewer if it holds fewer) with the right singular
-// vectors Vᵀ of the occupied prefix — the only directions the shrink can
+// decompose is the first half of a rotation, run over more than ℓ
+// occupied rows: it overwrites kept with the ℓ leading right singular
+// vectors Vᵀ of the occupied rows — the only directions the shrink can
 // keep — and returns the whole spectrum. Until shrink scales them, those
-// rows are the rotation's unscaled basis.
+// rows are the rotation's unscaled basis. The pooled Gram-trick path
+// back-multiplies Σ⁻¹Uᵀ over kept itself, so the steady-state rotation
+// allocates nothing and holds no ℓ×d Vᵀ beside the buffer.
 func (fd *FrequentDirections) decompose() []float64 {
-	filled := fd.filled(fd.nextZero)
-	if fd.opts.Backend == JacobiSVD {
-		_, sigma, vt := mat.SVD(filled)
-		for i := 0; i < min(fd.ell, vt.RowsN); i++ {
-			copy(fd.buffer.Row(i), vt.Row(i))
-		}
-		return sigma
-	}
-	// The pooled Gram-trick path back-multiplies Σ⁻¹Uᵀ over the buffer
-	// itself, so the steady-state rotation allocates nothing and holds
-	// no ℓ×d Vᵀ beside the buffer.
-	fd.sigma = mat.SVDGramInPlace(filled, fd.sigma[:0], min(fd.ell, filled.RowsN))
+	_, low := fd.occupied()
+	fd.sigma = mat.SVDGramInPlace(fd.kept, low, fd.sigma[:0], fd.ell)
 	return fd.sigma
 }
 
 // shrink is the second half: it scales the kept rows of Vᵀ by
 // √(σᵢ²−δ) where they lie — the multiply ScaleTo(row, s, vᵢ) would make
-// from a separate Vᵀ, so the same bits — and clears the rest.
+// from a separate Vᵀ, so the same bits — and clears the rest of kept.
+// The incoming rows are free again; nothing reads a free row before an
+// append writes it.
 func (fd *FrequentDirections) shrink(sigma []float64) {
 	var delta float64
 	if fd.ell < len(sigma) {
@@ -197,11 +247,11 @@ func (fd *FrequentDirections) shrink(sigma []float64) {
 		if s2 <= 0 {
 			break // spectrum is descending; the rest are zero too
 		}
-		row := fd.buffer.Row(kept)
+		row := fd.kept.Row(kept)
 		mat.ScaleTo(row, math.Sqrt(s2), row)
 	}
-	for i := kept; i < fd.buffer.RowsN; i++ {
-		clear(fd.buffer.Row(i))
+	for i := kept; i < fd.ell; i++ {
+		clear(fd.kept.Row(i))
 	}
 	fd.nextZero = fd.ell
 	fd.rotations++
@@ -223,17 +273,17 @@ func (fd *FrequentDirections) Compact() {
 func (fd *FrequentDirections) Sketch() *mat.Matrix {
 	fd.Compact()
 	out := mat.New(fd.ell, fd.d)
-	for i := 0; i < min(fd.ell, fd.nextZero); i++ {
-		copy(out.Row(i), fd.buffer.Row(i))
-	}
+	copy(out.Data, fd.kept.Data[:fd.nextZero*fd.d])
 	return out
 }
 
-// Delta returns the cumulative shrinkage Σδ applied across rotations —
+// Delta returns Σδ: the cumulative shrinkage applied across rotations —
 // the total squared-singular-value mass subtracted from every retained
-// direction so far. By the Frequent Directions guarantee (Liberty 2013)
-// it certifies ‖AᵀA − BᵀB‖₂ ≤ Σδ online, and the mergeability result of
-// Ghashami et al. makes the certificate compose additively under Merge.
+// direction so far — plus the charge for rounding every appended row to
+// float32 (appendCharge). By the Frequent Directions guarantee (Liberty
+// 2013) it certifies ‖AᵀA − BᵀB‖₂ ≤ Σδ online for the float64 stream A,
+// and the mergeability result of Ghashami et al. makes the certificate
+// compose additively under Merge.
 func (fd *FrequentDirections) Delta() float64 { return fd.totalDelta }
 
 // FrobMass returns the accumulated squared Frobenius norm ‖A‖_F² of the
@@ -266,7 +316,8 @@ func (fd *FrequentDirections) Basis(k int) *mat.Matrix {
 		return mat.New(0, fd.d)
 	}
 	out := mat.FromData(k, fd.d, mat.GetVec(k*fd.d))
-	sigma := mat.SVDGramTo(fd.buffer.Rows(0, fd.nextZero), nil, out)
+	top, low := fd.occupied()
+	sigma := mat.SVDGramSplitTo(top, low, nil, out)
 	rank := 0
 	for _, s := range sigma {
 		// The Gram-trick SVD squares the condition number, so roundoff
@@ -292,8 +343,9 @@ func (fd *FrequentDirections) Basis(k int) *mat.Matrix {
 // buffer and rotating — exactly the mergeable-summary construction of
 // Ghashami et al. The two sketches must have the same feature dimension.
 // If other retains more directions, fd grows to match before merging so
-// no mass is dropped. other is compacted and its rows are read in place,
-// so a sketch merged into itself is cloned first.
+// no mass is dropped. other is compacted and its float64 rows are read
+// in place, so a sketch merged into itself is cloned first; appended to
+// fd, they are rounded to float32 and charged to Σδ like any other row.
 func (fd *FrequentDirections) Merge(other *FrequentDirections) {
 	if fd.d != other.d {
 		panic("sketch: Merge dimension mismatch")
@@ -308,8 +360,8 @@ func (fd *FrequentDirections) Merge(other *FrequentDirections) {
 	other.Compact()
 	appended := 0
 	var appendedMass float64
-	for i := 0; i < min(other.ell, other.nextZero); i++ {
-		row := other.buffer.Row(i)
+	for i := 0; i < other.nextZero; i++ {
+		row := other.kept.Row(i)
 		n2 := mat.Norm2Sq(row)
 		if n2 == 0 {
 			continue // zero rows between rotations would dilute accuracy
@@ -328,34 +380,34 @@ func (fd *FrequentDirections) Merge(other *FrequentDirections) {
 	obsMerges.Inc()
 }
 
-// Grow increases the number of retained directions by dl, extending the
-// buffer. Existing sketch content is preserved. The wider buffer comes
-// from the mat vector pool and the old one goes back to it: the sketch
-// is its sole owner, since State and Clone copy.
+// Grow increases the number of retained directions by dl, widening
+// both blocks. Existing sketch content is preserved: the incoming rows
+// that now fall within the first ℓ+dl buffer rows move into kept,
+// widened exactly, and the rest stay float32. The wider blocks come from
+// the mat vector pools and the old ones go back to them: the sketch is
+// their sole owner, since State and Clone copy.
 func (fd *FrequentDirections) Grow(dl int) {
 	if dl <= 0 {
 		return
 	}
 	newEll := fd.ell + dl
-	nb := pooledBuffer(newEll, fd.d)
-	copy(nb.Data, fd.buffer.Data[:fd.nextZero*fd.d])
-	mat.PutVec(fd.buffer.Data)
-	fd.buffer, fd.filledView = nb, mat.Matrix{}
+	kept := mat.FromData(newEll, fd.d, mat.GetVec(newEll*fd.d))
+	incoming := mat.GetVec32(newEll * fd.d)
+	top, low := fd.occupied()
+	copy(kept.Data, top.Data[:top.RowsN*fd.d])
+	for j := 0; j*fd.d < len(low); j++ {
+		row := low[j*fd.d : (j+1)*fd.d]
+		if i := fd.ell + j; i < newEll {
+			mat.Widen(kept.Row(i), row)
+		} else {
+			copy(incoming[(i-newEll)*fd.d:], row)
+		}
+	}
+	fd.Release()
+	fd.kept, fd.incoming = kept, incoming
 	fd.ell = newEll
 	obsGrows.Inc()
 	obsEllGauge.SetInt(fd.ell)
-}
-
-// filled returns an m×d view of the occupied buffer prefix through a
-// reusable header, so the rotation path allocates nothing.
-func (fd *FrequentDirections) filled(m int) *mat.Matrix {
-	fd.filledView = mat.Matrix{
-		RowsN:  m,
-		ColsN:  fd.d,
-		Stride: fd.buffer.Stride,
-		Data:   fd.buffer.Data[:(m-1)*fd.buffer.Stride+fd.d],
-	}
-	return &fd.filledView
 }
 
 func min(a, b int) int {

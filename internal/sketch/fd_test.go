@@ -85,13 +85,22 @@ func TestFDSketchShape(t *testing.T) {
 }
 
 func TestFDFewerRowsThanEll(t *testing.T) {
-	// Fewer rows than ℓ: sketch holds the data verbatim, zero error.
+	// Fewer rows than ℓ: the sketch holds the data verbatim at float32 —
+	// zero error against the rounded rows — and its certificate, the
+	// rounding charge alone, covers the error against the float64 ones.
 	a := gaussData(4, 10, 6)
 	fd := NewFrequentDirections(8, 10, Options{})
 	fd.AppendMatrix(a)
 	b := fd.Sketch()
-	if err := CovErr(a, b); err > 1e-9 {
-		t.Fatalf("undersized stream should be exact, CovErr = %v", err)
+	rounded := a.Clone()
+	for i, v := range rounded.Data {
+		rounded.Data[i] = float64(float32(v))
+	}
+	if err := CovErr(rounded, b); err > 1e-9 {
+		t.Fatalf("undersized stream should be exact at float32, CovErr = %v", err)
+	}
+	if err := CovErr(a, b); err > fd.Delta() {
+		t.Fatalf("CovErr = %v exceeds the certificate Σδ = %v", err, fd.Delta())
 	}
 }
 
@@ -107,18 +116,19 @@ func TestFDZeroRows(t *testing.T) {
 	}
 }
 
+// TestFDBackendsAgree: the rotation has one factorization, the Gram
+// trick over the split buffer; its sketch's error must match that of
+// the same stream's ℓ-row truncation computed with the one-sided Jacobi
+// SVD (mat.SVD) at every rotation, up to roundoff.
 func TestFDBackendsAgree(t *testing.T) {
 	a := gaussData(100, 30, 7)
-	fdG := NewFrequentDirections(8, 30, Options{Backend: GramSVD})
-	fdJ := NewFrequentDirections(8, 30, Options{Backend: JacobiSVD})
-	fdG.AppendMatrix(a)
-	fdJ.AppendMatrix(a)
-	eG := CovErr(a, fdG.Sketch())
-	eJ := CovErr(a, fdJ.Sketch())
-	// The two backends compute the same mathematical rotation; their
-	// sketches may differ by roundoff but the errors must be close.
+	fd := NewFrequentDirections(8, 30, Options{})
+	fd.AppendMatrix(a)
+	ref := jacobiFD(a, 8)
+	eG := CovErr(a, fd.Sketch())
+	eJ := CovErr(a, ref.sketch())
 	if math.Abs(eG-eJ) > 1e-6*(1+eJ) {
-		t.Fatalf("backend errors diverge: gram %v vs jacobi %v", eG, eJ)
+		t.Fatalf("sketch errors diverge: gram %v vs jacobi %v", eG, eJ)
 	}
 }
 
@@ -260,18 +270,18 @@ func TestGrowPreservesContent(t *testing.T) {
 	}
 }
 
-// TestGrowReleasesTheNarrowBuffer: Grow borrows the wider buffer from
-// the vector pool and hands the narrower one back, so a sketch built,
-// grown and released in a loop draws both of its buffers from the pool,
-// and a cycle allocates under the narrow buffer's size — what a Grow
-// that kept the old buffer from the pool would cost. Collection is off
-// for the loop, since it empties the pool. Under -race the pool drops a
-// quarter of its puts, a quarter of both buffers per cycle on average
-// (three quarters of the bound); the loop is long enough to hold that
-// mean well inside it.
+// TestGrowReleasesTheNarrowBuffer: Grow borrows the wider blocks from
+// the vector pools and hands the narrower ones back, so a sketch built,
+// grown and released in a loop draws all of its blocks from the pools,
+// and a cycle allocates under the narrow sketch's size — what a Grow
+// that kept the old blocks from the pools would cost. Collection is off
+// for the loop, since it empties the pools. Under -race a sync.Pool
+// drops a quarter of its puts — the float64 blocks here, which are below
+// the free lists' size — so a quarter of them per cycle on average (half
+// the bound); the loop is long enough to hold that mean well inside it.
 func TestGrowReleasesTheNarrowBuffer(t *testing.T) {
 	const ell, dl, d, cycles = 8, 8, 1024, 200
-	const narrow = 8 * 2 * ell * d
+	const narrow = (8 + 4) * ell * d
 	rows := gaussData(2*ell, d, 17) // fills the buffer without a rotation
 	cycle := func() {
 		fd := NewFrequentDirections(ell, d, Options{})
@@ -291,7 +301,7 @@ func TestGrowReleasesTheNarrowBuffer(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per >= narrow {
-		t.Errorf("build → grow → release allocates %d B per cycle; want under the narrow 2ℓ×d buffer, %d B", per, narrow)
+		t.Errorf("build → grow → release allocates %d B per cycle; want under the narrow sketch's ℓ×d float64 and float32 blocks, %d B", per, narrow)
 	}
 }
 
@@ -426,31 +436,26 @@ func TestBasisReflectsMergeBetweenCalls(t *testing.T) {
 	}
 }
 
-// TestRotateLeavesNoStaleRows: the shrink clears only the rows it does
-// not rewrite, so a rotation that keeps fewer than ℓ directions must
-// still leave every other row of the buffer zero — including rows that
-// held data a moment ago. 2ℓ orthonormal rows have 2ℓ equal singular
-// values, so the shrink subtracts all of every one and keeps nothing.
+// TestRotateLeavesNoStaleRows: the shrink clears only the kept rows it
+// does not rewrite, so a rotation that keeps fewer than ℓ directions
+// must still leave every other kept row zero — including rows that held
+// data a moment ago. 2ℓ orthonormal rows have 2ℓ equal singular values,
+// so the shrink subtracts all of every one and keeps nothing.
 func TestRotateLeavesNoStaleRows(t *testing.T) {
 	const ell, d = 4, 12
-	for _, backend := range []SVDBackend{GramSVD, JacobiSVD} {
-		fd := NewFrequentDirections(ell, d, Options{Backend: backend})
-		for i := 0; i < 2*ell+1; i++ { // the last append rotates a full buffer
-			row := make([]float64, d)
-			row[i] = 1
-			fd.Append(row)
-		}
-		if fd.Rotations() != 1 || fd.nextZero != ell+1 {
-			t.Fatalf("backend %v: %d rotations, nextZero %d", backend, fd.Rotations(), fd.nextZero)
-		}
-		for i := 0; i < 2*ell; i++ {
-			if i == ell {
-				continue // the row appended after the rotation
-			}
-			for j, v := range fd.buffer.Row(i) {
-				if v != 0 {
-					t.Fatalf("backend %v: buffer row %d col %d holds %g after the shrink", backend, i, j, v)
-				}
+	fd := NewFrequentDirections(ell, d, Options{})
+	for i := 0; i < 2*ell+1; i++ { // the last append rotates a full buffer
+		row := make([]float64, d)
+		row[i] = 1
+		fd.Append(row)
+	}
+	if fd.Rotations() != 1 || fd.nextZero != ell+1 {
+		t.Fatalf("%d rotations, nextZero %d", fd.Rotations(), fd.nextZero)
+	}
+	for i := 0; i < ell; i++ {
+		for j, v := range fd.kept.Row(i) {
+			if v != 0 {
+				t.Fatalf("kept row %d col %d holds %g after the shrink", i, j, v)
 			}
 		}
 	}
@@ -463,17 +468,15 @@ func TestRotateLeavesNoStaleRows(t *testing.T) {
 // can refuse it.
 func TestNaNFrameRotatesWithoutPanic(t *testing.T) {
 	const ell, d = 6, 20
-	for _, backend := range []SVDBackend{GramSVD, JacobiSVD} {
-		fd := NewFrequentDirections(ell, d, Options{Backend: backend})
-		x := gaussData(2*ell+1, d, 43)
-		x.Set(3, 5, math.NaN())
-		fd.AppendMatrix(x)
-		if fd.Rotations() != 1 {
-			t.Fatalf("backend %v: %d rotations after 2ℓ+1 appends", backend, fd.Rotations())
-		}
-		if fd.Finite() {
-			t.Errorf("backend %v: Finite() holds after a NaN frame went through a rotation", backend)
-		}
+	fd := NewFrequentDirections(ell, d, Options{})
+	x := gaussData(2*ell+1, d, 43)
+	x.Set(3, 5, math.NaN())
+	fd.AppendMatrix(x)
+	if fd.Rotations() != 1 {
+		t.Fatalf("%d rotations after 2ℓ+1 appends", fd.Rotations())
+	}
+	if fd.Finite() {
+		t.Error("Finite() holds after a NaN frame went through a rotation")
 	}
 }
 

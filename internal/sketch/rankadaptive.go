@@ -92,7 +92,7 @@ func (r *RankAdaptiveFD) Append(row []float64) {
 // n2 = mat.Norm2Sq(row).
 func (r *RankAdaptiveFD) appendNorm(row []float64, n2 float64) {
 	fd := r.fd
-	if fd.nextZero == fd.buffer.RowsN {
+	if fd.nextZero == 2*fd.ell {
 		canAdapt := r.canRankAdapt()
 		if r.increaseEll && canAdapt {
 			// Grow ℓ by ν; the buffer gains 2ν rows so this append
@@ -104,9 +104,9 @@ func (r *RankAdaptiveFD) appendNorm(row []float64, n2 float64) {
 		} else {
 			// Estimate the reconstruction error of the most recent ℓ
 			// rows using the Vᵀ this rotation computes (no extra SVD),
-			// copied out of the buffer before the shrink scales it.
+			// copied out of kept before the shrink scales it.
 			sigma := fd.decompose()
-			basis := fd.buffer.Rows(0, min(fd.ell, len(sigma))).Clone()
+			basis := fd.kept.Clone()
 			fd.shrink(sigma)
 			x := r.recentMatrix()
 			if x.RowsN > 0 && EstimateRelResidual(x, basis, r.nu, r.g) > r.eps {
@@ -116,10 +116,7 @@ func (r *RankAdaptiveFD) appendNorm(row []float64, n2 float64) {
 			}
 		}
 	}
-	copy(fd.buffer.Row(fd.nextZero), row)
-	fd.nextZero++
-	fd.seen++
-	fd.frobMass += n2
+	fd.store(row, n2)
 	r.push(row)
 	if r.rowsLeft > 0 {
 		r.rowsLeft--

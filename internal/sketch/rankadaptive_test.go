@@ -208,10 +208,10 @@ func TestRankAdaptiveSteadyAppendAllocatesNothing(t *testing.T) {
 		r.Append(a.Row(i % a.RowsN))
 		i++
 	}
-	for len(r.recent) < ell || r.fd.buffer.RowsN-r.fd.nextZero < ell/2 {
+	for len(r.recent) < ell || 2*r.fd.ell-r.fd.nextZero < ell/2 {
 		next()
 	}
-	if got := testing.AllocsPerRun(r.fd.buffer.RowsN-r.fd.nextZero-1, next); got != 0 {
+	if got := testing.AllocsPerRun(2*r.fd.ell-r.fd.nextZero-1, next); got != 0 {
 		t.Fatalf("a steady-state Append allocates %v times", got)
 	}
 	if r.Ell() != ell {

@@ -148,15 +148,74 @@ func goldenStream(n, d, rank int, seed uint64) *mat.Matrix {
 	return x
 }
 
-// TestBackendsAgreeOverWholeStreams runs whole streams through both
-// rotation backends. The Gram trick squares the condition number and
-// its tridiagonal-QL eigensolver is accurate in ‖A‖², not relative to
-// each eigenvalue, so what the two must share is absolute: covariance
-// error and Σδ within 1e-9·‖A‖_F² of each other, the certificate
-// holding on both, and the leading-k bases spanning the same subspace
-// wherever the sketch's spectrum has a gap to resolve it by. The second
-// stream's directions decay to 1e-6 of the first — a Gram spectrum of
-// twelve decades.
+// jacobiRef is fast FD over the rows the sketch stores — each rounded
+// to float32 — in one all-float64 2ℓ×d buffer, with every rotation
+// factored by the one-sided Jacobi SVD (mat.SVD) instead of the Gram
+// trick: the cross-check the sketch's one factorization is held to. Its
+// delta carries the same rounding charges as the sketch's Σδ.
+type jacobiRef struct {
+	ell   int
+	buf   *mat.Matrix
+	next  int
+	delta float64
+}
+
+func jacobiFD(a *mat.Matrix, ell int) *jacobiRef {
+	r := &jacobiRef{ell: ell, buf: mat.New(2*ell, a.ColsN)}
+	for i := 0; i < a.RowsN; i++ {
+		if r.next == 2*ell {
+			r.rotate()
+		}
+		dst := r.buf.Row(r.next)
+		for j, v := range a.Row(i) {
+			dst[j] = float64(float32(v))
+		}
+		r.delta += appendCharge(mat.Norm2Sq(a.Row(i)), a.ColsN)
+		r.next++
+	}
+	return r
+}
+
+func (r *jacobiRef) rotate() {
+	_, sigma, vt := mat.SVD(r.buf.Rows(0, r.next))
+	var delta float64
+	if r.ell < len(sigma) {
+		delta = sigma[r.ell] * sigma[r.ell]
+	}
+	r.delta += delta
+	r.buf.Zero()
+	for i := 0; i < r.ell && i < len(sigma); i++ {
+		if s2 := sigma[i]*sigma[i] - delta; s2 > 0 {
+			mat.ScaleTo(r.buf.Row(i), math.Sqrt(s2), vt.Row(i))
+		}
+	}
+	r.next = r.ell
+}
+
+// sketch compacts to ℓ rows and returns them.
+func (r *jacobiRef) sketch() *mat.Matrix {
+	if r.next > r.ell {
+		r.rotate()
+	}
+	return r.buf.Rows(0, r.ell).Clone()
+}
+
+// basis is the top-k right singular vectors of the occupied rows.
+func (r *jacobiRef) basis(k int) *mat.Matrix {
+	_, _, vt := mat.SVD(r.buf.Rows(0, r.next))
+	return vt.Rows(0, k)
+}
+
+// TestBackendsAgreeOverWholeStreams runs whole streams through the
+// sketch and through jacobiRef, the same rounded rows factored by the
+// Jacobi SVD. The Gram trick squares the condition number and its
+// tridiagonal-QL eigensolver is accurate in ‖A‖², not relative to each
+// eigenvalue, so what the two must share is absolute: covariance error
+// and Σδ within 1e-9·‖A‖_F² of each other, the certificate holding on
+// both, and the leading-k bases spanning the same subspace wherever the
+// sketch's spectrum has a gap to resolve it by. The second stream's
+// directions decay to 1e-6 of the first — a Gram spectrum of twelve
+// decades.
 func TestBackendsAgreeOverWholeStreams(t *testing.T) {
 	const ell, gapFrac, angleTol = 12, 0.05, 1e-10
 	// Twenty-four directions scaled from 1 down to 1e-6, over noise far
@@ -179,30 +238,20 @@ func TestBackendsAgreeOverWholeStreams(t *testing.T) {
 		"decay_to_1e-6": decaying,
 	} {
 		frob := a.FrobeniusNormSq()
-		fdG := NewFrequentDirections(ell, a.ColsN, Options{Backend: GramSVD})
-		fdJ := NewFrequentDirections(ell, a.ColsN, Options{Backend: JacobiSVD})
-		fdG.AppendMatrix(a)
-		fdJ.AppendMatrix(a)
-		bG, bJ := fdG.Sketch(), fdJ.Sketch()
-		eG, eJ := CovErr(a, bG), CovErr(a, bJ)
-		if math.Abs(eG-eJ) > 1e-9*frob {
-			t.Errorf("%s: covariance error %g (gram) vs %g (jacobi), ‖A‖_F² = %g", name, eG, eJ, frob)
-		}
-		if math.Abs(fdG.Delta()-fdJ.Delta()) > 1e-9*frob {
-			t.Errorf("%s: Σδ %g (gram) vs %g (jacobi), ‖A‖_F² = %g", name, fdG.Delta(), fdJ.Delta(), frob)
-		}
-		if eG > fdG.Delta()+1e-9*frob || eJ > fdJ.Delta()+1e-9*frob {
-			t.Errorf("%s: certificate broken: err %g > Σδ %g (gram) or %g > %g (jacobi)", name, eG, fdG.Delta(), eJ, fdJ.Delta())
-		}
-		_, sigma, _ := mat.SVD(bJ)
+		fd := NewFrequentDirections(ell, a.ColsN, Options{})
+		fd.AppendMatrix(a)
+		ref := jacobiFD(a, ell)
+		// The bases are read before compaction, where Basis reads the
+		// rows the next rotation would keep.
+		_, sigma, _ := mat.SVD(ref.buf.Rows(0, ref.next))
 		compared := 0
 		for k := 1; k < ell; k++ {
 			if sigma[k-1]-sigma[k] < gapFrac*sigma[0] {
 				continue
 			}
-			vG, vJ := fdG.Basis(k), fdJ.Basis(k)
-			if vG.RowsN != k || vJ.RowsN != k {
-				t.Fatalf("%s: Basis(%d) has %d (gram) and %d (jacobi) rows", name, k, vG.RowsN, vJ.RowsN)
+			vG, vJ := fd.Basis(k), ref.basis(k)
+			if vG.RowsN != k {
+				t.Fatalf("%s: Basis(%d) has %d rows", name, k, vG.RowsN)
 			}
 			// sin of the largest principal angle ≤ ‖V_G − (V_G·V_Jᵀ)·V_J‖_F.
 			resid := mat.Mul(mat.MulABt(vG, vJ), vJ)
@@ -214,6 +263,17 @@ func TestBackendsAgreeOverWholeStreams(t *testing.T) {
 		}
 		if compared == 0 {
 			t.Errorf("%s: no gap of %g·σ₁ in the sketch's spectrum %v", name, gapFrac, sigma)
+		}
+		bG, bJ := fd.Sketch(), ref.sketch()
+		eG, eJ := CovErr(a, bG), CovErr(a, bJ)
+		if math.Abs(eG-eJ) > 1e-9*frob {
+			t.Errorf("%s: covariance error %g (gram) vs %g (jacobi), ‖A‖_F² = %g", name, eG, eJ, frob)
+		}
+		if math.Abs(fd.Delta()-ref.delta) > 1e-9*frob {
+			t.Errorf("%s: Σδ %g (gram) vs %g (jacobi), ‖A‖_F² = %g", name, fd.Delta(), ref.delta, frob)
+		}
+		if eG > fd.Delta()+1e-9*frob || eJ > ref.delta+1e-9*frob {
+			t.Errorf("%s: certificate broken: err %g > Σδ %g (gram) or %g > %g (jacobi)", name, eG, fd.Delta(), eJ, ref.delta)
 		}
 	}
 }

@@ -20,16 +20,15 @@ import (
 // panicking, because snapshots may arrive from a checkpoint file that
 // passed its checksum but was written by a buggy or hostile producer.
 
-// FDState is a snapshot of a FrequentDirections sketch. Buffer holds
-// the occupied prefix of the 2ℓ×d buffer (NextZero rows, row-major);
-// the rows beyond it are zero by construction and are not stored. It is
-// the whole sketch: no factor is cached beside the buffer, so a sketch
-// rebuilt from it answers every read, Basis included, with the bits the
-// original would.
+// FDState is a snapshot of a FrequentDirections sketch: its NextZero
+// occupied buffer rows, the first min(NextZero, ℓ) of them float64 in
+// Kept and the rest float32 in Incoming, and its counters. The free rows
+// are not stored. It is the whole sketch: no factor is cached beside the
+// buffer, so a sketch rebuilt from it answers every read, Basis
+// included, with the bits the original would.
 type FDState struct {
 	Ell        int
 	D          int
-	Backend    SVDBackend
 	NextZero   int
 	Rotations  int
 	Seen       int
@@ -37,42 +36,47 @@ type FDState struct {
 	// FrobMass is the accumulated ‖A‖_F² of the summarized stream, the
 	// scale of the relative certificate Σδ/‖A‖_F².
 	FrobMass float64
-	Buffer   []float64 // NextZero×D occupied prefix, row-major
+	Kept     []float64 // min(NextZero, Ell)×D float64 rows, row-major
+	Incoming []float32 // max(NextZero − Ell, 0)×D float32 rows, row-major
 }
 
 // State captures the sketch's current state.
 func (fd *FrequentDirections) State() FDState { return fd.state(false) }
 
-// state is State. With take set the state's Buffer is not a copy but
-// the sketch's own 2ℓ×d array cut to its occupied prefix (capacity
-// 2ℓ·d, the rows past the prefix zero), and the sketch gives it up: it
-// must not be used afterwards. See ARAMS.TakeState.
+// state is State. With take set the state's Kept and Incoming are not
+// copies but the sketch's own ℓ×d arrays cut to their occupied rows
+// (capacity ℓ·d each), and the sketch gives them up: it must not be used
+// afterwards. See ARAMS.TakeState.
 func (fd *FrequentDirections) state(take bool) FDState {
 	s := FDState{
 		Ell:        fd.ell,
 		D:          fd.d,
-		Backend:    fd.opts.Backend,
 		NextZero:   fd.nextZero,
 		Rotations:  fd.rotations,
 		Seen:       fd.seen,
 		TotalDelta: fd.totalDelta,
 		FrobMass:   fd.frobMass,
 	}
-	occupied := fd.buffer.Data[:fd.nextZero*fd.d]
+	top, low := fd.occupied()
+	kept := fd.kept.Data[:top.RowsN*fd.d]
 	if take {
-		s.Buffer = occupied
-		fd.buffer, fd.filledView = nil, mat.Matrix{}
+		// Both arrays go, the float32 one also when no row of it is
+		// occupied: its capacity still hands it over.
+		s.Kept, s.Incoming = kept, fd.incoming[:len(low)]
+		fd.kept, fd.incoming = nil, nil
 		return s
 	}
-	s.Buffer = append(make([]float64, 0, len(occupied)), occupied...)
+	s.Kept = append(make([]float64, 0, len(kept)), kept...)
+	if len(low) > 0 {
+		s.Incoming = append(make([]float32, 0, len(low)), low...)
+	}
 	return s
 }
 
 // newFDFromState rebuilds a sketch from a snapshot. With adopt set, a
-// Buffer whose capacity is the whole 2ℓ×d array becomes the sketch's
-// buffer instead of being copied into a new one; its rows past the
-// occupied prefix are cleared first. A Buffer of any other capacity is
-// copied.
+// Kept or Incoming whose capacity is the whole ℓ×d array becomes the
+// sketch's own instead of being copied into a new one. One of any other
+// capacity is copied.
 func newFDFromState(s FDState, adopt bool) (*FrequentDirections, error) {
 	if s.Ell <= 0 || s.D <= 0 {
 		return nil, fmt.Errorf("sketch: FD state has invalid dimensions ℓ=%d d=%d", s.Ell, s.D)
@@ -80,14 +84,14 @@ func newFDFromState(s FDState, adopt bool) (*FrequentDirections, error) {
 	if s.NextZero < 0 || s.NextZero > 2*s.Ell {
 		return nil, fmt.Errorf("sketch: FD state nextZero=%d out of range [0, %d]", s.NextZero, 2*s.Ell)
 	}
-	if len(s.Buffer) != s.NextZero*s.D {
-		return nil, fmt.Errorf("sketch: FD state buffer length %d != %d×%d", len(s.Buffer), s.NextZero, s.D)
+	if k := min(s.NextZero, s.Ell); len(s.Kept) != k*s.D {
+		return nil, fmt.Errorf("sketch: FD state kept length %d != %d×%d", len(s.Kept), k, s.D)
+	}
+	if n := max(s.NextZero-s.Ell, 0); len(s.Incoming) != n*s.D {
+		return nil, fmt.Errorf("sketch: FD state incoming length %d != %d×%d", len(s.Incoming), n, s.D)
 	}
 	if s.Rotations < 0 || s.Seen < 0 {
 		return nil, fmt.Errorf("sketch: FD state has negative counters (rotations=%d seen=%d)", s.Rotations, s.Seen)
-	}
-	if s.Backend != GramSVD && s.Backend != JacobiSVD {
-		return nil, fmt.Errorf("sketch: FD state has unknown SVD backend %d", int(s.Backend))
 	}
 	if math.IsNaN(s.TotalDelta) || math.IsInf(s.TotalDelta, 0) || s.TotalDelta < 0 {
 		return nil, fmt.Errorf("sketch: FD state has invalid total delta %v", s.TotalDelta)
@@ -95,15 +99,19 @@ func newFDFromState(s FDState, adopt bool) (*FrequentDirections, error) {
 	if math.IsNaN(s.FrobMass) || math.IsInf(s.FrobMass, 0) || s.FrobMass < 0 {
 		return nil, fmt.Errorf("sketch: FD state has invalid Frobenius mass %v", s.FrobMass)
 	}
-	var fd *FrequentDirections
-	if n := 2 * s.Ell * s.D; adopt && cap(s.Buffer) == n {
-		buf := s.Buffer[:n]
-		clear(buf[len(s.Buffer):])
-		fd = &FrequentDirections{ell: s.Ell, d: s.D, opts: Options{Backend: s.Backend},
-			buffer: mat.FromData(2*s.Ell, s.D, buf)}
+	n := s.Ell * s.D
+	fd := &FrequentDirections{ell: s.Ell, d: s.D}
+	if adopt && cap(s.Kept) == n {
+		fd.kept = mat.FromData(s.Ell, s.D, s.Kept[:n])
 	} else {
-		fd = NewFrequentDirections(s.Ell, s.D, Options{Backend: s.Backend})
-		copy(fd.buffer.Data, s.Buffer)
+		fd.kept = mat.FromData(s.Ell, s.D, mat.GetVec(n))
+		copy(fd.kept.Data, s.Kept)
+	}
+	if adopt && cap(s.Incoming) == n {
+		fd.incoming = s.Incoming[:n]
+	} else {
+		fd.incoming = mat.GetVec32(n)
+		copy(fd.incoming, s.Incoming)
 	}
 	fd.nextZero = s.NextZero
 	fd.rotations = s.Rotations
@@ -113,28 +121,24 @@ func newFDFromState(s FDState, adopt bool) (*FrequentDirections, error) {
 	return fd, nil
 }
 
-// Clone returns an independent deep copy of the sketch: the buffer and
-// the counters, which are all a sketch is. parallel.MergeSketches
-// clones its inputs, and a shard backend clones its live sketch for
-// the reconcile merge, because a fold compacts both operands. The
-// copy's 2ℓ×d buffer comes from the mat vector pool, like a new
-// sketch's, so the merge that folds the clone and then releases it
-// hands the buffer to the next clone of the same shape. Only the
-// occupied rows are copied; the rest are zero in both.
+// Clone returns an independent deep copy of the sketch: the two blocks
+// and the counters, which are all a sketch is. parallel.MergeSketches
+// clones its inputs, and a shard backend clones its live sketch for the
+// reconcile merge, because a fold compacts both operands. The copy's
+// blocks come from the mat vector pools, like a new sketch's, so the
+// merge that folds the clone and then releases it hands them to the next
+// clone of the same shape. Only the occupied rows are copied.
 func (fd *FrequentDirections) Clone() *FrequentDirections {
-	buf := pooledBuffer(fd.ell, fd.d)
-	copy(buf.Data, fd.buffer.Data[:fd.nextZero*fd.d])
-	return &FrequentDirections{
-		ell:        fd.ell,
-		d:          fd.d,
-		opts:       fd.opts,
-		buffer:     buf,
-		nextZero:   fd.nextZero,
-		rotations:  fd.rotations,
-		seen:       fd.seen,
-		totalDelta: fd.totalDelta,
-		frobMass:   fd.frobMass,
-	}
+	c := NewFrequentDirections(fd.ell, fd.d, Options{})
+	top, low := fd.occupied()
+	copy(c.kept.Data, top.Data[:top.RowsN*fd.d])
+	copy(c.incoming, low)
+	c.nextZero = fd.nextZero
+	c.rotations = fd.rotations
+	c.seen = fd.seen
+	c.totalDelta = fd.totalDelta
+	c.frobMass = fd.frobMass
+	return c
 }
 
 // RankAdaptiveState is a snapshot of a RankAdaptiveFD: the underlying
@@ -154,7 +158,7 @@ type RankAdaptiveState struct {
 // State captures the rank-adaptive sketch's current state.
 func (r *RankAdaptiveFD) State() RankAdaptiveState { return r.state(false) }
 
-// state is State; with take set it moves the sketch's buffer and ring
+// state is State; with take set it moves the sketch's blocks and ring
 // into the state instead of copying them (see FrequentDirections.state).
 func (r *RankAdaptiveFD) state(take bool) RankAdaptiveState {
 	recent := r.recent
@@ -179,7 +183,7 @@ func (r *RankAdaptiveFD) state(take bool) RankAdaptiveState {
 }
 
 // newRankAdaptiveFromState rebuilds a rank-adaptive sketch from a
-// snapshot; with adopt set the sketch takes the state's buffer (see
+// snapshot; with adopt set the sketch takes the state's blocks (see
 // newFDFromState) and ring rows instead of copying them.
 func newRankAdaptiveFromState(s RankAdaptiveState, adopt bool) (*RankAdaptiveFD, error) {
 	fd, err := newFDFromState(s.FD, adopt)
@@ -239,12 +243,12 @@ type ARAMSState struct {
 func (a *ARAMS) State() ARAMSState { return a.state(false) }
 
 // TakeState is State for an owner that is done with the sketcher, such
-// as a hibernating shard: instead of copying the sketch's 2ℓ×d buffer
-// it moves it into the state, cut to its occupied prefix (capacity
-// 2ℓ·d, the rows past the prefix zero), and the rank-adaptive ring with
-// it. The sketcher must not be used afterwards. Once nothing reads the
-// state, its holder may hand the buffer to mat.PutVec, or restore from
-// it with AdoptARAMSState.
+// as a hibernating shard: instead of copying the sketch's two ℓ×d
+// blocks it moves them into the state, each cut to its occupied rows
+// (capacity ℓ·d), and the rank-adaptive ring with them. The sketcher
+// must not be used afterwards. Once nothing reads the state, its holder
+// may hand Kept to mat.PutVec and Incoming to mat.PutVec32, or restore
+// from it with AdoptARAMSState.
 func (a *ARAMS) TakeState() ARAMSState { return a.state(true) }
 
 func (a *ARAMS) state(take bool) ARAMSState {
@@ -263,11 +267,11 @@ func (a *ARAMS) state(take bool) ARAMSState {
 func NewARAMSFromState(s ARAMSState) (*ARAMS, error) { return newARAMSFromState(s, false) }
 
 // AdoptARAMSState is NewARAMSFromState for a state nothing else holds:
-// one TakeState returned, or one a checkpoint decoder built. An FD
-// buffer whose capacity is the whole 2ℓ×d array becomes the new
+// one TakeState returned, or one a checkpoint decoder built. An FD Kept
+// or Incoming whose capacity is the whole ℓ×d array becomes the new
 // sketch's own instead of being copied, and so do the rank-adaptive
 // ring's rows: the caller hands them over and must neither read nor
-// write them afterwards. A buffer of any other capacity is copied.
+// write them afterwards. One of any other capacity is copied.
 func AdoptARAMSState(s ARAMSState) (*ARAMS, error) { return newARAMSFromState(s, true) }
 
 func newARAMSFromState(s ARAMSState, adopt bool) (*ARAMS, error) {
@@ -310,11 +314,15 @@ func newARAMSFromState(s ARAMSState, adopt bool) (*ARAMS, error) {
 // validation a remote merge runs on each fetched sketch before folding
 // it into the global summary.
 func (fd *FrequentDirections) Finite() bool {
-	for i := 0; i < fd.nextZero; i++ {
-		for _, v := range fd.buffer.Row(i) {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
-			}
+	top, low := fd.occupied()
+	for _, v := range top.Data[:top.RowsN*fd.d] {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	for _, v := range low {
+		if !(v <= math.MaxFloat32 && v >= -math.MaxFloat32) {
+			return false
 		}
 	}
 	return true

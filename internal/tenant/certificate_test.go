@@ -25,8 +25,13 @@ func stackedShards(st *pipeline.MonitorState) *mat.Matrix {
 		if s.RankAdaptive != nil {
 			fd = &s.RankAdaptive.FD
 		}
-		for i := 0; i < fd.NextZero; i++ {
-			rows = append(rows, fd.Buffer[i*fd.D:(i+1)*fd.D])
+		for i := 0; i < len(fd.Kept); i += fd.D {
+			rows = append(rows, fd.Kept[i:i+fd.D])
+		}
+		for i := 0; i < len(fd.Incoming); i += fd.D {
+			row := make([]float64, fd.D)
+			mat.Widen(row, fd.Incoming[i:i+fd.D])
+			rows = append(rows, row)
 		}
 	}
 	return mat.FromRows(rows)

@@ -90,7 +90,8 @@ func (r *Registry) tenantz() tenantzPayload {
 
 // writeProm renders the tenant table as Prometheus text through a
 // throwaway obs registry, so naming/label hygiene is enforced by the
-// same code path as every other exposition in the process.
+// same code path as every other exposition in the process. It writes
+// the registry's families only: the process block belongs to /metrics.
 func writeProm(w http.ResponseWriter, p tenantzPayload) {
 	reg := obs.NewRegistry()
 	for _, inf := range p.Tenants {
@@ -115,7 +116,7 @@ func writeProm(w http.ResponseWriter, p tenantzPayload) {
 	if p.MaxResident > 0 {
 		reg.Gauge("arams_tenantz_max_resident").SetInt(p.MaxResident)
 	}
-	reg.WritePrometheus(w)
+	reg.WriteFamilies(w)
 }
 
 var tenantzTmpl = template.Must(template.New("tenantz").Parse(`<!doctype html>

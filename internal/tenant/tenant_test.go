@@ -335,6 +335,39 @@ func TestFairShareIsolation(t *testing.T) {
 	}
 }
 
+// TestTenantzPromCarriesNoProcessBlock: /tenantz?format=prom is the
+// tenant table alone. It is rendered through a throwaway registry, whose
+// process block would report that registry's age as the process uptime
+// and repeat /metrics's go_* lines, so no process_* or go_* line may
+// appear.
+func TestTenantzPromCarriesNoProcessBlock(t *testing.T) {
+	r, err := tenant.Open(tenantConfig(t.TempDir()))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer r.Close()
+	for i, im := range tenantFrames(4, 6, 6, 3) {
+		if err := r.Append("beam-a", im, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Drain("beam-a"); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/tenantz?format=prom", nil))
+	body := rec.Body.String()
+	if !strings.Contains(body, `arams_tenantz_state{tenant="beam-a"}`) {
+		t.Fatalf("/tenantz?format=prom omits the tenant:\n%s", body)
+	}
+	for _, line := range strings.Split(body, "\n") {
+		name := strings.TrimPrefix(line, "# TYPE ")
+		if strings.HasPrefix(name, "process_") || strings.HasPrefix(name, "go_") {
+			t.Errorf("/tenantz?format=prom carries %q", line)
+		}
+	}
+}
+
 // TestTenantzExposition locks the /tenantz surface: the prom rendering
 // must pass the exposition linter with tenants in several lifecycle
 // states, and the JSON/HTML renderings must at least identify every

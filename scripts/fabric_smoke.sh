@@ -44,7 +44,9 @@ go build -o "$TMP/obscheck" ./cmd/obscheck
 
 echo "== synthetic run =="
 # Long enough (2048 frames) that the mid-stream worker kill below lands
-# while ingest is still running and heartbeats fire during the stream.
+# while ingest is still running. The stream can end before the first
+# 1 s heartbeat; worker0 is on /fleetz anyway, from the snapshot its
+# shard fetches when it is armed.
 "$TMP/lclssim" -kind beam -frames 2048 -size 32 -out "$TMP/run.lcls"
 
 echo "== worker fleet (2 processes, ephemeral ports, shared flight dir) =="
@@ -103,10 +105,13 @@ done
 test -s "$TMP/embedding.html" || { echo "no embedding written" >&2; exit 1; }
 test -s "$TMP/ckpt/lclsmon.ckpt" || { echo "no final checkpoint" >&2; exit 1; }
 
-echo "== wait for cross-process traces and worker0 fleet series =="
+echo "== wait for cross-process traces and worker0's fleet snapshot =="
+# The coordinator's own arams_fabric_* series carry worker="worker0"
+# from the first RPC, so only worker0's liveness gauge proves that its
+# snapshot reached the fleet view.
 for i in $(seq 1 100); do
   spans="$(curl -fsS "$BASE/tracez?format=json" | grep -c '"name": *"worker_absorb"' || true)"
-  fleet="$(curl -fsS "$BASE/fleetz?format=prom" | grep -c 'worker="worker0"' || true)"
+  fleet="$(curl -fsS "$BASE/fleetz?format=prom" | grep -cF 'arams_fleet_worker_up{worker="worker0"} 1' || true)"
   if [ "$spans" -ge 1 ] && [ "$fleet" -ge 1 ]; then break; fi
   sleep 0.2
 done
