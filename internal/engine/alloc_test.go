@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"sync"
 	"testing"
 
 	"arams/internal/ckpt"
@@ -164,16 +163,15 @@ func TestStateSharesWindowAndEvictionFreesIt(t *testing.T) {
 // TestWindowRowsOutliveTheirFrames is the snapshot reader's half of the
 // ownership rule: ReadWindow hands out the ring's own vectors, so they
 // must stay byte-for-byte what they were however far the stream runs on
-// behind the reader. Two producers ingest at once, so frames are evicted
-// — and every one no reader holds recycled — while the other producer's
-// batch is still being absorbed; their images are fresh, so a vector
-// that did go back to the pool is overwritten by a later narrowing. The
-// window the producers leave behind holds, under each frame's tag, the
-// float32 copy of that frame; and the copying wrapper reads the same
-// window, widened.
+// behind the reader. The producer turns the window over four times, so
+// every frame is evicted — and every one no reader holds recycled — and
+// its images are fresh, so a vector that did go back to the pool is
+// overwritten by a later narrowing. The window it leaves behind holds,
+// under each frame's tag, the float32 copy of that frame; and the
+// copying wrapper reads the same window, widened.
 func TestWindowRowsOutliveTheirFrames(t *testing.T) {
-	const window, side, batch, producers = 16, 8, 4, 2
-	ims := testImages(window+producers*2*window, side, 47)
+	const window, side, batch = 16, 8, 4
+	ims := testImages(5*window, side, 47)
 	e := engine.New(engine.Config{Shards: 2, Sketch: sketch.Config{Ell0: 4, Beta: 0.9, Seed: 3}, Window: window})
 	defer e.Close()
 	feed := func(lo, hi int) {
@@ -202,16 +200,7 @@ func TestWindowRowsOutliveTheirFrames(t *testing.T) {
 		t.Error("two reads of one window hold different vectors; ReadWindow copied")
 	}
 
-	var wg sync.WaitGroup
-	per := 2 * window
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(lo int) {
-			defer wg.Done()
-			feed(lo, lo+per)
-		}(window + p*per)
-	}
-	wg.Wait() // the window turns over four times
+	feed(window, 5*window)
 	for i, row := range want {
 		if !slices.Equal(w.Rows[i], row) {
 			t.Fatalf("held row %d changed after its frame left the window: the vector was recycled", i)

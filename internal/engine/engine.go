@@ -117,19 +117,18 @@ type shardResult struct {
 }
 
 // Engine is the sharded streaming core. It is synchronous: ingest runs
-// in the caller's goroutine, and the engine starts none of its own. It
-// is safe for concurrent producers (Ingest/IngestBatch/IngestVecs) and
-// concurrent snapshot and checkpoint readers.
+// in the caller's goroutine, and the engine starts none of its own. One
+// producer (Ingest/IngestBatch/IngestVecs) feeds it while any number of
+// goroutines read snapshots, checkpoint (State) and suspend it.
 //
 // Lock order: gate → mu → shard.mu, and globalMu → mu → shard.mu;
 // nothing acquires gate or globalMu while holding mu or a shard lock.
 type Engine struct {
 	cfg Config
 
-	// gate serializes checkpointing against ingest: producers hold it
-	// shared for the handoff, State() takes it exclusively so a
-	// checkpoint sees no torn ring-vs-sketch state.
-	gate sync.RWMutex
+	// gate serializes checkpointing against ingest: a batch holds it for
+	// the handoff and State() takes it, so no checkpoint sees a torn cut.
+	gate sync.Mutex
 
 	// mu covers the ring, stream counters, and audit accumulator —
 	// pointer bookkeeping only, never linear algebra.
@@ -149,10 +148,10 @@ type Engine struct {
 	// shards holds one Backend per shard slot (local sketchers by
 	// default, remote fabric shards when Config.Backends is set). The
 	// parallel slices carry the engine-owned per-shard observability:
-	// frame counts (atomic — concurrent batches may land on the same
-	// shard) and the frames gauge.
+	// frame counts (each written only by its shard's absorb, under gate)
+	// and the frames gauge.
 	shards      []Backend
-	shardFrames []atomic.Int64
+	shardFrames []int
 	shardGauges []*obs.Gauge
 
 	// globalMu owns the basis cache of the reconciled global sketch: it
@@ -181,7 +180,7 @@ func New(cfg Config) *Engine {
 	if len(e.shards) == 0 {
 		e.shards = LocalBackends(cfg.Sketch, cfg.Shards, 0)
 	}
-	e.shardFrames = make([]atomic.Int64, cfg.Shards)
+	e.shardFrames = make([]int, cfg.Shards)
 	e.shardGauges = make([]*obs.Gauge, cfg.Shards)
 	for i := range e.shards {
 		e.shardGauges[i] = eo.shardGauge(i)
@@ -287,8 +286,8 @@ func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64,
 	if vecs, rows, tags = e.rejectNonFinite(vecs, rows, tags); len(vecs) == 0 {
 		return
 	}
-	e.gate.RLock()
-	defer e.gate.RUnlock()
+	e.gate.Lock()
+	defer e.gate.Unlock()
 
 	n := len(vecs)
 	// Ring append + stream-index assignment: pointer bookkeeping only.
@@ -462,7 +461,8 @@ func (e *Engine) absorbTraced(root *obs.Span, si int, vecs [][]float64, idx []in
 	if rows == 0 {
 		return shardResult{}
 	}
-	e.shardGauges[si].SetInt(int(e.shardFrames[si].Add(int64(rows))))
+	e.shardFrames[si] += rows
+	e.shardGauges[si].SetInt(e.shardFrames[si])
 	return shardResult{ok: true, stats: stats, ell: stats.EllAfter}
 }
 

@@ -9,10 +9,10 @@
 // The wire protocol is deliberately small and has one form: CRC-checked
 // frames with one fixed header (internal/ckpt's wire codec) carrying
 // either a primitive-encoded payload (rows, stats, certificates) or a
-// whole canonical ckpt checkpoint frame of a sketch kind (version 3,
-// which the monitor frame's move to version 4 left as it was — the same
-// bytes a checkpoint file holds for that sketch, so state fetched over
-// the fabric is bit-identical to state saved to disk). Every request frame gets
+// whole canonical ckpt checkpoint frame of a sketch kind (version 4:
+// kept rows float64, incoming rows float32 — the same bytes a checkpoint
+// file holds for that sketch inside a version 5 monitor frame, so state
+// fetched over the fabric is bit-identical to state saved to disk). Every request frame gets
 // exactly one response frame with the same sequence number, and every
 // response payload, MsgError included, is the reply form: the inner
 // payload, then the worker's span records for the request — none when

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -150,13 +151,38 @@ func (w *Worker) acceptLoop() {
 	}
 }
 
+// frameDeadline bounds one started frame: once a request's first byte
+// has arrived, reading the rest of it, handling it and writing the reply
+// must finish within it, or the worker drops the connection. A
+// coordinator gives up on an RPC after its OpTimeout (5 s by default)
+// and reconnects, so a frame still unfinished at six times that is one
+// no coordinator waits for: a peer stalled mid-frame then costs a
+// goroutine and a connection for this long, not until Close. Idle time
+// between frames stays unbounded, since heartbeats may be off. A
+// variable only so a test can shorten it.
+var frameDeadline = 30 * time.Second
+
 // serve handles one connection's request/response loop. Transport-level
-// errors (torn frames, checksum mismatches — the stream is desynced)
-// drop the connection; request-level errors answer with MsgError and
-// keep serving.
+// errors (torn frames, checksum mismatches — the stream is desynced, or
+// a frame that outran frameDeadline) drop the connection; request-level
+// errors answer with MsgError and keep serving.
 func (w *Worker) serve(conn net.Conn) {
+	br := bufio.NewReader(conn)
 	for !w.closed.Load() {
-		req, err := ckpt.ReadWireFrame(conn)
+		// Only a closed connection refuses a deadline.
+		if conn.SetDeadline(time.Time{}) != nil {
+			return
+		}
+		if _, err := br.Peek(1); err != nil {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !w.closed.Load() {
+				obsWorkerRPCErrs.Inc()
+			}
+			return
+		}
+		if conn.SetDeadline(time.Now().Add(frameDeadline)) != nil {
+			return
+		}
+		req, err := ckpt.ReadWireFrame(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !w.closed.Load() {
 				obsWorkerRPCErrs.Inc()

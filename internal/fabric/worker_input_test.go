@@ -151,3 +151,41 @@ func FuzzWorkerReply(f *testing.F) {
 		}
 	})
 }
+
+// TestWorkerDropsStalledFrame: a peer that writes part of a header and
+// stalls loses its connection once the started frame outruns
+// frameDeadline, while an idle connection that has sent nothing is kept.
+func TestWorkerDropsStalledFrame(t *testing.T) {
+	defer func(d time.Duration) { frameDeadline = d }(frameDeadline)
+	frameDeadline = 20 * time.Millisecond
+	w, err := NewWorker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	idle, err := net.Dial("tcp", w.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	stalled, err := net.Dial("tcp", w.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := stalled.Write(ckpt.EncodeWireFrame(ckpt.WireFrame{Type: MsgHeartbeat})[:10]); err != nil {
+		t.Fatal(err)
+	}
+	stalled.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := stalled.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("stalled frame answered %d bytes, want the connection closed", n)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("worker kept a connection stalled mid-frame for 10 s")
+	}
+	idle.SetReadDeadline(time.Now().Add(60 * time.Millisecond))
+	if _, err := idle.Read(make([]byte, 1)); err == nil {
+		t.Fatal("idle connection received bytes it never asked for")
+	} else if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
+		t.Fatalf("idle connection was closed between frames: %v", err)
+	}
+}

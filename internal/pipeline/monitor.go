@@ -31,8 +31,8 @@ var (
 // (internal/engine): Ingest/IngestBatch delegate to the engine, which
 // preprocesses outside every lock, routes frames to Config.Shards
 // independent sketchers, and reconciles them into a global sketch when
-// a view reads the basis. Monitor is safe for concurrent producers and
-// concurrent Snapshot/State callers.
+// a view reads the basis. One producer feeds a Monitor while any
+// number of goroutines call Snapshot, QuickSnapshot, State and Suspend.
 type Monitor struct {
 	cfg    Config
 	window int

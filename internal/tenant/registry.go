@@ -3,7 +3,7 @@
 // streaming engine) per tenant ID, all sharing the process-wide mat
 // worker pool and obs registry, with an LRU/idle-deadline hibernation
 // policy that checkpoints idle tenants to disk through the ckpt codec
-// (a monitor frame, version 4: the window at float32) and transparently
+// (a monitor frame, version 5: the window at float32) and transparently
 // restores them on their next frame.
 //
 // The economics come straight from Frequent Directions: a tenant's
