@@ -4,5 +4,5 @@ package audit
 func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.n
+	return len(j.buf)
 }

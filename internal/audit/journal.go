@@ -75,21 +75,25 @@ const DefaultJournalCap = 1024
 // that receives every event (the durable tail the ring drops). All
 // methods are safe for concurrent use.
 type Journal struct {
-	mu   sync.Mutex
-	seq  int64
-	buf  []Event
-	next int
-	n    int
-	sink io.Writer
+	mu  sync.Mutex
+	seq int64
+	// buf holds the retained events. It grows by append up to capacity,
+	// so a journal that records few events holds few; once full it is a
+	// ring whose oldest event, and the next one's slot, is at next.
+	buf      []Event
+	next     int
+	capacity int
+	sink     io.Writer
 }
 
 // NewJournal creates a journal retaining the last capacity events
-// (capacity < 1 selects DefaultJournalCap).
+// (capacity < 1 selects DefaultJournalCap). It allocates its ring as
+// events arrive, not up front.
 func NewJournal(capacity int) *Journal {
 	if capacity < 1 {
 		capacity = DefaultJournalCap
 	}
-	return &Journal{buf: make([]Event, capacity)}
+	return &Journal{capacity: capacity}
 }
 
 var defaultJournal = NewJournal(DefaultJournalCap)
@@ -115,10 +119,11 @@ func (j *Journal) Record(kind EventKind, msg string, attrs ...Attr) Event {
 	j.mu.Lock()
 	j.seq++
 	ev := Event{Seq: j.seq, Time: time.Now(), Kind: kind, Msg: msg, Attrs: attrs}
-	j.buf[j.next] = ev
-	j.next = (j.next + 1) % len(j.buf)
-	if j.n < len(j.buf) {
-		j.n++
+	if len(j.buf) < j.capacity {
+		j.buf = append(j.buf, ev)
+	} else {
+		j.buf[j.next] = ev
+		j.next = (j.next + 1) % j.capacity
 	}
 	sink := j.sink
 	if sink != nil {
@@ -159,9 +164,9 @@ type Query struct {
 // Query returns the retained events matching q, oldest first.
 func (j *Journal) Query(q Query) []Event {
 	j.mu.Lock()
-	out := make([]Event, 0, j.n)
-	for i := 0; i < j.n; i++ {
-		ev := j.buf[(j.next-j.n+i+len(j.buf))%len(j.buf)]
+	out := make([]Event, 0, len(j.buf))
+	for i := range j.buf {
+		ev := j.buf[(j.next+i)%len(j.buf)]
 		if q.Kind != "" && ev.Kind != q.Kind {
 			continue
 		}
@@ -192,23 +197,20 @@ func (j *Journal) State() JournalState {
 }
 
 // Restore replaces the journal's contents with a checkpointed
-// snapshot. The ring capacity and sink are kept; events beyond the
-// capacity are dropped oldest-first.
+// snapshot. The capacity, the ring's storage and the sink are kept;
+// events beyond the capacity are dropped oldest-first.
 func (j *Journal) Restore(st JournalState) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	evs := st.Events
-	if len(evs) > len(j.buf) {
-		evs = evs[len(evs)-len(j.buf):]
+	if len(evs) > j.capacity {
+		evs = evs[len(evs)-j.capacity:]
 	}
-	for i := range j.buf {
-		j.buf[i] = Event{}
-	}
-	copy(j.buf, evs)
-	j.n = len(evs)
-	j.next = j.n % len(j.buf)
+	clear(j.buf)
+	j.buf = append(j.buf[:0], evs...)
+	j.next = 0
 	j.seq = st.Seq
-	if j.n > 0 && j.buf[j.n-1].Seq > j.seq {
-		j.seq = j.buf[j.n-1].Seq
+	if n := len(j.buf); n > 0 && j.buf[n-1].Seq > j.seq {
+		j.seq = j.buf[n-1].Seq
 	}
 }

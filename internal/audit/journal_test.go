@@ -125,3 +125,53 @@ func TestEventGet(t *testing.T) {
 		t.Fatal("Get(missing) did not return default")
 	}
 }
+
+// TestJournalGrowsOnDemand: a journal allocates its ring as events
+// arrive, so a fresh one costs its header and nothing of its capacity
+// (a tenant's auditor is built on every restore, and most record a
+// handful of events before they hibernate). Order is oldest-first while
+// the ring grows, and stays so once it is full and wraps; a Restore
+// reuses the storage the ring has grown.
+func TestJournalGrowsOnDemand(t *testing.T) {
+	if allocs := testing.AllocsPerRun(20, func() { audit.NewJournal(audit.DefaultJournalCap) }); allocs > 1 {
+		t.Errorf("NewJournal makes %.0f allocations; want its header alone", allocs)
+	}
+	const capacity = 5
+	j := audit.NewJournal(capacity)
+	if evs := j.Events(); len(evs) != 0 {
+		t.Fatalf("fresh journal holds %d events", len(evs))
+	}
+	seqs := func() []int64 {
+		var out []int64
+		for _, ev := range j.Events() {
+			out = append(out, ev.Seq)
+		}
+		return out
+	}
+	for i := 1; i <= 13; i++ {
+		j.Record(audit.KindCertificate, "c")
+		lo := max(1, i-capacity+1)
+		got := seqs()
+		if len(got) != i-lo+1 {
+			t.Fatalf("after %d records: %d events, want %d", i, len(got), i-lo+1)
+		}
+		for k, s := range got {
+			if s != int64(lo+k) {
+				t.Fatalf("after %d records: seqs %v, want %d..%d oldest-first", i, got, lo, i)
+			}
+		}
+	}
+	st := j.State()
+	if allocs := testing.AllocsPerRun(20, func() { j.Restore(st) }); allocs != 0 {
+		t.Errorf("Restore into a grown ring makes %.0f allocations; want none", allocs)
+	}
+	if got := seqs(); len(got) != capacity || got[0] != 9 || got[capacity-1] != 13 {
+		t.Fatalf("restored seqs %v, want 9..13", got)
+	}
+	if ev := j.Record(audit.KindAlarm, "a"); ev.Seq != 14 {
+		t.Fatalf("record after restore got Seq %d, want 14", ev.Seq)
+	}
+	if got := seqs(); got[0] != 10 || got[capacity-1] != 14 {
+		t.Fatalf("seqs after restore and one record %v, want 10..14", got)
+	}
+}

@@ -274,6 +274,54 @@ func TestSuspendReleaseKeepsHandedOutVectors(t *testing.T) {
 	}
 }
 
+// TestSuspendLeavesHeldRowsToTheirRead: a frame an open read holds is
+// the read's as much as the state's, so Suspend's state does not own it.
+// Neither releasing that state nor restoring from it and running the
+// stream on for two windows recycles the rows a read took before the
+// Suspend and releases only after: another engine drawing ten windows of
+// vectors from the pool leaves them byte-for-byte intact.
+func TestSuspendLeavesHeldRowsToTheirRead(t *testing.T) {
+	const window, side, batch = 16, 8, 4
+	cfg := engine.Config{Sketch: sketch.Config{Ell0: 4, Beta: 0.9, Seed: 3}, Window: window}
+	feed := func(e *engine.Engine, ims []*imgproc.Image) {
+		for lo := 0; lo < len(ims); lo += batch {
+			e.IngestBatch(ims[lo:lo+batch], nil)
+		}
+	}
+	for _, restore := range []bool{false, true} {
+		e := engine.New(cfg)
+		feed(e, testImages(window, side, 71))
+		w := e.ReadWindow(4, obs.SpanContext{})
+		var want [][]float32
+		for _, row := range w.Rows {
+			want = append(want, slices.Clone(row))
+		}
+		s, err := e.Suspend()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restore {
+			next, err := engine.NewFromState(cfg, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed(next, testImages(2*window, side, 73))
+			defer next.Close()
+		} else {
+			s.Release()
+		}
+		other := engine.New(cfg)
+		feed(other, testImages(10*window, side, 79))
+		other.Close()
+		for i, row := range want {
+			if !slices.Equal(w.Rows[i], row) {
+				t.Fatalf("restore=%v: Window row %d changed before its Release: Suspend's state took it as its own", restore, i)
+			}
+		}
+		w.Release()
+	}
+}
+
 // TestClosedShardReturnsItsSketch is the release rule for the sketch:
 // a closed local shard hands its 2ℓ×d buffer back to the vector pool,
 // and the next sketch of the same shape (a restored tenant's shard)
@@ -490,4 +538,52 @@ func heldBasisSurvivesReleases(t *testing.T, shards, d int) {
 		t.Fatalf("%d merges over %d ingest + read rounds", e.Reconciles(), rounds)
 	}
 	held.Release()
+}
+
+// TestReleasedReadsRecycleTheirFrames is the window's release rule: a
+// read holds the frames it read only until it is released, so a frame
+// that leaves the ring after its reads are released goes back to the
+// vector pool and the next narrowing reuses it. A one-shard stream of
+// four windows, read and released every 32 frames, therefore allocates
+// no float32 frame after warm-up: measured, 0.03 of a 4d-byte frame per
+// frame, for the batches' headers and the reads' and the sketch's
+// scratch. When every read pinned its frames for good, each frame's
+// successor was allocated: 1.05 per frame. Under -race sync.Pool drops a
+// quarter of its puts, the window's free lists among them, so a stream
+// that recycles every frame still allocates more than one per frame;
+// there the test checks only that every released read leaves the engine
+// holding nothing for it. WindowState, whose basis is never released,
+// gives its rows back once it has widened them.
+func TestReleasedReadsRecycleTheirFrames(t *testing.T) {
+	const window, side, batch = 128, 64, 32
+	const d = side * side
+	ims := testImages(batch, side, 83)
+	e := engine.New(engine.Config{Sketch: sketch.Config{Ell0: 8, Beta: 0.9, Seed: 3}, Window: window})
+	defer e.Close()
+	step := func() {
+		e.IngestBatch(ims, nil)
+		e.ReadWindow(4, obs.SpanContext{}).Release()
+		if holds, parked := e.Held(); holds != 0 || parked != 0 {
+			t.Fatalf("after a released read the engine keeps %d open reads and %d parked frames", holds, parked)
+		}
+	}
+	for n := 0; n < 2*window; n += batch {
+		step()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n := 0; n < 4*window; n += batch {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	frames := float64(after.TotalAlloc-before.TotalAlloc) / (4 * window * 4 * d)
+	if !raceEnabled && frames > 0.25 {
+		t.Errorf("a stream read and released every %d frames allocates %.2f float32 frames per frame; want at most 0.25",
+			batch, frames)
+	}
+	x, _, _, _ := e.WindowState(4)
+	mat.PutVec(x.Data)
+	if holds, _ := e.Held(); holds != 0 {
+		t.Fatalf("WindowState left %d reads open; it gives its rows back once they are widened", holds)
+	}
 }

@@ -17,6 +17,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,21 +93,28 @@ func (c Config) withDefaults() Config {
 // immutable while the frame is in the ring: the ring, every State and
 // every Window handed out while the frame was in it, and every engine
 // rebuilt from such a State may all hold the same backing array, and
-// none of them writes to it. Only a vector nobody else holds is recycled
-// once it leaves the ring (see State for the owning states that hand
-// theirs over).
+// none of them writes to it. A vector no State holds is recycled once it
+// has left the ring and no open read holds it (see Window.Release, and
+// State for the owning states that hand theirs over).
 type Frame struct {
 	Vec []float32
 	Tag int
-	// shared marks a vector that somebody besides the ring holds — State
-	// or ReadWindow set it when they handed the vector out, or
-	// NewFromState when it adopted the vector from a state that does not
-	// own it. A shared vector is never returned to the mat vector pool:
-	// when it leaves the ring the engine just drops its reference and the
-	// collector frees it once the last holder does. Written and read
-	// under mu. In an owning State's Frames an unset mark means the
-	// vector is the state's own.
+	// shared marks a vector that a state holds besides the ring — State
+	// set it when it handed the vector out, or NewFromState when it
+	// adopted the vector from a state that does not own it. A shared
+	// vector is never returned to the mat vector pool: when it leaves the
+	// ring the engine just drops its reference and the collector frees it
+	// once the last holder does. A read does not set it: its hold ends at
+	// Release. Written and read under mu. In an owning State's Frames an
+	// unset mark means the vector is the state's own.
 	shared bool
+}
+
+// parkedFrame is an unshared vector that left the ring, evicted or at
+// Close, while an open read held it; at is its frame's stream index.
+type parkedFrame struct {
+	vec []float32
+	at  int
 }
 
 // shardResult is the audit accounting one dispatch returned.
@@ -135,6 +143,13 @@ type Engine struct {
 	mu      sync.Mutex
 	recent  []*Frame
 	ingests int
+	// holds are the open reads, each holding the frames of its stream
+	// indices [lo, hi) (see Window.Release); parked are the unshared
+	// vectors that left the ring while one of them held it, in stream
+	// order. The last open read that holds a parked vector returns it to
+	// the pool on Release.
+	holds  []*lease
+	parked []parkedFrame
 	// absorbed counts the frames whose dispatch has finished. It trails
 	// ingests while a batch is between ring append and afterDispatch,
 	// and the basis cache claims only a read cut while the two agree.
@@ -300,20 +315,14 @@ func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64,
 		}
 		e.recent = append(e.recent, &Frame{Vec: v, Tag: t})
 	}
-	var recycle [][]float32
 	if over := len(e.recent) - e.cfg.Window; over > 0 {
-		// An evicted vector goes back to the pool unless a reader shares
-		// it. No absorb reads a ring vector — the shards read the float64
-		// working vectors — and State and ReadWindow mark every vector
-		// they hand out, under mu, so once an unshared frame leaves the
-		// ring nothing else can reach its vector; a shared one is simply
-		// dropped, and stays valid for whoever holds the State or the
-		// Window.
-		recycle = make([][]float32, 0, over)
-		for _, f := range e.recent[:over] {
-			if !f.shared {
-				recycle = append(recycle, f.Vec)
-			}
+		// No absorb reads a ring vector — the shards read the float64
+		// working vectors — and State and ReadWindow take theirs under mu,
+		// so once an evicted frame is settled (leaveLocked) nothing the
+		// engine does not track can reach its vector.
+		first := e.ingests + n - len(e.recent)
+		for i, f := range e.recent[:over] {
+			e.leaveLocked(f, first+i)
 		}
 		// The slots slide out of the slice but stay in its backing array
 		// until append next reallocates; cleared, they do not pin a
@@ -324,9 +333,6 @@ func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64,
 	e.ingests += n
 	window := len(e.recent)
 	e.mu.Unlock()
-	for _, v := range recycle {
-		mat.PutVec32(v)
-	}
 	root.SetAttr("stream_lo", fmt.Sprint(base))
 	root.SetAttr("stream_hi", fmt.Sprint(base+n-1))
 
@@ -409,6 +415,54 @@ func (e *Engine) rejectNonFinite(vecs [][]float64, rows [][]float32, tags []int)
 		audit.A("frames", float64(bad)),
 		audit.A("batch", float64(len(vecs))))
 	return keep, keepRows, keepTags
+}
+
+// leaveLocked settles frame f, of stream index at, as it leaves the
+// ring: a shared vector is dropped for the collector, one an open read
+// holds is parked until that read's Release, and any other goes back to
+// the pool. The caller holds mu.
+func (e *Engine) leaveLocked(f *Frame, at int) {
+	switch {
+	case f.shared:
+	case e.heldLocked(at):
+		e.parked = append(e.parked, parkedFrame{f.Vec, at})
+	default:
+		mat.PutVec32(f.Vec)
+	}
+}
+
+// heldLocked reports whether an open read holds the frame of stream
+// index at. The caller holds mu.
+func (e *Engine) heldLocked(at int) bool {
+	for _, l := range e.holds {
+		if l.lo <= at && at < l.hi {
+			return true
+		}
+	}
+	return false
+}
+
+// unholdRows ends l's hold on its rows: l leaves the open reads, and
+// every parked vector that no other open read holds goes back to the
+// pool. A lease that holds no rows, or no longer does, changes nothing.
+func (e *Engine) unholdRows(l *lease) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	i := slices.Index(e.holds, l)
+	if i < 0 {
+		return
+	}
+	e.holds = slices.Delete(e.holds, i, i+1)
+	kept := e.parked[:0]
+	for _, p := range e.parked {
+		if e.heldLocked(p.at) {
+			kept = append(kept, p)
+		} else {
+			mat.PutVec32(p.vec)
+		}
+	}
+	clear(e.parked[len(kept):])
+	e.parked = kept
 }
 
 // narrow returns v's float32 copy for the window ring, drawn from the
@@ -735,14 +789,15 @@ func (e *Engine) GlobalSketch() *sketch.FrequentDirections {
 
 // Window is one read of the sliding window together with the global
 // basis to project it on. Rows are the ring's own float32 vectors,
-// oldest first, shared, not copied: holders may read them for as long as
-// they like (the ring never recycles a vector it has handed out, however
-// far the stream runs on) and must not write to them or hand them to
-// mat.PutVec32. Basis is borrowed from mat's vector pool — for one shard
-// an array of its own, for many a view of the engine's basis cache — and
-// is read-only: it keeps its bits until the read is released (a later
-// merge cuts a new basis rather than rewrite this one) and may be reused
-// by another read after. Tags and Ell are the reader's own.
+// oldest first, shared, not copied: the read holds them until it is
+// released, however far the stream runs on (a frame that leaves the ring
+// meanwhile is parked, not recycled), and its holders must not write to
+// them or hand them to mat.PutVec32. Basis is borrowed from mat's vector
+// pool — for one shard an array of its own, for many a view of the
+// engine's basis cache — and is read-only: it keeps its bits until the
+// read is released (a later merge cuts a new basis rather than rewrite
+// this one) and may be reused by another read after. Tags and Ell are
+// the reader's own.
 type Window struct {
 	Rows  [][]float32
 	Tags  []int
@@ -751,27 +806,34 @@ type Window struct {
 	lease *lease
 }
 
-// lease is one read's claim on the storage under its Basis: for one
-// shard the pooled array the basis was cut into, for many the cached
-// read the basis views. done makes a second Release a no-op.
+// lease is one read's claim on what it was handed: the frames of stream
+// indices [lo, hi), which it holds while it is on its engine's open reads,
+// and the storage under its Basis — for one shard the pooled array the
+// basis was cut into, for many the cached read the basis views. done
+// makes a second Release a no-op.
 type lease struct {
-	done atomic.Bool
-	buf  []float64   // one shard
-	e    *Engine     // many shards
-	read *globalRead // many shards
+	done   atomic.Bool
+	e      *Engine
+	lo, hi int
+	buf    []float64   // one shard
+	read   *globalRead // many shards
 }
 
-// Release gives the read's basis back once its reader is done with it:
-// neither Basis nor any view of it may be read afterwards. The Rows stay
-// valid. Every copy of a Window is the same read, so only the first
-// Release of any of them gives anything back; later ones, and a Release
-// of the zero Window, do nothing. A read that is never released leaves
-// its basis to the collector.
+// Release gives the read back once its reader is done with it: neither
+// Rows, nor Basis, nor any view of either may be read afterwards. The
+// frames the read held that have left the ring since, and that no other
+// open read holds, go back to mat's pool, and so does the basis. Every
+// copy of a Window is the same read, so only the first Release of any of
+// them gives anything back; later ones, and a Release of the zero
+// Window, do nothing. The engine may be closed by then. A read that is
+// never released keeps the frames it held out of the pool for as long as
+// its engine lives, and leaves its basis to the collector.
 func (w Window) Release() {
 	l := w.lease
 	if l == nil || !l.done.CompareAndSwap(false, true) {
 		return
 	}
+	l.e.unholdRows(l)
 	if l.read != nil {
 		l.e.unhold(l.read)
 		return
@@ -781,11 +843,12 @@ func (w Window) Release() {
 
 // ReadWindow reads the sliding window in place, with the current global
 // basis, for the snapshot stages, which run outside every engine lock.
-// Under mu it takes n slice headers and tags and marks the frames shared;
-// no vector is copied. Rows is nil before the first frame. parent is the
-// reader's span (a snapshot's trace root): the reconcile this read may
-// force lands inside that trace. The reader calls Release once its
-// stages have run, so the basis storage goes back to mat's pool.
+// Under mu it takes n slice headers and tags and joins the open reads,
+// which hold the frames it read; no vector is copied. Rows is nil before
+// the first frame. parent is the reader's span (a snapshot's trace
+// root): the reconcile this read may force lands inside that trace. The
+// reader calls Release once its stages have run, so the frames and the
+// basis storage go back to mat's pool.
 //
 // For one shard the basis is decomposed from the live sketch into a
 // pooled array of the read's own. For many it is a view of the cached
@@ -797,38 +860,42 @@ func (e *Engine) ReadWindow(k int, parent obs.SpanContext) Window {
 		e.mu.Unlock()
 		return Window{}
 	}
-	w := Window{Rows: make([][]float32, n), Tags: make([]int, n)}
+	l := &lease{e: e, lo: e.ingests - n, hi: e.ingests}
+	e.holds = append(e.holds, l)
+	w := Window{Rows: make([][]float32, n), Tags: make([]int, n), lease: l}
 	for i, f := range e.recent {
-		f.shared = true
 		w.Rows[i], w.Tags[i] = f.Vec, f.Tag
 	}
 	e.mu.Unlock()
 
-	w.Basis, w.Ell, w.lease = e.basis(parent, k)
+	w.Basis, w.Ell = e.basis(parent, k, l)
 	if w.Basis == nil {
+		e.unholdRows(l)
 		return Window{}
 	}
 	return w
 }
 
-// basis returns ReadWindow's basis, rank and the lease that gives the
-// basis back; (nil, 0, nil) before the first frame.
-func (e *Engine) basis(parent obs.SpanContext, k int) (*mat.Matrix, int, *lease) {
+// basis returns ReadWindow's basis and rank, and records in l what gives
+// the basis back; (nil, 0) before the first frame.
+func (e *Engine) basis(parent obs.SpanContext, k int, l *lease) (*mat.Matrix, int) {
 	if len(e.shards) == 1 {
 		b, ell := e.shards[0].Basis(k)
 		if b == nil {
-			return nil, 0, nil
+			return nil, 0
 		}
-		return b, ell, &lease{buf: b.Data}
+		l.buf = b.Data
+		return b, ell
 	}
 	e.globalMu.Lock()
 	defer e.globalMu.Unlock()
 	r := e.readLocked(parent, k)
 	if r == nil {
-		return nil, 0, nil
+		return nil, 0
 	}
 	r.holders++
-	return r.basis.Rows(0, max(0, min(k, r.basis.RowsN))), r.ell, &lease{e: e, read: r}
+	l.read = r
+	return r.basis.Rows(0, max(0, min(k, r.basis.RowsN))), r.ell
 }
 
 // WindowState is ReadWindow with the window widened into a float64
@@ -837,8 +904,9 @@ func (e *Engine) basis(parent obs.SpanContext, k int) (*mat.Matrix, int, *lease)
 //
 // x's storage comes from mat.GetVec and x is the caller's: once nothing
 // reads x, the caller may hand x.Data to mat.PutVec, so the next read
-// reuses the array, or simply drop it. Tags are the caller's too. basis
-// is Window.Basis, read-only, and its read is never released: the caller
+// reuses the array, or simply drop it. Tags are the caller's too. The
+// read gives its frames back once they are widened. basis is
+// Window.Basis, read-only, and its read is never released: the caller
 // may read it for as long as it likes, and its storage goes to the
 // collector rather than back to the pool.
 func (e *Engine) WindowState(k int, parent ...obs.SpanContext) (x *mat.Matrix, tags []int, basis *mat.Matrix, ell int) {
@@ -850,7 +918,9 @@ func (e *Engine) WindowState(k int, parent ...obs.SpanContext) (x *mat.Matrix, t
 	if w.Rows == nil {
 		return nil, nil, nil, 0
 	}
-	return w.Widen(), w.Tags, w.Basis, w.Ell
+	x = w.Widen()
+	e.unholdRows(w.lease)
+	return x, w.Tags, w.Basis, w.Ell
 }
 
 // Widen returns the window's rows widened into an n×d float64 matrix
@@ -871,33 +941,29 @@ func (w Window) Widen() *mat.Matrix {
 // Close returns what the engine owns to the mat vector pool and closes
 // every shard backend — for remote backends this tears down their
 // connections and aborts in-flight work. What it owns is every window
-// vector it never handed out (State, ReadWindow and a restore from a
-// shared state mark theirs; those stay valid for their holders) and
-// every local shard's sketch blocks, including the vectors and blocks it
-// adopted from an owning state, and the cached read's basis once no
-// reader holds it. So a decoded state that is restored and then closed
-// gives back everything its decode drew from the pool. The engine must
-// not be used after Close, except to Release the Windows it handed out.
-// Returns the first backend close error.
+// vector no state holds (State and a restore from a shared state mark
+// theirs; those stay valid for their holders), less those an open read
+// holds, which that read's Release returns, and every local shard's
+// sketch blocks, including the vectors and blocks it adopted from an
+// owning state, and the cached read's basis once no reader holds it. So
+// a decoded state that is restored and then closed gives back everything
+// its decode drew from the pool. The engine must not be used after
+// Close, except to Release the Windows it handed out. Returns the first
+// backend close error.
 func (e *Engine) Close() error {
 	e.globalMu.Lock()
 	e.retireLocked()
 	e.globalMu.Unlock()
 	e.gate.Lock()
 	e.mu.Lock()
-	var recycle [][]float32
-	for _, f := range e.recent {
-		if !f.shared {
-			recycle = append(recycle, f.Vec)
-		}
+	first := e.ingests - len(e.recent)
+	for i, f := range e.recent {
+		e.leaveLocked(f, first+i)
 	}
 	clear(e.recent)
 	e.recent = nil
 	e.mu.Unlock()
 	e.gate.Unlock()
-	for _, v := range recycle {
-		mat.PutVec32(v)
-	}
 	return e.closeBackends()
 }
 

@@ -9,6 +9,14 @@ import (
 // is never released: the tests hold it for as long as they like, and its
 // storage goes to the collector. (nil, 0) before the first frame.
 func (e *Engine) Basis(k int) (*mat.Matrix, int) {
-	b, ell, _ := e.basis(obs.SpanContext{}, k)
+	b, ell := e.basis(obs.SpanContext{}, k, new(lease))
 	return b, ell
+}
+
+// Held returns the engine's open reads and the frames it keeps parked
+// for them.
+func (e *Engine) Held() (holds, parked int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.holds), len(e.parked)
 }

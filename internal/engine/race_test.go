@@ -9,6 +9,8 @@ package engine_test
 // reuse vs readers holding views of its basis.
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -236,5 +238,117 @@ func TestEngineHeldBasisHammer(t *testing.T) {
 	producersWG.Wait()
 	if e.Reconciles() < 2 {
 		t.Fatalf("%d merges over %d reads; the readers never saw a second merge", e.Reconciles(), readers*reads)
+	}
+}
+
+// TestHeldWindowRowsUntilReleaseHammer: a read holds its rows until it
+// is released, however far the stream runs on — a frame that leaves the
+// ring meanwhile is parked, and the last Release that holds it recycles
+// it — and a read still open at Close keeps its rows too. One producer
+// keeps the engine ingesting fresh vectors, so every recycled frame is
+// overwritten by a later narrowing; three readers each hold a Window
+// across more than a window of ingests, one of them cutting a State once,
+// and check that every row keeps the bits it was read with
+// until it is released. Under -race a write to a held row is a reported
+// race as well. Once every read is released the engine holds nothing
+// for them.
+func TestHeldWindowRowsUntilReleaseHammer(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			heldRowsSurviveUntilRelease(t, shards)
+		})
+	}
+}
+
+func heldRowsSurviveUntilRelease(t *testing.T, shards int) {
+	const (
+		readers  = 3
+		reads    = 8
+		window   = 16
+		batchLen = 4
+		d        = 64
+	)
+	e := engine.New(engine.Config{Shards: shards, Sketch: sketch.Config{Ell0: 4, Beta: 0.9, Seed: 11}, Window: window})
+	vecs := testVecs(8*window, d, 310)
+	stop := make(chan struct{})
+	var producer sync.WaitGroup
+	producer.Add(1)
+	go func() {
+		defer producer.Done()
+		for lo := 0; ; lo = (lo + batchLen) % len(vecs) {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e.IngestVecs(cloneVecs(vecs[lo:lo+batchLen]), nil)
+		}
+	}()
+
+	clone := func(rows [][]float32) [][]float32 {
+		out := make([][]float32, len(rows))
+		for i, r := range rows {
+			out[i] = slices.Clone(r)
+		}
+		return out
+	}
+	intact := func(w engine.Window, want [][]float32) bool {
+		for i, r := range want {
+			if !slices.Equal(w.Rows[i], r) {
+				return false
+			}
+		}
+		return true
+	}
+	var readersWG sync.WaitGroup
+	errs := make(chan string, readers)
+	for r := 0; r < readers; r++ {
+		readersWG.Add(1)
+		go func(r int) {
+			defer readersWG.Done()
+			for i := 0; i < reads; i++ {
+				w := e.ReadWindow(3, obs.SpanContext{})
+				if w.Rows == nil {
+					runtime.Gosched()
+					continue
+				}
+				want := clone(w.Rows)
+				if r == 0 && i == reads/2 {
+					e.State() // its frames are shared from here on, never recycled
+				}
+				for at := e.Ingested(); e.Ingested() < at+window+batchLen; {
+					runtime.Gosched()
+				}
+				if !intact(w, want) {
+					errs <- fmt.Sprintf("reader %d: a held row changed after its frame left the window", r)
+					w.Release()
+					return
+				}
+				w.Release()
+			}
+		}(r)
+	}
+	readersWG.Wait()
+	close(stop)
+	producer.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+
+	last := e.ReadWindow(3, obs.SpanContext{})
+	want := clone(last.Rows)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	other := engine.New(engine.Config{Shards: shards, Sketch: sketch.Config{Ell0: 4, Beta: 0.9, Seed: 12}, Window: window})
+	defer other.Close()
+	other.IngestVecs(cloneVecs(vecs[:4*window]), nil)
+	if !intact(last, want) {
+		t.Error("a read open at Close lost its rows before its Release")
+	}
+	last.Release()
+	if holds, parked := e.Held(); holds != 0 || parked != 0 {
+		t.Errorf("with every read released the engine keeps %d open reads and %d parked frames", holds, parked)
 	}
 }

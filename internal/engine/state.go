@@ -30,16 +30,16 @@ import (
 // elements or hand it to mat.PutVec32.
 //
 // A state that no live engine shares storage with owns it: one Suspend
-// returned (the window vectors nobody else had been handed, and every
-// local shard's two sketch blocks, moved rather than copied; a remote shard's
-// slot holds the last state it fetched, which its closed backend no
-// longer reads), or one Own marked (a checkpoint decoder's). Restoring from an owning state hands
-// that storage over to the new engine — its ring recycles the vectors,
-// its local shards sketch on the blocks — so the state is restored
-// from once: a second NewFromState returns an error. Until the new
-// engine ingests or closes, the state stays byte-stable and may still be
-// encoded. An owning state that is not restored from gives its storage
-// back with Release.
+// returned (the window vectors no other state held and no open read
+// holds, and every local shard's two sketch blocks, moved rather than
+// copied; a remote shard's slot holds the last state it fetched, which
+// its closed backend no longer reads), or one Own marked (a checkpoint
+// decoder's). Restoring from an owning state hands that storage over to
+// the new engine — its ring recycles the vectors, its local shards sketch
+// on the blocks — so the state is restored from once: a second
+// NewFromState returns an error. Until the new engine ingests or closes,
+// the state stays byte-stable and may still be encoded. An owning state
+// that is not restored from gives its storage back with Release.
 type State struct {
 	Window  int
 	Ingests int
@@ -149,8 +149,8 @@ func aramsFD(s *sketch.ARAMSState) *sketch.FDState {
 func (e *Engine) State() *State { return e.capture(false) }
 
 // capture is State; with suspend set it also takes the ring and the
-// local shards' sketches: the frames no one else was handed and every
-// local shard's buffer become the state's own (see State), the ring is
+// local shards' sketches: the frames no State and no open read holds
+// and every local shard's buffer become the state's own (see State), the ring is
 // cleared and the local shards are closed, so the dead engine keeps no
 // reference to them.
 func (e *Engine) capture(suspend bool) *State {
@@ -165,13 +165,16 @@ func (e *Engine) capture(suspend bool) *State {
 	// Vectors are handed out, not cloned; the mark keeps the eviction
 	// path from recycling them under the handle. The exclusive gate
 	// already keeps every eviction out; mu orders the write against
-	// ReadWindow, which marks the same frames without the gate. A
-	// suspended ring is cleared instead, and its frames keep their marks:
-	// an unmarked one is the state's own.
+	// ReadWindow and Release, which take and drop their holds without
+	// the gate. A suspended ring is cleared instead, and its frames keep
+	// their marks, a frame an open read holds marked as well: an unmarked
+	// one is the state's own.
 	e.mu.Lock()
+	first := e.ingests - len(e.recent)
 	for i, f := range e.recent {
 		f.shared = f.shared || !suspend
 		s.Frames[i] = *f
+		s.Frames[i].shared = f.shared || e.heldLocked(first+i)
 	}
 	if suspend {
 		clear(e.recent)
@@ -216,9 +219,9 @@ func (e *Engine) capture(suspend bool) *State {
 // so a hibernate→restore cycle is invisible to sketch bytes,
 // certificates, and audit journals, and it hands the storage on to the
 // new engine. Once the state is saved and not restored from, Release
-// returns the window vectors the engine had handed to nobody and the
-// shard blocks to the pools. Returns the state even when a backend close
-// fails — the checkpoint is already consistent by then.
+// returns the window vectors that no State held and no open read holds,
+// and the shard blocks, to the pools. Returns the state even when a
+// backend close fails — the checkpoint is already consistent by then.
 func (e *Engine) Suspend() (*State, error) {
 	s := e.capture(true)
 	return s, e.closeBackends()

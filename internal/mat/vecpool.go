@@ -11,7 +11,8 @@ import (
 // sliding window keeps; at 120 Hz with d up to a megapixel those
 // allocations dominate the GC budget. The engine returns the working
 // buffer here once the batch is absorbed, and the float32 copy when the
-// window evicts it or the engine closes. A sketch's two ℓ×d blocks — its
+// window evicts it or the engine closes, or, if a window read still
+// holds it then, when the last such read is released. A sketch's two ℓ×d blocks — its
 // kept rows in float64 and the rows appended since its last rotation in
 // float32 — come from here and back from their owners too: a closed
 // shard returns its live sketch's, a
@@ -27,7 +28,8 @@ import (
 // rotation over float32 rows its widened Gram panels, once the product
 // is formed. Checkpoint state follows one
 // rule: a state no live engine shares storage with owns it. Suspend
-// moves the window vectors nobody was handed and each local shard's
+// moves the window vectors no other state holds and no open read holds,
+// and each local shard's
 // blocks into its state, and the checkpoint file decoder (ckpt.Load)
 // draws a monitor state's window vectors and each rotated sketch's two
 // blocks from here. The one restore from such a state takes that storage over,

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -488,7 +487,7 @@ func (s *system) reader(r int, tick, stop <-chan struct{}) error {
 				_, err = s.reg.Certificate(id)
 			}
 		case s.reg != nil && i%2 == 1:
-			if err = s.reg.Hibernate(id); err != nil && strings.Contains(err.Error(), "pinned or has backlog") {
+			if err = s.reg.Hibernate(id); errors.Is(err, tenant.ErrBusy) {
 				err = nil
 			}
 		default:

@@ -118,8 +118,9 @@ func (m *Monitor) Ell() int { return m.eng.Ell() }
 // on the window and basis it has already read — only when no model
 // exists yet or the sketch rank changed (which invalidates the latent
 // space). The clustering and anomaly stages run as usual; the residual
-// fields stay nil. The read's basis goes back to mat's vector pool once
-// the stages return: every field of the Snapshot is a fresh slice.
+// fields stay nil. The read's frames and basis go back to mat's vector
+// pool once the stages return: every field of the Snapshot is a fresh
+// slice.
 func (m *Monitor) QuickSnapshot() *Snapshot {
 	obsSnapQuick.Inc()
 	sp := obs.StartTrace("quicksnapshot")
@@ -160,10 +161,11 @@ func (m *Monitor) QuickSnapshot() *Snapshot {
 // than that sum, so the copy stays here until the replay goes
 // (EXPERIMENTS.md, issue 27, has the in-place numbers). The latent is
 // the one QuickSnapshot projects from the ring, bit for bit, and the
-// residuals are taken against the copy. The copy and the read's basis go
-// back to mat's vector pool once the stages return — every field of the
-// Snapshot is a fresh slice, none a view of either — so the next
-// Snapshot copies into the same array and cuts into the same basis.
+// residuals are taken against the copy. The copy, and the read's frames
+// and basis, go back to mat's vector pool once the stages return — every
+// field of the Snapshot is a fresh slice, none a view of any of them — so
+// the next Snapshot copies into the same array and cuts into the same
+// basis, and a frame the read held is recycled once it leaves the window.
 func (m *Monitor) Snapshot() *Snapshot {
 	obsSnapFull.Inc()
 	sp := obs.StartTrace("snapshot")

@@ -52,6 +52,11 @@ import (
 	"arams/internal/pipeline"
 )
 
+// ErrBusy is what Hibernate wraps when the tenant is pinned by a reader
+// or has frames queued or in flight: nothing failed, and a later call
+// may succeed.
+var ErrBusy = errors.New("tenant is pinned or has backlog; not hibernated")
+
 // registryObs is the registry-level observability surface (process-wide;
 // the per-tenant hot-path series carry tenant labels and live on each
 // tenant's engine). The series register in Open, not at package init,
@@ -495,7 +500,9 @@ func (r *Registry) restore(en *entry) {
 
 // Hibernate checkpoints a tenant out now, regardless of idle state. It
 // waits for the tenant's backlog (queued and in-flight frames) to drain
-// so the checkpoint covers every admitted frame.
+// so the checkpoint covers every admitted frame. A tenant pinned, or
+// busy again once drained, is left resident, and the error wraps
+// ErrBusy.
 func (r *Registry) Hibernate(id string) error {
 	if err := r.Drain(id); err != nil {
 		return err
@@ -513,7 +520,7 @@ func (r *Registry) Hibernate(id string) error {
 		}
 		r.mu.Unlock()
 		if st == Resident {
-			return fmt.Errorf("tenant: %s is pinned or has backlog; not hibernated", id)
+			return fmt.Errorf("tenant: %s: %w", id, ErrBusy)
 		}
 		return nil
 	}

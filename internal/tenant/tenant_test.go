@@ -796,3 +796,73 @@ func TestHibernateCyclesRecycleWindow(t *testing.T) {
 			perFrame, limit*4*d, limit)
 	}
 }
+
+// TestHibernateCyclesWithReadsRecycleWindow is the same cycle with the
+// operator view in it: each cycle pins the tenant for a Snapshot and a
+// QuickSnapshot before it hibernates. A read gives its frames back on
+// Release, so Suspend's state owns the whole window, Release returns it
+// once the state is saved, and the next restore decodes into it. Outside
+// the two reads, whose stages allocate their results and scratch, a
+// cycle therefore allocates what one without them does, against the
+// same bars. When every read pinned its frames for good, the frames it
+// read were dropped at each hibernation and the next restore decoded a
+// window of fresh vectors: one float32 window vector per frame.
+func TestHibernateCyclesWithReadsRecycleWindow(t *testing.T) {
+	const side, window, cycles = 64, 64, 6
+	const d = side * side
+	frames := tenantFrames(window, side, side, 183)
+	c := tenantConfig(t.TempDir())
+	c.Window = window
+	c.Pipeline.Shards = 1
+	r, err := tenant.Open(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var reads uint64 // bytes the two reads allocate
+	var before, after runtime.MemStats
+	cycle := func() {
+		for i, im := range frames {
+			if err := r.Append("mfx", im, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.Drain("mfx"); err != nil {
+			t.Fatal(err)
+		}
+		m, release, err := r.Monitor("mfx")
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		snap, quick := m.Snapshot(), m.QuickSnapshot()
+		runtime.ReadMemStats(&after)
+		reads += after.TotalAlloc - before.TotalAlloc
+		release()
+		if snap == nil || quick == nil || len(snap.Tags) != window || len(quick.Tags) != window {
+			t.Fatal("a pinned tenant with a full window served no snapshot")
+		}
+		if err := r.Hibernate("mfx"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	cycle()
+	var start, end runtime.MemStats
+	runtime.ReadMemStats(&start)
+	reads = 0
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&end)
+	perFrame := float64(end.TotalAlloc-start.TotalAlloc-reads) / (cycles * window)
+	t.Logf("%.3f", perFrame/(4*d))
+	limit := 0.25
+	if raceEnabled {
+		limit = 3.5
+	}
+	if perFrame > limit*4*d {
+		t.Errorf("hibernate→restore cycles with a Snapshot and a QuickSnapshot allocate %.0f B per frame outside the reads; want at most %.0f (%.2f float32 window vectors)",
+			perFrame, limit*4*d, limit)
+	}
+}

@@ -13,6 +13,7 @@ package umap
 
 import (
 	"math"
+	"sync"
 
 	"arams/internal/knn"
 	"arams/internal/mat"
@@ -215,13 +216,16 @@ func (fg *FuzzyGraph) MaxWeight() float64 {
 // Fit computes the UMAP embedding of the rows of x.
 func Fit(x *mat.Matrix, cfg Config) *mat.Matrix { return fit(x, cfg).emb }
 
-// fit is the one path behind Fit and FitModel: it resolves the defaults
-// and builds the curve once, and the model it returns borrows x as its
-// training set.
+// layoutCurve is the curve of the fixed spread and minDist, fitted and
+// tabulated on the first fit and shared, read-only, by every model.
+var layoutCurve = sync.OnceValue(func() *curve { return newCurve(FitAB(spread, minDist)) })
+
+// fit is the one path behind Fit and FitModel: it resolves the defaults,
+// and the model it returns borrows x as its training set.
 func fit(x *mat.Matrix, cfg Config) *Model {
 	n := x.RowsN
 	cfg = cfg.withDefaults(max(n, 2))
-	m := &Model{cfg: cfg, train: x, curve: newCurve(FitAB(spread, minDist))}
+	m := &Model{cfg: cfg, train: x, curve: layoutCurve()}
 	if n < 2 {
 		m.emb = mat.New(n, cfg.NComponents)
 		return m
