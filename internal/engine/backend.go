@@ -31,11 +31,15 @@ import (
 // snapshot/state/ingest paths beyond its own locks.
 //
 // The one exception to "the interface is all the engine calls" is
-// storage handover: for its own in-process shards (*localShard) a
-// suspending engine moves the live sketch buffer into the state instead
-// of copying it, and a restore from an owning state adopts the slot's
-// buffer (see State). A remote backend keeps the state it restored from,
-// so it is only ever given states through Restore.
+// storage handover: for its own in-process shards (*localShard) the
+// engine passes each row's window vector beside its working vector, and
+// the sketch keeps the window vector as its float32 row until its next
+// rotation instead of rounding a copy of its own (localShard.absorb; the
+// engine holds those frames for it); a suspending engine moves the live
+// sketch buffer into the state instead of copying it, and a restore from
+// an owning state adopts the slot's buffer (see State). A remote backend
+// keeps the state it restored from, so it is only ever given states
+// through Restore, and copies every row it is sent.
 type Backend interface {
 	// Absorb feeds the selected rows (all of vecs when idx is nil) in
 	// order and returns the fold of the per-row batch stats, with
@@ -93,10 +97,12 @@ type localShard struct {
 	busy   time.Duration // cumulative wall time spent inside Absorb
 	closed bool          // Close ran: every call fails fast
 
-	// rowView is the reusable 1×d header Absorb wraps each row in, so
-	// the per-row ProcessBatch call allocates nothing. Guarded by mu
-	// like the sketcher it feeds.
+	// rowView is the reusable 1×d header Absorb wraps each row in, and
+	// row32 the one-row list it passes the row's ring vector in, so the
+	// per-row ProcessBatch call allocates nothing. Guarded by mu like the
+	// sketcher they feed.
 	rowView mat.Matrix
+	row32   [1][]float32
 }
 
 // NewLocalBackend creates an in-process shard backend. scfg must
@@ -128,10 +134,23 @@ func LocalBackends(scfg sketch.Config, shards, frames int) []Backend {
 // consumption identical to the serial per-frame monitor, which the
 // bit-exact restore tests rely on.
 func (s *localShard) Absorb(_ obs.SpanContext, vecs [][]float64, idx []int) (sketch.BatchStats, error) {
+	bs, _, err := s.absorb(vecs, nil, idx)
+	return bs, err
+}
+
+// absorb is Absorb for the engine that owns the shard, which passes
+// each frame's ring vector beside its working vector (rows32[i] is the
+// float32 copy of vecs[i]): the sketch borrows the ring vectors as its
+// float32 rows instead of rounding a copy of its own
+// (sketch.ARAMS.ProcessBatchBorrowing). With rows32 nil it is Absorb.
+// at is the position among the selected rows of the last one whose
+// append rotated the sketch, or -1: the sketch still borrows that row's
+// vector and those after it, and none before it.
+func (s *localShard) absorb(vecs [][]float64, rows32 [][]float32, idx []int) (sketch.BatchStats, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return sketch.BatchStats{}, parallel.ErrBackendClosed
+		return sketch.BatchStats{}, -1, parallel.ErrBackendClosed
 	}
 	start := time.Now()
 	defer func() { s.busy += time.Since(start) }()
@@ -140,40 +159,48 @@ func (s *localShard) Absorb(_ obs.SpanContext, vecs [][]float64, idx []int) (ske
 		nrows = len(vecs)
 	}
 	if nrows == 0 {
-		return sketch.BatchStats{}, nil
+		return sketch.BatchStats{}, -1, nil
 	}
-	first := vecs[0]
-	if idx != nil {
-		first = vecs[idx[0]]
+	row := func(i int) int {
+		if idx == nil {
+			return i
+		}
+		return idx[i]
 	}
 	if s.arams == nil {
-		s.arams = sketch.NewARAMS(s.cfg, len(first), s.rows)
+		s.arams = sketch.NewARAMS(s.cfg, len(vecs[row(0)]), s.rows)
 	}
 	var agg sketch.BatchStats
 	agg.EllBefore = s.arams.Ell()
-	row := func(i int) []float64 {
-		if idx == nil {
-			return vecs[i]
-		}
-		return vecs[idx[i]]
-	}
+	at := -1
+	fd := s.arams.FD()
 	rv := &s.rowView
 	for i := 0; i < nrows; i++ {
-		v := row(i)
+		v := vecs[row(i)]
 		// Reuse one 1×d header across rows instead of allocating a
-		// matrix per frame; ProcessBatch copies rows into the sketch
-		// and retains neither the header nor the data.
+		// matrix per frame; the sketch keeps neither the header nor the
+		// float64 data.
 		rv.RowsN, rv.ColsN, rv.Stride, rv.Data = 1, len(v), len(v), v
-		bs := s.arams.ProcessBatch(rv)
+		rotations := fd.Rotations()
+		var bs sketch.BatchStats
+		if rows32 == nil {
+			bs = s.arams.ProcessBatch(rv)
+		} else {
+			s.row32[0] = rows32[row(i)]
+			bs = s.arams.ProcessBatchBorrowing(rv, s.row32[:])
+		}
+		if fd.Rotations() != rotations {
+			at = i
+		}
 		agg.Rows += bs.Rows
 		agg.Kept += bs.Kept
 		agg.TotalMass += bs.TotalMass
 		agg.KeptMass += bs.KeptMass
 		agg.DeltaAdded += bs.DeltaAdded
 	}
-	rv.Data = nil
+	rv.Data, s.row32[0] = nil, nil
 	agg.EllAfter = s.arams.Ell()
-	return agg, nil
+	return agg, at, nil
 }
 
 // Snapshot clones the shard sketch for merging. The clone's buffer is
@@ -234,7 +261,8 @@ func (s *localShard) State() (*sketch.ARAMSState, error) {
 }
 
 // take is State for a suspending engine, which owns the result: the
-// live sketch's buffer moves into the state instead of being copied
+// live sketch's buffer moves into the state instead of being copied, its
+// borrowed rows gathered into a float32 block of the state's own
 // (sketch.ARAMS.TakeState), and the shard is closed, as Close leaves it.
 func (s *localShard) take() (*sketch.ARAMSState, error) {
 	s.mu.Lock()
@@ -293,7 +321,8 @@ func (s *localShard) Busy() time.Duration {
 	return s.busy
 }
 
-// Close hands the live sketch's blocks back to the mat vector pools —
+// Close hands the live sketch's blocks back to the mat vector pools and
+// drops the window vectors it borrowed, which the engine then recycles —
 // Snapshot and State only ever gave out copies, which their holders own
 // and release on their own, and blocks adopted from an owning state are
 // this shard's alone, so nothing else reads them — and

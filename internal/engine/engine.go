@@ -90,12 +90,14 @@ func (c Config) withDefaults() Config {
 
 // Frame is one preprocessed frame retained in the sliding window: the
 // float32 copy of the float64 vector the sketch absorbed. Vec is
-// immutable while the frame is in the ring: the ring, every State and
-// every Window handed out while the frame was in it, and every engine
-// rebuilt from such a State may all hold the same backing array, and
-// none of them writes to it. A vector no State holds is recycled once it
-// has left the ring and no open read holds it (see Window.Release, and
-// State for the owning states that hand theirs over).
+// immutable while anything holds it: the ring, every State and every
+// Window handed out while the frame was in it, every engine rebuilt from
+// such a State, and the local shard that appended it as a float32 row
+// (until that shard's next rotation) may all hold the same backing
+// array, and none of them writes to it. A vector no State holds is
+// recycled once it has left the ring and neither an open read nor a
+// shard holds it (see Window.Release, and State for the owning states
+// that hand theirs over).
 type Frame struct {
 	Vec []float32
 	Tag int
@@ -111,17 +113,22 @@ type Frame struct {
 }
 
 // parkedFrame is an unshared vector that left the ring, evicted or at
-// Close, while an open read held it; at is its frame's stream index.
+// Close, while an open read or a shard held it; at is its frame's stream
+// index.
 type parkedFrame struct {
 	vec []float32
 	at  int
 }
 
-// shardResult is the audit accounting one dispatch returned.
+// shardResult is the audit accounting one dispatch returned, and for a
+// local shard that absorbed rows the stream index of the first frame it
+// may still borrow once the dispatch is done: the last frame whose
+// append rotated its sketch, or -1 when none did.
 type shardResult struct {
 	ok    bool
 	stats sketch.BatchStats // folded over this dispatch's rows
 	ell   int
+	since int
 }
 
 // Engine is the sharded streaming core. It is synchronous: ingest runs
@@ -144,11 +151,16 @@ type Engine struct {
 	recent  []*Frame
 	ingests int
 	// holds are the open reads, each holding the frames of its stream
-	// indices [lo, hi) (see Window.Release); parked are the unshared
-	// vectors that left the ring while one of them held it, in stream
-	// order. The last open read that holds a parked vector returns it to
-	// the pool on Release.
+	// indices [lo, hi) (see Window.Release). lent holds, for each local
+	// shard slot (nil for a remote one), the frames the shard may still
+	// borrow as float32 rows: from the last frame whose append rotated its
+	// sketch through the last frame dispatched. parked are the unshared
+	// vectors that left the ring while a read or a shard held them, in
+	// stream order. A read's Release, or the dispatch that moves a shard's
+	// hold past a parked vector, returns it to the pool once nothing else
+	// holds it.
 	holds  []*lease
+	lent   []*lease
 	parked []parkedFrame
 	// absorbed counts the frames whose dispatch has finished. It trails
 	// ingests while a batch is between ring append and afterDispatch,
@@ -197,8 +209,12 @@ func New(cfg Config) *Engine {
 	}
 	e.shardFrames = make([]int, cfg.Shards)
 	e.shardGauges = make([]*obs.Gauge, cfg.Shards)
-	for i := range e.shards {
+	e.lent = make([]*lease, cfg.Shards)
+	for i, sh := range e.shards {
 		e.shardGauges[i] = eo.shardGauge(i)
+		if _, ok := sh.(*localShard); ok {
+			e.lent[i] = &lease{}
+		}
 	}
 	eo.shardCount.SetInt(cfg.Shards)
 	return e
@@ -315,11 +331,24 @@ func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64,
 		}
 		e.recent = append(e.recent, &Frame{Vec: v, Tag: t})
 	}
+	// The local shards borrow the batch's ring vectors as float32 rows,
+	// so their holds reach over the batch before anything is evicted: a
+	// frame the batch itself pushes out of a shorter window is parked,
+	// not recycled, and afterDispatch moves each hold up to what its
+	// shard still borrows.
+	for _, l := range e.lent {
+		if l != nil {
+			if l.lo == l.hi {
+				l.lo = base
+			}
+			l.hi = base + n
+		}
+	}
 	if over := len(e.recent) - e.cfg.Window; over > 0 {
-		// No absorb reads a ring vector — the shards read the float64
-		// working vectors — and State and ReadWindow take theirs under mu,
-		// so once an evicted frame is settled (leaveLocked) nothing the
-		// engine does not track can reach its vector.
+		// An absorb reads only ring vectors its shard holds, and State and
+		// ReadWindow take theirs under mu, so once an evicted frame is
+		// settled (leaveLocked) nothing the engine does not track can
+		// reach its vector.
 		first := e.ingests + n - len(e.recent)
 		for i, f := range e.recent[:over] {
 			e.leaveLocked(f, first+i)
@@ -343,7 +372,7 @@ func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64,
 	ns := len(e.shards)
 	results := make([]shardResult, ns)
 	if ns == 1 {
-		results[0] = e.absorbTraced(root, 0, vecs, nil)
+		results[0] = e.absorbTraced(root, 0, base, vecs, rows, nil)
 	} else {
 		spRoute := root.StartChild("route")
 		perShard := make([][]int, ns)
@@ -360,15 +389,15 @@ func (e *Engine) ingestVecsIn(root *obs.Span, start time.Time, vecs [][]float64,
 			wg.Add(1)
 			go func(si int) {
 				defer wg.Done()
-				results[si] = e.absorbTraced(root, si, vecs, perShard[si])
+				results[si] = e.absorbTraced(root, si, base, vecs, rows, perShard[si])
 			}(si)
 		}
 		wg.Wait()
 	}
-	// Every shard has absorbed its rows and kept copies of what it keeps
-	// — a local sketch appends into its buffer, a sampler keeps nothing,
-	// a remote shard copies into its replay log — so the working vectors
-	// go back to the pool.
+	// Every shard has absorbed its rows and kept what it keeps — a local
+	// sketch its rows' ring vectors (held in lent) and kept rows widened
+	// from them, a sampler nothing, a remote shard copies in its replay
+	// log — so the working vectors go back to the pool.
 	for _, v := range vecs {
 		mat.PutVec(v)
 	}
@@ -419,8 +448,8 @@ func (e *Engine) rejectNonFinite(vecs [][]float64, rows [][]float32, tags []int)
 
 // leaveLocked settles frame f, of stream index at, as it leaves the
 // ring: a shared vector is dropped for the collector, one an open read
-// holds is parked until that read's Release, and any other goes back to
-// the pool. The caller holds mu.
+// or a shard holds is parked until the last of them lets go, and any
+// other goes back to the pool. The caller holds mu.
 func (e *Engine) leaveLocked(f *Frame, at int) {
 	switch {
 	case f.shared:
@@ -431,20 +460,28 @@ func (e *Engine) leaveLocked(f *Frame, at int) {
 	}
 }
 
-// heldLocked reports whether an open read holds the frame of stream
-// index at. The caller holds mu.
+// heldLocked reports whether an open read or a shard holds the frame of
+// stream index at. The caller holds mu.
 func (e *Engine) heldLocked(at int) bool {
 	for _, l := range e.holds {
-		if l.lo <= at && at < l.hi {
+		if l.covers(at) {
+			return true
+		}
+	}
+	for _, l := range e.lent {
+		if l != nil && l.covers(at) {
 			return true
 		}
 	}
 	return false
 }
 
+// covers reports whether l's hold takes in the frame of stream index at.
+func (l *lease) covers(at int) bool { return l.lo <= at && at < l.hi }
+
 // unholdRows ends l's hold on its rows: l leaves the open reads, and
-// every parked vector that no other open read holds goes back to the
-// pool. A lease that holds no rows, or no longer does, changes nothing.
+// every parked vector that nothing else holds goes back to the pool. A
+// lease that holds no rows, or no longer does, changes nothing.
 func (e *Engine) unholdRows(l *lease) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -453,6 +490,20 @@ func (e *Engine) unholdRows(l *lease) {
 		return
 	}
 	e.holds = slices.Delete(e.holds, i, i+1)
+	e.sweepLocked()
+}
+
+// unlendLocked ends every shard's hold: the local shards have given up
+// their sketches, closed or suspended, so nothing borrows a frame any
+// more. The caller holds mu.
+func (e *Engine) unlendLocked() {
+	clear(e.lent)
+	e.sweepLocked()
+}
+
+// sweepLocked returns to the pool every parked vector nothing holds any
+// more. The caller holds mu.
+func (e *Engine) sweepLocked() {
 	kept := e.parked[:0]
 	for _, p := range e.parked {
 		if e.heldLocked(p.at) {
@@ -487,20 +538,35 @@ func narrow(v []float64) []float32 {
 	return r
 }
 
-// absorbTraced wraps one shard's Backend.Absorb in a shard_sketch span
-// (child of the batch root) carrying the shard index and row count,
-// and keeps the per-shard frame gauge current. A failed absorb
-// (only possible on remote backends that exhausted their recovery
-// ladder) is journaled, fires the flight recorder, and returns ok=false
-// so the audit accumulator skips the dispatch.
-func (e *Engine) absorbTraced(root *obs.Span, si int, vecs [][]float64, idx []int) shardResult {
+// absorbTraced wraps one shard's absorb in a shard_sketch span (child
+// of the batch root) carrying the shard index and row count, and keeps
+// the per-shard frame gauge current. A local shard absorbs each row
+// with its ring vector, rows32[i], to borrow (localShard.absorb), a
+// remote one through Backend.Absorb. A failed absorb (only possible on
+// remote backends that exhausted their recovery ladder) is journaled,
+// fires the flight recorder, and returns ok=false so the audit
+// accumulator skips the dispatch. base is the stream index of vecs[0].
+func (e *Engine) absorbTraced(root *obs.Span, si, base int, vecs [][]float64, rows32 [][]float32, idx []int) shardResult {
 	rows := len(idx)
 	if idx == nil {
 		rows = len(vecs)
 	}
 	sp := root.StartChild("shard_sketch",
 		obs.L("shard", fmt.Sprint(si)), obs.L("rows", fmt.Sprint(rows)))
-	stats, err := e.shards[si].Absorb(sp.Context(), vecs, idx)
+	var stats sketch.BatchStats
+	var err error
+	since := -1
+	if ls, ok := e.shards[si].(*localShard); ok {
+		var at int
+		if stats, at, err = ls.absorb(vecs, rows32, idx); at >= 0 {
+			since = base + at
+			if idx != nil {
+				since = base + idx[at]
+			}
+		}
+	} else {
+		stats, err = e.shards[si].Absorb(sp.Context(), vecs, idx)
+	}
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		sp.End()
@@ -517,17 +583,26 @@ func (e *Engine) absorbTraced(root *obs.Span, si int, vecs [][]float64, idx []in
 	}
 	e.shardFrames[si] += rows
 	e.shardGauges[si].SetInt(e.shardFrames[si])
-	return shardResult{ok: true, stats: stats, ell: stats.EllAfter}
+	return shardResult{ok: true, stats: stats, ell: stats.EllAfter, since: since}
 }
 
-// afterDispatch folds the shard results into the audit accumulator,
-// journals rank growth, flushes audit points on AuditEvery boundaries,
-// refreshes gauges and feeds the frame-budget tracker. It never
-// reconciles: only a basis reader merges the shards. base is the stream
-// index of the batch's first frame, n the batch length, start its
-// first-touch time.
+// afterDispatch moves each local shard's hold up to the frames it still
+// borrows, returning the parked ones nothing holds any more, folds the
+// shard results into the audit accumulator, journals rank growth,
+// flushes audit points on AuditEvery boundaries, refreshes gauges and
+// feeds the frame-budget tracker. It never reconciles: only a basis
+// reader merges the shards. base is the stream index of the batch's
+// first frame, n the batch length, start its first-touch time.
 func (e *Engine) afterDispatch(results []shardResult, base, n, window int, start time.Time) {
 	e.mu.Lock()
+	for si, r := range results {
+		if l := e.lent[si]; l != nil && r.ok && r.since >= 0 {
+			l.lo = r.since
+		}
+	}
+	if len(e.parked) > 0 {
+		e.sweepLocked()
+	}
 	prevEll := e.lastEll
 	ell := prevEll
 	for _, r := range results {
@@ -821,8 +896,9 @@ type lease struct {
 
 // Release gives the read back once its reader is done with it: neither
 // Rows, nor Basis, nor any view of either may be read afterwards. The
-// frames the read held that have left the ring since, and that no other
-// open read holds, go back to mat's pool, and so does the basis. Every
+// frames the read held that have left the ring since, and that nothing
+// else holds — another open read, or a shard that still borrows them —
+// go back to mat's pool, and so does the basis. Every
 // copy of a Window is the same read, so only the first Release of any of
 // them gives anything back; later ones, and a Release of the zero
 // Window, do nothing. The engine may be closed by then. A read that is
@@ -942,8 +1018,9 @@ func (w Window) Widen() *mat.Matrix {
 // every shard backend — for remote backends this tears down their
 // connections and aborts in-flight work. What it owns is every window
 // vector no state holds (State and a restore from a shared state mark
-// theirs; those stay valid for their holders), less those an open read
-// holds, which that read's Release returns, and every local shard's
+// theirs; those stay valid for their holders) — those a local shard
+// borrowed included, once the closed shard has dropped them — less
+// those an open read holds, which that read's Release returns, and every local shard's
 // sketch blocks, including the vectors and blocks it adopted from an
 // owning state, and the cached read's basis once no reader holds it. So
 // a decoded state that is restored and then closed gives back everything
@@ -964,7 +1041,13 @@ func (e *Engine) Close() error {
 	e.recent = nil
 	e.mu.Unlock()
 	e.gate.Unlock()
-	return e.closeBackends()
+	err := e.closeBackends()
+	// The closed local shards have released their sketches, so what they
+	// borrowed is free.
+	e.mu.Lock()
+	e.unlendLocked()
+	e.mu.Unlock()
+	return err
 }
 
 func (e *Engine) closeBackends() error {

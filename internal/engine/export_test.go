@@ -3,6 +3,7 @@ package engine
 import (
 	"arams/internal/mat"
 	"arams/internal/obs"
+	"arams/internal/sketch"
 )
 
 // Basis is ReadWindow's basis and rank without the window, and its read
@@ -19,4 +20,12 @@ func (e *Engine) Held() (holds, parked int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.holds), len(e.parked)
+}
+
+// ShardState is shard i's sketcher state, read without the gate and
+// without marking a window frame shared as State does, so a test can
+// follow a shard's sketch while the ring recycles its frames.
+func (e *Engine) ShardState(i int) *sketch.ARAMSState {
+	st, _ := e.shards[i].State()
+	return st
 }

@@ -59,10 +59,12 @@ func TestOneShardReadAllocatesItsBasis(t *testing.T) {
 // its readers read — the basis cut from the last merge for the rows they
 // asked, and its rank — not the merged sketch, nor more basis rows than
 // were asked. After a released read of k = 11 rows at ℓ = 25, a 2-shard
-// engine at d = 4096 holds its window, its two shards' 2ℓ×d buffers and
-// the k×d basis, plus 256 KiB of slack for everything else. Caching the
-// merged sketch instead held a third 2ℓ×d buffer, 800 KiB over the
-// bound, and caching its ℓ×d basis 192 KiB over it.
+// engine at d = 4096 holds its window, its two shards' ℓ×d float64
+// blocks (their float32 rows are the window's own frames) and the k×d
+// basis, plus 256 KiB of slack for everything else (measured: 42 KiB).
+// Caching the merged sketch instead would hold a third sketch, 1.2 MB,
+// and caching its ℓ×d basis 448 KiB more than the k×d one: either is
+// more than the slack.
 func TestShardedReadFootprint(t *testing.T) {
 	const window, d, ell, k, batch = 64, 4096, 25, 11, 32
 	base := liveHeap()
@@ -76,10 +78,51 @@ func TestShardedReadFootprint(t *testing.T) {
 		t.Fatalf("basis has %d rows at rank %d, want %d at ℓ = %d", w.Basis.RowsN, w.Ell, k, ell)
 	}
 	w.Release()
-	const buf = 2 * ell * d * 8
-	limit := int64(window*d*4 + 2*buf + k*d*8 + 256<<10)
+	const kept = ell * d * 8
+	limit := int64(window*d*4 + 2*kept + k*d*8 + 256<<10)
 	if live := int64(liveHeap()) - int64(base); live > limit {
-		t.Errorf("after a read the engine holds %d B; want at most window + two 2ℓ×d buffers + k×d + 256 KiB = %d",
+		t.Errorf("after a read the engine holds %d B; want at most window + two ℓ×d float64 blocks + k×d + 256 KiB = %d",
 			live, limit)
+	}
+}
+
+// TestEngineShardHoldsOnlyItsKeptBlock: a local shard's float32 rows are
+// the window's own vectors, so once it has rotated a shard fed by the
+// engine holds one ℓ×d float64 block of sketch storage — ℓ·d·8 B, at
+// diff_sharded's width (d = 16384, ℓ = 25) 3.3 MB — and no float32
+// block beside it: after three rotations, at 1 and 2 shards, the engine
+// holds its window, ℓ·d·8 B per shard and under 128 KiB of everything
+// else (measured: 12 KiB at 1 shard, 24 KiB at 2). A float32 block of its own, the rows' second copy, would add
+// ℓ·d·4 B per shard, 1.6 MB. The window (64 frames) is longer than the
+// rows a shard can hold, so no frame is parked.
+func TestEngineShardHoldsOnlyItsKeptBlock(t *testing.T) {
+	const window, d, ell, batch = 64, 16384, 25, 32
+	for _, shards := range []int{1, 2} {
+		// A first engine starts the kernel pool and sizes its scratch.
+		warm := engine.New(engine.Config{Shards: shards, Sketch: sketch.Config{Ell0: ell, Beta: 1, Seed: 5}, Window: window})
+		warm.IngestVecs(testVecs(3*ell*shards, d, 290), nil)
+		warm.Close()
+
+		base := liveHeap()
+		e := engine.New(engine.Config{Shards: shards, Sketch: sketch.Config{Ell0: ell, Beta: 1, Seed: 5}, Window: window})
+		frames := (4*ell + 1) * shards // three rotations a shard
+		for n := 0; n < frames; n += batch {
+			e.IngestVecs(testVecs(min(batch, frames-n), d, uint64(300+n)), nil)
+		}
+		live := int64(liveHeap()) - int64(base)
+		for si := 0; si < shards; si++ {
+			if st := e.ShardState(si); st.FD.Rotations != 3 {
+				t.Fatalf("%d shards: shard %d rotated %d times, want 3", shards, si, st.FD.Rotations)
+			}
+		}
+		if _, parked := e.Held(); parked != 0 {
+			t.Fatalf("%d shards: %d frames parked", shards, parked)
+		}
+		limit := int64(window*d*4 + shards*ell*d*8 + 128<<10)
+		if live > limit {
+			t.Errorf("%d shards: the engine holds %d B; want at most window + ℓ·d·8 per shard + 128 KiB = %d (a float32 block is %d B)",
+				shards, live, limit, ell*d*4)
+		}
+		e.Close()
 	}
 }

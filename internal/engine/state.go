@@ -31,12 +31,14 @@ import (
 //
 // A state that no live engine shares storage with owns it: one Suspend
 // returned (the window vectors no other state held and no open read
-// holds, and every local shard's two sketch blocks, moved rather than
-// copied; a remote shard's slot holds the last state it fetched, which
-// its closed backend no longer reads), or one Own marked (a checkpoint
-// decoder's). Restoring from an owning state hands that storage over to
-// the new engine — its ring recycles the vectors, its local shards sketch
-// on the blocks — so the state is restored from once: a second
+// holds, and every local shard's float64 sketch block, moved rather than
+// copied, with the float32 rows it borrowed from the window gathered
+// into a block of the state's own; a remote shard's slot holds the last
+// state it fetched, which its closed backend no longer reads), or one
+// Own marked (a checkpoint decoder's). Restoring from an owning state
+// hands that storage over to the new engine — its ring recycles the
+// vectors, its local shards sketch on the blocks — so the state is
+// restored from once: a second
 // NewFromState returns an error. Until the new engine ingests or closes,
 // the state stays byte-stable and may still be encoded. An owning state
 // that is not restored from gives its storage back with Release.
@@ -74,8 +76,8 @@ func (s *State) Own() {
 }
 
 // Release hands the storage the State owns back to the mat vector pools
-// — the window vectors, and each owned shard sketch's ℓ×d float64 and
-// float32 blocks — and empties
+// — the window vectors, and each owned shard sketch's ℓ×d float64 block
+// and the float32 block its rows were gathered into — and empties
 // the State: Window 0, no frames, no shards, so it can be neither
 // encoded nor restored from afterwards. Call it once the state has been
 // saved and nothing reads it any more, neither the State nor any copy of
@@ -150,9 +152,9 @@ func (e *Engine) State() *State { return e.capture(false) }
 
 // capture is State; with suspend set it also takes the ring and the
 // local shards' sketches: the frames no State and no open read holds
-// and every local shard's buffer become the state's own (see State), the ring is
-// cleared and the local shards are closed, so the dead engine keeps no
-// reference to them.
+// and every local shard's buffer become the state's own (see State), the
+// ring is cleared, the local shards are closed and their holds on the
+// window end, so the dead engine keeps no reference to them.
 func (e *Engine) capture(suspend bool) *State {
 	e.gate.Lock()
 	defer e.gate.Unlock()
@@ -162,26 +164,6 @@ func (e *Engine) capture(suspend bool) *State {
 		Frames:  make([]Frame, len(e.recent)),
 		Shards:  make([]*sketch.ARAMSState, len(e.shards)),
 	}
-	// Vectors are handed out, not cloned; the mark keeps the eviction
-	// path from recycling them under the handle. The exclusive gate
-	// already keeps every eviction out; mu orders the write against
-	// ReadWindow and Release, which take and drop their holds without
-	// the gate. A suspended ring is cleared instead, and its frames keep
-	// their marks, a frame an open read holds marked as well: an unmarked
-	// one is the state's own.
-	e.mu.Lock()
-	first := e.ingests - len(e.recent)
-	for i, f := range e.recent {
-		f.shared = f.shared || !suspend
-		s.Frames[i] = *f
-		s.Frames[i].shared = f.shared || e.heldLocked(first+i)
-	}
-	if suspend {
-		clear(e.recent)
-		e.recent = nil
-		s.own = &ownership{}
-	}
-	e.mu.Unlock()
 	for i, sh := range e.shards {
 		var st *sketch.ARAMSState
 		var err error
@@ -201,6 +183,30 @@ func (e *Engine) capture(suspend bool) *State {
 		}
 		s.Shards[i] = st
 	}
+	// Vectors are handed out, not cloned; the mark keeps the eviction
+	// path from recycling them under the handle. The exclusive gate
+	// already keeps every eviction out; mu orders the write against
+	// ReadWindow and Release, which take and drop their holds without
+	// the gate. A suspended ring is cleared instead, and its frames keep
+	// their marks, a frame an open read holds marked as well: an unmarked
+	// one is the state's own. The local shards' holds end first: taking
+	// a shard's state gathered every row it borrowed into its own block.
+	e.mu.Lock()
+	if suspend {
+		e.unlendLocked()
+	}
+	first := e.ingests - len(e.recent)
+	for i, f := range e.recent {
+		f.shared = f.shared || !suspend
+		s.Frames[i] = *f
+		s.Frames[i].shared = f.shared || e.heldLocked(first+i)
+	}
+	if suspend {
+		clear(e.recent)
+		e.recent = nil
+		s.own = &ownership{}
+	}
+	e.mu.Unlock()
 	if e.cfg.Audit != nil {
 		ast := e.cfg.Audit.State()
 		jst := e.cfg.Audit.Journal().State()
@@ -212,8 +218,10 @@ func (e *Engine) capture(suspend bool) *State {
 
 // Suspend is the hibernation path: it captures an owning state (see
 // State) and closes every shard backend, releasing the backends'
-// goroutines. Nothing is copied: the state holds the window's vectors,
-// and each local shard's live sketch blocks move into its slot. The
+// goroutines. The window is not copied: the state holds the window's
+// vectors, and each local shard's live sketch blocks move into its slot;
+// only the float32 rows a shard borrowed from the window are copied, into
+// its float32 block. The
 // engine must not be used after Suspend; NewFromState over the returned
 // state resumes the stream bit-exactly (sampler RNG streams included),
 // so a hibernate→restore cycle is invisible to sketch bytes,

@@ -235,7 +235,7 @@ func TestInPlaceBackMultiplyGivesMulToBits(t *testing.T) {
 					run := func() {
 						for _, width := range []int{1, 2, 4} {
 							got := view(top, pad, off)
-							gotLow := append([]float32(nil), low...)
+							gotLow := cloneRows32(low)
 							var sigma, wantSigma []float64
 							withPoolWidth(width, func() {
 								MulTo(want, coef, wide)
@@ -254,7 +254,7 @@ func TestInPlaceBackMultiplyGivesMulToBits(t *testing.T) {
 							if i, j, ok := matDiff(got, top, func(i, _ int) bool { return i >= c.r }); !ok {
 								t.Errorf("%s: (%d,%d), below the product, changed", name, i, j)
 							}
-							if !slices.Equal(gotLow, low) {
+							if !slices.EqualFunc(gotLow, low, slices.Equal[[]float32]) {
 								t.Errorf("%s: the float32 rows changed", name)
 							}
 							if strided {

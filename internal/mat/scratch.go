@@ -61,9 +61,9 @@ func ensureFloats(s []float64, n int) []float64 {
 // callers never share partials.
 type kernelJob struct {
 	dst, a, b *Matrix
-	low       []float32 // the split operand's float32 rows, below a (Gram) or b (mulSplitTo)
-	parts     []float64 // one m×m partial Gram matrix per panel of the round
-	first     int       // the round's first panel
+	low       [][]float32 // the split operand's float32 rows, below a (Gram) or b (mulSplitTo)
+	parts     []float64   // one m×m partial Gram matrix per panel of the round
+	first     int         // the round's first panel
 
 	// A split Gram's widened panels: slots of slot floats in wide, the
 	// free ones' indices in free, under mu.

@@ -7,38 +7,39 @@ import (
 
 // A Frequent Directions sketch keeps the rows its last rotation wrote in
 // float64 and the rows appended since in float32 (internal/sketch). The
-// rotation and the basis read decompose the two blocks stacked, with the
+// rotation and the basis read decompose the two stacked, with the
 // arithmetic of the float64 matrix they widen to: split is that operand,
 // and the kernels in this file read it one column panel at a time, its
 // float32 rows widened into scratch a panel holds, the way MulRowsABt
-// widens the window — never a d-long float64 copy of the float32 block.
+// widens the window — never a d-long float64 copy of the float32 rows.
+// The float32 rows are a list of views, not one block: a sketch fed by
+// the engine borrows the window's own vectors as its rows, and a panel
+// is assembled row by row either way, so no kernel's summation order
+// depends on where a row lies.
 // Widening is exact and a column cut changes no output's sum (blas.go's
 // header), so every result is the float64 kernel's on the widened
 // matrix, bit for bit and at every pool width.
 
 // split is the m×d matrix whose rows are top's and then low's: low holds
-// m − top.RowsN rows of top.ColsN float32 elements each, row-major. A
-// split with no low rows is top.
+// m − top.RowsN rows of top.ColsN float32 elements each. A split with no
+// low rows is top.
 type split struct {
 	top *Matrix
-	low []float32
+	low [][]float32
 }
 
-// newSplit checks that low holds whole rows of top's width.
-func newSplit(top *Matrix, low []float32) split {
-	if len(low) > 0 && (top.ColsN == 0 || len(low)%top.ColsN != 0) {
-		panic("mat: float32 block does not hold whole rows of the float64 block's width")
+// newSplit checks that every row of low has top's width.
+func newSplit(top *Matrix, low [][]float32) split {
+	for _, r := range low {
+		if len(r) != top.ColsN {
+			panic("mat: a float32 row is not as wide as the float64 block")
+		}
 	}
 	return split{top: top, low: low}
 }
 
 // rows is m, the row count of the stacked matrix.
-func (s split) rows() int {
-	if len(s.low) == 0 {
-		return s.top.RowsN
-	}
-	return s.top.RowsN + len(s.low)/s.top.ColsN
-}
+func (s split) rows() int { return s.top.RowsN + len(s.low) }
 
 // panel returns columns [k0, k1) of every row of s as an m×(k1−k0)
 // matrix. With buf nil (s must have no low rows) it is a view of top;
@@ -48,13 +49,13 @@ func (s split) panel(k0, k1 int, buf []float64) Matrix {
 	if buf == nil {
 		return s.top.colView(k0, k1)
 	}
-	m, w, d := s.rows(), k1-k0, s.top.ColsN
+	m, w := s.rows(), k1-k0
 	p := Matrix{RowsN: m, ColsN: w, Stride: w, Data: buf[:m*w]}
 	for i := 0; i < s.top.RowsN; i++ {
 		copy(p.Row(i), s.top.Row(i)[k0:k1])
 	}
-	for i, off := s.top.RowsN, 0; i < m; i, off = i+1, off+d {
-		Widen(p.Row(i), s.low[off+k0:off+k1])
+	for i, r := range s.low {
+		Widen(p.Row(s.top.RowsN+i), r[k0:k1])
 	}
 	return p
 }

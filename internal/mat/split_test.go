@@ -8,25 +8,38 @@ import (
 )
 
 // splitOf cuts a into a split at row t: a copy of its first t rows, and
-// the rest rounded to float32.
-func splitOf(a *Matrix, t int) (*Matrix, []float32) {
+// the rest rounded to float32, each row an array of its own.
+func splitOf(a *Matrix, t int) (*Matrix, [][]float32) {
 	top := a.Rows(0, t).Clone()
-	var low []float32
+	var low [][]float32
 	for i := t; i < a.RowsN; i++ {
-		for _, v := range a.Row(i) {
-			low = append(low, float32(v))
+		r := make([]float32, a.ColsN)
+		for j, v := range a.Row(i) {
+			r[j] = float32(v)
 		}
+		low = append(low, r)
 	}
 	return top, low
 }
 
+// cloneRows32 is a deep copy of float32 rows.
+func cloneRows32(rows [][]float32) [][]float32 {
+	out := make([][]float32, len(rows))
+	for i, r := range rows {
+		out[i] = append([]float32(nil), r...)
+	}
+	return out
+}
+
 // widened is the float64 matrix a split's rows widen to.
-func widened(top *Matrix, low []float32) *Matrix {
-	w := New(top.RowsN+len(low)/top.ColsN, top.ColsN)
+func widened(top *Matrix, low [][]float32) *Matrix {
+	w := New(top.RowsN+len(low), top.ColsN)
 	for i := 0; i < top.RowsN; i++ {
 		copy(w.Row(i), top.Row(i))
 	}
-	Widen(w.Data[top.RowsN*top.ColsN:], low)
+	for i, r := range low {
+		Widen(w.Row(top.RowsN+i), r)
+	}
 	return w
 }
 
@@ -112,14 +125,14 @@ func TestSplitKernelsGiveWidenedBits(t *testing.T) {
 	}
 }
 
-// TestSplitRejectsPartialRows: a float32 block that is not whole rows of
-// the float64 block's width is a caller's bug, caught before any kernel
-// reads past a row.
+// TestSplitRejectsPartialRows: a float32 row that is not as wide as the
+// float64 block is a caller's bug, caught before any kernel reads past
+// a row.
 func TestSplitRejectsPartialRows(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("SVDGramSplitTo accepted a float32 block of 7 elements under rows of 4")
+			t.Error("SVDGramSplitTo accepted a float32 row of 3 elements under rows of 4")
 		}
 	}()
-	SVDGramSplitTo(New(2, 4), make([]float32, 7), nil, New(1, 4))
+	SVDGramSplitTo(New(2, 4), [][]float32{make([]float32, 4), make([]float32, 3)}, nil, New(1, 4))
 }

@@ -243,12 +243,12 @@ func SVDGramTo(a *Matrix, sigma []float64, vt *Matrix) []float64 {
 }
 
 // SVDGramSplitTo is SVDGramTo of the matrix whose rows are top's and
-// then low's, low holding whole float32 rows of top's width, row-major:
+// then low's, each row of low float32 and of top's width:
 // bit for bit SVDGramTo of the float64 matrix those rows widen to,
 // without making it (split.go). A Frequent Directions basis read passes
 // its float64 rows and the float32 rows appended since its last
 // rotation, and r = k, the rows it returns.
-func SVDGramSplitTo(top *Matrix, low []float32, sigma []float64, vt *Matrix) []float64 {
+func SVDGramSplitTo(top *Matrix, low [][]float32, sigma []float64, vt *Matrix) []float64 {
 	s := newSplit(top, low)
 	sigma = ensureFloats(sigma, s.rows())
 	svdGramCore(s, sigma, vt, nil)
@@ -264,7 +264,7 @@ func SVDGramSplitTo(top *Matrix, low []float32, sigma []float64, vt *Matrix) []f
 // point, with r = ℓ because the shrink zeroes every direction at or
 // below σ_ℓ: the right singular vectors land in the float64 rows they
 // are about to be scaled in, and no r×d matrix is held beside them.
-func SVDGramInPlace(top *Matrix, low []float32, sigma []float64, r int) []float64 {
+func SVDGramInPlace(top *Matrix, low [][]float32, sigma []float64, r int) []float64 {
 	start := time.Now()
 	if r < 0 || r > top.RowsN {
 		panic("mat: SVDGramInPlace row count out of range")

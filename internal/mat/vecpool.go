@@ -12,10 +12,12 @@ import (
 // allocations dominate the GC budget. The engine returns the working
 // buffer here once the batch is absorbed, and the float32 copy when the
 // window evicts it or the engine closes, or, if a window read still
-// holds it then, when the last such read is released. A sketch's two ℓ×d blocks — its
+// holds it then, when the last such read or the shard that borrowed it
+// as a sketch row lets go. A sketch's two ℓ×d blocks — its
 // kept rows in float64 and the rows appended since its last rotation in
 // float32 — come from here and back from their owners too: a closed
-// shard returns its live sketch's, a
+// shard returns its live sketch's, a sketch that borrows the window's
+// vectors as its float32 rows its float32 block at its first rotation, a
 // merge each operand it owns once the operand is folded, a basis reader
 // the merged sketch once the basis is cut, a fabric shard's basis read
 // the sketch it decoded from the worker's state, and a sketch that grows

@@ -39,8 +39,10 @@ type ARAMS struct {
 	rafd *RankAdaptiveFD     // when cfg.RankAdaptive
 	fd   *FrequentDirections // otherwise
 
-	// norms holds ‖row‖² of the batch in flight (scratch, reused).
+	// norms holds ‖row‖² of the batch in flight, and ps samples it when
+	// β < 1: scratch, reset for every batch, so a batch allocates nothing.
 	norms []float64
+	ps    *PrioritySampler
 }
 
 // NewARAMS creates a streaming ARAMS sketcher for d-dimensional rows.
@@ -100,7 +102,24 @@ func (bs BatchStats) AcceptRate() float64 {
 
 // ProcessBatch runs one batch through the sampler and into the sketch,
 // returning the batch's audit accounting.
-func (a *ARAMS) ProcessBatch(x *mat.Matrix) BatchStats {
+func (a *ARAMS) ProcessBatch(x *mat.Matrix) BatchStats { return a.process(x, nil) }
+
+// ProcessBatchBorrowing is ProcessBatch for a caller that holds each row
+// of x rounded to float32 already: x32[i] must be mat.Narrow of row i.
+// The sketch then rounds nothing itself. It keeps x32[i] of a row it
+// appends after its first ℓ, not a copy, as a buffer row until its next
+// rotation (until Rotations rises past its count after this call), and
+// the caller must leave those vectors unchanged until then. The engine
+// passes its window vectors.
+func (a *ARAMS) ProcessBatchBorrowing(x *mat.Matrix, x32 [][]float32) BatchStats {
+	if len(x32) != x.RowsN {
+		panic("sketch: ARAMS float32 rows do not match the batch")
+	}
+	return a.process(x, x32)
+}
+
+// process is ProcessBatch, borrowing x32's rows when it is not nil.
+func (a *ARAMS) process(x *mat.Matrix, x32 [][]float32) BatchStats {
 	if x.ColsN != a.d {
 		panic("sketch: ARAMS batch dimension mismatch")
 	}
@@ -114,22 +133,33 @@ func (a *ARAMS) ProcessBatch(x *mat.Matrix) BatchStats {
 		a.norms = append(a.norms, n2)
 		bs.TotalMass += n2
 	}
+	row32 := func(i int) []float32 {
+		if x32 == nil {
+			return nil
+		}
+		return x32[i]
+	}
 	deltaBefore := a.FD().Delta()
 	if a.cfg.Beta < 1 {
 		// The sampler holds views into x and the sketch copies each
 		// appended row into its buffer, so the kept rows go from the
 		// batch to the sketch without an intermediate copy. An entry's
 		// index is its row's position in x.
-		for _, e := range sampleBatch(x, a.cfg.Beta, a.g, a.norms).selected() {
+		if a.ps == nil {
+			a.ps = NewPrioritySampler(1, a.g)
+		}
+		a.ps.sample(x, a.cfg.Beta, a.norms)
+		for _, e := range a.ps.selected() {
 			bs.KeptMass += a.norms[e.index]
 			bs.Kept++
-			a.appendNorm(e.row, a.norms[e.index])
+			a.appendNorm(e.row, row32(e.index), a.norms[e.index])
 		}
+		a.ps.drop()
 	} else {
 		bs.KeptMass = bs.TotalMass
 		bs.Kept = x.RowsN
 		for i := 0; i < x.RowsN; i++ {
-			a.appendNorm(x.Row(i), a.norms[i])
+			a.appendNorm(x.Row(i), row32(i), a.norms[i])
 		}
 	}
 	bs.EllAfter = a.Ell()
@@ -138,12 +168,13 @@ func (a *ARAMS) ProcessBatch(x *mat.Matrix) BatchStats {
 }
 
 // appendNorm adds one row, whose squared norm the caller holds, to
-// whichever sketch variant is configured.
-func (a *ARAMS) appendNorm(row []float64, n2 float64) {
+// whichever sketch variant is configured; row32, when not nil, is the
+// row's float32 copy for the sketch to borrow.
+func (a *ARAMS) appendNorm(row []float64, row32 []float32, n2 float64) {
 	if a.rafd != nil {
-		a.rafd.appendNorm(row, n2)
+		a.rafd.appendNorm(row, row32, n2)
 	} else {
-		a.fd.appendNorm(row, n2)
+		a.fd.appendNorm(row, row32, n2)
 	}
 }
 

@@ -1,6 +1,9 @@
 package sketch
 
-import "arams/internal/mat"
+import (
+	"arams/internal/mat"
+	"arams/internal/rng"
+)
 
 // Run executes Algorithm 3 on a full matrix: select the β·n
 // highest-priority rows with a priority queue, then sketch them with
@@ -16,4 +19,12 @@ func (r *RankAdaptiveFD) AppendMatrix(x *mat.Matrix) {
 	for i := 0; i < x.RowsN; i++ {
 		r.Append(x.Row(i))
 	}
+}
+
+// sampleBatch offers every row of x to a fresh sampler (see
+// PrioritySampler.sample) and returns it.
+func sampleBatch(x *mat.Matrix, beta float64, g *rng.RNG, norms2 []float64) *PrioritySampler {
+	ps := NewPrioritySampler(1, g)
+	ps.sample(x, beta, norms2)
+	return ps
 }

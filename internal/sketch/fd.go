@@ -42,29 +42,47 @@ type Options struct{}
 
 // FrequentDirections maintains a fast-FD sketch: a 2ℓ×d buffer that is
 // shrunk to ℓ nonzero rows by one SVD every ℓ appended rows. The buffer
-// is held in two blocks. kept is ℓ×d float64 and holds the rows the last
-// rotation wrote, √(σᵢ²−δ)·vᵢ; incoming is ℓ×d float32 and holds the rows
-// appended since. Before the first rotation, and over the rows a Grow
-// adds to kept, kept holds appended rows too, rounded to float32 and
-// widened back, so every appended row is rounded to float32 exactly once
-// and every row a rotation writes stays float64. Buffer row i < nextZero
-// is kept's row i for i < ℓ and incoming's row i−ℓ after.
+// is held in two parts. kept is ℓ×d float64 and holds the rows the last
+// rotation wrote, √(σᵢ²−δ)·vᵢ; rows holds the up to ℓ float32 rows
+// appended since, as views. Before the first rotation, and over the rows
+// a Grow adds to kept, kept holds appended rows too, rounded to float32
+// and widened back, so every appended row is rounded to float32 exactly
+// once and every row a rotation writes stays float64. Buffer row
+// i < nextZero is kept's row i for i < ℓ and rows[i−ℓ] after.
+//
+// A float32 row is stored one of two ways. Append rounds its float64 row
+// into slot j of block, an ℓ×d float32 array of the sketch's own, kept
+// across rotations. A borrowing append takes a row's float32 copy along
+// with it — the engine's window vector — and keeps a view of that copy,
+// not a second one, until the next rotation
+// (ARAMS.ProcessBatchBorrowing is how the engine appends). A sketch that
+// has borrowed a row gives its block back to the mat vector pool at a
+// rotation, so a block it adopted from a restored state serves the rows
+// it holds until the next rotation and no longer; should it be asked to
+// round a row itself again, it draws a block anew. The block a sketch
+// was built with goes at its second rotation, not its first: a shard
+// suspended within its first cycles — a tenant opened and hibernated
+// soon after — then hands its own block over, where it would otherwise
+// gather its rows into one drawn from the pool (state.go).
 //
 // Every rotation, basis read and merge does the float64 arithmetic of
 // the 2ℓ×d float64 buffer those rows widen to (mat.SVDGramSplitTo), so
 // the sketch is, bit for bit, the all-float64 sketch of the stream with
 // each row rounded to float32; Σδ carries that rounding (appendCharge),
-// so Delta still bounds ‖AᵀA − BᵀB‖₂ for the float64 stream A. The two
-// blocks are the only d-long storage a sketch holds: a rotation
-// decomposes them in place, and Basis decomposes the occupied rows on
-// every call, so no factor is cached beside them and a sketch is exactly
-// its State.
+// so Delta still bounds ‖AᵀA − BᵀB‖₂ for the float64 stream A. kept and
+// block are the only d-long storage a sketch owns: a rotation decomposes
+// the buffer in place, and Basis decomposes the occupied rows on every
+// call, so no factor is cached beside them and a sketch is exactly its
+// State.
 type FrequentDirections struct {
 	ell int
 	d   int
 
 	kept     *mat.Matrix // ℓ×d float64
-	incoming []float32   // ℓ×d float32, row-major
+	rows     [][]float32 // the occupied float32 rows, capacity ℓ
+	block    []float32   // ℓ×d float32, row-major, the sketch's own; nil once a borrowing rotation gave it back
+	lends    bool        // a row was borrowed: block goes back to the pool at a rotation
+	fresh    bool        // built, not restored, and not yet rotated: block stays through this rotation
 	nextZero int         // index of the next free buffer row
 
 	rotations  int     // number of shrink steps performed (for accounting)
@@ -87,27 +105,31 @@ func NewFrequentDirections(ell, d int, _ Options) *FrequentDirections {
 		panic(fmt.Sprintf("sketch: invalid dimensions ℓ=%d d=%d", ell, d))
 	}
 	return &FrequentDirections{
-		ell:      ell,
-		d:        d,
-		kept:     mat.FromData(ell, d, mat.GetVec(ell*d)),
-		incoming: mat.GetVec32(ell * d),
+		ell:   ell,
+		d:     d,
+		kept:  mat.FromData(ell, d, mat.GetVec(ell*d)),
+		rows:  make([][]float32, 0, ell),
+		block: mat.GetVec32(ell * d),
+		fresh: true,
 	}
 }
 
-// Release hands the sketch's two blocks back to the mat vector pools.
-// The sketch must not be used afterwards, and nothing may still read
-// them. Only an owner releases them: a closed shard backend its live
-// sketch, a merge the operands it owns once they are folded, a basis
-// reader the merged sketch once its basis is cut. Never a holder of a
-// Clone's source or of a state copied from it — Clone and State copy,
-// so neither shares the blocks.
+// Release hands the sketch's blocks back to the mat vector pools and
+// drops the rows it borrowed. The sketch must not be used afterwards,
+// and nothing may still read its blocks. Only an owner releases them: a
+// closed shard backend its live sketch, a merge the operands it owns
+// once they are folded, a basis reader the merged sketch once its basis
+// is cut. Never a holder of a Clone's source or of a state copied from
+// it — Clone and State copy, so neither shares the blocks.
 func (fd *FrequentDirections) Release() {
 	if fd.kept == nil {
 		return
 	}
 	mat.PutVec(fd.kept.Data)
-	mat.PutVec32(fd.incoming)
-	fd.kept, fd.incoming = nil, nil
+	if fd.block != nil {
+		mat.PutVec32(fd.block)
+	}
+	fd.kept, fd.block, fd.rows = nil, nil, nil
 }
 
 // Ell returns the current number of retained directions.
@@ -129,40 +151,78 @@ func (fd *FrequentDirections) Seen() int { return fd.seen }
 // float32's range (the engine drops a frame that does not), or the
 // sketch holds an infinity and Finite reports it.
 func (fd *FrequentDirections) Append(row []float64) {
-	fd.appendNorm(row, mat.Norm2Sq(row))
+	fd.appendNorm(row, nil, mat.Norm2Sq(row))
 }
 
 // appendNorm is Append for a caller that already holds
 // n2 = mat.Norm2Sq(row): the d-long dependent sum is formed once per
-// row, not once per account that wants it.
-func (fd *FrequentDirections) appendNorm(row []float64, n2 float64) {
+// row, not once per account that wants it. row32, when not nil, is row
+// rounded to float32, which the sketch borrows until its next rotation.
+func (fd *FrequentDirections) appendNorm(row []float64, row32 []float32, n2 float64) {
 	if len(row) != fd.d {
 		panic(fmt.Sprintf("sketch: row length %d != d=%d", len(row), fd.d))
+	}
+	if row32 != nil {
+		fd.lend(row32)
 	}
 	if fd.nextZero == 2*fd.ell {
 		fd.rotate()
 	}
-	fd.store(row, n2)
+	fd.store(row, row32, n2)
+}
+
+// lend checks a borrowed row's width and marks the sketch as one that
+// borrows, before any rotation the append runs: that rotation already
+// gives the block back.
+func (fd *FrequentDirections) lend(row32 []float32) {
+	if len(row32) != fd.d {
+		panic(fmt.Sprintf("sketch: float32 row length %d != d=%d", len(row32), fd.d))
+	}
+	fd.lends = true
 }
 
 // store writes row, rounded to float32, into the next free buffer row
 // and books it: the stream's mass gains the float64 row's n2, and Σδ
-// the rounding's charge.
-func (fd *FrequentDirections) store(row []float64, n2 float64) {
-	if i := fd.nextZero; i < fd.ell {
+// the rounding's charge. With row32 given the rounding is already done:
+// a kept row widens it, and a float32 row is row32 itself.
+func (fd *FrequentDirections) store(row []float64, row32 []float32, n2 float64) {
+	i := fd.nextZero
+	switch {
+	case i < fd.ell && row32 != nil:
+		mat.Widen(fd.kept.Row(i), row32)
+	case i < fd.ell:
 		// No float32 row is occupied while a kept row is free, so the
-		// float32 block's first row stages the rounding.
-		tmp := fd.incoming[:fd.d]
+		// block's first slot stages the rounding.
+		tmp := fd.slot(0)
 		mat.Narrow(tmp, row)
 		mat.Widen(fd.kept.Row(i), tmp)
-	} else {
-		off := (i - fd.ell) * fd.d
-		mat.Narrow(fd.incoming[off:off+fd.d], row)
+	case row32 != nil:
+		fd.rows = append(fd.rows, row32)
+	default:
+		r := fd.slot(i - fd.ell)
+		mat.Narrow(r, row)
+		fd.rows = append(fd.rows, r)
 	}
 	fd.nextZero++
 	fd.seen++
 	fd.frobMass += n2
 	fd.totalDelta += appendCharge(n2, fd.d)
+}
+
+// slot returns row j of the sketch's own float32 block, drawing the
+// block from the pool first if a borrowing rotation gave it back.
+func (fd *FrequentDirections) slot(j int) []float32 {
+	if fd.block == nil {
+		fd.block = mat.GetVec32(fd.ell * fd.d)
+	}
+	return fd.block[j*fd.d : (j+1)*fd.d]
+}
+
+// owns reports whether float32 row j lies in the sketch's own block
+// (in slot j, where Append, a restore and a Grow put it) rather than in
+// storage it borrowed.
+func (fd *FrequentDirections) owns(j int) bool {
+	return fd.block != nil && &fd.rows[j][0] == &fd.block[j*fd.d]
 }
 
 // The rounding an appended row takes is charged to Σδ, so that Delta
@@ -202,19 +262,19 @@ func (fd *FrequentDirections) AppendMatrix(x *mat.Matrix) {
 	}
 }
 
-// occupied returns the occupied buffer rows as the two blocks the mat
+// occupied returns the occupied buffer rows as the two parts the mat
 // split kernels take: kept's occupied rows, and the float32 rows below
 // them.
-func (fd *FrequentDirections) occupied() (*mat.Matrix, []float32) {
+func (fd *FrequentDirections) occupied() (*mat.Matrix, [][]float32) {
 	if fd.nextZero <= fd.ell {
 		return fd.kept.Rows(0, fd.nextZero), nil
 	}
-	return fd.kept, fd.incoming[:(fd.nextZero-fd.ell)*fd.d]
+	return fd.kept, fd.rows
 }
 
 // rotate performs the fast-FD shrink: SVD the buffer, subtract σ_ℓ²
 // from all squared singular values, and rewrite kept as √(Σ²−δI)·Vᵀ,
-// leaving no incoming row occupied.
+// leaving no float32 row occupied.
 func (fd *FrequentDirections) rotate() { fd.shrink(fd.decompose()) }
 
 // decompose is the first half of a rotation, run over more than ℓ
@@ -233,8 +293,10 @@ func (fd *FrequentDirections) decompose() []float64 {
 // shrink is the second half: it scales the kept rows of Vᵀ by
 // √(σᵢ²−δ) where they lie — the multiply ScaleTo(row, s, vᵢ) would make
 // from a separate Vᵀ, so the same bits — and clears the rest of kept.
-// The incoming rows are free again; nothing reads a free row before an
-// append writes it.
+// The float32 rows are free again: the views are dropped, so the sketch
+// holds no borrowed row past the rotation, and a sketch that borrows
+// gives its block back (but at its first rotation the block it was
+// built with).
 func (fd *FrequentDirections) shrink(sigma []float64) {
 	var delta float64
 	if fd.ell < len(sigma) {
@@ -253,6 +315,13 @@ func (fd *FrequentDirections) shrink(sigma []float64) {
 	for i := kept; i < fd.ell; i++ {
 		clear(fd.kept.Row(i))
 	}
+	clear(fd.rows)
+	fd.rows = fd.rows[:0]
+	if fd.lends && fd.block != nil && !fd.fresh {
+		mat.PutVec32(fd.block)
+		fd.block = nil
+	}
+	fd.fresh = false
 	fd.nextZero = fd.ell
 	fd.rotations++
 	obsRotations.Inc()
@@ -381,30 +450,40 @@ func (fd *FrequentDirections) Merge(other *FrequentDirections) {
 }
 
 // Grow increases the number of retained directions by dl, widening
-// both blocks. Existing sketch content is preserved: the incoming rows
+// both parts. Existing sketch content is preserved: the float32 rows
 // that now fall within the first ℓ+dl buffer rows move into kept,
-// widened exactly, and the rest stay float32. The wider blocks come from
-// the mat vector pools and the old ones go back to them: the sketch is
-// their sole owner, since State and Clone copy.
+// widened exactly, and the rest stay float32 — a borrowed one as the
+// same view, one of the sketch's own in its slot of a wider block. The
+// wider blocks come from the mat vector pools and the old ones go back
+// to them: the sketch is their sole owner, since State and Clone copy.
 func (fd *FrequentDirections) Grow(dl int) {
 	if dl <= 0 {
 		return
 	}
 	newEll := fd.ell + dl
 	kept := mat.FromData(newEll, fd.d, mat.GetVec(newEll*fd.d))
-	incoming := mat.GetVec32(newEll * fd.d)
+	rows := make([][]float32, 0, newEll)
+	var block []float32
 	top, low := fd.occupied()
 	copy(kept.Data, top.Data[:top.RowsN*fd.d])
-	for j := 0; j*fd.d < len(low); j++ {
-		row := low[j*fd.d : (j+1)*fd.d]
-		if i := fd.ell + j; i < newEll {
+	for j, row := range low {
+		i := fd.ell + j
+		if i < newEll {
 			mat.Widen(kept.Row(i), row)
-		} else {
-			copy(incoming[(i-newEll)*fd.d:], row)
+			continue
 		}
+		if fd.owns(j) {
+			if block == nil {
+				block = mat.GetVec32(newEll * fd.d)
+			}
+			k := (i - newEll) * fd.d
+			row = block[k : k+fd.d]
+			copy(row, low[j])
+		}
+		rows = append(rows, row)
 	}
 	fd.Release()
-	fd.kept, fd.incoming = kept, incoming
+	fd.kept, fd.rows, fd.block = kept, rows, block
 	fd.ell = newEll
 	obsGrows.Inc()
 	obsEllGauge.SetInt(fd.ell)

@@ -99,9 +99,12 @@ func sameAsFloat64FD(fd *FrequentDirections, ref *float64FD) string {
 		return "shape"
 	}
 	top, low := fd.occupied()
-	wide := make([]float64, len(low))
-	mat.Widen(wide, low)
-	rows := append(append([]float64(nil), top.Data[:top.RowsN*fd.d]...), wide...)
+	rows := append([]float64(nil), top.Data[:top.RowsN*fd.d]...)
+	for _, r := range low {
+		wide := make([]float64, len(r))
+		mat.Widen(wide, r)
+		rows = append(rows, wide...)
+	}
 	for i, v := range rows {
 		if math.Float64bits(v) != math.Float64bits(ref.buf.Data[i]) {
 			return "rows"
@@ -170,9 +173,11 @@ func TestKeptRowsAreFloat64FDOfRoundedRows(t *testing.T) {
 // the sketch's occupied rows B, through the d×d difference.
 func exactCovErr(a *mat.Matrix, fd *FrequentDirections) float64 {
 	top, low := fd.occupied()
-	b := mat.New(top.RowsN+len(low)/fd.d, fd.d)
+	b := mat.New(top.RowsN+len(low), fd.d)
 	copy(b.Data, top.Data[:top.RowsN*fd.d])
-	mat.Widen(b.Data[top.RowsN*fd.d:], low)
+	for i, r := range low {
+		mat.Widen(b.Row(top.RowsN+i), r)
+	}
 	return CovErr(a, b)
 }
 

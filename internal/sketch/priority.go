@@ -2,7 +2,7 @@ package sketch
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"arams/internal/mat"
 	"arams/internal/rng"
@@ -23,6 +23,7 @@ type PrioritySampler struct {
 	g    *rng.RNG
 	heap []entry // min-heap on priority, size at most m+1
 	seen int
+	sel  []entry // selected's result, reused
 }
 
 type entry struct {
@@ -96,41 +97,48 @@ func (p *PrioritySampler) siftDown(i int) {
 }
 
 // selected returns the kept entries (the heap minus the threshold
-// element) in stream order.
+// element) in stream order, in storage the sampler reuses: the result
+// is valid until the sampler is next reset or dropped.
 func (p *PrioritySampler) selected() []entry {
 	heap := p.heap
 	if len(heap) > p.m {
 		// Drop the minimum-priority element, the heap's root: it defines τ.
 		heap = heap[1:]
 	}
-	items := append([]entry(nil), heap...)
-	sort.Slice(items, func(i, j int) bool { return items[i].index < items[j].index })
-	return items
+	p.sel = append(p.sel[:0], heap...)
+	slices.SortFunc(p.sel, func(a, b entry) int { return a.index - b.index })
+	return p.sel
 }
 
-// sampleBatch offers every row of x to a fresh ⌈beta·n⌉-slot sampler as
-// a view into x (beta in (0, 1)), so selecting from a batch copies no
-// row; x must outlive the reads of the returned sampler. norms2, when
-// non-nil, holds each row's ‖·‖² as the caller already summed it, and
-// the weight is its square root rather than two more passes over the
-// row; a row whose squares all underflow then counts as zero-weight
-// (mat.Norm2's rescaling would have kept it) and is dropped undrawn.
-func sampleBatch(x *mat.Matrix, beta float64, g *rng.RNG, norms2 []float64) *PrioritySampler {
+// sample offers every row of x to p, emptied first and set to keep
+// ⌈beta·n⌉ of them (beta in (0, 1)), as a view into x, so selecting from
+// a batch copies no row; x must outlive the reads of the selection. A
+// sampler reused batch after batch keeps its heap's storage, so it
+// allocates nothing once its heap has grown to the largest batch's m+1.
+// norms2, when non-nil, holds each row's ‖·‖² as the caller already
+// summed it, and the weight is its square root rather than two more
+// passes over the row; a row whose squares all underflow then counts as
+// zero-weight (mat.Norm2's rescaling would have kept it) and is dropped
+// undrawn.
+func (p *PrioritySampler) sample(x *mat.Matrix, beta float64, norms2 []float64) {
 	if beta <= 0 {
 		panic("sketch: sampling needs beta > 0")
 	}
-	m := int(beta*float64(x.RowsN) + 0.999999)
-	if m < 1 {
-		m = 1
-	}
-	ps := NewPrioritySampler(m, g)
+	p.m = max(1, int(beta*float64(x.RowsN)+0.999999))
+	p.heap, p.seen = p.heap[:0], 0
 	for i := 0; i < x.RowsN; i++ {
 		row := x.Row(i)
 		if norms2 != nil {
-			ps.push(row, math.Sqrt(norms2[i]))
+			p.push(row, math.Sqrt(norms2[i]))
 		} else {
-			ps.push(row, mat.Norm2(row))
+			p.push(row, mat.Norm2(row))
 		}
 	}
-	return ps
+}
+
+// drop clears the entries' views into the last batch, so a sampler kept
+// between batches pins none of its rows.
+func (p *PrioritySampler) drop() {
+	clear(p.heap)
+	clear(p.sel)
 }

@@ -85,13 +85,17 @@ func (r *RankAdaptiveFD) Basis(k int) *mat.Matrix { return r.fd.Basis(k) }
 // Append adds one row to the sketch, applying the rank-adaptation
 // bookkeeping of Algorithm 2 around the underlying fast-FD buffer.
 func (r *RankAdaptiveFD) Append(row []float64) {
-	r.appendNorm(row, mat.Norm2Sq(row))
+	r.appendNorm(row, nil, mat.Norm2Sq(row))
 }
 
 // appendNorm is Append for a caller that already holds
-// n2 = mat.Norm2Sq(row).
-func (r *RankAdaptiveFD) appendNorm(row []float64, n2 float64) {
+// n2 = mat.Norm2Sq(row); row32, when not nil, is row rounded to float32,
+// which the sketch borrows until its next rotation.
+func (r *RankAdaptiveFD) appendNorm(row []float64, row32 []float32, n2 float64) {
 	fd := r.fd
+	if row32 != nil {
+		fd.lend(row32)
+	}
 	if fd.nextZero == 2*fd.ell {
 		canAdapt := r.canRankAdapt()
 		if r.increaseEll && canAdapt {
@@ -116,7 +120,7 @@ func (r *RankAdaptiveFD) appendNorm(row []float64, n2 float64) {
 			}
 		}
 	}
-	fd.store(row, n2)
+	fd.store(row, row32, n2)
 	r.push(row)
 	if r.rowsLeft > 0 {
 		r.rowsLeft--

@@ -43,10 +43,12 @@ type FDState struct {
 // State captures the sketch's current state.
 func (fd *FrequentDirections) State() FDState { return fd.state(false) }
 
-// state is State. With take set the state's Kept and Incoming are not
-// copies but the sketch's own ℓ×d arrays cut to their occupied rows
-// (capacity ℓ·d each), and the sketch gives them up: it must not be used
-// afterwards. See ARAMS.TakeState.
+// state is State. With take set the state's Kept is not a copy but the
+// sketch's own ℓ×d array cut to its occupied rows (capacity ℓ·d), and
+// its Incoming the sketch's ℓ×d float32 block cut the same way, with
+// every borrowed row gathered into its slot — a block drawn from the
+// pool for the purpose when the sketch holds none — and the sketch gives
+// them up: it must not be used afterwards. See ARAMS.TakeState.
 func (fd *FrequentDirections) state(take bool) FDState {
 	s := FDState{
 		Ell:        fd.ell,
@@ -60,15 +62,26 @@ func (fd *FrequentDirections) state(take bool) FDState {
 	top, low := fd.occupied()
 	kept := fd.kept.Data[:top.RowsN*fd.d]
 	if take {
-		// Both arrays go, the float32 one also when no row of it is
-		// occupied: its capacity still hands it over.
-		s.Kept, s.Incoming = kept, fd.incoming[:len(low)]
-		fd.kept, fd.incoming = nil, nil
+		// The float32 block goes also when no row of it is occupied: its
+		// capacity still hands it over.
+		for j, row := range low {
+			if !fd.owns(j) {
+				copy(fd.slot(j), row)
+			}
+		}
+		if fd.block != nil {
+			s.Incoming = fd.block[:len(low)*fd.d]
+		}
+		s.Kept = kept
+		fd.kept, fd.block, fd.rows = nil, nil, nil
 		return s
 	}
 	s.Kept = append(make([]float64, 0, len(kept)), kept...)
 	if len(low) > 0 {
-		s.Incoming = append(make([]float32, 0, len(low)), low...)
+		s.Incoming = make([]float32, 0, len(low)*fd.d)
+		for _, row := range low {
+			s.Incoming = append(s.Incoming, row...)
+		}
 	}
 	return s
 }
@@ -100,7 +113,7 @@ func newFDFromState(s FDState, adopt bool) (*FrequentDirections, error) {
 		return nil, fmt.Errorf("sketch: FD state has invalid Frobenius mass %v", s.FrobMass)
 	}
 	n := s.Ell * s.D
-	fd := &FrequentDirections{ell: s.Ell, d: s.D}
+	fd := &FrequentDirections{ell: s.Ell, d: s.D, rows: make([][]float32, 0, s.Ell)}
 	if adopt && cap(s.Kept) == n {
 		fd.kept = mat.FromData(s.Ell, s.D, s.Kept[:n])
 	} else {
@@ -108,10 +121,13 @@ func newFDFromState(s FDState, adopt bool) (*FrequentDirections, error) {
 		copy(fd.kept.Data, s.Kept)
 	}
 	if adopt && cap(s.Incoming) == n {
-		fd.incoming = s.Incoming[:n]
+		fd.block = s.Incoming[:n]
 	} else {
-		fd.incoming = mat.GetVec32(n)
-		copy(fd.incoming, s.Incoming)
+		fd.block = mat.GetVec32(n)
+		copy(fd.block, s.Incoming)
+	}
+	for j := 0; j*s.D < len(s.Incoming); j++ {
+		fd.rows = append(fd.rows, fd.slot(j))
 	}
 	fd.nextZero = s.NextZero
 	fd.rotations = s.Rotations
@@ -121,18 +137,24 @@ func newFDFromState(s FDState, adopt bool) (*FrequentDirections, error) {
 	return fd, nil
 }
 
-// Clone returns an independent deep copy of the sketch: the two blocks
-// and the counters, which are all a sketch is. parallel.MergeSketches
+// Clone returns an independent deep copy of the sketch: its rows and
+// the counters, which are all a sketch is. parallel.MergeSketches
 // clones its inputs, and a shard backend clones its live sketch for the
 // reconcile merge, because a fold compacts both operands. The copy's
 // blocks come from the mat vector pools, like a new sketch's, so the
 // merge that folds the clone and then releases it hands them to the next
-// clone of the same shape. Only the occupied rows are copied.
+// clone of the same shape. Only the occupied rows are copied, a borrowed
+// float32 row into a slot of the copy's own block: a clone borrows
+// nothing.
 func (fd *FrequentDirections) Clone() *FrequentDirections {
 	c := NewFrequentDirections(fd.ell, fd.d, Options{})
 	top, low := fd.occupied()
 	copy(c.kept.Data, top.Data[:top.RowsN*fd.d])
-	copy(c.incoming, low)
+	for j, row := range low {
+		r := c.slot(j)
+		copy(r, row)
+		c.rows = append(c.rows, r)
+	}
 	c.nextZero = fd.nextZero
 	c.rotations = fd.rotations
 	c.seen = fd.seen
@@ -245,7 +267,10 @@ func (a *ARAMS) State() ARAMSState { return a.state(false) }
 // TakeState is State for an owner that is done with the sketcher, such
 // as a hibernating shard: instead of copying the sketch's two ℓ×d
 // blocks it moves them into the state, each cut to its occupied rows
-// (capacity ℓ·d), and the rank-adaptive ring with them. The sketcher
+// (capacity ℓ·d), and the rank-adaptive ring with them. The float32
+// rows it borrowed (ProcessBatchBorrowing) are gathered into the float32
+// block, one drawn from the mat vector pool when the sketch gave its own
+// back, so the state borrows nothing. The sketcher
 // must not be used afterwards. Once nothing reads the state, its holder
 // may hand Kept to mat.PutVec and Incoming to mat.PutVec32, or restore
 // from it with AdoptARAMSState.
@@ -320,9 +345,11 @@ func (fd *FrequentDirections) Finite() bool {
 			return false
 		}
 	}
-	for _, v := range low {
-		if !(v <= math.MaxFloat32 && v >= -math.MaxFloat32) {
-			return false
+	for _, row := range low {
+		for _, v := range row {
+			if !(v <= math.MaxFloat32 && v >= -math.MaxFloat32) {
+				return false
+			}
 		}
 	}
 	return true
