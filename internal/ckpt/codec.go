@@ -196,6 +196,10 @@ func decodeRNG(d *dec) rng.State {
 }
 
 // --- RankAdaptiveFD ---
+//
+// The slot behind the RNG held the probe's ring of recent rows, a count
+// and then the rows. The probe reads the sketch's own rows, so the slot
+// is retired: written as 0, and a frame with rows in it fails to decode.
 
 func encodeRankAdaptive(e *enc, s *sketch.RankAdaptiveState) {
 	encodeFD(e, &s.FD)
@@ -203,10 +207,7 @@ func encodeRankAdaptive(e *enc, s *sketch.RankAdaptiveState) {
 	e.f64(s.Eps)
 	e.i64(0) // retired estimator slot
 	encodeRNG(e, s.RNG)
-	e.i64(len(s.Recent))
-	for _, row := range s.Recent {
-		e.floats(row)
-	}
+	e.i64(0) // retired recent-rows ring slot
 	e.bool(s.IncreaseEll)
 	e.i64(s.RowsLeft)
 	e.i64(s.Grows)
@@ -218,14 +219,7 @@ func decodeRankAdaptive(d *dec) *sketch.RankAdaptiveState {
 	s.Eps = d.f64()
 	d.retired("rank-adaptive estimator")
 	s.RNG = decodeRNG(d)
-	// Each ring row costs at least a length prefix (8 bytes).
-	n := d.count(8)
-	if n > 0 {
-		s.Recent = make([][]float64, n)
-		for i := range s.Recent {
-			s.Recent[i] = d.floats()
-		}
-	}
+	d.retired("rank-adaptive recent-rows ring")
 	s.IncreaseEll = d.bool()
 	s.RowsLeft = d.i64()
 	s.Grows = d.i64()

@@ -94,17 +94,10 @@ func (p *pool) fdState() sketch.FDState {
 }
 
 func (p *pool) rankAdaptiveState() sketch.RankAdaptiveState {
-	fd := p.fdState()
-	nRecent := p.intn(fd.Ell + 1)
-	recent := make([][]float64, nRecent)
-	for i := range recent {
-		recent[i] = p.floats(fd.D)
-	}
 	return sketch.RankAdaptiveState{
-		FD: fd,
+		FD: p.fdState(),
 		Nu: 1 + p.intn(8), Eps: p.f64(),
 		RNG:         p.rngState(),
-		Recent:      recent,
 		IncreaseEll: p.byte()&1 == 1,
 		RowsLeft:    p.intn(1000) - 1,
 		Grows:       p.intn(20),

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"arams/internal/audit"
@@ -403,5 +405,54 @@ func BenchmarkSaveLoad(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestRankAdaptiveRingSlotRetired: behind its RNG, a rank-adaptive frame
+// once carried the probe's ring of recent rows, a count and then each
+// row as a length-prefixed float64 array. The probe now reads the
+// sketch's own rows, so the slot is retired: written as 0 and nothing
+// else. A frame of the old layout with rows in its ring fails Unmarshal,
+// the streaming decoder and Load with an error, never a panic.
+func TestRankAdaptiveRingSlotRetired(t *testing.T) {
+	ra := sketch.RankAdaptiveState{
+		FD: sketch.FDState{Ell: 2, D: 3, NextZero: 3, Kept: []float64{1, 2, 3, 4, 5, 6}, Incoming: []float32{7, 8, 9}},
+		Nu: 2, Eps: 0.5, RNG: rng.New(1).State(), RowsLeft: -1,
+	}
+	frame, err := Marshal(ra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Behind the FD block, Nu, Eps, the retired estimator slot and the
+	// RNG (four words, a bool and a float); IncreaseEll and RowsLeft
+	// follow it.
+	slot := headerLen + 7*8 + 8 + 8*len(ra.FD.Kept) + 8 + 4*len(ra.FD.Incoming) + 3*8 + 4*8 + 1 + 8
+	if binary.LittleEndian.Uint64(frame[slot:]) != 0 || int64(binary.LittleEndian.Uint64(frame[slot+9:])) != -1 {
+		t.Fatalf("the ring slot is not at payload offset %d", slot-headerLen)
+	}
+	ring := binary.LittleEndian.AppendUint64(nil, 2)
+	for i := 0; i < 2; i++ {
+		ring = binary.LittleEndian.AppendUint64(ring, uint64(ra.FD.D))
+		for j := 0; j < ra.FD.D; j++ {
+			ring = binary.LittleEndian.AppendUint64(ring, math.Float64bits(float64(3*i+j)))
+		}
+	}
+	body := append(append(append([]byte(nil), frame[:slot]...), ring...), frame[slot+8:len(frame)-trailerLen]...)
+	binary.LittleEndian.PutUint64(body[12:], uint64(len(body)-headerLen))
+	old := binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+
+	path := filepath.Join(t.TempDir(), "ring.ckpt")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, loadErr := Load(path)
+	sliced, slicedErr, streamed, streamedErr := bothDecoders(old)
+	for name, got := range map[string]struct {
+		state any
+		err   error
+	}{"Unmarshal": {sliced, slicedErr}, "stream": {streamed, streamedErr}, "Load": {loaded, loadErr}} {
+		if got.err == nil || got.state != nil || !strings.Contains(got.err.Error(), "ring slot") {
+			t.Errorf("%s of a frame with two ring rows: state %v, error %v; want the ring slot's error", name, got.state, got.err)
+		}
 	}
 }

@@ -3,6 +3,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -92,37 +93,52 @@ func TestShardedReadFootprint(t *testing.T) {
 // diff_sharded's width (d = 16384, ℓ = 25) 3.3 MB — and no float32
 // block beside it: after three rotations, at 1 and 2 shards, the engine
 // holds its window, ℓ·d·8 B per shard and under 128 KiB of everything
-// else (measured: 12 KiB at 1 shard, 24 KiB at 2). A float32 block of its own, the rows' second copy, would add
-// ℓ·d·4 B per shard, 1.6 MB. The window (64 frames) is longer than the
-// rows a shard can hold, so no frame is parked.
+// else (measured: 12 KiB at 1 shard, 24 KiB at 2). A float32 block of
+// its own, the rows' second copy, would add ℓ·d·4 B per shard, 1.6 MB.
+// A rank-adaptive shard (ε above any relative error, so ℓ stays) is held
+// to the same limit: its probe reads those rows where they lie, and a
+// float64 copy of the last ℓ rows for it would add ℓ·d·8 B per shard.
+// The window (64 frames) is longer than the rows a shard can hold, so no
+// frame is parked.
 func TestEngineShardHoldsOnlyItsKeptBlock(t *testing.T) {
 	const window, d, ell, batch = 64, 16384, 25, 32
-	for _, shards := range []int{1, 2} {
-		// A first engine starts the kernel pool and sizes its scratch.
-		warm := engine.New(engine.Config{Shards: shards, Sketch: sketch.Config{Ell0: ell, Beta: 1, Seed: 5}, Window: window})
-		warm.IngestVecs(testVecs(3*ell*shards, d, 290), nil)
-		warm.Close()
+	for _, cfg := range []sketch.Config{
+		{Ell0: ell, Beta: 1, Seed: 5},
+		{Ell0: ell, Beta: 1, Seed: 5, RankAdaptive: true, Eps: 10, Nu: 5},
+	} {
+		for _, shards := range []int{1, 2} {
+			name := fmt.Sprintf("%d shards, rank-adaptive %v", shards, cfg.RankAdaptive)
+			// A first engine starts the kernel pool and sizes its scratch.
+			warm := engine.New(engine.Config{Shards: shards, Sketch: cfg, Window: window})
+			warm.IngestVecs(testVecs(3*ell*shards, d, 290), nil)
+			warm.Close()
 
-		base := liveHeap()
-		e := engine.New(engine.Config{Shards: shards, Sketch: sketch.Config{Ell0: ell, Beta: 1, Seed: 5}, Window: window})
-		frames := (4*ell + 1) * shards // three rotations a shard
-		for n := 0; n < frames; n += batch {
-			e.IngestVecs(testVecs(min(batch, frames-n), d, uint64(300+n)), nil)
-		}
-		live := int64(liveHeap()) - int64(base)
-		for si := 0; si < shards; si++ {
-			if st := e.ShardState(si); st.FD.Rotations != 3 {
-				t.Fatalf("%d shards: shard %d rotated %d times, want 3", shards, si, st.FD.Rotations)
+			base := liveHeap()
+			e := engine.New(engine.Config{Shards: shards, Sketch: cfg, Window: window})
+			frames := (4*ell + 1) * shards // three rotations a shard
+			for n := 0; n < frames; n += batch {
+				e.IngestVecs(testVecs(min(batch, frames-n), d, uint64(300+n)), nil)
 			}
+			live := int64(liveHeap()) - int64(base)
+			for si := 0; si < shards; si++ {
+				st := e.ShardState(si)
+				fd := st.FD
+				if cfg.RankAdaptive {
+					fd = &st.RankAdaptive.FD
+				}
+				if fd.Rotations != 3 || fd.Ell != ell {
+					t.Fatalf("%s: shard %d rotated %d times at ℓ = %d, want 3 at %d", name, si, fd.Rotations, fd.Ell, ell)
+				}
+			}
+			if _, parked := e.Held(); parked != 0 {
+				t.Fatalf("%s: %d frames parked", name, parked)
+			}
+			limit := int64(window*d*4 + shards*ell*d*8 + 128<<10)
+			if live > limit {
+				t.Errorf("%s: the engine holds %d B; want at most window + ℓ·d·8 per shard + 128 KiB = %d (a float32 block is %d B)",
+					name, live, limit, ell*d*4)
+			}
+			e.Close()
 		}
-		if _, parked := e.Held(); parked != 0 {
-			t.Fatalf("%d shards: %d frames parked", shards, parked)
-		}
-		limit := int64(window*d*4 + shards*ell*d*8 + 128<<10)
-		if live > limit {
-			t.Errorf("%d shards: the engine holds %d B; want at most window + ℓ·d·8 per shard + 128 KiB = %d (a float32 block is %d B)",
-				shards, live, limit, ell*d*4)
-		}
-		e.Close()
 	}
 }

@@ -310,15 +310,8 @@ func MulVec(a *Matrix, x []float64) []float64 {
 
 // MulTVec returns aᵀ*x for a vector x of length a.Rows.
 func MulTVec(a *Matrix, x []float64) []float64 {
-	if a.RowsN != len(x) {
-		panic("mat: MulTVec dimension mismatch")
-	}
 	out := make([]float64, a.ColsN)
-	for i := 0; i < a.RowsN; i++ {
-		if x[i] != 0 {
-			axpy(x[i], a.Row(i), out)
-		}
-	}
+	MulTVecSplitTo(out, a, nil, x, nil)
 	return out
 }
 

@@ -60,6 +60,31 @@ func (s split) panel(k0, k1 int, buf []float64) Matrix {
 	return p
 }
 
+// MulTVecSplitTo sets dst = sᵀx for the matrix s whose rows are top's
+// and then low's, and x with one element per row of s: dst gains
+// x[i]·row i in row order, skipping a row whose x[i] is zero, which is
+// MulTVec's chain. A float32 row is widened into w first, top.ColsN
+// floats of the caller's that must not overlap dst (nil when low is
+// empty), so dst holds MulTVec's bits on the widened matrix.
+func MulTVecSplitTo(dst []float64, top *Matrix, low [][]float32, x, w []float64) {
+	s := newSplit(top, low)
+	if s.rows() != len(x) || len(dst) != top.ColsN {
+		panic("mat: MulTVec dimension mismatch")
+	}
+	clear(dst)
+	for i := 0; i < top.RowsN; i++ {
+		if x[i] != 0 {
+			axpy(x[i], top.Row(i), dst)
+		}
+	}
+	for j, r := range low {
+		if a := x[top.RowsN+j]; a != 0 {
+			Widen(w, r)
+			axpy(a, w, dst)
+		}
+	}
+}
+
 // gramSplitTo is GramTo of s. With low rows it always takes gramPanels:
 // the serial kernel sums each output once per k-panel, from zero, and
 // adds the panels' sums in order, and gramPanels does the same over

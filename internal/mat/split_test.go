@@ -43,15 +43,17 @@ func widened(top *Matrix, low [][]float32) *Matrix {
 	return w
 }
 
-// TestSplitKernelsGiveWidenedBits holds the three kernels over a
-// float64 block stacked on a float32 one — the Gram, the back-multiply
-// and the decomposition a basis read runs (SVDGramSplitTo) — to the
-// float64 kernels on the matrix the rows widen to, bit for bit, at pool
-// widths 1, 2 and 4 and on both kernel sets. The shapes are the
-// rotation's (ℓ rows over ℓ, the Gram's k-panels ending short or not),
-// an odd row count on either side, one float64 row under many float32
-// ones, and a d narrower than a panel; the special-value case puts
-// signed zeros, denormals and non-finite values into both blocks.
+// TestSplitKernelsGiveWidenedBits holds the four kernels over a
+// float64 block stacked on a float32 one — the Gram, the back-multiply,
+// the decomposition a basis read runs (SVDGramSplitTo) and the
+// transposed product the probe heuristic runs (MulTVecSplitTo, on a
+// coefficient row with zeros in it) — to the float64 kernels on the
+// matrix the rows widen to, bit for bit, at pool widths 1, 2 and 4 and
+// on both kernel sets. The shapes are the rotation's (ℓ rows over ℓ, the
+// Gram's k-panels ending short or not), an odd row count on either
+// side, one float64 row under many float32 ones, and a d narrower than a
+// panel; the special-value case puts signed zeros, denormals and
+// non-finite values into both blocks.
 func TestSplitKernelsGiveWidenedBits(t *testing.T) {
 	shapes := []struct{ top, low, d, r int }{
 		{25, 25, 4096, 25}, {25, 25, 16384, 25}, {25, 24, 4097, 13}, {12, 13, 1025, 12},
@@ -94,6 +96,12 @@ func TestSplitKernelsGiveWidenedBits(t *testing.T) {
 				{"SVDGramSplitTo", sh.r, sh.d,
 					func(dst *Matrix) []float64 { return SVDGramSplitTo(top, low, nil, dst) },
 					func(dst *Matrix) []float64 { return SVDGramTo(wide, nil, dst) }},
+				{"MulTVecSplitTo", 1, sh.d,
+					func(dst *Matrix) []float64 {
+						MulTVecSplitTo(dst.Data, top, low, coef.Row(0), make([]float64, sh.d))
+						return nil
+					},
+					func(dst *Matrix) []float64 { copy(dst.Data, MulTVec(wide, coef.Row(0))); return nil }},
 			}
 			for _, goLoops := range []bool{false, true} {
 				if !goLoops && !useAVX2 {

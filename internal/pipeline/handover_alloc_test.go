@@ -17,7 +17,7 @@ import (
 )
 
 // handoverConfig is a fixed-rank monitor: its whole sketch state is the
-// 2ℓ×d buffer, with no rank-adaptive ring beside it.
+// 2ℓ×d buffer.
 func handoverConfig() pipeline.Config {
 	return pipeline.Config{Sketch: sketch.Config{Ell0: 8, Beta: 1, Seed: 21}, LatentDim: 4}
 }

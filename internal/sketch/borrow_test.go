@@ -18,11 +18,6 @@ func stateDigest(s ARAMSState) string {
 		dg.fd(&s.RankAdaptive.FD)
 		dg.rng(s.RankAdaptive.RNG)
 		dg.u64(uint64(s.RankAdaptive.Grows))
-		for _, row := range s.RankAdaptive.Recent {
-			for _, v := range row {
-				dg.f64(v)
-			}
-		}
 	} else {
 		dg.fd(s.FD)
 	}

@@ -18,44 +18,63 @@ import (
 // Frobenius estimator of Bujanovic & Kressner that the paper adopts.
 // Nothing of size d×d is ever formed.
 func EstimateResidualSq(x, vt *mat.Matrix, nu int, g *rng.RNG) float64 {
+	return residualSq(x, nil, vt, nu, g)
+}
+
+// residualSq is EstimateResidualSq of the batch whose rows are top's and
+// then low's, widened (mat.MulTVecSplitTo): its bits are those of the
+// float64 batch the rows widen to. Its d-long vectors are allocated once
+// per call, not once per probe.
+func residualSq(top *mat.Matrix, low [][]float32, vt *mat.Matrix, nu int, g *rng.RNG) float64 {
 	if nu <= 0 {
 		panic("sketch: EstimateResidualSq needs nu > 0")
 	}
-	if vt.RowsN > 0 && x.ColsN != vt.ColsN {
+	if vt.RowsN > 0 && top.ColsN != vt.ColsN {
 		panic("sketch: EstimateResidualSq dimension mismatch")
 	}
-	n := x.RowsN
+	probe := make([]float64, top.RowsN+len(low))
+	y := make([]float64, top.ColsN)
+	r := make([]float64, top.ColsN) // a float32 row widened, then the reconstruction VᵀVy
+	c := make([]float64, vt.RowsN)
 	var sum float64
-	probe := make([]float64, n)
 	for k := 0; k < nu; k++ {
 		for i := range probe {
 			probe[i] = g.Norm()
 		}
-		y := mat.MulTVec(x, probe) // d-vector
-		var resid float64
+		mat.MulTVecSplitTo(y, top, low, probe, r) // y = Xᵀg
 		if vt.RowsN == 0 {
-			resid = mat.Norm2Sq(y)
-		} else {
-			c := mat.MulVec(vt, y)  // k-vector of coefficients
-			r := mat.MulTVec(vt, c) // reconstruction VᵀVy
-			for i := range y {      // ‖y − r‖²
-				dlt := y[i] - r[i]
-				resid += dlt * dlt
-			}
+			sum += mat.Norm2Sq(y)
+			continue
+		}
+		for j := range c { // coefficients Vy
+			c[j] = mat.Dot(vt.Row(j), y)
+		}
+		mat.MulTVecSplitTo(r, vt, nil, c, nil)
+		var resid float64
+		for i := range y { // ‖y − r‖²
+			dlt := y[i] - r[i]
+			resid += dlt * dlt
 		}
 		sum += resid
 	}
 	return sum / float64(nu)
 }
 
-// EstimateRelResidual returns the probe-based estimate of the relative
-// reconstruction error ‖X − X·VᵀV‖_F² / ‖X‖_F² of the batch. The exact
-// denominator costs one pass over the batch, which is negligible next
-// to the probes. Returns 0 for an all-zero batch.
-func EstimateRelResidual(x, vt *mat.Matrix, nu int, g *rng.RNG) float64 {
-	den := x.FrobeniusNormSq()
+// relResidual is the probe-based estimate of the relative
+// reconstruction error ‖X − X·VᵀV‖_F² / ‖X‖_F² of the batch [top; low],
+// widened as residualSq reads it: the quantity Alg. 2 holds against ε.
+// The exact denominator costs one pass over the batch, which is
+// negligible next to the probes. Returns 0 for an all-zero batch.
+func relResidual(top *mat.Matrix, low [][]float32, vt *mat.Matrix, nu int, g *rng.RNG) float64 {
+	den := top.FrobeniusNormSq()
+	for _, row := range low {
+		for _, v := range row {
+			w := float64(v)
+			den += w * w
+		}
+	}
 	if den == 0 {
 		return 0
 	}
-	return EstimateResidualSq(x, vt, nu, g) / den
+	return residualSq(top, low, vt, nu, g) / den
 }

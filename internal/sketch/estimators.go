@@ -10,7 +10,7 @@ import (
 // EstimatorKind names a randomized Frobenius-norm residual estimator.
 // Rank adaptation runs the paper's one, the Gaussian
 // random-matrix-multiplication estimator of Bujanovic & Kressner
-// (EstimateRelResidual). The paper names stochastic trace estimation
+// (EstimateResidualSq). The paper names stochastic trace estimation
 // and improved small-sample estimators as future work; they are
 // implemented here so the estimator ablation (A4) can compare all three.
 type EstimatorKind int

@@ -148,9 +148,10 @@ func TestRankAdaptiveWithAlternativeEstimators(t *testing.T) {
 }
 
 // TestARAMSEstimatorConfig: the ARAMS configuration picks no estimator.
-// Rank adaptation calls EstimateRelResidual, which returns the bits of
-// the Gaussian-probe arm of EstimateResidualSqKind over ‖X‖_F² for the
-// same probe stream, and a rank-adaptive run yields a finite sketch.
+// Rank adaptation runs relResidual, which over a float64 batch
+// (EstimateRelResidual) returns the bits of the Gaussian-probe arm of
+// EstimateResidualSqKind over ‖X‖_F² for the same probe stream, and a
+// rank-adaptive run yields a finite sketch.
 func TestARAMSEstimatorConfig(t *testing.T) {
 	ds := synth.Generate(synth.Params{N: 300, D: 30, Rank: 10, Decay: synth.Exponential, Seed: 7})
 	for seed := uint64(1); seed <= 5; seed++ {

@@ -28,3 +28,9 @@ func sampleBatch(x *mat.Matrix, beta float64, g *rng.RNG, norms2 []float64) *Pri
 	ps.sample(x, beta, norms2)
 	return ps
 }
+
+// EstimateRelResidual is the rank-adaptive probe's estimate of the
+// relative reconstruction error (relResidual) for a float64 batch x.
+func EstimateRelResidual(x, vt *mat.Matrix, nu int, g *rng.RNG) float64 {
+	return relResidual(x, nil, vt, nu, g)
+}

@@ -9,17 +9,6 @@ import (
 	"arams/internal/rng"
 )
 
-// liveHeap is the heap still reachable after collection. Two cycles:
-// the kernels' pooled scratch sits in sync.Pools, whose victim caches
-// survive one.
-func liveHeap() uint64 {
-	runtime.GC()
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
-}
-
 // TestSketchHoldsOnlyItsBuffer: Frequent Directions is an O(ℓd) summary
 // of one 2ℓ×d buffer, and at diff_sharded's width (d = 16384, ℓ = 25) a
 // sketch that has rotated ten times must hold that buffer — ℓ float64

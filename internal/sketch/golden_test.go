@@ -66,6 +66,12 @@ func (dg digest) rng(s rng.State) {
 // charge. That change's proof is TestKeptRowsAreFloat64FDOfRoundedRows
 // — the kept rows, the incoming rows, Σδ and Basis are bit for bit the
 // all-float64 sketch's fed the rows rounded first — not these digests.
+//
+// arams-rank-adaptive was re-recorded once more when the probe began to
+// read the sketch's own float32 rows and the ring of recent rows went:
+// its digest had hashed the ring. The code before that change gives the
+// new digest with the ring left out of the hash, so no sketch bit, RNG
+// position or count moved.
 func TestGoldenStateDigests(t *testing.T) {
 	x := goldenStream(700, 96, 20, 20240917)
 	cases := []struct {
@@ -107,7 +113,7 @@ func TestGoldenStateDigests(t *testing.T) {
 			dg.rng(s.RNG)
 			dg.fd(s.FD)
 		}},
-		{"arams-rank-adaptive", "ac21f96950d58ac441b649aba6e607fb9a5bfbebab1121be4e8998624423d50e", func(dg digest) {
+		{"arams-rank-adaptive", "822882db47a96d725a08920e82e9fadf39f8f7964f11ce9270dfe0999aa2cfb1", func(dg digest) {
 			a := NewARAMS(Config{Ell0: 6, Nu: 4, Eps: 0.05, Beta: 0.9, RankAdaptive: true, Seed: 11}, x.ColsN, x.RowsN)
 			for lo := 0; lo < x.RowsN; lo += 50 {
 				bs := a.ProcessBatch(x.Rows(lo, lo+50))
@@ -121,11 +127,6 @@ func TestGoldenStateDigests(t *testing.T) {
 			dg.rng(s.RankAdaptive.RNG)
 			dg.u64(uint64(s.RankAdaptive.Grows))
 			dg.fd(&s.RankAdaptive.FD)
-			for _, row := range s.RankAdaptive.Recent {
-				for _, v := range row {
-					dg.f64(v)
-				}
-			}
 		}},
 	}
 	for _, tc := range cases {

@@ -19,10 +19,14 @@ var obsRankAdapts = obs.Default().Counter("arams_sketch_rank_adaptations_total")
 // most recent data stays below a user-specified threshold ε — the
 // practitioner specifies a target error instead of a rank.
 //
-// After each rotation, the probe heuristic (Algorithm 1) estimates the
-// reconstruction error of the last ℓ processed rows against the sketch
-// basis, reusing the right singular vectors the rotation just computed,
-// so the heuristic adds no extra SVD. If the error exceeds ε and enough
+// At each rotation, the probe heuristic (Algorithm 1) estimates the
+// reconstruction error of the last ℓ appended rows against the right
+// singular vectors the rotation has just computed, so the heuristic
+// adds no extra SVD. It reads both where they lie: the rows are the
+// sketch's own float32 rows, exactly the ℓ appended since the last
+// rotation (fast FD's 2ℓ buffer holds them as its lower half), and the
+// vectors are the kept block, which holds them unscaled until the
+// shrink. No copy of either is made. If the error exceeds ε and enough
 // rows remain in the stream (rowsLeft > ℓ+ν, the paper's canRankAdapt
 // guard, which prevents growing right before the data runs out and
 // leaving zero rows in the sketch), ℓ increases by ν at the start of
@@ -32,12 +36,6 @@ type RankAdaptiveFD struct {
 	nu  int     // probe count and rank increment (paper uses ν for both)
 	eps float64 // relative reconstruction-error threshold
 	g   *rng.RNG
-
-	// recent is a ring of the last ℓ appended rows, oldest first,
-	// consulted by the heuristic. Stored as row copies to stay
-	// independent of callers' buffers; State copies them out, so no
-	// caller holds their storage.
-	recent [][]float64
 
 	increaseEll bool
 	rowsLeft    int // optional stream-length hint; -1 if unknown
@@ -106,22 +104,20 @@ func (r *RankAdaptiveFD) appendNorm(row []float64, row32 []float32, n2 float64) 
 		} else if !canAdapt {
 			fd.rotate()
 		} else {
-			// Estimate the reconstruction error of the most recent ℓ
-			// rows using the Vᵀ this rotation computes (no extra SVD),
-			// copied out of kept before the shrink scales it.
+			// Between the two halves of the rotation, kept holds the
+			// unscaled Vᵀ and the float32 rows are the last ℓ appended,
+			// oldest first: Alg. 2's test, read where it lies.
 			sigma := fd.decompose()
-			basis := fd.kept.Clone()
-			fd.shrink(sigma)
-			x := r.recentMatrix()
-			if x.RowsN > 0 && EstimateRelResidual(x, basis, r.nu, r.g) > r.eps {
+			_, last := fd.occupied()
+			if relResidual(mat.New(0, fd.d), last, fd.kept, r.nu, r.g) > r.eps {
 				r.increaseEll = true
 				r.grows++
 				obsRankAdapts.Inc()
 			}
+			fd.shrink(sigma)
 		}
 	}
 	fd.store(row, row32, n2)
-	r.push(row)
 	if r.rowsLeft > 0 {
 		r.rowsLeft--
 	}
@@ -135,26 +131,4 @@ func (r *RankAdaptiveFD) canRankAdapt() bool {
 		return true
 	}
 	return r.rowsLeft > r.fd.Ell()+r.nu
-}
-
-// push records a row in the recent-rows ring (capacity ℓ, which only
-// grows). Once the ring is full the row is copied into the storage of
-// the row it evicts, so a steady stream allocates nothing here.
-func (r *RankAdaptiveFD) push(row []float64) {
-	if len(r.recent) < r.fd.Ell() {
-		r.recent = append(r.recent, append([]float64(nil), row...))
-		return
-	}
-	oldest := r.recent[0]
-	copy(r.recent, r.recent[1:])
-	copy(oldest, row)
-	r.recent[len(r.recent)-1] = oldest
-}
-
-// recentMatrix snapshots the recent-rows ring as a matrix.
-func (r *RankAdaptiveFD) recentMatrix() *mat.Matrix {
-	if len(r.recent) == 0 {
-		return mat.New(0, r.fd.d)
-	}
-	return mat.FromRows(r.recent)
 }

@@ -2,7 +2,7 @@ package sketch
 
 import (
 	"math"
-	"slices"
+	"runtime"
 	"testing"
 
 	"arams/internal/mat"
@@ -170,36 +170,64 @@ func TestRankAdaptiveBoundStillHolds(t *testing.T) {
 }
 
 func TestRankAdaptiveRingHoldsLastEllRows(t *testing.T) {
-	// Through every rotation and every growth of ℓ, the recent-rows ring
-	// holds copies of the last appended rows, oldest first: one more
-	// after each row until it holds ℓ.
+	// The probe reads the last ℓ appended rows, rounded to float32 and
+	// oldest first, through every rotation and every growth of ℓ: each
+	// time an append is about to probe, the sketch's float32 rows are
+	// those rows, and the probe draws ℓ·ν normals and decides growth as
+	// the estimate over them, widened, against the Vᵀ the rotation
+	// computes decides.
 	const n, d = 200, 30
 	a := mat.RandGaussian(n, d, rng.New(46))
 	r := NewRankAdaptiveFD(4, d, 3, 0.05, 0, rng.New(47))
 	row := make([]float64, d)
-	want := 0
+	probes := 0
 	for i := 0; i < n; i++ {
+		fd := r.fd
+		probing := fd.nextZero == 2*fd.ell && !r.increaseEll
+		var grow bool
+		var g *rng.RNG
+		if probing {
+			probes++
+			_, last := fd.occupied()
+			if len(last) != fd.ell {
+				t.Fatalf("before row %d the probe would read %d rows at ℓ = %d", i, len(last), fd.ell)
+			}
+			x := mat.New(fd.ell, d)
+			for j, got := range last {
+				src := a.Row(i - fd.ell + j)
+				for k, v := range src {
+					if got[k] != float32(v) {
+						t.Fatalf("before row %d probe row %d is not row %d rounded", i, j, i-fd.ell+j)
+					}
+					x.Set(j, k, float64(float32(v)))
+				}
+			}
+			c := fd.Clone()
+			c.decompose()
+			g = rng.FromState(r.g.State())
+			grow = EstimateRelResidual(x, c.kept, r.nu, g) > r.eps
+			c.Release()
+		}
 		copy(row, a.Row(i))
 		r.Append(row)
 		clear(row)
-		want = min(want+1, r.Ell())
-		if len(r.recent) != want {
-			t.Fatalf("after row %d the ring holds %d rows, want %d", i, len(r.recent), want)
-		}
-		for j, got := range r.recent {
-			if !slices.Equal(got, a.Row(i+1-want+j)) {
-				t.Fatalf("after row %d ring slot %d is not row %d", i, j, i+1-want+j)
+		if probing {
+			if r.increaseEll != grow {
+				t.Fatalf("row %d: the probe decided growth %v, the estimate over the last ℓ rows %v", i, r.increaseEll, grow)
+			}
+			if r.g.State() != g.State() {
+				t.Fatalf("row %d: the probe drew other normals than the estimate over the last ℓ rows", i)
 			}
 		}
 	}
-	if r.grows == 0 {
-		t.Fatal("ℓ never grew; the ring's growth went untested")
+	if r.grows < 2 || probes <= r.grows {
+		t.Fatalf("%d probes and %d growths; the rows a probe reads after a growth went untested", probes, r.grows)
 	}
 }
 
 func TestRankAdaptiveSteadyAppendAllocatesNothing(t *testing.T) {
-	// Once the ring is full, an Append that does not rotate copies its row
-	// into the evicted row's storage and allocates nothing.
+	// An Append that does not rotate stores its row in the sketch's
+	// float32 block and keeps no copy of it beside: it allocates nothing.
 	const ell, d = 8, 64
 	a := mat.RandGaussian(4*ell, d, rng.New(48))
 	r := NewRankAdaptiveFD(ell, d, 2, 10, 0, rng.New(49)) // ε above any relative error: ℓ stays
@@ -208,7 +236,7 @@ func TestRankAdaptiveSteadyAppendAllocatesNothing(t *testing.T) {
 		r.Append(a.Row(i % a.RowsN))
 		i++
 	}
-	for len(r.recent) < ell || 2*r.fd.ell-r.fd.nextZero < ell/2 {
+	for r.fd.rotations == 0 || 2*r.fd.ell-r.fd.nextZero < ell/2 {
 		next()
 	}
 	if got := testing.AllocsPerRun(2*r.fd.ell-r.fd.nextZero-1, next); got != 0 {
@@ -216,6 +244,58 @@ func TestRankAdaptiveSteadyAppendAllocatesNothing(t *testing.T) {
 	}
 	if r.Ell() != ell {
 		t.Fatalf("Ell = %d, want %d", r.Ell(), ell)
+	}
+}
+
+// liveHeap is the heap still reachable after collection. Two cycles:
+// the kernels' pooled scratch sits in sync.Pools, whose victim caches
+// survive one.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestProbingRotationAllocatesUnderOneKeptBlock: the probe reads the
+// sketch's float32 rows and the rotation's Vᵀ where they lie, and its
+// estimator allocates its d-long vectors once per call. So at
+// diff_sharded's width (d = 16384, ℓ = 25, ν = 10) a probing rotation
+// allocates less than one ℓ×d float64 array beyond what the same
+// rotation allocates where the stream-end guard skips the probe — each
+// measured right after two collections, every pool and free list empty,
+// so each piece of scratch is a fresh allocation, under -race as without
+// it. (The rotation's own scratch is TestRotationAfterCollections…'s,
+// and grows with the pool's width.) A probe that copied the basis and
+// the rows, and drew its vectors per probe, took 9.2 MB; this one,
+// measured, 0.27 MB.
+func TestProbingRotationAllocatesUnderOneKeptBlock(t *testing.T) {
+	const ell, d, nu = 25, 16384, 10
+	x := goldenStream(2*ell+1, d, 30, 79)
+	// A first sketch starts the kernel pool's workers.
+	NewRankAdaptiveFD(ell, d, nu, 1e-9, 0, rng.New(1)).AppendMatrix(x)
+	rotation := func(totalRows int) (*RankAdaptiveFD, uint64) {
+		r := NewRankAdaptiveFD(ell, d, nu, 1e-9, totalRows, rng.New(2))
+		r.AppendMatrix(x.Rows(0, 2*ell))
+		liveHeap()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.Append(x.Row(2 * ell)) // the buffer is full: this append rotates
+		runtime.ReadMemStats(&after)
+		if r.fd.Rotations() != 1 {
+			t.Fatalf("%d rotations, want 1", r.fd.Rotations())
+		}
+		return r, after.TotalAlloc - before.TotalAlloc
+	}
+	guarded, plain := rotation(2*ell + 1) // one row left: no probe
+	probed, got := rotation(0)
+	if guarded.g.State() != rng.New(2).State() || probed.grows != 1 {
+		t.Fatalf("the guarded rotation probed, or the unguarded one did not grow (%d growths)", probed.grows)
+	}
+	if extra, limit := int64(got)-int64(plain), int64(ell*d*8); extra >= limit {
+		t.Errorf("a probing rotation after two collections allocates %d B, %d B more than one the guard keeps from probing; want under one ℓ×d float64 array, %d B",
+			got, extra, limit)
 	}
 }
 

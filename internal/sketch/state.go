@@ -171,7 +171,6 @@ type RankAdaptiveState struct {
 	Nu          int
 	Eps         float64
 	RNG         rng.State
-	Recent      [][]float64 // ring of last ≤ℓ rows, oldest first, each of length D
 	IncreaseEll bool
 	RowsLeft    int // -1 when the stream length is unknown
 	Grows       int
@@ -180,24 +179,14 @@ type RankAdaptiveState struct {
 // State captures the rank-adaptive sketch's current state.
 func (r *RankAdaptiveFD) State() RankAdaptiveState { return r.state(false) }
 
-// state is State; with take set it moves the sketch's blocks and ring
-// into the state instead of copying them (see FrequentDirections.state).
+// state is State; with take set it moves the sketch's blocks into the
+// state instead of copying them (see FrequentDirections.state).
 func (r *RankAdaptiveFD) state(take bool) RankAdaptiveState {
-	recent := r.recent
-	if take {
-		r.recent = nil
-	} else {
-		recent = make([][]float64, len(r.recent))
-		for i, row := range r.recent {
-			recent[i] = append([]float64(nil), row...)
-		}
-	}
 	return RankAdaptiveState{
 		FD:          r.fd.state(take),
 		Nu:          r.nu,
 		Eps:         r.eps,
 		RNG:         r.g.State(),
-		Recent:      recent,
 		IncreaseEll: r.increaseEll,
 		RowsLeft:    r.rowsLeft,
 		Grows:       r.grows,
@@ -205,8 +194,8 @@ func (r *RankAdaptiveFD) state(take bool) RankAdaptiveState {
 }
 
 // newRankAdaptiveFromState rebuilds a rank-adaptive sketch from a
-// snapshot; with adopt set the sketch takes the state's blocks (see
-// newFDFromState) and ring rows instead of copying them.
+// snapshot; with adopt set the sketch takes the state's blocks instead
+// of copying them (see newFDFromState).
 func newRankAdaptiveFromState(s RankAdaptiveState, adopt bool) (*RankAdaptiveFD, error) {
 	fd, err := newFDFromState(s.FD, adopt)
 	if err != nil {
@@ -221,28 +210,14 @@ func newRankAdaptiveFromState(s RankAdaptiveState, adopt bool) (*RankAdaptiveFD,
 	if !s.RNG.Valid() {
 		return nil, fmt.Errorf("sketch: rank-adaptive state has invalid RNG state")
 	}
-	if len(s.Recent) > fd.Ell() {
-		return nil, fmt.Errorf("sketch: rank-adaptive state recent ring %d exceeds ℓ=%d", len(s.Recent), fd.Ell())
-	}
 	if s.RowsLeft < -1 || s.Grows < 0 {
 		return nil, fmt.Errorf("sketch: rank-adaptive state has invalid counters (rowsLeft=%d grows=%d)", s.RowsLeft, s.Grows)
-	}
-	recent := make([][]float64, len(s.Recent))
-	for i, row := range s.Recent {
-		if len(row) != fd.Dim() {
-			return nil, fmt.Errorf("sketch: rank-adaptive state recent row %d has length %d != d=%d", i, len(row), fd.Dim())
-		}
-		if !adopt {
-			row = append([]float64(nil), row...)
-		}
-		recent[i] = row
 	}
 	return &RankAdaptiveFD{
 		fd:          fd,
 		nu:          s.Nu,
 		eps:         s.Eps,
 		g:           rng.FromState(s.RNG),
-		recent:      recent,
 		increaseEll: s.IncreaseEll,
 		rowsLeft:    s.RowsLeft,
 		grows:       s.Grows,
@@ -267,13 +242,12 @@ func (a *ARAMS) State() ARAMSState { return a.state(false) }
 // TakeState is State for an owner that is done with the sketcher, such
 // as a hibernating shard: instead of copying the sketch's two ℓ×d
 // blocks it moves them into the state, each cut to its occupied rows
-// (capacity ℓ·d), and the rank-adaptive ring with them. The float32
-// rows it borrowed (ProcessBatchBorrowing) are gathered into the float32
-// block, one drawn from the mat vector pool when the sketch gave its own
-// back, so the state borrows nothing. The sketcher
-// must not be used afterwards. Once nothing reads the state, its holder
-// may hand Kept to mat.PutVec and Incoming to mat.PutVec32, or restore
-// from it with AdoptARAMSState.
+// (capacity ℓ·d). The float32 rows it borrowed (ProcessBatchBorrowing)
+// are gathered into the float32 block, one drawn from the mat vector
+// pool when the sketch gave its own back, so the state borrows nothing.
+// The sketcher must not be used afterwards. Once nothing reads the
+// state, its holder may hand Kept to mat.PutVec and Incoming to
+// mat.PutVec32, or restore from it with AdoptARAMSState.
 func (a *ARAMS) TakeState() ARAMSState { return a.state(true) }
 
 func (a *ARAMS) state(take bool) ARAMSState {
@@ -294,9 +268,9 @@ func NewARAMSFromState(s ARAMSState) (*ARAMS, error) { return newARAMSFromState(
 // AdoptARAMSState is NewARAMSFromState for a state nothing else holds:
 // one TakeState returned, or one a checkpoint decoder built. An FD Kept
 // or Incoming whose capacity is the whole ℓ×d array becomes the new
-// sketch's own instead of being copied, and so do the rank-adaptive
-// ring's rows: the caller hands them over and must neither read nor
-// write them afterwards. One of any other capacity is copied.
+// sketch's own instead of being copied: the caller hands it over and
+// must neither read nor write it afterwards. One of any other capacity
+// is copied.
 func AdoptARAMSState(s ARAMSState) (*ARAMS, error) { return newARAMSFromState(s, true) }
 
 func newARAMSFromState(s ARAMSState, adopt bool) (*ARAMS, error) {
