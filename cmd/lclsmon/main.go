@@ -100,7 +100,6 @@ func main() {
 	auditLog := flag.String("audit-log", "", "append audit journal events to this JSONL file")
 	alarmThreshold := flag.Float64("alarm-threshold", 0.5, "Page-Hinkley λ for the residual drift detector")
 	auditEvery := flag.Int("audit-every", 32, "audit the sketch every N frames")
-	obsRing := flag.Int("obs-ring", obs.DefaultRingCap, "span ring capacity for /statusz and the flight recorder")
 	flightDir := flag.String("flight-dir", "", "arm the flight recorder: dump recent spans and metric deltas to JSONL files in this directory on faults, drift alarms, and deadline burns")
 	frameBudget := flag.Duration("frame-budget", 0, "per-frame latency budget for deadline tracking (0 = 1/120 s; negative disables)")
 	verbosity := flag.Int("v", 0, "log verbosity: 0=info, 1=debug")
@@ -108,9 +107,6 @@ func main() {
 
 	setupLogging(*verbosity)
 	slog.Info("starting", "go", runtime.Version(), "gomaxprocs", runtime.GOMAXPROCS(0), "mat_kernels", mat.KernelSet())
-	if *obsRing != obs.DefaultRingCap {
-		obs.Default().SetRingCap(*obsRing)
-	}
 	if *flightDir != "" {
 		// In fabric mode the recorder carries a stable identity so its
 		// dumps cannot collide with worker dumps in a shared directory.

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"arams/internal/engine"
 	"arams/internal/imgproc"
@@ -158,13 +159,16 @@ func TestEngineConcurrentHammer(t *testing.T) {
 // TestEngineHeldBasisHammer: a basis handed out by a sharded engine is a
 // view of the read cut from one merge, shared by every reader until the
 // next, and it is held until released: readers may hold it across any
-// number of later merges and other readers' releases. One producer keeps
-// both shards ingesting while two readers each take 200 Window and
-// Engine bases, hold the last few, release each Window as it drops out of
-// the held set (an Engine basis is never released), and check, after
-// every new read, that each held basis still has the bits it was handed
-// — under -race, any write to a held view, or a read of one racing a
-// later merge or a recycled array, is reported.
+// number of later merges and other readers' releases. One batch lands
+// before the readers start, so the first read already merges; then one
+// producer keeps both shards ingesting while two readers each take at
+// least 200 Window and Engine bases, and go on until the engine has
+// merged at least twice, however starved the producer is (a deadline
+// fails the test). They hold the last few, release each Window as it
+// drops out of the held set (an Engine basis is never released), and
+// check, after every new read, that each held basis still has the bits
+// it was handed — under -race, any write to a held view, or a read of
+// one racing a later merge or a recycled array, is reported.
 func TestEngineHeldBasisHammer(t *testing.T) {
 	const (
 		readers  = 2
@@ -172,6 +176,7 @@ func TestEngineHeldBasisHammer(t *testing.T) {
 		batchLen = 8
 		d        = 16
 		held     = 6
+		merges   = 2
 	)
 	e := engine.New(engine.Config{
 		Shards: 2,
@@ -180,13 +185,14 @@ func TestEngineHeldBasisHammer(t *testing.T) {
 	})
 	defer e.Close()
 
+	vecs := testVecs(16*batchLen, d, 300)
+	e.IngestVecs(cloneVecs(vecs[:batchLen]), nil)
 	var producersWG, readersWG sync.WaitGroup
 	stop := make(chan struct{})
 	producersWG.Add(1)
 	go func() {
 		defer producersWG.Done()
-		vecs := testVecs(16*batchLen, d, 300)
-		for b := 0; ; b = (b + 1) % 16 {
+		for b := 1; ; b = (b + 1) % 16 {
 			select {
 			case <-stop:
 				return
@@ -201,12 +207,17 @@ func TestEngineHeldBasisHammer(t *testing.T) {
 		want  []float64
 		w     engine.Window // the zero Window for an Engine basis
 	}
+	deadline := time.Now().Add(time.Minute)
 	for r := 0; r < readers; r++ {
 		readersWG.Add(1)
 		go func(r int) {
 			defer readersWG.Done()
 			var views []view
-			for i := 0; i < reads; i++ {
+			for i := 0; i < reads || e.Reconciles() < merges; i++ {
+				if time.Now().After(deadline) {
+					t.Errorf("%d merges after %d reads and a minute; want %d", e.Reconciles(), i, merges)
+					return
+				}
 				var basis *mat.Matrix
 				var w engine.Window
 				if (i+r)%2 == 0 {
@@ -216,7 +227,8 @@ func TestEngineHeldBasisHammer(t *testing.T) {
 					basis, _ = e.Basis(3)
 				}
 				if basis == nil {
-					continue
+					t.Error("a read after the first batch landed returned no basis")
+					return
 				}
 				views = append(views, view{basis, slices.Clone(basis.Data[:basis.RowsN*basis.ColsN]), w})
 				if len(views) > held {
@@ -236,9 +248,6 @@ func TestEngineHeldBasisHammer(t *testing.T) {
 	readersWG.Wait()
 	close(stop)
 	producersWG.Wait()
-	if e.Reconciles() < 2 {
-		t.Fatalf("%d merges over %d reads; the readers never saw a second merge", e.Reconciles(), readers*reads)
-	}
 }
 
 // TestHeldWindowRowsUntilReleaseHammer: a read holds its rows until it

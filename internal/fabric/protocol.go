@@ -370,9 +370,11 @@ func decodeCertificate(b []byte) (CertificatePayload, error) {
 
 // HeartbeatPayload is the worker's liveness answer: rows absorbed for
 // its shard, the sketch's current rank, and a small health block —
-// process uptime, in-flight request depth, and obs span-ring occupancy
-// — so the coordinator's fleet view shows worker health without a full
-// stats RPC.
+// process uptime and in-flight request depth — so the coordinator's
+// fleet view shows worker health without a full stats RPC. The
+// payload's last 8 bytes once carried the worker's span-ring
+// occupancy: they are written as 0 and skipped on read, so the wire
+// layout is unchanged and an older worker's heartbeat still decodes.
 type HeartbeatPayload struct {
 	Frames int
 	Ell    int
@@ -381,8 +383,6 @@ type HeartbeatPayload struct {
 	// QueueDepth is the number of requests the worker is currently
 	// serving (in-flight RPCs across its connections).
 	QueueDepth int
-	// ObsRing is the occupancy of the worker's obs span ring.
-	ObsRing int
 }
 
 func (p HeartbeatPayload) encode() []byte {
@@ -391,7 +391,7 @@ func (p HeartbeatPayload) encode() []byte {
 	e.i64(p.Ell)
 	e.f64(p.Uptime)
 	e.i64(p.QueueDepth)
-	e.i64(p.ObsRing)
+	e.i64(0) // retired span-ring slot
 	return e.b
 }
 
@@ -402,7 +402,7 @@ func decodeHeartbeat(b []byte) (HeartbeatPayload, error) {
 	p.Ell = d.i64()
 	p.Uptime = d.f64()
 	p.QueueDepth = d.i64()
-	p.ObsRing = d.i64()
+	d.u64() // retired span-ring slot: any value an older worker sends
 	return p, d.finish()
 }
 

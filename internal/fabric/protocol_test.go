@@ -59,12 +59,13 @@ func TestPayloadGoldens(t *testing.T) {
 		t.Errorf("error payload bytes changed:\n got  %s\n want %s", g, wantErr)
 	}
 
-	// Heartbeat: frames and rank, then the worker health block.
-	hb := HeartbeatPayload{Frames: 7, Ell: 5, Uptime: 1.5, QueueDepth: 2, ObsRing: 3}
+	// Heartbeat: frames and rank, then the worker health block and the
+	// retired span-ring slot, written as zero.
+	hb := HeartbeatPayload{Frames: 7, Ell: 5, Uptime: 1.5, QueueDepth: 2}
 	wantHB := "0700000000000000" + "0500000000000000" +
 		"000000000000f83f" + // uptime 1.5
 		"0200000000000000" + // queue depth 2
-		"0300000000000000" // obs ring 3
+		"0000000000000000" // retired span-ring slot
 	if g := hex.EncodeToString(hb.encode()); g != wantHB {
 		t.Errorf("heartbeat payload bytes changed:\n got  %s\n want %s", g, wantHB)
 	}
@@ -88,7 +89,7 @@ func TestPayloadGoldens(t *testing.T) {
 // bytes are truncated. FuzzFabricPayload keeps them as a seed.
 var twoFieldHeartbeat, _ = hex.DecodeString("0700000000000000" + "0500000000000000")
 
-// TestHeartbeatRejectsTwoFieldForm: the heartbeat has one five-field
+// TestHeartbeatRejectsTwoFieldForm: the heartbeat has one five-slot
 // form. The two-field prefix is rejected, and all-zero health fields
 // still encode at full length.
 func TestHeartbeatRejectsTwoFieldForm(t *testing.T) {
@@ -102,6 +103,30 @@ func TestHeartbeatRejectsTwoFieldForm(t *testing.T) {
 	}
 	if got, err := decodeHeartbeat(enc); err != nil || got != bare {
 		t.Fatalf("heartbeat round trip: %+v err %v", got, err)
+	}
+}
+
+// TestHeartbeatSkipsRetiredRingSlot: a worker built before the span
+// ring went reports the ring's occupancy in the heartbeat's last slot.
+// Its heartbeat still decodes, the slot's value is dropped, and the
+// re-encoded payload carries zero there at the same length.
+func TestHeartbeatSkipsRetiredRingSlot(t *testing.T) {
+	older, err := hex.DecodeString("0700000000000000" + "0500000000000000" +
+		"000000000000f83f" + "0200000000000000" +
+		"2800000000000000") // span-ring occupancy 40
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeHeartbeat(older)
+	if err != nil {
+		t.Fatalf("older worker's heartbeat: %v", err)
+	}
+	if want := (HeartbeatPayload{Frames: 7, Ell: 5, Uptime: 1.5, QueueDepth: 2}); got != want {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+	enc := got.encode()
+	if len(enc) != len(older) || hex.EncodeToString(enc[32:]) != "0000000000000000" {
+		t.Fatalf("re-encoded heartbeat %x, want the older one's length with a zero last slot", enc)
 	}
 }
 
@@ -140,7 +165,7 @@ func TestPayloadRoundTrips(t *testing.T) {
 		t.Errorf("error round trip: %+v err %v", got, err)
 	}
 
-	hb := HeartbeatPayload{Frames: 11, Ell: 6, Uptime: 12.5, QueueDepth: 1, ObsRing: 40}
+	hb := HeartbeatPayload{Frames: 11, Ell: 6, Uptime: 12.5, QueueDepth: 1}
 	if got, err := decodeHeartbeat(hb.encode()); err != nil || got != hb {
 		t.Errorf("heartbeat round trip: %+v err %v", got, err)
 	}

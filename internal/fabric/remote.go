@@ -136,7 +136,6 @@ type Remote struct {
 	mDegraded   *obs.Counter
 	mUptime     *obs.Gauge
 	mQueueDepth *obs.Gauge
-	mObsRing    *obs.Gauge
 }
 
 // DialRemote connects to a fabric worker and binds it to one shard
@@ -160,7 +159,6 @@ func DialRemote(name, addr string, shard uint32, scfg sketch.Config, cfg RemoteC
 		mDegraded:   obs.Default().Counter("arams_fabric_degraded_total", obs.L("worker", name)),
 		mUptime:     obs.Default().Gauge("arams_fabric_worker_uptime_seconds", obs.L("worker", name)),
 		mQueueDepth: obs.Default().Gauge("arams_fabric_worker_queue_depth", obs.L("worker", name)),
-		mObsRing:    obs.Default().Gauge("arams_fabric_worker_obs_ring", obs.L("worker", name)),
 	}
 	r.mu.Lock()
 	if err := r.reconnectLocked(obs.SpanContext{}, 0, 0); err != nil {
@@ -782,7 +780,6 @@ func (r *Remote) heartbeatLoop() {
 				r.lastEll.Store(int64(hb.Ell))
 				r.mUptime.Set(hb.Uptime)
 				r.mQueueDepth.SetInt(hb.QueueDepth)
-				r.mObsRing.SetInt(hb.ObsRing)
 			}
 			// Piggyback a fleet-stats fetch on the successful probe: the
 			// worker's whole registry snapshot, refreshed at heartbeat

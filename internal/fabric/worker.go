@@ -392,7 +392,6 @@ func (w *Worker) dispatch(req ckpt.WireFrame, sp *reqSpan) (ckpt.WireFrame, *req
 				Ell:        ell,
 				Uptime:     time.Since(w.start).Seconds(),
 				QueueDepth: int(w.inflight.Load()),
-				ObsRing:    w.obs().RingLen(),
 			}.encode()}, nil
 
 	case MsgStatsReq:

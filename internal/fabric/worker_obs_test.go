@@ -73,9 +73,6 @@ func TestWorkerHeartbeatHealthBlock(t *testing.T) {
 	if hb.QueueDepth != 0 {
 		t.Errorf("queue depth %d, want 0 (direct handle call)", hb.QueueDepth)
 	}
-	if hb.ObsRing < 0 {
-		t.Errorf("obs ring %d, want >= 0", hb.ObsRing)
-	}
 	// Canonical re-encode: the payload must round-trip bytes.
 	if got := hb.encode(); string(got) != string(payload) {
 		t.Error("heartbeat does not re-encode canonically")
@@ -114,15 +111,14 @@ func TestWorkerTracedReplyWrapsIngestAck(t *testing.T) {
 	if rec.Attrs["rows"] != "2" {
 		t.Errorf("span rows attr %q, want 2", rec.Attrs["rows"])
 	}
-	// The worker's own registry retains its copy of the span.
-	var found bool
-	for _, sp := range reg.Spans() {
-		if sp.Name == "worker_absorb" && sp.Trace == 7 {
-			found = true
-		}
+	// The worker timed the span in its own registry, and its trace
+	// store finalized no trace of its own: the span's parent lives in the
+	// coordinator, whose trace store stitches the record in.
+	if n := reg.Histogram(obs.StageHistogramName, obs.L("stage", "worker_absorb")).Count(); n != 1 {
+		t.Errorf("worker_absorb stage histogram counts %d, want 1", n)
 	}
-	if !found {
-		t.Error("worker registry ring does not hold the worker_absorb span")
+	if n := len(reg.Traces()); n != 0 {
+		t.Errorf("worker registry retains %d trace(s) of a coordinator's trace, want 0", n)
 	}
 }
 
@@ -145,8 +141,11 @@ func TestWorkerUntracedIngestCarriesNoSpans(t *testing.T) {
 	if _, err := decodeIngestAck(inner); err != nil {
 		t.Fatalf("inner ack does not decode: %v", err)
 	}
-	if n := reg.RingLen(); n != 0 {
-		t.Fatalf("untraced request left %d spans in the worker's ring, want 0", n)
+	if n := len(reg.Traces()); n != 0 {
+		t.Fatalf("untraced request left %d trace(s) in the worker's registry, want 0", n)
+	}
+	if n := reg.Histogram(obs.StageHistogramName, obs.L("stage", "worker_absorb")).Count(); n != 0 {
+		t.Fatalf("untraced request opened %d worker span(s), want 0", n)
 	}
 }
 

@@ -236,6 +236,17 @@ func BenchmarkSVDGramParts(b *testing.B) {
 				kernel(b, func() { gramRange(w, a, 0, m); mirrorLower(w) }, func() { GramTo(w, a) })
 			})
 		})
+		// The rotation's Gram: ℓ float64 rows over ℓ float32 ones.
+		top, low := splitOf(a, ell)
+		b.Run(fmt.Sprintf("gram_split_%dx%d", m, d), func(b *testing.B) {
+			forEachKernelSet(b, func(b *testing.B) {
+				onPools(b, func(n int) {
+					for i := 0; i < n; i++ {
+						gramSplitTo(w, split{top, low})
+					}
+				})
+			})
+		})
 		b.Run(fmt.Sprintf("eigsym_%dx%d", m, d), func(b *testing.B) {
 			forEachKernelSet(b, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

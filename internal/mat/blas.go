@@ -175,10 +175,6 @@ func GramTo(dst, a *Matrix) {
 	observeSince(obsKernelGram, start)
 }
 
-// gramOnStack reports whether a split Gram over m rows widens its
-// panels on the chunk's stack (gramChunk) rather than in pooled slots.
-func gramOnStack(m int) bool { return m*panelCols <= splitStack }
-
 // gramPanels is GramTo's pooled branch and gramSplitTo's only one:
 // rounds of per-panel partial Gram matrices of s, each round added into
 // dst in panel order.
@@ -192,30 +188,6 @@ func gramPanels(dst *Matrix, s split, work int) {
 	j := grabKernelJob(dst, s.top, nil)
 	j.low = s.low
 	j.parts = ensureFloats(j.parts, round*m*m)
-	if len(s.low) > 0 && !gramOnStack(m) {
-		// Each chunk in flight widens its panels into a slot of its own:
-		// one for an inline round, else one per worker and one for the
-		// caller. The caller draws every slot, as one array, before the
-		// rounds, so every decomposition of one sketch shape takes the
-		// same array from the pool however the chunks are scheduled. A
-		// slot holds the panel of twice top's rows at least, so that a
-		// Frequent Directions sketch — whose float32 rows never
-		// outnumber its float64 ones, and whose merges compact over
-		// fewer than 2ℓ rows — draws the one size; the array is bigMin
-		// long at least, so that it sits on a free list, which keeps
-		// every put, where a sync.Pool would drop some (vecpool.go).
-		slots := 1
-		if !inlineFor(round, perChunk) {
-			slots = Workers() + 1
-		}
-		j.slot = max(m, 2*s.top.RowsN) * panelCols
-		j.wide = getScratch(max(slots*j.slot, bigMin))
-		j.free = j.free[:0]
-		for k := 0; k < slots; k++ {
-			j.free = append(j.free, k)
-		}
-		defer PutVec(j.wide)
-	}
 	dst.Zero()
 	for j.first = 0; j.first < panels; j.first += round {
 		n := min(round, panels-j.first)

@@ -95,52 +95,85 @@ func (l *leftRows) seg(i, k0, k1 int) []float64 {
 // of dst are zeroed here.
 func gramRange(dst, a *Matrix, lo, hi int) {
 	if packedPays(hi-lo, a.RowsN, a.ColsN) {
-		abtRangePacked(dst, &leftRows{m: a}, a, lo, hi, true)
+		abtRangePacked(dst, &leftRows{m: a}, a, lo, hi, true, false)
 		return
 	}
-	m, d := a.RowsN, a.ColsN
 	for i := lo; i < hi; i++ {
-		row := dst.Row(i)
-		for j := range row {
-			row[j] = 0
-		}
+		clear(dst.Row(i))
 	}
-	for k0 := 0; k0 < d; k0 += panelCols {
-		k1 := min(k0+panelCols, d)
-		i := lo
-		for ; i+1 < hi; i += 2 {
-			a0 := a.Row(i)[k0:k1]
-			a1 := a.Row(i + 1)[k0:k1]
-			d0 := dst.Row(i)
-			d1 := dst.Row(i + 1)
-			j := i
-			for ; j+1 < m; j += 2 {
-				b0 := a.Row(j)[k0:k1]
-				b1 := a.Row(j + 1)[k0:k1]
-				c00, c01, c10, c11 := dot2x2(a0, a1, b0, b1)
+	for k0 := 0; k0 < a.ColsN; k0 += panelCols {
+		gramTiles(dst, a, lo, hi, k0, min(k0+panelCols, a.ColsN), false)
+	}
+}
+
+// gramFrom continues, over every column of a (one run of columns of a
+// k-panel), the sums of all rows of dst = a*aᵀ that gramRange forms
+// over that panel: dst holds them as they stood after the panel's
+// earlier columns (zero before its first). packed names the kernel
+// gramRange takes for the whole panel. The one output gramRange sums
+// through Dot — the last row's diagonal, when the row count is odd — is
+// left to the caller, which must sum it over the whole panel.
+func gramFrom(dst, a *Matrix, packed bool) {
+	if packed {
+		abtRangePacked(dst, &leftRows{m: a}, a, 0, a.RowsN, true, true)
+		return
+	}
+	gramTiles(dst, a, 0, a.RowsN, 0, a.ColsN, true)
+}
+
+// gramTiles runs gramRange's 2×2 tiles over panel [k0, k1) of a: each
+// output's sum starts from zero and is added to dst, or, with from set,
+// starts from dst's value and replaces it (the Dot-summed output is then
+// skipped, gramFrom's contract).
+func gramTiles(dst, a *Matrix, lo, hi, k0, k1 int, from bool) {
+	m := a.RowsN
+	i := lo
+	for ; i+1 < hi; i += 2 {
+		a0 := a.Row(i)[k0:k1]
+		a1 := a.Row(i + 1)[k0:k1]
+		d0 := dst.Row(i)
+		d1 := dst.Row(i + 1)
+		j := i
+		for ; j+1 < m; j += 2 {
+			b0 := a.Row(j)[k0:k1]
+			b1 := a.Row(j + 1)[k0:k1]
+			if from {
+				d0[j], d0[j+1], d1[j], d1[j+1] = dot2x2(a0, a1, b0, b1, d0[j], d0[j+1], d1[j], d1[j+1])
+			} else {
+				c00, c01, c10, c11 := dot2x2(a0, a1, b0, b1, 0, 0, 0, 0)
 				d0[j] += c00
 				d0[j+1] += c01
 				d1[j] += c10
 				d1[j+1] += c11
 			}
-			if j < m {
-				c0, c1 := dot1x2(a.Row(j)[k0:k1], a0, a1)
+		}
+		if j < m {
+			b0 := a.Row(j)[k0:k1]
+			if from {
+				d0[j], d1[j] = dot1x2(b0, a0, a1, d0[j], d1[j])
+			} else {
+				c0, c1 := dot1x2(b0, a0, a1, 0, 0)
 				d0[j] += c0
 				d1[j] += c1
 			}
 		}
-		if i < hi {
-			a0 := a.Row(i)[k0:k1]
-			d0 := dst.Row(i)
-			j := i
-			for ; j+1 < m; j += 2 {
-				c0, c1 := dot1x2(a0, a.Row(j)[k0:k1], a.Row(j + 1)[k0:k1])
+	}
+	if i < hi {
+		a0 := a.Row(i)[k0:k1]
+		d0 := dst.Row(i)
+		j := i
+		for ; j+1 < m; j += 2 {
+			b0, b1 := a.Row(j)[k0:k1], a.Row(j + 1)[k0:k1]
+			if from {
+				d0[j], d0[j+1] = dot1x2(a0, b0, b1, d0[j], d0[j+1])
+			} else {
+				c0, c1 := dot1x2(a0, b0, b1, 0, 0)
 				d0[j] += c0
 				d0[j+1] += c1
 			}
-			if j < m {
-				d0[j] += Dot(a0, a.Row(j)[k0:k1])
-			}
+		}
+		if j < m && !from {
+			d0[j] += Dot(a0, a.Row(j)[k0:k1])
 		}
 	}
 }
@@ -152,7 +185,7 @@ func gramRange(dst, a *Matrix, lo, hi int) {
 // sweep over [lo, hi) and only the last block can leave a row unpaired.
 func mulABtRangeTiled(dst *Matrix, a *leftRows, b *Matrix, lo, hi int) {
 	if packedPays(hi-lo, b.RowsN, b.ColsN) {
-		abtRangePacked(dst, a, b, lo, hi, false)
+		abtRangePacked(dst, a, b, lo, hi, false, false)
 		return
 	}
 	n, d := b.RowsN, b.ColsN
@@ -177,14 +210,14 @@ func mulABtRangeTiled(dst *Matrix, a *leftRows, b *Matrix, lo, hi int) {
 				for ; j+1 < n; j += 2 {
 					b0 := b.Row(j)[k0:k1]
 					b1 := b.Row(j + 1)[k0:k1]
-					c00, c01, c10, c11 := dot2x2(a0, a1, b0, b1)
+					c00, c01, c10, c11 := dot2x2(a0, a1, b0, b1, 0, 0, 0, 0)
 					d0[j] += c00
 					d0[j+1] += c01
 					d1[j] += c10
 					d1[j+1] += c11
 				}
 				if j < n {
-					c0, c1 := dot1x2(b.Row(j)[k0:k1], a0, a1)
+					c0, c1 := dot1x2(b.Row(j)[k0:k1], a0, a1, 0, 0)
 					d0[j] += c0
 					d1[j] += c1
 				}
@@ -194,7 +227,7 @@ func mulABtRangeTiled(dst *Matrix, a *leftRows, b *Matrix, lo, hi int) {
 				d0 := dst.Row(i)
 				j := 0
 				for ; j+1 < n; j += 2 {
-					c0, c1 := dot1x2(a0, b.Row(j)[k0:k1], b.Row(j + 1)[k0:k1])
+					c0, c1 := dot1x2(a0, b.Row(j)[k0:k1], b.Row(j + 1)[k0:k1], 0, 0)
 					d0[j] += c0
 					d0[j+1] += c1
 				}
@@ -236,17 +269,20 @@ func packedPays(rows, n, d int) bool {
 // of four left of the row: the extra columns land in the chunk's own
 // rows of the lower triangle, which GramTo's mirrorLower overwrites.
 // The pack buffer is 32KB of stack; nothing is allocated.
-func abtRangePacked(dst *Matrix, a *leftRows, b *Matrix, lo, hi int, tri bool) {
+//
+// With from set (gramFrom; b is a single run of at most panelCols
+// columns) every lane starts from its output's value in dst and
+// replaces it, and the Dot-summed output is left alone.
+func abtRangePacked(dst *Matrix, a *leftRows, b *Matrix, lo, hi int, tri, from bool) {
 	n, d := b.RowsN, b.ColsN
-	for i := lo; i < hi; i++ {
-		row := dst.Row(i)
-		for j := range row {
-			row[j] = 0
+	if !from {
+		for i := lo; i < hi; i++ {
+			clear(dst.Row(i))
 		}
 	}
 	// (dotRow, dotCol) is the Dot-summed output, if the chunk has one.
 	dotRow, dotCol := -1, -1
-	if (hi-lo)%2 == 1 {
+	if (hi-lo)%2 == 1 && !from {
 		first := 0
 		if tri {
 			first = hi - 1
@@ -284,6 +320,14 @@ func abtRangePacked(dst *Matrix, a *leftRows, b *Matrix, lo, hi int, tri bool) {
 				for i := ib; i < iEnd; i += 4 {
 					// Likewise a short last quad repeats its last row.
 					last := iEnd - 1
+					c = [16]float64{}
+					if from {
+						for r := 0; r < 4 && i+r < iEnd; r++ {
+							for l, v := range dst.Row(i + r)[j0 : j0+jn] {
+								c[4*r+l] = v
+							}
+						}
+					}
 					dotPack4x4AVX2(&c,
 						a.seg(i, k0, k1),
 						a.seg(min(i+1, last), k0, k1),
@@ -293,7 +337,11 @@ func abtRangePacked(dst *Matrix, a *leftRows, b *Matrix, lo, hi int, tri bool) {
 					for r := 0; r < 4 && i+r < iEnd; r++ {
 						out := dst.Row(i + r)[j0 : j0+jn]
 						for l, v := range c[4*r : 4*r+jn] {
-							out[l] += v
+							if from {
+								out[l] = v
+							} else {
+								out[l] += v
+							}
 						}
 					}
 				}

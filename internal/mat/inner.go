@@ -231,14 +231,17 @@ func dotKernelGo(x, y []float64) float64 {
 	return s
 }
 
-// dot2x2 returns the four inner products of rows {a0, a1} against rows
-// {b0, b1}. Computing a 2-row × 2-row tile in one pass halves the loads
-// per multiply-add and gives the core four independent accumulator
-// chains to hide FMA latency behind. The loop stays un-unrolled on
-// purpose: with four streams live, the 4 FMAs per iteration already
-// saturate the load ports, and unrolling would reintroduce bounds
-// checks (see file comment).
-func dot2x2(a0, a1, b0, b1 []float64) (c00, c01, c10, c11 float64) {
+// dot2x2 continues the four inner products of rows {a0, a1} against
+// rows {b0, b1} from the sums c00…c11 it is handed (zero for a fresh
+// product), one multiply-add after another in ascending k, so a product
+// taken a run of columns at a time is the one-pass product, bit for
+// bit. Computing a 2-row × 2-row tile in one pass halves the loads per
+// multiply-add and gives the core four independent accumulator chains
+// to hide FMA latency behind. The loop stays un-unrolled on purpose:
+// with four streams live, the 4 FMAs per iteration already saturate the
+// load ports, and unrolling would reintroduce bounds checks (see file
+// comment).
+func dot2x2(a0, a1, b0, b1 []float64, c00, c01, c10, c11 float64) (float64, float64, float64, float64) {
 	n := len(a0)
 	a1 = a1[:n]
 	b0 = b0[:n]
@@ -253,12 +256,12 @@ func dot2x2(a0, a1, b0, b1 []float64) (c00, c01, c10, c11 float64) {
 		c10 += x1 * y0
 		c11 += x1 * y1
 	}
-	return
+	return c00, c01, c10, c11
 }
 
-// dot1x2 returns the inner products of x against rows {b0, b1},
-// loading each x element once for both products.
-func dot1x2(x, b0, b1 []float64) (c0, c1 float64) {
+// dot1x2 continues the inner products of x against rows {b0, b1} from
+// c0 and c1, as dot2x2 does, loading each x element once for both.
+func dot1x2(x, b0, b1 []float64, c0, c1 float64) (float64, float64) {
 	n := len(x)
 	b0 = b0[:n]
 	b1 = b1[:n]
@@ -267,7 +270,7 @@ func dot1x2(x, b0, b1 []float64) (c0, c1 float64) {
 		c0 += v * b0[k]
 		c1 += v * b1[k]
 	}
-	return
+	return c0, c1
 }
 
 // planeRotGo is planeRot — the row rotation of the eigensolver's QL

@@ -111,13 +111,6 @@ func ParallelFor(n, minChunk int, fn func(lo, hi int)) {
 	parallelForOn(poolSize, poolQueue, n, minChunk, fn)
 }
 
-// inlineFor reports whether ParallelFor(n, minChunk) runs fn once, on
-// the caller, as one chunk: no other chunk of it is ever in flight.
-func inlineFor(n, minChunk int) bool {
-	poolOnce.Do(startPool)
-	return poolSize == 1 || n <= max(minChunk, 1)
-}
-
 // parallelForOn is ParallelFor against an explicit pool, so tests can
 // exercise the chunking, enqueueing, and inline-fallback logic on a
 // multi-worker pool regardless of the host's core count.

@@ -1,6 +1,9 @@
 package mat
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 // Pooled scratch for the Gram-trick SVD and for the pooled kernels
 // under it (kernelJob, below). One svdScratch carries every
@@ -65,13 +68,6 @@ type kernelJob struct {
 	parts     []float64   // one m×m partial Gram matrix per panel of the round
 	first     int         // the round's first panel
 
-	// A split Gram's widened panels: slots of slot floats in wide, the
-	// free ones' indices in free, under mu.
-	wide []float64
-	slot int
-	mu   sync.Mutex
-	free []int
-
 	gramFn, mulFn, splitFn func(lo, hi int) // the chunk methods, bound to this job
 }
 
@@ -92,65 +88,65 @@ func grabKernelJob(dst, a, b *Matrix) *kernelJob {
 // releaseKernelJob drops the operands before pooling the job, so an
 // idle job pins nobody's matrices.
 func releaseKernelJob(j *kernelJob) {
-	j.dst, j.a, j.b, j.low, j.wide = nil, nil, nil, nil, nil
+	j.dst, j.a, j.b, j.low = nil, nil, nil, nil
 	kernelJobPool.Put(j)
 }
 
 // gramChunk forms the partial Gram matrices of panels [lo, hi) of the
-// current round: the serial kernel over all rows of one k-panel each,
-// widened first when the operand has float32 rows. The widened panel
-// goes in an array on the chunk's own stack when its rows fit there —
-// sixteen, a sketch of ℓ ≤ 8 — so no pool can drop it; otherwise in a
-// slot of the job's scratch (gramPanels), one per chunk in flight, so
-// chunks on different workers never share one.
+// current round: the serial kernel over all rows of one k-panel each.
+// An operand with float32 rows is widened a run of columns of the panel
+// at a time into an array on the chunk's own stack (splitPanels' slot),
+// and gramFrom carries every sum on from one run to the next, so each
+// partial is the serial kernel's on the widened panel, bit for bit, and
+// the chunk's scratch is the same at every pool width.
 func (j *kernelJob) gramChunk(lo, hi int) {
-	switch {
-	case len(j.low) == 0:
-		j.gramInto(lo, hi, nil)
-	case gramOnStack(split{top: j.a, low: j.low}.rows()):
-		var stack [splitStack]float64
-		j.gramInto(lo, hi, stack[:])
-	default:
-		k := j.takeSlot()
-		defer j.giveSlot(k)
-		j.gramInto(lo, hi, j.wide[k*j.slot:(k+1)*j.slot])
+	s := split{top: j.a, low: j.low}
+	m := s.rows()
+	if len(s.low) == 0 {
+		for p := lo; p < hi; p++ {
+			k0 := (j.first + p) * panelCols
+			panel := s.top.colView(k0, min(k0+panelCols, s.top.ColsN))
+			part := j.part(p, m)
+			gramRange(&part, &panel, 0, m)
+		}
+		return
+	}
+	w := splitWidth(m)
+	var stack [splitStack]float64
+	slot := stack[int(-uintptr(unsafe.Pointer(&stack[0]))&4095)/8:]
+	if m*w > len(slot) {
+		slot = make([]float64, m*w) // thousands of rows: eight columns a run
+	}
+	for p := lo; p < hi; p++ {
+		k0 := (j.first + p) * panelCols
+		k1 := min(k0+panelCols, s.top.ColsN)
+		part := j.part(p, m)
+		clear(part.Data)
+		packed := packedPays(m, m, k1-k0)
+		for c0 := k0; c0 < k1; c0 += w {
+			run := s.panel(c0, min(c0+w, k1), slot)
+			gramFrom(&part, &run, packed)
+		}
+		if m%2 == 1 {
+			// gramRange sums the last row's diagonal through Dot, over
+			// the whole panel; that row is a float32 one.
+			row := slot[:k1-k0]
+			Widen(row, s.low[len(s.low)-1][k0:k1])
+			part.Row(m - 1)[m-1] = Dot(row, row)
+		}
 	}
 }
 
-// gramInto is gramChunk with its panel scratch chosen: buf, or nil for
-// an operand with no float32 rows, whose panels are views.
-func (j *kernelJob) gramInto(lo, hi int, buf []float64) {
-	s := split{top: j.a, low: j.low}
-	m := s.rows()
-	for p := lo; p < hi; p++ {
-		k0 := (j.first + p) * panelCols
-		panel := s.panel(k0, min(k0+panelCols, s.top.ColsN), buf)
-		// A literal, not FromData: that one's result is a heap allocation.
-		part := Matrix{RowsN: m, ColsN: m, Stride: m, Data: j.parts[p*m*m : (p+1)*m*m]}
-		gramRange(&part, &panel, 0, m)
-	}
+// part is the partial Gram matrix of panel p of the round.
+func (j *kernelJob) part(p, m int) Matrix {
+	// A literal, not FromData: that one's result is a heap allocation.
+	return Matrix{RowsN: m, ColsN: m, Stride: m, Data: j.parts[p*m*m : (p+1)*m*m]}
 }
 
 // mulChunk computes columns [lo, hi) of dst = a*b.
 func (j *kernelJob) mulChunk(lo, hi int) {
 	dst, b := j.dst.colView(lo, hi), j.b.colView(lo, hi)
 	mulRangeTiled(&dst, j.a, &b, 0, j.a.RowsN)
-}
-
-// takeSlot claims a free slot of the job's widened-panel scratch.
-func (j *kernelJob) takeSlot() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	k := j.free[len(j.free)-1]
-	j.free = j.free[:len(j.free)-1]
-	return k
-}
-
-// giveSlot frees slot k.
-func (j *kernelJob) giveSlot(k int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.free = append(j.free, k)
 }
 
 // splitChunk runs mulSplitTo (a is the coef, b and low the split) over

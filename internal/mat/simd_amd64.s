@@ -376,10 +376,10 @@ pack_done:
 	RET
 
 // func dotPack4x4AVX2(c *[16]float64, a0, a1, a2, a3, p []float64)
-// c[4r+l] = Σ_k a_r[k]*p[4k+l] for k < n = min(len(a_r), len(p)/4),
-// every sum started at +0 and taken in ascending k — the sequential sum
-// dot2x2Go and dot1x2Go form for one output, sixteen outputs at a time,
-// one per lane.
+// c[4r+l] += Σ_k a_r[k]*p[4k+l] for k < n = min(len(a_r), len(p)/4),
+// every sum continued from the value c holds (+0 for a fresh product)
+// and taken in ascending k — the sequential sum dot2x2 and dot1x2 form
+// for one output, sixteen outputs at a time, one per lane.
 TEXT ·dotPack4x4AVX2(SB), NOSPLIT, $0-128
 	MOVQ c+0(FP), DI
 	MOVQ p_base+104(FP), SI
@@ -401,10 +401,10 @@ TEXT ·dotPack4x4AVX2(SB), NOSPLIT, $0-128
 	MOVQ a3_len+88(FP), DX
 	CMPQ DX, CX
 	CMOVQLT DX, CX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
 	XORQ AX, AX
 	MOVQ CX, BX
 	ANDQ $-2, BX

@@ -179,8 +179,9 @@ func FuzzElementKernels(f *testing.F) {
 }
 
 // checkPackedTile packs four rows and multiplies four others against
-// the pack, and compares the sixteen outputs with the sums dot2x2 forms
-// for them — the oracle is the Go tile kernel itself.
+// the pack, continuing sixteen random sums, and compares the outputs
+// with the sums dot2x2 continues from the same values — the oracle is
+// the Go tile kernel itself.
 func checkPackedTile(seed uint64, n int, off [3]int, special bool) string {
 	g := rng.New(seed)
 	var a, b [4][]float64
@@ -203,12 +204,15 @@ func checkPackedTile(seed uint64, n int, off [3]int, special bool) string {
 	if at := firstDiff(packBack, packPad); at >= 0 {
 		return fmt.Sprintf("pack4 n=%d: wrote outside the pack at backing index %d", n, at)
 	}
-	var c [16]float64
-	fill(c[:], g, false) // the kernel must overwrite, not accumulate
+	// Both kernels continue the sums they are handed.
+	var start [16]float64
+	fill(start[:], g, false)
+	c := start
 	dotPack4x4AVX2(&c, a[0], a[1], a[2], a[3], pack)
 	for r := 0; r < 4; r += 2 {
 		for l := 0; l < 4; l += 2 {
-			c00, c01, c10, c11 := dot2x2(a[r], a[r+1], b[l], b[l+1])
+			c00, c01, c10, c11 := dot2x2(a[r], a[r+1], b[l], b[l+1],
+				start[4*r+l], start[4*r+l+1], start[4*(r+1)+l], start[4*(r+1)+l+1])
 			for _, e := range []struct {
 				r, l int
 				want float64
@@ -529,7 +533,7 @@ func BenchmarkInnerKernels(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for r := 0; r < 4; r += 2 {
 				for l := 4; l < 8; l += 2 {
-					c[0], c[1], c[2], c[3] = dot2x2(rows[r], rows[r+1], rows[l], rows[l+1])
+					c[0], c[1], c[2], c[3] = dot2x2(rows[r], rows[r+1], rows[l], rows[l+1], 0, 0, 0, 0)
 				}
 			}
 		}

@@ -87,9 +87,10 @@ func MulTVecSplitTo(dst []float64, top *Matrix, low [][]float32, x, w []float64)
 
 // gramSplitTo is GramTo of s. With low rows it always takes gramPanels:
 // the serial kernel sums each output once per k-panel, from zero, and
-// adds the panels' sums in order, and gramPanels does the same over
-// panels it widens one at a time — so a 1-wide pool runs it inline with
-// the serial kernel's bits.
+// adds the panels' sums in order, and gramPanels does the same, each
+// panel's sums carried across the runs of columns it widens at a time
+// (gramChunk) — so a 1-wide pool runs it inline with the serial
+// kernel's bits.
 func gramSplitTo(dst *Matrix, s split) {
 	if len(s.low) == 0 {
 		GramTo(dst, s.top)
@@ -105,10 +106,10 @@ func gramSplitTo(dst *Matrix, s split) {
 	observeSince(obsKernelGram, start)
 }
 
-// A mulSplitTo task copies its panels of s into an array on its own
-// stack — 128 KB, the most a declared variable may have there — so no
-// pool can drop the slot and scratch is bounded by the tasks in flight,
-// never by d. The slot starts on a 4 KB boundary inside it, so that the
+// A mulSplitTo task, and a split Gram's chunk, copies its panels (or
+// runs of columns) of s into an array on its own stack — 128 KB, the
+// most a declared variable may have there — so no pool can drop the
+// slot and no heap scratch grows with the tasks in flight or with d. The slot starts on a 4 KB boundary inside it, so that the
 // panel's rows start on cache lines: loads that straddle them take the
 // product half again as long. Up to 4 KB go to that; splitSlot floats
 // are left.

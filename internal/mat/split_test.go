@@ -48,7 +48,7 @@ func widened(top *Matrix, low [][]float32) *Matrix {
 // the decomposition a basis read runs (SVDGramSplitTo) and the
 // transposed product the probe heuristic runs (MulTVecSplitTo, on a
 // coefficient row with zeros in it) — to the float64 kernels on the
-// matrix the rows widen to, bit for bit, at pool widths 1, 2 and 4 and
+// matrix the rows widen to, bit for bit, at pool widths 1, 2, 4 and 8 and
 // on both kernel sets. The shapes are the rotation's (ℓ rows over ℓ, the
 // Gram's k-panels ending short or not), an odd row count on either
 // side, one float64 row under many float32 ones, and a d narrower than a
@@ -112,7 +112,7 @@ func TestSplitKernelsGiveWidenedBits(t *testing.T) {
 						want, got := New(k.rows, k.cols), New(k.rows, k.cols)
 						var wantSigma, sigma []float64
 						withPoolWidth(1, func() { wantSigma = k.float64s(want) })
-						for _, width := range []int{1, 2, 4} {
+						for _, width := range []int{1, 2, 4, 8} {
 							withPoolWidth(width, func() { sigma = k.split(got) })
 							name := fmt.Sprintf("%s %d+%d×%d special=%v go=%v width=%d", k.name, sh.top, sh.low, sh.d, special, goLoops, width)
 							if i, j, ok := matDiff(got, want, nil); !ok {

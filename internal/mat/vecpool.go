@@ -26,9 +26,8 @@ import (
 // and a sharded engine returns its cached read's once that read is
 // superseded and its last reader has released it. A snapshot returns its
 // n×d float64 copy of the window, and its basis, once its stages have
-// read them; a projection of float32 rows its packed-row scratch, and a
-// rotation over float32 rows its widened Gram panels, once the product
-// is formed. Checkpoint state follows one
+// read them; a projection of float32 rows its packed-row scratch, once
+// the product is formed. Checkpoint state follows one
 // rule: a state no live engine shares storage with owns it. Suspend
 // moves the window vectors no other state holds and no open read holds,
 // and each local shard's
@@ -53,8 +52,8 @@ import (
 
 // Arrays of bigMin elements or more — 256 KiB of float64: a sketch's
 // kept block at ℓ = 25 and d = 64², a 12-row basis at d = 64², a
-// projection's packed-row scratch block, a rotation's widened Gram panel
-// at ℓ = 16 or more — do not pool in a sync.Pool of arrays. It
+// projection's packed-row scratch block — do not pool in a sync.Pool of
+// arrays. It
 // files a put in the putting P's private slot, which a get on another P
 // never looks in, and drops an array at the second collection after its
 // put, so whether a reconcile's clone found the buffer the last reconcile
@@ -185,9 +184,8 @@ func (c *class[T]) give(v []T) {
 	l.arrs = append(l.arrs, v)
 }
 
-// get returns an array of length n, zeroed when zero is set; its
-// contents are unspecified otherwise.
-func (vp *vecPool[T]) get(n int, zero bool) []T {
+// get returns a zeroed array of length n.
+func (vp *vecPool[T]) get(n int) []T {
 	if n <= 0 {
 		return make([]T, n)
 	}
@@ -201,9 +199,7 @@ func (vp *vecPool[T]) get(n int, zero bool) []T {
 	if v == nil {
 		return make([]T, n)
 	}
-	if zero {
-		clear(v)
-	}
+	clear(v)
 	return v
 }
 
@@ -225,11 +221,7 @@ func (vp *vecPool[T]) put(v []T) {
 
 // GetVec returns a zeroed vector of length n, backed by recycled
 // storage of capacity exactly n when the pool holds some.
-func GetVec(n int) []float64 { return vecs64.get(n, true) }
-
-// getScratch is GetVec for a caller that writes every element before it
-// reads one — a split Gram panel — so its contents are unspecified.
-func getScratch(n int) []float64 { return vecs64.get(n, false) }
+func GetVec(n int) []float64 { return vecs64.get(n) }
 
 // PutVec recycles a vector obtained from GetVec (or anywhere else — the
 // pool only cares about the backing array), filed under its capacity.
@@ -238,7 +230,7 @@ func getScratch(n int) []float64 { return vecs64.get(n, false) }
 func PutVec(v []float64) { vecs64.put(v) }
 
 // GetVec32 is GetVec for float32 vectors, from a pool of their own.
-func GetVec32(n int) []float32 { return vecs32.get(n, true) }
+func GetVec32(n int) []float32 { return vecs32.get(n) }
 
 // PutVec32 is PutVec for float32 vectors.
 func PutVec32(v []float32) { vecs32.put(v) }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -156,9 +157,14 @@ func pointOf(md *meta, v float64) MetricPoint {
 	return MetricPoint{Name: md.name, Labels: labelMap(md), Value: jsonSafe(v)}
 }
 
+// jsonSpansMax bounds the spans list of the JSON exposition.
+const jsonSpansMax = 256
+
 // WriteJSON writes the whole registry — process stats, every metric
-// with quantile summaries, and the recent-span ring — as one JSON
-// document (the payload behind /metrics.json and the /statusz page).
+// with quantile summaries, and the spans of the retained traces, newest
+// start first and at most jsonSpansMax of them — as one JSON document
+// (the payload behind /metrics.json and the /statusz page). Untraced
+// spans show only in the stage histograms.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	dump := jsonDump{
 		UptimeSeconds: r.Uptime().Seconds(),
@@ -212,7 +218,12 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		}
 		dump.Series = append(dump.Series, js)
 	})
-	for _, sp := range r.Spans() {
+	var spans []SpanRecord
+	for _, tr := range r.Traces() {
+		spans = append(spans, tr.Spans...)
+	}
+	slices.SortStableFunc(spans, func(a, b SpanRecord) int { return b.Start.Compare(a.Start) })
+	for _, sp := range spans[:min(len(spans), jsonSpansMax)] {
 		dump.Spans = append(dump.Spans, jsonSpan{
 			Name:       sp.Name,
 			Start:      sp.Start.Format(time.RFC3339Nano),

@@ -13,10 +13,10 @@ func (g *Gauge) Add(v float64) {
 	}
 }
 
-// Reset drops every metric, time series, recorded span, retained
-// trace, and cached stage-histogram handle. Extra HTTP handlers are
-// kept — they are process wiring, not recorded state. An armed flight
-// recorder also stays armed (its next samples simply start from the
+// Reset drops every metric, time series, retained trace, and cached
+// stage-histogram handle. Extra HTTP handlers are kept — they are
+// process wiring, not recorded state. An armed flight recorder also
+// stays armed (its next samples simply start from the
 // cleared state). Intended for tests.
 func (r *Registry) Reset() {
 	r.mu.Lock()
@@ -24,7 +24,6 @@ func (r *Registry) Reset() {
 	r.kinds = make(map[string]string)
 	r.series = nil
 	r.mu.Unlock()
-	r.ring.reset()
 	r.traces.reset()
 	r.stageHists.Range(func(k, _ interface{}) bool {
 		r.stageHists.Delete(k)

@@ -49,8 +49,6 @@ type HistogramPoint struct {
 // plain data, safe to marshal as JSON.
 type RegistrySnapshot struct {
 	UptimeSeconds float64          `json:"uptime_seconds"`
-	RingLen       int              `json:"ring_len"`
-	RingCap       int              `json:"ring_cap"`
 	Counters      []MetricPoint    `json:"counters,omitempty"`
 	Gauges        []MetricPoint    `json:"gauges,omitempty"`
 	Histograms    []HistogramPoint `json:"histograms,omitempty"`
@@ -58,11 +56,7 @@ type RegistrySnapshot struct {
 
 // Export snapshots every metric in the registry as plain data.
 func (r *Registry) Export() RegistrySnapshot {
-	snap := RegistrySnapshot{
-		UptimeSeconds: r.Uptime().Seconds(),
-		RingLen:       r.RingLen(),
-		RingCap:       r.RingCap(),
-	}
+	snap := RegistrySnapshot{UptimeSeconds: r.Uptime().Seconds()}
 	r.each(func(m interface{}) {
 		md := metaOf(m)
 		switch v := m.(type) {
@@ -299,7 +293,7 @@ func (v *FleetView) writeHTML(w io.Writer) {
 td,th{border:1px solid #ccc;padding:.3rem .7rem;text-align:left}.stale{color:#b00}</style>
 <h1>Fleet</h1>
 <p><a href="?format=prom">prometheus</a> · <a href="?format=json">json</a></p>
-<table><tr><th>worker</th><th>age</th><th>uptime</th><th>counters</th><th>gauges</th><th>histograms</th><th>ring</th></tr>
+<table><tr><th>worker</th><th>age</th><th>uptime</th><th>counters</th><th>gauges</th><th>histograms</th></tr>
 `)
 	for _, m := range v.members() {
 		cls := ""
@@ -310,10 +304,9 @@ td,th{border:1px solid #ccc;padding:.3rem .7rem;text-align:left}.stale{color:#b0
 		if m.age > 0 {
 			age = m.age.Truncate(time.Millisecond).String()
 		}
-		fmt.Fprintf(w, "<tr%s><td>%s</td><td>%s</td><td>%.1fs</td><td>%d</td><td>%d</td><td>%d</td><td>%d/%d</td></tr>\n",
+		fmt.Fprintf(w, "<tr%s><td>%s</td><td>%s</td><td>%.1fs</td><td>%d</td><td>%d</td><td>%d</td></tr>\n",
 			cls, m.name, age, m.snap.UptimeSeconds,
-			len(m.snap.Counters), len(m.snap.Gauges), len(m.snap.Histograms),
-			m.snap.RingLen, m.snap.RingCap)
+			len(m.snap.Counters), len(m.snap.Gauges), len(m.snap.Histograms))
 	}
 	fmt.Fprint(w, "</table>\n")
 }

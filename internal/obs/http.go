@@ -27,7 +27,7 @@ func Handle(path string, h http.Handler) { Default().Handle(path, h) }
 // Handler returns the observability endpoint set for the registry:
 //
 //	/metrics       Prometheus text exposition
-//	/metrics.json  full JSON dump (metrics + quantiles + span ring)
+//	/metrics.json  full JSON dump (metrics + quantiles + traced spans)
 //	/healthz       liveness probe ("ok")
 //	/statusz       self-contained live HTML dashboard
 //	/tracez        retained traces as parent-child trees (?format=json)

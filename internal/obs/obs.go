@@ -1,7 +1,7 @@
 // Package obs is the repository's stdlib-only observability layer: a
 // process-global registry of counters, gauges, and histograms (with
 // streaming quantile estimates), plus lightweight span tracing that
-// feeds per-stage duration histograms and an in-memory trace ring.
+// feeds per-stage duration histograms and an in-memory trace store.
 //
 // The paper's system is an *online* monitor — frames stream through
 // preprocess → ARAMS sketch → merge → PCA → UMAP → OPTICS/ABOD at the
@@ -107,9 +107,10 @@ func metricID(name string, labels []Label) string {
 	return b.String()
 }
 
-// Registry holds a set of named metrics, a ring of recent spans, a
-// store of completed traces, and (optionally) an armed flight
-// recorder. All methods are safe for concurrent use.
+// Registry holds a set of named metrics, a store of completed traces
+// (the only place a finished span is kept, apart from an armed flight
+// recorder's window), and optionally that flight recorder. All methods
+// are safe for concurrent use.
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]interface{} // id → *Counter | *Gauge | *Histogram
@@ -118,7 +119,6 @@ type Registry struct {
 	extra   map[string]http.Handler
 	build   map[string]string // static facts about this build (SetBuildInfo)
 	start   time.Time
-	ring    spanRing
 	traces  traceStore
 	flight  atomic.Pointer[FlightRecorder]
 
@@ -146,24 +146,14 @@ func (r *Registry) stageHist(name string) *Histogram {
 	return actual.(*Histogram)
 }
 
-// NewRegistry creates an empty registry with the default span-ring
-// capacity (SetRingCap resizes it).
+// NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		metrics: make(map[string]interface{}),
 		kinds:   make(map[string]string),
 		start:   time.Now(),
-		ring:    newSpanRing(DefaultRingCap),
 	}
 }
-
-// SetRingCap resizes the span ring, dropping currently held spans
-// (values < 1 select DefaultRingCap). Intended for startup
-// configuration (lclsmon -obs-ring).
-func (r *Registry) SetRingCap(ringCap int) { r.ring.setCap(ringCap) }
-
-// RingCap reports the span ring's current capacity.
-func (r *Registry) RingCap() int { return r.ring.capacity() }
 
 var defaultRegistry = NewRegistry()
 

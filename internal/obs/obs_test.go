@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -118,6 +119,25 @@ func TestHistogramEmptyAndOverflow(t *testing.T) {
 	}
 }
 
+// jsonSpans returns the spans list of the registry's JSON exposition.
+func jsonSpans(t *testing.T, r *Registry) []jsonSpan {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var dump struct {
+		Spans []jsonSpan `json:"spans"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	return dump.Spans
+}
+
+// TestSpanRecordsHistogramAndRing: every span is timed into its stage
+// histogram; only a traced one reaches the JSON spans list, which reads
+// the trace store (there is no span ring).
 func TestSpanRecordsHistogramAndRing(t *testing.T) {
 	r := NewRegistry()
 	sp := r.StartSpan("umap")
@@ -130,25 +150,57 @@ func TestSpanRecordsHistogramAndRing(t *testing.T) {
 	if h.Count() != 1 {
 		t.Fatalf("stage histogram count = %d, want 1", h.Count())
 	}
-	spans := r.Spans()
-	if len(spans) != 1 || spans[0].Name != "umap" || spans[0].Duration != d {
-		t.Fatalf("ring = %+v", spans)
+	if spans := jsonSpans(t, r); len(spans) != 0 {
+		t.Fatalf("untraced span listed: %+v", spans)
+	}
+	tr := r.StartTrace("umap")
+	d = tr.End()
+	if h.Count() != 2 {
+		t.Fatalf("stage histogram count = %d, want 2", h.Count())
+	}
+	spans := jsonSpans(t, r)
+	if len(spans) != 1 || spans[0].Name != "umap" || spans[0].Trace != tr.Context().Trace ||
+		spans[0].DurationMS != float64(d)/float64(time.Millisecond) {
+		t.Fatalf("spans = %+v", spans)
 	}
 }
 
+// TestSpanRingNewestFirstAndCapacity: the JSON spans list holds the
+// retained traces' spans newest start first, at most jsonSpansMax of
+// them, so the oldest trace's spans fall off first.
 func TestSpanRingNewestFirstAndCapacity(t *testing.T) {
 	r := NewRegistry()
-	for i := 0; i < DefaultRingCap+10; i++ {
-		func() { sp := r.StartSpan("s"); sp.End() }()
+	const traces, children = 4, 100
+	for i := 0; i < traces; i++ {
+		root := r.StartTrace(fmt.Sprintf("root%d", i))
+		for j := 0; j < children; j++ {
+			c := root.StartChild(fmt.Sprintf("c%d", i*children+j))
+			c.End()
+		}
+		root.End()
 	}
-	spans := r.Spans()
-	if len(spans) != DefaultRingCap {
-		t.Fatalf("ring holds %d, want %d", len(spans), DefaultRingCap)
+	spans := jsonSpans(t, r)
+	if len(spans) != jsonSpansMax {
+		t.Fatalf("spans list holds %d, want %d", len(spans), jsonSpansMax)
 	}
-	for i := 1; i < len(spans); i++ {
-		if spans[i].Start.After(spans[i-1].Start) {
+	names := make(map[string]bool, len(spans))
+	var prev time.Time
+	for i, sp := range spans {
+		names[sp.Name] = true
+		start, err := time.Parse(time.RFC3339Nano, sp.Start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && start.After(prev) {
 			t.Fatal("spans not newest-first")
 		}
+		prev = start
+	}
+	if newest := fmt.Sprintf("c%d", traces*children-1); !names[newest] {
+		t.Errorf("newest span %s not listed", newest)
+	}
+	if names["root0"] || names["c0"] {
+		t.Error("oldest trace's spans listed past the bound")
 	}
 }
 
@@ -267,11 +319,11 @@ func TestWriteJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total").Inc()
 	r.Gauge("g").Set(4)
-	func() { sp := r.StartSpan("stage1"); sp.End() }()
+	func() { sp := r.StartTrace("stage1"); sp.End() }()
 	r.SetBuildInfo("mat_kernels", "go")
 	r.Reset() // build facts are process wiring, not recorded state
 	r.Counter("c_total").Inc()
-	func() { sp := r.StartSpan("stage1"); sp.End() }()
+	func() { sp := r.StartTrace("stage1"); sp.End() }()
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -314,10 +366,10 @@ func TestWriteJSON(t *testing.T) {
 func TestReset(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total").Inc()
-	func() { sp := r.StartSpan("s"); sp.End() }()
+	func() { sp := r.StartTrace("s"); sp.End() }()
 	r.Reset()
-	if len(r.Spans()) != 0 {
-		t.Fatal("spans survived reset")
+	if spans := jsonSpans(t, r); len(spans) != 0 {
+		t.Fatalf("spans survived reset: %+v", spans)
 	}
 	if got := r.Counter("c_total").Value(); got != 0 {
 		t.Fatalf("counter survived reset: %v", got)

@@ -1,17 +1,11 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // StageHistogramName is the wall-time histogram every span records
 // into, with a stage="<span name>" label — so /metrics carries one
 // duration histogram per pipeline stage.
 const StageHistogramName = "arams_stage_duration_seconds"
-
-// DefaultRingCap is the span-ring capacity NewRegistry selects.
-const DefaultRingCap = 256
 
 // Span measures one timed unit of work (a pipeline stage, a merge
 // round, a snapshot). Obtain with StartSpan/StartTrace/StartChild,
@@ -48,7 +42,8 @@ func (s *Span) Context() SpanContext { return SpanContext{Trace: s.trace, Span: 
 func (s *Span) SetAttr(key, value string) { s.attrs = append(s.attrs, L(key, value)) }
 
 // StartSpan begins an untraced span on the registry — it records into
-// the stage histogram and the span ring but joins no trace tree.
+// the stage histogram (and an armed flight recorder) but joins no
+// trace tree.
 func (r *Registry) StartSpan(name string, attrs ...Label) Span {
 	return Span{r: r, name: name, start: time.Now(), attrs: attrs}
 }
@@ -95,10 +90,10 @@ func StartSpanIn(parent SpanContext, name string, attrs ...Label) Span {
 }
 
 // End finishes the span: the duration is recorded into the per-stage
-// histogram, and the
-// completed record is appended to the in-memory trace ring, the trace
-// store, and the flight recorder when one is armed. It returns the
-// measured duration so callers can reuse it for their own accounting.
+// histogram, and the completed record goes to the trace store when the
+// span is traced and to the flight recorder when one is armed. It
+// returns the measured duration so callers can reuse it for their own
+// accounting.
 func (s *Span) End() time.Duration {
 	rec := s.endRecord()
 	return rec.Duration
@@ -125,7 +120,6 @@ func (s *Span) endRecord() SpanRecord {
 		return rec
 	}
 	s.r.stageHist(s.name).Observe(d.Seconds())
-	s.r.ring.add(rec)
 	if s.trace != 0 {
 		s.r.traces.observe(rec)
 	}
@@ -136,14 +130,13 @@ func (s *Span) endRecord() SpanRecord {
 }
 
 // ObserveRemoteSpan feeds a span record completed in *another process*
-// (shipped here over the fabric ack path) into this registry's span
-// ring, trace store, and flight recorder, so cross-process traces
+// (shipped here over the fabric ack path) into this registry's trace
+// store and flight recorder, so cross-process traces
 // render as one tree on /tracez. The record is NOT billed to the stage
 // histograms: the remote process already recorded its own wall
 // time, and double-counting it here would corrupt the local stage
 // metrics.
 func (r *Registry) ObserveRemoteSpan(rec SpanRecord) {
-	r.ring.add(rec)
 	if rec.Trace != 0 {
 		r.traces.observe(rec)
 	}
@@ -163,8 +156,9 @@ func attrMap(attrs []Label) map[string]string {
 	return m
 }
 
-// SpanRecord is one completed span held in the trace ring. Trace,
-// Span, and Parent are zero for untraced spans.
+// SpanRecord is one completed span, as the trace store and the flight
+// recorder hold it. Trace, Span, and Parent are zero for untraced
+// spans.
 type SpanRecord struct {
 	Name     string            `json:"name"`
 	Start    time.Time         `json:"start"`
@@ -173,77 +167,4 @@ type SpanRecord struct {
 	Span     ID                `json:"span_id,omitempty"`
 	Parent   ID                `json:"parent_id,omitempty"`
 	Attrs    map[string]string `json:"attrs,omitempty"`
-}
-
-// Spans returns the most recently completed spans, newest first, up to
-// the ring capacity.
-func (r *Registry) Spans() []SpanRecord { return r.ring.snapshot() }
-
-// RingLen returns how many completed spans the ring currently holds
-// (occupancy, not capacity) — a cheap health signal workers report in
-// fabric heartbeats.
-func (r *Registry) RingLen() int { return r.ring.len() }
-
-// spanRing is a fixed-capacity ring of completed spans.
-type spanRing struct {
-	mu   sync.Mutex
-	buf  []SpanRecord
-	next int
-	n    int
-}
-
-func newSpanRing(capacity int) spanRing {
-	if capacity < 1 {
-		capacity = DefaultRingCap
-	}
-	return spanRing{buf: make([]SpanRecord, capacity)}
-}
-
-func (sr *spanRing) add(rec SpanRecord) {
-	sr.mu.Lock()
-	sr.buf[sr.next] = rec
-	sr.next = (sr.next + 1) % len(sr.buf)
-	if sr.n < len(sr.buf) {
-		sr.n++
-	}
-	sr.mu.Unlock()
-}
-
-func (sr *spanRing) snapshot() []SpanRecord {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	out := make([]SpanRecord, 0, sr.n)
-	for i := 0; i < sr.n; i++ {
-		idx := (sr.next - 1 - i + len(sr.buf)) % len(sr.buf)
-		out = append(out, sr.buf[idx])
-	}
-	return out
-}
-
-func (sr *spanRing) setCap(capacity int) {
-	if capacity < 1 {
-		capacity = DefaultRingCap
-	}
-	sr.mu.Lock()
-	sr.buf = make([]SpanRecord, capacity)
-	sr.next, sr.n = 0, 0
-	sr.mu.Unlock()
-}
-
-func (sr *spanRing) len() int {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	return sr.n
-}
-
-func (sr *spanRing) capacity() int {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	return len(sr.buf)
-}
-
-func (sr *spanRing) reset() {
-	sr.mu.Lock()
-	sr.next, sr.n = 0, 0
-	sr.mu.Unlock()
 }

@@ -28,7 +28,6 @@ func BenchmarkSpanEndRegistryLookup(b *testing.B) {
 		sp := r.StartSpan("bench_stage")
 		d := time.Since(sp.start)
 		r.Histogram(StageHistogramName, L("stage", sp.name)).Observe(d.Seconds())
-		r.ring.add(SpanRecord{Name: sp.name, Start: sp.start, Duration: d})
 	}
 }
 

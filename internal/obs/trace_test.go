@@ -105,8 +105,11 @@ func TestUntracedSpanJoinsNoTrace(t *testing.T) {
 	if got := len(r.Traces()); got != 0 {
 		t.Fatalf("untraced span produced %d trace(s)", got)
 	}
-	if got := len(r.Spans()); got != 1 {
-		t.Fatalf("span ring holds %d record(s), want 1", got)
+	if got := len(jsonSpans(t, r)); got != 0 {
+		t.Fatalf("JSON spans list holds %d untraced record(s), want 0", got)
+	}
+	if got := r.Histogram(StageHistogramName, L("stage", "plain")).Count(); got != 1 {
+		t.Fatalf("stage histogram counts %d, want 1", got)
 	}
 }
 
@@ -133,24 +136,6 @@ func TestIDJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRingCapConfigurable(t *testing.T) {
-	r := NewRegistry()
-	r.SetRingCap(4)
-	if r.RingCap() != 4 {
-		t.Fatalf("after SetRingCap(4), RingCap() = %d", r.RingCap())
-	}
-	for i := 0; i < 10; i++ {
-		sp := r.StartSpan("s")
-		sp.End()
-	}
-	if got := len(r.Spans()); got != 4 {
-		t.Fatalf("ring holds %d spans, want 4", got)
-	}
-	if NewRegistry().RingCap() != DefaultRingCap {
-		t.Fatal("NewRegistry did not select DefaultRingCap")
-	}
-}
-
 func TestResetClearsTraceState(t *testing.T) {
 	r := NewRegistry()
 	root := r.StartTrace("root")
@@ -164,8 +149,8 @@ func TestResetClearsTraceState(t *testing.T) {
 	if got := len(r.Traces()); got != 0 {
 		t.Fatalf("Reset left %d trace(s)", got)
 	}
-	if got := len(r.Spans()); got != 0 {
-		t.Fatalf("Reset left %d ring span(s)", got)
+	if got := len(jsonSpans(t, r)); got != 0 {
+		t.Fatalf("Reset left %d span(s) in the JSON spans list", got)
 	}
 	// The stage-handle cache must be invalidated too: a span ended after
 	// Reset re-registers its histogram instead of observing into a

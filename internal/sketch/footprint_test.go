@@ -45,12 +45,12 @@ func TestSketchHoldsOnlyItsBuffer(t *testing.T) {
 }
 
 // TestRotationAfterCollectionsAllocatesUnderOneKeptBlock: a rotation
-// reads its float32 rows widened one k-panel at a time, never as a
-// d-long float64 copy. Right after two collections — every pool and free
-// list empty, so each piece of scratch the rotation takes is a fresh
-// allocation — one rotation at d = 16384 allocates less than one ℓ×d
-// float64 array; a widened copy of the incoming rows alone would be
-// that much.
+// reads its float32 rows widened a run of columns at a time, on the
+// stack, never as a d-long float64 copy. Right after two collections —
+// every pool and free list empty, so each piece of scratch the rotation
+// takes is a fresh allocation — one rotation at d = 16384 allocates less
+// than one ℓ×d float64 array, at every pool width; a widened copy of the
+// incoming rows alone would be that much.
 func TestRotationAfterCollectionsAllocatesUnderOneKeptBlock(t *testing.T) {
 	const ell, d = 25, 16384
 	x := goldenStream(2*ell+1, d, 30, 78)
