@@ -355,17 +355,25 @@ func (c *checker) checkForbidLabels(keys []string) {
 	}
 }
 
-// connected verifies one trace is a single tree: exactly one root span
-// (Parent == 0), and every other span's parent chain reaches it.
+// connected verifies one trace is a single tree: exactly one root span,
+// and every other span's parent chain reaches it. The root has no
+// parent, or — in a process whose part of the trace hangs under another
+// process's span, as a fabric worker's does — it is the span the record
+// is rooted at (tr.Root, tr.Start), and its parent is not in the trace.
 func connected(tr obs.TraceRecord) error {
 	byID := make(map[obs.ID]obs.SpanRecord, len(tr.Spans))
-	var roots int
 	for _, sp := range tr.Spans {
 		if sp.Trace != tr.Trace {
 			return fmt.Errorf("span %s carries trace %s", sp.Span, sp.Trace)
 		}
 		byID[sp.Span] = sp
-		if sp.Parent == 0 {
+	}
+	var root obs.ID
+	var roots int
+	for _, sp := range tr.Spans {
+		_, parentHere := byID[sp.Parent]
+		if sp.Parent == 0 || !parentHere && sp.Name == tr.Root && sp.Start.Equal(tr.Start) {
+			root = sp.Span
 			roots++
 		}
 	}
@@ -375,7 +383,7 @@ func connected(tr obs.TraceRecord) error {
 	for _, sp := range tr.Spans {
 		seen := map[obs.ID]bool{}
 		cur := sp
-		for cur.Parent != 0 {
+		for cur.Span != root {
 			if seen[cur.Span] {
 				return fmt.Errorf("parent cycle at span %s", cur.Span)
 			}

@@ -33,6 +33,7 @@ import (
 	"sync"
 
 	"arams/internal/mat"
+	"arams/internal/sketch"
 )
 
 // Magic is the frame signature "ACKP".
@@ -188,7 +189,11 @@ func Peek(b []byte) (Header, error) {
 // (Marshal/Unmarshal) or a writer/reader behind one chunkLen buffer
 // (Save, Load). The decoder walks its input with a sticky error
 // and hard bounds checks, so corrupt declared lengths fail cleanly
-// instead of panicking or allocating unbounded memory.
+// instead of panicking or allocating unbounded memory. Encoder and
+// Decoder hand its slice form to internal/fabric, which writes and
+// reads every wire payload but shard state with it: the hello (whose
+// sketch.Config is the ARAMS payload's, encodeConfig), rows, acks,
+// certificates, heartbeats, errors, flight requests and span records.
 
 // enc stages fields in b, or — when sizing — only adds their encoded
 // length to n. With w nil, b was allocated at the frame's final size
@@ -213,12 +218,13 @@ func (e *enc) room(k int) {
 	}
 }
 
-// flush empties the chunk into w. The slice form never gets here while
-// the sizing pass is right; if it does, b grows like any append target
-// and encodeFrame reports the disagreement.
+// flush empties the chunk into w. In the slice form b grows instead,
+// like any append target: an Encoder's does as fields arrive, and
+// Marshal's never, while the sizing pass is right (encodeFrame reports
+// a disagreement).
 func (e *enc) flush() {
 	if e.w == nil {
-		e.b = slices.Grow(e.b, chunkLen)
+		e.b = slices.Grow(e.b, 8)
 		return
 	}
 	e.crc = crc32.Update(e.crc, crc32.IEEETable, e.b)
@@ -238,7 +244,8 @@ func (e *enc) u8(v uint8) {
 	e.b = append(e.b, v)
 }
 
-// u32 is for the header and trailer, which the sizing pass leaves out.
+// u32 is for the header, the trailer and fabric payloads: no checkpoint
+// payload field is one, so the sizing pass leaves it out.
 func (e *enc) u32(v uint32) {
 	e.room(4)
 	e.b = binary.LittleEndian.AppendUint32(e.b, v)
@@ -457,6 +464,15 @@ func (d *dec) u8() uint8 {
 	return v
 }
 
+func (d *dec) u32() uint32 {
+	if !d.need(4) {
+		return 0
+	}
+	v := binary.LittleEndian.Uint32(d.b[d.off:])
+	d.off += 4
+	return v
+}
+
 func (d *dec) u64() uint64 {
 	if !d.need(8) {
 		return 0
@@ -650,3 +666,84 @@ func (d *dec) finish() error {
 	}
 	return nil
 }
+
+// Encoder is the field codec's slice form for a payload that is not a
+// checkpoint frame (a fabric message's): enc's fields, appended to a
+// buffer that grows as they arrive.
+type Encoder struct{ e enc }
+
+// NewEncoder returns an encoder with room for n bytes before it grows.
+func NewEncoder(n int) *Encoder { return &Encoder{enc{b: make([]byte, 0, n)}} }
+
+// U32, U64, I64, F64 and Str write enc's fields.
+func (x *Encoder) U32(v uint32)  { x.e.u32(v) }
+func (x *Encoder) U64(v uint64)  { x.e.u64(v) }
+func (x *Encoder) I64(v int)     { x.e.i64(v) }
+func (x *Encoder) F64(v float64) { x.e.f64(v) }
+func (x *Encoder) Str(v string)  { x.e.str(v) }
+
+// Blob writes a length-prefixed byte string, str's layout.
+func (x *Encoder) Blob(v []byte) {
+	x.e.i64(len(v))
+	x.e.b = append(x.e.b, v...)
+}
+
+// Config writes a sketch configuration in the ARAMS payload's layout.
+func (x *Encoder) Config(c sketch.Config) { encodeConfig(&x.e, c) }
+
+// Bytes returns what has been written.
+func (x *Encoder) Bytes() []byte { return x.e.b }
+
+// Decoder is the field codec's slice form for reading what an Encoder
+// wrote: dec's bounds checks and sticky error over one payload, with
+// canonical bools and Finish refusing trailing bytes.
+type Decoder struct{ d dec }
+
+// NewDecoder returns a decoder over b.
+func NewDecoder(b []byte) *Decoder { return &Decoder{dec{b: b}} }
+
+// U32, U64, I64, F64 and Str read dec's fields: zero once the decode
+// has failed.
+func (x *Decoder) U32() uint32  { return x.d.u32() }
+func (x *Decoder) U64() uint64  { return x.d.u64() }
+func (x *Decoder) I64() int     { return x.d.i64() }
+func (x *Decoder) F64() float64 { return x.d.f64() }
+func (x *Decoder) Str() string  { return x.d.str() }
+
+// Blob reads a length-prefixed byte string as a view of the input, nil
+// when it is empty.
+func (x *Decoder) Blob() []byte {
+	n := x.d.count(1)
+	if n == 0 || !x.d.need(n) {
+		return nil
+	}
+	v := x.d.b[x.d.off : x.d.off+n : x.d.off+n]
+	x.d.off += n
+	return v
+}
+
+// Config reads a sketch configuration in the ARAMS payload's layout.
+func (x *Decoder) Config() sketch.Config { return decodeConfig(&x.d) }
+
+// Len reads an element count and fails the decode when it is negative
+// or above max.
+func (x *Decoder) Len(max int) int {
+	n := x.d.i64()
+	if x.d.err == nil && (n < 0 || n > max) {
+		x.d.fail("count %d at offset %d outside [0, %d]", n, x.d.pos()-8, max)
+	}
+	if x.d.err != nil {
+		return 0
+	}
+	return n
+}
+
+// Remaining is how many bytes are still unread.
+func (x *Decoder) Remaining() int { return x.d.remaining() }
+
+// Err returns the first decode error.
+func (x *Decoder) Err() error { return x.d.err }
+
+// Finish returns the first decode error, or an error when bytes remain
+// unread: a payload is exact, not a prefix.
+func (x *Decoder) Finish() error { return x.d.finish() }

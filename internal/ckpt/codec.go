@@ -228,14 +228,30 @@ func decodeRankAdaptive(d *dec) *sketch.RankAdaptiveState {
 
 // --- ARAMS ---
 
-func encodeARAMS(e *enc, s *sketch.ARAMSState) error {
-	e.i64(s.Cfg.Ell0)
-	e.i64(s.Cfg.Nu)
-	e.f64(s.Cfg.Eps)
-	e.f64(s.Cfg.Beta)
-	e.bool(s.Cfg.RankAdaptive)
+// encodeConfig is sketch.Config's one layout, in an ARAMS payload and
+// in a fabric hello: ℓ₀, ν, ε, β, rank adaptation, the retired
+// estimator slot and the seed.
+func encodeConfig(e *enc, c sketch.Config) {
+	e.i64(c.Ell0)
+	e.i64(c.Nu)
+	e.f64(c.Eps)
+	e.f64(c.Beta)
+	e.bool(c.RankAdaptive)
 	e.i64(0) // retired estimator slot
-	e.u64(s.Cfg.Seed)
+	e.u64(c.Seed)
+}
+
+// decodeConfig reads what encodeConfig writes and checks nothing past
+// the retired slot; a hello holds the result to more.
+func decodeConfig(d *dec) sketch.Config {
+	c := sketch.Config{Ell0: d.i64(), Nu: d.i64(), Eps: d.f64(), Beta: d.f64(), RankAdaptive: d.bool()}
+	d.retired("config estimator")
+	c.Seed = d.u64()
+	return c
+}
+
+func encodeARAMS(e *enc, s *sketch.ARAMSState) error {
+	encodeConfig(e, s.Cfg)
 	e.i64(s.D)
 	encodeRNG(e, s.RNG)
 	switch {
@@ -252,14 +268,7 @@ func encodeARAMS(e *enc, s *sketch.ARAMSState) error {
 }
 
 func decodeARAMS(d *dec) *sketch.ARAMSState {
-	s := &sketch.ARAMSState{}
-	s.Cfg.Ell0 = d.i64()
-	s.Cfg.Nu = d.i64()
-	s.Cfg.Eps = d.f64()
-	s.Cfg.Beta = d.f64()
-	s.Cfg.RankAdaptive = d.bool()
-	d.retired("ARAMS estimator")
-	s.Cfg.Seed = d.u64()
+	s := &sketch.ARAMSState{Cfg: decodeConfig(d)}
 	s.D = d.i64()
 	s.RNG = decodeRNG(d)
 	if d.bool() {

@@ -27,6 +27,7 @@ import (
 	"arams/internal/mat"
 	"arams/internal/obs"
 	"arams/internal/parallel"
+	"arams/internal/rng"
 	"arams/internal/sketch"
 )
 
@@ -227,16 +228,9 @@ func New(cfg Config) *Engine {
 // Exported so benchmarks can replay a single shard's stream standalone.
 func ShardSketchConfig(c sketch.Config, i int) sketch.Config {
 	if i > 0 {
-		c.Seed ^= splitmix64(c.Seed + uint64(i)*0x9e3779b97f4a7c15)
+		c.Seed ^= rng.SplitMix64(c.Seed + uint64(i)*0x9e3779b97f4a7c15)
 	}
 	return c
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Ingest preprocesses one frame and feeds it to its shard. tag is an

@@ -8,7 +8,9 @@
 //
 // The wire protocol is deliberately small and has one form: CRC-checked
 // frames with one fixed header (internal/ckpt's wire codec) carrying
-// either a primitive-encoded payload (rows, stats, certificates) or a
+// either a payload of fields written and read by ckpt's field codec
+// (ckpt.Encoder, ckpt.Decoder: rows, stats, certificates; the hello's
+// sketch configuration in the ARAMS checkpoint's layout) or a
 // whole canonical ckpt checkpoint frame of a sketch kind (version 4:
 // kept rows float64, incoming rows float32 — the same bytes a checkpoint
 // file holds for that sketch inside a version 5 monitor frame, so state
@@ -23,13 +25,13 @@
 package fabric
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
 	"time"
 
 	"arams/internal/audit"
+	"arams/internal/ckpt"
 	"arams/internal/obs"
 	"arams/internal/sketch"
 )
@@ -105,90 +107,6 @@ const (
 	ErrCodeFatal uint32 = 3
 )
 
-// penc is the fabric payload encoder: little-endian primitives appended
-// to a byte slice, mirroring the ckpt codec's conventions (f64 as IEEE
-// bits, bool as one byte) so payload bytes are canonical — the same
-// payload always encodes to the same bytes, which the golden tests pin.
-type penc struct{ b []byte }
-
-func (e *penc) u32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *penc) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *penc) i64(v int)     { e.u64(uint64(int64(v))) }
-func (e *penc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *penc) bool(v bool) {
-	if v {
-		e.b = append(e.b, 1)
-	} else {
-		e.b = append(e.b, 0)
-	}
-}
-
-// pdec is the matching bounds-checked decoder: it never panics on
-// truncated input, it records the first error and returns zeros after.
-type pdec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *pdec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("fabric: truncated payload at offset %d", d.off)
-	}
-}
-
-func (d *pdec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *pdec) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *pdec) i64() int     { return int(int64(d.u64())) }
-func (d *pdec) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *pdec) bool() bool {
-	if d.err != nil || d.off >= len(d.b) {
-		d.fail()
-		return false
-	}
-	v := d.b[d.off]
-	if v > 1 {
-		// Only 0x00/0x01 are canonical; anything else would decode to a
-		// value that re-encodes differently.
-		if d.err == nil {
-			d.err = fmt.Errorf("fabric: non-canonical bool byte %#02x at offset %d", v, d.off)
-		}
-		return false
-	}
-	d.off++
-	return v != 0
-}
-
-// finish returns the recorded error, or an error if trailing bytes
-// remain — payloads are exact, not prefixes.
-func (d *pdec) finish() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("fabric: %d trailing payload bytes", len(d.b)-d.off)
-	}
-	return nil
-}
-
 // HelloPayload opens a connection: which shard slot this connection
 // feeds and the sketch configuration the worker must sketch under
 // (already shard-derived via engine.ShardSketchConfig, so the worker
@@ -199,16 +117,10 @@ type HelloPayload struct {
 }
 
 func (p HelloPayload) encode() []byte {
-	e := &penc{}
-	e.u32(p.Shard)
-	e.i64(p.Cfg.Ell0)
-	e.i64(p.Cfg.Nu)
-	e.f64(p.Cfg.Eps)
-	e.f64(p.Cfg.Beta)
-	e.bool(p.Cfg.RankAdaptive)
-	e.i64(0) // retired estimator slot
-	e.u64(p.Cfg.Seed)
-	return e.b
+	e := ckpt.NewEncoder(64)
+	e.U32(p.Shard)
+	e.Config(p.Cfg)
+	return e.Bytes()
 }
 
 // maxHelloRank bounds a hello's ℓ₀ and ν. The paper's ℓ is tens; at
@@ -216,21 +128,14 @@ func (p HelloPayload) encode() []byte {
 const maxHelloRank = 1 << 16
 
 // decodeHello decodes a hello and refuses a configuration the worker
-// could not sketch under: ℓ₀ outside [1, maxHelloRank], ν outside
-// [0, maxHelloRank] (0 selects the default), a non-finite β or ε, rank
-// adaptation without a positive ε, or a non-zero estimator slot.
+// could not sketch under: a non-zero estimator slot (which the config
+// decoder refuses in a checkpoint too), ℓ₀ outside [1, maxHelloRank],
+// ν outside [0, maxHelloRank] (0 selects the default), a non-finite β
+// or ε, or rank adaptation without a positive ε.
 func decodeHello(b []byte) (HelloPayload, error) {
-	d := &pdec{b: b}
-	var p HelloPayload
-	p.Shard = d.u32()
-	p.Cfg.Ell0 = d.i64()
-	p.Cfg.Nu = d.i64()
-	p.Cfg.Eps = d.f64()
-	p.Cfg.Beta = d.f64()
-	p.Cfg.RankAdaptive = d.bool()
-	estimator := d.i64()
-	p.Cfg.Seed = d.u64()
-	if err := d.finish(); err != nil {
+	d := ckpt.NewDecoder(b)
+	p := HelloPayload{Shard: d.U32(), Cfg: d.Config()}
+	if err := d.Finish(); err != nil {
 		return p, err
 	}
 	c := p.Cfg
@@ -243,8 +148,6 @@ func decodeHello(b []byte) (HelloPayload, error) {
 		return p, fmt.Errorf("fabric: hello has Beta %v, Eps %v", c.Beta, c.Eps)
 	case c.RankAdaptive && c.Eps <= 0:
 		return p, fmt.Errorf("fabric: rank-adaptive hello has Eps %v", c.Eps)
-	case estimator != 0:
-		return p, fmt.Errorf("fabric: hello estimator slot holds %d, want 0", estimator)
 	}
 	return p, nil
 }
@@ -263,38 +166,34 @@ type IngestPayload struct {
 }
 
 func (p IngestPayload) encode() []byte {
-	e := &penc{b: make([]byte, 0, 16+8*p.D*len(p.Rows))}
-	e.i64(p.D)
-	e.i64(len(p.Rows))
+	e := ckpt.NewEncoder(16 + 8*p.D*len(p.Rows))
+	e.I64(p.D)
+	e.I64(len(p.Rows))
 	for _, r := range p.Rows {
 		for _, v := range r {
-			e.f64(v)
+			e.F64(v)
 		}
 	}
-	return e.b
+	return e.Bytes()
 }
 
 func decodeIngest(b []byte) (IngestPayload, error) {
-	d := &pdec{b: b}
-	var p IngestPayload
-	p.D = d.i64()
-	n := d.i64()
-	if d.err == nil {
-		if p.D < 0 || n < 0 || n > maxIngestRows ||
-			(n > 0 && (p.D == 0 || p.D > (len(b)-d.off)/8/n)) {
-			return p, fmt.Errorf("fabric: ingest payload claims %d rows of dim %d in %d bytes",
-				n, p.D, len(b))
-		}
+	d := ckpt.NewDecoder(b)
+	p := IngestPayload{D: d.I64()}
+	n := d.Len(maxIngestRows)
+	if d.Err() == nil && (p.D < 0 || n > 0 && (p.D == 0 || p.D > d.Remaining()/8/n)) {
+		return p, fmt.Errorf("fabric: ingest payload claims %d rows of dim %d in %d bytes",
+			n, p.D, len(b))
 	}
 	p.Rows = make([][]float64, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		row := make([]float64, p.D)
 		for j := range row {
-			row[j] = d.f64()
+			row[j] = d.F64()
 		}
 		p.Rows = append(p.Rows, row)
 	}
-	return p, d.finish()
+	return p, d.Finish()
 }
 
 // IngestAckPayload folds the absorbed rows' batch stats plus the
@@ -307,30 +206,26 @@ type IngestAckPayload struct {
 }
 
 func (p IngestAckPayload) encode() []byte {
-	e := &penc{}
-	e.i64(p.Stats.Rows)
-	e.i64(p.Stats.Kept)
-	e.f64(p.Stats.TotalMass)
-	e.f64(p.Stats.KeptMass)
-	e.f64(p.Stats.DeltaAdded)
-	e.i64(p.Stats.EllBefore)
-	e.i64(p.Stats.EllAfter)
-	e.i64(p.Ell)
-	return e.b
+	e := ckpt.NewEncoder(64)
+	e.I64(p.Stats.Rows)
+	e.I64(p.Stats.Kept)
+	e.F64(p.Stats.TotalMass)
+	e.F64(p.Stats.KeptMass)
+	e.F64(p.Stats.DeltaAdded)
+	e.I64(p.Stats.EllBefore)
+	e.I64(p.Stats.EllAfter)
+	e.I64(p.Ell)
+	return e.Bytes()
 }
 
 func decodeIngestAck(b []byte) (IngestAckPayload, error) {
-	d := &pdec{b: b}
-	var p IngestAckPayload
-	p.Stats.Rows = d.i64()
-	p.Stats.Kept = d.i64()
-	p.Stats.TotalMass = d.f64()
-	p.Stats.KeptMass = d.f64()
-	p.Stats.DeltaAdded = d.f64()
-	p.Stats.EllBefore = d.i64()
-	p.Stats.EllAfter = d.i64()
-	p.Ell = d.i64()
-	return p, d.finish()
+	d := ckpt.NewDecoder(b)
+	p := IngestAckPayload{Stats: sketch.BatchStats{
+		Rows: d.I64(), Kept: d.I64(),
+		TotalMass: d.F64(), KeptMass: d.F64(), DeltaAdded: d.F64(),
+		EllBefore: d.I64(), EllAfter: d.I64(),
+	}, Ell: d.I64()}
+	return p, d.Finish()
 }
 
 // CertificatePayload is audit.Certificate on the wire. Time crosses as
@@ -338,34 +233,31 @@ func decodeIngestAck(b []byte) (IngestAckPayload, error) {
 type CertificatePayload struct{ Cert audit.Certificate }
 
 func (p CertificatePayload) encode() []byte {
-	e := &penc{}
-	e.i64(p.Cert.Rows)
-	e.i64(p.Cert.Dim)
-	e.i64(p.Cert.Ell)
-	e.i64(p.Cert.Rotations)
-	e.f64(p.Cert.ShrinkMass)
-	e.f64(p.Cert.FrobMass)
+	e := ckpt.NewEncoder(56)
+	e.I64(p.Cert.Rows)
+	e.I64(p.Cert.Dim)
+	e.I64(p.Cert.Ell)
+	e.I64(p.Cert.Rotations)
+	e.F64(p.Cert.ShrinkMass)
+	e.F64(p.Cert.FrobMass)
 	var ns int64
 	if !p.Cert.Time.IsZero() {
 		ns = p.Cert.Time.UnixNano()
 	}
-	e.u64(uint64(ns))
-	return e.b
+	e.U64(uint64(ns))
+	return e.Bytes()
 }
 
 func decodeCertificate(b []byte) (CertificatePayload, error) {
-	d := &pdec{b: b}
-	var p CertificatePayload
-	p.Cert.Rows = d.i64()
-	p.Cert.Dim = d.i64()
-	p.Cert.Ell = d.i64()
-	p.Cert.Rotations = d.i64()
-	p.Cert.ShrinkMass = d.f64()
-	p.Cert.FrobMass = d.f64()
-	if ns := int64(d.u64()); ns != 0 {
+	d := ckpt.NewDecoder(b)
+	p := CertificatePayload{Cert: audit.Certificate{
+		Rows: d.I64(), Dim: d.I64(), Ell: d.I64(), Rotations: d.I64(),
+		ShrinkMass: d.F64(), FrobMass: d.F64(),
+	}}
+	if ns := int64(d.U64()); ns != 0 {
 		p.Cert.Time = time.Unix(0, ns).UTC()
 	}
-	return p, d.finish()
+	return p, d.Finish()
 }
 
 // HeartbeatPayload is the worker's liveness answer: rows absorbed for
@@ -386,24 +278,20 @@ type HeartbeatPayload struct {
 }
 
 func (p HeartbeatPayload) encode() []byte {
-	e := &penc{}
-	e.i64(p.Frames)
-	e.i64(p.Ell)
-	e.f64(p.Uptime)
-	e.i64(p.QueueDepth)
-	e.i64(0) // retired span-ring slot
-	return e.b
+	e := ckpt.NewEncoder(40)
+	e.I64(p.Frames)
+	e.I64(p.Ell)
+	e.F64(p.Uptime)
+	e.I64(p.QueueDepth)
+	e.I64(0) // retired span-ring slot
+	return e.Bytes()
 }
 
 func decodeHeartbeat(b []byte) (HeartbeatPayload, error) {
-	d := &pdec{b: b}
-	var p HeartbeatPayload
-	p.Frames = d.i64()
-	p.Ell = d.i64()
-	p.Uptime = d.f64()
-	p.QueueDepth = d.i64()
-	d.u64() // retired span-ring slot: any value an older worker sends
-	return p, d.finish()
+	d := ckpt.NewDecoder(b)
+	p := HeartbeatPayload{Frames: d.I64(), Ell: d.I64(), Uptime: d.F64(), QueueDepth: d.I64()}
+	d.U64() // retired span-ring slot: any value an older worker sends
+	return p, d.Finish()
 }
 
 // ErrorPayload answers a failed request with a coarse code (mapping
@@ -414,48 +302,16 @@ type ErrorPayload struct {
 }
 
 func (p ErrorPayload) encode() []byte {
-	e := &penc{}
-	e.u32(p.Code)
-	e.i64(len(p.Msg))
-	e.b = append(e.b, p.Msg...)
-	return e.b
+	e := ckpt.NewEncoder(12 + len(p.Msg))
+	e.U32(p.Code)
+	e.Str(p.Msg)
+	return e.Bytes()
 }
 
 func decodeError(b []byte) (ErrorPayload, error) {
-	d := &pdec{b: b}
-	var p ErrorPayload
-	p.Code = d.u32()
-	n := d.i64()
-	if d.err == nil {
-		if n < 0 || n > len(b)-d.off {
-			return p, fmt.Errorf("fabric: error payload claims %d message bytes", n)
-		}
-		p.Msg = string(b[d.off : d.off+n])
-		d.off += n
-	}
-	return p, d.finish()
-}
-
-// str appends a length-prefixed string.
-func (e *penc) str(s string) {
-	e.i64(len(s))
-	e.b = append(e.b, s...)
-}
-
-// str decodes a length-prefixed string, bounds-checked against the
-// remaining payload.
-func (d *pdec) str() string {
-	n := d.i64()
-	if d.err != nil {
-		return ""
-	}
-	if n < 0 || n > len(d.b)-d.off {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
+	d := ckpt.NewDecoder(b)
+	p := ErrorPayload{Code: d.U32(), Msg: d.Str()}
+	return p, d.Finish()
 }
 
 // FlightReqPayload fans a flight-recorder trigger out to a worker. ID
@@ -468,18 +324,16 @@ type FlightReqPayload struct {
 }
 
 func (p FlightReqPayload) encode() []byte {
-	e := &penc{}
-	e.str(p.ID)
-	e.str(p.Reason)
-	return e.b
+	e := ckpt.NewEncoder(16 + len(p.ID) + len(p.Reason))
+	e.Str(p.ID)
+	e.Str(p.Reason)
+	return e.Bytes()
 }
 
 func decodeFlightReq(b []byte) (FlightReqPayload, error) {
-	d := &pdec{b: b}
-	var p FlightReqPayload
-	p.ID = d.str()
-	p.Reason = d.str()
-	return p, d.finish()
+	d := ckpt.NewDecoder(b)
+	p := FlightReqPayload{ID: d.Str(), Reason: d.Str()}
+	return p, d.Finish()
 }
 
 // FlightAckPayload names the dump file the worker wrote (base name,
@@ -490,16 +344,15 @@ type FlightAckPayload struct {
 }
 
 func (p FlightAckPayload) encode() []byte {
-	e := &penc{}
-	e.str(p.Dump)
-	return e.b
+	e := ckpt.NewEncoder(8 + len(p.Dump))
+	e.Str(p.Dump)
+	return e.Bytes()
 }
 
 func decodeFlightAck(b []byte) (FlightAckPayload, error) {
-	d := &pdec{b: b}
-	var p FlightAckPayload
-	p.Dump = d.str()
-	return p, d.finish()
+	d := ckpt.NewDecoder(b)
+	p := FlightAckPayload{Dump: d.Str()}
+	return p, d.Finish()
 }
 
 // maxSpanRecords bounds the span records one response may carry; a worker ships a handful per RPC, so this only guards decode
@@ -512,61 +365,48 @@ const maxSpanRecords = 4096
 // (sorted so the encoding is canonical). The reserved slot once held
 // the span's thread CPU time; it is written as zero, and a decoder
 // drops whatever an older worker put there.
-func encodeSpanRecords(e *penc, recs []obs.SpanRecord) {
-	e.i64(len(recs))
+func encodeSpanRecords(e *ckpt.Encoder, recs []obs.SpanRecord) {
+	e.I64(len(recs))
 	for _, rec := range recs {
-		e.str(rec.Name)
-		e.u64(uint64(rec.Start.UnixNano()))
-		e.u64(uint64(rec.Duration))
-		e.u64(0) // reserved slot
-		e.u64(uint64(rec.Trace))
-		e.u64(uint64(rec.Span))
-		e.u64(uint64(rec.Parent))
+		e.Str(rec.Name)
+		e.U64(uint64(rec.Start.UnixNano()))
+		e.U64(uint64(rec.Duration))
+		e.U64(0) // reserved slot
+		e.U64(uint64(rec.Trace))
+		e.U64(uint64(rec.Span))
+		e.U64(uint64(rec.Parent))
 		keys := make([]string, 0, len(rec.Attrs))
 		for k := range rec.Attrs {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		e.i64(len(keys))
+		e.I64(len(keys))
 		for _, k := range keys {
-			e.str(k)
-			e.str(rec.Attrs[k])
+			e.Str(k)
+			e.Str(rec.Attrs[k])
 		}
 	}
 }
 
-func decodeSpanRecords(d *pdec) []obs.SpanRecord {
-	n := d.i64()
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || n > maxSpanRecords {
-		d.fail()
-		return nil
-	}
+// maxSpanAttrs bounds one span record's attribute pairs.
+const maxSpanAttrs = 64
+
+func decodeSpanRecords(d *ckpt.Decoder) []obs.SpanRecord {
+	n := d.Len(maxSpanRecords)
 	recs := make([]obs.SpanRecord, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		var rec obs.SpanRecord
-		rec.Name = d.str()
-		rec.Start = time.Unix(0, int64(d.u64())).UTC()
-		rec.Duration = time.Duration(d.u64())
-		d.u64() // reserved slot
-		rec.Trace = obs.ID(d.u64())
-		rec.Span = obs.ID(d.u64())
-		rec.Parent = obs.ID(d.u64())
-		na := d.i64()
-		if d.err != nil {
-			break
+	for i := 0; i < n && d.Err() == nil; i++ {
+		rec := obs.SpanRecord{
+			Name:     d.Str(),
+			Start:    time.Unix(0, int64(d.U64())).UTC(),
+			Duration: time.Duration(d.U64()),
 		}
-		if na < 0 || na > 64 {
-			d.fail()
-			break
-		}
-		if na > 0 {
+		d.U64() // reserved slot
+		rec.Trace, rec.Span, rec.Parent = obs.ID(d.U64()), obs.ID(d.U64()), obs.ID(d.U64())
+		if na := d.Len(maxSpanAttrs); na > 0 {
 			rec.Attrs = make(map[string]string, na)
-			for j := 0; j < na && d.err == nil; j++ {
-				k := d.str()
-				rec.Attrs[k] = d.str()
+			for j := 0; j < na && d.Err() == nil; j++ {
+				k := d.Str()
+				rec.Attrs[k] = d.Str()
 			}
 		}
 		recs = append(recs, rec)
@@ -580,32 +420,20 @@ func decodeSpanRecords(d *pdec) []obs.SpanRecord {
 // trace into its own tree. An untraced request's reply carries zero
 // records.
 func wrapReply(inner []byte, recs []obs.SpanRecord) []byte {
-	e := &penc{b: make([]byte, 0, 16+len(inner))}
-	e.i64(len(inner))
-	e.b = append(e.b, inner...)
+	e := ckpt.NewEncoder(16 + len(inner))
+	e.Blob(inner)
 	encodeSpanRecords(e, recs)
-	return e.b
+	return e.Bytes()
 }
 
-// unwrapReply splits a response payload into the inner payload and the
-// worker's span records.
+// unwrapReply splits a response payload into the inner payload (a view
+// of b, nil when empty) and the worker's span records.
 func unwrapReply(b []byte) ([]byte, []obs.SpanRecord, error) {
-	d := &pdec{b: b}
-	n := d.i64()
-	if d.err != nil {
-		return nil, nil, d.err
-	}
-	if n < 0 || n > len(b)-d.off {
-		return nil, nil, fmt.Errorf("fabric: reply claims %d inner bytes", n)
-	}
-	inner := b[d.off : d.off+n]
-	d.off += n
+	d := ckpt.NewDecoder(b)
+	inner := d.Blob()
 	recs := decodeSpanRecords(d)
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return nil, nil, err
-	}
-	if len(inner) == 0 {
-		inner = nil
 	}
 	return inner, recs, nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"arams/internal/audit"
+	"arams/internal/ckpt"
 	"arams/internal/obs"
 	"arams/internal/sketch"
 )
@@ -81,6 +82,22 @@ func TestPayloadGoldens(t *testing.T) {
 	wantFAck := "0700000000000000" + hex.EncodeToString([]byte("f.jsonl"))
 	if g := hex.EncodeToString(fack.encode()); g != wantFAck {
 		t.Errorf("flight-ack payload bytes changed:\n got  %s\n want %s", g, wantFAck)
+	}
+}
+
+// TestHelloPayloadConfigIsCheckpointConfig: a hello carries its sketch
+// configuration in the ARAMS checkpoint's layout, through the one config
+// codec: the bytes after its shard index open that kind's payload.
+func TestHelloPayloadConfigIsCheckpointConfig(t *testing.T) {
+	cfg := sketch.Config{Ell0: 8, Nu: 3, Eps: 0.25, Beta: 0.5, RankAdaptive: true, Seed: 0x0102030405060708}
+	frame, err := ckpt.Marshal(&sketch.ARAMSState{Cfg: cfg, D: 2, FD: &sketch.FDState{Ell: 8, D: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const headerLen = 20
+	cfgBytes := HelloPayload{Shard: 2, Cfg: cfg}.encode()[4:]
+	if got := frame[headerLen : headerLen+len(cfgBytes)]; !bytes.Equal(got, cfgBytes) {
+		t.Fatalf("ARAMS payload opens with %x, the hello's config is %x", got, cfgBytes)
 	}
 }
 
@@ -341,18 +358,19 @@ func TestPayloadDecodeErrors(t *testing.T) {
 // bytes this encoder writes for the same reply.
 func zeroReservedSlots(b []byte) []byte {
 	out := append([]byte(nil), b...)
-	d := &pdec{b: out}
-	inner := d.i64()
-	d.off += inner
-	for n := d.i64(); n > 0; n-- {
-		d.str()
-		d.u64() // start
-		d.u64() // duration
-		binary.LittleEndian.PutUint64(out[d.off:], 0)
-		d.off += 8 + 3*8 // reserved slot, trace/span/parent IDs
-		for na := d.i64(); na > 0; na-- {
-			d.str()
-			d.str()
+	d := ckpt.NewDecoder(out)
+	d.Blob()
+	for n := d.I64(); n > 0; n-- {
+		d.Str()
+		d.U64() // start
+		d.U64() // duration
+		binary.LittleEndian.PutUint64(out[len(out)-d.Remaining():], 0)
+		for range 4 { // reserved slot, trace/span/parent IDs
+			d.U64()
+		}
+		for na := d.I64(); na > 0; na-- {
+			d.Str()
+			d.Str()
 		}
 	}
 	return out
@@ -360,9 +378,9 @@ func zeroReservedSlots(b []byte) []byte {
 
 // FuzzFabricPayload throws arbitrary bytes at every payload decoder:
 // none may panic, and whatever decodes must re-encode byte-identically
-// (the payload encodings are canonical). The one exception is a span
-// record's reserved slot in the reply form, which decodes from any
-// value and re-encodes as zero.
+// (the payload encodings are canonical). The exceptions are a span
+// record's reserved slot in the reply form and the heartbeat's retired
+// slot, which decode from any value and re-encode as zero.
 func FuzzFabricPayload(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(HelloPayload{Shard: 1, Cfg: sketch.Config{Ell0: 8, Beta: 1}}.encode())
@@ -404,7 +422,9 @@ func FuzzFabricPayload(f *testing.F) {
 			}
 		}
 		if p, err := decodeHeartbeat(b); err == nil {
-			if !bytes.Equal(p.encode(), b) {
+			// The retired span-ring slot, the last 8 bytes, decodes
+			// from any value and re-encodes as zero.
+			if !bytes.Equal(p.encode(), append(b[:len(b)-8:len(b)-8], make([]byte, 8)...)) {
 				t.Fatal("heartbeat not canonical")
 			}
 		}

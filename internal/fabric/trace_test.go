@@ -116,14 +116,31 @@ func TestCrossProcessTraceStitch(t *testing.T) {
 		}
 	}
 
-	// The worker timed its spans in its own registry, and its trace
-	// store retains no trace of its own: the tree lives on the
-	// coordinator, which stitched the worker's records in above.
+	// The worker timed its spans in its own registry and, each being its
+	// process's root of the coordinator's trace, finalized one trace per
+	// request there: a record holding the very span the coordinator
+	// stitched in above.
 	if n := workerReg.Histogram(obs.StageHistogramName, obs.L("stage", "worker_absorb")).Count(); n != 1 {
 		t.Errorf("worker registry timed %d worker_absorb span(s), want 1", n)
 	}
-	if n := len(workerReg.Traces()); n != 0 {
-		t.Errorf("worker registry retains %d trace(s), want 0", n)
+	workerSpans := 0
+	for _, sp := range trace.Spans {
+		if strings.HasPrefix(sp.Name, "worker_") {
+			workerSpans++
+		}
+	}
+	var workerTraces int
+	for _, tr := range workerReg.Traces() {
+		if tr.Trace != rootCtx.Trace {
+			continue // the dial's restore, under its own trace
+		}
+		workerTraces++
+		if len(tr.Spans) != 1 || byID[tr.Spans[0].Span].Name != tr.Root {
+			t.Errorf("worker trace rooted at %q holds %d span(s), want one stitched span", tr.Root, len(tr.Spans))
+		}
+	}
+	if workerTraces != workerSpans {
+		t.Errorf("worker registry retains %d record(s) of the trace, want one per stitched worker span (%d)", workerTraces, workerSpans)
 	}
 }
 

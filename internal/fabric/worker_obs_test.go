@@ -111,14 +111,19 @@ func TestWorkerTracedReplyWrapsIngestAck(t *testing.T) {
 	if rec.Attrs["rows"] != "2" {
 		t.Errorf("span rows attr %q, want 2", rec.Attrs["rows"])
 	}
-	// The worker timed the span in its own registry, and its trace
-	// store finalized no trace of its own: the span's parent lives in the
-	// coordinator, whose trace store stitches the record in.
+	// The worker timed the span in its own registry, and — the span's
+	// parent living in the coordinator — finalized the trace there with
+	// the span as its root, so the worker's own /tracez lists it.
 	if n := reg.Histogram(obs.StageHistogramName, obs.L("stage", "worker_absorb")).Count(); n != 1 {
 		t.Errorf("worker_absorb stage histogram counts %d, want 1", n)
 	}
-	if n := len(reg.Traces()); n != 0 {
-		t.Errorf("worker registry retains %d trace(s) of a coordinator's trace, want 0", n)
+	traces := reg.Traces()
+	if len(traces) != 1 {
+		t.Fatalf("worker registry retains %d trace(s), want the traced ingest's", len(traces))
+	}
+	if tr := traces[0]; tr.Trace != 7 || tr.Root != "worker_absorb" || len(tr.Spans) != 1 || tr.Spans[0].Span != rec.Span {
+		t.Errorf("worker trace %s rooted at %q with %d span(s), want trace 7 holding the worker_absorb span",
+			tr.Trace, tr.Root, len(tr.Spans))
 	}
 }
 

@@ -38,11 +38,22 @@ import (
 // oracle: the tests hold every eigenvalue, residual and the
 // orthogonality of V to a stated multiple of n·ε·λ₁ against it, and
 // whole streams to the one-sided Jacobi SVD backend.
+//
+// QL splits an eigenvalue off by a test relative to its two neighbours,
+// which on a graded, nearly rank-deficient Gram (Fig. 1's
+// super-exponential panel at ℓ = 180) can fail for good. After
+// eigMaxIter iterations on one eigenvalue it also accepts the absolute
+// test, so a finite matrix always decomposes, and one that meets the
+// relative test takes the same path as with it alone. Only a NaN or an
+// Inf is given up on, counted in arams_mat_eig_giveups_total.
 
-// eigMaxIter bounds the QL iterations spent on one eigenvalue
-// (EISPACK's limit; real input needs under two on average). A matrix
-// that exhausts it — in practice one holding a NaN or an Inf, on which
-// no convergence test ever passes — is returned as it stands.
+// eigMaxIter bounds the QL iterations spent on one eigenvalue under
+// the relative split test |e[m]| ≤ ε(|d[m]| + |d[m+1]|) alone (EISPACK's
+// limit; real input needs under two on average). A finite matrix can
+// exhaust it, a tiny eigenvalue beside tiny neighbours; the absolute
+// test |e[m]| ≤ ε·maxᵢ(|dᵢ| + |eᵢ|) (EISPACK's tql2, LAPACK's steqr)
+// then joins it, and a finite matrix meets one of the two within
+// eigMaxIter more. A matrix that does not holds a NaN or an Inf.
 const eigMaxIter = 30
 
 // EigSym computes the full eigendecomposition of a symmetric n×n matrix
@@ -168,24 +179,32 @@ func accumulateQt(vt, w *Matrix, hs []float64) {
 // implicit Wilkinson shifts, leaving the eigenvalues in d and applying
 // every rotation to rows i and i+1 of vt. All indexing is bounded by
 // len(d) whatever the comparisons say, so a NaN cannot walk off the
-// end; it stops at the first eigenvalue that eigMaxIter iterations do
-// not isolate.
+// end; it stops at the first eigenvalue that 2·eigMaxIter iterations
+// do not isolate.
 func tridiagQL(d, e []float64, vt *Matrix) {
 	const eps = 0x1p-52
 	n := len(d)
 	for l := 0; l < n; l++ {
+		abs := -1.0 // the absolute test's bound, off for eigMaxIter iterations
 		for iter := 0; ; iter++ {
-			// The block [l, m] decouples where e[m] is negligible.
+			if iter == eigMaxIter {
+				for i := range d {
+					abs = math.Max(abs, eps*(math.Abs(d[i])+math.Abs(e[i])))
+				}
+			}
+			// The block [l, m] decouples where e[m] is negligible:
+			// relative to its neighbours, or to the whole matrix.
 			m := l
 			for ; m < n-1; m++ {
-				if math.Abs(e[m]) <= eps*(math.Abs(d[m])+math.Abs(d[m+1])) {
+				if a := math.Abs(e[m]); a <= eps*(math.Abs(d[m])+math.Abs(d[m+1])) || a <= abs {
 					break
 				}
 			}
 			if m == l {
 				break
 			}
-			if iter == eigMaxIter {
+			if iter == 2*eigMaxIter {
+				obsEigGiveUps.Inc()
 				return
 			}
 			g := (d[l+1] - d[l]) / (2 * e[l])

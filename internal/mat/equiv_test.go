@@ -199,12 +199,62 @@ func TestEigSymBoundedAndTotal(t *testing.T) {
 		}
 	}
 	// The QL loop itself, on a tridiagonal matrix no test can pass:
-	// it must give up, not index past e or spin.
+	// it must give up, not index past e or spin, and count the give-up.
 	d, e := make([]float64, 50), make([]float64, 50)
 	for i := range d {
 		d[i], e[i] = math.NaN(), math.NaN()
 	}
+	before := obsEigGiveUps.Value()
 	tridiagQL(d, e, Eye(50))
+	if n := obsEigGiveUps.Value() - before; n != 1 {
+		t.Errorf("a NaN tridiagonal counted %v give-ups, want 1", n)
+	}
+}
+
+// gradedGram is the Gram matrix of an m×2m matrix with random singular
+// vectors and the super-exponential spectrum σᵢ = exp(−(i/τ)^1.5) of
+// Fig. 1: its eigenvalues σᵢ² fall past ε·σ₀² well before the last, the
+// graded, numerically rank-deficient shape an FD buffer of a stream of
+// rank far below ℓ has.
+func gradedGram(m int, tau float64, seed uint64) *Matrix {
+	g := rng.New(seed)
+	u := RandOrthonormalCols(m, m, g)
+	v := RandOrthonormalCols(2*m, m, g)
+	for j := 0; j < m; j++ {
+		s := math.Exp(-math.Pow(float64(j)/tau, 1.5))
+		for i := 0; i < m; i++ {
+			u.Set(i, j, u.At(i, j)*s)
+		}
+	}
+	return Gram(Mul(u, v.T()))
+}
+
+// TestEigSymGradedGramConverges: on a graded Gram the relative split
+// test alone never isolates some small eigenvalue — QL used to return
+// there, every eigenvalue not yet reached unconverged (λ₁ = 0.96 against
+// Jacobi's 1 on the first case). EigSym holds every eigenpair to the
+// promise and to the Jacobi solver, and counts no give-up.
+func TestEigSymGradedGramConverges(t *testing.T) {
+	for _, tc := range []struct {
+		m    int
+		tau  float64
+		seed uint64
+	}{{60, 8, 3}, {80, 12, 1}, {120, 8, 2}} {
+		name := fmt.Sprintf("m%d_tau%g_seed%d", tc.m, tc.tau, tc.seed)
+		a := gradedGram(tc.m, tc.tau, tc.seed)
+		before := obsEigGiveUps.Value()
+		vals, v := EigSym(a)
+		if n := obsEigGiveUps.Value() - before; n != 0 {
+			t.Errorf("%s: %v give-ups on a finite matrix", name, n)
+		}
+		tol, lam := checkEigenpairs(t, name, a, vals, v)
+		ref, _ := RefEigSym(a)
+		for i := range ref {
+			if d := math.Abs(vals[i] - ref[i]); !(d <= tol*lam) {
+				t.Errorf("%s: λ[%d] = %g, Jacobi has %g: apart by %.3g > %.3g", name, i, vals[i], ref[i], d, tol*lam)
+			}
+		}
+	}
 }
 
 // TestSVDGramToLeadingRows checks what vt's row count selects: an

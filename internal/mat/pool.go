@@ -25,6 +25,7 @@ var (
 	obsPoolInline  = obs.Default().Counter("arams_mat_pool_inline_total")
 	obsPoolDepth   = obs.Default().Gauge("arams_mat_pool_queue_depth")
 	obsPoolWorkers = obs.Default().Gauge("arams_mat_pool_workers")
+	obsEigGiveUps  = obs.Default().Counter("arams_mat_eig_giveups_total")
 
 	obsKernelMul    = obs.Default().Histogram("arams_mat_kernel_seconds", obs.L("kernel", "mul"))
 	obsKernelMulABt = obs.Default().Histogram("arams_mat_kernel_seconds", obs.L("kernel", "mulabt"))

@@ -9,10 +9,6 @@ import (
 // svdMaxSweeps bounds the one-sided Jacobi iteration.
 const svdMaxSweeps = 60
 
-// svdParallelMinN is the minimum column count before the one-sided
-// Jacobi sweep fans its disjoint column pairs across the worker pool.
-const svdParallelMinN = 48
-
 // SVD computes the thin singular value decomposition a = u*diag(s)*vt
 // of an m×n matrix using the one-sided Jacobi method. With k = min(m,n),
 // u is m×k with orthonormal columns, s has k non-negative entries in
@@ -21,9 +17,11 @@ const svdParallelMinN = 48
 // One-sided Jacobi applies plane rotations to pairs of columns until all
 // columns are mutually orthogonal; it is simple, backward stable, and
 // achieves high relative accuracy, which matters because Frequent
-// Directions subtracts the smallest retained singular value. Column
-// pairs within a round-robin round are disjoint, so large
-// decompositions rotate them concurrently on the shared pool.
+// Directions subtracts the smallest retained singular value. It sweeps
+// the pairs in the cyclic order on the calling goroutine, so its bits —
+// Fig. 1's exact reference, the tests' Jacobi cross-checks — do not
+// depend on the pool's width, which a round-robin ordering fanned over
+// the pool would make them.
 func SVD(a *Matrix) (u *Matrix, s []float64, vt *Matrix) {
 	start := time.Now()
 	defer observeSince(obsKernelSVD, start)
@@ -45,11 +43,7 @@ func svdTall(a *Matrix) (u *Matrix, s []float64, vt *Matrix) {
 		return New(m, 0), nil, New(0, 0)
 	}
 
-	if n >= svdParallelMinN && m*n >= parallelThreshold && Workers() > 1 {
-		svdSweepsParallel(w, v)
-	} else {
-		svdSweepsSerial(w, v)
-	}
+	svdSweeps(w, v)
 
 	// Column norms are the singular values; normalized columns form U.
 	s = make([]float64, n)
@@ -92,8 +86,7 @@ func svdTall(a *Matrix) (u *Matrix, s []float64, vt *Matrix) {
 }
 
 // svdRotatePair orthogonalizes columns p and q of w (accumulating the
-// rotation into v) and reports whether it rotated. It touches only
-// those two columns, which is what makes disjoint pairs parallel-safe.
+// rotation into v) and reports whether it rotated.
 func svdRotatePair(w, v *Matrix, p, q int) bool {
 	m, n := w.Dims()
 	var alpha, beta, gamma float64 // ‖p‖², ‖q‖², <p,q>
@@ -135,8 +128,8 @@ func svdRotatePair(w, v *Matrix, p, q int) bool {
 	return true
 }
 
-// svdSweepsSerial is the classic cyclic pair ordering.
-func svdSweepsSerial(w, v *Matrix) {
+// svdSweeps is the classic cyclic pair ordering.
+func svdSweeps(w, v *Matrix) {
 	n := w.ColsN
 	for sweep := 0; sweep < svdMaxSweeps; sweep++ {
 		rotated := false
@@ -151,63 +144,6 @@ func svdSweepsSerial(w, v *Matrix) {
 			break
 		}
 	}
-}
-
-// svdSweepsParallel runs the round-robin ordering; the pairs of one
-// round touch disjoint columns, so each round fans out over the pool.
-// Unlike the two-sided eigensolver no phase split is needed — a
-// one-sided rotation reads and writes only its own two columns.
-func svdSweepsParallel(w, v *Matrix) {
-	n := w.ColsN
-	np := n
-	if np%2 == 1 {
-		np++
-	}
-	players := make([]int, np)
-	for i := range players {
-		players[i] = i
-	}
-	if np > n {
-		players[np-1] = -1
-	}
-	half := np / 2
-	rotatedPair := make([]bool, half)
-	for sweep := 0; sweep < svdMaxSweeps; sweep++ {
-		rotated := false
-		for round := 0; round < np-1; round++ {
-			ParallelFor(half, 1, func(lo, hi int) {
-				for k := lo; k < hi; k++ {
-					p, q := players[k], players[np-1-k]
-					if p < 0 || q < 0 {
-						rotatedPair[k] = false
-						continue
-					}
-					if p > q {
-						p, q = q, p
-					}
-					rotatedPair[k] = svdRotatePair(w, v, p, q)
-				}
-			})
-			for _, r := range rotatedPair {
-				if r {
-					rotated = true
-				}
-			}
-			rotatePlayers(players)
-		}
-		if !rotated {
-			break
-		}
-	}
-}
-
-// rotatePlayers advances the round-robin schedule: index 0 is fixed,
-// the rest rotate one position.
-func rotatePlayers(players []int) {
-	np := len(players)
-	last := players[np-1]
-	copy(players[2:], players[1:np-1])
-	players[1] = last
 }
 
 // SVDGram computes the thin SVD of a short-and-wide m×d matrix

@@ -1,6 +1,9 @@
 package mat
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -132,55 +135,29 @@ func TestSVDGramToReusesCallerStorage(t *testing.T) {
 	}
 }
 
-func TestParallelJacobiSVDMatchesSerial(t *testing.T) {
-	g := rng.New(207)
-	for _, sh := range []struct{ m, n int }{{8, 5}, {60, 49}, {70, 64}} {
-		a := RandGaussian(sh.m, sh.n, g)
-
-		ws := a.Clone()
-		vs := Eye(sh.n)
-		svdSweepsSerial(ws, vs)
-
-		wp := a.Clone()
-		vp := Eye(sh.n)
-		svdSweepsParallel(wp, vp)
-
-		colNorms := func(w *Matrix) []float64 {
-			out := make([]float64, w.ColsN)
-			for j := 0; j < w.ColsN; j++ {
-				var s float64
-				for i := 0; i < w.RowsN; i++ {
-					s += w.At(i, j) * w.At(i, j)
+// TestSVDSameBitsAtEveryPoolWidth pins the one-sided Jacobi SVD's bits
+// on a shape for which a pool wider than one once selected a round-robin
+// pair ordering (n ≥ 48, m·n ≥ 2¹⁸) that agreed with the cyclic one
+// only to 1e-9: the cyclic ordering is the only one, so Fig. 1's exact
+// reference and the sketch tests' Jacobi cross-checks do not depend on
+// the core count.
+func TestSVDSameBitsAtEveryPoolWidth(t *testing.T) {
+	const want = "81980b4a0a537db0f272c8a6958a018e8597513e2e66a67e51d4357213b04c20"
+	a := RandGaussian(5462, 48, rng.New(207))
+	for _, width := range []int{1, 2} {
+		var u, vt *Matrix
+		var s []float64
+		withPoolWidth(width, func() { u, s, vt = SVD(a) })
+		h := sha256.New()
+		for _, m := range []*Matrix{u, FromData(1, len(s), s), vt} {
+			for i := 0; i < m.RowsN; i++ {
+				for _, v := range m.Row(i) {
+					h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
 				}
-				out[j] = math.Sqrt(s)
-			}
-			return out
-		}
-		ns := colNorms(ws)
-		np := colNorms(wp)
-		sortFloatsDesc(ns)
-		sortFloatsDesc(np)
-		scale := 1 + ns[0]
-		for i := range ns {
-			if math.Abs(ns[i]-np[i]) > 1e-9*scale {
-				t.Fatalf("%dx%d: singular value %d: serial %g parallel %g", sh.m, sh.n, i, ns[i], np[i])
 			}
 		}
-		// W·Vᵀ must reconstruct the input for both orderings.
-		if !Mul(wp, vp.T()).Equal(a, 1e-9*scale) {
-			t.Fatalf("%dx%d: parallel W·Vᵀ does not reconstruct input", sh.m, sh.n)
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("pool width %d: SVD digest %s, want %s", width, got, want)
 		}
-	}
-}
-
-func sortFloatsDesc(s []float64) {
-	for i := range s {
-		mx := i
-		for j := i + 1; j < len(s); j++ {
-			if s[j] > s[mx] {
-				mx = j
-			}
-		}
-		s[i], s[mx] = s[mx], s[i]
 	}
 }

@@ -95,17 +95,20 @@ func StartSpanIn(parent SpanContext, name string, attrs ...Label) Span {
 // returns the measured duration so callers can reuse it for their own
 // accounting.
 func (s *Span) End() time.Duration {
-	rec := s.endRecord()
+	rec := s.endRecord(s.parent == 0)
 	return rec.Duration
 }
 
-// EndRecord is End for callers that also need the completed record —
-// e.g. a fabric worker that finishes a span locally and then ships the
-// record back to the coordinator on the RPC ack path so the
-// coordinator can stitch it into its own trace tree.
-func (s *Span) EndRecord() SpanRecord { return s.endRecord() }
+// EndRecord is End for a span whose parent was started in another
+// process, returning the completed record: a fabric worker ends its
+// request span with it and ships the record back to the coordinator on
+// the RPC ack path, where it is stitched into the coordinator's tree.
+// The span is this process's root of the trace, so its end also
+// finalizes the trace here, with the spans under it.
+func (s *Span) EndRecord() SpanRecord { return s.endRecord(true) }
 
-func (s *Span) endRecord() SpanRecord {
+// endRecord ends the span; a root's end finalizes its trace.
+func (s *Span) endRecord(root bool) SpanRecord {
 	d := time.Since(s.start)
 	rec := SpanRecord{
 		Name:     s.name,
@@ -121,7 +124,7 @@ func (s *Span) endRecord() SpanRecord {
 	}
 	s.r.stageHist(s.name).Observe(d.Seconds())
 	if s.trace != 0 {
-		s.r.traces.observe(rec)
+		s.r.traces.observe(rec, root)
 	}
 	if fr := s.r.flight.Load(); fr != nil {
 		fr.addSpan(rec)
@@ -138,7 +141,7 @@ func (s *Span) endRecord() SpanRecord {
 // metrics.
 func (r *Registry) ObserveRemoteSpan(rec SpanRecord) {
 	if rec.Trace != 0 {
-		r.traces.observe(rec)
+		r.traces.observe(rec, rec.Parent == 0)
 	}
 	if fr := r.flight.Load(); fr != nil {
 		fr.addSpan(rec)

@@ -3,10 +3,13 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"arams/internal/rng"
 )
 
 // ID is a trace or span identifier. IDs render as 16-digit hex in JSON
@@ -45,24 +48,17 @@ func (id *ID) UnmarshalJSON(b []byte) error {
 }
 
 // idCounter seeds from the process start time so IDs differ across
-// restarts; splitmix64 whitening keeps consecutive IDs uncorrelated.
+// restarts; SplitMix64 whitening keeps consecutive IDs uncorrelated.
 var idCounter atomic.Uint64
 
 func init() { idCounter.Store(uint64(time.Now().UnixNano())) }
 
 func newID() ID {
 	for {
-		if id := ID(mix64(idCounter.Add(1))); id != 0 {
+		if id := ID(rng.SplitMix64(idCounter.Add(1))); id != 0 {
 			return id
 		}
 	}
-}
-
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // TraceRecord is one completed trace: the root span's identity plus
@@ -110,11 +106,13 @@ type traceStore struct {
 	rng    uint64
 }
 
-// observe folds one completed traced span in. A span with Parent == 0
-// is a trace root: its end finalizes the trace. Spans that end after
+// observe folds one completed traced span in. A root — this process's
+// root of the trace: a span with no parent, or one whose parent was
+// started in another process, as a fabric worker's request spans are —
+// finalizes the trace with what ended under it. Spans that end after
 // their root (detached stragglers) open a new active entry that stale
 // eviction eventually collects.
-func (ts *traceStore) observe(rec SpanRecord) {
+func (ts *traceStore) observe(rec SpanRecord, root bool) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	if ts.active == nil {
@@ -137,19 +135,45 @@ func (ts *traceStore) observe(rec SpanRecord) {
 	} else {
 		at.dropped++
 	}
-	if rec.Parent != 0 {
+	if !root {
 		return
 	}
-	// Root ended: finalize.
-	delete(ts.active, rec.Trace)
-	tr := TraceRecord{
+	spans := at.spans
+	if rec.Parent != 0 {
+		// A root under another process's span takes the spans under it;
+		// the rest of the trace stays open (a coordinator's own spans,
+		// when a worker in its process reports to the same registry).
+		spans, at.spans = splitSubtree(at.spans, rec.Span)
+	}
+	if rec.Parent == 0 || len(at.spans) == 0 {
+		delete(ts.active, rec.Trace)
+	}
+	ts.retainLocked(TraceRecord{
 		Trace:    rec.Trace,
 		Root:     rec.Name,
 		Start:    rec.Start,
 		Duration: rec.Duration,
-		Spans:    at.spans,
+		Spans:    spans,
+	})
+}
+
+// splitSubtree parts spans into those whose parent chain reaches root
+// (root's own included) and the rest, each in end order. A span ends
+// before its parent, so one pass from the newest span finds every
+// descendant after its parent.
+func splitSubtree(spans []SpanRecord, root ID) (under, rest []SpanRecord) {
+	ids := []ID{root}
+	for i := len(spans) - 1; i >= 0; i-- {
+		if sp := spans[i]; sp.Span == root || slices.Contains(ids, sp.Parent) {
+			ids = append(ids, sp.Span)
+			under = append(under, sp)
+		} else {
+			rest = append(rest, sp)
+		}
 	}
-	ts.retainLocked(tr)
+	slices.Reverse(under)
+	slices.Reverse(rest)
+	return under, rest
 }
 
 func (ts *traceStore) evictStaleLocked() {
@@ -190,7 +214,7 @@ func (ts *traceStore) retainLocked(tr TraceRecord) {
 	if len(ts.sample) < traceSampleKeep {
 		ts.sample = append(ts.sample, tr)
 	} else {
-		ts.rng = mix64(ts.rng + ts.seen)
+		ts.rng = rng.SplitMix64(ts.rng + ts.seen)
 		if j := ts.rng % ts.seen; j < traceSampleKeep {
 			ts.sample[j] = tr
 		}
@@ -199,18 +223,25 @@ func (ts *traceStore) retainLocked(tr TraceRecord) {
 
 // snapshot returns the retained traces, newest first, deduplicated
 // across the three retention sets (the strongest reason — slow >
-// sample > recent — labels each trace).
+// sample > recent — labels each trace). A fabric worker finalizes one
+// record per request of a coordinator's trace, all with its ID, so a
+// record is told apart by its start too.
 func (ts *traceStore) snapshot() []TraceRecord {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	out := make([]TraceRecord, 0, len(ts.slow)+len(ts.sample)+len(ts.recent))
-	seen := make(map[ID]bool)
+	type key struct {
+		trace ID
+		start int64
+	}
+	seen := make(map[key]bool)
 	add := func(trs []TraceRecord, why string) {
 		for _, tr := range trs {
-			if seen[tr.Trace] {
+			k := key{tr.Trace, tr.Start.UnixNano()}
+			if seen[k] {
 				continue
 			}
-			seen[tr.Trace] = true
+			seen[k] = true
 			tr.Retained = why
 			out = append(out, tr)
 		}

@@ -178,7 +178,7 @@ func TestTraceRetentionKeepsSlowAndRecent(t *testing.T) {
 			Duration: dur,
 			Trace:    ID(i + 1),
 			Span:     ID(1000 + i),
-		})
+		}, true)
 	}
 	snap := ts.snapshot()
 	if len(snap) > traceSlowKeep+traceSampleKeep+traceRecentKeep {
@@ -203,4 +203,48 @@ func TestTraceRetentionKeepsSlowAndRecent(t *testing.T) {
 	if newest == nil {
 		t.Fatal("the newest trace was evicted")
 	}
+}
+
+// TestEndRecordClosesItsSubtree: a span started under another process's
+// span and ended with EndRecord (a fabric worker's request span) is this
+// process's root of the trace: its end retains a record of the spans
+// under it alone. Whatever else of the trace the registry holds — here
+// the other process's own spans, as when a worker reports to the
+// coordinator's registry — stays open until its own root ends.
+func TestEndRecordClosesItsSubtree(t *testing.T) {
+	r := NewRegistry()
+	root := r.StartTrace("ingest_batch")
+	enc := root.StartChild("wire_encode")
+	enc.End()
+	remote := SpanContext{Trace: root.Context().Trace, Span: ID(12345)} // a span of another process
+	w := r.StartSpanIn(remote, "worker_absorb")
+	inner := w.StartChild("absorb_rows")
+	inner.End()
+	w.EndRecord()
+
+	names := func(tr TraceRecord) []string {
+		var out []string
+		for _, sp := range tr.Spans {
+			out = append(out, sp.Name)
+		}
+		return out
+	}
+	traces := r.Traces()
+	if len(traces) != 1 || traces[0].Root != "worker_absorb" || len(traces[0].Spans) != 2 {
+		t.Fatalf("after the worker span: %d record(s), want one rooted at worker_absorb with its 2 spans: %+v", len(traces), traces)
+	}
+	if got := names(traces[0]); got[0] != "absorb_rows" || got[1] != "worker_absorb" {
+		t.Fatalf("worker record holds %v", got)
+	}
+	root.End()
+	for _, tr := range r.Traces() {
+		if tr.Root != "ingest_batch" {
+			continue
+		}
+		if got := names(tr); len(got) != 2 || got[0] != "wire_encode" || got[1] != "ingest_batch" {
+			t.Fatalf("root record holds %v, want [wire_encode ingest_batch]", got)
+		}
+		return
+	}
+	t.Fatal("the root's end retained no record")
 }

@@ -100,9 +100,13 @@ func finite32(x float64) bool {
 // from seed. A third of the seeds sketch rank-adaptively from ℓ = 2.
 // Half the seeds stream rank-3 rows with no noise — below a fixed ℓ of
 // 6, so the certificate is the float32 rounding charge alone —
-// and the rest add full-rank noise. One frame in eight carries a NaN,
-// ±Inf or ±1e39 pixel. Beta < 1 makes every row draw from the sampler's
-// RNG, so a restore that loses its position shows in the state bytes.
+// and the rest add full-rank noise. Half the noise-free seeds weight
+// five directions by the super-exponential σₖ ∝ exp(−(2k)^1.5) instead:
+// a Gram spectrum that falls past ε·λ₁ within the rank, the graded
+// shape on which the eigensolver once stopped unconverged. One frame in
+// eight carries a NaN, ±Inf or ±1e39 pixel. Beta < 1 makes every row
+// draw from the sampler's RNG, so a restore that loses its position
+// shows in the state bytes.
 func generate(seed uint64) (sketch.Config, []step) {
 	g := rng.New(seed)
 	cfg := sketch.Config{Ell0: 6, Beta: 0.9, Seed: seed}
@@ -115,7 +119,14 @@ func generate(seed uint64) (sketch.Config, []step) {
 	if g.Intn(2) == 0 {
 		noise = 0.3
 	}
-	basis := make([][]float64, 3)
+	sigma := []float64{3, 3, 3}
+	if noise == 0 && g.Intn(2) == 0 {
+		sigma = make([]float64, 5)
+		for k := range sigma {
+			sigma[k] = 3 * math.Exp(-math.Pow(2*float64(k), 1.5))
+		}
+	}
+	basis := make([][]float64, len(sigma))
 	for i := range basis {
 		basis[i] = make([]float64, d)
 		for j := range basis[i] {
@@ -128,8 +139,8 @@ func generate(seed uint64) (sketch.Config, []step) {
 		out := make([]frame, n)
 		for i := range out {
 			pix := make([]float64, d)
-			for _, b := range basis {
-				c := 3 * g.Norm()
+			for k, b := range basis {
+				c := sigma[k] * g.Norm()
 				for j := range pix {
 					pix[j] += c * b[j]
 				}

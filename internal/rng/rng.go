@@ -46,7 +46,7 @@ func NewStream(seed, stream uint64) *RNG {
 	// Standard PCG seeding: advance once, add seed, advance again.
 	r.step()
 	r.lo += seed
-	r.hi += mix64(seed)
+	r.hi += SplitMix64(seed)
 	r.step()
 	return r
 }
@@ -59,8 +59,10 @@ func (r *RNG) Split() *RNG {
 	return NewStream(seed, stream)
 }
 
-func mix64(z uint64) uint64 {
-	// splitmix64 finalizer; decorrelates nearby seeds.
+// SplitMix64 is one step of the SplitMix64 generator (Steele, Lea and
+// Flood): the golden-gamma increment, then its finalizer. It decorrelates
+// nearby seeds; engine shard seeds and obs trace IDs are made with it.
+func SplitMix64(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

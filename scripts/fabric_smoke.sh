@@ -13,7 +13,8 @@
 #     traces) and a /fleetz exposition carrying coordinator + worker0
 #     series that passes the Prometheus lint;
 #   - obscheck against worker 0's obs endpoint validates the worker-side
-#     exposition;
+#     exposition and its own /tracez: the worker_absorb spans it ended
+#     are that process's roots of the coordinator's traces;
 #   - the worker-1 kill degrades its shard, which triggers the
 #     coordinator's flight recorder and fans out over the fabric: the
 #     script requires correlated dumps — a worker0 dump whose trigger ID
@@ -126,7 +127,8 @@ echo "== obscheck: coordinator (stitched traces + merged fleet view) =="
 
 echo "== obscheck: worker 0 obs endpoint =="
 "$TMP/obscheck" -base "http://${W0OBS}" -skip-audit \
-  -want arams_fabric_worker_frames_total,arams_fabric_worker_rpc_total
+  -want arams_fabric_worker_frames_total,arams_fabric_worker_rpc_total \
+  -min-traces 1 -want-spans worker_absorb
 
 echo "== correlated flight dumps (coordinator trigger ID on worker dump) =="
 WDUMP=""
