@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,10 +74,26 @@ func TestFig1ErrorRuntime(t *testing.T) {
 	if len(tables) != 3 {
 		t.Fatalf("want 3 decay tables, got %d", len(tables))
 	}
-	for _, tb := range tables {
+	// The rank-adaptive rows' final ℓ at ε = 0.3, 0.1, 0.03, panel by
+	// panel (sub-, exponential, super-exponential decay), with and
+	// without sampling: exact counts, pinned exactly (DESIGN.md, "Fig. 1
+	// and Fig. 2 counts"). A moved count means the probe stream changed.
+	wantEll := [][]float64{{10, 15, 25}, {10, 10, 10}, {10, 10, 10}}
+	for i, tb := range tables {
 		// 4 variants × 3 sweep points.
 		if len(tb.Rows) != 12 {
 			t.Fatalf("%s: %d rows", tb.Title, len(tb.Rows))
+		}
+		for _, variant := range []string{"RA-FD (user error)", "PS+RA-FD (user error)"} {
+			var ells []float64
+			for _, r := range tb.Rows {
+				if r[0] == variant {
+					ells = append(ells, parseF(t, r[2]))
+				}
+			}
+			if !slices.Equal(ells, wantEll[i]) {
+				t.Errorf("%s, %s: ell_final %v, want %v", tb.Title, variant, ells, wantEll[i])
+			}
 		}
 		// Within the fixed-rank FD variant, error must fall as ℓ grows.
 		var errs []float64
@@ -98,18 +115,20 @@ func TestFig2Scaling(t *testing.T) {
 	if len(tb.Rows) != 6 { // 3 core counts × 2 strategies
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
-	// Tree merge at 4 cores must use fewer merge rotations than serial.
-	var treeRot, serialRot float64
-	for _, r := range tb.Rows {
-		if r[0] == "4" && r[1] == "tree-merge" {
-			treeRot = parseF(t, r[6])
-		}
-		if r[0] == "4" && r[1] == "serial-merge" {
-			serialRot = parseF(t, r[6])
-		}
+	// merge_rounds and merge_rotations per core count, pinned exactly
+	// (DESIGN.md, "Fig. 1 and Fig. 2 counts"): both strategies rotate
+	// once a merge, c−1 times; the tree takes ⌈log₂ c⌉ rounds to the
+	// serial fold's c−1.
+	want := map[string][2]float64{
+		"1/tree-merge": {0, 0}, "2/tree-merge": {1, 1}, "4/tree-merge": {2, 3},
+		"1/serial-merge": {0, 0}, "2/serial-merge": {1, 1}, "4/serial-merge": {3, 3},
 	}
-	if treeRot > serialRot {
-		t.Fatalf("tree rotations %v > serial %v", treeRot, serialRot)
+	for _, r := range tb.Rows {
+		key := r[0] + "/" + r[1]
+		got := [2]float64{parseF(t, r[6]), parseF(t, r[7])}
+		if got != want[key] {
+			t.Errorf("%s cores: merge_rounds/merge_rotations %v, want %v", key, got, want[key])
+		}
 	}
 }
 

@@ -64,7 +64,7 @@ func Fig2Scaling(p ScalingParams) *Table {
 	t := &Table{
 		Title: "Fig.2: strong scaling — runtime vs cores (log-log in the paper)",
 		Note: "expect: tree-merge critpath falls ~linearly with cores; serial-merge " +
-			"plateaus (paper: at ~16 cores); merge rotations log vs linear",
+			"plateaus (paper: at ~16 cores); merge rounds log vs linear",
 		Header: []string{"cores", "strategy", "work_ms", "critpath_ms", "speedup",
 			"efficiency", "merge_rounds", "merge_rotations"},
 	}

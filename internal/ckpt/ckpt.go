@@ -1,7 +1,7 @@
 // Package ckpt implements versioned, checksummed binary checkpoints
-// for the stateful sketching structures: FrequentDirections,
-// RankAdaptiveFD, PrioritySampler, the streaming ARAMS sketcher, and
-// the online pipeline.Monitor. A checkpoint written mid-stream and
+// for the stateful sketching structures: FrequentDirections, the
+// streaming ARAMS sketcher (rank-adaptive or not), and the online
+// pipeline.Monitor. A checkpoint written mid-stream and
 // restored on restart resumes the computation bit-for-bit — RNG
 // positions included — which is what makes crash-restart invisible to
 // the sketch's error guarantees.
@@ -52,12 +52,12 @@ const Magic = uint32('A') | uint32('C')<<8 | uint32('K')<<16 | uint32('P')<<24
 // kind's with ErrVersion rather than guess at its layout.
 const Version = 5
 
-// sketchVersion is the frame version of the FD, rank-adaptive and ARAMS
-// kinds — those the fabric wire carries as shard state included. Since
-// version 4 an FD payload holds its kept rows as float64 and its
-// incoming rows as float32, the precision the sketch stores them at, and
-// no SVD backend slot: the rotation has one factorization. A version 3
-// sketch frame fails with ErrVersion.
+// sketchVersion is the frame version of the FD and ARAMS kinds — those
+// the fabric wire carries as shard state included. Since version 4 an
+// FD payload holds its kept rows as float64 and its incoming rows as
+// float32, the precision the sketch stores them at, and no SVD backend
+// slot: the rotation has one factorization. A version 3 sketch frame
+// fails with ErrVersion.
 const sketchVersion = 4
 
 // version returns the frame version kind k is written and read at, and
@@ -66,7 +66,7 @@ func (k Kind) version() (uint32, bool) {
 	switch k {
 	case KindMonitor:
 		return Version, true
-	case KindFD, KindRankAdaptive, KindARAMS:
+	case KindFD, KindARAMS:
 		return sketchVersion, true
 	}
 	return 0, false
@@ -96,10 +96,11 @@ var chunks = sync.Pool{New: func() any { return new([chunkLen]byte) }}
 type Kind uint32
 
 const (
-	KindFD           Kind = 1 // sketch.FDState
-	KindRankAdaptive Kind = 2 // sketch.RankAdaptiveState
-	// 3 was a priority-sampler frame no program ever wrote; the number
-	// stays reserved (never reused) and decodes to ErrBadKind.
+	KindFD Kind = 1 // sketch.FDState
+	// 2 was a bare rank-adaptive FD frame and 3 a priority-sampler
+	// frame, kinds no program wrote: rank adaptation travels inside an
+	// ARAMS frame. The numbers stay reserved (never reused) and decode
+	// to ErrBadKind.
 	KindARAMS   Kind = 4 // sketch.ARAMSState
 	KindMonitor Kind = 5 // pipeline.MonitorState
 )
@@ -109,8 +110,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindFD:
 		return "frequent-directions"
-	case KindRankAdaptive:
-		return "rank-adaptive-fd"
 	case KindARAMS:
 		return "arams"
 	case KindMonitor:

@@ -99,17 +99,6 @@ func states(t *testing.T) []any {
 	t.Helper()
 	fd := testFD(t).State()
 
-	raInner := sketch.NewRankAdaptiveFD(4, 8, 3, 0.2, 500, rng.New(2))
-	g := rng.New(4)
-	for i := 0; i < 30; i++ {
-		row := make([]float64, 8)
-		for j := range row {
-			row[j] = g.Norm()
-		}
-		raInner.Append(row)
-	}
-	ra := raInner.State()
-
 	ar := testARAMS(t, true).State()
 	arFixed := testARAMS(t, false).State()
 	mon := testMonitor(t, 12).State()
@@ -117,7 +106,7 @@ func states(t *testing.T) []any {
 	if monAudited.Audit == nil || monAudited.Journal == nil || len(monAudited.Journal.Events) == 0 {
 		t.Fatal("audited monitor snapshot is missing audit/journal state")
 	}
-	return []any{&fd, &ra, &ar, &arFixed, mon, monAudited}
+	return []any{&fd, &ar, &arFixed, mon, monAudited}
 }
 
 // TestRoundTripCanonical checks the codec invariant the fuzz target
@@ -164,7 +153,7 @@ func TestRestoredFDResumesBitExact(t *testing.T) {
 	}
 	st := back.(*sketch.FDState)
 	ar, err := sketch.NewARAMSFromState(sketch.ARAMSState{
-		Cfg: sketch.Config{Ell0: st.Ell, Beta: 1}, D: st.D, RNG: rng.New(1).State(), FD: st,
+		Cfg: sketch.Config{Ell0: st.Ell, Beta: 1}, D: st.D, RNG: rng.New(1).State(), FD: *st,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,6 +221,91 @@ func TestRestoredARAMSResumesBitExact(t *testing.T) {
 	if a.Ell() != restored.Ell() {
 		t.Fatalf("rank diverged: %d vs %d", a.Ell(), restored.Ell())
 	}
+}
+
+// TestRestoredGrowingStreamAtEveryBatch: a rank-adaptive stream whose ℓ
+// grows several times, checkpointed through Marshal and Unmarshal after
+// every batch — some boundaries with a growth pending — and restored,
+// by copy and by adoption, ends in the state of the run that never
+// stopped, byte for byte, with and without the sampler. At each boundary
+// a frame whose rank-adaptive ν or ε is not its config's is refused: the
+// config is the one place a restore reads them from.
+func TestRestoredGrowingStreamAtEveryBatch(t *testing.T) {
+	const n, d, batch = 240, 8, 9
+	x := mat.New(n, d)
+	g := rng.New(31)
+	for i := range x.Data {
+		x.Data[i] = g.Norm()
+	}
+	stream := func(a *sketch.ARAMS, boundary func(a *sketch.ARAMS) *sketch.ARAMS) []byte {
+		for lo := 0; lo < n; lo += batch {
+			a.ProcessBatch(x.Rows(lo, min(lo+batch, n)))
+			a = boundary(a)
+		}
+		frame, err := Marshal(a.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	for _, beta := range []float64{1, 0.8} {
+		cfg := sketch.Config{Ell0: 3, Nu: 2, Eps: 0.02, Beta: beta, RankAdaptive: true, Seed: 17}
+		var grows int
+		want := stream(sketch.NewARAMS(cfg, d, n), func(a *sketch.ARAMS) *sketch.ARAMS {
+			grows = a.State().Grows
+			return a
+		})
+		if grows < 2 {
+			t.Fatalf("β=%v: the stream grew ℓ %d times; want at least 2", beta, grows)
+		}
+		for name, restore := range map[string]func(*sketch.ARAMS) (*sketch.ARAMS, error){
+			"copy":  func(a *sketch.ARAMS) (*sketch.ARAMS, error) { return resume(t, a.State(), sketch.NewARAMSFromState) },
+			"adopt": func(a *sketch.ARAMS) (*sketch.ARAMS, error) { return resume(t, a.TakeState(), sketch.AdoptARAMSState) },
+		} {
+			pending := 0
+			got := stream(sketch.NewARAMS(cfg, d, n), func(a *sketch.ARAMS) *sketch.ARAMS {
+				if a.State().IncreaseEll {
+					pending++
+				}
+				b, err := restore(a)
+				if err != nil {
+					t.Fatalf("β=%v, %s: %v", beta, name, err)
+				}
+				return b
+			})
+			if pending == 0 {
+				t.Errorf("β=%v, %s: no batch boundary left a growth pending", beta, name)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("β=%v, %s: checkpointed after every batch, the stream ends in another state than the uninterrupted run", beta, name)
+			}
+		}
+	}
+}
+
+// resume checkpoints st through Marshal and Unmarshal and restores the
+// decoded state with restore, after checking that the frame with its
+// rank-adaptive ν or ε changed fails to decode.
+func resume(t *testing.T, st sketch.ARAMSState, restore func(sketch.ARAMSState) (*sketch.ARAMS, error)) (*sketch.ARAMS, error) {
+	t.Helper()
+	frame, err := Marshal(st)
+	if err != nil {
+		return nil, err
+	}
+	at := rankAdaptiveBlock(&st.FD)
+	for field, edit := range map[string]func(b []byte){
+		"ν": func(b []byte) { b[at]++ },
+		"ε": func(b []byte) { b[at+8] ^= 1 },
+	} {
+		if _, err := Unmarshal(reseal(frame, edit)); err == nil {
+			t.Fatalf("a frame whose rank-adaptive %s is not its config's decodes", field)
+		}
+	}
+	back, err := Unmarshal(frame)
+	if err != nil {
+		return nil, err
+	}
+	return restore(*back.(*sketch.ARAMSState))
 }
 
 // reseal returns a copy of frame with edit applied to everything ahead

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"time"
 
 	"arams/internal/audit"
@@ -15,10 +16,9 @@ import (
 // Marshal encodes a state snapshot as one checkpoint frame. Accepted
 // types (pointers or values where noted):
 //
-//	sketch.FDState / *sketch.FDState                     → KindFD
-//	sketch.RankAdaptiveState / *sketch.RankAdaptiveState → KindRankAdaptive
-//	sketch.ARAMSState / *sketch.ARAMSState               → KindARAMS
-//	*pipeline.MonitorState                               → KindMonitor
+//	sketch.FDState / *sketch.FDState       → KindFD
+//	sketch.ARAMSState / *sketch.ARAMSState → KindARAMS
+//	*pipeline.MonitorState                 → KindMonitor
 func Marshal(state any) ([]byte, error) {
 	// The in-memory form of Save's encoder: the same two passes, with
 	// the second writing into a frame allocated once at its final size.
@@ -39,16 +39,12 @@ func encodeState(e *enc, state any) (Kind, error) {
 	case *sketch.FDState:
 		encodeFD(e, s)
 		return KindFD, nil
-	case sketch.RankAdaptiveState:
-		encodeRankAdaptive(e, &s)
-		return KindRankAdaptive, nil
-	case *sketch.RankAdaptiveState:
-		encodeRankAdaptive(e, s)
-		return KindRankAdaptive, nil
 	case sketch.ARAMSState:
-		return KindARAMS, encodeARAMS(e, &s)
+		encodeARAMS(e, &s)
+		return KindARAMS, nil
 	case *sketch.ARAMSState:
-		return KindARAMS, encodeARAMS(e, s)
+		encodeARAMS(e, s)
+		return KindARAMS, nil
 	case *pipeline.MonitorState:
 		return KindMonitor, encodeMonitor(e, s)
 	default:
@@ -57,11 +53,11 @@ func encodeState(e *enc, state any) (Kind, error) {
 }
 
 // Unmarshal decodes one checkpoint frame. It returns one of
-// *sketch.FDState, *sketch.RankAdaptiveState, *sketch.ARAMSState,
-// *pipeline.MonitorState. A monitor state owns its storage, as Load's
-// does, but allocated rather than drawn from mat's vector pool, so a
-// state decoded only to be inspected takes nothing from it; the one
-// restore from it adopts the window vectors and copies the sketches.
+// *sketch.FDState, *sketch.ARAMSState, *pipeline.MonitorState. A
+// monitor state owns its storage, as Load's does, but allocated rather
+// than drawn from mat's vector pool, so a state decoded only to be
+// inspected takes nothing from it; the one restore from it adopts the
+// window vectors and copies the sketches.
 // Nothing it returns aliases b.
 func Unmarshal(b []byte) (any, error) {
 	h, err := Peek(b)
@@ -105,8 +101,6 @@ func decodeState(d *dec, kind Kind) (any, error) {
 	switch kind {
 	case KindFD:
 		state = decodeFD(d)
-	case KindRankAdaptive:
-		state = decodeRankAdaptive(d)
 	case KindARAMS:
 		state = decodeARAMS(d)
 	case KindMonitor:
@@ -195,37 +189,6 @@ func decodeRNG(d *dec) rng.State {
 	}
 }
 
-// --- RankAdaptiveFD ---
-//
-// The slot behind the RNG held the probe's ring of recent rows, a count
-// and then the rows. The probe reads the sketch's own rows, so the slot
-// is retired: written as 0, and a frame with rows in it fails to decode.
-
-func encodeRankAdaptive(e *enc, s *sketch.RankAdaptiveState) {
-	encodeFD(e, &s.FD)
-	e.i64(s.Nu)
-	e.f64(s.Eps)
-	e.i64(0) // retired estimator slot
-	encodeRNG(e, s.RNG)
-	e.i64(0) // retired recent-rows ring slot
-	e.bool(s.IncreaseEll)
-	e.i64(s.RowsLeft)
-	e.i64(s.Grows)
-}
-
-func decodeRankAdaptive(d *dec) *sketch.RankAdaptiveState {
-	s := &sketch.RankAdaptiveState{FD: *decodeFD(d)}
-	s.Nu = d.i64()
-	s.Eps = d.f64()
-	d.retired("rank-adaptive estimator")
-	s.RNG = decodeRNG(d)
-	d.retired("rank-adaptive recent-rows ring")
-	s.IncreaseEll = d.bool()
-	s.RowsLeft = d.i64()
-	s.Grows = d.i64()
-	return s
-}
-
 // --- ARAMS ---
 
 // encodeConfig is sketch.Config's one layout, in an ARAMS payload and
@@ -250,31 +213,52 @@ func decodeConfig(d *dec) sketch.Config {
 	return c
 }
 
-func encodeARAMS(e *enc, s *sketch.ARAMSState) error {
+// encodeARAMS writes the config, d, the sampler RNG, a byte saying
+// whether rank adaptation is on (Cfg.RankAdaptive again) and the FD
+// block. A rank-adaptive payload goes on with Algorithm 2's block: ν and
+// ε (Cfg's, written again), a retired estimator slot, the probe RNG, a
+// retired slot that held the probe's ring of recent rows — a count and
+// the rows — the growth flag, rowsLeft and the growth count. The probe
+// reads the sketch's own rows, so a retired slot is written as 0 and a
+// frame with anything in it fails to decode, as does one whose byte, ν
+// or ε disagrees with its config.
+func encodeARAMS(e *enc, s *sketch.ARAMSState) {
 	encodeConfig(e, s.Cfg)
 	e.i64(s.D)
 	encodeRNG(e, s.RNG)
-	switch {
-	case s.RankAdaptive != nil && s.FD == nil:
-		e.bool(true)
-		encodeRankAdaptive(e, s.RankAdaptive)
-	case s.FD != nil && s.RankAdaptive == nil:
-		e.bool(false)
-		encodeFD(e, s.FD)
-	default:
-		return fmt.Errorf("ckpt: ARAMS state must carry exactly one sketch variant")
+	e.bool(s.Cfg.RankAdaptive)
+	encodeFD(e, &s.FD)
+	if s.Cfg.RankAdaptive {
+		e.i64(s.Cfg.Nu)
+		e.f64(s.Cfg.Eps)
+		e.i64(0) // retired estimator slot
+		encodeRNG(e, s.ProbeRNG)
+		e.i64(0) // retired recent-rows ring slot
+		e.bool(s.IncreaseEll)
+		e.i64(s.RowsLeft)
+		e.i64(s.Grows)
 	}
-	return nil
 }
 
 func decodeARAMS(d *dec) *sketch.ARAMSState {
 	s := &sketch.ARAMSState{Cfg: decodeConfig(d)}
 	s.D = d.i64()
 	s.RNG = decodeRNG(d)
-	if d.bool() {
-		s.RankAdaptive = decodeRankAdaptive(d)
-	} else {
-		s.FD = decodeFD(d)
+	if d.bool() != s.Cfg.RankAdaptive {
+		d.fail("ARAMS rank adaptation disagrees with its config's %v", s.Cfg.RankAdaptive)
+	}
+	s.FD = *decodeFD(d)
+	if s.Cfg.RankAdaptive {
+		nu, eps := d.i64(), d.f64()
+		if nu != s.Cfg.Nu || math.Float64bits(eps) != math.Float64bits(s.Cfg.Eps) {
+			d.fail("rank-adaptive ν=%d ε=%v disagree with the config's ν=%d ε=%v", nu, eps, s.Cfg.Nu, s.Cfg.Eps)
+		}
+		d.retired("rank-adaptive estimator")
+		s.ProbeRNG = decodeRNG(d)
+		d.retired("rank-adaptive recent-rows ring")
+		s.IncreaseEll = d.bool()
+		s.RowsLeft = d.i64()
+		s.Grows = d.i64()
 	}
 	return s
 }
@@ -301,9 +285,7 @@ func encodeMonitor(e *enc, s *pipeline.MonitorState) error {
 	for _, ss := range s.Shards {
 		e.bool(ss != nil)
 		if ss != nil {
-			if err := encodeARAMS(e, ss); err != nil {
-				return err
-			}
+			encodeARAMS(e, ss)
 		}
 	}
 	// Optional audit state (drift detectors + event journal).

@@ -93,17 +93,6 @@ func (p *pool) fdState() sketch.FDState {
 	}
 }
 
-func (p *pool) rankAdaptiveState() sketch.RankAdaptiveState {
-	return sketch.RankAdaptiveState{
-		FD: p.fdState(),
-		Nu: 1 + p.intn(8), Eps: p.f64(),
-		RNG:         p.rngState(),
-		IncreaseEll: p.byte()&1 == 1,
-		RowsLeft:    p.intn(1000) - 1,
-		Grows:       p.intn(20),
-	}
-}
-
 func (p *pool) aramsState() sketch.ARAMSState {
 	s := sketch.ARAMSState{
 		Cfg: sketch.Config{
@@ -114,13 +103,13 @@ func (p *pool) aramsState() sketch.ARAMSState {
 		D:   1 + p.intn(8),
 		RNG: p.rngState(),
 	}
-	if p.byte()&1 == 1 {
-		s.Cfg.RankAdaptive = true
-		ra := p.rankAdaptiveState()
-		s.RankAdaptive = &ra
-	} else {
-		fd := p.fdState()
-		s.FD = &fd
+	s.Cfg.RankAdaptive = p.byte()&1 == 1
+	s.FD = p.fdState()
+	if s.Cfg.RankAdaptive {
+		s.ProbeRNG = p.rngState()
+		s.IncreaseEll = p.byte()&1 == 1
+		s.RowsLeft = p.intn(1000) - 1
+		s.Grows = p.intn(20)
 	}
 	return s
 }
@@ -133,10 +122,7 @@ func stateFromBytes(data []byte) any {
 	case 0:
 		s := p.fdState()
 		return &s
-	case 1:
-		s := p.rankAdaptiveState()
-		return &s
-	case 2:
+	case 1, 2:
 		s := p.aramsState()
 		return &s
 	case 3:

@@ -46,14 +46,14 @@ func TestDecodedSketchReservesOnlyRotatedBuffers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fd := loaded.(*pipeline.MonitorState).Shards[0].FD
+		fd := &loaded.(*pipeline.MonitorState).Shards[0].FD
 		full := fd.Ell * fd.D
 		got := cap(fd.Kept) == full && cap(fd.Incoming) == full
 		if got != tc.reserved || (!tc.reserved && !exact(fd)) {
 			t.Errorf("Load, %d frames, %d occupied rows of ℓ = %d: kept len %d cap %d, incoming len %d cap %d; want the ℓ·d = %d reservations %v",
 				tc.frames, fd.NextZero, fd.Ell, len(fd.Kept), cap(fd.Kept), len(fd.Incoming), cap(fd.Incoming), full, tc.reserved)
 		}
-		if fd := sliced.(*pipeline.MonitorState).Shards[0].FD; !exact(fd) {
+		if fd := &sliced.(*pipeline.MonitorState).Shards[0].FD; !exact(fd) {
 			t.Errorf("Unmarshal, %d frames: kept cap %d, incoming cap %d; want no reservation", tc.frames, cap(fd.Kept), cap(fd.Incoming))
 		}
 		bare, err := Marshal(fd)

@@ -48,7 +48,7 @@ func wideMonitorState(frames, d int) *pipeline.MonitorState {
 		s.Shards = []*sketch.ARAMSState{{
 			Cfg: sketch.Config{Ell0: ell, Beta: 0.9, Seed: 3},
 			D:   d,
-			FD:  &sketch.FDState{Ell: ell, D: d, NextZero: 2 * ell, Seen: frames, Kept: floats(ell * d), Incoming: floats32(ell * d)},
+			FD:  sketch.FDState{Ell: ell, D: d, NextZero: 2 * ell, Seen: frames, Kept: floats(ell * d), Incoming: floats32(ell * d)},
 		}}
 	}
 	return s
@@ -246,6 +246,15 @@ func TestCorruptionTableBothDecoders(t *testing.T) {
 	// Damage under a valid checksum, which only the field decoder can see.
 	add("unknown kind", reseal(valid, func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 42) }), ErrBadKind)
 	add("reserved kind 3", reseal(valid, func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 3) }), ErrBadKind)
+	// Kind 2 was a bare rank-adaptive sketch at the sketch version.
+	kind2 := reseal(valid, func(b []byte) {
+		binary.LittleEndian.PutUint32(b[4:8], sketchVersion)
+		binary.LittleEndian.PutUint32(b[8:12], 2)
+	})
+	add("retired kind 2", kind2, ErrBadKind)
+	kind2 = append([]byte(nil), kind2...)
+	kind2[headerLen+5000] ^= 1
+	add("retired kind 2, payload bit", kind2, ErrChecksum)
 	add("older version", reseal(valid, func(b []byte) { b[4] = Version - 1 }), ErrVersion)
 	add("vector count beyond the payload", reseal(valid, func(b []byte) {
 		binary.LittleEndian.PutUint64(b[headerLen+24+8:], uint64(payloadLen)) // floats, not bytes
@@ -263,24 +272,22 @@ func TestCorruptionTableBothDecoders(t *testing.T) {
 
 	// Retired values, written by no encoder: a non-zero estimator slot in
 	// the shard's ARAMS config (behind the frames, the shard count, the
-	// presence bool, Ell0, Nu, Eps, Beta and RankAdaptive) or in a
-	// rank-adaptive sketch (behind its FD block, Nu and Eps), and a
-	// detector kind other than Page-Hinkley.
+	// presence bool, Ell0, Nu, Eps, Beta and RankAdaptive) or in an
+	// ARAMS frame's rank-adaptive block (behind Nu and Eps), and a
+	// detector kind other than Page-Hinkley. Nor does any encoder write a
+	// rank-adaptive block whose ν or ε is not its config's, or a
+	// rank-adaptation byte that is not.
 	aramsSlot := headerLen + 24 + 8 + 1 + 4*8 + 1
 	for _, f := range s.Frames {
 		aramsSlot += 16 + 4*len(f.Vec)
 	}
 	add("ARAMS estimator slot 1", reseal(valid, func(b []byte) { b[aramsSlot] = 1 }), nil)
-	ra := sketch.RankAdaptiveState{
-		FD: sketch.FDState{Ell: 2, D: 3, NextZero: 1, Kept: []float64{1, 2, 3}},
-		Nu: 2, Eps: 0.5, RNG: rng.New(1).State(),
-	}
-	raFrame, err := Marshal(ra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	add("rank-adaptive estimator slot 2", reseal(raFrame, func(b []byte) {
-		b[headerLen+7*8+8+8*len(ra.FD.Kept)+8+4*len(ra.FD.Incoming)+2*8] = 2
+	raFrame, ra := rankAdaptiveFrame(t, sketch.FDState{Ell: 2, D: 3, NextZero: 1, Kept: []float64{1, 2, 3}})
+	add("rank-adaptive estimator slot 2", reseal(raFrame, func(b []byte) { b[ra+2*8] = 2 }), nil)
+	add("rank-adaptive ν not the config's", reseal(raFrame, func(b []byte) { b[ra]++ }), nil)
+	add("rank-adaptive ε not the config's", reseal(raFrame, func(b []byte) { b[ra+8] ^= 1 }), nil)
+	add("rank-adaptation byte not the config's", reseal(raFrame, func(b []byte) {
+		b[aramsHead-1] = 0
 	}), nil)
 	cusum := wideMonitorState(1, 4)
 	cusum.Audit = &audit.State{Residual: audit.DetectorState{Kind: "cusum"}, Accept: audit.NewPageHinkley(0.01, 1).State()}
@@ -408,32 +415,55 @@ func BenchmarkSaveLoad(b *testing.B) {
 	}
 }
 
-// TestRankAdaptiveRingSlotRetired: behind its RNG, a rank-adaptive frame
-// once carried the probe's ring of recent rows, a count and then each
-// row as a length-prefixed float64 array. The probe now reads the
-// sketch's own rows, so the slot is retired: written as 0 and nothing
-// else. A frame of the old layout with rows in its ring fails Unmarshal,
-// the streaming decoder and Load with an error, never a panic.
-func TestRankAdaptiveRingSlotRetired(t *testing.T) {
-	ra := sketch.RankAdaptiveState{
-		FD: sketch.FDState{Ell: 2, D: 3, NextZero: 3, Kept: []float64{1, 2, 3, 4, 5, 6}, Incoming: []float32{7, 8, 9}},
-		Nu: 2, Eps: 0.5, RNG: rng.New(1).State(), RowsLeft: -1,
-	}
-	frame, err := Marshal(ra)
+// aramsHead is the payload length of an ARAMS frame up to its FD block:
+// the config (Ell0, Nu, Eps, Beta, RankAdaptive, the retired estimator
+// slot, Seed), D, the sampler RNG (four words, a bool and a float) and
+// the rank-adaptation byte; plus the header, it is the block's offset.
+const aramsHead = headerLen + 4*8 + 1 + 2*8 + 8 + 4*8 + 1 + 8 + 1
+
+// rankAdaptiveBlock is the frame offset of the rank-adaptive block, which
+// opens with ν, in an ARAMS frame over fd: behind the FD block's seven
+// words and its two length-prefixed arrays.
+func rankAdaptiveBlock(fd *sketch.FDState) int {
+	return aramsHead + 7*8 + 8 + 8*len(fd.Kept) + 8 + 4*len(fd.Incoming)
+}
+
+// rankAdaptiveFrame marshals a rank-adaptive ARAMS state over fd (ν = 2,
+// ε = 0.5, stream length unknown) and returns the frame and the offset
+// of its rank-adaptive block.
+func rankAdaptiveFrame(t *testing.T, fd sketch.FDState) ([]byte, int) {
+	t.Helper()
+	frame, err := Marshal(sketch.ARAMSState{
+		Cfg: sketch.Config{Ell0: fd.Ell, Nu: 2, Eps: 0.5, Beta: 1, RankAdaptive: true},
+		D:   fd.D, RNG: rng.New(1).State(), FD: fd,
+		ProbeRNG: rng.New(2).State(), RowsLeft: -1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Behind the FD block, Nu, Eps, the retired estimator slot and the
-	// RNG (four words, a bool and a float); IncreaseEll and RowsLeft
-	// follow it.
-	slot := headerLen + 7*8 + 8 + 8*len(ra.FD.Kept) + 8 + 4*len(ra.FD.Incoming) + 3*8 + 4*8 + 1 + 8
+	return frame, rankAdaptiveBlock(&fd)
+}
+
+// TestRankAdaptiveRingSlotRetired: behind its probe RNG, the
+// rank-adaptive block of an ARAMS frame once carried the probe's ring of
+// recent rows, a count and then each row as a length-prefixed float64
+// array. The probe now reads the sketch's own rows, so the slot is
+// retired: written as 0 and nothing else. A frame of the old layout with
+// rows in its ring fails Unmarshal, the streaming decoder and Load with
+// an error, never a panic.
+func TestRankAdaptiveRingSlotRetired(t *testing.T) {
+	fd := sketch.FDState{Ell: 2, D: 3, NextZero: 3, Kept: []float64{1, 2, 3, 4, 5, 6}, Incoming: []float32{7, 8, 9}}
+	frame, ra := rankAdaptiveFrame(t, fd)
+	// Behind Nu, Eps, the retired estimator slot and the probe RNG (four
+	// words, a bool and a float); IncreaseEll and RowsLeft follow it.
+	slot := ra + 3*8 + 4*8 + 1 + 8
 	if binary.LittleEndian.Uint64(frame[slot:]) != 0 || int64(binary.LittleEndian.Uint64(frame[slot+9:])) != -1 {
 		t.Fatalf("the ring slot is not at payload offset %d", slot-headerLen)
 	}
 	ring := binary.LittleEndian.AppendUint64(nil, 2)
 	for i := 0; i < 2; i++ {
-		ring = binary.LittleEndian.AppendUint64(ring, uint64(ra.FD.D))
-		for j := 0; j < ra.FD.D; j++ {
+		ring = binary.LittleEndian.AppendUint64(ring, uint64(fd.D))
+		for j := 0; j < fd.D; j++ {
 			ring = binary.LittleEndian.AppendUint64(ring, math.Float64bits(float64(3*i+j)))
 		}
 	}

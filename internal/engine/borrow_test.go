@@ -15,13 +15,13 @@ import (
 // sameSketchState reports where two shard states differ bit for bit:
 // their counts, rows, Σδ, ‖A‖_F² and RNG positions; "" when they agree.
 func sameSketchState(got, want *sketch.ARAMSState) string {
-	if got == nil || want == nil || got.FD == nil || want.FD == nil {
+	if got == nil || want == nil {
 		return "presence"
 	}
 	if got.RNG != want.RNG {
 		return "sampler RNG"
 	}
-	g, w := got.FD, want.FD
+	g, w := &got.FD, &want.FD
 	if g.Ell != w.Ell || g.NextZero != w.NextZero || g.Rotations != w.Rotations || g.Seen != w.Seen {
 		return "counts"
 	}

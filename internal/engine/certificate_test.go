@@ -25,10 +25,7 @@ func stackedShards(st *engine.State) *mat.Matrix {
 		if s == nil {
 			continue
 		}
-		fd := s.FD
-		if s.RankAdaptive != nil {
-			fd = &s.RankAdaptive.FD
-		}
+		fd := &s.FD
 		for i := 0; i < len(fd.Kept); i += fd.D {
 			rows = append(rows, fd.Kept[i:i+fd.D])
 		}

@@ -159,7 +159,7 @@ func TestBatchMatchesPerFrame(t *testing.T) {
 		if sa == nil {
 			continue
 		}
-		fa, fb := shardFD(t, sa, i), shardFD(t, sb, i)
+		fa, fb := &sa.FD, &sb.FD
 		if fa.Seen != fb.Seen || fa.Rotations != fb.Rotations {
 			t.Fatalf("shard %d: seen/rotations differ: %d/%d vs %d/%d",
 				i, fa.Seen, fa.Rotations, fb.Seen, fb.Rotations)
@@ -171,17 +171,6 @@ func TestBatchMatchesPerFrame(t *testing.T) {
 			t.Fatalf("shard %d: sampler RNG state diverged", i)
 		}
 	}
-}
-
-func shardFD(t *testing.T, s *sketch.ARAMSState, i int) *sketch.FDState {
-	t.Helper()
-	if s.RankAdaptive != nil {
-		return &s.RankAdaptive.FD
-	}
-	if s.FD == nil {
-		t.Fatalf("shard %d state has neither sketch variant", i)
-	}
-	return s.FD
 }
 
 // TestStateRoundTripResume checks that a restored engine continues the
@@ -228,7 +217,7 @@ func TestStateRoundTripResume(t *testing.T) {
 		}
 	}
 	for i := range a.Shards {
-		fa, fb := shardFD(t, a.Shards[i], i), shardFD(t, b.Shards[i], i)
+		fa, fb := &a.Shards[i].FD, &b.Shards[i].FD
 		if !slices.Equal(fa.Kept, fb.Kept) || !slices.Equal(fa.Incoming, fb.Incoming) {
 			t.Fatalf("shard %d buffer diverged after restore", i)
 		}

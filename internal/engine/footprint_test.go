@@ -122,10 +122,7 @@ func TestEngineShardHoldsOnlyItsKeptBlock(t *testing.T) {
 			live := int64(liveHeap()) - int64(base)
 			for si := 0; si < shards; si++ {
 				st := e.ShardState(si)
-				fd := st.FD
-				if cfg.RankAdaptive {
-					fd = &st.RankAdaptive.FD
-				}
+				fd := &st.FD
 				if fd.Rotations != 3 || fd.Ell != ell {
 					t.Fatalf("%s: shard %d rotated %d times at ℓ = %d, want 3 at %d", name, si, fd.Rotations, fd.Ell, ell)
 				}

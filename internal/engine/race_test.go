@@ -43,10 +43,7 @@ func TestEngineConcurrentHammer(t *testing.T) {
 			if ss == nil {
 				continue
 			}
-			fd := ss.FD
-			if ss.RankAdaptive != nil {
-				fd = &ss.RankAdaptive.FD
-			}
+			fd := &ss.FD
 			rows += fd.Seen
 		}
 		return rows

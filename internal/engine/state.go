@@ -92,10 +92,10 @@ func (s *State) Release() {
 			}
 		}
 		for _, ss := range s.Shards {
-			fd := aramsFD(ss)
-			if fd == nil {
+			if ss == nil {
 				continue
 			}
+			fd := &ss.FD
 			if cap(fd.Kept) == fd.Ell*fd.D {
 				mat.PutVec(fd.Kept)
 			}
@@ -115,10 +115,10 @@ func (s *State) Release() {
 func (s *State) Certificate() audit.Certificate {
 	var certs []audit.Certificate
 	for _, ss := range s.Shards {
-		fd := aramsFD(ss)
-		if fd == nil {
+		if ss == nil {
 			continue
 		}
+		fd := &ss.FD
 		certs = append(certs, audit.Certificate{
 			Rows:       fd.Seen,
 			Dim:        fd.D,
@@ -129,20 +129,6 @@ func (s *State) Certificate() audit.Certificate {
 		})
 	}
 	return audit.Compose(certs...)
-}
-
-// aramsFD returns the FD ledger inside an ARAMS shard state, whichever
-// variant carries it (nil for an empty slot).
-func aramsFD(s *sketch.ARAMSState) *sketch.FDState {
-	switch {
-	case s == nil:
-		return nil
-	case s.RankAdaptive != nil:
-		return &s.RankAdaptive.FD
-	case s.FD != nil:
-		return s.FD
-	}
-	return nil
 }
 
 // State captures the engine's current state. It takes the ingest gate

@@ -90,7 +90,7 @@ func TestPayloadGoldens(t *testing.T) {
 // codec: the bytes after its shard index open that kind's payload.
 func TestHelloPayloadConfigIsCheckpointConfig(t *testing.T) {
 	cfg := sketch.Config{Ell0: 8, Nu: 3, Eps: 0.25, Beta: 0.5, RankAdaptive: true, Seed: 0x0102030405060708}
-	frame, err := ckpt.Marshal(&sketch.ARAMSState{Cfg: cfg, D: 2, FD: &sketch.FDState{Ell: 8, D: 2}})
+	frame, err := ckpt.Marshal(&sketch.ARAMSState{Cfg: cfg, D: 2, FD: sketch.FDState{Ell: 8, D: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

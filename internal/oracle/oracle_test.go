@@ -515,8 +515,8 @@ func (s *system) reader(r int, tick, stop <-chan struct{}) error {
 func consistentCut(st *pipeline.MonitorState) error {
 	rows := 0
 	for _, ss := range st.Shards {
-		if fd := fdOf(ss); fd != nil {
-			rows += fd.Seen
+		if ss != nil {
+			rows += ss.FD.Seen
 		}
 	}
 	if rows != st.Ingests || len(st.Frames) > st.Ingests {
@@ -651,27 +651,15 @@ func sameMatrix(a, b *mat.Matrix) bool {
 		slices.EqualFunc(a.Data, b.Data, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// fdOf returns the FD ledger inside an ARAMS shard state (nil for an
-// empty slot).
-func fdOf(s *sketch.ARAMSState) *sketch.FDState {
-	switch {
-	case s == nil:
-		return nil
-	case s.RankAdaptive != nil:
-		return &s.RankAdaptive.FD
-	}
-	return s.FD
-}
-
 // stacked stacks every buffer row of every shard of st, widened to
 // float64: the Σ BᵢᵀBᵢ a composed certificate describes, with no merge.
 func stacked(st *pipeline.MonitorState) *mat.Matrix {
 	var rows [][]float64
 	for _, ss := range st.Shards {
-		fd := fdOf(ss)
-		if fd == nil {
+		if ss == nil {
 			continue
 		}
+		fd := &ss.FD
 		for i := 0; i < len(fd.Kept); i += fd.D {
 			rows = append(rows, fd.Kept[i:i+fd.D])
 		}

@@ -279,14 +279,7 @@ func monitorShardFD(t *testing.T, s *pipeline.MonitorState, i int) *sketch.FDSta
 	if i >= len(s.Shards) || s.Shards[i] == nil {
 		t.Fatalf("monitor state has no sketch for shard %d", i)
 	}
-	sh := s.Shards[i]
-	if sh.RankAdaptive != nil {
-		return &sh.RankAdaptive.FD
-	}
-	if sh.FD == nil {
-		t.Fatalf("monitor shard %d state has neither variant", i)
-	}
-	return sh.FD
+	return &s.Shards[i].FD
 }
 
 // subspaceErr measures how far apart two sketch states' row spaces are:

@@ -2,8 +2,14 @@ package sketch
 
 import (
 	"arams/internal/mat"
+	"arams/internal/obs"
 	"arams/internal/rng"
 )
+
+// obsRankAdapts counts heuristic-triggered rank increases (Alg. 2
+// line 9: estimated error above ε), as opposed to merge-driven Grow
+// calls, which only arams_sketch_rank_grow_events_total sees.
+var obsRankAdapts = obs.Default().Counter("arams_sketch_rank_adaptations_total")
 
 // Config parameterizes the ARAMS algorithm (Algorithm 3): Accelerated
 // Rank-Adaptive Matrix Sketching = priority sampling chained into
@@ -21,23 +27,44 @@ type Config struct {
 	// Beta is the priority-sampling keep fraction (the paper's β,
 	// e.g. 0.8 keeps 80% of rows). Beta >= 1 disables sampling.
 	Beta float64
-	// RankAdaptive disables rank adaptation when false (fixed ℓ =
-	// Ell0), giving the "user-specified rank" baselines of Fig. 1.
+	// RankAdaptive grows ℓ by Algorithm 2, by Nu whenever the probe
+	// puts the error of recent rows above Eps. When false ℓ stays at
+	// Ell0, the "user-specified rank" baselines of Fig. 1.
 	RankAdaptive bool
 	// Seed feeds the sampler and probe RNG.
 	Seed uint64
 }
 
 // ARAMS is the streaming form of Algorithm 3: batches pass through a
-// per-batch priority sampler and into a (rank-adaptive) Frequent
-// Directions sketch.
+// per-batch priority sampler and into one Frequent Directions sketch.
+//
+// With cfg.RankAdaptive set, the sketch's ℓ grows by Algorithm 2 so
+// that the estimated relative reconstruction error of the most recent
+// data stays below ε — the practitioner specifies a target error
+// instead of a rank. At each rotation, the probe heuristic (Algorithm
+// 1) estimates the reconstruction error of the last ℓ appended rows
+// against the right singular vectors the rotation has just computed,
+// so the heuristic adds no extra SVD. It reads both where they lie: the
+// rows are the sketch's own float32 rows, exactly the ℓ appended since
+// the last rotation (fast FD's 2ℓ buffer holds them as its lower half),
+// and the vectors are the kept block, which holds them unscaled until
+// the shrink. No copy of either is made. If the error exceeds ε and
+// enough rows remain in the stream (rowsLeft > ℓ+ν, the paper's
+// canRankAdapt guard, which prevents growing right before the data
+// runs out and leaving zero rows in the sketch), ℓ increases by ν at
+// the start of the next cycle.
 type ARAMS struct {
 	cfg Config
-	d   int
 	g   *rng.RNG
+	fd  *FrequentDirections
 
-	rafd *RankAdaptiveFD     // when cfg.RankAdaptive
-	fd   *FrequentDirections // otherwise
+	// Algorithm 2's bookkeeping, used only when cfg.RankAdaptive: the
+	// probe RNG, the growth the last probe asked for, the rows the
+	// stream has left (-1 if unknown) and the growths so far.
+	probe       *rng.RNG
+	increaseEll bool
+	rowsLeft    int
+	grows       int
 
 	// norms holds ‖row‖² of the batch in flight, and ps samples it when
 	// β < 1: scratch, reset for every batch, so a batch allocates nothing.
@@ -47,7 +74,7 @@ type ARAMS struct {
 
 // NewARAMS creates a streaming ARAMS sketcher for d-dimensional rows.
 // totalRows is the expected stream length for the rank-adaptation
-// guard; pass <= 0 if unknown.
+// guard; pass <= 0 if unknown, and the guard always allows growth.
 func NewARAMS(cfg Config, d, totalRows int) *ARAMS {
 	if cfg.Ell0 <= 0 {
 		panic("sketch: ARAMS needs Ell0 > 0")
@@ -58,19 +85,20 @@ func NewARAMS(cfg Config, d, totalRows int) *ARAMS {
 	if cfg.Beta <= 0 {
 		cfg.Beta = 1
 	}
-	a := &ARAMS{cfg: cfg, d: d, g: rng.New(cfg.Seed)}
+	a := &ARAMS{cfg: cfg, g: rng.New(cfg.Seed), fd: NewFrequentDirections(cfg.Ell0, d, Options{})}
 	if cfg.RankAdaptive {
 		if cfg.Eps <= 0 {
 			panic("sketch: rank-adaptive ARAMS needs Eps > 0")
 		}
 		// The sampler passes ~β of the rows through to the sketch.
-		expected := totalRows
-		if expected > 0 && cfg.Beta < 1 {
-			expected = int(float64(expected) * cfg.Beta)
+		if totalRows > 0 && cfg.Beta < 1 {
+			totalRows = int(float64(totalRows) * cfg.Beta)
 		}
-		a.rafd = NewRankAdaptiveFD(cfg.Ell0, d, cfg.Nu, cfg.Eps, expected, a.g.Split())
-	} else {
-		a.fd = NewFrequentDirections(cfg.Ell0, d, Options{})
+		a.rowsLeft = totalRows
+		if totalRows <= 0 {
+			a.rowsLeft = -1
+		}
+		a.probe = a.g.Split()
 	}
 	return a
 }
@@ -120,7 +148,7 @@ func (a *ARAMS) ProcessBatchBorrowing(x *mat.Matrix, x32 [][]float32) BatchStats
 
 // process is ProcessBatch, borrowing x32's rows when it is not nil.
 func (a *ARAMS) process(x *mat.Matrix, x32 [][]float32) BatchStats {
-	if x.ColsN != a.d {
+	if x.ColsN != a.fd.d {
 		panic("sketch: ARAMS batch dimension mismatch")
 	}
 	bs := BatchStats{Rows: x.RowsN, EllBefore: a.Ell()}
@@ -139,7 +167,7 @@ func (a *ARAMS) process(x *mat.Matrix, x32 [][]float32) BatchStats {
 		}
 		return x32[i]
 	}
-	deltaBefore := a.FD().Delta()
+	deltaBefore := a.fd.Delta()
 	if a.cfg.Beta < 1 {
 		// The sampler holds views into x and the sketch copies each
 		// appended row into its buffer, so the kept rows go from the
@@ -163,49 +191,70 @@ func (a *ARAMS) process(x *mat.Matrix, x32 [][]float32) BatchStats {
 		}
 	}
 	bs.EllAfter = a.Ell()
-	bs.DeltaAdded = a.FD().Delta() - deltaBefore
+	bs.DeltaAdded = a.fd.Delta() - deltaBefore
 	return bs
 }
 
-// appendNorm adds one row, whose squared norm the caller holds, to
-// whichever sketch variant is configured; row32, when not nil, is the
-// row's float32 copy for the sketch to borrow.
+// appendNorm adds one row, whose squared norm the caller holds, to the
+// sketch; row32, when not nil, is the row's float32 copy for the sketch
+// to borrow. With rank adaptation on it runs Algorithm 2's bookkeeping
+// around the fast-FD buffer.
 func (a *ARAMS) appendNorm(row []float64, row32 []float32, n2 float64) {
-	if a.rafd != nil {
-		a.rafd.appendNorm(row, row32, n2)
-	} else {
-		a.fd.appendNorm(row, row32, n2)
+	fd := a.fd
+	if !a.cfg.RankAdaptive {
+		fd.appendNorm(row, row32, n2)
+		return
 	}
+	if row32 != nil {
+		fd.lend(row32)
+	}
+	if fd.nextZero == 2*fd.ell {
+		canAdapt := a.canRankAdapt()
+		if a.increaseEll && canAdapt {
+			// Grow ℓ by ν; the buffer gains 2ν rows so this append
+			// proceeds without a rotation, exactly line 10–12 of Alg. 2.
+			fd.Grow(a.cfg.Nu)
+			a.increaseEll = false
+		} else if !canAdapt {
+			fd.rotate()
+		} else {
+			// Between the two halves of the rotation, kept holds the
+			// unscaled Vᵀ and the float32 rows are the last ℓ appended,
+			// oldest first: Alg. 2's test, read where it lies.
+			sigma := fd.decompose()
+			_, last := fd.occupied()
+			if relResidual(mat.New(0, fd.d), last, fd.kept, a.cfg.Nu, a.probe) > a.cfg.Eps {
+				a.increaseEll = true
+				a.grows++
+				obsRankAdapts.Inc()
+			}
+			fd.shrink(sigma)
+		}
+	}
+	fd.store(row, row32, n2)
+	if a.rowsLeft > 0 {
+		a.rowsLeft--
+	}
+}
+
+// canRankAdapt mirrors line 8 of Algorithm 2: growth is permitted only
+// when more than ℓ+ν rows remain, so the enlarged buffer can still be
+// filled before the stream ends.
+func (a *ARAMS) canRankAdapt() bool {
+	if a.rowsLeft < 0 {
+		return true
+	}
+	return a.rowsLeft > a.fd.Ell()+a.cfg.Nu
 }
 
 // Ell returns the current number of retained directions.
-func (a *ARAMS) Ell() int {
-	if a.rafd != nil {
-		return a.rafd.Ell()
-	}
-	return a.fd.Ell()
-}
+func (a *ARAMS) Ell() int { return a.fd.Ell() }
 
 // Sketch returns the current sketch matrix.
-func (a *ARAMS) Sketch() *mat.Matrix {
-	if a.rafd != nil {
-		return a.rafd.Sketch()
-	}
-	return a.fd.Sketch()
-}
+func (a *ARAMS) Sketch() *mat.Matrix { return a.fd.Sketch() }
 
 // Basis returns the top-k right singular vectors of the sketch.
-func (a *ARAMS) Basis(k int) *mat.Matrix {
-	if a.rafd != nil {
-		return a.rafd.Basis(k)
-	}
-	return a.fd.Basis(k)
-}
+func (a *ARAMS) Basis(k int) *mat.Matrix { return a.fd.Basis(k) }
 
 // FD returns the underlying Frequent Directions sketch (for merging).
-func (a *ARAMS) FD() *FrequentDirections {
-	if a.rafd != nil {
-		return a.rafd.FD()
-	}
-	return a.fd
-}
+func (a *ARAMS) FD() *FrequentDirections { return a.fd }

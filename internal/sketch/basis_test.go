@@ -92,7 +92,7 @@ func TestBasisIsAFunctionOfState(t *testing.T) {
 			return fd
 		}},
 		{"rank-adaptive", func() *FrequentDirections {
-			r := NewRankAdaptiveFD(3, d, 2, 0.01, 0, rng.New(5))
+			r := newRankAdaptive(3, d, 2, 0.01, 0, rng.New(5))
 			r.AppendMatrix(x.Rows(0, 130))
 			if r.grows == 0 || r.FD().nextZero <= r.Ell() {
 				t.Fatalf("rank-adaptive fixture: %d grows, %d of ℓ=%d rows occupied; want a grown sketch past ℓ",

@@ -14,13 +14,9 @@ import (
 func stateDigest(s ARAMSState) string {
 	dg := digest{sha256.New()}
 	dg.rng(s.RNG)
-	if s.RankAdaptive != nil {
-		dg.fd(&s.RankAdaptive.FD)
-		dg.rng(s.RankAdaptive.RNG)
-		dg.u64(uint64(s.RankAdaptive.Grows))
-	} else {
-		dg.fd(s.FD)
-	}
+	dg.fd(&s.FD)
+	dg.rng(s.ProbeRNG)
+	dg.u64(uint64(s.Grows))
 	return fmt.Sprintf("%x", dg.h.Sum(nil))
 }
 
@@ -152,7 +148,7 @@ func TestBorrowingSketchGivesItsBlockBack(t *testing.T) {
 			t.Fatalf("clone row %d is not in the clone's own block", j)
 		}
 	}
-	if stateDigest(ARAMSState{FD: ptr(c.State())}) != stateDigest(ARAMSState{FD: ptr(fd.State())}) {
+	if stateDigest(ARAMSState{FD: c.State()}) != stateDigest(ARAMSState{FD: fd.State()}) {
 		t.Error("the clone's state differs from its source's")
 	}
 	c.Release()
@@ -161,12 +157,10 @@ func TestBorrowingSketchGivesItsBlockBack(t *testing.T) {
 	if got := st.FD.Incoming; cap(got) != ell*d || len(got) != len(want.Incoming) {
 		t.Fatalf("TakeState's float32 rows have length %d and capacity %d; want %d and %d", len(got), cap(got), len(want.Incoming), ell*d)
 	}
-	if stateDigest(ARAMSState{FD: st.FD}) != stateDigest(ARAMSState{FD: &want}) {
+	if stateDigest(ARAMSState{FD: st.FD}) != stateDigest(ARAMSState{FD: want}) {
 		t.Error("TakeState's gathered rows differ from State's copy")
 	}
 }
-
-func ptr[T any](v T) *T { return &v }
 
 // TestProcessBatchAllocatesNothing: absorbing one row through the
 // priority sampler (β < 1), as the engine does for every frame, reuses

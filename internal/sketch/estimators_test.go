@@ -130,7 +130,7 @@ func TestEstimatorEmptyBasisKinds(t *testing.T) {
 // it leaves to within a factor of two of the exact one.
 func TestRankAdaptiveWithAlternativeEstimators(t *testing.T) {
 	ds := synth.Generate(synth.Params{N: 500, D: 40, Rank: 12, Decay: synth.SubExponential, Seed: 5})
-	r := NewRankAdaptiveFD(4, 40, 4, 0.02, 500, rng.New(6))
+	r := newRankAdaptive(4, 40, 4, 0.02, 500, rng.New(6))
 	r.AppendMatrix(ds.A)
 	if r.grows == 0 {
 		t.Fatal("rank never grew")

@@ -14,10 +14,23 @@ func Run(x *mat.Matrix, cfg Config) *mat.Matrix {
 	return a.Sketch()
 }
 
-// AppendMatrix adds every row of x.
-func (r *RankAdaptiveFD) AppendMatrix(x *mat.Matrix) {
+// newRankAdaptive is a rank-adaptive ARAMS over d features that starts
+// at ell0 directions, targets relative error eps with nu probes, expects
+// totalRows rows (<= 0 if unknown) and draws its probes from g. Fed by
+// Append, which skips the sampler, it is Algorithm 2 alone.
+func newRankAdaptive(ell0, d, nu int, eps float64, totalRows int, g *rng.RNG) *ARAMS {
+	a := NewARAMS(Config{Ell0: ell0, Nu: nu, Eps: eps, RankAdaptive: true}, d, totalRows)
+	a.probe = g
+	return a
+}
+
+// Append adds one row to the sketch, past the sampler.
+func (a *ARAMS) Append(row []float64) { a.appendNorm(row, nil, mat.Norm2Sq(row)) }
+
+// AppendMatrix adds every row of x, past the sampler.
+func (a *ARAMS) AppendMatrix(x *mat.Matrix) {
 	for i := 0; i < x.RowsN; i++ {
-		r.Append(x.Row(i))
+		a.Append(x.Row(i))
 	}
 }
 

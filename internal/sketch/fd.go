@@ -1,9 +1,9 @@
 // Package sketch implements the paper's matrix-sketching algorithms:
 // Frequent Directions (Ghashami et al. 2016) in its fast 2ℓ-buffer
-// form, the Rank-Adaptive Frequent Directions variant (Algorithm 2),
-// the probe-based reconstruction-error heuristic (Algorithm 1),
+// form, the probe-based reconstruction-error heuristic (Algorithm 1),
 // priority sampling (Duffield et al. 2007), and the combined ARAMS
-// algorithm (Algorithm 3). Sketches are mergeable summaries, which is
+// algorithm (Algorithm 3), whose rank-adaptive mode is the Rank-Adaptive
+// Frequent Directions of Algorithm 2. Sketches are mergeable summaries, which is
 // the property the tree-merge parallelization in package parallel
 // relies on.
 //

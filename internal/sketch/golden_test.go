@@ -111,7 +111,7 @@ func TestGoldenStateDigests(t *testing.T) {
 			}
 			s := a.State()
 			dg.rng(s.RNG)
-			dg.fd(s.FD)
+			dg.fd(&s.FD)
 		}},
 		{"arams-rank-adaptive", "822882db47a96d725a08920e82e9fadf39f8f7964f11ce9270dfe0999aa2cfb1", func(dg digest) {
 			a := NewARAMS(Config{Ell0: 6, Nu: 4, Eps: 0.05, Beta: 0.9, RankAdaptive: true, Seed: 11}, x.ColsN, x.RowsN)
@@ -124,9 +124,9 @@ func TestGoldenStateDigests(t *testing.T) {
 			}
 			s := a.State()
 			dg.rng(s.RNG)
-			dg.rng(s.RankAdaptive.RNG)
-			dg.u64(uint64(s.RankAdaptive.Grows))
-			dg.fd(&s.RankAdaptive.FD)
+			dg.rng(s.ProbeRNG)
+			dg.u64(uint64(s.Grows))
+			dg.fd(&s.FD)
 		}},
 	}
 	for _, tc := range cases {

@@ -112,7 +112,7 @@ func TestRankAdaptiveGrowsToMeetEps(t *testing.T) {
 	// target: the rank must grow, and the final sketch must actually
 	// achieve the target on the data.
 	ds := synth.Generate(synth.Params{N: 600, D: 50, Rank: 12, Decay: synth.SubExponential, Seed: 36})
-	r := NewRankAdaptiveFD(4, 50, 4, 0.02, 600, rng.New(37))
+	r := newRankAdaptive(4, 50, 4, 0.02, 600, rng.New(37))
 	r.AppendMatrix(ds.A)
 	if r.grows == 0 {
 		t.Fatal("rank never grew despite tight eps")
@@ -130,7 +130,7 @@ func TestRankAdaptiveGrowsToMeetEps(t *testing.T) {
 func TestRankAdaptiveStaysPutWhenEasy(t *testing.T) {
 	// Rank-3 data with ℓ0=8 and a loose eps: no growth should occur.
 	ds := synth.Generate(synth.Params{N: 300, D: 40, Rank: 3, Decay: synth.SuperExponential, Seed: 38})
-	r := NewRankAdaptiveFD(8, 40, 4, 0.2, 300, rng.New(39))
+	r := newRankAdaptive(8, 40, 4, 0.2, 300, rng.New(39))
 	r.AppendMatrix(ds.A)
 	if r.grows != 0 {
 		t.Fatalf("rank grew %d times on easy data", r.grows)
@@ -145,7 +145,7 @@ func TestRankAdaptiveGuardNearStreamEnd(t *testing.T) {
 	// rows remain.
 	d := 20
 	total := 2*6 + 3 // buffer fills once, then only 3 rows remain
-	r := NewRankAdaptiveFD(6, d, 5, 1e-9, total, rng.New(40))
+	r := newRankAdaptive(6, d, 5, 1e-9, total, rng.New(40))
 	g := rng.New(41)
 	x := mat.RandGaussian(total, d, g)
 	r.AppendMatrix(x)
@@ -159,7 +159,7 @@ func TestRankAdaptiveBoundStillHolds(t *testing.T) {
 	// must hold.
 	g := rng.New(42)
 	a := mat.RandGaussian(400, 30, g)
-	r := NewRankAdaptiveFD(5, 30, 3, 0.05, 400, rng.New(43))
+	r := newRankAdaptive(5, 30, 3, 0.05, 400, rng.New(43))
 	r.AppendMatrix(a)
 	b := r.Sketch()
 	err := CovErr(a, b)
@@ -178,7 +178,7 @@ func TestRankAdaptiveRingHoldsLastEllRows(t *testing.T) {
 	// computes decides.
 	const n, d = 200, 30
 	a := mat.RandGaussian(n, d, rng.New(46))
-	r := NewRankAdaptiveFD(4, d, 3, 0.05, 0, rng.New(47))
+	r := newRankAdaptive(4, d, 3, 0.05, 0, rng.New(47))
 	row := make([]float64, d)
 	probes := 0
 	for i := 0; i < n; i++ {
@@ -204,8 +204,8 @@ func TestRankAdaptiveRingHoldsLastEllRows(t *testing.T) {
 			}
 			c := fd.Clone()
 			c.decompose()
-			g = rng.FromState(r.g.State())
-			grow = EstimateRelResidual(x, c.kept, r.nu, g) > r.eps
+			g = rng.FromState(r.probe.State())
+			grow = EstimateRelResidual(x, c.kept, r.cfg.Nu, g) > r.cfg.Eps
 			c.Release()
 		}
 		copy(row, a.Row(i))
@@ -215,7 +215,7 @@ func TestRankAdaptiveRingHoldsLastEllRows(t *testing.T) {
 			if r.increaseEll != grow {
 				t.Fatalf("row %d: the probe decided growth %v, the estimate over the last ℓ rows %v", i, r.increaseEll, grow)
 			}
-			if r.g.State() != g.State() {
+			if r.probe.State() != g.State() {
 				t.Fatalf("row %d: the probe drew other normals than the estimate over the last ℓ rows", i)
 			}
 		}
@@ -230,7 +230,7 @@ func TestRankAdaptiveSteadyAppendAllocatesNothing(t *testing.T) {
 	// float32 block and keeps no copy of it beside: it allocates nothing.
 	const ell, d = 8, 64
 	a := mat.RandGaussian(4*ell, d, rng.New(48))
-	r := NewRankAdaptiveFD(ell, d, 2, 10, 0, rng.New(49)) // ε above any relative error: ℓ stays
+	r := newRankAdaptive(ell, d, 2, 10, 0, rng.New(49)) // ε above any relative error: ℓ stays
 	i := 0
 	next := func() {
 		r.Append(a.Row(i % a.RowsN))
@@ -274,9 +274,9 @@ func TestProbingRotationAllocatesUnderOneKeptBlock(t *testing.T) {
 	const ell, d, nu = 25, 16384, 10
 	x := goldenStream(2*ell+1, d, 30, 79)
 	// A first sketch starts the kernel pool's workers.
-	NewRankAdaptiveFD(ell, d, nu, 1e-9, 0, rng.New(1)).AppendMatrix(x)
-	rotation := func(totalRows int) (*RankAdaptiveFD, uint64) {
-		r := NewRankAdaptiveFD(ell, d, nu, 1e-9, totalRows, rng.New(2))
+	newRankAdaptive(ell, d, nu, 1e-9, 0, rng.New(1)).AppendMatrix(x)
+	rotation := func(totalRows int) (*ARAMS, uint64) {
+		r := newRankAdaptive(ell, d, nu, 1e-9, totalRows, rng.New(2))
 		r.AppendMatrix(x.Rows(0, 2*ell))
 		liveHeap()
 		var before, after runtime.MemStats
@@ -290,7 +290,7 @@ func TestProbingRotationAllocatesUnderOneKeptBlock(t *testing.T) {
 	}
 	guarded, plain := rotation(2*ell + 1) // one row left: no probe
 	probed, got := rotation(0)
-	if guarded.g.State() != rng.New(2).State() || probed.grows != 1 {
+	if guarded.probe.State() != rng.New(2).State() || probed.grows != 1 {
 		t.Fatalf("the guarded rotation probed, or the unguarded one did not grow (%d growths)", probed.grows)
 	}
 	if extra, limit := int64(got)-int64(plain), int64(ell*d*8); extra >= limit {
@@ -302,7 +302,7 @@ func TestProbingRotationAllocatesUnderOneKeptBlock(t *testing.T) {
 func TestRunRankAdaptiveFD(t *testing.T) {
 	g := rng.New(44)
 	x := mat.RandGaussian(100, 20, g)
-	r := NewRankAdaptiveFD(5, x.ColsN, 3, 0.1, x.RowsN, rng.New(45))
+	r := newRankAdaptive(5, x.ColsN, 3, 0.1, x.RowsN, rng.New(45))
 	r.AppendMatrix(x)
 	b := r.Sketch()
 	if b.ColsN != 20 || b.RowsN < 5 {
@@ -313,10 +313,12 @@ func TestRunRankAdaptiveFD(t *testing.T) {
 	}
 }
 
+// TestRankAdaptivePanics: rank adaptation has no default ε, as it has
+// for ν (NewARAMS's 10).
 func TestRankAdaptivePanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"nu=0":  func() { NewRankAdaptiveFD(4, 10, 0, 0.1, 100, rng.New(1)) },
-		"eps=0": func() { NewRankAdaptiveFD(4, 10, 3, 0, 100, rng.New(1)) },
+		"eps=0": func() { newRankAdaptive(4, 10, 3, 0, 100, rng.New(1)) },
+		"eps<0": func() { newRankAdaptive(4, 10, 0, -0.1, 100, rng.New(1)) },
 	} {
 		func() {
 			defer func() {

@@ -163,77 +163,20 @@ func (fd *FrequentDirections) Clone() *FrequentDirections {
 	return c
 }
 
-// RankAdaptiveState is a snapshot of a RankAdaptiveFD: the underlying
-// FD state plus the rank-adaptation bookkeeping of Algorithm 2 and the
-// probe RNG position.
-type RankAdaptiveState struct {
-	FD          FDState
-	Nu          int
-	Eps         float64
-	RNG         rng.State
-	IncreaseEll bool
-	RowsLeft    int // -1 when the stream length is unknown
-	Grows       int
-}
-
-// State captures the rank-adaptive sketch's current state.
-func (r *RankAdaptiveFD) State() RankAdaptiveState { return r.state(false) }
-
-// state is State; with take set it moves the sketch's blocks into the
-// state instead of copying them (see FrequentDirections.state).
-func (r *RankAdaptiveFD) state(take bool) RankAdaptiveState {
-	return RankAdaptiveState{
-		FD:          r.fd.state(take),
-		Nu:          r.nu,
-		Eps:         r.eps,
-		RNG:         r.g.State(),
-		IncreaseEll: r.increaseEll,
-		RowsLeft:    r.rowsLeft,
-		Grows:       r.grows,
-	}
-}
-
-// newRankAdaptiveFromState rebuilds a rank-adaptive sketch from a
-// snapshot; with adopt set the sketch takes the state's blocks instead
-// of copying them (see newFDFromState).
-func newRankAdaptiveFromState(s RankAdaptiveState, adopt bool) (*RankAdaptiveFD, error) {
-	fd, err := newFDFromState(s.FD, adopt)
-	if err != nil {
-		return nil, err
-	}
-	if s.Nu <= 0 {
-		return nil, fmt.Errorf("sketch: rank-adaptive state has nu=%d", s.Nu)
-	}
-	if !(s.Eps > 0) || math.IsInf(s.Eps, 0) {
-		return nil, fmt.Errorf("sketch: rank-adaptive state has eps=%v", s.Eps)
-	}
-	if !s.RNG.Valid() {
-		return nil, fmt.Errorf("sketch: rank-adaptive state has invalid RNG state")
-	}
-	if s.RowsLeft < -1 || s.Grows < 0 {
-		return nil, fmt.Errorf("sketch: rank-adaptive state has invalid counters (rowsLeft=%d grows=%d)", s.RowsLeft, s.Grows)
-	}
-	return &RankAdaptiveFD{
-		fd:          fd,
-		nu:          s.Nu,
-		eps:         s.Eps,
-		g:           rng.FromState(s.RNG),
-		increaseEll: s.IncreaseEll,
-		rowsLeft:    s.RowsLeft,
-		grows:       s.Grows,
-	}, nil
-}
-
 // ARAMSState is a snapshot of a streaming ARAMS sketcher: the
-// configuration, the batch-sampler RNG position, and exactly one of
-// the two sketch variants.
+// configuration, the batch-sampler RNG position, the sketch, and, when
+// Cfg.RankAdaptive, Algorithm 2's bookkeeping. A fixed-rank sketcher
+// keeps no bookkeeping and leaves those fields zero.
 type ARAMSState struct {
 	Cfg Config
 	D   int
 	RNG rng.State
-	// RankAdaptive is non-nil when Cfg.RankAdaptive, FD otherwise.
-	RankAdaptive *RankAdaptiveState
-	FD           *FDState
+	FD  FDState
+
+	ProbeRNG    rng.State
+	IncreaseEll bool
+	RowsLeft    int // -1 when the stream length is unknown
+	Grows       int
 }
 
 // State captures the sketcher's current state.
@@ -251,13 +194,17 @@ func (a *ARAMS) State() ARAMSState { return a.state(false) }
 func (a *ARAMS) TakeState() ARAMSState { return a.state(true) }
 
 func (a *ARAMS) state(take bool) ARAMSState {
-	s := ARAMSState{Cfg: a.cfg, D: a.d, RNG: a.g.State()}
-	if a.rafd != nil {
-		ra := a.rafd.state(take)
-		s.RankAdaptive = &ra
-	} else {
-		fd := a.fd.state(take)
-		s.FD = &fd
+	s := ARAMSState{
+		Cfg:         a.cfg,
+		D:           a.fd.d,
+		RNG:         a.g.State(),
+		FD:          a.fd.state(take),
+		IncreaseEll: a.increaseEll,
+		RowsLeft:    a.rowsLeft,
+		Grows:       a.grows,
+	}
+	if a.probe != nil {
+		s.ProbeRNG = a.probe.State()
 	}
 	return s
 }
@@ -283,28 +230,27 @@ func newARAMSFromState(s ARAMSState, adopt bool) (*ARAMS, error) {
 	if !s.RNG.Valid() {
 		return nil, fmt.Errorf("sketch: ARAMS state has invalid RNG state")
 	}
-	a := &ARAMS{cfg: s.Cfg, d: s.D, g: rng.FromState(s.RNG)}
-	switch {
-	case s.Cfg.RankAdaptive && s.RankAdaptive != nil && s.FD == nil:
-		rafd, err := newRankAdaptiveFromState(*s.RankAdaptive, adopt)
-		if err != nil {
-			return nil, err
+	fd, err := newFDFromState(s.FD, adopt)
+	if err != nil {
+		return nil, err
+	}
+	a := &ARAMS{cfg: s.Cfg, g: rng.FromState(s.RNG), fd: fd}
+	if s.Cfg.RankAdaptive {
+		switch {
+		case s.Cfg.Nu <= 0:
+			return nil, fmt.Errorf("sketch: rank-adaptive state has nu=%d", s.Cfg.Nu)
+		case !(s.Cfg.Eps > 0) || math.IsInf(s.Cfg.Eps, 0):
+			return nil, fmt.Errorf("sketch: rank-adaptive state has eps=%v", s.Cfg.Eps)
+		case !s.ProbeRNG.Valid():
+			return nil, fmt.Errorf("sketch: rank-adaptive state has invalid RNG state")
+		case s.RowsLeft < -1 || s.Grows < 0:
+			return nil, fmt.Errorf("sketch: rank-adaptive state has invalid counters (rowsLeft=%d grows=%d)", s.RowsLeft, s.Grows)
 		}
-		if rafd.fd.Dim() != s.D {
-			return nil, fmt.Errorf("sketch: ARAMS state dimension %d != inner sketch dimension %d", s.D, rafd.fd.Dim())
-		}
-		a.rafd = rafd
-	case !s.Cfg.RankAdaptive && s.FD != nil && s.RankAdaptive == nil:
-		fd, err := newFDFromState(*s.FD, adopt)
-		if err != nil {
-			return nil, err
-		}
-		if fd.Dim() != s.D {
-			return nil, fmt.Errorf("sketch: ARAMS state dimension %d != inner sketch dimension %d", s.D, fd.Dim())
-		}
-		a.fd = fd
-	default:
-		return nil, fmt.Errorf("sketch: ARAMS state variant does not match Cfg.RankAdaptive=%v", s.Cfg.RankAdaptive)
+		a.probe = rng.FromState(s.ProbeRNG)
+		a.increaseEll, a.rowsLeft, a.grows = s.IncreaseEll, s.RowsLeft, s.Grows
+	}
+	if fd.Dim() != s.D {
+		return nil, fmt.Errorf("sketch: ARAMS state dimension %d != inner sketch dimension %d", s.D, fd.Dim())
 	}
 	return a, nil
 }

@@ -21,10 +21,7 @@ func stackedShards(st *pipeline.MonitorState) *mat.Matrix {
 		if s == nil {
 			continue
 		}
-		fd := s.FD
-		if s.RankAdaptive != nil {
-			fd = &s.RankAdaptive.FD
-		}
+		fd := &s.FD
 		for i := 0; i < len(fd.Kept); i += fd.D {
 			rows = append(rows, fd.Kept[i:i+fd.D])
 		}
